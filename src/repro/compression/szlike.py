@@ -14,9 +14,10 @@ Pipeline (all stages vectorized; see DESIGN.md for the substitution note):
    the bound is too tight for safe integer quantization.
 
 Guarantee: each real and imaginary component of every round-tripped value
-differs from the original by at most the *realized* absolute bound, which is
-stored in the blob header (``abs`` mode: the configured bound; ``rel`` mode:
-``rel * max|component|`` of that chunk).
+differs from the original by at most the *realized* absolute bound (``abs``
+mode: the configured bound; ``rel`` mode: ``rel * max|component|`` of that
+chunk). The blob header stores the bound the codes were quantised on, which
+is that bound shrunk by a relative ``2**-30`` (see ``_STEP_SHRINK``).
 """
 
 from __future__ import annotations
@@ -61,22 +62,27 @@ _ENTROPY_HUFFMAN = 1
 _HUFFMAN_MAX_ALPHABET = 1 << 16
 _HUFFMAN_MAX_ELEMENTS = 1 << 21
 
-#: strided pre-probe size for entropy-mode selection: if a sample this large
-#: already shows more distinct symbols than the alphabet cap, the full
-#: (sorting) ``np.unique`` scan is skipped entirely.
-_ALPHABET_PROBE_SAMPLES = 1 << 12
+#: The quantisation step is ``2 * eb * _STEP_SHRINK``, a hair inside the
+#: configured bound. On the exact ``2 * eb`` lattice a chunk that was decoded
+#: from this codec and then mixed by a gate lands on exact half-steps: ``rint``
+#: ties, the true error is exactly ``eb``, and product rounding in the
+#: reconstruction pushes it ~1 ulp past — so the bound check sent whole
+#: high-entropy chunks to the raw escape (4x the bytes). A relative 2**-30
+#: of slack is ~1e6 ulp of the largest amplitude, far above that rounding,
+#: and costs 1e-9 of the step in precision.
+_STEP_SHRINK = 1.0 - 2.0 ** -30
 
 
-def _minimal_uint(zz: np.ndarray) -> Tuple[np.ndarray, int]:
+def _minimal_uint(zz: np.ndarray) -> np.ndarray:
     """Downcast zigzag codes to the narrowest dtype that holds the max."""
     mx = int(zz.max()) if zz.size else 0
     if mx < 1 << 8:
-        return zz.astype(np.uint8), 1
+        return zz.astype(np.uint8)
     if mx < 1 << 16:
-        return zz.astype(np.uint16), 2
+        return zz.astype(np.uint16)
     if mx < 1 << 32:
-        return zz.astype(np.uint32), 4
-    return zz.astype(np.uint64), 8
+        return zz.astype(np.uint32)
+    return zz.astype(np.uint64)
 
 
 class SZLikeCompressor(Compressor):
@@ -141,18 +147,18 @@ class SZLikeCompressor(Compressor):
             np.copyto(planes[n:], data.imag)
             try:
                 abs_bound = resolve_error_bound(planes, self._eb, self._mode)
-                q = quantize(planes, abs_bound)
+                q = quantize(planes, abs_bound * _STEP_SHRINK)
             except (OverflowError, FloatingPointError):
                 return self._raw_blob(data)
-            # Verify the bound against the *actual* reconstruction (dequantize
-            # is deterministic, so the decoder sees exactly these values).
-            # Product rounding can exceed eb by ~|x|*ulp for huge code
-            # magnitudes; those chunks escape to the exact raw path (SZ's
-            # unpredictable-data rule).
+            # Verify the *configured* bound against the actual reconstruction
+            # (dequantize is deterministic, so the decoder sees exactly these
+            # values). Product rounding can still exceed eb for huge code
+            # magnitudes (bounds near |x|*ulp); those chunks escape to the
+            # exact raw path (SZ's unpredictable-data rule).
             np.multiply(q.codes, 2.0 * q.abs_bound, out=recon)
             np.subtract(planes, recon, out=recon)
             np.abs(recon, out=recon)
-            if n and float(recon.max()) > q.abs_bound:
+            if n and float(recon.max()) > abs_bound:
                 return self._raw_blob(data)
             deltas = np.diff(q.codes, prepend=np.int64(0))
         zz = zigzag(deltas)
@@ -180,41 +186,33 @@ class SZLikeCompressor(Compressor):
     def _entropy_encode(self, zz: np.ndarray) -> Tuple[bytes, int]:
         if self._entropy == "huffman":
             return huffman.encode(zz.astype(np.int64)), _ENTROPY_HUFFMAN
-        zpay = self._zlib_payload(zz)
+        narrow = _minimal_uint(zz)
+        zpay = struct.pack("<B", narrow.dtype.itemsize) + \
+            zlib.compress(narrow.tobytes(), self._level)
         if self._entropy == "auto" and zz.size and \
                 zz.size <= _HUFFMAN_MAX_ELEMENTS:
-            # Three-tier probe on the zigzag stream, cheapest test first.
-            # Tier 1: distinct symbols in a strided sample only ever
-            # undercount the full alphabet, so a sample already past the
-            # cap rejects without the full sorting scan. Tier 2: the full
-            # np.unique; degenerate single-symbol streams stay with zlib
-            # (its RLE beats a 1-bit-per-symbol Huffman floor). Tier 3: the
-            # zeroth-order entropy bound predicts the Huffman payload
+            # One alphabet scan, on the minimal-width array the zlib payload
+            # was built from (sorting uint8/uint16 is several times cheaper
+            # than int64). Degenerate single-symbol streams stay with zlib
+            # (its RLE beats a 1-bit-per-symbol Huffman floor). Otherwise
+            # the zeroth-order entropy bound predicts the Huffman payload
             # (n*H/8 data + 9 bytes/symbol table) — only when it is in
             # striking distance of the zlib payload is the encoder actually
             # run, and the exact smaller payload wins, so `auto` is never
-            # worse than zlib. The unique triple is handed to the encoder
-            # so the stream is not sorted twice.
-            zz64 = zz.astype(np.int64)
-            stride = max(1, zz64.size // _ALPHABET_PROBE_SAMPLES)
-            if np.unique(zz64[::stride]).size <= _HUFFMAN_MAX_ALPHABET:
-                symbols, inverse, freqs = np.unique(
-                    zz64, return_inverse=True, return_counts=True)
-                if 2 <= symbols.size <= _HUFFMAN_MAX_ALPHABET:
-                    p = freqs / zz64.size
-                    h_bits = float(-(p * np.log2(p)).sum())
-                    est = zz64.size * h_bits / 8 + 9 * symbols.size + 16
-                    if est <= len(zpay) * 1.05:
-                        hpay = huffman.encode(
-                            zz64, alphabet=(symbols, inverse, freqs))
-                        if len(hpay) <= len(zpay):
-                            return hpay, _ENTROPY_HUFFMAN
+            # worse than zlib. The symbol -> index map is derived only then
+            # and handed to the encoder, so the stream is not sorted twice.
+            symbols, freqs = np.unique(narrow, return_counts=True)
+            if 2 <= symbols.size <= _HUFFMAN_MAX_ALPHABET:
+                p = freqs / zz.size
+                h_bits = float(-(p * np.log2(p)).sum())
+                est = zz.size * h_bits / 8 + 9 * symbols.size + 16
+                if est <= len(zpay) * 1.05:
+                    inverse = np.searchsorted(symbols, narrow)
+                    hpay = huffman.encode(
+                        narrow, alphabet=(symbols, inverse, freqs))
+                    if len(hpay) <= len(zpay):
+                        return hpay, _ENTROPY_HUFFMAN
         return zpay, _ENTROPY_ZLIB
-
-    def _zlib_payload(self, zz: np.ndarray) -> bytes:
-        narrow, _width = _minimal_uint(zz)
-        width_tag = struct.pack("<B", narrow.dtype.itemsize)
-        return width_tag + zlib.compress(narrow.tobytes(), self._level)
 
     # -- decompression -----------------------------------------------------------
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from ..compile import CompiledGateStage
 from ..device.timeline import Stage
-from ..pipeline.scheduler import StageScheduler
+from ..pipeline.scheduler import StageProgram, StageScheduler
 from ..telemetry import get_logger
 from .pool import CodecJob, CodecWorkerPool
 
@@ -162,6 +162,7 @@ class ParallelStageScheduler(StageScheduler):
             if self._planned_orders is not None else None
         order = planned if planned is not None else \
             self._group_order(placement)
+        program = StageProgram(stage, self.layout, placement)
         pending: List[Tuple[int, int, CodecJob]] = []
         # (buffer, decompress jobs) for the next group; seeded by the
         # previous stage's cross-boundary prefetch when it targeted us.
@@ -176,7 +177,7 @@ class ParallelStageScheduler(StageScheduler):
                 if self.schedule is not None:
                     self.schedule.begin_pass(si, gi)
                 cpu_path = cpu_every > 0 and (gi % cpu_every == 0)
-                ops = self._ops_for_group(stage, placement, members[0])
+                ops = self._ops_for_group(program, members[0])
                 if prefetch is None:
                     buf = self.pool.acquire()
                     jobs = self._submit_loads(members)

@@ -4,7 +4,12 @@ from .autotune import TuneReport, autotune_chunk_qubits
 from .cancel import NULL_CANCEL, CancelToken, JobCancelled
 from .cpu_offload import OffloadAdvice, advise_from_timeline, balanced_offload_fraction
 from .planner import PlanReport, describe_plan, max_group_qubits_for, plan_stages
-from .scheduler import StageScheduler, remap_gate_for_group, restrict_diagonal
+from .scheduler import (
+    StageProgram,
+    StageScheduler,
+    remap_gate_for_group,
+    restrict_diagonal,
+)
 from .stages import GateStage, PermutationStage
 
 __all__ = [
@@ -17,6 +22,7 @@ __all__ = [
     "max_group_qubits_for",
     "describe_plan",
     "PlanReport",
+    "StageProgram",
     "StageScheduler",
     "remap_gate_for_group",
     "restrict_diagonal",

@@ -9,7 +9,9 @@ recorded on the timeline:
    staging buffer (one slot per chunk);
 2. H2D — upload the group buffer to the device arena;
 3. KERNEL — apply the stage's gates, with global qubits remapped to their
-   virtual in-buffer positions and diagonals restricted per group;
+   virtual in-buffer positions and diagonals restricted per group (a
+   :class:`StageProgram` lowers each op once per fixed-bit pattern, not
+   once per group);
 4. D2H — download the updated amplitudes;
 5. COMPRESS — recompress each chunk back into the store.
 
@@ -42,7 +44,8 @@ from ..telemetry import NULL_TELEMETRY, get_logger
 from .cancel import NULL_CANCEL
 from .stages import GateStage, PermutationStage
 
-__all__ = ["StageScheduler", "remap_gate_for_group", "restrict_diagonal"]
+__all__ = ["StageProgram", "StageScheduler", "remap_gate_for_group",
+           "restrict_diagonal"]
 
 log = get_logger(__name__)
 
@@ -134,6 +137,70 @@ def remap_gate_for_group(
 
 
 _is_diag_gate = gate_is_diagonal
+
+
+class StageProgram:
+    """One gate stage's ops lowered into the group-buffer frame, memoised.
+
+    What :func:`remap_gate_for_group` returns for an op depends on the group
+    only through the chunk-id bits of the *out-of-group global qubits the op
+    touches* — and only for diagonal ops, since a non-diagonal op has all its
+    global qubits in the group. Those bits are the op's ``mask``; the lowered
+    :class:`GateOp` (``None`` = identity for that pattern, skip) is built on
+    first use and kept under ``base_chunk & mask``. Non-diagonal ops have
+    mask 0 and lower exactly once per stage.
+
+    The key is per op, not per stage: the union of a stage's masks usually
+    covers nearly every global bit (5 of 6 on ``qft(16)``'s first stage), so
+    a stage-wide key would be distinct for every group and reuse nothing.
+
+    A program belongs to one ``(stage, layout, placement)`` and lives for one
+    execution of that stage; nothing is cached on the stage object, so a
+    compiled plan shared between runs or layouts cannot see a stale table.
+    """
+
+    def __init__(self, stage: CompiledGateStage, layout: ChunkLayout,
+                 placement: GroupPlacement):
+        self.layout = layout
+        self.placement = placement
+        in_group = set(placement.group_qubits)
+        c = layout.chunk_qubits
+        #: per op: (lowered source gate, fixed-bit mask, pattern -> GateOp)
+        self._rows: List[Tuple[Gate, int, Dict[int, Optional[GateOp]]]] = []
+        for op in stage.ops:
+            gate = op.to_gate()
+            mask = 0
+            if _is_diag_gate(gate):
+                for q in gate.qubits:
+                    if q >= c and q not in in_group:
+                        mask |= 1 << (q - c)
+            self._rows.append((gate, mask, {}))
+
+    @property
+    def entries(self) -> int:
+        """Distinct lowerings built so far (the remap calls actually paid)."""
+        return sum(len(memo) for _g, _mask, memo in self._rows)
+
+    def ops_for(self, base_chunk: int) -> Tuple[List[GateOp], int]:
+        """``(ops to execute, identity ops skipped)`` for the group whose
+        first member is ``base_chunk``."""
+        out: List[GateOp] = []
+        skipped = 0
+        for gate, mask, memo in self._rows:
+            pattern = base_chunk & mask
+            try:
+                op = memo[pattern]
+            except KeyError:
+                # ``pattern`` agrees with ``base_chunk`` on every bit the
+                # remap reads, so it stands in for the whole class.
+                rg = remap_gate_for_group(gate, self.layout, self.placement,
+                                          pattern)
+                op = memo[pattern] = None if rg is None else GateOp(rg)
+            if op is None:
+                skipped += 1
+            else:
+                out.append(op)
+        return out, skipped
 
 
 @dataclass
@@ -317,6 +384,7 @@ class StageScheduler:
         group_size = self.layout.chunk_size << len(placement.group_qubits)
         cpu_every = self._cpu_every()
         order = self._group_order(placement)
+        program = StageProgram(stage, self.layout, placement)
         will_need = getattr(self.store, "will_need", None)
         for gi, members in order:
             self.cancel.raise_if_cancelled()
@@ -329,7 +397,7 @@ class StageScheduler:
                 # loop pays per-chunk latencies for them.
                 will_need(members)
             cpu_path = cpu_every > 0 and (gi % cpu_every == 0)
-            ops = self._ops_for_group(stage, placement, members[0])
+            ops = self._ops_for_group(program, members[0])
             with self.telemetry.span(
                 "group_pass", stage=si, group=gi,
                 path="cpu" if cpu_path else "device",
@@ -346,25 +414,17 @@ class StageScheduler:
                                 chunks=len(members),
                                 path="cpu" if cpu_path else "device")
 
-    def _ops_for_group(self, stage: CompiledGateStage,
-                       placement: GroupPlacement,
+    def _ops_for_group(self, program: StageProgram,
                        base_chunk: int) -> List[GateOp]:
-        """Remap the stage's compiled ops into this group's buffer frame.
+        """This group's ops from the stage program, booking identity skips.
 
-        Compilation (fusion) happened once per stage; the per-group step
-        relabels qubits to virtual positions and restricts diagonals by the
-        group's fixed chunk-id bits — that restriction differs per group,
-        which is why it cannot be folded into the stage-level compile.
+        Compilation (fusion) happened once per stage and the program lowers
+        each op once per fixed-bit pattern; what is left per group is a
+        table lookup per op.
         """
-        out: List[GateOp] = []
-        for op in stage.ops:
-            rg = remap_gate_for_group(op.to_gate(), self.layout, placement,
-                                      base_chunk)
-            if rg is None:
-                self.stats.gates_skipped_identity += 1
-            else:
-                out.append(GateOp(rg))
-        return out
+        ops, skipped = program.ops_for(base_chunk)
+        self.stats.gates_skipped_identity += skipped
+        return ops
 
     def _load_group(self, gi: int, members: Tuple[int, ...], buf: np.ndarray) -> None:
         # Events carry the *group* id so the overlap model chains each

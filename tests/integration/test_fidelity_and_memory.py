@@ -71,7 +71,12 @@ class TestMemoryClaims:
         # GHZ (2 nonzeros) must compress far better than supremacy (random).
         r_ghz = MemQSim(cfg()).run(get_workload("ghz", 9)).compression_ratio
         r_sup = MemQSim(cfg()).run(get_workload("supremacy", 9)).compression_ratio
-        assert r_ghz > 5 * r_sup
+        # The margin was 5x while most supremacy chunks tripped szlike's
+        # bound check by one ulp (half-lattice ties) and were stored as
+        # zlib-of-raw-floats: r_sup 1.32. With the shrunk quantisation
+        # step they stay on the lossy path (r_sup 1.58, r_ghz 7.43
+        # unchanged), so the honest gap at n=9, chunk 4 is 4.7x.
+        assert r_ghz > 3 * r_sup
 
 
 class TestSweepDriver:

@@ -1,0 +1,187 @@
+"""The stage program: each op lowered once per fixed-bit pattern.
+
+``remap_gate_for_group`` called once per (op, group) — the per-group
+lowering the scheduler used to run — is kept here as the reference the
+memoised program must reproduce op for op.
+"""
+
+import numpy as np
+import pytest
+
+from repro.circuits import Circuit, get_workload, qft
+from repro.compile import CompileOptions, GateOp, compile_stages
+from repro.core import MemQSim, MemQSimConfig
+from repro.device import DeviceSpec
+from repro.memory import ChunkLayout
+from repro.parallel import run_equivalence
+from repro.pipeline import (
+    PermutationStage,
+    StageProgram,
+    max_group_qubits_for,
+    plan_stages,
+    remap_gate_for_group,
+)
+from repro.serve import PlanCache
+from repro.statevector import DenseSimulator
+
+from .test_scheduler import build_rig
+
+N, CHUNK_QUBITS, DEVICE_BYTES = 10, 4, 2048
+
+
+def compiled_gate_stages(circuit, fusion, precision):
+    layout = ChunkLayout(circuit.num_qubits, CHUNK_QUBITS,
+                         itemsize=8 if precision == "c64" else 16)
+    # The same device holds one more group qubit in c64, so the two
+    # precisions plan different groupings of the same circuit.
+    t_max = max_group_qubits_for(layout, DeviceSpec(memory_bytes=DEVICE_BYTES))
+    plan = compile_stages(plan_stages(circuit, layout, t_max), layout,
+                          CompileOptions(fusion=fusion))
+    return layout, [s for s in plan if not isinstance(s, PermutationStage)]
+
+
+def signature(op):
+    gate = op.to_gate()
+    body = gate.diag if gate.diag is not None else gate.matrix
+    return (gate.name, gate.qubits, gate.diag is not None,
+            np.ascontiguousarray(body).tobytes())
+
+
+def direct_sweep(stage, layout, placement, base_chunk):
+    """The reference: lower every op for this one group, no memo."""
+    ops, skipped = [], 0
+    for op in stage.ops:
+        rg = remap_gate_for_group(op.to_gate(), layout, placement, base_chunk)
+        if rg is None:
+            skipped += 1
+        else:
+            ops.append(GateOp(rg))
+    return ops, skipped
+
+
+@pytest.mark.parametrize("precision", ["c128", "c64"])
+@pytest.mark.parametrize("fusion", [False, True])
+@pytest.mark.parametrize("workload", ["qft", "vqe", "supremacy"])
+def test_program_equals_direct_remap_for_every_group(workload, fusion,
+                                                     precision):
+    layout, stages = compiled_gate_stages(get_workload(workload, N), fusion,
+                                          precision)
+    assert stages
+    remaps_paid = remaps_direct = 0
+    for stage in stages:
+        placement = layout.chunk_groups(stage.group_qubits)
+        program = StageProgram(stage, layout, placement)
+        for members in placement.groups:
+            ops, skipped = program.ops_for(members[0])
+            ref_ops, ref_skipped = direct_sweep(stage, layout, placement,
+                                                members[0])
+            assert skipped == ref_skipped
+            assert [signature(o) for o in ops] == \
+                [signature(o) for o in ref_ops]
+        remaps_paid += program.entries
+        remaps_direct += len(stage.ops) * len(placement.groups)
+    assert remaps_paid <= remaps_direct
+    if workload == "qft":
+        # controlled phases reaching past the group: few patterns, many groups
+        assert remaps_paid < remaps_direct / 2
+
+
+def test_entries_follow_each_ops_out_of_group_global_bits():
+    layout = ChunkLayout(8, 3)
+    circuit = Circuit(8).h(4).cz(0, 7).cp(0.3, 6, 4).cx(4, 1).rzz(0.2, 5, 7)
+    (stage,) = compile_stages(plan_stages(circuit, layout, 1), layout).stages
+    assert stage.group_qubits == (4,)
+    placement = layout.chunk_groups(stage.group_qubits)
+    program = StageProgram(stage, layout, placement)
+    assert program.entries == 0  # lowered on first use, not up front
+    for members in placement.groups:
+        program.ops_for(members[0])
+    # qubit 4 is in the group: h(4) and cx(4,1) are group-invariant, cz(0,7)
+    # and cp(6,4) each see one fixed bit, rzz(5,7) two — over 16 groups.
+    assert len(placement.groups) == 16
+    assert program.entries == 1 + 2 + 2 + 1 + 4
+
+
+def test_non_diagonal_ops_lower_once_per_stage():
+    layout = ChunkLayout(8, 3)
+    circuit = Circuit(8).h(7).cx(7, 0).h(6)
+    (stage,) = compile_stages(plan_stages(circuit, layout, 2), layout).stages
+    placement = layout.chunk_groups(stage.group_qubits)
+    program = StageProgram(stage, layout, placement)
+    first = [program.ops_for(m[0])[0] for m in placement.groups]
+    assert len(placement.groups) > 1
+    assert program.entries == len(stage.ops)
+    for ops in first[1:]:
+        assert all(a is b for a, b in zip(ops, first[0]))
+
+
+# (group_passes, gates_applied, gates_skipped_identity, state digest) of a
+# streamed qft(12) at chunk_qubits=6 / zlib / 4 KiB device, recorded on the
+# commit before the stage program existed (per-group lowering).
+QFT12_PINNED = {
+    (False, "c128"): (384, 2448, 240,
+                      "bdf80128167d75a8fe6a4889ec2572cb"
+                      "935cf7cec2c92fc96d536f6fd6b04fa7"),
+    (False, "c64"): (96, 1248, 96,
+                     "16fa466354a071911d66bf021086ba9c"
+                     "db4e43d25b664fde81e84147baf3e30e"),
+    (True, "c128"): (384, 898, 30,
+                     "bdf80128167d75a8fe6a4889ec2572cb"
+                     "935cf7cec2c92fc96d536f6fd6b04fa7"),
+    (True, "c64"): (96, 454, 10,
+                    "16fa466354a071911d66bf021086ba9c"
+                    "db4e43d25b664fde81e84147baf3e30e"),
+}
+
+
+def observed(res):
+    stats = res.scheduler_stats
+    return (stats.group_passes, stats.gates_applied,
+            stats.gates_skipped_identity, res.state_digest())
+
+
+def qft12_config(fusion, precision):
+    return MemQSimConfig(chunk_qubits=6, compressor="zlib",
+                         precision=precision, fuse_gates=fusion,
+                         device=DeviceSpec(memory_bytes=4096))
+
+
+@pytest.mark.parametrize("fusion,precision", sorted(QFT12_PINNED))
+def test_streamed_qft12_counters_and_digest_pinned(fusion, precision):
+    res = MemQSim(qft12_config(fusion, precision)).run(qft(12))
+    assert observed(res) == QFT12_PINNED[(fusion, precision)]
+
+
+def test_parallel_engine_runs_the_same_program():
+    cfg = qft12_config(False, "c128")
+    rep = run_equivalence(qft(12), cfg, workers=2)
+    assert rep.ok and rep.blobs_identical and rep.state_bit_identical
+    par = MemQSim(cfg.with_updates(execution="parallel", workers=1)) \
+        .run(qft(12))
+    assert observed(par) == QFT12_PINNED[(False, "c128")]
+
+
+def test_plan_cache_hit_repeats_counters_and_digest():
+    cache = PlanCache()
+    runs = [MemQSim(qft12_config(True, "c128"), plan_cache=cache).run(qft(12))
+            for _ in range(2)]
+    assert cache.stats()["hits"] == 1
+    for res in runs:
+        assert observed(res) == QFT12_PINNED[(True, "c128")]
+
+
+def test_one_compiled_stage_under_two_layouts_shares_no_table():
+    # The same CompiledGateStage object driven through two chunk sizes: the
+    # fixed bits of cz(0,7)/cp(6,1) sit at different chunk-id positions, so
+    # a table kept on the stage from the first run would be wrong for the
+    # second.
+    circuit = Circuit(8).h(0).h(1).h(5).cz(0, 7).cp(0.7, 6, 1).rzz(0.3, 5, 6)
+    ref = DenseSimulator().run(circuit).data
+    layout3 = ChunkLayout(8, 3)
+    (stage,) = compile_stages(plan_stages(circuit, layout3, 1),
+                              layout3).stages
+    assert stage.group_qubits == (5,)
+    for c in (3, 4, 3):
+        _lay, store, sched = build_rig(n=8, c=c)
+        sched.run([stage])
+        assert np.allclose(store.to_statevector(), ref, atol=1e-12)
