@@ -1,17 +1,37 @@
 """The offline stage: partition a circuit into chunk-residency stages.
 
-Given the chunk layout and the device's group capacity, the planner walks
-the gate list once and greedily packs gates into stages (paper: "MEMQSim
-partitions the input circuit and the corresponding state vector"):
+Every :class:`GateStage` costs one decompress -> kernel -> recompress sweep
+over *all* chunks, so the planner's job is to need few of them (paper:
+"MEMQSim partitions the input circuit and the corresponding state vector").
+It is a list scheduler over the gate dependency DAG, not a walk in circuit
+order:
 
-* **diagonal gates never force grouping** — a diagonal multiplies each
-  amplitude in place, so whatever its qubits, each chunk can apply its own
-  restriction of the diagonal (the chunk id fixes the global bits);
+* **dependencies** — two gates are ordered only if they share a qubit and
+  are not both diagonal. Everything else commutes, and the plan is free to
+  apply it in another order than the circuit lists it.
+* **absorb** — the open stage takes every *ready* gate (all predecessors
+  placed) that is diagonal, chunk-local, or whose global qubits lie inside
+  the stage's footprint. Diagonal gates never force grouping: each chunk
+  applies its own restriction of the diagonal (the chunk id fixes the
+  global bits).
+* **widen** — when nothing ready fits, the footprint grows by one ready
+  gate's global qubits, as long as the union stays within
+  ``max_group_qubits``. Among the candidates the one that unlocks the most
+  global-touching successors wins (one step of look-ahead), ties going to
+  circuit order.
+* **close** — only when no ready gate fits and none can be added is the
+  stage closed and a new one opened.
 * **pure chunk permutations** (X on a global qubit; SWAP between global
-  qubits) become :class:`PermutationStage`s executed on compressed blobs;
-* any other gate contributes its global qubits to the current stage's
-  group; when the union would exceed ``max_group_qubits``, the stage is
-  closed and a new one opened.
+  qubits) become :class:`PermutationStage`s executed on compressed blobs.
+  They end the gate stage before them, so they are emitted when nothing
+  else is ready, and consecutive ones merge into one relabeling.
+* a gate with more global qubits than the cap is lowered to
+  swap-in / gate / swap-back first (:func:`_lower_oversized_gate`).
+
+The plan is a pure function of ``(circuit, layout, max_group_qubits)``:
+integer indices and lists throughout, no iteration over hashed containers
+of anything but ints. Cost is O(gates x qubits-per-gate) for the DAG plus,
+per stage, a scan of the ready gates (at most one per qubit).
 
 ``max_group_qubits`` is derived from the device: a group buffer of
 ``2^(chunk_qubits + t)`` amplitudes must fit in the arena (with one buffer
@@ -58,11 +78,6 @@ def max_group_qubits_for(layout: ChunkLayout, device: DeviceSpec,
     return t
 
 
-# Backwards-compatible alias: the canonical predicate now lives with the
-# gate definitions so the compile layer can share it without import cycles.
-_gate_is_diagonal = gate_is_diagonal
-
-
 def _permutation_of(g: Gate, layout: ChunkLayout) -> Optional[Tuple[int, ...]]:
     """If ``g`` is a pure chunk-id permutation, return it (dst -> src)."""
     c = layout.chunk_qubits
@@ -84,14 +99,21 @@ def _permutation_of(g: Gate, layout: ChunkLayout) -> Optional[Tuple[int, ...]]:
     return None
 
 
-def _lower_oversized_gate(g: Gate, layout: ChunkLayout,
-                          max_group_qubits: int) -> List[Gate]:
+def _lower_oversized_gate(g: Gate, layout: ChunkLayout, max_group_qubits: int,
+                          homes_used: int) -> List[Gate]:
     """SWAP-conjugate a gate whose global-qubit count exceeds the cap.
 
     Classic distributed-SV lowering: swap surplus global qubits with unused
     local qubits, apply the relabeled gate, swap back. Each inserted
     ``swap(local, global)`` touches a single global qubit, so it always fits
     a cap of >= 1.
+
+    The homes rotate through the free local qubits: ``homes_used`` is how
+    many the circuit's earlier lowerings took, and this one starts where
+    they stopped. Parking every surplus qubit on the lowest free local
+    would chain all lowered gates through qubit 0 — a dependency the
+    circuit does not have, and one that keeps them out of each other's
+    stages.
     """
     gq = sorted(layout.global_qubits(g.qubits))
     surplus = len(gq) - max_group_qubits
@@ -104,7 +126,8 @@ def _lower_oversized_gate(g: Gate, layout: ChunkLayout,
             f"increase device memory or reduce chunk size"
         )
     victims = gq[:surplus]
-    homes = free_locals[:surplus]
+    first = homes_used % len(free_locals)
+    homes = (free_locals[first:] + free_locals[:first])[:surplus]
     mapping = {q: q for q in g.qubits}
     out: List[Gate] = []
     for loc, glob in zip(homes, victims):
@@ -116,6 +139,76 @@ def _lower_oversized_gate(g: Gate, layout: ChunkLayout,
     return out
 
 
+class _GateGraph:
+    """The lowered gate list and its dependency DAG, as parallel lists.
+
+    For gate ``i`` (an index into ``gates``, which is in circuit order):
+    ``need[i]`` is the bit mask over chunk-id bits of the global qubits it
+    must have co-resident — 0 for diagonal gates, chunk-local gates and
+    permutations; ``perm[i]`` is its chunk permutation, if it is one;
+    ``succ[i]`` lists the gates that must run after it and ``blockers[i]``
+    counts the gates it still waits for.
+    """
+
+    def __init__(self, circuit: Circuit, layout: ChunkLayout,
+                 max_group_qubits: int, permutations: bool) -> None:
+        self.layout = layout
+        self.cap = max_group_qubits
+        self.permutations = permutations
+        self.gates: List[Gate] = []
+        self.need: List[int] = []
+        self.perm: List[Optional[Tuple[int, ...]]] = []
+        self.succ: List[List[int]] = []
+        self.blockers: List[int] = []
+        self._homes_used = 0
+        # Per qubit: the last non-diagonal gate, and the diagonal gates
+        # since it (they commute with each other, not with it).
+        self._last_dense = [-1] * layout.num_qubits
+        self._diagonals: List[List[int]] = [[] for _ in range(layout.num_qubits)]
+        for g in circuit:
+            self._add(g)
+
+    def _add(self, g: Gate) -> None:
+        c = self.layout.chunk_qubits
+        perm = _permutation_of(g, self.layout) if self.permutations else None
+        diagonal = perm is None and gate_is_diagonal(g)
+        need = 0
+        if perm is None and not diagonal:
+            for q in g.qubits:
+                if q >= c:
+                    need |= 1 << (q - c)
+            if need.bit_count() > self.cap:
+                pieces = _lower_oversized_gate(g, self.layout, self.cap,
+                                               self._homes_used)
+                self._homes_used += len(pieces) // 2
+                for piece in pieces:
+                    self._add(piece)
+                return
+        i = len(self.gates)
+        before = set()
+        for q in g.qubits:
+            dense = self._last_dense[q]
+            if diagonal:
+                if dense >= 0:
+                    before.add(dense)
+                self._diagonals[q].append(i)
+            else:
+                if self._diagonals[q]:
+                    # Each of them already waits for ``dense``.
+                    before.update(self._diagonals[q])
+                    self._diagonals[q] = []
+                elif dense >= 0:
+                    before.add(dense)
+                self._last_dense[q] = i
+        for b in before:
+            self.succ[b].append(i)
+        self.gates.append(g)
+        self.need.append(need)
+        self.perm.append(perm)
+        self.succ.append([])
+        self.blockers.append(len(before))
+
+
 def plan_stages(
     circuit: Circuit,
     layout: ChunkLayout,
@@ -125,58 +218,88 @@ def plan_stages(
     """Partition ``circuit`` into execution stages (see module docstring)."""
     if max_group_qubits < 0:
         raise ValueError("max_group_qubits must be >= 0")
+    graph = _GateGraph(circuit, layout, max_group_qubits,
+                       enable_permutation_stages)
+    gates, need, perm_of = graph.gates, graph.need, graph.perm
+    succ, blockers = graph.succ, graph.blockers
+    c = layout.chunk_qubits
+
     stages: List[object] = []
-    current: Optional[GateStage] = None
+    footprint = 0            # chunk-id bit mask of the open stage's group
+    members: List[int] = []  # gates of the open stage
+    # The ready gates (no blockers left), by what the open stage can do
+    # with them:
+    fits: List[int] = []     # nothing global outside the footprint: absorb
+    waiting: List[int] = []  # need a global qubit the footprint lacks
+    perms: List[int] = []    # chunk permutations
 
-    def close() -> None:
-        nonlocal current
-        if current is not None and current.gates:
-            stages.append(current)
-        current = None
+    def release(i: int) -> None:
+        if perm_of[i] is not None:
+            perms.append(i)
+        elif need[i] & ~footprint:
+            waiting.append(i)
+        else:
+            fits.append(i)
 
-    def process(g: Gate) -> None:
-        nonlocal current
-        perm = _permutation_of(g, layout) if enable_permutation_stages else None
-        if perm is not None:
-            close()
-            # Merge consecutive permutations into one relabeling.
+    def scheduled(i: int) -> None:
+        for s in succ[i]:
+            blockers[s] -= 1
+            if not blockers[s]:
+                release(s)
+
+    def unlocks(i: int) -> int:
+        """How many global-touching gates wait for gate ``i`` alone."""
+        return sum(1 for s in succ[i]
+                   if blockers[s] == 1 and (need[s] or perm_of[s] is not None))
+
+    for i in range(len(gates)):
+        if not blockers[i]:
+            release(i)
+    while fits or waiting or perms:
+        while fits:
+            i = fits.pop()
+            members.append(i)
+            scheduled(i)
+        # Nothing more fits as is: widen the footprint by the waiting gate
+        # that unlocks the most (ties to circuit order), if the cap allows.
+        widen = max(
+            (i for i in waiting
+             if (footprint | need[i]).bit_count() <= max_group_qubits),
+            key=lambda i: (unlocks(i), -i), default=None)
+        if widen is not None:
+            footprint |= need[widen]
+            ready = waiting[:]
+            waiting.clear()
+            for i in ready:
+                release(i)
+            continue
+        if members:
+            # Circuit order within the stage is a valid dependency order,
+            # and it keeps neighbours the fusion passes expect adjacent.
+            members.sort()
+            group = tuple(q for q in range(c, layout.num_qubits)
+                          if footprint >> (q - c) & 1)
+            stages.append(GateStage(group, [gates[i] for i in members]))
+            members.clear()
+            footprint = 0
+        if waiting:
+            continue  # the next stage opens on one of them
+        # Only permutations are ready. They cost no codec traffic but end
+        # the stage before them, so they go last; ones that become ready
+        # in this loop join the same relabeling.
+        for i in perms:
+            perm = perm_of[i]
             if stages and isinstance(stages[-1], PermutationStage):
                 prev: PermutationStage = stages[-1]
                 # composed(dst) = prev.perm[perm[dst]]  (apply prev, then g)
                 composed = tuple(prev.perm[perm[d]] for d in range(len(perm)))
-                stages[-1] = PermutationStage(composed, prev.gates + [g])
+                stages[-1] = PermutationStage(composed, prev.gates + [gates[i]])
             else:
-                stages.append(PermutationStage(perm, [g]))
-            return
-        if _gate_is_diagonal(g):
-            # Never forces grouping; joins whatever stage is open.
-            if current is None:
-                current = GateStage(group_qubits=())
-            current.gates.append(g)
-            return
-        gq = set(layout.global_qubits(g.qubits))
-        if len(gq) > max_group_qubits:
-            for piece in _lower_oversized_gate(g, layout, max_group_qubits):
-                process(piece)
-            return
-        if current is None:
-            current = GateStage(group_qubits=tuple(sorted(gq)))
-            current.gates.append(g)
-            return
-        union = set(current.group_qubits) | gq
-        if len(union) <= max_group_qubits:
-            current.group_qubits = tuple(sorted(union))
-            current.gates.append(g)
-        else:
-            close()
-            current = GateStage(group_qubits=tuple(sorted(gq)))
-            current.gates.append(g)
-
-    for g in circuit:
-        process(g)
-    close()
+                stages.append(PermutationStage(perm, [gates[i]]))
+            scheduled(i)
+        perms.clear()
     log.debug("planned %d gates into %d stages (t_max=%d)",
-              len(circuit), len(stages), max_group_qubits)
+              len(gates), len(stages), max_group_qubits)
     return stages
 
 

@@ -30,7 +30,8 @@ class GateStage:
     Attributes:
         group_qubits: the global qubits that must be co-resident (sorted);
             empty means all gates are chunk-local.
-        gates: the gates, in circuit order.
+        gates: the gates, in circuit order (stages themselves follow the
+            dependency order the planner chose, not the circuit's).
     """
 
     group_qubits: Tuple[int, ...]

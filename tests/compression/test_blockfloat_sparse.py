@@ -207,4 +207,9 @@ class TestInSimulator:
                             device=DeviceSpec(memory_bytes=1 << 13))
         res = MemQSim(cfg).run(circ)
         ref = dense.run(circ).data
-        assert res.fidelity_vs(ref) > 1 - 1e-9
+        # Two-sided: blockfloat does not preserve the norm, so the overlap
+        # lands on either side of 1 by a few 1e-9 depending on how many
+        # times the plan recompresses the state (1 + 1.9e-9 with five
+        # stages, 1 - 1.8e-9 with three). A one-sided bound at 1e-9 only
+        # ever passed by landing above 1.
+        assert abs(1 - res.fidelity_vs(ref)) <= 1e-8

@@ -1,9 +1,33 @@
-"""Unit tests for the offline stage planner."""
+"""Unit tests for the offline stage planner.
+
+The planner is a list scheduler over the gate dependency DAG. The walk it
+replaced — gates in circuit order, stage closed at the first gate that does
+not fit — is kept below as ``_reference_in_order_plan``: the new plan may
+never need more gate stages than that one.
+"""
+
+import math
+import os
+import subprocess
+import sys
+import time
+from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.circuits import Circuit, make_diagonal_gate, qft, random_circuit
+from repro.circuits import (
+    WORKLOADS,
+    Circuit,
+    get_workload,
+    make_gate,
+    qft,
+    supremacy_brickwork,
+    vqe_ansatz,
+)
+from repro.circuits.gates import gate_is_diagonal
 from repro.device import DeviceSpec
 from repro.memory import ChunkLayout
 from repro.pipeline import (
@@ -13,6 +37,76 @@ from repro.pipeline import (
     max_group_qubits_for,
     plan_stages,
 )
+from repro.pipeline.planner import _GateGraph, _permutation_of
+from repro.statevector import DenseSimulator
+
+from .test_scheduler import build_rig
+
+
+def _reference_lower(g, layout, cap):
+    """The old lowering: surplus globals park on the lowest free locals."""
+    gq = sorted(layout.global_qubits(g.qubits))
+    surplus = len(gq) - cap
+    free_locals = [q for q in range(layout.chunk_qubits) if q not in g.qubits]
+    if cap < 1 or surplus > len(free_locals):
+        raise ValueError(f"cannot lower {g}")
+    victims, homes = gq[:surplus], free_locals[:surplus]
+    mapping = {q: q for q in g.qubits}
+    swaps = [make_gate("swap", (loc, glob)) for loc, glob in zip(homes, victims)]
+    mapping.update(zip(victims, homes))
+    return swaps + [g.remapped(mapping)] + swaps
+
+
+def _reference_in_order_plan(circuit, layout, cap):
+    """The planner this repo had before: one walk in circuit order."""
+    stages = []
+    current = None
+
+    def close():
+        nonlocal current
+        if current is not None and current.gates:
+            stages.append(current)
+        current = None
+
+    def process(g):
+        nonlocal current
+        perm = _permutation_of(g, layout)
+        if perm is not None:
+            close()
+            if stages and isinstance(stages[-1], PermutationStage):
+                prev = stages[-1]
+                composed = tuple(prev.perm[perm[d]] for d in range(len(perm)))
+                stages[-1] = PermutationStage(composed, prev.gates + [g])
+            else:
+                stages.append(PermutationStage(perm, [g]))
+            return
+        if gate_is_diagonal(g):
+            if current is None:
+                current = GateStage(group_qubits=())
+            current.gates.append(g)
+            return
+        gq = set(layout.global_qubits(g.qubits))
+        if len(gq) > cap:
+            for piece in _reference_lower(g, layout, cap):
+                process(piece)
+            return
+        if current is None:
+            current = GateStage(group_qubits=tuple(sorted(gq)))
+        elif len(set(current.group_qubits) | gq) <= cap:
+            current.group_qubits = tuple(sorted(set(current.group_qubits) | gq))
+        else:
+            close()
+            current = GateStage(group_qubits=tuple(sorted(gq)))
+        current.gates.append(g)
+
+    for g in circuit:
+        process(g)
+    close()
+    return stages
+
+
+def gate_stages(stages):
+    return sum(isinstance(s, GateStage) for s in stages)
 
 
 @pytest.fixture
@@ -66,6 +160,35 @@ class TestLocalGates:
         assert stages[0].group_qubits == ()
 
 
+_1Q = ["h", "x", "t", "s", "sx", "z"]
+_1QP = ["rx", "rz", "p"]
+_2Q = ["cx", "cz", "swap", "iswap"]
+_2QP = ["cp", "rzz", "crx"]
+_3Q = ["ccx", "ccz", "cswap"]
+
+
+@st.composite
+def planning_cases(draw):
+    """A random circuit with a chunk size and a group cap to plan it for."""
+    n = draw(st.integers(5, 7))
+    chunk_qubits = draw(st.integers(3, n - 1))
+    cap = draw(st.integers(1, n - chunk_qubits))
+    angle = st.floats(-math.pi, math.pi, allow_nan=False)
+    c = Circuit(n)
+    for _ in range(draw(st.integers(0, 30))):
+        names = draw(st.sampled_from([_1Q, _1QP, _2Q, _2QP, _3Q]))
+        arity = 1 if names in (_1Q, _1QP) else 3 if names is _3Q else 2
+        qubits = draw(st.lists(st.integers(0, n - 1), min_size=arity,
+                               max_size=arity, unique=True))
+        params = (draw(angle),) if names in (_1QP, _2QP) else ()
+        c.add(draw(st.sampled_from(names)), *qubits, params=params)
+    return c, chunk_qubits, cap
+
+
+def gate_key(g):
+    return (g.name, g.qubits, g.params)
+
+
 class TestGrouping:
     def test_global_gate_forces_group(self, lay):
         c = Circuit(8).h(7)
@@ -101,14 +224,81 @@ class TestGrouping:
         with pytest.raises(ValueError):
             plan_stages(c, lay, 0)
 
-    def test_gate_order_preserved(self, lay):
-        c = Circuit(8).h(0).h(7).t(1).h(6)
+    def test_commuting_gates_join_the_open_stage(self, lay):
+        # List order is not the contract (test_gate_order_preserved states it):
+        # t(1) and a later h(0) ride along with h(7), and h(6), which the
+        # 1-qubit cap keeps out, waits for the next stage.
+        c = Circuit(8).h(7).h(6).t(1).h(0)
         stages = plan_stages(c, lay, 1)
-        flattened = [g for s in stages for g in s.gates]
-        assert [g.name for g in flattened] == ["h", "h", "t", "h"]
-        # h(0) and h(7) share a stage (local gates ride along); h(6)
-        # overflows the 1-qubit group cap and opens a new stage.
         assert [tuple(s.group_qubits) for s in stages] == [(7,), (6,)]
+        assert [[(g.name, g.qubits) for g in s.gates] for s in stages] == \
+            [[("h", (7,)), ("t", (1,)), ("h", (0,))], [("h", (6,))]]
+
+    def test_later_gates_on_other_qubits_do_not_close_the_stage(self, lay):
+        # In circuit order this is four stages: 7 | 6 | 7 | 6.
+        c = Circuit(8).h(7).h(6).sx(7).sx(6)
+        assert len(_reference_in_order_plan(c, lay, 1)) == 4
+        stages = plan_stages(c, lay, 1)
+        assert [tuple(s.group_qubits) for s in stages] == [(7,), (6,)]
+
+    def test_lowered_gates_do_not_share_a_home(self, lay):
+        # Two independent gates across global qubits, cap 1: each parks its
+        # surplus qubit on a local of its own, so nothing orders them.
+        c = Circuit(8).iswap(4, 5).iswap(6, 7)
+        swaps = [g for s in plan_stages(c, lay, 1) for g in s.gates
+                 if g.name == "swap"]
+        assert len(swaps) == 4
+        assert len({g.qubits[0] for g in swaps}) == 2
+
+    @given(case=planning_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_gate_order_preserved(self, case):
+        # The order the plan preserves is dependency order, not list order:
+        # gates that share a qubit and are not both diagonal stay in
+        # sequence, everything else may move to an earlier stage.
+        circuit, chunk_qubits, cap = case
+        layout = ChunkLayout(circuit.num_qubits, chunk_qubits)
+        stages = plan_stages(circuit, layout, cap)
+        lowered = _GateGraph(circuit, layout, cap, True).gates
+        flat = [g for s in stages for g in s.gates]
+
+        # A permutation of the lowered gate list: the k-th copy of a gate
+        # in the plan is the k-th copy in the list (equal gates share their
+        # qubits, so they are either ordered or interchangeable).
+        copies = defaultdict(list)
+        for position, g in enumerate(flat):
+            copies[gate_key(g)].append(position)
+        assert sorted(map(gate_key, flat)) == sorted(map(gate_key, lowered))
+        taken = defaultdict(int)
+        position_of = []
+        for g in lowered:
+            position_of.append(copies[gate_key(g)][taken[gate_key(g)]])
+            taken[gate_key(g)] += 1
+
+        # Every ordered pair keeps its order (all pairs, no DAG reuse).
+        diagonal = [gate_is_diagonal(g) for g in lowered]
+        for j, later in enumerate(lowered):
+            for i in range(j):
+                if diagonal[i] and diagonal[j]:
+                    continue
+                if set(lowered[i].qubits) & set(later.qubits):
+                    assert position_of[i] < position_of[j], \
+                        (lowered[i], later)
+
+        for s in stages:
+            if isinstance(s, PermutationStage):
+                continue
+            assert len(s.group_qubits) <= cap
+            for g in s.gates:
+                if not gate_is_diagonal(g):
+                    assert set(layout.global_qubits(g.qubits)) \
+                        <= set(s.group_qubits)
+
+        _lay, store, sched = build_rig(n=circuit.num_qubits, c=chunk_qubits,
+                                       dev_amps=(1 << chunk_qubits + cap) * 2)
+        sched.run(stages)
+        assert np.allclose(store.to_statevector(),
+                           DenseSimulator().run(circuit).data, atol=1e-12)
 
 
 class TestPermutations:
@@ -157,6 +347,16 @@ class TestPermutations:
         assert stages[0].perm == composed
 
 
+    def test_permutations_wait_for_the_open_stage_and_merge(self, lay):
+        # x(7) and x(5) commute with h(6): one relabeling after the gate
+        # stage, not one on either side of it.
+        stages = plan_stages(Circuit(8).x(7).h(6).x(5), lay, 1)
+        assert [type(s) for s in stages] == [GateStage, PermutationStage]
+        assert len(stages[1].gates) == 2
+        bits = (1 << 4) | (1 << 2)
+        assert stages[1].perm == tuple(k ^ bits for k in range(32))
+
+
 class TestDescribePlan:
     def test_report_counts(self, lay):
         c = Circuit(8).h(0).x(7).h(6).cz(0, 5)
@@ -181,3 +381,107 @@ class TestDescribePlan:
         # QFT's controlled phases are diagonal: most gates land in
         # stages without huge groups.
         assert rep.max_group_size <= 2
+
+
+def tilted_brickwork(n, seed):
+    """BENCH_E2E's ``dense_lossy`` circuit (benchmarks/e2e/workloads.py)."""
+    angles = np.random.default_rng(seed).uniform(math.pi / 4, 3 * math.pi / 4,
+                                                 size=n)
+    c = Circuit(n)
+    for qubit, angle in enumerate(angles):
+        c.ry(float(angle), qubit)
+    return c.compose(supremacy_brickwork(n, depth=6))
+
+
+def e2e_case(circuit, chunk_qubits, device_bytes, itemsize=16):
+    layout = ChunkLayout(circuit.num_qubits, chunk_qubits, itemsize=itemsize)
+    cap = max_group_qubits_for(layout, DeviceSpec(memory_bytes=device_bytes))
+    return circuit, layout, cap
+
+
+# The four BENCH_E2E circuits under their layouts and devices.
+E2E_CASES = {
+    "dense_lossy": lambda: e2e_case(tilted_brickwork(14, 0), 10, 64 << 10),
+    "sparse_lossless": lambda: e2e_case(qft(16), 10, 64 << 10),
+    "hierarchy_spill": lambda: e2e_case(vqe_ansatz(16, layers=3), 9, 64 << 10,
+                                        itemsize=8),
+    "variational_sweep": lambda: e2e_case(vqe_ansatz(10, layers=3), 6, 8 << 10),
+}
+
+
+class TestNeverWorseThanInOrder:
+    @pytest.mark.parametrize("n,c,cap", [(12, 8, 1), (14, 10, 1), (14, 10, 2),
+                                         (16, 10, 3)])
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_registry(self, workload, n, c, cap):
+        circuit, layout = get_workload(workload, n), ChunkLayout(n, c)
+        assert gate_stages(plan_stages(circuit, layout, cap)) <= \
+            gate_stages(_reference_in_order_plan(circuit, layout, cap))
+
+    @pytest.mark.parametrize("name", sorted(E2E_CASES))
+    def test_benchmark_circuits(self, name):
+        circuit, layout, cap = E2E_CASES[name]()
+        assert gate_stages(plan_stages(circuit, layout, cap)) <= \
+            gate_stages(_reference_in_order_plan(circuit, layout, cap))
+
+    def test_headline_cases_pinned(self):
+        # In-order walk: 53 and 17 stages.
+        circuit, layout, cap = E2E_CASES["dense_lossy"]()
+        assert cap == 1
+        assert len(plan_stages(circuit, layout, cap)) <= 30
+        circuit, layout, cap = E2E_CASES["hierarchy_spill"]()
+        assert cap == 3
+        assert len(plan_stages(circuit, layout, cap)) <= 10
+
+
+PLAN_REPR = """
+from repro.circuits import get_workload
+from repro.memory import ChunkLayout
+from repro.pipeline import plan_stages
+for name, n, c, cap in [("supremacy", 12, 8, 1), ("random", 12, 8, 2),
+                        ("grover", 8, 5, 1)]:
+    for s in plan_stages(get_workload(name, n), ChunkLayout(n, c), cap):
+        print(type(s).__name__, getattr(s, "group_qubits", None),
+              getattr(s, "perm", None), s.gates)
+"""
+
+
+class TestPureFunctionOfItsInputs:
+    def test_same_plan_under_two_hash_seeds(self):
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        outs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.path.abspath(src))
+            done = subprocess.run([sys.executable, "-c", PLAN_REPR], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outs.append(done.stdout)
+        assert outs[0] == outs[1] and outs[0].count("GateStage") > 30
+
+    def test_planning_twice_gives_equal_plans(self, lay):
+        c = get_workload("random", 8)
+        first, second = plan_stages(c, lay, 2), plan_stages(c, lay, 2)
+        assert repr([(s, s.gates) for s in first]) == \
+            repr([(s, s.gates) for s in second])
+
+
+class TestPlanningCost:
+    @staticmethod
+    def best_of(repeats, fn):
+        best = math.inf
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    def test_thirty_qubit_brickwork_plans_in_milliseconds(self):
+        # Layout only: no 2^30 state is ever built.
+        circuit, layout = supremacy_brickwork(30, depth=10), ChunkLayout(30, 16)
+        assert self.best_of(3, lambda: plan_stages(circuit, layout, 2)) < 0.05
+
+    def test_thousands_of_gates_plan_in_well_under_a_second(self):
+        circuit, layout = get_workload("grover", 12), ChunkLayout(12, 8)
+        assert len(circuit) == 3712
+        assert self.best_of(3, lambda: plan_stages(circuit, layout, 1)) < 0.5
