@@ -59,7 +59,6 @@ def run_once(arm: str, n: int = N, capacity: int = CAPACITY) -> dict:
     cfg = MemQSimConfig(
         chunk_qubits=CHUNK, compressor="zlib",
         cache_chunks=capacity, cache_policy=arm,
-        execution="serial",
         device=DeviceSpec(memory_bytes=int(DEVICE_MB * (1 << 20))),
     )
     t0 = time.perf_counter()

@@ -1,10 +1,13 @@
 """Experiment P1 — parallel codec scaling: serial vs --workers {1,2,4,N}.
 
 End-to-end wall-clock and codec throughput for the same fixed circuit run
-serially and through the ``repro.parallel`` codec worker pool at increasing
-worker counts. A codec-bound configuration (szlike on a dense QFT state,
-device sized to force chunk streaming) is where the paper's pipeline has
-the most to overlap, so it is where process workers pay off.
+on the serial engine and on the overlapped engine over the
+``repro.parallel`` codec worker pool at increasing worker counts (the
+engine follows from the pool: ``workers > 1`` builds one; the 1-worker
+overlapped arm hands in the inline pool). A codec-bound configuration
+(szlike on a dense QFT state, device sized to force chunk streaming) is
+where the paper's pipeline has the most to overlap, so it is where process
+workers pay off.
 
 Emits the canonical ``results/BENCH_P1.json`` bench record (full sweep
 under ``extra.runs``). ``REPRO_FULL=1`` runs the paper-scale 24-qubit
@@ -26,27 +29,29 @@ from common import FULL, bench_telemetry, emit_result, print_banner, seconds, ti
 from repro.analysis import Table, format_seconds
 from repro.circuits import get_workload
 from repro.core import MemQSim
+from repro.parallel import CodecWorkerPool
 
 N = 24 if FULL else 13
 CHUNK = 12 if FULL else 7
 WORKLOAD = "qft"
 
 
-def _config(workers: int, execution: str):
-    return tight_config(
-        chunk_qubits=CHUNK,
-        workers=workers,
-        execution=execution,
-    )
+def _sim(workers: int, execution: str, telemetry=None) -> MemQSim:
+    cfg = tight_config(chunk_qubits=CHUNK, workers=workers)
+    pool = None
+    if execution == "parallel" and workers == 1:
+        # The overlapped engine without processes: the inline pool.
+        pool = CodecWorkerPool(cfg.make_compressor(), workers=1)
+    return MemQSim(cfg, telemetry=telemetry, codec_pool=pool)
 
 
 def run_once(workers: int, execution: str, n: int = N):
     circ = get_workload(WORKLOAD, n)
-    cfg = _config(workers, execution)
     label = f"p1_{execution}_w{workers}_n{n}"
     with bench_telemetry(label) as tel:
+        sim = _sim(workers, execution, tel)
         t0 = time.perf_counter()
-        res = MemQSim(cfg, telemetry=tel).run(circ)
+        res = sim.run(circ)
         wall = time.perf_counter() - t0
     st = res.store.stats
     codec_s = st.compress_seconds + st.decompress_seconds
@@ -105,10 +110,10 @@ def render_table(report: dict) -> Table:
 
 def test_parallel_matches_serial_end_to_end(benchmark):
     circ = get_workload(WORKLOAD, 11)
-    ref = MemQSim(_config(1, "serial")).run(circ).statevector()
+    ref = _sim(1, "serial").run(circ).statevector()
 
     def run():
-        return MemQSim(_config(2, "parallel")).run(circ)
+        return _sim(2, "parallel").run(circ)
 
     res = benchmark.pedantic(run, rounds=1, iterations=1)
     np.testing.assert_array_equal(res.statevector(), ref)
@@ -117,7 +122,7 @@ def test_parallel_matches_serial_end_to_end(benchmark):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_parallel_wall_clock(benchmark, workers):
     circ = get_workload(WORKLOAD, 11)
-    sim = MemQSim(_config(workers, "parallel"))
+    sim = _sim(workers, "parallel")
     res = benchmark.pedantic(sim.run, args=(circ,), rounds=1, iterations=1)
     assert res.norm() == pytest.approx(1.0, abs=1e-3)
 

@@ -53,7 +53,6 @@ def _config(precision: str) -> MemQSimConfig:
         compressor="zlib",
         device=DeviceSpec(memory_bytes=int(DEVICE_MB * (1 << 20))),
         precision=precision,
-        execution="serial",
     )
 
 

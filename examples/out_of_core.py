@@ -3,8 +3,10 @@
 The final rung of the paper's memory ladder: when even compressed blobs
 outgrow RAM, MEMQSim can keep them in an on-disk append log — host RAM then
 holds only the staging buffers, the device arena, and a ~48-byte index
-entry per chunk. This example runs a 20-qubit GHZ+QFT-ish circuit with the
-disk store and prints where every byte lives.
+entry per chunk. There is no store to name: ``disk_path`` with no
+``host_store_mb`` is the tiered store at RAM budget 0 (give it a budget and
+the plan-hottest blobs stay in RAM instead). This example runs a 20-qubit
+GHZ+QFT-ish circuit out of core and prints where every byte lives.
 
 Run:  python examples/out_of_core.py
 """
@@ -36,7 +38,6 @@ def main(n: int = 20) -> None:
         compressor_options={"error_bound": 1e-9},
         device=DeviceSpec(memory_bytes=(1 << 14) * 16),
         host=HostSpec(memory_bytes=8 << 20),
-        store="disk",
         disk_path=log,
     )
     circuit = workload(n)
@@ -53,7 +54,7 @@ def main(n: int = 20) -> None:
     counts = result.sample(5, seed=2)
     print(f"\nsample: {counts}")
     result.store.close()
-    os.unlink(log)
+    os.unlink(log)  # a disk_path the caller names is the caller's to remove
 
 
 if __name__ == "__main__":

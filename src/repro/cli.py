@@ -31,7 +31,7 @@ Commands:
 Examples::
 
     python -m repro run qft -n 14 --compressor szlike --error-bound 1e-6
-    python -m repro run qft -n 16 --workers 4 --execution parallel
+    python -m repro run qft -n 16 --workers 4
     python -m repro run qft -n 10 --trace-out qft.trace.json --json
     python -m repro run --qasm circuit.qasm --shots 1000
     python -m repro compressors --evaluate qft -n 12
@@ -89,8 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="simulated device memory (MiB)")
     runp.add_argument("--offload", type=float, default=0.0,
                       help="CPU offload fraction [0,1]")
-    runp.add_argument("--fuse", action="store_true",
-                      help="deprecated alias for --fusion")
     _add_fusion_args(runp)
     _add_precision_arg(runp)
     runp.add_argument("--cache-chunks", type=int, default=0,
@@ -99,16 +97,14 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=["lru", "mru", "belady"],
                       help="eviction policy; belady evicts by the compiled "
                            "plan's farthest next use")
-    runp.add_argument("--store", default="memory",
-                      choices=["memory", "disk", "tiered"],
-                      help="compressed-blob tier: all-RAM, all-disk, or "
-                           "RAM-under-budget with plan-coldest spill")
-    runp.add_argument("--disk-path", metavar="FILE",
-                      help="append-log path for disk/tiered stores "
-                           "(default: a temp file)")
     runp.add_argument("--host-store-mb", type=float, default=0.0,
                       help="RAM budget (MiB) for compressed blobs; > 0 "
-                           "upgrades the memory store to tiered")
+                           "runs the tiered store (plan-coldest blobs "
+                           "spill to an append log)")
+    runp.add_argument("--disk-path", metavar="FILE",
+                      help="append-log file for the tiered store (default: "
+                           "a temp file, removed afterwards); alone, with "
+                           "no --host-store-mb, every blob lives on disk")
     runp.add_argument("--devices", type=int, default=1,
                       help="simulated device count")
     _add_parallel_args(runp)
@@ -276,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     servep.add_argument("--workers", type=int, default=1, metavar="N",
                         help="daemon codec workers; >1 builds one shared "
                              "worker pool reused by matching jobs")
-    servep.add_argument("--execution", default="auto",
-                        choices=["serial", "parallel", "auto"])
     servep.add_argument("--max-jobs", type=int, default=4,
                         help="cap on simultaneously running jobs")
     servep.add_argument("--plan-cache", type=int, default=64, metavar="N",
@@ -302,8 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     subp.add_argument("--compressor", default=None)
     subp.add_argument("--error-bound", type=float, default=None)
     subp.add_argument("--chunk-qubits", type=int, default=None)
-    subp.add_argument("--execution", default=None,
-                      choices=["serial", "parallel", "auto"])
     subp.add_argument("--workers", type=int, default=None)
     subp.add_argument("--fusion", action="store_true", default=False)
     subp.add_argument("--wait", action="store_true",
@@ -362,17 +354,11 @@ def _add_fusion_args(p: argparse.ArgumentParser) -> None:
                         "(default 3)")
 
 
-def _fusion_enabled(args) -> bool:
-    return bool(getattr(args, "fusion", False) or getattr(args, "fuse", False))
-
-
 def _add_parallel_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int, default=0, metavar="N",
-                   help="codec worker processes (1 = serial, 0 = auto: "
+                   help="codec worker processes (1 = serial engine, > 1 = "
+                        "overlapped engine over a process pool, 0 = auto: "
                         "fan out only when cores and codec cost justify it)")
-    p.add_argument("--execution", default="auto",
-                   choices=["serial", "parallel", "auto"],
-                   help="stage engine (auto = parallel iff workers > 1)")
     p.add_argument("--serpentine", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="alternate group sweep direction per stage "
@@ -504,17 +490,15 @@ def _cmd_run(args) -> int:
         transfer=args.transfer,
         device=DeviceSpec(memory_bytes=int(args.device_mb * (1 << 20))),
         cpu_offload_fraction=args.offload,
-        fuse_gates=_fusion_enabled(args),
+        fuse_gates=args.fusion,
         max_fuse_qubits=args.max_fuse_qubits,
         precision=args.precision,
         cache_chunks=_validate_cache_chunks(args.cache_chunks),
         cache_policy=args.cache_policy,
-        store=args.store,
         disk_path=args.disk_path,
         host_store_mb=args.host_store_mb,
         num_devices=args.devices,
         workers=args.workers,
-        execution=args.execution,
         serpentine_groups=args.serpentine,
         monitor_interval_ms=_monitor_ms(args),
     )
@@ -671,12 +655,11 @@ def _cmd_trace(args) -> int:
         transfer=args.transfer,
         device=DeviceSpec(memory_bytes=int(args.device_mb * (1 << 20))),
         cpu_offload_fraction=args.offload,
-        fuse_gates=_fusion_enabled(args),
+        fuse_gates=args.fusion,
         max_fuse_qubits=args.max_fuse_qubits,
         precision=args.precision,
         cache_chunks=_validate_cache_chunks(args.cache_chunks),
         workers=args.workers,
-        execution=args.execution,
         serpentine_groups=args.serpentine,
         monitor_interval_ms=_monitor_ms(args),
     )
@@ -715,7 +698,6 @@ def _cmd_report(args) -> int:
         precision=args.precision,
         cache_chunks=_validate_cache_chunks(args.cache_chunks),
         workers=args.workers,
-        execution=args.execution,
         serpentine_groups=args.serpentine,
         monitor_interval_ms=args.monitor_interval,
     )
@@ -758,7 +740,6 @@ def _cmd_memtrace(args) -> int:
             device=DeviceSpec(memory_bytes=int(args.device_mb * (1 << 20))),
             cache_chunks=capacity,
             cache_policy=args.policy,  # the policy the analysis replays
-            execution="serial",
             serpentine_groups=args.serpentine,
         )
         res = MemQSim(cfg, telemetry=tel).run(
@@ -806,9 +787,9 @@ def _cmd_audit(args) -> int:
     opts = {}
     if args.compressor in ("szlike", "adaptive"):
         opts["error_bound"] = args.error_bound
-    # The audit contract: serial engine, no chunk cache, no CPU offload —
-    # the deterministic edges are only exact when every group takes the
-    # device path and every load reaches the codec.
+    # The audit contract: serial engine (workers stays 1), no chunk cache,
+    # no CPU offload — the deterministic edges are only exact when every
+    # group takes the device path and every load reaches the codec.
     cfg = MemQSimConfig(
         chunk_qubits=args.chunk_qubits,
         compressor=args.compressor,
@@ -817,7 +798,6 @@ def _cmd_audit(args) -> int:
         precision=args.precision,
         cache_chunks=0,
         cpu_offload_fraction=0.0,
-        execution="serial",
         serpentine_groups=args.serpentine,
         host_store_mb=args.host_store_mb,
     )
@@ -872,7 +852,6 @@ def _cmd_serve(args) -> int:
         compressor_options=opts,
         device=DeviceSpec(memory_bytes=int(args.device_mb * (1 << 20))),
         workers=args.workers,
-        execution=args.execution,
     )
     manager = ServeManager(base, Telemetry(), max_jobs=args.max_jobs,
                            plan_cache_capacity=args.plan_cache,
@@ -920,8 +899,7 @@ def _cmd_submit(args) -> int:
     else:
         raise SystemExit("submit: provide a workload name or --qasm FILE")
     config = {}
-    for key in ("compressor", "error_bound", "chunk_qubits", "execution",
-                "workers"):
+    for key in ("compressor", "error_bound", "chunk_qubits", "workers"):
         value = getattr(args, key)
         if value is not None:
             config[key] = value

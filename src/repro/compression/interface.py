@@ -25,7 +25,7 @@ compressors in plain strings (``"szlike"``, ``"zlib"``, ...).
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -114,22 +114,6 @@ class Compressor(abc.ABC):
     @abc.abstractmethod
     def decompress(self, blob: bytes) -> np.ndarray:
         """Recover the array (possibly within :attr:`error_bound`)."""
-
-    # -- batch entry points (the codec worker pool targets these) ------------
-
-    def compress_batch(self, arrays: Sequence[np.ndarray]) -> List[bytes]:
-        """Compress several chunks in one call.
-
-        The default loops; codecs with amortizable setup (or a worker pool
-        shipping one job per batch) may override. Blob ``i`` must equal
-        ``compress(arrays[i])`` exactly — batch execution is never allowed
-        to change the encoded bytes.
-        """
-        return [self.compress(a) for a in arrays]
-
-    def decompress_batch(self, blobs: Sequence[bytes]) -> List[np.ndarray]:
-        """Decompress several blobs in one call (see :meth:`compress_batch`)."""
-        return [self.decompress(b) for b in blobs]
 
     def describe(self) -> str:
         kind = "lossy" if self.is_lossy else "lossless"

@@ -67,28 +67,22 @@ class MemQSimConfig:
         serpentine_groups: alternate the group sweep direction per stage
             (boustrophedon) so the chunk cache keeps hitting across stage
             boundaries; free when no cache is configured.
-        store: ``"memory"`` (default), ``"disk"`` — out-of-core blobs in
-            an append log (RAM cost: the chunk index only) — or
-            ``"tiered"`` — hot compressed blobs in RAM under the
-            ``host_store_mb`` budget, plan-coldest blobs spilled to the
-            append log. ``"memory"`` auto-upgrades to ``"tiered"`` when
-            ``host_store_mb`` > 0.
-        disk_path: log file for the disk/tiered store (default: a temp
-            file).
-        host_store_mb: RAM budget (MiB) for compressed blobs in the
-            tiered store; <= 0 means unbounded (nothing spills until the
-            budget is set).
-        workers: codec worker processes. ``1`` (default) = the serial code
-            path, unchanged; ``>1`` = fan chunk compress/decompress out to
-            a process pool; ``0`` = auto (empirical probe: spare cores and
-            a codec-bound chunk size, else 1).
-        execution: ``"serial"`` | ``"parallel"`` | ``"auto"`` (default) —
-            which stage engine runs the online stage. ``auto`` picks
-            parallel exactly when the resolved worker count exceeds 1;
-            ``parallel`` forces the overlapped engine even at 1 worker
-            (inline codec, useful for deterministic engine testing).
-        shm_threshold_bytes: codec job payloads at/above this size ship via
-            ``multiprocessing.shared_memory`` instead of pickled bytes.
+        host_store_mb: RAM budget (MiB) for compressed blobs. 0 (default)
+            with no ``disk_path`` keeps every blob in RAM
+            (:class:`~repro.memory.CompressedChunkStore`); > 0 runs the
+            :class:`~repro.memory.TieredChunkStore` — hot blobs in RAM
+            under the budget, plan-coldest blobs spilled to an append log.
+        disk_path: log file for the tiered store; setting it selects the
+            tiered store too, so ``disk_path`` alone (budget 0) is the
+            out-of-core configuration: every blob lives in the log and
+            RAM holds only the chunk index. Never deleted by the run.
+            Default: a temp file the store creates and removes.
+        workers: codec worker processes. ``1`` (default) = the serial
+            stage engine, codec inline; ``>1`` = the overlapped engine,
+            chunk compress/decompress fanned out to a process pool; ``0``
+            = auto (empirical probe: spare cores and a codec-bound chunk
+            size, else 1). An external ``MemQSim(codec_pool=...)`` selects
+            the overlapped engine whatever this says.
         monitor_interval_ms: if > 0 (and telemetry is enabled), run a
             :class:`~repro.telemetry.monitor.ResourceMonitor` sampling
             thread at this period for the duration of the run; its gauge
@@ -116,12 +110,9 @@ class MemQSimConfig:
     cache_chunks: int = 0
     cache_policy: str = "mru"
     serpentine_groups: bool = True
-    store: str = "memory"
     disk_path: Optional[str] = None
     host_store_mb: float = 0.0
     workers: int = 1
-    execution: str = "auto"
-    shm_threshold_bytes: int = 1 << 20
     monitor_interval_ms: float = 0.0
 
     def make_compressor(self) -> Compressor:
@@ -147,17 +138,6 @@ class MemQSimConfig:
         """Whether any knob still needs :mod:`repro.bench.decide`."""
         return (self.precision == "auto" or self.backend == "auto"
                 or self.workers == 0)
-
-    def resolve_store(self) -> str:
-        """The effective store kind: ``memory`` | ``disk`` | ``tiered``.
-
-        A positive ``host_store_mb`` upgrades the default in-memory store
-        to the tiered store (explicit ``store="disk"`` is left alone — it
-        already holds every blob out of core).
-        """
-        if self.store == "memory" and self.host_store_mb > 0:
-            return "tiered"
-        return self.store
 
     def resolve_workers(self, chunk_size: int = 0) -> int:
         """The effective codec worker count (``workers=0`` probes)."""
@@ -241,5 +221,5 @@ class MemQSimConfig:
             f"compressor={self.compressor}({co}) transfer={self.transfer} "
             f"device={self.device.memory_bytes // (1 << 20)}MiB "
             f"offload={self.cpu_offload_fraction:g} buffers={self.num_buffers} "
-            f"workers={self.workers or 'auto'} execution={self.execution}"
+            f"workers={self.workers or 'auto'}"
         )

@@ -39,6 +39,7 @@ from ..device.transfer import make_strategy
 from ..memory.accounting import MemoryTracker
 from ..memory.bufferpool import BufferPool
 from ..memory.chunkstore import CompressedChunkStore
+from ..memory.hierarchy import MemoryHierarchy, TieredChunkStore
 from ..memory.layout import ChunkLayout
 from ..pipeline.planner import describe_plan, max_group_qubits_for, plan_stages
 from ..pipeline.scheduler import StageScheduler
@@ -85,8 +86,10 @@ class MemQSim:
             codec_pool: optional externally-owned
                 :class:`~repro.parallel.CodecWorkerPool` shared across
                 runs (the service plane's amortized worker pool). Must be
-                built for a codec byte-identical to this config's; the
-                run uses it for parallel execution and never closes it.
+                built for a codec byte-identical to this config's. Its
+                presence selects the overlapped stage engine (a pool of
+                ``workers=1`` is that engine with the codec inline); the
+                run never closes it.
             arena: optional externally-owned (possibly shared,
                 multi-tenant) :class:`~repro.device.DeviceArena`; all
                 device executors then allocate from it instead of
@@ -311,8 +314,6 @@ class MemQSim:
                 tracker=tracker, backend=backend, telemetry=tel,
                 arena=self.arena,
             ))
-        from ..memory.hierarchy import MemoryHierarchy
-
         hierarchy = MemoryHierarchy.build(
             store, cache_chunks=cfg.cache_chunks,
             cache_policy=cfg.cache_policy, tracker=tracker, telemetry=tel,
@@ -325,19 +326,22 @@ class MemQSim:
         store_like = hierarchy.store_like
         pool = BufferPool(cfg.num_buffers, buffer_amps, tracker, telemetry=tel,
                           dtype=dtype)
-        if cfg.execution not in ("serial", "parallel", "auto"):
-            raise ValueError(
-                f"execution must be serial|parallel|auto, got {cfg.execution!r}"
-            )
-        workers = 1 if cfg.execution == "serial" \
-            else cfg.resolve_workers(layout.chunk_size)
-        use_parallel = cfg.execution == "parallel" or (
-            cfg.execution == "auto" and workers > 1)
-        if self.codec_pool is not None and cfg.execution != "serial":
-            # An external (service-plane) pool amortizes worker startup
-            # across jobs; use it whenever parallel execution is allowed.
-            use_parallel = True
-            workers = self.codec_pool.workers
+        # The engine follows from the codec pool: overlapped iff there is
+        # one, serial otherwise. An external (service-plane) pool amortizes
+        # worker startup across jobs and is never closed here; without one
+        # the run builds its own when the resolved worker count exceeds 1.
+        codec_pool = self.codec_pool
+        owns_codec_pool = False
+        if codec_pool is not None:
+            workers = codec_pool.workers
+        else:
+            workers = cfg.resolve_workers(layout.chunk_size)
+            if workers > 1:
+                from ..parallel import CodecWorkerPool
+
+                codec_pool = CodecWorkerPool(store.compressor,
+                                             workers=workers, telemetry=tel)
+                owns_codec_pool = True
         sched_kwargs = dict(
             cpu_offload_fraction=cfg.cpu_offload_fraction,
             fuse_gates=cfg.fuse_gates,
@@ -348,18 +352,9 @@ class MemQSim:
             cancel=self.cancel,
             schedule=schedule,
         )
-        codec_pool = None
-        owns_codec_pool = False
-        if use_parallel:
-            from ..parallel import CodecWorkerPool, ParallelStageScheduler
+        if codec_pool is not None:
+            from ..parallel import ParallelStageScheduler
 
-            codec_pool = self.codec_pool
-            if codec_pool is None:
-                codec_pool = CodecWorkerPool(
-                    store.compressor, workers=workers,
-                    shm_threshold=cfg.shm_threshold_bytes, telemetry=tel,
-                )
-                owns_codec_pool = True
             scheduler = ParallelStageScheduler(
                 layout, store_like, executors, pool, timeline,
                 codec_pool=codec_pool, **sched_kwargs,
@@ -374,7 +369,7 @@ class MemQSim:
             )
         try:
             with tel.span("online", stages=plan.num_stages,
-                          workers=workers if use_parallel else 1):
+                          workers=workers):
                 scheduler.run(cplan.stages)
                 if store_like is not store:
                     store_like.flush()
@@ -382,7 +377,7 @@ class MemQSim:
             # Cleanup must run on *every* exit (including JobCancelled):
             # a shared external pool is never closed here, and executors
             # on a shared arena must not leak staging allocations.
-            if codec_pool is not None and owns_codec_pool:
+            if owns_codec_pool:
                 codec_pool.close()
             pool.close()
             for ex in executors:
@@ -423,11 +418,12 @@ class MemQSim:
             "fuse_gates": cfg.fuse_gates,
             "fusion": cfg.fuse_gates,
             "max_fuse_qubits": cfg.max_fuse_qubits,
-            "store": cfg.resolve_store(),
+            "store": "tiered" if isinstance(store, TieredChunkStore)
+            else "memory",
             "host_store_mb": cfg.host_store_mb,
             "hierarchy": hierarchy.describe(),
-            "workers": workers if use_parallel else 1,
-            "execution": "parallel" if use_parallel else "serial",
+            "workers": workers,
+            "execution": "parallel" if codec_pool is not None else "serial",
         }
         return MemQSimResult(
             num_qubits=n,
@@ -452,32 +448,15 @@ class MemQSim:
         )
 
     def _make_store(self, layout: ChunkLayout, tracker: MemoryTracker,
-                    cfg: Optional[MemQSimConfig] = None):
-        cfg = cfg if cfg is not None else self.config
-        tel = self.telemetry
-        kind = cfg.resolve_store()
-        if kind == "memory":
+                    cfg: MemQSimConfig) -> CompressedChunkStore:
+        """RAM-only unless the config budgets host RAM or names a log file."""
+        if cfg.host_store_mb <= 0 and cfg.disk_path is None:
             return CompressedChunkStore(layout, cfg.make_compressor(), tracker,
-                                        telemetry=tel)
-        if kind in ("disk", "tiered"):
-            path = cfg.disk_path
-            if path is None:
-                import os
-                import tempfile
-
-                fd, path = tempfile.mkstemp(prefix="memqsim_", suffix=".log")
-                os.close(fd)
-            if kind == "disk":
-                from ..memory.diskstore import DiskChunkStore
-
-                return DiskChunkStore(layout, cfg.make_compressor(), path,
-                                      tracker, telemetry=tel)
-            from ..memory.hierarchy import TieredChunkStore
-
-            budget = int(cfg.host_store_mb * (1 << 20))
-            return TieredChunkStore(layout, cfg.make_compressor(), path,
-                                    budget, tracker=tracker, telemetry=tel)
-        raise ValueError(f"unknown store kind {cfg.store!r}")
+                                        telemetry=self.telemetry)
+        return TieredChunkStore(
+            layout, cfg.make_compressor(), cfg.disk_path,
+            int(cfg.host_store_mb * (1 << 20)),
+            tracker=tracker, telemetry=self.telemetry)
 
     def sample(self, circuit: Circuit, shots: int, seed: Optional[int] = None):
         """Run and sample measurement outcomes (streamed, never dense)."""

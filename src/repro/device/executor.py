@@ -158,9 +158,6 @@ class DeviceExecutor:
         self.launch(buf, ops, chunk)
         return self.synchronize()
 
-    # Historical name; gate batches and op batches both work.
-    run_gates = run_ops
-
     def reset(self) -> None:
         """Release all device memory and pending work.
 

@@ -13,7 +13,7 @@ from .cache import (
     make_policy,
 )
 from .chunkstore import CompressedChunkStore, StoreStats
-from .diskstore import BlobLog, DiskChunkStore
+from .diskstore import BlobLog
 from .hierarchy import (
     AccessSchedule,
     MemoryHierarchy,
@@ -36,7 +36,6 @@ __all__ = [
     "ChunkLayout",
     "GroupPlacement",
     "CompressedChunkStore",
-    "DiskChunkStore",
     "BlobLog",
     "TieredChunkStore",
     "TierStats",

@@ -322,22 +322,6 @@ class ChunkCache:
             self.cache_stats.write_hits += 1
         self._insert(chunk, data, dirty=True)
 
-    def load_batch(self, chunks, out: Optional[np.ndarray] = None) -> np.ndarray:
-        # Through the cache entry-by-entry so dirty copies stay coherent.
-        cs = self.inner.layout.chunk_size
-        if out is None:
-            out = np.empty(len(chunks) * cs, dtype=self.dtype)
-        for i, c in enumerate(chunks):
-            self.load(c, out=out[i * cs:(i + 1) * cs])
-        return out
-
-    def store_batch(self, chunks, data: np.ndarray) -> None:
-        cs = self.inner.layout.chunk_size
-        if data.shape[0] != len(chunks) * cs:
-            raise ValueError("buffer size mismatch")
-        for i, c in enumerate(chunks):
-            self.store(c, data[i * cs:(i + 1) * cs])
-
     def zero_chunk(self, chunk: int) -> None:
         entry = self._entries.pop(chunk, None)
         if entry is not None:

@@ -193,52 +193,7 @@ class CompressedChunkStore:
             raise ValueError("buffer size mismatch")
         self._set_blob(chunk, self._compress(data))
 
-    # -- batch / external-codec entry points (worker pool) ---------------------
-
-    def load_batch(self, chunks, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Decompress several chunks into one contiguous buffer.
-
-        Routes through :meth:`Compressor.decompress_batch` so a batching
-        codec (or a worker pool targeting the batch interface) handles the
-        whole request at once. Result layout: chunk ``chunks[i]`` occupies
-        ``out[i*cs:(i+1)*cs]``.
-        """
-        cs = self.layout.chunk_size
-        if out is None:
-            out = np.empty(len(chunks) * cs, dtype=self.dtype)
-        blobs = []
-        for c in chunks:
-            blob = self.get_blob(c)
-            if blob is None:
-                raise KeyError(f"chunk {c} not initialized")
-            blobs.append(blob)
-        t0 = time.perf_counter()
-        arrays = self.compressor.decompress_batch(blobs)
-        dt = time.perf_counter() - t0
-        for i, arr in enumerate(arrays):
-            if arr.shape[0] != cs:
-                raise ValueError(
-                    f"chunk {chunks[i]} decompressed to {arr.shape[0]} "
-                    f"amplitudes, expected {cs}"
-                )
-            out[i * cs:(i + 1) * cs] = arr
-            self.note_decompressed(arr.nbytes, 0.0,
-                                   blob_nbytes=len(blobs[i]))
-        self.stats.decompress_seconds += dt
-        return out
-
-    def store_batch(self, chunks, data: np.ndarray) -> None:
-        """Compress a contiguous buffer back into several chunk slots."""
-        cs = self.layout.chunk_size
-        if data.shape[0] != len(chunks) * cs:
-            raise ValueError("buffer size mismatch")
-        views = [data[i * cs:(i + 1) * cs] for i in range(len(chunks))]
-        t0 = time.perf_counter()
-        blobs = self.compressor.compress_batch(views)
-        dt = time.perf_counter() - t0
-        for c, blob in zip(chunks, blobs):
-            self.put_blob(c, blob, data_nbytes=cs * self.dtype.itemsize)
-        self.stats.compress_seconds += dt
+    # -- external-codec entry points (worker pool) -----------------------------
 
     def put_blob(self, chunk: int, blob: bytes, *, seconds: float = 0.0,
                  data_nbytes: int = 0, worker: int = 0) -> None:

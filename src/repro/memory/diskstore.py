@@ -1,21 +1,14 @@
-"""Out-of-core chunk storage: spill compressed blobs to disk.
+"""The disk tier's substrate: an append-only blob log.
 
 The paper keeps the compressed state in CPU memory; when even the
-*compressed* footprint outgrows RAM, the next rung is disk. Two pieces
-live here:
-
-* :class:`BlobLog` — an append-only blob log file with mmap-backed reads.
-  Updates append (the old record becomes garbage); the owner triggers a
-  rewrite when the garbage fraction crosses its threshold. The log is the
-  shared disk substrate for both stores below **and** for the tiered
-  store's spill edge (:class:`~repro.memory.hierarchy.TieredChunkStore`).
-* :class:`DiskChunkStore` — a chunk store whose blobs all live in a log;
-  the only RAM cost is ~48 bytes of index per chunk, regardless of state
-  size, so the qubit ceiling becomes a function of disk capacity.
-
-Both expose the same surface as :class:`CompressedChunkStore`, so the
-scheduler, cache, results object and checkpointing all work unchanged on
-top of them.
+*compressed* footprint outgrows RAM, the next rung is disk.
+:class:`BlobLog` is that rung: an append-only file with mmap-backed reads.
+Updates append (the old record becomes garbage); the owner triggers a
+rewrite when the garbage fraction crosses its threshold. Its one owner is
+:class:`~repro.memory.hierarchy.TieredChunkStore`, whose RAM budget decides
+how much of the state lives here — all of it at budget 0, where the only
+RAM cost is the per-chunk index and the qubit ceiling becomes a function
+of disk capacity.
 """
 
 from __future__ import annotations
@@ -23,16 +16,11 @@ from __future__ import annotations
 import mmap
 import os
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Optional, Union
 
-import numpy as np
-
-from ..compression.interface import Compressor
 from .accounting import MemoryTracker
-from .chunkstore import CompressedChunkStore
-from .layout import ChunkLayout
 
-__all__ = ["BlobLog", "DiskChunkStore"]
+__all__ = ["BlobLog"]
 
 CATEGORY = "disk_store"
 
@@ -177,138 +165,4 @@ class BlobLog:
         return (
             f"<BlobLog {self.path.name} file={self._file_bytes:,}B "
             f"live={self._live_bytes:,}B garbage={self.garbage_fraction:.0%}>"
-        )
-
-
-class DiskChunkStore(CompressedChunkStore):
-    """Chunk store whose blobs live in an on-disk append log.
-
-    Inherits all streaming init/query logic from the in-memory store and
-    overrides only blob placement. The memory tracker's ``disk_store``
-    category records *file* bytes, kept separate from host-RAM categories.
-    """
-
-    def __init__(
-        self,
-        layout: ChunkLayout,
-        compressor: Compressor,
-        path: Union[str, Path],
-        tracker: Optional[MemoryTracker] = None,
-        compact_threshold: float = 0.5,
-        telemetry=None,
-    ):
-        super().__init__(layout, compressor, tracker, telemetry)
-        if not 0.0 < compact_threshold <= 1.0:
-            raise ValueError("compact_threshold must be in (0, 1]")
-        self.compact_threshold = float(compact_threshold)
-        self._log = BlobLog(path, tracker=self.tracker,
-                            telemetry=self.telemetry)
-        self.path = self._log.path
-        # chunk -> (offset, length) record in the log
-        self._index: List[Optional[tuple]] = [None] * layout.num_chunks
-        self._zero_record: Optional[tuple] = None
-        self.compactions = 0
-
-    # -- blob plumbing (overrides) -------------------------------------------
-
-    def _set_blob(self, chunk: int, blob: bytes, shared: bool = False) -> None:
-        old = self._index[chunk]
-        if old is not None and old is not self._zero_record:
-            self._log.free(old)
-        if shared:
-            if self._zero_record is None:
-                self._zero_record = self._log.append(blob)
-            self._index[chunk] = self._zero_record
-        else:
-            self._index[chunk] = self._log.append(blob)
-        self._maybe_compact()
-
-    def load(self, chunk: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-        rec = self._index[chunk]
-        if rec is None:
-            raise KeyError(f"chunk {chunk} not initialized")
-        # Shared decode path: codec stats/metrics/ledger accounting is
-        # byte-identical to the in-memory store; only the disk read is
-        # specific to this tier.
-        return self._decode(chunk, self._log.read(rec), out)
-
-    # -- blob access overrides (the in-memory list stays empty) ----------------
-
-    def get_blob(self, chunk: int):
-        rec = self._index[chunk]
-        if rec is None:
-            return None
-        return self._log.read(rec)
-
-    def is_zero_chunk(self, chunk: int) -> bool:
-        return (self._index[chunk] is not None
-                and self._index[chunk] is self._zero_record)
-
-    def zero_blob_bytes(self):
-        if self._zero_record is None:
-            return None
-        return self._log.read(self._zero_record)
-
-    def compressed_nbytes(self) -> int:
-        return self._log.live_bytes
-
-    def blob_sizes(self) -> List[int]:
-        return [0 if r is None else r[1] for r in self._index]
-
-    def permute(self, perm) -> None:
-        if len(perm) != self.layout.num_chunks:
-            raise ValueError("permutation length mismatch")
-        if sorted(perm) != list(range(len(perm))):
-            raise ValueError("not a permutation of chunk ids")
-        old_idx = list(self._index)
-        for dst, src in enumerate(perm):
-            self._index[dst] = old_idx[src]
-
-    # -- compaction -----------------------------------------------------------
-
-    @property
-    def file_bytes(self) -> int:
-        return self._log.file_bytes
-
-    @property
-    def garbage_fraction(self) -> float:
-        return self._log.garbage_fraction
-
-    def _maybe_compact(self) -> None:
-        if self._log.file_bytes < 1 << 16:
-            return
-        if self._log.garbage_fraction >= self.compact_threshold:
-            self.compact()
-
-    def compact(self) -> None:
-        """Rewrite the log keeping only live records."""
-        records: Dict[int, tuple] = {}
-        for rec in self._index:
-            if rec is not None:
-                records.setdefault(id(rec), rec)
-        new_pos = self._log.rewrite(records)
-        for i, rec in enumerate(self._index):
-            if rec is not None:
-                self._index[i] = new_pos[id(rec)]
-        if self._zero_record is not None:
-            # Relocate the shared zero record, or drop it if no chunk
-            # references it anymore (it will be re-appended on demand).
-            self._zero_record = new_pos.get(id(self._zero_record))
-        self.compactions += 1
-
-    def close(self) -> None:
-        self._log.close()
-
-    def __enter__(self) -> "DiskChunkStore":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-        self._log.unlink()
-
-    def __repr__(self) -> str:
-        return (
-            f"<DiskChunkStore {self.path.name} file={self.file_bytes:,}B "
-            f"live={self._log.live_bytes:,}B "
-            f"garbage={self.garbage_fraction:.0%}>"
         )

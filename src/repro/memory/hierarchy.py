@@ -15,6 +15,7 @@ be computed exactly. Three pieces wire that through:
   append-log file (:class:`~repro.memory.diskstore.BlobLog`, mmap-backed
   reads). The hierarchy becomes arena → host blobs → disk blobs, with
   ``disk.read``/``disk.write`` ledger attribution on the spill edge.
+  Budget 0 is the out-of-core store: every blob lives in the log.
 * :class:`MemoryHierarchy` — the facade :class:`~repro.core.MemQSim`
   builds: base store, optional decompressed-chunk cache, and the one
   schedule every layer shares.
@@ -22,6 +23,9 @@ be computed exactly. Three pieces wire that through:
 
 from __future__ import annotations
 
+import os
+import tempfile
+import weakref
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -199,6 +203,12 @@ class TierStats:
     promoted_bytes: int = 0
 
 
+def _release_log(log: BlobLog, owned: bool) -> None:
+    log.close()
+    if owned:
+        log.unlink()
+
+
 class TieredChunkStore(CompressedChunkStore):
     """Compressed blobs split across a RAM tier and a disk append log.
 
@@ -217,13 +227,22 @@ class TieredChunkStore(CompressedChunkStore):
     audit plane's permutations-are-free invariant. The tracker keeps RAM
     blobs under ``chunk_store`` and file bytes under ``disk_store``, and
     every spill/read lands on the ledger's ``disk.*`` edge.
+
+    ``host_budget_bytes=0`` is the out-of-core store: every write goes
+    straight to the log and RAM holds the per-chunk index plus the one
+    zero blob. (There is no "unbounded" budget — a run that needs none
+    uses :class:`CompressedChunkStore`.)
+
+    ``path=None`` makes the store create its own ``memqsim_*.log`` temp
+    file, which it removes on :meth:`close` or when it is garbage
+    collected; a caller-supplied ``path`` is closed but never deleted.
     """
 
     def __init__(
         self,
         layout: ChunkLayout,
         compressor: Compressor,
-        path: Union[str, Path],
+        path: Union[str, Path, None],
         host_budget_bytes: int,
         tracker: Optional[MemoryTracker] = None,
         compact_threshold: float = 0.5,
@@ -232,13 +251,22 @@ class TieredChunkStore(CompressedChunkStore):
         super().__init__(layout, compressor, tracker, telemetry)
         if not 0.0 < compact_threshold <= 1.0:
             raise ValueError("compact_threshold must be in (0, 1]")
+        if host_budget_bytes < 0:
+            raise ValueError("host_budget_bytes must be >= 0")
         self.compact_threshold = float(compact_threshold)
-        #: unique RAM blob bytes allowed; <= 0 means unbounded (the store
-        #: degenerates to the in-memory store plus an idle log file)
+        #: unique RAM blob bytes allowed (0 = every blob on disk)
         self.host_budget_bytes = int(host_budget_bytes)
+        owns_log = path is None
+        if owns_log:
+            fd, path = tempfile.mkstemp(prefix="memqsim_", suffix=".log")
+            os.close(fd)
         self._log = BlobLog(path, tracker=self.tracker,
                             telemetry=self.telemetry)
         self.path = self._log.path
+        # Runs at close(), at garbage collection or at interpreter exit,
+        # whichever comes first, and only once.
+        self._finalizer = weakref.finalize(
+            self, _release_log, self._log, owns_log)
         # chunk -> (offset, length) log record; exclusive with _blobs[chunk]
         self._disk: List[Optional[tuple]] = [None] * layout.num_chunks
         # RAM-resident non-shared chunks, oldest-touched first (the
@@ -288,8 +316,6 @@ class TieredChunkStore(CompressedChunkStore):
         self._enforce_budget()
 
     def _enforce_budget(self) -> None:
-        if self.host_budget_bytes <= 0:
-            return
         while self._host_bytes > self.host_budget_bytes and self._ram_order:
             self._spill(self._pick_spill_victim())
 
@@ -344,11 +370,14 @@ class TieredChunkStore(CompressedChunkStore):
         streaming them; the spill choice that rebalancing forces is
         plan-aware, so promoted chunks (imminent next use) never bounce
         straight back to disk while a budget-respecting placement exists.
+        A blob larger than the whole budget (any blob, at budget 0) has no
+        such placement and stays on disk: promoting it would only re-append
+        it to the log.
         """
         promoted = False
         for chunk in chunks:
             rec = self._disk[chunk]
-            if rec is not None:
+            if rec is not None and rec[1] <= self.host_budget_bytes:
                 self._promote(chunk, rec)
                 promoted = True
         if promoted:
@@ -450,14 +479,14 @@ class TieredChunkStore(CompressedChunkStore):
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        self._log.close()
+        """Close the log; a log the store created is removed as well."""
+        self._finalizer()
 
     def __enter__(self) -> "TieredChunkStore":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-        self._log.unlink()
 
     def __repr__(self) -> str:
         return (
@@ -471,7 +500,7 @@ class TieredChunkStore(CompressedChunkStore):
 class MemoryHierarchy:
     """The unified plan-driven memory stack MemQSim runs against.
 
-    Composes a base compressed store (memory / disk / tiered), an optional
+    Composes a base compressed store (RAM-only or tiered), an optional
     decompressed-chunk cache in front of it, and — once a compiled plan
     exists — the one :class:`AccessSchedule` every schedule-aware layer
     shares. ``store_like`` is what the scheduler streams against.

@@ -45,22 +45,18 @@ import numpy as np
 from ..compile import CompiledGateStage
 from ..device.timeline import Stage
 from ..pipeline.scheduler import StageProgram, StageScheduler
-from ..telemetry import get_logger
 from .pool import CodecJob, CodecWorkerPool
 
 __all__ = ["ParallelStageScheduler"]
-
-log = get_logger(__name__)
 
 
 class ParallelStageScheduler(StageScheduler):
     """Stage scheduler with concurrent codec lanes and overlapped passes.
 
-    Construction matches :class:`StageScheduler` plus ``codec_pool``. The
-    store must expose the blob-level surface (``get_blob``/``put_blob`` —
-    both :class:`~repro.memory.chunkstore.CompressedChunkStore` and
-    :class:`~repro.memory.cache.ChunkCache` do); otherwise gate stages fall
-    back to the serial base implementation.
+    Construction matches :class:`StageScheduler` plus ``codec_pool``. It
+    talks to the store through the blob-level surface
+    (``get_blob``/``put_blob``), which every store and
+    :class:`~repro.memory.cache.ChunkCache` expose.
     """
 
     def __init__(self, *args, codec_pool: Optional[CodecWorkerPool] = None,
@@ -70,12 +66,6 @@ class ParallelStageScheduler(StageScheduler):
             codec_pool = CodecWorkerPool(self.store.compressor, workers=1,
                                          telemetry=self.telemetry)
         self.codec_pool = codec_pool
-        self._blob_io = (hasattr(self.store, "get_blob")
-                         and hasattr(self.store, "put_blob"))
-        if not self._blob_io:
-            log.warning("store %r lacks blob-level access; parallel engine "
-                        "falls back to serial group passes",
-                        type(self.store).__name__)
         # Schedule-exact prefetch state, valid for the duration of run():
         # per-stage sweep orders and, per gate stage, the next planned
         # pass across the stage boundary (None when a barrier intervenes).
@@ -90,7 +80,7 @@ class ParallelStageScheduler(StageScheduler):
         # Plan only from a pristine sweep state — the predictor assumes
         # serpentine parity 0, so a scheduler resumed mid-sequence falls
         # back to plain double buffering rather than risk order drift.
-        if self._blob_io and self._stage_parity == 0:
+        if self._stage_parity == 0:
             self._plan_prefetch(stages)
         try:
             super().run(stages)
@@ -152,9 +142,6 @@ class ParallelStageScheduler(StageScheduler):
     # -- gate stages ---------------------------------------------------------
 
     def _run_gate_stage(self, stage: CompiledGateStage, si: int = -1) -> None:
-        if not self._blob_io:
-            super()._run_gate_stage(stage, si)
-            return
         placement = self.layout.chunk_groups(stage.group_qubits)
         group_size = self.layout.chunk_size << len(placement.group_qubits)
         cpu_every = self._cpu_every()
@@ -190,7 +177,7 @@ class ParallelStageScheduler(StageScheduler):
                 # its decompression runs on the workers during the kernel.
                 if idx + 1 < len(order) and self.pool.available > 0:
                     nbuf = self.pool.acquire()
-                    # Blob reads for the *next* group (a disk store pays
+                    # Blob reads for the *next* group (the disk tier pays
                     # them at submit) attribute to that group, not this one.
                     with self.telemetry.traffic.attributed(
                             si, order[idx + 1][0]):

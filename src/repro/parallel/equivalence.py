@@ -80,17 +80,19 @@ def run_equivalence(
     """Run ``circuit`` serially and with ``workers`` codec processes.
 
     ``config``/``overrides`` parameterize everything else (codec, chunking,
-    offload fraction, devices, cache, ...); the harness only forces the
-    ``execution``/``workers`` knobs apart between the two runs.
+    offload fraction, devices, cache, ...); the harness only takes the
+    codec pool away from one run and hands one to the other —
+    ``workers=1`` is the overlapped engine over the inline pool.
     """
     from ..core.memqsim import MemQSim
+    from .pool import CodecWorkerPool
 
     base = config if config is not None else MemQSimConfig()
     if overrides:
         base = base.with_updates(**overrides)
-    rs = MemQSim(base.with_updates(workers=1, execution="serial")).run(circuit)
-    rp = MemQSim(base.with_updates(workers=workers,
-                                   execution="parallel")).run(circuit)
+    rs = MemQSim(base.with_updates(workers=1)).run(circuit)
+    with CodecWorkerPool(base.make_compressor(), workers=workers) as pool:
+        rp = MemQSim(base, codec_pool=pool).run(circuit)
     # Densify first: flushes any cache layer so blob comparison sees the
     # final store contents on both sides.
     sv_s = rs.statevector()

@@ -369,20 +369,6 @@ class CodecWorkerPool:
     def drain(self, jobs: Sequence[CodecJob]) -> List[CodecResult]:
         return [self.collect(j) for j in jobs]
 
-    # -- synchronous batch API (serial path == codec batch interface) --------
-
-    def compress_batch(self, arrays: Sequence[np.ndarray]) -> List[bytes]:
-        if self._exec is None:
-            return self.compressor.compress_batch(arrays)
-        jobs = [self.submit_compress(i, a) for i, a in enumerate(arrays)]
-        return [self.collect(j).blob for j in jobs]
-
-    def decompress_batch(self, blobs: Sequence[bytes]) -> List[np.ndarray]:
-        if self._exec is None:
-            return self.compressor.decompress_batch(blobs)
-        jobs = [self.submit_decompress(i, b) for i, b in enumerate(blobs)]
-        return [self.collect(j).array for j in jobs]
-
     # -- internals -----------------------------------------------------------
 
     def _run_inline(self, job: CodecJob,

@@ -99,7 +99,7 @@ def remap_gate_for_group(
     to be the identity for this group.
     """
     d = gate.diag if gate.diag is not None else (
-        np.diag(gate.matrix) if _is_diag_gate(gate) else None
+        np.diag(gate.matrix) if gate_is_diagonal(gate) else None
     )
     in_group = set(placement.group_qubits)
     if d is not None:
@@ -136,9 +136,6 @@ def remap_gate_for_group(
     return gate.remapped(mapping)
 
 
-_is_diag_gate = gate_is_diagonal
-
-
 class StageProgram:
     """One gate stage's ops lowered into the group-buffer frame, memoised.
 
@@ -170,7 +167,7 @@ class StageProgram:
         for op in stage.ops:
             gate = op.to_gate()
             mask = 0
-            if _is_diag_gate(gate):
+            if gate_is_diagonal(gate):
                 for q in gate.qubits:
                     if q >= c and q not in in_group:
                         mask |= 1 << (q - c)
@@ -404,10 +401,7 @@ class StageScheduler:
                 chunks=len(members),
                 nbytes=group_size * self.layout.itemsize,
             ):
-                if cpu_path:
-                    self._run_group_cpu(gi, members, ops, group_size)
-                else:
-                    self._run_group_device(gi, members, ops, group_size)
+                self._run_group(gi, members, ops, group_size, cpu_path)
             self.stats.group_passes += 1
             self.telemetry.progress.group_done(si)
             self.telemetry.emit("group", stage=si, group=gi,
@@ -477,24 +471,17 @@ class StageScheduler:
         self.stats.gates_applied += len(ops)
         self.stats.cpu_group_passes += 1
 
-    def _run_group_device(self, gi: int, members: Tuple[int, ...],
-                          ops: List[GateOp], group_size: int) -> None:
+    def _run_group(self, gi: int, members: Tuple[int, ...],
+                   ops: List[GateOp], group_size: int, cpu_path: bool) -> None:
+        """One serial group pass: load -> update (host or device) -> store."""
         buf = self.pool.acquire()
         try:
             view = buf[:group_size]
             self._load_group(gi, members, view)
-            self._device_update(gi, ops, view)
-            self._store_group(gi, members, view)
-        finally:
-            self.pool.release(buf)
-
-    def _run_group_cpu(self, gi: int, members: Tuple[int, ...],
-                       ops: List[GateOp], group_size: int) -> None:
-        buf = self.pool.acquire()
-        try:
-            view = buf[:group_size]
-            self._load_group(gi, members, view)
-            self._cpu_update(gi, ops, view)
+            if cpu_path:
+                self._cpu_update(gi, ops, view)
+            else:
+                self._device_update(gi, ops, view)
             self._store_group(gi, members, view)
         finally:
             self.pool.release(buf)

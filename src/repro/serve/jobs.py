@@ -56,7 +56,7 @@ TERMINAL = frozenset({DONE, FAILED, CANCELLED})
 #: submission config keys a tenant may override, mapped to config fields.
 #: ``error_bound`` routes into ``compressor_options``; ``fusion`` is the
 #: CLI-friendly alias for ``fuse_gates``. Device/host geometry and the
-#: store kind are daemon-owned and absent on purpose.
+#: store budgets are daemon-owned and absent on purpose.
 CONFIG_OVERRIDES = {
     "compressor": "compressor",
     "error_bound": None,  # -> compressor_options["error_bound"]
@@ -69,7 +69,6 @@ CONFIG_OVERRIDES = {
     "cache_chunks": "cache_chunks",
     "cache_policy": "cache_policy",
     "workers": "workers",
-    "execution": "execution",
     "serpentine": "serpentine_groups",
 }
 

@@ -123,15 +123,12 @@ class ServeManager:
         serial path) from :class:`~repro.core.MemQSim` as usual.
         """
         cfg = self.base_config
-        if cfg.execution == "serial":
-            return None
         workers = cfg.resolve_workers()
         if workers <= 1:
             return None
         from ..parallel import CodecWorkerPool
 
         pool = CodecWorkerPool(cfg.make_compressor(), workers=workers,
-                               shm_threshold=cfg.shm_threshold_bytes,
                                telemetry=self.telemetry)
         log.info("serve: shared codec pool, %d workers (%s)", workers,
                  "process pool" if pool.is_parallel else "inline")
@@ -139,7 +136,7 @@ class ServeManager:
 
     def _pool_for(self, job: Job):
         pool = self.codec_pool
-        if pool is None or job.config.execution == "serial":
+        if pool is None:
             return None
         base = self.base_config
         if (job.config.compressor != base.compressor

@@ -1,8 +1,8 @@
 """HTTP/JSON front-end for the job daemon (stdlib only, PR 6 idiom).
 
-Extends the :class:`~repro.telemetry.live.TelemetryServer` pattern — a
-background :class:`~http.server.ThreadingHTTPServer`, silent handlers,
-snapshot-under-lock reads — with the job API:
+Builds on the HTTP base in :mod:`repro.telemetry.live` — a background
+:class:`~http.server.ThreadingHTTPServer`, silent handlers, the shared SSE
+loop, snapshot-under-lock reads — and adds the job API:
 
 * ``POST /jobs`` — submit ``{"workload"|"qasm", "qubits", "tenant",
   "shots", "seed", "config": {...}}``; returns ``202`` with the job
@@ -24,13 +24,15 @@ snapshot-under-lock reads — with the job API:
 from __future__ import annotations
 
 import json
-import threading
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 from urllib.parse import parse_qs, urlparse
 
-from ..telemetry.live import render_prometheus
+from ..telemetry.live import (
+    PROMETHEUS_CONTENT_TYPE,
+    BackgroundHTTPServer,
+    JSONHandler,
+    render_prometheus,
+)
 from .jobs import CANCELLED, DONE, FAILED, JobRejected
 from .manager import ServeManager
 
@@ -43,24 +45,12 @@ DEFAULT_PORT = 9645
 MAX_BODY_BYTES = 8 << 20
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes the job API; reads ``server.manager``."""
+class _Handler(JSONHandler):
+    """Routes the job API of a :class:`ServeServer`."""
 
-    protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
 
-    def log_message(self, fmt: str, *args: Any) -> None:
-        pass  # the daemon's own logging owns stderr
-
     # -- helpers -------------------------------------------------------------
-
-    def _send_json(self, payload: Any, status: int = 200) -> None:
-        body = json.dumps(payload, default=str).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
 
     def _error(self, message: str, status: int) -> None:
         self._send_json({"error": message}, status)
@@ -79,7 +69,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     @property
     def manager(self) -> ServeManager:
-        return self.server.manager
+        return self.server.owner.manager
 
     def _job_or_404(self, job_id: str):
         job = self.manager.get(job_id)
@@ -135,14 +125,8 @@ class _Handler(BaseHTTPRequestHandler):
             elif url.path == "/healthz":
                 self._send_json({"ok": True})
             elif url.path == "/metrics":
-                body = render_prometheus(self.manager.telemetry)
-                data = body.encode()
-                self.send_response(200)
-                self.send_header("Content-Type",
-                                 "text/plain; version=0.0.4; charset=utf-8")
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
+                self._send(render_prometheus(self.manager.telemetry).encode(),
+                           PROMETHEUS_CONTENT_TYPE)
             elif url.path == "/jobs":
                 self._send_json(
                     {"jobs": [j.snapshot() for j in self.manager.jobs()]})
@@ -178,97 +162,22 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _serve_events(self, job, query: Dict[str, List[str]]) -> None:
         """SSE tail of the job's private bus; self-terminating."""
-        bus = job.telemetry.bus
-        if not bus.enabled:
-            self._error("event bus disabled", 404)
-            return
-        tail = int(query.get("tail", ["25"])[0])
-        max_seconds = float(query.get("max_seconds", ["0"])[0])
-        self.send_response(200)
-        self.send_header("Content-Type", "text/event-stream")
-        self.send_header("Cache-Control", "no-cache")
-        self.send_header("Connection", "close")
-        self.end_headers()
-        sub = bus.subscribe(tail=tail)
-        deadline = (time.monotonic() + max_seconds) if max_seconds > 0 else None
-        while not self.server.stopping.is_set():
-            drained = True
-            for ev in sub.poll():
-                self.wfile.write(b"data: " + ev.to_json().encode() + b"\n\n")
-                drained = False
-            if sub.missed:
-                self.wfile.write(
-                    f": missed {sub.missed} events (ring overflow)\n\n"
-                    .encode())
-                sub.missed = 0
-            self.wfile.flush()
-            if job.finished and drained:
-                self.wfile.write(
-                    f"event: done\ndata: {{\"state\": \"{job.state}\"}}\n\n"
-                    .encode())
-                self.wfile.flush()
-                break
-            if deadline is not None and time.monotonic() >= deadline:
-                break
-            time.sleep(0.1)
+        def done():
+            if job.finished:
+                return (f"event: done\ndata: {{\"state\": \"{job.state}\"}}"
+                        "\n\n").encode()
+
+        self._stream_events(job.telemetry.bus, query, default_tail=25,
+                            done=done)
 
 
-class ServeServer:
-    """Background HTTP server bound to one :class:`ServeManager`.
+class ServeServer(BackgroundHTTPServer):
+    """Background HTTP server bound to one :class:`ServeManager`."""
 
-    ``port=0`` binds an ephemeral port (tests/CI); the bound port is on
-    ``.port`` after :meth:`start`. Handler threads are daemons, so a
-    crashed daemon never hangs on a live SSE stream.
-    """
+    handler = _Handler
+    thread_name = "repro-serve-http"
 
     def __init__(self, manager: ServeManager, port: int = DEFAULT_PORT,
                  host: str = "127.0.0.1"):
+        super().__init__(port, host)
         self.manager = manager
-        self.host = host
-        self.port = port
-        self._httpd: Optional[ThreadingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "ServeServer":
-        if self._httpd is not None:
-            return self
-        httpd = ThreadingHTTPServer((self.host, self.port), _Handler)
-        httpd.daemon_threads = True
-        httpd.manager = self.manager
-        httpd.stopping = threading.Event()
-        self.port = httpd.server_address[1]
-        self._httpd = httpd
-        self._thread = threading.Thread(
-            target=httpd.serve_forever, kwargs={"poll_interval": 0.1},
-            name="repro-serve-http", daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        httpd, self._httpd = self._httpd, None
-        thread, self._thread = self._thread, None
-        if httpd is not None:
-            httpd.stopping.set()
-            httpd.shutdown()
-            httpd.server_close()
-        if thread is not None:
-            thread.join(timeout=5.0)
-
-    def __enter__(self) -> "ServeServer":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.stop()
-        return False
-
-    def __repr__(self) -> str:
-        state = "running" if self.running else "stopped"
-        return f"<ServeServer {state} {self.url}>"

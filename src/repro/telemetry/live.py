@@ -36,12 +36,17 @@ from .monitor import read_rss_bytes
 __all__ = [
     "render_prometheus",
     "live_state",
+    "JSONHandler",
+    "BackgroundHTTPServer",
     "TelemetryServer",
     "DEFAULT_PORT",
+    "PROMETHEUS_CONTENT_TYPE",
 ]
 
 #: default exposition port (chosen off the common 9090..9400 exporter band)
 DEFAULT_PORT = 9644
+
+PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 
@@ -163,14 +168,15 @@ def live_state(telemetry, events_tail: int = 50,
     }
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes /metrics, /progress, /events; reads ``server.telemetry``."""
+class JSONHandler(BaseHTTPRequestHandler):
+    """What both stdlib HTTP planes share: silent logging, one response
+    writer, and the Server-Sent-Events loop over an event bus. Subclasses
+    add routes and read their subject off ``self.server.owner``."""
 
     protocol_version = "HTTP/1.1"
-    server_version = "repro-telemetry"
 
     def log_message(self, fmt: str, *args: Any) -> None:
-        pass  # stay silent; the run's own logging owns stderr
+        pass  # stay silent; the process's own logging owns stderr
 
     def _send(self, body: bytes, content_type: str, status: int = 200) -> None:
         self.send_response(status)
@@ -179,38 +185,21 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def do_GET(self) -> None:  # noqa: N802 (stdlib handler API)
-        url = urlparse(self.path)
-        try:
-            if url.path == "/metrics":
-                body = render_prometheus(self.server.telemetry)
-                self._send(body.encode(),
-                           "text/plain; version=0.0.4; charset=utf-8")
-            elif url.path == "/progress":
-                body = json.dumps(live_state(self.server.telemetry),
-                                  default=str)
-                self._send(body.encode(), "application/json")
-            elif url.path == "/events":
-                self._serve_events(parse_qs(url.query))
-            elif url.path == "/":
-                body = json.dumps({
-                    "service": "repro-telemetry",
-                    "endpoints": ["/metrics", "/progress", "/events"],
-                })
-                self._send(body.encode(), "application/json")
-            else:
-                self._send(b'{"error": "not found"}', "application/json", 404)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away mid-write; nothing to clean up
+    def _send_json(self, payload: Any, status: int = 200) -> None:
+        self._send(json.dumps(payload, default=str).encode(),
+                   "application/json", status)
 
-    def _serve_events(self, query: Dict[str, List[str]]) -> None:
-        """SSE tail of the bus; bounded by ?max_seconds for finite reads."""
-        bus = getattr(self.server.telemetry, "bus", None)
+    def _stream_events(self, bus, query: Dict[str, List[str]],
+                       default_tail: int, done=lambda: None) -> None:
+        """SSE tail of ``bus``; ``?max_seconds`` bounds it for finite reads.
+
+        ``done()`` is asked whenever a poll comes back empty: once it
+        returns a frame (bytes) the frame is written and the stream ends.
+        """
         if bus is None or not bus.enabled:
-            self._send(b'{"error": "event bus disabled"}',
-                       "application/json", 404)
+            self._send_json({"error": "event bus disabled"}, 404)
             return
-        tail = int(query.get("tail", ["10"])[0])
+        tail = int(query.get("tail", [str(default_tail)])[0])
         max_seconds = float(query.get("max_seconds", ["0"])[0])
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream")
@@ -220,7 +209,8 @@ class _Handler(BaseHTTPRequestHandler):
         sub = bus.subscribe(tail=tail)
         deadline = (time.monotonic() + max_seconds) if max_seconds > 0 else None
         while not self.server.stopping.is_set():
-            for ev in sub.poll():
+            events = sub.poll()
+            for ev in events:
                 self.wfile.write(b"data: " + ev.to_json().encode() + b"\n\n")
             if sub.missed:
                 self.wfile.write(
@@ -228,22 +218,57 @@ class _Handler(BaseHTTPRequestHandler):
                     .encode())
                 sub.missed = 0
             self.wfile.flush()
+            last = None if events else done()
+            if last is not None:
+                self.wfile.write(last)
+                self.wfile.flush()
+                break
             if deadline is not None and time.monotonic() >= deadline:
                 break
             time.sleep(0.1)
 
 
-class TelemetryServer:
-    """Background HTTP exposition for one run's Telemetry.
+class _Handler(JSONHandler):
+    """Routes /metrics, /progress, /events of a :class:`TelemetryServer`."""
 
-    ``port=0`` binds an ephemeral port (tests); the bound port is available
-    as ``.port`` after :meth:`start`. The server thread is a daemon, so a
-    crashing run never hangs on it; :meth:`stop` shuts it down cleanly.
+    server_version = "repro-telemetry"
+
+    def do_GET(self) -> None:  # noqa: N802 (stdlib handler API)
+        url = urlparse(self.path)
+        telemetry = self.server.owner.telemetry
+        try:
+            if url.path == "/metrics":
+                self._send(render_prometheus(telemetry).encode(),
+                           PROMETHEUS_CONTENT_TYPE)
+            elif url.path == "/progress":
+                self._send_json(live_state(telemetry))
+            elif url.path == "/events":
+                self._stream_events(getattr(telemetry, "bus", None),
+                                    parse_qs(url.query), default_tail=10)
+            elif url.path == "/":
+                self._send_json({
+                    "service": "repro-telemetry",
+                    "endpoints": ["/metrics", "/progress", "/events"],
+                })
+            else:
+                self._send_json({"error": "not found"}, 404)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # client went away mid-write; nothing to clean up
+
+
+class BackgroundHTTPServer:
+    """A :class:`ThreadingHTTPServer` on a daemon thread.
+
+    ``port=0`` binds an ephemeral port (tests/CI); the bound port is on
+    ``.port`` after :meth:`start`. Server and handler threads are daemons,
+    so a crashing process never hangs on a live SSE stream; :meth:`stop`
+    shuts down cleanly. Handlers reach the instance as ``server.owner``.
     """
 
-    def __init__(self, telemetry, port: int = DEFAULT_PORT,
-                 host: str = "127.0.0.1"):
-        self.telemetry = telemetry
+    handler: type = JSONHandler
+    thread_name = "repro-http"
+
+    def __init__(self, port: int, host: str = "127.0.0.1"):
         self.host = host
         self.port = port
         self._httpd: Optional[ThreadingHTTPServer] = None
@@ -257,18 +282,18 @@ class TelemetryServer:
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
-    def start(self) -> "TelemetryServer":
+    def start(self):
         if self._httpd is not None:
             return self
-        httpd = ThreadingHTTPServer((self.host, self.port), _Handler)
+        httpd = ThreadingHTTPServer((self.host, self.port), self.handler)
         httpd.daemon_threads = True
-        httpd.telemetry = self.telemetry
+        httpd.owner = self
         httpd.stopping = threading.Event()
         self.port = httpd.server_address[1]
         self._httpd = httpd
         self._thread = threading.Thread(
             target=httpd.serve_forever, kwargs={"poll_interval": 0.1},
-            name="repro-telemetry-http", daemon=True)
+            name=self.thread_name, daemon=True)
         self._thread.start()
         return self
 
@@ -282,7 +307,7 @@ class TelemetryServer:
         if thread is not None:
             thread.join(timeout=5.0)
 
-    def __enter__(self) -> "TelemetryServer":
+    def __enter__(self):
         return self.start()
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -291,4 +316,16 @@ class TelemetryServer:
 
     def __repr__(self) -> str:
         state = "running" if self.running else "stopped"
-        return f"<TelemetryServer {state} {self.url}>"
+        return f"<{type(self).__name__} {state} {self.url}>"
+
+
+class TelemetryServer(BackgroundHTTPServer):
+    """Background HTTP exposition for one run's Telemetry."""
+
+    handler = _Handler
+    thread_name = "repro-telemetry-http"
+
+    def __init__(self, telemetry, port: int = DEFAULT_PORT,
+                 host: str = "127.0.0.1"):
+        super().__init__(port, host)
+        self.telemetry = telemetry

@@ -40,7 +40,6 @@ def audited_run(n=8, chunk_qubits=4, serpentine=False, execution="serial",
         compressor="zlib",
         cache_chunks=0,
         cpu_offload_fraction=0.0,
-        execution=execution,
         serpentine_groups=serpentine,
         **kw,
     )

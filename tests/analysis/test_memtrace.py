@@ -177,7 +177,6 @@ class TestAgainstLiveCache:
             compressor="zlib",
             cache_chunks=4,
             cache_policy="lru",
-            execution="serial",
             device=DeviceSpec(memory_bytes=int(0.002 * (1 << 20))),
         )
         res = MemQSim(cfg, telemetry=tel).run(get_workload("qft", 8))

@@ -140,6 +140,55 @@ class TestConvenience:
         assert sv.shape == (256,)
 
 
+class TestDerivedChoices:
+    """The store tier follows from the budgets and the stage engine from
+    the codec pool; neither can be named."""
+
+    @pytest.mark.parametrize("host_store_mb, with_path, store_cls, echo", [
+        (0.0, False, "CompressedChunkStore", "memory"),
+        (0.5, False, "TieredChunkStore", "tiered"),
+        (0.5, True, "TieredChunkStore", "tiered"),
+        (0.0, True, "TieredChunkStore", "tiered"),  # out of core
+    ])
+    def test_budgets_pick_the_store(self, tmp_path, host_store_mb, with_path,
+                                    store_cls, echo):
+        path = str(tmp_path / "blobs.log") if with_path else None
+        res = MemQSim(chunk_qubits=3, compressor="zlib",
+                      host_store_mb=host_store_mb, disk_path=path).run(ghz(6))
+        assert type(res.store).__name__ == store_cls
+        assert res.config_echo["store"] == echo
+        tiers = [t["tier"] for t in res.config_echo["hierarchy"]["tiers"]]
+        assert ("disk_blobs" in tiers) == (echo == "tiered")
+        if echo == "tiered":
+            assert res.store.host_budget_bytes == int(host_store_mb * (1 << 20))
+            assert (res.tracker.peak("disk_store") > 0) == (host_store_mb == 0)
+            assert (str(res.store.path) == path) == with_path
+        assert res.norm() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("workers, pool_workers, engine, echo_workers", [
+        (1, None, "serial", 1),
+        (2, None, "parallel", 2),
+        (1, 1, "parallel", 1),   # inline pool: overlapped engine, no processes
+        (1, 2, "parallel", 2),   # an external pool wins over the config
+    ])
+    def test_codec_pool_picks_the_engine(self, workers, pool_workers, engine,
+                                         echo_workers):
+        from repro.compression import get_compressor
+        from repro.parallel import CodecWorkerPool
+
+        pool = None if pool_workers is None else CodecWorkerPool(
+            get_compressor("zlib"), workers=pool_workers)
+        try:
+            res = MemQSim(chunk_qubits=3, compressor="zlib", workers=workers,
+                          codec_pool=pool).run(ghz(6))
+        finally:
+            if pool is not None:
+                pool.close()
+        assert res.config_echo["execution"] == engine
+        assert res.config_echo["workers"] == echo_workers
+        assert res.norm() == pytest.approx(1.0, abs=1e-9)
+
+
 class TestDiskStore:
     def test_disk_store_identical_to_memory(self, tmp_path):
         from repro.circuits import random_circuit
@@ -148,27 +197,49 @@ class TestDiskStore:
         base = MemQSimConfig(chunk_qubits=4, compressor="zlib",
                              device=DeviceSpec(memory_bytes=1 << 13))
         ref = MemQSim(base).run(circ).statevector()
-        cfg = base.with_updates(store="disk",
-                                disk_path=str(tmp_path / "sim.log"))
-        res = MemQSim(cfg).run(circ)
+        mem = MemQSim(base).run(circ)
+        log = tmp_path / "sim.log"
+        # disk_path alone is the out-of-core run: RAM budget 0.
+        res = MemQSim(base.with_updates(disk_path=str(log))).run(circ)
         assert np.allclose(res.statevector(), ref, atol=1e-12)
         assert res.tracker.peak("disk_store") > 0
-        assert res.tracker.peak("chunk_store") == 0
+        # RAM never holds more than the pinned zero blob plus the one blob
+        # in flight to the log — not the state.
+        assert res.tracker.peak("chunk_store") \
+            < mem.tracker.peak("chunk_store") / 4
         res.store.close()
+        assert log.exists()  # a caller's file is closed, never deleted
 
-    def test_disk_store_default_temp_path(self):
+    def test_disk_store_default_temp_path(self, tmp_path, monkeypatch):
+        """A log the store created itself is gone after close() and after
+        the result is garbage collected — nothing is left in the temp dir."""
+        import gc
+        import tempfile
+
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)
         cfg = MemQSimConfig(chunk_qubits=3, compressor="zlib",
                             device=DeviceSpec(memory_bytes=1 << 12),
-                            store="disk")
+                            host_store_mb=1e-4)
+
+        def logs():
+            return sorted(tmp_path.glob("memqsim_*"))
+
         res = MemQSim(cfg).run(ghz(6))
         assert res.norm() == pytest.approx(1.0, abs=1e-9)
-        path = res.store.path
+        assert res.tracker.peak("disk_store") > 0
+        assert [p.name for p in logs()] == [res.store.path.name]
         res.store.close()
-        import os
+        assert logs() == []
+        res.store.close()  # idempotent
 
-        os.unlink(path)
+        res = MemQSim(cfg).run(ghz(6))
+        assert len(logs()) == 1
+        del res
+        gc.collect()
+        assert logs() == []
 
     def test_unknown_store_kind(self):
-        cfg = MemQSimConfig(store="tape")
-        with pytest.raises(ValueError):
-            MemQSim(cfg).run(ghz(4))
+        """The store tier is derived from the budgets; no kind to name."""
+        with pytest.raises(TypeError, match="store"):
+            MemQSimConfig(store="tape")

@@ -31,7 +31,7 @@ class TestRoundTrip:
         buf = ex.alloc(16)
         ex.upload(host, buf, 0)
         g = make_gate("h", (2,))
-        ex.run_gates(buf, [g], 0)
+        ex.run_ops(buf, [g], 0)
         out = np.empty(16, dtype=np.complex128)
         ex.download(buf, out, 0)
         want = host.copy()
@@ -44,7 +44,7 @@ class TestRoundTrip:
         buf = ex.alloc(8)
         ex.upload(host, buf)
         gates = [make_gate("h", (0,)), make_gate("cx", (0, 1)), make_gate("t", (2,))]
-        ex.run_gates(buf, gates)
+        ex.run_ops(buf, gates)
         out = np.empty(8, dtype=np.complex128)
         ex.download(buf, out)
         want = host.copy()
@@ -71,7 +71,7 @@ class TestTelemetry:
         host = rand(8, 4)
         buf = ex.alloc(8)
         ex.upload(host, buf, chunk=7)
-        ex.run_gates(buf, [make_gate("h", (0,))], chunk=7)
+        ex.run_ops(buf, [make_gate("h", (0,))], chunk=7)
         ex.download(buf, host, chunk=7)
         kinds = [e.stage for e in ex.timeline.events]
         assert kinds == [Stage.H2D, Stage.KERNEL, Stage.D2H]
@@ -95,7 +95,7 @@ class TestTelemetry:
 
         ex = DeviceExecutor(DeviceSpec(memory_bytes=64 * 16), backend=SpyBackend())
         buf = ex.alloc(8)
-        ex.run_gates(buf, [make_gate("x", (0,))])
+        ex.run_ops(buf, [make_gate("x", (0,))])
         assert calls == [1]
 
 

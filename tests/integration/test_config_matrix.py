@@ -62,7 +62,7 @@ class TestConfigMatrix:
 
     def test_disk_store_with_cache_and_offload(self, tmp_path):
         cfg = base_config(
-            store="disk", disk_path=str(tmp_path / "m.log"),
+            disk_path=str(tmp_path / "m.log"),
             cache_chunks=8, cpu_offload_fraction=0.5, fuse_gates=True,
         )
         res = MemQSim(cfg).run(CIRCUIT)

@@ -33,20 +33,18 @@ class TestSerialParallelBitIdentity:
     def test_c64_digest_matches(self, workload):
         circ = get_workload(workload, 8)
         serial = MemQSim(
-            tight(4, precision="c64", execution="serial")).run(circ)
+            tight(4, precision="c64")).run(circ)
         parallel = MemQSim(
-            tight(4, precision="c64", execution="parallel",
-                  workers=2)).run(circ)
+            tight(4, precision="c64", workers=2)).run(circ)
         assert serial.state_digest() == parallel.state_digest()
         assert serial.statevector().dtype == np.complex64
 
     def test_mixed_digest_matches(self):
         circ = get_workload("qft", 8)
         serial = MemQSim(
-            tight(4, precision="mixed", execution="serial")).run(circ)
+            tight(4, precision="mixed")).run(circ)
         parallel = MemQSim(
-            tight(4, precision="mixed", execution="parallel",
-                  workers=2)).run(circ)
+            tight(4, precision="mixed", workers=2)).run(circ)
         assert serial.state_digest() == parallel.state_digest()
 
 

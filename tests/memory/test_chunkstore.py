@@ -164,33 +164,7 @@ class TestLossyStore:
 
 
 class TestBlobAndBatchAPI:
-    """Blob-level and batch entry points used by the parallel codec pool."""
-
-    def test_load_batch_matches_individual_loads(self, random_state_fn):
-        store, _ = make_store()
-        store.init_from_statevector(random_state_fn(6, seed=1))
-        chunks = [0, 3, 5]
-        cs = store.layout.chunk_size
-        batch = store.load_batch(chunks)
-        for i, c in enumerate(chunks):
-            np.testing.assert_array_equal(batch[i * cs:(i + 1) * cs],
-                                          store.load(c))
-
-    def test_store_batch_roundtrip(self, random_state_fn):
-        store, _ = make_store()
-        store.init_zero_state()
-        v = random_state_fn(6, seed=2)
-        cs = store.layout.chunk_size
-        store.store_batch([0, 1, 2, 3], v[: 4 * cs].copy())
-        for c in range(4):
-            np.testing.assert_array_equal(store.load(c),
-                                          v[c * cs:(c + 1) * cs])
-
-    def test_store_batch_validates_chunk_size(self):
-        store, _ = make_store()
-        store.init_zero_state()
-        with pytest.raises(ValueError):
-            store.store_batch([0], np.zeros(3, dtype=np.complex128))
+    """Blob-level entry points used by the overlapped engine's codec pool."""
 
     def test_put_get_blob_roundtrip_and_accounting(self, random_state_fn):
         store, _ = make_store()

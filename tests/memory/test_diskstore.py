@@ -1,17 +1,22 @@
-"""Unit tests for the out-of-core disk-backed chunk store."""
+"""Unit tests for the out-of-core store: ``TieredChunkStore`` at RAM
+budget 0, where every blob except the pinned zero blob lives in the log."""
 
 import numpy as np
 import pytest
 
 from repro.compression import get_compressor
-from repro.memory import ChunkLayout, DiskChunkStore, MemoryTracker
+from repro.memory import ChunkLayout, MemoryTracker, TieredChunkStore
+
+
+def disk_store(layout, codec, path, tracker=None, **kw):
+    return TieredChunkStore(layout, get_compressor(codec), path, 0,
+                            tracker=tracker, **kw)
 
 
 @pytest.fixture
 def store(tmp_path):
     lay = ChunkLayout(8, 3)
-    s = DiskChunkStore(lay, get_compressor("zlib"), tmp_path / "chunks.log",
-                       MemoryTracker())
+    s = disk_store(lay, "zlib", tmp_path / "chunks.log", MemoryTracker())
     yield s
     s.close()
 
@@ -45,20 +50,30 @@ class TestBasics:
 
     def test_zero_blob_shared_on_disk(self, store):
         store.init_zero_state()
-        # all-zero chunks share one record: live bytes ~ 2 blobs
+        # all-zero chunks share one blob: footprint ~ 2 blobs
         sizes = store.blob_sizes()
         assert store.compressed_nbytes() < sum(sizes)
+        assert store.compressed_nbytes() == sizes[0] + sizes[1]
+        # ... which stays in RAM, so only chunk 0 was ever written out
+        assert store.file_bytes == sizes[0]
 
     def test_tracker_uses_disk_category(self, store):
         store.init_zero_state()
         assert store.tracker.current("disk_store") == store.file_bytes
+        assert store.tracker.current("chunk_store") \
+            == len(store.zero_blob_bytes())
+        store.init_from_statevector(rand_state(8, 9))
+        assert store.tracker.current("disk_store") == store.file_bytes
         assert store.tracker.current("chunk_store") == 0
+        assert store.host_blob_bytes() == 0
 
     def test_validation(self, tmp_path):
         lay = ChunkLayout(4, 2)
         with pytest.raises(ValueError):
-            DiskChunkStore(lay, get_compressor("zlib"), tmp_path / "x.log",
-                           compact_threshold=0.0)
+            disk_store(lay, "zlib", tmp_path / "x.log", compact_threshold=0.0)
+        with pytest.raises(ValueError):
+            TieredChunkStore(lay, get_compressor("zlib"), tmp_path / "x.log",
+                             -1)
 
 
 class TestCompaction:
@@ -81,8 +96,8 @@ class TestCompaction:
 
     def test_auto_compaction_bounds_file_size(self, tmp_path):
         lay = ChunkLayout(10, 4)
-        s = DiskChunkStore(lay, get_compressor("null"), tmp_path / "big.log",
-                           MemoryTracker(), compact_threshold=0.3)
+        s = disk_store(lay, "null", tmp_path / "big.log", MemoryTracker(),
+                       compact_threshold=0.3)
         try:
             v = rand_state(10, 5)
             s.init_from_statevector(v)
@@ -112,7 +127,9 @@ class TestIntegration:
         store.init_from_statevector(v)
         nc = store.layout.num_chunks
         perm = [k ^ 1 for k in range(nc)]
+        before = store.file_bytes
         store.permute(perm)
+        assert store.file_bytes == before  # relabeling moves no bytes
         got = store.to_statevector()
         want = v.reshape(nc, -1)[perm].reshape(-1)
         assert np.array_equal(got, want)
@@ -136,8 +153,7 @@ class TestIntegration:
 
         lay = ChunkLayout(8, 3)
         tracker = MemoryTracker()
-        s = DiskChunkStore(lay, get_compressor("zlib"),
-                           tmp_path / "sim.log", tracker)
+        s = disk_store(lay, "zlib", tmp_path / "sim.log", tracker)
         try:
             s.init_zero_state()
             timeline = Timeline()
@@ -153,12 +169,17 @@ class TestIntegration:
             s.close()
 
     def test_context_manager_removes_file(self, tmp_path):
+        """...when the store created it; a caller's file is only closed."""
         lay = ChunkLayout(4, 2)
-        p = tmp_path / "ctx.log"
-        with DiskChunkStore(lay, get_compressor("zlib"), p) as s:
+        with disk_store(lay, "zlib", None) as s:
             s.init_zero_state()
-            assert p.exists()
-        assert not p.exists()
+            own = s.path
+            assert own.exists() and own.name.startswith("memqsim_")
+        assert not own.exists()
+        p = tmp_path / "ctx.log"
+        with disk_store(lay, "zlib", p) as s:
+            s.init_zero_state()
+        assert p.exists()
 
 
 class TestDiskPlusCache:
@@ -167,8 +188,7 @@ class TestDiskPlusCache:
 
         lay = ChunkLayout(8, 3)
         tracker = MemoryTracker()
-        disk = DiskChunkStore(lay, get_compressor("zlib"),
-                              tmp_path / "dc.log", tracker)
+        disk = disk_store(lay, "zlib", tmp_path / "dc.log", tracker)
         try:
             v = rand_state(8, 11)
             disk.init_from_statevector(v)
@@ -193,7 +213,7 @@ class TestDiskPlusCache:
         circ = random_circuit(8, 40, seed=88)
         cfg = MemQSimConfig(chunk_qubits=4, compressor="zlib",
                             device=DeviceSpec(memory_bytes=1 << 13),
-                            store="disk", disk_path=str(tmp_path / "mc.log"),
+                            disk_path=str(tmp_path / "mc.log"),
                             cache_chunks=6)
         res = MemQSim(cfg).run(circ)
         ref = DenseSimulator().run(circ).data
@@ -210,16 +230,15 @@ class TestCompactPermuteFlushInterplay:
     """
 
     def _live_equals_index(self, store):
-        # Every indexed record's bytes are readable, and live_bytes is
-        # exactly the sum over unique records (the zero record once).
+        # Every chunk is backed by exactly one tier, and the footprint is
+        # exactly the sum over unique blobs (the pinned zero blob once,
+        # every log record once).
         sizes = store.blob_sizes()
-        uniq = set()
-        total = 0
+        total = store.host_blob_bytes()
         for k in range(store.layout.num_chunks):
-            rec = store._index[k]
-            assert rec is not None
-            if id(rec) not in uniq:
-                uniq.add(id(rec))
+            rec = store._disk[k]
+            assert (rec is None) != (store._blobs[k] is None)
+            if rec is not None:
                 total += rec[1]
         assert store.compressed_nbytes() == total
         return sizes

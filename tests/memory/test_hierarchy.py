@@ -111,11 +111,14 @@ class TestAccessSchedule:
 # TieredChunkStore
 
 
+AMPLE = 1 << 30  # a RAM budget no test state comes near
+
+
 @pytest.fixture
 def tiered(tmp_path):
     lay = ChunkLayout(7, 3)  # 16 chunks of 8 amps
     s = TieredChunkStore(lay, get_compressor("zlib"), tmp_path / "tier.log",
-                         host_budget_bytes=0, tracker=MemoryTracker())
+                         host_budget_bytes=AMPLE, tracker=MemoryTracker())
     yield s
     s.close()
 
@@ -153,11 +156,24 @@ class TestTieredStore:
         assert tiered.get_blob(5) == blob_before
         np.testing.assert_array_equal(tiered.load(5), data)
         # promote it back: bytes still identical
-        tiered.host_budget_bytes = 0
+        tiered.host_budget_bytes = AMPLE
         tiered.will_need([5])
         assert not tiered.is_on_disk(5)
         assert tiered.get_blob(5) == blob_before
         assert tiered.tier_stats.promotions == 1
+
+    def test_will_need_skips_a_blob_the_budget_cannot_hold(self, tiered):
+        """Promoting it would only re-append it to the log."""
+        tiered.store(5, rand_chunk(3, 42))
+        tiered.store(6, rand_chunk(3, 43))
+        tiered.host_budget_bytes = min(len(tiered.get_blob(5)),
+                                       len(tiered.get_blob(6))) - 1
+        tiered._enforce_budget()
+        written = tiered.file_bytes
+        tiered.will_need([5, 6])
+        assert tiered.is_on_disk(5) and tiered.is_on_disk(6)
+        assert tiered.tier_stats.promotions == 0
+        assert tiered.file_bytes == written
 
     def test_zero_blob_pinned_in_ram(self, tiered):
         tiered.init_zero_state()
@@ -177,7 +193,7 @@ class TestTieredStore:
         tiered._enforce_budget()
         assert tiered.is_on_disk(3)
         live_before = tiered.disk_blob_bytes()
-        tiered.host_budget_bytes = 0
+        tiered.host_budget_bytes = AMPLE
         tiered.store(3, rand_chunk(3, 2))
         assert not tiered.is_on_disk(3)
         assert tiered.disk_blob_bytes() < live_before
@@ -214,7 +230,7 @@ class TestTieredStore:
         tiered.host_budget_bytes = 1
         tiered._enforce_budget()
         # promote everything back -> the log is 100% garbage
-        tiered.host_budget_bytes = 0
+        tiered.host_budget_bytes = AMPLE
         tiered.will_need(range(16))
         assert tiered.disk_blob_bytes() == 0
         tiered.compact()
@@ -238,7 +254,7 @@ class TestTieredStore:
         tracker = MemoryTracker()
         lay = ChunkLayout(7, 3)
         s = TieredChunkStore(lay, get_compressor("zlib"),
-                             tmp_path / "t.log", 0, tracker=tracker)
+                             tmp_path / "t.log", AMPLE, tracker=tracker)
         fill(s)
         assert tracker.current("chunk_store") == s.host_blob_bytes()
         s.host_budget_bytes = s.host_blob_bytes() // 2
@@ -301,7 +317,6 @@ class TestLiveEqualsReplay:
             tel.access = rec
             cfg = MemQSimConfig(
                 chunk_qubits=4, cache_chunks=cap, cache_policy=policy,
-                execution="serial",
                 device=DeviceSpec(memory_bytes=int(0.002 * (1 << 20))),
             )
             res = MemQSim(cfg, telemetry=tel).run(vqe_ansatz(10, layers=2))

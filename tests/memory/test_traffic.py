@@ -13,8 +13,8 @@ from repro.memory import (
     ChunkCache,
     ChunkLayout,
     CompressedChunkStore,
-    DiskChunkStore,
     MemoryTracker,
+    TieredChunkStore,
     TrafficLedger,
 )
 from repro.telemetry import MetricsRegistry, Telemetry
@@ -182,15 +182,16 @@ class TestStoreWiring:
     def test_disk_store_byte_accounting(self, tmp_path):
         tel = Telemetry()
         lay = ChunkLayout(6, 3)
-        store = DiskChunkStore(lay, get_compressor("zlib"),
-                               tmp_path / "c.log", MemoryTracker(),
-                               telemetry=tel)
+        store = TieredChunkStore(lay, get_compressor("zlib"),
+                                 tmp_path / "c.log", 0,
+                                 tracker=MemoryTracker(), telemetry=tel)
         try:
             store.init_from_statevector(rand_state(6, seed=2))
             written = tel.traffic.total_bytes("disk", "write")
-            # the log holds exactly what the ledger counted (plus record
-            # headers, which the ledger deliberately excludes)
-            assert 0 < written <= store.file_bytes
+            # at budget 0 every blob the codec emitted went to the log,
+            # once, and the log holds exactly what the ledger counted
+            assert written == store.file_bytes \
+                == tel.traffic.total_bytes("codec", "compressed_out") > 0
             for k in range(lay.num_chunks):
                 store.load(k)
             read = tel.traffic.total_bytes("disk", "read")
@@ -203,16 +204,42 @@ class TestStoreWiring:
     def test_disk_store_overwrite_appends(self, tmp_path):
         tel = Telemetry()
         lay = ChunkLayout(4, 2)
-        store = DiskChunkStore(lay, get_compressor("zlib"),
-                               tmp_path / "c.log", MemoryTracker(),
-                               telemetry=tel)
+        store = TieredChunkStore(lay, get_compressor("zlib"),
+                                 tmp_path / "c.log", 0,
+                                 tracker=MemoryTracker(), telemetry=tel)
         try:
             store.init_from_statevector(rand_state(4, seed=3))
             w0 = tel.traffic.total_bytes("disk", "write")
             store.store(0, rand_state(2, seed=4))
-            assert tel.traffic.total_bytes("disk", "write") > w0
+            assert tel.traffic.total_bytes("disk", "write") \
+                == w0 + len(store.get_blob(0))
+            # the advisory prefetch has nowhere to promote to: no traffic
+            before = tel.traffic.totals()
+            store.will_need(range(lay.num_chunks))
+            assert tel.traffic.totals() == before
+            assert store.tier_stats.promotions == 0
         finally:
             store.close()
+
+    def test_disk_run_writes_no_more_than_the_codec_emitted(self, tmp_path):
+        """An out-of-core run appends each emitted blob once, except the
+        interned zero blob, which never leaves RAM. (The deleted
+        DiskChunkStore appended that one too: 1481 B on this circuit,
+        equal to codec.compressed_out; this store writes 24 B fewer.)"""
+        from repro.circuits import get_workload
+        from repro.core import MemQSim
+
+        tel = Telemetry()
+        res = MemQSim(chunk_qubits=4, compressor="zlib",
+                      disk_path=str(tmp_path / "run.log"),
+                      telemetry=tel).run(get_workload("qft", 8))
+        emitted = tel.traffic.totals()["codec.compressed_out"]
+        written = tel.traffic.totals()["disk.write"]
+        zero = len(res.store.zero_blob_bytes())
+        assert written["bytes"] == emitted["bytes"] - zero
+        assert written["ops"] == emitted["ops"] - 1
+        assert res.store.compactions == 0  # below the 64 KiB floor
+        res.store.close()
 
     def test_cache_hit_miss_bytes(self):
         tel = Telemetry()

@@ -1,4 +1,4 @@
-"""CLI wiring for the parallel subsystem: --workers/--execution/--serpentine."""
+"""CLI wiring for the parallel subsystem: --workers/--serpentine."""
 
 import json
 
@@ -11,7 +11,7 @@ class TestParserDefaults:
     def test_run_parallel_defaults(self):
         args = build_parser().parse_args(["run", "qft"])
         assert args.workers == 0  # 0 = auto
-        assert args.execution == "auto"
+        assert not hasattr(args, "execution")
         assert args.serpentine is True
 
     def test_trace_has_parallel_flags(self):
@@ -21,22 +21,25 @@ class TestParserDefaults:
         assert args.serpentine is False
 
     def test_execution_choices(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "qft", "--execution", "warp"])
+        """The engine is derived from --workers; the flag itself is gone
+        from every subcommand that had it."""
+        for cmd in (["run", "qft"], ["trace", "qft"], ["report", "qft"],
+                    ["serve"], ["submit", "qft"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(cmd + ["--execution", "serial"])
 
 
 class TestRunCommand:
     def test_run_with_workers(self, capsys):
         rc = main(["run", "ghz", "-n", "8", "--chunk-qubits", "4",
-                   "--compressor", "zlib", "--workers", "2",
-                   "--execution", "parallel"])
+                   "--compressor", "zlib", "--workers", "2"])
         assert rc == 0
         assert "MEMQSim result" in capsys.readouterr().out
 
     def test_json_echoes_resolved_config(self, capsys):
         rc = main(["run", "ghz", "-n", "8", "--chunk-qubits", "4",
                    "--compressor", "zlib", "--workers", "2",
-                   "--execution", "parallel", "--no-serpentine", "--json"])
+                   "--no-serpentine", "--json"])
         assert rc == 0
         out = capsys.readouterr().out
         payload = json.loads(out[out.index("{"):])
@@ -60,7 +63,7 @@ class TestRunCommand:
         out = tmp_path / "t.trace.json"
         rc = main(["trace", "ghz", "-n", "8", "--chunk-qubits", "4",
                    "--compressor", "zlib", "--workers", "2",
-                   "--execution", "parallel", "--trace-out", str(out)])
+                   "--trace-out", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["traceEvents"]

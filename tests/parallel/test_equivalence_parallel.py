@@ -16,7 +16,7 @@ import pytest
 from repro.circuits import get_workload
 from repro.compression.lossless import ZlibCompressor
 from repro.core import MemQSim, MemQSimConfig
-from repro.parallel import run_equivalence
+from repro.parallel import CodecWorkerPool, compare_stores, run_equivalence
 from repro.telemetry import Telemetry
 
 WORKERS = 2
@@ -38,11 +38,18 @@ class TestCodecEquivalence:
         assert rep.state_max_abs_diff == 0.0
 
     def test_shared_memory_payload_path(self):
-        rep = run_equivalence(
-            get_workload("qft", 8), workers=WORKERS,
-            chunk_qubits=4, compressor="zlib", shm_threshold_bytes=1,
-        )
-        assert rep.ok, rep.summary()
+        """Every codec job through a shm segment (threshold 1 byte)."""
+        circ = get_workload("qft", 8)
+        cfg = MemQSimConfig(chunk_qubits=4, compressor="zlib")
+        serial = MemQSim(cfg).run(circ)
+        with CodecWorkerPool(cfg.make_compressor(), workers=WORKERS,
+                             shm_threshold=1) as pool:
+            overlapped = MemQSim(cfg, codec_pool=pool).run(circ)
+            if pool.is_parallel:
+                assert pool.stats.shm_jobs == pool.stats.jobs > 0
+        assert compare_stores(serial.store, overlapped.store) == (True, [])
+        np.testing.assert_array_equal(serial.statevector(),
+                                      overlapped.statevector())
 
 
 class TestSchedulerFeatureEquivalence:
@@ -79,11 +86,20 @@ class TestSchedulerFeatureEquivalence:
         assert rep.ok, rep.summary()
 
     def test_disk_store(self, tmp_path):
-        rep = run_equivalence(get_workload("qft", 6), workers=WORKERS,
-                              chunk_qubits=3, compressor="zlib",
-                              store="disk",
-                              disk_path=str(tmp_path / "eq.log"))
-        assert rep.ok, rep.summary()
+        """Out-of-core (disk_path alone = tiered store at RAM budget 0):
+        every blob the overlapped engine reads and writes crosses the log.
+        One log file per run, so not through run_equivalence."""
+        circ = get_workload("qft", 6)
+        cfg = MemQSimConfig(chunk_qubits=3, compressor="zlib")
+        serial = MemQSim(cfg, disk_path=str(tmp_path / "s.log")).run(circ)
+        with CodecWorkerPool(cfg.make_compressor(), workers=WORKERS) as pool:
+            overlapped = MemQSim(cfg, codec_pool=pool,
+                                 disk_path=str(tmp_path / "o.log")).run(circ)
+        assert overlapped.config_echo["store"] == "tiered"
+        assert overlapped.tracker.peak("disk_store") > 0
+        assert compare_stores(serial.store, overlapped.store) == (True, [])
+        np.testing.assert_array_equal(serial.statevector(),
+                                      overlapped.statevector())
 
     def test_tiered_store_lossy_codec(self):
         """Tiered store under a byte budget with a lossy codec, streamed
@@ -124,22 +140,23 @@ class TestSchedulerFeatureEquivalence:
 
 class TestForcedExecutionModes:
     def test_parallel_engine_with_one_worker_matches_serial(self):
-        """execution="parallel" at workers=1: engine path, inline codec."""
+        """The overlapped engine over the inline (workers=1) pool."""
         rep = run_equivalence(get_workload("qft", 8), workers=1,
                               chunk_qubits=4, compressor="zlib")
         assert rep.ok, rep.summary()
 
     def test_workers1_auto_takes_serial_path(self):
-        cfg = MemQSimConfig(chunk_qubits=4, compressor="zlib",
-                            workers=1, execution="auto")
+        cfg = MemQSimConfig(chunk_qubits=4, compressor="zlib", workers=1)
         res = MemQSim(cfg).run(get_workload("qft", 8))
         assert res.config_echo["execution"] == "serial"
         assert res.config_echo["workers"] == 1
 
     def test_unknown_execution_rejected(self):
-        cfg = MemQSimConfig(execution="warp")
-        with pytest.raises(ValueError, match="execution"):
-            MemQSim(cfg).run(get_workload("ghz", 4))
+        """There is no engine knob left to set, valid or not."""
+        with pytest.raises(TypeError, match="execution"):
+            MemQSimConfig(execution="warp")
+        with pytest.raises(TypeError, match="execution"):
+            MemQSim(execution="serial")
 
 
 class CrashOnNthCompress(ZlibCompressor):
@@ -171,12 +188,12 @@ class TestWorkerCrashMidRun:
         circ = get_workload("qft", 8)
         tel = Telemetry()
         cfg = MemQSimConfig(chunk_qubits=4, compressor="crash_on_nth",
-                            workers=2, execution="parallel")
+                            workers=2)
         with caplog.at_level("WARNING", logger="repro.parallel.pool"):
             res = MemQSim(cfg, telemetry=tel).run(circ)
         assert any("degraded" in r.message for r in caplog.records)
         assert tel.metrics.snapshot()["counters"]["parallel.fallback"] >= 1
         # The store is not corrupted: state matches the pure-serial run.
         ref = MemQSim(MemQSimConfig(chunk_qubits=4, compressor="zlib",
-                                    workers=1, execution="serial")).run(circ)
+                                    workers=1)).run(circ)
         np.testing.assert_array_equal(res.statevector(), ref.statevector())

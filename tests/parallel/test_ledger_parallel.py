@@ -22,7 +22,6 @@ CODEC_EDGES = ("codec.raw_in", "codec.compressed_out",
 def run_with_ledger(execution, **kw):
     tel = Telemetry()
     cfg = MemQSimConfig(chunk_qubits=4, compressor="zlib",
-                        execution=execution,
                         workers=WORKERS if execution == "parallel" else 1,
                         **kw)
     res = MemQSim(cfg, telemetry=tel).run(get_workload("qft", 8))

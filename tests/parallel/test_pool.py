@@ -21,6 +21,17 @@ def _payload(n=256, seed=0, chunks=4):
     return out
 
 
+def _compress_all(pool, arrays):
+    """Submit everything, then collect in submission order."""
+    jobs = [pool.submit_compress(i, a) for i, a in enumerate(arrays)]
+    return [res.blob for res in pool.drain(jobs)]
+
+
+def _decompress_all(pool, blobs):
+    jobs = [pool.submit_decompress(i, b) for i, b in enumerate(blobs)]
+    return [res.array for res in pool.drain(jobs)]
+
+
 class CrashyCompressor(ZlibCompressor):
     """Crashes the hosting process on compress — in workers only."""
 
@@ -42,12 +53,12 @@ class TestSerialPool:
         pool = CodecWorkerPool(comp, workers=1)
         assert not pool.is_parallel
         data = _payload()
-        blobs = pool.compress_batch(data)
+        blobs = _compress_all(pool, data)
         assert blobs == [comp.compress(d) for d in data]
-        arrs = pool.decompress_batch(blobs)
+        arrs = _decompress_all(pool, blobs)
         for a, d in zip(arrs, data):
             np.testing.assert_array_equal(a, d)
-        assert pool.stats.jobs == 0  # batch short-circuits to the codec
+        assert pool.stats.inline_jobs == pool.stats.jobs == 8
         pool.close()
 
     def test_submit_collect_inline(self):
@@ -74,9 +85,9 @@ class TestProcessPool:
         with CodecWorkerPool(comp, workers=2) as pool:
             if not pool.is_parallel:
                 pytest.skip("process pool unavailable on this platform")
-            blobs = pool.compress_batch(data)
+            blobs = _compress_all(pool, data)
             assert blobs == [comp.compress(d) for d in data]
-            arrs = pool.decompress_batch(blobs)
+            arrs = _decompress_all(pool, blobs)
         for a, d in zip(arrs, data):
             np.testing.assert_array_equal(a, comp.decompress(comp.compress(d)))
 
@@ -114,7 +125,7 @@ class TestProcessPool:
         assert pool.stats.fallbacks == 1
         assert any("degraded" in r.message for r in caplog.records)
         data = _payload(chunks=2)
-        assert pool.compress_batch(data) == [comp.compress(d) for d in data]
+        assert _compress_all(pool, data) == [comp.compress(d) for d in data]
         pool.close()
 
 
@@ -156,8 +167,7 @@ class TestTelemetry:
         with CodecWorkerPool(comp, workers=2, telemetry=tel) as pool:
             if not pool.is_parallel:
                 pytest.skip("process pool unavailable on this platform")
-            blobs = pool.compress_batch(data)
-            pool.decompress_batch(blobs)
+            _decompress_all(pool, _compress_all(pool, data))
         spans = [s for s in tel.tracer.spans if s.name.startswith("worker.")]
         assert len(spans) == 8
         # Worker lanes are distinct from main-thread lanes (tid >= 100).
@@ -173,7 +183,7 @@ class TestTelemetry:
         tel = Telemetry()
         with CodecWorkerPool(get_compressor("zlib"), workers=2,
                              telemetry=tel) as pool:
-            pool.compress_batch(_payload(chunks=3))
+            _compress_all(pool, _payload(chunks=3))
         path = tmp_path / "t.json"
         tel.tracer.write_chrome_trace(str(path))
         doc = json.loads(path.read_text())

@@ -13,7 +13,7 @@ from repro.compile import CompileOptions, GateOp, compile_stages
 from repro.core import MemQSim, MemQSimConfig
 from repro.device import DeviceSpec
 from repro.memory import ChunkLayout
-from repro.parallel import run_equivalence
+from repro.parallel import CodecWorkerPool, run_equivalence
 from repro.pipeline import (
     PermutationStage,
     StageProgram,
@@ -160,8 +160,9 @@ def test_parallel_engine_runs_the_same_program():
     cfg = qft12_config(False, "c128")
     rep = run_equivalence(qft(12), cfg, workers=2)
     assert rep.ok and rep.blobs_identical and rep.state_bit_identical
-    par = MemQSim(cfg.with_updates(execution="parallel", workers=1)) \
-        .run(qft(12))
+    with CodecWorkerPool(cfg.make_compressor(), workers=1) as inline:
+        par = MemQSim(cfg, codec_pool=inline).run(qft(12))
+    assert par.config_echo["execution"] == "parallel"
     assert observed(par) == QFT12_PINNED[(False, "c128")]
 
 

@@ -120,7 +120,7 @@ class TestGracefulShutdown:
 
     def test_shutdown_releases_shared_pool_workers(self):
         """A daemon with a shared worker pool leaves no orphans behind."""
-        mgr = ServeManager(small_base(workers=2, execution="parallel"),
+        mgr = ServeManager(small_base(workers=2),
                            Telemetry())
         pool = mgr.codec_pool
         assert pool is not None and pool.workers == 2

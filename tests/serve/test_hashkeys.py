@@ -90,7 +90,8 @@ class TestPlanKey:
         ("compressor", "zlib"),
         ("transfer", "async"),
         ("workers", 4),
-        ("execution", "parallel"),
+        ("host_store_mb", 0.5),
+        ("disk_path", "blobs.log"),
         ("cache_chunks", 8),
         ("cpu_offload_fraction", 0.5),
         ("monitor_interval_ms", 10.0),

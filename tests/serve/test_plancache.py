@@ -105,7 +105,6 @@ class TestCachedPlanDrivesHierarchy:
         cache = PlanCache()
         cfg = MemQSimConfig(
             chunk_qubits=4, cache_chunks=6, cache_policy="belady",
-            execution="serial",
             device=DeviceSpec(memory_bytes=int(0.002 * (1 << 20))))
         circuit = qft(8)
         plain = MemQSim(cfg).run(circuit)

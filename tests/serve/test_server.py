@@ -71,10 +71,12 @@ class TestJobAPI:
         with pytest.raises(ServeAPIError) as err:
             client.submit({"workload": "not-a-workload"})
         assert err.value.status == 400
-        with pytest.raises(ServeAPIError) as err:
-            client.submit({"workload": "qft", "qubits": 9,
-                           "config": {"store": "disk"}})
-        assert err.value.status == 400
+        # neither the store nor the engine is a tenant's (or anyone's) to name
+        for override in ({"store": "disk"}, {"execution": "serial"}):
+            with pytest.raises(ServeAPIError) as err:
+                client.submit({"workload": "qft", "qubits": 9,
+                               "config": override})
+            assert err.value.status == 400
 
     def test_cancel_queued_job(self, daemon):
         mgr, client = daemon

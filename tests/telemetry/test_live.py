@@ -192,8 +192,7 @@ def test_worker_events_re_anchor_onto_the_parent_axis():
 
 
 def test_parallel_run_merges_worker_events(tight_config):
-    pool_cfg = tight_config.with_updates(workers=2, execution="parallel",
-                                         compressor="szlike")
+    pool_cfg = tight_config.with_updates(workers=2, compressor="szlike")
     tel = Telemetry()
     res = MemQSim(pool_cfg, telemetry=tel).run(qft(8))
     assert res.norm() == pytest.approx(1.0, abs=1e-3)

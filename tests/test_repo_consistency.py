@@ -107,3 +107,22 @@ class TestPublicSurface:
             assert re.search(rf"\b{exp_id}\b", experiments), (
                 f"experiment {exp_id} missing from EXPERIMENTS.md"
             )
+
+
+class TestConfigSurface:
+    """A new ``MemQSimConfig`` knob doubles the configurations tests and
+    benchmarks must cover, so it has to be argued for in review: raising
+    this count and documenting the field in ``docs/api.md`` is that
+    argument's paper trail. (26 before the store/engine/shm-threshold
+    knobs became derived values.)"""
+
+    def test_knob_count_and_documentation(self):
+        import dataclasses
+
+        from repro.core import MemQSimConfig
+
+        fields = [f.name for f in dataclasses.fields(MemQSimConfig)]
+        assert len(fields) == 23, fields
+        api = (REPO / "docs" / "api.md").read_text()
+        undocumented = [f for f in fields if f"`{f}`" not in api]
+        assert not undocumented, f"not in docs/api.md: {undocumented}"
