@@ -623,7 +623,7 @@ def _cmd_compressors(args) -> int:
 
 def _cmd_plan(args) -> int:
     from .memory import ChunkLayout
-    from .pipeline import describe_plan, plan_stages
+    from .pipeline import RELOCATE, describe_plan, plan_stages, trace_qubit_map
 
     circuit = get_workload(args.workload, args.qubits)
     layout = ChunkLayout(args.qubits, args.chunk_qubits)
@@ -633,8 +633,19 @@ def _cmd_plan(args) -> int:
           f"{rep.num_stages} stages ({rep.num_local_stages} local, "
           f"{rep.num_permutation_stages} permutation), "
           f"{rep.group_passes} group passes")
-    for i, s in enumerate(stages[:30]):
-        print(f"  {i:>3}: {s!r}")
+    c = layout.chunk_qubits
+    # Past this stage only the canonical layout is being restored.
+    last_gate = max((i for i, s in enumerate(stages)
+                     if any(g.label != RELOCATE for g in s.gates)), default=-1)
+    trace = trace_qubit_map(stages, args.qubits)
+    for i, (s, _occ, moves) in zip(range(30), trace):
+        # q3→g10: logical qubit 3 leaves for global position 10.
+        note = ""
+        if moves:
+            why = "restore" if i > last_gate else "relocate"
+            note = f"  {why}: " + " ".join(
+                f"q{q}→{'g' if to >= c else 'l'}{to}" for q, _from, to in moves)
+        print(f"  {i:>3}: {s!r}{note}")
     if len(stages) > 30:
         print(f"  ... {len(stages) - 30} more stages")
     return 0

@@ -80,12 +80,21 @@ def compile_gates(gates: Sequence[Any],
     }
     if opts.fusion:
         cd = can_densify if can_densify is not None else (lambda qs: True)
+        # The swaps a batch ends on (the planner closes a stage with its
+        # qubit relocations) stay out of the passes: as plain swaps they
+        # run as slice exchanges, inside a window each would become a
+        # dense matmul over the whole buffer.
+        body = len(ops)
+        while body and ops[body - 1].name == "swap":
+            body -= 1
+        ops, closing = ops[:body], ops[body:]
         if opts.fold_1q:
             ops = fold_1q_runs(ops, cd, stats)
         if opts.merge_diagonals:
             ops = merge_diagonal_runs(ops, opts.max_diag_qubits, stats)
         if opts.fuse_window_runs:
             ops = fuse_windows(ops, opts.max_fuse_qubits, cd, stats)
+        ops = ops + closing
     stats["ops_out"] = len(ops)
     return ops, stats
 

@@ -3,7 +3,14 @@
 from .autotune import TuneReport, autotune_chunk_qubits
 from .cancel import NULL_CANCEL, CancelToken, JobCancelled
 from .cpu_offload import OffloadAdvice, advise_from_timeline, balanced_offload_fraction
-from .planner import PlanReport, describe_plan, max_group_qubits_for, plan_stages
+from .planner import (
+    RELOCATE,
+    PlanReport,
+    describe_plan,
+    max_group_qubits_for,
+    plan_stages,
+    trace_qubit_map,
+)
 from .scheduler import (
     StageProgram,
     StageScheduler,
@@ -22,6 +29,8 @@ __all__ = [
     "max_group_qubits_for",
     "describe_plan",
     "PlanReport",
+    "trace_qubit_map",
+    "RELOCATE",
     "StageProgram",
     "StageScheduler",
     "remap_gate_for_group",

@@ -3,35 +3,54 @@
 Every :class:`GateStage` costs one decompress -> kernel -> recompress sweep
 over *all* chunks, so the planner's job is to need few of them (paper:
 "MEMQSim partitions the input circuit and the corresponding state vector").
-It is a list scheduler over the gate dependency DAG, not a walk in circuit
-order:
+It is a list scheduler over the gate dependency DAG that also decides
+*where each qubit lives*: a logical -> physical qubit map (``pos`` / ``occ``,
+the identity at both ends of the plan) says which qubits are chunk-local
+right now, gates enter the DAG on logical qubits and leave it remapped to
+physical positions, and every consumer downstream sees physical qubits only.
 
 * **dependencies** — two gates are ordered only if they share a qubit and
   are not both diagonal. Everything else commutes, and the plan is free to
   apply it in another order than the circuit lists it.
 * **absorb** — the open stage takes every *ready* gate (all predecessors
-  placed) that is diagonal, chunk-local, or whose global qubits lie inside
-  the stage's footprint. Diagonal gates never force grouping: each chunk
-  applies its own restriction of the diagonal (the chunk id fixes the
-  global bits).
+  placed) that is diagonal, or whose qubits — seen through the map — are
+  chunk-local or inside the stage's footprint. Diagonal gates never force
+  grouping: each chunk applies its own restriction of the diagonal (the
+  chunk id fixes the global bits).
 * **widen** — when nothing ready fits, the footprint grows by one ready
-  gate's global qubits, as long as the union stays within
+  gate's global positions, as long as the union stays within
   ``max_group_qubits``. Among the candidates the one that unlocks the most
   global-touching successors wins (one step of look-ahead), ties going to
   circuit order.
-* **close** — only when no ready gate fits and none can be added is the
-  stage closed and a new one opened.
-* **pure chunk permutations** (X on a global qubit; SWAP between global
-  qubits) become :class:`PermutationStage`s executed on compressed blobs.
-  They end the gate stage before them, so they are emitted when nothing
-  else is ready, and consecutive ones merge into one relabeling.
-* a gate with more global qubits than the cap is lowered to
-  swap-in / gate / swap-back first (:func:`_lower_oversized_gate`).
+* **relocate** — when the stage can absorb and widen no more, it decides
+  who stays behind before it closes. The footprint's positions and the
+  local ones are all inside the group buffer, so their occupants can trade
+  places for an in-buffer ``swap(local, global)`` at the end of this same
+  stage — no extra sweep. Belady over the gate list: the qubits whose next
+  non-diagonal use is furthest away go global; the ones needed next come
+  (or stay) local and later gates are relabeled, nothing is swapped back.
+  A gate with more global qubits than the cap is just a ready gate nothing
+  can widen for: it is *pinned*, its qubits are pulled local ``cap`` per
+  stage and held there until it is scheduled.
+* **close** — the stage is emitted: its gates in circuit order on physical
+  qubits, then its relocation swaps (``Gate.label == RELOCATE``).
+* **pure chunk permutations** (X on a qubit at a global position; SWAP
+  between two of them) become :class:`PermutationStage`s executed on
+  compressed blobs. They end the gate stage before them, so they are
+  emitted when nothing else is ready, and consecutive ones merge into one
+  relabeling.
+* **restore** — after the last gate the plan itself brings every qubit
+  home: swap-only stages for local-homed qubits stranded at global
+  positions (``cap`` per stage; the last gate stage's own relocation
+  already sends home what it can reach), local fix-ups appended to the
+  last gate stage, one trailing relabeling for global <-> global order.
+  Results, digests, checkpoints and queries never see a permuted state.
 
 The plan is a pure function of ``(circuit, layout, max_group_qubits)``:
 integer indices and lists throughout, no iteration over hashed containers
 of anything but ints. Cost is O(gates x qubits-per-gate) for the DAG plus,
-per stage, a scan of the ready gates (at most one per qubit).
+per stage, a scan of the ready gates (at most one per qubit) and one sort
+of the chunk-local qubits.
 
 ``max_group_qubits`` is derived from the device: a group buffer of
 ``2^(chunk_qubits + t)`` amplitudes must fit in the arena (with one buffer
@@ -41,10 +60,12 @@ of headroom for double-buffered pipelines).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..circuits.circuit import Circuit
-from ..circuits.gates import Gate, gate_is_diagonal, make_gate
+from ..circuits.gates import Gate, gate_is_diagonal
 from ..device.spec import DeviceSpec
 from ..memory.layout import ChunkLayout
 from ..telemetry import get_logger
@@ -52,7 +73,8 @@ from .stages import GateStage, PermutationStage
 
 log = get_logger(__name__)
 
-__all__ = ["plan_stages", "max_group_qubits_for", "PlanReport", "describe_plan"]
+__all__ = ["plan_stages", "max_group_qubits_for", "PlanReport", "describe_plan",
+           "trace_qubit_map", "RELOCATE"]
 
 
 def max_group_qubits_for(layout: ChunkLayout, device: DeviceSpec,
@@ -99,114 +121,327 @@ def _permutation_of(g: Gate, layout: ChunkLayout) -> Optional[Tuple[int, ...]]:
     return None
 
 
-def _lower_oversized_gate(g: Gate, layout: ChunkLayout, max_group_qubits: int,
-                          homes_used: int) -> List[Gate]:
-    """SWAP-conjugate a gate whose global-qubit count exceeds the cap.
-
-    Classic distributed-SV lowering: swap surplus global qubits with unused
-    local qubits, apply the relabeled gate, swap back. Each inserted
-    ``swap(local, global)`` touches a single global qubit, so it always fits
-    a cap of >= 1.
-
-    The homes rotate through the free local qubits: ``homes_used`` is how
-    many the circuit's earlier lowerings took, and this one starts where
-    they stopped. Parking every surplus qubit on the lowest free local
-    would chain all lowered gates through qubit 0 — a dependency the
-    circuit does not have, and one that keeps them out of each other's
-    stages.
-    """
-    gq = sorted(layout.global_qubits(g.qubits))
-    surplus = len(gq) - max_group_qubits
-    free_locals = [q for q in range(layout.chunk_qubits) if q not in g.qubits]
-    if max_group_qubits < 1 or surplus > len(free_locals):
-        raise ValueError(
-            f"gate {g} needs {len(gq)} co-resident global qubits but the "
-            f"device only supports groups of {max_group_qubits} and only "
-            f"{len(free_locals)} local qubits are free for swap lowering; "
-            f"increase device memory or reduce chunk size"
-        )
-    victims = gq[:surplus]
-    first = homes_used % len(free_locals)
-    homes = (free_locals[first:] + free_locals[:first])[:surplus]
-    mapping = {q: q for q in g.qubits}
-    out: List[Gate] = []
-    for loc, glob in zip(homes, victims):
-        out.append(make_gate("swap", (loc, glob)))
-        mapping[glob] = loc
-    out.append(g.remapped(mapping))
-    for loc, glob in zip(homes, victims):
-        out.append(make_gate("swap", (loc, glob)))
-    return out
+#: ``Gate.label`` of every swap the planner inserts to move a qubit; the
+#: circuit's own swaps never carry it, so the map can be read back off a
+#: plan (:func:`trace_qubit_map`) without side-band data.
+RELOCATE = "relocate"
 
 
 class _GateGraph:
-    """The lowered gate list and its dependency DAG, as parallel lists.
+    """The circuit's gates on *logical* qubits and their dependency DAG.
 
-    For gate ``i`` (an index into ``gates``, which is in circuit order):
-    ``need[i]`` is the bit mask over chunk-id bits of the global qubits it
-    must have co-resident — 0 for diagonal gates, chunk-local gates and
-    permutations; ``perm[i]`` is its chunk permutation, if it is one;
-    ``succ[i]`` lists the gates that must run after it and ``blockers[i]``
-    counts the gates it still waits for.
+    Parallel lists indexed by circuit position: ``diagonal[i]`` says gate
+    ``i`` never needs co-residency, ``succ[i]`` lists the gates that must
+    run after it and ``blockers[i]`` counts the gates it still waits for.
+    ``uses[q]`` holds the non-diagonal gates on qubit ``q``, latest first,
+    so ``uses[q][-1]`` is the qubit's next use (the DAG orders them, so
+    they retire from the end).
     """
 
-    def __init__(self, circuit: Circuit, layout: ChunkLayout,
-                 max_group_qubits: int, permutations: bool) -> None:
-        self.layout = layout
-        self.cap = max_group_qubits
-        self.permutations = permutations
-        self.gates: List[Gate] = []
-        self.need: List[int] = []
-        self.perm: List[Optional[Tuple[int, ...]]] = []
-        self.succ: List[List[int]] = []
-        self.blockers: List[int] = []
-        self._homes_used = 0
+    def __init__(self, circuit: Circuit, num_qubits: int) -> None:
+        self.gates: List[Gate] = list(circuit)
+        self.diagonal = [gate_is_diagonal(g) for g in self.gates]
+        self.succ: List[List[int]] = [[] for _ in self.gates]
+        self.blockers = [0] * len(self.gates)
+        self.uses: List[List[int]] = [[] for _ in range(num_qubits)]
         # Per qubit: the last non-diagonal gate, and the diagonal gates
         # since it (they commute with each other, not with it).
-        self._last_dense = [-1] * layout.num_qubits
-        self._diagonals: List[List[int]] = [[] for _ in range(layout.num_qubits)]
-        for g in circuit:
-            self._add(g)
-
-    def _add(self, g: Gate) -> None:
-        c = self.layout.chunk_qubits
-        perm = _permutation_of(g, self.layout) if self.permutations else None
-        diagonal = perm is None and gate_is_diagonal(g)
-        need = 0
-        if perm is None and not diagonal:
+        last_dense = [-1] * num_qubits
+        diagonals: List[List[int]] = [[] for _ in range(num_qubits)]
+        for i, g in enumerate(self.gates):
+            before = set()
             for q in g.qubits:
-                if q >= c:
-                    need |= 1 << (q - c)
-            if need.bit_count() > self.cap:
-                pieces = _lower_oversized_gate(g, self.layout, self.cap,
-                                               self._homes_used)
-                self._homes_used += len(pieces) // 2
-                for piece in pieces:
-                    self._add(piece)
-                return
-        i = len(self.gates)
-        before = set()
-        for q in g.qubits:
-            dense = self._last_dense[q]
-            if diagonal:
-                if dense >= 0:
-                    before.add(dense)
-                self._diagonals[q].append(i)
+                dense = last_dense[q]
+                if self.diagonal[i]:
+                    if dense >= 0:
+                        before.add(dense)
+                    diagonals[q].append(i)
+                else:
+                    if diagonals[q]:
+                        # Each of them already waits for ``dense``.
+                        before.update(diagonals[q])
+                        diagonals[q] = []
+                    elif dense >= 0:
+                        before.add(dense)
+                    last_dense[q] = i
+                    self.uses[q].append(i)
+            for b in before:
+                self.succ[b].append(i)
+            self.blockers[i] = len(before)
+        for use in self.uses:
+            use.reverse()
+
+
+class _Planner:
+    """One run of the list scheduler (see the module docstring)."""
+
+    def __init__(self, circuit: Circuit, layout: ChunkLayout, cap: int,
+                 permutations: bool) -> None:
+        self.layout = layout
+        self.c = layout.chunk_qubits
+        self.n = layout.num_qubits
+        self.cap = cap
+        self.permutations = permutations
+        self.graph = _GateGraph(circuit, self.n)
+        # The qubit map: logical qubit q sits at physical position pos[q],
+        # position p holds logical qubit occ[p]. Positions >= c are global.
+        self.pos = list(range(self.n))
+        self.occ = list(range(self.n))
+        self.stages: List[object] = []
+        self.footprint = 0            # chunk-id bit mask of the open stage
+        self.members: List[int] = []  # gates of the open stage
+        # The ready gates (no blockers left), by what the open stage can
+        # do with them:
+        self.fits: List[int] = []     # nothing global outside the footprint
+        self.waiting: List[int] = []  # need a global position it lacks
+        self.perms: List[int] = []    # chunk permutations
+        #: per waiting/fitting gate: the global positions it needs, as a
+        #: chunk-id bit mask under the map in force
+        self.need = [0] * len(self.graph.gates)
+        #: the oversized gate whose qubits are being pulled local, if any
+        self.pinned: Optional[int] = None
+
+    # -- the map ------------------------------------------------------------
+
+    def _physical(self, g: Gate) -> Gate:
+        pos = self.pos
+        qubits = tuple(pos[q] for q in g.qubits)
+        return g if qubits == g.qubits else g.remapped(dict(zip(g.qubits, qubits)))
+
+    def _global_mask(self, i: int) -> int:
+        c, pos, mask = self.c, self.pos, 0
+        for q in self.graph.gates[i].qubits:
+            if pos[q] >= c:
+                mask |= 1 << (pos[q] - c)
+        return mask
+
+    def _exchange(self, a: int, b: int) -> Gate:
+        """Swap the occupants of positions ``a`` and ``b``; the gate doing it."""
+        occ, pos = self.occ, self.pos
+        occ[a], occ[b] = occ[b], occ[a]
+        pos[occ[a]], pos[occ[b]] = a, b
+        return Gate("swap", (a, b), label=RELOCATE)
+
+    def _group(self, footprint: int) -> Tuple[int, ...]:
+        return tuple(q for q in range(self.c, self.n)
+                     if footprint >> (q - self.c) & 1)
+
+    def _mask(self, positions: Sequence[int]) -> int:
+        return sum(1 << (p - self.c) for p in positions)
+
+    # -- the frontier -------------------------------------------------------
+
+    def _release(self, i: int) -> None:
+        """File ready gate ``i`` under what the open stage can do with it."""
+        if self.graph.diagonal[i]:
+            self.fits.append(i)
+            return
+        need = self._global_mask(i)
+        name = self.graph.gates[i].name
+        if self.permutations and (name == "x" and need
+                                  or name == "swap" and need.bit_count() == 2):
+            self.perms.append(i)
+            return
+        self.need[i] = need
+        (self.waiting if need & ~self.footprint else self.fits).append(i)
+
+    def _refile(self) -> None:
+        """The footprint or the map changed: file the blocked gates again."""
+        ready = self.waiting + self.perms
+        self.waiting.clear()
+        self.perms.clear()
+        for i in ready:
+            self._release(i)
+
+    def _scheduled(self, i: int) -> None:
+        graph = self.graph
+        if not graph.diagonal[i]:
+            for q in graph.gates[i].qubits:
+                graph.uses[q].pop()
+        if i == self.pinned:
+            self.pinned = None
+        for s in graph.succ[i]:
+            graph.blockers[s] -= 1
+            if not graph.blockers[s]:
+                self._release(s)
+
+    def _unlocks(self, i: int) -> int:
+        """How many global-touching gates wait for gate ``i`` alone."""
+        graph = self.graph
+        return sum(1 for s in graph.succ[i]
+                   if graph.blockers[s] == 1 and not graph.diagonal[s]
+                   and self._global_mask(s))
+
+    # -- relocate / close / restore -----------------------------------------
+
+    def _pin(self) -> int:
+        """Open the stage for an oversized gate; the positions to pull in.
+
+        Nothing ready fits an empty footprint, so every waiting gate has
+        more global qubits than the cap. The first in circuit order is
+        pinned: its qubits come local ``cap`` per stage and are not given
+        up again until it is scheduled, whatever their next use says —
+        otherwise a qubit whose earlier gate is itself blocked can keep
+        evicting them, and the plan never ends.
+        """
+        if self.pinned is None:
+            self.pinned = min(self.waiting)
+        g = self.graph.gates[self.pinned]
+        need = self.need[self.pinned]
+        surplus = need.bit_count() - self.cap
+        if self.cap < 1 or len(g.qubits) > self.c + self.cap:
+            raise ValueError(
+                f"gate {g} needs {need.bit_count()} co-resident global qubits "
+                f"but the device only supports groups of {self.cap} and "
+                f"{self.c} local qubits cannot hold the rest; "
+                f"increase device memory or reduce chunk size"
+            )
+        return self._mask(self._group(need)[:min(self.cap, surplus)])
+
+    def _relocate(self, footprint: int) -> List[Gate]:
+        """Choose who stays behind at the footprint's positions.
+
+        Local positions and the footprint's are all in the group buffer, so
+        their occupants can be exchanged for the price of an in-buffer
+        swap. Belady: the qubits whose next non-diagonal use is furthest
+        go (or stay) global. A qubit with no use left ranks last of all,
+        after it the ones whose home is global — and one leaving for good
+        takes its home position when that is being vacated.
+        """
+        if not footprint:
+            return []
+        c, occ, uses = self.c, self.occ, self.graph.uses
+        never = 2 * len(self.graph.gates)
+        held = self.graph.gates[self.pinned].qubits \
+            if self.pinned is not None else ()
+
+        def rank(q: int) -> int:
+            if q in held:
+                return -1
+            return 2 * uses[q][-1] if uses[q] else never + (q >= c)
+
+        coming = sorted((rank(occ[p]), p) for p in self._group(footprint))
+        going = [(rank(occ[p]), p) for p in range(c)]
+        if coming[0][0] >= max(going)[0]:
+            return []
+        going.sort(reverse=True)
+        vacated, leaving = [], []
+        for (soon, g), (late, loc) in zip(coming, going):
+            if soon >= late:
+                break
+            vacated.append(g)
+            leaving.append(loc)
+        homing = [(loc, occ[loc]) for loc in leaving if occ[loc] in vacated]
+        for loc, g in homing:
+            leaving.remove(loc)
+            vacated.remove(g)
+        return [self._exchange(loc, g)
+                for loc, g in homing + list(zip(leaving, vacated))]
+
+    def _close(self) -> None:
+        # Circuit order within the stage is a valid dependency order, and
+        # it keeps neighbours the fusion passes expect adjacent.
+        gates = [self._physical(self.graph.gates[i])
+                 for i in sorted(self.members)]
+        group = self._group(self.footprint)
+        swaps = self._relocate(self.footprint)
+        self.stages.append(GateStage(group, gates + swaps))
+        self.members.clear()
+        self.footprint = 0
+        if swaps:
+            self._refile()
+
+    def _permute(self, perm: Tuple[int, ...], gates: List[Gate]) -> None:
+        """Append a chunk permutation (its ``gates`` on physical qubits) to
+        the plan; adjacent ones merge into one relabeling."""
+        stages = self.stages
+        if stages and isinstance(stages[-1], PermutationStage):
+            prev: PermutationStage = stages[-1]
+            # composed(dst) = prev.perm[perm[dst]]  (apply prev, then this)
+            composed = tuple(prev.perm[src] for src in perm)
+            stages[-1] = PermutationStage(composed, prev.gates + gates)
+        else:
+            stages.append(PermutationStage(perm, gates))
+
+    def _restore(self) -> None:
+        """Bring every qubit home, so no consumer ever sees the map."""
+        c, n, occ = self.c, self.n, self.occ
+        while True:
+            # Local-homed qubits stranded at global positions: each has to
+            # cross back, ``cap`` per swap-only stage.
+            stranded = [p for p in range(c, n) if occ[p] < c][:self.cap]
+            if not stranded:
+                break
+            self.footprint = self._mask(stranded)
+            self._close()
+        fixups = []
+        for p in range(c):
+            while occ[p] != p:
+                fixups.append(self._exchange(p, occ[p]))
+        if fixups:
+            last = max(i for i, s in enumerate(self.stages)
+                       if isinstance(s, GateStage))
+            self.stages[last].gates.extend(fixups)
+        if occ[c:] == list(range(c, n)):
+            return
+        # Global <-> global order. As one relabeling, chunk ``dst`` is the
+        # old chunk whose bit j is dst's bit for the qubit now at c + j.
+        chunk = np.arange(self.layout.num_chunks)
+        perm = sum((chunk >> (occ[c + j] - c) & 1) << j for j in range(n - c))
+        swaps = []
+        for p in range(c, n):
+            while occ[p] != p:
+                swaps.append(self._exchange(p, occ[p]))
+        if self.permutations:
+            self._permute(tuple(perm.tolist()), swaps)
+            return
+        for g in swaps:
+            if self.cap >= 2:
+                self.stages.append(GateStage(tuple(sorted(g.qubits)), [g]))
             else:
-                if self._diagonals[q]:
-                    # Each of them already waits for ``dense``.
-                    before.update(self._diagonals[q])
-                    self._diagonals[q] = []
-                elif dense >= 0:
-                    before.add(dense)
-                self._last_dense[q] = i
-        for b in before:
-            self.succ[b].append(i)
-        self.gates.append(g)
-        self.need.append(need)
-        self.perm.append(perm)
-        self.succ.append([])
-        self.blockers.append(len(before))
+                # No relabeling and no room for both: through local 0.
+                a, b = g.qubits
+                for via in (a, b, a):
+                    self.stages.append(GateStage(
+                        (via,), [Gate("swap", (0, via), label=RELOCATE)]))
+
+    def run(self) -> List[object]:
+        graph = self.graph
+        for i in range(len(graph.gates)):
+            if not graph.blockers[i]:
+                self._release(i)
+        while self.fits or self.waiting or self.perms:
+            while self.fits:
+                i = self.fits.pop()
+                self.members.append(i)
+                self._scheduled(i)
+            # Nothing more fits as is: widen the footprint by the waiting
+            # gate that unlocks the most (ties to circuit order), if the
+            # cap allows.
+            widen = max(
+                (i for i in self.waiting
+                 if (self.footprint | self.need[i]).bit_count() <= self.cap),
+                key=lambda i: (self._unlocks(i), -i), default=None)
+            if widen is not None:
+                self.footprint |= self.need[widen]
+                self._refile()
+                continue
+            if self.waiting and not self.footprint:
+                self.footprint = self._pin()
+            if self.members or self.footprint:
+                self._close()
+            if self.fits or self.waiting:
+                continue  # the next stage opens on one of them
+            # Only permutations are ready. They cost no codec traffic but
+            # end the stage before them, so they go last; ones that become
+            # ready in this loop join the same relabeling.
+            for i in self.perms:
+                g = self._physical(graph.gates[i])
+                self._permute(_permutation_of(g, self.layout), [g])
+                self._scheduled(i)
+            self.perms.clear()
+        self._restore()
+        return self.stages
 
 
 def plan_stages(
@@ -218,89 +453,31 @@ def plan_stages(
     """Partition ``circuit`` into execution stages (see module docstring)."""
     if max_group_qubits < 0:
         raise ValueError("max_group_qubits must be >= 0")
-    graph = _GateGraph(circuit, layout, max_group_qubits,
-                       enable_permutation_stages)
-    gates, need, perm_of = graph.gates, graph.need, graph.perm
-    succ, blockers = graph.succ, graph.blockers
-    c = layout.chunk_qubits
-
-    stages: List[object] = []
-    footprint = 0            # chunk-id bit mask of the open stage's group
-    members: List[int] = []  # gates of the open stage
-    # The ready gates (no blockers left), by what the open stage can do
-    # with them:
-    fits: List[int] = []     # nothing global outside the footprint: absorb
-    waiting: List[int] = []  # need a global qubit the footprint lacks
-    perms: List[int] = []    # chunk permutations
-
-    def release(i: int) -> None:
-        if perm_of[i] is not None:
-            perms.append(i)
-        elif need[i] & ~footprint:
-            waiting.append(i)
-        else:
-            fits.append(i)
-
-    def scheduled(i: int) -> None:
-        for s in succ[i]:
-            blockers[s] -= 1
-            if not blockers[s]:
-                release(s)
-
-    def unlocks(i: int) -> int:
-        """How many global-touching gates wait for gate ``i`` alone."""
-        return sum(1 for s in succ[i]
-                   if blockers[s] == 1 and (need[s] or perm_of[s] is not None))
-
-    for i in range(len(gates)):
-        if not blockers[i]:
-            release(i)
-    while fits or waiting or perms:
-        while fits:
-            i = fits.pop()
-            members.append(i)
-            scheduled(i)
-        # Nothing more fits as is: widen the footprint by the waiting gate
-        # that unlocks the most (ties to circuit order), if the cap allows.
-        widen = max(
-            (i for i in waiting
-             if (footprint | need[i]).bit_count() <= max_group_qubits),
-            key=lambda i: (unlocks(i), -i), default=None)
-        if widen is not None:
-            footprint |= need[widen]
-            ready = waiting[:]
-            waiting.clear()
-            for i in ready:
-                release(i)
-            continue
-        if members:
-            # Circuit order within the stage is a valid dependency order,
-            # and it keeps neighbours the fusion passes expect adjacent.
-            members.sort()
-            group = tuple(q for q in range(c, layout.num_qubits)
-                          if footprint >> (q - c) & 1)
-            stages.append(GateStage(group, [gates[i] for i in members]))
-            members.clear()
-            footprint = 0
-        if waiting:
-            continue  # the next stage opens on one of them
-        # Only permutations are ready. They cost no codec traffic but end
-        # the stage before them, so they go last; ones that become ready
-        # in this loop join the same relabeling.
-        for i in perms:
-            perm = perm_of[i]
-            if stages and isinstance(stages[-1], PermutationStage):
-                prev: PermutationStage = stages[-1]
-                # composed(dst) = prev.perm[perm[dst]]  (apply prev, then g)
-                composed = tuple(prev.perm[perm[d]] for d in range(len(perm)))
-                stages[-1] = PermutationStage(composed, prev.gates + [gates[i]])
-            else:
-                stages.append(PermutationStage(perm, [gates[i]]))
-            scheduled(i)
-        perms.clear()
+    stages = _Planner(circuit, layout, max_group_qubits,
+                      enable_permutation_stages).run()
     log.debug("planned %d gates into %d stages (t_max=%d)",
-              len(gates), len(stages), max_group_qubits)
+              len(circuit), len(stages), max_group_qubits)
     return stages
+
+
+def trace_qubit_map(stages: Sequence[object], num_qubits: int
+                    ) -> Iterator[Tuple[object, List[int], List[Tuple[int, int, int]]]]:
+    """Replay a plan's qubit map: ``(stage, occ, moves)`` per stage.
+
+    ``occ[p]`` is the logical qubit at physical position ``p`` while the
+    stage's own gates run; ``moves`` lists ``(logical qubit, from, to)`` for
+    the relocation swaps that follow them. After the last stage the map is
+    the identity again.
+    """
+    occ = list(range(num_qubits))
+    for stage in stages:
+        before, moves = list(occ), []
+        for g in stage.gates:
+            if g.label == RELOCATE:
+                a, b = g.qubits
+                moves += [(occ[a], a, b), (occ[b], b, a)]
+                occ[a], occ[b] = occ[b], occ[a]
+        yield stage, before, moves
 
 
 @dataclass

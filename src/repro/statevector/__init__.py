@@ -7,7 +7,13 @@ from .entanglement import (
     reduced_density_matrix,
     von_neumann_entropy,
 )
-from .kernels import apply_gate, apply_1q, apply_diagonal, apply_matrix_generic
+from .kernels import (
+    apply_1q,
+    apply_diagonal,
+    apply_gate,
+    apply_matrix_generic,
+    apply_swap,
+)
 from .measurement import expectation_z, measure_qubit, sample_counts, sample_outcomes
 from .simulator import DenseRunStats, DenseSimulator
 from .statevector import StateVector
@@ -20,6 +26,7 @@ __all__ = [
     "apply_1q",
     "apply_diagonal",
     "apply_matrix_generic",
+    "apply_swap",
     "sample_counts",
     "sample_outcomes",
     "measure_qubit",

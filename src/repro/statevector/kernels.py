@@ -17,7 +17,8 @@ Fast paths
 ----------
 * single-qubit gates use a strided 3-D view — no data movement;
 * diagonal gates multiply slices by scalars;
-* X / SWAP permutations swap slices;
+* X / SWAP permutations swap slices (pure copies: bit-exact, ``-0.0``
+  stays ``-0.0``);
 * the generic path reshapes to a ``(2,)*m`` tensor, moves the target axes to
   the front and applies one matmul (one contiguous copy each way).
 """
@@ -32,6 +33,7 @@ __all__ = [
     "apply_gate",
     "apply_matrix_generic",
     "apply_1q",
+    "apply_swap",
     "apply_diagonal",
     "apply_stored_diagonal",
     "apply_circuit_gate",
@@ -77,6 +79,21 @@ def apply_1q(buf: np.ndarray, matrix: np.ndarray, qubit: int) -> None:
     b *= m11
     b += m10 * a
     a[...] = new_a
+
+
+def apply_swap(buf: np.ndarray, a: int, b: int) -> None:
+    """Exchange qubits ``a`` and ``b`` of ``buf`` in place.
+
+    The amplitudes whose two bits differ trade places; nothing is
+    multiplied, so every value keeps its exact bit pattern.
+    """
+    lo, hi = (a, b) if a < b else (b, a)
+    view = buf.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    x = view[:, 0, :, 1, :]
+    y = view[:, 1, :, 0, :]
+    tmp = x.copy()
+    x[...] = y
+    y[...] = tmp
 
 
 def apply_diagonal(buf: np.ndarray, diag: np.ndarray, qubits: Sequence[int]) -> None:
@@ -146,6 +163,8 @@ def apply_circuit_gate(buf: np.ndarray, gate) -> None:
     d = getattr(gate, "diag", None)
     if d is not None:
         apply_stored_diagonal(buf, d, gate.qubits)
+    elif gate.name == "swap":
+        apply_swap(buf, *gate.qubits)
     else:
         apply_gate(buf, gate.matrix, gate.qubits)
 

@@ -165,6 +165,16 @@ class TestCompileGates:
         assert stats["ops_out"] < stats["gates_in"]
         assert_same_effect(c.gates, ops, 6)
 
+    def test_closing_swaps_stay_swaps(self):
+        # A stage ends on its relocations: in a window each would be a
+        # dense matmul over the buffer instead of a slice exchange. A swap
+        # in the middle of the batch fuses like any other gate.
+        c = Circuit(4).h(0).swap(0, 1).cx(1, 2).ry(0.3, 3).swap(2, 3).swap(0, 1)
+        ops, stats = compile_gates(c.gates, FUSION)
+        assert [op.name for op in ops] == ["fused", "ry", "swap", "swap"]
+        assert stats["ops_out"] == 4
+        assert_same_effect(c.gates, ops, 4)
+
     @pytest.mark.parametrize("workload", ["qft", "grover", "qaoa", "ghz"])
     def test_workload_semantics_preserved(self, workload):
         c = get_workload(workload, 6)

@@ -79,3 +79,12 @@ class TestCommands:
         assert main(["plan", "qft", "-n", "10", "--chunk-qubits", "5"]) == 0
         out = capsys.readouterr().out
         assert "stages" in out and "group passes" in out
+
+    def test_plan_shows_the_qubit_map(self, capsys):
+        assert main(["plan", "ghz", "-n", "10", "--chunk-qubits", "6",
+                     "--max-group", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # Logical qubit 5 leaves for global position 6, 6 comes local ...
+        assert lines[1].endswith("relocate: q5→g6 q6→l5")
+        # ... and the plan ends by bringing everybody home.
+        assert "restore:" in lines[-1] and "PermutationStage" in lines[-1]

@@ -17,6 +17,7 @@ from repro.statevector.kernels import (
     apply_gate_list,
     apply_matrix_generic,
     apply_stored_diagonal,
+    apply_swap,
     fuse_1q_matrices,
     num_qubits_of,
 )
@@ -94,6 +95,32 @@ class TestApply1q:
         v = np.array([1, 2, 3, 4], dtype=complex)
         apply_1q(v, gate_matrix("x"), 0)
         assert np.allclose(v, [2, 1, 4, 3])
+
+
+class TestApplySwap:
+    @pytest.mark.parametrize("a,b", [(0, 1), (1, 0), (0, 4), (3, 1), (2, 4)])
+    def test_matches_the_matrix_kernel(self, a, b):
+        v = rand_state(5, 12)
+        want = v.copy()
+        apply_matrix_generic(want, gate_matrix("swap"), (a, b))
+        got = v.copy()
+        apply_swap(got, a, b)
+        assert np.array_equal(got, want)
+
+    def test_is_a_pure_copy(self):
+        # x*1 + y*0 in the matrix kernel turns -0.0 into +0.0, which a byte
+        # digest of a lossless state can see; a relocation must not.
+        v = np.array([1, -0.0, complex(-0.0, -0.0), 4], dtype=complex)
+        apply_circuit_gate(v, make_gate("swap", (0, 1)))
+        assert v.tobytes() == np.array(
+            [1, complex(-0.0, -0.0), -0.0, 4], dtype=complex).tobytes()
+
+    def test_circuit_gate_dispatch_on_a_remapped_swap(self):
+        g = make_gate("swap", (0, 1)).remapped({0: 3, 1: 1})
+        v = rand_state(4, 13)
+        want = full_unitary(g.matrix, g.qubits, 4) @ v
+        apply_circuit_gate(v, g)
+        assert np.array_equal(v, want)
 
 
 class TestApplyDiagonal:
