@@ -14,9 +14,8 @@ Belady and checks two things:
 * **benefit** — Belady takes fewer misses than LRU at the same capacity;
   the gated metric is the relative miss reduction.
 
-Runs are serial by design: the parallel engine works on compressed blobs
-directly and never consults the decompressed chunk cache, so a
-cache-policy experiment only makes sense on the serial path. Miss counts
+Runs use ``workers=1``; a codec pool would change nothing here — the
+cache takes the same hits and misses for every worker count. Miss counts
 are fully deterministic (plan-driven schedule, seeded workload), so one
 run per arm suffices; wall time is reported but not the point.
 

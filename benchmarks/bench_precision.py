@@ -41,6 +41,8 @@ CHUNK = 12
 DEVICE_MB = 1.0
 WORKLOAD = "vqe"
 REPEATS = 3
+#: the pytest targets run below N but must keep at least a few chunks of CHUNK
+TEST_N = CHUNK + 2
 
 #: the adoption gates (mirrored by repro.bench.decide)
 BYTES_RATIO_GATE = 0.55
@@ -147,7 +149,7 @@ def generate(n: int = N):
 
 @pytest.mark.parametrize("precision", ["c128", "c64", "mixed"])
 def test_streamed_run(benchmark, precision):
-    circ = get_workload(WORKLOAD, 11)
+    circ = get_workload(WORKLOAD, TEST_N)
     sim = MemQSim(_config(precision))
     res = benchmark.pedantic(sim.run, args=(circ,), rounds=2, iterations=1)
     assert res.norm() == pytest.approx(1.0, abs=1e-3)
@@ -155,8 +157,8 @@ def test_streamed_run(benchmark, precision):
 
 def test_c64_halves_traffic(benchmark):
     def run():
-        b128, a128, _, _ = run_once("c128", 11)
-        b64, a64, _, _ = run_once("c64", 11)
+        b128, a128, _, _ = run_once("c128", TEST_N)
+        b64, a64, _, _ = run_once("c64", TEST_N)
         return b64 / b128, a64 / a128
 
     bytes_ratio, arena_ratio = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -67,7 +67,8 @@ def predict_pass_schedule(
     keys from this schedule line up with the live run's pass keys. This
     is the source of truth for the plan-driven memory hierarchy
     (:mod:`repro.memory.hierarchy`): the access-level schedule below and
-    the parallel engine's cross-stage prefetch queue both derive from it.
+    the codec lane's prefetch (``AccessSchedule.reads_after``) both derive
+    from it.
     """
     passes: List[Tuple[str, int, int, Tuple[int, ...]]] = []
     parity = 0
@@ -196,7 +197,7 @@ class AuditReport:
             lines.append(f"    first divergence at access {i}: "
                          f"predicted {want}, measured {got}")
         lines.append(f"  traffic   {mark(self.traffic_ok)}  "
-                     f"(deterministic edges, per stage)")
+                     f"(deterministic edges, per stage / group / worker)")
         for row in self.stage_rows:
             if not row.get("ok", True):
                 lines.append(f"    stage {row['stage']}: {row}")
@@ -229,9 +230,11 @@ def audit_run(
 
     1. the measured access schedule equals the predicted one **exactly**
        (same chunks, same order, same read/write pattern, same barriers);
-    2. per gate stage, measured bytes on the deterministic edges
-       (``codec.raw_*``, ``arena.*``) equal the prediction, and
-       permutation stages moved zero bytes;
+    2. per gate stage **and per group pass**, measured bytes on the
+       deterministic edges (``codec.raw_*``, ``arena.*``) equal the
+       prediction — a write a codec lane settled during a later pass
+       still counts for the pass that issued it — permutation stages
+       moved zero bytes, and the per-worker rows sum to the totals;
     3. the data-dependent compressed bytes fall inside the codec-ratio
        envelope ``0 < compressed <= slack * raw`` (both directions).
     """
@@ -292,6 +295,29 @@ def audit_run(
                         f"stage {si} {edge}: predicted {want_b}, "
                         f"measured {got_b}")
         rep.stage_rows.append(row)
+    by_group: Dict[int, Dict[int, Dict[str, int]]] = {}
+    for kind, si, gi, members in predict_pass_schedule(
+            stages, layout, serpentine):
+        if kind != "pass":
+            continue
+        if si not in by_group:
+            by_group[si] = ledger.by_group(si)
+        want_b = len(members) * layout.chunk_nbytes
+        got_row = by_group[si].get(gi, {})
+        for edge in det_edges:
+            if got_row.get(edge, 0) != want_b:
+                rep.traffic_ok = False
+                rep.errors.append(
+                    f"stage {si} group {gi} {edge}: predicted {want_b}, "
+                    f"measured {got_row.get(edge, 0)}")
+    totals = ledger.totals()
+    by_worker = ledger.by_worker()
+    for edge, tot in totals.items():
+        split = sum(row.get(edge, 0) for row in by_worker.values())
+        if split != tot["bytes"]:
+            rep.traffic_ok = False
+            rep.errors.append(
+                f"{edge}: worker rows sum to {split}, total {tot['bytes']}")
     known = set(want_traffic)
     for si in got_traffic:
         if si >= 0 and si not in known:

@@ -230,6 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "blob budget (0 = plain memory store)")
     audp.add_argument("--serpentine", action=argparse.BooleanOptionalAction,
                       default=True)
+    audp.add_argument("--workers", type=int, default=1, metavar="N",
+                      help="codec worker processes; the audit must balance "
+                           "to the byte for any count (default 1)")
     audp.add_argument("--ratio-slack", type=float, default=1.25,
                       help="compressed-bytes envelope: compressed <= "
                            "slack * raw (default 1.25)")
@@ -356,9 +359,10 @@ def _add_fusion_args(p: argparse.ArgumentParser) -> None:
 
 def _add_parallel_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int, default=0, metavar="N",
-                   help="codec worker processes (1 = serial engine, > 1 = "
-                        "overlapped engine over a process pool, 0 = auto: "
-                        "fan out only when cores and codec cost justify it)")
+                   help="codec worker processes (1 = the codec runs inline, "
+                        "> 1 = on a process pool behind the chunk store, "
+                        "0 = auto: fan out only when cores and codec cost "
+                        "justify it)")
     p.add_argument("--serpentine", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="alternate group sweep direction per stage "
@@ -798,9 +802,9 @@ def _cmd_audit(args) -> int:
     opts = {}
     if args.compressor in ("szlike", "adaptive"):
         opts["error_bound"] = args.error_bound
-    # The audit contract: serial engine (workers stays 1), no chunk cache,
-    # no CPU offload — the deterministic edges are only exact when every
-    # group takes the device path and every load reaches the codec.
+    # The audit contract: no chunk cache, no CPU offload — the
+    # deterministic edges are only exact when every group takes the device
+    # path and every load reaches the codec. Any worker count balances.
     cfg = MemQSimConfig(
         chunk_qubits=args.chunk_qubits,
         compressor=args.compressor,
@@ -811,6 +815,7 @@ def _cmd_audit(args) -> int:
         cpu_offload_fraction=0.0,
         serpentine_groups=args.serpentine,
         host_store_mb=args.host_store_mb,
+        workers=args.workers,
     )
     res = MemQSim(cfg, telemetry=tel, plan_cache=cap).run(
         get_workload(args.workload, args.qubits))

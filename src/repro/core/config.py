@@ -77,12 +77,12 @@ class MemQSimConfig:
             out-of-core configuration: every blob lives in the log and
             RAM holds only the chunk index. Never deleted by the run.
             Default: a temp file the store creates and removes.
-        workers: codec worker processes. ``1`` (default) = the serial
-            stage engine, codec inline; ``>1`` = the overlapped engine,
-            chunk compress/decompress fanned out to a process pool; ``0``
-            = auto (empirical probe: spare cores and a codec-bound chunk
-            size, else 1). An external ``MemQSim(codec_pool=...)`` selects
-            the overlapped engine whatever this says.
+        workers: codec worker processes. ``1`` (default) = no pool, the
+            codec runs inline; ``>1`` = the run's own process pool behind
+            the chunk store, compress/decompress overlapping the kernels;
+            ``0`` = auto (empirical probe: spare cores and a codec-bound
+            chunk size, else 1). An external ``MemQSim(codec_pool=...)``
+            is used whatever this says.
         monitor_interval_ms: if > 0 (and telemetry is enabled), run a
             :class:`~repro.telemetry.monitor.ResourceMonitor` sampling
             thread at this period for the duration of the run; its gauge

@@ -34,7 +34,7 @@ import numpy as np
 from ..circuits.circuit import Circuit
 from ..compile import CompileOptions, compile_stages
 from ..device.executor import DeviceExecutor
-from ..device.timeline import PipelineModel, Timeline
+from ..device.timeline import PipelineModel, Stage, Timeline
 from ..device.transfer import make_strategy
 from ..memory.accounting import MemoryTracker
 from ..memory.bufferpool import BufferPool
@@ -86,16 +86,15 @@ class MemQSim:
             codec_pool: optional externally-owned
                 :class:`~repro.parallel.CodecWorkerPool` shared across
                 runs (the service plane's amortized worker pool). Must be
-                built for a codec byte-identical to this config's. Its
-                presence selects the overlapped stage engine (a pool of
-                ``workers=1`` is that engine with the codec inline); the
-                run never closes it.
+                built for a codec byte-identical to this config's. The
+                run attaches it to the chunk store as its codec lane and
+                detaches it on every exit; it never closes it.
             arena: optional externally-owned (possibly shared,
                 multi-tenant) :class:`~repro.device.DeviceArena`; all
                 device executors then allocate from it instead of
                 creating private arenas.
             cancel: optional :class:`~repro.pipeline.CancelToken`; the
-                schedulers poll it at group-pass boundaries and raise
+                scheduler polls it at group-pass boundaries and raises
                 :class:`~repro.pipeline.JobCancelled`.
             **overrides: convenience field overrides applied on top, e.g.
                 ``MemQSim(compressor="zlib", chunk_qubits=8)``.
@@ -183,8 +182,7 @@ class MemQSim:
         if initial_store is not None:
             # Unwrap a cache layer from a previous run's result if present
             # (flushing its dirty chunks into the underlying store first).
-            if hasattr(initial_store, "flush"):
-                initial_store.flush()
+            initial_store.flush()
             store = getattr(initial_store, "inner", initial_store)
             if store.layout.num_qubits != n:
                 raise ValueError(
@@ -250,8 +248,8 @@ class MemQSim:
             )
             plan = describe_plan(stages, layout)
             # Compile (lower + fuse) once; every amplitude-touching path —
-            # the device executors, the CPU-offload path, the parallel
-            # engine's workers — consumes this one lowered plan.
+            # the device executors and the CPU-offload path — consumes
+            # this one lowered plan.
             cplan = compile_stages(
                 stages, layout,
                 CompileOptions(fusion=cfg.fuse_gates,
@@ -314,22 +312,10 @@ class MemQSim:
                 tracker=tracker, backend=backend, telemetry=tel,
                 arena=self.arena,
             ))
-        hierarchy = MemoryHierarchy.build(
-            store, cache_chunks=cfg.cache_chunks,
-            cache_policy=cfg.cache_policy, tracker=tracker, telemetry=tel,
-        )
-        # Belady eviction and plan-aware spilling both consume the same
-        # predicted access schedule; the scheduler advances its cursor at
-        # every group pass and permutation barrier.
-        schedule = hierarchy.attach_plan(
-            cplan.stages, layout, serpentine=cfg.serpentine_groups)
-        store_like = hierarchy.store_like
-        pool = BufferPool(cfg.num_buffers, buffer_amps, tracker, telemetry=tel,
-                          dtype=dtype)
-        # The engine follows from the codec pool: overlapped iff there is
-        # one, serial otherwise. An external (service-plane) pool amortizes
-        # worker startup across jobs and is never closed here; without one
-        # the run builds its own when the resolved worker count exceeds 1.
+        # The codec pool is a property of the store, not of the loop: an
+        # external (service-plane) pool amortizes worker startup across
+        # jobs and is never closed here; without one the run builds its
+        # own when the resolved worker count exceeds 1.
         codec_pool = self.codec_pool
         owns_codec_pool = False
         if codec_pool is not None:
@@ -342,41 +328,55 @@ class MemQSim:
                 codec_pool = CodecWorkerPool(store.compressor,
                                              workers=workers, telemetry=tel)
                 owns_codec_pool = True
-        sched_kwargs = dict(
-            cpu_offload_fraction=cfg.cpu_offload_fraction,
-            fuse_gates=cfg.fuse_gates,
-            serpentine=cfg.serpentine_groups,
-            telemetry=tel,
-            backend=backend,
-            max_fuse_qubits=cfg.max_fuse_qubits,
-            cancel=self.cancel,
-            schedule=schedule,
-        )
         if codec_pool is not None:
-            from ..parallel import ParallelStageScheduler
+            def book_codec(kind, group, chunk, seconds, worker):
+                tel.record_stage(
+                    timeline,
+                    Stage.COMPRESS if kind == "compress"
+                    else Stage.DECOMPRESS,
+                    seconds, chunk=group, nbytes=layout.chunk_nbytes,
+                    chunk_id=chunk, worker=worker)
 
-            scheduler = ParallelStageScheduler(
-                layout, store_like, executors, pool, timeline,
-                codec_pool=codec_pool, **sched_kwargs,
-            )
-            log.debug("online: parallel engine, %d codec workers (%s%s)",
-                      workers,
+            store.attach_lane(codec_pool, book_codec)
+            log.debug("online: codec lane, %d workers (%s%s)", workers,
                       "process pool" if codec_pool.is_parallel else "inline",
                       "" if owns_codec_pool else ", shared")
-        else:
-            scheduler = StageScheduler(
-                layout, store_like, executors, pool, timeline, **sched_kwargs,
-            )
+        pool = BufferPool(cfg.num_buffers, buffer_amps, tracker, telemetry=tel,
+                          dtype=dtype)
         try:
-            with tel.span("online", stages=plan.num_stages,
-                          workers=workers):
+            hierarchy = MemoryHierarchy.build(
+                store, cache_chunks=cfg.cache_chunks,
+                cache_policy=cfg.cache_policy, tracker=tracker,
+                telemetry=tel,
+            )
+            # Belady eviction, plan-aware spilling and the lane's prefetch
+            # all consume the same predicted access schedule; the scheduler
+            # advances its cursor at every group pass and permutation
+            # barrier.
+            schedule = hierarchy.attach_plan(
+                cplan.stages, layout, serpentine=cfg.serpentine_groups)
+            store_like = hierarchy.store_like
+            scheduler = StageScheduler(
+                layout, store_like, executors, pool, timeline,
+                cpu_offload_fraction=cfg.cpu_offload_fraction,
+                fuse_gates=cfg.fuse_gates,
+                serpentine=cfg.serpentine_groups,
+                telemetry=tel,
+                backend=backend,
+                max_fuse_qubits=cfg.max_fuse_qubits,
+                cancel=self.cancel,
+                schedule=schedule,
+            )
+            with tel.span("online", stages=plan.num_stages, workers=workers):
                 scheduler.run(cplan.stages)
-                if store_like is not store:
-                    store_like.flush()
+                store_like.flush()
         finally:
             # Cleanup must run on *every* exit (including JobCancelled):
-            # a shared external pool is never closed here, and executors
-            # on a shared arena must not leak staging allocations.
+            # every pending write lands and the store forgets the pool, so
+            # a cancelled run's store reloads chunk-consistent and a shared
+            # pool outlives the job; executors on a shared arena must not
+            # leak staging allocations.
+            store.detach_lane()
             if owns_codec_pool:
                 codec_pool.close()
             pool.close()
@@ -423,7 +423,6 @@ class MemQSim:
             "host_store_mb": cfg.host_store_mb,
             "hierarchy": hierarchy.describe(),
             "workers": workers,
-            "execution": "parallel" if codec_pool is not None else "serial",
         }
         return MemQSimResult(
             num_qubits=n,

@@ -223,6 +223,12 @@ class ChunkCache:
         """Feed the plan-exact access schedule to the eviction policy."""
         self._policy.attach_schedule(schedule)
 
+    def will_need(self, chunks) -> None:
+        """Hints stop here for chunks the cache holds: no blob of theirs
+        will be read, so none is promoted or decompressed ahead."""
+        held = self._entries
+        self.inner.will_need([c for c in chunks if c not in held], held)
+
     # -- cache mechanics ------------------------------------------------------
 
     def _touch(self, chunk: int) -> None:
@@ -279,6 +285,7 @@ class ChunkCache:
                   len(self._entries), dirty_n)
         self._entries.clear()
         self._policy.on_clear()
+        self.inner.flush()
 
     @property
     def resident_chunks(self) -> int:
@@ -329,8 +336,6 @@ class ChunkCache:
             self._policy.on_remove(chunk)
         self.inner.zero_chunk(chunk)
 
-    # -- blob-level surface (parallel codec path) ----------------------------
-
     def get_blob(self, chunk: int):
         """Coherent raw-blob read: write back a dirty cached copy first."""
         entry = self._entries.get(chunk)
@@ -341,14 +346,6 @@ class ChunkCache:
             if self.telemetry.enabled:
                 self.telemetry.metrics.counter("cache.writeback").inc()
         return self.inner.get_blob(chunk)
-
-    def put_blob(self, chunk: int, blob: bytes, **kwargs) -> None:
-        """Install an external blob, dropping any (now stale) cached copy."""
-        entry = self._entries.pop(chunk, None)
-        if entry is not None:
-            self.tracker.free(CATEGORY, entry[0].nbytes)
-            self._policy.on_remove(chunk)
-        self.inner.put_blob(chunk, blob, **kwargs)
 
     def permute(self, perm) -> None:
         # Blob permutation happens on compressed data; flush first so the

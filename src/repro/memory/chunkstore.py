@@ -8,6 +8,12 @@ the accounting reflects exactly that.
 
 Zero chunks are the common case early in a simulation (the initial state is
 one nonzero amplitude), so all-zero chunks share one interned blob.
+
+With a **codec lane** attached (:meth:`CompressedChunkStore.attach_lane`)
+``store`` only submits the compress job, ``will_need`` starts decompress
+jobs ahead and ``load`` collects them. Two rules keep that invisible: a
+chunk's blob is read only after its pending write has settled, and a write
+drops a stale prefetch of that chunk.
 """
 
 from __future__ import annotations
@@ -71,6 +77,16 @@ class CompressedChunkStore:
         self._blobs: List[Optional[bytes]] = [None] * layout.num_chunks
         self._zero_blob: Optional[bytes] = None
         self._zero_refs = 0
+        #: the plan's access schedule (:meth:`MemoryHierarchy.attach_plan`)
+        self.schedule = None
+        #: the codec lane, see :meth:`attach_lane`
+        self.lane = None
+        self._on_codec = None
+        # chunk -> (compress job, ledger pass, group): submitted, blob not
+        # installed yet; insertion order = submission order
+        self._pending: dict = {}
+        # chunk -> (decompress job, blob length): started ahead of load()
+        self._prefetched: dict = {}
         self._dtype = np.dtype(dtype) if dtype is not None \
             else np.dtype(np.complex64 if layout.itemsize == 8
                           else np.complex128)
@@ -153,21 +169,19 @@ class CompressedChunkStore:
 
     def load(self, chunk: int, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Decompress chunk ``chunk`` into ``out`` (or a new buffer)."""
-        blob = self._blobs[chunk]
-        if blob is None:
-            raise KeyError(f"chunk {chunk} not initialized")
-        return self._decode(chunk, blob, out)
-
-    def _decode(self, chunk: int, blob: bytes,
-                out: Optional[np.ndarray]) -> np.ndarray:
-        """Decompress one blob with full stats/metrics/ledger accounting.
-
-        Shared by every load path (in-memory and disk) so byte accounting
-        stays identical regardless of where the blob came from.
-        """
-        t0 = time.perf_counter()
-        arr = self.compressor.decompress(blob)
-        dt = time.perf_counter() - t0
+        entry = self._prefetched.pop(chunk, None) if self._prefetched else None
+        if entry is not None:
+            # Started ahead on the lane: seconds were measured there.
+            res = self.lane.collect(entry[0])
+            arr, blob_nbytes = res.array, entry[1]
+            dt, worker = res.seconds, res.worker_pid
+        else:
+            blob = self.get_blob(chunk)
+            if blob is None:
+                raise KeyError(f"chunk {chunk} not initialized")
+            t0 = time.perf_counter()
+            arr = self.compressor.decompress(blob)
+            dt, worker, blob_nbytes = time.perf_counter() - t0, 0, len(blob)
         self.stats.decompress_seconds += dt
         self.stats.loads += 1
         self.stats.bytes_decompressed += arr.nbytes
@@ -175,8 +189,11 @@ class CompressedChunkStore:
         if tel.enabled:
             tel.metrics.counter("codec.decompress.bytes").inc(arr.nbytes)
             tel.metrics.histogram("codec.decompress.seconds").observe(dt)
-            tel.traffic.record("codec", "compressed_in", len(blob))
-            tel.traffic.record("codec", "raw_out", arr.nbytes)
+            tel.traffic.record("codec", "compressed_in", blob_nbytes,
+                               worker=worker)
+            tel.traffic.record("codec", "raw_out", arr.nbytes, worker=worker)
+        if self._on_codec is not None:
+            self._on_codec("decompress", self._group(), chunk, dt, worker)
         if arr.shape[0] != self.layout.chunk_size:
             raise ValueError(
                 f"chunk {chunk} decompressed to {arr.shape[0]} amplitudes, "
@@ -191,75 +208,145 @@ class CompressedChunkStore:
         """Compress ``data`` into chunk ``chunk``'s slot."""
         if data.shape[0] != self.layout.chunk_size:
             raise ValueError("buffer size mismatch")
-        self._set_blob(chunk, self._compress(data))
-
-    # -- external-codec entry points (worker pool) -----------------------------
-
-    def put_blob(self, chunk: int, blob: bytes, *, seconds: float = 0.0,
-                 data_nbytes: int = 0, worker: int = 0) -> None:
-        """Install an externally-compressed blob (codec worker-pool path).
-
-        Accounting mirrors :meth:`store`: ``seconds`` is the codec time the
-        producer measured (worker-side), ``data_nbytes`` the uncompressed
-        size the blob encodes, ``worker`` the producing worker's pid (the
-        ledger keeps per-worker attributions that sum to parent totals).
-        """
-        self.stats.stores += 1
-        self.stats.compress_seconds += seconds
-        self.stats.bytes_compressed += len(blob)
-        tel = self.telemetry
-        if tel.enabled:
-            tel.metrics.counter("codec.compress.bytes_in").inc(data_nbytes)
-            tel.metrics.counter("codec.compress.bytes_out").inc(len(blob))
-            if seconds:
-                tel.metrics.histogram("codec.compress.seconds").observe(seconds)
-            tel.traffic.record("codec", "raw_in", data_nbytes, worker=worker)
-            tel.traffic.record("codec", "compressed_out", len(blob),
-                               worker=worker)
-            self._note_entropy(tel, blob)
-        self._set_blob(chunk, blob)
-
-    def note_decompressed(self, nbytes: int, seconds: float = 0.0, *,
-                          blob_nbytes: int = 0, worker: int = 0) -> None:
-        """Account a decompression performed outside :meth:`load` (workers)."""
-        self.stats.loads += 1
-        self.stats.decompress_seconds += seconds
-        self.stats.bytes_decompressed += nbytes
-        tel = self.telemetry
-        if tel.enabled:
-            tel.metrics.counter("codec.decompress.bytes").inc(nbytes)
-            if seconds:
-                tel.metrics.histogram("codec.decompress.seconds").observe(seconds)
-            tel.traffic.record("codec", "compressed_in", blob_nbytes,
-                               worker=worker)
-            tel.traffic.record("codec", "raw_out", nbytes, worker=worker)
+        if self.lane is None:
+            self._set_blob(chunk, self._compress(data))
+            return
+        self._before_write(chunk)
+        if data.dtype != self._dtype:
+            data = data.astype(self._dtype)
+        job = self.lane.submit_compress(chunk, data)  # copies ``data``
+        self._pending[chunk] = (job, self.telemetry.traffic.pass_context(),
+                                self._group())
+        self._settle_finished()
 
     def _compress(self, data: np.ndarray) -> bytes:
         if data.dtype != self._dtype:
             data = data.astype(self._dtype)
         t0 = time.perf_counter()
         blob = self.compressor.compress(data)
-        dt = time.perf_counter() - t0
-        self.stats.compress_seconds += dt
+        self._stored(blob, data.nbytes, time.perf_counter() - t0, 0)
+        return blob
+
+    def _stored(self, blob: bytes, raw_nbytes: int, seconds: float,
+                worker: int) -> None:
+        """Book one compression, the same way wherever the codec ran
+        (``seconds`` measured there, ``worker`` its pid, 0 = here)."""
+        self.stats.compress_seconds += seconds
         self.stats.stores += 1
         self.stats.bytes_compressed += len(blob)
         tel = self.telemetry
         if tel.enabled:
-            tel.metrics.counter("codec.compress.bytes_in").inc(data.nbytes)
+            tel.metrics.counter("codec.compress.bytes_in").inc(raw_nbytes)
             tel.metrics.counter("codec.compress.bytes_out").inc(len(blob))
-            tel.metrics.histogram("codec.compress.seconds").observe(dt)
-            tel.traffic.record("codec", "raw_in", data.nbytes)
-            tel.traffic.record("codec", "compressed_out", len(blob))
+            tel.metrics.histogram("codec.compress.seconds").observe(seconds)
+            tel.traffic.record("codec", "raw_in", raw_nbytes, worker=worker)
+            tel.traffic.record("codec", "compressed_out", len(blob),
+                               worker=worker)
             self._note_entropy(tel, blob)
-        return blob
+
+    # -- the codec lane --------------------------------------------------------
+
+    def attach_lane(self, pool, on_codec=None) -> None:
+        """Run the codec on ``pool`` (a caller-owned
+        :class:`~repro.parallel.CodecWorkerPool`, never closed here).
+
+        ``on_codec(kind, group, chunk, seconds, worker)`` hears of every
+        load and settled write: the seconds measured where the codec ran
+        and the group pass that issued the call, which a span around
+        ``load``/``store`` cannot give once those only submit and wait.
+        """
+        self.lane = pool
+        self._on_codec = on_codec
+
+    def detach_lane(self) -> None:
+        """Settle every pending write, drop unused prefetches, forget the
+        pool. Safe without a lane and on any exit path."""
+        try:
+            self._quiesce()
+        finally:
+            self.lane = self._on_codec = None
+
+    def will_need(self, chunks, resident=()) -> None:
+        """Advisory: ``chunks`` are the reads of the pass now starting.
+
+        A lane starts their decompress jobs here, side by side, then those
+        of the **next** pass's reads (per the schedule; never across a
+        permutation barrier), which overlap this pass's kernel. A chunk in
+        both is started once: this pass's load takes the job before its
+        write could drop it. ``resident`` chunks — decompressed in a cache
+        in front of this store — need no job.
+        """
+        if self.lane is None:
+            return
+        self._settle_finished()
+        for chunk in chunks:
+            self._prefetch(chunk)
+        if self.schedule is not None:
+            for chunk in self.schedule.reads_after():
+                if chunk not in resident:
+                    self._prefetch(chunk)
+
+    def flush(self) -> None:
+        """Settle every pending write (no-op without a lane)."""
+        while self._pending:
+            self._settle(next(iter(self._pending)))
+
+    def _group(self) -> int:
+        return self.schedule.pass_id[1] if self.schedule is not None else -1
+
+    def _prefetch(self, chunk: int) -> None:
+        if chunk in self._prefetched:
+            return
+        blob = self.get_blob(chunk)
+        if blob is not None:
+            self._prefetched[chunk] = (
+                self.lane.submit_decompress(
+                    chunk, blob, count=self.layout.chunk_size,
+                    dtype=self._dtype),
+                len(blob))
+
+    def _settle(self, chunk: int) -> None:
+        """Install chunk's pending blob, booked to the pass that wrote it."""
+        job, ledger_pass, group = self._pending.pop(chunk)
+        res = self.lane.collect(job)
+        with self.telemetry.traffic.attributed(*ledger_pass):
+            self._stored(res.blob, self.layout.chunk_nbytes, res.seconds,
+                         res.worker_pid)
+            self._set_blob(chunk, res.blob)
+        if self._on_codec is not None:
+            self._on_codec("compress", group, chunk, res.seconds,
+                           res.worker_pid)
+
+    def _settle_finished(self) -> None:
+        """Install finished writes, oldest first, without blocking: blobs
+        land in submission order whatever order workers finish in."""
+        while self._pending:
+            chunk = next(iter(self._pending))
+            if not self._pending[chunk][0].done():
+                return
+            self._settle(chunk)
+
+    def _before_write(self, chunk: int) -> None:
+        """Before a new value for ``chunk``: an older pending write lands
+        (and is counted), a prefetch of the old value is discarded."""
+        if chunk in self._pending:
+            self._settle(chunk)
+        entry = self._prefetched.pop(chunk, None)
+        if entry is not None:
+            self.lane.collect(entry[0])
+
+    def _quiesce(self) -> None:
+        """Nothing in flight: what relabeling and detaching require."""
+        self.flush()
+        while self._prefetched:
+            self.lane.collect(self._prefetched.popitem()[1][0])
 
     @staticmethod
     def _note_entropy(tel, blob: bytes) -> None:
         """Count which entropy stage the codec picked, sniffed per blob.
 
-        Works on the header alone, so worker-pool blobs (which arrive as
-        bytes via :meth:`put_blob`) are attributed parent-side too. Non-SZL1
-        codecs contribute nothing.
+        Works on the header alone, so blobs a lane worker produced are
+        attributed parent-side too. Non-SZL1 codecs contribute nothing.
         """
         from ..compression.szlike import blob_entropy  # lazy: avoids import cycle
         choice = blob_entropy(blob)
@@ -296,6 +383,8 @@ class CompressedChunkStore:
         if self._zero_blob is None:
             zeros = np.zeros(self.layout.chunk_size, dtype=self.dtype)
             self._zero_blob = self.compressor.compress(zeros)
+        if self.lane is not None:
+            self._before_write(chunk)
         self._set_blob(chunk, self._zero_blob, shared=True)
 
     def permute(self, perm) -> None:
@@ -306,9 +395,14 @@ class CompressedChunkStore:
         """
         if len(perm) != self.layout.num_chunks:
             raise ValueError("permutation length mismatch")
-        old = list(self._blobs)
-        if sorted(perm) != list(range(len(old))):
+        if sorted(perm) != list(range(len(perm))):
             raise ValueError("not a permutation of chunk ids")
+        if self.lane is not None:
+            self._quiesce()  # jobs in flight are keyed by the old ids
+        self._relabel(perm)
+
+    def _relabel(self, perm) -> None:
+        old = list(self._blobs)
         for dst, src in enumerate(perm):
             self._blobs[dst] = old[src]
 
@@ -316,10 +410,17 @@ class CompressedChunkStore:
 
     def get_blob(self, chunk: int) -> Optional[bytes]:
         """Raw compressed blob of a chunk (None if uninitialized)."""
+        if chunk in self._pending:
+            self._settle(chunk)
+        return self._read_blob(chunk)
+
+    def _read_blob(self, chunk: int) -> Optional[bytes]:
         return self._blobs[chunk]
 
     def is_zero_chunk(self, chunk: int) -> bool:
         """Whether the chunk references the shared zero blob."""
+        if chunk in self._pending:
+            self._settle(chunk)
         return self._is_shared(chunk)
 
     def zero_blob_bytes(self) -> Optional[bytes]:
@@ -330,6 +431,7 @@ class CompressedChunkStore:
 
     def compressed_nbytes(self) -> int:
         """Total unique blob bytes currently held."""
+        self.flush()
         seen_zero = False
         total = 0
         for blob in self._blobs:
@@ -351,6 +453,7 @@ class CompressedChunkStore:
         return float("inf") if c == 0 else self.dense_nbytes() / c
 
     def blob_sizes(self) -> List[int]:
+        self.flush()
         return [0 if b is None else len(b) for b in self._blobs]
 
     # -- whole-vector reconstruction (tests / small n) ----------------------------------

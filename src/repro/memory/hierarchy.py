@@ -9,7 +9,9 @@ be computed exactly. Three pieces wire that through:
 * :class:`AccessSchedule` — the plan's access sequence with a shared
   replay cursor. The scheduler re-seeks the cursor at every group pass;
   the Belady cache policy matches accesses against it; the tiered store
-  asks it which resident blob is needed farthest in the future.
+  asks it which resident blob is needed farthest in the future; a store
+  with a codec lane asks it what the next pass reads, to decompress it
+  ahead.
 * :class:`TieredChunkStore` — the third tier. Hot compressed blobs stay
   in RAM under a byte budget; the plan-coldest blobs spill to an
   append-log file (:class:`~repro.memory.diskstore.BlobLog`, mmap-backed
@@ -31,8 +33,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 from ..compression.interface import Compressor
 from .accounting import MemoryTracker
@@ -66,7 +66,10 @@ class AccessSchedule:
     * :class:`~repro.memory.cache.BeladyPolicy` calls :meth:`observe` per
       cache access to learn that access's next-use position;
     * :class:`TieredChunkStore` calls :meth:`next_use_of` to find the
-      plan-coldest resident blob when it must spill.
+      plan-coldest resident blob when it must spill;
+    * a store with a codec lane calls :meth:`reads_after` for the chunks
+      to decompress ahead, and reads :attr:`pass_id` to name the pass a
+      deferred write belongs to.
 
     All next-use queries are **barrier-bounded**: a reuse on the far side
     of a permutation stage counts as "never" (chunk ids are relabeled and
@@ -113,6 +116,8 @@ class AccessSchedule:
             last_seen[chunk] = i
         self._next_use = next_use
         self.cursor = 0
+        #: ``(stage, group)`` of the pass now executing (-1 = none yet)
+        self.pass_id: Tuple[int, int] = (-1, -1)
         self.matched = 0
         self.off_schedule = 0
 
@@ -133,10 +138,12 @@ class AccessSchedule:
         """Seek the cursor to the start of pass ``(stage, group)``.
 
         Called by the scheduler before each group pass — the authoritative
-        resync point, so layers that only see *some* accesses (the blob
-        path sees none) still track plan position pass-by-pass.
+        resync point, so layers that only see *some* accesses (a store
+        behind a cache sees the misses) still track plan position
+        pass-by-pass.
         """
-        pos = self._pass_start.get((stage, group))
+        self.pass_id = (stage, group)
+        pos = self._pass_start.get(self.pass_id)
         if pos is not None:
             self.cursor = pos
 
@@ -184,6 +191,20 @@ class AccessSchedule:
         if j < len(self._barriers) and self._barriers[j] < p:
             return _INF
         return float(p)
+
+    def reads_after(self) -> Tuple[int, ...]:
+        """The reads of the pass following :attr:`pass_id` — empty when a
+        permutation barrier or the end of the plan comes first, so it
+        crosses a stage boundary exactly when chunk ids survive it."""
+        seq = self._seq
+        i = self._pass_start.get(self.pass_id, len(seq))
+        for op in "rw":
+            while i < len(seq) and seq[i][1] == op:
+                i += 1
+        j = i
+        while j < len(seq) and seq[j][1] == "r":
+            j += 1
+        return tuple(chunk for chunk, _op in seq[i:j])
 
     def remaining(self) -> int:
         return len(self._seq) - self.cursor
@@ -273,7 +294,6 @@ class TieredChunkStore(CompressedChunkStore):
         # schedule-less spill fallback); zero-shared chunks never enter.
         self._ram_order: "OrderedDict[int, None]" = OrderedDict()
         self._host_bytes = 0  # unique RAM blob bytes (zero counted once)
-        self.schedule: Optional[AccessSchedule] = None
         self.tier_stats = TierStats()
         self.compactions = 0
 
@@ -363,7 +383,7 @@ class TieredChunkStore(CompressedChunkStore):
 
     # -- advisory prefetch ----------------------------------------------------
 
-    def will_need(self, chunks) -> None:
+    def will_need(self, chunks, resident=()) -> None:
         """Promote the given chunks' blobs into RAM ahead of use.
 
         The scheduler calls this with a group pass's members before
@@ -382,16 +402,11 @@ class TieredChunkStore(CompressedChunkStore):
                 promoted = True
         if promoted:
             self._enforce_budget()
+        super().will_need(chunks, resident)
 
     # -- chunk / blob I/O -----------------------------------------------------
 
-    def load(self, chunk: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-        blob = self.get_blob(chunk)
-        if blob is None:
-            raise KeyError(f"chunk {chunk} not initialized")
-        return self._decode(chunk, blob, out)
-
-    def get_blob(self, chunk: int) -> Optional[bytes]:
+    def _read_blob(self, chunk: int) -> Optional[bytes]:
         blob = self._blobs[chunk]
         if blob is not None:
             if blob is not self._zero_blob and chunk in self._ram_order:
@@ -406,11 +421,7 @@ class TieredChunkStore(CompressedChunkStore):
     def is_on_disk(self, chunk: int) -> bool:
         return self._disk[chunk] is not None
 
-    def permute(self, perm) -> None:
-        if len(perm) != self.layout.num_chunks:
-            raise ValueError("permutation length mismatch")
-        if sorted(perm) != list(range(len(perm))):
-            raise ValueError("not a permutation of chunk ids")
+    def _relabel(self, perm) -> None:
         inv = [0] * len(perm)
         for dst, src in enumerate(perm):
             inv[src] = dst
@@ -435,9 +446,11 @@ class TieredChunkStore(CompressedChunkStore):
         return self._log.live_bytes
 
     def compressed_nbytes(self) -> int:
+        self.flush()
         return self._host_bytes + self._log.live_bytes
 
     def blob_sizes(self) -> List[int]:
+        self.flush()
         sizes = []
         for chunk in range(self.layout.num_chunks):
             blob = self._blobs[chunk]
@@ -535,7 +548,8 @@ class MemoryHierarchy:
 
     def needs_schedule(self) -> bool:
         return ((self.cache is not None and self.cache.policy == "belady")
-                or isinstance(self.store, TieredChunkStore))
+                or isinstance(self.store, TieredChunkStore)
+                or self.store.lane is not None)
 
     def attach_plan(self, stages, layout: ChunkLayout,
                     serpentine: bool = False) -> Optional[AccessSchedule]:
@@ -552,13 +566,8 @@ class MemoryHierarchy:
         self.schedule = AccessSchedule.from_stages(stages, layout, serpentine)
         if self.cache is not None:
             self.cache.attach_schedule(self.schedule)
-        if isinstance(self.store, TieredChunkStore):
-            self.store.schedule = self.schedule
+        self.store.schedule = self.schedule
         return self.schedule
-
-    def flush(self) -> None:
-        if self.cache is not None:
-            self.cache.flush()
 
     def describe(self) -> Dict[str, object]:
         """Tier topology for results/telemetry exposition."""

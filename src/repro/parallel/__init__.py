@@ -1,24 +1,24 @@
 """repro.parallel — real concurrent chunk execution.
 
 The paper's online stage is *pipelined*: decompression, transfer, kernel,
-and recompression of independent chunk groups overlap. The base scheduler
-models that overlap analytically; this subsystem makes it real:
+and recompression of independent chunk groups overlap. The scheduler
+models that overlap analytically; this subsystem makes the codec half real:
 
 * :class:`CodecWorkerPool` — chunk compress/decompress jobs on a
   ``multiprocessing`` process pool (bytes or shared-memory payloads,
   same-process fallback for ``workers=1`` and for platforms where spawning
-  fails);
-* :class:`ParallelStageScheduler` — double-buffered group passes: group
-  *k*'s recompression/store overlaps group *k+1*'s fetch/decompress while
-  preserving per-chunk read-modify-write order;
-* :func:`run_equivalence` — the parallel-vs-serial harness enforcing
-  bit-identical results (identical per-chunk blobs, lossy codecs included).
+  fails). A run attaches it to its chunk store as the *codec lane*
+  (:meth:`repro.memory.CompressedChunkStore.attach_lane`): group *k*'s
+  recompression overlaps group *k+1*'s decompress and group *k*'s kernel
+  while the store keeps per-chunk read-modify-write order;
+* :func:`run_equivalence` — the worker-count harness enforcing
+  bit-identical results (identical per-chunk blobs, lossy codecs and
+  caches included).
 
 Enable via ``MemQSimConfig(workers=N)`` / ``python -m repro run --workers N``
 (``0`` = empirical auto-selection, see :func:`auto_workers`).
 """
 
-from .engine import ParallelStageScheduler
 from .equivalence import EquivalenceReport, compare_stores, run_equivalence
 from .pool import (
     DEFAULT_SHM_THRESHOLD,
@@ -36,7 +36,6 @@ __all__ = [
     "PoolStats",
     "auto_workers",
     "DEFAULT_SHM_THRESHOLD",
-    "ParallelStageScheduler",
     "EquivalenceReport",
     "run_equivalence",
     "compare_stores",

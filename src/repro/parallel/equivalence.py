@@ -1,14 +1,18 @@
-"""Parallel-vs-serial equivalence harness.
+"""Worker-count equivalence harness.
 
 The contract the parallel subsystem must keep: running the same circuit
 with the same configuration must produce the *same compressed store*,
 whether codec work ran inline on one thread or fanned out across worker
 processes — bit-identical final statevector and identical per-chunk blobs
 (lossy codecs included: the codec is a pure function of chunk bytes and
-parameters, so determinism is exact, not approximate).
+parameters, so determinism is exact, not approximate), and the same cache
+hits and misses, because one loop makes every cache and tier decision in
+one order whatever runs the codec. With a lossy codec that last part is
+what keeps the first: a hit skips a recompression, so a worker count that
+changed the hits would change the state.
 
-:func:`run_equivalence` executes a circuit twice (serial, then parallel
-with ``workers`` processes) and compares blob-for-blob and
+:func:`run_equivalence` executes a circuit twice (no pool, then a pool of
+``workers`` processes) and compares blob-for-blob and
 amplitude-for-amplitude. Tests and CI assert on the returned report;
 ``python -m repro.parallel.equivalence`` runs a quick self-check.
 """
@@ -16,7 +20,7 @@ amplitude-for-amplitude. Tests and CI assert on the returned report;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -42,11 +46,18 @@ class EquivalenceReport:
     state_max_abs_diff: float = 0.0
     serial_wall_seconds: float = 0.0
     parallel_wall_seconds: float = 0.0
+    #: (hits, misses) of the decompressed-chunk cache on each side
+    serial_cache: Tuple[int, int] = (0, 0)
+    parallel_cache: Tuple[int, int] = (0, 0)
+    #: blobs the tiered store promoted on each side (placement may differ)
+    promotions: Tuple[int, int] = (0, 0)
 
     @property
     def ok(self) -> bool:
-        """The determinism guarantee: identical blobs *and* amplitudes."""
-        return self.blobs_identical and self.state_bit_identical
+        """The determinism guarantee: identical blobs, amplitudes and
+        cache decisions."""
+        return (self.blobs_identical and self.state_bit_identical
+                and self.serial_cache == self.parallel_cache)
 
     def summary(self) -> str:
         verdict = "EQUIVALENT" if self.ok else "MISMATCH"
@@ -56,6 +67,7 @@ class EquivalenceReport:
             f"({len(self.mismatched_chunks)} mismatched) "
             f"state_bit_identical={self.state_bit_identical} "
             f"max|diff|={self.state_max_abs_diff:.3e} "
+            f"cache hits/misses={self.serial_cache}|{self.parallel_cache} "
             f"wall serial={self.serial_wall_seconds:.3f}s "
             f"parallel={self.parallel_wall_seconds:.3f}s"
         )
@@ -82,7 +94,7 @@ def run_equivalence(
     ``config``/``overrides`` parameterize everything else (codec, chunking,
     offload fraction, devices, cache, ...); the harness only takes the
     codec pool away from one run and hands one to the other —
-    ``workers=1`` is the overlapped engine over the inline pool.
+    ``workers=1`` is the lane over the inline pool.
     """
     from ..core.memqsim import MemQSim
     from .pool import CodecWorkerPool
@@ -98,6 +110,9 @@ def run_equivalence(
     sv_s = rs.statevector()
     sv_p = rp.statevector()
     identical, mismatched = compare_stores(rs.store, rp.store)
+    caches = [getattr(r.store, "cache_stats", None) for r in (rs, rp)]
+    accesses = [(c.hits, c.misses) if c else (0, 0) for c in caches]
+    tiers = [getattr(r.store, "tier_stats", None) for r in (rs, rp)]
     rep = EquivalenceReport(
         num_qubits=circuit.num_qubits,
         workers=workers,
@@ -109,6 +124,9 @@ def run_equivalence(
         if sv_s.size else 0.0,
         serial_wall_seconds=rs.wall_seconds,
         parallel_wall_seconds=rp.wall_seconds,
+        serial_cache=accesses[0],
+        parallel_cache=accesses[1],
+        promotions=tuple(t.promotions if t else 0 for t in tiers),
     )
     if not rep.ok:
         log.warning("equivalence violation: %s", rep.summary())

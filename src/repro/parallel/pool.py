@@ -16,8 +16,8 @@ pickled copy of the codec. Design points:
   job retains its input parent-side, so a crash loses no data — the job is
   simply redone inline;
 * **determinism** — workers run the exact same codec on the exact same
-  bytes, so blobs are identical to serial execution; the scheduler merges
-  results back in submission order;
+  bytes, so blobs are identical to inline execution; the chunk store
+  installs results in submission order;
 * **telemetry** — worker-measured job timings merge into the parent's
   Chrome trace on per-worker lanes (``tid`` 100+), plus ``parallel.*``
   metrics (jobs, queue depth, utilization, fallbacks).

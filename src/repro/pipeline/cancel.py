@@ -1,9 +1,9 @@
 """Cooperative cancellation for long-running pipeline executions.
 
-A :class:`CancelToken` is handed to the stage scheduler (and, through it,
-to every engine subclass); the scheduler polls it at **group-pass
-boundaries** — the natural safe points where no staging buffer is in
-flight and every pending store has a retained input. Cancelling mid-pass
+A :class:`CancelToken` is handed to the stage scheduler, which polls it at
+**group-pass boundaries** — the natural safe points where no staging
+buffer is in flight and every write a codec lane has not finished yet is a
+pending job the run settles on its way out. Cancelling mid-pass
 is never observable: the current group pass always finishes, so the
 compressed store is left in a consistent per-chunk state (every chunk
 holds either its pre-stage or post-stage blob, never a torn write).

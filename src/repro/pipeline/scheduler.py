@@ -20,16 +20,20 @@ step (5)): decompress, update with the same kernels on the host, recompress
 — recorded as CPU_UPDATE work so the overlap model can place it on idle
 cores. :class:`PermutationStage`s relabel compressed blobs directly.
 
-This base scheduler executes serially and the pipelined makespan is
+This is the only group loop. It runs serially; the pipelined makespan is
 computed afterwards by :class:`repro.device.timeline.PipelineModel` from
-the measured events. :class:`repro.parallel.ParallelStageScheduler`
-subclasses it to run the same group passes with *real* concurrency: codec
-work on a process pool, double-buffered prefetch, asynchronous writeback.
+the measured events. Real concurrency lives *behind* the store: with a
+codec lane attached (:meth:`CompressedChunkStore.attach_lane`) the
+per-pass ``will_need`` hint starts the next pass's decompress jobs before
+this pass's kernel runs and ``store`` returns once its compress job is
+submitted — the loop, its order and every cache / tier decision it drives
+are the same for any worker count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from contextlib import nullcontext
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -382,17 +386,16 @@ class StageScheduler:
         cpu_every = self._cpu_every()
         order = self._group_order(placement)
         program = StageProgram(stage, self.layout, placement)
-        will_need = getattr(self.store, "will_need", None)
         for gi, members in order:
             self.cancel.raise_if_cancelled()
             self.telemetry.traffic.set_pass(si, gi)
             if self.schedule is not None:
                 self.schedule.begin_pass(si, gi)
-            if will_need is not None:
-                # Advisory hint down the hierarchy: a tiered store promotes
-                # this pass's disk-resident blobs before the streaming
-                # loop pays per-chunk latencies for them.
-                will_need(members)
+            # Advisory hint down the hierarchy: a tiered store promotes
+            # this pass's disk-resident blobs before the streaming loop
+            # pays per-chunk latencies for them; a codec lane starts this
+            # pass's and the next pass's decompress jobs.
+            self.store.will_need(members)
             cpu_path = cpu_every > 0 and (gi % cpu_every == 0)
             ops = self._ops_for_group(program, members[0])
             with self.telemetry.span(
@@ -420,26 +423,32 @@ class StageScheduler:
         self.stats.gates_skipped_identity += skipped
         return ops
 
+    def _codec_span(self, stage: Stage, gi: int, chunk: int):
+        """The timeline hop around one store call.
+
+        Events carry the *group* id so the overlap model chains each
+        group's decompress -> h2d -> kernel -> d2h -> compress pass. With
+        a codec lane the call only submits or waits, and the store books
+        the seconds measured where the codec ran instead.
+        """
+        if self.store.lane is not None:
+            return nullcontext()
+        return self.telemetry.stage_span(self.timeline, stage, chunk=gi,
+                                         nbytes=self.layout.chunk_nbytes,
+                                         chunk_id=chunk)
+
     def _load_group(self, gi: int, members: Tuple[int, ...], buf: np.ndarray) -> None:
-        # Events carry the *group* id so the overlap model chains each
-        # group's decompress -> h2d -> kernel -> d2h -> compress pass.
         cs = self.layout.chunk_size
         for slot, chunk in enumerate(members):
             self.telemetry.access.record(chunk, self._audit_si, "r")
-            with self.telemetry.stage_span(self.timeline, Stage.DECOMPRESS,
-                                           chunk=gi,
-                                           nbytes=self.layout.chunk_nbytes,
-                                           chunk_id=chunk):
+            with self._codec_span(Stage.DECOMPRESS, gi, chunk):
                 self.store.load(chunk, out=buf[slot * cs:(slot + 1) * cs])
 
     def _store_group(self, gi: int, members: Tuple[int, ...], buf: np.ndarray) -> None:
         cs = self.layout.chunk_size
         for slot, chunk in enumerate(members):
             self.telemetry.access.record(chunk, self._audit_si, "w")
-            with self.telemetry.stage_span(self.timeline, Stage.COMPRESS,
-                                           chunk=gi,
-                                           nbytes=self.layout.chunk_nbytes,
-                                           chunk_id=chunk):
+            with self._codec_span(Stage.COMPRESS, gi, chunk):
                 self.store.store(chunk, buf[slot * cs:(slot + 1) * cs])
 
     def _device_update(self, gi: int, ops: List[GateOp],

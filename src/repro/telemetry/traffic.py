@@ -17,8 +17,8 @@ occupancy. This module records the movement itself:
 
   Every ``record`` also feeds a ``traffic.<edge>.<direction>.bytes``
   counter, so the ledger shows up in ``/metrics`` (run and serve) for
-  free. Worker-pool codec results are recorded parent-side at blob
-  install time with the worker pid attached, so per-worker attributions
+  free. Codec-lane results are recorded parent-side when the store
+  collects them, with the worker pid attached, so per-worker attributions
   always sum to the parent totals (the byte-count analogue of the event
   bus's clock re-anchoring).
 
@@ -79,9 +79,10 @@ class TrafficLedger:
     The scheduler sets the current ``(stage, group)`` attribution at each
     group-pass boundary (:meth:`set_pass`); stores, caches and transfer
     strategies then :meth:`record` against that ambient context without
-    knowing it. Deferred work that lands outside its own pass (the
-    parallel engine's async compress drain) overrides the context per
-    item via :meth:`attributed`.
+    knowing it. Deferred work that lands outside its own pass (a chunk
+    store settling a write its codec lane finished later) captures the
+    context with :meth:`pass_context` when the work is issued and
+    re-enters it via :meth:`attributed` when it lands.
     """
 
     enabled = True
@@ -105,6 +106,10 @@ class TrafficLedger:
         """Set the ambient (stage, group) subsequent records attribute to."""
         self._stage = stage
         self._group = group
+
+    def pass_context(self) -> Tuple[int, int]:
+        """The ambient ``(stage, group)``, to hand back to :meth:`attributed`."""
+        return self._stage, self._group
 
     @contextmanager
     def attributed(self, stage: int, group: int):
@@ -222,6 +227,9 @@ class NullTrafficLedger:
                  group: int = OUT_OF_STAGE) -> None:
         pass
 
+    def pass_context(self) -> Tuple[int, int]:
+        return OUT_OF_STAGE, OUT_OF_STAGE
+
     @contextmanager
     def attributed(self, stage: int, group: int):
         yield self
@@ -267,10 +275,8 @@ class ChunkAccessRecorder:
     """Records the exact chunk access sequence the scheduler generates.
 
     Accesses are recorded at the scheduler's store surface in *logical*
-    order (the order the serial engine performs them; the parallel engine
-    records at collect/submit time, which preserves the same order), so
-    the trace is identical across execution modes and independent of any
-    cache sitting in front of the store.
+    order, so the trace is independent of any cache sitting in front of
+    the store and of any codec lane behind it.
     """
 
     enabled = True

@@ -4,7 +4,7 @@ Fusion reorders floating-point arithmetic (a folded 2x2 product is not
 the same op sequence), so fused-vs-unfused comparisons use ``allclose``
 at tight tolerance. Determinism *within* one compiled plan is absolute:
 the parallel-vs-serial harness must stay bit-identical with fusion on,
-because both engines execute the identical lowered ops.
+because every worker count executes the identical lowered ops.
 """
 
 import numpy as np
@@ -85,7 +85,7 @@ class TestEndToEndEquivalence:
 
 class TestParallelBitIdentityWithFusion:
     def test_run_equivalence_fusion_on(self):
-        """Serial and parallel engines consume one compiled plan:
+        """Pool-less and pooled runs consume one compiled plan:
         bit-identical states and identical blobs, fusion included."""
         rep = run_equivalence(get_workload("qft", 8), workers=2,
                               chunk_qubits=4, compressor="zlib",

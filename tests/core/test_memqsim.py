@@ -168,23 +168,31 @@ class TestDerivedChoices:
     @pytest.mark.parametrize("workers, pool_workers, engine, echo_workers", [
         (1, None, "serial", 1),
         (2, None, "parallel", 2),
-        (1, 1, "parallel", 1),   # inline pool: overlapped engine, no processes
+        (1, 1, "parallel", 1),   # inline pool: a lane with no processes
         (1, 2, "parallel", 2),   # an external pool wins over the config
     ])
     def test_codec_pool_picks_the_engine(self, workers, pool_workers, engine,
                                          echo_workers):
+        """One engine; "parallel" = the codec ran as jobs on a pool (the
+        run's own or the caller's), "serial" = inline, no pool at all."""
         from repro.compression import get_compressor
         from repro.parallel import CodecWorkerPool
+        from repro.telemetry import Telemetry
 
+        tel = Telemetry()
         pool = None if pool_workers is None else CodecWorkerPool(
-            get_compressor("zlib"), workers=pool_workers)
+            get_compressor("zlib"), workers=pool_workers, telemetry=tel)
         try:
             res = MemQSim(chunk_qubits=3, compressor="zlib", workers=workers,
-                          codec_pool=pool).run(ghz(6))
+                          codec_pool=pool, telemetry=tel).run(ghz(6))
         finally:
             if pool is not None:
+                assert not pool._closed  # an external pool is never closed
                 pool.close()
-        assert res.config_echo["execution"] == engine
+        jobs = tel.metrics.snapshot()["counters"]["parallel.jobs"]
+        assert (jobs > 0) == (engine == "parallel")
+        assert "execution" not in res.config_echo
+        assert res.store.lane is None  # detached on the way out
         assert res.config_echo["workers"] == echo_workers
         assert res.norm() == pytest.approx(1.0, abs=1e-9)
 

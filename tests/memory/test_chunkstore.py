@@ -163,27 +163,110 @@ class TestLossyStore:
         assert err <= 1e-5 * (1 + 1e-9)
 
 
-class TestBlobAndBatchAPI:
-    """Blob-level entry points used by the overlapped engine's codec pool."""
+def drive(workers, codec="szlike", passes=3):
+    """Store and load the same data through a store with no lane
+    (``workers=1``) or with a ``workers``-process lane; three "passes"
+    under ledger contexts (0, g), each reading what the one before wrote.
+    Returns (store, telemetry, final statevector)."""
+    from repro.parallel import CodecWorkerPool
+    from repro.telemetry import Telemetry
 
-    def test_put_get_blob_roundtrip_and_accounting(self, random_state_fn):
-        store, _ = make_store()
-        v = random_state_fn(6, seed=3)
-        store.init_from_statevector(v)
-        blob = store.get_blob(2)
-        assert blob == store.compressor.compress(store.load(2))
-        before = store.stats.stores
-        store.put_blob(2, blob, seconds=0.01, data_nbytes=128)
-        assert store.stats.stores == before + 1
-        np.testing.assert_array_equal(store.load(2), v[2 * 8:3 * 8])
+    tel = Telemetry()
+    lay = ChunkLayout(8, 5)
+    opts = {"error_bound": 1e-5} if codec == "szlike" else {}
+    comp = get_compressor(codec, **opts)
+    store = CompressedChunkStore(lay, comp, MemoryTracker(), telemetry=tel)
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+    store.init_from_statevector(v / np.linalg.norm(v))
+    pool = CodecWorkerPool(comp, workers=workers) if workers > 1 else None
+    if pool is not None:
+        store.attach_lane(pool)
+    try:
+        for g in range(passes):
+            tel.traffic.set_pass(0, g)
+            store.will_need(range(lay.num_chunks))
+            bufs = [store.load(k) for k in range(lay.num_chunks)]
+            for k, buf in enumerate(bufs):
+                store.store(k, buf * np.exp(0.3j * (k + 1)))
+        tel.traffic.set_pass()
+    finally:
+        store.detach_lane()
+        if pool is not None:
+            pool.close()
+    assert store.lane is None
+    return store, tel, store.to_statevector()
 
-    def test_note_decompressed_counts_loads(self):
+
+class TestCodecLane:
+    """A store with a codec lane is the same store: same data, same
+    counts, same bytes — only *where* the codec ran differs."""
+
+    def test_lane_roundtrip_and_stats_match_inline(self):
+        inline, _, sv_inline = drive(1)
+        laned, _, sv_laned = drive(2)
+        assert np.array_equal(sv_inline, sv_laned)  # lossy codec, same bits
+        for k in range(inline.layout.num_chunks):
+            assert inline.get_blob(k) == laned.get_blob(k)
+        for name in ("loads", "stores", "bytes_decompressed",
+                     "bytes_compressed"):
+            assert getattr(inline.stats, name) == getattr(laned.stats, name)
+        assert laned.stats.compress_seconds > 0
+        assert laned.stats.decompress_seconds > 0
+
+    def test_lane_ledger_balances_per_pass_and_per_worker(self):
+        _, tel_i, _ = drive(1)
+        _, tel_l, _ = drive(2)
+        led_i, led_l = tel_i.traffic, tel_l.traffic
+        edges = ("codec.raw_in", "codec.compressed_out",
+                 "codec.compressed_in", "codec.raw_out")
+        # a write that settles during a later pass is still booked to the
+        # pass that issued it: per-(stage, group) cells are equal
+        assert led_l.by_stage() == led_i.by_stage()
+        assert led_l.by_group(0) == led_i.by_group(0)
+        assert set(led_l.by_group(0)) == {0, 1, 2}
+        per_worker = led_l.by_worker()
+        assert [w for w in per_worker if w != 0], "no worker attribution"
+        for edge in edges:
+            e, d = edge.split(".")
+            assert sum(row.get(edge, 0) for row in per_worker.values()) \
+                == led_l.total_bytes(e, d) == led_i.total_bytes(e, d)
+
+    def test_read_waits_for_the_pending_write(self):
+        from repro.parallel import CodecWorkerPool
+
         store, _ = make_store()
         store.init_zero_state()
-        before = store.stats.loads
-        store.note_decompressed(256, seconds=0.005)
-        assert store.stats.loads == before + 1
-        assert store.stats.bytes_decompressed >= 256
+        new = np.full(8, 0.25 + 0j)
+        with CodecWorkerPool(store.compressor, workers=2) as pool:
+            store.attach_lane(pool)
+            store.store(3, new)
+            np.testing.assert_array_equal(store.load(3), new)
+            store.store(4, new)
+            assert store.get_blob(4) == store.compressor.compress(new)
+            store.store(5, new)
+            store.permute([5, 1, 2, 3, 4, 0, 6, 7])
+            np.testing.assert_array_equal(store.load(0), new)
+            store.store(6, new)
+            store.zero_chunk(6)
+            store.detach_lane()
+        assert store.is_zero_chunk(6)
+        assert store.stats.stores == 2 + 4  # init + every lane write counted
+
+    def test_write_drops_a_stale_prefetch(self):
+        from repro.parallel import CodecWorkerPool
+
+        store, _ = make_store()
+        store.init_zero_state()
+        new = np.full(8, 0.25 + 0j)
+        with CodecWorkerPool(store.compressor, workers=2) as pool:
+            store.attach_lane(pool)
+            store.will_need([2])          # starts decoding the zero chunk
+            store.store(2, new)
+            np.testing.assert_array_equal(store.load(2), new)
+            store.detach_lane()
+            assert pool.stats.decompress_jobs == 1
+        assert store.stats.loads == 1
 
 
 class TestEntropyChoiceCounters:
@@ -205,24 +288,19 @@ class TestEntropyChoiceCounters:
         assert sum(counts.values()) == lay.num_chunks
         assert set(counts) <= {"huffman", "zlib", "raw"}
 
-    def test_put_blob_counts_parent_side(self):
-        from repro.telemetry import Telemetry
+    def test_lane_counts_entropy_choice_like_inline(self):
+        """Blobs a lane worker produced are sniffed parent-side: every
+        ``codec.*`` counter reads what the inline store's reads."""
+        def counters(tel):
+            return {name: v
+                    for name, v in tel.metrics.snapshot()["counters"].items()
+                    if name.startswith("codec.")}
 
-        tel = Telemetry()
-        lay = ChunkLayout(6, 3)
-        comp = get_compressor("szlike", error_bound=1e-5)
-        store = CompressedChunkStore(lay, comp, MemoryTracker(), telemetry=tel)
-        store.init_zero_state()
-        def total():
-            return sum(
-                v for name, v in tel.metrics.snapshot()["counters"].items()
-                if name.startswith("codec.entropy_choice."))
-
-        before = total()
-        data = np.exp(1j * np.linspace(0, 2, 8)).astype(np.complex128)
-        data /= np.linalg.norm(data)
-        store.put_blob(1, comp.compress(data), seconds=0.0, data_nbytes=128)
-        assert total() == before + 1
+        _, tel_i, _ = drive(1)
+        _, tel_l, _ = drive(2)
+        assert counters(tel_l) == counters(tel_i)
+        assert any(name.startswith("codec.entropy_choice.")
+                   for name in counters(tel_l))
 
     def test_non_szl1_codec_contributes_nothing(self):
         from repro.telemetry import Telemetry

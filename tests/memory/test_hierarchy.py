@@ -102,6 +102,23 @@ class TestAccessSchedule:
         # and chunk 2's stage-2 use is visible once the cursor crossed
         assert s.next_use_of(2) == 10.0
 
+    def test_reads_after_stops_at_a_barrier_and_crosses_a_stage(self):
+        s = sched(self.PASSES + [("pass", 3, 1, (1, 3))])
+        assert s.reads_after() == ()            # no pass begun yet
+        s.begin_pass(0, 0)
+        assert s.pass_id == (0, 0)
+        assert s.reads_after() == (2, 3)
+        s.observe(0, "r")                       # cursor moves, answer not
+        assert s.reads_after() == (2, 3)
+        s.begin_pass(0, 1)
+        assert s.reads_after() == ()            # barrier next
+        s.begin_pass(2, 0)
+        assert s.reads_after() == (1, 3)        # stage 3, nothing between
+        s.begin_pass(3, 1)
+        assert s.reads_after() == ()            # end of plan
+        s.begin_pass(9, 9)
+        assert s.reads_after() == ()            # off-plan pass
+
     def test_next_use_unknown_chunk(self):
         s = sched(self.PASSES)
         assert s.next_use_of(99) == float("inf")
@@ -347,3 +364,92 @@ class TestLiveEqualsReplay:
         live_l, _ = streamed("lru")
         live_m, _ = streamed("mru")
         assert live_b <= live_l and live_b <= live_m
+
+
+# ---------------------------------------------------------------------------
+# Hints under a codec lane
+
+
+class TestHintsStopAtTheCache:
+    PASSES = [
+        ("pass", 0, 0, (0, 1)),
+        ("pass", 0, 1, (2, 3)),
+        ("pass", 1, 0, (0, 2)),
+    ]
+
+    @pytest.fixture()
+    def laned(self):
+        from repro.parallel import CodecWorkerPool
+
+        lay = ChunkLayout(5, 3)
+        store = CompressedChunkStore(lay, get_compressor("zlib"),
+                                     MemoryTracker())
+        for k in range(lay.num_chunks):
+            store.store(k, rand_chunk(3, k))
+        cache = ChunkCache(store, 2, "lru")
+        with CodecWorkerPool(store.compressor, workers=2) as pool:
+            assert not MemoryHierarchy(store, cache).needs_schedule()
+            store.attach_lane(pool)
+            assert MemoryHierarchy(store, cache).needs_schedule()
+            schedule = AccessSchedule(self.PASSES)
+            store.schedule = schedule
+            yield cache, store, pool, schedule
+            store.detach_lane()
+
+    def test_resident_chunks_get_no_job(self, laned):
+        cache, store, pool, schedule = laned
+        cache.load(2)                 # resident, and read by the next pass
+        schedule.begin_pass(0, 0)
+        cache.will_need((0, 1))
+        # this pass's 0 and 1, the next pass's 3 — never the cached 2
+        assert set(store._prefetched) == {0, 1, 3}
+        cache.load(0)
+        cache.load(1)
+        assert set(store._prefetched) == {3}
+
+    def test_a_chunk_this_pass_rewrites_is_started_once(self, laned):
+        cache, store, pool, schedule = laned
+        schedule.begin_pass(0, 1)
+        store.will_need((2, 3))
+        # stage 1's first pass reads 0 and 2; 2's job is this pass's own
+        assert set(store._prefetched) == {2, 3, 0}
+        before = store.load(2).copy()
+        store.store(2, before * 1j)   # takes nothing: the load took the job
+        schedule.begin_pass(1, 0)
+        store.will_need((0, 2))
+        np.testing.assert_array_equal(store.load(2), before * 1j)
+        store.load(0), store.load(3)
+        assert pool.stats.decompress_jobs == store.stats.loads == 4
+
+    def test_dirty_eviction_beats_a_stale_prefetch(self, laned):
+        cache, store, pool, schedule = laned
+        schedule.begin_pass(0, 0)
+        cache.will_need((0, 1))       # starts a job on chunk 3's old blob
+        assert 3 in store._prefetched
+        new = rand_chunk(3, 99)
+        cache.store(3, new)           # off-plan write, dirty in the cache
+        cache.load(0)
+        cache.load(1)                 # capacity 2: evicts dirty 3 -> inner
+        assert 3 not in store._prefetched
+        np.testing.assert_array_equal(cache.load(3), new)
+
+
+class TestLaneJobsEqualLoads:
+    def test_belady_cache_two_workers(self):
+        """Every inner load is one decompress job: nothing cached is
+        prefetched, nothing prefetched is thrown away."""
+        from repro.circuits import get_workload
+        from repro.core import MemQSim, MemQSimConfig
+        from repro.device import DeviceSpec
+        from repro.parallel import CodecWorkerPool
+
+        cfg = MemQSimConfig(
+            chunk_qubits=6, precision="c64", compressor="zlib",
+            cache_chunks=16, cache_policy="belady", host_store_mb=16 / 1024,
+            device=DeviceSpec(memory_bytes=4096))
+        with CodecWorkerPool(cfg.make_compressor(), workers=2) as pool:
+            res = MemQSim(cfg, codec_pool=pool).run(get_workload("vqe", 12))
+            assert res.store.cache_stats.hits > 0
+            assert pool.stats.decompress_jobs == res.store.inner.stats.loads
+            assert pool.stats.compress_jobs == \
+                res.store.inner.stats.stores - 2  # init ran before the lane

@@ -21,8 +21,8 @@ class TestParserDefaults:
         assert args.serpentine is False
 
     def test_execution_choices(self):
-        """The engine is derived from --workers; the flag itself is gone
-        from every subcommand that had it."""
+        """There is one engine; --workers sizes its codec lane. The flag
+        is gone from every subcommand that had it."""
         for cmd in (["run", "qft"], ["trace", "qft"], ["report", "qft"],
                     ["serve"], ["submit", "qft"]):
             with pytest.raises(SystemExit):
@@ -36,28 +36,50 @@ class TestRunCommand:
         assert rc == 0
         assert "MEMQSim result" in capsys.readouterr().out
 
-    def test_json_echoes_resolved_config(self, capsys):
+    @staticmethod
+    def pool_jobs(path):
+        return json.loads(path.read_text())["counters"]["parallel.jobs"]
+
+    def test_json_echoes_resolved_config(self, capsys, tmp_path):
+        metrics = tmp_path / "m.json"
         rc = main(["run", "ghz", "-n", "8", "--chunk-qubits", "4",
                    "--compressor", "zlib", "--workers", "2",
-                   "--no-serpentine", "--json"])
+                   "--no-serpentine", "--json", "--metrics-out", str(metrics)])
         assert rc == 0
         out = capsys.readouterr().out
         payload = json.loads(out[out.index("{"):])
         echo = payload["config_echo"]
         assert echo["workers"] == 2
-        assert echo["execution"] == "parallel"
+        assert "execution" not in echo
+        assert self.pool_jobs(metrics) > 0  # the codec ran on the lane
         assert echo["serpentine"] is False
         assert echo["compressor"] == "zlib"
 
-    def test_json_serial_echo(self, capsys):
+    def test_json_serial_echo(self, capsys, tmp_path):
+        metrics = tmp_path / "m.json"
         rc = main(["run", "ghz", "-n", "8", "--chunk-qubits", "4",
-                   "--compressor", "zlib", "--workers", "1", "--json"])
+                   "--compressor", "zlib", "--workers", "1", "--json",
+                   "--metrics-out", str(metrics)])
         assert rc == 0
         out = capsys.readouterr().out
         echo = json.loads(out[out.index("{"):])["config_echo"]
         assert echo["workers"] == 1
-        assert echo["execution"] == "serial"
+        assert self.pool_jobs(metrics) == 0  # no pool: the codec ran inline
         assert echo["serpentine"] is True
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("tier", [[], ["--host-store-mb", "0.001"]],
+                             ids=["ram", "tiered"])
+    def test_audit_balances_for_any_worker_count(self, capsys, workers,
+                                                 tier):
+        """Per stage, per group pass and per worker, to the byte: a write
+        the lane settles late is booked to the pass that issued it."""
+        rc = main(["audit", "qft", "-n", "10", "--chunk-qubits", "4",
+                   "--device-mb", "0.002", "--compressor", "zlib",
+                   "--workers", workers, "--json"] + tier)
+        out = capsys.readouterr().out
+        report = json.loads(out[out.index("{"):])
+        assert rc == 0 and report["ok"], report["errors"]
 
     def test_trace_with_workers(self, tmp_path, capsys):
         out = tmp_path / "t.trace.json"

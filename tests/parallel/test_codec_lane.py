@@ -1,0 +1,108 @@
+"""A run with a codec lane: what the timeline and the trace must show.
+
+The group loop is the same for every worker count; what a pool changes is
+*when* the codec runs. These tests pin the two things that could silently
+go wrong: the timeline must carry the seconds the codec took where it ran
+(not how long the loop waited for it), and the overlap the lane exists for
+must be visible in the trace.
+"""
+
+from repro.analysis.audit import predict_pass_schedule
+from repro.circuits import get_workload
+from repro.core import MemQSim, MemQSimConfig
+from repro.device import DeviceSpec
+from repro.device.timeline import Stage
+from repro.memory import ChunkLayout, CompressedChunkStore, MemoryTracker
+from repro.telemetry import Telemetry
+
+WORKERS = 2
+
+
+class _CapturePlanCache:
+    plan = None
+
+    def lookup(self, key):
+        return None
+
+    def store(self, key, value):
+        self.plan = value
+
+
+def laned_run(n, **kw):
+    """qft(n) streamed through a small device with a 2-worker lane, from
+    a store initialised beforehand (so ``init_seconds`` — codec time
+    spent before any lane existed — is known)."""
+    tel = Telemetry()
+    cap = _CapturePlanCache()
+    cfg = MemQSimConfig(device=DeviceSpec(memory_bytes=1 << 14),
+                        workers=WORKERS, **kw)
+    store = CompressedChunkStore(ChunkLayout(n, 7), cfg.make_compressor(),
+                                 MemoryTracker())
+    store.init_zero_state()
+    init_seconds = store.stats.compress_seconds
+    res = MemQSim(cfg, telemetry=tel, plan_cache=cap).run(
+        get_workload("qft", n), initial_store=store)
+    return res, tel, cap.plan[1].stages, init_seconds
+
+
+def test_timeline_codec_seconds_are_the_workers_not_the_wait():
+    res, tel, _stages, init_seconds = laned_run(
+        12, compressor="szlike", compressor_options={"error_bound": 1e-6})
+    snap = tel.metrics.snapshot()["counters"]
+    assert snap["parallel.jobs"] > 0 == snap["parallel.jobs.inline"]
+    tl = res.timeline
+    on_timeline = (tl.serial_seconds(Stage.COMPRESS)
+                   + tl.serial_seconds(Stage.DECOMPRESS))
+    # exactly what the workers measured around their codec calls ...
+    on_workers = (tel.tracer.total_seconds("worker.compress")
+                  + tel.tracer.total_seconds("worker.decompress"))
+    assert abs(on_timeline - on_workers) <= 1e-9 * on_workers
+    # ... which is the store's own total for the run
+    stats = res.store.stats
+    measured = (stats.compress_seconds - init_seconds
+                + stats.decompress_seconds)
+    assert abs(on_timeline - measured) <= 0.10 * measured
+    # one event per codec call in the stages, chained by group id
+    assert tl.count(Stage.DECOMPRESS) == stats.loads
+    assert tl.count(Stage.COMPRESS) == stats.stores - 2  # minus init
+    assert all(e.chunk >= 0 for e in tl.events
+               if e.stage in (Stage.COMPRESS, Stage.DECOMPRESS))
+
+
+def test_next_pass_decompress_is_submitted_before_this_pass_kernel():
+    """Inside a stage and across a stage boundary with no permutation
+    barrier between, pass k+1's decompress jobs are queued before pass k's
+    kernel runs: they start ahead of pass k's compress jobs (which are
+    submitted right after that kernel — the pool is FIFO), and a
+    ``worker.decompress`` span for pass k+1 starts before pass k's
+    ``group_pass`` span ends."""
+    res, tel, stages, _init = laned_run(12, compressor="zlib",
+                                        serpentine_groups=False)
+    passes = predict_pass_schedule(stages, res.store.layout, False)
+    assert all(kind == "pass" for kind, *_ in passes), "plan has a barrier"
+    group_pass = {(sp.args["stage"], sp.args["group"]): sp
+                  for sp in tel.tracer.find("group_pass")}
+
+    def starts_by_chunk(name):
+        # no cache: each chunk meets the codec once per gate stage, and a
+        # chunk's jobs run in stage order
+        out = {}
+        for sp in sorted(tel.tracer.find(name), key=lambda sp: sp.start):
+            out.setdefault(sp.args["key"], []).append(sp.start)
+        return out
+
+    decompress = starts_by_chunk("worker.decompress")
+    compress = starts_by_chunk("worker.compress")
+    rank = {si: r for r, si in enumerate(
+        sorted({si for _k, si, _g, _m in passes}))}
+    seen = {"within": 0, "across": 0}
+    for (_k, si, gi, members), (_k2, nsi, _ngi, nmembers) in zip(
+            passes, passes[1:]):
+        first_read = min(decompress[c][rank[nsi]] for c in nmembers)
+        first_write = min(compress[c][rank[si]] for c in members)
+        assert first_read < first_write, (si, gi)
+        if first_read < group_pass[(si, gi)].end:
+            seen["within" if nsi == si else "across"] += 1
+    # the wall-clock form depends on how busy the workers are; it must
+    # show at least once on each kind of boundary
+    assert seen["within"] and seen["across"], seen

@@ -3,9 +3,11 @@
 With a lossless codec the final statevector and every per-chunk blob must
 be bit-identical between ``workers=1`` and ``workers>1``; with a lossy
 codec the blobs must still match blob-for-blob, because the codec is a
-pure function of chunk bytes and parameters. Covers permutation stages,
-CPU offload, multi-executor round-robin, the chunk cache, the disk store,
-and a forced worker crash mid-run.
+pure function of chunk bytes and parameters — with a decompressed-chunk
+cache in front too, because the cache hits and misses are the same for
+every worker count. Covers permutation stages, CPU offload, multi-executor
+round-robin, the chunk cache, the disk store, and a forced worker crash
+mid-run.
 """
 
 import os
@@ -74,10 +76,16 @@ class TestSchedulerFeatureEquivalence:
         assert rep.ok, rep.summary()
 
     def test_chunk_cache_layer(self):
+        from repro.device import DeviceSpec
+
+        # a device this small streams several stages, so the cache hits
         rep = run_equivalence(get_workload("qft", 8), workers=WORKERS,
                               chunk_qubits=4, compressor="zlib",
-                              cache_chunks=3)
+                              cache_chunks=3,
+                              device=DeviceSpec(memory_bytes=2048))
         assert rep.ok, rep.summary()
+        assert rep.parallel_cache == rep.serial_cache
+        assert rep.serial_cache[0] > 0, "the cache never hit"
 
     def test_serpentine_off(self):
         rep = run_equivalence(get_workload("grover", 8), workers=WORKERS,
@@ -87,7 +95,7 @@ class TestSchedulerFeatureEquivalence:
 
     def test_disk_store(self, tmp_path):
         """Out-of-core (disk_path alone = tiered store at RAM budget 0):
-        every blob the overlapped engine reads and writes crosses the log.
+        every blob the lane reads and writes crosses the log.
         One log file per run, so not through run_equivalence."""
         circ = get_workload("qft", 6)
         cfg = MemQSimConfig(chunk_qubits=3, compressor="zlib")
@@ -104,11 +112,8 @@ class TestSchedulerFeatureEquivalence:
     def test_tiered_store_lossy_codec(self):
         """Tiered store under a byte budget with a lossy codec, streamed
         device: spill placement must never change bytes, so serial and
-        parallel stay blob-for-blob identical. (No decompressed cache —
-        a cache hit with a lossy codec legitimately skips requantization,
-        which is a different data trajectory, not a determinism bug; the
-        cache-present contract is covered losslessly below.) disk_path
-        stays None so each run gets its own temp log."""
+        parallel stay blob-for-blob identical. disk_path stays None so
+        each run gets its own temp log."""
         from repro.device import DeviceSpec
 
         rep = run_equivalence(
@@ -120,11 +125,36 @@ class TestSchedulerFeatureEquivalence:
         )
         assert rep.ok, rep.summary()
         assert rep.state_bit_identical
+        assert min(rep.promotions) > 0, rep.promotions
+
+    @pytest.mark.parametrize("policy", ["mru", "belady"])
+    @pytest.mark.parametrize("host_store_mb", [0.0, 0.001],
+                             ids=["ram", "tiered"])
+    def test_cache_over_a_lossy_codec(self, policy, host_store_mb):
+        """A cache hit skips a requantization, so the state depends on
+        *which* accesses hit — and those are the same for every worker
+        count, so blobs and state are too. (Cache on vs cache off is a
+        different trajectory by design; that is not compared here.)"""
+        from repro.device import DeviceSpec
+
+        rep = run_equivalence(
+            get_workload("vqe", 9), workers=WORKERS,
+            chunk_qubits=4, compressor="szlike",
+            compressor_options={"error_bound": 1e-6},
+            device=DeviceSpec(memory_bytes=int(0.002 * (1 << 20))),
+            cache_chunks=6, cache_policy=policy,
+            host_store_mb=host_store_mb,
+        )
+        assert rep.ok, rep.summary()
+        assert rep.parallel_cache == rep.serial_cache
+        assert rep.serial_cache[0] > 0, "the cache never hit"
+        if host_store_mb:
+            assert min(rep.promotions) > 0, rep.promotions
 
     def test_full_hierarchy_belady_cache(self):
         """The whole stack at once — Belady cache over a budget-bound
-        tiered store, streamed device, schedule-exact prefetch on the
-        parallel side — bit-identical to serial execution."""
+        tiered store, streamed device, the lane's schedule-exact prefetch
+        on the pooled side — bit-identical to the pool-less run."""
         from repro.device import DeviceSpec
 
         rep = run_equivalence(
@@ -136,20 +166,26 @@ class TestSchedulerFeatureEquivalence:
         )
         assert rep.ok, rep.summary()
         assert rep.state_bit_identical
+        assert rep.parallel_cache == rep.serial_cache
+        assert rep.serial_cache[0] > 0, "the cache never hit"
+        assert min(rep.promotions) > 0, rep.promotions
 
 
 class TestForcedExecutionModes:
     def test_parallel_engine_with_one_worker_matches_serial(self):
-        """The overlapped engine over the inline (workers=1) pool."""
+        """The codec lane over the inline (workers=1) pool."""
         rep = run_equivalence(get_workload("qft", 8), workers=1,
                               chunk_qubits=4, compressor="zlib")
         assert rep.ok, rep.summary()
 
     def test_workers1_auto_takes_serial_path(self):
+        """workers=1 builds no pool: every codec call runs inline."""
+        tel = Telemetry()
         cfg = MemQSimConfig(chunk_qubits=4, compressor="zlib", workers=1)
-        res = MemQSim(cfg).run(get_workload("qft", 8))
-        assert res.config_echo["execution"] == "serial"
+        res = MemQSim(cfg, telemetry=tel).run(get_workload("qft", 8))
         assert res.config_echo["workers"] == 1
+        assert tel.metrics.snapshot()["counters"]["parallel.jobs"] == 0
+        assert res.store.lane is None
 
     def test_unknown_execution_rejected(self):
         """There is no engine knob left to set, valid or not."""

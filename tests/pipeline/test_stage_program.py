@@ -162,7 +162,7 @@ def test_parallel_engine_runs_the_same_program():
     assert rep.ok and rep.blobs_identical and rep.state_bit_identical
     with CodecWorkerPool(cfg.make_compressor(), workers=1) as inline:
         par = MemQSim(cfg, codec_pool=inline).run(qft(12))
-    assert par.config_echo["execution"] == "parallel"
+        assert inline.stats.jobs > 0  # every codec call went through it
     assert observed(par) == QFT12_PINNED[(False, "c128")]
 
 

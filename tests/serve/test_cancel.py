@@ -20,6 +20,22 @@ def small_base(**kw) -> MemQSimConfig:
                          chunk_qubits=5, **kw)
 
 
+class FireAtNthCheck(CancelToken):
+    """Fires at the Nth boundary checkpoint — a deterministic stand-in
+    for an asynchronous cancel."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.checks = 0
+        self.n = n
+
+    def raise_if_cancelled(self) -> None:
+        self.checks += 1
+        if self.checks == self.n:
+            self.cancel("mid-run")
+        super().raise_if_cancelled()
+
+
 class TestCancelToken:
     def test_lifecycle(self):
         token = CancelToken()
@@ -45,24 +61,47 @@ class TestCancelToken:
     def test_mid_run_cancel_stops_at_pass_boundary(self):
         """A token firing at the Nth boundary checkpoint stops the run
         right there — deterministic stand-in for an async cancel."""
-
-        class FireAtNthCheck(CancelToken):
-            def __init__(self, n: int):
-                super().__init__()
-                self.checks = 0
-                self.n = n
-
-            def raise_if_cancelled(self) -> None:
-                self.checks += 1
-                if self.checks == self.n:
-                    self.cancel("mid-run")
-                super().raise_if_cancelled()
-
         token = FireAtNthCheck(3)
         sim = MemQSim(small_base(), cancel=token)
         with pytest.raises(JobCancelled, match="mid-run"):
             sim.run(qft(11))
         assert token.checks == 3  # nothing polled past the firing pass
+
+    def test_mid_stage_cancel_under_a_shared_codec_pool(self):
+        """Cancelled between two passes of a stage with compress jobs in
+        flight on a shared 2-worker pool: every pending write lands, the
+        store forgets the pool and reloads chunk-consistent, and the pool
+        serves the next job."""
+        import numpy as np
+
+        from repro.memory import ChunkLayout, CompressedChunkStore
+        from repro.parallel import CodecWorkerPool
+
+        cfg = small_base(compressor="zlib")
+        store = CompressedChunkStore(ChunkLayout(11, 5),
+                                     cfg.make_compressor())
+        store.init_zero_state()
+        with CodecWorkerPool(cfg.make_compressor(), workers=2) as pool:
+            # check 1 is run()'s per-stage poll; 2.. are group passes
+            sim = MemQSim(cfg, cancel=FireAtNthCheck(6), codec_pool=pool)
+            with pytest.raises(JobCancelled, match="mid-run"):
+                sim.run(qft(11), initial_store=store)
+            written = pool.stats.compress_jobs
+            assert written > 0
+            assert store.lane is None
+            assert not store._pending and not store._prefetched
+            assert store.stats.stores == 2 + written  # init + every write
+            sv = store.to_statevector()  # every chunk decodes
+            assert np.linalg.norm(sv) == pytest.approx(1.0, abs=1e-12)
+            assert np.count_nonzero(sv) > 1  # the finished passes landed
+
+            assert not pool._closed
+            done = MemQSim(cfg, codec_pool=pool).run(qft(9))
+            assert pool.stats.compress_jobs > written
+            assert done.store.lane is None
+            ref = MemQSim(cfg).run(qft(9))
+            np.testing.assert_array_equal(done.statevector(),
+                                          ref.statevector())
 
 
 class TestManagerCancel:

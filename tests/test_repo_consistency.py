@@ -126,3 +126,22 @@ class TestConfigSurface:
         api = (REPO / "docs" / "api.md").read_text()
         undocumented = [f for f in fields if f"`{f}`" not in api]
         assert not undocumented, f"not in docs/api.md: {undocumented}"
+
+
+class TestOneStageEngine:
+    """There is one group loop (``StageScheduler._run_gate_stage``) and the
+    codec pool sits behind the chunk store. The second engine and the
+    blob-level store surface it needed must not come back by name — in
+    code or in the documents that describe the design."""
+
+    GONE = ("ParallelStageScheduler", "put_blob", "note_decompressed")
+
+    def test_deleted_names_stay_deleted(self):
+        files = [REPO / "README.md", REPO / "DESIGN.md"]
+        files += sorted((REPO / "docs").glob("*.md"))
+        files += sorted((REPO / "src").rglob("*.py"))
+        hits = [f"{path.relative_to(REPO)}: {name}"
+                for path in files for name in self.GONE
+                if name in path.read_text()]
+        assert not hits, hits
+        assert not (REPO / "src/repro/parallel/engine.py").exists()
