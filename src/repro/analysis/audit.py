@@ -1,9 +1,11 @@
 """Plan-vs-actual audit: predict the access schedule and traffic envelope
 from the compiled plan, then verify a run against them.
 
-Because a :class:`~repro.compile.CompiledPlan` fixes the entire execution
-— stage order, chunk grouping, sweep direction — the memory behaviour of a
-run is *statically decidable* before a single amplitude moves:
+Because a :class:`~repro.compile.CompiledPlan` and the start state's support
+set (which chunks may be non-zero) fix the entire execution — stage order,
+chunk grouping, sweep direction, which groups are streamed at all
+(:mod:`repro.pipeline.sweep`) — the memory behaviour of a run is
+*statically decidable* before a single amplitude moves:
 
 * :func:`predict_access_schedule` derives the exact chunk access sequence
   (what a :class:`~repro.memory.traffic.ChunkAccessRecorder` will record);
@@ -25,11 +27,10 @@ every group takes the device path and every load reaches the codec.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..compile import CompiledGateStage
 from ..memory.layout import ChunkLayout
-from ..pipeline.stages import GateStage, PermutationStage
+from ..pipeline.sweep import predict_pass_schedule
 
 __all__ = [
     "predict_pass_schedule",
@@ -43,66 +44,14 @@ __all__ = [
 #: to a raw container on incompressible data, plus a small header)
 DEFAULT_RATIO_SLACK = 1.25
 
-
-def _is_gate_stage(stage: Any) -> bool:
-    return isinstance(stage, (GateStage, CompiledGateStage))
-
-
-def predict_pass_schedule(
-    stages: Sequence[Any],
-    layout: ChunkLayout,
-    serpentine: bool = False,
-) -> List[Tuple[str, int, int, Tuple[int, ...]]]:
-    """The exact group-pass sequence a run of ``stages`` will execute.
-
-    Mirrors the scheduler's sweep: per gate stage, enumerate the layout's
-    chunk groups in serpentine-aware order (parity flips on gate stages
-    only — permutations don't consume a sweep). Returns a flat list of
-
-    * ``("pass", stage_index, group_id, members)`` — one group pass, and
-    * ``("barrier", stage_index, -1, ())`` — one permutation stage.
-
-    Group ids are the placement's original enumeration indices, exactly
-    the ids the scheduler attributes traffic to — so ``(stage, group)``
-    keys from this schedule line up with the live run's pass keys. This
-    is the source of truth for the plan-driven memory hierarchy
-    (:mod:`repro.memory.hierarchy`): the access-level schedule below and
-    the codec lane's prefetch (``AccessSchedule.reads_after``) both derive
-    from it.
-    """
-    passes: List[Tuple[str, int, int, Tuple[int, ...]]] = []
-    parity = 0
-    for si, stage in enumerate(stages):
-        if isinstance(stage, PermutationStage):
-            passes.append(("barrier", si, -1, ()))
-            continue
-        if not _is_gate_stage(stage):
-            raise TypeError(f"unknown stage type {type(stage).__name__}")
-        placement = layout.chunk_groups(stage.group_qubits)
-        order = list(enumerate(placement.groups))
-        if serpentine:
-            parity ^= 1
-            if parity == 0:
-                order.reverse()
-        for gi, members in order:
-            passes.append(("pass", si, gi, tuple(members)))
-    return passes
+#: the edges whose bytes the plan fixes exactly: decompressed on load,
+#: recompressed on store, and the arena copy each way
+DET_EDGES = ("codec.raw_out", "codec.raw_in", "arena.h2d", "arena.d2h")
 
 
-def predict_access_schedule(
-    stages: Sequence[Any],
-    layout: ChunkLayout,
-    serpentine: bool = False,
-) -> List[Tuple[int, int, str]]:
-    """The exact access trace a run of ``stages`` will record.
-
-    Derived from :func:`predict_pass_schedule`: each group pass reads then
-    writes its members in order; permutation stages contribute one barrier
-    marker.
-    """
+def _access_trace(passes) -> List[Tuple[int, int, str]]:
     trace: List[Tuple[int, int, str]] = []
-    for kind, si, _gi, members in predict_pass_schedule(
-            stages, layout, serpentine):
+    for kind, si, _gi, members in passes:
         if kind == "barrier":
             trace.append((si, -1, "b"))
             continue
@@ -113,33 +62,51 @@ def predict_access_schedule(
     return trace
 
 
+def _stage_traffic(passes, num_stages: int,
+                   layout: ChunkLayout) -> Dict[int, Dict[str, int]]:
+    nbytes: Dict[int, int] = {}
+    for kind, si, _gi, members in passes:
+        if kind == "pass":
+            nbytes[si] = nbytes.get(si, 0) + len(members) * layout.chunk_nbytes
+    return {si: dict.fromkeys(DET_EDGES, nbytes[si]) if si in nbytes else {}
+            for si in range(num_stages)}
+
+
+def predict_access_schedule(
+    stages: Sequence[Any],
+    layout: ChunkLayout,
+    serpentine: bool = False,
+    support: Optional[Iterable[int]] = None,
+) -> List[Tuple[int, int, str]]:
+    """The exact access trace a run of ``stages`` will record.
+
+    Derived from :func:`predict_pass_schedule`: each group pass that runs
+    reads then writes its members in order; permutation stages contribute
+    one barrier marker. ``support`` is the start state's support set
+    (``None`` = every chunk may be non-zero: the full sweep).
+    """
+    return _access_trace(
+        predict_pass_schedule(stages, layout, serpentine, support))
+
+
 def predict_traffic(
     stages: Sequence[Any],
     layout: ChunkLayout,
+    support: Optional[Iterable[int]] = None,
 ) -> Dict[int, Dict[str, int]]:
     """Per-stage deterministic byte counts: ``{stage: {"edge.dir": bytes}}``.
 
-    Every gate stage touches every chunk exactly once in each direction,
-    so its raw codec traffic and arena traffic are both
-    ``num_chunks * chunk_nbytes`` per direction (audit contract: all
-    groups on the device path). Permutation stages move zero bytes —
-    relabeling is the whole point.
+    Every chunk of every group pass that runs crosses the codec's raw side
+    and the arena once in each direction (audit contract: all groups on the
+    device path), so a gate stage moves ``chunk_nbytes`` per member of its
+    passes in :func:`predict_pass_schedule` — ``num_chunks * chunk_nbytes``
+    under full ``support``. A stage with an empty row moves no bytes at
+    all: a permutation stage (relabeling is the whole point) or a gate
+    stage none of whose groups is live.
     """
-    out: Dict[int, Dict[str, int]] = {}
-    stage_bytes = layout.num_chunks * layout.chunk_nbytes
-    for si, stage in enumerate(stages):
-        if isinstance(stage, PermutationStage):
-            out[si] = {}
-            continue
-        if not _is_gate_stage(stage):
-            raise TypeError(f"unknown stage type {type(stage).__name__}")
-        out[si] = {
-            "codec.raw_out": stage_bytes,   # decompressed on load
-            "codec.raw_in": stage_bytes,    # recompressed on store
-            "arena.h2d": stage_bytes,
-            "arena.d2h": stage_bytes,
-        }
-    return out
+    return _stage_traffic(
+        predict_pass_schedule(stages, layout, support=support),
+        len(stages), layout)
 
 
 @dataclass
@@ -149,6 +116,8 @@ class AuditReport:
     schedule_ok: bool
     schedule_predicted: int
     schedule_measured: int
+    #: group passes the plan runs from the start support (of the full sweep)
+    passes_predicted: int = 0
     #: index + (predicted, measured) at the first diverging access
     first_divergence: Optional[Tuple[int, Any, Any]] = None
     traffic_ok: bool = True
@@ -172,6 +141,7 @@ class AuditReport:
             "schedule_ok": self.schedule_ok,
             "schedule_predicted": self.schedule_predicted,
             "schedule_measured": self.schedule_measured,
+            "passes_predicted": self.passes_predicted,
             "first_divergence": self.first_divergence,
             "traffic_ok": self.traffic_ok,
             "envelope_ok": self.envelope_ok,
@@ -190,7 +160,8 @@ class AuditReport:
             f"audit: {mark(self.ok)}",
             f"  schedule  {mark(self.schedule_ok)}  "
             f"({self.schedule_measured} accesses, "
-            f"{self.schedule_predicted} predicted)",
+            f"{self.schedule_predicted} predicted in "
+            f"{self.passes_predicted} group passes)",
         ]
         if self.first_divergence is not None:
             i, want, got = self.first_divergence
@@ -222,11 +193,14 @@ def audit_run(
     *,
     serpentine: bool = False,
     ratio_slack: float = DEFAULT_RATIO_SLACK,
+    support: Optional[Iterable[int]] = None,
 ) -> AuditReport:
     """Verify a measured run against its plan's predicted behaviour.
 
     ``trace`` is the recorded access sequence, ``ledger`` the run's
-    :class:`~repro.memory.traffic.TrafficLedger`. Checks, in order:
+    :class:`~repro.memory.traffic.TrafficLedger`, ``support`` the support
+    set the run started from (``None`` = full: every group of every stage
+    is expected to run). Checks, in order:
 
     1. the measured access schedule equals the predicted one **exactly**
        (same chunks, same order, same read/write pattern, same barriers);
@@ -238,12 +212,14 @@ def audit_run(
     3. the data-dependent compressed bytes fall inside the codec-ratio
        envelope ``0 < compressed <= slack * raw`` (both directions).
     """
-    predicted = predict_access_schedule(stages, layout, serpentine)
+    passes = predict_pass_schedule(stages, layout, serpentine, support)
+    predicted = _access_trace(passes)
     measured = [tuple(t) for t in trace]
     rep = AuditReport(
         schedule_ok=True,
         schedule_predicted=len(predicted),
         schedule_measured=len(measured),
+        passes_predicted=sum(kind == "pass" for kind, *_ in passes),
         ratio_slack=ratio_slack,
     )
 
@@ -267,24 +243,24 @@ def audit_run(
                 f"accesses, measured {len(measured)}")
 
     # 2. deterministic per-stage byte counts
-    want_traffic = predict_traffic(stages, layout)
+    want_traffic = _stage_traffic(passes, len(stages), layout)
     got_traffic = ledger.by_stage()
-    det_edges = ("codec.raw_out", "codec.raw_in", "arena.h2d", "arena.d2h")
     for si in range(len(stages)):
         want_row = want_traffic.get(si, {})
         got_row = got_traffic.get(si, {})
         row: Dict[str, Any] = {"stage": si, "ok": True}
-        if not want_row:  # permutation: zero traffic of any kind
+        if not want_row:  # nothing runs: zero traffic of any kind
             moved = sum(got_row.values())
             row["measured"] = moved
             if moved:
                 row["ok"] = False
                 rep.traffic_ok = False
                 rep.errors.append(
-                    f"stage {si} (permutation) moved {moved} bytes; "
-                    f"relabeling must move none: {got_row}")
+                    f"stage {si} (no live pass) moved {moved} bytes; "
+                    f"a relabeling or an all-zero stage must move none: "
+                    f"{got_row}")
         else:
-            for edge in det_edges:
+            for edge in DET_EDGES:
                 want_b = want_row[edge]
                 got_b = got_row.get(edge, 0)
                 row[edge] = got_b
@@ -296,15 +272,14 @@ def audit_run(
                         f"measured {got_b}")
         rep.stage_rows.append(row)
     by_group: Dict[int, Dict[int, Dict[str, int]]] = {}
-    for kind, si, gi, members in predict_pass_schedule(
-            stages, layout, serpentine):
+    for kind, si, gi, members in passes:
         if kind != "pass":
             continue
         if si not in by_group:
             by_group[si] = ledger.by_group(si)
         want_b = len(members) * layout.chunk_nbytes
         got_row = by_group[si].get(gi, {})
-        for edge in det_edges:
+        for edge in DET_EDGES:
             if got_row.get(edge, 0) != want_b:
                 rep.traffic_ok = False
                 rep.errors.append(

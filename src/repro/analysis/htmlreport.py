@@ -522,6 +522,9 @@ def render_html(result, *, title: str = "MEMQSim run report",
         ("compression", ratio_txt),
         ("peak host", format_bytes(result.peak_host_bytes)),
         ("dense would be", format_bytes(result.dense_bytes)),
+        ("group passes",
+         f"{result.plan.group_passes} run, "
+         f"{result.scheduler_stats.group_passes_skipped} all-zero skipped"),
         ("qubits", str(result.num_qubits)),
         ("effective qubits gained", f"+{extra_q:.1f}"),
         ("precision", result.precision),

@@ -198,7 +198,9 @@ def belady_misses(
     if capacity < 1:
         raise ValueError("capacity must be >= 1")
     seq = [(s, c, op) for s, c, op in _accesses(trace)]
-    # next_use[i]: index of chunk's next access within its barrier epoch.
+    # next_use[i]: index of chunk's next access within its barrier epoch,
+    # if that access is a read. A write makes the chunk resident for free,
+    # so a copy that is overwritten before it is read again is dead.
     next_use = [_INF] * len(seq)
     last_seen: Dict[int, int] = {}
     for i in range(len(seq) - 1, -1, -1):
@@ -208,8 +210,9 @@ def belady_misses(
             # see reuse on the other side of it.
             last_seen.clear()
             continue
-        if chunk in last_seen:
-            next_use[i] = last_seen[chunk]
+        nxt = last_seen.get(chunk)
+        if nxt is not None and seq[nxt][2] == "r":
+            next_use[i] = nxt
         last_seen[chunk] = i
     resident: Dict[int, float] = {}  # chunk -> next use index
     misses = 0

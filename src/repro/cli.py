@@ -626,17 +626,25 @@ def _cmd_compressors(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    from collections import Counter
+
     from .memory import ChunkLayout
-    from .pipeline import RELOCATE, describe_plan, plan_stages, trace_qubit_map
+    from .pipeline import (RELOCATE, GateStage, describe_plan, plan_stages,
+                           predict_pass_schedule, trace_qubit_map)
 
     circuit = get_workload(args.workload, args.qubits)
     layout = ChunkLayout(args.qubits, args.chunk_qubits)
     stages = plan_stages(circuit, layout, args.max_group)
     rep = describe_plan(stages, layout)
+    # From |0...0> only chunk 0 is non-zero; all-zero groups never stream.
+    live = Counter(si for kind, si, _gi, _members in predict_pass_schedule(
+        stages, layout, support={0}) if kind == "pass")
+    executed = sum(live.values())
     print(f"{args.workload} n={args.qubits}: {rep.gates_total} gates -> "
           f"{rep.num_stages} stages ({rep.num_local_stages} local, "
           f"{rep.num_permutation_stages} permutation), "
-          f"{rep.group_passes} group passes")
+          f"{rep.group_passes} group passes: {executed} run from |0...0>, "
+          f"{rep.group_passes - executed} all-zero groups skipped")
     c = layout.chunk_qubits
     # Past this stage only the canonical layout is being restored.
     last_gate = max((i for i, s in enumerate(stages)
@@ -649,7 +657,11 @@ def _cmd_plan(args) -> int:
             why = "restore" if i > last_gate else "relocate"
             note = f"  {why}: " + " ".join(
                 f"q{q}→{'g' if to >= c else 'l'}{to}" for q, _from, to in moves)
-        print(f"  {i:>3}: {s!r}{note}")
+        groups = ""
+        if isinstance(s, GateStage):
+            groups = (f"  live {live[i]} / "
+                      f"{layout.num_chunks >> s.num_group_qubits} groups")
+        print(f"  {i:>3}: {s!r}{groups}{note}")
     if len(stages) > 30:
         print(f"  ... {len(stages) - 30} more stages")
     return 0
@@ -825,9 +837,10 @@ def _cmd_audit(args) -> int:
     trace = rec.trace()
     if args.perturb and len(trace) >= 2:
         trace[0], trace[-1] = trace[-1], trace[0]
+    # The run started from |0...0>: chunk 0 is its whole support.
     report = audit_run(cplan.stages, res.store.layout, trace, tel.traffic,
                        serpentine=args.serpentine,
-                       ratio_slack=args.ratio_slack)
+                       ratio_slack=args.ratio_slack, support={0})
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:

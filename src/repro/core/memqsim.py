@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import time
 import uuid
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -43,6 +44,7 @@ from ..memory.hierarchy import MemoryHierarchy, TieredChunkStore
 from ..memory.layout import ChunkLayout
 from ..pipeline.planner import describe_plan, max_group_qubits_for, plan_stages
 from ..pipeline.scheduler import StageScheduler
+from ..pipeline.sweep import live_chunks, predict_pass_schedule
 from ..statevector.statevector import StateVector
 from ..telemetry import (
     NULL_PROGRESS,
@@ -263,6 +265,14 @@ class MemQSim:
                 # Compiled stages are immutable once built; sharing the
                 # same lowered plan across runs (and tenants) is safe.
                 self.plan_cache.store(cache_key, (plan, cplan))
+        # The cached plan is state-independent; which of its group passes
+        # run depends on the start state. The store is initialised, so its
+        # support set is known: this list is the sweep the scheduler
+        # iterates and every schedule-aware layer is built from.
+        passes = predict_pass_schedule(
+            cplan.stages, layout, cfg.serpentine_groups, live_chunks(store))
+        plan = replace(plan, group_passes=sum(
+            kind == "pass" for kind, *_ in passes))
         if tel.enabled:
             # The offline stage ends here: store initialized, plan fixed.
             tel.tracer.record("offline", time.perf_counter() - t_wall,
@@ -272,7 +282,7 @@ class MemQSim:
             # The compiled plan fixes the whole schedule, so total work is
             # exact from here on — attach the run's plan-aware tracker.
             tel.progress = ProgressTracker.from_plan(
-                cplan.stages, layout, run_id=run_id).start()
+                cplan.stages, layout, run_id=run_id, passes=passes).start()
         log.debug("offline: %d stages, %d group passes, chunk_qubits=%d",
                   plan.num_stages, plan.group_passes, c)
 
@@ -350,11 +360,10 @@ class MemQSim:
                 telemetry=tel,
             )
             # Belady eviction, plan-aware spilling and the lane's prefetch
-            # all consume the same predicted access schedule; the scheduler
-            # advances its cursor at every group pass and permutation
-            # barrier.
-            schedule = hierarchy.attach_plan(
-                cplan.stages, layout, serpentine=cfg.serpentine_groups)
+            # all consume the access schedule of the same pass list; the
+            # scheduler advances its cursor at every group pass and
+            # permutation barrier.
+            schedule = hierarchy.attach_plan(passes)
             store_like = hierarchy.store_like
             scheduler = StageScheduler(
                 layout, store_like, executors, pool, timeline,
@@ -368,7 +377,7 @@ class MemQSim:
                 schedule=schedule,
             )
             with tel.span("online", stages=plan.num_stages, workers=workers):
-                scheduler.run(cplan.stages)
+                scheduler.run(cplan.stages, passes)
                 store_like.flush()
         finally:
             # Cleanup must run on *every* exit (including JobCancelled):

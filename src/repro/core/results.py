@@ -403,11 +403,16 @@ class MemQSimResult:
                 "num_stages": self.plan.num_stages,
                 "num_local_stages": self.plan.num_local_stages,
                 "num_permutation_stages": self.plan.num_permutation_stages,
+                # executed; the full sweep is this plus the skipped ones
                 "group_passes": self.plan.group_passes,
+                "group_passes_skipped":
+                    self.scheduler_stats.group_passes_skipped,
                 "max_group_size": self.plan.max_group_size,
             },
             "scheduler": {
                 "group_passes": self.scheduler_stats.group_passes,
+                "group_passes_skipped":
+                    self.scheduler_stats.group_passes_skipped,
                 "cpu_group_passes": self.scheduler_stats.cpu_group_passes,
                 "permutation_stages": self.scheduler_stats.permutation_stages,
                 "gates_applied": self.scheduler_stats.gates_applied,
@@ -448,7 +453,9 @@ class MemQSimResult:
             f"  plan: {self.plan.num_stages} stages "
             f"({self.plan.num_local_stages} local, "
             f"{self.plan.num_permutation_stages} permutation), "
-            f"{self.plan.group_passes} group passes",
+            f"{self.plan.group_passes} group passes run, "
+            f"{self.scheduler_stats.group_passes_skipped} all-zero groups "
+            f"skipped",
             f"  scheduler: {self.scheduler_stats.gates_applied} gates applied, "
             f"{self.scheduler_stats.gates_skipped_identity} identity-skipped, "
             f"{self.scheduler_stats.cpu_group_passes} CPU-path groups",

@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 CATEGORY = "chunk_cache"
+_INF = float("inf")
 
 log = get_logger(__name__)
 
@@ -123,7 +124,12 @@ class BeladyPolicy(EvictionPolicy):
     Next-use positions come from an attached
     :class:`~repro.memory.hierarchy.AccessSchedule`; every cache access is
     matched against the schedule cursor (``observe``), which yields the
-    access's barrier-bounded next-use index. Chunks whose accesses fall
+    access's barrier-bounded next-use index. What counts is the next
+    *read*: a chunk just read is overwritten by its own pass before it is
+    read again, and a write makes a chunk resident without a miss, so it
+    ranks as never needed until that write lands (ranking it by the write
+    let plain MRU, which drops exactly that chunk, take fewer misses).
+    Chunks whose accesses fall
     off-schedule (no schedule attached, ad-hoc loads) carry no next-use
     and evict first, most-recent first — i.e. the policy degrades to
     exact MRU, never worse than the previous default.
@@ -142,14 +148,20 @@ class BeladyPolicy(EvictionPolicy):
     def on_access(self, chunk: int, op: str) -> None:
         nu = self.schedule.observe(chunk, op) \
             if self.schedule is not None else None
+        if op == "r" and nu is not None:
+            # A scheduled read is followed by its own pass's write of the
+            # same chunk, and a write makes a chunk resident for free: the
+            # copy is worth nothing until then, so it may go first.
+            nu = _INF
         self._next_use[chunk] = nu
 
     def victim(self, entries) -> int:
         # First maximum in recency order; finite next-use positions are
         # unique (they are schedule indices), so the only ties are at
-        # infinity — past the next barrier, where the flush erases any
-        # difference between choices. Off-schedule entries outrank even
-        # infinity and break ties MRU-wise (latest wins).
+        # infinity — not read again before it is rewritten or before the
+        # next barrier's flush, where no choice costs a miss the others
+        # save. Off-schedule entries outrank even infinity and break ties
+        # MRU-wise (latest wins).
         victim = None
         victim_nu = -1.0
         unknown = None
@@ -335,6 +347,14 @@ class ChunkCache:
             self.tracker.free(CATEGORY, entry[0].nbytes)
             self._policy.on_remove(chunk)
         self.inner.zero_chunk(chunk)
+
+    def is_zero_chunk(self, chunk: int) -> bool:
+        """Coherent with the cache: a dirty entry is newer than whatever
+        blob — the interned zero blob included — sits under it."""
+        entry = self._entries.get(chunk)
+        if entry is not None and entry[1]:
+            return False
+        return self.inner.is_zero_chunk(chunk)
 
     def get_blob(self, chunk: int):
         """Coherent raw-blob read: write back a dirty cached copy first."""

@@ -119,15 +119,21 @@ class CompressedChunkStore:
             self._set_blob(k, self._zero_blob if k else first_blob, shared=k > 0)
 
     def init_from_statevector(self, data: np.ndarray) -> None:
-        """Chunk and compress an existing dense vector (tests/examples)."""
+        """Chunk and compress an existing dense vector (tests/examples).
+
+        Chunks that are bytewise all-zero intern the zero blob, so a basis
+        or sparse state leaves its true support behind (a ``-0.0`` has a
+        bit set and is compressed like any other value)."""
         if data.shape != (self.layout.num_amplitudes,):
             raise ValueError("state vector size mismatch")
         cs = self.layout.chunk_size
         for k in range(self.layout.num_chunks):
-            self._set_blob(k, self._compress(
-                np.ascontiguousarray(data[k * cs:(k + 1) * cs],
-                                     dtype=self.dtype)
-            ))
+            piece = np.ascontiguousarray(data[k * cs:(k + 1) * cs],
+                                         dtype=self.dtype)
+            if piece.view(np.uint8).any():
+                self._set_blob(k, self._compress(piece))
+            else:
+                self.zero_chunk(k)
 
     def init_product_state(self, factors) -> None:
         """Install a product state without ever densifying.

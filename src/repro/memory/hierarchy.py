@@ -1,12 +1,13 @@
 """The plan-driven memory hierarchy: schedule, tiered store, facade.
 
 The system's central observation is that a
-:class:`~repro.compile.CompiledPlan` fixes the *entire* chunk access
-sequence before execution — so every memory-tier decision that a classical
+:class:`~repro.compile.CompiledPlan`, together with which chunks of the
+start state are non-zero, fixes the *entire* chunk access sequence before
+execution — so every memory-tier decision that a classical
 cache must guess at (what to evict, what to prefetch, what to spill) can
 be computed exactly. Three pieces wire that through:
 
-* :class:`AccessSchedule` — the plan's access sequence with a shared
+* :class:`AccessSchedule` — the run's access sequence with a shared
   replay cursor. The scheduler re-seeks the cursor at every group pass;
   the Belady cache policy matches accesses against it; the tiered store
   asks it which resident blob is needed farthest in the future; a store
@@ -53,11 +54,14 @@ _INF = float("inf")
 
 
 class AccessSchedule:
-    """A compiled plan's exact chunk access sequence, with a shared cursor.
+    """A run's exact chunk access sequence, with a shared cursor.
 
-    Built from :func:`repro.analysis.audit.predict_pass_schedule` — the
-    same predictor the audit plane verifies live runs against, so the
-    schedule is guaranteed to match what a conforming scheduler executes.
+    Built from the run's pass schedule
+    (:func:`repro.pipeline.sweep.predict_pass_schedule`) — the list the
+    scheduler iterates and the audit plane verifies live runs against. It
+    holds the passes that run, not the full sweep: a group that is all
+    zero at plan time is never streamed, so it gets no next-use position
+    and no prefetch job.
     Consumers:
 
     * the scheduler calls :meth:`begin_pass` per group pass and
@@ -120,14 +124,6 @@ class AccessSchedule:
         self.pass_id: Tuple[int, int] = (-1, -1)
         self.matched = 0
         self.off_schedule = 0
-
-    @classmethod
-    def from_stages(cls, stages, layout: ChunkLayout,
-                    serpentine: bool = False) -> "AccessSchedule":
-        # Runtime import: analysis sits above memory in the import graph.
-        from ..analysis.audit import predict_pass_schedule
-
-        return cls(predict_pass_schedule(stages, layout, serpentine))
 
     def __len__(self) -> int:
         return len(self._seq)
@@ -551,9 +547,9 @@ class MemoryHierarchy:
                 or isinstance(self.store, TieredChunkStore)
                 or self.store.lane is not None)
 
-    def attach_plan(self, stages, layout: ChunkLayout,
-                    serpentine: bool = False) -> Optional[AccessSchedule]:
-        """Derive the plan's access schedule and attach it everywhere.
+    def attach_plan(self, passes) -> Optional[AccessSchedule]:
+        """Derive the access schedule of ``passes`` (the run's pass
+        schedule) and attach it everywhere.
 
         Returns the shared :class:`AccessSchedule` (which the scheduler
         must advance via ``begin_pass``/``barrier``), or ``None`` when no
@@ -563,7 +559,7 @@ class MemoryHierarchy:
         """
         if not self.needs_schedule():
             return None
-        self.schedule = AccessSchedule.from_stages(stages, layout, serpentine)
+        self.schedule = AccessSchedule(passes)
         if self.cache is not None:
             self.cache.attach_schedule(self.schedule)
         self.store.schedule = self.schedule

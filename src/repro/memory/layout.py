@@ -18,7 +18,7 @@ inside the concatenated group buffer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 __all__ = ["ChunkLayout", "GroupPlacement"]
 
@@ -62,6 +62,9 @@ class ChunkLayout:
         #: fit checks, traffic prediction, span accounting) derives from
         #: this instead of assuming complex128
         self.itemsize = int(itemsize)
+        # chunk_groups() by group-qubit tuple: the pass schedule and the
+        # scheduler both ask, and plans revisit the same footprints
+        self._placements: Dict[Tuple[int, ...], GroupPlacement] = {}
 
     # -- sizes -----------------------------------------------------------------
 
@@ -146,6 +149,12 @@ class ChunkLayout:
         position ``chunk_qubits + i``.
         """
         gq = tuple(sorted(self.global_qubits(qubits)))
+        placement = self._placements.get(gq)
+        if placement is None:
+            placement = self._placements[gq] = self._place(gq)
+        return placement
+
+    def _place(self, gq: Tuple[int, ...]) -> GroupPlacement:
         t = len(gq)
         c = self.chunk_qubits
         if t == 0:

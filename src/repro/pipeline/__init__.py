@@ -18,6 +18,7 @@ from .scheduler import (
     restrict_diagonal,
 )
 from .stages import GateStage, PermutationStage
+from .sweep import live_chunks, predict_pass_schedule
 
 __all__ = [
     "CancelToken",
@@ -31,6 +32,8 @@ __all__ = [
     "PlanReport",
     "trace_qubit_map",
     "RELOCATE",
+    "live_chunks",
+    "predict_pass_schedule",
     "StageProgram",
     "StageScheduler",
     "remap_gate_for_group",

@@ -7,10 +7,11 @@ short prefix of the actual circuit at each candidate size and scores
     measured serial seconds  +  memory penalty if the working set
                                 busts the host budget
 
-The probe runs the true pipeline (codec, transfers, kernels), so every
-effect A1 measures — per-blob overhead, per-pass cost, ratio — lands in
-the score without being modeled. Cost is bounded: ``probe_gates`` gates
-per candidate (default 24) at the target qubit count.
+The probe runs the true pipeline (codec, transfers, kernels) from a state
+with full support, so every effect A1 measures — per-blob overhead,
+per-pass cost, ratio — lands in the score without being modeled. Cost is
+bounded: ``probe_gates`` gates per candidate (default 24) at the target
+qubit count.
 """
 
 from __future__ import annotations
@@ -19,7 +20,11 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..circuits.circuit import Circuit
+from ..memory.chunkstore import CompressedChunkStore
+from ..memory.layout import ChunkLayout
 
 __all__ = ["autotune_chunk_qubits", "TuneReport"]
 
@@ -87,10 +92,19 @@ def autotune_chunk_qubits(
             if max(g.qubits) >= n - 1 or len(prefix) >= 3 * probe_gates:
                 break
     scores: List[Tuple[int, float]] = []
+    plus = np.full(2, 0.5 ** 0.5)
     for c in candidates:
         cfg = config.with_updates(chunk_qubits=c)
         try:
-            res = MemQSim(cfg).run(prefix)
+            # Probe from |+...+>, a state with full support: from |0...0>
+            # the sweep drops the all-zero groups, which is most of a short
+            # prefix, and with them the per-pass cost the rest of the
+            # circuit pays at fine granularity.
+            store = CompressedChunkStore(
+                ChunkLayout(n, c, itemsize=cfg.storage_itemsize()),
+                cfg.make_compressor())
+            store.init_product_state([plus] * n)
+            res = MemQSim(cfg).run(prefix, initial_store=store)
         except (MemoryError, ValueError):
             scores.append((c, math.inf))
             continue

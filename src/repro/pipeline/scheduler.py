@@ -1,9 +1,11 @@
 """The online stage: stream chunk groups through the codec/transfer/kernel
 pipeline (paper Fig. 1 steps (1)-(6)).
 
-For every :class:`GateStage` the scheduler iterates the chunk groups given
-by the layout. Each group pass performs, with each phase *measured* and
-recorded on the timeline:
+For every :class:`GateStage` the scheduler iterates the stage's group
+passes in the run's pass schedule (:mod:`repro.pipeline.sweep`): the
+layout's chunk groups minus those that cannot hold a non-zero amplitude,
+which stay the interned zero blob they are. Each group pass performs, with
+each phase *measured* and recorded on the timeline:
 
 1. DECOMPRESS — load the group's chunks from the compressed store into a
    staging buffer (one slot per chunk);
@@ -47,6 +49,7 @@ from ..memory.layout import ChunkLayout, GroupPlacement
 from ..telemetry import NULL_TELEMETRY, get_logger
 from .cancel import NULL_CANCEL
 from .stages import GateStage, PermutationStage
+from .sweep import Pass, live_chunks, predict_pass_schedule
 
 __all__ = ["StageProgram", "StageScheduler", "remap_gate_for_group",
            "restrict_diagonal"]
@@ -209,6 +212,8 @@ class SchedulerStats:
     """Counters the results object surfaces."""
 
     group_passes: int = 0
+    #: groups of the full sweep that were all zero and never streamed
+    group_passes_skipped: int = 0
     cpu_group_passes: int = 0
     permutation_stages: int = 0
     gates_applied: int = 0
@@ -239,7 +244,8 @@ class StageScheduler:
         multi-device execution — the overlap model then runs the kernel
         and bus events on as many lanes as there are devices).
         ``serpentine`` alternates the group sweep direction per stage so a
-        bounded chunk cache keeps hitting across stage boundaries.
+        bounded chunk cache keeps hitting across stage boundaries (read only
+        when :meth:`run` derives the pass schedule itself).
         ``backend`` executes the CPU-offload path's op batches (see
         :mod:`repro.core.backend`); ``None`` uses the numpy kernels.
         ``fuse_gates`` / ``max_fuse_qubits`` configure the lazy compile of
@@ -286,8 +292,6 @@ class StageScheduler:
         )
         self.cancel = cancel if cancel is not None else NULL_CANCEL
         self.schedule = schedule
-        self._stage_parity = 0
-        self._stage_index = 0
         #: the stage index currently executing — the attribution context
         #: for the traffic ledger and the access recorder (store-level
         #: hops don't know which stage drives them; this does)
@@ -299,9 +303,8 @@ class StageScheduler:
 
     # -- public ---------------------------------------------------------------
 
-    def run_stage(self, stage) -> None:
-        si = self._stage_index
-        self._stage_index += 1
+    def _run_stage(self, stage, si: int,
+                   groups: Sequence[Tuple[int, Tuple[int, ...]]]) -> None:
         self._audit_si = si
         tel = self.telemetry
         if isinstance(stage, PermutationStage):
@@ -323,7 +326,7 @@ class StageScheduler:
             with tel.span("stage", index=si, kind="gate",
                           ops=len(stage.ops),
                           gates=stage.source_gates):
-                self._run_gate_stage(stage, si)
+                self._run_gate_stage(stage, si, groups)
             tel.emit("stage.end", index=si, kind="gate")
         else:
             raise TypeError(f"unknown stage type {type(stage).__name__}")
@@ -332,11 +335,23 @@ class StageScheduler:
         tel.traffic.set_pass()
         self._audit_si = -1
 
-    def run(self, stages: Sequence[object]) -> None:
+    def run(self, stages: Sequence[object],
+            passes: Optional[Sequence[Pass]] = None) -> None:
+        """Execute ``stages`` along ``passes``, the run's pass schedule
+        (:func:`~repro.pipeline.sweep.predict_pass_schedule`; derived here
+        from the store's support set when the caller built none)."""
+        if passes is None:
+            passes = predict_pass_schedule(stages, self.layout,
+                                           self.serpentine,
+                                           live_chunks(self.store))
+        groups: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
+        for kind, si, gi, members in passes:
+            if kind == "pass":
+                groups.setdefault(si, []).append((gi, members))
         log.debug("scheduler: running %d stages", len(stages))
-        for s in stages:
+        for si, s in enumerate(stages):
             self.cancel.raise_if_cancelled()
-            self.run_stage(s)
+            self._run_stage(s, si, groups.get(si, ()))
 
     # -- permutation stages ---------------------------------------------------------
 
@@ -368,25 +383,14 @@ class StageScheduler:
             return 1
         return max(1, round(1.0 / self.cpu_offload_fraction))
 
-    def _group_order(self, placement: GroupPlacement) -> List[Tuple[int, Tuple[int, ...]]]:
-        """The stage's (group id, members) sweep order (serpentine-aware)."""
-        order = list(enumerate(placement.groups))
-        if self.serpentine:
-            # Alternate sweep direction per stage: the chunks touched last
-            # are touched first next stage, so a bounded cache keeps hitting
-            # (boustrophedon order — the locality fix for cyclic sweeps).
-            self._stage_parity ^= 1
-            if self._stage_parity == 0:
-                order.reverse()
-        return order
-
-    def _run_gate_stage(self, stage: CompiledGateStage, si: int = -1) -> None:
+    def _run_gate_stage(self, stage: CompiledGateStage, si: int,
+                        groups: Sequence[Tuple[int, Tuple[int, ...]]]) -> None:
         placement = self.layout.chunk_groups(stage.group_qubits)
         group_size = self.layout.chunk_size << len(placement.group_qubits)
         cpu_every = self._cpu_every()
-        order = self._group_order(placement)
         program = StageProgram(stage, self.layout, placement)
-        for gi, members in order:
+        self.stats.group_passes_skipped += len(placement.groups) - len(groups)
+        for gi, members in groups:
             self.cancel.raise_if_cancelled()
             self.telemetry.traffic.set_pass(si, gi)
             if self.schedule is not None:

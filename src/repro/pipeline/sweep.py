@@ -1,0 +1,100 @@
+"""The sweep: which group passes a plan runs from a given start state.
+
+A gate stage names a chunk grouping, not work: every op is linear, so a
+group whose members are all zero comes out exactly as it went in, and the
+store already keeps every all-zero chunk as one shared blob. The plan
+therefore carries a **support set** — the chunk ids that may hold a
+non-zero amplitude — and only groups that meet it are streamed:
+
+* it starts from the store (:func:`live_chunks`): ``{0}`` for |0...0>,
+  whatever a checkpoint or a sparse initial state left interned otherwise;
+* a group disjoint from it is dropped and stays interned — nothing ever
+  rewrites it;
+* a group that meets it runs, and afterwards all its members are live;
+* a permutation stage relabels it (``new[d]`` live iff ``old[perm[d]]``).
+
+The rule is conservative (a live chunk may still hold only zeros) and
+decided before execution, never from the data a pass produced: Belady
+eviction, plan-coldest spilling, the codec lane's prefetch, the audit and
+the progress total all need the whole schedule up front.
+
+:func:`predict_pass_schedule` is the only place that list is produced. The
+scheduler iterates it, :class:`~repro.memory.hierarchy.AccessSchedule` is
+built from it, and the audit's predictions, the progress total and the
+per-run plan report are read off it.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Iterable, List, Optional, Sequence, Set, Tuple
+
+from ..compile import CompiledGateStage
+from ..memory.layout import ChunkLayout
+from .stages import GateStage, PermutationStage
+
+__all__ = ["live_chunks", "predict_pass_schedule"]
+
+#: ``("pass", stage, group, members)`` or ``("barrier", stage, -1, ())``
+Pass = Tuple[str, int, int, Tuple[int, ...]]
+
+
+def live_chunks(store) -> Set[int]:
+    """The store's support set: every chunk that is not the interned zero
+    blob. Ask before the first pass — ``store()`` never interns, so a chunk
+    a pass wrote reads as live whatever it holds."""
+    return {chunk for chunk in range(store.layout.num_chunks)
+            if not store.is_zero_chunk(chunk)}
+
+
+def predict_pass_schedule(
+    stages: Sequence[Any],
+    layout: ChunkLayout,
+    serpentine: bool = False,
+    support: Optional[Iterable[int]] = None,
+) -> List[Pass]:
+    """The exact group-pass sequence a run of ``stages`` executes.
+
+    Per gate stage, the layout's chunk groups in serpentine-aware order
+    (parity flips on gate stages only — permutations don't consume a
+    sweep), minus the groups that cannot hold a non-zero amplitude.
+    ``support`` is the start state's support set (see :func:`live_chunks`);
+    ``None`` means any chunk may be non-zero, i.e. the full sweep. Returns
+    a flat list of
+
+    * ``("pass", stage_index, group_id, members)`` — one group pass, and
+    * ``("barrier", stage_index, -1, ())`` — one permutation stage.
+
+    Group ids are the placement's enumeration indices whether or not
+    earlier groups were dropped, so ``(stage, group)`` keys line up with
+    the traffic ledger's and round-robin executors, CPU offload and the
+    sweep direction see the ids they always did.
+    """
+    passes: List[Pass] = []
+    live = None if support is None else set(support)
+    parity = 0
+    for si, stage in enumerate(stages):
+        if live is not None and len(live) == layout.num_chunks:
+            live = None  # full support: nothing left to drop
+        if isinstance(stage, PermutationStage):
+            passes.append(("barrier", si, -1, ()))
+            if live is not None:
+                live = {dst for dst, src in enumerate(stage.perm)
+                        if src in live}
+            continue
+        if not isinstance(stage, (GateStage, CompiledGateStage)):
+            raise TypeError(f"unknown stage type {type(stage).__name__}")
+        order = list(enumerate(layout.chunk_groups(stage.group_qubits).groups))
+        if serpentine:
+            # Alternate sweep direction per stage: the chunks touched last
+            # are touched first next stage, so a bounded cache keeps hitting
+            # (boustrophedon order — the locality fix for cyclic sweeps).
+            parity ^= 1
+            if parity == 0:
+                order.reverse()
+        for gi, members in order:
+            if live is not None:
+                if live.isdisjoint(members):
+                    continue
+                live.update(members)  # groups of one stage are disjoint
+            passes.append(("pass", si, gi, members))
+    return passes

@@ -1,9 +1,10 @@
 """Plan-aware progress: exact percent-complete and a schedule-derived ETA.
 
-Because the :class:`~repro.compile.CompiledPlan` fixes the entire
-chunk-group schedule *before* execution starts, total work is known up
-front — not estimated. :meth:`ProgressTracker.from_plan` walks the lowered
-stages once and assigns every (stage, group) pass an integer weight:
+Because the :class:`~repro.compile.CompiledPlan` and the run's pass
+schedule fix the entire chunk-group schedule *before* execution starts,
+total work is known up front — not estimated.
+:meth:`ProgressTracker.from_plan` walks the lowered stages once and assigns
+every (stage, group) pass that will run an integer weight:
 
 * gate stage — each group pass costs ``chunks_in_group * (1 + ops)``
   units (one codec/transfer unit per chunk plus one kernel unit per
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from typing import Any, Callable, Dict, List, Optional
 
 __all__ = [
@@ -101,14 +103,20 @@ class ProgressTracker:
 
     @classmethod
     def from_plan(cls, stages, layout, run_id: str = "",
-                  clock: Callable[[], float] = time.perf_counter
-                  ) -> "ProgressTracker":
+                  clock: Callable[[], float] = time.perf_counter,
+                  passes=None) -> "ProgressTracker":
         """Build the exact work ledger from a lowered plan.
 
         ``stages`` is the :class:`~repro.compile.CompiledPlan` stage list
         (duck-typed to avoid an import cycle: a gate stage exposes
         ``group_qubits``/``ops``, a permutation stage exposes ``perm``).
+        ``passes`` is the run's pass schedule
+        (:func:`repro.pipeline.sweep.predict_pass_schedule`): a gate stage
+        counts the group passes it has there; without one, every group of
+        every stage (the full sweep).
         """
+        live = None if passes is None else Counter(
+            si for kind, si, _gi, _members in passes if kind == "pass")
         entries: List[StageProgress] = []
         for i, stage in enumerate(stages):
             if hasattr(stage, "perm"):
@@ -117,7 +125,8 @@ class ProgressTracker:
                     unit_weight=max(1, layout.num_chunks)))
                 continue
             t = len(stage.group_qubits)
-            groups = max(1, layout.num_chunks >> t)
+            groups = max(1, layout.num_chunks >> t) if live is None \
+                else live[i]
             chunks_per_group = 1 << t
             unit_weight = chunks_per_group * (1 + len(stage.ops))
             entries.append(StageProgress(i, "gate", groups=groups,

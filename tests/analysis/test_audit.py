@@ -14,6 +14,10 @@ from repro.memory import ChunkAccessRecorder, TrafficLedger
 from repro.telemetry import Telemetry
 
 
+#: every audited run here starts from |0...0>: chunk 0 is its whole support
+ZERO_STATE = {0}
+
+
 class _CapturePlanCache:
     plan = None
 
@@ -56,14 +60,15 @@ class TestPredictor:
     def test_schedule_matches_recorded_trace(self, serpentine, execution):
         stages, layout, tel = audited_run(
             serpentine=serpentine, execution=execution)
-        predicted = predict_access_schedule(stages, layout, serpentine)
+        predicted = predict_access_schedule(stages, layout, serpentine,
+                                            ZERO_STATE)
         assert predicted == tel.access.trace()
 
     def test_streaming_run_matches(self):
         # tiny device memory forces multi-stage streaming with real reuse
         stages, layout, tel = audited_run(
             n=9, chunk_qubits=3, device_mb=0.002, serpentine=True)
-        predicted = predict_access_schedule(stages, layout, True)
+        predicted = predict_access_schedule(stages, layout, True, ZERO_STATE)
         assert len(predicted) > layout.num_chunks * 2  # several passes
         assert predicted == tel.access.trace()
 
@@ -103,7 +108,7 @@ class TestAuditRun:
         stages, layout, tel = audited_run(n=9, chunk_qubits=3,
                                           device_mb=0.002, serpentine=True)
         rep = audit_run(stages, layout, tel.access.trace(), tel.traffic,
-                        serpentine=True)
+                        serpentine=True, support=ZERO_STATE)
         assert rep.ok, rep.render()
         assert rep.schedule_ok and rep.traffic_ok and rep.envelope_ok
         assert rep.first_divergence is None
@@ -113,7 +118,8 @@ class TestAuditRun:
         stages, layout, tel = audited_run()
         trace = tel.access.trace()
         trace[0], trace[-1] = trace[-1], trace[0]
-        rep = audit_run(stages, layout, trace, tel.traffic)
+        rep = audit_run(stages, layout, trace, tel.traffic,
+                        support=ZERO_STATE)
         assert not rep.ok
         assert not rep.schedule_ok
         assert rep.first_divergence is not None
@@ -123,7 +129,8 @@ class TestAuditRun:
     def test_truncated_trace_fails_on_length(self):
         stages, layout, tel = audited_run()
         trace = tel.access.trace()[:-1]
-        rep = audit_run(stages, layout, trace, tel.traffic)
+        rep = audit_run(stages, layout, trace, tel.traffic,
+                        support=ZERO_STATE)
         assert not rep.schedule_ok
         assert rep.first_divergence[0] == len(trace)
 
@@ -132,7 +139,8 @@ class TestAuditRun:
         # phantom load the plan does not explain
         with tel.traffic.attributed(0, 0):
             tel.traffic.record("arena", "h2d", 1)
-        rep = audit_run(stages, layout, tel.access.trace(), tel.traffic)
+        rep = audit_run(stages, layout, tel.access.trace(), tel.traffic,
+                        support=ZERO_STATE)
         assert not rep.traffic_ok
         assert any("arena.h2d" in e for e in rep.errors)
 
@@ -140,7 +148,8 @@ class TestAuditRun:
         stages, layout, tel = audited_run()
         with tel.traffic.attributed(len(stages) + 5, 0):
             tel.traffic.record("disk", "write", 10)
-        rep = audit_run(stages, layout, tel.access.trace(), tel.traffic)
+        rep = audit_run(stages, layout, tel.access.trace(), tel.traffic,
+                        support=ZERO_STATE)
         assert not rep.traffic_ok
         assert any("unplanned stage" in e for e in rep.errors)
 
@@ -150,7 +159,8 @@ class TestAuditRun:
         raw = tel.traffic.total_bytes("codec", "raw_in")
         with tel.traffic.attributed(0, 0):
             tel.traffic.record("codec", "compressed_out", 2 * raw)
-        rep = audit_run(stages, layout, tel.access.trace(), tel.traffic)
+        rep = audit_run(stages, layout, tel.access.trace(), tel.traffic,
+                        support=ZERO_STATE)
         assert not rep.envelope_ok
         assert any("envelope" in e for e in rep.errors)
 
@@ -165,7 +175,8 @@ class TestAuditRun:
                 edge, direction = key.split(".")
                 with led.attributed(si, 0):
                     led.record(edge, direction, nbytes)
-        rep = audit_run(stages, layout, tel.access.trace(), led)
+        rep = audit_run(stages, layout, tel.access.trace(), led,
+                        support=ZERO_STATE)
         assert not rep.envelope_ok
         assert any("no compressed bytes" in e for e in rep.errors)
 
@@ -173,7 +184,8 @@ class TestAuditRun:
         import json
 
         stages, layout, tel = audited_run()
-        rep = audit_run(stages, layout, tel.access.trace(), tel.traffic)
+        rep = audit_run(stages, layout, tel.access.trace(), tel.traffic,
+                        support=ZERO_STATE)
         doc = json.loads(json.dumps(rep.to_dict()))
         assert doc["ok"] is True
         assert doc["schedule_predicted"] == doc["schedule_measured"]

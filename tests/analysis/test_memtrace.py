@@ -144,6 +144,22 @@ class TestBelady:
         trace = [W(0), R(0), R(1), R(0)]
         assert belady_misses(trace, 2) == 1  # only chunk 1's read misses
 
+    def test_a_copy_rewritten_before_its_next_read_is_dead(self):
+        # A group sweep: every pass reads its members, then writes them.
+        # Ranking a just-read chunk by that write kept it resident for
+        # nothing, and MRU — which drops exactly that chunk — took fewer
+        # misses than "optimal" at capacities below two groups.
+        passes = [(0, 1), (2, 3), (4, 5), (6, 7)]
+        trace = []
+        for _sweep in range(3):
+            for members in passes:
+                trace += [R(c) for c in members] + [W(c) for c in members]
+        for cap in (2, 3, 4, 6):
+            bound = belady_misses(trace, cap)
+            for policy in ("mru", "lru"):
+                assert bound <= simulate_cache(trace, cap, policy)[1], \
+                    (cap, policy)
+
 
 class TestAnalyzeTrace:
     def test_report_fields(self):

@@ -88,3 +88,44 @@ class TestCommands:
         assert lines[1].endswith("relocate: q5→g6 q6→l5")
         # ... and the plan ends by bringing everybody home.
         assert "restore:" in lines[-1] and "PermutationStage" in lines[-1]
+
+    def test_plan_shows_live_groups(self, capsys):
+        assert main(["plan", "qft", "-n", "10", "--chunk-qubits", "5",
+                     "--max-group", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # 9 stages of 16 groups; from |0...0> support doubles per stage
+        assert lines[0].endswith("144 group passes: 95 run from |0...0>, "
+                                 "49 all-zero groups skipped")
+        assert [line.split("live ")[1].split(" groups")[0]
+                for line in lines[1:6]] == \
+            ["1 / 16", "2 / 16", "4 / 16", "8 / 16", "16 / 16"]
+
+    def test_run_reports_passes_run_and_skipped(self, tmp_path, capsys):
+        import json
+
+        argv = ["qft", "-n", "10", "--chunk-qubits", "5", "--device-mb",
+                "0.002", "--compressor", "zlib"]
+        assert main(["run"] + argv + ["--json"]) == 0
+        out = capsys.readouterr().out
+        doc = json.loads(out[out.index("{"):])
+        assert doc["plan"]["group_passes"] == 95
+        assert doc["plan"]["group_passes_skipped"] == 49
+        assert doc["scheduler"]["group_passes"] == 95
+        assert main(["run"] + argv) == 0
+        assert "95 group passes run, 49 all-zero groups skipped" \
+            in capsys.readouterr().out
+        html = tmp_path / "r.html"
+        assert main(["report"] + argv + ["-o", str(html)]) == 0
+        assert "95 run, 49 all-zero skipped" in html.read_text()
+
+    def test_audit_json_carries_the_predicted_pass_count(self, capsys):
+        import json
+
+        rc = main(["audit", "qft", "-n", "10", "--chunk-qubits", "5",
+                   "--device-mb", "0.002", "--compressor", "zlib", "--json"])
+        out = capsys.readouterr().out
+        doc = json.loads(out[out.index("{"):])
+        assert rc == 0 and doc["ok"]
+        assert doc["passes_predicted"] == 95
+        # each pass reads and writes its two members
+        assert doc["schedule_predicted"] == doc["schedule_measured"] == 4 * 95

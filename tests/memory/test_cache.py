@@ -90,6 +90,26 @@ class TestWriteBack:
         with pytest.raises(ValueError):
             cache.store(0, np.zeros(4, dtype=np.complex128))
 
+    def test_dirty_chunk_over_the_zero_blob_is_not_a_zero_chunk(self, tmp_path):
+        """``is_zero_chunk`` used to fall through to the inner store, whose
+        blob for a chunk that is dirty in the cache is stale: a checkpoint
+        taken through the cache wrote chunk 2 as a zero-blob reference."""
+        from repro.memory import load_store, save_store
+
+        cache, store, _ = rig()
+        data = np.full(8, 0.25, dtype=np.complex128)
+        assert cache.is_zero_chunk(2)
+        cache.store(2, data)
+        assert store.is_zero_chunk(2)      # the inner blob is still zeros
+        assert not cache.is_zero_chunk(2)  # the cached copy is newer
+        save_store(cache, tmp_path / "c.mqs")
+        back = load_store(tmp_path / "c.mqs", get_compressor("zlib"))
+        assert np.array_equal(back.load(2), data)
+        # clean entries and untouched chunks still answer from the store
+        cache.load(3)
+        assert cache.is_zero_chunk(3) and cache.is_zero_chunk(5)
+        assert not cache.is_zero_chunk(0)
+
 
 class TestPolicies:
     def test_mru_keeps_prefix_under_sweep(self):

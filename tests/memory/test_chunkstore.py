@@ -27,6 +27,21 @@ class TestInit:
         store.init_from_statevector(v)
         assert np.array_equal(store.to_statevector(), v)
 
+    def test_from_statevector_interns_bytewise_zero_chunks(self):
+        store, tracker = make_store()
+        cs = store.layout.chunk_size
+        v = np.zeros(store.layout.num_amplitudes, dtype=np.complex128)
+        v[2 * cs + 1] = 1.0
+        v[5 * cs] = -0.0  # equals 0 but is not all-zero bytes: kept
+        store.init_from_statevector(v)
+        live = [k for k in range(store.layout.num_chunks)
+                if not store.is_zero_chunk(k)]
+        assert live == [2, 5]
+        assert np.signbit(store.load(5)[0].real)
+        assert np.array_equal(store.to_statevector(), v)
+        # interned chunks share one blob, accounted once
+        assert tracker.current("chunk_store") == store.compressed_nbytes()
+
     def test_from_statevector_size_checked(self):
         store, _ = make_store()
         with pytest.raises(ValueError):

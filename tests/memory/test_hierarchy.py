@@ -293,7 +293,7 @@ class TestMemoryHierarchy:
         h = MemoryHierarchy.build(store)
         assert h.store_like is store
         assert not h.needs_schedule()
-        assert h.attach_plan([], lay) is None
+        assert h.attach_plan([]) is None
 
     def test_build_with_belady_cache_needs_schedule(self):
         lay = ChunkLayout(6, 3)

@@ -7,6 +7,8 @@ go wrong: the timeline must carry the seconds the codec took where it ran
 must be visible in the trace.
 """
 
+from collections import Counter
+
 from repro.analysis.audit import predict_pass_schedule
 from repro.circuits import get_workload
 from repro.core import MemQSim, MemQSimConfig
@@ -78,14 +80,17 @@ def test_next_pass_decompress_is_submitted_before_this_pass_kernel():
     ``group_pass`` span ends."""
     res, tel, stages, _init = laned_run(12, compressor="zlib",
                                         serpentine_groups=False)
-    passes = predict_pass_schedule(stages, res.store.layout, False)
+    # the store was initialised to |0...0>: chunk 0 is the start support
+    passes = predict_pass_schedule(stages, res.store.layout, False, {0})
     assert all(kind == "pass" for kind, *_ in passes), "plan has a barrier"
     group_pass = {(sp.args["stage"], sp.args["group"]): sp
                   for sp in tel.tracer.find("group_pass")}
+    assert set(group_pass) == {(si, gi) for _k, si, gi, _m in passes}
 
     def starts_by_chunk(name):
-        # no cache: each chunk meets the codec once per gate stage, and a
-        # chunk's jobs run in stage order
+        # no cache: a chunk meets the codec once per pass that holds it (an
+        # all-zero group is never streamed), and a chunk's jobs run in pass
+        # order
         out = {}
         for sp in sorted(tel.tracer.find(name), key=lambda sp: sp.start):
             out.setdefault(sp.args["key"], []).append(sp.start)
@@ -93,13 +98,18 @@ def test_next_pass_decompress_is_submitted_before_this_pass_kernel():
 
     decompress = starts_by_chunk("worker.decompress")
     compress = starts_by_chunk("worker.compress")
-    rank = {si: r for r, si in enumerate(
-        sorted({si for _k, si, _g, _m in passes}))}
+    # per pass: which of each member's jobs (first, second, ...) is its own
+    met = Counter()
+    nth = []
+    for _k, _si, _gi, members in passes:
+        nth.append({c: met[c] for c in members})
+        met.update(members)
+    assert {c: len(v) for c, v in decompress.items()} == met
     seen = {"within": 0, "across": 0}
-    for (_k, si, gi, members), (_k2, nsi, _ngi, nmembers) in zip(
-            passes, passes[1:]):
-        first_read = min(decompress[c][rank[nsi]] for c in nmembers)
-        first_write = min(compress[c][rank[si]] for c in members)
+    for k, ((_k, si, gi, members), (_k2, nsi, _ngi, nmembers)) in enumerate(
+            zip(passes, passes[1:])):
+        first_read = min(decompress[c][nth[k + 1][c]] for c in nmembers)
+        first_write = min(compress[c][nth[k][c]] for c in members)
         assert first_read < first_write, (si, gi)
         if first_read < group_pass[(si, gi)].end:
             seen["within" if nsi == si else "across"] += 1

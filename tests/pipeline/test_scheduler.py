@@ -173,7 +173,9 @@ class TestStageExecution:
     def test_unknown_stage_type_rejected(self):
         _, _, sched = build_rig()
         with pytest.raises(TypeError):
-            sched.run_stage("not-a-stage")
+            sched.run(["not-a-stage"])  # deriving the pass schedule
+        with pytest.raises(TypeError):
+            sched.run(["not-a-stage"], passes=[])  # handed one
 
     def test_identity_diagonals_skipped(self):
         lay, store, sched = build_rig()

@@ -12,6 +12,7 @@ from repro.circuits import Circuit, get_workload, qft
 from repro.compile import CompileOptions, GateOp, compile_stages
 from repro.core import MemQSim, MemQSimConfig
 from repro.device import DeviceSpec
+from repro.device.timeline import Stage
 from repro.memory import ChunkLayout
 from repro.parallel import CodecWorkerPool, run_equivalence
 from repro.pipeline import (
@@ -115,24 +116,33 @@ def test_non_diagonal_ops_lower_once_per_stage():
         assert all(a is b for a, b in zip(ops, first[0]))
 
 
-# (group_passes, gates_applied, gates_skipped_identity, state digest) of a
-# streamed qft(12) at chunk_qubits=6 / zlib / 4 KiB device, recorded on the
-# commit before the stage program existed (per-group lowering).
+# (group passes run, all-zero groups skipped, gates_applied,
+# gates_skipped_identity, compress calls, decompress calls, kernel calls,
+# state digest) of a streamed qft(12) at chunk_qubits=6 / zlib / 4 KiB
+# device. The digests were recorded on the commit before the stage program
+# existed (per-group lowering) and have not moved since.
 # group_passes was re-pinned (384 -> 352, 96 -> 80) when the planner became
 # dependency-aware: it packs qft(12) into one stage fewer (12 -> 11 in c128,
-# 6 -> 5 in c64). The same gates run, the same diagonals restrict to the
-# identity and the digest is the same, so those three values are the old ones.
+# 6 -> 5 in c64).
+# Re-pinned again when the sweep became support-aware: from |0...0> the
+# all-zero groups of the first stages are never streamed, so 352 -> 223
+# passes (129 skipped) in c128 and 80 -> 53 (27 skipped) in c64, and with
+# them the per-pass counters: gates_applied 2448 -> 1305, 1248 -> 747,
+# 898 -> 542, 454 -> 297; gates_skipped_identity 240 -> 57, 96 -> 24,
+# 30 -> 15, 10 -> 5. Codec and kernel calls are pinned since then; at the
+# parent they read 706 / 704 / 352 (c128) and 322 / 320 / 80 (c64). Run +
+# skipped is the old pass count and the digests are byte-identical.
 QFT12_PINNED = {
-    (False, "c128"): (352, 2448, 240,
+    (False, "c128"): (223, 129, 1305, 57, 448, 446, 223,
                       "bdf80128167d75a8fe6a4889ec2572cb"
                       "935cf7cec2c92fc96d536f6fd6b04fa7"),
-    (False, "c64"): (80, 1248, 96,
+    (False, "c64"): (53, 27, 747, 24, 214, 212, 53,
                      "16fa466354a071911d66bf021086ba9c"
                      "db4e43d25b664fde81e84147baf3e30e"),
-    (True, "c128"): (352, 898, 30,
+    (True, "c128"): (223, 129, 542, 15, 448, 446, 223,
                      "bdf80128167d75a8fe6a4889ec2572cb"
                      "935cf7cec2c92fc96d536f6fd6b04fa7"),
-    (True, "c64"): (80, 454, 10,
+    (True, "c64"): (53, 27, 297, 5, 214, 212, 53,
                     "16fa466354a071911d66bf021086ba9c"
                     "db4e43d25b664fde81e84147baf3e30e"),
 }
@@ -140,8 +150,12 @@ QFT12_PINNED = {
 
 def observed(res):
     stats = res.scheduler_stats
-    return (stats.group_passes, stats.gates_applied,
-            stats.gates_skipped_identity, res.state_digest())
+    codec = res.store.stats
+    # codec calls first: the digest itself loads every chunk
+    calls = (codec.stores, codec.loads, res.timeline.count(Stage.KERNEL))
+    return (stats.group_passes, stats.group_passes_skipped,
+            stats.gates_applied, stats.gates_skipped_identity,
+            *calls, res.state_digest())
 
 
 def qft12_config(fusion, precision):

@@ -139,11 +139,11 @@ def test_stop_takes_final_sample_when_run_raises(tight_config, monkeypatch):
 
     captured = {}
 
-    def boom(self, stage):
+    def boom(self, stage, si, groups):
         captured["monitor"] = self.telemetry.monitor
         raise RuntimeError("injected mid-run failure")
 
-    monkeypatch.setattr(StageScheduler, "run_stage", boom)
+    monkeypatch.setattr(StageScheduler, "_run_stage", boom)
     tel = Telemetry()
     cfg = tight_config.with_updates(monitor_interval_ms=1000.0)
     with pytest.raises(RuntimeError, match="injected"):
