@@ -224,33 +224,34 @@ class Circuit:
 
     # -- identity -------------------------------------------------------------
 
-    def structural_hash(self) -> str:
-        """Content hash of the circuit's structure (hex sha256).
+    def shape_and_values(self) -> Tuple[str, bytes]:
+        """The circuit's identity, split in one pass: ``(shape, values)``.
 
-        Covers the qubit count and, per gate in order: name, qubits,
-        parameters, and — for gates carrying an explicit matrix or stored
-        diagonal ("unitary"/"diagonal" gates, whose name+params do not
-        determine the operator) — the exact operator bytes. Two circuits
-        hash equal iff they apply the same operators to the same qubits in
-        the same order; the hash is stable across processes and platforms
-        (no Python ``hash()``, fixed-width little-endian encoding), which
-        makes it usable as a compiled-plan cache key.
+        *Shape* (hex sha256) covers the qubit count and, per gate in order:
+        name, qubits, parameter count, and — for gates carrying an explicit
+        matrix or stored diagonal ("unitary"/"diagonal" gates, whose
+        name+params do not determine the operator) — the exact operator
+        bytes. It is everything the planner and the compile passes decide
+        on, so it keys plan templates. *Values* are the parameters of every
+        gate in order, as little-endian float64 bytes: identity is bitwise
+        (``-0.0`` is not ``0.0``), as the matrices built from them are.
 
-        The circuit ``name`` is deliberately excluded: it is provenance,
-        not structure.
+        Both are stable across processes and platforms (no Python
+        ``hash()``, fixed-width encoding). The circuit ``name`` is
+        deliberately excluded: it is provenance, not structure.
         """
         import hashlib
         import struct
 
-        h = hashlib.sha256()
-        h.update(b"repro.circuit/v1")
+        h = hashlib.sha256(b"repro.circuit.shape/v1")
         h.update(struct.pack("<q", self.num_qubits))
+        values: List[float] = []
         for g in self._gates:
+            qubits = g.qubits
             h.update(g.name.encode())
-            h.update(struct.pack(f"<q{len(g.qubits)}q",
-                                 len(g.qubits), *g.qubits))
-            h.update(struct.pack(f"<q{len(g.params)}d",
-                                 len(g.params), *g.params))
+            h.update(struct.pack(f"<{len(qubits) + 2}q", len(qubits),
+                                 *qubits, len(g.params)))
+            values.extend(g.params)
             # Only unitary/diagonal payload gates need operator bytes —
             # every named gate's matrix is a pure function of name+params.
             if g.diag is not None:
@@ -261,7 +262,20 @@ class Circuit:
                 h.update(b"mat")
                 h.update(np.ascontiguousarray(
                     g._matrix, dtype=np.complex128).tobytes())
-        return h.hexdigest()
+        return h.hexdigest(), struct.pack(f"<{len(values)}d", *values)
+
+    def structural_hash(self) -> str:
+        """Content hash of shape *and* values (hex sha256).
+
+        Two circuits hash equal iff they apply the same operators to the
+        same qubits in the same order (see :meth:`shape_and_values`, which
+        it is derived from).
+        """
+        import hashlib
+
+        shape, values = self.shape_and_values()
+        return hashlib.sha256(
+            b"repro.circuit/v2" + shape.encode() + values).hexdigest()
 
     # -- statistics -----------------------------------------------------------
 

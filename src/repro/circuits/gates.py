@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -362,6 +363,13 @@ _register(GateSpec("cswap", 3, 0, _ctrl(_const(_SWAP)), num_controls=1, self_adj
 # ---------------------------------------------------------------------------
 
 _MATRIX_CACHE: Dict[Tuple[str, Tuple[float, ...]], np.ndarray] = {}
+#: Parameterless gates stay resident; parametric entries are dropped oldest
+#: first beyond this many, because a variational loop makes every
+#: iteration's angles new keys. The cap only has to outlast the circuits in
+#: flight: whoever runs a circuit again right after it was bound (the dense
+#: reference of a sweep) still finds its matrices here.
+_PARAM_MATRIX_CACHE_MAX = 4096
+_PARAM_MATRIX_KEYS: Deque[Tuple[str, Tuple[float, ...]]] = deque()
 
 
 def gate_matrix(name: str, params: Sequence[float] = ()) -> np.ndarray:
@@ -378,6 +386,11 @@ def gate_matrix(name: str, params: Sequence[float] = ()) -> np.ndarray:
             )
         m = spec.matrix_fn(*key[1])
         _MATRIX_CACHE[key] = m
+        if key[1]:
+            _PARAM_MATRIX_KEYS.append(key)
+            if len(_PARAM_MATRIX_KEYS) > _PARAM_MATRIX_CACHE_MAX:
+                # pop, not del: two threads may have queued one key twice
+                _MATRIX_CACHE.pop(_PARAM_MATRIX_KEYS.popleft(), None)
     return m
 
 

@@ -798,19 +798,6 @@ def _cmd_audit(args) -> int:
     tel = Telemetry()
     rec = ChunkAccessRecorder()
     tel.access = rec
-
-    class _CapturePlanCache:
-        """Plan-cache shim that exposes the compiled plan to the audit."""
-
-        plan = None
-
-        def lookup(self, key):
-            return None
-
-        def store(self, key, value):
-            self.plan = value
-
-    cap = _CapturePlanCache()
     opts = {}
     if args.compressor in ("szlike", "adaptive"):
         opts["error_bound"] = args.error_bound
@@ -829,17 +816,14 @@ def _cmd_audit(args) -> int:
         host_store_mb=args.host_store_mb,
         workers=args.workers,
     )
-    res = MemQSim(cfg, telemetry=tel, plan_cache=cap).run(
+    res = MemQSim(cfg, telemetry=tel).run(
         get_workload(args.workload, args.qubits))
-    if cap.plan is None:
-        raise SystemExit("audit: compiled plan was not captured")
-    _plan, cplan = cap.plan
     trace = rec.trace()
     if args.perturb and len(trace) >= 2:
         trace[0], trace[-1] = trace[-1], trace[0]
     # The run started from |0...0>: chunk 0 is its whole support.
-    report = audit_run(cplan.stages, res.store.layout, trace, tel.traffic,
-                       serpentine=args.serpentine,
+    report = audit_run(res.compiled_stages, res.store.layout, trace,
+                       tel.traffic, serpentine=args.serpentine,
                        ratio_slack=args.ratio_slack, support={0})
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))

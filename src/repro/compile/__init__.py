@@ -16,6 +16,7 @@ from .ir import (
     GateOp,
     as_ops,
 )
+from .template import PlanTemplate
 
 __all__ = [
     "CompileOptions",
@@ -27,5 +28,6 @@ __all__ = [
     "CompiledGateStage",
     "CompiledPlan",
     "CompileReport",
+    "PlanTemplate",
     "as_ops",
 ]

@@ -6,6 +6,12 @@ whole circuit); :func:`compile_stages` lowers a planner stage list into a
 Both run the same pass pipeline — 1q folding, diagonal merging, window
 fusion — controlled by one frozen :class:`CompileOptions`.
 
+Compiling is two steps. *Lowering* takes the decisions and records them as
+recipes (:mod:`repro.compile.template`); they depend on the circuit's shape
+only. *Binding* evaluates the recipes for one circuit's parameter values.
+:func:`compile_stages` does both the first time and returns the template
+with the plan, and binds alone when it is handed that template again.
+
 With fusion disabled the compiler still runs: every gate lowers 1:1 to a
 :class:`~repro.compile.ir.GateOp`, so consumers always execute the same IR
 regardless of whether fusion is on. Stage boundaries are preserved by
@@ -23,11 +29,13 @@ group buffer). This module duck-types stages (``perm`` => permutation,
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..circuits.gates import gate_is_diagonal
 from .ir import CompiledGateStage, CompiledPlan, CompileReport, as_ops
 from .passes import fold_1q_runs, fuse_windows, merge_diagonal_runs
+from .template import GateRecipe, PlanTemplate, Recipe, StageTemplate
 
 __all__ = ["CompileOptions", "compile_gates", "compile_stage", "compile_stages"]
 
@@ -66,35 +74,55 @@ class CompileOptions:
 DEFAULT_OPTIONS = CompileOptions()
 
 
-def compile_gates(gates: Sequence[Any],
-                  options: Optional[CompileOptions] = None,
-                  can_densify=None) -> Tuple[List[Any], Dict[str, int]]:
-    """Lower one gate batch to ops; returns ``(ops, pass stats)``."""
-    opts = options if options is not None else DEFAULT_OPTIONS
-    ops = as_ops(gates)
-    stats: Dict[str, int] = {
-        "gates_in": len(ops),
-        "fused_1q": 0,
-        "merged_diagonals": 0,
-        "fused_windows": 0,
-    }
+def _lower_batch(ops: Sequence[Any], slots: Sequence[int],
+                 opts: CompileOptions, can_densify,
+                 stats: Dict[str, int]) -> List[Recipe]:
+    """The decisions for one batch: a recipe per op the batch compiles to.
+
+    ``slots[i]`` is where op ``i``'s gate sits in the circuit (-1: nowhere);
+    a parameterless gate is fixed by the shape, so it takes no slot either.
+    """
+    recipes: List[Recipe] = []
+    for op, slot in zip(ops, slots):
+        gate = op.to_gate()
+        recipes.append(GateRecipe(op, slot if gate.params else -1,
+                                  gate_is_diagonal(gate)))
     if opts.fusion:
         cd = can_densify if can_densify is not None else (lambda qs: True)
         # The swaps a batch ends on (the planner closes a stage with its
         # qubit relocations) stay out of the passes: as plain swaps they
         # run as slice exchanges, inside a window each would become a
         # dense matmul over the whole buffer.
-        body = len(ops)
-        while body and ops[body - 1].name == "swap":
+        body = len(recipes)
+        while body and recipes[body - 1].name == "swap":
             body -= 1
-        ops, closing = ops[:body], ops[body:]
+        recipes, closing = recipes[:body], recipes[body:]
         if opts.fold_1q:
-            ops = fold_1q_runs(ops, cd, stats)
+            recipes = fold_1q_runs(recipes, cd, stats)
         if opts.merge_diagonals:
-            ops = merge_diagonal_runs(ops, opts.max_diag_qubits, stats)
+            recipes = merge_diagonal_runs(recipes, opts.max_diag_qubits, stats)
         if opts.fuse_window_runs:
-            ops = fuse_windows(ops, opts.max_fuse_qubits, cd, stats)
-        ops = ops + closing
+            recipes = fuse_windows(recipes, opts.max_fuse_qubits, cd, stats)
+        recipes = recipes + closing
+    return recipes
+
+
+def _new_stats(gates_in: int) -> Dict[str, int]:
+    return {"gates_in": gates_in, "fused_1q": 0, "merged_diagonals": 0,
+            "fused_windows": 0}
+
+
+def compile_gates(gates: Sequence[Any],
+                  options: Optional[CompileOptions] = None,
+                  can_densify=None) -> Tuple[List[Any], Dict[str, int]]:
+    """Lower one gate batch to ops; returns ``(ops, pass stats)``."""
+    opts = options if options is not None else DEFAULT_OPTIONS
+    ops = as_ops(gates)
+    stats = _new_stats(len(ops))
+    if opts.fusion:  # off: 1:1, nothing to decide
+        recipes = _lower_batch(ops, [-1] * len(ops), opts, can_densify,
+                               stats)
+        ops = [r.op(None) for r in recipes]
     stats["ops_out"] = len(ops)
     return ops, stats
 
@@ -107,38 +135,55 @@ def _is_gate_stage(stage: Any) -> bool:
     return hasattr(stage, "group_qubits") and hasattr(stage, "gates")
 
 
-def compile_stage(stage: Any, layout: Any = None,
-                  options: Optional[CompileOptions] = None,
-                  ) -> Tuple[CompiledGateStage, Dict[str, int]]:
-    """Lower one gate stage. ``layout`` derives the densify predicate."""
+def _lower_stage(stage: Any, layout: Any = None,
+                 options: Optional[CompileOptions] = None,
+                 ) -> Tuple[Any, Dict[str, int]]:
+    """Lower one gate stage to its template (an already compiled stage is
+    returned as it is). ``layout`` derives the densify predicate; the
+    stage's ``slots`` (if the planner filled them in) say which circuit
+    gate each of its gates takes its parameters from."""
     if isinstance(stage, CompiledGateStage):
-        return stage, {"gates_in": stage.source_gates,
-                       "ops_out": len(stage.ops),
-                       "fused_1q": 0, "merged_diagonals": 0,
-                       "fused_windows": 0}
+        return stage, {**_new_stats(stage.source_gates),
+                       "ops_out": len(stage.ops)}
+    opts = options if options is not None else DEFAULT_OPTIONS
     cd = None
     if layout is not None:
         group = frozenset(stage.group_qubits)
         cd = lambda qs, _g=group, _lay=layout: all(
             _lay.is_local(q) or q in _g for q in qs)
-    ops, stats = compile_gates(stage.gates, options, cd)
-    return (CompiledGateStage(tuple(stage.group_qubits), tuple(ops),
-                              source_gates=len(stage.gates)), stats)
+    ops = as_ops(stage.gates)
+    slots = getattr(stage, "slots", ())
+    if len(slots) != len(ops):  # a hand-built stage: every gate is its own
+        slots = [-1] * len(ops)
+    stats = _new_stats(len(ops))
+    recipes = _lower_batch(ops, slots, opts, cd, stats)
+    stats["ops_out"] = len(recipes)
+    return (StageTemplate(tuple(stage.group_qubits), tuple(recipes),
+                          source_gates=len(ops)), stats)
 
 
-def compile_stages(stages: Sequence[Any], layout: Any = None,
-                   options: Optional[CompileOptions] = None,
-                   telemetry: Any = None) -> CompiledPlan:
-    """Lower a planner stage list into a :class:`CompiledPlan`.
+def compile_stage(stage: Any, layout: Any = None,
+                  options: Optional[CompileOptions] = None,
+                  ) -> Tuple[CompiledGateStage, Dict[str, int]]:
+    """Lower one gate stage and bind it to its own gates."""
+    lowered, stats = _lower_stage(stage, layout, options)
+    return _bound(lowered, None), stats
 
-    Gate stages compile independently (stage boundaries are execution
+
+def _bound(lowered: Any, gates: Optional[Sequence[Any]]) -> Any:
+    return lowered.bind(gates) if isinstance(lowered, StageTemplate) \
+        else lowered
+
+
+def _lower_stages(stages: Sequence[Any], layout: Any = None,
+                  options: Optional[CompileOptions] = None) -> PlanTemplate:
+    """Lower a planner stage list into a :class:`PlanTemplate`.
+
+    Gate stages lower independently (stage boundaries are execution
     barriers — fusion never crosses them); permutation stages and already-
-    compiled stages pass through. When ``telemetry`` is enabled, records
-    ``compile.gates_in`` / ``compile.ops_out`` counters, the
-    ``compile.fusion_ratio`` gauge and one ``compile`` tracer span.
+    compiled stages pass through.
     """
     opts = options if options is not None else DEFAULT_OPTIONS
-    t0 = time.perf_counter()
     report = CompileReport(fusion_enabled=opts.fusion,
                            max_fuse_qubits=opts.max_fuse_qubits)
     out: List[Any] = []
@@ -146,15 +191,39 @@ def compile_stages(stages: Sequence[Any], layout: Any = None,
         if _is_permutation_stage(stage) or not _is_gate_stage(stage):
             out.append(stage)
             continue
-        cstage, stats = compile_stage(stage, layout, opts)
-        out.append(cstage)
+        lowered, stats = _lower_stage(stage, layout, opts)
+        out.append(lowered)
         report.num_gate_stages += 1
         report.gates_in += stats["gates_in"]
         report.ops_out += stats["ops_out"]
         report.fused_1q += stats["fused_1q"]
         report.merged_diagonals += stats["merged_diagonals"]
         report.fused_windows += stats["fused_windows"]
-    report.seconds = time.perf_counter() - t0
+    return PlanTemplate(tuple(out), report)
+
+
+def compile_stages(stages: Any, layout: Any = None,
+                   options: Optional[CompileOptions] = None,
+                   telemetry: Any = None,
+                   gates: Optional[Sequence[Any]] = None) -> CompiledPlan:
+    """Lower a planner stage list and bind it: the :class:`CompiledPlan`.
+
+    ``stages`` may also be the :class:`PlanTemplate` of an earlier call
+    (``CompiledPlan.template``), for a circuit of the same shape: nothing
+    is decided again, the recipes are bound to ``gates`` — that circuit's
+    gate list — and ``layout`` / ``options`` are not read. Either way the
+    ops come out of the same evaluation, and ``report.seconds`` covers what
+    this call did. ``gates=None`` binds to the gates the stages came with.
+
+    When ``telemetry`` is enabled, records ``compile.gates_in`` /
+    ``compile.ops_out`` counters, the ``compile.fusion_ratio`` gauge and
+    one ``compile`` tracer span.
+    """
+    t0 = time.perf_counter()
+    template = stages if isinstance(stages, PlanTemplate) \
+        else _lower_stages(stages, layout, options)
+    bound = [_bound(s, gates) for s in template.stages]
+    report = replace(template.report, seconds=time.perf_counter() - t0)
     if telemetry is not None and getattr(telemetry, "enabled", False):
         m = telemetry.metrics
         m.counter("compile.gates_in").inc(report.gates_in)
@@ -163,6 +232,6 @@ def compile_stages(stages: Sequence[Any], layout: Any = None,
         telemetry.tracer.record("compile", report.seconds,
                                 gates_in=report.gates_in,
                                 ops_out=report.ops_out,
-                                fusion=opts.fusion,
+                                fusion=report.fusion_enabled,
                                 stages=report.num_gate_stages)
-    return CompiledPlan(out, report)
+    return CompiledPlan(bound, report, template)

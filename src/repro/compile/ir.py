@@ -184,6 +184,10 @@ class CompiledPlan:
 
     stages: List[Any]
     report: CompileReport
+    #: the :class:`~repro.compile.template.PlanTemplate` this plan is a
+    #: binding of; hand it back to ``compile_stages`` to bind another
+    #: circuit of the same shape without lowering again
+    template: Optional[Any] = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.stages)

@@ -2,7 +2,10 @@
 
 Each pass maps a list of ops to a shorter list of ops with the identical
 product unitary (up to floating-point reassociation), trading Python-level
-kernel dispatch for a handful of tiny matmuls at compile time:
+kernel dispatch for a handful of tiny matmuls at compile time. The passes
+only *decide*: they read names, qubits and diagonality, and what they take
+and return are :class:`~repro.compile.template.Recipe` nodes, which do the
+arithmetic when they are bound to a circuit's parameter values:
 
 1. :func:`fold_1q_runs` — consecutive single-qubit gates on the same qubit
    (no intervening gate touching it) become one 2x2 matmul; an all-diagonal
@@ -31,11 +34,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..circuits.gates import gate_is_diagonal
-from ..statevector.kernels import apply_gate, apply_stored_diagonal
-from .ir import FusedOp
+from .template import FoldRecipe, MergeRecipe, Recipe, WindowRecipe
 
 __all__ = ["fold_1q_runs", "merge_diagonal_runs", "fuse_windows"]
 
@@ -47,31 +46,17 @@ def _always(_qubits: Tuple[int, ...]) -> bool:
     return True
 
 
-def _diag_of(op) -> Optional[np.ndarray]:
-    """The op's stored diagonal, extracting one from diagonal unitaries."""
-    d = op.diag
-    if d is not None:
-        return d
-    g = op.to_gate()
-    if gate_is_diagonal(g):
-        return np.diag(g.matrix)
-    return None
-
-
-def _sources(ops: Sequence[object]) -> Tuple[str, ...]:
-    out: List[str] = []
-    for op in ops:
-        src = getattr(op, "sources", None)
-        out.extend(src if src else (op.name,))
-    return tuple(out)
+def _count(stats: Optional[Dict[str, int]], key: str) -> None:
+    if stats is not None:
+        stats[key] = stats.get(key, 0) + 1
 
 
 # ---------------------------------------------------------------------------
 # Pass 1: single-qubit run folding
 # ---------------------------------------------------------------------------
 
-def fold_1q_runs(ops: Sequence[object], can_densify: CanDensify = _always,
-                 stats: Optional[Dict[str, int]] = None) -> List[object]:
+def fold_1q_runs(ops: Sequence[Recipe], can_densify: CanDensify = _always,
+                 stats: Optional[Dict[str, int]] = None) -> List[Recipe]:
     """Fold per-qubit runs of 1q ops into one 2x2 matmul (or 2-entry diag).
 
     A run ends when any other gate touches the qubit; emitting a pending
@@ -80,8 +65,8 @@ def fold_1q_runs(ops: Sequence[object], can_densify: CanDensify = _always,
     is entirely diagonal folds to a stored diagonal instead, which is
     always safe (it stays restrictable per chunk group).
     """
-    out: List[object] = []
-    pending: Dict[int, List[object]] = {}
+    out: List[Recipe] = []
+    pending: Dict[int, List[Recipe]] = {}
 
     def flush(q: int) -> None:
         run = pending.pop(q, None)
@@ -89,23 +74,11 @@ def fold_1q_runs(ops: Sequence[object], can_densify: CanDensify = _always,
             return
         if len(run) == 1:
             out.append(run[0])
-            return
-        diags = [_diag_of(o) for o in run]
-        if all(d is not None for d in diags):
-            merged = diags[0].astype(np.complex128, copy=True)
-            for d in diags[1:]:
-                merged = merged * d
-            out.append(FusedOp((q,), diag=merged, sources=_sources(run)))
-        elif can_densify((q,)):
-            m = np.eye(2, dtype=np.complex128)
-            for o in run:
-                m = o.to_gate().matrix @ m
-            out.append(FusedOp((q,), matrix=m, sources=_sources(run)))
+        elif all(o.diagonal for o in run) or can_densify((q,)):
+            out.append(FoldRecipe.of(q, run))
+            _count(stats, "fused_1q")
         else:
             out.extend(run)
-            return
-        if stats is not None:
-            stats["fused_1q"] = stats.get("fused_1q", 0) + 1
 
     for op in ops:
         if op.num_qubits == 1:
@@ -123,22 +96,8 @@ def fold_1q_runs(ops: Sequence[object], can_densify: CanDensify = _always,
 # Pass 2: diagonal-run merging
 # ---------------------------------------------------------------------------
 
-def _merge_diag_run(run: List[Tuple[object, np.ndarray]]) -> FusedOp:
-    qubits = tuple(sorted({q for op, _ in run for q in op.qubits}))
-    k = len(qubits)
-    pos = {q: i for i, q in enumerate(qubits)}
-    u = np.arange(1 << k, dtype=np.int64)
-    total = np.ones(1 << k, dtype=np.complex128)
-    for op, d in run:
-        idx = np.zeros(1 << k, dtype=np.int64)
-        for j, q in enumerate(op.qubits):
-            idx |= ((u >> pos[q]) & 1) << j
-        total *= d[idx]
-    return FusedOp(qubits, diag=total, sources=_sources([op for op, _ in run]))
-
-
-def merge_diagonal_runs(ops: Sequence[object], max_diag_qubits: int = 8,
-                        stats: Optional[Dict[str, int]] = None) -> List[object]:
+def merge_diagonal_runs(ops: Sequence[Recipe], max_diag_qubits: int = 8,
+                        stats: Optional[Dict[str, int]] = None) -> List[Recipe]:
     """Merge consecutive diagonal ops into one stored diagonal.
 
     Diagonals all commute, so any contiguous run collapses to a single
@@ -146,34 +105,28 @@ def merge_diagonal_runs(ops: Sequence[object], max_diag_qubits: int = 8,
     capped at ``max_diag_qubits`` to bound the ``2^k`` vector; a single op
     wider than the cap passes through unchanged.
     """
-    out: List[object] = []
-    run: List[Tuple[object, np.ndarray]] = []
+    out: List[Recipe] = []
+    run: List[Recipe] = []
     union: set = set()
 
     def flush() -> None:
         nonlocal union
         if len(run) == 1:
-            out.append(run[0][0])
+            out.append(run[0])
         elif run:
-            out.append(_merge_diag_run(run))
-            if stats is not None:
-                stats["merged_diagonals"] = stats.get("merged_diagonals", 0) + 1
+            out.append(MergeRecipe.of(run))
+            _count(stats, "merged_diagonals")
         run.clear()
         union = set()
 
     for op in ops:
-        d = _diag_of(op)
-        if d is None:
-            flush()
-            out.append(op)
-            continue
-        if len(op.qubits) > max_diag_qubits:
+        if not op.diagonal or len(op.qubits) > max_diag_qubits:
             flush()
             out.append(op)
             continue
         if run and len(union | set(op.qubits)) > max_diag_qubits:
             flush()
-        run.append((op, d))
+        run.append(op)
         union |= set(op.qubits)
     flush()
     return out
@@ -183,29 +136,9 @@ def merge_diagonal_runs(ops: Sequence[object], max_diag_qubits: int = 8,
 # Pass 3: contiguous window fusion
 # ---------------------------------------------------------------------------
 
-def _compose_window(window: List[object], qubits: Tuple[int, ...]) -> np.ndarray:
-    """Dense unitary of the window over ``qubits`` (little-endian union)."""
-    k = len(qubits)
-    dim = 1 << k
-    pos = {q: i for i, q in enumerate(qubits)}
-    u = np.eye(dim, dtype=np.complex128)
-    col = np.empty(dim, dtype=np.complex128)
-    for j in range(dim):
-        col[:] = u[:, j]
-        for op in window:
-            g = op.to_gate()
-            vq = tuple(pos[q] for q in g.qubits)
-            if g.diag is not None:
-                apply_stored_diagonal(col, g.diag, vq)
-            else:
-                apply_gate(col, g.matrix, vq, k)
-        u[:, j] = col
-    return u
-
-
-def fuse_windows(ops: Sequence[object], max_fuse_qubits: int = 3,
+def fuse_windows(ops: Sequence[Recipe], max_fuse_qubits: int = 3,
                  can_densify: CanDensify = _always,
-                 stats: Optional[Dict[str, int]] = None) -> List[object]:
+                 stats: Optional[Dict[str, int]] = None) -> List[Recipe]:
     """Fuse contiguous ops whose qubit union fits in ``max_fuse_qubits``.
 
     Greedy: extend the current window while the union stays within the cap
@@ -215,22 +148,19 @@ def fuse_windows(ops: Sequence[object], max_fuse_qubits: int = 3,
     """
     if max_fuse_qubits < 1:
         raise ValueError("max_fuse_qubits must be >= 1")
-    out: List[object] = []
-    window: List[object] = []
+    out: List[Recipe] = []
+    window: List[Recipe] = []
     union: set = set()
 
     def flush() -> None:
         nonlocal union
         if not window:
             return
-        if len(window) == 1 or all(_diag_of(o) is not None for o in window):
+        if len(window) == 1 or all(o.diagonal for o in window):
             out.extend(window)
         else:
-            qubits = tuple(sorted(union))
-            out.append(FusedOp(qubits, matrix=_compose_window(window, qubits),
-                               sources=_sources(window)))
-            if stats is not None:
-                stats["fused_windows"] = stats.get("fused_windows", 0) + 1
+            out.append(WindowRecipe.of(window))
+            _count(stats, "fused_windows")
         window.clear()
         union = set()
 

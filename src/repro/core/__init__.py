@@ -3,12 +3,14 @@
 from .backend import Backend, EinsumBackend, NumpyKernelBackend, get_backend, register_backend
 from .config import MemQSimConfig
 from .memqsim import MemQSim
+from .plancache import PlanCache
 from .results import MemQSimResult
 
 __all__ = [
     "MemQSim",
     "MemQSimConfig",
     "MemQSimResult",
+    "PlanCache",
     "Backend",
     "NumpyKernelBackend",
     "EinsumBackend",

@@ -58,6 +58,7 @@ from ..telemetry import (
 )
 from .backend import MixedPrecisionBackend, get_backend
 from .config import MemQSimConfig
+from .plancache import CachedPlan, PlanCache
 from .results import MemQSimResult
 
 __all__ = ["MemQSim"]
@@ -79,12 +80,12 @@ class MemQSim:
             telemetry: a :class:`~repro.telemetry.Telemetry` object to
                 thread through every layer of the run (tracer spans per
                 pipeline hop, metrics, memory gauges); default disabled.
-            plan_cache: optional compiled-plan cache (duck-typed:
-                ``lookup(key) -> entry | None`` and ``store(key, entry)``,
-                see :class:`repro.serve.PlanCache`). When a submission's
-                (circuit structural hash, plan-affecting config knobs,
-                resolved chunk size) key hits, planning *and* compilation
-                are skipped entirely and the cached lowered plan runs.
+            plan_cache: the :class:`~repro.core.plancache.PlanCache` to
+                use instead of a private one — how the serve daemon shares
+                plans across jobs. Keyed on (circuit shape, plan-affecting
+                config knobs, resolved chunk size): the same circuit again
+                skips planning *and* compilation, the same shape with new
+                parameter values only binds the cached template to them.
             codec_pool: optional externally-owned
                 :class:`~repro.parallel.CodecWorkerPool` shared across
                 runs (the service plane's amortized worker pool). Must be
@@ -104,7 +105,8 @@ class MemQSim:
         base = config if config is not None else MemQSimConfig()
         self.config = base.with_updates(**overrides) if overrides else base
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.plan_cache = plan_cache
+        self.plan_cache = plan_cache if plan_cache is not None \
+            else PlanCache()
         self.codec_pool = codec_pool
         self.arena = arena
         self.cancel = cancel
@@ -232,39 +234,44 @@ class MemQSim:
         dtype = layout.dtype
 
         t_max = max_group_qubits_for(layout, cfg.device, double_buffer=cfg.num_buffers > 1)
-        # Plan cache: keyed on circuit structure + plan-affecting knobs +
-        # the *resolved* chunk size (checkpoint / initial-store layouts
+        # Plan cache: keyed on circuit shape + plan-affecting knobs + the
+        # *resolved* chunk size (checkpoint / initial-store layouts
         # override the configured one, so `c` must be part of the key).
-        plan = cplan = None
-        cache_key = None
-        if self.plan_cache is not None:
-            cache_key = (circuit.structural_hash(), cfg.plan_key(), c)
-            cached = self.plan_cache.lookup(cache_key)
-            if cached is not None:
-                plan, cplan = cached
-                log.debug("plan cache hit (%s…)", cache_key[0][:12])
-        if cplan is None:
-            stages = plan_stages(
-                circuit, layout, t_max,
-                enable_permutation_stages=cfg.enable_permutation_stages,
-            )
-            plan = describe_plan(stages, layout)
-            # Compile (lower + fuse) once; every amplitude-touching path —
-            # the device executors and the CPU-offload path — consumes
-            # this one lowered plan.
+        shape, values = circuit.shape_and_values()
+        cache_key = (shape, cfg.plan_key(), c)
+        cached = self.plan_cache.lookup(cache_key, values)
+        if cached is not None and cached.values == values:
+            plan_source = "hit"
+            plan = cached.plan
+            cplan = replace(cached.bound,
+                            report=replace(cached.bound.report, seconds=0.0))
+        else:
+            if cached is None:
+                plan_source = "miss"
+                stages = plan_stages(
+                    circuit, layout, t_max,
+                    enable_permutation_stages=cfg.enable_permutation_stages,
+                )
+                plan = describe_plan(stages, layout)
+            else:
+                # Same shape, other angles: every decision stands.
+                plan_source = "rebound"
+                stages, plan = cached.bound.template, cached.plan
+            # Compile (lower + fuse, or bind alone) once; every amplitude-
+            # touching path — the device executors and the CPU-offload
+            # path — consumes this one lowered plan.
             cplan = compile_stages(
                 stages, layout,
                 CompileOptions(fusion=cfg.fuse_gates,
                                max_fuse_qubits=cfg.max_fuse_qubits),
-                telemetry=tel,
+                telemetry=tel, gates=circuit.gates,
             )
-            log.debug("compile: %d gates -> %d ops (ratio %.2f, fusion=%s)",
-                      cplan.report.gates_in, cplan.report.ops_out,
-                      cplan.report.fusion_ratio, cfg.fuse_gates)
-            if cache_key is not None:
-                # Compiled stages are immutable once built; sharing the
-                # same lowered plan across runs (and tenants) is safe.
-                self.plan_cache.store(cache_key, (plan, cplan))
+            # Compiled stages are immutable once built; sharing the same
+            # lowered plan across runs (and tenants) is safe.
+            self.plan_cache.store(cache_key, CachedPlan(plan, values, cplan))
+        log.debug("compile (%s): %d gates -> %d ops (ratio %.2f, fusion=%s)",
+                  plan_source, cplan.report.gates_in, cplan.report.ops_out,
+                  cplan.report.fusion_ratio, cfg.fuse_gates)
         # The cached plan is state-independent; which of its group passes
         # run depends on the start state. The store is initialised, so its
         # support set is known: this list is the sweep the scheduler
@@ -432,6 +439,7 @@ class MemQSim:
             "host_store_mb": cfg.host_store_mb,
             "hierarchy": hierarchy.describe(),
             "workers": workers,
+            "plan_cache": plan_source,
         }
         return MemQSimResult(
             num_qubits=n,
@@ -447,6 +455,7 @@ class MemQSim:
             config_echo=config_echo,
             resource_timeline=monitor.timeline(),
             compile_report=cplan.report,
+            compiled_stages=cplan.stages,
             run_id=run_id,
             precision=cfg.precision,
             # Fidelity oracle is only meaningful for a known |0...0> start.

@@ -1,0 +1,135 @@
+"""The compiled-plan cache: pay the offline stage once per circuit *shape*.
+
+The planner/compiler work — stage partitioning, group placement, gate
+lowering and fusion — depends only on a circuit's shape and on the
+plan-affecting config knobs, never on amplitudes or rotation angles. A
+variational loop (the same ansatz with new angles every iteration) and a
+service's repeat submissions can therefore reuse one lowered plan.
+
+:class:`PlanCache` is a small thread-safe LRU keyed on
+
+    (shape from ``Circuit.shape_and_values()``, ``MemQSimConfig.plan_key()``,
+     resolved ``chunk_qubits``)
+
+— exactly the tuple :class:`~repro.core.MemQSim` builds. Every simulator
+has a private one; the serve daemon hands one instance to all its jobs. An
+entry is a :class:`CachedPlan`: the plan as last bound, with the parameter
+values it was bound to. A lookup with the same values is a **hit** (nothing
+to do), with other values a **rebind** (the plan's template is bound to the
+new values, no planning or lowering), and without an entry a **miss**.
+Entries are immutable and replaced whole, so concurrent jobs share them
+without copying. Counts surface as the ``serve.plan_cache.*`` counters on
+the cache's telemetry.
+"""
+
+from __future__ import annotations
+
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import Any, Dict, Hashable, Optional
+
+from ..telemetry import NULL_TELEMETRY
+
+__all__ = ["CachedPlan", "PlanCache"]
+
+#: default number of distinct (circuit shape, config) plans kept resident
+DEFAULT_CAPACITY = 64
+
+
+@dataclass(frozen=True)
+class CachedPlan:
+    """What the cache keeps per key."""
+
+    #: the :class:`~repro.pipeline.PlanReport` (the same for every circuit
+    #: of the shape)
+    plan: Any
+    #: the parameter values ``bound`` was bound to
+    values: bytes
+    #: the :class:`~repro.compile.CompiledPlan`; ``bound.template`` binds
+    #: other values
+    bound: Any
+
+
+class PlanCache:
+    """Thread-safe LRU cache of compiled plans."""
+
+    def __init__(self, capacity: int = DEFAULT_CAPACITY, telemetry=None):
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = int(capacity)
+        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.rebinds = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def lookup(self, key: Hashable, values: Optional[bytes] = None
+               ) -> Optional[Any]:
+        """The cached entry for ``key``, or ``None``.
+
+        Counts a miss, a hit, or — when ``values`` is given and the entry
+        was bound to other values — a rebind.
+        """
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                outcome = "miss"
+                self.misses += 1
+            else:
+                self._entries.move_to_end(key)
+                if values is None or entry.values == values:
+                    outcome = "hit"
+                    self.hits += 1
+                else:
+                    outcome = "rebind"
+                    self.rebinds += 1
+        if self.telemetry.enabled:
+            self.telemetry.metrics.counter(
+                f"serve.plan_cache.{outcome}").inc()
+        return entry
+
+    def store(self, key: Hashable, entry: Any) -> None:
+        """Insert (or replace) ``key``; evicts least-recently-used."""
+        evicted = 0
+        with self._lock:
+            self._entries[key] = entry
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self.evictions += 1
+                evicted += 1
+        if evicted and self.telemetry.enabled:
+            self.telemetry.metrics.counter("serve.plan_cache.evict").inc(
+                evicted)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def stats(self) -> Dict[str, int]:
+        with self._lock:
+            return {
+                "size": len(self._entries),
+                "capacity": self.capacity,
+                "hits": self.hits,
+                "rebinds": self.rebinds,
+                "misses": self.misses,
+                "evictions": self.evictions,
+            }
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def __contains__(self, key: Hashable) -> bool:
+        with self._lock:
+            return key in self._entries
+
+    def __repr__(self) -> str:
+        s = self.stats()
+        return (f"<PlanCache {s['size']}/{s['capacity']} "
+                f"hits={s['hits']} rebinds={s['rebinds']} "
+                f"misses={s['misses']}>")

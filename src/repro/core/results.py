@@ -50,6 +50,9 @@ class MemQSimResult:
     #: ops out, per-pass fusion counts; ``None`` for results built outside
     #: :class:`~repro.core.memqsim.MemQSim` (e.g. hand-assembled in tests)
     compile_report: Optional[Any] = field(default=None, repr=False)
+    #: the compiled stages the run executed, bound to its circuit's
+    #: parameter values (what the audit replays); ``None`` as above
+    compiled_stages: Optional[List[Any]] = field(default=None, repr=False)
     #: the run's id — the same value stamped on log records and live bus
     #: events, so post-hoc artifacts correlate with live observability
     run_id: str = ""

@@ -5,9 +5,9 @@ the form every VQE/QAOA cost function takes. It evaluates against
 
 * a dense :class:`~repro.statevector.StateVector` (term by term), or
 * a chunked :class:`~repro.core.MemQSimResult` *in one streaming pass*:
-  all terms share each chunk decompression, so evaluating an m-term
-  Hamiltonian costs one pass over the store per distinct X-mask partner
-  set instead of m full passes.
+  all terms share each chunk decompression and all terms with one X-mask
+  share one reduction, so evaluating an m-term Hamiltonian costs one pass
+  over the store per distinct X-mask partner set instead of m full passes.
 
 Constructors cover the standard model Hamiltonians the examples use:
 MaxCut from a networkx graph, transverse-field Ising, and Heisenberg XXZ
@@ -98,9 +98,13 @@ class PauliSum:
     def expectation_chunked(self, result) -> float:
         """One-pass streamed evaluation against a MemQSimResult.
 
-        Terms are grouped by the *global* part of their X-mask (which
-        decides the chunk partner); within a group every term shares the
-        same pair of decompressed chunks per step.
+        ``<psi|P|psi> = sum_i conj(psi_i) phase_P(i) psi_{i ^ x}``, so the
+        terms that share an X-mask pair up the same amplitudes: their
+        phases are summed, coefficient-weighted, into one vector and the
+        whole group costs one reduction per chunk (all Z-only terms are one
+        ``|psi_i|^2`` against one sign vector; a group of bare X strings
+        has no phase at all). The global part of the X-mask decides the
+        chunk partner, which groups share once decompressed.
         """
         lay = result.store.layout
         cq = lay.chunk_qubits
@@ -108,28 +112,58 @@ class PauliSum:
         n = result.num_qubits
         if self.num_qubits > n:
             raise ValueError("Hamiltonian touches qubits outside the state")
-        groups: Dict[int, List[Tuple[float, PauliString]]] = {}
+        by_x: Dict[int, List[Tuple[float, PauliString]]] = {}
         for t in self.terms:
             ps = t.parsed()
-            groups.setdefault(ps.x_mask >> cq, []).append((t.coefficient, ps))
+            by_x.setdefault(ps.x_mask, []).append((t.coefficient, ps))
         offs = np.arange(cs, dtype=np.uint64)
+        bases = np.arange(lay.num_chunks, dtype=np.uint64) << np.uint64(cq)
+        # Per X-mask: (partner bits, in-chunk gather or None, summed
+        # coefficient of the phaseless terms, and for the others their
+        # coefficients per chunk (terms x chunks) and phases per offset
+        # (terms x chunk_size), or None).
+        groups = []
+        for x, members in by_x.items():
+            plain = 0.0
+            per_chunk, per_offset = [], []
+            for coef, ps in members:
+                if not ps.z_mask and not ps.y_qubits:
+                    plain += coef
+                    continue
+                # Z and Y signs are parities, which split over the offset
+                # and chunk-id bits: phase(base | offset) =
+                # phase(offset) * phase(base) / phase(0), all units.
+                head = pauli_phase(ps, bases)
+                per_chunk.append(coef * head * head[0].conjugate())
+                per_offset.append(pauli_phase(ps, offs))
+            local_x = x & (cs - 1)
+            gather = (offs ^ np.uint64(local_x)) if local_x else None
+            coefs = phases = None
+            if per_chunk:
+                coefs, phases = np.array(per_chunk), np.array(per_offset)
+                if not x:  # Z-only: the phases are real signs
+                    coefs, phases = coefs.real, phases.real
+            groups.append((x >> cq, gather, plain, coefs, phases))
         total = self.constant
         for k in range(lay.num_chunks):
-            bra = result.store.load(k)
-            bra_conj = bra.conj()
-            idx = offs | np.uint64(k << cq)
+            bra = result.store.load(k).astype(np.complex128, copy=False)
             loaded: Dict[int, np.ndarray] = {0: bra}
-            for gbits, members in groups.items():
-                partner = k ^ gbits
-                ket_chunk = loaded.get(gbits)
-                if ket_chunk is None:
-                    ket_chunk = bra if partner == k else result.store.load(partner)
-                    loaded[gbits] = ket_chunk
-                for coef, ps in members:
-                    local_x = ps.x_mask & (cs - 1)
-                    ket = ket_chunk[offs ^ np.uint64(local_x)]
-                    val = np.sum(bra_conj * pauli_phase(ps, idx) * ket)
-                    total += coef * float(val.real)
+            for gbits, gather, plain, coefs, phases in groups:
+                ket = loaded.get(gbits)
+                if ket is None:
+                    ket = loaded[gbits] = result.store.load(k ^ gbits).astype(
+                        np.complex128, copy=False)
+                if gather is not None:
+                    ket = ket[gather]
+                if phases is None:
+                    total += plain * float(np.vdot(bra, ket).real)
+                    continue
+                weight = coefs[:, k] @ phases + plain
+                if ket is bra:
+                    total += float(np.dot(bra.real ** 2 + bra.imag ** 2,
+                                          weight))
+                else:
+                    total += float(np.vdot(bra, weight * ket).real)
         return float(total)
 
     def expectation(self, state) -> float:

@@ -127,6 +127,13 @@ def _permutation_of(g: Gate, layout: ChunkLayout) -> Optional[Tuple[int, ...]]:
 RELOCATE = "relocate"
 
 
+def _swaps_added(stage: GateStage, swaps: Sequence[Gate]) -> GateStage:
+    """``stage`` with the planner's own ``swaps`` appended (slot -1)."""
+    stage.gates.extend(swaps)
+    stage.slots.extend([-1] * len(swaps))
+    return stage
+
+
 class _GateGraph:
     """The circuit's gates on *logical* qubits and their dependency DAG.
 
@@ -341,11 +348,11 @@ class _Planner:
     def _close(self) -> None:
         # Circuit order within the stage is a valid dependency order, and
         # it keeps neighbours the fusion passes expect adjacent.
-        gates = [self._physical(self.graph.gates[i])
-                 for i in sorted(self.members)]
+        slots = sorted(self.members)
+        gates = [self._physical(self.graph.gates[i]) for i in slots]
         group = self._group(self.footprint)
         swaps = self._relocate(self.footprint)
-        self.stages.append(GateStage(group, gates + swaps))
+        self.stages.append(_swaps_added(GateStage(group, gates, slots), swaps))
         self.members.clear()
         self.footprint = 0
         if swaps:
@@ -381,7 +388,7 @@ class _Planner:
         if fixups:
             last = max(i for i, s in enumerate(self.stages)
                        if isinstance(s, GateStage))
-            self.stages[last].gates.extend(fixups)
+            _swaps_added(self.stages[last], fixups)
         if occ[c:] == list(range(c, n)):
             return
         # Global <-> global order. As one relabeling, chunk ``dst`` is the
@@ -397,13 +404,14 @@ class _Planner:
             return
         for g in swaps:
             if self.cap >= 2:
-                self.stages.append(GateStage(tuple(sorted(g.qubits)), [g]))
+                self.stages.append(_swaps_added(
+                    GateStage(tuple(sorted(g.qubits))), [g]))
             else:
                 # No relabeling and no room for both: through local 0.
                 a, b = g.qubits
                 for via in (a, b, a):
-                    self.stages.append(GateStage(
-                        (via,), [Gate("swap", (0, via), label=RELOCATE)]))
+                    self.stages.append(_swaps_added(GateStage((via,)), [
+                        Gate("swap", (0, via), label=RELOCATE)]))
 
     def run(self) -> List[object]:
         graph = self.graph

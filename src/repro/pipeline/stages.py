@@ -32,10 +32,15 @@ class GateStage:
             empty means all gates are chunk-local.
         gates: the gates, in circuit order (stages themselves follow the
             dependency order the planner chose, not the circuit's).
+        slots: per gate, its position in the circuit the stage was planned
+            from, or -1 for a swap the planner inserted. This is what lets
+            a plan lowered once be bound to another circuit of the same
+            shape; empty for a hand-built stage (every gate is its own).
     """
 
     group_qubits: Tuple[int, ...]
     gates: List[Gate] = field(default_factory=list)
+    slots: List[int] = field(default_factory=list)
 
     @property
     def num_group_qubits(self) -> int:

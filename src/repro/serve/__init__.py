@@ -9,10 +9,12 @@ submissions and shares them safely between concurrent tenants:
   admitted jobs provably never OOM mid-run) and **fair round-robin
   arbitration** across tenants, plus an optional shared
   :class:`~repro.parallel.CodecWorkerPool`;
-* :class:`PlanCache` — compiled plans keyed on (circuit structural hash,
-  plan-affecting config knobs, resolved chunk size), so repeat
-  submissions skip planning and compilation entirely
-  (``serve.plan_cache.{hit,miss}`` counters);
+* :class:`PlanCache` (re-exported from :mod:`repro.core.plancache`, where
+  every simulator gets a private one) — compiled plans keyed on (circuit
+  shape, plan-affecting config knobs, resolved chunk size), one instance
+  shared by all jobs: a repeat submission skips planning and compilation
+  entirely, the same circuit with new angles only rebinds its template
+  (``serve.plan_cache.{hit,rebind,miss}`` counters);
 * :class:`ServeServer` — the stdlib HTTP/JSON API (submit, poll
   state/progress/ETA, stream per-job SSE events, fetch results, cancel)
   in the PR 6 :class:`~repro.telemetry.live.TelemetryServer` idiom;
@@ -24,8 +26,8 @@ Start a daemon with ``python -m repro serve --port 9645``; see
 
 from .client import ServeAPIError, ServeClient
 from .jobs import Job, JobRejected, device_lease_amplitudes
+from ..core.plancache import PlanCache
 from .manager import ServeManager
-from .plancache import PlanCache
 from .server import DEFAULT_PORT, ServeServer
 
 __all__ = [

@@ -4,7 +4,7 @@ One :class:`ServeManager` owns the daemon's shared resources —
 
 * **one** :class:`~repro.device.DeviceArena` sized by the daemon's device
   spec; every job's executors allocate from it,
-* **one** :class:`PlanCache` keyed on (circuit hash, plan key, chunk size),
+* **one** :class:`PlanCache` keyed on (circuit shape, plan key, chunk size),
 * optionally **one** :class:`~repro.parallel.CodecWorkerPool` (when the
   daemon's base config resolves to >1 workers), shared by jobs whose codec
   matches the pool's,
@@ -43,6 +43,7 @@ from typing import Any, Deque, Dict, List, Optional
 
 from ..core.config import MemQSimConfig
 from ..core.memqsim import MemQSim
+from ..core.plancache import PlanCache
 from ..device.arena import DeviceArena
 from ..memory.accounting import MemoryTracker
 from ..pipeline.cancel import JobCancelled
@@ -58,7 +59,6 @@ from .jobs import (
     circuit_from_payload,
     config_from_payload,
 )
-from .plancache import PlanCache
 
 __all__ = ["ServeManager"]
 

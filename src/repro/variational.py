@@ -8,7 +8,10 @@ rule is exact:
     dE/dtheta = ( E(theta + pi/2) - E(theta - pi/2) ) / 2
 
 Each partial derivative costs two full simulations; the circuit builder is
-re-invoked per shift so any ansatz works. Controlled rotations use the
+re-invoked per shift so any ansatz works — and as long as every call uses
+one simulator (pass ``sim``), the ansatz is planned and lowered once: a
+shifted circuit has the shape of the last and only rebinds its plan
+template. Controlled rotations use the
 half-angle variant (shift ±pi, prefactor 1/2... more precisely their
 eigenvalue gap is 1, giving shift pi/2 with prefactor 1/2).
 

@@ -18,22 +18,11 @@ from repro.telemetry import Telemetry
 ZERO_STATE = {0}
 
 
-class _CapturePlanCache:
-    plan = None
-
-    def lookup(self, key):
-        return None
-
-    def store(self, key, value):
-        self.plan = value
-
-
 def audited_run(n=8, chunk_qubits=4, serpentine=False, execution="serial",
                 device_mb=None, workers=2, workload="qft"):
     """Run under the audit contract and return everything the audit needs."""
     tel = Telemetry()
     tel.access = ChunkAccessRecorder()
-    cap = _CapturePlanCache()
     kw = {}
     if device_mb is not None:
         kw["device"] = DeviceSpec(memory_bytes=int(device_mb * (1 << 20)))
@@ -47,11 +36,8 @@ def audited_run(n=8, chunk_qubits=4, serpentine=False, execution="serial",
         serpentine_groups=serpentine,
         **kw,
     )
-    res = MemQSim(cfg, telemetry=tel, plan_cache=cap).run(
-        get_workload(workload, n))
-    assert cap.plan is not None
-    _plan, cplan = cap.plan
-    return cplan.stages, res.store.layout, tel
+    res = MemQSim(cfg, telemetry=tel).run(get_workload(workload, n))
+    return res.compiled_stages, res.store.layout, tel
 
 
 class TestPredictor:

@@ -121,6 +121,33 @@ class TestGateMatrices:
         assert np.allclose(gate_matrix("fsim", (0.0, 0.0)), np.eye(4))
 
 
+class TestMatrixCacheIsBounded:
+    def test_ten_thousand_angles_stay_under_the_cap(self):
+        from repro.circuits import gates
+
+        constants = [name for name, spec in GATE_SET.items()
+                     if spec.num_params == 0]
+        resident = {name: gate_matrix(name) for name in constants}
+        for k in range(10_000):
+            gate_matrix("ry", (1e-3 * k,))
+        parametric = [key for key in gates._MATRIX_CACHE if key[1]]
+        assert len(parametric) <= gates._PARAM_MATRIX_CACHE_MAX
+        assert len(gates._PARAM_MATRIX_KEYS) <= gates._PARAM_MATRIX_CACHE_MAX
+        # Parameterless gates are never dropped ...
+        assert all(gate_matrix(name) is resident[name] for name in constants)
+        # ... and of the rest the newest stay: a circuit bound last is
+        # still cached for whoever runs it next.
+        newest = gates._MATRIX_CACHE[("ry", (1e-3 * 9_999,))]
+        assert gate_matrix("ry", (1e-3 * 9_999,)) is newest
+        assert ("ry", (0.0,)) not in gates._MATRIX_CACHE
+
+    def test_a_dropped_entry_is_rebuilt_equal(self):
+        first = gate_matrix("u3", (0.1, 0.2, 0.3)).copy()
+        for k in range(5_000):
+            gate_matrix("rx", (2.0 + 1e-3 * k,))
+        assert np.array_equal(gate_matrix("u3", (0.1, 0.2, 0.3)), first)
+
+
 class TestControlledMatrix:
     def test_controlled_x_is_cx(self):
         assert np.allclose(controlled_matrix(gate_matrix("x")), gate_matrix("cx"))

@@ -22,12 +22,29 @@ from repro.compile import (
     compile_stage,
     compile_stages,
 )
-from repro.compile.passes import fold_1q_runs, fuse_windows, merge_diagonal_runs
+from repro.circuits.gates import gate_is_diagonal
+from repro.compile import passes
+from repro.compile.template import GateRecipe
 from repro.memory import ChunkLayout
 from repro.pipeline import plan_stages
 from repro.pipeline.stages import GateStage, PermutationStage
 
 FUSION = CompileOptions(fusion=True)
+
+
+def _on_gates(run_pass):
+    """A pass as gates -> ops: lower each gate to its leaf recipe, let the
+    pass decide, bind the recipes it returns to the gates they came from."""
+    def compiled(ops, *args, **kwargs):
+        leaves = [GateRecipe(op, -1, gate_is_diagonal(op.to_gate()))
+                  for op in ops]
+        return [r.op(None) for r in run_pass(leaves, *args, **kwargs)]
+    return compiled
+
+
+fold_1q_runs = _on_gates(passes.fold_1q_runs)
+merge_diagonal_runs = _on_gates(passes.merge_diagonal_runs)
+fuse_windows = _on_gates(passes.fuse_windows)
 
 
 def random_state(n, seed=7):

@@ -53,6 +53,36 @@ class TestPauliSum:
             h.expectation_dense(ref), abs=1e-9
         )
 
+    @pytest.mark.parametrize("chunk", [
+        8,  # every X-mask pairs amplitudes inside the one chunk
+        5,  # mixed: some inside a chunk, some across, some both
+        1,  # nearly every X-mask reaches a partner chunk
+    ])
+    @pytest.mark.parametrize("ham_fn", [
+        lambda: ising_hamiltonian(8, 1.0, 0.7),
+        lambda: heisenberg_hamiltonian(8, 1.0, 0.8, 0.6),
+        lambda: maxcut_hamiltonian(__import__("networkx").cycle_graph(8)),
+        # bare identity, Y next to Z, and two strings sharing an X-mask
+        lambda: PauliSum(constant=0.25).add(1.5, "I", (0,))
+        .add(0.3, "XYZ", (1, 6, 4)).add(0.2, "YY", (2, 7))
+        .add(0.7, "ZY", (5, 3)).add(-0.4, "XZ", (3, 5)).add(0.1, "X", (3,)),
+    ])
+    def test_chunked_reduction_per_x_mask_matches_dense(self, ham_fn, chunk):
+        h = ham_fn()
+        circ = vqe_ansatz(8, layers=2, seed=11)
+        ref = DenseSimulator().run(circ)
+        res = MemQSim(cfg(chunk)).run(circ)
+        assert h.expectation_chunked(res) == pytest.approx(
+            h.expectation_dense(ref), abs=1e-12)
+
+    def test_chunked_on_single_precision_store_accumulates_in_double(self):
+        h = ising_hamiltonian(8, 1.0, 0.7)
+        circ = vqe_ansatz(8, layers=2, seed=11)
+        res = MemQSim(cfg(5).with_updates(precision="c64")).run(circ)
+        dense = StateVector(8, res.statevector().astype(np.complex128))
+        assert h.expectation_chunked(res) == pytest.approx(
+            h.expectation_dense(dense), abs=1e-12)
+
     def test_expectation_dispatch(self):
         h = ising_hamiltonian(6)
         circ = ghz(6)

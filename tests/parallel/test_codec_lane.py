@@ -20,31 +20,20 @@ from repro.telemetry import Telemetry
 WORKERS = 2
 
 
-class _CapturePlanCache:
-    plan = None
-
-    def lookup(self, key):
-        return None
-
-    def store(self, key, value):
-        self.plan = value
-
-
 def laned_run(n, **kw):
     """qft(n) streamed through a small device with a 2-worker lane, from
     a store initialised beforehand (so ``init_seconds`` — codec time
     spent before any lane existed — is known)."""
     tel = Telemetry()
-    cap = _CapturePlanCache()
     cfg = MemQSimConfig(device=DeviceSpec(memory_bytes=1 << 14),
                         workers=WORKERS, **kw)
     store = CompressedChunkStore(ChunkLayout(n, 7), cfg.make_compressor(),
                                  MemoryTracker())
     store.init_zero_state()
     init_seconds = store.stats.compress_seconds
-    res = MemQSim(cfg, telemetry=tel, plan_cache=cap).run(
+    res = MemQSim(cfg, telemetry=tel).run(
         get_workload("qft", n), initial_store=store)
-    return res, tel, cap.plan[1].stages, init_seconds
+    return res, tel, res.compiled_stages, init_seconds
 
 
 def test_timeline_codec_seconds_are_the_workers_not_the_wait():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.audit import predict_access_schedule, predict_traffic
 from repro.circuits import Circuit, qft
-from repro.core import MemQSim, MemQSimConfig
+from repro.core import MemQSim, MemQSimConfig, PlanCache
 from repro.device import DeviceSpec
 from repro.memory import (
     ChunkAccessRecorder,
@@ -145,25 +145,14 @@ class TestInitialStatesLeaveTheirSupport:
 
         tel = Telemetry()
         tel.access = ChunkAccessRecorder()
-        cap = CapturePlanCache()
-        resumed = MemQSim(cfg, telemetry=tel, plan_cache=cap).run(
+        resumed = MemQSim(cfg, telemetry=tel).run(
             rest, checkpoint=str(tmp_path / "prefix.mqs"))
-        stages = cap.plan[1].stages
+        stages = resumed.compiled_stages
         assert tel.access.trace() == predict_access_schedule(
             stages, resumed.store.layout, cfg.serpentine_groups, left)
         assert resumed.scheduler_stats.group_passes_skipped > 0
         assert np.array_equal(resumed.statevector(),
                               MemQSim(cfg).run(whole).statevector())
-
-
-class CapturePlanCache:
-    plan = None
-
-    def lookup(self, key):
-        return None
-
-    def store(self, key, value):
-        self.plan = value
 
 
 STARTS = ("zero", "basis", "sparse", "dense")
@@ -259,7 +248,7 @@ class TestTheSkipIsInvisible:
 
         tel = Telemetry()
         tel.access = ChunkAccessRecorder()
-        plans = CapturePlanCache()
+        plans = PlanCache()
         with mock.patch.object(StageScheduler, "_run_stage", checked):
             if start == "basis":  # through the ``initial_state=`` door
                 res = MemQSim(cfg, telemetry=tel, plan_cache=plans).run(
@@ -267,7 +256,9 @@ class TestTheSkipIsInvisible:
             else:
                 res = run_from(cfg, circuit, layout, v, interned=True,
                                telemetry=tel, plan_cache=plans)
-        plan, cplan = plans.plan
+        cached = plans.lookup((circuit.shape_and_values()[0], cfg.plan_key(),
+                               layout.chunk_qubits))
+        plan, cplan = cached.plan, cached.bound
         stats = res.scheduler_stats
         executed = passes_of(predict_pass_schedule(
             cplan.stages, layout, serpentine, support))

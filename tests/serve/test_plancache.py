@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.circuits import ghz, qft
+import repro.core
+from repro.circuits import ghz, qft, vqe_ansatz, w_state
 from repro.core import MemQSim, MemQSimConfig
 from repro.serve import PlanCache
 from repro.telemetry import Telemetry
@@ -36,6 +37,10 @@ class TestPlanCacheUnit:
         cache.lookup("x")
         assert tel.metrics.counter("serve.plan_cache.hit").value == 1
         assert tel.metrics.counter("serve.plan_cache.miss").value == 1
+
+
+    def test_serve_re_exports_the_core_class(self):
+        assert PlanCache is repro.core.PlanCache
 
 
 class TestMemQSimIntegration:
@@ -91,6 +96,43 @@ class TestMemQSimIntegration:
         assert cache.stats()["misses"] == 2
         assert len(cache) == 2
         assert r1.num_qubits == 8
+
+
+class TestRebind:
+    """Same shape, other parameter values: the third lookup outcome."""
+
+    def test_shared_cache_counts_hit_rebind_miss(self):
+        tel = Telemetry()
+        cache = PlanCache(telemetry=tel)
+        cfg = MemQSimConfig(chunk_qubits=4, compressor="zlib",
+                            fuse_gates=True)
+        echo = [MemQSim(cfg, plan_cache=cache).run(
+                    vqe_ansatz(6, seed=seed)).config_echo["plan_cache"]
+                for seed in (1, 2, 2, 1)]
+        assert echo == ["miss", "rebound", "hit", "rebound"]
+        stats = cache.stats()
+        assert (stats["misses"], stats["rebinds"], stats["hits"]) == (1, 2, 1)
+        assert stats["size"] == 1  # one shape, one entry: the last binding
+        for name, count in (("miss", 1), ("rebind", 2), ("hit", 1)):
+            assert tel.metrics.counter(
+                f"serve.plan_cache.{name}").value == count
+
+    def test_every_simulator_has_a_private_cache(self):
+        cfg = MemQSimConfig(chunk_qubits=5)
+        one, other = MemQSim(cfg), MemQSim(cfg)
+        assert one.plan_cache is not other.plan_cache
+        assert one.run(qft(8)).config_echo["plan_cache"] == "miss"
+        assert one.run(qft(8)).config_echo["plan_cache"] == "hit"
+        assert other.run(qft(8)).config_echo["plan_cache"] == "miss"
+
+    def test_lru_eviction_at_capacity(self):
+        cache = PlanCache(capacity=2)
+        sim = MemQSim(MemQSimConfig(chunk_qubits=4), plan_cache=cache)
+        for circuit in (qft(6), ghz(6), qft(6), w_state(6)):  # evicts ghz
+            sim.run(circuit)
+        assert cache.stats()["evictions"] == 1 and len(cache) == 2
+        assert sim.run(qft(6)).config_echo["plan_cache"] == "hit"
+        assert sim.run(ghz(6)).config_echo["plan_cache"] == "miss"
 
 
 class TestCachedPlanDrivesHierarchy:
