@@ -1,4 +1,4 @@
-"""Experiment CD1 — entropy-codec throughput: LUT Huffman vs trie vs zlib.
+"""Experiment CD1 — entropy-codec throughput: LUT Huffman vs trie vs zlib vs fixed-length.
 
 The codec is the per-chunk hot path: every stage pass pays one decompress
 and one compress per chunk, so entropy-stage throughput bounds how far the
@@ -7,7 +7,9 @@ chunk sizes 2^10..2^20 and three alphabet regimes:
 
 * Huffman encode and decode throughput (the table-driven ``decode`` against
   the per-bit ``decode_trie`` oracle it replaced), and
-* zlib encode/decode of the same minimal-width symbol stream,
+* zlib encode/decode of the same minimal-width symbol stream, and
+* on the ``wide`` stream — the noise regime szlike's ``auto`` bit-packs
+  instead of deflating — fixed-length ``pack_fixed`` / ``unpack_fixed``,
 
 in symbols/s and effective MB/s of decoded int64 payload. The headline
 metric gates in CI: at 2^16 elements the LUT decoder must hold a >= 10x
@@ -26,6 +28,7 @@ import pytest
 from common import FULL, emit_result, print_banner, seconds
 from repro.analysis import Table
 from repro.compression import huffman
+from repro.compression.bitstream import pack_fixed, unpack_fixed
 
 #: chunk sizes swept (elements); FULL adds the top sizes.
 SIZES_FAST = [1 << 10, 1 << 12, 1 << 14, 1 << 16]
@@ -76,6 +79,14 @@ def measure(kind: str, n: int, rng: np.random.Generator) -> dict:
     row["zlib_bytes"] = len(zblob)
     row["zlib_enc_s"] = _time(lambda: zlib.compress(narrow.tobytes(), 1))
     row["zlib_dec_s"] = _time(lambda: zlib.decompress(zblob))
+    if kind == "wide":
+        symbols = vals.view(np.uint64)
+        width = int(vals.max()).bit_length()
+        packed = pack_fixed(symbols, width)
+        assert np.array_equal(unpack_fixed(packed, n, width), symbols)
+        row["fixed_bytes"] = len(packed)
+        row["fixed_enc_s"] = _time(lambda: pack_fixed(symbols, width))
+        row["fixed_dec_s"] = _time(lambda: unpack_fixed(packed, n, width))
     return row
 
 
@@ -84,8 +95,9 @@ def generate_table(sizes=None, kinds=("narrow", "typical", "wide")):
     sizes = sizes if sizes is not None else (SIZES_FULL if FULL else SIZES_FAST)
     t = Table(
         ["stream", "n", "alphabet", "huff dec MB/s", "trie dec MB/s",
-         "LUT/trie", "zlib dec MB/s", "huff/zlib size"],
-        title="CD1: entropy-codec decode throughput (int64 payload MB/s)",
+         "LUT/trie", "zlib enc MB/s", "zlib dec MB/s", "huff/zlib size",
+         "fixed enc MB/s", "fixed dec MB/s", "fixed/zlib size"],
+        title="CD1: entropy-codec throughput (int64 payload MB/s)",
     )
     rows = []
     for kind in kinds:
@@ -98,8 +110,13 @@ def generate_table(sizes=None, kinds=("narrow", "typical", "wide")):
                 f"{mb / row['dec_s']:.0f}",
                 f"{mb / row['trie_s']:.0f}" if "trie_s" in row else "-",
                 f"{row['trie_s'] / row['dec_s']:.1f}x" if "trie_s" in row else "-",
+                f"{mb / row['zlib_enc_s']:.0f}",
                 f"{mb / row['zlib_dec_s']:.0f}",
                 f"{row['huff_bytes'] / row['zlib_bytes']:.2f}",
+                *((f"{mb / row['fixed_enc_s']:.0f}",
+                   f"{mb / row['fixed_dec_s']:.0f}",
+                   f"{row['fixed_bytes'] / row['zlib_bytes']:.2f}")
+                  if "fixed_bytes" in row else ("-", "-", "-")),
             )
     return t, rows
 
@@ -146,6 +163,10 @@ if __name__ == "__main__":
         "wall_seconds": seconds(wall),
         # headline gates: decode time at the 2^16 chunk scale, per regime
         **{f"decode_s_{r['kind']}_65536": seconds(r["dec_s"]) for r in at16},
+        # the stage `auto` takes on noise, against the zlib it replaces
+        **{f"{name}_s_wide_65536": seconds(r[f"{name}_s"])
+           for r in at16 if r["kind"] == "wide"
+           for name in ("fixed_enc", "fixed_dec", "zlib_enc", "zlib_dec")},
         "lut_over_trie_65536":
             {"values": [speedup], "unit": "x", "direction": "higher"},
     }

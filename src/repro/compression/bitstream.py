@@ -14,7 +14,8 @@ import numpy as np
 
 from ..memory.bufferpool import scratch_pool
 
-__all__ = ["BitWriter", "BitReader", "pack_codes", "unpack_bits", "unpack_fields"]
+__all__ = ["BitWriter", "BitReader", "pack_codes", "unpack_bits", "unpack_fields",
+           "pack_fixed", "unpack_fixed"]
 
 #: bound on the per-block bit-matrix footprint inside :func:`pack_codes`
 _PACK_BLOCK_BITS = 1 << 21
@@ -156,3 +157,43 @@ def unpack_fields(data: bytes, lengths: np.ndarray) -> np.ndarray:
     out = np.sum(np.where(valid, vals << shifts, np.uint64(0)), axis=1,
                  dtype=np.uint64)
     return out
+
+
+#: narrowest big-endian unsigned dtype per field width, by (width - 1) // 8
+_FIELD_DTYPES = [np.dtype(f">u{b}") for b in (1, 2, 4, 4, 8, 8, 8, 8)]
+
+
+def _container(width: int) -> np.dtype:
+    if not 1 <= width <= 64:
+        raise ValueError(f"field width {width} outside 1..64")
+    return _FIELD_DTYPES[(width - 1) >> 3]
+
+
+def pack_fixed(values: np.ndarray, width: int) -> bytes:
+    """Vectorized: the low ``width`` bits of every value, MSB-first, packed.
+
+    Every value must fit in ``width`` bits. ``ceil(n * width / 8)`` bytes,
+    the last one zero-padded.
+    """
+    be = values.astype(_container(width))
+    # Flat (un)packbits is several times faster than the axis= form, and the
+    # container is whole bytes, so a reshape gives the same bit matrix.
+    bits = np.unpackbits(be.view(np.uint8)).reshape(values.shape[0], -1)
+    return np.packbits(bits[:, bits.shape[1] - width:]).tobytes()
+
+
+def unpack_fixed(data, count: int, width: int) -> np.ndarray:
+    """Inverse of :func:`pack_fixed`: ``count`` fields as a uint64 array.
+
+    ``np.unpackbits(count=)`` zero-pads a short buffer, so the length is
+    checked first: ``data`` must be exactly ``ceil(count * width / 8)``
+    bytes.
+    """
+    dtype = _container(width)
+    if len(data) != (count * width + 7) >> 3:
+        raise ValueError("fixed-width field buffer has the wrong length")
+    fields = np.zeros((count, 8 * dtype.itemsize), dtype=np.uint8)
+    fields[:, fields.shape[1] - width:] = np.unpackbits(
+        np.frombuffer(data, dtype=np.uint8),
+        count=count * width).reshape(count, width)
+    return np.packbits(fields).view(dtype).astype(np.uint64)

@@ -18,6 +18,7 @@ predictor while keeping both directions fully vectorized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -65,17 +66,42 @@ def resolve_error_bound(data: np.ndarray, error_bound: float, mode: str) -> floa
     raise ValueError(f"unknown error-bound mode {mode!r}")
 
 
+def scaled_codes(data: np.ndarray, abs_bound: float, out: np.ndarray):
+    """``out[:] = rint(data / (2 * abs_bound))``; returns ``(min, max)`` as ints.
+
+    The codes stay float64 (exact integers: the range check caps them at
+    :data:`MAX_SAFE_CODE`), so a caller can reconstruct from them without
+    a cast. One division, one min / max: NaN propagates through both
+    reductions and infinity is their own value, so a single comparison of
+    the larger magnitude covers non-finite input and overflow alike.
+
+    Raises:
+        FloatingPointError: a quotient is NaN or infinite.
+        OverflowError: a quotient exceeds :data:`MAX_SAFE_CODE`.
+    """
+    if not data.size:
+        return 0, 0
+    with np.errstate(over="ignore"):
+        np.divide(data, 2.0 * abs_bound, out=out)
+    lo, hi = float(out.min()), float(out.max())
+    top = max(-lo, hi)
+    if not top <= MAX_SAFE_CODE:
+        if top < np.inf:
+            raise OverflowError(
+                "quantization codes exceed the safe integer range")
+        raise FloatingPointError("non-finite values reached the quantizer")
+    np.rint(out, out=out)
+    # rint is monotone and rounds like round(): the extremes of the codes
+    # are the rounded extremes of the quotients.
+    return round(lo), round(hi)
+
+
 def quantize(data: np.ndarray, abs_bound: float) -> QuantizeResult:
     """Quantize real float64 data under an absolute bound (vectorized)."""
-    step = 2.0 * abs_bound
-    with np.errstate(over="ignore"):
-        scaled = data / step
-    if not np.all(np.isfinite(scaled)):
-        raise FloatingPointError("non-finite values reached the quantizer")
-    if scaled.size and float(np.max(np.abs(scaled))) > MAX_SAFE_CODE:
-        raise OverflowError("quantization codes exceed the safe integer range")
-    codes = np.rint(scaled).astype(np.int64)
-    return QuantizeResult(codes=codes, abs_bound=float(abs_bound))
+    codes = np.empty(data.shape, dtype=np.float64)
+    scaled_codes(data, abs_bound, codes)
+    return QuantizeResult(codes=codes.astype(np.int64),
+                          abs_bound=float(abs_bound))
 
 
 def dequantize(codes: np.ndarray, abs_bound: float) -> np.ndarray:
@@ -83,13 +109,28 @@ def dequantize(codes: np.ndarray, abs_bound: float) -> np.ndarray:
     return codes.astype(np.float64) * (2.0 * abs_bound)
 
 
-def zigzag(values: np.ndarray) -> np.ndarray:
-    """Map signed int64 to unsigned (0,-1,1,-2,.. -> 0,1,2,3,..)."""
-    v = values.astype(np.int64)
-    return ((v << 1) ^ (v >> 63)).view(np.uint64)
+def zigzag(values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Map signed int64 to unsigned (0,-1,1,-2,.. -> 0,1,2,3,..).
+
+    ``out`` (int64, may be ``values`` itself) receives the result; the
+    returned array is its uint64 view.
+    """
+    v = values.astype(np.int64, copy=False)
+    sign = v >> 63
+    out = np.left_shift(v, 1, out=out)
+    np.bitwise_xor(out, sign, out=out)
+    return out.view(np.uint64)
 
 
-def unzigzag(values: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`zigzag`."""
-    u = values.astype(np.uint64)
-    return ((u >> np.uint64(1)).astype(np.int64)) ^ -((u & np.uint64(1)).astype(np.int64))
+def unzigzag(values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Inverse of :func:`zigzag`.
+
+    ``out`` (uint64, may be ``values`` itself) receives the result; the
+    returned array is its int64 view.
+    """
+    u = values.astype(np.uint64, copy=False)
+    sign = (u & np.uint64(1)).view(np.int64)
+    np.negative(sign, out=sign)
+    out = np.right_shift(u, np.uint64(1), out=out).view(np.int64)
+    np.bitwise_xor(out, sign, out=out)
+    return out

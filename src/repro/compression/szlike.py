@@ -4,14 +4,20 @@ Pipeline (all stages vectorized; see DESIGN.md for the substitution note):
 
 1. split complex128 into the concatenated real/imag float64 planes
    (keeping each plane contiguous preserves smoothness for the delta stage);
-2. error-bounded linear-scaling quantization (``quantizer``);
+2. error-bounded linear-scaling quantization (``quantizer``), verified
+   against the configured bound on the decoder's exact reconstruction;
 3. exact integer delta coding of the quantization codes — the reversible,
-   vectorized equivalent of SZ's first-order Lorenzo predictor;
-4. zigzag mapping and an entropy stage: our canonical Huffman coder for
-   small/narrow alphabets, zlib on minimal-width integers otherwise;
+   vectorized equivalent of SZ's first-order Lorenzo predictor — unless the
+   chunk's codes are noise, which a predictor only widens;
+4. zigzag mapping and an entropy stage: fixed-length bit packing for noise
+   (nothing to model, so nothing is deflated), our canonical Huffman coder
+   for small/narrow alphabets, zlib on minimal-width integers otherwise;
 5. a lossless *raw fallback* whenever the lossy stream would not actually be
    smaller (SZ's unpredictable-data escape, generalized to whole chunks) or
    the bound is too tight for safe integer quantization.
+
+Steps 1-3 are one fused pass over pooled scratch planes: at chunk sizes
+that live in cache the cost is numpy calls, not bytes.
 
 Guarantee: each real and imaginary component of every round-tripped value
 differs from the original by at most the *realized* absolute bound (``abs``
@@ -30,6 +36,7 @@ import numpy as np
 
 from ..memory.bufferpool import scratch_pool
 from . import huffman
+from .bitstream import pack_fixed, unpack_fixed
 from .interface import (
     DTYPE_MAGIC,
     Compressor,
@@ -39,8 +46,8 @@ from .interface import (
     tag_dtype,
 )
 from .quantizer import (
-    quantize,
     resolve_error_bound,
+    scaled_codes,
     unzigzag,
     zigzag,
 )
@@ -49,11 +56,14 @@ __all__ = ["SZLikeCompressor", "blob_entropy"]
 
 _MAGIC = b"SZL1"
 _ADAPTIVE_MAGIC = b"ADP1"  # repro.compression.adaptive wrapper (inner at [5:])
+_HEADER = struct.Struct("<BBQd")  # flag, entropy id, amplitudes, bound
+_PAYLOAD_AT = len(_MAGIC) + _HEADER.size
 _FLAG_QUANT = 0
 _FLAG_RAW = 1
 
 _ENTROPY_ZLIB = 0
 _ENTROPY_HUFFMAN = 1
+_ENTROPY_FIXED = 2
 
 #: With the table-driven decoder (huffman._decode_lut) the entropy stage is
 #: vectorized end to end, so Huffman is viable at real chunk sizes — these
@@ -72,6 +82,22 @@ _HUFFMAN_MAX_ELEMENTS = 1 << 21
 #: and costs 1e-9 of the step in precision.
 _STEP_SHRINK = 1.0 - 2.0 ** -30
 
+#: `auto` takes the fixed-length stage when the chunk itself says its codes
+#: are noise — no state carried between chunks, so a codec worker and the
+#: serial loop decide alike (DESIGN.md "The fixed-length stage"). All three
+#: must hold. Multi-byte: the zigzagged deltas need more than
+#: ``_FIXED_MIN_DELTA_WIDTH`` bits — on one-byte symbols deflate's literal
+#: Huffman is a real order-0 entropy coder and beats bit packing. Wide
+#: alphabet: at least ``_FIXED_MIN_DISTINCT`` of the first ``_FIXED_PROBE``
+#: deltas are distinct, which no run-length or few-symbol stream is. Full:
+#: bit packing wastes exactly each symbol's leading zeros, and in *both*
+#: streams (codes: zeros, sparsity; deltas: smoothness) the average symbol
+#: has at most ``_FIXED_MAX_SLACK`` of them.
+_FIXED_MIN_DELTA_WIDTH = 8
+_FIXED_PROBE = 64
+_FIXED_MIN_DISTINCT = 48
+_FIXED_MAX_SLACK = 5
+
 
 def _minimal_uint(zz: np.ndarray) -> np.ndarray:
     """Downcast zigzag codes to the narrowest dtype that holds the max."""
@@ -83,6 +109,18 @@ def _minimal_uint(zz: np.ndarray) -> np.ndarray:
     if mx < 1 << 32:
         return zz.astype(np.uint32)
     return zz.astype(np.uint64)
+
+
+def _delta(codes: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """First differences of ``codes`` (the first one kept), into ``out``."""
+    out[0] = codes[0]
+    np.subtract(codes[1:], codes[:-1], out=out[1:])
+    return out
+
+
+def _zigzag_width(lo: int, hi: int) -> int:
+    """Bits of the largest zigzag symbol of a stream spanning ``[lo, hi]``."""
+    return max(2 * hi, -2 * lo - 1, 1).bit_length()
 
 
 class SZLikeCompressor(Compressor):
@@ -103,8 +141,9 @@ class SZLikeCompressor(Compressor):
             error_bound: per-component bound (absolute, or relative to the
                 chunk's max component magnitude in ``rel`` mode).
             mode: ``"abs"`` or ``"rel"``.
-            entropy: ``"zlib"``, ``"huffman"``, or ``"auto"`` (huffman for
-                small chunks/alphabets, zlib otherwise).
+            entropy: ``"zlib"``, ``"huffman"``, or ``"auto"`` (fixed-length
+                packing for noise-like codes, huffman for small
+                chunks/alphabets, zlib otherwise).
             zlib_level: zlib level for the entropy/backstop stage.
         """
         if mode not in ("abs", "rel"):
@@ -138,34 +177,45 @@ class SZLikeCompressor(Compressor):
 
     def _compress_frame(self, data: np.ndarray) -> bytes:
         n = data.shape[0]
-        # The concatenated real/imag planes and the bound-check reconstruction
-        # are per-chunk scratch — borrow both from the process scratch pool so
-        # repeated chunk passes (and codec workers) recycle the allocations.
-        with scratch_pool().borrow(2 * n, np.float64) as planes, \
-                scratch_pool().borrow(2 * n, np.float64) as recon:
-            np.copyto(planes[:n], data.real)
-            np.copyto(planes[n:], data.imag)
+        if n == 0:
+            return self._raw_blob(data)
+        m = 2 * n
+        # One pass over three per-chunk scratch planes (one borrow, so
+        # repeated chunk passes and codec workers recycle one allocation):
+        # the real/imag planes (then the integer codes), the float codes,
+        # and a work plane that holds the bound-check reconstruction and
+        # then the deltas. A 4 KiB chunk lives in cache; what this path
+        # pays for is calls, not bytes.
+        with scratch_pool().borrow(3 * m, np.float64) as scratch:
+            planes, scaled, work = scratch[:m], scratch[m:2 * m], scratch[2 * m:]
+            # Keeping each plane contiguous preserves smoothness for the
+            # delta stage; the strided copy is also the c64 -> f64 upcast.
+            np.copyto(planes.reshape(2, n),
+                      data.view(data.real.dtype).reshape(n, 2).T)
             try:
                 abs_bound = resolve_error_bound(planes, self._eb, self._mode)
-                q = quantize(planes, abs_bound * _STEP_SHRINK)
+                step_bound = abs_bound * _STEP_SHRINK
+                lo, hi = scaled_codes(planes, step_bound, scaled)
             except (OverflowError, FloatingPointError):
                 return self._raw_blob(data)
             # Verify the *configured* bound against the actual reconstruction
-            # (dequantize is deterministic, so the decoder sees exactly these
-            # values). Product rounding can still exceed eb for huge code
-            # magnitudes (bounds near |x|*ulp); those chunks escape to the
-            # exact raw path (SZ's unpredictable-data rule).
-            np.multiply(q.codes, 2.0 * q.abs_bound, out=recon)
-            np.subtract(planes, recon, out=recon)
-            np.abs(recon, out=recon)
-            if n and float(recon.max()) > abs_bound:
+            # (the decoder multiplies the same integers by the same step, so
+            # it sees exactly these values). Product rounding can still
+            # exceed eb for huge code magnitudes (bounds near |x|*ulp); those
+            # chunks escape to the exact raw path (SZ's unpredictable-data
+            # rule).
+            np.multiply(scaled, 2.0 * step_bound, out=work)
+            np.subtract(planes, work, out=work)
+            np.abs(work, out=work)
+            if float(work.max()) > abs_bound:
                 return self._raw_blob(data)
-            deltas = np.diff(q.codes, prepend=np.int64(0))
-        zz = zigzag(deltas)
-        payload, entropy_id = self._entropy_encode(zz)
+            codes = planes.view(np.int64)  # the planes are spent
+            np.copyto(codes, scaled, casting="unsafe")
+            payload, entropy_id = self._encode_codes(
+                codes, lo, hi, scratch[m:])
         blob = (
             _MAGIC
-            + struct.pack("<BBQd", _FLAG_QUANT, entropy_id, n, q.abs_bound)
+            + _HEADER.pack(_FLAG_QUANT, entropy_id, n, step_bound)
             + payload
         )
         if len(blob) >= data.nbytes:
@@ -179,34 +229,85 @@ class SZLikeCompressor(Compressor):
         # Raw bytes stay in the input dtype; the outer dtype tag tells the
         # decoder how to reinterpret them.
         packed = zlib.compress(data.tobytes(), self._level)
-        return _MAGIC + struct.pack(
-            "<BBQd", _FLAG_RAW, _ENTROPY_ZLIB, data.shape[0], 0.0
-        ) + packed
+        return _MAGIC + _HEADER.pack(
+            _FLAG_RAW, _ENTROPY_ZLIB, data.shape[0], 0.0) + packed
+
+    def _encode_codes(self, codes: np.ndarray, lo: int, hi: int,
+                      floats: np.ndarray) -> Tuple[bytes, int]:
+        """Pick and run the entropy stage on the int64 ``codes``.
+
+        ``lo`` / ``hi`` are their extremes (the range check already has
+        them). ``floats`` is two float64 planes: the codes again, then a
+        spare one. Everything passed in is consumed.
+        """
+        m = codes.shape[0]
+        spare = floats[m:]
+        if self._entropy == "auto":
+            # The deltas as floats (exact: |code| <= 2**52), next to the
+            # float codes, so each statistic below is one call over both.
+            _delta(floats[:m], spare)
+            width = _zigzag_width(lo, hi)
+            delta_width = _zigzag_width(int(spare.min()), int(spare.max()))
+            if delta_width > _FIXED_MIN_DELTA_WIDTH and len(set(
+                    spare[:_FIXED_PROBE].tolist())) >= _FIXED_MIN_DISTINCT:
+                # SZ's unpredictable-data rule at chunk granularity: on
+                # noise the delta of iid codes is a bit *wider* than the
+                # codes, so the predictor is kept only where it narrows
+                # the stream.
+                predicted = delta_width < width
+                if predicted:
+                    width = delta_width
+                # frexp's exponent of an integer-valued float is its bit
+                # length: exact, so the choice is the same on every host.
+                lengths = np.frexp(floats, out=(floats, None))[1]
+                used = int(np.add.reduce(lengths.reshape(2, m), axis=1).min())
+                if m * (width - 1 - _FIXED_MAX_SLACK) <= used:
+                    stream = _delta(codes, spare.view(np.int64)) \
+                        if predicted else codes
+                    zz = zigzag(stream, out=stream)
+                    return (bytes((width, predicted)) + pack_fixed(zz, width),
+                            _ENTROPY_FIXED)
+        # Exact integer delta coding: the reversible, vectorized equivalent
+        # of SZ's first-order Lorenzo predictor.
+        deltas = _delta(codes, spare.view(np.int64))
+        return self._entropy_encode(zigzag(deltas, out=deltas))
 
     def _entropy_encode(self, zz: np.ndarray) -> Tuple[bytes, int]:
+        """zlib or Huffman on the zigzagged deltas (uint64)."""
         if self._entropy == "huffman":
-            return huffman.encode(zz.astype(np.int64)), _ENTROPY_HUFFMAN
+            return huffman.encode(zz.view(np.int64)), _ENTROPY_HUFFMAN
         narrow = _minimal_uint(zz)
         zpay = struct.pack("<B", narrow.dtype.itemsize) + \
             zlib.compress(narrow.tobytes(), self._level)
         if self._entropy == "auto" and zz.size and \
                 zz.size <= _HUFFMAN_MAX_ELEMENTS:
-            # One alphabet scan, on the minimal-width array the zlib payload
-            # was built from (sorting uint8/uint16 is several times cheaper
-            # than int64). Degenerate single-symbol streams stay with zlib
-            # (its RLE beats a 1-bit-per-symbol Huffman floor). Otherwise
-            # the zeroth-order entropy bound predicts the Huffman payload
+            # The zeroth-order entropy bound predicts the Huffman payload
             # (n*H/8 data + 9 bytes/symbol table) — only when it is in
             # striking distance of the zlib payload is the encoder actually
             # run, and the exact smaller payload wins, so `auto` is never
-            # worse than zlib. The symbol -> index map is derived only then
-            # and handed to the encoder, so the stream is not sorted twice.
+            # worse than zlib here. The table term alone already refutes
+            # most streams: a prefix's distinct count is a lower bound on
+            # the alphabet's, so once a prefix of twice the table budget
+            # holds more symbols than fit the inequality, the full-stream
+            # scan is skipped. Sound, so the choice is the full probe's.
+            limit = len(zpay) * 1.05
+            budget = max(0, int((limit - 16) // 9))  # symbols the table may hold
+            prefix = 2 * budget + 2
+            if prefix < zz.size and \
+                    9 * np.unique(narrow[:prefix]).size + 16 > limit:
+                return zpay, _ENTROPY_ZLIB
+            # One alphabet scan, on the minimal-width array the zlib payload
+            # was built from (sorting uint8/uint16 is several times cheaper
+            # than int64). Degenerate single-symbol streams stay with zlib
+            # (its RLE beats a 1-bit-per-symbol Huffman floor). The symbol
+            # -> index map is derived only when the encoder runs and is
+            # handed to it, so the stream is not sorted twice.
             symbols, freqs = np.unique(narrow, return_counts=True)
             if 2 <= symbols.size <= _HUFFMAN_MAX_ALPHABET:
                 p = freqs / zz.size
                 h_bits = float(-(p * np.log2(p)).sum())
                 est = zz.size * h_bits / 8 + 9 * symbols.size + 16
-                if est <= len(zpay) * 1.05:
+                if est <= limit:
                     inverse = np.searchsorted(symbols, narrow)
                     hpay = huffman.encode(
                         narrow, alphabet=(symbols, inverse, freqs))
@@ -220,46 +321,64 @@ class SZLikeCompressor(Compressor):
         dtype, blob = split_dtype(blob)
         if blob[:4] != _MAGIC:
             raise ValueError("not an SZL1 blob")
-        flag, entropy_id, n, abs_bound = struct.unpack_from("<BBQd", blob, 4)
-        payload = blob[4 + struct.calcsize("<BBQd"):]
+        flag, entropy_id, n, step_bound = _HEADER.unpack_from(blob, 4)
+        payload = memoryview(blob)[_PAYLOAD_AT:]
         if flag == _FLAG_RAW:
             raw = zlib.decompress(payload)
             return np.frombuffer(raw, dtype=dtype, count=n).copy()
-        zz = self._entropy_decode(payload, entropy_id, 2 * n)
-        deltas = unzigzag(zz)
-        codes = np.cumsum(deltas, dtype=np.int64)
+        codes = self._decode_codes(payload, entropy_id, 2 * n)
         # Building directly in the target dtype lets the component
-        # assignments below do the (single) float64 -> float32 downcast.
+        # assignment below do the (single) float64 -> float32 downcast.
         out = np.empty(n, dtype=dtype)
         # Same arithmetic as quantizer.dequantize (codes -> float64, one
-        # product), but into a pooled plane buffer and then component-wise
-        # into the output, skipping the intermediate complex temporaries.
+        # product), but into a pooled plane buffer and then through a real
+        # view into the output, skipping the intermediate complex
+        # temporaries.
         with scratch_pool().borrow(2 * n, np.float64) as planes:
-            np.multiply(codes, 2.0 * abs_bound, out=planes)
-            out.real = planes[:n]
-            out.imag = planes[n:]
+            np.multiply(codes, 2.0 * step_bound, out=planes)
+            np.copyto(out.view(out.real.dtype).reshape(n, 2).T,
+                      planes.reshape(2, n), casting="same_kind")
         return out
 
-    def _entropy_decode(self, payload: bytes, entropy_id: int, count: int) -> np.ndarray:
+    def _decode_codes(self, payload, entropy_id: int, count: int) -> np.ndarray:
+        """Entropy-decode ``count`` quantisation codes (int64)."""
+        if entropy_id == _ENTROPY_FIXED:
+            if len(payload) < 2 or payload[1] > 1:
+                raise ValueError("malformed fixed-length payload")
+            zz = unpack_fixed(payload[2:], count, payload[0])
+            codes = unzigzag(zz, out=zz)
+            return np.cumsum(codes, out=codes) if payload[1] else codes
+        zz = self._entropy_decode(payload, entropy_id, count)
+        codes = unzigzag(zz, out=zz)
+        return np.cumsum(codes, out=codes)
+
+    def _entropy_decode(self, payload, entropy_id: int, count: int) -> np.ndarray:
+        """zlib or Huffman payload -> a fresh uint64 zigzag array."""
         if entropy_id == _ENTROPY_HUFFMAN:
-            vals = huffman.decode(payload)
+            vals = huffman.decode(bytes(payload))
             if vals.shape[0] != count:
                 raise ValueError("huffman stream length mismatch")
-            return vals.view(np.uint64) if vals.dtype == np.int64 else vals
-        width = payload[0]
-        dtype = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}[width]
+            return vals.view(np.uint64)
+        if entropy_id != _ENTROPY_ZLIB:
+            raise ValueError(f"unknown SZL1 entropy stage {entropy_id}")
+        dtype = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}[payload[0]]
         raw = zlib.decompress(payload[1:])
         return np.frombuffer(raw, dtype=dtype, count=count).astype(np.uint64)
+
+
+_ENTROPY_NAMES = {_ENTROPY_ZLIB: "zlib", _ENTROPY_HUFFMAN: "huffman",
+                  _ENTROPY_FIXED: "fixed"}
 
 
 def blob_entropy(blob: bytes) -> Optional[str]:
     """Sniff the entropy stage of an SZL1 blob from its header.
 
-    Returns ``"huffman"``, ``"zlib"``, or ``"raw"`` (the lossless escape);
-    ``None`` when the blob is not SZL1-framed. Adaptive-compressor wrappers
-    (``ADP1`` magic + tag byte) and dtype tags (``DTP1`` + tag byte) are
-    looked through, in any nesting order, so the chunk store can attribute
-    entropy choices without decompressing anything.
+    Returns ``"huffman"``, ``"zlib"``, ``"fixed"``, or ``"raw"`` (the
+    lossless escape); ``None`` when the blob is not SZL1-framed or names a
+    stage this build does not know. Adaptive-compressor wrappers (``ADP1``
+    magic + tag byte) and dtype tags (``DTP1`` + tag byte) are looked
+    through, in any nesting order, so the chunk store can attribute entropy
+    choices without decompressing anything.
     """
     while blob[:4] in (_ADAPTIVE_MAGIC, DTYPE_MAGIC):
         blob = blob[5:]
@@ -268,7 +387,7 @@ def blob_entropy(blob: bytes) -> Optional[str]:
     flag, entropy_id = blob[4], blob[5]
     if flag == _FLAG_RAW:
         return "raw"
-    return "huffman" if entropy_id == _ENTROPY_HUFFMAN else "zlib"
+    return _ENTROPY_NAMES.get(entropy_id)
 
 
 register_compressor(

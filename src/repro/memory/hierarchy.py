@@ -172,9 +172,18 @@ class AccessSchedule:
 
     # -- future queries -------------------------------------------------------
 
-    def next_use_of(self, chunk: int) -> float:
+    def horizon(self) -> float:
+        """Position of the first barrier at/after the cursor (``inf`` when
+        none is left): the far edge of every next-use query."""
+        j = bisect_left(self._barriers, self.cursor)
+        return self._barriers[j] if j < len(self._barriers) else _INF
+
+    def next_use_of(self, chunk: int, horizon: Optional[float] = None) -> float:
         """Barrier-bounded position of ``chunk``'s next use at/after the
         cursor; ``inf`` if it is not needed again before the next barrier.
+
+        A caller that asks about many chunks at one cursor position passes
+        :meth:`horizon` so the barrier is looked up once, not per chunk.
         """
         pos_list = self._positions.get(chunk)
         if not pos_list:
@@ -183,8 +192,7 @@ class AccessSchedule:
         if i == len(pos_list):
             return _INF
         p = pos_list[i]
-        j = bisect_left(self._barriers, self.cursor)
-        if j < len(self._barriers) and self._barriers[j] < p:
+        if (self.horizon() if horizon is None else horizon) < p:
             return _INF
         return float(p)
 
@@ -342,8 +350,9 @@ class TieredChunkStore(CompressedChunkStore):
             # all equivalent (none is needed again this epoch).
             victim = None
             victim_nu = -1.0
+            horizon = self.schedule.horizon()
             for chunk in self._ram_order:
-                nu = self.schedule.next_use_of(chunk)
+                nu = self.schedule.next_use_of(chunk, horizon)
                 if victim is None or nu > victim_nu:
                     victim, victim_nu = chunk, nu
                     if nu == _INF:

@@ -111,3 +111,18 @@ def test_report_cli(tmp_path, capsys):
                  "-o", str(out)]) == 0
     assert "HTML report written" in capsys.readouterr().out
     assert out.stat().st_size > 10_000
+
+
+def test_entropy_note_lists_the_fixed_length_stage():
+    # the note is built from whatever blob_entropy sniffs: a dense state's
+    # chunks are bit-packed, and the report says so with no code of its own
+    from repro.circuits import get_workload
+    from repro.device import DeviceSpec
+
+    result = MemQSim(chunk_qubits=8, compressor="szlike",
+                     compressor_options={"error_bound": 1e-6},
+                     device=DeviceSpec(memory_bytes=16 * 1024)).run(
+                         get_workload("supremacy", 10))
+    note = re.search(r"entropy stage by chunk — ([^<]*)<",
+                     render_html(result)).group(1)
+    assert re.search(r"fixed: [1-9]", note)

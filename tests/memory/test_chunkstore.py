@@ -301,7 +301,9 @@ class TestEntropyChoiceCounters:
             if name.startswith("codec.entropy_choice.")
         }
         assert sum(counts.values()) == lay.num_chunks
-        assert set(counts) <= {"huffman", "zlib", "raw"}
+        assert set(counts) <= {"huffman", "zlib", "fixed", "raw"}
+        # a random state's codes are noise: the store must see the new stage
+        assert counts.get("fixed", 0) > 0
 
     def test_lane_counts_entropy_choice_like_inline(self):
         """Blobs a lane worker produced are sniffed parent-side: every

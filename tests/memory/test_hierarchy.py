@@ -123,6 +123,19 @@ class TestAccessSchedule:
         s = sched(self.PASSES)
         assert s.next_use_of(99) == float("inf")
 
+    def test_horizon_is_the_next_barrier_and_can_be_passed_in(self):
+        # the spill pick looks the barrier up once for all resident chunks
+        s = sched(self.PASSES)
+        seen = []
+        for cursor in range(len(s) + 1):
+            s.cursor = cursor
+            seen.append(s.horizon())
+            for chunk in (0, 1, 2, 3, 99):
+                assert s.next_use_of(chunk, s.horizon()) == s.next_use_of(chunk)
+        barrier = seen[0]
+        assert barrier == 8.0  # two two-member passes come first
+        assert seen == [barrier] * 9 + [float("inf")] * (len(s) - 8)
+
 
 # ---------------------------------------------------------------------------
 # TieredChunkStore
