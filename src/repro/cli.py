@@ -628,13 +628,17 @@ def _cmd_compressors(args) -> int:
 def _cmd_plan(args) -> int:
     from collections import Counter
 
+    from .core import plan_circuit
     from .memory import ChunkLayout
-    from .pipeline import (RELOCATE, GateStage, describe_plan, plan_stages,
+    from .pipeline import (RELOCATE, GateStage, describe_plan,
                            predict_pass_schedule, trace_qubit_map)
 
     circuit = get_workload(args.workload, args.qubits)
     layout = ChunkLayout(args.qubits, args.chunk_qubits)
-    stages = plan_stages(circuit, layout, args.max_group)
+    # What a run from |0...0> plans: the circuit's swaps add up to a front
+    # permutation, which that state absorbs.
+    stages, hoisted = plan_circuit(circuit, layout, args.max_group,
+                                   zero_start=True)
     rep = describe_plan(stages, layout)
     # From |0...0> only chunk 0 is non-zero; all-zero groups never stream.
     live = Counter(si for kind, si, _gi, _members in predict_pass_schedule(
@@ -645,6 +649,11 @@ def _cmd_plan(args) -> int:
           f"{rep.num_permutation_stages} permutation), "
           f"{rep.group_passes} group passes: {executed} run from |0...0>, "
           f"{rep.group_passes - executed} all-zero groups skipped")
+    if hoisted is not None:
+        print(f"  hoisted: {hoisted.swaps} of the circuit's {len(circuit)} "
+              f"gates are swaps, now the front permutation "
+              f"{list(hoisted.permutation)}\n"
+              f"  (a run from a given state plans the circuit as written)")
     c = layout.chunk_qubits
     # Past this stage only the canonical layout is being restored.
     last_gate = max((i for i, s in enumerate(stages)

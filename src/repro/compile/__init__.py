@@ -8,6 +8,7 @@ backend executes the same ops.
 """
 
 from .compiler import CompileOptions, compile_gates, compile_stage, compile_stages
+from .hoist import Hoisted, hoist_permutations
 from .ir import (
     CompiledGateStage,
     CompiledPlan,
@@ -23,6 +24,8 @@ __all__ = [
     "compile_gates",
     "compile_stage",
     "compile_stages",
+    "Hoisted",
+    "hoist_permutations",
     "GateOp",
     "FusedOp",
     "CompiledGateStage",

@@ -33,6 +33,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..circuits.gates import gate_is_diagonal
+from .hoist import Hoisted
 from .ir import CompiledGateStage, CompiledPlan, CompileReport, as_ops
 from .passes import fold_1q_runs, fuse_windows, merge_diagonal_runs
 from .template import GateRecipe, PlanTemplate, Recipe, StageTemplate
@@ -137,11 +138,14 @@ def _is_gate_stage(stage: Any) -> bool:
 
 def _lower_stage(stage: Any, layout: Any = None,
                  options: Optional[CompileOptions] = None,
+                 source_slots: Optional[Sequence[int]] = None,
                  ) -> Tuple[Any, Dict[str, int]]:
     """Lower one gate stage to its template (an already compiled stage is
     returned as it is). ``layout`` derives the densify predicate; the
     stage's ``slots`` (if the planner filled them in) say which circuit
-    gate each of its gates takes its parameters from."""
+    gate each of its gates takes its parameters from. When the stage was
+    planned from a hoisted circuit, ``source_slots`` leads from there to
+    the circuit that will be bound."""
     if isinstance(stage, CompiledGateStage):
         return stage, {**_new_stats(stage.source_gates),
                        "ops_out": len(stage.ops)}
@@ -155,6 +159,8 @@ def _lower_stage(stage: Any, layout: Any = None,
     slots = getattr(stage, "slots", ())
     if len(slots) != len(ops):  # a hand-built stage: every gate is its own
         slots = [-1] * len(ops)
+    elif source_slots is not None:
+        slots = [source_slots[s] if s >= 0 else -1 for s in slots]
     stats = _new_stats(len(ops))
     recipes = _lower_batch(ops, slots, opts, cd, stats)
     stats["ops_out"] = len(recipes)
@@ -176,7 +182,8 @@ def _bound(lowered: Any, gates: Optional[Sequence[Any]]) -> Any:
 
 
 def _lower_stages(stages: Sequence[Any], layout: Any = None,
-                  options: Optional[CompileOptions] = None) -> PlanTemplate:
+                  options: Optional[CompileOptions] = None,
+                  hoisted: Optional[Hoisted] = None) -> PlanTemplate:
     """Lower a planner stage list into a :class:`PlanTemplate`.
 
     Gate stages lower independently (stage boundaries are execution
@@ -186,12 +193,17 @@ def _lower_stages(stages: Sequence[Any], layout: Any = None,
     opts = options if options is not None else DEFAULT_OPTIONS
     report = CompileReport(fusion_enabled=opts.fusion,
                            max_fuse_qubits=opts.max_fuse_qubits)
+    source_slots = None
+    if hoisted is not None:
+        source_slots = hoisted.slots
+        report.swaps_hoisted = hoisted.swaps
+        report.front_permutation = hoisted.permutation
     out: List[Any] = []
     for stage in stages:
         if _is_permutation_stage(stage) or not _is_gate_stage(stage):
             out.append(stage)
             continue
-        lowered, stats = _lower_stage(stage, layout, opts)
+        lowered, stats = _lower_stage(stage, layout, opts, source_slots)
         out.append(lowered)
         report.num_gate_stages += 1
         report.gates_in += stats["gates_in"]
@@ -205,7 +217,8 @@ def _lower_stages(stages: Sequence[Any], layout: Any = None,
 def compile_stages(stages: Any, layout: Any = None,
                    options: Optional[CompileOptions] = None,
                    telemetry: Any = None,
-                   gates: Optional[Sequence[Any]] = None) -> CompiledPlan:
+                   gates: Optional[Sequence[Any]] = None,
+                   hoisted: Optional[Hoisted] = None) -> CompiledPlan:
     """Lower a planner stage list and bind it: the :class:`CompiledPlan`.
 
     ``stages`` may also be the :class:`PlanTemplate` of an earlier call
@@ -215,13 +228,18 @@ def compile_stages(stages: Any, layout: Any = None,
     ops come out of the same evaluation, and ``report.seconds`` covers what
     this call did. ``gates=None`` binds to the gates the stages came with.
 
+    ``hoisted`` says the stages were planned from ``hoisted.circuit``
+    (:func:`~repro.compile.hoist.hoist_permutations`) while ``gates`` is
+    the circuit the caller wrote: parameter slots are led back to it, and
+    the report says what was hoisted.
+
     When ``telemetry`` is enabled, records ``compile.gates_in`` /
     ``compile.ops_out`` counters, the ``compile.fusion_ratio`` gauge and
     one ``compile`` tracer span.
     """
     t0 = time.perf_counter()
     template = stages if isinstance(stages, PlanTemplate) \
-        else _lower_stages(stages, layout, options)
+        else _lower_stages(stages, layout, options, hoisted)
     bound = [_bound(s, gates) for s in template.stages]
     report = replace(template.report, seconds=time.perf_counter() - t0)
     if telemetry is not None and getattr(telemetry, "enabled", False):

@@ -155,6 +155,12 @@ class CompileReport:
     seconds: float = 0.0
     fusion_enabled: bool = False
     max_fuse_qubits: int = 0
+    #: circuit swaps :func:`~repro.compile.hoist.hoist_permutations` took
+    #: out before planning (they are not among ``gates_in``), and the front
+    #: permutation they add up to; 0 and ``()`` for a circuit planned as
+    #: written
+    swaps_hoisted: int = 0
+    front_permutation: Tuple[int, ...] = ()
 
     @property
     def fusion_ratio(self) -> float:
@@ -175,6 +181,8 @@ class CompileReport:
             "fused_windows": self.fused_windows,
             "num_gate_stages": self.num_gate_stages,
             "seconds": self.seconds,
+            "swaps_hoisted": self.swaps_hoisted,
+            "front_permutation": list(self.front_permutation),
         }
 
 

@@ -2,7 +2,7 @@
 
 from .backend import Backend, EinsumBackend, NumpyKernelBackend, get_backend, register_backend
 from .config import MemQSimConfig
-from .memqsim import MemQSim
+from .memqsim import MemQSim, plan_circuit
 from .plancache import PlanCache
 from .results import MemQSimResult
 
@@ -11,6 +11,7 @@ __all__ = [
     "MemQSimConfig",
     "MemQSimResult",
     "PlanCache",
+    "plan_circuit",
     "Backend",
     "NumpyKernelBackend",
     "EinsumBackend",

@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from ..circuits.circuit import Circuit
-from ..compile import CompileOptions, compile_stages
+from ..compile import CompileOptions, compile_stages, hoist_permutations
 from ..device.executor import DeviceExecutor
 from ..device.timeline import PipelineModel, Stage, Timeline
 from ..device.transfer import make_strategy
@@ -43,7 +43,7 @@ from ..memory.chunkstore import CompressedChunkStore
 from ..memory.hierarchy import MemoryHierarchy, TieredChunkStore
 from ..memory.layout import ChunkLayout
 from ..pipeline.planner import describe_plan, max_group_qubits_for, plan_stages
-from ..pipeline.scheduler import StageScheduler
+from ..pipeline.scheduler import StageScheduler, stage_programs
 from ..pipeline.sweep import live_chunks, predict_pass_schedule
 from ..statevector.statevector import StateVector
 from ..telemetry import (
@@ -61,9 +61,53 @@ from .config import MemQSimConfig
 from .plancache import CachedPlan, PlanCache
 from .results import MemQSimResult
 
-__all__ = ["MemQSim"]
+__all__ = ["MemQSim", "plan_circuit"]
 
 log = get_logger(__name__)
+
+
+def _passes_from_zero(stages, layout) -> int:
+    """Group passes ``stages`` run when only chunk 0 is non-zero."""
+    return sum(kind == "pass" for kind, *_ in predict_pass_schedule(
+        stages, layout, support={0}))
+
+
+def plan_circuit(circuit: Circuit, layout: ChunkLayout, max_group_qubits: int,
+                 *, zero_start: bool, enable_permutation_stages: bool = True):
+    """The offline partition of a run: ``(stages, what was hoisted or None)``.
+
+    From |0...0> the circuit's swaps are not planned at all: with
+    ``C = C'' · Π`` (:func:`~repro.compile.hoist_permutations`) and
+    ``Π|0...0> = |0...0>``, the swap-free ``C''`` gives the same final state
+    and every ``swap(local, global)`` is a sweep not made. Any other start
+    state would have to be permuted first, so it keeps the circuit as
+    written. The stages' ``slots`` index the circuit they were planned
+    from; hand ``hoisted`` to :func:`~repro.compile.compile_stages` with
+    them.
+
+    (It lives beside :class:`MemQSim` because it is that run's planning
+    step: ``plan_stages`` is called as this module's global, where the
+    end-to-end benchmark's tracer wraps it.)
+    """
+    def partition(c):
+        return plan_stages(c, layout, max_group_qubits,
+                           enable_permutation_stages=enable_permutation_stages)
+
+    if not zero_start:
+        return partition(circuit), None
+    hoisted = hoist_permutations(circuit)
+    if not hoisted.swaps:
+        return partition(circuit), None
+    stages = partition(hoisted.circuit)
+    # Relabeling also changes which qubits sit at global positions, and the
+    # planner is a greedy one: on some circuits the swaps as written were
+    # the cheaper relocation (random_circuit(16, 200, seed=0) at
+    # chunk_qubits=10, cap 3: 25 passes as written, 49 hoisted). Keep
+    # whichever streams fewer groups.
+    written = partition(circuit)
+    if _passes_from_zero(written, layout) < _passes_from_zero(stages, layout):
+        return written, None
+    return stages, hoisted
 
 
 class MemQSim:
@@ -236,22 +280,24 @@ class MemQSim:
         t_max = max_group_qubits_for(layout, cfg.device, double_buffer=cfg.num_buffers > 1)
         # Plan cache: keyed on circuit shape + plan-affecting knobs + the
         # *resolved* chunk size (checkpoint / initial-store layouts
-        # override the configured one, so `c` must be part of the key).
+        # override the configured one, so `c` must be part of the key) +
+        # whether the start is |0...0>, which alone may drop a permutation.
+        zero_start = given == 0
         shape, values = circuit.shape_and_values()
-        cache_key = (shape, cfg.plan_key(), c)
+        cache_key = (shape, cfg.plan_key(), c, zero_start)
         cached = self.plan_cache.lookup(cache_key, values)
         if cached is not None and cached.values == values:
             plan_source = "hit"
-            plan = cached.plan
+            plan, programs = cached.plan, cached.programs
             cplan = replace(cached.bound,
                             report=replace(cached.bound.report, seconds=0.0))
         else:
+            hoisted = None
             if cached is None:
                 plan_source = "miss"
-                stages = plan_stages(
-                    circuit, layout, t_max,
-                    enable_permutation_stages=cfg.enable_permutation_stages,
-                )
+                stages, hoisted = plan_circuit(
+                    circuit, layout, t_max, zero_start=zero_start,
+                    enable_permutation_stages=cfg.enable_permutation_stages)
                 plan = describe_plan(stages, layout)
             else:
                 # Same shape, other angles: every decision stands.
@@ -264,11 +310,17 @@ class MemQSim:
                 stages, layout,
                 CompileOptions(fusion=cfg.fuse_gates,
                                max_fuse_qubits=cfg.max_fuse_qubits),
-                telemetry=tel, gates=circuit.gates,
+                telemetry=tel, gates=circuit.gates, hoisted=hoisted,
             )
+            # Each op's lowering into a group's frame is kept with the
+            # plan; a rebind carries over those of the ops it left alone.
+            programs = stage_programs(
+                cplan.stages, layout,
+                cached.programs if cached is not None else None)
             # Compiled stages are immutable once built; sharing the same
             # lowered plan across runs (and tenants) is safe.
-            self.plan_cache.store(cache_key, CachedPlan(plan, values, cplan))
+            self.plan_cache.store(
+                cache_key, CachedPlan(plan, values, cplan, programs))
         log.debug("compile (%s): %d gates -> %d ops (ratio %.2f, fusion=%s)",
                   plan_source, cplan.report.gates_in, cplan.report.ops_out,
                   cplan.report.fusion_ratio, cfg.fuse_gates)
@@ -384,7 +436,7 @@ class MemQSim:
                 schedule=schedule,
             )
             with tel.span("online", stages=plan.num_stages, workers=workers):
-                scheduler.run(cplan.stages, passes)
+                scheduler.run(cplan.stages, passes, programs)
                 store_like.flush()
         finally:
             # Cleanup must run on *every* exit (including JobCancelled):
@@ -410,15 +462,17 @@ class MemQSim:
             cpu_idle_lanes=max(1, cfg.host.idle_cores),
             gpu_lanes=cfg.num_devices,
         )
-        pipelined = model.makespan(timeline)
+        # The makespan is a model only reports read: the result works it
+        # out from the timeline when asked, except for the telemetry gauge.
+        pipelined = None
         if tel.enabled:
+            pipelined = model.makespan(timeline)
             tel.tracer.record("run", wall, n=n, gates=len(circuit))
             m = tel.metrics
             m.counter("run.count").inc()
             m.gauge("run.wall.seconds").set(wall)
             m.gauge("run.pipelined.seconds").set(pipelined)
-        log.info("run done: n=%d wall=%.3fs pipelined=%.3fs", n, wall,
-                 pipelined)
+        log.info("run done: n=%d wall=%.3fs", n, wall)
         config_echo = {
             "chunk_qubits": c,
             "precision": cfg.precision,
@@ -440,6 +494,8 @@ class MemQSim:
             "hierarchy": hierarchy.describe(),
             "workers": workers,
             "plan_cache": plan_source,
+            "swaps_hoisted": cplan.report.swaps_hoisted,
+            "front_permutation": list(cplan.report.front_permutation),
         }
         return MemQSimResult(
             num_qubits=n,
@@ -449,7 +505,8 @@ class MemQSim:
             plan=plan,
             scheduler_stats=scheduler.stats,
             wall_seconds=wall,
-            pipelined_seconds=pipelined,
+            pipeline_model=model,
+            _pipelined=pipelined,
             config_summary=cfg.summary(),
             telemetry=tel,
             config_echo=config_echo,

@@ -9,9 +9,11 @@ service's repeat submissions can therefore reuse one lowered plan.
 :class:`PlanCache` is a small thread-safe LRU keyed on
 
     (shape from ``Circuit.shape_and_values()``, ``MemQSimConfig.plan_key()``,
-     resolved ``chunk_qubits``)
+     resolved ``chunk_qubits``, whether the run starts from |0...0>)
 
-— exactly the tuple :class:`~repro.core.MemQSim` builds. Every simulator
+— exactly the tuple :class:`~repro.core.MemQSim` builds (a zero start plans
+the circuit with its swaps hoisted away, any other start the circuit as
+written: two plans). Every simulator
 has a private one; the serve daemon hands one instance to all its jobs. An
 entry is a :class:`CachedPlan`: the plan as last bound, with the parameter
 values it was bound to. A lookup with the same values is a **hit** (nothing
@@ -49,6 +51,11 @@ class CachedPlan:
     #: the :class:`~repro.compile.CompiledPlan`; ``bound.template`` binds
     #: other values
     bound: Any
+    #: per stage of ``bound``, its :class:`~repro.pipeline.StageProgram`
+    #: (``None`` for a permutation stage): the ops as already lowered into
+    #: each group's frame. The key fixes shape, plan knobs and
+    #: ``chunk_qubits``, so they hold for every run the entry serves.
+    programs: Any
 
 
 class PlanCache:

@@ -16,6 +16,7 @@ from .scheduler import (
     StageScheduler,
     remap_gate_for_group,
     restrict_diagonal,
+    stage_programs,
 )
 from .stages import GateStage, PermutationStage
 from .sweep import live_chunks, predict_pass_schedule
@@ -35,6 +36,7 @@ __all__ = [
     "live_chunks",
     "predict_pass_schedule",
     "StageProgram",
+    "stage_programs",
     "StageScheduler",
     "remap_gate_for_group",
     "restrict_diagonal",

@@ -52,7 +52,7 @@ from .stages import GateStage, PermutationStage
 from .sweep import Pass, live_chunks, predict_pass_schedule
 
 __all__ = ["StageProgram", "StageScheduler", "remap_gate_for_group",
-           "restrict_diagonal"]
+           "restrict_diagonal", "stage_programs"]
 
 log = get_logger(__name__)
 
@@ -116,12 +116,12 @@ def remap_gate_for_group(
                 bit_pos = q - layout.chunk_qubits
                 fixed[q] = (group_base_chunk >> bit_pos) & 1
         rd, remaining = restrict_diagonal(d, gate.qubits, fixed)
+        # The identity tests must be essentially exact — dropping a 1e-6
+        # rotation would be a correctness bug, not an optimization.
+        if abs(rd - 1.0).max() <= 1e-15:
+            return None
         if not remaining:
             # Fully determined by the chunk id: a global phase rd[0].
-            # Tolerances must be essentially exact — dropping a 1e-6
-            # rotation would be a correctness bug, not an optimization.
-            if np.isclose(rd[0], 1.0, rtol=0.0, atol=1e-15):
-                return None
             scaled = np.array([rd[0], rd[0]], dtype=rd.dtype)
             return make_diagonal_gate((0,), scaled, name="gphase_restricted")
         mapping = {}
@@ -132,8 +132,6 @@ def remap_gate_for_group(
                 i = placement.group_qubits.index(q)
                 mapping[q] = placement.virtual_positions[i]
         vq = tuple(mapping[q] for q in remaining)
-        if np.allclose(rd, 1.0, rtol=0.0, atol=1e-15):
-            return None
         return make_diagonal_gate(vq, rd, name=f"{gate.name}_restricted")
     # Non-diagonal: every global qubit must be in the group.
     vq = layout.gate_virtual_qubits(gate.qubits, placement)
@@ -158,39 +156,59 @@ class StageProgram:
     covers nearly every global bit (5 of 6 on ``qft(16)``'s first stage), so
     a stage-wide key would be distinct for every group and reuse nothing.
 
-    A program belongs to one ``(stage, layout, placement)`` and lives for one
-    execution of that stage; nothing is cached on the stage object, so a
-    compiled plan shared between runs or layouts cannot see a stale table.
+    A program belongs to one ``(stage, layout, placement)``. The scheduler
+    builds one per execution for a stage it is handed bare; nothing is ever
+    cached on the stage object. :class:`~repro.core.MemQSim` keeps the
+    programs of a compiled plan with that plan in its plan cache
+    (:func:`stage_programs`, ``CachedPlan.programs``), whose key fixes the
+    circuit shape, the plan knobs and ``chunk_qubits`` — hence the stages,
+    the layout and every placement — so a table can never be read under
+    another layout than the one it was built for. A run that hits the cache
+    lowers nothing. A plan rebound to other parameter values gets new op
+    objects where a parameter went in (and for every fused op), while a
+    gate that takes none is bound to the very op it was lowered from;
+    ``previous`` (the program of the same stage as it was bound before)
+    hands over the rows whose op is still the same object, and only the
+    others are lowered again. Tables
+    only grow, and an entry is a pure function of its key, so concurrent
+    runs sharing a program at worst compute the same entry twice.
     """
 
     def __init__(self, stage: CompiledGateStage, layout: ChunkLayout,
-                 placement: GroupPlacement):
+                 placement: GroupPlacement,
+                 previous: Optional["StageProgram"] = None):
         self.layout = layout
         self.placement = placement
         in_group = set(placement.group_qubits)
         c = layout.chunk_qubits
-        #: per op: (lowered source gate, fixed-bit mask, pattern -> GateOp)
-        self._rows: List[Tuple[Gate, int, Dict[int, Optional[GateOp]]]] = []
-        for op in stage.ops:
+        #: per op: (op, lowered source gate, fixed-bit mask,
+        #: pattern -> GateOp)
+        self._rows: List[Tuple[object, Gate, int,
+                               Dict[int, Optional[GateOp]]]] = []
+        kept = previous._rows if previous is not None else ()
+        for i, op in enumerate(stage.ops):
+            if i < len(kept) and kept[i][0] is op:
+                self._rows.append(kept[i])
+                continue
             gate = op.to_gate()
             mask = 0
             if gate_is_diagonal(gate):
                 for q in gate.qubits:
                     if q >= c and q not in in_group:
                         mask |= 1 << (q - c)
-            self._rows.append((gate, mask, {}))
+            self._rows.append((op, gate, mask, {}))
 
     @property
     def entries(self) -> int:
         """Distinct lowerings built so far (the remap calls actually paid)."""
-        return sum(len(memo) for _g, _mask, memo in self._rows)
+        return sum(len(memo) for _op, _g, _mask, memo in self._rows)
 
     def ops_for(self, base_chunk: int) -> Tuple[List[GateOp], int]:
         """``(ops to execute, identity ops skipped)`` for the group whose
         first member is ``base_chunk``."""
         out: List[GateOp] = []
         skipped = 0
-        for gate, mask, memo in self._rows:
+        for _op, gate, mask, memo in self._rows:
             pattern = base_chunk & mask
             try:
                 op = memo[pattern]
@@ -205,6 +223,21 @@ class StageProgram:
             else:
                 out.append(op)
         return out, skipped
+
+
+def stage_programs(stages: Sequence[object], layout: ChunkLayout,
+                   previous: Optional[Sequence[Optional[StageProgram]]] = None,
+                   ) -> Tuple[Optional[StageProgram], ...]:
+    """A :class:`StageProgram` per compiled gate stage of a plan (``None``
+    for every other stage): what :meth:`StageScheduler.run` takes so that
+    the lowerings outlive the run. ``previous`` holds the programs of the
+    same plan template as it was bound before."""
+    if previous is None:
+        previous = (None,) * len(stages)
+    return tuple(
+        StageProgram(s, layout, layout.chunk_groups(s.group_qubits), prev)
+        if isinstance(s, CompiledGateStage) else None
+        for s, prev in zip(stages, previous))
 
 
 @dataclass
@@ -296,6 +329,8 @@ class StageScheduler:
         #: for the traffic ledger and the access recorder (store-level
         #: hops don't know which stage drives them; this does)
         self._audit_si = -1
+        #: the running plan's kept stage programs (see :meth:`run`)
+        self._programs: Optional[Sequence[Optional[StageProgram]]] = None
         self.stats = SchedulerStats()
 
     def _executor_for(self, gi: int):
@@ -336,10 +371,15 @@ class StageScheduler:
         self._audit_si = -1
 
     def run(self, stages: Sequence[object],
-            passes: Optional[Sequence[Pass]] = None) -> None:
+            passes: Optional[Sequence[Pass]] = None,
+            programs: Optional[Sequence[Optional[StageProgram]]] = None,
+            ) -> None:
         """Execute ``stages`` along ``passes``, the run's pass schedule
         (:func:`~repro.pipeline.sweep.predict_pass_schedule`; derived here
-        from the store's support set when the caller built none)."""
+        from the store's support set when the caller built none).
+        ``programs`` are the stages' :func:`stage_programs`, when the caller
+        keeps them across runs; without them every gate stage lowers its
+        ops afresh."""
         if passes is None:
             passes = predict_pass_schedule(stages, self.layout,
                                            self.serpentine,
@@ -348,6 +388,7 @@ class StageScheduler:
         for kind, si, gi, members in passes:
             if kind == "pass":
                 groups.setdefault(si, []).append((gi, members))
+        self._programs = programs
         log.debug("scheduler: running %d stages", len(stages))
         for si, s in enumerate(stages):
             self.cancel.raise_if_cancelled()
@@ -385,10 +426,16 @@ class StageScheduler:
 
     def _run_gate_stage(self, stage: CompiledGateStage, si: int,
                         groups: Sequence[Tuple[int, Tuple[int, ...]]]) -> None:
-        placement = self.layout.chunk_groups(stage.group_qubits)
+        # A kept program exists for a stage that came compiled (a bare
+        # stage, lowered just above, has ``None`` there).
+        program = self._programs[si] if self._programs else None
+        if program is None:
+            program = StageProgram(
+                stage, self.layout,
+                self.layout.chunk_groups(stage.group_qubits))
+        placement = program.placement
         group_size = self.layout.chunk_size << len(placement.group_qubits)
         cpu_every = self._cpu_every()
-        program = StageProgram(stage, self.layout, placement)
         self.stats.group_passes_skipped += len(placement.groups) - len(groups)
         for gi, members in groups:
             self.cancel.raise_if_cancelled()

@@ -59,8 +59,10 @@ class TestPredictor:
         assert predicted == tel.access.trace()
 
     def test_permutation_stages_become_barriers(self):
+        # (qft's global swaps used to provide them; from |0...0> they are
+        # hoisted out of the plan, random's x gates are not)
         stages, layout, tel = audited_run(n=9, chunk_qubits=3,
-                                          device_mb=0.002)
+                                          device_mb=0.002, workload="random")
         predicted = predict_access_schedule(stages, layout)
         barriers = [(si, c, op) for si, c, op in predicted if op == "b"]
         assert barriers, "streaming plan should include permutation stages"

@@ -93,11 +93,17 @@ class TestCommands:
         assert main(["plan", "qft", "-n", "10", "--chunk-qubits", "5",
                      "--max-group", "1"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        # 9 stages of 16 groups; from |0...0> support doubles per stage
-        assert lines[0].endswith("144 group passes: 95 run from |0...0>, "
+        # What a run from |0...0> plans: the 5 swaps are a front permutation
+        # (as written: 9 stages, 95 of 144 passes run), leaving 5 stages of
+        # 16 groups; support doubles per stage.
+        assert lines[0].endswith("80 group passes: 31 run from |0...0>, "
                                  "49 all-zero groups skipped")
+        assert "5 of the circuit's 60 gates are swaps" in lines[1]
+        assert "front permutation [9, 8, 7, 6, 5, 4, 3, 2, 1, 0]" in lines[1]
+        stages = [line for line in lines if "GateStage" in line]
+        assert len(stages) == 5
         assert [line.split("live ")[1].split(" groups")[0]
-                for line in lines[1:6]] == \
+                for line in stages] == \
             ["1 / 16", "2 / 16", "4 / 16", "8 / 16", "16 / 16"]
 
     def test_run_reports_passes_run_and_skipped(self, tmp_path, capsys):
@@ -108,15 +114,15 @@ class TestCommands:
         assert main(["run"] + argv + ["--json"]) == 0
         out = capsys.readouterr().out
         doc = json.loads(out[out.index("{"):])
-        assert doc["plan"]["group_passes"] == 95
+        assert doc["plan"]["group_passes"] == 31
         assert doc["plan"]["group_passes_skipped"] == 49
-        assert doc["scheduler"]["group_passes"] == 95
+        assert doc["scheduler"]["group_passes"] == 31
         assert main(["run"] + argv) == 0
-        assert "95 group passes run, 49 all-zero groups skipped" \
+        assert "31 group passes run, 49 all-zero groups skipped" \
             in capsys.readouterr().out
         html = tmp_path / "r.html"
         assert main(["report"] + argv + ["-o", str(html)]) == 0
-        assert "95 run, 49 all-zero skipped" in html.read_text()
+        assert "31 run, 49 all-zero skipped" in html.read_text()
 
     def test_audit_json_carries_the_predicted_pass_count(self, capsys):
         import json
@@ -126,6 +132,6 @@ class TestCommands:
         out = capsys.readouterr().out
         doc = json.loads(out[out.index("{"):])
         assert rc == 0 and doc["ok"]
-        assert doc["passes_predicted"] == 95
+        assert doc["passes_predicted"] == 31
         # each pass reads and writes its two members
-        assert doc["schedule_predicted"] == doc["schedule_measured"] == 4 * 95
+        assert doc["schedule_predicted"] == doc["schedule_measured"] == 4 * 31

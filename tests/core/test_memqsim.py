@@ -124,6 +124,23 @@ class TestResultQueries:
         assert 1.0 <= result.pipeline_speedup < 100
         assert result.pipelined_seconds <= result.serial_seconds + 1e-9
 
+    def test_pipelined_makespan_is_modelled_when_first_read(self, tight_config):
+        from repro.telemetry import Telemetry
+
+        res = MemQSim(tight_config).run(qft(8))
+        assert res._pipelined is None  # not on the run's stopwatch
+        modelled = res.pipeline_model.makespan(res.timeline)
+        assert res.pipelined_seconds == modelled == res._pipelined
+        assert res.to_dict()["pipelined_seconds"] == modelled
+        assert "(modelled," in res.report()
+        # telemetry's gauge needs the number at once
+        tel = Telemetry()
+        res = MemQSim(tight_config, telemetry=tel).run(qft(8))
+        assert res._pipelined is not None
+        assert res.pipelined_seconds \
+            == res.pipeline_model.makespan(res.timeline) \
+            == tel.metrics.gauge("run.pipelined.seconds").value
+
     def test_memory_accounting_sane(self, result):
         assert result.peak_host_bytes > 0
         assert result.peak_device_bytes > 0

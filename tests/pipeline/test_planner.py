@@ -32,6 +32,8 @@ from repro.circuits import (
     vqe_ansatz,
 )
 from repro.circuits.gates import gate_is_diagonal
+from repro.compile import hoist_permutations
+from repro.core import plan_circuit
 from repro.device import DeviceSpec
 from repro.memory import ChunkLayout
 from repro.pipeline import (
@@ -533,6 +535,110 @@ class TestSweepFromTheZeroState:
             SPARSE_START_LAYOUTS.index((c, device_bytes))]
         assert swept <= pinned_swept
         assert run <= pinned_run and run <= swept
+
+
+# Group passes run from |0...0> by the registry's two swap-bearing circuits
+# (hoisted, as written) under ``SPARSE_START_LAYOUTS``: hoisted is what a
+# zero-start ``MemQSim`` run plans, with the swaps gone into a front
+# permutation. Every other registry circuit has no swap and keeps its
+# ``SPARSE_START_PASSES`` row.
+HOISTED_START_PASSES = {
+    "qft": ((63, 223), (9, 17)),
+    "random": ((511, 607), (69, 249)),
+}
+
+
+def passes_from_zero(stages, layout):
+    return sum(kind == "pass" for kind, *_ in predict_pass_schedule(
+        stages, layout, support={0}))
+
+
+def all_registry_cases():
+    for workload in sorted(WORKLOADS):
+        for n, c, cap in REGISTRY_LAYOUTS:
+            yield workload, n, c, cap
+        for c, device_bytes in SPARSE_START_LAYOUTS:
+            n = 10 if workload == "grover" else 14
+            cap = max_group_qubits_for(ChunkLayout(n, c),
+                                       DeviceSpec(memory_bytes=device_bytes))
+            yield workload, n, c, cap
+
+
+class TestHoistedSwaps:
+    @pytest.mark.parametrize("workload,n,c,cap", list(all_registry_cases()))
+    def test_registry_hoisted_never_runs_more_passes(self, workload, n, c,
+                                                     cap):
+        circuit, layout = get_workload(workload, n), ChunkLayout(n, c)
+        hoisted = hoist_permutations(circuit)
+        if not hoisted.swaps:
+            assert hoisted.circuit is circuit  # the very same plan
+            return
+        written = plan_stages(circuit, layout, cap)
+        stages = plan_stages(hoisted.circuit, layout, cap)
+        assert passes_from_zero(stages, layout) \
+            <= passes_from_zero(written, layout)
+        assert describe_plan(stages, layout).group_passes \
+            <= describe_plan(written, layout).group_passes
+        assert gate_stages(stages) <= gate_stages(written)
+        # ... and the run takes that plan
+        chosen, taken = plan_circuit(circuit, layout, cap, zero_start=True)
+        assert taken is not None and taken.swaps == hoisted.swaps
+        assert [s.gates for s in chosen] == [s.gates for s in stages]
+
+    @pytest.mark.parametrize("c,device_bytes", SPARSE_START_LAYOUTS)
+    @pytest.mark.parametrize("workload", sorted(HOISTED_START_PASSES))
+    def test_registry_hoisted_passes_pinned(self, workload, c, device_bytes):
+        circuit, layout = get_workload(workload, 14), ChunkLayout(14, c)
+        cap = max_group_qubits_for(layout, DeviceSpec(memory_bytes=device_bytes))
+        stages, _hoisted = plan_circuit(circuit, layout, cap, zero_start=True)
+        pinned, pinned_written = HOISTED_START_PASSES[workload][
+            SPARSE_START_LAYOUTS.index((c, device_bytes))]
+        assert passes_from_zero(stages, layout) <= pinned < pinned_written
+        assert passes_from_zero(plan_stages(circuit, layout, cap), layout) \
+            == pinned_written
+
+    def test_qft_at_the_benchmark_layout(self):
+        # sparse_lossless: 11 gate stages and 223 passes as written, 5 of
+        # the stages a single circuit swap(local, global) — 160 passes that
+        # do no arithmetic.
+        circuit, layout, cap = E2E_CASES["sparse_lossless"]()
+        written = plan_stages(circuit, layout, cap)
+        assert sum(all(g.name == "swap" for g in s.gates)
+                   for s in written) == 5
+        stages, hoisted = plan_circuit(circuit, layout, cap, zero_start=True)
+        assert hoisted.swaps == 8
+        assert hoisted.permutation == tuple(range(15, -1, -1))
+        assert gate_stages(stages) == len(stages) <= 6
+        assert passes_from_zero(stages, layout) <= 63
+        assert not any(g.name == "swap" for s in stages for g in s.gates)
+
+    @pytest.mark.parametrize("name", sorted(E2E_CASES))
+    def test_no_benchmark_plan_keeps_a_circuit_swap_only_stage(self, name):
+        circuit, layout, cap = E2E_CASES[name]()
+        stages, _hoisted = plan_circuit(circuit, layout, cap, zero_start=True)
+        assert not any(s.gates and all(g.name == "swap" and not g.label
+                                       for g in s.gates) for s in stages)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n,c,cap", REGISTRY_LAYOUTS)
+    def test_the_run_never_takes_the_worse_of_the_two_plans(self, n, c, cap,
+                                                            seed):
+        # The planner is greedy and relabeling changes who is global: on
+        # some random circuits the hoisted plan alone would stream more.
+        circuit, layout = random_circuit(n, 200, seed=seed), ChunkLayout(n, c)
+        written = passes_from_zero(plan_stages(circuit, layout, cap), layout)
+        hoisted = passes_from_zero(plan_stages(
+            hoist_permutations(circuit).circuit, layout, cap), layout)
+        stages, taken = plan_circuit(circuit, layout, cap, zero_start=True)
+        assert passes_from_zero(stages, layout) == min(written, hoisted)
+        assert (taken is None) == (written < hoisted)
+
+    def test_a_given_start_plans_the_circuit_as_written(self):
+        circuit, layout, cap = E2E_CASES["sparse_lossless"]()
+        stages, hoisted = plan_circuit(circuit, layout, cap, zero_start=False)
+        assert hoisted is None
+        assert [s.gates for s in stages] == \
+            [s.gates for s in plan_stages(circuit, layout, cap)]
 
 
 class TestNeverWorseThanInOrder:

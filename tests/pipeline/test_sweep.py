@@ -256,8 +256,9 @@ class TestTheSkipIsInvisible:
             else:
                 res = run_from(cfg, circuit, layout, v, interned=True,
                                telemetry=tel, plan_cache=plans)
+        # (a given start state: the circuit is planned as written)
         cached = plans.lookup((circuit.shape_and_values()[0], cfg.plan_key(),
-                               layout.chunk_qubits))
+                               layout.chunk_qubits, False))
         plan, cplan = cached.plan, cached.bound
         stats = res.scheduler_stats
         executed = passes_of(predict_pass_schedule(
