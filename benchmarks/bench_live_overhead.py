@@ -4,24 +4,25 @@ The live plane (event bus + resource monitor + HTTP exposition) has to be
 cheap enough to leave on for real runs. The acceptance bar is < 3% wall-time
 regression with the plane fully enabled vs the same telemetry with the
 plane off, and *zero* marginal cost when telemetry is disabled entirely
-(the null-object path — every live hook degrades to ``NULL_EVENT_BUS`` /
-``NULL_PROGRESS`` / ``NULL_RESOURCE_MONITOR``, one attribute load and a
-branch).
+(the group loop talks to ``NULL_OBSERVER``, every other call site is behind
+``if tel.enabled:`` — one attribute load and a branch — and hops are booked
+on a timeline nobody listens to).
 
 Three interleaved arms over the same QFT workload:
 
 * **disabled** — ``NULL_TELEMETRY``: the CLI default; nothing is recorded.
   The reference point for the zero-overhead-when-off claim;
-* **base** — full ``Telemetry`` (tracer + metrics) with the live plane
-  off: bus swapped for the null twin, no monitor, no server. What a
-  ``--trace``/``--metrics`` run paid before the live plane existed;
+* **base** — ``Telemetry(bus=False)`` (tracer + metrics + ledger) with the
+  live plane off: built without an event bus, no monitor, no server. What
+  a ``--trace``/``--metrics`` run paid before the live plane existed;
 * **live** — the plane fully on: event bus wired, ``ResourceMonitor``
   sampling at 50 ms, ``TelemetryServer`` on an ephemeral port, and a
   background client polling ``/progress`` + ``/metrics`` every 100 ms the
   way a dashboard would.
 
 Runs interleave (disabled/base/live/…) so drift hits every arm equally; the
-comparator takes medians. The live arm also asserts the plan-aware progress
+comparator takes medians, and the record carries each arm's interquartile
+range so a reader can tell a gap from the spread. The live arm also asserts the plan-aware progress
 tracker lands on *exactly* 1.0 and records the bounded bus's published /
 dropped counts.
 
@@ -38,17 +39,18 @@ import urllib.request
 
 import pytest
 
-from common import FULL, emit_result, print_banner, seconds, tight_config
+from common import (FULL, emit_result, print_banner, quartile_range, seconds,
+                    tight_config)
 from repro.analysis import Table, format_seconds
 from repro.circuits import get_workload
 from repro.core import MemQSim
-from repro.telemetry import NULL_EVENT_BUS, NULL_TELEMETRY, Telemetry
+from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.telemetry.live import TelemetryServer
 
 N = 16 if FULL else 13
 CHUNK = 8 if FULL else 7
 WORKLOAD = "qft"
-REPEATS = 3
+REPEATS = 7
 MONITOR_MS = 50.0
 POLL_SECONDS = 0.1
 
@@ -99,15 +101,15 @@ def run_once(arm: str, n: int = N) -> dict:
         out["norm"] = float(res.norm())
         return out
 
-    tel = Telemetry()
     if arm == "base":
-        tel.bus = NULL_EVENT_BUS  # tracer + metrics only: the pre-live cost
+        tel = Telemetry(bus=False)  # tracer + metrics only: the pre-live cost
         t0 = time.perf_counter()
         res = MemQSim(cfg, telemetry=tel).run(circ)
         out["wall_seconds"] = time.perf_counter() - t0
         out["norm"] = float(res.norm())
         return out
 
+    tel = Telemetry()
     server = TelemetryServer(tel, port=0).start()
     try:
         with _DashboardClient(server.url):
@@ -141,6 +143,8 @@ def generate_report(n: int = N, repeats: int = REPEATS) -> dict:
         "repeats": repeats,
         "runs": runs,
         "medians": med,
+        "iqr": {arm: quartile_range([r["wall_seconds"] for r in runs[arm]])
+                for arm in ARMS},
         # the acceptance ratio: live plane on vs same telemetry, plane off
         "overhead_ratio": (med["live"] / med["base"] if med["base"]
                            else float("inf")),
@@ -151,13 +155,14 @@ def generate_report(n: int = N, repeats: int = REPEATS) -> dict:
 
 def render_table(report: dict) -> Table:
     t = Table(
-        ["arm", "median wall", "runs", "events", "dropped"],
+        ["arm", "median wall", "iqr", "runs", "events", "dropped"],
         title=(f"LV1: live plane overhead, {report['workload']} "
                f"n={report['num_qubits']} chunk={report['chunk_qubits']}"),
     )
     for arm in ARMS:
         rs = report["runs"][arm]
         t.add(arm, format_seconds(report["medians"][arm]),
+              format_seconds(report["iqr"][arm]),
               " ".join(format_seconds(r["wall_seconds"]) for r in rs),
               str(report["events_published"]) if arm == "live" else "-",
               str(report["events_dropped"]) if arm == "live" else "-")
@@ -205,4 +210,5 @@ if __name__ == "__main__":
                         "direction": "lower", "tolerance": 0.05},
                 },
                 tables=[render_table(report)],
-                extra={"runs": report["runs"], "medians": med})
+                extra={"runs": report["runs"], "medians": med,
+                       "iqr": report["iqr"]})

@@ -58,6 +58,15 @@ def bench_telemetry(name: str):
             os.path.join(TRACE_DIR, f"{name}.metrics.json"))
 
 
+def quartile_range(values) -> float:
+    """Distance between the quartiles of ``values``: the run-to-run spread
+    an A/B gap has to exceed before it says anything."""
+    import statistics
+
+    q1, _median, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
 def state_payload(num_qubits: int, seed: int = 1) -> np.ndarray:
     """A random dense state-vector payload (what Table 1 ships over the bus)."""
     rng = np.random.default_rng(seed)

@@ -376,7 +376,7 @@ def _metrics_section(result) -> str:
 def _traffic_section(result) -> str:
     """Per-stage byte movement from the run's traffic ledger."""
     ledger = getattr(result.telemetry, "traffic", None)
-    if ledger is None or not getattr(ledger, "enabled", False):
+    if ledger is None:
         return ('<p class="note">no traffic ledger on this run '
                 '(telemetry disabled).</p>')
     totals = ledger.totals()
@@ -407,8 +407,7 @@ def _traffic_section(result) -> str:
 def _memtrace_section(result) -> str:
     """Hit-rate-vs-capacity curve from the recorded access trace."""
     access = getattr(result.telemetry, "access", None)
-    if access is None or not getattr(access, "enabled", False) \
-            or not len(access):
+    if access is None or not len(access):
         return ('<p class="note">no access trace recorded — attach a '
                 '<code>ChunkAccessRecorder</code> (or run '
                 '<code>repro run --mem-trace-out</code>) to see the '
@@ -463,7 +462,7 @@ def _memtrace_section(result) -> str:
 def _events_section(result, max_rows: int = 200) -> str:
     """The live bus's retained event tail as a timeline table."""
     bus = getattr(result.telemetry, "bus", None)
-    if bus is None or not getattr(bus, "enabled", False) or not len(bus):
+    if bus is None or not len(bus):
         return ('<p class="note">no live events captured (telemetry '
                 'disabled or the event bus saw no traffic).</p>')
     events = bus.tail(max_rows)

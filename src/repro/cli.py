@@ -459,7 +459,7 @@ def _export_telemetry(tel: Telemetry, args) -> None:
         dropped = tel.bus.dropped
         note = f", {dropped} older dropped by the ring" if dropped else ""
         print(f"event JSONL written: {args.events_out} ({n} events{note})")
-    if getattr(args, "mem_trace_out", None) and tel.access.enabled:
+    if getattr(args, "mem_trace_out", None) and tel.access is not None:
         n = tel.access.write_jsonl(args.mem_trace_out)
         print(f"access trace written: {args.mem_trace_out} ({n} accesses)")
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import time
 import uuid
+from contextlib import nullcontext
 from dataclasses import replace
 from typing import Optional
 
@@ -35,7 +36,7 @@ import numpy as np
 from ..circuits.circuit import Circuit
 from ..compile import CompileOptions, compile_stages, hoist_permutations
 from ..device.executor import DeviceExecutor
-from ..device.timeline import PipelineModel, Stage, Timeline
+from ..device.timeline import PipelineModel, Timeline
 from ..device.transfer import make_strategy
 from ..memory.accounting import MemoryTracker
 from ..memory.bufferpool import BufferPool
@@ -47,8 +48,6 @@ from ..pipeline.scheduler import StageScheduler, stage_programs
 from ..pipeline.sweep import live_chunks, predict_pass_schedule
 from ..statevector.statevector import StateVector
 from ..telemetry import (
-    NULL_PROGRESS,
-    NULL_RESOURCE_MONITOR,
     NULL_TELEMETRY,
     ProgressTracker,
     ResourceMonitor,
@@ -182,7 +181,7 @@ class MemQSim:
         tel = self.telemetry
         run_id = uuid.uuid4().hex[:12]
         set_run_id(run_id)  # log records now carry [run_id/span]
-        monitor = NULL_RESOURCE_MONITOR
+        monitor = None
         if tel.enabled and cfg.monitor_interval_ms > 0:
             monitor = ResourceMonitor(
                 tel, interval_ms=cfg.monitor_interval_ms).start()
@@ -191,14 +190,15 @@ class MemQSim:
             return self._run(circuit, initial_state, checkpoint,
                              initial_store, monitor, run_id)
         finally:
-            monitor.stop()  # idempotent; real stop happens pre-result
-            if monitor is not NULL_RESOURCE_MONITOR:
-                tel.monitor = NULL_RESOURCE_MONITOR
+            if monitor is not None:
+                monitor.stop()  # idempotent; real stop happens pre-result
+                tel.monitor = None
             # Freeze the progress clock on every exit path. The finished
             # tracker stays attached so post-run exposition (/metrics,
             # final dashboard frame) reports exactly 1.0; the next run
             # swaps in a fresh tracker.
-            tel.progress.finish()
+            if tel.enabled and tel.progress is not None:
+                tel.progress.finish()
             set_run_id("")
 
     def _run(self, circuit, initial_state, checkpoint, initial_store,
@@ -215,7 +215,8 @@ class MemQSim:
             from ..bench.decide import resolve_auto_config
 
             cfg, decisions = resolve_auto_config(cfg, num_qubits=n)
-        tel.emit("run.start", run_id=run_id, n=n, gates=len(circuit))
+        if tel.enabled:
+            tel.emit("run.start", run_id=run_id, n=n, gates=len(circuit))
         given = sum(
             x is not None for x in (initial_state, checkpoint, initial_store)
         )
@@ -357,7 +358,9 @@ class MemQSim:
             )
 
         # ---- online stage ----------------------------------------------------
-        timeline = Timeline()
+        # Every hop is booked here by the layer that runs it; an enabled
+        # telemetry mirrors each booking into its tracer and bus.
+        timeline = Timeline(tel.hop if tel.enabled else None)
 
         def _strategy():
             return make_strategy(
@@ -398,15 +401,7 @@ class MemQSim:
                                              workers=workers, telemetry=tel)
                 owns_codec_pool = True
         if codec_pool is not None:
-            def book_codec(kind, group, chunk, seconds, worker):
-                tel.record_stage(
-                    timeline,
-                    Stage.COMPRESS if kind == "compress"
-                    else Stage.DECOMPRESS,
-                    seconds, chunk=group, nbytes=layout.chunk_nbytes,
-                    chunk_id=chunk, worker=worker)
-
-            store.attach_lane(codec_pool, book_codec)
+            store.attach_lane(codec_pool)
             log.debug("online: codec lane, %d workers (%s%s)", workers,
                       "process pool" if codec_pool.is_parallel else "inline",
                       "" if owns_codec_pool else ", shared")
@@ -429,15 +424,15 @@ class MemQSim:
                 cpu_offload_fraction=cfg.cpu_offload_fraction,
                 fuse_gates=cfg.fuse_gates,
                 serpentine=cfg.serpentine_groups,
-                telemetry=tel,
+                observer=tel.observer(),
                 backend=backend,
                 max_fuse_qubits=cfg.max_fuse_qubits,
                 cancel=self.cancel,
                 schedule=schedule,
             )
-            with tel.span("online", stages=plan.num_stages, workers=workers):
+            with (tel.span("online", stages=plan.num_stages, workers=workers)
+                  if tel.enabled else nullcontext()):
                 scheduler.run(cplan.stages, passes, programs)
-                store_like.flush()
         finally:
             # Cleanup must run on *every* exit (including JobCancelled):
             # every pending write lands and the store forgets the pool, so
@@ -453,10 +448,11 @@ class MemQSim:
 
         # Close the resource timeline before timing stops so the final
         # sample (store recompressed, arena drained) is part of the record.
-        monitor.stop()
-        tel.progress.finish()
+        if monitor is not None:
+            monitor.stop()
+        if tel.enabled:
+            tel.progress.finish()
         wall = time.perf_counter() - t_wall
-        tel.emit("run.end", run_id=run_id, n=n, seconds=wall)
         model = PipelineModel(
             cpu_codec_lanes=max(1, cfg.host.cores - 1),
             cpu_idle_lanes=max(1, cfg.host.idle_cores),
@@ -466,6 +462,7 @@ class MemQSim:
         # out from the timeline when asked, except for the telemetry gauge.
         pipelined = None
         if tel.enabled:
+            tel.emit("run.end", run_id=run_id, n=n, seconds=wall)
             pipelined = model.makespan(timeline)
             tel.tracer.record("run", wall, n=n, gates=len(circuit))
             m = tel.metrics
@@ -510,7 +507,7 @@ class MemQSim:
             config_summary=cfg.summary(),
             telemetry=tel,
             config_echo=config_echo,
-            resource_timeline=monitor.timeline(),
+            resource_timeline=None if monitor is None else monitor.timeline(),
             compile_report=cplan.report,
             compiled_stages=cplan.stages,
             run_id=run_id,

@@ -184,14 +184,26 @@ class MemQSimResult:
         return float(total.real)
 
     def fidelity_vs(self, dense_state: np.ndarray) -> float:
-        """|<dense|self>|^2 computed chunk-streamed against a dense vector."""
+        """The normalised overlap ``|<dense|self>|^2 / (<dense|dense>
+        <self|self>)``, chunk-streamed against a dense vector.
+
+        A lossy store's norm drifts from 1 (:meth:`norm`); both norms are
+        accumulated in the same pass, so the value never exceeds 1 and
+        equals ``compare_states(dense, self.statevector()).fidelity``.
+        """
         lay = self.store.layout
         acc = 0.0 + 0.0j
+        own = theirs = 0.0
         cs = lay.chunk_size
         for k in range(lay.num_chunks):
-            chunk = self.store.load(k)
-            acc += np.vdot(dense_state[k * cs:(k + 1) * cs], chunk)
-        return float(abs(acc) ** 2)
+            chunk = self.store.load(k).astype(np.complex128, copy=False)
+            ref = dense_state[k * cs:(k + 1) * cs]
+            acc += np.vdot(ref, chunk)
+            own += np.vdot(chunk, chunk).real
+            theirs += np.vdot(ref, ref).real
+        if own == 0.0 or theirs == 0.0:
+            raise ValueError("zero-norm state")
+        return float(abs(acc) ** 2 / (own * theirs))
 
     def measure_qubit(self, qubit: int,
                       rng: Optional[np.random.Generator] = None) -> int:
@@ -370,7 +382,7 @@ class MemQSimResult:
 
     def metrics_snapshot(self) -> Dict[str, Any]:
         """The attached telemetry's metrics snapshot (empty if disabled)."""
-        return self.telemetry.snapshot()
+        return self.telemetry.snapshot() if self.telemetry.enabled else {}
 
     def to_dict(self, include_metrics: bool = True) -> Dict[str, Any]:
         """The full result as JSON-serializable plain data.
@@ -439,7 +451,7 @@ class MemQSimResult:
         }
         if self.compile_report is not None:
             out["compile"] = self.compile_report.to_dict()
-        if self.telemetry.enabled and self.telemetry.traffic.enabled:
+        if self.telemetry.enabled:
             out["traffic"] = self.telemetry.traffic.to_dict()
         if include_metrics and self.telemetry.enabled:
             out["metrics"] = self.metrics_snapshot()

@@ -1,7 +1,7 @@
 """Simulated device: specs, arena, transfer strategies, executor, timeline."""
 
 from .arena import ArenaLease, DeviceArena, DeviceBuffer, DeviceOutOfMemory
-from .executor import DeviceExecutor, KernelLaunch
+from .executor import DeviceExecutor
 from .spec import DeviceSpec, HostSpec
 from .timeline import (
     STAGE_RESOURCE,
@@ -15,8 +15,6 @@ from .transfer import (
     AsyncPerElementCopy,
     BufferedCopy,
     SyncCopy,
-    TransferLog,
-    TransferRecord,
     TransferStrategy,
     make_strategy,
 )
@@ -29,13 +27,10 @@ __all__ = [
     "DeviceBuffer",
     "DeviceOutOfMemory",
     "DeviceExecutor",
-    "KernelLaunch",
     "TransferStrategy",
     "SyncCopy",
     "AsyncPerElementCopy",
     "BufferedCopy",
-    "TransferRecord",
-    "TransferLog",
     "make_strategy",
     "Stage",
     "StageEvent",

@@ -4,21 +4,20 @@ This is the "GPU side" of MEMQSim. It owns a :class:`DeviceArena` (capacity-
 enforced), a :class:`TransferStrategy`, and a :class:`Timeline`; the pipeline
 scheduler asks it to
 
-1. stage a host buffer onto the device (H2D, timed & logged),
-2. apply a batch of gates to the resident buffer (KERNEL, timed),
-3. bring the result back (D2H, timed),
+1. stage a host buffer onto the device (H2D),
+2. apply a batch of gates to the resident buffer (KERNEL),
+3. bring the result back (D2H),
 
-mirroring steps (2)-(4) of the paper's online stage. A *stream* abstraction
-queues kernel launches the way CUDA streams do; on this simulated device the
-queue drains synchronously, but the issue/drain split keeps the scheduler
-code shaped like the real asynchronous system.
+mirroring steps (2)-(4) of the paper's online stage. Each of the three is
+a pipeline hop this layer runs, so this layer times it (one
+``perf_counter`` pair: the transfer strategy's for a copy, ``run_ops``'s
+for a kernel batch) and books it, once, on the timeline.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .spec import DeviceSpec
 from .timeline import Stage, Timeline
 from .transfer import TransferStrategy, make_strategy
 
-__all__ = ["DeviceExecutor", "KernelLaunch"]
+__all__ = ["DeviceExecutor"]
 
 log = get_logger(__name__)
 
@@ -48,22 +47,8 @@ def _apply_ops(backend, view: np.ndarray, ops: Sequence[object]) -> None:
                          for op in ops])
 
 
-@dataclass
-class KernelLaunch:
-    """A queued batch of compiled ops against a device buffer.
-
-    ``ops`` holds :mod:`repro.compile` IR items (:class:`GateOp` /
-    :class:`FusedOp`); raw :class:`~repro.circuits.gates.Gate` instances
-    are accepted as well — the backend lowers either form.
-    """
-
-    buffer: DeviceBuffer
-    ops: Tuple[object, ...]
-    chunk: int
-
-
 class DeviceExecutor:
-    """Simulated GPU: arena + transfer engine + kernel queue."""
+    """Simulated GPU: arena + transfer engine + kernels."""
 
     def __init__(
         self,
@@ -95,7 +80,6 @@ class DeviceExecutor:
             backend = NumpyKernelBackend()
         self.backend = backend
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._queue: List[KernelLaunch] = []
         self.kernels_launched = 0
 
     # -- memory ------------------------------------------------------------
@@ -115,56 +99,43 @@ class DeviceExecutor:
     def upload(self, host: np.ndarray, buf: DeviceBuffer, chunk: int = -1) -> float:
         """H2D: host buffer -> device buffer. Returns seconds."""
         dt = self.transfer.h2d(host, buf.view[: host.shape[0]])
-        self.telemetry.record_stage(self.timeline, Stage.H2D, dt,
-                                    chunk=chunk, nbytes=host.nbytes)
+        self.timeline.record(Stage.H2D, dt, chunk, host.nbytes)
         return dt
 
     def download(self, buf: DeviceBuffer, host: np.ndarray, chunk: int = -1) -> float:
         """D2H: device buffer -> host buffer. Returns seconds."""
         dt = self.transfer.d2h(buf.view[: host.shape[0]], host)
-        self.telemetry.record_stage(self.timeline, Stage.D2H, dt,
-                                    chunk=chunk, nbytes=host.nbytes)
+        self.timeline.record(Stage.D2H, dt, chunk, host.nbytes)
         return dt
 
     # -- kernels ---------------------------------------------------------------
 
-    def launch(self, buf: DeviceBuffer, ops: Sequence[object],
-               chunk: int = -1) -> None:
-        """Queue a compiled-op batch on the stream (asynchronous issue)."""
-        self._queue.append(KernelLaunch(buf, tuple(ops), chunk))
-
-    def synchronize(self) -> float:
-        """Drain the stream; returns total kernel seconds executed."""
-        total = 0.0
-        tel = self.telemetry
-        for launch in self._queue:
-            t0 = time.perf_counter()
-            _apply_ops(self.backend, launch.buffer.view, launch.ops)
-            dt = time.perf_counter() - t0
-            tel.record_stage(self.timeline, Stage.KERNEL, dt,
-                             chunk=launch.chunk, nbytes=launch.buffer.nbytes,
-                             gates=len(launch.ops))
-            if tel.enabled:
-                tel.metrics.counter("kernel.gates").inc(len(launch.ops))
-                tel.metrics.histogram("kernel.seconds").observe(dt)
-            self.kernels_launched += len(launch.ops)
-            total += dt
-        self._queue.clear()
-        return total
-
     def run_ops(self, buf: DeviceBuffer, ops: Sequence[object],
                 chunk: int = -1) -> float:
-        """Issue + drain in one call (the common synchronous path)."""
-        self.launch(buf, ops, chunk)
-        return self.synchronize()
+        """Apply a compiled-op batch to a device buffer; returns seconds.
+
+        ``ops`` holds :mod:`repro.compile` IR items (:class:`GateOp` /
+        :class:`FusedOp`); raw :class:`~repro.circuits.gates.Gate`
+        instances are accepted as well — the backend lowers either form.
+        """
+        t0 = time.perf_counter()
+        _apply_ops(self.backend, buf.view, ops)
+        dt = time.perf_counter() - t0
+        self.timeline.record(Stage.KERNEL, dt, chunk, buf.nbytes,
+                             gates=len(ops))
+        tel = self.telemetry
+        if tel.enabled:
+            tel.metrics.counter("kernel.gates").inc(len(ops))
+            tel.metrics.histogram("kernel.seconds").observe(dt)
+        self.kernels_launched += len(ops)
+        return dt
 
     def reset(self) -> None:
-        """Release all device memory and pending work.
+        """Release all device memory.
 
-        With an injected shared arena, only the pending kernel queue is
-        dropped — a bulk arena reset would free *other* tenants' live
-        buffers (the scheduler already frees its per-pass allocations)."""
-        self._queue.clear()
+        With an injected shared arena this is a no-op — a bulk arena reset
+        would free *other* tenants' live buffers (the scheduler already
+        frees its per-pass allocations)."""
         if self._owns_arena:
             self.arena.reset()
 

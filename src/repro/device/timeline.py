@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["Stage", "StageEvent", "Timeline", "PipelineModel", "ScheduledEvent"]
 
@@ -69,17 +69,32 @@ class ScheduledEvent:
 
 
 class Timeline:
-    """Ordered log of measured stage events."""
+    """Ordered log of measured stage events.
 
-    def __init__(self) -> None:
+    :meth:`record` is the one booking call of a pipeline hop: the layer
+    that runs a hop (the chunk store its codec calls, the device executor
+    its copies and kernels, the scheduler its host-side updates) times it
+    and records it here, once. ``listener`` — ``listener(event, attrs)`` —
+    hears every record; an enabled telemetry installs
+    :meth:`~repro.telemetry.Telemetry.hop` there, which is how spans and
+    bus events stay a mirror of the timeline and never a second
+    measurement.
+    """
+
+    def __init__(self, listener: Optional[Callable] = None) -> None:
         self.events: List[StageEvent] = []
         self._step = 0
+        self.listener = listener
 
     def record(self, stage: Stage, duration: float, chunk: int = -1,
-               nbytes: int = 0) -> StageEvent:
+               nbytes: int = 0, **attrs) -> StageEvent:
+        """Book one hop; ``attrs`` (which chunk, which worker, how many
+        gates) go to the listener only."""
         ev = StageEvent(stage, max(0.0, duration), chunk, nbytes, self._step)
         self._step += 1
         self.events.append(ev)
+        if self.listener is not None:
+            self.listener(ev, attrs)
         return ev
 
     @classmethod
@@ -89,9 +104,9 @@ class Timeline:
         Spans whose ``name`` is a :class:`Stage` value become events (with
         ``chunk``/``nbytes`` read from the span attributes); everything
         else is ignored. Spans are replayed in completion order, which is
-        the order the live stage bridge records events in, so a timeline
-        rebuilt from a traced run's spans is event-for-event equivalent to
-        the one the run populated.
+        the order the run's timeline booked them in, so a timeline rebuilt
+        from a traced run's spans is event-for-event equivalent to the one
+        the run populated.
         """
         by_name = {s.value: s for s in Stage}
         tl = cls()

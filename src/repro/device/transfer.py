@@ -15,15 +15,14 @@ GPU memory:
   positions: staging copy + bulk copy + vectorized gather/scatter here,
   which lands within a few percent of sync, as in the paper (~1.03x).
 
-Every call is timed and logged so benchmarks can report H2D/D2H seconds.
+Every call is timed — ``h2d`` / ``d2h`` return the seconds, which the
+caller books — so benchmarks can report H2D/D2H seconds.
 """
 
 from __future__ import annotations
 
 import abc
 import time
-from dataclasses import dataclass, field
-from typing import List, Optional
 
 import numpy as np
 
@@ -34,51 +33,8 @@ __all__ = [
     "SyncCopy",
     "AsyncPerElementCopy",
     "BufferedCopy",
-    "TransferRecord",
-    "TransferLog",
     "make_strategy",
 ]
-
-
-@dataclass(frozen=True)
-class TransferRecord:
-    """One timed transfer."""
-
-    direction: str  # "h2d" | "d2h"
-    nbytes: int
-    seconds: float
-    strategy: str
-
-
-@dataclass
-class TransferLog:
-    """Accumulates transfer records and summarizes them."""
-
-    records: List[TransferRecord] = field(default_factory=list)
-
-    def add(self, rec: TransferRecord) -> None:
-        self.records.append(rec)
-
-    def total_seconds(self, direction: Optional[str] = None) -> float:
-        return sum(
-            r.seconds for r in self.records
-            if direction is None or r.direction == direction
-        )
-
-    def total_bytes(self, direction: Optional[str] = None) -> int:
-        return sum(
-            r.nbytes for r in self.records
-            if direction is None or r.direction == direction
-        )
-
-    def bandwidth_gbps(self, direction: Optional[str] = None) -> float:
-        s = self.total_seconds(direction)
-        if s == 0.0:
-            return float("inf")
-        return self.total_bytes(direction) / s / 1e9
-
-    def clear(self) -> None:
-        self.records.clear()
 
 
 class TransferStrategy(abc.ABC):
@@ -86,8 +42,7 @@ class TransferStrategy(abc.ABC):
 
     name: str = "abstract"
 
-    def __init__(self, log: Optional[TransferLog] = None, telemetry=None):
-        self.log = log if log is not None else TransferLog()
+    def __init__(self, telemetry=None):
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
 
     def h2d(self, host: np.ndarray, device: np.ndarray) -> float:
@@ -97,7 +52,6 @@ class TransferStrategy(abc.ABC):
         t0 = time.perf_counter()
         self._copy(host, device)
         dt = time.perf_counter() - t0
-        self.log.add(TransferRecord("h2d", host.nbytes, dt, self.name))
         tel = self.telemetry
         if tel.enabled:
             m = tel.metrics
@@ -114,7 +68,6 @@ class TransferStrategy(abc.ABC):
         t0 = time.perf_counter()
         self._copy(device, host)
         dt = time.perf_counter() - t0
-        self.log.add(TransferRecord("d2h", host.nbytes, dt, self.name))
         tel = self.telemetry
         if tel.enabled:
             m = tel.metrics
@@ -170,9 +123,9 @@ class BufferedCopy(TransferStrategy):
 
     name = "buffer"
 
-    def __init__(self, max_elements: int, log: Optional[TransferLog] = None,
-                 telemetry=None, dtype=np.complex128):
-        super().__init__(log, telemetry)
+    def __init__(self, max_elements: int, telemetry=None,
+                 dtype=np.complex128):
+        super().__init__(telemetry)
         if max_elements < 1:
             raise ValueError("max_elements must be >= 1")
         self._staging = np.empty(max_elements, dtype=np.dtype(dtype))
@@ -198,16 +151,15 @@ class BufferedCopy(TransferStrategy):
         # would be one vectorized permutation here.
 
 
-def make_strategy(name: str, max_elements: int = 0,
-                  log: Optional[TransferLog] = None,
-                  telemetry=None, dtype=np.complex128) -> TransferStrategy:
+def make_strategy(name: str, max_elements: int = 0, telemetry=None,
+                  dtype=np.complex128) -> TransferStrategy:
     """Factory by name: ``sync`` | ``async`` | ``buffer``."""
     if name == "sync":
-        return SyncCopy(log, telemetry)
+        return SyncCopy(telemetry)
     if name == "async":
-        return AsyncPerElementCopy(log, telemetry)
+        return AsyncPerElementCopy(telemetry)
     if name == "buffer":
         if max_elements < 1:
             raise ValueError("buffer strategy needs max_elements")
-        return BufferedCopy(max_elements, log, telemetry, dtype=dtype)
+        return BufferedCopy(max_elements, telemetry, dtype=dtype)
     raise KeyError(f"unknown transfer strategy {name!r}")

@@ -24,11 +24,7 @@ from .layout import ChunkLayout, GroupPlacement
 from .persist import StoreFormatError, load_store, save_store
 from .traffic import (
     EDGES,
-    NULL_ACCESS_RECORDER,
-    NULL_TRAFFIC_LEDGER,
     ChunkAccessRecorder,
-    NullChunkAccessRecorder,
-    NullTrafficLedger,
     TrafficLedger,
 )
 
@@ -58,9 +54,5 @@ __all__ = [
     "StoreFormatError",
     "EDGES",
     "TrafficLedger",
-    "NullTrafficLedger",
-    "NULL_TRAFFIC_LEDGER",
     "ChunkAccessRecorder",
-    "NullChunkAccessRecorder",
-    "NULL_ACCESS_RECORDER",
 ]

@@ -3,8 +3,10 @@
 The online stage decompresses chunks into a *fixed* set of staging buffers
 rather than allocating per chunk — this is what bounds the uncompressed host
 footprint to ``num_buffers * buffer_size`` regardless of qubit count. The
-pool hands out preallocated complex128 arrays and takes them back; acquiring
-beyond capacity raises, which surfaces scheduling bugs instead of silently
+pool hands out complex arrays and takes them back; a buffer is allocated
+(and booked) the first time the pool would otherwise come up empty, so the
+tracker holds what a run actually staged through, and acquiring beyond
+``num_buffers`` raises, which surfaces scheduling bugs instead of silently
 growing memory.
 
 :class:`ScratchPool` is the codec-side sibling: a size-classed recycling
@@ -36,7 +38,7 @@ log = get_logger(__name__)
 
 
 class BufferPool:
-    """Fixed pool of equally-sized complex staging buffers."""
+    """Bounded pool of equally-sized complex staging buffers."""
 
     def __init__(
         self,
@@ -55,35 +57,38 @@ class BufferPool:
         self.dtype = np.dtype(dtype)
         self.tracker = tracker if tracker is not None else MemoryTracker()
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._free: List[np.ndarray] = [
-            np.empty(buffer_size, dtype=self.dtype)
-            for _ in range(num_buffers)
-        ]
+        self._free: List[np.ndarray] = []
         self._out: Set[int] = set()
-        self.tracker.alloc(CATEGORY, self.total_nbytes)
+        self._allocated = 0
         self.peak_in_use = 0
 
     @property
     def total_nbytes(self) -> int:
-        return self.num_buffers * self.buffer_size * self.dtype.itemsize
+        """Bytes of the buffers allocated so far (what the tracker holds)."""
+        return self._allocated * self.buffer_size * self.dtype.itemsize
 
     @property
     def available(self) -> int:
-        return len(self._free)
+        return self.num_buffers - len(self._out)
 
     @property
     def in_use(self) -> int:
-        return self.num_buffers - len(self._free)
+        return len(self._out)
 
     def acquire(self) -> np.ndarray:
         """Take a buffer; contents are unspecified (callers overwrite)."""
         tel = self.telemetry
         t0 = time.perf_counter() if tel.enabled else 0.0
-        if not self._free:
+        if self._free:
+            buf = self._free.pop()
+        elif self._allocated < self.num_buffers:
+            buf = np.empty(self.buffer_size, dtype=self.dtype)
+            self._allocated += 1
+            self.tracker.alloc(CATEGORY, buf.nbytes)
+        else:
             raise RuntimeError(
                 f"buffer pool exhausted ({self.num_buffers} buffers all in use)"
             )
-        buf = self._free.pop()
         self._out.add(id(buf))
         self.peak_in_use = max(self.peak_in_use, self.in_use)
         if tel.enabled:
@@ -111,6 +116,7 @@ class BufferPool:
             raise RuntimeError(f"{len(self._out)} buffers still in use")
         self.tracker.free(CATEGORY, self.total_nbytes)
         self._free.clear()
+        self._allocated = 0
 
     def __repr__(self) -> str:
         return (

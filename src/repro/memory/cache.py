@@ -235,11 +235,12 @@ class ChunkCache:
         """Feed the plan-exact access schedule to the eviction policy."""
         self._policy.attach_schedule(schedule)
 
-    def will_need(self, chunks) -> None:
+    def will_need(self, chunks, group: int = -1) -> None:
         """Hints stop here for chunks the cache holds: no blob of theirs
         will be read, so none is promoted or decompressed ahead."""
         held = self._entries
-        self.inner.will_need([c for c in chunks if c not in held], held)
+        self.inner.will_need([c for c in chunks if c not in held], group,
+                             held)
 
     # -- cache mechanics ------------------------------------------------------
 

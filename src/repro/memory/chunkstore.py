@@ -14,11 +14,17 @@ With a **codec lane** attached (:meth:`CompressedChunkStore.attach_lane`)
 jobs ahead and ``load`` collects them. Two rules keep that invisible: a
 chunk's blob is read only after its pending write has settled, and a write
 drops a stale prefetch of that chunk.
+
+A codec call is a pipeline hop this layer runs, so this layer times it —
+one ``perf_counter`` pair here, or the worker's own on the lane — and
+reports it once, the same way for both, to whoever a run named in
+:meth:`CompressedChunkStore.report_codec_to` (its timeline).
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -81,7 +87,11 @@ class CompressedChunkStore:
         self.schedule = None
         #: the codec lane, see :meth:`attach_lane`
         self.lane = None
-        self._on_codec = None
+        # see :meth:`report_codec_to`
+        self._on_decompress = self._on_compress = None
+        #: group of the pass now streaming (:meth:`will_need`): which pass
+        #: a reported codec call — or a write a lane settles later — is of
+        self._group = -1
         # chunk -> (compress job, ledger pass, group): submitted, blob not
         # installed yet; insertion order = submission order
         self._pending: dict = {}
@@ -198,8 +208,9 @@ class CompressedChunkStore:
             tel.traffic.record("codec", "compressed_in", blob_nbytes,
                                worker=worker)
             tel.traffic.record("codec", "raw_out", arr.nbytes, worker=worker)
-        if self._on_codec is not None:
-            self._on_codec("decompress", self._group(), chunk, dt, worker)
+        if self._on_decompress is not None:
+            self._on_decompress(dt, self._group, self.layout.chunk_nbytes,
+                                chunk_id=chunk, worker=worker)
         if arr.shape[0] != self.layout.chunk_size:
             raise ValueError(
                 f"chunk {chunk} decompressed to {arr.shape[0]} amplitudes, "
@@ -215,28 +226,35 @@ class CompressedChunkStore:
         if data.shape[0] != self.layout.chunk_size:
             raise ValueError("buffer size mismatch")
         if self.lane is None:
-            self._set_blob(chunk, self._compress(data))
+            self._set_blob(chunk, self._compress(data, chunk))
             return
         self._before_write(chunk)
         if data.dtype != self._dtype:
             data = data.astype(self._dtype)
         job = self.lane.submit_compress(chunk, data)  # copies ``data``
-        self._pending[chunk] = (job, self.telemetry.traffic.pass_context(),
-                                self._group())
+        tel = self.telemetry
+        self._pending[chunk] = (
+            job, tel.traffic.pass_context() if tel.enabled else None,
+            self._group)
         self._settle_finished()
 
-    def _compress(self, data: np.ndarray) -> bytes:
+    def _compress(self, data: np.ndarray, chunk: int = -1) -> bytes:
         if data.dtype != self._dtype:
             data = data.astype(self._dtype)
         t0 = time.perf_counter()
         blob = self.compressor.compress(data)
-        self._stored(blob, data.nbytes, time.perf_counter() - t0, 0)
+        self._stored(blob, data.nbytes, time.perf_counter() - t0, 0,
+                     self._group, chunk)
         return blob
 
     def _stored(self, blob: bytes, raw_nbytes: int, seconds: float,
-                worker: int) -> None:
+                worker: int, group: int, chunk: int) -> None:
         """Book one compression, the same way wherever the codec ran
-        (``seconds`` measured there, ``worker`` its pid, 0 = here)."""
+        (``seconds`` measured there, ``worker`` its pid, 0 = here;
+        ``group`` the pass that wrote ``chunk``)."""
+        if self._on_compress is not None:
+            self._on_compress(seconds, group, raw_nbytes, chunk_id=chunk,
+                              worker=worker)
         self.stats.compress_seconds += seconds
         self.stats.stores += 1
         self.stats.bytes_compressed += len(blob)
@@ -252,17 +270,19 @@ class CompressedChunkStore:
 
     # -- the codec lane --------------------------------------------------------
 
-    def attach_lane(self, pool, on_codec=None) -> None:
-        """Run the codec on ``pool`` (a caller-owned
-        :class:`~repro.parallel.CodecWorkerPool`, never closed here).
+    def report_codec_to(self, on_decompress=None, on_compress=None) -> None:
+        """Name who hears of every codec call from now on (nobody, by
+        default and again after a run): each is called as
+        ``(seconds, group, raw nbytes, chunk_id=, worker=)`` — the seconds
+        measured where the codec ran, and the group pass that issued the
+        call, for a load as it returns and for a write as its blob lands
+        (at once inline, when the job settles on a lane)."""
+        self._on_decompress, self._on_compress = on_decompress, on_compress
 
-        ``on_codec(kind, group, chunk, seconds, worker)`` hears of every
-        load and settled write: the seconds measured where the codec ran
-        and the group pass that issued the call, which a span around
-        ``load``/``store`` cannot give once those only submit and wait.
-        """
+    def attach_lane(self, pool) -> None:
+        """Run the codec on ``pool`` (a caller-owned
+        :class:`~repro.parallel.CodecWorkerPool`, never closed here)."""
         self.lane = pool
-        self._on_codec = on_codec
 
     def detach_lane(self) -> None:
         """Settle every pending write, drop unused prefetches, forget the
@@ -270,10 +290,11 @@ class CompressedChunkStore:
         try:
             self._quiesce()
         finally:
-            self.lane = self._on_codec = None
+            self.lane = None
 
-    def will_need(self, chunks, resident=()) -> None:
-        """Advisory: ``chunks`` are the reads of the pass now starting.
+    def will_need(self, chunks, group: int = -1, resident=()) -> None:
+        """Advisory: ``chunks`` are the reads of group pass ``group``, now
+        starting.
 
         A lane starts their decompress jobs here, side by side, then those
         of the **next** pass's reads (per the schedule; never across a
@@ -282,6 +303,7 @@ class CompressedChunkStore:
         write could drop it. ``resident`` chunks — decompressed in a cache
         in front of this store — need no job.
         """
+        self._group = group
         if self.lane is None:
             return
         self._settle_finished()
@@ -296,9 +318,6 @@ class CompressedChunkStore:
         """Settle every pending write (no-op without a lane)."""
         while self._pending:
             self._settle(next(iter(self._pending)))
-
-    def _group(self) -> int:
-        return self.schedule.pass_id[1] if self.schedule is not None else -1
 
     def _prefetch(self, chunk: int) -> None:
         if chunk in self._prefetched:
@@ -315,13 +334,11 @@ class CompressedChunkStore:
         """Install chunk's pending blob, booked to the pass that wrote it."""
         job, ledger_pass, group = self._pending.pop(chunk)
         res = self.lane.collect(job)
-        with self.telemetry.traffic.attributed(*ledger_pass):
+        with (self.telemetry.traffic.attributed(*ledger_pass)
+              if ledger_pass is not None else nullcontext()):
             self._stored(res.blob, self.layout.chunk_nbytes, res.seconds,
-                         res.worker_pid)
+                         res.worker_pid, group, chunk)
             self._set_blob(chunk, res.blob)
-        if self._on_codec is not None:
-            self._on_codec("compress", group, chunk, res.seconds,
-                           res.worker_pid)
 
     def _settle_finished(self) -> None:
         """Install finished writes, oldest first, without blocking: blobs

@@ -388,7 +388,7 @@ class TieredChunkStore(CompressedChunkStore):
 
     # -- advisory prefetch ----------------------------------------------------
 
-    def will_need(self, chunks, resident=()) -> None:
+    def will_need(self, chunks, group: int = -1, resident=()) -> None:
         """Promote the given chunks' blobs into RAM ahead of use.
 
         The scheduler calls this with a group pass's members before
@@ -407,7 +407,7 @@ class TieredChunkStore(CompressedChunkStore):
                 promoted = True
         if promoted:
             self._enforce_budget()
-        super().will_need(chunks, resident)
+        super().will_need(chunks, group, resident)
 
     # -- chunk / blob I/O -----------------------------------------------------
 

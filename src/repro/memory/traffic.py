@@ -12,13 +12,9 @@ import the memory package — the stores import telemetry).
 
 from ..telemetry.traffic import (
     EDGES,
-    NULL_ACCESS_RECORDER,
-    NULL_TRAFFIC_LEDGER,
     OUT_OF_STAGE,
     AccessEvent,
     ChunkAccessRecorder,
-    NullChunkAccessRecorder,
-    NullTrafficLedger,
     TrafficLedger,
 )
 
@@ -26,10 +22,6 @@ __all__ = [
     "EDGES",
     "OUT_OF_STAGE",
     "TrafficLedger",
-    "NullTrafficLedger",
-    "NULL_TRAFFIC_LEDGER",
     "AccessEvent",
     "ChunkAccessRecorder",
-    "NullChunkAccessRecorder",
-    "NULL_ACCESS_RECORDER",
 ]

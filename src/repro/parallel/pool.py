@@ -436,7 +436,7 @@ class CodecWorkerPool:
         tel.metrics.counter("parallel.jobs").inc()
         if inline:
             tel.metrics.counter("parallel.jobs.inline").inc()
-        if tel.tracer.enabled and res.worker_pid:
+        if res.worker_pid:
             tid = self._tid_by_pid.setdefault(
                 res.worker_pid, WORKER_TID_BASE + len(self._tid_by_pid))
             tel.tracer.record_at(
@@ -445,11 +445,10 @@ class CodecWorkerPool:
                 key=job.key, pid=res.worker_pid, cat="parallel")
             # Forward the worker-measured job onto the live bus, re-anchored
             # from the child's wall clock onto the parent's event axis.
-            bus = getattr(tel, "bus", None)
-            if bus is not None and bus.enabled:
-                bus.publish_at(res.wall_start, f"worker.{job.kind}",
-                               key=job.key, pid=res.worker_pid,
-                               seconds=res.seconds)
+            if tel.bus is not None:
+                tel.bus.publish_at(res.wall_start, f"worker.{job.kind}",
+                                   key=job.key, pid=res.worker_pid,
+                                   seconds=res.seconds)
 
 
 def auto_workers(compressor: Compressor, chunk_size: int,

@@ -1,7 +1,7 @@
 """Pipeline: offline planner, online scheduler, CPU offload policy."""
 
 from .autotune import TuneReport, autotune_chunk_qubits
-from .cancel import NULL_CANCEL, CancelToken, JobCancelled
+from .cancel import CancelToken, JobCancelled
 from .cpu_offload import OffloadAdvice, advise_from_timeline, balanced_offload_fraction
 from .planner import (
     RELOCATE,
@@ -24,7 +24,6 @@ from .sweep import live_chunks, predict_pass_schedule
 __all__ = [
     "CancelToken",
     "JobCancelled",
-    "NULL_CANCEL",
     "GateStage",
     "PermutationStage",
     "plan_stages",

@@ -10,7 +10,8 @@ holds either its pre-stage or post-stage blob, never a torn write).
 
 The token is thread-safe: the owner (a job manager, a signal handler)
 calls :meth:`CancelToken.cancel` from any thread; the executing thread
-raises :class:`JobCancelled` at its next checkpoint.
+raises :class:`JobCancelled` at its next checkpoint. A run nobody can
+cancel polls a token of its own that never fires.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import threading
 from typing import Optional
 
-__all__ = ["JobCancelled", "CancelToken", "NULL_CANCEL"]
+__all__ = ["JobCancelled", "CancelToken"]
 
 
 class JobCancelled(Exception):
@@ -52,24 +53,3 @@ class CancelToken:
     def __repr__(self) -> str:
         state = f"cancelled: {self.reason!r}" if self.cancelled else "armed"
         return f"<CancelToken {state}>"
-
-
-class _NullCancelToken:
-    """Disabled twin: polling is a free no-op (the default everywhere)."""
-
-    __slots__ = ()
-    cancelled = False
-    reason = None
-
-    def cancel(self, reason: str = "") -> None:
-        pass
-
-    def raise_if_cancelled(self) -> None:
-        pass
-
-    def __repr__(self) -> str:
-        return "<NullCancelToken>"
-
-
-#: shared disabled instance — the default wherever cancellation is optional
-NULL_CANCEL = _NullCancelToken()

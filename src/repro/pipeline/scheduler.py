@@ -5,7 +5,9 @@ For every :class:`GateStage` the scheduler iterates the stage's group
 passes in the run's pass schedule (:mod:`repro.pipeline.sweep`): the
 layout's chunk groups minus those that cannot hold a non-zero amplitude,
 which stay the interned zero blob they are. Each group pass performs, with
-each phase *measured* and recorded on the timeline:
+each phase *measured*, once, by the layer that runs it (the store its
+codec calls, the executor its copies and kernels, this module the
+host-side updates) and recorded on the run's timeline:
 
 1. DECOMPRESS — load the group's chunks from the compressed store into a
    staging buffer (one slot per chunk);
@@ -30,12 +32,18 @@ per-pass ``will_need`` hint starts the next pass's decompress jobs before
 this pass's kernel runs and ``store`` returns once its compress job is
 submitted — the loop, its order and every cache / tier decision it drives
 are the same for any worker count.
+
+Whoever watches a run — spans, the traffic ledger's pass context, the
+progress tracker, the event bus, the access trace, the resource monitor —
+hangs off one :class:`~repro.telemetry.PassObserver`; the loop makes two
+calls on it per group pass and none per chunk.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from contextlib import nullcontext
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,8 +54,8 @@ from ..device.timeline import Stage, Timeline
 from ..memory.bufferpool import BufferPool
 from ..memory.chunkstore import CompressedChunkStore
 from ..memory.layout import ChunkLayout, GroupPlacement
-from ..telemetry import NULL_TELEMETRY, get_logger
-from .cancel import NULL_CANCEL
+from ..telemetry import NULL_OBSERVER, get_logger
+from .cancel import CancelToken
 from .stages import GateStage, PermutationStage
 from .sweep import Pass, live_chunks, predict_pass_schedule
 
@@ -266,7 +274,7 @@ class StageScheduler:
         cpu_offload_fraction: float = 0.0,
         fuse_gates: bool = False,
         serpentine: bool = False,
-        telemetry=None,
+        observer=None,
         backend=None,
         max_fuse_qubits: int = 3,
         cancel=None,
@@ -279,6 +287,9 @@ class StageScheduler:
         ``serpentine`` alternates the group sweep direction per stage so a
         bounded chunk cache keeps hitting across stage boundaries (read only
         when :meth:`run` derives the pass schedule itself).
+        ``observer`` is the run's :class:`~repro.telemetry.PassObserver`
+        (:meth:`Telemetry.observer() <repro.telemetry.Telemetry.observer>`);
+        ``None`` reports to nobody.
         ``backend`` executes the CPU-offload path's op batches (see
         :mod:`repro.core.backend`); ``None`` uses the numpy kernels.
         ``fuse_gates`` / ``max_fuse_qubits`` configure the lazy compile of
@@ -311,7 +322,7 @@ class StageScheduler:
         self.cpu_offload_fraction = cpu_offload_fraction
         self.fuse_gates = bool(fuse_gates)
         self.serpentine = bool(serpentine)
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self.observer = observer if observer is not None else NULL_OBSERVER
         if backend is None:
             # Runtime import — core.backend sits above this module in the
             # import graph, so importing it at module scope would be cyclic.
@@ -323,12 +334,8 @@ class StageScheduler:
             fusion=self.fuse_gates,
             max_fuse_qubits=max_fuse_qubits,
         )
-        self.cancel = cancel if cancel is not None else NULL_CANCEL
+        self.cancel = cancel if cancel is not None else CancelToken()
         self.schedule = schedule
-        #: the stage index currently executing — the attribution context
-        #: for the traffic ledger and the access recorder (store-level
-        #: hops don't know which stage drives them; this does)
-        self._audit_si = -1
         #: the running plan's kept stage programs (see :meth:`run`)
         self._programs: Optional[Sequence[Optional[StageProgram]]] = None
         self.stats = SchedulerStats()
@@ -340,35 +347,20 @@ class StageScheduler:
 
     def _run_stage(self, stage, si: int,
                    groups: Sequence[Tuple[int, Tuple[int, ...]]]) -> None:
-        self._audit_si = si
-        tel = self.telemetry
         if isinstance(stage, PermutationStage):
-            tel.emit("stage.start", index=si, kind="permutation")
-            tel.progress.stage_started(si)
-            with tel.span("stage", index=si, kind="permutation"):
-                self._run_permutation(stage)
-            tel.progress.group_done(si)
-            tel.emit("stage.end", index=si, kind="permutation")
+            with self.observer.stage(si, "permutation"):
+                self._run_permutation(stage, si)
         elif isinstance(stage, (GateStage, CompiledGateStage)):
             if not isinstance(stage, CompiledGateStage):
                 # Raw planner stage (direct scheduler users / tests):
                 # lower it here; MemQSim pre-compiles the whole plan.
                 stage, _ = compile_stage(stage, self.layout,
                                          self.compile_options)
-            tel.emit("stage.start", index=si, kind="gate",
-                     ops=len(stage.ops), gates=stage.source_gates)
-            tel.progress.stage_started(si)
-            with tel.span("stage", index=si, kind="gate",
-                          ops=len(stage.ops),
-                          gates=stage.source_gates):
+            with self.observer.stage(si, "gate", ops=len(stage.ops),
+                                     gates=stage.source_gates):
                 self._run_gate_stage(stage, si, groups)
-            tel.emit("stage.end", index=si, kind="gate")
         else:
             raise TypeError(f"unknown stage type {type(stage).__name__}")
-        # Traffic after this point (result queries, flushes between runs)
-        # is out-of-stage again.
-        tel.traffic.set_pass()
-        self._audit_si = -1
 
     def run(self, stages: Sequence[object],
             passes: Optional[Sequence[Pass]] = None,
@@ -379,7 +371,7 @@ class StageScheduler:
         from the store's support set when the caller built none).
         ``programs`` are the stages' :func:`stage_programs`, when the caller
         keeps them across runs; without them every gate stage lowers its
-        ops afresh."""
+        ops afresh. Returns with the store flushed."""
         if passes is None:
             passes = predict_pass_schedule(stages, self.layout,
                                            self.serpentine,
@@ -390,27 +382,36 @@ class StageScheduler:
                 groups.setdefault(si, []).append((gi, members))
         self._programs = programs
         log.debug("scheduler: running %d stages", len(stages))
-        for si, s in enumerate(stages):
-            self.cancel.raise_if_cancelled()
-            self._run_stage(s, si, groups.get(si, ()))
+        # The store times its own codec calls; for this run it books them
+        # on this timeline, chained by the group that issued them.
+        record = self.timeline.record
+        self.store.report_codec_to(partial(record, Stage.DECOMPRESS),
+                                   partial(record, Stage.COMPRESS))
+        try:
+            for si, s in enumerate(stages):
+                self.cancel.raise_if_cancelled()
+                self._run_stage(s, si, groups.get(si, ()))
+            # Leave the store settled — a cache in front writes back, a
+            # codec lane lands its pending writes: still this run's hops.
+            self.store.flush()
+        finally:
+            self.store.report_codec_to()
 
     # -- permutation stages ---------------------------------------------------------
 
-    def _run_permutation(self, stage: PermutationStage) -> None:
-        tel = self.telemetry
-        # Blob relabeling moves no bytes, but a cache in front of the store
-        # flushes here (write-back traffic lands on this stage), and chunk
-        # identities change — the access trace records it as a barrier.
-        tel.traffic.set_pass(self._audit_si)
-        tel.access.barrier(self._audit_si)
+    def _run_permutation(self, stage: PermutationStage, si: int) -> None:
+        # Chunk identities change here, and a cache in front of the store
+        # flushes: observers mark the barrier before either happens.
+        self.observer.barrier(si)
         if self.schedule is not None:
             # Reuse does not survive the relabeling; the schedule cursor
             # crosses the matching barrier so next-use queries stay
             # epoch-bounded on the correct side.
-            self.schedule.barrier(self._audit_si)
-        with tel.stage_span(self.timeline, Stage.CPU_UPDATE,
-                            kind="permutation"):
-            self.store.permute(stage.perm)
+            self.schedule.barrier(si)
+        t0 = time.perf_counter()
+        self.store.permute(stage.perm)
+        self.timeline.record(Stage.CPU_UPDATE, time.perf_counter() - t0,
+                             kind="permutation")
         self.stats.permutation_stages += 1
         self.stats.gates_applied += len(stage.gates)
 
@@ -437,30 +438,22 @@ class StageScheduler:
         group_size = self.layout.chunk_size << len(placement.group_qubits)
         cpu_every = self._cpu_every()
         self.stats.group_passes_skipped += len(placement.groups) - len(groups)
+        nbytes = group_size * self.layout.itemsize
         for gi, members in groups:
             self.cancel.raise_if_cancelled()
-            self.telemetry.traffic.set_pass(si, gi)
-            if self.schedule is not None:
-                self.schedule.begin_pass(si, gi)
-            # Advisory hint down the hierarchy: a tiered store promotes
-            # this pass's disk-resident blobs before the streaming loop
-            # pays per-chunk latencies for them; a codec lane starts this
-            # pass's and the next pass's decompress jobs.
-            self.store.will_need(members)
             cpu_path = cpu_every > 0 and (gi % cpu_every == 0)
-            ops = self._ops_for_group(program, members[0])
-            with self.telemetry.span(
-                "group_pass", stage=si, group=gi,
-                path="cpu" if cpu_path else "device",
-                chunks=len(members),
-                nbytes=group_size * self.layout.itemsize,
-            ):
+            with self.observer.group_pass(
+                    si, gi, members, "cpu" if cpu_path else "device", nbytes):
+                if self.schedule is not None:
+                    self.schedule.begin_pass(si, gi)
+                # Advisory hint down the hierarchy: a tiered store promotes
+                # this pass's disk-resident blobs before the streaming loop
+                # pays per-chunk latencies for them; a codec lane starts
+                # this pass's and the next pass's decompress jobs.
+                self.store.will_need(members, gi)
+                ops = self._ops_for_group(program, members[0])
                 self._run_group(gi, members, ops, group_size, cpu_path)
             self.stats.group_passes += 1
-            self.telemetry.progress.group_done(si)
-            self.telemetry.emit("group", stage=si, group=gi,
-                                chunks=len(members),
-                                path="cpu" if cpu_path else "device")
 
     def _ops_for_group(self, program: StageProgram,
                        base_chunk: int) -> List[GateOp]:
@@ -474,33 +467,15 @@ class StageScheduler:
         self.stats.gates_skipped_identity += skipped
         return ops
 
-    def _codec_span(self, stage: Stage, gi: int, chunk: int):
-        """The timeline hop around one store call.
-
-        Events carry the *group* id so the overlap model chains each
-        group's decompress -> h2d -> kernel -> d2h -> compress pass. With
-        a codec lane the call only submits or waits, and the store books
-        the seconds measured where the codec ran instead.
-        """
-        if self.store.lane is not None:
-            return nullcontext()
-        return self.telemetry.stage_span(self.timeline, stage, chunk=gi,
-                                         nbytes=self.layout.chunk_nbytes,
-                                         chunk_id=chunk)
-
-    def _load_group(self, gi: int, members: Tuple[int, ...], buf: np.ndarray) -> None:
+    def _load_group(self, members: Tuple[int, ...], buf: np.ndarray) -> None:
         cs = self.layout.chunk_size
         for slot, chunk in enumerate(members):
-            self.telemetry.access.record(chunk, self._audit_si, "r")
-            with self._codec_span(Stage.DECOMPRESS, gi, chunk):
-                self.store.load(chunk, out=buf[slot * cs:(slot + 1) * cs])
+            self.store.load(chunk, out=buf[slot * cs:(slot + 1) * cs])
 
-    def _store_group(self, gi: int, members: Tuple[int, ...], buf: np.ndarray) -> None:
+    def _store_group(self, members: Tuple[int, ...], buf: np.ndarray) -> None:
         cs = self.layout.chunk_size
         for slot, chunk in enumerate(members):
-            self.telemetry.access.record(chunk, self._audit_si, "w")
-            with self._codec_span(Stage.COMPRESS, gi, chunk):
-                self.store.store(chunk, buf[slot * cs:(slot + 1) * cs])
+            self.store.store(chunk, buf[slot * cs:(slot + 1) * cs])
 
     def _device_update(self, gi: int, ops: List[GateOp],
                        view: np.ndarray) -> None:
@@ -512,11 +487,7 @@ class StageScheduler:
             if ops:
                 executor.run_ops(dev, ops, gi)
                 self.stats.gates_applied += len(ops)
-            # One synchronous resource sample while the device buffer is
-            # live, so the arena-occupancy series rises and falls per
-            # group even when passes are shorter than the sample period
-            # (rate-limited to the monitor's own interval).
-            self.telemetry.monitor.poke()
+            self.observer.device_buffer_live()
             executor.download(dev, view, gi)
         finally:
             executor.free(dev)
@@ -524,10 +495,10 @@ class StageScheduler:
     def _cpu_update(self, gi: int, ops: List[GateOp],
                     view: np.ndarray) -> None:
         """Host-side update path: same compiled ops, configured backend."""
-        with self.telemetry.stage_span(self.timeline, Stage.CPU_UPDATE,
-                                       chunk=gi, nbytes=view.nbytes,
-                                       gates=len(ops)):
-            self.backend.apply_ops(view, ops)
+        t0 = time.perf_counter()
+        self.backend.apply_ops(view, ops)
+        self.timeline.record(Stage.CPU_UPDATE, time.perf_counter() - t0, gi,
+                             view.nbytes, gates=len(ops))
         self.stats.gates_applied += len(ops)
         self.stats.cpu_group_passes += 1
 
@@ -537,11 +508,11 @@ class StageScheduler:
         buf = self.pool.acquire()
         try:
             view = buf[:group_size]
-            self._load_group(gi, members, view)
+            self._load_group(members, view)
             if cpu_path:
                 self._cpu_update(gi, ops, view)
             else:
                 self._device_update(gi, ops, view)
-            self._store_group(gi, members, view)
+            self._store_group(members, view)
         finally:
             self.pool.release(buf)

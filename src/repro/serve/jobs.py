@@ -218,7 +218,7 @@ class Job:
             "started_at": self.started_at,
             "finished_at": self.finished_at,
             "error": self.error,
-            "progress": progress.snapshot() if progress.enabled
+            "progress": progress.snapshot() if progress is not None
             else {"enabled": False},
         }
         return snap

@@ -176,8 +176,8 @@ class ServeManager:
             self._cv.notify_all()
         self._count("serve.jobs.submitted")
         self._refresh_gauges()
-        self.telemetry.emit("serve.job.submitted", job_id=job.id,
-                            tenant=job.tenant, n=circuit.num_qubits)
+        self._emit("serve.job.submitted", job_id=job.id, tenant=job.tenant,
+                   n=circuit.num_qubits)
         log.info("serve: job %s submitted (tenant=%s n=%d lease=%dB)",
                  job.id, job.tenant, circuit.num_qubits, job.lease_amplitudes * 16)
         return job
@@ -255,8 +255,7 @@ class ServeManager:
     # -- job execution --------------------------------------------------------
 
     def _run_job(self, job: Job) -> None:
-        tel = self.telemetry
-        tel.emit("serve.job.start", job_id=job.id, tenant=job.tenant)
+        self._emit("serve.job.start", job_id=job.id, tenant=job.tenant)
         sim = MemQSim(job.config, telemetry=job.telemetry,
                       plan_cache=self.plan_cache,
                       codec_pool=self._pool_for(job),
@@ -286,7 +285,7 @@ class ServeManager:
                 self.arena.release_lease(job.lease)
             self._rollup_traffic(job)
             self._flush_events(job)
-            tel.emit("serve.job.end", job_id=job.id, state=job.state)
+            self._emit("serve.job.end", job_id=job.id, state=job.state)
             with self._cv:
                 self._running.pop(job.id, None)
                 self._cv.notify_all()
@@ -343,6 +342,10 @@ class ServeManager:
     def _count(self, name: str) -> None:
         if self.telemetry.enabled:
             self.telemetry.metrics.counter(name).inc()
+
+    def _emit(self, kind: str, **data) -> None:
+        if self.telemetry.enabled:
+            self.telemetry.emit(kind, **data)
 
     def _rollup_traffic(self, job: Job) -> None:
         """Fold a finished job's byte ledger into the daemon's counters.

@@ -1,37 +1,42 @@
 """Unified telemetry: tracing spans, a metrics registry, and logging.
 
-One :class:`Telemetry` object bundles the three observability primitives
-the pipeline threads through every layer:
+One :class:`Telemetry` object bundles the observability sinks a run feeds:
 
 * :class:`~repro.telemetry.tracer.Tracer` — nestable spans with
   Chrome-trace / Perfetto and JSONL export (``with tel.span("h2d", ...)``);
 * :class:`~repro.telemetry.metrics.MetricsRegistry` — named counters,
   gauges, and fixed-bucket histograms (``tel.metrics.counter(...)``);
+* the live :class:`~repro.telemetry.events.EventBus`, the byte-exact
+  :class:`~repro.telemetry.traffic.TrafficLedger` and, when a run attaches
+  them, an access recorder, a progress tracker and a resource monitor;
 * the ``repro`` logger hierarchy (:mod:`repro.telemetry.logutil`).
 
-``Telemetry.disabled()`` (and the shared :data:`NULL_TELEMETRY` singleton)
-swap in the null twins, so instrumented hot paths cost an attribute lookup
-and a branch when observability is off. Call sites that build attribute
-dicts or format strings guard on ``tel.enabled`` first.
+**Off is one thing.** ``Telemetry.disabled()`` (shared as
+:data:`NULL_TELEMETRY`, the default everywhere) holds no sinks at all, and
+every call site guards on ``tel.enabled`` — the same guard that keeps
+attribute dicts and format strings from being built for nobody. A sink
+touched on a disabled object raises instead of pretending: there are no
+null twins to keep in step with the real classes.
 
-The **stage bridge** (:meth:`Telemetry.stage_span` /
-:meth:`Telemetry.record_stage`) is how the execution
-:class:`~repro.device.timeline.Timeline` stays a *derived view*: the
-pipeline measures each decompress/H2D/kernel/D2H/compress hop exactly once,
-and the bridge fans the one measurement out to the timeline (always — the
-overlap model needs it) and to the tracer (when enabled).
+The two seams a run reports through:
+
+* the group loop talks to a :class:`~repro.telemetry.observer.PassObserver`
+  (:meth:`Telemetry.observer`; :data:`NULL_OBSERVER` when disabled);
+* every pipeline hop — decompress / H2D / kernel / D2H / compress / CPU
+  update — is timed once by the layer that runs it and booked once on the
+  run's :class:`~repro.device.timeline.Timeline`, which is always on (the
+  overlap model needs it); an enabled telemetry listens to that timeline
+  (:meth:`Telemetry.hop`) and mirrors each hop into the tracer and the bus.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Union
 
 from .events import (
     DEFAULT_BUS_CAPACITY,
-    NULL_EVENT_BUS,
     EventBus,
-    NullEventBus,
     Subscription,
     TelemetryEvent,
 )
@@ -49,43 +54,26 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullMetrics,
     Timer,
 )
-from .monitor import NULL_RESOURCE_MONITOR, NullResourceMonitor, ResourceMonitor
-from .progress import (
-    NULL_PROGRESS,
-    NullProgressTracker,
-    ProgressTracker,
-    StageProgress,
-)
-from .tracer import NullTracer, Span, Tracer
-from .traffic import (
-    NULL_ACCESS_RECORDER,
-    NULL_TRAFFIC_LEDGER,
-    ChunkAccessRecorder,
-    NullChunkAccessRecorder,
-    NullTrafficLedger,
-    TrafficLedger,
-)
+from .monitor import ResourceMonitor
+from .observer import NULL_OBSERVER, PassObserver, RunObserver
+from .progress import ProgressTracker, StageProgress
+from .tracer import Span, Tracer
+from .traffic import ChunkAccessRecorder, TrafficLedger
 
 __all__ = [
     "Telemetry",
     "NULL_TELEMETRY",
+    "PassObserver",
+    "RunObserver",
+    "NULL_OBSERVER",
     "TrafficLedger",
-    "NullTrafficLedger",
-    "NULL_TRAFFIC_LEDGER",
     "ChunkAccessRecorder",
-    "NullChunkAccessRecorder",
-    "NULL_ACCESS_RECORDER",
     "Tracer",
-    "NullTracer",
     "Span",
     "ResourceMonitor",
-    "NullResourceMonitor",
-    "NULL_RESOURCE_MONITOR",
     "MetricsRegistry",
-    "NullMetrics",
     "Counter",
     "Gauge",
     "Histogram",
@@ -94,14 +82,10 @@ __all__ = [
     "DEFAULT_BYTES_BUCKETS",
     "TelemetryEvent",
     "EventBus",
-    "NullEventBus",
-    "NULL_EVENT_BUS",
     "Subscription",
     "DEFAULT_BUS_CAPACITY",
     "ProgressTracker",
     "StageProgress",
-    "NullProgressTracker",
-    "NULL_PROGRESS",
     "log",
     "get_logger",
     "configure_logging",
@@ -110,38 +94,8 @@ __all__ = [
 ]
 
 
-class _StageBridge:
-    """Times one pipeline hop; fans the measurement out on exit."""
-
-    __slots__ = ("_tel", "_timeline", "_stage", "_chunk", "_nbytes",
-                 "_attrs", "_t0", "seconds")
-
-    def __init__(self, tel: "Telemetry", timeline, stage, chunk: int,
-                 nbytes: int, attrs: Optional[Dict[str, Any]]):
-        self._tel = tel
-        self._timeline = timeline
-        self._stage = stage
-        self._chunk = chunk
-        self._nbytes = nbytes
-        self._attrs = attrs
-        self.seconds = 0.0
-
-    def __enter__(self) -> "_StageBridge":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.seconds = time.perf_counter() - self._t0
-        self._tel.record_stage(
-            self._timeline, self._stage, self.seconds,
-            chunk=self._chunk, nbytes=self._nbytes,
-            **(self._attrs or {}),
-        )
-        return False
-
-
 class Telemetry:
-    """Tracer + metrics + logger, threaded through the whole pipeline."""
+    """Tracer + metrics + bus + ledger, threaded through the whole pipeline."""
 
     __slots__ = ("tracer", "metrics", "log", "enabled", "monitor", "bus",
                  "progress", "traffic", "access")
@@ -149,50 +103,56 @@ class Telemetry:
     def __init__(self, tracer: Optional[Tracer] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  enabled: bool = True,
-                 bus: Optional[EventBus] = None):
+                 bus: Union[EventBus, None, bool] = None):
+        """``bus=False`` builds a telemetry without the live event bus
+        (tracer + metrics + ledger only: :meth:`emit` and the per-hop
+        events go nowhere); ``None`` builds the default bus."""
         self.enabled = bool(enabled)
-        if self.enabled:
-            self.tracer = tracer if tracer is not None else Tracer()
-            self.metrics = metrics if metrics is not None else MetricsRegistry()
-            self.metrics.declare_standard()
-            #: the live event bus, sharing the tracer's clock so event
-            #: timestamps and span timestamps sit on one axis (the epoch is
-            #: captured once — no per-publish attribute chain)
-            if bus is None:
-                epoch = self.tracer._epoch
-                bus = EventBus(
-                    clock=lambda: time.perf_counter() - epoch,
-                    epoch_wall=self.tracer.epoch_wall)
-            self.bus = bus
-            #: byte-exact tier-edge movement ledger, incremented at the
-            #: same hops the tracer wraps; feeds ``traffic.*`` counters
-            self.traffic = TrafficLedger(self.metrics)
-        else:
-            self.tracer = NullTracer()
-            self.metrics = NullMetrics()
-            self.bus = NULL_EVENT_BUS
-            self.traffic = NULL_TRAFFIC_LEDGER
         self.log = log
+        if not self.enabled:
+            return  # no sinks: see __getattr__
+        self.tracer = tracer if tracer is not None else Tracer()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics.declare_standard()
+        #: the live event bus (``None`` = built without one), sharing the
+        #: tracer's clock so event timestamps and span timestamps sit on
+        #: one axis (the epoch is captured once — no per-publish attribute
+        #: chain)
+        if bus is None:
+            epoch = self.tracer._epoch
+            bus = EventBus(
+                clock=lambda: time.perf_counter() - epoch,
+                epoch_wall=self.tracer.epoch_wall)
+        self.bus: Optional[EventBus] = None if bus is False else bus
+        #: byte-exact tier-edge movement ledger, incremented at the
+        #: same hops the tracer wraps; feeds ``traffic.*`` counters
+        self.traffic = TrafficLedger(self.metrics)
         #: opt-in chunk access-sequence recorder (``run --mem-trace-out``,
-        #: ``repro memtrace`` / ``repro audit`` swap a live one in)
-        self.access = NULL_ACCESS_RECORDER
-        #: the active run's ResourceMonitor; swapped in by MemQSim for the
-        #: duration of a monitored run so the scheduler can take synchronous
-        #: samples at interesting moments (device buffer live mid-group)
-        self.monitor = NULL_RESOURCE_MONITOR
-        #: the active run's plan-aware ProgressTracker; swapped in by
-        #: MemQSim once the CompiledPlan exists (total work is then known)
-        self.progress = NULL_PROGRESS
+        #: ``repro memtrace`` / ``repro audit`` attach one); ``None`` = off
+        self.access: Optional[ChunkAccessRecorder] = None
+        #: the active run's ResourceMonitor; attached by MemQSim for the
+        #: duration of a monitored run (live exposition reads its samples)
+        self.monitor: Optional[ResourceMonitor] = None
+        #: the latest run's plan-aware ProgressTracker; attached by MemQSim
+        #: once the CompiledPlan exists (total work is then known)
+        self.progress: Optional[ProgressTracker] = None
+
+    def __getattr__(self, name: str):
+        # Reached only for a slot that was never set, i.e. a sink of a
+        # disabled telemetry.
+        raise AttributeError(
+            f"telemetry is disabled: it has no {name!r} (guard the call "
+            f"site with `if tel.enabled:`)")
 
     @classmethod
     def disabled(cls) -> "Telemetry":
-        """A no-op telemetry object (see also :data:`NULL_TELEMETRY`)."""
+        """A telemetry with no sinks (see also :data:`NULL_TELEMETRY`)."""
         return cls(enabled=False)
 
     # -- tracer conveniences -------------------------------------------------
 
     def span(self, name: str, **args):
-        """Open a nested span (no-op context manager when disabled)."""
+        """Open a nested span on the tracer."""
         return self.tracer.span(name, **args)
 
     def instant(self, name: str, **args):
@@ -201,39 +161,34 @@ class Telemetry:
     # -- event-bus convenience -----------------------------------------------
 
     def emit(self, kind: str, /, **data) -> None:
-        """Publish one event onto the live bus (no-op when disabled).
+        """Publish one event onto the live bus (dropped when this telemetry
+        was built without one).
 
         ``kind`` is positional-only so event payloads may themselves carry
         a ``kind`` key (e.g. ``emit("stage.start", kind="gate")``).
         """
-        if self.bus.enabled:
+        if self.bus is not None:
             self.bus.publish(kind, **data)
 
-    # -- the timeline/stage bridge -------------------------------------------
+    # -- the two seams of a run ----------------------------------------------
 
-    def stage_span(self, timeline, stage, chunk: int = -1, nbytes: int = 0,
-                   **attrs) -> _StageBridge:
-        """Measure one pipeline hop: ``with tel.stage_span(tl, Stage.H2D, ...)``.
+    def observer(self) -> PassObserver:
+        """What the run's group loop reports to: a :class:`RunObserver`
+        over the sinks attached right now, :data:`NULL_OBSERVER` when
+        disabled."""
+        return RunObserver(self) if self.enabled else NULL_OBSERVER
 
-        Exactly one ``perf_counter`` pair runs; the result lands on
-        ``timeline`` (always) and in the tracer (when enabled). ``stage``
-        is a :class:`~repro.device.timeline.Stage` (duck-typed: anything
-        ``timeline.record`` accepts whose ``value`` names the span).
-        """
-        return _StageBridge(self, timeline, stage, chunk, nbytes,
-                            attrs or None)
-
-    def record_stage(self, timeline, stage, seconds: float,
-                     chunk: int = -1, nbytes: int = 0, **attrs) -> None:
-        """Log an already-measured pipeline hop (e.g. a timed transfer)."""
-        timeline.record(stage, seconds, chunk, nbytes)
-        if self.tracer.enabled:
-            name = getattr(stage, "value", str(stage))
-            self.tracer.record(name, seconds, chunk=chunk, nbytes=nbytes,
-                               **attrs)
-            if self.bus.enabled:
-                self.bus.publish(name, chunk=chunk, nbytes=nbytes,
-                                 seconds=seconds)
+    def hop(self, event, attrs: Dict[str, Any]) -> None:
+        """Mirror one pipeline hop — a
+        :class:`~repro.device.timeline.StageEvent` the layer that ran it
+        just booked, plus that layer's extra attributes — into the tracer
+        and onto the bus. Installed as the run timeline's ``listener``."""
+        name = event.stage.value
+        self.tracer.record(name, event.duration, chunk=event.chunk,
+                           nbytes=event.nbytes, **attrs)
+        if self.bus is not None:
+            self.bus.publish(name, chunk=event.chunk, nbytes=event.nbytes,
+                             seconds=event.duration)
 
     # -- export ---------------------------------------------------------------
 
@@ -244,9 +199,10 @@ class Telemetry:
         return snap
 
     def __repr__(self) -> str:
-        state = "on" if self.enabled else "off"
-        return f"<Telemetry {state} {self.tracer!r} {self.metrics!r}>"
+        if not self.enabled:
+            return "<Telemetry off>"
+        return f"<Telemetry on {self.tracer!r} {self.metrics!r}>"
 
 
-#: shared disabled instance — the default everywhere telemetry is optional
+#: the one disabled object — the default everywhere telemetry is optional
 NULL_TELEMETRY = Telemetry.disabled()

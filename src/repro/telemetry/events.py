@@ -19,9 +19,7 @@ Design points:
 * **one clock** — event timestamps share the owning tracer's epoch
   (seconds since run start), and :meth:`EventBus.publish_at` re-anchors a
   wall-clock instant measured in *another process* (codec workers) onto
-  that same axis, so worker and parent events interleave monotonically;
-* **null twin** — :data:`NULL_EVENT_BUS` makes every operation a free
-  no-op, so disabled telemetry pays nothing (the PR 1 null-object rule).
+  that same axis, so worker and parent events interleave monotonically.
 """
 
 from __future__ import annotations
@@ -35,8 +33,6 @@ __all__ = [
     "TelemetryEvent",
     "EventBus",
     "Subscription",
-    "NullEventBus",
-    "NULL_EVENT_BUS",
     "DEFAULT_BUS_CAPACITY",
 ]
 
@@ -88,8 +84,6 @@ class Subscription:
 
 class EventBus:
     """Bounded drop-oldest ring of events with fan-out subscribers."""
-
-    enabled = True
 
     def __init__(self, capacity: int = DEFAULT_BUS_CAPACITY,
                  clock: Optional[Callable[[], float]] = None,
@@ -206,62 +200,3 @@ class EventBus:
     def __repr__(self) -> str:
         return (f"<EventBus {len(self)}/{self.capacity} retained, "
                 f"{self.published} published, {self.dropped} dropped>")
-
-
-class _NullSubscription:
-    __slots__ = ()
-    cursor = 0
-    missed = 0
-
-    def poll(self) -> List[TelemetryEvent]:
-        return []
-
-
-_NULL_SUBSCRIPTION = _NullSubscription()
-
-
-class NullEventBus:
-    """Disabled bus: every operation is a free no-op."""
-
-    enabled = False
-    capacity = 0
-    dropped = 0
-    published = 0
-    epoch_wall = 0.0
-
-    def publish(self, kind: str, /, t: Optional[float] = None,
-                **data: Any) -> None:
-        return None
-
-    def publish_at(self, wall_time: float, kind: str, /,
-                   **data: Any) -> None:
-        return None
-
-    def events_since(self, cursor: int):
-        return [], 0, 0
-
-    def subscribe(self, tail: int = 0) -> _NullSubscription:
-        return _NULL_SUBSCRIPTION
-
-    def tail(self, n: int) -> List[TelemetryEvent]:
-        return []
-
-    def snapshot(self) -> List[TelemetryEvent]:
-        return []
-
-    def to_jsonl(self) -> List[str]:
-        return []
-
-    def write_jsonl(self, path: str) -> int:
-        open(path, "w").close()
-        return 0
-
-    def __len__(self) -> int:
-        return 0
-
-    def __repr__(self) -> str:
-        return "<NullEventBus>"
-
-
-#: shared disabled instance — the default wherever the bus is optional
-NULL_EVENT_BUS = NullEventBus()

@@ -110,7 +110,7 @@ def render_prometheus(telemetry) -> str:
              kind="gauge")
 
     progress = getattr(telemetry, "progress", None)
-    if progress is not None and progress.enabled:
+    if progress is not None:
         snap = progress.snapshot()
         emit("repro_progress_fraction", snap["fraction"],
              help_="exact completed fraction of the compiled plan",
@@ -126,7 +126,7 @@ def render_prometheus(telemetry) -> str:
                  snap["rate_units_per_s"], kind="gauge")
 
     bus = getattr(telemetry, "bus", None)
-    if bus is not None and bus.enabled:
+    if bus is not None:
         emit("repro_events_published_total", bus.published,
              help_="telemetry events published to the bus", kind="counter")
         emit("repro_events_dropped_total", bus.dropped,
@@ -196,7 +196,7 @@ class JSONHandler(BaseHTTPRequestHandler):
         ``done()`` is asked whenever a poll comes back empty: once it
         returns a frame (bytes) the frame is written and the stream ends.
         """
-        if bus is None or not bus.enabled:
+        if bus is None:
             self._send_json({"error": "event bus disabled"}, 404)
             return
         tail = int(query.get("tail", [str(default_tail)])[0])

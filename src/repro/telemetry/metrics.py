@@ -6,10 +6,8 @@ increments as it works (``transfer.h2d.bytes``, ``codec.compress.seconds``,
 accumulating for the registry's lifetime; :meth:`MetricsRegistry.snapshot`
 returns a plain-dict view suitable for JSON export or report sections.
 
-:class:`NullMetrics` is the disabled twin: it hands back shared instrument
-singletons whose mutators are no-ops, so instrumentation in hot paths costs
-almost nothing when telemetry is off (and call sites additionally guard on
-``telemetry.enabled``).
+Call sites guard on ``telemetry.enabled``: a disabled telemetry holds no
+registry.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ __all__ = [
     "Histogram",
     "Timer",
     "MetricsRegistry",
-    "NullMetrics",
     "DEFAULT_SECONDS_BUCKETS",
     "DEFAULT_BYTES_BUCKETS",
 ]
@@ -167,8 +164,6 @@ class Timer:
 class MetricsRegistry:
     """Lazily-created named instruments + snapshot/JSON export."""
 
-    enabled = True
-
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
@@ -301,114 +296,3 @@ class MetricsRegistry:
     def __repr__(self) -> str:
         return (f"<MetricsRegistry {len(self._counters)}c "
                 f"{len(self._gauges)}g {len(self._histograms)}h>")
-
-
-class _NullCounter:
-    __slots__ = ()
-    name = "null"
-    value = 0
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-    def snapshot(self):
-        return 0
-
-
-class _NullGauge:
-    __slots__ = ()
-    name = "null"
-    value = 0.0
-    max_value = 0.0
-
-    def set(self, v: float) -> None:
-        pass
-
-    def add(self, d: float) -> None:
-        pass
-
-    def snapshot(self):
-        return {"value": 0.0, "max": 0.0}
-
-
-class _NullHistogram:
-    __slots__ = ()
-    name = "null"
-    count = 0
-    total = 0.0
-    mean = 0.0
-
-    def observe(self, v: float) -> None:
-        pass
-
-    def snapshot(self):
-        return {"count": 0, "sum": 0.0, "min": None, "max": None,
-                "mean": 0.0, "buckets": {}}
-
-
-class _NullTimer:
-    __slots__ = ()
-    seconds = 0.0
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-_NULL_COUNTER = _NullCounter()
-_NULL_GAUGE = _NullGauge()
-_NULL_HISTOGRAM = _NullHistogram()
-_NULL_TIMER = _NullTimer()
-
-
-class NullMetrics:
-    """Disabled registry: shared no-op instruments, empty snapshots."""
-
-    enabled = False
-
-    def counter(self, name: str) -> _NullCounter:
-        return _NULL_COUNTER
-
-    def gauge(self, name: str) -> _NullGauge:
-        return _NULL_GAUGE
-
-    def histogram(self, name: str, edges: Sequence[float] = ()) -> _NullHistogram:
-        return _NULL_HISTOGRAM
-
-    def timer(self, name: str, edges: Sequence[float] = ()) -> _NullTimer:
-        return _NULL_TIMER
-
-    def declare_standard(self) -> None:
-        pass
-
-    def iter_counters(self) -> List[Counter]:
-        return []
-
-    def iter_gauges(self) -> List[Gauge]:
-        return []
-
-    def iter_histograms(self) -> List[Histogram]:
-        return []
-
-    def derived_gauges(self) -> Dict[str, Optional[float]]:
-        return {}
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.snapshot(), indent=indent)
-
-    def write_json(self, path: str, indent: Optional[int] = 2) -> int:
-        payload = self.to_json(indent)
-        with open(path, "w") as fh:
-            fh.write(payload)
-        return len(payload)
-
-    def clear(self) -> None:
-        pass
-
-    def __repr__(self) -> str:
-        return "<NullMetrics>"

@@ -20,9 +20,7 @@ as a gauge time-series. The series exports two ways from one capture:
   :meth:`~repro.core.results.MemQSimResult.to_dict` — the machine-readable
   memory-over-time record (the shape of the paper's Fig. 2).
 
-:class:`NullResourceMonitor` (shared as :data:`NULL_RESOURCE_MONITOR`) is
-the disabled twin: ``start``/``stop``/``timeline`` are allocation-free
-no-ops, so the default (``monitor_interval_ms = 0``) costs nothing.
+The default (``monitor_interval_ms = 0``) builds no monitor at all.
 """
 
 from __future__ import annotations
@@ -32,12 +30,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional
 
-__all__ = [
-    "ResourceMonitor",
-    "NullResourceMonitor",
-    "NULL_RESOURCE_MONITOR",
-    "read_rss_bytes",
-]
+__all__ = ["ResourceMonitor", "read_rss_bytes"]
 
 _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 4096
 
@@ -106,10 +99,6 @@ class ResourceMonitor:
         self._last_poke = -float("inf")
 
     @property
-    def enabled(self) -> bool:
-        return True
-
-    @property
     def running(self) -> bool:
         return self._thread is not None and self._thread.is_alive()
 
@@ -169,7 +158,7 @@ class ResourceMonitor:
         """Take one sample now (also what the daemon loop calls)."""
         tel = self.telemetry
         m = tel.metrics
-        t = tel.tracer.now if tel.tracer.enabled else time.perf_counter()
+        t = tel.tracer.now
         hit = m.counter("cache.hit").value
         miss = m.counter("cache.miss").value
         looked = hit + miss
@@ -184,7 +173,7 @@ class ResourceMonitor:
         }
         with self._lock:
             self.samples.append(sample)
-        if self.emit_trace_counters and tel.tracer.enabled:
+        if self.emit_trace_counters:
             tr = tel.tracer
             tr.counter("mem.rss", t=t, bytes=sample["rss_bytes"])
             tr.counter("mem.device_arena", t=t, bytes=sample["arena_bytes"])
@@ -193,10 +182,9 @@ class ResourceMonitor:
             tr.counter("codec.bytes", t=t,
                        bytes_in=sample["codec_bytes_in"],
                        bytes_out=sample["codec_bytes_out"])
-        bus = getattr(tel, "bus", None)
-        if bus is not None and bus.enabled:
-            bus.publish("monitor.sample", t=t,
-                        **{k: v for k, v in sample.items() if k != "t"})
+        if tel.bus is not None:
+            tel.bus.publish("monitor.sample", t=t,
+                            **{k: v for k, v in sample.items() if k != "t"})
         return sample
 
     def _loop(self) -> None:
@@ -238,41 +226,3 @@ class ResourceMonitor:
             "stopped" if self._stopped else "idle")
         return (f"<ResourceMonitor {state} {len(self.samples)} samples "
                 f"@{self.interval_s * 1e3:g}ms>")
-
-
-class NullResourceMonitor:
-    """Disabled monitor: every operation is a free no-op."""
-
-    enabled = False
-    running = False
-    samples: tuple = ()
-    interval_s = 0.0
-
-    def start(self) -> "NullResourceMonitor":
-        return self
-
-    def stop(self) -> "NullResourceMonitor":
-        return self
-
-    def __enter__(self) -> "NullResourceMonitor":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-    def sample_once(self) -> None:
-        return None
-
-    def poke(self) -> None:
-        return None
-
-    def timeline(self) -> None:
-        """Disabled monitors contribute no ``resource_timeline`` section."""
-        return None
-
-    def __repr__(self) -> str:
-        return "<NullResourceMonitor>"
-
-
-#: shared disabled instance — the default wherever monitoring is optional
-NULL_RESOURCE_MONITOR = NullResourceMonitor()

@@ -21,9 +21,6 @@ ETA combines the schedule (exact remaining units) with a measured rate:
 an exponentially-weighted moving average of units/second over completed
 passes, plus per-stage EWMAs so mixed workloads (cheap diagonal stages
 vs. heavy fused kernels) expose their own throughputs.
-
-:data:`NULL_PROGRESS` is the disabled twin — ``group_done`` is a free
-no-op, keeping the disabled path at zero cost.
 """
 
 from __future__ import annotations
@@ -33,12 +30,7 @@ import time
 from collections import Counter
 from typing import Any, Callable, Dict, List, Optional
 
-__all__ = [
-    "StageProgress",
-    "ProgressTracker",
-    "NullProgressTracker",
-    "NULL_PROGRESS",
-]
+__all__ = ["StageProgress", "ProgressTracker"]
 
 #: EWMA smoothing factor per completed group pass
 EWMA_ALPHA = 0.2
@@ -80,8 +72,6 @@ class StageProgress:
 class ProgressTracker:
     """Tracks exact schedule completion; thread-safe (scheduler writes,
     the HTTP/dashboard threads read)."""
-
-    enabled = True
 
     def __init__(self, stages: List[StageProgress], run_id: str = "",
                  clock: Callable[[], float] = time.perf_counter):
@@ -243,44 +233,3 @@ class ProgressTracker:
         return (f"<ProgressTracker {self.fraction * 100:.1f}% "
                 f"({self.done_units}/{self.total_units} units, "
                 f"{self.groups_done}/{self.groups_total} groups)>")
-
-
-class NullProgressTracker:
-    """Disabled tracker: every operation is a free no-op."""
-
-    enabled = False
-    run_id = ""
-    stages: tuple = ()
-    total_units = 0
-    done_units = 0
-    groups_total = 0
-    groups_done = 0
-    fraction = 0.0
-    elapsed_seconds = 0.0
-    rate_ewma = None
-    finished = False
-
-    def start(self) -> "NullProgressTracker":
-        return self
-
-    def stage_started(self, index: int) -> None:
-        return None
-
-    def group_done(self, index: int, count: int = 1) -> None:
-        return None
-
-    def finish(self) -> None:
-        return None
-
-    def eta_seconds(self) -> Optional[float]:
-        return None
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"enabled": False}
-
-    def __repr__(self) -> str:
-        return "<NullProgressTracker>"
-
-
-#: shared disabled instance — the default wherever progress is optional
-NULL_PROGRESS = NullProgressTracker()

@@ -14,10 +14,6 @@ nesting depth and parent (per thread). The whole log exports as
   lanes; every span is one complete (``"ph": "X"``) event with ``ts`` and
   ``dur`` in microseconds;
 * **JSONL** — one span object per line, for ad-hoc ``jq``/pandas analysis.
-
-:class:`NullTracer` is the disabled twin: ``span()`` hands back a shared
-no-op context manager, so tracing costs two attribute lookups and a
-``with`` block when off.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .logutil import set_active_span
 
-__all__ = ["Span", "Tracer", "NullTracer"]
+__all__ = ["Span", "Tracer"]
 
 
 class Span:
@@ -89,25 +85,8 @@ class _SpanCtx:
         return False
 
 
-class _NullSpanCtx:
-    """Shared no-op span context (the disabled-tracing fast path)."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-_NULL_SPAN_CTX = _NullSpanCtx()
-
-
 class Tracer:
     """Collects spans; thread-safe appends, per-thread nesting stacks."""
-
-    enabled = True
 
     def __init__(self, process_name: str = "repro"):
         self.process_name = process_name
@@ -305,63 +284,3 @@ class Tracer:
 
     def __repr__(self) -> str:
         return f"<Tracer {len(self.spans)} spans>"
-
-
-class NullTracer:
-    """Disabled tracer: every operation is a cheap no-op."""
-
-    enabled = False
-    spans: Tuple[Span, ...] = ()
-    counters: Tuple = ()
-    epoch_wall = 0.0
-    now = 0.0
-
-    def span(self, name: str, **args) -> _NullSpanCtx:
-        return _NULL_SPAN_CTX
-
-    def counter(self, name: str, t: Optional[float] = None,
-                **series: float) -> None:
-        return None
-
-    def record(self, name: str, duration: float, **args) -> None:
-        return None
-
-    def record_at(self, name: str, duration: float, **kwargs) -> None:
-        return None
-
-    def instant(self, name: str, **args) -> None:
-        return None
-
-    def __len__(self) -> int:
-        return 0
-
-    def find(self, name: str) -> List[Span]:
-        return []
-
-    def total_seconds(self, name: Optional[str] = None) -> float:
-        return 0.0
-
-    def clear(self) -> None:
-        pass
-
-    def to_chrome_trace(self) -> Dict[str, Any]:
-        return {"traceEvents": [], "displayTimeUnit": "ms"}
-
-    def write_chrome_trace(self, path: str) -> int:
-        payload = json.dumps(self.to_chrome_trace())
-        with open(path, "w") as fh:
-            fh.write(payload)
-        return len(payload)
-
-    def to_jsonl(self) -> List[str]:
-        return []
-
-    def write_jsonl(self, path: str) -> int:
-        open(path, "w").close()
-        return 0
-
-    def summary(self, top: int = 10) -> str:
-        return "(tracing disabled)"
-
-    def __repr__(self) -> str:
-        return "<NullTracer>"

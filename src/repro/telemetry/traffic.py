@@ -30,11 +30,10 @@ occupancy. This module records the movement itself:
   bound; :mod:`repro.analysis.audit` compares it against the schedule
   predicted from the :class:`~repro.compile.CompiledPlan`.
 
-Both have null twins so instrumented hot paths cost one attribute lookup
-and a no-op call when auditing is off. The canonical import path for
-memory-plane users is :mod:`repro.memory.traffic` (a re-export — the
-implementation lives here so :class:`~repro.telemetry.Telemetry` can hold
-the ledger without a package cycle).
+The canonical import path for memory-plane users is
+:mod:`repro.memory.traffic` (a re-export — the implementation lives here
+so :class:`~repro.telemetry.Telemetry` can hold the ledger without a
+package cycle).
 """
 
 from __future__ import annotations
@@ -47,12 +46,8 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 __all__ = [
     "EDGES",
     "TrafficLedger",
-    "NullTrafficLedger",
-    "NULL_TRAFFIC_LEDGER",
     "AccessEvent",
     "ChunkAccessRecorder",
-    "NullChunkAccessRecorder",
-    "NULL_ACCESS_RECORDER",
 ]
 
 #: every (edge, direction) pair the pipeline can move bytes across
@@ -84,8 +79,6 @@ class TrafficLedger:
     context with :meth:`pass_context` when the work is issued and
     re-enters it via :meth:`attributed` when it lands.
     """
-
-    enabled = True
 
     def __init__(self, metrics=None):
         self._lock = threading.Lock()
@@ -218,54 +211,6 @@ class TrafficLedger:
         return f"<TrafficLedger {len(t)} edges {moved:,}B moved>"
 
 
-class NullTrafficLedger:
-    """No-op twin; the default wherever auditing is off."""
-
-    enabled = False
-
-    def set_pass(self, stage: int = OUT_OF_STAGE,
-                 group: int = OUT_OF_STAGE) -> None:
-        pass
-
-    def pass_context(self) -> Tuple[int, int]:
-        return OUT_OF_STAGE, OUT_OF_STAGE
-
-    @contextmanager
-    def attributed(self, stage: int, group: int):
-        yield self
-
-    def record(self, edge: str, direction: str, nbytes: int, *,
-               ops: int = 1, worker: int = 0) -> None:
-        pass
-
-    def total_bytes(self, edge=None, direction=None) -> int:
-        return 0
-
-    def totals(self) -> Dict[str, Dict[str, int]]:
-        return {}
-
-    def stage_bytes(self, stage: int, edge: str, direction: str) -> int:
-        return 0
-
-    def by_stage(self) -> Dict[int, Dict[str, int]]:
-        return {}
-
-    def by_group(self, stage: int) -> Dict[int, Dict[str, int]]:
-        return {}
-
-    def by_worker(self) -> Dict[int, Dict[str, int]]:
-        return {}
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"totals": {}, "by_stage": {}, "by_worker": {}}
-
-    def __repr__(self) -> str:
-        return "<NullTrafficLedger>"
-
-
-NULL_TRAFFIC_LEDGER = NullTrafficLedger()
-
-
 #: one recorded access: (stage index, chunk id, op); op is "r" | "w" | "b"
 #: (barrier — chunk id is -1, marks a permutation stage / cache flush)
 AccessEvent = Tuple[int, int, str]
@@ -278,8 +223,6 @@ class ChunkAccessRecorder:
     order, so the trace is independent of any cache sitting in front of
     the store and of any codec lane behind it.
     """
-
-    enabled = True
 
     def __init__(self):
         self._events: List[AccessEvent] = []
@@ -327,33 +270,3 @@ class ChunkAccessRecorder:
 
     def __repr__(self) -> str:
         return f"<ChunkAccessRecorder {len(self._events)} accesses>"
-
-
-class NullChunkAccessRecorder:
-    """No-op twin; recording is opt-in (``run --mem-trace-out``, audit)."""
-
-    enabled = False
-
-    def record(self, chunk: int, stage: int, op: str) -> None:
-        pass
-
-    def barrier(self, stage: int) -> None:
-        pass
-
-    def trace(self) -> List[AccessEvent]:
-        return []
-
-    def clear(self) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0
-
-    def to_dicts(self) -> List[Dict[str, Any]]:
-        return []
-
-    def __repr__(self) -> str:
-        return "<NullChunkAccessRecorder>"
-
-
-NULL_ACCESS_RECORDER = NullChunkAccessRecorder()

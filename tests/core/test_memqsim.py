@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.circuits import Circuit, ghz, qft, random_circuit
+from repro.circuits import Circuit, get_workload, ghz, qft, random_circuit
 from repro.core import MemQSim, MemQSimConfig
 from repro.device import DeviceSpec
 from repro.statevector import DenseSimulator, StateVector
@@ -62,6 +62,28 @@ class TestCorrectness:
         # Each of the plan's recompressions can add eb; bound by stages+1.
         total_eb = eb * (res.plan.num_stages + 1)
         assert f >= fidelity_floor(total_eb, 1 << 10) - 1e-9
+
+    def test_fidelity_vs_is_normalised(self):
+        """A coarse bound lets the stored state's norm drift; the streamed
+        overlap divides by both norms, as ``compare_states`` does on the
+        densified vector, so it never reads above 1."""
+        from repro.analysis import compare_states
+
+        c = get_workload("supremacy", 10)
+        ref = DenseSimulator().run(c).data
+        res = MemQSim(
+            compressor="szlike",
+            compressor_options={"error_bound": 1e-3},
+            chunk_qubits=5,
+            device=DeviceSpec(memory_bytes=1 << 12),
+        ).run(c)
+        assert abs(res.norm() - 1.0) > 1e-6, "pick a run whose norm drifts"
+        f = res.fidelity_vs(ref)
+        assert f <= 1.0
+        assert f == pytest.approx(
+            compare_states(ref, res.statevector()).fidelity, abs=1e-12)
+        # and scaling the reference changes nothing
+        assert res.fidelity_vs(3.0 * ref) == pytest.approx(f, abs=1e-12)
 
     def test_host_budget_enforced(self):
         from repro.device import HostSpec

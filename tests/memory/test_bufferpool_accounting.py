@@ -46,11 +46,22 @@ class TestBufferPool:
         assert pool.peak_in_use == 2
 
     def test_accounting(self):
+        """A buffer is booked when it is first handed out, not before: the
+        tracker's peak is what was staged through, not the cap."""
         tracker = MemoryTracker()
         pool = BufferPool(2, 32, tracker)
+        assert tracker.current("host_buffers") == 0
+        a = pool.acquire()
+        pool.release(a)
+        assert pool.acquire() is a  # reused, nothing new booked
+        assert tracker.current("host_buffers") == 32 * 16
+        b = pool.acquire()
         assert tracker.current("host_buffers") == 2 * 32 * 16
+        pool.release(a)
+        pool.release(b)
         pool.close()
         assert tracker.current("host_buffers") == 0
+        assert tracker.peak("host_buffers") == 2 * 32 * 16
 
     def test_close_with_outstanding_raises(self):
         pool = BufferPool(1, 8)

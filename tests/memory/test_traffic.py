@@ -7,8 +7,6 @@ import pytest
 
 from repro.compression import get_compressor
 from repro.memory import (
-    NULL_ACCESS_RECORDER,
-    NULL_TRAFFIC_LEDGER,
     ChunkAccessRecorder,
     ChunkCache,
     ChunkLayout,
@@ -110,15 +108,6 @@ class TestLedgerUnit:
         assert doc["by_stage"]["0"]["arena.h2d"] == 10
         assert doc["by_worker"]["3"]["arena.h2d"] == 10
 
-    def test_null_twin_surface(self):
-        assert not NULL_TRAFFIC_LEDGER.enabled
-        NULL_TRAFFIC_LEDGER.record("disk", "write", 10)
-        NULL_TRAFFIC_LEDGER.set_pass(1, 1)
-        with NULL_TRAFFIC_LEDGER.attributed(0, 0):
-            pass
-        assert NULL_TRAFFIC_LEDGER.total_bytes() == 0
-        assert NULL_TRAFFIC_LEDGER.to_dict()["totals"] == {}
-
 
 class TestAccessRecorder:
     def test_records_in_order(self):
@@ -139,25 +128,20 @@ class TestAccessRecorder:
         assert rec.write_jsonl(path) == 2
         assert ChunkAccessRecorder.read_jsonl(path) == rec.trace()
 
-    def test_null_twin(self):
-        assert not NULL_ACCESS_RECORDER.enabled
-        NULL_ACCESS_RECORDER.record(0, 0, "r")
-        NULL_ACCESS_RECORDER.barrier(0)
-        assert NULL_ACCESS_RECORDER.trace() == []
-        assert len(NULL_ACCESS_RECORDER) == 0
-
 
 class TestTelemetryWiring:
     def test_enabled_telemetry_gets_live_ledger(self):
         tel = Telemetry()
-        assert tel.traffic.enabled
+        assert tel.access is None  # the access trace is opt-in
         tel.traffic.record("disk", "read", 9)
         assert tel.metrics.counter("traffic.disk.read.bytes").value == 9
 
     def test_disabled_telemetry_gets_null_twins(self):
+        """...gets none, that is: no ledger and no recorder to touch."""
         tel = Telemetry(enabled=False)
-        assert not tel.traffic.enabled
-        assert not tel.access.enabled
+        for sink in ("traffic", "access"):
+            with pytest.raises(AttributeError, match="telemetry is disabled"):
+                getattr(tel, sink)
 
 
 class TestStoreWiring:

@@ -3,8 +3,9 @@
 The group loop is the same for every worker count; what a pool changes is
 *when* the codec runs. These tests pin the two things that could silently
 go wrong: the timeline must carry the seconds the codec took where it ran
-(not how long the loop waited for it), and the overlap the lane exists for
-must be visible in the trace.
+(not how long the loop waited for it, nor what a cache in front of the
+store did meanwhile) — the same way inline and on a lane — and the overlap
+the lane exists for must be visible in the trace.
 """
 
 from collections import Counter
@@ -20,13 +21,13 @@ from repro.telemetry import Telemetry
 WORKERS = 2
 
 
-def laned_run(n, **kw):
+def laned_run(n, workers=WORKERS, **kw):
     """qft(n) streamed through a small device with a 2-worker lane, from
     a store initialised beforehand (so ``init_seconds`` — codec time
-    spent before any lane existed — is known)."""
+    spent before the run — is known)."""
     tel = Telemetry()
     cfg = MemQSimConfig(device=DeviceSpec(memory_bytes=1 << 14),
-                        workers=WORKERS, **kw)
+                        workers=workers, **kw)
     store = CompressedChunkStore(ChunkLayout(n, 7), cfg.make_compressor(),
                                  MemoryTracker())
     store.init_zero_state()
@@ -37,25 +38,44 @@ def laned_run(n, **kw):
 
 
 def test_timeline_codec_seconds_are_the_workers_not_the_wait():
+    # inline and on the lane, without and with a cache in front of the
+    # store: one booking path, the same account (the test keeps its one id)
+    for workers in (1, WORKERS):
+        for cache_chunks in (0, 8):
+            _codec_seconds_are_the_stores(workers, cache_chunks)
+
+
+def _codec_seconds_are_the_stores(workers, cache_chunks):
     res, tel, _stages, init_seconds = laned_run(
-        12, compressor="szlike", compressor_options={"error_bound": 1e-6})
-    snap = tel.metrics.snapshot()["counters"]
-    assert snap["parallel.jobs"] > 0 == snap["parallel.jobs.inline"]
+        12, workers=workers, cache_chunks=cache_chunks, cache_policy="belady",
+        compressor="szlike", compressor_options={"error_bound": 1e-6})
     tl = res.timeline
-    on_timeline = (tl.serial_seconds(Stage.COMPRESS)
-                   + tl.serial_seconds(Stage.DECOMPRESS))
-    # exactly what the workers measured around their codec calls ...
-    on_workers = (tel.tracer.total_seconds("worker.compress")
-                  + tel.tracer.total_seconds("worker.decompress"))
-    assert abs(on_timeline - on_workers) <= 1e-9 * on_workers
-    # ... which is the store's own total for the run
+    compress_s = tl.serial_seconds(Stage.COMPRESS)
+    decompress_s = tl.serial_seconds(Stage.DECOMPRESS)
+    if workers > 1:
+        snap = tel.metrics.snapshot()["counters"]
+        assert snap["parallel.jobs"] > 0 == snap["parallel.jobs.inline"]
+        # exactly what the workers measured around their codec calls ...
+        on_workers = (tel.tracer.total_seconds("worker.compress")
+                      + tel.tracer.total_seconds("worker.decompress"))
+        assert abs(compress_s + decompress_s - on_workers) \
+            <= 1e-9 * on_workers
+    # ... which is the store's own total for the run, hop kind by hop kind:
+    # a cache's write-back compress is no part of "decompress"
     stats = res.store.stats
-    measured = (stats.compress_seconds - init_seconds
-                + stats.decompress_seconds)
-    assert abs(on_timeline - measured) <= 0.10 * measured
-    # one event per codec call in the stages, chained by group id
+    assert decompress_s == stats.decompress_seconds
+    assert res.stage_breakdown["decompress"] == stats.decompress_seconds
+    assert abs(compress_s - (stats.compress_seconds - init_seconds)) \
+        <= 1e-9 * stats.compress_seconds
+    # one event per codec call of the run — the store's calls, not the
+    # loop's calls on a cache — and one span each; chained by group id
     assert tl.count(Stage.DECOMPRESS) == stats.loads
     assert tl.count(Stage.COMPRESS) == stats.stores - 2  # minus init
+    assert len(tel.tracer.find("decompress")) == stats.loads
+    assert len(tel.tracer.find("compress")) == stats.stores - 2
+    if cache_chunks:
+        assert res.store.cache_stats.hits > 0
+        assert stats.loads == res.store.cache_stats.misses
     assert all(e.chunk >= 0 for e in tl.events
                if e.stage in (Stage.COMPRESS, Stage.DECOMPRESS))
 

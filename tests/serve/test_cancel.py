@@ -10,7 +10,7 @@ import pytest
 from repro.circuits import qft
 from repro.core import MemQSim, MemQSimConfig
 from repro.device import DeviceSpec
-from repro.pipeline import CancelToken, JobCancelled, NULL_CANCEL
+from repro.pipeline import CancelToken, JobCancelled
 from repro.serve import ServeManager
 from repro.telemetry import Telemetry
 
@@ -48,8 +48,14 @@ class TestCancelToken:
             token.raise_if_cancelled()
 
     def test_null_token_never_fires(self):
-        NULL_CANCEL.raise_if_cancelled()
-        assert not NULL_CANCEL.cancelled
+        """A scheduler nobody can cancel polls a token of its own — a real
+        one, that nothing holds a handle to fire."""
+        from ..pipeline.test_scheduler import build_rig
+
+        _lay, _store, sched = build_rig()
+        assert isinstance(sched.cancel, CancelToken)
+        sched.cancel.raise_if_cancelled()
+        assert not sched.cancel.cancelled
 
     def test_precancelled_run_raises_before_any_stage(self):
         token = CancelToken()

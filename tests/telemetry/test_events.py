@@ -7,13 +7,7 @@ import threading
 
 import pytest
 
-from repro.telemetry import (
-    NULL_EVENT_BUS,
-    DEFAULT_BUS_CAPACITY,
-    EventBus,
-    NullEventBus,
-    Telemetry,
-)
+from repro.telemetry import DEFAULT_BUS_CAPACITY, EventBus, Telemetry
 
 
 def test_publish_assigns_increasing_seq_and_clock_time():
@@ -146,23 +140,26 @@ def test_capacity_must_be_positive():
         EventBus(capacity=0)
 
 
-def test_null_bus_is_free(tmp_path):
-    bus = NullEventBus()
-    assert bus.publish("x", a=1) is None
-    assert bus.publish_at(123.0, "y") is None
-    assert bus.events_since(0) == ([], 0, 0)
-    sub = bus.subscribe(tail=5)
-    assert sub.poll() == [] and sub.missed == 0
-    assert bus.tail(3) == [] and bus.snapshot() == []
-    assert len(bus) == 0 and bus.published == 0 and bus.dropped == 0
-    out = tmp_path / "empty.jsonl"
-    assert bus.write_jsonl(str(out)) == 0
-    assert out.read_text() == ""
-    assert not NULL_EVENT_BUS.enabled
+def test_null_bus_is_free():
+    """A telemetry built without a bus (``bus=False``) keeps tracer,
+    metrics and ledger; what would be published goes nowhere."""
+    from repro.device.timeline import Stage, Timeline
+    from repro.telemetry.live import live_state, render_prometheus
+
+    tel = Telemetry(bus=False)
+    assert tel.enabled and tel.bus is None
+    tel.emit("anything", x=1)
+    Timeline(tel.hop).record(Stage.H2D, 0.001, 3, 64)
+    assert [sp.name for sp in tel.tracer.spans] == ["h2d"]
+    assert live_state(tel)["events"] == {"published": 0, "dropped": 0,
+                                         "tail": []}
+    assert "repro_events_published_total" not in render_prometheus(tel)
 
 
 def test_disabled_telemetry_uses_null_bus():
+    """Off means no sinks at all: nothing to publish to, and saying so
+    beats pretending."""
     tel = Telemetry.disabled()
-    assert tel.bus is NULL_EVENT_BUS
-    tel.emit("anything", x=1)  # free no-op
-    assert tel.bus.published == 0
+    assert not hasattr(tel, "bus")
+    with pytest.raises(AttributeError, match="telemetry is disabled"):
+        tel.emit("anything", x=1)

@@ -10,7 +10,6 @@ from repro.telemetry import (
     DEFAULT_SECONDS_BUCKETS,
     Histogram,
     MetricsRegistry,
-    NullMetrics,
 )
 
 
@@ -136,25 +135,6 @@ class TestRegistry:
         m.clear()
         assert m.snapshot() == {"counters": {}, "gauges": {},
                                 "histograms": {}}
-
-
-class TestNullMetrics:
-    def test_instruments_are_shared_noops(self):
-        nm = NullMetrics()
-        c = nm.counter("a")
-        assert nm.counter("b") is c
-        c.inc(100)
-        assert c.snapshot() == 0
-        nm.gauge("g").set(5)
-        nm.histogram("h").observe(1.0)
-        with nm.timer("t"):
-            pass
-        assert nm.snapshot() == {"counters": {}, "gauges": {},
-                                 "histograms": {}}
-
-    def test_enabled_flags(self):
-        assert MetricsRegistry().enabled is True
-        assert NullMetrics().enabled is False
 
 
 class TestDerivedGauges:

@@ -9,13 +9,7 @@ import pytest
 
 from repro.circuits import qft
 from repro.core import MemQSim, MemQSimConfig
-from repro.telemetry import (
-    NULL_RESOURCE_MONITOR,
-    NULL_TELEMETRY,
-    NullResourceMonitor,
-    ResourceMonitor,
-    Telemetry,
-)
+from repro.telemetry import NULL_TELEMETRY, ResourceMonitor, Telemetry
 from repro.telemetry.monitor import SAMPLE_FIELDS, read_rss_bytes
 
 
@@ -109,12 +103,12 @@ def test_trace_counter_events_exported(tight_config, tmp_path):
 
 
 def test_disabled_path_is_null(tight_config):
-    # default config: no monitor, no timeline, shared null singleton
+    # default config: no monitor, no timeline
     tel = Telemetry()
     res = MemQSim(tight_config, telemetry=tel).run(qft(8))
     assert res.resource_timeline is None
     assert "resource_timeline" not in res.to_dict()
-    assert tel.monitor is NULL_RESOURCE_MONITOR
+    assert tel.monitor is None
     # monitor_interval_ms set but telemetry disabled: still the null path
     cfg = tight_config.with_updates(monitor_interval_ms=5.0)
     res = MemQSim(cfg, telemetry=NULL_TELEMETRY).run(qft(8))
@@ -138,22 +132,22 @@ def test_stop_takes_final_sample_when_run_raises(tight_config, monkeypatch):
     from repro.pipeline.scheduler import StageScheduler
 
     captured = {}
+    tel = Telemetry()
 
     def boom(self, stage, si, groups):
-        captured["monitor"] = self.telemetry.monitor
+        captured["monitor"] = tel.monitor
         raise RuntimeError("injected mid-run failure")
 
     monkeypatch.setattr(StageScheduler, "_run_stage", boom)
-    tel = Telemetry()
     cfg = tight_config.with_updates(monitor_interval_ms=1000.0)
     with pytest.raises(RuntimeError, match="injected"):
         MemQSim(cfg, telemetry=tel).run(qft(8))
     mon = captured["monitor"]
-    assert mon is not NULL_RESOURCE_MONITOR
+    assert mon is not None
     assert not mon.running
     assert len(mon.samples) >= 1  # the closing data point landed
     # and the telemetry no longer points at the dead monitor
-    assert tel.monitor is NULL_RESOURCE_MONITOR
+    assert tel.monitor is None
 
 
 def test_sampler_thread_survives_bad_reads(monkeypatch):
@@ -186,13 +180,11 @@ def test_samples_publish_onto_the_bus():
 
 
 def test_null_monitor_is_free():
-    mon = NullResourceMonitor()
-    assert mon.start() is mon
-    assert mon.stop() is mon
-    assert mon.sample_once() is None
-    assert mon.poke() is None
-    assert mon.timeline() is None
-    assert not mon.enabled and not mon.running
-    with NULL_RESOURCE_MONITOR as m:
-        assert m is NULL_RESOURCE_MONITOR
-    assert NULL_RESOURCE_MONITOR.samples == ()
+    """No monitor is no object: the loop's "device buffer live" report goes
+    nowhere, and the live view says nothing is running."""
+    from repro.telemetry.live import live_state
+
+    tel = Telemetry()
+    assert tel.monitor is None
+    tel.observer().device_buffer_live()
+    assert live_state(tel)["monitor"] == {"running": False, "samples": []}

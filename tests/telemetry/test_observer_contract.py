@@ -1,0 +1,159 @@
+"""What an enabled run tells its observers, pinned.
+
+Five run shapes with ``Telemetry()`` on; for each, everything the sinks
+hold that does not depend on a clock or a pid is compared with
+``observer_contract.json``: span name -> count, event kind -> count, every
+counter (they are all byte or call counts), the traffic ledger and the
+chunk access trace. The file was written by this module's ``__main__`` at
+the commit before the group loop got its observer seam, so a refactor of
+how the run reaches its sinks has to reproduce it.
+
+One correction was made by hand after that, in the two shapes with a
+chunk cache at ``workers=1``: the old loop wrapped a ``decompress`` /
+``compress`` hop around every call on the *cache* (hits, dirty inserts,
+a miss's write-back eviction booked as decompress), where ``workers=2``
+booked the codec calls the store made. The store's calls are the hops,
+so those two span / event counts were replaced by the number of codec
+calls the same pinned ledger holds (``codec.raw_out`` ops; ``codec.raw_in``
+ops less the two of ``init_zero_state``) — for ``lossy_cache_tier`` exactly
+what its ``workers=2`` twin always read.
+"""
+
+import hashlib
+import json
+import pathlib
+from collections import Counter
+
+import pytest
+
+from repro.circuits import Circuit, get_workload
+from repro.core import MemQSim, MemQSimConfig
+from repro.device import DeviceSpec
+from repro.telemetry import ChunkAccessRecorder, Telemetry
+
+PINNED = pathlib.Path(__file__).with_name("observer_contract.json")
+
+SMALL = DeviceSpec(memory_bytes=(1 << 6) * 16 * 2)
+
+
+def _lossy(workers):
+    return MemQSimConfig(
+        chunk_qubits=5, device=SMALL, precision="c64", compressor="szlike",
+        compressor_options={"error_bound": 1e-4}, cache_chunks=4,
+        cache_policy="belady", host_store_mb=0.001, workers=workers)
+
+
+def _zlib(**kw):
+    return MemQSimConfig(chunk_qubits=5, device=SMALL, compressor="zlib",
+                         **kw)
+
+
+def _keeps_a_permutation():
+    """``x`` on global qubits and a global-global ``swap`` behind gates that
+    pin them in place: one stage relabels blobs instead of streaming."""
+    c = Circuit(10)
+    for q in range(10):
+        c.h(q)
+    return c.cx(0, 9).x(9).x(7).rz(0.3, 8).swap(6, 8).cx(9, 1).h(8)
+
+
+#: name -> (config, circuit)
+SHAPES = {
+    "ram_qft": (_zlib(), get_workload("qft", 10)),
+    "lossy_cache_tier": (_lossy(1), get_workload("vqe", 10)),
+    "lossy_cache_tier_w2": (_lossy(2), get_workload("vqe", 10)),
+    "permutation": (_zlib(cache_chunks=4), _keeps_a_permutation()),
+    "cpu_offload": (_zlib(cpu_offload_fraction=0.5), get_workload("qft", 10)),
+}
+
+#: at ``workers=2`` a write lands when its job finishes, so which blobs the
+#: host tier has spilled by then (and reads back later) follows the clock
+CLOCKED = {"lossy_cache_tier_w2": ("disk.", "tier.", "mem.gauge")}
+
+
+def observe(shape):
+    cfg, circuit = SHAPES[shape]
+    tel = Telemetry()
+    tel.access = ChunkAccessRecorder()
+    res = MemQSim(cfg, telemetry=tel).run(circuit)
+    assert tel.bus.dropped == 0, "shape too large for the event ring"
+    ledger = tel.traffic.to_dict()
+    by_worker = ledger.pop("by_worker")  # keyed by pid
+    summed = Counter()
+    for row in by_worker.values():
+        summed.update(row)
+    trace = tel.access.trace()
+    return {
+        "spans": dict(sorted(Counter(
+            sp.name for sp in tel.tracer.spans).items())),
+        "events": dict(sorted(Counter(
+            ev.kind for ev in tel.bus.snapshot()).items())),
+        "counters": tel.metrics.snapshot()["counters"],
+        "ledger": ledger,
+        "ledger_workers_sum": dict(sorted(summed.items())),
+        "access_len": len(trace),
+        "access_sha256": hashlib.sha256(
+            json.dumps(trace).encode()).hexdigest(),
+        "permutation_stages": res.scheduler_stats.permutation_stages,
+        "cpu_group_passes": res.scheduler_stats.cpu_group_passes,
+    }
+
+
+def _comparable(observed, shape, prefix=""):
+    """``path -> value`` of everything ``shape`` fixes."""
+    out = {}
+    for key, value in observed.items():
+        path = f"{prefix}{key}"
+        if isinstance(value, dict):
+            out.update(_comparable(value, shape, path + "/"))
+        elif not any(tag in path for tag in CLOCKED.get(shape, ())):
+            out[path] = value
+    return out
+
+
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_enabled_run_reaches_every_sink_as_pinned(shape):
+    seen = observe(shape)
+    want = json.loads(PINNED.read_text())[shape]
+    seen, want = _comparable(seen, shape), _comparable(want, shape)
+    assert {k: v for k, v in seen.items() if want.get(k) != v} == {}
+    assert seen.keys() == want.keys()
+
+
+class _Untouchable:
+    def __init__(self, name):
+        self._name = name
+
+    def __getattr__(self, attr):
+        raise AssertionError(f"disabled run touched {self._name}.{attr}")
+
+
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_disabled_run_touches_no_sink(shape):
+    """Off is the ``enabled`` guard and the null observer, nothing else:
+    the run, its report and its JSON never reach for a sink."""
+    tel = Telemetry.disabled()
+    for sink in ("tracer", "metrics", "bus", "traffic", "access", "progress",
+                 "monitor"):
+        setattr(tel, sink, _Untouchable(sink))
+    cfg, circuit = SHAPES[shape]
+    res = MemQSim(cfg.with_updates(monitor_interval_ms=5.0),
+                  telemetry=tel).run(circuit)
+    res.report()
+    res.to_dict()
+    assert res.timeline.count() > 0
+
+
+def test_the_shapes_exercise_what_they_name():
+    pinned = json.loads(PINNED.read_text())
+    assert pinned["permutation"]["permutation_stages"] > 0
+    assert pinned["cpu_offload"]["cpu_group_passes"] > 0
+    assert pinned["lossy_cache_tier"]["counters"]["cache.hit"] > 0
+    assert pinned["lossy_cache_tier"]["counters"]["tier.spill"] > 0
+    assert pinned["lossy_cache_tier_w2"]["counters"]["parallel.jobs"] > 0
+
+
+if __name__ == "__main__":
+    PINNED.write_text(json.dumps(
+        {shape: observe(shape) for shape in SHAPES}, indent=1,
+        sort_keys=True) + "\n")

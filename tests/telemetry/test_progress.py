@@ -8,13 +8,7 @@ import pytest
 
 from repro.circuits import qft
 from repro.core import MemQSim
-from repro.telemetry import (
-    NULL_PROGRESS,
-    NullProgressTracker,
-    ProgressTracker,
-    StageProgress,
-    Telemetry,
-)
+from repro.telemetry import ProgressTracker, StageProgress, Telemetry
 
 
 class _GateStage:
@@ -146,7 +140,7 @@ def test_empty_plan_reports_done_only_after_finish():
 def test_run_attaches_tracker_and_finishes_at_exactly_one(tight_config):
     tel = Telemetry()
     res = MemQSim(tight_config, telemetry=tel).run(qft(8))
-    assert tel.progress.enabled
+    assert isinstance(tel.progress, ProgressTracker)
     assert tel.progress.fraction == 1.0
     assert tel.progress.finished
     assert tel.progress.groups_done == tel.progress.groups_total
@@ -159,20 +153,27 @@ def test_disabled_run_keeps_null_progress(tight_config):
     from repro.telemetry import NULL_TELEMETRY
 
     res = MemQSim(tight_config, telemetry=NULL_TELEMETRY).run(qft(8))
-    assert NULL_TELEMETRY.progress is NULL_PROGRESS
+    assert not hasattr(NULL_TELEMETRY, "progress")  # no sink, no stand-in
     assert res.run_id  # ids are assigned even without telemetry
 
 
 def test_null_tracker_is_free():
-    p = NullProgressTracker()
-    assert p.start() is p
-    p.stage_started(0)
-    p.group_done(0, count=5)
-    p.finish()
-    assert p.fraction == 0.0 and not p.finished
-    assert p.eta_seconds() is None
-    assert p.snapshot() == {"enabled": False}
-    assert not NULL_PROGRESS.enabled
+    """Until a run attaches a tracker there is none: the loop's observer
+    reaches the other sinks without it and the live views say so."""
+    from repro.telemetry.live import live_state, render_prometheus
+
+    tel = Telemetry()
+    assert tel.progress is None
+    obs = tel.observer()
+    with obs.stage(0, "permutation"):
+        obs.barrier(0)
+    with obs.group_pass(1, 0, (0, 1), "device", 64):
+        obs.device_buffer_live()
+    assert [sp.name for sp in tel.tracer.spans] == ["stage", "group_pass"]
+    assert [ev.kind for ev in tel.bus.snapshot()] == [
+        "stage.start", "stage.end", "group"]
+    assert live_state(tel)["progress"] == {"enabled": False}
+    assert "repro_progress_fraction" not in render_prometheus(tel)
 
 
 def test_stage_progress_ledger():

@@ -15,7 +15,7 @@ from repro.circuits import ghz, qft
 from repro.core import MemQSim, MemQSimConfig
 from repro.device import DeviceSpec
 from repro.device.timeline import Stage, Timeline
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry import NULL_OBSERVER, NULL_TELEMETRY, Telemetry
 
 
 def traced_run(circuit, tel=None, **cfg_kw):
@@ -35,43 +35,51 @@ class TestTelemetryFacade:
     def test_enabled_bundles_real_instruments(self):
         tel = Telemetry()
         assert tel.enabled
-        assert tel.tracer.enabled
-        assert tel.metrics.enabled
+        assert len(tel.tracer) == 0 and tel.bus.published == 0
         # declare_standard ran: acceptance counters pre-registered at 0
         assert tel.metrics.snapshot()["counters"]["transfer.h2d.bytes"] == 0
 
     def test_disabled_bundles_null_twins(self):
+        """...bundles nothing: one disabled object, and every sink of it
+        fails loudly instead of returning a typed empty."""
         tel = Telemetry.disabled()
         assert not tel.enabled
-        with tel.span("x") as sp:
-            assert sp is None
-        assert tel.snapshot()["spans"] == 0
         assert NULL_TELEMETRY.enabled is False
+        for sink in ("tracer", "metrics", "bus", "traffic", "access",
+                     "progress", "monitor"):
+            with pytest.raises(AttributeError, match="telemetry is disabled"):
+                getattr(tel, sink)
+        for touch in (lambda: tel.span("x"), lambda: tel.emit("x"),
+                      tel.snapshot):
+            with pytest.raises(AttributeError, match="telemetry is disabled"):
+                touch()
+        # the loop's seam needs no guard: nobody listens
+        assert tel.observer() is NULL_OBSERVER
 
     def test_stage_span_feeds_timeline_and_tracer(self):
+        """One booking on the timeline; the span is its mirror."""
         tel = Telemetry()
-        tl = Timeline()
-        with tel.stage_span(tl, Stage.H2D, chunk=2, nbytes=1024):
-            time.sleep(0.001)
+        tl = Timeline(tel.hop)
+        tl.record(Stage.H2D, 0.001, 2, 1024, chunk_id=5)
         assert tl.count(Stage.H2D) == 1
         ev = tl.events[0]
         assert ev.chunk == 2 and ev.nbytes == 1024
         [sp] = tel.tracer.find("h2d")
         assert sp.duration == ev.duration
-        assert sp.args["chunk"] == 2
+        assert sp.args == {"chunk": 2, "nbytes": 1024, "chunk_id": 5}
+        [event] = tel.bus.snapshot()
+        assert event.kind == "h2d" and event.data["seconds"] == ev.duration
 
     def test_stage_span_feeds_timeline_even_when_disabled(self):
-        tel = Telemetry.disabled()
-        tl = Timeline()
-        with tel.stage_span(tl, Stage.KERNEL, chunk=0, nbytes=64):
-            pass
+        tl = Timeline()  # nobody listening: what a disabled run builds
+        tl.record(Stage.KERNEL, 0.002, 0, 64, gates=3)
         assert tl.count(Stage.KERNEL) == 1
-        assert len(tel.tracer) == 0
+        assert tl.events[0].duration == 0.002
 
     def test_record_stage(self):
         tel = Telemetry()
-        tl = Timeline()
-        tel.record_stage(tl, Stage.D2H, 0.125, chunk=1, nbytes=512)
+        tl = Timeline(tel.hop)
+        tl.record(Stage.D2H, 0.125, chunk=1, nbytes=512)
         assert tl.events[0].duration == 0.125
         [sp] = tel.tracer.find("d2h")
         assert sp.duration == 0.125
@@ -216,20 +224,19 @@ class TestDisabledOverhead:
         so this only fails if someone accidentally makes the null path
         allocate or format.
         """
-        tel = NULL_TELEMETRY
+        obs = NULL_TELEMETRY.observer()
         n = 20_000
         t0 = time.perf_counter()
         for _ in range(n):
-            with tel.span("hot"):
-                pass
+            with obs.group_pass(0, 0, (0, 1), "device", 64):
+                obs.device_buffer_live()
         per_op = (time.perf_counter() - t0) / n
         assert per_op < 20e-6
 
     def test_disabled_run_records_nothing(self):
         res, tel = traced_run(ghz(8), tel=Telemetry.disabled())
-        assert len(tel.tracer) == 0
-        assert tel.metrics.snapshot() == {"counters": {}, "gauges": {},
-                                          "histograms": {}}
+        assert res.metrics_snapshot() == {}
+        assert "traffic" not in res.to_dict()
         # ...but the timeline (a core output) is still fully populated.
         assert res.timeline.count(Stage.KERNEL) > 0
         assert res.serial_seconds > 0

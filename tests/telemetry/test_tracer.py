@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.telemetry import NullTracer, Span, Tracer
+from repro.telemetry import Span, Tracer
 
 
 class TestSpanRecording:
@@ -170,28 +170,3 @@ class TestSummary:
         assert "h2d" in text and "kernel" in text
         # h2d total (30ms) sorts above kernel (5ms)
         assert text.index("h2d") < text.index("kernel")
-
-
-class TestNullTracer:
-    def test_null_span_is_shared_and_inert(self):
-        nt = NullTracer()
-        ctx1 = nt.span("a", x=1)
-        ctx2 = nt.span("b")
-        assert ctx1 is ctx2
-        with ctx1 as sp:
-            assert sp is None
-        assert len(nt) == 0
-        assert nt.find("a") == []
-        assert nt.total_seconds() == 0.0
-
-    def test_null_exports_are_empty(self, tmp_path):
-        nt = NullTracer()
-        assert nt.to_chrome_trace()["traceEvents"] == []
-        assert nt.to_jsonl() == []
-        p = tmp_path / "empty.jsonl"
-        assert nt.write_jsonl(str(p)) == 0
-        assert p.read_text() == ""
-
-    def test_enabled_flags(self):
-        assert Tracer().enabled is True
-        assert NullTracer().enabled is False

@@ -145,3 +145,60 @@ class TestOneStageEngine:
                 if name in path.read_text()]
         assert not hits, hits
         assert not (REPO / "src/repro/parallel/engine.py").exists()
+
+
+class TestOneObserverSeam:
+    """The group loop reports through one ``PassObserver`` and every
+    pipeline hop is booked once on the run's ``Timeline``; "off" is the
+    ``tel.enabled`` guard plus ``NULL_OBSERVER``, not a family of do-nothing
+    classes. Neither the twins nor the second timing path may come back."""
+
+    GONE = (
+        "_StageBridge", "stage_span", "record_stage", "_codec_span",
+        "book_codec", "TransferLog", "TransferRecord", "KernelLaunch",
+        "NullTracer", "NullMetrics", "NullEventBus", "NullResourceMonitor",
+        "NullProgressTracker", "NullTrafficLedger", "NullChunkAccessRecorder",
+        "NULL_EVENT_BUS", "NULL_RESOURCE_MONITOR", "NULL_PROGRESS",
+        "NULL_TRAFFIC_LEDGER", "NULL_ACCESS_RECORDER", "NULL_CANCEL",
+    )
+    #: what the scheduler may not name: the sinks behind the seam
+    SINKS = (".progress.", ".traffic.", ".access.", ".monitor.", ".bus.",
+             ".emit(", "stage_span", "telemetry")
+
+    def test_at_most_one_null_twin(self):
+        files = sorted((REPO / "src/repro/telemetry").glob("*.py"))
+        files.append(REPO / "src/repro/pipeline/cancel.py")
+        twins = [f"{path.name}: {m.group(1)}" for path in files
+                 for m in re.finditer(r"^class (_?Null\w*)", path.read_text(),
+                                      re.MULTILINE)]
+        assert len(twins) <= 1, twins
+
+    def test_the_loop_names_no_sink(self):
+        code = (REPO / "src/repro/pipeline/scheduler.py").read_text()
+        # prose may say what an observer is for; code may not reach past it
+        code = re.sub(r'""".*?"""', "", code, flags=re.DOTALL)
+        code = "\n".join(line.split("#")[0] for line in code.splitlines()
+                         if "import" not in line)
+        assert [s for s in self.SINKS if s in code] == []
+        loop = code[code.index("def _run_gate_stage"):
+                    code.index("def _ops_for_group")]
+        assert loop.count("self.observer.") == 1  # the group_pass context
+        per_chunk = code[code.index("def _load_group"):
+                         code.index("def _device_update")]
+        assert "observer" not in per_chunk
+
+    def test_deleted_names_stay_deleted(self):
+        api = (REPO / "docs/api.md").read_text()
+        # docs/api.md keeps the one list of what was removed
+        head, _, rest = api.partition("### Removed in PR 22")
+        listed, _, tail = rest.partition("\n## ")
+        assert [name for name in self.GONE if name not in listed] == []
+        texts = {"docs/api.md": head + tail}
+        files = [REPO / "README.md", REPO / "DESIGN.md"]
+        files += [p for p in sorted((REPO / "docs").glob("*.md"))
+                  if p.name != "api.md"]
+        files += sorted((REPO / "src").rglob("*.py"))
+        texts.update({str(p.relative_to(REPO)): p.read_text() for p in files})
+        hits = [f"{where}: {name}" for where, text in texts.items()
+                for name in self.GONE if name in text]
+        assert not hits, hits
