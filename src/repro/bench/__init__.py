@@ -27,6 +27,7 @@ Workflow::
 from .decide import (
     Decision,
     decide_backend,
+    decide_fusion,
     decide_precision,
     decide_workers,
     find_record,
@@ -78,6 +79,7 @@ __all__ = [
     "Decision",
     "decide_precision",
     "decide_backend",
+    "decide_fusion",
     "decide_workers",
     "find_record",
     "load_corpus",

@@ -2,7 +2,8 @@
 
 ``MemQSimConfig`` exposes three knobs that may be left open —
 ``precision="auto"``, ``backend="auto"``, ``workers=0`` — and this module
-closes them, in order of preference:
+closes them, in order of preference (an unset ``fuse_gates`` is closed here
+too, but *derived*, not measured: see :func:`decide_fusion`):
 
 1. **corpus lookup** — the committed baselines under ``results/baselines/``
    carry a host fingerprint; if a record for the deciding experiment exists
@@ -19,7 +20,7 @@ closes them, in order of preference:
    default (c128 / numpy / serial) and say why.
 
 Every choice is returned as a :class:`Decision` carrying the knob, the
-value, the source (``corpus`` | ``probe`` | ``default``) and a one-line
+value, the source (``corpus`` | ``probe`` | ``default`` | ``derived``) and a one-line
 rationale; :func:`resolve_auto_config` logs each as an audit line and the
 run echoes them in ``config_echo["decisions"]``.
 """
@@ -46,6 +47,7 @@ __all__ = [
     "decide_precision",
     "decide_backend",
     "decide_workers",
+    "decide_fusion",
     "resolve_auto_config",
 ]
 
@@ -64,7 +66,7 @@ class Decision:
 
     knob: str
     value: Any
-    source: str  # "corpus" | "probe" | "default"
+    source: str  # "corpus" | "probe" | "default" | "derived"
     rationale: str
 
     def audit_line(self) -> str:
@@ -266,6 +268,32 @@ def decide_workers(config, chunk_size: int = 1 << 12) -> Decision:
         f"codec probe ({config.compressor}, chunk_size={chunk_size}): {why}")
 
 
+# -- fusion ------------------------------------------------------------------
+
+
+def decide_fusion(config) -> Decision:
+    """Resolve an unset ``fuse_gates`` from the codec's losslessness.
+
+    Not a probe: fusion halves kernel time on a dense state at every size
+    on record and is level on a structured one under either codec
+    (BENCH_FU1), so the only thing to decide is whether anybody can see
+    the different rounding. Under a lossy codec every stage already moves
+    each amplitude by up to the error bound, so nobody can; a lossless run
+    stays unfused because it is bit-identical to ``DenseSimulator`` and
+    digests are compared on that. :func:`resolve_auto_config` is the one
+    place this is applied to a config.
+    """
+    codec = config.make_compressor()
+    if codec.is_lossy:
+        why = (f"{codec.describe()} already perturbs every stage, so fused "
+               "ops' rounding is invisible; fewer launches, which halves "
+               "kernel time on a dense state and is level otherwise")
+    else:
+        why = (f"{codec.describe()} keeps the run bit-identical to "
+               "DenseSimulator; fused products would round differently")
+    return Decision("fuse_gates", codec.is_lossy, "derived", why)
+
+
 # -- top-level resolution ----------------------------------------------------
 
 
@@ -276,12 +304,16 @@ def resolve_auto_config(
 ) -> Tuple[Any, List[Decision]]:
     """Close every open knob on ``config``; returns (concrete, decisions).
 
-    The returned config has ``precision``/``backend`` concrete and
-    ``workers >= 1``, so ``plan_key()`` and all downstream sizing math are
-    well-defined. Each decision is logged as one audit line.
+    The returned config has ``precision``/``backend``/``fuse_gates``
+    concrete and ``workers >= 1``, so ``plan_key()`` and all downstream
+    sizing math are well-defined. Each decision is logged as one audit line.
     """
     decisions: List[Decision] = []
     updates: Dict[str, Any] = {}
+    if config.fuse_gates is None:
+        d = decide_fusion(config)
+        updates["fuse_gates"] = d.value
+        decisions.append(d)
     if config.precision == "auto":
         d = decide_precision(corpus_dir)
         updates["precision"] = d.value

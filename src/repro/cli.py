@@ -300,7 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     subp.add_argument("--error-bound", type=float, default=None)
     subp.add_argument("--chunk-qubits", type=int, default=None)
     subp.add_argument("--workers", type=int, default=None)
-    subp.add_argument("--fusion", action="store_true", default=False)
+    subp.add_argument("--fusion", action=argparse.BooleanOptionalAction,
+                      default=None,
+                      help="gate fusion on / off (default: the daemon's, "
+                           "which follows the codec)")
     subp.add_argument("--wait", action="store_true",
                       help="block until the job finishes and print the "
                            "result document")
@@ -348,10 +351,11 @@ def _add_precision_arg(p: argparse.ArgumentParser) -> None:
 
 def _add_fusion_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fusion", action=argparse.BooleanOptionalAction,
-                   default=False,
+                   default=None,
                    help="run the gate-fusion compile passes (1q folding, "
                         "diagonal merging, window fusion) when lowering "
-                        "the plan")
+                        "the plan (default: on under a lossy compressor, "
+                        "off under a lossless one)")
     p.add_argument("--max-fuse-qubits", type=int, default=3, metavar="K",
                    help="widest dense unitary window fusion may build "
                         "(default 3)")
@@ -925,8 +929,8 @@ def _cmd_submit(args) -> int:
         value = getattr(args, key)
         if value is not None:
             config[key] = value
-    if args.fusion:
-        config["fusion"] = True
+    if args.fusion is not None:
+        config["fusion"] = args.fusion
     if config:
         payload["config"] = config
     client = ServeClient(_serve_url(args))

@@ -23,11 +23,11 @@ cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..circuits.gates import Gate, make_diagonal_gate, make_gate
+from ..circuits.gates import Gate
 
 __all__ = [
     "GateOp",
@@ -44,6 +44,12 @@ class GateOp:
     """One source gate, lowered 1:1 (the no-fusion case)."""
 
     gate: Gate
+    #: ``gate`` as :func:`repro.statevector.kernels.prepare_launch` lowered
+    #: it for one buffer width, set by whoever knows that width (a
+    #: :class:`~repro.pipeline.StageProgram`): a backend that runs the numpy
+    #: kernels calls it, every other consumer reads ``gate`` as before
+    launch: Optional[Callable[[np.ndarray], None]] = field(
+        default=None, compare=False, repr=False)
 
     @property
     def qubits(self) -> Tuple[int, ...]:
@@ -98,14 +104,22 @@ class FusedOp:
         return "fused" if self.matrix is not None else "fused_diag"
 
     def to_gate(self) -> Gate:
-        """Lower to a plain Gate (validated once, then cached)."""
+        """Lower to a plain Gate (built once, then cached).
+
+        The payload is a product of unitaries each validated when its gate
+        was made, so the ``make_gate`` / ``make_diagonal_gate`` checks are
+        not repeated on it (a test checks every fused op of the registry
+        circuits instead); what those constructors leave — a read-only
+        contiguous complex128 array — is what this leaves.
+        """
         if self._gate is None:
+            payload = self.diag if self.diag is not None else self.matrix
+            payload = np.ascontiguousarray(payload, dtype=np.complex128)
+            payload.setflags(write=False)
             if self.diag is not None:
-                self._gate = make_diagonal_gate(self.qubits, self.diag,
-                                                name="fused_diag")
+                self._gate = Gate("fused_diag", self.qubits, _diag=payload)
             else:
-                self._gate = make_gate("fused", self.qubits,
-                                       matrix=self.matrix)
+                self._gate = Gate("fused", self.qubits, _matrix=payload)
         return self._gate
 
     def __repr__(self) -> str:

@@ -64,6 +64,19 @@ class NumpyKernelBackend(Backend):
         for g in gates:
             apply_circuit_gate(buf, g)
 
+    def apply_ops(self, buf: np.ndarray, ops: Sequence[object]) -> None:
+        """One kernel launch per op. An op lowered by a
+        :class:`~repro.pipeline.StageProgram` brings its prepared launch
+        (made for this buffer width; any other fails its reshape); a bare
+        op or a raw :class:`Gate` goes through the one-shot dispatch."""
+        for op in ops:
+            launch = getattr(op, "launch", None)
+            if launch is not None:
+                launch(buf)
+            else:
+                apply_circuit_gate(
+                    buf, op.to_gate() if hasattr(op, "to_gate") else op)
+
 
 class EinsumBackend(Backend):
     """Reference engine: every gate as an einsum tensor contraction."""

@@ -51,7 +51,15 @@ class MemQSimConfig:
             :meth:`plan_key`.
         fuse_gates: run the gate-fusion compile passes (1q folding,
             diagonal merging, window fusion) when lowering the plan; off
-            still compiles, 1:1 gate-to-op.
+            still compiles, 1:1 gate-to-op. ``None`` (default) derives it
+            from the codec: on when ``make_compressor().is_lossy`` — such a
+            run already differs from dense by the error bound at every
+            stage, so fewer, fatter ops cost nothing — off when it is
+            lossless, which keeps the run bit-identical to
+            :class:`~repro.statevector.DenseSimulator`. Plan-relevant, so
+            :meth:`plan_key` wants it resolved
+            (:func:`repro.bench.decide.resolve_auto_config`, which a
+            :class:`~repro.core.MemQSim` run goes through).
         max_fuse_qubits: widest dense unitary the window-fusion pass may
             build (``2^k x 2^k`` matrix per fused op).
         num_devices: simulated accelerators; chunk groups are distributed
@@ -104,7 +112,7 @@ class MemQSimConfig:
     max_chunk_qubits: int = 14
     backend: str = "numpy"
     precision: str = "c128"
-    fuse_gates: bool = False
+    fuse_gates: Optional[bool] = None
     max_fuse_qubits: int = 3
     num_devices: int = 1
     cache_chunks: int = 0
@@ -137,7 +145,7 @@ class MemQSimConfig:
     def needs_auto_resolution(self) -> bool:
         """Whether any knob still needs :mod:`repro.bench.decide`."""
         return (self.precision == "auto" or self.backend == "auto"
-                or self.workers == 0)
+                or self.workers == 0 or self.fuse_gates is None)
 
     def resolve_workers(self, chunk_size: int = 0) -> int:
         """The effective codec worker count (``workers=0`` probes)."""
@@ -197,15 +205,18 @@ class MemQSimConfig:
         the group width (``max_group_qubits_for``); execution-only knobs
         (codec, transfer, workers, cache, monitor) deliberately do not.
         Precision participates because the amplitude itemsize changes
-        what fits the device. ``"auto"`` knobs must be resolved first —
-        a plan keyed on an unresolved knob would alias distinct plans.
+        what fits the device. ``"auto"`` knobs and an unset ``fuse_gates``
+        must be resolved first — a plan keyed on an unresolved knob would
+        alias distinct plans (a lossy tenant's fused one with a lossless
+        tenant's unfused one).
         """
         import hashlib
 
-        if self.precision == "auto":
-            raise ValueError(
-                "plan_key() on precision='auto'; resolve via "
-                "repro.bench.decide.resolve_auto_config first")
+        for knob, open_value in (("precision", "auto"), ("fuse_gates", None)):
+            if getattr(self, knob) == open_value:
+                raise ValueError(
+                    f"plan_key() on {knob}={open_value!r}; resolve via "
+                    "repro.bench.decide.resolve_auto_config first")
 
         fields = [f"{k}={getattr(self, k)!r}" for k in self.PLAN_KNOBS]
         fields.append(f"device_bytes={self.device.memory_bytes}")

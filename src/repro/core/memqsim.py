@@ -210,8 +210,9 @@ class MemQSim:
         decisions = []
         if cfg.needs_auto_resolution():
             # Close every open knob (precision="auto", backend="auto",
-            # workers=0) before anything dtype- or plan-dependent runs;
-            # the decisions land in config_echo["decisions"].
+            # workers=0, an unset fuse_gates) before anything dtype- or
+            # plan-dependent runs; the decisions land in
+            # config_echo["decisions"].
             from ..bench.decide import resolve_auto_config
 
             cfg, decisions = resolve_auto_config(cfg, num_qubits=n)

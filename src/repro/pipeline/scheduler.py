@@ -54,6 +54,7 @@ from ..device.timeline import Stage, Timeline
 from ..memory.bufferpool import BufferPool
 from ..memory.chunkstore import CompressedChunkStore
 from ..memory.layout import ChunkLayout, GroupPlacement
+from ..statevector.kernels import prepare_launch
 from ..telemetry import NULL_OBSERVER, get_logger
 from .cancel import CancelToken
 from .stages import GateStage, PermutationStage
@@ -160,6 +161,12 @@ class StageProgram:
     first use and kept under ``base_chunk & mask``. Non-diagonal ops have
     mask 0 and lower exactly once per stage.
 
+    Lowering goes all the way down: every group buffer of the stage has
+    ``chunk_qubits + len(group_qubits)`` qubits, so the entry carries the
+    gate's prepared kernel launch for that width
+    (:func:`~repro.statevector.kernels.prepare_launch`) and a group pass
+    classifies, reshapes and slices nothing again.
+
     The key is per op, not per stage: the union of a stage's masks usually
     covers nearly every global bit (5 of 6 on ``qft(16)``'s first stage), so
     a stage-wide key would be distinct for every group and reuse nothing.
@@ -189,6 +196,8 @@ class StageProgram:
         self.placement = placement
         in_group = set(placement.group_qubits)
         c = layout.chunk_qubits
+        #: qubits of every group buffer this program's launches are made for
+        self.buffer_qubits = c + len(placement.group_qubits)
         #: per op: (op, lowered source gate, fixed-bit mask,
         #: pattern -> GateOp)
         self._rows: List[Tuple[object, Gate, int,
@@ -225,7 +234,8 @@ class StageProgram:
                 # remap reads, so it stands in for the whole class.
                 rg = remap_gate_for_group(gate, self.layout, self.placement,
                                           pattern)
-                op = memo[pattern] = None if rg is None else GateOp(rg)
+                op = memo[pattern] = None if rg is None else GateOp(
+                    rg, prepare_launch(rg, self.buffer_qubits))
             if op is None:
                 skipped += 1
             else:

@@ -28,6 +28,7 @@ import time
 import uuid
 from typing import Any, Dict, Optional
 
+from ..bench.decide import resolve_auto_config
 from ..circuits import from_qasm, get_workload
 from ..circuits.circuit import Circuit
 from ..core.config import MemQSimConfig
@@ -55,8 +56,9 @@ TERMINAL = frozenset({DONE, FAILED, CANCELLED})
 
 #: submission config keys a tenant may override, mapped to config fields.
 #: ``error_bound`` routes into ``compressor_options``; ``fusion`` is the
-#: CLI-friendly alias for ``fuse_gates``. Device/host geometry and the
-#: store budgets are daemon-owned and absent on purpose.
+#: CLI-friendly alias for ``fuse_gates`` (``null`` = follow the codec).
+#: Device/host geometry and the store budgets are daemon-owned and absent
+#: on purpose.
 CONFIG_OVERRIDES = {
     "compressor": "compressor",
     "error_bound": None,  # -> compressor_options["error_bound"]
@@ -170,7 +172,12 @@ class Job:
         #: one tenant's firehose cannot drown another's.
         self.telemetry = Telemetry()
         self.structural_hash = circuit.structural_hash()
-        self.plan_key = config.plan_key()
+        # Keyed as the run will be: on what the open knobs (an unset
+        # fuse_gates) resolve to, so a lossy tenant's fused plan and a
+        # lossless tenant's unfused one never alias. The job keeps the
+        # config as submitted; its run resolves and echoes the decisions.
+        self.plan_key = resolve_auto_config(
+            config, circuit.num_qubits)[0].plan_key()
         self.lease_amplitudes = device_lease_amplitudes(
             circuit.num_qubits, config)
         self.lease = None  # ArenaLease once admitted

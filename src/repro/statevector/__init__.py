@@ -13,6 +13,7 @@ from .kernels import (
     apply_gate,
     apply_matrix_generic,
     apply_swap,
+    prepare_launch,
 )
 from .measurement import expectation_z, measure_qubit, sample_counts, sample_outcomes
 from .simulator import DenseRunStats, DenseSimulator
@@ -27,6 +28,7 @@ __all__ = [
     "apply_diagonal",
     "apply_matrix_generic",
     "apply_swap",
+    "prepare_launch",
     "sample_counts",
     "sample_outcomes",
     "measure_qubit",

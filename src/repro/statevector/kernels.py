@@ -38,6 +38,7 @@ __all__ = [
     "apply_stored_diagonal",
     "apply_circuit_gate",
     "apply_gate_list",
+    "prepare_launch",
     "num_qubits_of",
 ]
 
@@ -52,6 +53,26 @@ def num_qubits_of(buf: np.ndarray) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Which kernel a matrix takes — the one definition, for the one-shot
+# dispatch below and for :func:`prepare_launch`
+# ---------------------------------------------------------------------------
+
+def _kind_1q(m00, m01, m10, m11) -> str:
+    if m01 == 0 and m10 == 0:
+        return "diagonal_1q"
+    if m00 == 0 and m11 == 0 and m01 == 1 and m10 == 1:
+        return "x"
+    return "dense_1q"
+
+
+def _diagonal_of(matrix: np.ndarray):
+    """The diagonal of a multi-qubit ``matrix`` that has nothing off it
+    (cz, cp, rzz, ccz, ...), else ``None``."""
+    d = np.diag(matrix)
+    return d if np.count_nonzero(matrix) == np.count_nonzero(d) else None
+
+
+# ---------------------------------------------------------------------------
 # Single-qubit fast paths
 # ---------------------------------------------------------------------------
 
@@ -62,14 +83,15 @@ def apply_1q(buf: np.ndarray, matrix: np.ndarray, qubit: int) -> None:
     a = view[:, 0, :]
     b = view[:, 1, :]
     m00, m01, m10, m11 = matrix[0, 0], matrix[0, 1], matrix[1, 0], matrix[1, 1]
-    if m01 == 0 and m10 == 0:
-        # Diagonal: pure in-place scaling.
+    kind = _kind_1q(m00, m01, m10, m11)
+    if kind == "diagonal_1q":
+        # Pure in-place scaling.
         if m00 != 1:
             a *= m00
         if m11 != 1:
             b *= m11
         return
-    if m00 == 0 and m11 == 0 and m01 == 1 and m10 == 1:
+    if kind == "x":
         # Pauli-X: slice swap without a full temp copy of both halves.
         tmp = a.copy()
         a[...] = b
@@ -214,12 +236,177 @@ def apply_gate(
     if k == 1:
         apply_1q(buf, matrix, qubits[0])
         return
-    # Diagonal fast path for multi-qubit gates (cz, cp, rzz, ccz, ...).
-    d = np.diag(matrix)
-    if np.count_nonzero(matrix) == np.count_nonzero(d):
+    d = _diagonal_of(matrix)
+    if d is not None:
         apply_diagonal(buf, d, qubits)
         return
     apply_matrix_generic(buf, matrix, qubits)
+
+
+# ---------------------------------------------------------------------------
+# Prepared launches: everything above that does not depend on the
+# amplitudes, done once
+# ---------------------------------------------------------------------------
+
+def _split_axes(m: int, qubits: Sequence[int]) -> Tuple[tuple, dict]:
+    """``(shape, axis of each qubit)`` of a ``2^m`` buffer reshaped so that
+    only ``qubits`` get an axis of their own: ``2k + 1`` axes, the runs of
+    bits between the targets merged (some of size 1)."""
+    shape, axis_of, top = [], {}, m
+    for q in sorted(qubits, reverse=True):
+        shape += [1 << (top - 1 - q), 2]
+        axis_of[q] = len(shape) - 1
+        top = q
+    shape.append(1 << top)
+    return tuple(shape), axis_of
+
+
+def _launch_1q(matrix: np.ndarray, m: int, qubit: int):
+    """``(kind, run)``: the branch of :func:`apply_1q` the matrix takes."""
+    shape, _ = _split_axes(m, (qubit,))
+    m00, m01, m10, m11 = matrix[0, 0], matrix[0, 1], matrix[1, 0], matrix[1, 1]
+    kind = _kind_1q(m00, m01, m10, m11)
+    if kind == "diagonal_1q":
+        scale = [(half, factor) for half, factor in ((0, m00), (1, m11))
+                 if factor != 1]
+
+        def run(buf):
+            view = buf.reshape(shape)
+            for half, factor in scale:
+                part = view[:, half, :]
+                part *= factor
+    elif kind == "x":
+        def run(buf):
+            view = buf.reshape(shape)
+            a = view[:, 0, :]
+            b = view[:, 1, :]
+            tmp = a.copy()
+            a[...] = b
+            b[...] = tmp
+    else:
+        def run(buf):
+            view = buf.reshape(shape)
+            a = view[:, 0, :]
+            b = view[:, 1, :]
+            # apply_1q's products and sums, two temporaries instead of four
+            new_a = m00 * a
+            tmp = m01 * b
+            new_a += tmp
+            b *= m11
+            np.multiply(m10, a, out=tmp)
+            b += tmp
+            a[...] = new_a
+    return kind, run
+
+
+def _launch_swap(m: int, a: int, b: int):
+    shape, _ = _split_axes(m, (a, b))
+
+    def run(buf):
+        view = buf.reshape(shape)
+        x = view[:, 0, :, 1, :]
+        y = view[:, 1, :, 0, :]
+        tmp = x.copy()
+        x[...] = y
+        y[...] = tmp
+    return run
+
+
+def _launch_diagonal(m: int, diag: np.ndarray, qubits: Sequence[int]):
+    """:func:`apply_diagonal` with the slice tuple of every non-unit factor
+    made beforehand."""
+    shape, axis_of = _split_axes(m, qubits)
+    terms = []
+    for t in range(1 << len(qubits)):
+        factor = diag[t]
+        if factor == 1:
+            continue
+        idx = [slice(None)] * len(shape)
+        for j, q in enumerate(qubits):
+            idx[axis_of[q]] = (t >> j) & 1
+        terms.append((tuple(idx), factor))
+
+    def run(buf):
+        tensor = buf.reshape(shape)
+        for idx, factor in terms:
+            # A view even when every bit is a target: the merged runs keep
+            # their (size-1) axes, so the product lands in ``buf``.
+            part = tensor[idx]
+            part *= factor
+    return run
+
+
+def _launch_stored_diagonal(m: int, diag: np.ndarray, qubits: tuple):
+    if len(qubits) <= 3:
+        return _launch_diagonal(m, diag, qubits)
+    # A buffer of another length fails to broadcast against either form.
+    if qubits == tuple(range(m)):
+        def run(buf):
+            buf *= diag
+        return run
+    table = _diag_gather_table(m, qubits)
+
+    def run(buf):
+        buf *= diag[table]
+    return run
+
+
+def _launch_generic(m: int, matrix: np.ndarray, qubits: Sequence[int]):
+    shape, axis_of = _split_axes(m, qubits)
+    # Target axes most-significant-gate-bit first, as in
+    # :func:`apply_matrix_generic`; the merged runs follow in buffer order.
+    front = [axis_of[q] for q in reversed(qubits)]
+    perm = front + [ax for ax in range(len(shape)) if ax not in front]
+    moved_shape = tuple(shape[ax] for ax in perm)
+    dim = 1 << len(qubits)
+    cols = 1 << (m - len(qubits))
+
+    def run(buf):
+        moved = buf.reshape(shape).transpose(perm)
+        flat = np.ascontiguousarray(moved).reshape(dim, cols)
+        moved[...] = (matrix @ flat).reshape(moved_shape)
+    return run
+
+
+def prepare_launch(gate, m: int):
+    """Lower ``gate`` for buffers of ``2^m`` amplitudes: ``launch(buf)``.
+
+    :func:`apply_circuit_gate` finds out on every call which kernel a gate
+    takes, which axes it touches and how to slice them; none of that
+    depends on the amplitudes. This does it once — the classification
+    (``launch.kind``: ``stored_diagonal`` / ``swap`` / ``diagonal_1q`` /
+    ``x`` / ``dense_1q`` / ``diagonal`` / ``generic``), a reshape that
+    splits the index only at the gate's qubits (``2k + 1`` axes, not
+    ``m``), the transpose that brings them to the front, the slice tuple of
+    every non-unit diagonal factor, the four scalars of a 2x2 — and returns
+    a function that only makes the numpy calls that touch amplitudes: the
+    same ones, on the same values, in the same order as the one-shot
+    kernels, which stay the reference it is tested against bit for bit.
+
+    A launch serves the width it was made for (``launch.m``) and no other:
+    a buffer of any other length fails its reshape.
+    """
+    qubits = tuple(gate.qubits)
+    if any(not 0 <= q < m for q in qubits):
+        raise ValueError(f"gate qubits {qubits} outside a {m}-qubit buffer")
+    diag = getattr(gate, "diag", None)
+    if diag is not None:
+        kind, run = "stored_diagonal", _launch_stored_diagonal(m, diag, qubits)
+    elif gate.name == "swap":
+        kind, run = "swap", _launch_swap(m, *qubits)
+    else:
+        matrix = gate.matrix
+        if len(qubits) == 1:
+            kind, run = _launch_1q(matrix, m, qubits[0])
+        else:
+            d = _diagonal_of(matrix)
+            if d is not None:
+                kind, run = "diagonal", _launch_diagonal(m, d, qubits)
+            else:
+                kind, run = "generic", _launch_generic(m, matrix, qubits)
+    run.kind = kind
+    run.m = m
+    return run
 
 
 def apply_gate_list(

@@ -133,7 +133,7 @@ class TestDecideWorkers:
 
 class TestResolveAutoConfig:
     def test_concrete_config_untouched(self, tmp_path):
-        cfg = MemQSimConfig(chunk_qubits=4)
+        cfg = MemQSimConfig(chunk_qubits=4, fuse_gates=False)
         resolved, decisions = resolve_auto_config(cfg, corpus_dir=tmp_path)
         assert resolved is cfg
         assert decisions == []
@@ -141,7 +141,7 @@ class TestResolveAutoConfig:
     def test_all_knobs_closed(self, tmp_path):
         write_pr1(tmp_path)
         cfg = MemQSimConfig(chunk_qubits=4, precision="auto",
-                            backend="auto", workers=0)
+                            backend="auto", workers=0, fuse_gates=False)
         assert cfg.needs_auto_resolution()
         resolved, decisions = resolve_auto_config(
             cfg, num_qubits=8, corpus_dir=tmp_path)
@@ -152,6 +152,22 @@ class TestResolveAutoConfig:
         assert [d.knob for d in decisions] == ["precision", "backend",
                                                "workers"]
         resolved.plan_key()  # well-defined after resolution
+
+    @pytest.mark.parametrize("compressor, lossy", [("szlike", True),
+                                                   ("adaptive", True),
+                                                   ("zlib", False),
+                                                   ("null", False)])
+    def test_unset_fusion_follows_the_codec(self, tmp_path, compressor,
+                                            lossy):
+        cfg = MemQSimConfig(chunk_qubits=4, compressor=compressor)
+        assert cfg.fuse_gates is None and cfg.needs_auto_resolution()
+        resolved, (d,) = resolve_auto_config(cfg, corpus_dir=tmp_path)
+        assert resolved.fuse_gates is lossy
+        assert not resolved.needs_auto_resolution()
+        assert (d.knob, d.value, d.source) == ("fuse_gates", lossy, "derived")
+        assert compressor in d.rationale
+        assert resolved.plan_key() == cfg.with_updates(
+            fuse_gates=lossy).plan_key()
 
     def test_decision_round_trips_to_dict(self):
         d = Decision("precision", "c64", "corpus", "because measured")

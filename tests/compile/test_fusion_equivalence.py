@@ -10,8 +10,9 @@ because every worker count executes the identical lowered ops.
 import numpy as np
 import pytest
 
+from repro.circuits import WORKLOADS as CIRCUIT_REGISTRY
 from repro.circuits import get_workload
-from repro.compile import CompileOptions, compile_gates
+from repro.compile import CompileOptions, FusedOp, compile_gates
 from repro.core import MemQSim, MemQSimConfig, get_backend
 from repro.parallel import run_equivalence
 
@@ -99,3 +100,33 @@ class TestParallelBitIdentityWithFusion:
                               compressor_options={"error_bound": 1e-6},
                               fuse_gates=True)
         assert rep.ok, rep.summary()
+
+
+class TestFusedOpsAreUnitary:
+    """``FusedOp.to_gate()`` builds its ``Gate`` without ``make_gate``'s
+    ``is_unitary`` (the payload is a product of validated unitaries, and
+    re-checking it cost 0.8 ms per bound plan); this is the check, made
+    once here instead of on every lowering."""
+
+    @pytest.mark.parametrize("max_fuse_qubits", [2, 3, 4])
+    @pytest.mark.parametrize("workload", sorted(CIRCUIT_REGISTRY))
+    def test_every_fused_op_of_the_registry(self, workload, max_fuse_qubits):
+        circ = get_workload(workload, 8)
+        ops, _ = compile_gates(circ.gates, CompileOptions(
+            fusion=True, max_fuse_qubits=max_fuse_qubits))
+        fused = [op for op in ops if isinstance(op, FusedOp)]
+        for op in fused:
+            gate = op.to_gate()
+            assert gate.qubits == op.qubits
+            body = gate.diag if gate.diag is not None else gate.matrix
+            assert body.dtype == np.complex128
+            assert body.flags.c_contiguous and not body.flags.writeable
+            if gate.diag is not None:
+                assert body.shape == (1 << len(op.qubits),)
+                assert np.abs(np.abs(body) - 1.0).max() <= 1e-12
+            else:
+                dim = 1 << len(op.qubits)
+                assert body.shape == (dim, dim)
+                assert np.abs(body @ body.conj().T - np.eye(dim)).max() <= 1e-12
+        if workload in ("qft", "vqe", "supremacy"):  # not vacuous
+            assert fused

@@ -124,6 +124,28 @@ class TestCommands:
         assert main(["report"] + argv + ["-o", str(html)]) == 0
         assert "31 run, 49 all-zero skipped" in html.read_text()
 
+    @pytest.mark.parametrize("flags, compressor, fused, decided", [
+        ([], "zlib", False, True),            # unset: follows the codec
+        ([], "szlike", True, True),
+        (["--fusion"], "zlib", True, False),  # named: honoured, not decided
+        (["--no-fusion"], "szlike", False, False),
+    ])
+    def test_fusion_flag_is_unset_by_default(self, capsys, flags, compressor,
+                                             fused, decided):
+        import json
+
+        for command in ("run", "trace"):
+            assert build_parser().parse_args(
+                [command, "qft"]).fusion is None
+        assert build_parser().parse_args(["submit", "qft"]).fusion is None
+        assert main(["run", "qft", "-n", "8", "--chunk-qubits", "4",
+                     "--compressor", compressor, "--json"] + flags) == 0
+        out = capsys.readouterr().out
+        echo = json.loads(out[out.index("{"):])["config_echo"]
+        assert echo["fuse_gates"] is fused and echo["fusion"] is fused
+        assert ("fuse_gates" in [d["knob"] for d in echo["decisions"]]) \
+            is decided
+
     def test_audit_json_carries_the_predicted_pass_count(self, capsys):
         import json
 

@@ -1,5 +1,7 @@
 """Unit tests for the MemQSim simulator facade."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,105 @@ class TestDerivedChoices:
         assert res.store.lane is None  # detached on the way out
         assert res.config_echo["workers"] == echo_workers
         assert res.norm() == pytest.approx(1.0, abs=1e-9)
+
+
+class TestFusionFollowsTheCodec:
+    """``fuse_gates`` unset is derived: a lossy codec fuses (nobody can
+    tell), a lossless one does not (it is bit-identical to dense)."""
+
+    CFG = dict(chunk_qubits=5, device=DeviceSpec(memory_bytes=2048))
+
+    @staticmethod
+    def blobs(res):
+        store = res.store
+        return [store.get_blob(k) for k in range(store.layout.num_chunks)]
+
+    @staticmethod
+    def decision(res):
+        return [d for d in res.config_echo["decisions"]
+                if d["knob"] == "fuse_gates"]
+
+    def test_lossless_default_is_unfused_and_bit_identical_to_dense(self):
+        import hashlib
+
+        circuit = qft(10)
+        res = MemQSim(compressor="zlib", **self.CFG).run(circuit)
+        assert res.config_echo["fuse_gates"] is False
+        assert res.config_echo["fusion"] is False
+        (d,) = self.decision(res)
+        assert d["value"] is False and d["source"] == "derived"
+        assert "zlib" in d["rationale"]
+        report = res.compile_report
+        assert not report.fusion_enabled and report.ops_out == report.gates_in
+        dense = DenseSimulator().run(circuit).data
+        assert res.state_digest() == hashlib.sha256(dense.tobytes()).hexdigest()
+
+    def test_lossy_default_is_the_explicitly_fused_run(self):
+        circuit = get_workload("vqe", 10)
+        derived = MemQSim(compressor="szlike", **self.CFG).run(circuit)
+        fused = MemQSim(compressor="szlike", fuse_gates=True,
+                        **self.CFG).run(circuit)
+        assert derived.config_echo["fuse_gates"] is True
+        (d,) = self.decision(derived)
+        assert d["value"] is True and d["source"] == "derived"
+        assert "szlike" in d["rationale"]
+        assert self.decision(fused) == []  # named, so nothing to decide
+        assert derived.compile_report.fusion_enabled
+        assert derived.compile_report.ops_out < derived.compile_report.gates_in
+        assert derived.compile_report.ops_out == fused.compile_report.ops_out
+        assert self.blobs(derived) == self.blobs(fused)
+
+    def test_an_explicit_off_is_honoured_under_a_lossy_codec(self):
+        circuit = get_workload("vqe", 10)
+        res = MemQSim(compressor="szlike", fuse_gates=False,
+                      **self.CFG).run(circuit)
+        assert res.config_echo["fuse_gates"] is False
+        assert self.decision(res) == []
+        assert not res.compile_report.fusion_enabled
+        assert res.compile_report.ops_out == res.compile_report.gates_in
+
+    @pytest.mark.parametrize("compressor", ["zlib", "szlike"])
+    def test_worker_count_does_not_move_the_derived_run(self, compressor):
+        circuit = get_workload("vqe", 10)
+        one, two = (MemQSim(compressor=compressor, workers=w,
+                            **self.CFG).run(circuit) for w in (1, 2))
+        assert one.config_echo["fuse_gates"] == two.config_echo["fuse_gates"] \
+            == (compressor == "szlike")
+        assert self.blobs(one) == self.blobs(two)
+
+    def test_the_rule_has_one_definition(self, monkeypatch):
+        """The run and the daemon's job key both go through
+        ``resolve_auto_config``: flip the rule there and both follow."""
+        import repro.bench.decide as decide
+        from repro.serve.jobs import Job
+
+        real = decide.decide_fusion
+        monkeypatch.setattr(decide, "decide_fusion", lambda cfg: replace(
+            real(cfg), value=not real(cfg).value))
+        cfg = MemQSimConfig(compressor="szlike", **self.CFG)
+        res = MemQSim(cfg).run(ghz(8))
+        assert res.config_echo["fuse_gates"] is False
+        assert Job(ghz(8), cfg).plan_key == \
+            cfg.with_updates(fuse_gates=False).plan_key()
+        named = MemQSim(cfg.with_updates(fuse_gates=True)).run(ghz(8))
+        assert named.config_echo["fuse_gates"] is True  # named: not asked
+
+    def test_lossy_and_lossless_tenants_share_a_cache_but_no_plan(self):
+        from repro.core.plancache import PlanCache
+
+        cache, circuit = PlanCache(), get_workload("vqe", 10)
+        for compressor in ("szlike", "zlib", "szlike", "zlib"):
+            MemQSim(compressor=compressor, plan_cache=cache,
+                    **self.CFG).run(circuit)
+        assert cache.stats()["misses"] == 2 and cache.stats()["hits"] == 2
+        assert len(cache) == 2
+
+    def test_an_unset_fuse_gates_has_no_plan_key(self):
+        cfg = MemQSimConfig(chunk_qubits=5)
+        assert cfg.fuse_gates is None and cfg.needs_auto_resolution()
+        with pytest.raises(ValueError, match="fuse_gates"):
+            cfg.plan_key()
+        assert not cfg.with_updates(fuse_gates=True).needs_auto_resolution()
 
 
 class TestDiskStore:

@@ -70,8 +70,9 @@ class TestPrecisionModule:
 
 class TestConfigPlanKey:
     def test_precision_is_plan_relevant(self):
-        k128 = MemQSimConfig(chunk_qubits=4).plan_key()
-        k64 = MemQSimConfig(chunk_qubits=4, precision="c64").plan_key()
+        k128 = MemQSimConfig(chunk_qubits=4, fuse_gates=False).plan_key()
+        k64 = MemQSimConfig(chunk_qubits=4, precision="c64",
+                            fuse_gates=False).plan_key()
         assert k128 != k64
 
     def test_auto_has_no_plan_key(self):

@@ -10,7 +10,7 @@ import pytest
 
 from repro.circuits import Circuit, get_workload, qft
 from repro.compile import CompileOptions, GateOp, compile_stages
-from repro.core import MemQSim, MemQSimConfig
+from repro.core import MemQSim, MemQSimConfig, NumpyKernelBackend
 from repro.device import DeviceSpec
 from repro.device.timeline import Stage
 from repro.memory import ChunkLayout
@@ -303,3 +303,75 @@ class TestProgramsKeptWithThePlan:
                 assert skipped == want_skipped
                 assert [signature(o) for o in got] == \
                     [signature(o) for o in want]
+
+
+class TestLaunchesPreparedAtLowering:
+    """A lowered entry carries its kernel launch, made for the program's
+    buffer width: a cached plan prepares none, a rebound one only its
+    rebound rows."""
+
+    circuit = staticmethod(TestProgramsKeptWithThePlan.circuit)
+    sim = TestProgramsKeptWithThePlan.sim
+
+    @pytest.fixture
+    def prepared(self, monkeypatch):
+        import repro.pipeline.scheduler as scheduler
+
+        made = []
+        prepare = scheduler.prepare_launch
+
+        def counted(gate, m):
+            made.append((gate.name.removesuffix("_restricted"), m))
+            return prepare(gate, m)
+
+        monkeypatch.setattr(scheduler, "prepare_launch", counted)
+        return made
+
+    def test_a_second_run_on_a_cached_plan_builds_no_launch(self, prepared):
+        sim, circuit = self.sim(), self.circuit(0.3, 0.8)
+        first = sim.run(circuit)
+        built = len(prepared)
+        assert built > 0
+        again = sim.run(circuit)
+        assert again.config_echo["plan_cache"] == "hit"
+        assert len(prepared) == built
+        assert again.state_digest() == first.state_digest()
+
+    def test_a_rebound_plan_rebuilds_exactly_the_rebound_rows(self, prepared):
+        sim = self.sim()
+        sim.run(self.circuit(0.3, 0.8))
+        on_miss = [name for name, _m in prepared]
+        del prepared[:]
+        circuit = self.circuit(1.1, 2.3)
+        res = sim.run(circuit)
+        assert res.config_echo["plan_cache"] == "rebound"
+        assert sorted(name for name, _m in prepared) == sorted(
+            name for name in on_miss if name in ("ry", "rz", "cp"))
+        assert res.state_digest() == MemQSim(sim.config).run(
+            circuit).state_digest()
+
+    @pytest.mark.parametrize("fusion", [False, True])
+    def test_a_program_serves_launches_of_its_own_width_only(self, fusion):
+        circuit = get_workload("vqe", N)
+        layout, stages = compiled_gate_stages(circuit, fusion, "c128")
+        widths = set()
+        for stage in stages:
+            placement = layout.chunk_groups(stage.group_qubits)
+            program = StageProgram(stage, layout, placement)
+            m = CHUNK_QUBITS + len(stage.group_qubits)
+            assert program.buffer_qubits == m
+            widths.add(m)
+            for members in placement.groups:
+                ops, _skipped = program.ops_for(members[0])
+                assert ops and all(op.launch.m == m for op in ops)
+                # the launches are the gates: same buffer, bit for bit
+                rng = np.random.default_rng(members[0])
+                buf = rng.standard_normal(1 << m) + 1j * rng.standard_normal(1 << m)
+                want = buf.copy()
+                for op in ops:
+                    op.launch(buf)
+                NumpyKernelBackend().apply(want, [op.gate for op in ops])
+                assert np.array_equal(buf, want)
+                with pytest.raises(ValueError):
+                    ops[0].launch(np.zeros(2 << m, dtype=complex))
+        assert len(widths) > 1  # the plan has stages of different widths

@@ -222,7 +222,7 @@ class TestTheSkipIsInvisible:
         if hierarchy:  # a Belady cache over a RAM tier of a few blobs
             kw.update(cache_chunks=3, cache_policy="belady",
                       host_store_mb=256 / (1 << 20))
-        cfg = config_for(c, cap, compressor=codec,
+        cfg = config_for(c, cap, compressor=codec, fuse_gates=False,
                          enable_permutation_stages=permutations,
                          serpentine_groups=serpentine, **kw)
         v, support = start_vector(start, layout, np.random.default_rng(seed))

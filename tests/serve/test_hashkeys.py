@@ -126,9 +126,13 @@ class TestShapeAndValues:
         assert a.shape_and_values()[0] != b.shape_and_values()[0]
 
 
+#: plan_key() wants every plan knob resolved; an unset fuse_gates is not
+RESOLVED = MemQSimConfig(fuse_gates=False)
+
+
 class TestPlanKey:
     def test_default_stable(self):
-        assert MemQSimConfig().plan_key() == MemQSimConfig().plan_key()
+        assert RESOLVED.plan_key() == RESOLVED.with_updates().plan_key()
 
     @pytest.mark.parametrize("field, value", [
         ("chunk_qubits", 7),
@@ -139,7 +143,7 @@ class TestPlanKey:
         ("max_fuse_qubits", 4),
     ])
     def test_plan_knobs_change_key(self, field, value):
-        base = MemQSimConfig()
+        base = RESOLVED
         assert base.plan_key() != base.with_updates(**{field: value}).plan_key()
 
     @pytest.mark.parametrize("field, value", [
@@ -153,18 +157,18 @@ class TestPlanKey:
         ("monitor_interval_ms", 10.0),
     ])
     def test_execution_knobs_do_not_change_key(self, field, value):
-        base = MemQSimConfig()
+        base = RESOLVED
         assert base.plan_key() == base.with_updates(**{field: value}).plan_key()
 
     def test_device_memory_changes_key(self):
         from repro.device import DeviceSpec
 
-        base = MemQSimConfig()
+        base = RESOLVED
         small = base.with_updates(
             device=DeviceSpec(memory_bytes=1 << 16))
         assert base.plan_key() != small.plan_key()
 
     def test_buffer_count_changes_key_only_at_double_buffer_boundary(self):
-        base = MemQSimConfig(num_buffers=2)
+        base = RESOLVED.with_updates(num_buffers=2)
         assert base.plan_key() == base.with_updates(num_buffers=3).plan_key()
         assert base.plan_key() != base.with_updates(num_buffers=1).plan_key()

@@ -73,7 +73,7 @@ class TestMemQSimIntegration:
 
     def test_plan_knob_change_misses(self):
         cache = PlanCache()
-        cfg = MemQSimConfig(chunk_qubits=5)
+        cfg = MemQSimConfig(chunk_qubits=5, fuse_gates=False)
         MemQSim(cfg, plan_cache=cache).run(qft(8))
         MemQSim(cfg.with_updates(fuse_gates=True), plan_cache=cache).run(qft(8))
         assert cache.stats()["misses"] == 2
@@ -81,7 +81,7 @@ class TestMemQSimIntegration:
     def test_execution_knob_change_hits(self):
         """Codec choice executes the same plan — key must not fragment."""
         cache = PlanCache()
-        cfg = MemQSimConfig(chunk_qubits=5)
+        cfg = MemQSimConfig(chunk_qubits=5, fuse_gates=False)
         MemQSim(cfg, plan_cache=cache).run(qft(8))
         MemQSim(cfg.with_updates(compressor="zlib", compressor_options={}),
                 plan_cache=cache).run(qft(8))
@@ -96,6 +96,36 @@ class TestMemQSimIntegration:
         assert cache.stats()["misses"] == 2
         assert len(cache) == 2
         assert r1.num_qubits == 8
+
+
+class TestDerivedFusionInTheSharedCache:
+    """The daemon's one ``PlanCache`` is keyed on what ``fuse_gates``
+    resolves to: a lossy tenant's fused plan and a lossless tenant's
+    unfused plan of the same circuit are two entries."""
+
+    def test_fusion_alias_accepts_null_and_tenants_never_alias(self):
+        from repro.serve.jobs import Job, config_from_payload
+
+        base = MemQSimConfig(chunk_qubits=5, fuse_gates=True)
+        unset = config_from_payload(base, {"config": {"fusion": None}})
+        assert unset.fuse_gates is None
+        lossless = config_from_payload(
+            base, {"config": {"fuse_gates": None, "compressor": "zlib"}})
+        on = config_from_payload(unset, {"config": {"fusion": True}})
+        assert on.fuse_gates is True
+        keys = {name: Job(qft(8), cfg).plan_key for name, cfg in
+                [("lossy", unset), ("lossless", lossless), ("on", on)]}
+        assert keys["lossy"] == keys["on"] != keys["lossless"]
+        assert keys["lossless"] == lossless.with_updates(
+            fuse_gates=False).plan_key()
+
+        cache = PlanCache()
+        echoes = [MemQSim(cfg, plan_cache=cache).run(qft(8)).config_echo
+                  for cfg in (unset, lossless, on, lossless)]
+        assert [e["plan_cache"] for e in echoes] == \
+            ["miss", "miss", "hit", "hit"]
+        assert [e["fuse_gates"] for e in echoes] == [True, False, True, False]
+        assert len(cache) == 2
 
 
 class TestRebind:

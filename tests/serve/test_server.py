@@ -16,7 +16,7 @@ from repro.telemetry import Telemetry
 @pytest.fixture
 def daemon():
     base = MemQSimConfig(device=DeviceSpec(memory_bytes=(1 << 11) * 16),
-                         chunk_qubits=5)
+                         chunk_qubits=5, fuse_gates=False)
     mgr = ServeManager(base, Telemetry(), max_jobs=2)
     srv = ServeServer(mgr, port=0).start()
     try:

@@ -6,6 +6,8 @@ gate to a full 2^n x 2^n unitary with explicit kron/permutation and matmul.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
 from repro.circuits import GATE_SET, gate_matrix, make_diagonal_gate, make_gate
@@ -20,6 +22,7 @@ from repro.statevector.kernels import (
     apply_swap,
     fuse_1q_matrices,
     num_qubits_of,
+    prepare_launch,
 )
 
 
@@ -249,3 +252,134 @@ class TestFusion:
 
     def test_fuse_empty_is_identity(self):
         assert np.allclose(fuse_1q_matrices([]), np.eye(2))
+
+
+# ---------------------------------------------------------------------------
+# Prepared launches: the one-shot kernels above are the reference, bit for bit
+# ---------------------------------------------------------------------------
+
+def place(where, k, m, rng):
+    """``k`` distinct qubits of an ``m``-qubit buffer, laid out ``where``."""
+    if where == "lowest":
+        return tuple(range(k))
+    if where == "highest":
+        return tuple(range(m - k, m))
+    if where == "adjacent":
+        start = int(rng.integers(0, m - k + 1))
+        return tuple(range(start, start + k))
+    picked = sorted(int(q) for q in rng.choice(m, size=k, replace=False))
+    if where == "unsorted" and k > 1:
+        return tuple(picked[1:] + picked[:1])
+    return tuple(picked)  # "split": ascending, gaps wherever they fell
+
+
+def phases(rng, size, ones):
+    d = np.exp(1j * rng.uniform(0, 2 * np.pi, size=size))
+    d[rng.random(size) < ones] = 1.0  # factors the kernels skip
+    return d
+
+
+def gate_of(kind, m, where, rng):
+    """A gate whose launch is of class ``kind``, or ``None`` when no such
+    gate fits ``m`` qubits."""
+    def qubits(k):
+        return place(where, k, m, rng)
+
+    if kind == "swap":
+        return make_gate("swap", qubits(2)) if m >= 2 else None
+    if kind == "x":
+        return make_gate("x", qubits(1))
+    if kind == "diagonal_1q":
+        return [make_gate("z", qubits(1)), make_gate("s", qubits(1)),
+                make_gate("rz", qubits(1), (float(rng.uniform(0, 6)),)),
+                make_gate("id", qubits(1))][rng.integers(4)]
+    if kind == "dense_1q":
+        return [make_gate("h", qubits(1)),
+                make_gate("ry", qubits(1), (float(rng.uniform(0, 6)),)),
+                make_gate("unitary", qubits(1),
+                          matrix=unitary_group.rvs(2, random_state=rng))
+                ][rng.integers(3)]
+    if kind == "stored_diagonal":
+        # <= 3 qubits: slice updates; wider: a gather, or the bare product
+        # when the gate covers the whole buffer in order
+        k = int(rng.integers(1, min(m, 5) + 1))
+        qs = tuple(range(m)) if k == m and where == "lowest" else qubits(k)
+        return make_diagonal_gate(qs, phases(rng, 1 << k, 0.3))
+    if m < 2:
+        return None
+    k = int(rng.integers(2, min(m, 3 if kind == "diagonal" else 4) + 1))
+    if kind == "diagonal":
+        named = {2: [("cz", ()), ("cp", (0.7,)), ("rzz", (1.3,))],
+                 3: [("ccz", ())]}[k]
+        name, params = named[rng.integers(len(named))]
+        if rng.random() < 0.5:
+            return make_gate(name, qubits(k), params)
+        return make_gate("unitary", qubits(k),
+                         matrix=np.diag(phases(rng, 1 << k, 0.3)))
+    assert kind == "generic"
+    if k == 2 and rng.random() < 0.3:
+        return make_gate("cx", qubits(2))
+    return make_gate("unitary", qubits(k),
+                     matrix=unitary_group.rvs(1 << k, random_state=rng))
+
+
+LAUNCH_KINDS = ["stored_diagonal", "swap", "diagonal_1q", "x", "dense_1q",
+                "diagonal", "generic"]
+
+
+class TestPreparedLaunch:
+    @given(kind=st.sampled_from(LAUNCH_KINDS), m=st.integers(1, 12),
+           where=st.sampled_from(["adjacent", "split", "lowest", "highest",
+                                  "unsorted"]),
+           dtype=st.sampled_from([np.complex64, np.complex128]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=400, deadline=None)
+    def test_a_launch_is_its_kernel_bit_for_bit(self, kind, m, where, dtype,
+                                                seed):
+        rng = np.random.default_rng(seed)
+        gate = gate_of(kind, m, where, rng)
+        if gate is None:
+            return
+        buf = (rng.standard_normal(1 << m)
+               + 1j * rng.standard_normal(1 << m)).astype(dtype)
+        # signed zeros, whole and half: a copy keeps them, a product may not
+        zeros = rng.choice(1 << m, size=min(1 << m, 3), replace=False)
+        buf[zeros] = [-0.0, complex(-0.0, -0.0), complex(1.0, -0.0)][:len(zeros)]
+        want, got = buf.copy(), buf.copy()
+        apply_circuit_gate(want, gate)
+        launch = prepare_launch(gate, m)
+        launch(got)
+        assert launch.kind == kind and launch.m == m
+        assert got.dtype == dtype
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+        # ... and again: a launch keeps no state between buffers
+        launch(got)
+        apply_circuit_gate(want, gate)
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+    def test_every_class_and_every_stored_diagonal_form_is_reachable(self):
+        rng = np.random.default_rng(0)
+        seen = {prepare_launch(gate_of(kind, 6, "split", rng), 6).kind
+                for kind in LAUNCH_KINDS}
+        assert seen == set(LAUNCH_KINDS)
+        # the two wide forms of a stored diagonal against their kernel
+        for qs in [(0, 1, 2, 3, 4, 5), (5, 0, 3, 1)]:
+            gate = make_diagonal_gate(qs, phases(rng, 1 << len(qs), 0.0))
+            want, got = rand_state(6, 3), rand_state(6, 3)
+            apply_circuit_gate(want, gate)
+            prepare_launch(gate, 6)(got)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", LAUNCH_KINDS)
+    def test_a_launch_refuses_any_other_width(self, kind):
+        rng = np.random.default_rng(1)
+        launch = prepare_launch(gate_of(kind, 6, "split", rng), 6)
+        for other in (5, 7):
+            buf = rand_state(other)
+            with pytest.raises(ValueError):
+                launch(buf)
+            assert np.array_equal(buf, rand_state(other))  # untouched
+
+    def test_a_qubit_outside_the_buffer_is_refused_when_preparing(self):
+        with pytest.raises(ValueError):
+            prepare_launch(make_gate("cx", (0, 4)), 4)

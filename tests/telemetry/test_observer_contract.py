@@ -40,7 +40,8 @@ def _lossy(workers):
     return MemQSimConfig(
         chunk_qubits=5, device=SMALL, precision="c64", compressor="szlike",
         compressor_options={"error_bound": 1e-4}, cache_chunks=4,
-        cache_policy="belady", host_store_mb=0.001, workers=workers)
+        cache_policy="belady", host_store_mb=0.001, workers=workers,
+        fuse_gates=False)
 
 
 def _zlib(**kw):

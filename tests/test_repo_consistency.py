@@ -147,6 +147,84 @@ class TestOneStageEngine:
         assert not (REPO / "src/repro/parallel/engine.py").exists()
 
 
+class TestKernelSeam:
+    """Amplitude arithmetic lives in ``statevector/kernels.py``; a stage
+    program lowers each op to a prepared launch there and hands it through
+    ``Backend.apply_ops(buf, ops)``, one launch per op. The benchmark's
+    tracer wraps that method by name and reads ``len(ops)`` as the launch
+    count, so neither the name nor the shape of the call may drift."""
+
+    def test_the_seam_keeps_its_signature(self):
+        import inspect
+
+        from repro.core import NumpyKernelBackend
+
+        sys.path.insert(0, str(BENCH_DIR / "e2e"))
+        try:
+            import trace as e2e_trace
+            rows = e2e_trace.targets()
+        finally:
+            sys.path.remove(str(BENCH_DIR / "e2e"))
+            sys.modules.pop("trace", None)
+        (row,) = [r for r in rows if r[3] == "kernel"]
+        _layer, owner, attr, _bucket, measure = row
+        assert (owner, attr) == (NumpyKernelBackend, "apply_ops")
+        assert "apply_ops" in vars(NumpyKernelBackend)  # not inherited
+        assert list(inspect.signature(
+            NumpyKernelBackend.apply_ops).parameters) == ["self", "buf", "ops"]
+
+    def test_len_ops_is_the_number_of_launches(self, monkeypatch):
+        import numpy as np
+
+        import repro.pipeline.scheduler as scheduler
+        from repro.circuits import get_workload
+        from repro.core import MemQSim, NumpyKernelBackend
+        from repro.device import DeviceSpec
+
+        ran, apply_ops = [], NumpyKernelBackend.apply_ops
+        prepare = scheduler.prepare_launch
+
+        def counting_launch(gate, m):
+            launch = prepare(gate, m)
+
+            def counted(buf):
+                ran[-1][1] += 1
+                launch(buf)
+            return counted
+
+        def traced(self, buf, ops):
+            ran.append([len(ops), 0])
+            apply_ops(self, buf, ops)
+
+        monkeypatch.setattr(scheduler, "prepare_launch", counting_launch)
+        monkeypatch.setattr(NumpyKernelBackend, "apply_ops", traced)
+        res = MemQSim(chunk_qubits=5, compressor="zlib",
+                      enable_permutation_stages=False,
+                      device=DeviceSpec(memory_bytes=2048)).run(
+                          get_workload("vqe", 10))
+        assert ran and all(ops == launched for ops, launched in ran)
+        assert sum(ops for ops, _ in ran) == res.scheduler_stats.gates_applied
+        assert np.isclose(res.norm(), 1.0)
+
+    def test_no_amplitude_arithmetic_outside_the_kernels(self):
+        import inspect
+
+        from repro.core import NumpyKernelBackend
+
+        # core/backend.py is held to it class by class: EinsumBackend there
+        # is the independent cross-check and reshapes on its own on purpose.
+        sources = {str(path.relative_to(REPO)): path.read_text()
+                   for sub in ("pipeline", "device")
+                   for path in sorted((REPO / "src/repro" / sub).glob("*.py"))}
+        sources["NumpyKernelBackend"] = inspect.getsource(NumpyKernelBackend)
+        hits = [f"{name}: {needle}" for name, text in sources.items()
+                for needle in ("moveaxis", "(2,) *") if needle in text]
+        assert not hits, hits
+        kernels = (REPO / "src/repro/statevector/kernels.py").read_text()
+        assert "def prepare_launch(" in kernels
+        assert "einsum" not in kernels  # the validator shares nothing
+
+
 class TestOneObserverSeam:
     """The group loop reports through one ``PassObserver`` and every
     pipeline hop is booked once on the run's ``Timeline``; "off" is the
