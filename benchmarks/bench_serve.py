@@ -1,7 +1,7 @@
 """Experiment SV1 — serve daemon: job latency, plan-cache warmup, tenancy.
 
 The service plane has to earn its keep: a daemon that holds one shared
-``DeviceArena``, one codec worker pool and a compiled-plan cache should
+``DeviceArena``, one codec lane pool and a compiled-plan cache should
 make *repeat* submissions cheaper than cold ones, and should overlap two
 tenants' host-side work instead of serializing it. Three questions, one
 record:

@@ -260,7 +260,7 @@ def decide_workers(config, chunk_size: int = 1 << 12) -> Decision:
     from ..parallel.pool import auto_workers
 
     value = auto_workers(config.make_compressor(), chunk_size)
-    why = ("per-chunk codec time amortizes process-pool IPC"
+    why = ("per-chunk codec time amortizes the lane hand-off"
            if value > 1 else
            "codec too fast (or no spare cores) for fan-out to pay")
     return Decision(

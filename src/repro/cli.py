@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     audp.add_argument("--serpentine", action=argparse.BooleanOptionalAction,
                       default=True)
     audp.add_argument("--workers", type=int, default=1, metavar="N",
-                      help="codec worker processes; the audit must balance "
+                      help="codec lane threads; the audit must balance "
                            "to the byte for any count (default 1)")
     audp.add_argument("--ratio-slack", type=float, default=1.25,
                       help="compressed-bytes envelope: compressed <= "
@@ -273,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="base chunk size (0 = auto; overridable "
                              "per job)")
     servep.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="daemon codec workers; >1 builds one shared "
-                             "worker pool reused by matching jobs")
+                        help="daemon codec lanes; >1 builds one shared "
+                             "lane pool reused by matching jobs")
     servep.add_argument("--max-jobs", type=int, default=4,
                         help="cap on simultaneously running jobs")
     servep.add_argument("--plan-cache", type=int, default=64, metavar="N",
@@ -363,8 +363,8 @@ def _add_fusion_args(p: argparse.ArgumentParser) -> None:
 
 def _add_parallel_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int, default=0, metavar="N",
-                   help="codec worker processes (1 = the codec runs inline, "
-                        "> 1 = on a process pool behind the chunk store, "
+                   help="codec lane threads (1 = the codec runs inline, "
+                        "> 1 = on a thread pool behind the chunk store, "
                         "0 = auto: fan out only when cores and codec cost "
                         "justify it)")
     p.add_argument("--serpentine", action=argparse.BooleanOptionalAction,

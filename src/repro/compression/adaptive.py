@@ -16,6 +16,7 @@ winning codec so decompression is self-describing.
 from __future__ import annotations
 
 import struct
+import threading
 from typing import Optional
 
 import numpy as np
@@ -32,6 +33,10 @@ __all__ = ["AdaptiveCompressor"]
 _MAGIC = b"ADP1"
 _TAG_LOSSY = 0
 _TAG_LOSSLESS = 1
+
+#: guards the per-instance choice counters, which codec lane threads share
+#: (module-level so an instance stays picklable)
+_COUNT_LOCK = threading.Lock()
 
 
 class AdaptiveCompressor(Compressor):
@@ -82,9 +87,11 @@ class AdaptiveCompressor(Compressor):
         # stays dtype-agnostic.
         data = coerce_amplitudes(data)
         if self._prefers_lossless(data):
-            self.chunks_lossless += 1
+            with _COUNT_LOCK:
+                self.chunks_lossless += 1
             return _MAGIC + struct.pack("<B", _TAG_LOSSLESS) + self.lossless.compress(data)
-        self.chunks_lossy += 1
+        with _COUNT_LOCK:
+            self.chunks_lossy += 1
         return _MAGIC + struct.pack("<B", _TAG_LOSSY) + self.lossy.compress(data)
 
     def decompress(self, blob: bytes) -> np.ndarray:

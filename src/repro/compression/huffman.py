@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 import struct
+import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
@@ -199,6 +200,8 @@ class HuffmanCode:
         ``np.repeat`` and everything past the tiled prefix is an escape
         slot resolved by binary search on ``lj64``.
         """
+        # An idempotent lazy fill: codec lanes that race here each build
+        # the same tables and one assignment wins — no lock needed.
         if self._decode_tables is None:
             order = self._canon_order
             lens_c = self.lengths[order]
@@ -280,8 +283,11 @@ def _frame(code: HuffmanCode, codes: np.ndarray, lengths: np.ndarray,
 #: decoded-code LRU keyed by the serialized code block. Every stage pass
 #: re-decodes the same chunk blobs, so the canonical code (and its cached
 #: decode tables) is typically a repeat — skip rebuilding it per decode.
+#: Codec lane threads share it: every access holds the lock (a lookup's
+#: ``move_to_end`` would otherwise race another thread's eviction).
 _CODE_CACHE: "OrderedDict[bytes, HuffmanCode]" = OrderedDict()
 _CODE_CACHE_MAX = 64
+_CODE_CACHE_LOCK = threading.Lock()
 
 
 def _parse(blob: bytes) -> Tuple[int, Optional[HuffmanCode], int, bytes]:
@@ -291,16 +297,18 @@ def _parse(blob: bytes) -> Tuple[int, Optional[HuffmanCode], int, bytes]:
     (k,) = struct.unpack_from("<I", blob, 8)
     end = 12 + 9 * k  # code block: k (4) + int64 symbols + uint8 lengths
     key = blob[8:end]
-    code = _CODE_CACHE.get(key)
+    with _CODE_CACHE_LOCK:
+        code = _CODE_CACHE.get(key)
+        if code is not None:
+            _CODE_CACHE.move_to_end(key)
     if code is None:
         code, off = HuffmanCode.from_bytes(blob, 8)
         if off != end:
             raise ValueError("malformed Huffman code block")
-        if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
-            _CODE_CACHE.popitem(last=False)
-        _CODE_CACHE[key] = code
-    else:
-        _CODE_CACHE.move_to_end(key)
+        with _CODE_CACHE_LOCK:
+            if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
+                _CODE_CACHE.popitem(last=False)
+            _CODE_CACHE[key] = code
     (total_bits,) = struct.unpack_from("<Q", blob, end)
     return n, code, total_bits, blob[end + 8:]
 

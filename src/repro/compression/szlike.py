@@ -83,7 +83,7 @@ _HUFFMAN_MAX_ELEMENTS = 1 << 21
 _STEP_SHRINK = 1.0 - 2.0 ** -30
 
 #: `auto` takes the fixed-length stage when the chunk itself says its codes
-#: are noise — no state carried between chunks, so a codec worker and the
+#: are noise — no state carried between chunks, so a codec lane and the
 #: serial loop decide alike (DESIGN.md "The fixed-length stage"). All three
 #: must hold. Multi-byte: the zigzagged deltas need more than
 #: ``_FIXED_MIN_DELTA_WIDTH`` bits — on one-byte symbols deflate's literal
@@ -181,7 +181,7 @@ class SZLikeCompressor(Compressor):
             return self._raw_blob(data)
         m = 2 * n
         # One pass over three per-chunk scratch planes (one borrow, so
-        # repeated chunk passes and codec workers recycle one allocation):
+        # repeated chunk passes and codec lanes recycle one allocation):
         # the real/imag planes (then the integer codes), the float codes,
         # and a work plane that holds the bound-check reconstruction and
         # then the deltas. A 4 KiB chunk lives in cache; what this path

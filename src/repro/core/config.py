@@ -85,8 +85,8 @@ class MemQSimConfig:
             out-of-core configuration: every blob lives in the log and
             RAM holds only the chunk index. Never deleted by the run.
             Default: a temp file the store creates and removes.
-        workers: codec worker processes. ``1`` (default) = no pool, the
-            codec runs inline; ``>1`` = the run's own process pool behind
+        workers: codec lane threads. ``1`` (default) = no lane, the
+            codec runs inline; ``>1`` = the run's own thread pool behind
             the chunk store, compress/decompress overlapping the kernels;
             ``0`` = auto (empirical probe: spare cores and a codec-bound
             chunk size, else 1). An external ``MemQSim(codec_pool=...)``

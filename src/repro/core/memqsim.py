@@ -131,7 +131,7 @@ class MemQSim:
                 parameter values only binds the cached template to them.
             codec_pool: optional externally-owned
                 :class:`~repro.parallel.CodecWorkerPool` shared across
-                runs (the service plane's amortized worker pool). Must be
+                runs (the service plane's shared lanes). Must be
                 built for a codec byte-identical to this config's. The
                 run attaches it to the chunk store as its codec lane and
                 detaches it on every exit; it never closes it.
@@ -386,9 +386,9 @@ class MemQSim:
                 arena=self.arena,
             ))
         # The codec pool is a property of the store, not of the loop: an
-        # external (service-plane) pool amortizes worker startup across
-        # jobs and is never closed here; without one the run builds its
-        # own when the resolved worker count exceeds 1.
+        # external (service-plane) pool is shared across jobs and never
+        # closed here; without one the run builds its own when the
+        # resolved worker count exceeds 1.
         codec_pool = self.codec_pool
         owns_codec_pool = False
         if codec_pool is not None:
@@ -403,9 +403,8 @@ class MemQSim:
                 owns_codec_pool = True
         if codec_pool is not None:
             store.attach_lane(codec_pool)
-            log.debug("online: codec lane, %d workers (%s%s)", workers,
-                      "process pool" if codec_pool.is_parallel else "inline",
-                      "" if owns_codec_pool else ", shared")
+            log.debug("online: codec lane, %d threads%s", workers,
+                      "" if owns_codec_pool else " (shared)")
         pool = BufferPool(cfg.num_buffers, buffer_amps, tracker, telemetry=tel,
                           dtype=dtype)
         try:
@@ -439,13 +438,16 @@ class MemQSim:
             # every pending write lands and the store forgets the pool, so
             # a cancelled run's store reloads chunk-consistent and a shared
             # pool outlives the job; executors on a shared arena must not
-            # leak staging allocations.
-            store.detach_lane()
-            if owns_codec_pool:
-                codec_pool.close()
-            pool.close()
-            for ex in executors:
-                ex.reset()
+            # leak staging allocations. A codec error a lane hit can
+            # surface from detaching; the rest is released regardless.
+            try:
+                store.detach_lane()
+            finally:
+                if owns_codec_pool:
+                    codec_pool.close()
+                pool.close()
+                for ex in executors:
+                    ex.reset()
 
         # Close the resource timeline before timing stops so the final
         # sample (store recompressed, arena drained) is part of the record.

@@ -19,7 +19,6 @@ allocator, and retention is capped so it can never hoard memory.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from contextlib import contextmanager
@@ -192,23 +191,16 @@ class ScratchPool:
 
 
 _SCRATCH: Optional[ScratchPool] = None
-_SCRATCH_PID = -1
 _SCRATCH_LOCK = threading.Lock()
 
 
 def scratch_pool() -> ScratchPool:
-    """The per-process scratch pool.
-
-    Keyed on the pid so a forked codec worker lazily creates its own pool
-    instead of sharing (copy-on-write) freelist state with the parent —
-    each :class:`~repro.parallel.pool.CodecWorkerPool` worker recycles
-    scratch across the jobs *it* runs, with no cross-process traffic.
-    """
-    global _SCRATCH, _SCRATCH_PID
-    pid = os.getpid()
-    if _SCRATCH is None or _SCRATCH_PID != pid:
+    """The process's one scratch pool, shared by every codec lane thread
+    (:class:`ScratchPool` is thread-safe; the lock only guards its lazy
+    creation)."""
+    global _SCRATCH
+    if _SCRATCH is None:
         with _SCRATCH_LOCK:
-            if _SCRATCH is None or _SCRATCH_PID != pid:
+            if _SCRATCH is None:
                 _SCRATCH = ScratchPool()
-                _SCRATCH_PID = pid
     return _SCRATCH

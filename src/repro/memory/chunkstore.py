@@ -16,8 +16,8 @@ chunk's blob is read only after its pending write has settled, and a write
 drops a stale prefetch of that chunk.
 
 A codec call is a pipeline hop this layer runs, so this layer times it —
-one ``perf_counter`` pair here, or the worker's own on the lane — and
-reports it once, the same way for both, to whoever a run named in
+one ``perf_counter`` pair here, or the lane thread's own — and reports it
+once, the same way for both, to whoever a run named in
 :meth:`CompressedChunkStore.report_codec_to` (its timeline).
 """
 
@@ -95,7 +95,8 @@ class CompressedChunkStore:
         # chunk -> (compress job, ledger pass, group): submitted, blob not
         # installed yet; insertion order = submission order
         self._pending: dict = {}
-        # chunk -> (decompress job, blob length): started ahead of load()
+        # chunk -> (decompress job, the blob it decodes): started ahead
+        # of load()
         self._prefetched: dict = {}
         self._dtype = np.dtype(dtype) if dtype is not None \
             else np.dtype(np.complex64 if layout.itemsize == 8
@@ -110,7 +111,7 @@ class CompressedChunkStore:
         """Amplitude dtype chunks decompress to.
 
         Layers above the store (the decompressed-chunk cache, staging
-        helpers, the codec worker pool) derive their element type from
+        helpers) derive their element type from
         here instead of assuming ``complex128``. Defaults to whatever the
         layout's itemsize implies (``complex64`` at 8 bytes/amplitude).
         """
@@ -189,8 +190,8 @@ class CompressedChunkStore:
         if entry is not None:
             # Started ahead on the lane: seconds were measured there.
             res = self.lane.collect(entry[0])
-            arr, blob_nbytes = res.array, entry[1]
-            dt, worker = res.seconds, res.worker_pid
+            arr, blob_nbytes = res.array, len(entry[1])
+            dt, worker = res.seconds, res.worker
         else:
             blob = self.get_blob(chunk)
             if blob is None:
@@ -250,7 +251,7 @@ class CompressedChunkStore:
     def _stored(self, blob: bytes, raw_nbytes: int, seconds: float,
                 worker: int, group: int, chunk: int) -> None:
         """Book one compression, the same way wherever the codec ran
-        (``seconds`` measured there, ``worker`` its pid, 0 = here;
+        (``seconds`` measured there, ``worker`` its lane, 0 = here;
         ``group`` the pass that wrote ``chunk``)."""
         if self._on_compress is not None:
             self._on_compress(seconds, group, raw_nbytes, chunk_id=chunk,
@@ -280,13 +281,14 @@ class CompressedChunkStore:
         self._on_decompress, self._on_compress = on_decompress, on_compress
 
     def attach_lane(self, pool) -> None:
-        """Run the codec on ``pool`` (a caller-owned
+        """Run the codec on ``pool``'s lanes (a caller-owned
         :class:`~repro.parallel.CodecWorkerPool`, never closed here)."""
         self.lane = pool
 
     def detach_lane(self) -> None:
         """Settle every pending write, drop unused prefetches, forget the
-        pool. Safe without a lane and on any exit path."""
+        pool. Safe without a lane and on any exit path: a job that raised
+        does not stop the others from settling (see :meth:`_quiesce`)."""
         try:
             self._quiesce()
         finally:
@@ -325,10 +327,7 @@ class CompressedChunkStore:
         blob = self.get_blob(chunk)
         if blob is not None:
             self._prefetched[chunk] = (
-                self.lane.submit_decompress(
-                    chunk, blob, count=self.layout.chunk_size,
-                    dtype=self._dtype),
-                len(blob))
+                self.lane.submit_decompress(chunk, blob), blob)
 
     def _settle(self, chunk: int) -> None:
         """Install chunk's pending blob, booked to the pass that wrote it."""
@@ -337,12 +336,12 @@ class CompressedChunkStore:
         with (self.telemetry.traffic.attributed(*ledger_pass)
               if ledger_pass is not None else nullcontext()):
             self._stored(res.blob, self.layout.chunk_nbytes, res.seconds,
-                         res.worker_pid, group, chunk)
+                         res.worker, group, chunk)
             self._set_blob(chunk, res.blob)
 
     def _settle_finished(self) -> None:
         """Install finished writes, oldest first, without blocking: blobs
-        land in submission order whatever order workers finish in."""
+        land in submission order whatever order lanes finish in."""
         while self._pending:
             chunk = next(iter(self._pending))
             if not self._pending[chunk][0].done():
@@ -359,17 +358,29 @@ class CompressedChunkStore:
             self.lane.collect(entry[0])
 
     def _quiesce(self) -> None:
-        """Nothing in flight: what relabeling and detaching require."""
-        self.flush()
-        while self._prefetched:
-            self.lane.collect(self._prefetched.popitem()[1][0])
+        """Nothing in flight: what relabeling and detaching require.
+
+        Every job is settled or dropped even when one raises (a write that
+        failed leaves its chunk's previous blob); the first error is
+        re-raised once nothing is left."""
+        error = None
+        while self._pending or self._prefetched:
+            try:
+                if self._pending:
+                    self._settle(next(iter(self._pending)))
+                else:
+                    self.lane.collect(self._prefetched.popitem()[1][0])
+            except Exception as exc:
+                error = error or exc
+        if error is not None:
+            raise error
 
     @staticmethod
     def _note_entropy(tel, blob: bytes) -> None:
         """Count which entropy stage the codec picked, sniffed per blob.
 
-        Works on the header alone, so blobs a lane worker produced are
-        attributed parent-side too. Non-SZL1 codecs contribute nothing.
+        Works on the header alone, so blobs a lane produced are counted
+        when they land. Non-SZL1 codecs contribute nothing.
         """
         from ..compression.szlike import blob_entropy  # lazy: avoids import cycle
         choice = blob_entropy(blob)

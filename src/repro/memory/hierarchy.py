@@ -373,7 +373,10 @@ class TieredChunkStore(CompressedChunkStore):
             self.telemetry.metrics.counter("tier.spill").inc()
 
     def _promote(self, chunk: int, rec: tuple) -> None:
-        blob = self._log.read(rec)
+        # A lane prefetch already read this record (a write would have
+        # dropped the prefetch): install those bytes, read it once.
+        entry = self._prefetched.get(chunk)
+        blob = entry[1] if entry is not None else self._log.read(rec)
         self._disk[chunk] = None
         self._log.free(rec)
         self._blobs[chunk] = blob

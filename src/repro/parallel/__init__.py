@@ -4,13 +4,11 @@ The paper's online stage is *pipelined*: decompression, transfer, kernel,
 and recompression of independent chunk groups overlap. The scheduler
 models that overlap analytically; this subsystem makes the codec half real:
 
-* :class:`CodecWorkerPool` — chunk compress/decompress jobs on a
-  ``multiprocessing`` process pool (bytes or shared-memory payloads,
-  same-process fallback for ``workers=1`` and for platforms where spawning
-  fails). A run attaches it to its chunk store as the *codec lane*
-  (:meth:`repro.memory.CompressedChunkStore.attach_lane`): group *k*'s
-  recompression overlaps group *k+1*'s decompress and group *k*'s kernel
-  while the store keeps per-chunk read-modify-write order;
+* :class:`CodecWorkerPool` — chunk compress/decompress jobs on a pool of
+  codec *lane* threads over the one codec object. A run attaches it to its
+  chunk store (:meth:`repro.memory.CompressedChunkStore.attach_lane`):
+  group *k*'s recompression overlaps group *k+1*'s decompress and group
+  *k*'s kernel while the store keeps per-chunk read-modify-write order;
 * :func:`run_equivalence` — the worker-count harness enforcing
   bit-identical results (identical per-chunk blobs, lossy codecs and
   caches included).
@@ -20,22 +18,12 @@ Enable via ``MemQSimConfig(workers=N)`` / ``python -m repro run --workers N``
 """
 
 from .equivalence import EquivalenceReport, compare_stores, run_equivalence
-from .pool import (
-    DEFAULT_SHM_THRESHOLD,
-    CodecJob,
-    CodecResult,
-    CodecWorkerPool,
-    PoolStats,
-    auto_workers,
-)
+from .pool import CodecResult, CodecWorkerPool, auto_workers
 
 __all__ = [
     "CodecWorkerPool",
-    "CodecJob",
     "CodecResult",
-    "PoolStats",
     "auto_workers",
-    "DEFAULT_SHM_THRESHOLD",
     "EquivalenceReport",
     "run_equivalence",
     "compare_stores",

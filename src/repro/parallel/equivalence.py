@@ -2,8 +2,8 @@
 
 The contract the parallel subsystem must keep: running the same circuit
 with the same configuration must produce the *same compressed store*,
-whether codec work ran inline on one thread or fanned out across worker
-processes — bit-identical final statevector and identical per-chunk blobs
+whether codec work ran inline or fanned out across codec lane threads —
+bit-identical final statevector and identical per-chunk blobs
 (lossy codecs included: the codec is a pure function of chunk bytes and
 parameters, so determinism is exact, not approximate), and the same cache
 hits and misses, because one loop makes every cache and tier decision in
@@ -12,7 +12,7 @@ what keeps the first: a hit skips a recompression, so a worker count that
 changed the hits would change the state.
 
 :func:`run_equivalence` executes a circuit twice (no pool, then a pool of
-``workers`` processes) and compares blob-for-blob and
+``workers`` lanes) and compares blob-for-blob and
 amplitude-for-amplitude. Tests and CI assert on the returned report;
 ``python -m repro.parallel.equivalence`` runs a quick self-check.
 """
@@ -89,12 +89,12 @@ def run_equivalence(
     workers: int = 2,
     **overrides,
 ) -> EquivalenceReport:
-    """Run ``circuit`` serially and with ``workers`` codec processes.
+    """Run ``circuit`` inline and with ``workers`` codec lanes.
 
     ``config``/``overrides`` parameterize everything else (codec, chunking,
     offload fraction, devices, cache, ...); the harness only takes the
     codec pool away from one run and hands one to the other —
-    ``workers=1`` is the lane over the inline pool.
+    ``workers=1`` is one lane thread.
     """
     from ..core.memqsim import MemQSim
     from .pool import CodecWorkerPool

@@ -115,12 +115,13 @@ class ServeManager:
     # -- shared codec pool ----------------------------------------------------
 
     def _make_shared_pool(self):
-        """One worker pool for the daemon, when the base config wants one.
+        """One codec lane pool for the daemon, when the base config wants
+        one.
 
-        Workers are pinned to one pickled codec at init, so only jobs
-        whose resolved codec matches the base share it (checked per job
-        in :meth:`_pool_for`); everyone else gets a private pool (or the
-        serial path) from :class:`~repro.core.MemQSim` as usual.
+        Its lanes all call the base config's codec, so only jobs whose
+        resolved codec matches the base share it (checked per job in
+        :meth:`_pool_for`); everyone else gets a private pool (or the
+        inline path) from :class:`~repro.core.MemQSim` as usual.
         """
         cfg = self.base_config
         workers = cfg.resolve_workers()
@@ -130,8 +131,7 @@ class ServeManager:
 
         pool = CodecWorkerPool(cfg.make_compressor(), workers=workers,
                                telemetry=self.telemetry)
-        log.info("serve: shared codec pool, %d workers (%s)", workers,
-                 "process pool" if pool.is_parallel else "inline")
+        log.info("serve: shared codec pool, %d lane threads", workers)
         return pool
 
     def _pool_for(self, job: Job):

@@ -120,9 +120,7 @@ class Telemetry:
         #: chain)
         if bus is None:
             epoch = self.tracer._epoch
-            bus = EventBus(
-                clock=lambda: time.perf_counter() - epoch,
-                epoch_wall=self.tracer.epoch_wall)
+            bus = EventBus(clock=lambda: time.perf_counter() - epoch)
         self.bus: Optional[EventBus] = None if bus is False else bus
         #: byte-exact tier-edge movement ledger, incremented at the
         #: same hops the tracer wraps; feeds ``traffic.*`` counters

@@ -3,7 +3,7 @@
 Every pipeline hop publishes a small :class:`TelemetryEvent` onto the run's
 :class:`EventBus` — stage start/end, per-chunk codec/transfer/kernel hops,
 cache evictions, codec entropy decisions, resource-monitor samples, codec
-worker jobs (re-anchored onto the parent clock). The bus is the push side
+lane jobs. The bus is the push side
 of the live observability plane: the SSE endpoint, the terminal dashboard,
 and the HTML report's event-timeline section all read from it.
 
@@ -17,9 +17,8 @@ Design points:
   independent cursor; each subscriber polls at its own pace and learns how
   many events it missed when it fell behind the ring;
 * **one clock** — event timestamps share the owning tracer's epoch
-  (seconds since run start), and :meth:`EventBus.publish_at` re-anchors a
-  wall-clock instant measured in *another process* (codec workers) onto
-  that same axis, so worker and parent events interleave monotonically.
+  (seconds since run start); an instant measured on another thread (a
+  codec lane) is published with ``t=`` read off that same clock.
 """
 
 from __future__ import annotations
@@ -86,15 +85,11 @@ class EventBus:
     """Bounded drop-oldest ring of events with fan-out subscribers."""
 
     def __init__(self, capacity: int = DEFAULT_BUS_CAPACITY,
-                 clock: Optional[Callable[[], float]] = None,
-                 epoch_wall: Optional[float] = None):
+                 clock: Optional[Callable[[], float]] = None):
         """Args:
             capacity: ring size; the bus never holds more events than this.
             clock: returns the current time on the bus axis (seconds since
                 the run epoch); defaults to a private perf_counter epoch.
-            epoch_wall: ``time.time()`` at the clock's zero — lets
-                :meth:`publish_at` map worker wall-clock instants onto the
-                bus axis. Defaults to *now* at construction.
         """
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
@@ -107,7 +102,6 @@ class EventBus:
             epoch = time.perf_counter()
             clock = lambda: time.perf_counter() - epoch  # noqa: E731
         self._clock = clock
-        self.epoch_wall = epoch_wall if epoch_wall is not None else time.time()
 
     # -- publishing ----------------------------------------------------------
 
@@ -128,18 +122,6 @@ class EventBus:
                 self.dropped += 1
             self._ring[slot] = ev
         return ev
-
-    def publish_at(self, wall_time: float, kind: str, /,
-                   **data: Any) -> TelemetryEvent:
-        """Publish an event measured elsewhere, re-anchored onto this bus.
-
-        ``wall_time`` is a ``time.time()`` instant captured in another
-        process (a codec worker); it maps onto the bus axis via the shared
-        ``epoch_wall``, the same anchoring
-        :meth:`repro.telemetry.tracer.Tracer.record_at` uses for spans.
-        """
-        return self.publish(kind, t=max(0.0, wall_time - self.epoch_wall),
-                            **data)
 
     # -- reading -------------------------------------------------------------
 

@@ -208,7 +208,7 @@ class MetricsRegistry:
             "codec.compress.bytes_in", "codec.compress.bytes_out",
             "codec.decompress.bytes",
             "pool.acquire.count",
-            "parallel.jobs", "parallel.jobs.inline", "parallel.fallback",
+            "parallel.jobs",
         ):
             self.counter(name)
         for name in ("parallel.queue_depth", "parallel.worker.utilization"):

@@ -91,9 +91,6 @@ class Tracer:
     def __init__(self, process_name: str = "repro"):
         self.process_name = process_name
         self._epoch = time.perf_counter()
-        #: wall-clock time of the epoch — lets spans measured in *other*
-        #: processes (codec workers) be placed on this tracer's timeline.
-        self.epoch_wall = time.time()
         self.spans: List[Span] = []
         #: counter samples: ``(name, t_seconds, {series: value})`` — exported
         #: as Chrome ``"ph": "C"`` events (stacked counter tracks).
@@ -143,22 +140,11 @@ class Tracer:
         """Zero-duration marker (rendered as a tick in trace viewers)."""
         return self.record(name, 0.0, **args)
 
-    def record_at(self, name: str, duration: float, *,
-                  wall_start: Optional[float] = None,
-                  start: Optional[float] = None,
+    def record_at(self, name: str, duration: float, *, start: float,
                   tid: Optional[int] = None, **args) -> Span:
-        """Log a span measured elsewhere, placed at an explicit start time.
-
-        Codec worker processes time their own jobs; the parent merges them
-        into one coherent Chrome trace by passing the worker's wall-clock
-        start (``wall_start`` = ``time.time()`` at job start), which is
-        mapped onto this tracer's epoch. ``tid`` puts the span on its own
-        lane (one per worker) in trace viewers.
-        """
-        if wall_start is not None:
-            start = wall_start - self.epoch_wall
-        elif start is None:
-            start = time.perf_counter() - self._epoch - duration
+        """Log a span measured on another thread, placed at ``start``
+        (seconds on this tracer's clock, :attr:`now`). ``tid`` puts it on
+        its own row in trace viewers (one per codec lane)."""
         sp = Span(name, start=max(0.0, start),
                   duration=max(0.0, duration), args=args,
                   tid=self._tid() if tid is None else tid)

@@ -17,10 +17,9 @@ occupancy. This module records the movement itself:
 
   Every ``record`` also feeds a ``traffic.<edge>.<direction>.bytes``
   counter, so the ledger shows up in ``/metrics`` (run and serve) for
-  free. Codec-lane results are recorded parent-side when the store
-  collects them, with the worker pid attached, so per-worker attributions
-  always sum to the parent totals (the byte-count analogue of the event
-  bus's clock re-anchoring).
+  free. Codec-lane results are recorded on the calling thread when the
+  store collects them, with the lane index attached, so per-lane
+  attributions always sum to the totals.
 
 * :class:`ChunkAccessRecorder` — the exact per-chunk access sequence
   ``(stage, chunk id, read/write)`` the scheduler generates, plus barrier
@@ -87,7 +86,7 @@ class TrafficLedger:
         self._totals: Dict[Tuple[str, str], List[int]] = {}
         # (stage, group, edge, direction) -> bytes
         self._cells: Dict[Tuple[int, int, str, str], int] = {}
-        # (worker pid, edge, direction) -> bytes; pid 0 = parent/inline
+        # (codec lane, edge, direction) -> bytes; lane 0 = inline
         self._workers: Dict[Tuple[int, str, str], int] = {}
         self._stage = OUT_OF_STAGE
         self._group = OUT_OF_STAGE
@@ -120,9 +119,9 @@ class TrafficLedger:
                ops: int = 1, worker: int = 0) -> None:
         """Count ``nbytes`` crossing ``edge`` in ``direction``.
 
-        ``worker`` is the codec worker pid that produced the bytes (0 for
-        parent/inline work); recording always happens in the parent, so
-        worker attributions are a partition of the totals.
+        ``worker`` is the codec lane that produced the bytes (1..workers;
+        0 for inline work); recording always happens on the calling
+        thread, so lane attributions are a partition of the totals.
         """
         key = (edge, direction)
         with self._lock:
@@ -190,7 +189,7 @@ class TrafficLedger:
         return {g: dict(sorted(r.items())) for g, r in sorted(out.items())}
 
     def by_worker(self) -> Dict[int, Dict[str, int]]:
-        """``{worker pid: {"edge.direction": bytes}}``; pid 0 = inline."""
+        """``{codec lane: {"edge.direction": bytes}}``; lane 0 = inline."""
         out: Dict[int, Dict[str, int]] = {}
         with self._lock:
             for (w, e, d), v in self._workers.items():

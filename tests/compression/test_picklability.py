@@ -1,8 +1,10 @@
 """Every registered compressor must survive pickling.
 
-The codec worker pool ships the configured compressor to worker processes
-via pickle at pool start-up; an unpicklable codec silently forces the pool
-into its serial fallback. This audit keeps the whole registry shippable.
+Nothing in a run pickles a codec (codec lanes are threads calling the one
+object), but a compressor is a value — a pure function of bytes and its
+parameters — and stays one: a pickled clone makes the same blobs, so a
+caller may ship a configured codec to another process. This audit keeps
+the whole registry shippable.
 """
 
 import pickle
@@ -30,7 +32,7 @@ def test_compressor_pickle_roundtrip(name):
     clone = pickle.loads(pickle.dumps(comp))
     data = _chunk()
     blob = comp.compress(data)
-    # The clone must produce bit-identical blobs (pool determinism contract)
+    # The clone must produce bit-identical blobs (a codec is its parameters)
     assert clone.compress(data) == blob
     np.testing.assert_array_equal(clone.decompress(blob),
                                   comp.decompress(blob))

@@ -209,7 +209,7 @@ class TestDerivedChoices:
     @pytest.mark.parametrize("workers, pool_workers, engine, echo_workers", [
         (1, None, "serial", 1),
         (2, None, "parallel", 2),
-        (1, 1, "parallel", 1),   # inline pool: a lane with no processes
+        (1, 1, "parallel", 1),   # a pool of one lane thread
         (1, 2, "parallel", 2),   # an external pool wins over the config
     ])
     def test_codec_pool_picks_the_engine(self, workers, pool_workers, engine,

@@ -1,7 +1,7 @@
 """Integration: the precision axis end to end.
 
 Three claims ride here: (1) reduced precision is deterministic — a c64 run
-is bit-identical with and without a codec worker pool; (2) c64
+is bit-identical with and without a codec lane pool; (2) c64
 accuracy is measurably excellent at small n (streamed QFT overlap vs the
 dense c128 oracle stays within 1e-6 of unity); (3) mixed mode is at least
 as accurate as plain c64, since it only rounds at stage boundaries.

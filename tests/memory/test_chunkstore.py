@@ -180,7 +180,7 @@ class TestLossyStore:
 
 def drive(workers, codec="szlike", passes=3):
     """Store and load the same data through a store with no lane
-    (``workers=1``) or with a ``workers``-process lane; three "passes"
+    (``workers=1``) or with a ``workers``-thread lane; three "passes"
     under ledger contexts (0, g), each reading what the one before wrote.
     Returns (store, telemetry, final statevector)."""
     from repro.parallel import CodecWorkerPool
@@ -270,17 +270,20 @@ class TestCodecLane:
 
     def test_write_drops_a_stale_prefetch(self):
         from repro.parallel import CodecWorkerPool
+        from repro.telemetry import Telemetry
 
         store, _ = make_store()
         store.init_zero_state()
         new = np.full(8, 0.25 + 0j)
-        with CodecWorkerPool(store.compressor, workers=2) as pool:
+        tel = Telemetry()
+        with CodecWorkerPool(store.compressor, workers=2,
+                             telemetry=tel) as pool:
             store.attach_lane(pool)
             store.will_need([2])          # starts decoding the zero chunk
             store.store(2, new)
             np.testing.assert_array_equal(store.load(2), new)
             store.detach_lane()
-            assert pool.stats.decompress_jobs == 1
+        assert len(tel.tracer.find("worker.decompress")) == 1
         assert store.stats.loads == 1
 
 

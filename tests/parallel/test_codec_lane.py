@@ -54,8 +54,8 @@ def _codec_seconds_are_the_stores(workers, cache_chunks):
     decompress_s = tl.serial_seconds(Stage.DECOMPRESS)
     if workers > 1:
         snap = tel.metrics.snapshot()["counters"]
-        assert snap["parallel.jobs"] > 0 == snap["parallel.jobs.inline"]
-        # exactly what the workers measured around their codec calls ...
+        assert snap["parallel.jobs"] > 0
+        # exactly what the lanes measured around their codec calls ...
         on_workers = (tel.tracer.total_seconds("worker.compress")
                       + tel.tracer.total_seconds("worker.decompress"))
         assert abs(compress_s + decompress_s - on_workers) \

@@ -6,11 +6,12 @@ codec the blobs must still match blob-for-blob, because the codec is a
 pure function of chunk bytes and parameters — with a decompressed-chunk
 cache in front too, because the cache hits and misses are the same for
 every worker count. Covers permutation stages, CPU offload, multi-executor
-round-robin, the chunk cache, the disk store, and a forced worker crash
-mid-run.
+round-robin, the chunk cache, the disk store, and a codec that raises on a
+lane thread mid-run.
 """
 
-import os
+import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -40,15 +41,18 @@ class TestCodecEquivalence:
         assert rep.state_max_abs_diff == 0.0
 
     def test_shared_memory_payload_path(self):
-        """Every codec job through a shm segment (threshold 1 byte)."""
-        circ = get_workload("qft", 8)
-        cfg = MemQSimConfig(chunk_qubits=4, compressor="zlib")
+        """≥ 1 MiB payloads round-trip: every codec job of the run moves a
+        1 MiB chunk, and the lane's blobs are the inline run's."""
+        from repro.device.timeline import Stage
+
+        circ = get_workload("qft", 17)
+        cfg = MemQSimConfig(chunk_qubits=16, compressor="zlib")
         serial = MemQSim(cfg).run(circ)
-        with CodecWorkerPool(cfg.make_compressor(), workers=WORKERS,
-                             shm_threshold=1) as pool:
+        with CodecWorkerPool(cfg.make_compressor(), workers=WORKERS) as pool:
             overlapped = MemQSim(cfg, codec_pool=pool).run(circ)
-            if pool.is_parallel:
-                assert pool.stats.shm_jobs == pool.stats.jobs > 0
+        hops = [e for e in overlapped.timeline.events
+                if e.stage in (Stage.COMPRESS, Stage.DECOMPRESS)]
+        assert hops and all(e.nbytes == 1 << 20 for e in hops)
         assert compare_stores(serial.store, overlapped.store) == (True, [])
         np.testing.assert_array_equal(serial.statevector(),
                                       overlapped.statevector())
@@ -195,41 +199,43 @@ class TestForcedExecutionModes:
             MemQSim(execution="serial")
 
 
-class CrashOnNthCompress(ZlibCompressor):
-    """Kills the hosting *worker* process on its n-th compress call."""
+class RaiseOnNthLaneCompress(ZlibCompressor):
+    """Raises from its n-th compress call on a lane thread on."""
 
-    name = "crash_on_nth"
+    name = "raise_on_nth"
 
-    def __init__(self, parent_pid: int, nth: int = 2):
+    def __init__(self, nth: int = 6):
         super().__init__()
-        self.parent_pid = parent_pid
         self.nth = nth
-        self.calls = 0
+        self.calls = itertools.count(1)
 
     def compress(self, data):
-        self.calls += 1
-        if os.getpid() != self.parent_pid and self.calls >= self.nth:
-            os._exit(13)
+        if (threading.current_thread() is not threading.main_thread()
+                and next(self.calls) >= self.nth):
+            raise RuntimeError("codec failed on a lane")
         return super().compress(data)
 
 
 class TestWorkerCrashMidRun:
-    def test_run_survives_worker_crash(self, caplog):
-        """A worker dying mid-run degrades to serial: no hang, no corruption."""
+    def test_run_survives_worker_crash(self):
+        """A codec that raises on a lane thread mid-run: the run raises that
+        exception, no pending job is left behind, the store forgets the
+        lane and reloads chunk-consistent (every chunk decodes), and the
+        run's own lanes are joined."""
         from repro.compression.interface import register_compressor
+        from repro.memory import ChunkLayout, CompressedChunkStore
 
-        parent = os.getpid()
-        register_compressor(
-            "crash_on_nth", lambda **kw: CrashOnNthCompress(parent, **kw))
-        circ = get_workload("qft", 8)
-        tel = Telemetry()
-        cfg = MemQSimConfig(chunk_qubits=4, compressor="crash_on_nth",
+        register_compressor("raise_on_nth", RaiseOnNthLaneCompress)
+        cfg = MemQSimConfig(chunk_qubits=4, compressor="raise_on_nth",
                             workers=2)
-        with caplog.at_level("WARNING", logger="repro.parallel.pool"):
-            res = MemQSim(cfg, telemetry=tel).run(circ)
-        assert any("degraded" in r.message for r in caplog.records)
-        assert tel.metrics.snapshot()["counters"]["parallel.fallback"] >= 1
-        # The store is not corrupted: state matches the pure-serial run.
-        ref = MemQSim(MemQSimConfig(chunk_qubits=4, compressor="zlib",
-                                    workers=1)).run(circ)
-        np.testing.assert_array_equal(res.statevector(), ref.statevector())
+        store = CompressedChunkStore(ChunkLayout(8, 4), cfg.make_compressor())
+        store.init_zero_state()
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="codec failed on a lane"):
+            MemQSim(cfg).run(get_workload("qft", 8), initial_store=store)
+        assert threading.active_count() == threads
+        assert store.lane is None
+        assert not store._pending and not store._prefetched
+        assert store.stats.stores > 2  # some of the run's writes landed
+        sv = store.to_statevector()   # inline, every chunk decodes
+        assert sv.shape == (256,) and np.isfinite(sv).all()

@@ -1,15 +1,25 @@
-"""CodecWorkerPool: serial fallback, process workers, shm, crash recovery."""
+"""CodecWorkerPool: codec lane threads over one codec.
 
+Several ids here predate the thread lane and name what it replaced
+(inline fallback, process workers, shared memory, crash degradation);
+each now pins what the lane does in that place instead.
+"""
+
+import multiprocessing
 import os
 import pickle
+import threading
 
 import numpy as np
 import pytest
 
 from repro.compression import get_compressor
 from repro.compression.lossless import ZlibCompressor
+from repro.memory import ChunkLayout, CompressedChunkStore, MemoryTracker
 from repro.parallel import CodecWorkerPool, auto_workers
 from repro.telemetry import Telemetry
+
+MIB = 1 << 20
 
 
 def _payload(n=256, seed=0, chunks=4):
@@ -24,54 +34,53 @@ def _payload(n=256, seed=0, chunks=4):
 def _compress_all(pool, arrays):
     """Submit everything, then collect in submission order."""
     jobs = [pool.submit_compress(i, a) for i, a in enumerate(arrays)]
-    return [res.blob for res in pool.drain(jobs)]
+    return [pool.collect(j).blob for j in jobs]
 
 
 def _decompress_all(pool, blobs):
     jobs = [pool.submit_decompress(i, b) for i, b in enumerate(blobs)]
-    return [res.array for res in pool.drain(jobs)]
+    return [pool.collect(j).array for j in jobs]
 
 
-class CrashyCompressor(ZlibCompressor):
-    """Crashes the hosting process on compress — in workers only."""
+class RaisesOnALane(ZlibCompressor):
+    """Raises on compress when called on a lane thread; inline it works."""
 
-    name = "crashy"
-
-    def __init__(self, parent_pid: int):
-        super().__init__()
-        self.parent_pid = parent_pid
+    name = "raises_on_a_lane"
 
     def compress(self, data):
-        if os.getpid() != self.parent_pid:
-            os._exit(13)
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("codec failed on a lane")
         return super().compress(data)
 
 
 class TestSerialPool:
     def test_workers1_runs_inline(self):
+        """``workers=1`` is one lane thread (no lane at all is the store's
+        own inline path): same blobs, same arrays, every job on lane 1."""
         comp = get_compressor("zlib")
-        pool = CodecWorkerPool(comp, workers=1)
-        assert not pool.is_parallel
-        data = _payload()
-        blobs = _compress_all(pool, data)
-        assert blobs == [comp.compress(d) for d in data]
-        arrs = _decompress_all(pool, blobs)
-        for a, d in zip(arrs, data):
-            np.testing.assert_array_equal(a, d)
-        assert pool.stats.inline_jobs == pool.stats.jobs == 8
-        pool.close()
+        with CodecWorkerPool(comp, workers=1) as pool:
+            data = _payload()
+            jobs = [pool.submit_compress(i, d) for i, d in enumerate(data)]
+            results = [pool.collect(j) for j in jobs]
+            assert [r.blob for r in results] == [comp.compress(d)
+                                                 for d in data]
+            assert {r.worker for r in results} == {1}
+            for a, d in zip(_decompress_all(pool, [r.blob for r in results]),
+                            data):
+                np.testing.assert_array_equal(a, d)
 
     def test_submit_collect_inline(self):
-        pool = CodecWorkerPool(get_compressor("zlib"), workers=1)
-        data = _payload(chunks=3)
-        jobs = [pool.submit_compress(i, d) for i, d in enumerate(data)]
-        assert all(j.done() for j in jobs)
-        for i, j in enumerate(jobs):
-            res = pool.collect(j)
-            assert res.key == i
-            assert res.worker_pid == 0
-        assert pool.stats.inline_jobs == 3
-        pool.close()
+        """A job is a future; its result carries its key, the lane that ran
+        it and the seconds that lane measured."""
+        with CodecWorkerPool(get_compressor("zlib"), workers=1) as pool:
+            data = _payload(chunks=3)
+            jobs = [pool.submit_compress(i, d) for i, d in enumerate(data)]
+            for i, j in enumerate(jobs):
+                res = pool.collect(j)
+                assert j.done()
+                assert res.key == i
+                assert res.worker == 1
+                assert res.seconds > 0.0
 
     def test_invalid_workers_rejected(self):
         with pytest.raises(ValueError):
@@ -83,8 +92,6 @@ class TestProcessPool:
         comp = get_compressor("szlike", error_bound=1e-6)
         data = _payload(chunks=6)
         with CodecWorkerPool(comp, workers=2) as pool:
-            if not pool.is_parallel:
-                pytest.skip("process pool unavailable on this platform")
             blobs = _compress_all(pool, data)
             assert blobs == [comp.compress(d) for d in data]
             arrs = _decompress_all(pool, blobs)
@@ -92,18 +99,20 @@ class TestProcessPool:
             np.testing.assert_array_equal(a, comp.decompress(comp.compress(d)))
 
     def test_shared_memory_payloads(self):
+        """≥ 1 MiB payloads round-trip through the lanes, and the input
+        buffer is the caller's again as soon as the job is submitted."""
         comp = get_compressor("zlib")
-        data = _payload(n=512, chunks=4)
-        with CodecWorkerPool(comp, workers=2, shm_threshold=1) as pool:
-            if not pool.is_parallel:
-                pytest.skip("process pool unavailable on this platform")
+        data = _payload(n=MIB // 16, chunks=3)
+        assert all(d.nbytes >= MIB for d in data)
+        with CodecWorkerPool(comp, workers=2) as pool:
+            scratch = data[0].copy()
             jobs = [pool.submit_compress(i, d) for i, d in enumerate(data)]
+            reused = pool.submit_compress(9, scratch)
+            scratch[:] = 0  # the job copied it
             blobs = [pool.collect(j).blob for j in jobs]
-            assert pool.stats.shm_jobs >= 4
-            djobs = [pool.submit_decompress(i, b, count=512)
-                     for i, b in enumerate(blobs)]
-            for d, j in zip(data, djobs):
-                np.testing.assert_array_equal(pool.collect(j).array, d)
+            assert pool.collect(reused).blob == blobs[0]
+            for d, arr in zip(data, _decompress_all(pool, blobs)):
+                np.testing.assert_array_equal(arr, d)
 
     def test_out_of_order_collection(self):
         comp = get_compressor("zlib")
@@ -114,64 +123,85 @@ class TestProcessPool:
                 res = pool.collect(j)
                 assert res.blob == comp.compress(data[res.key])
 
-    def test_unpicklable_codec_degrades_to_serial(self, caplog):
+    def test_unpicklable_codec_degrades_to_serial(self):
+        """An unpicklable codec runs on the lane: nothing is pickled."""
         comp = get_compressor("zlib")
         comp.oops = lambda: None  # lambdas don't pickle
         with pytest.raises(Exception):
             pickle.dumps(comp)
-        with caplog.at_level("WARNING", logger="repro.parallel.pool"):
-            pool = CodecWorkerPool(comp, workers=2)
-        assert not pool.is_parallel
-        assert pool.stats.fallbacks == 1
-        assert any("degraded" in r.message for r in caplog.records)
         data = _payload(chunks=2)
-        assert _compress_all(pool, data) == [comp.compress(d) for d in data]
-        pool.close()
+        with CodecWorkerPool(comp, workers=2) as pool:
+            jobs = [pool.submit_compress(i, d) for i, d in enumerate(data)]
+            results = [pool.collect(j) for j in jobs]
+        assert [r.blob for r in results] == [comp.compress(d) for d in data]
+        assert all(r.worker >= 1 for r in results)
 
 
 class TestCrashRecovery:
-    def test_worker_crash_falls_back_inline(self, caplog):
-        comp = CrashyCompressor(os.getpid())
-        pool = CodecWorkerPool(comp, workers=2)
-        if not pool.is_parallel:
-            pytest.skip("process pool unavailable on this platform")
-        data = _payload(chunks=4)
-        with caplog.at_level("WARNING", logger="repro.parallel.pool"):
-            jobs = [pool.submit_compress(i, d) for i, d in enumerate(data)]
-            blobs = [pool.collect(j).blob for j in jobs]
-        # No hang, no data loss: every blob is the correct serial blob.
-        ref = ZlibCompressor()
-        assert blobs == [ref.compress(d) for d in data]
-        assert not pool.is_parallel
-        assert pool.stats.fallbacks >= 1
-        assert any("degraded" in r.message for r in caplog.records)
-        pool.close()
+    def test_worker_crash_falls_back_inline(self):
+        """A codec that raises on a lane thread: ``collect`` re-raises that
+        exception, with its own type; the other jobs and the pool are
+        unaffected."""
+        comp = RaisesOnALane()
+        data = _payload(chunks=3)
+        blob = comp.compress(data[1])  # inline it works
+        with CodecWorkerPool(comp, workers=2) as pool:
+            failing = pool.submit_compress(0, data[0])
+            fine = pool.submit_decompress(1, blob)
+            with pytest.raises(RuntimeError, match="codec failed on a lane"):
+                pool.collect(failing)
+            np.testing.assert_array_equal(pool.collect(fine).array, data[1])
+            again = pool.submit_decompress(2, blob)
+            np.testing.assert_array_equal(pool.collect(again).array, data[1])
 
     def test_crash_with_shm_payloads_recovers(self):
-        comp = CrashyCompressor(os.getpid())
-        pool = CodecWorkerPool(comp, workers=2, shm_threshold=1)
-        if not pool.is_parallel:
-            pytest.skip("process pool unavailable on this platform")
-        data = _payload(chunks=3)
-        jobs = [pool.submit_compress(i, d) for i, d in enumerate(data)]
-        blobs = [pool.collect(j).blob for j in jobs]
-        assert blobs == [ZlibCompressor().compress(d) for d in data]
-        pool.close()
+        """A store whose lane raises on ≥ 1 MiB chunk writes surfaces that
+        exception, every other job still settles, and the store reloads
+        chunk-consistent — each chunk decodes, a failed write left its
+        chunk's previous value."""
+        layout = ChunkLayout(18, 16)  # 4 chunks of 1 MiB
+        store = CompressedChunkStore(layout, RaisesOnALane(), MemoryTracker())
+        store.init_zero_state()
+        before = store.to_statevector()
+        new = np.full(layout.chunk_size, 0.5 + 0j)
+        with CodecWorkerPool(store.compressor, workers=2) as pool:
+            store.attach_lane(pool)
+            # the failure surfaces where a write settles — at a later
+            # store() or at the latest when the lane detaches, which a run
+            # does on every exit path
+            with pytest.raises(RuntimeError, match="codec failed on a lane"):
+                try:
+                    store.will_need([2, 3])  # decompress jobs: those work
+                    for chunk in (1, 2):
+                        store.store(chunk, new)  # compress jobs: those raise
+                finally:
+                    store.detach_lane()
+        assert store.lane is None
+        assert not store._pending and not store._prefetched
+        np.testing.assert_array_equal(store.to_statevector(), before)
 
 
 class TestTelemetry:
     def test_worker_spans_merge_into_parent_trace(self):
+        """Each job is one ``worker.*`` span on its lane's own trace row
+        (tid 100 + lane), placed on the tracer's own clock inside the
+        window the jobs ran in, booked when collected."""
         tel = Telemetry()
         comp = get_compressor("zlib")
         data = _payload(chunks=4)
+        t_before = tel.tracer.now
         with CodecWorkerPool(comp, workers=2, telemetry=tel) as pool:
-            if not pool.is_parallel:
-                pytest.skip("process pool unavailable on this platform")
             _decompress_all(pool, _compress_all(pool, data))
+        t_after = tel.tracer.now
         spans = [s for s in tel.tracer.spans if s.name.startswith("worker.")]
         assert len(spans) == 8
-        # Worker lanes are distinct from main-thread lanes (tid >= 100).
-        assert all(s.tid >= 100 for s in spans)
+        for sp in spans:
+            assert sp.args["worker"] in (1, 2)
+            assert sp.tid == 100 + sp.args["worker"]
+            assert t_before <= sp.start <= sp.end <= t_after
+        events = [e for e in tel.bus.snapshot()
+                  if e.kind.startswith("worker.")]
+        assert sorted(e.t for e in events) == sorted(s.start for s in spans)
         snap = tel.metrics.snapshot()
         assert snap["counters"]["parallel.jobs"] == 8
         util = snap["gauges"]["parallel.worker.utilization"]["value"]
@@ -191,6 +221,25 @@ class TestTelemetry:
                    if e.get("ph") == "X")
 
 
+class TestLanesAreThreads:
+    def test_a_laned_run_spawns_no_process_and_leaves_no_thread(self):
+        from repro.circuits import get_workload
+        from repro.core import MemQSim, MemQSimConfig
+
+        threads = threading.active_count()
+        cfg = MemQSimConfig(chunk_qubits=4, compressor="zlib", workers=2)
+        with CodecWorkerPool(cfg.make_compressor(), workers=2) as pool:
+            res = MemQSim(cfg, codec_pool=pool).run(get_workload("qft", 8))
+            assert multiprocessing.active_children() == []
+            assert threading.active_count() > threads  # the lanes ran
+        assert threading.active_count() == threads
+        # a run that builds its own pool closes it on the way out
+        MemQSim(cfg).run(get_workload("qft", 8))
+        assert threading.active_count() == threads
+        assert multiprocessing.active_children() == []
+        assert res.norm() == pytest.approx(1.0, abs=1e-9)
+
+
 class TestAutoWorkers:
     def test_returns_sane_count(self):
         w = auto_workers(get_compressor("szlike", error_bound=1e-6), 1 << 12)
@@ -203,5 +252,5 @@ class TestAutoWorkers:
 
     def test_cheap_codec_stays_serial(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        # null codec: a memcpy — IPC would dominate, probe must say 1
+        # null codec: a memcpy — the lane hand-off would dominate, so 1
         assert auto_workers(get_compressor("null"), 256) == 1

@@ -24,6 +24,7 @@ from repro.pipeline import (
 )
 from repro.serve import PlanCache
 from repro.statevector import DenseSimulator
+from repro.telemetry import Telemetry
 
 from .test_scheduler import build_rig
 
@@ -181,9 +182,12 @@ def test_parallel_engine_runs_the_same_program():
     cfg = qft12_config(False, "c128")
     rep = run_equivalence(qft(12), cfg, workers=2)
     assert rep.ok and rep.blobs_identical and rep.state_bit_identical
-    with CodecWorkerPool(cfg.make_compressor(), workers=1) as inline:
-        par = MemQSim(cfg, codec_pool=inline).run(qft(12))
-        assert inline.stats.jobs > 0  # every codec call went through it
+    tel = Telemetry()
+    with CodecWorkerPool(cfg.make_compressor(), workers=1,
+                         telemetry=tel) as lane:
+        par = MemQSim(cfg, codec_pool=lane).run(qft(12))
+    # every codec call of the run went through the one lane
+    assert tel.metrics.snapshot()["counters"]["parallel.jobs"] > 0
     assert observed(par) == QFT12_PINNED[(False, "c128")]
 
 

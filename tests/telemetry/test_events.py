@@ -88,17 +88,20 @@ def test_subscribe_tail_backfills_and_missed_accumulates():
 
 
 def test_publish_at_re_anchors_wall_clock_instants():
-    bus = EventBus(capacity=8, clock=lambda: 0.0, epoch_wall=1000.0)
-    ev = bus.publish_at(1000.75, "worker.compress", key=3)
-    assert ev.t == pytest.approx(0.75)
-    assert ev.data == {"key": 3}
-    # instants before the epoch clamp to zero instead of going negative
-    assert bus.publish_at(999.0, "worker.early").t == 0.0
+    """There is no second clock to re-anchor from: an instant measured on
+    another thread (a codec lane) is read off the bus's own clock and
+    published with ``t=``; seq order stays publication order."""
+    bus = EventBus(capacity=8, clock=lambda: 5.0)
+    assert not hasattr(bus, "publish_at") and not hasattr(bus, "epoch_wall")
+    ev = bus.publish("worker.compress", t=0.75, key=3)
+    assert (ev.t, ev.data) == (0.75, {"key": 3})
+    later = bus.publish("kernel")
+    assert later.t == 5.0 and later.seq == ev.seq + 1
 
 
 def test_bus_shares_the_tracer_clock():
     tel = Telemetry()
-    assert tel.bus.epoch_wall == tel.tracer.epoch_wall
+    assert not hasattr(tel.tracer, "epoch_wall")
     ev = tel.bus.publish("ping")
     # the bus timestamp sits on the tracer's axis: close to tracer.now
     assert abs(tel.tracer.now - ev.t) < 0.5

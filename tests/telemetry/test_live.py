@@ -6,6 +6,7 @@ import json
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.circuits import qft
@@ -174,21 +175,30 @@ def test_server_stop_is_idempotent_and_frees_the_port():
 # -- cross-process clock merging -------------------------------------------------
 
 def test_worker_events_re_anchor_onto_the_parent_axis():
+    """Codec lane jobs land on the run's one axis: each ``worker.*`` event
+    sits at its span's start on the tracer clock, inside the window the
+    jobs ran in, between the main thread's own events."""
+    from repro.compression import get_compressor
+    from repro.parallel import CodecWorkerPool
+
     tel = Telemetry()
-    wall0 = tel.tracer.epoch_wall
-    # simulate codec workers reporting wall-clock completion instants
-    tel.bus.publish_at(wall0 + 0.010, "worker.compress", key=0, pid=1111)
-    tel.bus.publish_at(wall0 + 0.025, "worker.decompress", key=1, pid=2222)
-    tel.bus.publish("kernel", chunk=0)  # parent-side event, own clock
+    comp = get_compressor("zlib")
+    tel.bus.publish("before")
+    with CodecWorkerPool(comp, workers=2, telemetry=tel) as pool:
+        jobs = [pool.submit_compress(k, np.full(256, 0.5 + k * 1j))
+                for k in range(3)]
+        for job in jobs:
+            pool.collect(job)
+    tel.bus.publish("after")
     events = tel.bus.snapshot()
-    assert [e.kind for e in events] == [
-        "worker.compress", "worker.decompress", "kernel"]
-    # wall-clock floats are large; anchor within a microsecond is exact
-    # enough for interleaving
-    assert events[0].t == pytest.approx(0.010, abs=1e-5)
-    assert events[1].t == pytest.approx(0.025, abs=1e-5)
-    # all three sit on one non-negative axis
-    assert all(e.t >= 0.0 for e in events)
+    before, after = events[0], events[-1]
+    lane = [e for e in events if e.kind == "worker.compress"]
+    assert [e.data["key"] for e in lane] == [0, 1, 2]
+    spans = {sp.args["key"]: sp for sp in tel.tracer.find("worker.compress")}
+    for ev in lane:
+        assert before.t <= ev.t <= after.t
+        assert ev.t == spans[ev.data["key"]].start
+        assert ev.data["worker"] in (1, 2)
 
 
 def test_parallel_run_merges_worker_events(tight_config):
@@ -202,7 +212,7 @@ def test_parallel_run_merges_worker_events(tight_config):
     wall = tel.tracer.now
     for ev in worker_events:
         assert 0.0 <= ev.t <= wall + 1.0  # anchored inside the run window
-        assert "pid" in ev.data and "key" in ev.data
-    # merged stream stays seq-ordered even with two clock domains
+        assert "worker" in ev.data and "key" in ev.data
+    # the merged stream stays seq-ordered
     seqs = [e.seq for e in events]
     assert seqs == sorted(seqs)

@@ -1,7 +1,7 @@
 """What an enabled run tells its observers, pinned.
 
 Five run shapes with ``Telemetry()`` on; for each, everything the sinks
-hold that does not depend on a clock or a pid is compared with
+hold that does not depend on a clock or a thread is compared with
 ``observer_contract.json``: span name -> count, event kind -> count, every
 counter (they are all byte or call counts), the traffic ledger and the
 chunk access trace. The file was written by this module's ``__main__`` at
@@ -17,6 +17,12 @@ so those two span / event counts were replaced by the number of codec
 calls the same pinned ledger holds (``codec.raw_out`` ops; ``codec.raw_in``
 ops less the two of ``init_zero_state``) — for ``lossy_cache_tier`` exactly
 what its ``workers=2`` twin always read.
+
+Since then the rule is: the file changes only by deleting entries for
+names the code no longer has, never by re-pinning a value. So far that
+happened once — when the codec lane became threads, the counters
+``parallel.fallback`` and ``parallel.jobs.inline`` (0 in every shape)
+went with the process pool.
 """
 
 import hashlib
@@ -79,7 +85,7 @@ def observe(shape):
     res = MemQSim(cfg, telemetry=tel).run(circuit)
     assert tel.bus.dropped == 0, "shape too large for the event ring"
     ledger = tel.traffic.to_dict()
-    by_worker = ledger.pop("by_worker")  # keyed by pid
+    by_worker = ledger.pop("by_worker")  # keyed by codec lane
     summed = Counter()
     for row in by_worker.values():
         summed.update(row)

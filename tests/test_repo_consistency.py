@@ -280,3 +280,47 @@ class TestOneObserverSeam:
         hits = [f"{where}: {name}" for where, text in texts.items()
                 for name in self.GONE if name in text]
         assert not hits, hits
+
+
+class TestOneCodecLane:
+    """The codec lane is threads over the one codec object: no process
+    pool, no pickled codec, no shared-memory transport, no wall clock to
+    re-anchor worker spans by — and no copy of any of it may come back."""
+
+    GONE = (
+        "ProcessPoolExecutor", "shared_memory", "DEFAULT_SHM_THRESHOLD",
+        "_worker_init", "publish_at", "PoolStats", "start_method",
+    )
+    #: what no module of the package may use any more
+    NO_PROCESSES = re.compile(
+        r"multiprocessing|shared_memory|pickle|ProcessPoolExecutor|getpid")
+
+    def test_the_package_spawns_no_process(self):
+        hits = [f"{p.relative_to(REPO)}:{n}" for p in
+                sorted((REPO / "src/repro").rglob("*.py"))
+                for n, line in enumerate(p.read_text().splitlines(), 1)
+                if self.NO_PROCESSES.search(line)]
+        assert hits == []
+
+    def test_the_pool_is_small(self):
+        pool = (REPO / "src/repro/parallel/pool.py").read_text()
+        assert len(pool.splitlines()) <= 200
+        assert "ThreadPoolExecutor" in pool
+
+    def test_deleted_names_stay_deleted(self):
+        api = (REPO / "docs/api.md").read_text()
+        # docs/api.md keeps the one list of what was removed: the
+        # "### Removed in ..." section that names this guard
+        start = api.rindex("\n### Removed in", 0, api.index(type(self).__name__))
+        end = api.find("\n## ", start)
+        head, listed, tail = api[:start], api[start:end], api[end:]
+        assert [name for name in self.GONE if name not in listed] == []
+        texts = {"docs/api.md": head + tail}
+        files = [REPO / "README.md", REPO / "DESIGN.md"]
+        files += [p for p in sorted((REPO / "docs").glob("*.md"))
+                  if p.name != "api.md"]
+        files += sorted((REPO / "src").rglob("*.py"))
+        texts.update({str(p.relative_to(REPO)): p.read_text() for p in files})
+        hits = [f"{where}: {name}" for where, text in texts.items()
+                for name in self.GONE if name in text]
+        assert not hits, hits
