@@ -48,17 +48,16 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse
-import math
 import statistics
 import time
 
 import numpy as np
 import pytest
 
-from common import (FULL, bench_telemetry, emit_result, print_banner,
-                    quartile_range, seconds, tight_config)
+from common import (FULL, bench_telemetry, circuit_of, emit_result,
+                    print_banner, quartile_range, seconds, tight_config)
 from repro.analysis import Table, format_seconds
-from repro.circuits import Circuit, qft, supremacy_brickwork
+from repro.circuits import qft
 from repro.core import MemQSim
 from repro.device.timeline import Stage
 
@@ -77,19 +76,6 @@ FAMILIES = {
 #: 2^(chunk_qubits + 1) amplitudes — 4 KiB at the CI size, 256 KiB at n 18
 CASES = [(family, n, c) for family in FAMILIES
          for n, c in [(13, 7), (18, 13)] + ([(22, 11)] if FULL else [])]
-
-
-def circuit_of(family: str, n: int) -> Circuit:
-    if family.startswith("qft"):
-        return qft(n)
-    # BENCH_E2E's dense_lossy circuit: a seeded RY on every qubit (45-135
-    # degrees), then the generator's fixed brickwork.
-    rng = np.random.default_rng(0)
-    circuit = Circuit(n, name=f"tilted_supremacy{n}")
-    for qubit, angle in enumerate(rng.uniform(math.pi / 4, 3 * math.pi / 4,
-                                              size=n)):
-        circuit.ry(float(angle), qubit)
-    return circuit.compose(supremacy_brickwork(n, depth=6))
 
 
 def _config(family: str, chunk_qubits: int, fuse_gates,

@@ -41,9 +41,8 @@ import time
 import numpy as np
 import pytest
 
-from bench_fusion import circuit_of  # qft, or BENCH_E2E's tilted brickwork
-from common import (FULL, bench_telemetry, emit_result, print_banner,
-                    quartile_range, seconds, tight_config)
+from common import (FULL, bench_telemetry, circuit_of, emit_result,
+                    print_banner, quartile_range, seconds, tight_config)
 from repro.analysis import Table, format_seconds
 from repro.circuits import qft
 from repro.core import MemQSim
@@ -83,14 +82,13 @@ def run_once(row: str, workers: int) -> dict:
     }
 
 
-def generate_report(rows=None, repeats: int = REPEATS) -> dict:
-    rows = list(ROWS) if rows is None else rows
-    samples = {(row, w): [] for row in rows for w in ROWS[row][3]}
+def generate_report(repeats: int = REPEATS) -> dict:
+    samples = {(row, w): [] for row in ROWS for w in ROWS[row][3]}
     for _ in range(repeats):  # interleaved so drift hits every count alike
         for row, w in samples:
             samples[row, w].append(run_once(row, w))
     out = {}
-    for row in rows:
+    for row in ROWS:
         family, n, chunk, counts = ROWS[row]
         arms = []
         for w in counts:
@@ -155,12 +153,11 @@ def test_parallel_wall_clock(benchmark, workers):
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--rows", nargs="*", choices=list(ROWS), default=None)
     ap.add_argument("--repeats", type=int, default=REPEATS)
     args = ap.parse_args()
 
     print_banner(__doc__.splitlines()[0])
-    report = generate_report(args.rows, args.repeats)
+    report = generate_report(args.repeats)
     table = render_table(report)
     print(table.render())
     metrics = {}
@@ -169,9 +166,9 @@ if __name__ == "__main__":
             metrics[f"{row}_wall_seconds_workers{arm['workers']}"] = \
                 seconds(*arm["wall_repeats"])
     emit_result("P1", title=__doc__.splitlines()[0],
-                params={"rows": {row: ROWS[row][:3] for row in report["rows"]},
+                params={"rows": {row: ROWS[row][:3] for row in ROWS},
                         "worker_counts": {row: list(ROWS[row][3])
-                                          for row in report["rows"]},
+                                          for row in ROWS},
                         "repeats": report["repeats"]},
                 metrics=metrics,
                 tables=[table],

@@ -16,6 +16,7 @@ EXPERIMENTS.md records the paper-vs-measured comparison for each.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -24,6 +25,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 import numpy as np
 
+from repro.circuits import Circuit, qft, supremacy_brickwork
 from repro.core import MemQSimConfig
 from repro.device import DeviceSpec, HostSpec
 from repro.telemetry import NULL_TELEMETRY, Telemetry
@@ -65,6 +67,20 @@ def quartile_range(values) -> float:
 
     q1, _median, q3 = statistics.quantiles(values, n=4)
     return q3 - q1
+
+
+def circuit_of(family: str, n: int) -> Circuit:
+    """``qft(n)`` for a ``qft*`` family, else BENCH_E2E's dense_lossy
+    circuit: a seeded RY on every qubit (45-135 degrees), then the
+    generator's fixed brickwork."""
+    if family.startswith("qft"):
+        return qft(n)
+    rng = np.random.default_rng(0)
+    circuit = Circuit(n, name=f"tilted_supremacy{n}")
+    for qubit, angle in enumerate(rng.uniform(math.pi / 4, 3 * math.pi / 4,
+                                              size=n)):
+        circuit.ry(float(angle), qubit)
+    return circuit.compose(supremacy_brickwork(n, depth=6))
 
 
 def state_payload(num_qubits: int, seed: int = 1) -> np.ndarray:

@@ -407,6 +407,7 @@ class MemQSim:
                       "" if owns_codec_pool else " (shared)")
         pool = BufferPool(cfg.num_buffers, buffer_amps, tracker, telemetry=tel,
                           dtype=dtype)
+        finished = False
         try:
             hierarchy = MemoryHierarchy.build(
                 store, cache_chunks=cfg.cache_chunks,
@@ -433,15 +434,22 @@ class MemQSim:
             with (tel.span("online", stages=plan.num_stages, workers=workers)
                   if tel.enabled else nullcontext()):
                 scheduler.run(cplan.stages, passes, programs)
+            finished = True
         finally:
             # Cleanup must run on *every* exit (including JobCancelled):
             # every pending write lands and the store forgets the pool, so
             # a cancelled run's store reloads chunk-consistent and a shared
             # pool outlives the job; executors on a shared arena must not
-            # leak staging allocations. A codec error a lane hit can
-            # surface from detaching; the rest is released regardless.
+            # leak staging allocations. A codec error a lane hit surfaces
+            # from detaching only when the run itself finished: an
+            # exception already on its way out (JobCancelled) is the one
+            # the caller sees. The rest is released regardless.
             try:
                 store.detach_lane()
+            except Exception as exc:
+                if finished:
+                    raise
+                log.debug("lane error while unwinding: %r", exc)
             finally:
                 if owns_codec_pool:
                     codec_pool.close()

@@ -81,7 +81,6 @@ class TestCancelToken:
         serves the next job."""
         import numpy as np
 
-        from repro.device.timeline import Stage
         from repro.memory import ChunkLayout, CompressedChunkStore
         from repro.parallel import CodecWorkerPool
 
@@ -89,26 +88,57 @@ class TestCancelToken:
         store = CompressedChunkStore(ChunkLayout(11, 5),
                                      cfg.make_compressor())
         store.init_zero_state()
-        with CodecWorkerPool(cfg.make_compressor(), workers=2) as pool:
+        tel = Telemetry()
+        with CodecWorkerPool(cfg.make_compressor(), workers=2,
+                             telemetry=tel) as pool:
             # check 1 is run()'s per-stage poll; 2.. are group passes
             sim = MemQSim(cfg, cancel=FireAtNthCheck(6), codec_pool=pool)
             with pytest.raises(JobCancelled, match="mid-run"):
                 sim.run(qft(11), initial_store=store)
-            written = store.stats.stores - 2  # less init: every write
+            written = len(tel.tracer.find("worker.compress"))
             assert written > 0
             assert store.lane is None
             assert not store._pending and not store._prefetched
+            assert store.stats.stores == 2 + written  # init + every write
             sv = store.to_statevector()  # every chunk decodes
             assert np.linalg.norm(sv) == pytest.approx(1.0, abs=1e-12)
             assert np.count_nonzero(sv) > 1  # the finished passes landed
 
             assert not pool._closed
             done = MemQSim(cfg, codec_pool=pool).run(qft(9))
-            assert done.timeline.count(Stage.COMPRESS) > 0
+            assert len(tel.tracer.find("worker.compress")) > written
             assert done.store.lane is None
             ref = MemQSim(cfg).run(qft(9))
             np.testing.assert_array_equal(done.statevector(),
                                           ref.statevector())
+
+    def test_cancel_wins_over_a_lane_error_in_flight(self):
+        """Compress jobs of the pass before the cancel raise on their lane,
+        but only once the cancel fired: the run raises JobCancelled (what
+        ServeManager books as cancelled), not the codec's error, and the
+        lane is still settled and detached."""
+        from repro.compression.lossless import ZlibCompressor
+        from repro.parallel import CodecWorkerPool
+
+        token = FireAtNthCheck(6)
+        raised = []
+
+        class FailsOnceCancelled(ZlibCompressor):
+            def compress(self, data):
+                if (threading.current_thread() is not threading.main_thread()
+                        and token.checks >= 5):
+                    token._event.wait(10)
+                    raised.append(token.cancelled)
+                    raise RuntimeError("codec failed on a lane")
+                return super().compress(data)
+
+        cfg = small_base(compressor="zlib")
+        with CodecWorkerPool(FailsOnceCancelled(), workers=2) as pool:
+            sim = MemQSim(cfg, cancel=token, codec_pool=pool)
+            with pytest.raises(JobCancelled, match="mid-run"):
+                sim.run(qft(11))
+            assert raised and all(raised)  # lanes raised, after the cancel
+            assert not pool._closed
 
 
 class TestManagerCancel:
