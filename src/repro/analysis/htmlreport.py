@@ -332,6 +332,7 @@ def _compile_section(result) -> str:
         ("windows fused", _fmt(cr.fused_windows)),
         ("max fuse qubits", str(cr.max_fuse_qubits)),
         ("gate stages", _fmt(cr.num_gate_stages)),
+        ("plan direction", cr.plan_direction),
         ("compile time", format_seconds(cr.seconds)),
     ]
     if cr.swaps_hoisted:

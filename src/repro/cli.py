@@ -640,9 +640,10 @@ def _cmd_plan(args) -> int:
     circuit = get_workload(args.workload, args.qubits)
     layout = ChunkLayout(args.qubits, args.chunk_qubits)
     # What a run from |0...0> plans: the circuit's swaps add up to a front
-    # permutation, which that state absorbs.
-    stages, hoisted = plan_circuit(circuit, layout, args.max_group,
-                                   zero_start=True)
+    # permutation, and a backward plan's start map, both of which that
+    # state absorbs.
+    choice = plan_circuit(circuit, layout, args.max_group, zero_start=True)
+    stages, hoisted = choice.stages, choice.hoisted
     rep = describe_plan(stages, layout)
     # From |0...0> only chunk 0 is non-zero; all-zero groups never stream.
     live = Counter(si for kind, si, _gi, _members in predict_pass_schedule(
@@ -653,6 +654,10 @@ def _cmd_plan(args) -> int:
           f"{rep.num_permutation_stages} permutation), "
           f"{rep.group_passes} group passes: {executed} run from |0...0>, "
           f"{rep.group_passes - executed} all-zero groups skipped")
+    won = ("hoisted" if hoisted is not None else "written", choice.direction)
+    print(f"  plan: {won[1]}, {won[0]}; chunk loads from |0...0>: "
+          + ", ".join(f"{d} {h} {loads}{' *' if (h, d) == won else ''}"
+                      for (h, d), loads in choice.candidates))
     if hoisted is not None:
         print(f"  hoisted: {hoisted.swaps} of the circuit's {len(circuit)} "
               f"gates are swaps, now the front permutation "
@@ -663,13 +668,15 @@ def _cmd_plan(args) -> int:
     last_gate = max((i for i, s in enumerate(stages)
                      if any(g.label != RELOCATE for g in s.gates)), default=-1)
     trace = trace_qubit_map(stages, args.qubits)
-    for i, (s, _occ, moves) in zip(range(30), trace):
+    for i, (s, _occ, front, back) in zip(range(30), trace):
         # q3→g10: logical qubit 3 leaves for global position 10.
         note = ""
-        if moves:
-            why = "restore" if i > last_gate else "relocate"
-            note = f"  {why}: " + " ".join(
-                f"q{q}→{'g' if to >= c else 'l'}{to}" for q, _from, to in moves)
+        for why, moves in (("front", front),
+                           ("restore" if i > last_gate else "relocate", back)):
+            if moves:
+                note += f"  {why}: " + " ".join(
+                    f"q{q}→{'g' if to >= c else 'l'}{to}"
+                    for q, _from, to in moves)
         groups = ""
         if isinstance(s, GateStage):
             groups = (f"  live {live[i]} / "

@@ -90,21 +90,24 @@ def _lower_batch(ops: Sequence[Any], slots: Sequence[int],
                                   gate_is_diagonal(gate)))
     if opts.fusion:
         cd = can_densify if can_densify is not None else (lambda qs: True)
-        # The swaps a batch ends on (the planner closes a stage with its
-        # qubit relocations) stay out of the passes: as plain swaps they
-        # run as slice exchanges, inside a window each would become a
-        # dense matmul over the whole buffer.
-        body = len(recipes)
-        while body and recipes[body - 1].name == "swap":
-            body -= 1
-        recipes, closing = recipes[:body], recipes[body:]
+        # The swaps a batch opens or ends on (the planner puts a stage's
+        # qubit relocations at one of its ends) stay out of the passes: as
+        # plain swaps they run as slice exchanges, inside a window each
+        # would become a dense matmul over the whole buffer.
+        start, end = 0, len(recipes)
+        while end and recipes[end - 1].name == "swap":
+            end -= 1
+        while start < end and recipes[start].name == "swap":
+            start += 1
+        opening, recipes, closing = \
+            recipes[:start], recipes[start:end], recipes[end:]
         if opts.fold_1q:
             recipes = fold_1q_runs(recipes, cd, stats)
         if opts.merge_diagonals:
             recipes = merge_diagonal_runs(recipes, opts.max_diag_qubits, stats)
         if opts.fuse_window_runs:
             recipes = fuse_windows(recipes, opts.max_fuse_qubits, cd, stats)
-        recipes = recipes + closing
+        recipes = opening + recipes + closing
     return recipes
 
 
@@ -183,7 +186,8 @@ def _bound(lowered: Any, gates: Optional[Sequence[Any]]) -> Any:
 
 def _lower_stages(stages: Sequence[Any], layout: Any = None,
                   options: Optional[CompileOptions] = None,
-                  hoisted: Optional[Hoisted] = None) -> PlanTemplate:
+                  hoisted: Optional[Hoisted] = None,
+                  direction: str = "forward") -> PlanTemplate:
     """Lower a planner stage list into a :class:`PlanTemplate`.
 
     Gate stages lower independently (stage boundaries are execution
@@ -192,7 +196,8 @@ def _lower_stages(stages: Sequence[Any], layout: Any = None,
     """
     opts = options if options is not None else DEFAULT_OPTIONS
     report = CompileReport(fusion_enabled=opts.fusion,
-                           max_fuse_qubits=opts.max_fuse_qubits)
+                           max_fuse_qubits=opts.max_fuse_qubits,
+                           plan_direction=direction)
     source_slots = None
     if hoisted is not None:
         source_slots = hoisted.slots
@@ -218,7 +223,8 @@ def compile_stages(stages: Any, layout: Any = None,
                    options: Optional[CompileOptions] = None,
                    telemetry: Any = None,
                    gates: Optional[Sequence[Any]] = None,
-                   hoisted: Optional[Hoisted] = None) -> CompiledPlan:
+                   hoisted: Optional[Hoisted] = None,
+                   direction: str = "forward") -> CompiledPlan:
     """Lower a planner stage list and bind it: the :class:`CompiledPlan`.
 
     ``stages`` may also be the :class:`PlanTemplate` of an earlier call
@@ -231,7 +237,9 @@ def compile_stages(stages: Any, layout: Any = None,
     ``hoisted`` says the stages were planned from ``hoisted.circuit``
     (:func:`~repro.compile.hoist.hoist_permutations`) while ``gates`` is
     the circuit the caller wrote: parameter slots are led back to it, and
-    the report says what was hoisted.
+    the report says what was hoisted. ``direction`` is which way the
+    stages were planned (:func:`~repro.pipeline.plan_stages`); the report
+    carries it as ``plan_direction``.
 
     When ``telemetry`` is enabled, records ``compile.gates_in`` /
     ``compile.ops_out`` counters, the ``compile.fusion_ratio`` gauge and
@@ -239,7 +247,7 @@ def compile_stages(stages: Any, layout: Any = None,
     """
     t0 = time.perf_counter()
     template = stages if isinstance(stages, PlanTemplate) \
-        else _lower_stages(stages, layout, options, hoisted)
+        else _lower_stages(stages, layout, options, hoisted, direction)
     bound = [_bound(s, gates) for s in template.stages]
     report = replace(template.report, seconds=time.perf_counter() - t0)
     if telemetry is not None and getattr(telemetry, "enabled", False):

@@ -175,6 +175,9 @@ class CompileReport:
     #: written
     swaps_hoisted: int = 0
     front_permutation: Tuple[int, ...] = ()
+    #: ``"backward"`` for a plan made on the reversed circuit and flipped
+    #: in time (it ends at home with no restore sweeps), else ``"forward"``
+    plan_direction: str = "forward"
 
     @property
     def fusion_ratio(self) -> float:
@@ -197,6 +200,7 @@ class CompileReport:
             "seconds": self.seconds,
             "swaps_hoisted": self.swaps_hoisted,
             "front_permutation": list(self.front_permutation),
+            "plan_direction": self.plan_direction,
         }
 
 

@@ -2,7 +2,7 @@
 
 from .backend import Backend, EinsumBackend, NumpyKernelBackend, get_backend, register_backend
 from .config import MemQSimConfig
-from .memqsim import MemQSim, plan_circuit
+from .memqsim import MemQSim, PlanChoice, chunk_loads_from_zero, plan_circuit
 from .plancache import PlanCache
 from .results import MemQSimResult
 
@@ -11,7 +11,9 @@ __all__ = [
     "MemQSimConfig",
     "MemQSimResult",
     "PlanCache",
+    "PlanChoice",
     "plan_circuit",
+    "chunk_loads_from_zero",
     "Backend",
     "NumpyKernelBackend",
     "EinsumBackend",

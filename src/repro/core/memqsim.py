@@ -28,13 +28,14 @@ from __future__ import annotations
 import time
 import uuid
 from contextlib import nullcontext
-from dataclasses import replace
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..circuits.circuit import Circuit
-from ..compile import CompileOptions, compile_stages, hoist_permutations
+from ..compile import (CompileOptions, Hoisted, compile_stages,
+                       hoist_permutations)
 from ..device.executor import DeviceExecutor
 from ..device.timeline import PipelineModel, Timeline
 from ..device.transfer import make_strategy
@@ -60,53 +61,88 @@ from .config import MemQSimConfig
 from .plancache import CachedPlan, PlanCache
 from .results import MemQSimResult
 
-__all__ = ["MemQSim", "plan_circuit"]
+__all__ = ["MemQSim", "PlanChoice", "plan_circuit", "chunk_loads_from_zero"]
 
 log = get_logger(__name__)
 
 
-def _passes_from_zero(stages, layout) -> int:
-    """Group passes ``stages`` run when only chunk 0 is non-zero."""
-    return sum(kind == "pass" for kind, *_ in predict_pass_schedule(
-        stages, layout, support={0}))
+def chunk_loads_from_zero(stages, layout) -> int:
+    """Chunks ``stages`` decompress when only chunk 0 is non-zero: the
+    codec round trips of a run from |0...0>, which is what plans are
+    ranked by (a pass over ``2^t`` chunks costs ``2^t`` of them, so pass
+    counts alone mis-rank plans with different group widths)."""
+    return sum(len(members) for kind, _si, _gi, members
+               in predict_pass_schedule(stages, layout, support={0})
+               if kind == "pass")
+
+
+@dataclass(frozen=True)
+class PlanChoice:
+    """What :func:`plan_circuit` chose, and from what."""
+
+    stages: list
+    #: the hoisting the stages were planned under, or ``None`` when they
+    #: were planned from the circuit as written
+    hoisted: Optional[Hoisted]
+    #: ``"forward"``, or ``"backward"`` for a plan made on the reversed
+    #: circuit (it may start at any qubit map and ends at the identity)
+    direction: str
+    #: ``((circuit, direction), chunk loads from |0...0>)`` per candidate,
+    #: in tie order; empty when only one plan was made
+    candidates: Tuple[Tuple[Tuple[str, str], int], ...] = ()
 
 
 def plan_circuit(circuit: Circuit, layout: ChunkLayout, max_group_qubits: int,
-                 *, zero_start: bool, enable_permutation_stages: bool = True):
-    """The offline partition of a run: ``(stages, what was hoisted or None)``.
+                 *, zero_start: bool, enable_permutation_stages: bool = True
+                 ) -> PlanChoice:
+    """The offline partition of a run (see :class:`PlanChoice`).
 
-    From |0...0> the circuit's swaps are not planned at all: with
-    ``C = C'' · Π`` (:func:`~repro.compile.hoist_permutations`) and
-    ``Π|0...0> = |0...0>``, the swap-free ``C''`` gives the same final state
-    and every ``swap(local, global)`` is a sweep not made. Any other start
-    state would have to be permuted first, so it keeps the circuit as
-    written. The stages' ``slots`` index the circuit they were planned
-    from; hand ``hoisted`` to :func:`~repro.compile.compile_stages` with
-    them.
+    A run from any given state plans the circuit as written, forward: the
+    plan starts and ends at the identity qubit map. From |0...0> two more
+    freedoms open up, because every qubit permutation leaves that state
+    alone:
+
+    * the circuit's swaps need not be planned at all: with ``C = C'' · Π``
+      (:func:`~repro.compile.hoist_permutations`) the swap-free ``C''``
+      gives the same final state and every ``swap(local, global)`` is a
+      sweep not made;
+    * the plan may start at any map, so it can be made backwards
+      (``plan_stages(..., backward=True)``): it then ends at home by
+      construction, with no sweeps spent only on bringing qubits back.
+
+    The planner is greedy, so neither is always cheaper (relabeling
+    changes which qubits sit at global positions; a backward plan may
+    stream wider groups): every candidate is planned and the one with the
+    fewest :func:`chunk_loads_from_zero` is kept, ties going to the first
+    of hoisted forward, written forward, hoisted backward, written
+    backward (so a tie keeps the forward plan). The stages' ``slots``
+    index the circuit they were planned from; hand ``hoisted`` to
+    :func:`~repro.compile.compile_stages` with them.
 
     (It lives beside :class:`MemQSim` because it is that run's planning
     step: ``plan_stages`` is called as this module's global, where the
     end-to-end benchmark's tracer wraps it.)
     """
-    def partition(c):
+    def partition(c, direction):
         return plan_stages(c, layout, max_group_qubits,
-                           enable_permutation_stages=enable_permutation_stages)
+                           enable_permutation_stages=enable_permutation_stages,
+                           backward=direction == "backward")
 
     if not zero_start:
-        return partition(circuit), None
+        return PlanChoice(partition(circuit, "forward"), None, "forward")
     hoisted = hoist_permutations(circuit)
-    if not hoisted.swaps:
-        return partition(circuit), None
-    stages = partition(hoisted.circuit)
-    # Relabeling also changes which qubits sit at global positions, and the
-    # planner is a greedy one: on some circuits the swaps as written were
-    # the cheaper relocation (random_circuit(16, 200, seed=0) at
-    # chunk_qubits=10, cap 3: 25 passes as written, 49 hoisted). Keep
-    # whichever streams fewer groups.
-    written = partition(circuit)
-    if _passes_from_zero(written, layout) < _passes_from_zero(stages, layout):
-        return written, None
-    return stages, hoisted
+    sources = [("hoisted", hoisted)] if hoisted.swaps else []
+    sources.append(("written", None))
+    best, candidates = None, []
+    for direction in ("forward", "backward"):
+        for name, source in sources:
+            stages = partition(circuit if source is None else source.circuit,
+                               direction)
+            loads = chunk_loads_from_zero(stages, layout)
+            candidates.append(((name, direction), loads))
+            if best is None or loads < best[0]:
+                best = (loads, PlanChoice(stages, source, direction))
+    return replace(best[1], candidates=tuple(candidates))
 
 
 class MemQSim:
@@ -287,42 +323,49 @@ class MemQSim:
         zero_start = given == 0
         shape, values = circuit.shape_and_values()
         cache_key = (shape, cfg.plan_key(), c, zero_start)
-        cached = self.plan_cache.lookup(cache_key, values)
-        if cached is not None and cached.values == values:
-            plan_source = "hit"
-            plan, programs = cached.plan, cached.programs
-            cplan = replace(cached.bound,
-                            report=replace(cached.bound.report, seconds=0.0))
-        else:
-            hoisted = None
-            if cached is None:
-                plan_source = "miss"
-                stages, hoisted = plan_circuit(
-                    circuit, layout, t_max, zero_start=zero_start,
-                    enable_permutation_stages=cfg.enable_permutation_stages)
-                plan = describe_plan(stages, layout)
+        # One caller compiles a missing key; an identical concurrent run
+        # waits for it and finds the entry it stored.
+        with self.plan_cache.claim(cache_key, values) as cached:
+            if cached is not None and cached.values == values:
+                plan_source = "hit"
+                plan, programs = cached.plan, cached.programs
+                cplan = replace(cached.bound, report=replace(
+                    cached.bound.report, seconds=0.0))
             else:
-                # Same shape, other angles: every decision stands.
-                plan_source = "rebound"
-                stages, plan = cached.bound.template, cached.plan
-            # Compile (lower + fuse, or bind alone) once; every amplitude-
-            # touching path — the device executors and the CPU-offload
-            # path — consumes this one lowered plan.
-            cplan = compile_stages(
-                stages, layout,
-                CompileOptions(fusion=cfg.fuse_gates,
-                               max_fuse_qubits=cfg.max_fuse_qubits),
-                telemetry=tel, gates=circuit.gates, hoisted=hoisted,
-            )
-            # Each op's lowering into a group's frame is kept with the
-            # plan; a rebind carries over those of the ops it left alone.
-            programs = stage_programs(
-                cplan.stages, layout,
-                cached.programs if cached is not None else None)
-            # Compiled stages are immutable once built; sharing the same
-            # lowered plan across runs (and tenants) is safe.
-            self.plan_cache.store(
-                cache_key, CachedPlan(plan, values, cplan, programs))
+                hoisted, direction = None, "forward"
+                if cached is None:
+                    plan_source = "miss"
+                    choice = plan_circuit(
+                        circuit, layout, t_max, zero_start=zero_start,
+                        enable_permutation_stages=(
+                            cfg.enable_permutation_stages))
+                    stages, hoisted, direction = \
+                        choice.stages, choice.hoisted, choice.direction
+                    plan = describe_plan(stages, layout)
+                else:
+                    # Same shape, other angles: every decision stands.
+                    plan_source = "rebound"
+                    stages, plan = cached.bound.template, cached.plan
+                # Compile (lower + fuse, or bind alone) once; every
+                # amplitude-touching path — the device executors and the
+                # CPU-offload path — consumes this one lowered plan.
+                cplan = compile_stages(
+                    stages, layout,
+                    CompileOptions(fusion=cfg.fuse_gates,
+                                   max_fuse_qubits=cfg.max_fuse_qubits),
+                    telemetry=tel, gates=circuit.gates, hoisted=hoisted,
+                    direction=direction,
+                )
+                # Each op's lowering into a group's frame is kept with the
+                # plan; a rebind carries over those of the ops it left
+                # alone.
+                programs = stage_programs(
+                    cplan.stages, layout,
+                    cached.programs if cached is not None else None)
+                # Compiled stages are immutable once built; sharing the same
+                # lowered plan across runs (and tenants) is safe.
+                self.plan_cache.store(
+                    cache_key, CachedPlan(plan, values, cplan, programs))
         log.debug("compile (%s): %d gates -> %d ops (ratio %.2f, fusion=%s)",
                   plan_source, cplan.report.gates_in, cplan.report.ops_out,
                   cplan.report.fusion_ratio, cfg.fuse_gates)
@@ -504,6 +547,7 @@ class MemQSim:
             "plan_cache": plan_source,
             "swaps_hoisted": cplan.report.swaps_hoisted,
             "front_permutation": list(cplan.report.front_permutation),
+            "plan_direction": cplan.report.plan_direction,
         }
         return MemQSimResult(
             num_qubits=n,

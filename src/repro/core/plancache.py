@@ -19,17 +19,20 @@ entry is a :class:`CachedPlan`: the plan as last bound, with the parameter
 values it was bound to. A lookup with the same values is a **hit** (nothing
 to do), with other values a **rebind** (the plan's template is bound to the
 new values, no planning or lowering), and without an entry a **miss**.
-Entries are immutable and replaced whole, so concurrent jobs share them
-without copying. Counts surface as the ``serve.plan_cache.*`` counters on
-the cache's telemetry.
+A miss is single-flight: the caller that fills it holds the key
+(:meth:`PlanCache.claim`), and identical concurrent callers wait for the
+entry instead of planning it again. Entries are immutable and replaced
+whole, so concurrent jobs share them without copying. Counts surface as
+the ``serve.plan_cache.*`` counters on the cache's telemetry.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Dict, Hashable, Iterator, Optional, Tuple
 
 from ..telemetry import NULL_TELEMETRY
 
@@ -68,10 +71,32 @@ class PlanCache:
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
+        #: signalled whenever an entry is stored or a claim is let go
+        self._settled = threading.Condition(self._lock)
+        self._filling: set = set()  # keys a claim holder is planning
         self.hits = 0
         self.rebinds = 0
         self.misses = 0
         self.evictions = 0
+
+    def _find(self, key: Hashable, values: Optional[bytes]
+              ) -> Tuple[Optional[Any], str]:
+        """The entry for ``key`` and the outcome counted (lock held)."""
+        entry = self._entries.get(key)
+        if entry is None:
+            self.misses += 1
+            return None, "miss"
+        self._entries.move_to_end(key)
+        if values is None or entry.values == values:
+            self.hits += 1
+            return entry, "hit"
+        self.rebinds += 1
+        return entry, "rebind"
+
+    def _count(self, outcome: str) -> None:
+        if self.telemetry.enabled:
+            self.telemetry.metrics.counter(
+                f"serve.plan_cache.{outcome}").inc()
 
     def lookup(self, key: Hashable, values: Optional[bytes] = None
                ) -> Optional[Any]:
@@ -81,22 +106,35 @@ class PlanCache:
         was bound to other values — a rebind.
         """
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                outcome = "miss"
-                self.misses += 1
-            else:
-                self._entries.move_to_end(key)
-                if values is None or entry.values == values:
-                    outcome = "hit"
-                    self.hits += 1
-                else:
-                    outcome = "rebind"
-                    self.rebinds += 1
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter(
-                f"serve.plan_cache.{outcome}").inc()
+            entry, outcome = self._find(key, values)
+        self._count(outcome)
         return entry
+
+    @contextmanager
+    def claim(self, key: Hashable, values: Optional[bytes] = None
+              ) -> Iterator[Optional[Any]]:
+        """:meth:`lookup` for a caller that fills a miss itself.
+
+        On a miss the caller holds ``key`` until it leaves the block, and
+        is expected to :meth:`store` the entry before then. Another claim
+        of the same key meanwhile waits, then finds what was stored — or,
+        if the holder left without storing (it raised), claims the miss
+        itself. Hits and rebinds hold nothing.
+        """
+        with self._lock:
+            while key in self._filling and key not in self._entries:
+                self._settled.wait()
+            entry, outcome = self._find(key, values)
+            if entry is None:
+                self._filling.add(key)
+        self._count(outcome)
+        try:
+            yield entry
+        finally:
+            if entry is None:
+                with self._lock:
+                    self._filling.discard(key)
+                    self._settled.notify_all()
 
     def store(self, key: Hashable, entry: Any) -> None:
         """Insert (or replace) ``key``; evicts least-recently-used."""
@@ -108,6 +146,7 @@ class PlanCache:
                 self._entries.popitem(last=False)
                 self.evictions += 1
                 evicted += 1
+            self._settled.notify_all()
         if evicted and self.telemetry.enabled:
             self.telemetry.metrics.counter("serve.plan_cache.evict").inc(
                 evicted)

@@ -501,6 +501,11 @@ class MemQSimResult:
                     f"  hoisted: {cr.swaps_hoisted} swaps left the circuit as "
                     f"the front permutation {list(cr.front_permutation)}, "
                     f"which |0...0> absorbs")
+            if cr.plan_direction == "backward":
+                lines.append(
+                    "  planned backward: the plan ends at the identity qubit "
+                    "map with no restore sweeps, from a start map |0...0> "
+                    "absorbs")
         if self.precision != "c128":
             fid = self.precision_fidelity()
             overlap = fid["overlap"]

@@ -18,7 +18,10 @@ vector. The format is a single self-describing file:
 
 complex128 stores keep writing the historical ``MQS1`` frame byte for
 byte; non-c128 stores write ``MQS2`` with the itemsize byte, and the
-loader accepts both.
+loader accepts both. The frame must end with the last blob: a file cut
+short anywhere, or with bytes after it, raises :class:`StoreFormatError`.
+A checkpoint is written to a temporary file beside ``path`` and renamed
+over it, so ``path`` holds either the old checkpoint or the new one.
 
 Use :func:`save_store` / :func:`load_store`; the loader rebuilds the store
 around a compressor instance you provide (it must match the one that wrote
@@ -27,7 +30,9 @@ the blobs — the name is checked).
 
 from __future__ import annotations
 
+import os
 import struct
+import tempfile
 from pathlib import Path
 from typing import Optional, Union
 
@@ -78,10 +83,41 @@ def save_store(store: CompressedChunkStore, path: Union[str, Path]) -> int:
             parts.append(struct.pack("<Q", len(blob)))
             parts.append(blob)
     data = b"".join(parts)
-    path.write_bytes(data)
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp",
+                               dir=path.parent)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     log.info("saved %d-chunk store to %s (%d bytes)",
              store.layout.num_chunks, path, len(data))
     return len(data)
+
+
+class _Frame:
+    """Bounds-checked reads over a checkpoint's bytes: running off the end
+    is a truncated checkpoint, never a bare ``struct.error``."""
+
+    def __init__(self, data: bytes) -> None:
+        self.data, self.off = data, 0
+
+    def take(self, n: int) -> bytes:
+        end = self.off + n
+        if end > len(self.data):
+            raise StoreFormatError(
+                f"truncated checkpoint: {n} bytes wanted at offset "
+                f"{self.off}, {len(self.data) - self.off} left")
+        out = self.data[self.off:end]
+        self.off = end
+        return out
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
 def load_store(
@@ -90,44 +126,37 @@ def load_store(
     tracker: Optional[MemoryTracker] = None,
 ) -> CompressedChunkStore:
     """Rebuild a store from a checkpoint written by :func:`save_store`."""
-    data = Path(path).read_bytes()
+    frame = _Frame(Path(path).read_bytes())
     itemsize = 16
-    if data[:4] == _MAGIC:
-        off = 4
-    elif data[:4] == _MAGIC_V2:
-        (itemsize,) = struct.unpack_from("<B", data, 4)
+    magic = frame.take(4)
+    if magic == _MAGIC_V2:
+        (itemsize,) = frame.unpack("<B")
         if itemsize not in (8, 16):
             raise StoreFormatError(f"bad amplitude itemsize {itemsize}")
-        off = 5
-    else:
+    elif magic != _MAGIC:
         raise StoreFormatError("not a MEMQSim store checkpoint")
-    num_qubits, chunk_qubits = struct.unpack_from("<II", data, off)
-    off += 8
-    (name_len,) = struct.unpack_from("<I", data, off)
-    off += 4
-    name = data[off:off + name_len].decode("utf-8")
-    off += name_len
+    num_qubits, chunk_qubits, name_len = frame.unpack("<III")
+    try:
+        name = frame.take(name_len).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise StoreFormatError(f"bad compressor name: {exc}") from None
     if name != compressor.name:
         raise StoreFormatError(
             f"checkpoint was written with compressor {name!r}, "
             f"got {compressor.name!r}"
         )
-    (num_chunks,) = struct.unpack_from("<Q", data, off)
-    off += 8
+    (num_chunks,) = frame.unpack("<Q")
     layout = ChunkLayout(num_qubits, chunk_qubits, itemsize=itemsize)
     if layout.num_chunks != num_chunks:
         raise StoreFormatError("chunk count does not match layout")
     store = CompressedChunkStore(layout, compressor, tracker)
-    (zero_len,) = struct.unpack_from("<Q", data, off)
-    off += 8
+    (zero_len,) = frame.unpack("<Q")
     zero = None
     if zero_len:
-        zero = data[off:off + zero_len]
-        off += zero_len
+        zero = frame.take(zero_len)
         store._zero_blob = zero
     for k in range(num_chunks):
-        (blen,) = struct.unpack_from("<Q", data, off)
-        off += 8
+        (blen,) = frame.unpack("<Q")
         if blen == _UNINIT:
             continue
         if blen == _ZERO_REF:
@@ -135,10 +164,10 @@ def load_store(
                 raise StoreFormatError("zero-blob reference without zero blob")
             store._set_blob(k, zero, shared=True)
             continue
-        if off + blen > len(data):
-            raise StoreFormatError("truncated checkpoint")
-        store._set_blob(k, data[off:off + blen])
-        off += blen
+        store._set_blob(k, frame.take(blen))
+    if frame.off != len(frame.data):
+        raise StoreFormatError(
+            f"{len(frame.data) - frame.off} bytes after the last blob")
     log.info("loaded %d-chunk store from %s (%d bytes, codec=%s)",
-             num_chunks, path, len(data), name)
+             num_chunks, path, len(frame.data), name)
     return store

@@ -5,9 +5,10 @@ over *all* chunks, so the planner's job is to need few of them (paper:
 "MEMQSim partitions the input circuit and the corresponding state vector").
 It is a list scheduler over the gate dependency DAG that also decides
 *where each qubit lives*: a logical -> physical qubit map (``pos`` / ``occ``,
-the identity at both ends of the plan) says which qubits are chunk-local
-right now, gates enter the DAG on logical qubits and leave it remapped to
-physical positions, and every consumer downstream sees physical qubits only.
+the identity where the plan ends, and where it starts unless it was made
+backward) says which qubits are chunk-local right now, gates enter the DAG
+on logical qubits and leave it remapped to physical positions, and every
+consumer downstream sees physical qubits only.
 
 * **dependencies** — two gates are ordered only if they share a qubit and
   are not both diagonal. Everything else commutes, and the plan is free to
@@ -33,7 +34,8 @@ physical positions, and every consumer downstream sees physical qubits only.
   can widen for: it is *pinned*, its qubits are pulled local ``cap`` per
   stage and held there until it is scheduled.
 * **close** — the stage is emitted: its gates in circuit order on physical
-  qubits, then its relocation swaps (``Gate.label == RELOCATE``).
+  qubits, then its relocation swaps (``Gate.label == RELOCATE``; none
+  once nothing is left to run, unless the restore wants them).
 * **pure chunk permutations** (X on a qubit at a global position; SWAP
   between two of them) become :class:`PermutationStage`s executed on
   compressed blobs. They end the gate stage before them, so they are
@@ -45,12 +47,19 @@ physical positions, and every consumer downstream sees physical qubits only.
   already sends home what it can reach), local fix-ups appended to the
   last gate stage, one trailing relabeling for global <-> global order.
   Results, digests, checkpoints and queries never see a permuted state.
+* **backward** — for a start state every qubit permutation leaves alone
+  (|0...0>) the restore can be planned away: the list scheduler runs on
+  the *reversed* gate list with no restore, and the stage list is flipped
+  in time (:func:`_flipped`). That plan ends at the identity map by
+  construction and starts at whatever map the reversed run ended on; each
+  stage's relocations come *before* its gates. Which way is cheaper is
+  the caller's call (:func:`repro.core.plan_circuit`).
 
-The plan is a pure function of ``(circuit, layout, max_group_qubits)``:
-integer indices and lists throughout, no iteration over hashed containers
-of anything but ints. Cost is O(gates x qubits-per-gate) for the DAG plus,
-per stage, a scan of the ready gates (at most one per qubit) and one sort
-of the chunk-local qubits.
+The plan is a pure function of ``(circuit, layout, max_group_qubits,
+direction)``: integer indices and lists throughout, no iteration over
+hashed containers of anything but ints. Cost is O(gates x qubits-per-gate)
+for the DAG plus, per stage, a scan of the ready gates (at most one per
+qubit) and one sort of the chunk-local qubits.
 
 ``max_group_qubits`` is derived from the device: a group buffer of
 ``2^(chunk_qubits + t)`` amplitudes must fit in the arena (with one buffer
@@ -183,13 +192,15 @@ class _Planner:
     """One run of the list scheduler (see the module docstring)."""
 
     def __init__(self, circuit: Circuit, layout: ChunkLayout, cap: int,
-                 permutations: bool) -> None:
+                 permutations: bool, restore: bool = True) -> None:
         self.layout = layout
         self.c = layout.chunk_qubits
         self.n = layout.num_qubits
         self.cap = cap
         self.permutations = permutations
+        self.restore = restore
         self.graph = _GateGraph(circuit, self.n)
+        self.unscheduled = len(self.graph.gates)
         # The qubit map: logical qubit q sits at physical position pos[q],
         # position p holds logical qubit occ[p]. Positions >= c are global.
         self.pos = list(range(self.n))
@@ -262,6 +273,7 @@ class _Planner:
 
     def _scheduled(self, i: int) -> None:
         graph = self.graph
+        self.unscheduled -= 1
         if not graph.diagonal[i]:
             for q in graph.gates[i].qubits:
                 graph.uses[q].pop()
@@ -351,7 +363,9 @@ class _Planner:
         slots = sorted(self.members)
         gates = [self._physical(self.graph.gates[i]) for i in slots]
         group = self._group(self.footprint)
-        swaps = self._relocate(self.footprint)
+        # With nothing left to run, moving a qubit only serves the restore.
+        swaps = self._relocate(self.footprint) \
+            if self.restore or self.unscheduled else []
         self.stages.append(_swaps_added(GateStage(group, gates, slots), swaps))
         self.members.clear()
         self.footprint = 0
@@ -448,8 +462,32 @@ class _Planner:
                 self._permute(_permutation_of(g, self.layout), [g])
                 self._scheduled(i)
             self.perms.clear()
-        self._restore()
+        if self.restore:
+            self._restore()
         return self.stages
+
+
+def _flipped(stages: Sequence[object], num_gates: int) -> List[object]:
+    """The plan of the reversed circuit, run the other way in time.
+
+    A stage of it is its gates in reversed-circuit order, then its
+    relocations; reversed, that is the relocations undone (a swap is its
+    own inverse) and then the gates in circuit order, so one list reversal
+    per stage does it. Slots counted from the end count from the front
+    again, and a relabeling run backwards is its inverse.
+    """
+    out: List[object] = []
+    for s in reversed(stages):
+        if isinstance(s, PermutationStage):
+            inverse = [0] * len(s.perm)
+            for dst, src in enumerate(s.perm):
+                inverse[src] = dst
+            out.append(PermutationStage(tuple(inverse), s.gates[::-1]))
+        else:
+            out.append(GateStage(s.group_qubits, s.gates[::-1],
+                                 [num_gates - 1 - i if i >= 0 else -1
+                                  for i in reversed(s.slots)]))
+    return out
 
 
 def plan_stages(
@@ -457,35 +495,69 @@ def plan_stages(
     layout: ChunkLayout,
     max_group_qubits: int,
     enable_permutation_stages: bool = True,
+    backward: bool = False,
 ) -> List[object]:
-    """Partition ``circuit`` into execution stages (see module docstring)."""
+    """Partition ``circuit`` into execution stages (see module docstring).
+
+    ``backward`` plans the reversed gate list without a restore and flips
+    the result in time: the plan ends at the identity map by construction
+    and starts at whatever map the reversed run ended on — so it is only
+    for a start state every qubit permutation leaves alone, |0...0>.
+    """
     if max_group_qubits < 0:
         raise ValueError("max_group_qubits must be >= 0")
-    stages = _Planner(circuit, layout, max_group_qubits,
-                      enable_permutation_stages).run()
-    log.debug("planned %d gates into %d stages (t_max=%d)",
-              len(circuit), len(stages), max_group_qubits)
+    if backward:
+        stages = _flipped(_Planner(circuit[::-1], layout, max_group_qubits,
+                                   enable_permutation_stages,
+                                   restore=False).run(), len(circuit))
+    else:
+        stages = _Planner(circuit, layout, max_group_qubits,
+                          enable_permutation_stages).run()
+    log.debug("planned %d gates into %d stages (t_max=%d, %s)",
+              len(circuit), len(stages), max_group_qubits,
+              "backward" if backward else "forward")
     return stages
 
 
+Move = Tuple[int, int, int]
+
+
+def _moved(occ: List[int], gates: Sequence[Gate]) -> List[Move]:
+    """Apply ``gates``' relocations to ``occ``; ``(logical qubit, from,
+    to)`` for each qubit they move."""
+    moves: List[Move] = []
+    for g in gates:
+        if g.label == RELOCATE:
+            a, b = g.qubits
+            moves += [(occ[a], a, b), (occ[b], b, a)]
+            occ[a], occ[b] = occ[b], occ[a]
+    return moves
+
+
 def trace_qubit_map(stages: Sequence[object], num_qubits: int
-                    ) -> Iterator[Tuple[object, List[int], List[Tuple[int, int, int]]]]:
-    """Replay a plan's qubit map: ``(stage, occ, moves)`` per stage.
+                    ) -> Iterator[Tuple[object, List[int], List[Move],
+                                        List[Move]]]:
+    """Replay a plan's qubit map: ``(stage, occ, front, back)`` per stage.
 
     ``occ[p]`` is the logical qubit at physical position ``p`` while the
-    stage's own gates run; ``moves`` lists ``(logical qubit, from, to)`` for
-    the relocation swaps that follow them. After the last stage the map is
-    the identity again.
+    stage's own gates run; ``front`` and ``back`` list ``(logical qubit,
+    from, to)`` for the relocation swaps before and after them (a stage of
+    relocations alone has only ``back``). Every plan ends at the identity
+    map, so the start map is what undoing all its moves from there gives:
+    the identity again for a forward plan, any map for a backward one.
     """
     occ = list(range(num_qubits))
+    for g in reversed([g for s in stages for g in s.gates]):
+        if g.label == RELOCATE:
+            a, b = g.qubits
+            occ[a], occ[b] = occ[b], occ[a]
     for stage in stages:
-        before, moves = list(occ), []
-        for g in stage.gates:
-            if g.label == RELOCATE:
-                a, b = g.qubits
-                moves += [(occ[a], a, b), (occ[b], b, a)]
-                occ[a], occ[b] = occ[b], occ[a]
-        yield stage, before, moves
+        gates = stage.gates
+        first = next((i for i, g in enumerate(gates) if g.label != RELOCATE),
+                     0)
+        front = _moved(occ, gates[:first])
+        during = list(occ)
+        yield stage, during, front, _moved(occ, gates[first:])
 
 
 @dataclass

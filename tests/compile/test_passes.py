@@ -191,6 +191,11 @@ class TestCompileGates:
         assert [op.name for op in ops] == ["fused", "ry", "swap", "swap"]
         assert stats["ops_out"] == 4
         assert_same_effect(c.gates, ops, 4)
+        # A backward-planned stage opens on them instead.
+        c = Circuit(4).swap(0, 1).swap(2, 3).h(0).swap(0, 1).cx(1, 2).ry(0.3, 3)
+        ops, _stats = compile_gates(c.gates, FUSION)
+        assert [op.name for op in ops] == ["swap", "swap", "fused", "ry"]
+        assert_same_effect(c.gates, ops, 4)
 
     @pytest.mark.parametrize("workload", ["qft", "grover", "qaoa", "ghz"])
     def test_workload_semantics_preserved(self, workload):

@@ -300,16 +300,21 @@ class TestTieLattice:
             circuit.ry(float(angle), qubit)
         circuit = circuit.compose(supremacy_brickwork(n, depth=6))
         tel = Telemetry()
-        MemQSim(chunk_qubits=8, compressor="szlike",
-                compressor_options={"error_bound": self.EB},
-                device=DeviceSpec(memory_bytes=16 * 1024),
-                telemetry=tel).run(circuit)
+        res = MemQSim(chunk_qubits=8, compressor="szlike",
+                      compressor_options={"error_bound": self.EB},
+                      device=DeviceSpec(memory_bytes=16 * 1024),
+                      telemetry=tel).run(circuit)
         counters = tel.metrics.snapshot()["counters"]
         assert counters.get("codec.entropy_choice.raw", 0) == 0
         # the dense state is bit-packed; only the first, still structured
         # chunks take the legacy stages
-        assert counters["codec.entropy_choice.fixed"] > \
-            counters["codec.entropy_choice.zlib"] > 0
+        store = res.store
+        assert [blob_entropy(store.get_blob(k))
+                for k in range(store.layout.num_chunks)] == \
+            ["fixed"] * store.layout.num_chunks
+        assert counters["codec.entropy_choice.fixed"] >= \
+            store.layout.num_chunks
+        assert counters["codec.entropy_choice.zlib"] > 0
 
     def test_bound_too_tight_for_doubles_still_escapes(self):
         rng = np.random.default_rng(11)

@@ -84,10 +84,40 @@ class TestCommands:
         assert main(["plan", "ghz", "-n", "10", "--chunk-qubits", "6",
                      "--max-group", "1"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        # Logical qubit 5 leaves for global position 6, 6 comes local ...
-        assert lines[1].endswith("relocate: q5→g6 q6→l5")
+        # A tie in chunk loads keeps the forward plan ...
+        assert lines[1] == ("  plan: forward, written; chunk loads from "
+                            "|0...0>: forward written 46 *, backward written 46")
+        # ... where logical qubit 5 leaves for global position 6, 6 comes
+        # local ...
+        assert lines[2].endswith("relocate: q5→g6 q6→l5")
         # ... and the plan ends by bringing everybody home.
         assert "restore:" in lines[-1] and "PermutationStage" in lines[-1]
+
+    def test_plan_labels_a_backward_plans_moves_front(self, capsys):
+        assert main(["plan", "supremacy", "-n", "14", "--chunk-qubits", "10",
+                     "--max-group", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == ("  plan: backward, written; chunk loads from "
+                            "|0...0>: forward written 78, backward written 30 *")
+        # Qubits move at the front of a stage and nothing is restored.
+        assert any("front: " in line for line in lines)
+        assert not any("restore:" in line for line in lines)
+        assert sum("GateStage" in line for line in lines) == 4
+
+    def test_audit_reconciles_a_backward_plan(self, capsys):
+        import json
+
+        # A 16 KiB device holds groups of one global qubit beside the chunk.
+        assert main(["plan", "supremacy", "-n", "12", "--chunk-qubits", "8",
+                     "--max-group", "1"]) == 0
+        assert "plan: backward" in capsys.readouterr().out
+        rc = main(["audit", "supremacy", "-n", "12", "--chunk-qubits", "8",
+                   "--device-mb", "0.016", "--compressor", "zlib", "--json"])
+        out = capsys.readouterr().out
+        doc = json.loads(out[out.index("{"):])
+        assert rc == 0 and doc["ok"]
+        assert doc["passes_predicted"] == 17
+        assert doc["schedule_predicted"] == doc["schedule_measured"]
 
     def test_plan_shows_live_groups(self, capsys):
         assert main(["plan", "qft", "-n", "10", "--chunk-qubits", "5",
@@ -98,8 +128,9 @@ class TestCommands:
         # 16 groups; support doubles per stage.
         assert lines[0].endswith("80 group passes: 31 run from |0...0>, "
                                  "49 all-zero groups skipped")
-        assert "5 of the circuit's 60 gates are swaps" in lines[1]
-        assert "front permutation [9, 8, 7, 6, 5, 4, 3, 2, 1, 0]" in lines[1]
+        assert lines[1].startswith("  plan: forward, hoisted;")
+        assert "5 of the circuit's 60 gates are swaps" in lines[2]
+        assert "front permutation [9, 8, 7, 6, 5, 4, 3, 2, 1, 0]" in lines[2]
         stages = [line for line in lines if "GateStage" in line]
         assert len(stages) == 5
         assert [line.split("live ")[1].split(" groups")[0]

@@ -10,6 +10,8 @@ from repro.core import MemQSim, MemQSimConfig
 from repro.device import DeviceSpec
 from repro.statevector import DenseSimulator, StateVector
 
+from ..pipeline.test_planner import tilted_brickwork
+
 
 class TestBasics:
     def test_default_config_runs(self):
@@ -335,6 +337,46 @@ class TestFusionFollowsTheCodec:
         with pytest.raises(ValueError, match="fuse_gates"):
             cfg.plan_key()
         assert not cfg.with_updates(fuse_gates=True).needs_auto_resolution()
+
+
+class TestPlanFromTheEnd:
+    """A zero-start run may plan its circuit backwards; what it returns
+    never shows it."""
+
+    # 16 KiB: groups of one global qubit beside an 8-qubit chunk
+    CFG = dict(chunk_qubits=8, device=DeviceSpec(memory_bytes=16 << 10),
+               compressor="zlib")
+
+    @pytest.mark.parametrize("fusion", [False, True])
+    def test_a_rebound_backward_plan_equals_a_fresh_one(self, fusion):
+        sim = MemQSim(fuse_gates=fusion, **self.CFG)
+        first = sim.run(tilted_brickwork(12, 0))
+        assert first.compile_report.plan_direction == "backward"
+        circuit = tilted_brickwork(12, 1)
+        rebound = sim.run(circuit)
+        fresh = MemQSim(fuse_gates=fusion, **self.CFG).run(circuit)
+        assert [first.config_echo["plan_cache"],
+                rebound.config_echo["plan_cache"],
+                fresh.config_echo["plan_cache"]] == ["miss", "rebound", "miss"]
+        assert rebound.compile_report.plan_direction == "backward"
+        assert rebound.state_digest() == fresh.state_digest()
+        assert np.allclose(rebound.statevector(),
+                           DenseSimulator().run(circuit).data, atol=1e-12)
+
+    def test_the_result_says_which_way_it_was_planned(self):
+        circuit = tilted_brickwork(12, 0)
+        res = MemQSim(**self.CFG).run(circuit)
+        assert res.to_dict()["compile"]["plan_direction"] == "backward"
+        assert res.config_echo["plan_direction"] == "backward"
+        assert "planned backward" in res.report()
+        # Any other start keeps the forward plan, same state.
+        given = MemQSim(**self.CFG).run(circuit,
+                                        initial_state=StateVector(12))
+        assert given.compile_report.plan_direction == "forward"
+        assert "planned backward" not in given.report()
+        assert given.plan.group_passes > res.plan.group_passes
+        assert np.allclose(given.statevector(), res.statevector(),
+                           atol=1e-12)
 
 
 class TestDiskStore:

@@ -106,6 +106,74 @@ class TestValidation:
             load_store(p, get_compressor("zlib"))
 
 
+def checkpoint_of(tmp_path, precision):
+    """A qft(8) zlib checkpoint: header, shared zero blob, live blobs."""
+    from repro.circuits import qft
+    from repro.core import MemQSim
+
+    p = tmp_path / f"qft8-{precision}.mqs"
+    MemQSim(chunk_qubits=4, compressor="zlib",
+            precision=precision).run(qft(8)).save_state(p)
+    return p, p.read_bytes()
+
+
+@pytest.mark.parametrize("precision", ["c128", "c64"])
+class TestEveryFrameOffset:
+    """Every way to cut a checkpoint short is a typed error (``MQS1`` for
+    c128, ``MQS2`` for c64), and so is anything after its last blob."""
+
+    def test_truncation(self, tmp_path, precision):
+        p, data = checkpoint_of(tmp_path, precision)
+        assert data[:4] == (b"MQS1" if precision == "c128" else b"MQS2")
+        want = load_store(p, get_compressor("zlib")).to_statevector()
+        for cut in range(len(data)):
+            p.write_bytes(data[:cut])
+            with pytest.raises(StoreFormatError):
+                load_store(p, get_compressor("zlib"))
+        p.write_bytes(data)
+        assert np.array_equal(
+            load_store(p, get_compressor("zlib")).to_statevector(), want)
+
+    @pytest.mark.parametrize("tail", [b"\0", b"junk", b"\0" * 8])
+    def test_trailing_bytes_rejected(self, tmp_path, precision, tail):
+        p, data = checkpoint_of(tmp_path, precision)
+        p.write_bytes(data + tail)
+        with pytest.raises(StoreFormatError, match="after the last blob"):
+            load_store(p, get_compressor("zlib"))
+
+
+class TestAtomicSave:
+    def test_a_failed_write_keeps_the_old_checkpoint(self, tmp_path,
+                                                     monkeypatch):
+        import os
+
+        old = make_store()
+        old.init_zero_state()
+        p = tmp_path / "s.mqs"
+        save_store(old, p)
+        before = p.read_bytes()
+
+        def full_disk(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", full_disk)
+        new = make_store()
+        new.init_from_statevector(np.full(64, 0.125, dtype=np.complex128))
+        with pytest.raises(OSError, match="No space"):
+            save_store(new, p)
+        assert p.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["s.mqs"]
+
+    def test_overwrite_replaces_the_file(self, tmp_path):
+        p = tmp_path / "s.mqs"
+        p.write_bytes(b"stale")
+        store = make_store()
+        store.init_zero_state()
+        assert save_store(store, p) == p.stat().st_size
+        assert [f.name for f in tmp_path.iterdir()] == ["s.mqs"]
+        load_store(p, get_compressor("zlib"))
+
+
 class TestSimulatorIntegration:
     def test_checkpoint_resume_equals_single_run(self, tmp_path, dense):
         from repro.circuits import random_circuit

@@ -33,7 +33,7 @@ from repro.circuits import (
 )
 from repro.circuits.gates import gate_is_diagonal
 from repro.compile import hoist_permutations
-from repro.core import plan_circuit
+from repro.core import chunk_loads_from_zero, plan_circuit
 from repro.device import DeviceSpec
 from repro.memory import ChunkLayout
 from repro.pipeline import (
@@ -310,17 +310,28 @@ class TestGrouping:
             [(type(s), s.gates) for s in again]
 
 
-def check_plan(circuit, layout, cap, stages):
-    """What every plan owes its circuit, stated through the qubit map."""
+def check_plan(circuit, layout, cap, stages, backward=False):
+    """What every plan owes its circuit, stated through the qubit map.
+
+    A forward plan starts at the identity map and moves qubits only after
+    a stage's gates; a backward one may start at any map (the map is
+    derived from its end) and moves them before. Both end at the identity,
+    which the state check at the end sees: the plan runs from |0...0> and
+    a permuted result would differ from the dense one.
+    """
     # Pulled back through the map in force at its stage, every gate that is
     # not a relocation is a gate of the circuit.
-    flat, occ = [], list(range(layout.num_qubits))
-    for stage, occ, moves in trace_qubit_map(stages, layout.num_qubits):
+    flat, home = [], list(range(layout.num_qubits))
+    occ = home
+    for i, (stage, occ, front, back) in enumerate(
+            trace_qubit_map(stages, layout.num_qubits)):
+        if not backward:
+            assert not front and (i or occ == home)
         flat += [g.remapped({p: occ[p] for p in g.qubits})
                  for g in stage.gates if g.label != RELOCATE]
-        for qubit, _source, target in moves:
+        for qubit, _source, target in back:
             occ[target] = qubit
-    assert occ == list(range(layout.num_qubits))  # everybody is home again
+    assert occ == home  # everybody is home again
     gates = list(circuit)
 
     # A permutation of the circuit's gate list: the k-th copy of a gate in
@@ -564,38 +575,77 @@ def all_registry_cases():
             yield workload, n, c, cap
 
 
+def candidates(circuit, layout, cap):
+    """Every plan a zero-start run chooses from, in tie order."""
+    hoisted = hoist_permutations(circuit)
+    sources = [hoisted.circuit] if hoisted.swaps else []
+    return [plan_stages(source, layout, cap, backward=backward)
+            for backward in (False, True) for source in sources + [circuit]]
+
+
+def todays_choice(circuit, layout, cap):
+    """The choice before backward plans: forward, hoisted unless the plan
+    as written ran fewer group passes."""
+    hoisted = hoist_permutations(circuit)
+    written = plan_stages(circuit, layout, cap)
+    if not hoisted.swaps:
+        return written
+    stages = plan_stages(hoisted.circuit, layout, cap)
+    if passes_from_zero(written, layout) < passes_from_zero(stages, layout):
+        return written
+    return stages
+
+
+def check_choice(circuit, layout, cap):
+    """The run takes the first of the fewest chunk loads, never more than
+    the choice before backward plans."""
+    choice = plan_circuit(circuit, layout, cap, zero_start=True)
+    plans = candidates(circuit, layout, cap)
+    loads = [chunk_loads_from_zero(stages, layout) for stages in plans]
+    assert [n for _name, n in choice.candidates] == loads
+    assert [s.gates for s in choice.stages] == \
+        [s.gates for s in plans[loads.index(min(loads))]]
+    assert chunk_loads_from_zero(choice.stages, layout) \
+        <= chunk_loads_from_zero(todays_choice(circuit, layout, cap), layout)
+    return choice
+
+
 class TestHoistedSwaps:
     @pytest.mark.parametrize("workload,n,c,cap", list(all_registry_cases()))
     def test_registry_hoisted_never_runs_more_passes(self, workload, n, c,
                                                      cap):
         circuit, layout = get_workload(workload, n), ChunkLayout(n, c)
+        # ... and the run takes the cheapest of every plan it may run
+        choice = check_choice(circuit, layout, cap)
         hoisted = hoist_permutations(circuit)
         if not hoisted.swaps:
             assert hoisted.circuit is circuit  # the very same plan
+            assert choice.hoisted is None
             return
         written = plan_stages(circuit, layout, cap)
         stages = plan_stages(hoisted.circuit, layout, cap)
-        assert passes_from_zero(stages, layout) \
-            <= passes_from_zero(written, layout)
+        assert chunk_loads_from_zero(stages, layout) \
+            <= chunk_loads_from_zero(written, layout)
         assert describe_plan(stages, layout).group_passes \
             <= describe_plan(written, layout).group_passes
         assert gate_stages(stages) <= gate_stages(written)
-        # ... and the run takes that plan
-        chosen, taken = plan_circuit(circuit, layout, cap, zero_start=True)
-        assert taken is not None and taken.swaps == hoisted.swaps
-        assert [s.gates for s in chosen] == [s.gates for s in stages]
+        assert choice.hoisted is not None \
+            and choice.hoisted.swaps == hoisted.swaps
 
     @pytest.mark.parametrize("c,device_bytes", SPARSE_START_LAYOUTS)
     @pytest.mark.parametrize("workload", sorted(HOISTED_START_PASSES))
     def test_registry_hoisted_passes_pinned(self, workload, c, device_bytes):
         circuit, layout = get_workload(workload, 14), ChunkLayout(14, c)
         cap = max_group_qubits_for(layout, DeviceSpec(memory_bytes=device_bytes))
-        stages, _hoisted = plan_circuit(circuit, layout, cap, zero_start=True)
+        stages = plan_stages(hoist_permutations(circuit).circuit, layout, cap)
         pinned, pinned_written = HOISTED_START_PASSES[workload][
             SPARSE_START_LAYOUTS.index((c, device_bytes))]
         assert passes_from_zero(stages, layout) <= pinned < pinned_written
         assert passes_from_zero(plan_stages(circuit, layout, cap), layout) \
             == pinned_written
+        choice = plan_circuit(circuit, layout, cap, zero_start=True)
+        assert chunk_loads_from_zero(choice.stages, layout) \
+            <= chunk_loads_from_zero(stages, layout)
 
     def test_qft_at_the_benchmark_layout(self):
         # sparse_lossless: 11 gate stages and 223 passes as written, 5 of
@@ -605,17 +655,23 @@ class TestHoistedSwaps:
         written = plan_stages(circuit, layout, cap)
         assert sum(all(g.name == "swap" for g in s.gates)
                    for s in written) == 5
-        stages, hoisted = plan_circuit(circuit, layout, cap, zero_start=True)
+        choice = plan_circuit(circuit, layout, cap, zero_start=True)
+        stages, hoisted = choice.stages, choice.hoisted
         assert hoisted.swaps == 8
         assert hoisted.permutation == tuple(range(15, -1, -1))
         assert gate_stages(stages) == len(stages) <= 6
         assert passes_from_zero(stages, layout) <= 63
         assert not any(g.name == "swap" for s in stages for g in s.gates)
+        # The backward plan ties in chunk loads; the tie keeps the plan the
+        # benchmark has always run.
+        assert choice.direction == "forward"
+        assert [s.gates for s in stages] == [s.gates for s in plan_stages(
+            hoisted.circuit, layout, cap)]
 
     @pytest.mark.parametrize("name", sorted(E2E_CASES))
     def test_no_benchmark_plan_keeps_a_circuit_swap_only_stage(self, name):
         circuit, layout, cap = E2E_CASES[name]()
-        stages, _hoisted = plan_circuit(circuit, layout, cap, zero_start=True)
+        stages = check_choice(circuit, layout, cap).stages
         assert not any(s.gates and all(g.name == "swap" and not g.label
                                        for g in s.gates) for s in stages)
 
@@ -623,22 +679,89 @@ class TestHoistedSwaps:
     @pytest.mark.parametrize("n,c,cap", REGISTRY_LAYOUTS)
     def test_the_run_never_takes_the_worse_of_the_two_plans(self, n, c, cap,
                                                             seed):
-        # The planner is greedy and relabeling changes who is global: on
-        # some random circuits the hoisted plan alone would stream more.
+        # The planner is greedy: relabeling changes who is global, and a
+        # backward plan may stream wider groups, so on some random circuits
+        # each candidate alone would stream more than another.
         circuit, layout = random_circuit(n, 200, seed=seed), ChunkLayout(n, c)
-        written = passes_from_zero(plan_stages(circuit, layout, cap), layout)
-        hoisted = passes_from_zero(plan_stages(
-            hoist_permutations(circuit).circuit, layout, cap), layout)
-        stages, taken = plan_circuit(circuit, layout, cap, zero_start=True)
-        assert passes_from_zero(stages, layout) == min(written, hoisted)
-        assert (taken is None) == (written < hoisted)
+        choice = check_choice(circuit, layout, cap)
+        assert [name for name, _n in choice.candidates] == [
+            ("hoisted", "forward"), ("written", "forward"),
+            ("hoisted", "backward"), ("written", "backward")]
 
     def test_a_given_start_plans_the_circuit_as_written(self):
-        circuit, layout, cap = E2E_CASES["sparse_lossless"]()
-        stages, hoisted = plan_circuit(circuit, layout, cap, zero_start=False)
-        assert hoisted is None
-        assert [s.gates for s in stages] == \
-            [s.gates for s in plan_stages(circuit, layout, cap)]
+        # Neither hoisted (sparse_lossless would be) nor backward
+        # (dense_lossy would be).
+        for name in ("sparse_lossless", "dense_lossy"):
+            circuit, layout, cap = E2E_CASES[name]()
+            choice = plan_circuit(circuit, layout, cap, zero_start=False)
+            assert choice.hoisted is None and choice.direction == "forward"
+            assert choice.candidates == ()
+            assert [s.gates for s in choice.stages] == \
+                [s.gates for s in plan_stages(circuit, layout, cap)]
+
+
+class TestPlanFromTheEnd:
+    @given(case=planning_cases(qubits=st.integers(6, 9),
+                               chunks=st.sampled_from([3, 4]),
+                               caps=st.sampled_from([1, 2])),
+           permutations=st.booleans())
+    @example(case=(random_circuit(8, 50, seed=61), 3, 1), permutations=True)
+    @settings(max_examples=60, deadline=None)
+    def test_a_backward_plan_runs_from_zero_and_ends_at_home(self, case,
+                                                             permutations):
+        circuit, chunk_qubits, cap = case
+        layout = ChunkLayout(circuit.num_qubits, chunk_qubits)
+        stages = plan_stages(circuit, layout, cap, permutations,
+                             backward=True)
+        check_plan(circuit, layout, cap, stages, backward=True)
+        # Qubits move before a stage's gates, never after them: nothing is
+        # left to bring home. Nor before the first: |0...0> absorbs any map.
+        trace = list(trace_qubit_map(stages, layout.num_qubits))
+        assert not trace or not trace[0][2]
+        for stage, _occ, _front, back in trace:
+            assert not back or all(g.label == RELOCATE for g in stage.gates)
+        again = plan_stages(circuit, layout, cap, permutations, backward=True)
+        assert [(type(s), s.gates) for s in stages] == \
+            [(type(s), s.gates) for s in again]
+
+    def test_slots_index_the_circuit_as_written(self, lay):
+        c = Circuit(8).h(7).rz(0.1, 7).h(6).cx(7, 6).rx(0.2, 5)
+        for s in plan_stages(c, lay, 1, backward=True):
+            for g, slot in zip(s.gates, s.slots):
+                assert (slot < 0) == (g.label == RELOCATE)
+                if slot >= 0:
+                    assert gate_key(c[slot].remapped(
+                        dict(zip(c[slot].qubits, g.qubits)))) == gate_key(g)
+
+    def test_a_relabeling_run_backwards_is_its_inverse(self, lay):
+        # x(7) then swap(6, 7): planned from the end, the merged relabeling
+        # is composed the other way round and inverted — the same chunks.
+        c = Circuit(8).x(7).swap(6, 7)
+        backward = plan_stages(c, lay, 2, backward=True)
+        assert [type(s) for s in backward] == [PermutationStage]
+        assert backward[0].perm == plan_stages(c, lay, 2)[0].perm
+        assert [g.name for g in backward[0].gates] == ["x", "swap"]
+
+    def test_dense_lossy_ends_at_home_without_restore_sweeps(self):
+        # Forward, 3 of the 7 gate stages only bring qubits home; from the
+        # end there is nothing to bring home.
+        circuit, layout, cap = E2E_CASES["dense_lossy"]()
+        forward = plan_stages(circuit, layout, cap)
+        assert gate_stages(forward) == 7
+        assert sum(isinstance(s, GateStage)
+                   and all(g.label == RELOCATE for g in s.gates)
+                   for s in forward) == 3
+        choice = plan_circuit(circuit, layout, cap, zero_start=True)
+        assert (choice.direction, choice.hoisted) == ("backward", None)
+        stages = choice.stages
+        assert gate_stages(stages) == len(stages) <= 5
+        assert passes_from_zero(stages, layout) <= 15
+        assert chunk_loads_from_zero(stages, layout) <= 30 \
+            < chunk_loads_from_zero(forward, layout) == 78
+        # It starts at a map of its own, which |0...0> absorbs.
+        trace = list(trace_qubit_map(stages, layout.num_qubits))
+        assert trace[0][1] != list(range(layout.num_qubits))
+        assert any(front for _s, _occ, front, _back in trace)
 
 
 class TestNeverWorseThanInOrder:

@@ -5,13 +5,14 @@ from __future__ import annotations
 import os
 import threading
 import time
+from collections import Counter
 
 import pytest
 
 from repro.circuits import qft
 from repro.core import MemQSim, MemQSimConfig
 from repro.device import DeviceSpec
-from repro.pipeline import CancelToken, JobCancelled
+from repro.pipeline import CancelToken, JobCancelled, predict_pass_schedule
 from repro.serve import ServeManager
 from repro.telemetry import Telemetry
 
@@ -35,6 +36,24 @@ class FireAtNthCheck(CancelToken):
         if self.checks == self.n:
             self.cancel("mid-run")
         super().raise_if_cancelled()
+
+
+def between_passes(result):
+    """Checkpoints at which a cancel lands between two group passes of one
+    stage, read off the plan ``result`` ran from |0...0> (the scheduler
+    polls once per stage, then once per group pass). Which plan a circuit
+    gets is the planner's choice, so a test derives its N from here."""
+    passes = Counter(si for kind, si, *_ in predict_pass_schedule(
+        result.compiled_stages, result.store.layout, support={0})
+        if kind == "pass")
+    checks, out = 0, []
+    for si in range(len(result.compiled_stages)):
+        checks += 1  # the stage's own poll
+        for k in range(passes[si]):
+            checks += 1
+            if k:
+                out.append(checks)
+    return out
 
 
 class TestCancelToken:
@@ -68,11 +87,12 @@ class TestCancelToken:
     def test_mid_run_cancel_stops_at_pass_boundary(self):
         """A token firing at the Nth boundary checkpoint stops the run
         right there — deterministic stand-in for an async cancel."""
-        token = FireAtNthCheck(3)
+        n = between_passes(MemQSim(small_base()).run(qft(11)))[0]
+        token = FireAtNthCheck(n)
         sim = MemQSim(small_base(), cancel=token)
         with pytest.raises(JobCancelled, match="mid-run"):
             sim.run(qft(11))
-        assert token.checks == 3  # nothing polled past the firing pass
+        assert token.checks == n  # nothing polled past the firing pass
 
     def test_mid_stage_cancel_under_a_shared_codec_pool(self):
         """Cancelled between two passes of a stage with compress jobs in
@@ -85,14 +105,22 @@ class TestCancelToken:
         from repro.parallel import CodecWorkerPool
 
         cfg = small_base(compressor="zlib")
-        store = CompressedChunkStore(ChunkLayout(11, 5),
-                                     cfg.make_compressor())
-        store.init_zero_state()
+
+        def zero_store():
+            store = CompressedChunkStore(ChunkLayout(11, 5),
+                                         cfg.make_compressor())
+            store.init_zero_state()
+            return store
+
+        # A given store plans the circuit as written; cancel between two
+        # passes of its second stage.
+        n = between_passes(MemQSim(cfg).run(qft(11),
+                                            initial_store=zero_store()))[1]
+        store = zero_store()
         tel = Telemetry()
         with CodecWorkerPool(cfg.make_compressor(), workers=2,
                              telemetry=tel) as pool:
-            # check 1 is run()'s per-stage poll; 2.. are group passes
-            sim = MemQSim(cfg, cancel=FireAtNthCheck(6), codec_pool=pool)
+            sim = MemQSim(cfg, cancel=FireAtNthCheck(n), codec_pool=pool)
             with pytest.raises(JobCancelled, match="mid-run"):
                 sim.run(qft(11), initial_store=store)
             written = len(tel.tracer.find("worker.compress"))
@@ -117,23 +145,28 @@ class TestCancelToken:
         but only once the cancel fired: the run raises JobCancelled (what
         ServeManager books as cancelled), not the codec's error, and the
         lane is still settled and detached."""
-        from repro.compression.lossless import ZlibCompressor
         from repro.parallel import CodecWorkerPool
 
-        token = FireAtNthCheck(6)
+        cfg = small_base(compressor="zlib")
+        token = FireAtNthCheck(between_passes(MemQSim(cfg).run(qft(11)))[0])
         raised = []
 
-        class FailsOnceCancelled(ZlibCompressor):
-            def compress(self, data):
-                if (threading.current_thread() is not threading.main_thread()
-                        and token.checks >= 5):
-                    token._event.wait(10)
-                    raised.append(token.cancelled)
-                    raise RuntimeError("codec failed on a lane")
-                return super().compress(data)
+        def fails_once_cancelled(data):
+            token._event.wait(10)
+            raised.append(token.cancelled)
+            raise RuntimeError("codec failed on a lane")
 
-        cfg = small_base(compressor="zlib")
-        with CodecWorkerPool(FailsOnceCancelled(), workers=2) as pool:
+        class FailingLane(CodecWorkerPool):
+            # Which pass a write comes from is known when it is submitted,
+            # not when a lane gets to it: an earlier pass's write may run
+            # late, and a later read waits for it.
+            def submit_compress(self, key, data):
+                if token.checks < token.n - 1:
+                    return super().submit_compress(key, data)
+                return self._submit("compress", key, fails_once_cancelled,
+                                    data.copy())
+
+        with FailingLane(cfg.make_compressor(), workers=2) as pool:
             sim = MemQSim(cfg, cancel=token, codec_pool=pool)
             with pytest.raises(JobCancelled, match="mid-run"):
                 sim.run(qft(11))

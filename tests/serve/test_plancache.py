@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 import repro.core
 from repro.circuits import ghz, qft, vqe_ansatz, w_state
@@ -41,6 +42,115 @@ class TestPlanCacheUnit:
 
     def test_serve_re_exports_the_core_class(self):
         assert PlanCache is repro.core.PlanCache
+
+
+class TestSingleFlight:
+    """A miss is planned once however many identical runs ask for it."""
+
+    def test_two_identical_runs_plan_once(self, monkeypatch):
+        import threading
+
+        import repro.core.memqsim as facade
+
+        calls, again = [], threading.Event()
+        plan_circuit = facade.plan_circuit
+
+        def counted(*args, **kwargs):
+            calls.append(threading.current_thread().name)
+            if len(calls) == 1:
+                # Hold the miss open; a second plan_circuit call would end
+                # the wait at once.
+                again.wait(0.5)
+            else:
+                again.set()
+            return plan_circuit(*args, **kwargs)
+
+        monkeypatch.setattr(facade, "plan_circuit", counted)
+        cache = PlanCache()
+        cfg = MemQSimConfig(chunk_qubits=4, compressor="zlib")
+        results = {}
+
+        def run(name):
+            results[name] = MemQSim(cfg, plan_cache=cache).run(qft(8))
+
+        threads = [threading.Thread(target=run, args=(name,), name=name)
+                   for name in "ab"]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+            assert not t.is_alive()
+        assert len(calls) == 1
+        assert sorted(r.config_echo["plan_cache"]
+                      for r in results.values()) == ["hit", "miss"]
+        assert (cache.stats()["misses"], cache.stats()["hits"]) == (1, 1)
+        assert results["a"].state_digest() == results["b"].state_digest()
+
+    def test_a_holder_that_raises_hands_the_miss_on(self):
+        import threading
+        import time
+
+        cache = PlanCache()
+        seen = []
+
+        def waiter():
+            with cache.claim("k") as entry:
+                seen.append(entry)
+                cache.store("k", "planned by the waiter")
+
+        with pytest.raises(RuntimeError):
+            with cache.claim("k") as entry:
+                assert entry is None
+                other = threading.Thread(target=waiter)
+                other.start()
+                time.sleep(0.2)  # the waiter blocks on the held key
+                assert not seen
+                raise RuntimeError("planning failed")
+        other.join(10)
+        assert not other.is_alive()
+        assert seen == [None]
+        assert cache.lookup("k") == "planned by the waiter"
+        assert cache.stats()["misses"] == 2
+
+    def test_many_threads_many_keys_one_fill_each(self):
+        import sys
+        import threading
+
+        cache, fills = PlanCache(), []
+        keys = ["a", "b", "c"]
+
+        def worker(i):
+            for k in keys[i % 3:] + keys[:i % 3]:
+                with cache.claim(k) as entry:
+                    if entry is None:
+                        fills.append(k)
+                        cache.store(k, k.upper())
+                    else:
+                        assert entry == k.upper()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(fills) == keys
+        assert (cache.stats()["misses"], cache.stats()["hits"]) == (3, 21)
+
+    def test_lookup_never_holds_a_key(self):
+        cache = PlanCache()
+        assert cache.lookup("k") is None
+        with cache.claim("k") as entry:  # would wait forever if it did
+            assert entry is None
+            cache.store("k", 1)
+        with cache.claim("k") as entry:
+            assert entry == 1
 
 
 class TestMemQSimIntegration:

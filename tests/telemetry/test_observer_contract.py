@@ -23,6 +23,11 @@ names the code no longer has, never by re-pinning a value. So far that
 happened once — when the codec lane became threads, the counters
 ``parallel.fallback`` and ``parallel.jobs.inline`` (0 in every shape)
 went with the process pool.
+
+The file pins how a run reaches its sinks for a given plan, not which
+plan the planner picks. It predates backward plans, which a zero-start
+run may now choose (``permutation`` would: 62 chunk loads against 94), so
+every shape is observed under the forward plans it was pinned with.
 """
 
 import hashlib
@@ -30,11 +35,15 @@ import json
 import pathlib
 from collections import Counter
 
+from unittest import mock
+
 import pytest
 
+import repro.core.memqsim as facade
 from repro.circuits import Circuit, get_workload
 from repro.core import MemQSim, MemQSimConfig
 from repro.device import DeviceSpec
+from repro.pipeline import plan_stages
 from repro.telemetry import ChunkAccessRecorder, Telemetry
 
 PINNED = pathlib.Path(__file__).with_name("observer_contract.json")
@@ -78,11 +87,16 @@ SHAPES = {
 CLOCKED = {"lossy_cache_tier_w2": ("disk.", "tier.", "mem.gauge")}
 
 
+def forward(circuit, layout, cap, *args, backward=False, **kwargs):
+    return plan_stages(circuit, layout, cap, *args, **kwargs)
+
+
 def observe(shape):
     cfg, circuit = SHAPES[shape]
     tel = Telemetry()
     tel.access = ChunkAccessRecorder()
-    res = MemQSim(cfg, telemetry=tel).run(circuit)
+    with mock.patch.object(facade, "plan_stages", forward):
+        res = MemQSim(cfg, telemetry=tel).run(circuit)
     assert tel.bus.dropped == 0, "shape too large for the event ring"
     ledger = tel.traffic.to_dict()
     by_worker = ledger.pop("by_worker")  # keyed by codec lane
