@@ -50,8 +50,6 @@ def main(n: int = 12) -> None:
         ("zlib", {}),
         ("szlike", {"error_bound": 1e-4}),
         ("szlike", {"error_bound": 1e-6}),
-        ("adaptive", {"error_bound": 1e-6}),
-        ("cast", {}),
     ]:
         cfg = base.with_updates(compressor=codec, compressor_options=opts)
         result = MemQSim(cfg).run(circuit)

@@ -58,7 +58,8 @@ from typing import List, Optional
 
 from .analysis import Table, format_bytes, format_seconds
 from .circuits import WORKLOADS, from_qasm, get_workload
-from .compression import available_compressors, evaluate_compressor, get_compressor
+from .compression import (available_compressors, compressor_options,
+                          evaluate_compressor, get_compressor)
 from .core import MemQSim, MemQSimConfig
 from .device import DeviceSpec
 from .telemetry import NULL_TELEMETRY, Telemetry, configure_logging
@@ -77,16 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("workload", nargs="?", help=f"one of {sorted(WORKLOADS)}")
     runp.add_argument("--qasm", help="OpenQASM 2.0 file to simulate instead")
     runp.add_argument("-n", "--qubits", type=int, default=12)
-    runp.add_argument("--compressor", default="szlike",
-                      help="codec name (see `compressors`)")
-    runp.add_argument("--error-bound", type=float, default=1e-6)
-    runp.add_argument("--chunk-qubits", type=int, default=0, help="0 = auto")
+    _add_codec_args(runp)
     runp.add_argument("--autotune", action="store_true",
                       help="probe chunk sizes on a circuit prefix first")
     runp.add_argument("--transfer", default="sync",
                       choices=["sync", "async", "buffer"])
-    runp.add_argument("--device-mb", type=float, default=256.0,
-                      help="simulated device memory (MiB)")
     runp.add_argument("--offload", type=float, default=0.0,
                       help="CPU offload fraction [0,1]")
     _add_fusion_args(runp)
@@ -145,14 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="run a workload with full telemetry and export a trace")
     tracep.add_argument("workload", help=f"one of {sorted(WORKLOADS)}")
     tracep.add_argument("-n", "--qubits", type=int, default=12)
-    tracep.add_argument("--compressor", default="szlike")
-    tracep.add_argument("--error-bound", type=float, default=1e-6)
-    tracep.add_argument("--chunk-qubits", type=int, default=0, help="0 = auto")
+    _add_codec_args(tracep)
     tracep.add_argument("--transfer", default="sync",
                         choices=["sync", "async", "buffer"])
     tracep.add_argument("--cache-chunks", type=int, default=0)
     tracep.add_argument("--offload", type=float, default=0.0)
-    tracep.add_argument("--device-mb", type=float, default=256.0)
     _add_fusion_args(tracep)
     _add_precision_arg(tracep)
     _add_parallel_args(tracep)
@@ -165,14 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a workload and render a self-contained HTML run report")
     repp.add_argument("workload", help=f"one of {sorted(WORKLOADS)}")
     repp.add_argument("-n", "--qubits", type=int, default=12)
-    repp.add_argument("--compressor", default="szlike")
-    repp.add_argument("--error-bound", type=float, default=1e-6)
-    repp.add_argument("--chunk-qubits", type=int, default=0, help="0 = auto")
+    _add_codec_args(repp)
     repp.add_argument("--transfer", default="sync",
                       choices=["sync", "async", "buffer"])
     repp.add_argument("--cache-chunks", type=int, default=0)
     repp.add_argument("--offload", type=float, default=0.0)
-    repp.add_argument("--device-mb", type=float, default=256.0)
     _add_precision_arg(repp)
     _add_parallel_args(repp)
     repp.add_argument("--monitor-interval", type=float, default=5.0,
@@ -190,15 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
              "Belady-optimal miss bound vs the live LRU cache")
     mtp.add_argument("workload", help=f"one of {sorted(WORKLOADS)}")
     mtp.add_argument("-n", "--qubits", type=int, default=12)
-    mtp.add_argument("--compressor", default="szlike")
-    mtp.add_argument("--error-bound", type=float, default=1e-6)
-    mtp.add_argument("--chunk-qubits", type=int, default=0, help="0 = auto")
+    _add_codec_args(mtp)
     mtp.add_argument("--cache-chunks", type=int, default=4, metavar="C",
                      help="chunk-cache capacity to run with (the "
                           "analysis then sweeps every capacity)")
-    mtp.add_argument("--device-mb", type=float, default=256.0,
-                     help="device arena size; small values force "
-                          "multi-stage streaming (more chunk reuse)")
     mtp.add_argument("--serpentine", action=argparse.BooleanOptionalAction,
                      default=True)
     mtp.add_argument("--policy", default="lru",
@@ -218,13 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
              "bytes must fall inside the predicted traffic envelope")
     audp.add_argument("workload", help=f"one of {sorted(WORKLOADS)}")
     audp.add_argument("-n", "--qubits", type=int, default=12)
-    audp.add_argument("--compressor", default="szlike")
-    audp.add_argument("--error-bound", type=float, default=1e-6)
-    audp.add_argument("--chunk-qubits", type=int, default=0, help="0 = auto")
+    _add_codec_args(audp)
     _add_precision_arg(audp)
-    audp.add_argument("--device-mb", type=float, default=256.0,
-                      help="device arena size; small values force "
-                           "multi-stage streaming")
     audp.add_argument("--host-store-mb", type=float, default=0.0,
                       help="audit against the tiered store with this RAM "
                            "blob budget (0 = plain memory store)")
@@ -258,20 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     servep = sub.add_parser(
         "serve",
-        help="run the persistent multi-tenant job daemon (HTTP/JSON API)")
+        help="run the persistent multi-tenant job daemon (HTTP/JSON API); "
+             "its codec and chunk flags are the base a job may override")
     servep.add_argument("--port", type=int, default=None,
                         help="listen port (default 9645; 0 = ephemeral, "
                              "printed at startup)")
     servep.add_argument("--host", default="127.0.0.1")
-    servep.add_argument("--device-mb", type=float, default=256.0,
-                        help="shared device arena capacity (MiB)")
-    servep.add_argument("--compressor", default="szlike",
-                        help="base codec for submissions (overridable "
-                             "per job)")
-    servep.add_argument("--error-bound", type=float, default=1e-6)
-    servep.add_argument("--chunk-qubits", type=int, default=0,
-                        help="base chunk size (0 = auto; overridable "
-                             "per job)")
+    _add_codec_args(servep)
     servep.add_argument("--workers", type=int, default=1, metavar="N",
                         help="daemon codec lanes; >1 builds one shared "
                              "lane pool reused by matching jobs")
@@ -322,6 +295,17 @@ def build_parser() -> argparse.ArgumentParser:
     canp.add_argument("job_id")
     _add_serve_url_args(canp)
     return p
+
+
+def _add_codec_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--compressor", default="szlike",
+                   help="codec name (see `compressors`)")
+    p.add_argument("--error-bound", type=float, default=1e-6,
+                   help="per-component error bound of a lossy codec")
+    p.add_argument("--chunk-qubits", type=int, default=0, help="0 = auto")
+    p.add_argument("--device-mb", type=float, default=256.0,
+                   help="simulated device memory (MiB); small values force "
+                        "multi-stage streaming")
 
 
 def _add_serve_url_args(p: argparse.ArgumentParser) -> None:
@@ -481,6 +465,44 @@ def _validate_cache_chunks(value: int, minimum: int = 0) -> int:
     return value
 
 
+#: CLI flag dest -> the ``MemQSimConfig`` field it sets, for every flag a
+#: simulating command may carry (a command without the flag keeps the
+#: field's default)
+_CONFIG_ARGS = {
+    "chunk_qubits": "chunk_qubits",
+    "transfer": "transfer",
+    "offload": "cpu_offload_fraction",
+    "fusion": "fuse_gates",
+    "max_fuse_qubits": "max_fuse_qubits",
+    "precision": "precision",
+    "cache_chunks": "cache_chunks",
+    "cache_policy": "cache_policy",
+    "disk_path": "disk_path",
+    "host_store_mb": "host_store_mb",
+    "devices": "num_devices",
+    "workers": "workers",
+    "serpentine": "serpentine_groups",
+}
+
+
+def _config_from_args(args, **pins) -> MemQSimConfig:
+    """The config a command's flags name; ``pins`` fix fields outright."""
+    try:
+        opts = compressor_options(args.compressor, args.error_bound)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
+    fields = {field: getattr(args, dest) for dest, field in _CONFIG_ARGS.items()
+              if hasattr(args, dest)}
+    if "cache_chunks" in fields:
+        _validate_cache_chunks(fields["cache_chunks"])
+    fields.update(pins)
+    fields.setdefault("monitor_interval_ms", _monitor_ms(args))
+    return MemQSimConfig(
+        compressor=args.compressor, compressor_options=opts,
+        device=DeviceSpec(memory_bytes=int(args.device_mb * (1 << 20))),
+        **fields)
+
+
 def _cmd_run(args) -> int:
     circuit = _load_circuit(args)
     tel = _telemetry_from_args(args)
@@ -488,28 +510,7 @@ def _cmd_run(args) -> int:
         from .telemetry import ChunkAccessRecorder
 
         tel.access = ChunkAccessRecorder()
-    opts = {}
-    if args.compressor in ("szlike", "adaptive"):
-        opts["error_bound"] = args.error_bound
-    cfg = MemQSimConfig(
-        chunk_qubits=args.chunk_qubits,
-        compressor=args.compressor,
-        compressor_options=opts,
-        transfer=args.transfer,
-        device=DeviceSpec(memory_bytes=int(args.device_mb * (1 << 20))),
-        cpu_offload_fraction=args.offload,
-        fuse_gates=args.fusion,
-        max_fuse_qubits=args.max_fuse_qubits,
-        precision=args.precision,
-        cache_chunks=_validate_cache_chunks(args.cache_chunks),
-        cache_policy=args.cache_policy,
-        disk_path=args.disk_path,
-        host_store_mb=args.host_store_mb,
-        num_devices=args.devices,
-        workers=args.workers,
-        serpentine_groups=args.serpentine,
-        monitor_interval_ms=_monitor_ms(args),
-    )
+    cfg = _config_from_args(args)
     if args.autotune:
         from .pipeline import autotune_chunk_qubits
 
@@ -692,24 +693,7 @@ def _cmd_trace(args) -> int:
     if not args.trace_out and not args.jsonl_out:
         args.trace_out = f"{args.workload}.trace.json"
     tel = _telemetry_from_args(args, force=True)
-    opts = {}
-    if args.compressor in ("szlike", "adaptive"):
-        opts["error_bound"] = args.error_bound
-    cfg = MemQSimConfig(
-        chunk_qubits=args.chunk_qubits,
-        compressor=args.compressor,
-        compressor_options=opts,
-        transfer=args.transfer,
-        device=DeviceSpec(memory_bytes=int(args.device_mb * (1 << 20))),
-        cpu_offload_fraction=args.offload,
-        fuse_gates=args.fusion,
-        max_fuse_qubits=args.max_fuse_qubits,
-        precision=args.precision,
-        cache_chunks=_validate_cache_chunks(args.cache_chunks),
-        workers=args.workers,
-        serpentine_groups=args.serpentine,
-        monitor_interval_ms=_monitor_ms(args),
-    )
+    cfg = _config_from_args(args)
     circuit = get_workload(args.workload, args.qubits)
     res = MemQSim(cfg, telemetry=tel).run(circuit)
     print(res.report())
@@ -732,22 +716,7 @@ def _cmd_report(args) -> int:
     parent = os.path.dirname(os.path.abspath(out))
     if not os.path.isdir(parent):
         raise SystemExit(f"error: output directory does not exist: {parent}")
-    opts = {}
-    if args.compressor in ("szlike", "adaptive"):
-        opts["error_bound"] = args.error_bound
-    cfg = MemQSimConfig(
-        chunk_qubits=args.chunk_qubits,
-        compressor=args.compressor,
-        compressor_options=opts,
-        transfer=args.transfer,
-        device=DeviceSpec(memory_bytes=int(args.device_mb * (1 << 20))),
-        cpu_offload_fraction=args.offload,
-        precision=args.precision,
-        cache_chunks=_validate_cache_chunks(args.cache_chunks),
-        workers=args.workers,
-        serpentine_groups=args.serpentine,
-        monitor_interval_ms=args.monitor_interval,
-    )
+    cfg = _config_from_args(args, monitor_interval_ms=args.monitor_interval)
     circuit = get_workload(args.workload, args.qubits)
     from .telemetry import ChunkAccessRecorder
 
@@ -777,18 +746,9 @@ def _cmd_memtrace(args) -> int:
         tel = Telemetry()
         rec = ChunkAccessRecorder()
         tel.access = rec
-        opts = {}
-        if args.compressor in ("szlike", "adaptive"):
-            opts["error_bound"] = args.error_bound
-        cfg = MemQSimConfig(
-            chunk_qubits=args.chunk_qubits,
-            compressor=args.compressor,
-            compressor_options=opts,
-            device=DeviceSpec(memory_bytes=int(args.device_mb * (1 << 20))),
-            cache_chunks=capacity,
-            cache_policy=args.policy,  # the policy the analysis replays
-            serpentine_groups=args.serpentine,
-        )
+        # the live cache runs the capacity and policy the analysis replays
+        cfg = _config_from_args(args, cache_chunks=capacity,
+                                cache_policy=args.policy)
         res = MemQSim(cfg, telemetry=tel).run(
             get_workload(args.workload, args.qubits))
         trace = rec.trace()
@@ -818,24 +778,10 @@ def _cmd_audit(args) -> int:
     tel = Telemetry()
     rec = ChunkAccessRecorder()
     tel.access = rec
-    opts = {}
-    if args.compressor in ("szlike", "adaptive"):
-        opts["error_bound"] = args.error_bound
     # The audit contract: no chunk cache, no CPU offload — the
     # deterministic edges are only exact when every group takes the device
     # path and every load reaches the codec. Any worker count balances.
-    cfg = MemQSimConfig(
-        chunk_qubits=args.chunk_qubits,
-        compressor=args.compressor,
-        compressor_options=opts,
-        device=DeviceSpec(memory_bytes=int(args.device_mb * (1 << 20))),
-        precision=args.precision,
-        cache_chunks=0,
-        cpu_offload_fraction=0.0,
-        serpentine_groups=args.serpentine,
-        host_store_mb=args.host_store_mb,
-        workers=args.workers,
-    )
+    cfg = _config_from_args(args, cache_chunks=0, cpu_offload_fraction=0.0)
     res = MemQSim(cfg, telemetry=tel).run(
         get_workload(args.workload, args.qubits))
     trace = rec.trace()
@@ -876,16 +822,7 @@ def _cmd_serve(args) -> int:
 
     if args.log_level:
         configure_logging(args.log_level)
-    opts = {}
-    if args.compressor in ("szlike", "adaptive"):
-        opts["error_bound"] = args.error_bound
-    base = MemQSimConfig(
-        chunk_qubits=args.chunk_qubits,
-        compressor=args.compressor,
-        compressor_options=opts,
-        device=DeviceSpec(memory_bytes=int(args.device_mb * (1 << 20))),
-        workers=args.workers,
-    )
+    base = _config_from_args(args)
     manager = ServeManager(base, Telemetry(), max_jobs=args.max_jobs,
                            plan_cache_capacity=args.plan_cache,
                            events_dir=args.events_dir)

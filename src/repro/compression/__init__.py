@@ -1,11 +1,9 @@
 """Compression subsystem: SZ-like lossy, lossless backends, metrics, registry."""
 
-from .adaptive import AdaptiveCompressor
-from .blockfloat import BlockFloatCompressor
-from .cast import CastCompressor
 from .interface import (
     Compressor,
     available_compressors,
+    compressor_options,
     get_compressor,
     register_compressor,
 )
@@ -20,7 +18,6 @@ from .metrics import (
     psnr,
 )
 from .quantizer import dequantize, quantize, resolve_error_bound, unzigzag, zigzag
-from .sparse import SparseCompressor
 from .szlike import SZLikeCompressor
 
 __all__ = [
@@ -28,15 +25,12 @@ __all__ = [
     "register_compressor",
     "get_compressor",
     "available_compressors",
+    "compressor_options",
     "SZLikeCompressor",
-    "BlockFloatCompressor",
-    "SparseCompressor",
     "ZlibCompressor",
     "LzmaCompressor",
     "Bz2Compressor",
     "NullCompressor",
-    "CastCompressor",
-    "AdaptiveCompressor",
     "CompressionReport",
     "evaluate_compressor",
     "compression_ratio",

@@ -14,8 +14,8 @@ import numpy as np
 
 from ..memory.bufferpool import scratch_pool
 
-__all__ = ["BitWriter", "BitReader", "pack_codes", "unpack_bits", "unpack_fields",
-           "pack_fixed", "unpack_fixed"]
+__all__ = ["BitWriter", "BitReader", "pack_codes", "unpack_bits", "pack_fixed",
+           "unpack_fixed"]
 
 #: bound on the per-block bit-matrix footprint inside :func:`pack_codes`
 _PACK_BLOCK_BITS = 1 << 21
@@ -122,41 +122,6 @@ def unpack_bits(data: bytes, total_bits: int) -> np.ndarray:
     arr = np.frombuffer(data, dtype=np.uint8)
     bits = np.unpackbits(arr)
     return bits[:total_bits]
-
-
-def unpack_fields(data: bytes, lengths: np.ndarray) -> np.ndarray:
-    """Vectorized inverse of :func:`pack_codes` for *known* field widths.
-
-    Args:
-        data: packed bytes.
-        lengths: uint8 array of per-field bit widths (0..56).
-
-    Returns:
-        uint64 array of the field values.
-    """
-    n = lengths.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.uint64)
-    lengths = lengths.astype(np.int64)
-    total = int(lengths.sum())
-    bits = unpack_bits(data, total).astype(np.uint64)
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    max_len = int(lengths.max()) if n else 0
-    out = np.zeros(n, dtype=np.uint64)
-    if max_len == 0:
-        return out
-    # Column j holds bit j of each field counted from the MSB side.
-    col = np.arange(max_len, dtype=np.int64)
-    pos = starts[:, None] + col[None, :]
-    valid = col[None, :] < lengths[:, None]
-    vals = np.where(valid, bits[np.minimum(pos, total - 1)], 0)
-    # Accumulate MSB-first: out = ((out << 1) | bit) per valid column.
-    shifts = (lengths[:, None] - 1 - col[None, :])
-    shifts = np.where(valid, shifts, 0).astype(np.uint64)
-    out = np.sum(np.where(valid, vals << shifts, np.uint64(0)), axis=1,
-                 dtype=np.uint64)
-    return out
 
 
 #: narrowest big-endian unsigned dtype per field width, by (width - 1) // 8

@@ -25,7 +25,9 @@ compressors in plain strings (``"szlike"``, ``"zlib"``, ...).
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, List, Tuple
+import math
+import numbers
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,6 +36,7 @@ __all__ = [
     "register_compressor",
     "get_compressor",
     "available_compressors",
+    "compressor_options",
     "DTYPE_MAGIC",
     "tag_dtype",
     "split_dtype",
@@ -145,3 +148,27 @@ def get_compressor(name: str, **kwargs) -> Compressor:
 
 def available_compressors() -> List[str]:
     return sorted(_REGISTRY)
+
+
+def compressor_options(name: str,
+                       error_bound: Optional[float] = None) -> Dict[str, float]:
+    """The ``compressor_options`` that give codec ``name`` this bound.
+
+    The one place that decides which codecs take ``error_bound``: a lossy
+    one does, a lossless one does not (its options stay empty). ``None``
+    leaves the codec's own default. Raises ``ValueError`` for a name the
+    registry does not know, and for a bound that is not a finite real
+    number > 0 — whichever codec it was given for.
+    """
+    try:
+        lossy = get_compressor(name).is_lossy
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
+    if error_bound is None:
+        return {}
+    if (isinstance(error_bound, bool)
+            or not isinstance(error_bound, numbers.Real)
+            or not 0 < error_bound < math.inf):
+        raise ValueError(
+            f"error_bound must be a finite number > 0, got {error_bound!r}")
+    return {"error_bound": float(error_bound)} if lossy else {}

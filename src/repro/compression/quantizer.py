@@ -17,6 +17,7 @@ predictor while keeping both directions fully vectorized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,8 +54,9 @@ def resolve_error_bound(data: np.ndarray, error_bound: float, mode: str) -> floa
         error_bound: configured bound.
         mode: ``"abs"`` (use as-is) or ``"rel"`` (scale by value range).
     """
-    if error_bound <= 0:
-        raise ValueError("error bound must be positive")
+    if not 0 < error_bound < math.inf:
+        raise ValueError(
+            f"error bound must be finite and positive, got {error_bound!r}")
     if mode == "abs":
         return float(error_bound)
     if mode == "rel":

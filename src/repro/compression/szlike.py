@@ -28,6 +28,7 @@ is that bound shrunk by a relative ``2**-30`` (see ``_STEP_SHRINK``).
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from typing import Optional, Tuple
@@ -55,7 +56,6 @@ from .quantizer import (
 __all__ = ["SZLikeCompressor", "blob_entropy"]
 
 _MAGIC = b"SZL1"
-_ADAPTIVE_MAGIC = b"ADP1"  # repro.compression.adaptive wrapper (inner at [5:])
 _HEADER = struct.Struct("<BBQd")  # flag, entropy id, amplitudes, bound
 _PAYLOAD_AT = len(_MAGIC) + _HEADER.size
 _FLAG_QUANT = 0
@@ -150,9 +150,10 @@ class SZLikeCompressor(Compressor):
             raise ValueError(f"mode must be abs|rel, got {mode!r}")
         if entropy not in ("zlib", "huffman", "auto"):
             raise ValueError(f"entropy must be zlib|huffman|auto, got {entropy!r}")
-        if error_bound <= 0:
-            raise ValueError("error_bound must be positive")
         self._eb = float(error_bound)
+        if not 0 < self._eb < math.inf:
+            raise ValueError(
+                f"error_bound must be finite and positive, got {error_bound!r}")
         self._mode = mode
         self._entropy = entropy
         self._level = int(zlib_level)
@@ -375,12 +376,11 @@ def blob_entropy(blob: bytes) -> Optional[str]:
 
     Returns ``"huffman"``, ``"zlib"``, ``"fixed"``, or ``"raw"`` (the
     lossless escape); ``None`` when the blob is not SZL1-framed or names a
-    stage this build does not know. Adaptive-compressor wrappers (``ADP1``
-    magic + tag byte) and dtype tags (``DTP1`` + tag byte) are looked
-    through, in any nesting order, so the chunk store can attribute entropy
-    choices without decompressing anything.
+    stage this build does not know. A dtype tag (``DTP1`` + tag byte) is
+    looked through, so the chunk store can attribute entropy choices
+    without decompressing anything.
     """
-    while blob[:4] in (_ADAPTIVE_MAGIC, DTYPE_MAGIC):
+    if blob[:4] == DTYPE_MAGIC:
         blob = blob[5:]
     if blob[:4] != _MAGIC or len(blob) < 6:
         return None

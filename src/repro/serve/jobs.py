@@ -31,6 +31,7 @@ from typing import Any, Dict, Optional
 from ..bench.decide import resolve_auto_config
 from ..circuits import from_qasm, get_workload
 from ..circuits.circuit import Circuit
+from ..compression import compressor_options
 from ..core.config import MemQSimConfig
 from ..memory.layout import ChunkLayout
 from ..pipeline.cancel import CancelToken
@@ -126,13 +127,14 @@ def config_from_payload(base: MemQSimConfig,
             updates[field] = value
     cfg = base.with_updates(**updates) if updates else base
     if "error_bound" in overrides or "compressor" in overrides:
-        comp = cfg.compressor
         opts = dict(cfg.compressor_options)
-        if comp in ("szlike", "adaptive"):
-            if "error_bound" in overrides:
-                opts["error_bound"] = float(overrides["error_bound"])
-        else:
-            opts.pop("error_bound", None)  # lossless codecs take no bound
+        # the base's bound carries over only to a codec that takes one
+        base_bound = opts.pop("error_bound", None)
+        bound = overrides.get("error_bound", base_bound)
+        try:
+            opts.update(compressor_options(cfg.compressor, bound))
+        except ValueError as exc:  # unknown codec / bad bound -> 400
+            raise JobRejected(str(exc)) from exc
         cfg = cfg.with_updates(compressor_options=opts)
     return cfg
 

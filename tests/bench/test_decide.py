@@ -154,7 +154,6 @@ class TestResolveAutoConfig:
         resolved.plan_key()  # well-defined after resolution
 
     @pytest.mark.parametrize("compressor, lossy", [("szlike", True),
-                                                   ("adaptive", True),
                                                    ("zlib", False),
                                                    ("null", False)])
     def test_unset_fusion_follows_the_codec(self, tmp_path, compressor,

@@ -84,8 +84,8 @@ class TestPackCodes:
         assert r.read(40) == 0x0F0F0F0F0F
 
     def test_all_zero_lengths(self):
-        # blockfloat emits zero-width fields for all-zero planes; the block
-        # streamer must short-circuit instead of dividing by max_len == 0
+        # all-zero widths: the block streamer must short-circuit instead of
+        # dividing by max_len == 0
         packed, bits = pack_codes(
             np.zeros(16, dtype=np.uint64), np.zeros(16, dtype=np.uint8))
         assert packed == b"" and bits == 0

@@ -16,7 +16,6 @@ from repro.compression import available_compressors, get_compressor
 
 LOSSY_OPTS = {
     "szlike": {"error_bound": 1e-6},
-    "adaptive": {"error_bound": 1e-6},
 }
 
 

@@ -2,15 +2,14 @@
 
 Golden-header pins: a complex128 blob is byte-identical to the historical
 framing (no ``DTP1`` prefix), while a complex64 blob starts with
-``b"DTP1\\x01"`` followed by the codec's untouched frame. The adaptive
-wrapper stays dtype-agnostic: its ``ADP1`` header comes first and the
-*inner* winning codec carries the tag.
+``b"DTP1\\x01"`` followed by the codec's untouched frame.
 """
 
 import numpy as np
 import pytest
 
-from repro.compression import available_compressors, get_compressor
+from repro.compression import (available_compressors, compressor_options,
+                               get_compressor)
 from repro.compression.interface import (
     DTYPE_MAGIC,
     coerce_amplitudes,
@@ -21,7 +20,7 @@ from repro.compression.metrics import max_component_error
 
 ALL_CODECS = available_compressors()
 #: codecs whose round-trip must be bit-exact in both dtypes
-LOSSLESS = ["bz2", "lzma", "null", "sparse", "zlib"]
+LOSSLESS = ["bz2", "lzma", "null", "zlib"]
 #: extra slack for the decoder's final float32 rounding of a c64 payload
 C64_ULP = 2.0 ** -22
 
@@ -34,8 +33,7 @@ def rand_state(n=512, seed=11, dtype=np.complex128):
 
 
 def make(name):
-    kwargs = {"error_bound": 1e-6} if name in ("szlike", "adaptive") else {}
-    return get_compressor(name, **kwargs)
+    return get_compressor(name, **compressor_options(name, 1e-6))
 
 
 class TestRoundTrip:
@@ -85,7 +83,7 @@ class TestGoldenHeaders:
         assert dt == np.dtype(np.complex128)
         assert inner == blob  # legacy framing, byte-identical
 
-    @pytest.mark.parametrize("name", sorted(set(ALL_CODECS) - {"adaptive"}))
+    @pytest.mark.parametrize("name", ALL_CODECS)
     def test_c64_blob_has_dtp1_prefix(self, name):
         blob = make(name).compress(rand_state(dtype=np.complex64))
         assert blob[:5] == DTYPE_MAGIC + b"\x01"
@@ -97,22 +95,6 @@ class TestGoldenHeaders:
         comp = make("zlib")
         assert comp.compress(rand_state())[:4] == b"LSL1"
         assert comp.compress(rand_state(dtype=np.complex64))[5:9] == b"LSL1"
-
-    def test_adaptive_inner_tagging(self):
-        # ADP1 wrapper first; the winning inner codec carries the tag.
-        comp = make("adaptive")
-        dense64 = rand_state(dtype=np.complex64)
-        blob = comp.compress(dense64)
-        assert blob[:4] == b"ADP1"
-        assert blob[5:10] == DTYPE_MAGIC + b"\x01"
-        assert comp.decompress(blob).dtype == np.complex64
-
-        sparse64 = np.zeros(1024, dtype=np.complex64)
-        sparse64[3] = 1.0
-        blob = comp.compress(sparse64)  # lossless branch this time
-        assert blob[:4] == b"ADP1"
-        assert blob[5:10] == DTYPE_MAGIC + b"\x01"
-        assert np.array_equal(comp.decompress(blob), sparse64)
 
 
 class TestHelpers:

@@ -59,6 +59,12 @@ class TestResolveErrorBound:
     def test_rel_all_zero(self):
         assert resolve_error_bound(np.zeros(5), 1e-2, "rel") == 1e-2
 
+    @pytest.mark.parametrize("mode", ["abs", "rel"])
+    @pytest.mark.parametrize("eb", [np.inf, np.nan, 0.0])
+    def test_nonfinite_or_zero_bound_rejected(self, eb, mode):
+        with pytest.raises(ValueError, match="finite and positive"):
+            resolve_error_bound(np.array([1.0, 2.0]), eb, mode)
+
     def test_nonpositive_bound_rejected(self):
         with pytest.raises(ValueError):
             resolve_error_bound(np.ones(1), 0.0, "abs")

@@ -71,6 +71,11 @@ class TestCommands:
                      "--chunk-qubits", "2", "--device-mb", "0.01"]) == 0
         assert "MEMQSim result" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("bound", ["inf", "nan", "0"])
+    def test_run_rejects_a_nonfinite_error_bound(self, bound):
+        with pytest.raises(SystemExit, match="error_bound must be a finite"):
+            main(["run", "ghz", "-n", "6", "--error-bound", bound])
+
     def test_run_without_workload_errors(self):
         with pytest.raises(SystemExit):
             main(["run"])

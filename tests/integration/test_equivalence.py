@@ -93,17 +93,3 @@ class TestLossyEquivalence:
         res = MemQSim(cfg).run(circ)
         f = res.fidelity_vs(references[workload])
         assert f > 1 - 1e-6, workload
-
-    def test_adaptive_codec(self, references):
-        circ = get_workload("ghz", N)
-        cfg = tight(4).with_updates(
-            compressor="adaptive", compressor_options={"error_bound": 1e-8}
-        )
-        res = MemQSim(cfg).run(circ)
-        assert res.fidelity_vs(references["ghz"]) > 1 - 1e-6
-
-    def test_cast_codec(self, references):
-        circ = get_workload("qft", N)
-        cfg = tight(4).with_updates(compressor="cast")
-        res = MemQSim(cfg).run(circ)
-        assert res.fidelity_vs(references["qft"]) > 1 - 1e-6

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import get_workload
+from repro.compression import compressor_options
 from repro.compression.lossless import ZlibCompressor
 from repro.core import MemQSim, MemQSimConfig
 from repro.parallel import CodecWorkerPool, compare_stores, run_equivalence
@@ -25,22 +26,19 @@ from repro.telemetry import Telemetry
 WORKERS = 2
 
 
-def _opts(codec):
-    return {"error_bound": 1e-6} if codec in ("szlike", "adaptive") else {}
-
-
 class TestCodecEquivalence:
-    @pytest.mark.parametrize("codec", ["zlib", "szlike", "adaptive"])
+    @pytest.mark.parametrize("codec", ["zlib", "szlike"])
     @pytest.mark.parametrize("workload", ["qft", "grover"])
     def test_lossless_and_lossy_codecs(self, codec, workload):
         rep = run_equivalence(
             get_workload(workload, 8), workers=WORKERS,
-            chunk_qubits=4, compressor=codec, compressor_options=_opts(codec),
+            chunk_qubits=4, compressor=codec,
+            compressor_options=compressor_options(codec, 1e-6),
         )
         assert rep.ok, rep.summary()
         assert rep.state_max_abs_diff == 0.0
 
-    def test_shared_memory_payload_path(self):
+    def test_mib_chunk_payload_path(self):
         """≥ 1 MiB payloads round-trip: every codec job of the run moves a
         1 MiB chunk, and the lane's blobs are the inline run's."""
         from repro.device.timeline import Stage
@@ -217,15 +215,17 @@ class RaiseOnNthLaneCompress(ZlibCompressor):
 
 
 class TestWorkerCrashMidRun:
-    def test_run_survives_worker_crash(self):
+    def test_run_survives_worker_crash(self, monkeypatch):
         """A codec that raises on a lane thread mid-run: the run raises that
         exception, no pending job is left behind, the store forgets the
         lane and reloads chunk-consistent (every chunk decodes), and the
         run's own lanes are joined."""
-        from repro.compression.interface import register_compressor
+        from repro.compression import interface
         from repro.memory import ChunkLayout, CompressedChunkStore
 
-        register_compressor("raise_on_nth", RaiseOnNthLaneCompress)
+        # a private registry copy, so the test codec leaks into no later test
+        monkeypatch.setattr(interface, "_REGISTRY", dict(interface._REGISTRY))
+        interface.register_compressor("raise_on_nth", RaiseOnNthLaneCompress)
         cfg = MemQSimConfig(chunk_qubits=4, compressor="raise_on_nth",
                             workers=2)
         store = CompressedChunkStore(ChunkLayout(8, 4), cfg.make_compressor())

@@ -93,6 +93,37 @@ class TestManagerAdmission:
         finally:
             mgr.shutdown()
 
+    @pytest.mark.parametrize("override", [
+        {"compressor": "nope"},
+        {"error_bound": "abc"},
+        {"error_bound": float("inf")},
+        {"error_bound": float("nan")},
+        {"error_bound": 0},
+        {"error_bound": -1e-6},
+        {"compressor": "zlib", "error_bound": "abc"},
+    ])
+    def test_bad_codec_or_bound_rejected(self, override):
+        mgr = ServeManager(small_base(), Telemetry())
+        try:
+            with pytest.raises(JobRejected):
+                mgr.submit({"workload": "qft", "qubits": 8,
+                            "config": override})
+            assert mgr.jobs() == []
+        finally:
+            mgr.shutdown()
+
+    def test_codec_override_carries_the_bound_only_when_lossy(self):
+        mgr = ServeManager(small_base(), Telemetry())
+        try:
+            lossy = mgr.submit({"workload": "qft", "qubits": 8,
+                                "config": {"error_bound": 1e-5}})
+            lossless = mgr.submit({"workload": "qft", "qubits": 8,
+                                   "config": {"compressor": "zlib"}})
+            assert lossy.config.compressor_options == {"error_bound": 1e-5}
+            assert lossless.config.compressor_options == {}
+        finally:
+            mgr.shutdown()
+
     def test_concurrent_jobs_never_exceed_capacity(self):
         """N concurrent jobs on a tiny arena: the mem gauge's high-water
         mark (and the arena's own peak) must stay within capacity."""

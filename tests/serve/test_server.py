@@ -78,6 +78,20 @@ class TestJobAPI:
                                "config": override})
             assert err.value.status == 400
 
+    @pytest.mark.parametrize("override", [
+        {"compressor": "nope"},
+        {"error_bound": "abc"},
+        {"error_bound": float("inf")},  # sent as JSON Infinity
+        {"error_bound": float("nan")},  # sent as JSON NaN
+        {"error_bound": 0},
+    ])
+    def test_bad_codec_or_bound_400(self, daemon, override):
+        _, client = daemon
+        with pytest.raises(ServeAPIError) as err:
+            client.submit({"workload": "qft", "qubits": 9,
+                           "config": override})
+        assert err.value.status == 400
+
     def test_cancel_queued_job(self, daemon):
         mgr, client = daemon
         block = mgr.arena.lease(mgr.arena.capacity)

@@ -147,6 +147,30 @@ class TestOneStageEngine:
         assert not (REPO / "src/repro/parallel/engine.py").exists()
 
 
+class TestPaperCodecsOnly:
+    """The compression plane is the paper's: the SZ-style ``szlike`` plus
+    the lossless comparators. The codecs nothing selected, and the support
+    code only they used, must not come back by name."""
+
+    GONE = ("AdaptiveCompressor", "BlockFloatCompressor", "CastCompressor",
+            "SparseCompressor", "ADP1", "unpack_fields")
+
+    def test_deleted_names_stay_deleted(self):
+        files = [REPO / "README.md", REPO / "DESIGN.md"]
+        files += sorted((REPO / "docs").glob("*.md"))
+        files += sorted((REPO / "src").rglob("*.py"))
+        hits = [f"{path.relative_to(REPO)}: {name}"
+                for path in files for name in self.GONE
+                if name in path.read_text()]
+        assert not hits, hits
+
+    def test_the_registry_holds_the_paper_codecs(self):
+        from repro.compression import available_compressors
+
+        assert available_compressors() == ["bz2", "lzma", "null", "szlike",
+                                           "zlib"]
+
+
 class TestKernelSeam:
     """Amplitude arithmetic lives in ``statevector/kernels.py``; a stage
     program lowers each op to a prepared launch there and hands it through
