@@ -30,7 +30,6 @@ from typing import Any, Optional, Sequence, Tuple
 import numpy as np
 
 from ..circuits.gates import Gate
-from ..statevector.kernels import apply_gate, apply_stored_diagonal
 from .ir import CompiledGateStage, CompileReport, FusedOp, GateOp
 
 __all__ = ["Recipe", "GateRecipe", "FoldRecipe", "MergeRecipe",
@@ -63,6 +62,12 @@ class Recipe:
 
     def value(self, gates: Gates) -> np.ndarray:
         raise NotImplementedError
+
+    @property
+    def fixed(self) -> bool:
+        """True when the shape alone fixes :meth:`value` (no parameters);
+        a recipe made of ``parts`` is fixed when all of them are."""
+        return all(part.fixed for part in self.parts)
 
     def matrix(self, gates: Gates) -> np.ndarray:
         """The dense unitary, whichever form :meth:`value` has."""
@@ -102,6 +107,10 @@ class GateRecipe(Recipe):
     @property
     def sources(self) -> Tuple[str, ...]:
         return getattr(self.source, "sources", None) or (self.source.name,)
+
+    @property
+    def fixed(self) -> bool:
+        return self.slot < 0
 
     def _gate(self, gates: Gates) -> Gate:
         # Operators do not depend on which qubits they act on, so the
@@ -154,8 +163,8 @@ class FoldRecipe(Recipe):
             for part in self.parts[1:]:
                 merged = merged * part.value(gates)
             return merged
-        m = np.eye(2, dtype=np.complex128)
-        for part in self.parts:
+        m = self.parts[0].matrix(gates)
+        for part in self.parts[1:]:
             m = part.matrix(gates) @ m
         return m
 
@@ -192,39 +201,80 @@ class MergeRecipe(Recipe):
         return total
 
 
+_ZERO = np.zeros(1, dtype=np.complex128)
+_ZERO.setflags(write=False)
+
+
 @dataclass(frozen=True, eq=False)
 class WindowRecipe(Recipe):
     """Contiguous ops fused into one dense unitary over the sorted union of
-    their qubits."""
+    their qubits.
+
+    The window's unitary is the product of its parts, each placed in the
+    window's ``2^k x 2^k`` index space. Where a part lands depends on qubits
+    only, so :meth:`of` works it out once: ``maps[i]`` gathers part ``i``'s
+    operator into that space — for a diagonal part its ``2^k`` diagonal,
+    for a dense one its ``2^k x 2^k`` matrix, whose entries between indices
+    that differ off the part's qubits read the zero appended to the
+    flattened operator. A part with no parameters is placed once, in
+    ``placed[i]``.
+    """
 
     qubits: Tuple[int, ...]
     parts: Tuple[Recipe, ...]
-    #: per part, its qubits as *row* bits of the flattened matrix
-    rows: Tuple[Tuple[int, ...], ...]
+    maps: Tuple[np.ndarray, ...]
+    placed: Tuple[Optional[np.ndarray], ...]
     sources: Tuple[str, ...]
     diagonal = False
 
     @classmethod
     def of(cls, parts: Sequence[Recipe]) -> "WindowRecipe":
         qubits = tuple(sorted({q for part in parts for q in part.qubits}))
-        k = len(qubits)
         pos = {q: i for i, q in enumerate(qubits)}
-        rows = tuple(tuple(k + pos[q] for q in part.qubits) for part in parts)
-        return cls(qubits, tuple(parts), rows, _sources(parts))
+        u = np.arange(1 << len(qubits), dtype=np.intp)
+        maps, placed = [], []
+        for part in parts:
+            # bits of each window index on the part's qubits, in its order
+            local = np.zeros_like(u)
+            for j, q in enumerate(part.qubits):
+                local |= ((u >> pos[q]) & 1) << j
+            if part.diagonal:
+                idx = local
+            else:
+                p = len(part.qubits)
+                rest = u & ~sum(1 << pos[q] for q in part.qubits)
+                idx = np.where(rest[:, None] == rest[None, :],
+                               (local[:, None] << p) | local[None, :],
+                               1 << 2 * p)
+            idx.setflags(write=False)
+            maps.append(idx)
+            fixed = None
+            if part.fixed:
+                fixed = _place(part, part.value(None), idx)
+                fixed.setflags(write=False)
+            placed.append(fixed)
+        return cls(qubits, tuple(parts), tuple(maps), tuple(placed),
+                   _sources(parts))
 
     def value(self, gates: Gates) -> np.ndarray:
-        # The 2^k x 2^k matrix, flattened, is a 2k-qubit buffer whose low k
-        # bits are the column and high k bits the row. A factor acting on
-        # the rows updates every column at once: one kernel call per factor
-        # instead of one per factor per column.
-        dim = 1 << len(self.qubits)
-        u = np.eye(dim, dtype=np.complex128).reshape(-1)
-        for part, row_bits in zip(self.parts, self.rows):
+        # At most one gather and one product per part, all on 2^k x 2^k
+        # matrices; the first part starts the product.
+        u = None
+        for part, idx, fixed in zip(self.parts, self.maps, self.placed):
+            e = fixed if fixed is not None \
+                else _place(part, part.value(gates), idx)
             if part.diagonal:
-                apply_stored_diagonal(u, part.value(gates), row_bits)
+                u = np.diag(e) if u is None else e[:, None] * u
             else:
-                apply_gate(u, part.value(gates), row_bits)
-        return u.reshape(dim, dim)
+                u = e if u is None else e @ u
+        return u
+
+
+def _place(part: Recipe, v: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``part``'s operator ``v`` gathered into a window by ``idx``."""
+    if part.diagonal:
+        return v[idx]
+    return np.concatenate((v.reshape(-1), _ZERO))[idx]
 
 
 @dataclass(frozen=True)

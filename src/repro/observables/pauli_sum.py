@@ -6,8 +6,9 @@ the form every VQE/QAOA cost function takes. It evaluates against
 * a dense :class:`~repro.statevector.StateVector` (term by term), or
 * a chunked :class:`~repro.core.MemQSimResult` *in one streaming pass*:
   all terms share each chunk decompression and all terms with one X-mask
-  share one reduction, so evaluating an m-term Hamiltonian costs one pass
-  over the store per distinct X-mask partner set instead of m full passes.
+  share one reduction, and a pair of partner chunks is read once for both
+  of its halves, so evaluating an m-term Hamiltonian costs one pass over
+  the store plus one load per partner pair instead of m full passes.
 
 Constructors cover the standard model Hamiltonians the examples use:
 MaxCut from a networkx graph, transverse-field Ising, and Heisenberg XXZ
@@ -51,6 +52,9 @@ class PauliSum:
                  constant: float = 0.0):
         self.terms: List[PauliTerm] = list(terms) if terms is not None else []
         self.constant = float(constant)
+        #: ``(key, tables)`` of the last streamed evaluation, see
+        #: :meth:`_chunk_tables`
+        self._tables: Optional[tuple] = None
 
     # -- construction ---------------------------------------------------------
 
@@ -103,25 +107,46 @@ class PauliSum:
         phases are summed, coefficient-weighted, into one vector and the
         whole group costs one reduction per chunk (all Z-only terms are one
         ``|psi_i|^2`` against one sign vector; a group of bare X strings
-        has no phase at all). The global part of the X-mask decides the
-        chunk partner, which groups share once decompressed.
+        has no phase at all).
+
+        The global part ``g`` of a group's X-mask decides the chunk partner
+        ``k ^ g``. The group is Hermitian, so chunk ``k ^ g``'s share of the
+        sum is the complex conjugate of chunk ``k``'s: the pair is summed
+        once, as twice the real part, from its lower chunk. Every partner
+        is therefore read once per pair, and at most ``1 +`` (number of
+        distinct global X parts) chunks are held at a time.
         """
         lay = result.store.layout
-        cq = lay.chunk_qubits
-        cs = lay.chunk_size
-        n = result.num_qubits
-        if self.num_qubits > n:
+        num_qubits, groups = self._chunk_tables(lay)
+        if num_qubits > result.num_qubits:
             raise ValueError("Hamiltonian touches qubits outside the state")
+        total = self.constant
+        for k in range(lay.num_chunks):
+            total += _chunk_share(result.store, k, groups)
+        return float(total)
+
+    def _chunk_tables(self, lay) -> Tuple[int, tuple]:
+        """``(num_qubits, groups)`` for streaming over the layout ``lay``.
+
+        Per X-mask a group ``(global bits, their top bit, in-chunk gather
+        or None, summed coefficient of the phaseless terms, and for the
+        others their coefficients per chunk (chunks x terms) and phases per
+        offset (terms x chunk_size), or None)``. They depend on the term
+        list and the layout only, so they are built once for both and kept
+        until either changes.
+        """
+        key = (tuple(self.terms), lay.chunk_qubits, lay.num_chunks)
+        if self._tables is not None and self._tables[0] == key:
+            return self._tables[1]
+        cq, cs = lay.chunk_qubits, lay.chunk_size
         by_x: Dict[int, List[Tuple[float, PauliString]]] = {}
+        num_qubits = 0
         for t in self.terms:
             ps = t.parsed()
+            num_qubits = max(num_qubits, ps.num_qubits)
             by_x.setdefault(ps.x_mask, []).append((t.coefficient, ps))
         offs = np.arange(cs, dtype=np.uint64)
         bases = np.arange(lay.num_chunks, dtype=np.uint64) << np.uint64(cq)
-        # Per X-mask: (partner bits, in-chunk gather or None, summed
-        # coefficient of the phaseless terms, and for the others their
-        # coefficients per chunk (terms x chunks) and phases per offset
-        # (terms x chunk_size), or None).
         groups = []
         for x, members in by_x.items():
             plain = 0.0
@@ -140,31 +165,15 @@ class PauliSum:
             gather = (offs ^ np.uint64(local_x)) if local_x else None
             coefs = phases = None
             if per_chunk:
-                coefs, phases = np.array(per_chunk), np.array(per_offset)
+                coefs, phases = np.array(per_chunk).T, np.array(per_offset)
                 if not x:  # Z-only: the phases are real signs
                     coefs, phases = coefs.real, phases.real
-            groups.append((x >> cq, gather, plain, coefs, phases))
-        total = self.constant
-        for k in range(lay.num_chunks):
-            bra = result.store.load(k).astype(np.complex128, copy=False)
-            loaded: Dict[int, np.ndarray] = {0: bra}
-            for gbits, gather, plain, coefs, phases in groups:
-                ket = loaded.get(gbits)
-                if ket is None:
-                    ket = loaded[gbits] = result.store.load(k ^ gbits).astype(
-                        np.complex128, copy=False)
-                if gather is not None:
-                    ket = ket[gather]
-                if phases is None:
-                    total += plain * float(np.vdot(bra, ket).real)
-                    continue
-                weight = coefs[:, k] @ phases + plain
-                if ket is bra:
-                    total += float(np.dot(bra.real ** 2 + bra.imag ** 2,
-                                          weight))
-                else:
-                    total += float(np.vdot(bra, weight * ket).real)
-        return float(total)
+            gbits = x >> cq
+            top = 1 << (gbits.bit_length() - 1) if gbits else 0
+            groups.append((gbits, top, gather, plain, coefs, phases))
+        tables = (num_qubits, tuple(groups))
+        self._tables = (key, tables)
+        return tables
 
     def expectation(self, state) -> float:
         """Dispatch on the state type (StateVector or MemQSimResult)."""
@@ -207,6 +216,34 @@ class PauliSum:
 
     def __repr__(self) -> str:
         return f"<PauliSum {len(self.terms)} terms on {self.num_qubits} qubits>"
+
+
+def _chunk_share(store, k: int, groups: tuple) -> float:
+    """Chunk ``k``'s share of a streamed expectation: every group against
+    its partner of ``k``, except the pairs whose lower chunk is the
+    partner (that chunk summed them, twice their real part)."""
+    bra = store.load(k).astype(np.complex128, copy=False)
+    loaded: Dict[int, np.ndarray] = {0: bra}
+    total = 0.0
+    for gbits, top, gather, plain, coefs, phases in groups:
+        if k & top:
+            continue
+        ket = loaded.get(gbits)
+        if ket is None:
+            ket = loaded[gbits] = store.load(k ^ gbits).astype(
+                np.complex128, copy=False)
+        if gather is not None:
+            ket = ket[gather]
+        if phases is None:
+            share = plain * float(np.vdot(bra, ket).real)
+        else:
+            weight = coefs[k] @ phases + plain
+            if ket is bra:
+                share = float(np.dot(bra.real ** 2 + bra.imag ** 2, weight))
+            else:
+                share = float(np.vdot(bra, weight * ket).real)
+        total += 2.0 * share if gbits else share
+    return total
 
 
 def maxcut_hamiltonian(graph) -> PauliSum:

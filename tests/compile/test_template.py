@@ -6,6 +6,7 @@ setting and layout — and ``MemQSim`` must report which of the three paths
 (miss, rebound, hit) a run took.
 """
 
+import itertools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -14,8 +15,11 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.circuits import Circuit, qaoa_maxcut, trotter_ising, vqe_ansatz
+from repro.circuits import (WORKLOADS, Circuit, get_workload, qaoa_maxcut,
+                            trotter_ising, vqe_ansatz)
+from repro.circuits.gates import Gate
 from repro.compile import CompiledGateStage, CompileOptions, compile_stages
+from repro.compile.template import WindowRecipe
 from repro.core import MemQSim, MemQSimConfig
 from repro.device import DeviceSpec
 from repro.memory import ChunkLayout
@@ -166,6 +170,76 @@ class TestValueEdgeCases:
         echo = [sim.run(Circuit(3).rz(angle, 0).h(1)).config_echo["plan_cache"]
                 for angle in (0.0, 0.0, -0.0, -0.0)]
         assert echo == ["miss", "hit", "rebound", "hit"]
+
+
+def reangled(circuit, angles):
+    """``circuit`` with every parameter of a named gate replaced, cycling
+    through ``angles``; gates given by an explicit operator stay as they
+    are."""
+    it = itertools.cycle(angles)
+    gates = [g if g.spec is None or not g.params
+             else Gate(g.name, g.qubits, tuple(next(it) for _ in g.params))
+             for g in circuit.gates]
+    return Circuit(circuit.num_qubits, gates)
+
+
+def embedded(part, gates, window):
+    """``part``'s operator on the window's qubits: ``I (x) A`` by
+    ``np.kron``, conjugated by the permutation that puts the part's qubits
+    lowest, in its order."""
+    a = part.matrix(gates)
+    p, k = part.num_qubits, len(window)
+    pos = [window.index(q) for q in part.qubits]
+    order = pos + [i for i in range(k) if i not in pos]
+    full = np.kron(np.eye(1 << (k - p)), a)
+    perm = np.zeros((1 << k, 1 << k))
+    for u in range(1 << k):
+        v = sum(((u >> b) & 1) << i for i, b in enumerate(order))
+        perm[v, u] = 1.0
+    return perm.T @ full @ perm
+
+
+class TestBindingIsItsOwnArithmetic:
+    """Binding a fused window is small-matrix arithmetic of the compile
+    layer: no statevector kernel runs, so the dense comparator's kernels
+    can never move a bound plan (or be moved for one)."""
+
+    @pytest.fixture
+    def kernels_raise(self, monkeypatch):
+        from repro.statevector import kernels
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a statevector kernel ran during a bind")
+
+        originals = {id(getattr(kernels, name)) for name in kernels.__all__}
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro"):
+                for attr, value in list(vars(module).items()):
+                    if id(value) in originals:
+                        monkeypatch.setattr(module, attr, refuse)
+
+    @pytest.mark.parametrize("chunk_qubits, cap", [(6, 0), (3, 1)])
+    @pytest.mark.parametrize("family", sorted(WORKLOADS))
+    def test_every_window_is_the_product_of_its_parts(
+            self, kernels_raise, family, chunk_qubits, cap):
+        rng = np.random.default_rng(sorted(WORKLOADS).index(family))
+        circuit = get_workload(family, 6)
+        layout = ChunkLayout(6, chunk_qubits)
+        template = cold_compile(reangled(circuit, rng.uniform(0, 7, 8)),
+                                layout, cap, True).template
+        windows = [r for stage in template.stages
+                   for r in getattr(stage, "recipes", ())
+                   if isinstance(r, WindowRecipe)]
+        assert windows or family in ("ghz", "grover", "bv")
+        for angles in [rng.uniform(-7, 7, 8)] + EDGE_ANGLES:
+            gates = reangled(circuit, angles).gates
+            compile_stages(template, gates=gates)
+            for window in windows:
+                want = np.eye(1 << window.num_qubits)
+                for part in window.parts:
+                    want = embedded(part, gates, window.qubits) @ want
+                np.testing.assert_allclose(window.value(gates), want,
+                                           rtol=0, atol=1e-13)
 
 
 def test_sixteen_threads_binding_one_template_get_equal_plans():

@@ -1,6 +1,9 @@
 """Tests for observables, product-state init, mid-circuit measurement on the
 compressed store, multi-device execution, and the circuit drawer."""
 
+import weakref
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -112,6 +115,128 @@ class TestPauliSum:
         h = ising_hamiltonian(3)
         assert "terms" in repr(h)
         assert "Z" in str(h)
+
+
+class WatchedStore:
+    """A store front that counts loads and how many loaded chunks the
+    caller still holds (each load hands out its own copy)."""
+
+    def __init__(self, store):
+        self.store, self.layout = store, store.layout
+        self.loads = self.live = self.peak = 0
+
+    def load(self, chunk):
+        self.loads += 1
+        data = self.store.load(chunk).copy()
+        self.live += 1
+        self.peak = max(self.peak, self.live)
+        weakref.finalize(data, self._freed)
+        return data
+
+    def _freed(self):
+        self.live -= 1
+
+
+def random_pauli_sum(n, chunk_qubits, seed):
+    """Seeded X / Y / Z strings on local and global qubits, with mixed
+    local + global X-masks among them."""
+    g = np.random.default_rng(seed)
+    h = PauliSum(constant=0.3)
+    for _ in range(20):
+        qubits = g.choice(n, size=int(g.integers(1, 5)), replace=False)
+        h.add(float(g.normal()), "".join(g.choice(list("XYZ"), len(qubits))),
+              tuple(int(q) for q in qubits))
+    top = n - 1
+    h.add(0.4, "XY", (0, top)).add(-0.6, "YXZ", (chunk_qubits - 1,
+                                                   chunk_qubits, 1))
+    return h
+
+
+STREAMED = {
+    "ising": lambda: ising_hamiltonian(8, 1.0, 0.7),
+    "ising_periodic": lambda: ising_hamiltonian(8, 0.8, 0.4, periodic=True),
+    "heisenberg": lambda: heisenberg_hamiltonian(8, 1.0, 0.8, 0.6),
+    "maxcut": lambda: maxcut_hamiltonian(
+        __import__("networkx").random_regular_graph(3, 8, seed=2)),
+    "random": lambda: random_pauli_sum(8, 4, seed=7),
+}
+#: (precision, cache_chunks, host_store_mb): a bare store, a cache in
+#: front, a tiered store that spills to its disk log
+STORES = [("c128", 0, 0.0), ("c64", 0, 0.0), ("c128", 4, 0.0),
+          ("c64", 4, 0.0), ("c128", 0, 1 / 4096), ("c64", 0, 1 / 4096)]
+
+
+class TestStreamedQuery:
+    """``expectation_chunked`` reads every partner pair of chunks once and
+    holds at most ``1 +`` (distinct global X parts) chunks at a time."""
+
+    @staticmethod
+    def expected(h, cq, num_chunks):
+        partners = {t.parsed().x_mask >> cq for t in h} - {0}
+        return num_chunks + len(partners) * num_chunks // 2, 1 + len(partners)
+
+    @pytest.mark.parametrize("precision, cache, host_mb", STORES)
+    @pytest.mark.parametrize("name", sorted(STREAMED))
+    def test_matches_dense_reading_each_pair_once(self, name, precision,
+                                                  cache, host_mb):
+        h = STREAMED[name]()
+        res = MemQSim(cfg(4).with_updates(
+            precision=precision, cache_chunks=cache,
+            host_store_mb=host_mb)).run(vqe_ansatz(8, layers=2, seed=11))
+        try:
+            state = StateVector(8, res.statevector().astype(np.complex128))
+            watched = WatchedStore(res.store)
+            got = h.expectation_chunked(
+                SimpleNamespace(store=watched, num_qubits=8))
+            assert got == pytest.approx(h.expectation_dense(state),
+                                        abs=1e-12)
+            loads, live = self.expected(h, 4, 16)
+            assert watched.loads == loads
+            # a single-precision chunk is widened to a copy, so the loaded
+            # one is dropped at once
+            if precision == "c128":
+                assert watched.peak == live
+            assert watched.peak <= live
+            tiered = getattr(res.store, "tier_stats", None)
+            assert (tiered is not None and tiered.spills > 0) == \
+                (host_mb > 0)
+        finally:
+            if host_mb > 0:
+                res.store.close()
+
+    def test_the_sweep_hamiltonian_reads_48_chunks(self):
+        res = MemQSim(chunk_qubits=6, compressor="zlib").run(
+            vqe_ansatz(10, layers=3, seed=3))
+        watched = WatchedStore(res.store)
+        h = ising_hamiltonian(10, 1.0, 0.7)
+        got = h.expectation_chunked(
+            SimpleNamespace(store=watched, num_qubits=10))
+        assert (watched.loads, watched.peak) == (48, 5)
+        want = h.expectation_dense(StateVector(10, res.statevector()))
+        assert got == pytest.approx(want, abs=1e-12)
+
+    def test_tables_are_reused_and_rebuilt_after_add(self):
+        res = MemQSim(cfg(4)).run(vqe_ansatz(8, layers=2, seed=11))
+        state = StateVector(8, res.statevector())
+        h = ising_hamiltonian(8, 1.0, 0.7)
+        first = h.expectation_chunked(res)
+        tables = h._tables
+        assert h.expectation_chunked(res) == first
+        assert h._tables is tables
+        h.add(0.5, "XY", (1, 6))
+        assert h.expectation_chunked(res) == pytest.approx(
+            h.expectation_dense(state), abs=1e-12)
+        assert h._tables is not tables
+        # another layout of the same terms builds its own
+        rebuilt = h._tables
+        other = MemQSim(cfg(5)).run(vqe_ansatz(8, layers=2, seed=11))
+        h.expectation_chunked(other)
+        assert h._tables is not rebuilt
+
+    def test_a_term_outside_the_state_is_refused(self):
+        res = MemQSim(cfg(4)).run(vqe_ansatz(8, layers=1, seed=1))
+        with pytest.raises(ValueError, match="outside the state"):
+            PauliSum().add(1.0, "Z", (8,)).expectation_chunked(res)
 
 
 class TestProductStateInit:
