@@ -1,13 +1,11 @@
 """Experiment A6 — ablations of MEMQSim's own design choices.
 
-DESIGN.md calls out three optimizations the paper's architecture enables;
-each is switchable, so we measure its contribution directly:
+DESIGN.md calls out optimizations the paper's architecture enables; each
+is switchable, so we measure its contribution directly:
 
 * **permutation stages** — executing global X/SWAP as compressed-blob
   relabelings instead of streaming chunk groups;
-* **gate fusion** — merging adjacent 1q gates per group pass;
-* **multi-device scaling** — chunk groups round-robined over 1/2/4
-  simulated devices (modeled overlap: one GPU + bus lane per device).
+* **gate fusion** — merging adjacent 1q gates per group pass.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ import time
 
 from common import emit_result, print_banner, seconds, tight_config
 from repro.analysis import Table, format_seconds
-from repro.circuits import Circuit, get_workload, random_circuit
+from repro.circuits import Circuit, random_circuit
 from repro.core import MemQSim
 
 N = 11
@@ -69,25 +67,6 @@ def fusion_table() -> Table:
     return t
 
 
-def multidevice_table() -> Table:
-    t = Table(["workload", "devices", "pipelined makespan", "speedup vs 1"],
-              title="A6c: multi-device scaling (modeled overlap)")
-    # qv is kernel-heavy (SU(4) matmuls), supremacy is codec-heavy: the
-    # contrast shows devices only help once the GPU is the bottleneck —
-    # Amdahl on the pipeline, and exactly why the paper wants the codec
-    # hidden behind compute.
-    for w in ("qv", "supremacy"):
-        circ = get_workload(w, N)
-        base = None
-        for d in (1, 2, 4):
-            res = run(circ, num_devices=d)
-            if base is None:
-                base = res.pipelined_seconds
-            t.add(w, d, format_seconds(res.pipelined_seconds),
-                  f"{base / res.pipelined_seconds:.2f}x")
-    return t
-
-
 # -- pytest-benchmark targets ---------------------------------------------------
 
 def test_permutation_stages_save_codec_traffic(benchmark):
@@ -111,19 +90,10 @@ def test_fusion_reduces_kernel_launches(benchmark):
     assert fused.scheduler_stats.gates_applied < plain.scheduler_stats.gates_applied
 
 
-@pytest.mark.parametrize("devices", [1, 2, 4])
-def test_multidevice_scaling(benchmark, devices):
-    circ = get_workload("qft", 10)
-    res = benchmark.pedantic(run, args=(circ,),
-                             kwargs={"num_devices": devices},
-                             rounds=1, iterations=1)
-    assert res.norm() == pytest.approx(1.0, abs=1e-3)
-
-
 if __name__ == "__main__":
     print_banner(__doc__.splitlines()[0])
     t0 = time.perf_counter()
-    tables = [permutation_table(), fusion_table(), multidevice_table()]
+    tables = [permutation_table(), fusion_table()]
     wall = time.perf_counter() - t0
     for t in tables:
         print(t.render())

@@ -3,8 +3,8 @@ stand-in) across workloads.
 
 The baseline comparison the paper positions against: same circuits, same
 numerics, dense full-memory execution vs compressed chunked execution.
-Reports wall/serial/pipelined time, memory, and fidelity (exactness for the
-lossless configuration).
+Reports dense time, MEMQSim's serial stage sum and online-stage stopwatch
+time, memory, and fidelity (exactness for the lossless configuration).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ def run_pair(workload: str, n: int = N, chunk: int = 8, codec="szlike",
 
 def generate_table(n: int = N) -> Table:
     t = Table(
-        ["workload", "dense time", "memq serial", "memq pipelined",
+        ["workload", "dense time", "memq serial", "memq online",
          "dense mem", "memq peak mem", "fidelity"],
         title=f"A3: MEMQSim vs dense baseline at n={n}",
     )
@@ -53,7 +53,7 @@ def generate_table(n: int = N) -> Table:
             w,
             format_seconds(dstats.wall_time_s),
             format_seconds(res.serial_seconds),
-            format_seconds(res.pipelined_seconds),
+            format_seconds(res.online_seconds),
             format_bytes(dstats.peak_bytes),
             format_bytes(memq_mem),
             "exact" if fid is None else f"{fid:.9f}",

@@ -37,7 +37,7 @@ def run_one(chunk_qubits: int, workload: str = WORKLOAD, n: int = N):
 
 def generate_table(n: int = N) -> Table:
     t = Table(
-        ["chunk amps", "store ratio", "serial", "pipelined",
+        ["chunk amps", "store ratio", "serial", "online (stopwatch)",
          "codec time", "group passes", "working set"],
         title=f"A1: granularity sweep ({WORKLOAD}, n={n}, eb=1e-6)",
     )
@@ -49,7 +49,7 @@ def generate_table(n: int = N) -> Table:
             1 << c,
             f"{res.compression_ratio:.1f}x",
             format_seconds(res.serial_seconds),
-            format_seconds(res.pipelined_seconds),
+            format_seconds(res.online_seconds),
             format_seconds(codec),
             res.scheduler_stats.group_passes,
             format_bytes(res.tracker.peak("host_buffers")),

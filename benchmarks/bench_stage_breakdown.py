@@ -1,10 +1,9 @@
 """Experiment A5 — where the time goes: per-step breakdown of the online
-stage (paper steps (1)-(6)) and the CPU-offload fraction sweep.
+stage (paper steps (1)-(6)).
 
 Reports the share of decompress / H2D / kernel / D2H / recompress /
-CPU-update time per workload, then sweeps ``cpu_offload_fraction`` to show
-the balance point the paper's step (5) targets (idle cores absorbing chunk
-updates while the GPU streams).
+host-relabeling time per workload. The paper's step (5), idle cores doing
+the codec work, is the codec lane (``workers > 1``; BENCH_P1 measures it).
 """
 
 from __future__ import annotations
@@ -17,16 +16,14 @@ from common import emit_result, print_banner, seconds, tight_config
 from repro.analysis import Table, format_seconds
 from repro.circuits import get_workload
 from repro.core import MemQSim
-from repro.pipeline import advise_from_timeline
 
 N = 12
 CHUNK = 7
 WORKLOAD = "qft"
-FRACTIONS = [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
-def run_one(fraction: float, workload: str = WORKLOAD, n: int = N):
-    cfg = tight_config(chunk_qubits=CHUNK, cpu_offload_fraction=fraction)
+def run_one(workload: str = WORKLOAD, n: int = N):
+    cfg = tight_config(chunk_qubits=CHUNK)
     return MemQSim(cfg).run(get_workload(workload, n))
 
 
@@ -37,7 +34,7 @@ def breakdown_table(n: int = N) -> Table:
         title=f"A5a: stage-time breakdown (n={n}, chunk=2^{CHUNK})",
     )
     for w in ["ghz", "qft", "supremacy"]:
-        res = run_one(0.0, w, n)
+        res = run_one(w, n)
         bd = res.stage_breakdown
         total = res.serial_seconds
 
@@ -49,30 +46,10 @@ def breakdown_table(n: int = N) -> Table:
     return t
 
 
-def offload_table(n: int = N) -> Table:
-    t = Table(
-        ["offload fraction", "cpu groups", "gpu groups", "serial",
-         "pipelined", "speedup"],
-        title=f"A5b: CPU-offload fraction sweep ({WORKLOAD}, n={n})",
-    )
-    for f in FRACTIONS:
-        res = run_one(f)
-        st = res.scheduler_stats
-        t.add(
-            f"{f:.2f}", st.cpu_group_passes,
-            st.group_passes - st.cpu_group_passes,
-            format_seconds(res.serial_seconds),
-            format_seconds(res.pipelined_seconds),
-            f"{res.pipeline_speedup:.2f}x",
-        )
-    return t
-
-
 # -- pytest-benchmark targets ---------------------------------------------------
 
-@pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
-def test_offload_fractions(benchmark, fraction):
-    res = benchmark.pedantic(run_one, args=(fraction, WORKLOAD, 10),
+def test_breakdown_run(benchmark):
+    res = benchmark.pedantic(run_one, args=(WORKLOAD, 10),
                              rounds=2, iterations=1)
     assert res.norm() == pytest.approx(1.0, abs=1e-3)
 
@@ -80,42 +57,22 @@ def test_offload_fractions(benchmark, fraction):
 def test_codec_dominates_serial_time(benchmark):
     """On this substrate the codec is the heavy stage — which is exactly
     why the paper pipelines it behind transfers and kernels."""
-    res = benchmark.pedantic(run_one, args=(0.0, "qft", 11),
+    res = benchmark.pedantic(run_one, args=("qft", 11),
                              rounds=1, iterations=1)
     bd = res.stage_breakdown
     codec = bd.get("decompress", 0) + bd.get("compress", 0)
     assert codec > 0.3 * res.serial_seconds
 
 
-def test_offload_advice_is_actionable(benchmark):
-    res = benchmark.pedantic(run_one, args=(0.0, "qft", 10),
-                             rounds=1, iterations=1)
-    advice = advise_from_timeline(res.timeline, idle_cores=3)
-    assert 0.0 <= advice.fraction <= 1.0
-
-
 if __name__ == "__main__":
     print_banner(__doc__.splitlines()[0])
     t0 = time.perf_counter()
-    tables = [breakdown_table(), offload_table()]
+    tables = [breakdown_table()]
     wall = time.perf_counter() - t0
     for t in tables:
         print(t.render())
-    res = run_one(0.0)
-    advice = advise_from_timeline(res.timeline, idle_cores=3)
-    print(f"offload advice from measured profile (3 idle cores): "
-          f"f* = {advice.fraction:.2f} "
-          f"(gpu path {advice.gpu_path_seconds_per_group * 1e3:.2f} ms/group, "
-          f"cpu path {advice.cpu_path_seconds_per_group * 1e3:.2f} ms/group)")
     emit_result("A5", title=__doc__.splitlines()[0],
                 params={"num_qubits": N, "chunk_qubits": CHUNK,
-                        "workload": WORKLOAD, "fractions": FRACTIONS},
+                        "workload": WORKLOAD},
                 metrics={"wall_seconds": seconds(wall)},
-                tables=tables,
-                extra={"offload_advice": {
-                    "fraction": advice.fraction,
-                    "gpu_path_seconds_per_group":
-                        advice.gpu_path_seconds_per_group,
-                    "cpu_path_seconds_per_group":
-                        advice.cpu_path_seconds_per_group,
-                }})
+                tables=tables)

@@ -98,7 +98,7 @@ def tight_config(chunk_qubits: int = 5, groups_of: int = 2, **kw) -> MemQSimConf
         compressor="szlike",
         compressor_options={"error_bound": 1e-6},
         device=DeviceSpec(memory_bytes=dev_bytes),
-        host=HostSpec(memory_bytes=1 << 30, cores=4),
+        host=HostSpec(memory_bytes=1 << 30),
     )
     defaults.update(kw)
     return MemQSimConfig(**defaults)

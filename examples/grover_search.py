@@ -35,8 +35,7 @@ def main(n: int = 12, marked: int = 1234) -> None:
         compressor="szlike",
         compressor_options={"error_bound": 1e-7},
         device=device,
-        host=HostSpec(memory_bytes=1 << 30, cores=8),
-        cpu_offload_fraction=0.25,
+        host=HostSpec(memory_bytes=1 << 30),
     )
     result = MemQSim(cfg).run(circuit)
     print()

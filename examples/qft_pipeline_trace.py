@@ -1,18 +1,20 @@
 """Trace the MEMQSim pipeline on a QFT run (paper Figure 1, live).
 
 Prints the stage plan the offline partitioner produced, then the measured
-per-stage time breakdown, the overlapped schedule's Gantt chart, and the
-CPU-offload advice derived from the profile.
+per-stage time breakdown and the online stage's stopwatch time, and last
+the Gantt chart of a *modelled* overlapped schedule replayed from the
+measured events (:class:`repro.analysis.PipelineModel`, a what-if).
 
 Run:  python examples/qft_pipeline_trace.py [n]
 """
 
 import sys
 
+from repro.analysis import PipelineModel
 from repro.circuits import qft
 from repro.core import MemQSim, MemQSimConfig
-from repro.device import DeviceSpec, PipelineModel
-from repro.pipeline import advise_from_timeline, describe_plan, max_group_qubits_for, plan_stages
+from repro.device import DeviceSpec
+from repro.pipeline import describe_plan, max_group_qubits_for, plan_stages
 from repro.memory import ChunkLayout
 
 
@@ -45,15 +47,13 @@ def main(n: int = 12) -> None:
     print(result.report())
 
     # The overlap model's schedule, as a Gantt chart (Figure 1's shape).
-    model = PipelineModel(cpu_codec_lanes=3, cpu_idle_lanes=3)
-    sched, makespan = model.schedule(result.timeline.events[:300])
-    print("\npipelined schedule (first 300 events; letter = stage initial):")
+    model = PipelineModel(cpu_codec_lanes=3)
+    print(f"\nmodelled makespan (3 codec lanes): "
+          f"{model.makespan(result.timeline) * 1e3:.2f} ms, against "
+          f"{result.online_seconds * 1e3:.2f} ms on the stopwatch")
+    sched, _ = model.schedule(result.timeline.events[:300])
+    print("modelled schedule (first 300 events; letter = stage initial):")
     print(PipelineModel.gantt(sched))
-
-    advice = advise_from_timeline(result.timeline, idle_cores=3)
-    print(f"\noffload advice: route {advice.fraction:.0%} of groups to idle "
-          f"cores (gpu path {advice.gpu_path_seconds_per_group * 1e3:.2f} "
-          f"ms/group vs cpu path {advice.cpu_path_seconds_per_group * 1e3:.2f} ms/group)")
 
 
 if __name__ == "__main__":

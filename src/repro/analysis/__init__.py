@@ -1,4 +1,5 @@
-"""Analysis helpers: fidelity propagation, reporting, sweeps, memtrace."""
+"""Analysis helpers: fidelity propagation, reporting, sweeps, memtrace,
+and the modelled pipeline makespan (a what-if)."""
 
 from .audit import AuditReport, audit_run, predict_access_schedule, predict_traffic
 from .fidelity import GrowthPoint, StateComparison, compare_states, error_growth_profile
@@ -12,6 +13,7 @@ from .memtrace import (
     reuse_distances,
     simulate_lru,
 )
+from .pipeline_model import STAGE_RESOURCE, PipelineModel, ScheduledEvent
 from .report import Table, format_bytes, format_seconds
 from .sweeps import SweepRecord, dense_reference, sweep
 
@@ -39,4 +41,7 @@ __all__ = [
     "audit_run",
     "predict_access_schedule",
     "predict_traffic",
+    "PipelineModel",
+    "ScheduledEvent",
+    "STAGE_RESOURCE",
 ]

@@ -19,9 +19,8 @@ exactly the class of regression (double loads, missed passes, phantom
 flushes) that time-based telemetry cannot see. ``python -m repro audit``
 wires this end to end.
 
-Audit contract: the run must be serial, with the chunk cache disabled and
-``cpu_offload_fraction = 0`` — the deterministic edges are only exact when
-every group takes the device path and every load reaches the codec.
+Audit contract: the chunk cache must be disabled — the deterministic
+edges are only exact when every load reaches the codec.
 """
 
 from __future__ import annotations

@@ -3,10 +3,11 @@
 One dependency-free HTML file per run (inline CSS + SVG, no JS libraries,
 opens from ``file://``) with:
 
-* headline stat tiles — wall time, overlapped makespan, compression ratio,
-  peak memory vs dense;
+* headline stat tiles — wall time, the online stage's stopwatch time,
+  compression ratio, peak memory vs dense;
 * an SVG **stage timeline**: the measured pipeline events placed on their
-  resource lanes by the overlap model (the paper's Fig. 1, from data);
+  resource lanes by the overlap model (the paper's Fig. 1 — a *modelled*
+  what-if, labelled so; see :mod:`repro.analysis.pipeline_model`);
 * an SVG **memory-over-time curve** from the run's
   :class:`~repro.telemetry.monitor.ResourceMonitor` series (the shape of
   the paper's Fig. 2) — RSS, compressed store, device arena;
@@ -32,7 +33,7 @@ import html
 import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..device.timeline import PipelineModel, ScheduledEvent
+from .pipeline_model import PipelineModel, ScheduledEvent
 from .report import format_bytes, format_seconds
 
 __all__ = ["render_html", "write_html"]
@@ -188,11 +189,16 @@ def _timeline_section(result, model: Optional[PipelineModel],
     table = (f'<details><summary>stage totals (table view)</summary>'
              f'<table><tr><th>stage</th><th>total</th><th>share</th></tr>'
              f'{rows}</table></details>')
+    note = (f'<p class="note">modelled: the measured hops replayed on the '
+            f'overlap model\'s lanes, makespan '
+            f'{_esc(format_seconds(makespan))}; the '
+            f'run\'s stopwatch says '
+            f'{_esc(format_seconds(result.online_seconds))}</p>')
     light = _svg_timeline(scheduled, makespan, dark=False,
                           max_events=max_events)
     dark = _svg_timeline(scheduled, makespan, dark=True,
                          max_events=max_events)
-    return (f'<div class="legend">{legend}</div>'
+    return (f'{note}<div class="legend">{legend}</div>'
             f'<div class="light-only">{light}</div>'
             f'<div class="dark-only">{dark}</div>{table}')
 
@@ -522,9 +528,9 @@ def render_html(result, *, title: str = "MEMQSim run report",
     extra_q = result._extra_qubits()
     tiles = [
         ("wall time", format_seconds(result.wall_seconds)),
-        ("pipelined makespan (modelled)",
-         f"{format_seconds(result.pipelined_seconds)} "
-         f"({result.pipeline_speedup:.2f}x)"),
+        ("online (stopwatch)",
+         f"{format_seconds(result.online_seconds)} "
+         f"({result.pipeline_speedup:.2f}x measured overlap)"),
         ("compression", ratio_txt),
         ("peak host", format_bytes(result.peak_host_bytes)),
         ("dense would be", format_bytes(result.dense_bytes)),
@@ -542,7 +548,7 @@ def render_html(result, *, title: str = "MEMQSim run report",
         f"<h1>{_esc(title)}</h1>",
         f'<p class="sub">{_esc(result.config_summary)}</p>',
         f'<div class="tiles">{tile_html}</div>',
-        "<h2>Pipeline stage timeline</h2>",
+        "<h2>Pipeline stage timeline (modelled)</h2>",
         _timeline_section(result, model, max_events),
         "<h2>Memory over time</h2>",
         _memory_section(result.resource_timeline),

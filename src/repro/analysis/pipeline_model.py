@@ -1,0 +1,133 @@
+"""A *modelled* overlapped makespan — a what-if, not a measurement.
+
+A run's :class:`~repro.device.timeline.Timeline` holds the measured
+duration of every hop. This module replays those events through a
+resource-constrained list scheduler to ask what the run would take if
+every resource worked in parallel with the others:
+
+* each stage class is bound to a resource (CPU codec, H2D bus, GPU, D2H
+  bus, host relabeling);
+* an event may start when its per-chunk predecessor has finished *and* its
+  resource is free;
+* the makespan is the last finish time.
+
+The answer is a model of hardware this simulator does not have (a real
+device with its own copy engines), so everything built from it is labelled
+"modelled". What a run actually took is its stopwatch,
+``MemQSimResult.online_seconds``. The paper's Fig. 1 benchmark, the HTML
+report's Gantt chart and ``examples/qft_pipeline_trace.py`` use it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
+
+from ..device.timeline import Stage, StageEvent, Timeline
+
+__all__ = ["PipelineModel", "ScheduledEvent", "STAGE_RESOURCE"]
+
+
+#: resource each stage occupies in the overlap model
+STAGE_RESOURCE: Dict[Stage, str] = {
+    Stage.DECOMPRESS: "cpu_codec",
+    Stage.COMPRESS: "cpu_codec",
+    Stage.H2D: "bus_h2d",
+    Stage.D2H: "bus_d2h",
+    Stage.KERNEL: "gpu",
+    Stage.CPU_UPDATE: "cpu_idle",
+}
+
+
+@dataclass(frozen=True)
+class ScheduledEvent:
+    """A stage event placed on the overlapped timeline."""
+
+    event: StageEvent
+    start: float
+    end: float
+    resource: str
+
+
+class PipelineModel:
+    """Replays a timeline through resource-constrained list scheduling."""
+
+    def __init__(self, cpu_codec_lanes: int = 1, gpu_lanes: int = 1,
+                 bus_lanes: int = 0):
+        """Lanes model parallel capacity per resource.
+
+        ``cpu_codec_lanes`` > 1 models multi-core (de)compression;
+        ``gpu_lanes`` > 1 models multiple devices, each with its own bus
+        (``bus_lanes`` defaults to ``gpu_lanes``). The host resource
+        (``cpu_idle``) has one lane: its only events are permutation hops,
+        which are barriers, so more lanes would never be used.
+        """
+        if bus_lanes <= 0:
+            bus_lanes = max(1, gpu_lanes)
+        self.lanes = {
+            "cpu_codec": max(1, cpu_codec_lanes),
+            "bus_h2d": max(1, bus_lanes),
+            "bus_d2h": max(1, bus_lanes),
+            "gpu": max(1, gpu_lanes),
+            "cpu_idle": 1,
+        }
+
+    def schedule(self, events: Sequence[StageEvent]) -> Tuple[List[ScheduledEvent], float]:
+        """Place events; returns (schedule, makespan).
+
+        Dependencies: events sharing a chunk id execute in issue order
+        (the per-chunk decompress -> h2d -> kernel -> d2h -> compress
+        chain); events on different chunks only contend for resources.
+        Chunk id -1 serializes against everything issued before it.
+        """
+        resource_free: Dict[str, List[float]] = {
+            r: [0.0] * n for r, n in self.lanes.items()
+        }
+        chunk_ready: Dict[int, float] = {}
+        barrier_time = 0.0
+        scheduled: List[ScheduledEvent] = []
+        makespan = 0.0
+        for ev in sorted(events, key=lambda e: e.step):
+            resource = STAGE_RESOURCE[ev.stage]
+            lanes = resource_free[resource]
+            lane = min(range(len(lanes)), key=lanes.__getitem__)
+            if ev.chunk == -1:
+                # A barrier waits for everything issued before it...
+                dep = makespan
+            else:
+                dep = max(chunk_ready.get(ev.chunk, 0.0), barrier_time)
+            start = max(lanes[lane], dep)
+            end = start + ev.duration
+            lanes[lane] = end
+            if ev.chunk == -1:
+                # ...and everything issued after waits for it.
+                barrier_time = end
+            else:
+                chunk_ready[ev.chunk] = end
+            scheduled.append(ScheduledEvent(ev, start, end, f"{resource}[{lane}]"))
+            makespan = max(makespan, end)
+        return scheduled, makespan
+
+    def makespan(self, timeline: Timeline) -> float:
+        _, m = self.schedule(timeline.events)
+        return m
+
+    @staticmethod
+    def gantt(scheduled: Sequence[ScheduledEvent], width: int = 72) -> str:
+        """ASCII Gantt chart of a schedule, one row per resource lane."""
+        if not scheduled:
+            return "(empty schedule)"
+        end = max(s.end for s in scheduled)
+        if end <= 0:
+            return "(zero-length schedule)"
+        rows: Dict[str, List[str]] = {}
+        for s in scheduled:
+            row = rows.setdefault(s.resource, [" "] * width)
+            a = int(s.start / end * (width - 1))
+            b = max(a + 1, int(s.end / end * (width - 1)) + 1)
+            ch = s.event.stage.value[0].upper()
+            for i in range(a, min(b, width)):
+                row[i] = ch
+        lines = [f"{name:<12} |{''.join(row)}|" for name, row in sorted(rows.items())]
+        lines.append(f"{'':<12}  0{'':<{width - 10}}{end * 1e3:.1f} ms")
+        return "\n".join(lines)

@@ -35,7 +35,7 @@ class SweepRecord:
     overrides: Dict[str, object]
     wall_seconds: float
     serial_seconds: float
-    pipelined_seconds: float
+    online_seconds: float
     compression_ratio: float
     peak_host_bytes: int
     peak_device_bytes: int
@@ -102,7 +102,7 @@ def sweep(
                     overrides=overrides,
                     wall_seconds=res.wall_seconds,
                     serial_seconds=res.serial_seconds,
-                    pipelined_seconds=res.pipelined_seconds,
+                    online_seconds=res.online_seconds,
                     compression_ratio=res.compression_ratio,
                     peak_host_bytes=res.peak_host_bytes,
                     peak_device_bytes=res.peak_device_bytes,

@@ -83,8 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="probe chunk sizes on a circuit prefix first")
     runp.add_argument("--transfer", default="sync",
                       choices=["sync", "async", "buffer"])
-    runp.add_argument("--offload", type=float, default=0.0,
-                      help="CPU offload fraction [0,1]")
     _add_fusion_args(runp)
     _add_precision_arg(runp)
     runp.add_argument("--cache-chunks", type=int, default=0,
@@ -101,8 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="append-log file for the tiered store (default: "
                            "a temp file, removed afterwards); alone, with "
                            "no --host-store-mb, every blob lives on disk")
-    runp.add_argument("--devices", type=int, default=1,
-                      help="simulated device count")
     _add_parallel_args(runp)
     runp.add_argument("--shots", type=int, default=0, help="sample this many shots")
     runp.add_argument("--seed", type=int, default=None)
@@ -145,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     tracep.add_argument("--transfer", default="sync",
                         choices=["sync", "async", "buffer"])
     tracep.add_argument("--cache-chunks", type=int, default=0)
-    tracep.add_argument("--offload", type=float, default=0.0)
     _add_fusion_args(tracep)
     _add_precision_arg(tracep)
     _add_parallel_args(tracep)
@@ -162,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     repp.add_argument("--transfer", default="sync",
                       choices=["sync", "async", "buffer"])
     repp.add_argument("--cache-chunks", type=int, default=0)
-    repp.add_argument("--offload", type=float, default=0.0)
     _add_precision_arg(repp)
     _add_parallel_args(repp)
     repp.add_argument("--monitor-interval", type=float, default=5.0,
@@ -471,7 +465,6 @@ def _validate_cache_chunks(value: int, minimum: int = 0) -> int:
 _CONFIG_ARGS = {
     "chunk_qubits": "chunk_qubits",
     "transfer": "transfer",
-    "offload": "cpu_offload_fraction",
     "fusion": "fuse_gates",
     "max_fuse_qubits": "max_fuse_qubits",
     "precision": "precision",
@@ -479,7 +472,6 @@ _CONFIG_ARGS = {
     "cache_policy": "cache_policy",
     "disk_path": "disk_path",
     "host_store_mb": "host_store_mb",
-    "devices": "num_devices",
     "workers": "workers",
     "serpentine": "serpentine_groups",
 }
@@ -778,10 +770,10 @@ def _cmd_audit(args) -> int:
     tel = Telemetry()
     rec = ChunkAccessRecorder()
     tel.access = rec
-    # The audit contract: no chunk cache, no CPU offload — the
-    # deterministic edges are only exact when every group takes the device
-    # path and every load reaches the codec. Any worker count balances.
-    cfg = _config_from_args(args, cache_chunks=0, cpu_offload_fraction=0.0)
+    # The audit contract: no chunk cache — the deterministic edges are
+    # only exact when every load reaches the codec. Any worker count
+    # balances.
+    cfg = _config_from_args(args, cache_chunks=0)
     res = MemQSim(cfg, telemetry=tel).run(
         get_workload(args.workload, args.qubits))
     trace = rec.trace()

@@ -1,9 +1,9 @@
 """The compile layer: lower staged gate batches into a fused op IR.
 
 One lowered :class:`~repro.compile.ir.CompiledPlan` is consumed by every
-amplitude-touching path — the device executor, the scheduler's CPU-offload
-path, and (via :func:`~repro.compile.compiler.compile_gates`) the dense
-baseline simulator — so gate fusion happens once, in one place, and every
+amplitude-touching path — the device executor and (via
+:func:`~repro.compile.compiler.compile_gates`) the dense baseline
+simulator — so gate fusion happens once, in one place, and every
 backend executes the same ops.
 """
 

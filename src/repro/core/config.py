@@ -31,9 +31,7 @@ class MemQSimConfig:
         transfer: ``"sync"`` | ``"async"`` | ``"buffer"`` — Table 1's three
             H2D/D2H strategies.
         device: simulated accelerator spec (capacity enforced).
-        host: simulated host spec (cores feed the overlap model).
-        cpu_offload_fraction: share of chunk groups updated host-side by
-            idle cores (paper step 5). 0 disables.
+        host: simulated host spec (its memory budget is enforced).
         num_buffers: staging buffers in the host pool (2 = double buffer).
         enable_permutation_stages: execute global X/SWAP as blob relabeling.
         min_chunks: auto chunk sizing keeps at least this many chunks.
@@ -62,9 +60,6 @@ class MemQSimConfig:
             :class:`~repro.core.MemQSim` run goes through).
         max_fuse_qubits: widest dense unitary the window-fusion pass may
             build (``2^k x 2^k`` matrix per fused op).
-        num_devices: simulated accelerators; chunk groups are distributed
-            round-robin and the overlap model gets one GPU + bus lane per
-            device.
         cache_chunks: if > 0, keep this many decompressed chunks resident
             in a write-back cache (design challenge 3 — data locality);
             hits skip the codec entirely.
@@ -105,7 +100,6 @@ class MemQSimConfig:
     transfer: str = "sync"
     device: DeviceSpec = field(default_factory=DeviceSpec)
     host: HostSpec = field(default_factory=HostSpec)
-    cpu_offload_fraction: float = 0.0
     num_buffers: int = 2
     enable_permutation_stages: bool = True
     min_chunks: int = 4
@@ -114,7 +108,6 @@ class MemQSimConfig:
     precision: str = "c128"
     fuse_gates: Optional[bool] = None
     max_fuse_qubits: int = 3
-    num_devices: int = 1
     cache_chunks: int = 0
     cache_policy: str = "mru"
     serpentine_groups: bool = True
@@ -231,6 +224,6 @@ class MemQSimConfig:
             f"precision={self.precision} "
             f"compressor={self.compressor}({co}) transfer={self.transfer} "
             f"device={self.device.memory_bytes // (1 << 20)}MiB "
-            f"offload={self.cpu_offload_fraction:g} buffers={self.num_buffers} "
+            f"buffers={self.num_buffers} "
             f"workers={self.workers or 'auto'}"
         )

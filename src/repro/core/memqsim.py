@@ -7,10 +7,10 @@ This is the paper's contribution wired together:
   compressed in host memory), and partition the circuit into execution
   stages (:mod:`repro.pipeline.planner`);
 * **online stage** — stream every chunk group through decompress -> H2D ->
-  kernel -> D2H -> recompress (:mod:`repro.pipeline.scheduler`), optionally
-  routing a fraction of groups to the idle-core CPU path;
-* **telemetry** — per-stage measured timings, the overlapped-pipeline
-  makespan, memory peaks by category, compression ratio and qubit headroom.
+  kernel -> D2H -> recompress (:mod:`repro.pipeline.scheduler`), with the
+  codec on idle-core lane threads when ``workers > 1``;
+* **telemetry** — per-stage measured timings, the online stage's stopwatch
+  time, memory peaks by category, compression ratio and qubit headroom.
 
 Example::
 
@@ -37,7 +37,7 @@ from ..circuits.circuit import Circuit
 from ..compile import (CompileOptions, Hoisted, compile_stages,
                        hoist_permutations)
 from ..device.executor import DeviceExecutor
-from ..device.timeline import PipelineModel, Timeline
+from ..device.timeline import Timeline
 from ..device.transfer import make_strategy
 from ..memory.accounting import MemoryTracker
 from ..memory.bufferpool import BufferPool
@@ -172,9 +172,9 @@ class MemQSim:
                 run attaches it to the chunk store as its codec lane and
                 detaches it on every exit; it never closes it.
             arena: optional externally-owned (possibly shared,
-                multi-tenant) :class:`~repro.device.DeviceArena`; all
-                device executors then allocate from it instead of
-                creating private arenas.
+                multi-tenant) :class:`~repro.device.DeviceArena`; the
+                run's device executor then allocates from it instead of
+                creating a private arena.
             cancel: optional :class:`~repro.pipeline.CancelToken`; the
                 scheduler polls it at group-pass boundaries and raises
                 :class:`~repro.pipeline.JobCancelled`.
@@ -346,9 +346,8 @@ class MemQSim:
                     # Same shape, other angles: every decision stands.
                     plan_source = "rebound"
                     stages, plan = cached.bound.template, cached.plan
-                # Compile (lower + fuse, or bind alone) once; every
-                # amplitude-touching path — the device executors and the
-                # CPU-offload path — consumes this one lowered plan.
+                # Compile (lower + fuse, or bind alone) once; the device
+                # executor consumes this one lowered plan.
                 cplan = compile_stages(
                     stages, layout,
                     CompileOptions(fusion=cfg.fuse_gates,
@@ -406,28 +405,20 @@ class MemQSim:
         # telemetry mirrors each booking into its tracer and bus.
         timeline = Timeline(tel.hop if tel.enabled else None)
 
-        def _strategy():
-            return make_strategy(
-                cfg.transfer, max_elements=buffer_amps, telemetry=tel,
-                dtype=dtype,
-            ) if cfg.transfer == "buffer" else make_strategy(
-                cfg.transfer, telemetry=tel)
-
-        transfer = _strategy()
+        transfer = make_strategy(
+            cfg.transfer, max_elements=buffer_amps, telemetry=tel,
+            dtype=dtype,
+        ) if cfg.transfer == "buffer" else make_strategy(
+            cfg.transfer, telemetry=tel)
         backend = get_backend(cfg.backend)
         if cfg.precision == "mixed":
             # c64 at rest on every tier edge; the kernels see c128.
             backend = MixedPrecisionBackend(backend)
-        if cfg.num_devices < 1:
-            raise ValueError("num_devices must be >= 1")
-        executors = []
-        for _ in range(cfg.num_devices):
-            dev_transfer = transfer if len(executors) == 0 else _strategy()
-            executors.append(DeviceExecutor(
-                cfg.device, transfer=dev_transfer, timeline=timeline,
-                tracker=tracker, backend=backend, telemetry=tel,
-                arena=self.arena,
-            ))
+        executor = DeviceExecutor(
+            cfg.device, transfer=transfer, timeline=timeline,
+            tracker=tracker, backend=backend, telemetry=tel,
+            arena=self.arena,
+        )
         # The codec pool is a property of the store, not of the loop: an
         # external (service-plane) pool is shared across jobs and never
         # closed here; without one the run builds its own when the
@@ -464,25 +455,25 @@ class MemQSim:
             schedule = hierarchy.attach_plan(passes)
             store_like = hierarchy.store_like
             scheduler = StageScheduler(
-                layout, store_like, executors, pool, timeline,
-                cpu_offload_fraction=cfg.cpu_offload_fraction,
+                layout, store_like, executor, pool, timeline,
                 fuse_gates=cfg.fuse_gates,
                 serpentine=cfg.serpentine_groups,
                 observer=tel.observer(),
-                backend=backend,
                 max_fuse_qubits=cfg.max_fuse_qubits,
                 cancel=self.cancel,
                 schedule=schedule,
             )
             with (tel.span("online", stages=plan.num_stages, workers=workers)
                   if tel.enabled else nullcontext()):
+                t_online = time.perf_counter()
                 scheduler.run(cplan.stages, passes, programs)
+                online = time.perf_counter() - t_online
             finished = True
         finally:
             # Cleanup must run on *every* exit (including JobCancelled):
             # every pending write lands and the store forgets the pool, so
             # a cancelled run's store reloads chunk-consistent and a shared
-            # pool outlives the job; executors on a shared arena must not
+            # pool outlives the job; an executor on a shared arena must not
             # leak staging allocations. A codec error a lane hit surfaces
             # from detaching only when the run itself finished: an
             # exception already on its way out (JobCancelled) is the one
@@ -497,8 +488,7 @@ class MemQSim:
                 if owns_codec_pool:
                     codec_pool.close()
                 pool.close()
-                for ex in executors:
-                    ex.reset()
+                executor.reset()
 
         # Close the resource timeline before timing stops so the final
         # sample (store recompressed, arena drained) is part of the record.
@@ -507,22 +497,13 @@ class MemQSim:
         if tel.enabled:
             tel.progress.finish()
         wall = time.perf_counter() - t_wall
-        model = PipelineModel(
-            cpu_codec_lanes=max(1, cfg.host.cores - 1),
-            cpu_idle_lanes=max(1, cfg.host.idle_cores),
-            gpu_lanes=cfg.num_devices,
-        )
-        # The makespan is a model only reports read: the result works it
-        # out from the timeline when asked, except for the telemetry gauge.
-        pipelined = None
         if tel.enabled:
             tel.emit("run.end", run_id=run_id, n=n, seconds=wall)
-            pipelined = model.makespan(timeline)
             tel.tracer.record("run", wall, n=n, gates=len(circuit))
             m = tel.metrics
             m.counter("run.count").inc()
             m.gauge("run.wall.seconds").set(wall)
-            m.gauge("run.pipelined.seconds").set(pipelined)
+            m.gauge("run.online.seconds").set(online)
         log.info("run done: n=%d wall=%.3fs", n, wall)
         config_echo = {
             "chunk_qubits": c,
@@ -531,8 +512,6 @@ class MemQSim:
             "decisions": [d.to_dict() for d in decisions],
             "compressor": cfg.compressor,
             "transfer": cfg.transfer,
-            "cpu_offload_fraction": cfg.cpu_offload_fraction,
-            "num_devices": cfg.num_devices,
             "cache_chunks": cfg.cache_chunks,
             "cache_policy": cfg.cache_policy,
             "serpentine": cfg.serpentine_groups,
@@ -557,8 +536,7 @@ class MemQSim:
             plan=plan,
             scheduler_stats=scheduler.stats,
             wall_seconds=wall,
-            pipeline_model=model,
-            _pipelined=pipelined,
+            online_seconds=online,
             config_summary=cfg.summary(),
             telemetry=tel,
             config_echo=config_echo,

@@ -3,14 +3,7 @@
 from .arena import ArenaLease, DeviceArena, DeviceBuffer, DeviceOutOfMemory
 from .executor import DeviceExecutor
 from .spec import DeviceSpec, HostSpec
-from .timeline import (
-    STAGE_RESOURCE,
-    PipelineModel,
-    ScheduledEvent,
-    Stage,
-    StageEvent,
-    Timeline,
-)
+from .timeline import Stage, StageEvent, Timeline
 from .transfer import (
     AsyncPerElementCopy,
     BufferedCopy,
@@ -34,8 +27,5 @@ __all__ = [
     "make_strategy",
     "Stage",
     "StageEvent",
-    "ScheduledEvent",
     "Timeline",
-    "PipelineModel",
-    "STAGE_RESOURCE",
 ]

@@ -24,20 +24,13 @@ class DeviceSpec:
     Attributes:
         memory_bytes: device memory capacity (arena size).
         name: label for reports.
-        kernel_throughput_gbps: nominal amplitude-update throughput used
-            only for *modeled* timings in reports (measured timings are
-            always preferred); kept for what-if analysis.
     """
 
     memory_bytes: int = 1 << 28  # 256 MiB
     name: str = "sim-gpu"
-    kernel_throughput_gbps: float = 600.0
 
     def fits(self, nbytes: int) -> bool:
         return nbytes <= self.memory_bytes
-
-    def max_amplitudes(self) -> int:
-        return self.memory_bytes // 16
 
     def max_qubits_resident(self) -> int:
         """Largest full state vector that would fit on the device."""
@@ -53,17 +46,11 @@ class HostSpec:
 
     Attributes:
         memory_bytes: host memory budget for the compressed store + buffers.
-        cores: CPU cores available; cores beyond the one driving the device
-            are "idle cores" the paper's step (5) offloads chunk updates to.
+        name: label for reports.
     """
 
     memory_bytes: int = 1 << 32  # 4 GiB
-    cores: int = 8
     name: str = "sim-host"
-
-    @property
-    def idle_cores(self) -> int:
-        return max(0, self.cores - 1)
 
     def max_qubits_dense(self) -> int:
         """Largest dense state vector the host could hold uncompressed."""

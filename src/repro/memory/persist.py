@@ -19,7 +19,9 @@ vector. The format is a single self-describing file:
 complex128 stores keep writing the historical ``MQS1`` frame byte for
 byte; non-c128 stores write ``MQS2`` with the itemsize byte, and the
 loader accepts both. The frame must end with the last blob: a file cut
-short anywhere, or with bytes after it, raises :class:`StoreFormatError`.
+short anywhere, or with bytes after it, raises :class:`StoreFormatError`,
+and so does a header whose layout fields disagree with each other or with
+the bytes that follow.
 A checkpoint is written to a temporary file beside ``path`` and renamed
 over it, so ``path`` holds either the old checkpoint or the new one.
 
@@ -146,8 +148,18 @@ def load_store(
             f"got {compressor.name!r}"
         )
     (num_chunks,) = frame.unpack("<Q")
-    layout = ChunkLayout(num_qubits, chunk_qubits, itemsize=itemsize)
-    if layout.num_chunks != num_chunks:
+    # The zero blob's length entry and one per chunk follow: a count the
+    # bytes left cannot hold is refused before a table that size is built.
+    left = len(frame.data) - frame.off
+    if 8 * (num_chunks + 1) > left:
+        raise StoreFormatError(
+            f"{num_chunks} chunks cannot fit in the {left} bytes left")
+    try:
+        layout = ChunkLayout(num_qubits, chunk_qubits, itemsize=itemsize)
+    except ValueError as exc:
+        raise StoreFormatError(f"bad layout: {exc}") from None
+    if (layout.num_global_qubits >= 64
+            or layout.num_chunks != num_chunks):
         raise StoreFormatError("chunk count does not match layout")
     store = CompressedChunkStore(layout, compressor, tracker)
     (zero_len,) = frame.unpack("<Q")

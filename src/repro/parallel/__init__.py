@@ -1,8 +1,9 @@
 """repro.parallel — real concurrent chunk execution.
 
 The paper's online stage is *pipelined*: decompression, transfer, kernel,
-and recompression of independent chunk groups overlap. The scheduler
-models that overlap analytically; this subsystem makes the codec half real:
+and recompression of independent chunk groups overlap, with idle cores
+doing the codec work (Fig. 1 step 5). This subsystem makes the codec half
+of that overlap real, and a run's ``online_seconds`` measures it:
 
 * :class:`CodecWorkerPool` — chunk compress/decompress jobs on a pool of
   codec *lane* threads over the one codec object. A run attaches it to its

@@ -92,7 +92,7 @@ def run_equivalence(
     """Run ``circuit`` inline and with ``workers`` codec lanes.
 
     ``config``/``overrides`` parameterize everything else (codec, chunking,
-    offload fraction, devices, cache, ...); the harness only takes the
+    transfer, cache, ...); the harness only takes the
     codec pool away from one run and hands one to the other —
     ``workers=1`` is one lane thread.
     """

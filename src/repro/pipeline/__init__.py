@@ -1,8 +1,7 @@
-"""Pipeline: offline planner, online scheduler, CPU offload policy."""
+"""Pipeline: offline planner, online scheduler."""
 
 from .autotune import TuneReport, autotune_chunk_qubits
 from .cancel import CancelToken, JobCancelled
-from .cpu_offload import OffloadAdvice, advise_from_timeline, balanced_offload_fraction
 from .planner import (
     RELOCATE,
     PlanReport,
@@ -39,9 +38,6 @@ __all__ = [
     "StageScheduler",
     "remap_gate_for_group",
     "restrict_diagonal",
-    "OffloadAdvice",
-    "balanced_offload_fraction",
-    "advise_from_timeline",
     "autotune_chunk_qubits",
     "TuneReport",
 ]

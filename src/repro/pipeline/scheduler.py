@@ -6,8 +6,8 @@ passes in the run's pass schedule (:mod:`repro.pipeline.sweep`): the
 layout's chunk groups minus those that cannot hold a non-zero amplitude,
 which stay the interned zero blob they are. Each group pass performs, with
 each phase *measured*, once, by the layer that runs it (the store its
-codec calls, the executor its copies and kernels, this module the
-host-side updates) and recorded on the run's timeline:
+codec calls, the executor its copies and kernels) and recorded on the
+run's timeline:
 
 1. DECOMPRESS — load the group's chunks from the compressed store into a
    staging buffer (one slot per chunk);
@@ -19,19 +19,17 @@ host-side updates) and recorded on the run's timeline:
 4. D2H — download the updated amplitudes;
 5. COMPRESS — recompress each chunk back into the store.
 
-A configurable fraction of groups instead takes the **CPU path** (paper
-step (5)): decompress, update with the same kernels on the host, recompress
-— recorded as CPU_UPDATE work so the overlap model can place it on idle
-cores. :class:`PermutationStage`s relabel compressed blobs directly.
+Every group takes that one path through the one device executor.
+:class:`PermutationStage`s relabel compressed blobs directly.
 
-This is the only group loop. It runs serially; the pipelined makespan is
-computed afterwards by :class:`repro.device.timeline.PipelineModel` from
-the measured events. Real concurrency lives *behind* the store: with a
-codec lane attached (:meth:`CompressedChunkStore.attach_lane`) the
-per-pass ``will_need`` hint starts the next pass's decompress jobs before
-this pass's kernel runs and ``store`` returns once its compress job is
-submitted — the loop, its order and every cache / tier decision it drives
-are the same for any worker count.
+This is the only group loop, and it runs serially. Real concurrency lives
+*behind* the store: with a codec lane attached
+(:meth:`CompressedChunkStore.attach_lane`) — the paper's step (5), idle
+cores doing the codec work — the per-pass ``will_need`` hint starts the
+next pass's decompress jobs before this pass's kernel runs and ``store``
+returns once its compress job is submitted. The loop, its order and every
+cache / tier decision it drives are the same for any worker count; what
+the lane hides shows up in the run's measured ``online_seconds``.
 
 Whoever watches a run — spans, the traffic ledger's pass context, the
 progress tracker, the event bus, the access trace, the resource monitor —
@@ -265,7 +263,6 @@ class SchedulerStats:
     group_passes: int = 0
     #: groups of the full sweep that were all zero and never streamed
     group_passes_skipped: int = 0
-    cpu_group_passes: int = 0
     permutation_stages: int = 0
     gates_applied: int = 0
     gates_skipped_identity: int = 0
@@ -281,27 +278,22 @@ class StageScheduler:
         executor,
         pool: BufferPool,
         timeline: Optional[Timeline] = None,
-        cpu_offload_fraction: float = 0.0,
         fuse_gates: bool = False,
         serpentine: bool = False,
         observer=None,
-        backend=None,
         max_fuse_qubits: int = 3,
         cancel=None,
         schedule=None,
     ):
-        """``executor`` is one DeviceExecutor or a sequence of them; with
-        several, chunk groups are distributed round-robin (simulated
-        multi-device execution — the overlap model then runs the kernel
-        and bus events on as many lanes as there are devices).
+        """``executor`` is the run's one
+        :class:`~repro.device.DeviceExecutor`: every group pass uploads,
+        updates and downloads through it.
         ``serpentine`` alternates the group sweep direction per stage so a
         bounded chunk cache keeps hitting across stage boundaries (read only
         when :meth:`run` derives the pass schedule itself).
         ``observer`` is the run's :class:`~repro.telemetry.PassObserver`
         (:meth:`Telemetry.observer() <repro.telemetry.Telemetry.observer>`);
         ``None`` reports to nobody.
-        ``backend`` executes the CPU-offload path's op batches (see
-        :mod:`repro.core.backend`); ``None`` uses the numpy kernels.
         ``fuse_gates`` / ``max_fuse_qubits`` configure the lazy compile of
         raw :class:`GateStage` inputs — stages already lowered by
         :func:`repro.compile.compile_stages` run as-is.
@@ -316,30 +308,15 @@ class StageScheduler:
         pass (and past permutation barriers) so schedule-driven layers —
         Belady eviction, plan-coldest spilling — always know where in the
         plan execution stands."""
-        if not 0.0 <= cpu_offload_fraction <= 1.0:
-            raise ValueError("cpu_offload_fraction must be in [0, 1]")
         self.layout = layout
         self.store = store
-        executors = list(executor) if isinstance(executor, (list, tuple)) \
-            else [executor]
-        if not executors:
-            raise ValueError("need at least one executor")
-        self.executors = executors
-        self.executor = executors[0]
+        self.executor = executor
         self.pool = pool
         self.timeline = timeline if timeline is not None else \
-            self.executor.timeline
-        self.cpu_offload_fraction = cpu_offload_fraction
+            executor.timeline
         self.fuse_gates = bool(fuse_gates)
         self.serpentine = bool(serpentine)
         self.observer = observer if observer is not None else NULL_OBSERVER
-        if backend is None:
-            # Runtime import — core.backend sits above this module in the
-            # import graph, so importing it at module scope would be cyclic.
-            from ..core.backend import NumpyKernelBackend
-
-            backend = NumpyKernelBackend()
-        self.backend = backend
         self.compile_options = CompileOptions(
             fusion=self.fuse_gates,
             max_fuse_qubits=max_fuse_qubits,
@@ -349,9 +326,6 @@ class StageScheduler:
         #: the running plan's kept stage programs (see :meth:`run`)
         self._programs: Optional[Sequence[Optional[StageProgram]]] = None
         self.stats = SchedulerStats()
-
-    def _executor_for(self, gi: int):
-        return self.executors[gi % len(self.executors)]
 
     # -- public ---------------------------------------------------------------
 
@@ -427,14 +401,6 @@ class StageScheduler:
 
     # -- gate stages -------------------------------------------------------------------
 
-    def _cpu_every(self) -> int:
-        """Every how many groups the CPU path takes one (0 = never)."""
-        if self.cpu_offload_fraction <= 0.0:
-            return 0
-        if self.cpu_offload_fraction >= 1.0:
-            return 1
-        return max(1, round(1.0 / self.cpu_offload_fraction))
-
     def _run_gate_stage(self, stage: CompiledGateStage, si: int,
                         groups: Sequence[Tuple[int, Tuple[int, ...]]]) -> None:
         # A kept program exists for a stage that came compiled (a bare
@@ -446,14 +412,11 @@ class StageScheduler:
                 self.layout.chunk_groups(stage.group_qubits))
         placement = program.placement
         group_size = self.layout.chunk_size << len(placement.group_qubits)
-        cpu_every = self._cpu_every()
         self.stats.group_passes_skipped += len(placement.groups) - len(groups)
         nbytes = group_size * self.layout.itemsize
         for gi, members in groups:
             self.cancel.raise_if_cancelled()
-            cpu_path = cpu_every > 0 and (gi % cpu_every == 0)
-            with self.observer.group_pass(
-                    si, gi, members, "cpu" if cpu_path else "device", nbytes):
+            with self.observer.group_pass(si, gi, members, nbytes):
                 if self.schedule is not None:
                     self.schedule.begin_pass(si, gi)
                 # Advisory hint down the hierarchy: a tiered store promotes
@@ -462,7 +425,7 @@ class StageScheduler:
                 # this pass's and the next pass's decompress jobs.
                 self.store.will_need(members, gi)
                 ops = self._ops_for_group(program, members[0])
-                self._run_group(gi, members, ops, group_size, cpu_path)
+                self._run_group(gi, members, ops, group_size)
             self.stats.group_passes += 1
 
     def _ops_for_group(self, program: StageProgram,
@@ -490,7 +453,7 @@ class StageScheduler:
     def _device_update(self, gi: int, ops: List[GateOp],
                        view: np.ndarray) -> None:
         """Upload -> kernels -> download for one already-staged group."""
-        executor = self._executor_for(gi)
+        executor = self.executor
         dev = executor.alloc(view.shape[0], dtype=view.dtype)
         try:
             executor.upload(view, dev, gi)
@@ -502,27 +465,14 @@ class StageScheduler:
         finally:
             executor.free(dev)
 
-    def _cpu_update(self, gi: int, ops: List[GateOp],
-                    view: np.ndarray) -> None:
-        """Host-side update path: same compiled ops, configured backend."""
-        t0 = time.perf_counter()
-        self.backend.apply_ops(view, ops)
-        self.timeline.record(Stage.CPU_UPDATE, time.perf_counter() - t0, gi,
-                             view.nbytes, gates=len(ops))
-        self.stats.gates_applied += len(ops)
-        self.stats.cpu_group_passes += 1
-
     def _run_group(self, gi: int, members: Tuple[int, ...],
-                   ops: List[GateOp], group_size: int, cpu_path: bool) -> None:
-        """One serial group pass: load -> update (host or device) -> store."""
+                   ops: List[GateOp], group_size: int) -> None:
+        """One serial group pass: load -> device update -> store."""
         buf = self.pool.acquire()
         try:
             view = buf[:group_size]
             self._load_group(members, view)
-            if cpu_path:
-                self._cpu_update(gi, ops, view)
-            else:
-                self._device_update(gi, ops, view)
+            self._device_update(gi, ops, view)
             self._store_group(members, view)
         finally:
             self.pool.release(buf)

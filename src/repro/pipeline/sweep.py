@@ -66,8 +66,8 @@ def predict_pass_schedule(
 
     Group ids are the placement's enumeration indices whether or not
     earlier groups were dropped, so ``(stage, group)`` keys line up with
-    the traffic ledger's and round-robin executors, CPU offload and the
-    sweep direction see the ids they always did.
+    the traffic ledger's and the sweep direction sees the ids it always
+    did.
     """
     passes: List[Pass] = []
     live = None if support is None else set(support)

@@ -65,7 +65,6 @@ CONFIG_OVERRIDES = {
     "error_bound": None,  # -> compressor_options["error_bound"]
     "chunk_qubits": "chunk_qubits",
     "transfer": "transfer",
-    "cpu_offload_fraction": "cpu_offload_fraction",
     "fusion": "fuse_gates",
     "fuse_gates": "fuse_gates",
     "max_fuse_qubits": "max_fuse_qubits",

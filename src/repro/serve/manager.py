@@ -3,7 +3,7 @@
 One :class:`ServeManager` owns the daemon's shared resources —
 
 * **one** :class:`~repro.device.DeviceArena` sized by the daemon's device
-  spec; every job's executors allocate from it,
+  spec; every job's executor allocates from it,
 * **one** :class:`PlanCache` keyed on (circuit shape, plan key, chunk size),
 * optionally **one** :class:`~repro.parallel.CodecWorkerPool` (when the
   daemon's base config resolves to >1 workers), shared by jobs whose codec

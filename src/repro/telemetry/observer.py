@@ -38,9 +38,9 @@ class PassObserver:
         return _NOTHING
 
     def group_pass(self, stage: int, group: int, members: Tuple[int, ...],
-                   path: str, nbytes: int):
+                   nbytes: int):
         """Context around one group pass: every chunk of ``members`` is
-        read, updated on ``path`` (``"device"`` | ``"cpu"``) and written."""
+        read, updated on the device and written."""
         return _NOTHING
 
     def barrier(self, stage: int) -> None:
@@ -85,7 +85,7 @@ class RunObserver(PassObserver):
         self._traffic.set_pass()
 
     @contextmanager
-    def group_pass(self, stage, group, members, path, nbytes):
+    def group_pass(self, stage, group, members, nbytes):
         # The ledger attributes what stores, caches and copies record from
         # here on; the access trace is the loop's logical order (all reads,
         # then all writes), whatever a cache or a codec lane reorders.
@@ -95,16 +95,14 @@ class RunObserver(PassObserver):
             for chunk in members:
                 access.record(chunk, stage, "r")
         with self._tracer.span("group_pass", stage=stage, group=group,
-                               path=path, chunks=len(members),
-                               nbytes=nbytes):
+                               chunks=len(members), nbytes=nbytes):
             yield
         if access is not None:
             for chunk in members:
                 access.record(chunk, stage, "w")
         if self._progress is not None:
             self._progress.group_done(stage)
-        self._emit("group", stage=stage, group=group, chunks=len(members),
-                   path=path)
+        self._emit("group", stage=stage, group=group, chunks=len(members))
 
     def barrier(self, stage):
         # Blob relabeling moves no bytes, but a cache in front of the store

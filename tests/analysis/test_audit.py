@@ -32,7 +32,6 @@ def audited_run(n=8, chunk_qubits=4, serpentine=False, execution="serial",
         chunk_qubits=chunk_qubits,
         compressor="zlib",
         cache_chunks=0,
-        cpu_offload_fraction=0.0,
         serpentine_groups=serpentine,
         **kw,
     )

@@ -14,7 +14,7 @@ from repro.telemetry import Telemetry
 
 #: every report must contain these section headings, in order
 SECTIONS = [
-    "Pipeline stage timeline",
+    "Pipeline stage timeline (modelled)",
     "Memory over time",
     "Per-chunk compression",
     "Metrics",
@@ -36,7 +36,7 @@ def tight_config_module():
         chunk_qubits=4,
         compressor="zlib",
         device=DeviceSpec(memory_bytes=(1 << 6) * 16 * 4),
-        host=HostSpec(memory_bytes=1 << 26, cores=4),
+        host=HostSpec(memory_bytes=1 << 26),
     )
 
 
@@ -78,6 +78,9 @@ def test_report_renders_real_numbers(monitored_result):
     assert "process RSS" in doc
     assert "device arena" in doc
     assert "no resource timeline captured" not in doc
+    # the headline time is the stopwatch; the Gantt's makespan says modelled
+    assert "online (stopwatch)" in doc and "pipelined" not in doc
+    assert '<p class="note">modelled: ' in doc
     # per-chunk table rows for each chunk of the 8-qubit / 4-chunk layout
     assert doc.count("zero chunk") <= 16
     assert "derived gauge" in doc

@@ -73,16 +73,6 @@ class TestEndToEndEquivalence:
         np.testing.assert_allclose(res.statevector(), ref.statevector(),
                                    atol=1e-10)
 
-    def test_cpu_offload_shares_compiled_ops(self):
-        circ = get_workload("qft", 8)
-        cfg = MemQSimConfig(chunk_qubits=4, compressor="zlib",
-                            fuse_gates=True, cpu_offload_fraction=1.0)
-        res = MemQSim(cfg).run(circ)
-        ref = MemQSim(MemQSimConfig(chunk_qubits=4, compressor="zlib")).run(circ)
-        assert res.scheduler_stats.cpu_group_passes > 0
-        np.testing.assert_allclose(res.statevector(), ref.statevector(),
-                                   atol=1e-10)
-
 
 class TestParallelBitIdentityWithFusion:
     def test_run_equivalence_fusion_on(self):

@@ -33,7 +33,7 @@ def tight_config(small_device) -> MemQSimConfig:
         chunk_qubits=4,
         compressor="zlib",
         device=small_device,
-        host=HostSpec(memory_bytes=1 << 26, cores=4),
+        host=HostSpec(memory_bytes=1 << 26),
     )
 
 

@@ -335,31 +335,6 @@ class TestChunkedMeasurement:
             res.measure_qubit(6)
 
 
-class TestMultiDevice:
-    @pytest.mark.parametrize("devices", [2, 3])
-    def test_multi_device_identical_results(self, devices):
-        circ = random_circuit(8, 50, seed=11)
-        ref = MemQSim(cfg(4)).run(circ).statevector()
-        got = MemQSim(cfg(4).with_updates(num_devices=devices)).run(circ).statevector()
-        assert np.allclose(got, ref, atol=1e-12)
-
-    def test_more_devices_better_overlap(self):
-        from repro.device import PipelineModel
-
-        circ = random_circuit(10, 60, seed=12)
-        res = MemQSim(cfg(4)).run(circ)
-        # Same measured events, more lanes: the makespan can only shrink
-        # (deterministic — avoids comparing two noisy wall-clock runs).
-        m1 = PipelineModel(cpu_codec_lanes=3, gpu_lanes=1).makespan(res.timeline)
-        m4 = PipelineModel(cpu_codec_lanes=3, gpu_lanes=4).makespan(res.timeline)
-        assert m4 <= m1 + 1e-9
-        assert m1 <= res.serial_seconds + 1e-9
-
-    def test_invalid_device_count(self):
-        with pytest.raises(ValueError):
-            MemQSim(cfg(3).with_updates(num_devices=0)).run(ghz(6))
-
-
 class TestDrawer:
     def test_wire_count(self):
         art = draw(ghz(4))

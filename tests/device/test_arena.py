@@ -128,12 +128,6 @@ class TestSpec:
         spec = DeviceSpec(memory_bytes=(1 << 10) * 16)
         assert spec.max_qubits_resident() == 10
 
-    def test_host_idle_cores(self):
-        from repro.device import HostSpec
-
-        assert HostSpec(cores=4).idle_cores == 3
-        assert HostSpec(cores=1).idle_cores == 0
-
     def test_host_max_dense(self):
         from repro.device import HostSpec
 

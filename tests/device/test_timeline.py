@@ -1,8 +1,9 @@
-"""Unit tests for the timeline and the pipelined-makespan model."""
+"""Unit tests for the timeline and the modelled-makespan what-if."""
 
 import pytest
 
-from repro.device import PipelineModel, Stage, StageEvent, Timeline
+from repro.analysis import PipelineModel
+from repro.device import Stage, StageEvent, Timeline
 
 
 def ev(stage, dur, chunk, step):
@@ -102,7 +103,7 @@ class TestPipelineModel:
         for i in range(60):
             t.record(stages[int(rng.integers(len(stages)))],
                      float(rng.uniform(0.01, 1)), int(rng.integers(6)))
-        model = PipelineModel(cpu_codec_lanes=3, cpu_idle_lanes=2)
+        model = PipelineModel(cpu_codec_lanes=3, gpu_lanes=2)
         assert model.makespan(t) <= t.serial_seconds() + 1e-9
 
     def test_makespan_at_least_bottleneck_resource(self):
@@ -121,3 +122,19 @@ class TestPipelineModel:
 
     def test_gantt_empty(self):
         assert "empty" in PipelineModel.gantt([])
+
+    def test_more_gpu_lanes_never_lengthen_a_real_run(self):
+        from repro.circuits import random_circuit
+        from repro.core import MemQSim, MemQSimConfig
+        from repro.device import DeviceSpec
+
+        res = MemQSim(MemQSimConfig(
+            chunk_qubits=4, compressor="zlib",
+            device=DeviceSpec(memory_bytes=1 << 13)),
+        ).run(random_circuit(10, 60, seed=12))
+        # Same measured events, more lanes: the makespan can only shrink
+        # (deterministic — avoids comparing two noisy wall-clock runs).
+        m1 = PipelineModel(cpu_codec_lanes=3, gpu_lanes=1).makespan(res.timeline)
+        m4 = PipelineModel(cpu_codec_lanes=3, gpu_lanes=4).makespan(res.timeline)
+        assert m4 <= m1 + 1e-9
+        assert m1 <= res.serial_seconds + 1e-9

@@ -1,8 +1,8 @@
 """Config-interaction matrix: every feature combination must stay exact.
 
-Cache, serpentine ordering, CPU offload, fusion, permutation stages,
-multi-device round-robin and the disk store each reroute the same chunk
-traffic through different code paths; this matrix asserts that *any*
+Cache, serpentine ordering, fusion, permutation stages, transfer
+strategies and the disk store each reroute the same chunk traffic through
+different code paths; this matrix asserts that *any*
 combination still reproduces the dense baseline bit-for-bit (lossless
 codec), plus a lossy + everything-on smoke check against the fidelity
 floor.
@@ -28,7 +28,7 @@ def base_config(**kw) -> MemQSimConfig:
         chunk_qubits=4,
         compressor="zlib",
         device=DeviceSpec(memory_bytes=(1 << 6) * 16 * 2),
-        host=HostSpec(memory_bytes=1 << 26, cores=4),
+        host=HostSpec(memory_bytes=1 << 26),
     )
     defaults.update(kw)
     return MemQSimConfig(**defaults)
@@ -38,9 +38,8 @@ def base_config(**kw) -> MemQSimConfig:
 # triples through the cartesian product of the binary axes).
 AXES = {
     "cache_chunks": [0, 8],
-    "cpu_offload_fraction": [0.0, 0.5],
     "fuse_gates": [False, True],
-    "num_devices": [1, 2],
+    "transfer": ["sync", "buffer"],
 }
 
 
@@ -60,10 +59,10 @@ class TestConfigMatrix:
         got = MemQSim(cfg).run(CIRCUIT).statevector()
         assert np.allclose(got, REF, atol=1e-12), overrides
 
-    def test_disk_store_with_cache_and_offload(self, tmp_path):
+    def test_disk_store_with_cache_and_fusion(self, tmp_path):
         cfg = base_config(
             disk_path=str(tmp_path / "m.log"),
-            cache_chunks=8, cpu_offload_fraction=0.5, fuse_gates=True,
+            cache_chunks=8, fuse_gates=True,
         )
         res = MemQSim(cfg).run(CIRCUIT)
         assert np.allclose(res.statevector(), REF, atol=1e-12)
@@ -72,8 +71,7 @@ class TestConfigMatrix:
     def test_permutations_off_with_everything_on(self):
         cfg = base_config(
             enable_permutation_stages=False, cache_chunks=8,
-            cpu_offload_fraction=0.25, fuse_gates=True, num_devices=3,
-            transfer="buffer",
+            fuse_gates=True, transfer="buffer",
         )
         got = MemQSim(cfg).run(CIRCUIT).statevector()
         assert np.allclose(got, REF, atol=1e-12)
@@ -89,8 +87,7 @@ class TestConfigMatrix:
         cfg = base_config(
             compressor="szlike",
             compressor_options={"error_bound": 1e-8},
-            cache_chunks=8, cpu_offload_fraction=0.5, fuse_gates=True,
-            num_devices=2, transfer="buffer",
+            cache_chunks=8, fuse_gates=True, transfer="buffer",
         )
         res = MemQSim(cfg).run(CIRCUIT)
         f = res.fidelity_vs(REF)
@@ -102,8 +99,7 @@ class TestConfigMatrix:
         circ = get_workload(workload, 8)
         ref = DenseSimulator().run(circ).data
         cfg = base_config(
-            cache_chunks=6, cpu_offload_fraction=0.3, fuse_gates=True,
-            num_devices=2,
+            cache_chunks=6, fuse_gates=True,
         )
         got = MemQSim(cfg).run(circ).statevector()
         assert np.allclose(got, ref, atol=1e-12), workload

@@ -17,7 +17,7 @@ def cfg(eb=1e-7, chunk=4):
         compressor="szlike",
         compressor_options={"error_bound": eb},
         device=DeviceSpec(memory_bytes=(1 << (chunk + 1)) * 16 * 2),
-        host=HostSpec(memory_bytes=1 << 26, cores=4),
+        host=HostSpec(memory_bytes=1 << 26),
     )
 
 

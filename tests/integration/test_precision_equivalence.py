@@ -23,7 +23,7 @@ def tight(chunk_qubits, **kw):
         compressor="zlib",
         device=DeviceSpec(
             memory_bytes=(1 << (chunk_qubits + 1)) * itemsize * 2),
-        host=HostSpec(memory_bytes=1 << 26, cores=4),
+        host=HostSpec(memory_bytes=1 << 26),
         **kw,
     )
 

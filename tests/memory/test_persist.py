@@ -1,5 +1,7 @@
 """Unit tests for chunk-store persistence (checkpoint/restore)."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,29 @@ class TestEveryFrameOffset:
         p.write_bytes(data + tail)
         with pytest.raises(StoreFormatError, match="after the last blob"):
             load_store(p, get_compressor("zlib"))
+
+    def test_every_header_bit_flip(self, tmp_path, precision):
+        """Magic through ``num_chunks``: flipping any one bit is a typed
+        error, never a bare ``ValueError`` from the layout."""
+        p, data = checkpoint_of(tmp_path, precision)
+        header = (4 + (precision != "c128") + 8 + 4 + len(b"zlib") + 8)
+        for bit in range(8 * header):
+            flipped = bytearray(data)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            p.write_bytes(bytes(flipped))
+            with pytest.raises(StoreFormatError):
+                load_store(p, get_compressor("zlib"))
+
+
+def test_a_chunk_count_the_file_cannot_hold_allocates_nothing(tmp_path):
+    """40 qubits in 2^39 one-qubit chunks, then an empty zero blob and no
+    table: refused before a 2^39-entry blob table is built."""
+    p = tmp_path / "crafted.mqs"
+    p.write_bytes(b"MQS1" + struct.pack("<III", 40, 1, 4) + b"zlib"
+                  + struct.pack("<QQ", 1 << 39, 0))
+    assert p.stat().st_size == 36
+    with pytest.raises(StoreFormatError, match="cannot fit"):
+        load_store(p, get_compressor("zlib"))
 
 
 class TestAtomicSave:

@@ -5,9 +5,8 @@ be bit-identical between ``workers=1`` and ``workers>1``; with a lossy
 codec the blobs must still match blob-for-blob, because the codec is a
 pure function of chunk bytes and parameters — with a decompressed-chunk
 cache in front too, because the cache hits and misses are the same for
-every worker count. Covers permutation stages, CPU offload, multi-executor
-round-robin, the chunk cache, the disk store, and a codec that raises on a
-lane thread mid-run.
+every worker count. Covers permutation stages, the chunk cache, the disk
+store, and a codec that raises on a lane thread mid-run.
 """
 
 import itertools
@@ -63,18 +62,6 @@ class TestSchedulerFeatureEquivalence:
         rep = run_equivalence(circ, workers=WORKERS, chunk_qubits=3,
                               compressor="zlib",
                               enable_permutation_stages=True)
-        assert rep.ok, rep.summary()
-
-    def test_cpu_offload_fraction(self):
-        rep = run_equivalence(get_workload("qft", 8), workers=WORKERS,
-                              chunk_qubits=4, compressor="zlib",
-                              cpu_offload_fraction=0.5)
-        assert rep.ok, rep.summary()
-
-    def test_multi_executor_round_robin(self):
-        rep = run_equivalence(get_workload("qft", 8), workers=WORKERS,
-                              chunk_qubits=4, compressor="zlib",
-                              num_devices=2)
         assert rep.ok, rep.summary()
 
     def test_chunk_cache_layer(self):

@@ -57,14 +57,11 @@ class TestParallelLedgerParity:
             total = sum(row.get(edge, 0) for row in by_stage.values())
             assert total == led.total_bytes(e, d), edge
 
-    def test_offload_split_keeps_totals_exact(self):
-        # with CPU offload, some groups skip the arena but every chunk
-        # still round-trips the codec exactly once per pass
-        _res_s, led_s = run_with_ledger("serial", cpu_offload_fraction=0.5)
-        _res_p, led_p = run_with_ledger("parallel",
-                                        cpu_offload_fraction=0.5)
-        for edge in CODEC_EDGES:
-            e, d = edge.split(".")
-            assert led_p.total_bytes(e, d) == led_s.total_bytes(e, d), edge
-        assert led_p.total_bytes("arena", "h2d") == \
-            led_s.total_bytes("arena", "h2d")
+    def test_arena_totals_match_serial(self):
+        # every group pass uploads and downloads through the one executor,
+        # whoever ran the codec
+        _res_s, led_s = run_with_ledger("serial")
+        _res_p, led_p = run_with_ledger("parallel")
+        for direction in ("h2d", "d2h"):
+            assert led_p.total_bytes("arena", direction) == \
+                led_s.total_bytes("arena", direction) > 0

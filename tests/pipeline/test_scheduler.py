@@ -98,7 +98,7 @@ class TestRemapGate:
         assert remap_gate_for_group(g, self.lay, pl, 0) is None
 
 
-def build_rig(n=8, c=3, codec="zlib", dev_amps=None, offload=0.0):
+def build_rig(n=8, c=3, codec="zlib", dev_amps=None):
     lay = ChunkLayout(n, c)
     tracker = MemoryTracker()
     store = CompressedChunkStore(lay, get_compressor(codec), tracker)
@@ -109,8 +109,7 @@ def build_rig(n=8, c=3, codec="zlib", dev_amps=None, offload=0.0):
     ex = DeviceExecutor(DeviceSpec(memory_bytes=dev_amps * 16),
                         timeline=timeline, tracker=tracker)
     pool = BufferPool(2, dev_amps // 2, tracker)
-    sched = StageScheduler(lay, store, ex, pool, timeline,
-                           cpu_offload_fraction=offload)
+    sched = StageScheduler(lay, store, ex, pool, timeline)
     return lay, store, sched
 
 
@@ -148,15 +147,6 @@ class TestStageExecution:
         ref = DenseSimulator().run(c).data
         assert np.allclose(store.to_statevector(), ref, atol=1e-12)
 
-    def test_cpu_offload_matches_dense(self):
-        lay, store, sched = build_rig(offload=0.5)
-        c = Circuit(8).h(7).cx(7, 2).h(6).cx(6, 0)
-        stages = plan_stages(c, lay, 1)
-        sched.run(stages)
-        ref = DenseSimulator().run(c).data
-        assert np.allclose(store.to_statevector(), ref, atol=1e-12)
-        assert sched.stats.cpu_group_passes > 0
-
     def test_timeline_has_full_pipeline(self):
         lay, store, sched = build_rig()
         c = Circuit(8).h(7)
@@ -164,11 +154,6 @@ class TestStageExecution:
         kinds = {e.stage for e in sched.timeline.events}
         assert {Stage.DECOMPRESS, Stage.H2D, Stage.KERNEL,
                 Stage.D2H, Stage.COMPRESS} <= kinds
-
-    def test_invalid_offload_fraction(self):
-        lay, store, _ = build_rig()
-        with pytest.raises(ValueError):
-            StageScheduler(lay, store, None, None, cpu_offload_fraction=1.5)
 
     def test_unknown_stage_type_rejected(self):
         _, _, sched = build_rig()

@@ -112,6 +112,23 @@ class TestManagerAdmission:
         finally:
             mgr.shutdown()
 
+    def test_the_removed_offload_override_is_refused(self):
+        from repro.serve.jobs import CONFIG_OVERRIDES
+
+        mgr = ServeManager(small_base(), Telemetry())
+        try:
+            with pytest.raises(JobRejected) as info:
+                mgr.submit({"workload": "qft", "qubits": 8,
+                            "config": {"cpu_offload_fraction": 0.5}})
+            assert info.value.status == 400
+            assert "unknown config override(s): cpu_offload_fraction" \
+                in str(info.value)
+            assert f"(allowed: {', '.join(sorted(CONFIG_OVERRIDES))})" \
+                in str(info.value)
+            assert mgr.jobs() == []
+        finally:
+            mgr.shutdown()
+
     def test_codec_override_carries_the_bound_only_when_lossy(self):
         mgr = ServeManager(small_base(), Telemetry())
         try:

@@ -153,7 +153,6 @@ class TestPlanKey:
         ("host_store_mb", 0.5),
         ("disk_path", "blobs.log"),
         ("cache_chunks", 8),
-        ("cpu_offload_fraction", 0.5),
         ("monitor_interval_ms", 10.0),
     ])
     def test_execution_knobs_do_not_change_key(self, field, value):

@@ -1,6 +1,6 @@
 """What an enabled run tells its observers, pinned.
 
-Five run shapes with ``Telemetry()`` on; for each, everything the sinks
+Four run shapes with ``Telemetry()`` on; for each, everything the sinks
 hold that does not depend on a clock or a thread is compared with
 ``observer_contract.json``: span name -> count, event kind -> count, every
 counter (they are all byte or call counts), the traffic ledger and the
@@ -20,9 +20,11 @@ what its ``workers=2`` twin always read.
 
 Since then the rule is: the file changes only by deleting entries for
 names the code no longer has, never by re-pinning a value. So far that
-happened once — when the codec lane became threads, the counters
+happened twice — when the codec lane became threads, the counters
 ``parallel.fallback`` and ``parallel.jobs.inline`` (0 in every shape)
-went with the process pool.
+went with the process pool; when the simulated CPU-offload path left the
+run, its ``cpu_offload`` shape and every shape's ``cpu_group_passes``
+(0 in the other four) went with it.
 
 The file pins how a run reaches its sinks for a given plan, not which
 plan the planner picks. It predates backward plans, which a zero-start
@@ -79,7 +81,6 @@ SHAPES = {
     "lossy_cache_tier": (_lossy(1), get_workload("vqe", 10)),
     "lossy_cache_tier_w2": (_lossy(2), get_workload("vqe", 10)),
     "permutation": (_zlib(cache_chunks=4), _keeps_a_permutation()),
-    "cpu_offload": (_zlib(cpu_offload_fraction=0.5), get_workload("qft", 10)),
 }
 
 #: at ``workers=2`` a write lands when its job finishes, so which blobs the
@@ -116,7 +117,6 @@ def observe(shape):
         "access_sha256": hashlib.sha256(
             json.dumps(trace).encode()).hexdigest(),
         "permutation_stages": res.scheduler_stats.permutation_stages,
-        "cpu_group_passes": res.scheduler_stats.cpu_group_passes,
     }
 
 
@@ -168,7 +168,6 @@ def test_disabled_run_touches_no_sink(shape):
 def test_the_shapes_exercise_what_they_name():
     pinned = json.loads(PINNED.read_text())
     assert pinned["permutation"]["permutation_stages"] > 0
-    assert pinned["cpu_offload"]["cpu_group_passes"] > 0
     assert pinned["lossy_cache_tier"]["counters"]["cache.hit"] > 0
     assert pinned["lossy_cache_tier"]["counters"]["tier.spill"] > 0
     assert pinned["lossy_cache_tier_w2"]["counters"]["parallel.jobs"] > 0

@@ -167,7 +167,7 @@ def test_null_tracker_is_free():
     obs = tel.observer()
     with obs.stage(0, "permutation"):
         obs.barrier(0)
-    with obs.group_pass(1, 0, (0, 1), "device", 64):
+    with obs.group_pass(1, 0, (0, 1), 64):
         obs.device_buffer_live()
     assert [sp.name for sp in tel.tracer.spans] == ["stage", "group_pass"]
     assert [ev.kind for ev in tel.bus.snapshot()] == [

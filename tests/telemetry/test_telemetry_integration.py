@@ -118,14 +118,6 @@ class TestPipelineTrace:
         for sp in tel.tracer.find("stage"):
             assert sp.parent == "online"
 
-    def test_cpu_offload_path_traced(self):
-        res, tel = traced_run(ghz(8), cpu_offload_fraction=1.0)
-        assert res.scheduler_stats.cpu_group_passes > 0
-        assert len(tel.tracer.find("cpu_update")) == \
-            res.timeline.count(Stage.CPU_UPDATE)
-        assert all(sp.args["path"] == "cpu"
-                   for sp in tel.tracer.find("group_pass"))
-
     def test_chrome_trace_export_of_real_run(self, tmp_path):
         _, tel = traced_run(qft(8))
         path = tmp_path / "run.trace.json"
@@ -139,7 +131,7 @@ class TestPipelineTrace:
 
 class TestTimelineFromSpans:
     def test_equivalence_with_live_timeline(self):
-        res, tel = traced_run(qft(8), cpu_offload_fraction=0.5)
+        res, tel = traced_run(qft(8))
         rebuilt = Timeline.from_spans(tel.tracer.spans)
         live = res.timeline.events
         assert len(rebuilt.events) == len(live)
@@ -228,7 +220,7 @@ class TestDisabledOverhead:
         n = 20_000
         t0 = time.perf_counter()
         for _ in range(n):
-            with obs.group_pass(0, 0, (0, 1), "device", 64):
+            with obs.group_pass(0, 0, (0, 1), 64):
                 obs.device_buffer_live()
         per_op = (time.perf_counter() - t0) / n
         assert per_op < 20e-6

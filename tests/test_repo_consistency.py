@@ -114,7 +114,8 @@ class TestConfigSurface:
     benchmarks must cover, so it has to be argued for in review: raising
     this count and documenting the field in ``docs/api.md`` is that
     argument's paper trail. (26 before the store/engine/shm-threshold
-    knobs became derived values.)"""
+    knobs became derived values, 23 before the simulated CPU-offload and
+    multi-device paths left the run.)"""
 
     def test_knob_count_and_documentation(self):
         import dataclasses
@@ -122,7 +123,7 @@ class TestConfigSurface:
         from repro.core import MemQSimConfig
 
         fields = [f.name for f in dataclasses.fields(MemQSimConfig)]
-        assert len(fields) == 23, fields
+        assert len(fields) == 21, fields
         api = (REPO / "docs" / "api.md").read_text()
         undocumented = [f for f in fields if f"`{f}`" not in api]
         assert not undocumented, f"not in docs/api.md: {undocumented}"
@@ -348,3 +349,41 @@ class TestOneCodecLane:
         hits = [f"{where}: {name}" for where, text in texts.items()
                 for name in self.GONE if name in text]
         assert not hits, hits
+
+
+class TestOneUpdatePath:
+    """A run has one device executor, one update path and a stopwatch: the
+    simulated CPU-offload and multi-device paths and the modelled makespan
+    on every result are gone, and no copy of them may come back. The model
+    itself lives on as a labelled what-if in ``repro.analysis``."""
+
+    GONE = (
+        "cpu_offload_fraction", "num_devices", "idle_cores",
+        "advise_from_timeline", "balanced_offload_fraction", "OffloadAdvice",
+        "pipelined_seconds", "cpu_group_passes",
+    )
+
+    def test_deleted_names_stay_deleted(self):
+        api = (REPO / "docs/api.md").read_text()
+        # docs/api.md keeps the one list of what was removed: the
+        # "### Removed in ..." section that names this guard
+        start = api.rindex("\n### Removed in", 0, api.index(type(self).__name__))
+        end = api.find("\n## ", start)
+        head, listed, tail = api[:start], api[start:end], api[end:]
+        assert [name for name in self.GONE if name not in listed] == []
+        texts = {"docs/api.md": head + tail}
+        files = [REPO / "README.md", REPO / "DESIGN.md"]
+        files += [p for p in sorted((REPO / "docs").glob("*.md"))
+                  if p.name != "api.md"]
+        files += sorted((REPO / "src").rglob("*.py"))
+        texts.update({str(p.relative_to(REPO)): p.read_text() for p in files})
+        hits = [f"{where}: {name}" for where, text in texts.items()
+                for name in self.GONE if name in text]
+        assert not hits, hits
+        assert not (REPO / "src/repro/pipeline/cpu_offload.py").exists()
+
+    def test_the_run_path_builds_no_model(self):
+        hits = [str(p.relative_to(REPO)) for pkg in ("core", "pipeline", "device")
+                for p in sorted((REPO / "src/repro" / pkg).rglob("*.py"))
+                if "PipelineModel" in p.read_text()]
+        assert hits == []
