@@ -65,7 +65,7 @@ def generate_table() -> Table:
 
 def gantt_for(workload: str) -> str:
     res = run_one(workload)
-    sched, _ = MODEL.schedule(res.timeline.events[:400])
+    sched, _ = MODEL.schedule(res.timeline.rows[:400])
     return PipelineModel.gantt(sched)
 
 

@@ -8,8 +8,10 @@ so the bookkeeping should vanish next to codec and transfer work. The
 acceptance bar is < 3% wall-time regression with the full plane on vs the
 same telemetry without an access recorder.
 
-Two interleaved arms over the same streamed QFT workload:
+Three interleaved arms over the same streamed QFT workload:
 
+* **disabled** — ``NULL_TELEMETRY``: the reference for what turning
+  telemetry on costs at all (``enabled_ratio`` = base over disabled);
 * **base** — full ``Telemetry`` (ledger included — it is constitutive of
   an enabled telemetry object) but no access recorder attached;
 * **audited** — the same plus a live ``ChunkAccessRecorder``, and at the
@@ -17,7 +19,7 @@ Two interleaved arms over the same streamed QFT workload:
   (reuse histogram, hit-rate curve, LRU + Belady replay) — analysis time
   is reported separately, it is not part of the run wall time.
 
-Runs interleave (base/audited/…) so drift hits both arms equally; the
+Runs interleave (disabled/base/audited/…) so drift hits every arm equally; the
 comparator takes medians. ``overhead_ratio`` is a gated metric only when
 the gap between the two medians exceeds the arms' own interquartile range;
 otherwise the record carries it under ``extra`` as information (three
@@ -36,14 +38,14 @@ import time
 
 import pytest
 
-from common import (FULL, emit_result, print_banner, quartile_range, seconds,
-                    tight_config)
+from common import (FULL, emit_result, paired_ratio, print_banner,
+                    quartile_range, seconds, tight_config)
 from repro.analysis import Table, format_seconds
 from repro.analysis.memtrace import analyze_trace
 from repro.circuits import get_workload
 from repro.core import MemQSim
 from repro.memory import ChunkAccessRecorder
-from repro.telemetry import Telemetry
+from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 N = 16 if FULL else 13
 CHUNK = 8 if FULL else 7
@@ -51,12 +53,17 @@ WORKLOAD = "qft"
 REPEATS = 7
 WHATIF_CAPACITY = 4
 
-ARMS = ("base", "audited")
+ARMS = ("disabled", "base", "audited")
 
 
 def run_once(arm: str, n: int = N) -> dict:
     circ = get_workload(WORKLOAD, n)
     cfg = tight_config(chunk_qubits=CHUNK)
+    if arm == "disabled":
+        t0 = time.perf_counter()
+        res = MemQSim(cfg, telemetry=NULL_TELEMETRY).run(circ)
+        return {"arm": arm, "wall_seconds": time.perf_counter() - t0,
+                "norm": float(res.norm())}
     tel = Telemetry()
     if arm == "audited":
         tel.access = ChunkAccessRecorder()
@@ -83,7 +90,7 @@ def run_once(arm: str, n: int = N) -> dict:
 
 def generate_report(n: int = N, repeats: int = REPEATS) -> dict:
     runs = {arm: [] for arm in ARMS}
-    for _ in range(repeats):  # interleaved so drift hits both arms equally
+    for _ in range(repeats):  # interleaved so drift hits every arm equally
         for arm in ARMS:
             runs[arm].append(run_once(arm, n))
     med = {arm: sorted(r["wall_seconds"] for r in runs[arm])[repeats // 2]
@@ -101,10 +108,18 @@ def generate_report(n: int = N, repeats: int = REPEATS) -> dict:
         "medians": med,
         "iqr": iqr,
         # whether the A/B says anything: the gap against the arms' spread
-        "resolved": abs(med["audited"] - med["base"]) > max(iqr.values()),
+        "resolved": abs(med["audited"] - med["base"])
+        > max(iqr["audited"], iqr["base"]),
         # the acceptance ratio: recorder on vs same telemetry, recorder off
         "overhead_ratio": (med["audited"] / med["base"] if med["base"]
                            else float("inf")),
+        # what telemetry (tracer + metrics + ledger) costs at all
+        "enabled_ratio": (med["base"] / med["disabled"] if med["disabled"]
+                          else float("inf")),
+        # the same, pair by pair (see paired_ratio)
+        "paired_enabled": paired_ratio(*(
+            [r["wall_seconds"] for r in runs[arm]]
+            for arm in ("base", "disabled"))),
         "accesses": last["accesses"],
         "lru_misses": last["lru_misses"],
         "belady_misses": last["belady_misses"],
@@ -151,9 +166,18 @@ if __name__ == "__main__":
           f"{(report['overhead_ratio'] - 1) * 100:+.2f}%  (acceptance: < 3%; "
           + ("gated" if report["resolved"] else
              "inside the arms' interquartile range: informational") + ")")
+    med, iqr = report["medians"], report["iqr"]
+    print(f"enabled (base) over disabled: {report['enabled_ratio']:.3f}x "
+          f"(IQR {iqr['base'] / med['base'] * 100:.1f}% / "
+          f"{iqr['disabled'] / med['disabled'] * 100:.1f}% of the medians); "
+          f"paired median {report['paired_enabled']['median']:.3f}x, IQR "
+          f"{report['paired_enabled']['q1']:.3f}-"
+          f"{report['paired_enabled']['q3']:.3f}")
     print(f"what-if at C={WHATIF_CAPACITY}: LRU {report['lru_misses']} "
           f"misses, Belady {report['belady_misses']} (lower bound)")
     metrics = {
+        "wall_seconds_disabled": seconds(
+            *(r["wall_seconds"] for r in report["runs"]["disabled"])),
         "wall_seconds_base": seconds(
             *(r["wall_seconds"] for r in report["runs"]["base"])),
         "wall_seconds_audited": seconds(
@@ -175,6 +199,8 @@ if __name__ == "__main__":
                 extra={"runs": report["runs"], "medians": report["medians"],
                        "iqr": report["iqr"], "resolved": report["resolved"],
                        "overhead_ratio": report["overhead_ratio"],
+                       "enabled_ratio": report["enabled_ratio"],
+                       "paired_enabled": report["paired_enabled"],
                        "accesses": report["accesses"],
                        "lru_misses": report["lru_misses"],
                        "belady_misses": report["belady_misses"],

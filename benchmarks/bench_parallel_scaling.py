@@ -71,7 +71,7 @@ def run_once(row: str, workers: int) -> dict:
         wall = time.perf_counter() - t0
     tl = res.timeline
     codec_s = sum(tl.serial_seconds(stage) for stage in CODEC)
-    codec_bytes = sum(e.nbytes for e in tl.events if e.stage in CODEC)
+    codec_bytes = sum(r[5] for r in tl.rows if r[0] in CODEC)  # nbytes
     return {
         "workers": res.config_echo["workers"],
         "wall_seconds": wall,

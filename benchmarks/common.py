@@ -69,6 +69,16 @@ def quartile_range(values) -> float:
     return q3 - q1
 
 
+def paired_ratio(numerators, denominators) -> dict:
+    """Median and quartiles of ``a_i / b_i`` over interleaved repeats: each
+    pair ran back to back, so drift that moves both arms cancels."""
+    import statistics
+
+    ratios = [a / b for a, b in zip(numerators, denominators)]
+    q1, median, q3 = statistics.quantiles(ratios, n=4)
+    return {"median": statistics.median(ratios), "q1": q1, "q3": q3}
+
+
 def circuit_of(family: str, n: int) -> Circuit:
     """``qft(n)`` for a ``qft*`` family, else BENCH_E2E's dense_lossy
     circuit: a seeded RY on every qubit (45-135 degrees), then the

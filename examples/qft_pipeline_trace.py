@@ -51,8 +51,8 @@ def main(n: int = 12) -> None:
     print(f"\nmodelled makespan (3 codec lanes): "
           f"{model.makespan(result.timeline) * 1e3:.2f} ms, against "
           f"{result.online_seconds * 1e3:.2f} ms on the stopwatch")
-    sched, _ = model.schedule(result.timeline.events[:300])
-    print("modelled schedule (first 300 events; letter = stage initial):")
+    sched, _ = model.schedule(result.timeline.rows[:300])
+    print("modelled schedule (first 300 hops; letter = stage initial):")
     print(PipelineModel.gantt(sched))
 
 

@@ -140,14 +140,14 @@ def _svg_timeline(scheduled: Sequence[ScheduledEvent], makespan: float,
             f'stroke-width="0.5"/>')
     shown = scheduled[:max_events]
     for s in shown:
-        stage = s.event.stage.value
+        stage = s.stage.value
         color = _STAGE_COLORS.get(stage, ("#888", "#aaa"))[1 if dark else 0]
         li = lanes.index(s.resource)
         x = left + s.start / makespan * plot_w
         w = max(1.0, (s.end - s.start) / makespan * plot_w)
         y = top + li * (lane_h + gap)
-        tip = (f"{stage} chunk={s.event.chunk} "
-               f"{format_seconds(s.event.duration)} "
+        tip = (f"{stage} group={s.group} "
+               f"{format_seconds(s.seconds)} "
                f"@ {format_seconds(s.start)}")
         parts.append(
             f'<rect x="{x:.2f}" y="{y}" width="{w:.2f}" height="{lane_h}" '
@@ -168,11 +168,11 @@ def _svg_timeline(scheduled: Sequence[ScheduledEvent], makespan: float,
 
 def _timeline_section(result, model: Optional[PipelineModel],
                       max_events: int) -> str:
-    events = result.timeline.events
-    if not events:
+    hops = result.timeline.rows
+    if not hops:
         return '<p class="note">no pipeline events recorded</p>'
     model = model if model is not None else PipelineModel()
-    scheduled, makespan = model.schedule(events)
+    scheduled, makespan = model.schedule(hops)
     if makespan <= 0:
         return '<p class="note">zero-length schedule</p>'
     legend = "".join(
@@ -180,7 +180,7 @@ def _timeline_section(result, model: Optional[PipelineModel],
         f'<span class="sw dark-only" style="background:{dc}"></span>'
         f'{_esc(name)}</span>'
         for name, (lc, dc) in _STAGE_COLORS.items()
-        if any(s.event.stage.value == name for s in scheduled))
+        if any(s.stage.value == name for s in scheduled))
     breakdown = result.stage_breakdown
     rows = "".join(
         f"<tr><td>{_esc(k)}</td><td>{_esc(format_seconds(v))}</td>"

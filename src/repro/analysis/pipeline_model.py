@@ -1,13 +1,13 @@
 """A *modelled* overlapped makespan — a what-if, not a measurement.
 
 A run's :class:`~repro.device.timeline.Timeline` holds the measured
-duration of every hop. This module replays those events through a
-resource-constrained list scheduler to ask what the run would take if
+duration of every hop, one row each. This module replays those rows through
+a resource-constrained list scheduler to ask what the run would take if
 every resource worked in parallel with the others:
 
 * each stage class is bound to a resource (CPU codec, H2D bus, GPU, D2H
   bus, host relabeling);
-* an event may start when its per-chunk predecessor has finished *and* its
+* a hop may start when its group's previous hop has finished *and* its
   resource is free;
 * the makespan is the last finish time.
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from ..device.timeline import Stage, StageEvent, Timeline
+from ..device.timeline import Stage, Timeline
 
 __all__ = ["PipelineModel", "ScheduledEvent", "STAGE_RESOURCE"]
 
@@ -41,9 +41,11 @@ STAGE_RESOURCE: Dict[Stage, str] = {
 
 @dataclass(frozen=True)
 class ScheduledEvent:
-    """A stage event placed on the overlapped timeline."""
+    """A hop placed on the overlapped timeline."""
 
-    event: StageEvent
+    stage: Stage
+    group: int
+    seconds: float
     start: float
     end: float
     resource: str
@@ -72,44 +74,46 @@ class PipelineModel:
             "cpu_idle": 1,
         }
 
-    def schedule(self, events: Sequence[StageEvent]) -> Tuple[List[ScheduledEvent], float]:
-        """Place events; returns (schedule, makespan).
+    def schedule(self, rows: Sequence[tuple]
+                 ) -> Tuple[List[ScheduledEvent], float]:
+        """Place timeline rows, in booking order; returns (schedule, makespan).
 
-        Dependencies: events sharing a chunk id execute in issue order
-        (the per-chunk decompress -> h2d -> kernel -> d2h -> compress
-        chain); events on different chunks only contend for resources.
-        Chunk id -1 serializes against everything issued before it.
+        Dependencies: rows of one group pass execute in booking order (the
+        decompress -> h2d -> kernel -> d2h -> compress chain); rows of
+        different groups only contend for resources. Group -1 serializes
+        against everything booked before it.
         """
         resource_free: Dict[str, List[float]] = {
             r: [0.0] * n for r, n in self.lanes.items()
         }
-        chunk_ready: Dict[int, float] = {}
+        group_ready: Dict[int, float] = {}
         barrier_time = 0.0
         scheduled: List[ScheduledEvent] = []
         makespan = 0.0
-        for ev in sorted(events, key=lambda e: e.step):
-            resource = STAGE_RESOURCE[ev.stage]
+        for stage, _t0, seconds, group, *_ in rows:
+            resource = STAGE_RESOURCE[stage]
             lanes = resource_free[resource]
             lane = min(range(len(lanes)), key=lanes.__getitem__)
-            if ev.chunk == -1:
+            if group == -1:
                 # A barrier waits for everything issued before it...
                 dep = makespan
             else:
-                dep = max(chunk_ready.get(ev.chunk, 0.0), barrier_time)
+                dep = max(group_ready.get(group, 0.0), barrier_time)
             start = max(lanes[lane], dep)
-            end = start + ev.duration
+            end = start + seconds
             lanes[lane] = end
-            if ev.chunk == -1:
+            if group == -1:
                 # ...and everything issued after waits for it.
                 barrier_time = end
             else:
-                chunk_ready[ev.chunk] = end
-            scheduled.append(ScheduledEvent(ev, start, end, f"{resource}[{lane}]"))
+                group_ready[group] = end
+            scheduled.append(ScheduledEvent(stage, group, seconds, start, end,
+                                            f"{resource}[{lane}]"))
             makespan = max(makespan, end)
         return scheduled, makespan
 
     def makespan(self, timeline: Timeline) -> float:
-        _, m = self.schedule(timeline.events)
+        _, m = self.schedule(timeline.rows)
         return m
 
     @staticmethod
@@ -125,7 +129,7 @@ class PipelineModel:
             row = rows.setdefault(s.resource, [" "] * width)
             a = int(s.start / end * (width - 1))
             b = max(a + 1, int(s.end / end * (width - 1)) + 1)
-            ch = s.event.stage.value[0].upper()
+            ch = s.stage.value[0].upper()
             for i in range(a, min(b, width)):
                 row[i] = ch
         lines = [f"{name:<12} |{''.join(row)}|" for name, row in sorted(rows.items())]

@@ -401,9 +401,11 @@ class MemQSim:
             )
 
         # ---- online stage ----------------------------------------------------
-        # Every hop is booked here by the layer that runs it; an enabled
-        # telemetry mirrors each booking into its tracer and bus.
-        timeline = Timeline(tel.hop if tel.enabled else None)
+        # Every hop is booked here, once, by the layer that runs it; an
+        # enabled telemetry's exports draw the rows as spans.
+        timeline = Timeline()
+        if tel.enabled:
+            tel.tracer.attach(timeline)
 
         transfer = make_strategy(
             cfg.transfer, max_elements=buffer_amps, telemetry=tel,
@@ -416,8 +418,7 @@ class MemQSim:
             backend = MixedPrecisionBackend(backend)
         executor = DeviceExecutor(
             cfg.device, transfer=transfer, timeline=timeline,
-            tracker=tracker, backend=backend, telemetry=tel,
-            arena=self.arena,
+            tracker=tracker, backend=backend, arena=self.arena,
         )
         # The codec pool is a property of the store, not of the loop: an
         # external (service-plane) pool is shared across jobs and never

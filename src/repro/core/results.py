@@ -514,8 +514,7 @@ class MemQSimResult:
                 f"  telemetry: {snap.get('spans', 0)} spans, "
                 f"{sum(1 for v in counters.values() if v)} active counters"
             )
-            for name in ("transfer.h2d.bytes", "transfer.d2h.bytes",
-                         "cache.hit", "cache.miss"):
+            for name in ("cache.hit", "cache.miss"):
                 if counters.get(name):
                     lines.append(f"    {name:<20} {counters[name]:>14,}")
             totals = self.telemetry.traffic.totals()

@@ -3,7 +3,7 @@
 from .arena import ArenaLease, DeviceArena, DeviceBuffer, DeviceOutOfMemory
 from .executor import DeviceExecutor
 from .spec import DeviceSpec, HostSpec
-from .timeline import Stage, StageEvent, Timeline
+from .timeline import Stage, Timeline
 from .transfer import (
     AsyncPerElementCopy,
     BufferedCopy,
@@ -26,6 +26,5 @@ __all__ = [
     "BufferedCopy",
     "make_strategy",
     "Stage",
-    "StageEvent",
     "Timeline",
 ]

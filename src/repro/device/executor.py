@@ -9,9 +9,10 @@ scheduler asks it to
 3. bring the result back (D2H),
 
 mirroring steps (2)-(4) of the paper's online stage. Each of the three is
-a pipeline hop this layer runs, so this layer times it (one
-``perf_counter`` pair: the transfer strategy's for a copy, ``run_ops``'s
-for a kernel batch) and books it, once, on the timeline.
+a pipeline hop this layer runs, so this layer times it (the transfer
+strategy's ``perf_counter`` pair for a copy, ``run_ops``'s for a kernel
+batch) and books it, once, as a row of the timeline — the only record of
+it; nothing here reaches for a telemetry sink.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..memory.accounting import MemoryTracker
-from ..telemetry import NULL_TELEMETRY, get_logger
+from ..telemetry import get_logger
 from .arena import DeviceArena, DeviceBuffer
 from .spec import DeviceSpec
 from .timeline import Stage, Timeline
@@ -57,7 +58,6 @@ class DeviceExecutor:
         timeline: Optional[Timeline] = None,
         tracker: Optional[MemoryTracker] = None,
         backend=None,
-        telemetry=None,
         arena: Optional[DeviceArena] = None,
     ):
         """``backend`` is any object with ``apply_ops(buf, ops)`` (see
@@ -79,8 +79,6 @@ class DeviceExecutor:
 
             backend = NumpyKernelBackend()
         self.backend = backend
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.kernels_launched = 0
 
     # -- memory ------------------------------------------------------------
 
@@ -98,14 +96,16 @@ class DeviceExecutor:
 
     def upload(self, host: np.ndarray, buf: DeviceBuffer, chunk: int = -1) -> float:
         """H2D: host buffer -> device buffer. Returns seconds."""
+        t0 = time.perf_counter()
         dt = self.transfer.h2d(host, buf.view[: host.shape[0]])
-        self.timeline.record(Stage.H2D, dt, chunk, host.nbytes)
+        self.timeline.record(Stage.H2D, t0, dt, chunk, -1, host.nbytes)
         return dt
 
     def download(self, buf: DeviceBuffer, host: np.ndarray, chunk: int = -1) -> float:
         """D2H: device buffer -> host buffer. Returns seconds."""
+        t0 = time.perf_counter()
         dt = self.transfer.d2h(buf.view[: host.shape[0]], host)
-        self.timeline.record(Stage.D2H, dt, chunk, host.nbytes)
+        self.timeline.record(Stage.D2H, t0, dt, chunk, -1, host.nbytes)
         return dt
 
     # -- kernels ---------------------------------------------------------------
@@ -117,17 +117,14 @@ class DeviceExecutor:
         ``ops`` holds :mod:`repro.compile` IR items (:class:`GateOp` /
         :class:`FusedOp`); raw :class:`~repro.circuits.gates.Gate`
         instances are accepted as well — the backend lowers either form.
+        Here and in the copies, ``chunk`` is the group pass the hop belongs
+        to: its row's ``group``.
         """
         t0 = time.perf_counter()
         _apply_ops(self.backend, buf.view, ops)
         dt = time.perf_counter() - t0
-        self.timeline.record(Stage.KERNEL, dt, chunk, buf.nbytes,
-                             gates=len(ops))
-        tel = self.telemetry
-        if tel.enabled:
-            tel.metrics.counter("kernel.gates").inc(len(ops))
-            tel.metrics.histogram("kernel.seconds").observe(dt)
-        self.kernels_launched += len(ops)
+        self.timeline.record(Stage.KERNEL, t0, dt, chunk, -1, buf.nbytes,
+                             0, len(ops))
         return dt
 
     def reset(self) -> None:
@@ -142,5 +139,5 @@ class DeviceExecutor:
     def __repr__(self) -> str:
         return (
             f"<DeviceExecutor {self.spec.name} transfer={self.transfer.name} "
-            f"kernels={self.kernels_launched}>"
+            f"hops={self.timeline.count()}>"
         )

@@ -1,21 +1,22 @@
-"""Execution timeline: the measured stage events of a run.
+"""Execution timeline: the one per-hop record of a run.
 
 Every unit of work the online stage performs (decompress, H2D, kernel, D2H,
-recompress, permutation relabeling) is recorded as a :class:`StageEvent`
-with its *measured* duration, once, by the layer that ran it. The run's
-serial stage sum and per-stage breakdown are read off it; what the run
-took end to end is its stopwatch (``MemQSimResult.online_seconds``). A
-modelled overlapped makespan replayed from these events lives in
+recompress, permutation relabeling) is booked here as one row, with its
+*measured* start and duration, once, by the layer that ran it. The run's
+serial stage sum and per-stage breakdown are read off the rows; what the
+run took end to end is its stopwatch (``MemQSimResult.online_seconds``).
+Everything else is a view of the rows, built when someone reads it: the
+hop spans of a Chrome-trace or JSONL export
+(:meth:`repro.telemetry.Tracer.attach`) and the modelled makespan of
 :mod:`repro.analysis.pipeline_model`, labelled as a what-if.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-__all__ = ["Stage", "StageEvent", "Timeline"]
+__all__ = ["Stage", "Timeline", "ROW_FIELDS"]
 
 
 class Stage(str, Enum):
@@ -29,80 +30,49 @@ class Stage(str, Enum):
     COMPRESS = "compress"      # (6) CPU buffer -> chunk blob
 
 
-@dataclass(frozen=True)
-class StageEvent:
-    """One measured unit of stage work."""
+#: what a row holds, in order: the stage; its start (``perf_counter``
+#: seconds, on whichever thread ran it) and duration; the group pass that
+#: issued it (-1 = none); the chunk (-1 = a whole group buffer or none);
+#: bytes moved; the codec lane that ran it (0 = the run's own thread); and
+#: the op count of a kernel batch
+ROW_FIELDS = ("stage", "start", "seconds", "group", "chunk", "nbytes",
+              "lane", "ops")
 
-    stage: Stage
-    duration: float
-    chunk: int  # chunk/group id the work belongs to (-1 = global)
-    nbytes: int = 0
-    step: int = 0  # monotonically increasing issue order
+Row = Tuple[Stage, float, float, int, int, int, int, int]
 
 
 class Timeline:
-    """Ordered log of measured stage events.
+    """The rows of a run, in booking order.
 
     :meth:`record` is the one booking call of a pipeline hop: the layer
     that runs a hop (the chunk store its codec calls, the device executor
     its copies and kernels, the scheduler its blob relabelings) times it
-    and records it here, once. ``listener`` — ``listener(event, attrs)`` —
-    hears every record; an enabled telemetry installs
-    :meth:`~repro.telemetry.Telemetry.hop` there, which is how spans and
-    bus events stay a mirror of the timeline and never a second
-    measurement.
+    and records it here, once, as a plain tuple (see :data:`ROW_FIELDS`).
     """
 
-    def __init__(self, listener: Optional[Callable] = None) -> None:
-        self.events: List[StageEvent] = []
-        self._step = 0
-        self.listener = listener
+    def __init__(self) -> None:
+        self.rows: List[Row] = []
 
-    def record(self, stage: Stage, duration: float, chunk: int = -1,
-               nbytes: int = 0, **attrs) -> StageEvent:
-        """Book one hop; ``attrs`` (which chunk, which worker, how many
-        gates) go to the listener only."""
-        ev = StageEvent(stage, max(0.0, duration), chunk, nbytes, self._step)
-        self._step += 1
-        self.events.append(ev)
-        if self.listener is not None:
-            self.listener(ev, attrs)
-        return ev
-
-    @classmethod
-    def from_spans(cls, spans) -> "Timeline":
-        """Rebuild a timeline from telemetry spans named after stages.
-
-        Spans whose ``name`` is a :class:`Stage` value become events (with
-        ``chunk``/``nbytes`` read from the span attributes); everything
-        else is ignored. Spans are replayed in completion order, which is
-        the order the run's timeline booked them in, so a timeline rebuilt
-        from a traced run's spans is event-for-event equivalent to the one
-        the run populated.
-        """
-        by_name = {s.value: s for s in Stage}
-        tl = cls()
-        for sp in sorted(spans, key=lambda s: s.start + s.duration):
-            stage = by_name.get(sp.name)
-            if stage is None:
-                continue
-            tl.record(stage, sp.duration, int(sp.args.get("chunk", -1)),
-                      int(sp.args.get("nbytes", 0)))
-        return tl
+    def record(self, stage: Stage, start: float, seconds: float,
+               group: int = -1, chunk: int = -1, nbytes: int = 0,
+               lane: int = 0, ops: int = 0) -> None:
+        """Book one hop."""
+        self.rows.append((stage, start, seconds if seconds > 0 else 0.0,
+                          group, chunk, nbytes, lane, ops))
 
     def serial_seconds(self, stage: Optional[Stage] = None) -> float:
-        return sum(e.duration for e in self.events
-                   if stage is None or e.stage == stage)
+        return sum(r[2] for r in self.rows if stage is None or r[0] == stage)
 
     def stage_breakdown(self) -> Dict[str, float]:
         out: Dict[str, float] = {}
-        for e in self.events:
-            out[e.stage.value] = out.get(e.stage.value, 0.0) + e.duration
+        for r in self.rows:
+            out[r[0].value] = out.get(r[0].value, 0.0) + r[2]
         return out
 
     def count(self, stage: Optional[Stage] = None) -> int:
-        return sum(1 for e in self.events if stage is None or e.stage == stage)
+        if stage is None:
+            return len(self.rows)
+        return sum(1 for r in self.rows if r[0] == stage)
 
     def clear(self) -> None:
-        self.events.clear()
-        self._step = 0
+        self.rows.clear()

@@ -16,7 +16,8 @@ GPU memory:
   which lands within a few percent of sync, as in the paper (~1.03x).
 
 Every call is timed — ``h2d`` / ``d2h`` return the seconds, which the
-caller books — so benchmarks can report H2D/D2H seconds.
+caller books as a timeline row — and, with telemetry on, its bytes land on
+the traffic ledger's ``arena`` edge.
 """
 
 from __future__ import annotations
@@ -52,13 +53,8 @@ class TransferStrategy(abc.ABC):
         t0 = time.perf_counter()
         self._copy(host, device)
         dt = time.perf_counter() - t0
-        tel = self.telemetry
-        if tel.enabled:
-            m = tel.metrics
-            m.counter("transfer.h2d.bytes").inc(host.nbytes)
-            m.counter("transfer.h2d.count").inc()
-            m.histogram("transfer.h2d.seconds").observe(dt)
-            tel.traffic.record("arena", "h2d", host.nbytes)
+        if self.telemetry.enabled:
+            self.telemetry.traffic.record("arena", "h2d", host.nbytes)
         return dt
 
     def d2h(self, device: np.ndarray, host: np.ndarray) -> float:
@@ -68,13 +64,8 @@ class TransferStrategy(abc.ABC):
         t0 = time.perf_counter()
         self._copy(device, host)
         dt = time.perf_counter() - t0
-        tel = self.telemetry
-        if tel.enabled:
-            m = tel.metrics
-            m.counter("transfer.d2h.bytes").inc(host.nbytes)
-            m.counter("transfer.d2h.count").inc()
-            m.histogram("transfer.d2h.seconds").observe(dt)
-            tel.traffic.record("arena", "d2h", host.nbytes)
+        if self.telemetry.enabled:
+            self.telemetry.traffic.record("arena", "d2h", host.nbytes)
         return dt
 
     @abc.abstractmethod

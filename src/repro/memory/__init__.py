@@ -12,7 +12,7 @@ from .cache import (
     MruPolicy,
     make_policy,
 )
-from .chunkstore import CompressedChunkStore, StoreStats
+from .chunkstore import CompressedChunkStore
 from .diskstore import BlobLog
 from .hierarchy import (
     AccessSchedule,
@@ -37,7 +37,6 @@ __all__ = [
     "TierStats",
     "AccessSchedule",
     "MemoryHierarchy",
-    "StoreStats",
     "BufferPool",
     "ChunkCache",
     "CacheStats",

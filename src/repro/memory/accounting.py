@@ -32,8 +32,8 @@ class MemoryTracker:
     """Tracks current and peak byte usage by category.
 
     With a telemetry object attached, every balance change also updates a
-    ``mem.<category>.bytes`` gauge (whose ``max`` mirrors the peak), so
-    memory traces correlate with pipeline spans in one export.
+    ``mem.<category>.bytes`` gauge (whose ``max`` mirrors the peak), which
+    the resource monitor samples onto the trace's time axis.
     """
 
     def __init__(self, telemetry=None) -> None:
@@ -41,7 +41,6 @@ class MemoryTracker:
         self._peak: Dict[str, int] = {}
         self._total_peak = 0
         self._snapshots: List[MemorySnapshot] = []
-        self._last_event: Dict[str, int] = {}
         self.telemetry = telemetry
 
     def attach_telemetry(self, telemetry) -> None:
@@ -55,16 +54,6 @@ class MemoryTracker:
         tel = self.telemetry
         if tel is not None and tel.enabled:
             tel.metrics.gauge(f"mem.{category}.bytes").set(value)
-            # Publish significant balance changes on the live bus so
-            # dashboards / per-job SSE streams see occupancy *movement*
-            # without per-blob event flood: a category emits when it moved
-            # by >= 1/64 of its peak (and always on its first change).
-            last = self._last_event.get(category)
-            if last is None or \
-                    abs(value - last) >= max(1, self._peak.get(category, 0) >> 6):
-                self._last_event[category] = value
-                tel.emit("mem.gauge", category=category, bytes=value,
-                         peak=self._peak.get(category, 0))
 
     # -- mutation ---------------------------------------------------------
 

@@ -276,7 +276,6 @@ class ChunkCache:
         self.cache_stats.evictions += 1
         if self.telemetry.enabled:
             self.telemetry.metrics.counter("cache.eviction").inc()
-            self.telemetry.emit("cache.evict", chunk=chunk, dirty=dirty)
 
     def flush(self) -> None:
         """Write back every dirty chunk and empty the cache."""

@@ -16,52 +16,33 @@ chunk's blob is read only after its pending write has settled, and a write
 drops a stale prefetch of that chunk.
 
 A codec call is a pipeline hop this layer runs, so this layer times it —
-one ``perf_counter`` pair here, or the lane thread's own — and reports it
-once, the same way for both, to whoever a run named in
-:meth:`CompressedChunkStore.report_codec_to` (its timeline).
+one ``perf_counter`` pair here, or the lane thread's own — and books it
+once, the same way for both, as a row of the timeline a run named in
+:meth:`CompressedChunkStore.report_codec_to`. That row is the hop's only
+record: how many loads and stores a run made is ``timeline.count``; with
+telemetry on, the traffic ledger's ``codec`` edge holds the bytes and
+calls over the store's whole lifetime.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from ..compression.interface import Compressor
+from ..device.timeline import Stage
 from ..telemetry import NULL_TELEMETRY, get_logger
 from .accounting import MemoryTracker
 from .layout import ChunkLayout
 
 log = get_logger(__name__)
 
-__all__ = ["CompressedChunkStore", "StoreStats"]
+__all__ = ["CompressedChunkStore"]
 
 CATEGORY = "chunk_store"
-
-
-@dataclass
-class StoreStats:
-    """Cumulative codec traffic through the store."""
-
-    loads: int = 0
-    stores: int = 0
-    bytes_decompressed: int = 0
-    bytes_compressed: int = 0
-    compress_seconds: float = 0.0
-    decompress_seconds: float = 0.0
-
-    def merged(self, other: "StoreStats") -> "StoreStats":
-        return StoreStats(
-            loads=self.loads + other.loads,
-            stores=self.stores + other.stores,
-            bytes_decompressed=self.bytes_decompressed + other.bytes_decompressed,
-            bytes_compressed=self.bytes_compressed + other.bytes_compressed,
-            compress_seconds=self.compress_seconds + other.compress_seconds,
-            decompress_seconds=self.decompress_seconds + other.decompress_seconds,
-        )
 
 
 class CompressedChunkStore:
@@ -79,7 +60,6 @@ class CompressedChunkStore:
         self.compressor = compressor
         self.tracker = tracker if tracker is not None else MemoryTracker()
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.stats = StoreStats()
         self._blobs: List[Optional[bytes]] = [None] * layout.num_chunks
         self._zero_blob: Optional[bytes] = None
         self._zero_refs = 0
@@ -88,9 +68,9 @@ class CompressedChunkStore:
         #: the codec lane, see :meth:`attach_lane`
         self.lane = None
         # see :meth:`report_codec_to`
-        self._on_decompress = self._on_compress = None
+        self._timeline = None
         #: group of the pass now streaming (:meth:`will_need`): which pass
-        #: a reported codec call — or a write a lane settles later — is of
+        #: a booked codec call — or a write a lane settles later — is of
         self._group = -1
         # chunk -> (compress job, ledger pass, group): submitted, blob not
         # installed yet; insertion order = submission order
@@ -188,10 +168,10 @@ class CompressedChunkStore:
         """Decompress chunk ``chunk`` into ``out`` (or a new buffer)."""
         entry = self._prefetched.pop(chunk, None) if self._prefetched else None
         if entry is not None:
-            # Started ahead on the lane: seconds were measured there.
+            # Started ahead on the lane: it was timed there.
             res = self.lane.collect(entry[0])
             arr, blob_nbytes = res.array, len(entry[1])
-            dt, worker = res.seconds, res.worker
+            t0, dt, worker = res.start, res.seconds, res.worker
         else:
             blob = self.get_blob(chunk)
             if blob is None:
@@ -199,19 +179,14 @@ class CompressedChunkStore:
             t0 = time.perf_counter()
             arr = self.compressor.decompress(blob)
             dt, worker, blob_nbytes = time.perf_counter() - t0, 0, len(blob)
-        self.stats.decompress_seconds += dt
-        self.stats.loads += 1
-        self.stats.bytes_decompressed += arr.nbytes
         tel = self.telemetry
         if tel.enabled:
-            tel.metrics.counter("codec.decompress.bytes").inc(arr.nbytes)
-            tel.metrics.histogram("codec.decompress.seconds").observe(dt)
             tel.traffic.record("codec", "compressed_in", blob_nbytes,
                                worker=worker)
             tel.traffic.record("codec", "raw_out", arr.nbytes, worker=worker)
-        if self._on_decompress is not None:
-            self._on_decompress(dt, self._group, self.layout.chunk_nbytes,
-                                chunk_id=chunk, worker=worker)
+        if self._timeline is not None:
+            self._timeline.record(Stage.DECOMPRESS, t0, dt, self._group,
+                                  chunk, self.layout.chunk_nbytes, worker)
         if arr.shape[0] != self.layout.chunk_size:
             raise ValueError(
                 f"chunk {chunk} decompressed to {arr.shape[0]} amplitudes, "
@@ -244,26 +219,20 @@ class CompressedChunkStore:
             data = data.astype(self._dtype)
         t0 = time.perf_counter()
         blob = self.compressor.compress(data)
-        self._stored(blob, data.nbytes, time.perf_counter() - t0, 0,
+        self._stored(blob, data.nbytes, t0, time.perf_counter() - t0, 0,
                      self._group, chunk)
         return blob
 
-    def _stored(self, blob: bytes, raw_nbytes: int, seconds: float,
-                worker: int, group: int, chunk: int) -> None:
+    def _stored(self, blob: bytes, raw_nbytes: int, start: float,
+                seconds: float, worker: int, group: int, chunk: int) -> None:
         """Book one compression, the same way wherever the codec ran
-        (``seconds`` measured there, ``worker`` its lane, 0 = here;
-        ``group`` the pass that wrote ``chunk``)."""
-        if self._on_compress is not None:
-            self._on_compress(seconds, group, raw_nbytes, chunk_id=chunk,
-                              worker=worker)
-        self.stats.compress_seconds += seconds
-        self.stats.stores += 1
-        self.stats.bytes_compressed += len(blob)
+        (``start`` / ``seconds`` measured there, ``worker`` its lane, 0 =
+        here; ``group`` the pass that wrote ``chunk``)."""
+        if self._timeline is not None:
+            self._timeline.record(Stage.COMPRESS, start, seconds, group,
+                                  chunk, raw_nbytes, worker)
         tel = self.telemetry
         if tel.enabled:
-            tel.metrics.counter("codec.compress.bytes_in").inc(raw_nbytes)
-            tel.metrics.counter("codec.compress.bytes_out").inc(len(blob))
-            tel.metrics.histogram("codec.compress.seconds").observe(seconds)
             tel.traffic.record("codec", "raw_in", raw_nbytes, worker=worker)
             tel.traffic.record("codec", "compressed_out", len(blob),
                                worker=worker)
@@ -271,14 +240,14 @@ class CompressedChunkStore:
 
     # -- the codec lane --------------------------------------------------------
 
-    def report_codec_to(self, on_decompress=None, on_compress=None) -> None:
-        """Name who hears of every codec call from now on (nobody, by
-        default and again after a run): each is called as
-        ``(seconds, group, raw nbytes, chunk_id=, worker=)`` — the seconds
-        measured where the codec ran, and the group pass that issued the
-        call, for a load as it returns and for a write as its blob lands
-        (at once inline, when the job settles on a lane)."""
-        self._on_decompress, self._on_compress = on_decompress, on_compress
+    def report_codec_to(self, timeline=None) -> None:
+        """Book every codec call from now on as a row of ``timeline`` (no
+        row, by default and again after a run): start and seconds measured
+        where the codec ran, the group pass that issued the call, the chunk,
+        its raw bytes and the lane — for a load as it returns and for a
+        write as its blob lands (at once inline, when the job settles on a
+        lane)."""
+        self._timeline = timeline
 
     def attach_lane(self, pool) -> None:
         """Run the codec on ``pool``'s lanes (a caller-owned
@@ -335,8 +304,8 @@ class CompressedChunkStore:
         res = self.lane.collect(job)
         with (self.telemetry.traffic.attributed(*ledger_pass)
               if ledger_pass is not None else nullcontext()):
-            self._stored(res.blob, self.layout.chunk_nbytes, res.seconds,
-                         res.worker, group, chunk)
+            self._stored(res.blob, self.layout.chunk_nbytes, res.start,
+                         res.seconds, res.worker, group, chunk)
             self._set_blob(chunk, res.blob)
 
     def _settle_finished(self) -> None:
@@ -386,7 +355,6 @@ class CompressedChunkStore:
         choice = blob_entropy(blob)
         if choice is not None:
             tel.metrics.counter(f"codec.entropy_choice.{choice}").inc()
-            tel.emit("codec.choice", entropy=choice, nbytes=len(blob))
 
     def _set_blob(self, chunk: int, blob: bytes, shared: bool = False) -> None:
         old = self._blobs[chunk]

@@ -9,16 +9,25 @@ rewrite when the garbage fraction crosses its threshold. Its one owner is
 how much of the state lives here — all of it at budget 0, where the only
 RAM cost is the per-chunk index and the qubit ceiling becomes a function
 of disk capacity.
+
+The log is scratch: it is opened ``w+b``, only its owner's in-memory index
+says where anything is, and nothing ever reopens it. So a record carries
+its own check — the payload's CRC32, taken at append and verified on every
+read — and a blob whose bytes changed on disk raises
+:class:`~repro.memory.persist.StoreFormatError` instead of decoding to a
+wrong state.
 """
 
 from __future__ import annotations
 
 import mmap
 import os
+import zlib
 from pathlib import Path
 from typing import Dict, Optional, Union
 
 from .accounting import MemoryTracker
+from .persist import StoreFormatError
 
 __all__ = ["BlobLog"]
 
@@ -28,10 +37,10 @@ CATEGORY = "disk_store"
 class BlobLog:
     """Append-only blob log with mmap-backed reads.
 
-    Records are opaque ``(offset, length)`` tuples; callers key remaps by
-    ``id(record)`` so shared records (the interned zero blob) stay shared
-    across a rewrite. Reads go through a lazily-(re)mapped ``mmap`` view —
-    the file handle is flushed and the view regrown only when a read
+    Records are opaque ``(offset, length, crc32)`` tuples; callers key
+    remaps by ``id(record)`` so shared records (the interned zero blob) stay
+    shared across a rewrite. Reads go through a lazily-(re)mapped ``mmap``
+    view — the file handle is flushed and the view regrown only when a read
     reaches past the mapped extent, so steady-state reads are memcpys out
     of the page cache, not syscalls.
 
@@ -78,7 +87,7 @@ class BlobLog:
     # -- record I/O -----------------------------------------------------------
 
     def append(self, blob: bytes) -> tuple:
-        """Append ``blob``; returns its ``(offset, length)`` record."""
+        """Append ``blob``; returns its ``(offset, length, crc32)`` record."""
         off = self._file_bytes
         self._fh.seek(off)
         self._fh.write(blob)
@@ -87,11 +96,12 @@ class BlobLog:
         self.tracker.alloc(self.category, len(blob))
         if self.telemetry.enabled:
             self.telemetry.traffic.record("disk", "write", len(blob))
-        return (off, len(blob))
+        return (off, len(blob), zlib.crc32(blob))
 
     def read(self, rec: tuple) -> bytes:
-        """Read a record's payload (mmap-backed)."""
-        off, length = rec
+        """Read a record's payload (mmap-backed); raises
+        :class:`StoreFormatError` when it is not the bytes appended."""
+        off, length, crc = rec
         if off + length > self._mm_size:
             self._remap()
         if self._mm is not None and off + length <= self._mm_size:
@@ -100,6 +110,10 @@ class BlobLog:
             self._fh.flush()
             self._fh.seek(off)
             blob = self._fh.read(length)
+        if len(blob) != length or zlib.crc32(blob) != crc:
+            raise StoreFormatError(
+                f"blob log {self.path.name}: record at offset {off} "
+                f"({length} B) fails its CRC32 check")
         if self.telemetry.enabled:
             self.telemetry.traffic.record("disk", "read", len(blob))
         return blob

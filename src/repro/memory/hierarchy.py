@@ -292,7 +292,8 @@ class TieredChunkStore(CompressedChunkStore):
         # whichever comes first, and only once.
         self._finalizer = weakref.finalize(
             self, _release_log, self._log, owns_log)
-        # chunk -> (offset, length) log record; exclusive with _blobs[chunk]
+        # chunk -> (offset, length, crc32) log record; exclusive with
+        # _blobs[chunk]
         self._disk: List[Optional[tuple]] = [None] * layout.num_chunks
         # RAM-resident non-shared chunks, oldest-touched first (the
         # schedule-less spill fallback); zero-shared chunks never enter.

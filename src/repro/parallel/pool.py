@@ -13,9 +13,9 @@ loop's kernel. Design points:
   blob is the blob inline execution makes; the chunk store installs
   results in submission order;
 * **one clock** — a lane times its codec call with ``perf_counter`` and
-  touches nothing else; :meth:`CodecWorkerPool.collect` books the job on
-  the calling thread (``parallel.*`` metrics, a ``worker.*`` span on the
-  lane's own trace row placed on the tracer's clock, a bus event);
+  touches nothing else; the :class:`CodecResult` carries that start and
+  duration and the lane's index back to the chunk store, which books the
+  hop as one timeline row (a trace export puts it on the lane's own row);
 * **errors** — a codec exception raised on a lane is re-raised by
   :meth:`CodecWorkerPool.collect`, with the type it has inline.
 """
@@ -37,10 +37,6 @@ from ..telemetry import NULL_TELEMETRY
 
 __all__ = ["CodecWorkerPool", "CodecResult", "auto_workers"]
 
-#: trace-lane (tid) base for lane spans — keeps them off the main rows
-WORKER_TID_BASE = 100
-
-
 def _number_lane(lane: threading.local, numbers) -> None:
     """Runs once on each lane thread as it starts: its index, 1.."""
     lane.index = next(numbers)
@@ -53,6 +49,7 @@ class CodecResult:
     key: int
     blob: Optional[bytes] = None        # compress jobs
     array: Optional[np.ndarray] = None  # decompress jobs
+    start: float = 0.0                  # perf_counter at the call, on the lane
     seconds: float = 0.0                # codec time, measured on the lane
     worker: int = 0                     # lane 1..workers (0 = inline)
 
@@ -124,24 +121,16 @@ class CodecWorkerPool:
         return kind, key, out, t0, time.perf_counter() - t0, self._lane.index
 
     def collect(self, job: Future) -> CodecResult:
-        """Block until ``job`` finishes, book it here, return its result."""
+        """Block until ``job`` finishes and return its result."""
         self._inflight -= 1
         self._note_depth()
         kind, key, out, t0, seconds, lane = job.result()
         self._busy += seconds
-        tel = self.telemetry
-        if tel.enabled:
-            tel.metrics.counter("parallel.jobs").inc()
-            start = tel.tracer.now - (time.perf_counter() - t0)
-            tel.tracer.record_at(f"worker.{kind}", seconds, start=start,
-                                 tid=WORKER_TID_BASE + lane, key=key,
-                                 worker=lane, cat="parallel")
-            if tel.bus is not None:
-                tel.bus.publish(f"worker.{kind}", t=start, key=key,
-                                worker=lane, seconds=seconds)
         if kind == "compress":
-            return CodecResult(key, blob=out, seconds=seconds, worker=lane)
-        return CodecResult(key, array=out, seconds=seconds, worker=lane)
+            return CodecResult(key, blob=out, start=t0, seconds=seconds,
+                               worker=lane)
+        return CodecResult(key, array=out, start=t0, seconds=seconds,
+                           worker=lane)
 
     def _note_depth(self) -> None:
         if self.telemetry.enabled:

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -368,9 +367,7 @@ class StageScheduler:
         log.debug("scheduler: running %d stages", len(stages))
         # The store times its own codec calls; for this run it books them
         # on this timeline, chained by the group that issued them.
-        record = self.timeline.record
-        self.store.report_codec_to(partial(record, Stage.DECOMPRESS),
-                                   partial(record, Stage.COMPRESS))
+        self.store.report_codec_to(self.timeline)
         try:
             for si, s in enumerate(stages):
                 self.cancel.raise_if_cancelled()
@@ -394,8 +391,7 @@ class StageScheduler:
             self.schedule.barrier(si)
         t0 = time.perf_counter()
         self.store.permute(stage.perm)
-        self.timeline.record(Stage.CPU_UPDATE, time.perf_counter() - t0,
-                             kind="permutation")
+        self.timeline.record(Stage.CPU_UPDATE, t0, time.perf_counter() - t0)
         self.stats.permutation_stages += 1
         self.stats.gates_applied += len(stage.gates)
 

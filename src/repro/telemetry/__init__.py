@@ -3,7 +3,7 @@
 One :class:`Telemetry` object bundles the observability sinks a run feeds:
 
 * :class:`~repro.telemetry.tracer.Tracer` — nestable spans with
-  Chrome-trace / Perfetto and JSONL export (``with tel.span("h2d", ...)``);
+  Chrome-trace / Perfetto and JSONL export (``with tel.span("stage", ...)``);
 * :class:`~repro.telemetry.metrics.MetricsRegistry` — named counters,
   gauges, and fixed-bucket histograms (``tel.metrics.counter(...)``);
 * the live :class:`~repro.telemetry.events.EventBus`, the byte-exact
@@ -23,10 +23,10 @@ The two seams a run reports through:
 * the group loop talks to a :class:`~repro.telemetry.observer.PassObserver`
   (:meth:`Telemetry.observer`; :data:`NULL_OBSERVER` when disabled);
 * every pipeline hop — decompress / H2D / kernel / D2H / compress / CPU
-  update — is timed once by the layer that runs it and booked once on the
-  run's :class:`~repro.device.timeline.Timeline`, which is always on (the
-  overlap model needs it); an enabled telemetry listens to that timeline
-  (:meth:`Telemetry.hop`) and mirrors each hop into the tracer and the bus.
+  update — is timed once by the layer that runs it and booked once, as a
+  row of the run's :class:`~repro.device.timeline.Timeline`, on or off;
+  an enabled run attaches it to the tracer (:meth:`Tracer.attach`), whose
+  exports draw one span per row. Nothing copies a hop as it happens.
 """
 
 from __future__ import annotations
@@ -105,8 +105,8 @@ class Telemetry:
                  enabled: bool = True,
                  bus: Union[EventBus, None, bool] = None):
         """``bus=False`` builds a telemetry without the live event bus
-        (tracer + metrics + ledger only: :meth:`emit` and the per-hop
-        events go nowhere); ``None`` builds the default bus."""
+        (tracer + metrics + ledger only: :meth:`emit` goes nowhere);
+        ``None`` builds the default bus."""
         self.enabled = bool(enabled)
         self.log = log
         if not self.enabled:
@@ -122,8 +122,8 @@ class Telemetry:
             epoch = self.tracer._epoch
             bus = EventBus(clock=lambda: time.perf_counter() - epoch)
         self.bus: Optional[EventBus] = None if bus is False else bus
-        #: byte-exact tier-edge movement ledger, incremented at the
-        #: same hops the tracer wraps; feeds ``traffic.*`` counters
+        #: byte-exact tier-edge movement ledger over the store's whole
+        #: lifetime; feeds the ``traffic.*`` counters
         self.traffic = TrafficLedger(self.metrics)
         #: opt-in chunk access-sequence recorder (``run --mem-trace-out``,
         #: ``repro memtrace`` / ``repro audit`` attach one); ``None`` = off
@@ -153,9 +153,6 @@ class Telemetry:
         """Open a nested span on the tracer."""
         return self.tracer.span(name, **args)
 
-    def instant(self, name: str, **args):
-        return self.tracer.instant(name, **args)
-
     # -- event-bus convenience -----------------------------------------------
 
     def emit(self, kind: str, /, **data) -> None:
@@ -176,23 +173,11 @@ class Telemetry:
         disabled."""
         return RunObserver(self) if self.enabled else NULL_OBSERVER
 
-    def hop(self, event, attrs: Dict[str, Any]) -> None:
-        """Mirror one pipeline hop — a
-        :class:`~repro.device.timeline.StageEvent` the layer that ran it
-        just booked, plus that layer's extra attributes — into the tracer
-        and onto the bus. Installed as the run timeline's ``listener``."""
-        name = event.stage.value
-        self.tracer.record(name, event.duration, chunk=event.chunk,
-                           nbytes=event.nbytes, **attrs)
-        if self.bus is not None:
-            self.bus.publish(name, chunk=event.chunk, nbytes=event.nbytes,
-                             seconds=event.duration)
-
     # -- export ---------------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
         """Metrics snapshot plus span count — the report/JSON payload."""
-        snap = self.metrics.snapshot()
+        snap = self.metrics.snapshot(self.tracer.decoded())
         snap["spans"] = len(self.tracer)
         return snap
 

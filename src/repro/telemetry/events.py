@@ -1,11 +1,10 @@
 """The live event bus: a bounded, thread-safe ring of telemetry events.
 
-Every pipeline hop publishes a small :class:`TelemetryEvent` onto the run's
-:class:`EventBus` — stage start/end, per-chunk codec/transfer/kernel hops,
-cache evictions, codec entropy decisions, resource-monitor samples, codec
-lane jobs. The bus is the push side
-of the live observability plane: the SSE endpoint, the terminal dashboard,
-and the HTML report's event-timeline section all read from it.
+The bus says where a run stands — run and stage start/end, each finished
+group pass, a cache flush, monitor samples, serve jobs — as small
+:class:`TelemetryEvent`s; it copies no hop and no counter. It is the push
+side of the live observability plane: the SSE endpoint, the terminal
+dashboard, and the HTML report's event-timeline section all read from it.
 
 Design points:
 
@@ -17,8 +16,8 @@ Design points:
   independent cursor; each subscriber polls at its own pace and learns how
   many events it missed when it fell behind the ring;
 * **one clock** — event timestamps share the owning tracer's epoch
-  (seconds since run start); an instant measured on another thread (a
-  codec lane) is published with ``t=`` read off that same clock.
+  (seconds since run start); ``publish(t=)`` places an instant measured
+  elsewhere on that same clock.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ class TelemetryEvent:
                  data: Optional[Dict[str, Any]] = None):
         self.seq = seq        # bus-assigned, strictly increasing
         self.t = t            # seconds since the tracer epoch
-        self.kind = kind      # "h2d", "stage.start", "monitor.sample", ...
+        self.kind = kind      # "stage.start", "group", "monitor.sample", ...
         self.data = data if data is not None else {}
 
     def to_dict(self) -> Dict[str, Any]:

@@ -103,7 +103,7 @@ def render_prometheus(telemetry) -> str:
         lines.append(f'{name}_bucket{{le="+Inf"}} {cum}')
         lines.append(f"{name}_sum {_prom_value(h.total)}")
         lines.append(f"{name}_count {h.count}")
-    for dname, dval in m.derived_gauges().items():
+    for dname, dval in telemetry.snapshot()["derived"].items():
         if dval is None:
             continue  # zero-denominator guard: skip rather than emit NaN
         emit(_prom_name(dname), dval, help_=f"derived gauge {dname}",
@@ -153,7 +153,7 @@ def live_state(telemetry, events_tail: int = 50,
         "time": time.time(),
         "progress": progress.snapshot() if progress is not None
         else {"enabled": False},
-        "derived": telemetry.metrics.derived_gauges(),
+        "derived": telemetry.snapshot()["derived"],
         "monitor": {
             "running": bool(getattr(monitor, "running", False)),
             "samples": samples,

@@ -1,8 +1,8 @@
 """Named counters, gauges, and fixed-bucket histograms.
 
 A :class:`MetricsRegistry` is a flat namespace of instruments the pipeline
-increments as it works (``transfer.h2d.bytes``, ``codec.compress.seconds``,
-``cache.hit``, ...). Instruments are created lazily on first use and keep
+increments as it works (``cache.hit``, ``traffic.codec.raw_in.bytes``, what
+no timeline row holds). Instruments are created lazily on first use and keep
 accumulating for the registry's lifetime; :meth:`MetricsRegistry.snapshot`
 returns a plain-dict view suitable for JSON export or report sections.
 
@@ -197,28 +197,15 @@ class MetricsRegistry:
     def declare_standard(self) -> None:
         """Pre-register the pipeline's standard instruments at zero.
 
-        Run metrics snapshots then always contain the transfer byte
-        counters, codec timing histograms, and cache hit/miss counters,
-        even for configurations that never touch them (e.g. no cache).
+        Run metrics snapshots then always contain the cache and buffer-pool
+        instruments, even when a run never touches them.
         """
-        for name in (
-            "cache.hit", "cache.miss", "cache.writeback", "cache.eviction",
-            "transfer.h2d.bytes", "transfer.d2h.bytes",
-            "transfer.h2d.count", "transfer.d2h.count",
-            "codec.compress.bytes_in", "codec.compress.bytes_out",
-            "codec.decompress.bytes",
-            "pool.acquire.count",
-            "parallel.jobs",
-        ):
+        for name in ("cache.hit", "cache.miss", "cache.writeback",
+                     "cache.eviction", "pool.acquire.count"):
             self.counter(name)
         for name in ("parallel.queue_depth", "parallel.worker.utilization"):
             self.gauge(name)
-        for name in (
-            "codec.compress.seconds", "codec.decompress.seconds",
-            "transfer.h2d.seconds", "transfer.d2h.seconds",
-            "pool.acquire.wait.seconds",
-        ):
-            self.histogram(name)
+        self.histogram("pool.acquire.wait.seconds")
 
     # -- iteration (exposition layer) ----------------------------------------
 
@@ -234,43 +221,40 @@ class MetricsRegistry:
 
     # -- export -------------------------------------------------------------------
 
-    def derived_gauges(self) -> Dict[str, Optional[float]]:
+    def derived_gauges(self, decoded=(0, 0.0)) -> Dict[str, Optional[float]]:
         """Gauges computed from the raw counters (so consumers stop
         re-deriving them by hand): ``cache.hit_rate``,
-        ``codec.compression_ratio``, and ``codec.decode_bytes_per_s``
-        (uncompressed bytes produced per second of codec decompress time).
-        ``None`` when the denominator is zero (no cache lookups / nothing
-        compressed or decompressed yet)."""
+        ``codec.compression_ratio`` (ledger codec bytes in over out) and
+        ``codec.decode_bytes_per_s`` (``decoded`` = bytes, seconds of the
+        decompress rows); ``None`` while a denominator is zero."""
         def val(name: str) -> int:
             c = self._counters.get(name)
             return c.value if c is not None else 0
 
         looked = val("cache.hit") + val("cache.miss")
-        bytes_out = val("codec.compress.bytes_out")
-        h = self._histograms.get("codec.decompress.seconds")
-        dec_s = h.total if h is not None else 0.0
+        bytes_out = val("traffic.codec.compressed_out.bytes")
+        dec_bytes, dec_s = decoded
         return {
             "cache.hit_rate": (val("cache.hit") / looked) if looked else None,
             "codec.compression_ratio":
-                (val("codec.compress.bytes_in") / bytes_out)
+                (val("traffic.codec.raw_in.bytes") / bytes_out)
                 if bytes_out else None,
             "codec.decode_bytes_per_s":
-                (val("codec.decompress.bytes") / dec_s) if dec_s > 0 else None,
+                (dec_bytes / dec_s) if dec_s > 0 else None,
         }
 
-    def snapshot(self) -> Dict[str, Any]:
+    def snapshot(self, decoded=(0, 0.0)) -> Dict[str, Any]:
         snap: Dict[str, Any] = {
             "counters": {n: c.snapshot() for n, c in sorted(self._counters.items())},
             "gauges": {n: g.snapshot() for n, g in sorted(self._gauges.items())},
             "histograms": {n: h.snapshot() for n, h in sorted(self._histograms.items())},
         }
         # Only emitted once the source counters exist (declare_standard or
-        # first use) — empty/disabled registries keep the bare 3-section
-        # shape.
+        # first use) — empty registries keep the bare 3-section shape.
         if any(n in self._counters for n in (
-                "cache.hit", "cache.miss", "codec.compress.bytes_out",
-                "codec.decompress.bytes")):
-            snap["derived"] = self.derived_gauges()
+                "cache.hit", "cache.miss",
+                "traffic.codec.compressed_out.bytes")):
+            snap["derived"] = self.derived_gauges(decoded)
         return snap
 
     def to_json(self, indent: Optional[int] = 2) -> str:

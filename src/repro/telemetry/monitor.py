@@ -8,8 +8,8 @@ While a simulation runs, a :class:`ResourceMonitor` wakes every
   :class:`~repro.memory.accounting.MemoryTracker` mirrors into metrics),
 * **chunk-cache hit rate** (derived from the ``cache.hit``/``cache.miss``
   counters), and
-* **cumulative codec bytes in/out** (the ``codec.compress.bytes_in`` /
-  ``codec.compress.bytes_out`` counters),
+* **cumulative codec bytes in/out** (the traffic ledger's
+  ``codec.raw_in`` / ``codec.compressed_out`` edge),
 
 as a gauge time-series. The series exports two ways from one capture:
 
@@ -78,19 +78,15 @@ class ResourceMonitor:
             read its metrics registry and land in its tracer as counter
             events.
         interval_ms: sampling period; clamped to >= 1 ms.
-        emit_trace_counters: also record each sample as Chrome-trace
-            counter events on the telemetry's tracer (default True).
 
     ``start()``/``stop()`` are idempotent; a stopped monitor keeps its
     samples and can be queried but not restarted (create a fresh one per
     run — :class:`~repro.core.memqsim.MemQSim` does).
     """
 
-    def __init__(self, telemetry, interval_ms: float = 20.0,
-                 emit_trace_counters: bool = True):
+    def __init__(self, telemetry, interval_ms: float = 20.0):
         self.telemetry = telemetry
         self.interval_s = max(0.001, float(interval_ms) / 1e3)
-        self.emit_trace_counters = bool(emit_trace_counters)
         self.samples: List[Dict[str, float]] = []
         self._thread: Optional[threading.Thread] = None
         self._stop_evt = threading.Event()
@@ -159,6 +155,7 @@ class ResourceMonitor:
         tel = self.telemetry
         m = tel.metrics
         t = tel.tracer.now
+        led = tel.traffic
         hit = m.counter("cache.hit").value
         miss = m.counter("cache.miss").value
         looked = hit + miss
@@ -168,20 +165,19 @@ class ResourceMonitor:
             "arena_bytes": float(m.gauge("mem.device_arena.bytes").value),
             "store_bytes": float(m.gauge("mem.chunk_store.bytes").value),
             "cache_hit_rate": (hit / looked) if looked else 0.0,
-            "codec_bytes_in": float(m.counter("codec.compress.bytes_in").value),
-            "codec_bytes_out": float(m.counter("codec.compress.bytes_out").value),
+            "codec_bytes_in": float(led.total_bytes("codec", "raw_in")),
+            "codec_bytes_out": float(
+                led.total_bytes("codec", "compressed_out")),
         }
         with self._lock:
             self.samples.append(sample)
-        if self.emit_trace_counters:
-            tr = tel.tracer
-            tr.counter("mem.rss", t=t, bytes=sample["rss_bytes"])
-            tr.counter("mem.device_arena", t=t, bytes=sample["arena_bytes"])
-            tr.counter("mem.chunk_store", t=t, bytes=sample["store_bytes"])
-            tr.counter("cache.hit_rate", t=t, rate=sample["cache_hit_rate"])
-            tr.counter("codec.bytes", t=t,
-                       bytes_in=sample["codec_bytes_in"],
-                       bytes_out=sample["codec_bytes_out"])
+        tr = tel.tracer
+        tr.counter("mem.rss", t=t, bytes=sample["rss_bytes"])
+        tr.counter("mem.device_arena", t=t, bytes=sample["arena_bytes"])
+        tr.counter("mem.chunk_store", t=t, bytes=sample["store_bytes"])
+        tr.counter("cache.hit_rate", t=t, rate=sample["cache_hit_rate"])
+        tr.counter("codec.bytes", t=t, bytes_in=sample["codec_bytes_in"],
+                   bytes_out=sample["codec_bytes_out"])
         if tel.bus is not None:
             tel.bus.publish("monitor.sample", t=t,
                             **{k: v for k, v in sample.items() if k != "t"})

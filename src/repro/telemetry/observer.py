@@ -14,9 +14,9 @@ progress tracker, the event bus, the access recorder and the resource
 monitor exist.
 
 Pipeline *hops* (a codec call, a copy, a kernel batch) do not pass through
-here: the layer that runs one times it and books it on the run's
-:class:`~repro.device.timeline.Timeline`, which an enabled telemetry
-listens to (:meth:`~repro.telemetry.Telemetry.hop`).
+here: the layer that runs one times it and books it as a row of the run's
+:class:`~repro.device.timeline.Timeline`, and nothing else. An export draws
+the rows as spans when it is made (:meth:`~repro.telemetry.Tracer.attach`).
 """
 
 from __future__ import annotations

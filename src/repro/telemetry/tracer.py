@@ -7,7 +7,9 @@ A :class:`Tracer` records nestable, attributed intervals of work::
 
 Spans are timestamped with :func:`time.perf_counter` relative to the
 tracer's epoch, carry arbitrary key/value attributes, and know their
-nesting depth and parent (per thread). The whole log exports as
+nesting depth and parent (per thread). A pipeline hop is a row of the
+run's :class:`~repro.device.timeline.Timeline`, drawn as a span by every
+query and export (:meth:`Tracer.attach`). The whole log exports as
 
 * **Chrome trace** (``trace_events`` JSON) — load the file at
   ``chrome://tracing`` or https://ui.perfetto.dev to see the pipeline
@@ -25,7 +27,10 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .logutil import set_active_span
 
-__all__ = ["Span", "Tracer"]
+__all__ = ["Span", "Tracer", "LANE_TID_BASE"]
+
+#: trace row (tid) of a hop codec lane ``k`` ran: ``LANE_TID_BASE + k``
+LANE_TID_BASE = 100
 
 
 class Span:
@@ -91,7 +96,9 @@ class Tracer:
     def __init__(self, process_name: str = "repro"):
         self.process_name = process_name
         self._epoch = time.perf_counter()
-        self.spans: List[Span] = []
+        self._spans: List[Span] = []
+        #: attached: [timeline, tid, rows read, decoded bytes, seconds]
+        self._timelines: List[list] = []
         #: counter samples: ``(name, t_seconds, {series: value})`` — exported
         #: as Chrome ``"ph": "C"`` events (stacked counter tracks).
         self.counters: List[Tuple[str, float, Dict[str, float]]] = []
@@ -133,24 +140,46 @@ class Tracer:
             sp.depth = len(stack)
             sp.parent = stack[-1].name
         with self._lock:
-            self.spans.append(sp)
+            self._spans.append(sp)
         return sp
 
     def instant(self, name: str, **args) -> Span:
         """Zero-duration marker (rendered as a tick in trace viewers)."""
         return self.record(name, 0.0, **args)
 
-    def record_at(self, name: str, duration: float, *, start: float,
-                  tid: Optional[int] = None, **args) -> Span:
-        """Log a span measured on another thread, placed at ``start``
-        (seconds on this tracer's clock, :attr:`now`). ``tid`` puts it on
-        its own row in trace viewers (one per codec lane)."""
-        sp = Span(name, start=max(0.0, start),
-                  duration=max(0.0, duration), args=args,
-                  tid=self._tid() if tid is None else tid)
+    def attach(self, timeline) -> None:
+        """Draw one span per row of ``timeline`` from now on, at its measured
+        start: a codec lane's rows on tid :data:`LANE_TID_BASE` + lane, the
+        rest on the attaching (the run's) thread's row."""
+        tid = self._tid()
         with self._lock:
-            self.spans.append(sp)
-        return sp
+            self._timelines.append([timeline, tid, 0, 0, 0.0])
+
+    def decoded(self) -> Tuple[int, float]:
+        """``(bytes, seconds)`` of the attached ``decompress`` rows. Rows
+        only grow, so each is read once however often a dashboard polls."""
+        with self._lock:
+            for entry in self._timelines:
+                new = entry[0].rows[entry[2]:]
+                entry[2] += len(new)
+                entry[3] += sum(r[5] for r in new if r[0] == "decompress")
+                entry[4] += sum(r[2] for r in new if r[0] == "decompress")
+            return (sum(e[3] for e in self._timelines),
+                    sum(e[4] for e in self._timelines))
+
+    @property
+    def spans(self) -> List[Span]:
+        """Every span: those recorded here, then one drawn per attached
+        row, now."""
+        with self._lock:
+            recorded, attached = list(self._spans), list(self._timelines)
+        return recorded + [
+            Span(stage.value, max(0.0, start - self._epoch), seconds,
+                 dict(group=group, chunk=chunk, nbytes=nbytes, lane=lane,
+                      ops=ops), LANE_TID_BASE + lane if lane else tid)
+            for timeline, tid, *_ in attached
+            for stage, start, seconds, group, chunk, nbytes, lane, ops
+            in list(timeline.rows)]
 
     # -- span lifecycle (used by _SpanCtx) ----------------------------------------
 
@@ -171,7 +200,7 @@ class Tracer:
             stack.remove(sp)
         set_active_span(stack[-1].name if stack else None)
         with self._lock:
-            self.spans.append(sp)
+            self._spans.append(sp)
 
     def _stack(self) -> List[Span]:
         stack = getattr(self._local, "stack", None)
@@ -190,7 +219,7 @@ class Tracer:
     # -- queries -----------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.spans)
+        return len(self._spans) + sum(len(t.rows) for t, *_ in self._timelines)
 
     def find(self, name: str) -> List[Span]:
         return [s for s in self.spans if s.name == name]
@@ -201,7 +230,8 @@ class Tracer:
 
     def clear(self) -> None:
         with self._lock:
-            self.spans.clear()
+            self._spans.clear()
+            self._timelines.clear()
             self.counters.clear()
 
     # -- export --------------------------------------------------------------------
@@ -269,4 +299,4 @@ class Tracer:
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        return f"<Tracer {len(self.spans)} spans>"
+        return f"<Tracer {len(self)} spans>"

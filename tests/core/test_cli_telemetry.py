@@ -42,7 +42,7 @@ class TestRunExports:
         for stage in ("decompress", "h2d", "kernel", "d2h", "compress"):
             assert stage in names
         snap = json.loads(metrics.read_text())
-        assert snap["counters"]["transfer.h2d.bytes"] > 0
+        assert snap["counters"]["traffic.arena.h2d.bytes"] > 0
         out = capsys.readouterr().out
         assert str(trace) in out and str(metrics) in out
 
@@ -72,7 +72,7 @@ class TestRunExports:
         assert main(RUN + ["--trace-out", str(tmp_path / "t.json"),
                            "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["metrics"]["counters"]["transfer.h2d.count"] > 0
+        assert payload["metrics"]["counters"]["traffic.arena.h2d.bytes"] > 0
 
 
 class TestTraceCommand:

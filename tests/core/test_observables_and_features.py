@@ -295,12 +295,19 @@ class TestChunkedMeasurement:
         assert abs(sv[expect]) == pytest.approx(1.0, abs=1e-9)
 
     def test_global_collapse_zeroes_chunks_cheaply(self):
-        res = MemQSim(cfg(4)).run(ghz(8))
-        before = res.store.stats.stores
+        from repro.telemetry import Telemetry
+
+        tel = Telemetry()
+        res = MemQSim(cfg(4), telemetry=tel).run(ghz(8))
+
+        def stores():
+            return tel.traffic.totals()["codec.raw_in"]["ops"]
+
+        before = stores()
         res.measure_qubit(7, np.random.default_rng(3))
         # Half the chunks were zeroed via the interned blob: only the kept
         # half got recompressed.
-        assert res.store.stats.stores - before <= res.store.layout.num_chunks // 2
+        assert stores() - before <= res.store.layout.num_chunks // 2
         assert res.store._zero_refs >= res.store.layout.num_chunks // 2
 
     def test_statistics_match_born_rule(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.compression import get_compressor
+from repro.device import Stage, Timeline
 from repro.memory import ChunkCache, ChunkLayout, CompressedChunkStore, MemoryTracker
 
 
@@ -13,6 +14,13 @@ def rig(n=6, c=3, capacity=4, policy="mru"):
     store = CompressedChunkStore(lay, get_compressor("zlib"), tracker)
     store.init_zero_state()
     return ChunkCache(store, capacity, policy, tracker), store, tracker
+
+
+def booked(store):
+    """Book the store's codec calls from here on; returns the timeline."""
+    timeline = Timeline()
+    store.report_codec_to(timeline)
+    return timeline
 
 
 class TestBasics:
@@ -26,9 +34,9 @@ class TestBasics:
     def test_load_hit_skips_inner(self):
         cache, store, _ = rig()
         cache.load(0)
-        before = store.stats.loads
+        hops = booked(store)
         cache.load(0)
-        assert store.stats.loads == before
+        assert hops.count(Stage.DECOMPRESS) == 0
         assert cache.cache_stats.hits == 1
 
     def test_load_returns_copy(self):
@@ -54,20 +62,20 @@ class TestWriteBack:
     def test_store_is_deferred(self):
         cache, store, _ = rig()
         data = np.full(8, 0.25, dtype=np.complex128)
-        before = store.stats.stores
+        hops = booked(store)
         cache.store(0, data)
-        assert store.stats.stores == before  # not yet compressed
+        assert hops.count(Stage.COMPRESS) == 0  # not yet compressed
         cache.flush()
-        assert store.stats.stores == before + 1
+        assert hops.count(Stage.COMPRESS) == 1
         assert np.array_equal(store.load(0), data)
 
     def test_repeated_stores_one_writeback(self):
         cache, store, _ = rig()
-        before = store.stats.stores
+        hops = booked(store)
         for i in range(5):
             cache.store(0, np.full(8, float(i), dtype=np.complex128))
         cache.flush()
-        assert store.stats.stores == before + 1
+        assert hops.count(Stage.COMPRESS) == 1
 
     def test_eviction_writes_back_dirty(self):
         cache, store, _ = rig(capacity=2)
@@ -213,4 +221,5 @@ class TestEndToEnd:
                             device=DeviceSpec(memory_bytes=1 << 13))
         plain = MemQSim(cfg).run(circ)
         cached = MemQSim(cfg.with_updates(cache_chunks=32)).run(circ)
-        assert cached.store.stats.stores < plain.store.stats.stores
+        assert cached.timeline.count(Stage.COMPRESS) \
+            < plain.timeline.count(Stage.COMPRESS)

@@ -79,14 +79,23 @@ class TestLoadStore:
             store.store(0, np.zeros(4, dtype=complex))
 
     def test_stats_accumulate(self):
+        """Every codec call is one row of the timeline the store books on:
+        stage, measured start and seconds, the chunk and its raw bytes."""
+        from repro.device import Stage, Timeline
+
         store, _ = make_store()
         store.init_zero_state()
-        before = store.stats.loads
+        hops = Timeline()
+        store.report_codec_to(hops)
         store.load(0)
         store.load(1)
-        assert store.stats.loads == before + 2
-        assert store.stats.decompress_seconds > 0
-        assert store.stats.bytes_decompressed >= 2 * store.layout.chunk_nbytes
+        assert hops.count(Stage.DECOMPRESS) == 2
+        assert hops.serial_seconds(Stage.DECOMPRESS) > 0
+        assert [(r[4], r[5]) for r in hops.rows] == [
+            (0, store.layout.chunk_nbytes), (1, store.layout.chunk_nbytes)]
+        store.report_codec_to()
+        store.load(2)
+        assert hops.count() == 2  # detached: books nothing
 
 
 class TestAccounting:
@@ -182,7 +191,9 @@ def drive(workers, codec="szlike", passes=3):
     """Store and load the same data through a store with no lane
     (``workers=1``) or with a ``workers``-thread lane; three "passes"
     under ledger contexts (0, g), each reading what the one before wrote.
-    Returns (store, telemetry, final statevector)."""
+    Returns (store, telemetry, the timeline its codec calls were booked
+    on, final statevector)."""
+    from repro.device import Timeline
     from repro.parallel import CodecWorkerPool
     from repro.telemetry import Telemetry
 
@@ -191,6 +202,8 @@ def drive(workers, codec="szlike", passes=3):
     opts = {"error_bound": 1e-5} if codec == "szlike" else {}
     comp = get_compressor(codec, **opts)
     store = CompressedChunkStore(lay, comp, MemoryTracker(), telemetry=tel)
+    hops = Timeline()
+    store.report_codec_to(hops)
     rng = np.random.default_rng(11)
     v = rng.standard_normal(256) + 1j * rng.standard_normal(256)
     store.init_from_statevector(v / np.linalg.norm(v))
@@ -210,7 +223,7 @@ def drive(workers, codec="szlike", passes=3):
         if pool is not None:
             pool.close()
     assert store.lane is None
-    return store, tel, store.to_statevector()
+    return store, tel, hops, store.to_statevector()
 
 
 class TestCodecLane:
@@ -218,20 +231,27 @@ class TestCodecLane:
     counts, same bytes — only *where* the codec ran differs."""
 
     def test_lane_roundtrip_and_stats_match_inline(self):
-        inline, _, sv_inline = drive(1)
-        laned, _, sv_laned = drive(2)
+        from repro.device import Stage
+
+        inline, tel_i, hops_i, sv_inline = drive(1)
+        laned, tel_l, hops_l, sv_laned = drive(2)
         assert np.array_equal(sv_inline, sv_laned)  # lossy codec, same bits
         for k in range(inline.layout.num_chunks):
             assert inline.get_blob(k) == laned.get_blob(k)
-        for name in ("loads", "stores", "bytes_decompressed",
-                     "bytes_compressed"):
-            assert getattr(inline.stats, name) == getattr(laned.stats, name)
-        assert laned.stats.compress_seconds > 0
-        assert laned.stats.decompress_seconds > 0
+        assert tel_i.traffic.totals() == tel_l.traffic.totals()
+        for stage in (Stage.DECOMPRESS, Stage.COMPRESS):
+            assert hops_l.count(stage) == hops_i.count(stage) > 0
+            assert hops_l.serial_seconds(stage) > 0
+        # same rows but for when and where: start, seconds and lane
+        def what(hops):
+            return sorted((r[0].value, r[3], r[4], r[5]) for r in hops.rows)
+        assert what(hops_l) == what(hops_i)
+        assert {r[6] for r in hops_i.rows} == {0}
+        assert {r[6] for r in hops_l.rows} & {1, 2}  # lanes ran some
 
     def test_lane_ledger_balances_per_pass_and_per_worker(self):
-        _, tel_i, _ = drive(1)
-        _, tel_l, _ = drive(2)
+        _, tel_i, _, _ = drive(1)
+        _, tel_l, _, _ = drive(2)
         led_i, led_l = tel_i.traffic, tel_l.traffic
         edges = ("codec.raw_in", "codec.compressed_out",
                  "codec.compressed_in", "codec.raw_out")
@@ -248,10 +268,13 @@ class TestCodecLane:
                 == led_l.total_bytes(e, d) == led_i.total_bytes(e, d)
 
     def test_read_waits_for_the_pending_write(self):
+        from repro.device import Stage, Timeline
         from repro.parallel import CodecWorkerPool
 
         store, _ = make_store()
         store.init_zero_state()
+        hops = Timeline()
+        store.report_codec_to(hops)
         new = np.full(8, 0.25 + 0j)
         with CodecWorkerPool(store.compressor, workers=2) as pool:
             store.attach_lane(pool)
@@ -266,25 +289,29 @@ class TestCodecLane:
             store.zero_chunk(6)
             store.detach_lane()
         assert store.is_zero_chunk(6)
-        assert store.stats.stores == 2 + 4  # init + every lane write counted
+        # every lane write is booked, on its lane
+        assert hops.count(Stage.COMPRESS) == 4
+        assert all(r[6] > 0 for r in hops.rows if r[0] == Stage.COMPRESS)
 
     def test_write_drops_a_stale_prefetch(self):
+        from repro.device import Stage, Timeline
         from repro.parallel import CodecWorkerPool
-        from repro.telemetry import Telemetry
 
         store, _ = make_store()
         store.init_zero_state()
+        hops = Timeline()
+        store.report_codec_to(hops)
         new = np.full(8, 0.25 + 0j)
-        tel = Telemetry()
-        with CodecWorkerPool(store.compressor, workers=2,
-                             telemetry=tel) as pool:
+        with CodecWorkerPool(store.compressor, workers=2) as pool:
             store.attach_lane(pool)
             store.will_need([2])          # starts decoding the zero chunk
             store.store(2, new)
             np.testing.assert_array_equal(store.load(2), new)
             store.detach_lane()
-        assert len(tel.tracer.find("worker.decompress")) == 1
-        assert store.stats.loads == 1
+        # the stale job is dropped unbooked: the one load decoded the new
+        # blob inline, after the write landed
+        [load] = [r for r in hops.rows if r[0] == Stage.DECOMPRESS]
+        assert load[6] == 0
 
 
 class TestEntropyChoiceCounters:
@@ -316,8 +343,8 @@ class TestEntropyChoiceCounters:
                     for name, v in tel.metrics.snapshot()["counters"].items()
                     if name.startswith("codec.")}
 
-        _, tel_i, _ = drive(1)
-        _, tel_l, _ = drive(2)
+        _, tel_i, _, _ = drive(1)
+        _, tel_l, _, _ = drive(2)
         assert counters(tel_l) == counters(tel_i)
         assert any(name.startswith("codec.entropy_choice.")
                    for name in counters(tel_l))

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from repro.compression import get_compressor
-from repro.memory import ChunkLayout, MemoryTracker, TieredChunkStore
+from repro.memory import (ChunkLayout, MemoryTracker, StoreFormatError,
+                          TieredChunkStore)
 
 
 def disk_store(layout, codec, path, tracker=None, **kw):
@@ -119,6 +120,38 @@ class TestCompaction:
         store.compact()
         store.zero_chunk(3)
         assert np.all(store.load(3) == 0)
+
+
+class TestAFlippedByteFailsLoudly:
+    """The log is scratch, so each record carries the CRC32 of its bytes:
+    a byte changed on disk behind the store's back is a
+    ``StoreFormatError``, never an array — wherever in the record it sits,
+    and for a record a compaction re-appended too."""
+
+    @pytest.mark.parametrize("compacted", [False, True],
+                             ids=["appended", "rewritten"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_load_raises(self, store, where, compacted):
+        v = rand_state(8, 6)
+        store.init_from_statevector(v)
+        if compacted:
+            for k in range(store.layout.num_chunks):
+                store.store(k, store.load(k))
+            store.compact()
+        store.load(5)  # the log is flushed and mapped
+        off, length, _crc = store._disk[5]
+        pos = off + {"first": 0, "middle": length // 2,
+                     "last": length - 1}[where]
+        with open(store.path, "r+b") as fh:  # a second handle
+            fh.seek(pos)
+            byte = fh.read(1)[0]
+            fh.seek(pos)
+            fh.write(bytes([byte ^ 0x01]))
+        with pytest.raises(StoreFormatError, match="CRC32"):
+            store.load(5)
+        # the other records are untouched and still decode
+        cs = store.layout.chunk_size
+        np.testing.assert_array_equal(store.load(4), v[4 * cs:5 * cs])
 
 
 class TestIntegration:

@@ -32,6 +32,23 @@ def rand_chunk(c, seed):
 # AccessSchedule
 
 
+def count_jobs(pool):
+    """Count the jobs ``pool`` is handed from here on, by kind."""
+    jobs = {"compress": 0, "decompress": 0}
+
+    def counting(kind):
+        submit = getattr(pool, f"submit_{kind}")
+
+        def counted(*args):
+            jobs[kind] += 1
+            return submit(*args)
+        return counted
+
+    for kind in jobs:
+        setattr(pool, f"submit_{kind}", counting(kind))
+    return jobs
+
+
 def sched(passes):
     return AccessSchedule(passes)
 
@@ -393,7 +410,6 @@ class TestHintsStopAtTheCache:
     @pytest.fixture()
     def laned(self):
         from repro.parallel import CodecWorkerPool
-        from repro.telemetry import Telemetry
 
         lay = ChunkLayout(5, 3)
         store = CompressedChunkStore(lay, get_compressor("zlib"),
@@ -401,8 +417,7 @@ class TestHintsStopAtTheCache:
         for k in range(lay.num_chunks):
             store.store(k, rand_chunk(3, k))
         cache = ChunkCache(store, 2, "lru")
-        with CodecWorkerPool(store.compressor, workers=2,
-                             telemetry=Telemetry()) as pool:
+        with CodecWorkerPool(store.compressor, workers=2) as pool:
             assert not MemoryHierarchy(store, cache).needs_schedule()
             store.attach_lane(pool)
             assert MemoryHierarchy(store, cache).needs_schedule()
@@ -423,7 +438,11 @@ class TestHintsStopAtTheCache:
         assert set(store._prefetched) == {3}
 
     def test_a_chunk_this_pass_rewrites_is_started_once(self, laned):
+        from repro.device import Stage, Timeline
+
         cache, store, pool, schedule = laned
+        jobs, hops = count_jobs(pool), Timeline()
+        store.report_codec_to(hops)
         schedule.begin_pass(0, 1)
         store.will_need((2, 3))
         # stage 1's first pass reads 0 and 2; 2's job is this pass's own
@@ -434,8 +453,7 @@ class TestHintsStopAtTheCache:
         store.will_need((0, 2))
         np.testing.assert_array_equal(store.load(2), before * 1j)
         store.load(0), store.load(3)
-        jobs = pool.telemetry.tracer.find("worker.decompress")
-        assert len(jobs) == store.stats.loads == 4
+        assert jobs["decompress"] == hops.count(Stage.DECOMPRESS) == 4
 
     def test_dirty_eviction_beats_a_stale_prefetch(self, laned):
         cache, store, pool, schedule = laned
@@ -459,25 +477,21 @@ class TestLaneJobsEqualLoads:
         from repro.device import DeviceSpec
         from repro.device.timeline import Stage
         from repro.parallel import CodecWorkerPool
-        from repro.telemetry import Telemetry
 
         cfg = MemQSimConfig(
             chunk_qubits=6, precision="c64", compressor="zlib",
             cache_chunks=16, cache_policy="belady", host_store_mb=16 / 1024,
             device=DeviceSpec(memory_bytes=4096))
-        tel = Telemetry()
-        with CodecWorkerPool(cfg.make_compressor(), workers=2,
-                             telemetry=tel) as pool:
+        with CodecWorkerPool(cfg.make_compressor(), workers=2) as pool:
+            jobs = count_jobs(pool)
             res = MemQSim(cfg, codec_pool=pool).run(get_workload("vqe", 12))
         assert res.store.cache_stats.hits > 0
-        # jobs the lanes ran == codec hops the run booked == the store's
-        # own calls: no job was started and thrown away
-        inner = res.store.inner.stats
-        assert len(tel.tracer.find("worker.decompress")) \
-            == res.timeline.count(Stage.DECOMPRESS) == inner.loads
-        assert len(tel.tracer.find("worker.compress")) \
-            == res.timeline.count(Stage.COMPRESS) \
-            == inner.stores - 2  # init ran before the lane
+        # jobs the lanes ran == codec hops the run booked, every one on a
+        # lane: no job was started and thrown away, none ran inline
+        for stage in (Stage.DECOMPRESS, Stage.COMPRESS):
+            laned = [r for r in res.timeline.rows if r[0] == stage and r[6]]
+            assert jobs[stage.value] == res.timeline.count(stage) \
+                == len(laned) > 0
 
 
 class TestALanedTierReadsTheLogOnce:

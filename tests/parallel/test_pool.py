@@ -183,29 +183,45 @@ class TestCrashRecovery:
 
 class TestTelemetry:
     def test_worker_spans_merge_into_parent_trace(self):
-        """Each job is one ``worker.*`` span on its lane's own trace row
-        (tid 100 + lane), placed on the tracer's own clock inside the
-        window the jobs ran in, booked when collected."""
+        """A lane books nothing itself: each job comes back with the start
+        and seconds its lane measured and the lane's index, the store books
+        it as one timeline row, and the trace draws that row on the lane's
+        own row (tid 100 + lane), on the tracer's clock, inside the window
+        the jobs ran in — no ``worker.*`` copy, no bus event."""
+        from repro.device import Timeline
+
         tel = Telemetry()
-        comp = get_compressor("zlib")
-        data = _payload(chunks=4)
+        hops = Timeline()
+        tel.tracer.attach(hops)
+        lay = ChunkLayout(8, 5)
+        store = CompressedChunkStore(lay, get_compressor("zlib"),
+                                     MemoryTracker())
+        store.report_codec_to(hops)
         t_before = tel.tracer.now
-        with CodecWorkerPool(comp, workers=2, telemetry=tel) as pool:
-            _decompress_all(pool, _compress_all(pool, data))
+        with CodecWorkerPool(store.compressor, workers=2,
+                             telemetry=tel) as pool:
+            store.attach_lane(pool)
+            for k, chunk in enumerate(_payload(n=32, chunks=8)):
+                store.store(k, chunk)
+            store.will_need(range(lay.num_chunks))
+            for k in range(lay.num_chunks):
+                store.load(k)
+            store.detach_lane()
         t_after = tel.tracer.now
-        spans = [s for s in tel.tracer.spans if s.name.startswith("worker.")]
-        assert len(spans) == 8
+        assert len(hops.rows) == 2 * lay.num_chunks
+        spans = [s for s in tel.tracer.spans
+                 if s.name in ("compress", "decompress")]
+        assert len(spans) == 2 * lay.num_chunks
         for sp in spans:
-            assert sp.args["worker"] in (1, 2)
-            assert sp.tid == 100 + sp.args["worker"]
+            assert sp.args["lane"] in (1, 2)
+            assert sp.tid == 100 + sp.args["lane"]
             assert t_before <= sp.start <= sp.end <= t_after
-        events = [e for e in tel.bus.snapshot()
-                  if e.kind.startswith("worker.")]
-        assert sorted(e.t for e in events) == sorted(s.start for s in spans)
-        snap = tel.metrics.snapshot()
-        assert snap["counters"]["parallel.jobs"] == 8
-        util = snap["gauges"]["parallel.worker.utilization"]["value"]
-        assert 0.0 <= util <= 1.0
+        assert not [s for s in tel.tracer.spans
+                    if s.name.startswith("worker.")]
+        assert tel.bus.published == 0
+        util = tel.metrics.snapshot()["gauges"][
+            "parallel.worker.utilization"]["value"]
+        assert 0.0 < util <= 1.0
 
     def test_chrome_trace_is_coherent(self, tmp_path):
         import json

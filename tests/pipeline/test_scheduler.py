@@ -151,7 +151,7 @@ class TestStageExecution:
         lay, store, sched = build_rig()
         c = Circuit(8).h(7)
         sched.run(plan_stages(c, lay, 1))
-        kinds = {e.stage for e in sched.timeline.events}
+        kinds = {row[0] for row in sched.timeline.rows}
         assert {Stage.DECOMPRESS, Stage.H2D, Stage.KERNEL,
                 Stage.D2H, Stage.COMPRESS} <= kinds
 

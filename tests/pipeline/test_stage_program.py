@@ -157,10 +157,14 @@ QFT12_PINNED = {
 
 
 def observed(res):
+    """The pinned tuple; codec calls are the ledger's over the store's
+    lifetime (compress includes ``init_zero_state``'s two), so a run must
+    carry a telemetry."""
     stats = res.scheduler_stats
-    codec = res.store.stats
+    codec = res.telemetry.traffic.totals()
     # codec calls first: the digest itself loads every chunk
-    calls = (codec.stores, codec.loads, res.timeline.count(Stage.KERNEL))
+    calls = (codec["codec.raw_in"]["ops"], codec["codec.raw_out"]["ops"],
+             res.timeline.count(Stage.KERNEL))
     return (stats.group_passes, stats.group_passes_skipped,
             stats.gates_applied, stats.gates_skipped_identity,
             *calls, res.state_digest())
@@ -174,7 +178,8 @@ def qft12_config(fusion, precision):
 
 @pytest.mark.parametrize("fusion,precision", sorted(QFT12_PINNED))
 def test_streamed_qft12_counters_and_digest_pinned(fusion, precision):
-    res = MemQSim(qft12_config(fusion, precision)).run(qft(12))
+    res = MemQSim(qft12_config(fusion, precision),
+                  telemetry=Telemetry()).run(qft(12))
     assert observed(res) == QFT12_PINNED[(fusion, precision)]
 
 
@@ -182,18 +187,19 @@ def test_parallel_engine_runs_the_same_program():
     cfg = qft12_config(False, "c128")
     rep = run_equivalence(qft(12), cfg, workers=2)
     assert rep.ok and rep.blobs_identical and rep.state_bit_identical
-    tel = Telemetry()
-    with CodecWorkerPool(cfg.make_compressor(), workers=1,
-                         telemetry=tel) as lane:
-        par = MemQSim(cfg, codec_pool=lane).run(qft(12))
-    # every codec call of the run went through the one lane
-    assert tel.metrics.snapshot()["counters"]["parallel.jobs"] > 0
+    with CodecWorkerPool(cfg.make_compressor(), workers=1) as lane:
+        par = MemQSim(cfg, codec_pool=lane,
+                      telemetry=Telemetry()).run(qft(12))
+    # the run's codec calls went through the one lane
+    assert {r[6] for r in par.timeline.rows if r[0] == Stage.COMPRESS} \
+        == {1}
     assert observed(par) == QFT12_PINNED[(False, "c128")]
 
 
 def test_plan_cache_hit_repeats_counters_and_digest():
     cache = PlanCache()
-    runs = [MemQSim(qft12_config(True, "c128"), plan_cache=cache).run(qft(12))
+    runs = [MemQSim(qft12_config(True, "c128"), plan_cache=cache,
+                    telemetry=Telemetry()).run(qft(12))
             for _ in range(2)]
     assert cache.stats()["hits"] == 1
     for res in runs:
@@ -256,7 +262,11 @@ class TestProgramsKeptWithThePlan:
         again = sim.run(circuit)
         assert again.config_echo["plan_cache"] == "hit"
         assert len(lowered) == paid
-        assert observed(again) == observed(first)
+
+        def counts(res):
+            hops = [r[0] for r in res.timeline.rows]
+            return (res.scheduler_stats, sorted(hops), res.state_digest())
+        assert counts(again) == counts(first)
         assert np.allclose(again.statevector(),
                            DenseSimulator().run(circuit).data, atol=1e-12)
 

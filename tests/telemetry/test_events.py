@@ -152,7 +152,9 @@ def test_null_bus_is_free():
     tel = Telemetry(bus=False)
     assert tel.enabled and tel.bus is None
     tel.emit("anything", x=1)
-    Timeline(tel.hop).record(Stage.H2D, 0.001, 3, 64)
+    timeline = Timeline()
+    tel.tracer.attach(timeline)
+    timeline.record(Stage.H2D, tel.tracer._epoch, 0.001, 3, -1, 64)
     assert [sp.name for sp in tel.tracer.spans] == ["h2d"]
     assert live_state(tel)["events"] == {"published": 0, "dropped": 0,
                                          "tail": []}

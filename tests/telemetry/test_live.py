@@ -175,30 +175,34 @@ def test_server_stop_is_idempotent_and_frees_the_port():
 # -- cross-process clock merging -------------------------------------------------
 
 def test_worker_events_re_anchor_onto_the_parent_axis():
-    """Codec lane jobs land on the run's one axis: each ``worker.*`` event
-    sits at its span's start on the tracer clock, inside the window the
-    jobs ran in, between the main thread's own events."""
+    """Codec lane jobs land on the run's one axis: each one is a timeline
+    row whose exported span starts where its lane measured it, on the
+    tracer clock, between the main thread's own events — and the bus
+    carries no per-job copy."""
     from repro.compression import get_compressor
+    from repro.device import Timeline
+    from repro.memory import ChunkLayout, CompressedChunkStore
     from repro.parallel import CodecWorkerPool
 
     tel = Telemetry()
-    comp = get_compressor("zlib")
+    hops = Timeline()
+    tel.tracer.attach(hops)
+    store = CompressedChunkStore(ChunkLayout(8, 6), get_compressor("zlib"))
+    store.report_codec_to(hops)
     tel.bus.publish("before")
-    with CodecWorkerPool(comp, workers=2, telemetry=tel) as pool:
-        jobs = [pool.submit_compress(k, np.full(256, 0.5 + k * 1j))
-                for k in range(3)]
-        for job in jobs:
-            pool.collect(job)
+    with CodecWorkerPool(store.compressor, workers=2) as pool:
+        store.attach_lane(pool)
+        for k in range(3):
+            store.store(k, np.full(64, 0.5 + k * 1j))
+        store.detach_lane()
     tel.bus.publish("after")
     events = tel.bus.snapshot()
-    before, after = events[0], events[-1]
-    lane = [e for e in events if e.kind == "worker.compress"]
-    assert [e.data["key"] for e in lane] == [0, 1, 2]
-    spans = {sp.args["key"]: sp for sp in tel.tracer.find("worker.compress")}
-    for ev in lane:
-        assert before.t <= ev.t <= after.t
-        assert ev.t == spans[ev.data["key"]].start
-        assert ev.data["worker"] in (1, 2)
+    assert [e.kind for e in events] == ["before", "after"]
+    spans = tel.tracer.find("compress")
+    assert sorted(sp.args["chunk"] for sp in spans) == [0, 1, 2]
+    for sp in spans:
+        assert events[0].t <= sp.start <= sp.end <= events[1].t
+        assert sp.tid == 100 + sp.args["lane"]
 
 
 def test_parallel_run_merges_worker_events(tight_config):
@@ -206,13 +210,14 @@ def test_parallel_run_merges_worker_events(tight_config):
     tel = Telemetry()
     res = MemQSim(pool_cfg, telemetry=tel).run(qft(8))
     assert res.norm() == pytest.approx(1.0, abs=1e-3)
-    events = tel.bus.snapshot()
-    worker_events = [e for e in events if e.kind.startswith("worker.")]
-    assert worker_events, "pool published no worker events"
+    laned = [sp for sp in tel.tracer.spans if sp.args.get("lane")]
+    assert laned, "the trace shows no lane work"
     wall = tel.tracer.now
-    for ev in worker_events:
-        assert 0.0 <= ev.t <= wall + 1.0  # anchored inside the run window
-        assert "worker" in ev.data and "key" in ev.data
-    # the merged stream stays seq-ordered
+    for sp in laned:
+        assert 0.0 <= sp.start <= wall  # anchored inside the run window
+        assert sp.name in ("compress", "decompress")
+    events = tel.bus.snapshot()
+    assert not [e for e in events if e.kind.startswith("worker.")]
+    # the stream stays seq-ordered
     seqs = [e.seq for e in events]
     assert seqs == sorted(seqs)

@@ -88,10 +88,10 @@ class TestHistogram:
 class TestTimer:
     def test_timer_observes_elapsed(self):
         m = MetricsRegistry()
-        with m.timer("codec.compress.seconds") as t:
+        with m.timer("compile.seconds") as t:
             time.sleep(0.002)
         assert t.seconds >= 0.002
-        h = m.histogram("codec.compress.seconds")
+        h = m.histogram("compile.seconds")
         assert h.count == 1
         assert h.total == pytest.approx(t.seconds)
 
@@ -111,12 +111,14 @@ class TestRegistry:
         m = MetricsRegistry()
         m.declare_standard()
         snap = m.snapshot()
-        for name in ("transfer.h2d.bytes", "transfer.d2h.bytes",
-                     "cache.hit", "cache.miss", "codec.compress.bytes_out"):
+        for name in ("cache.hit", "cache.miss", "cache.writeback",
+                     "cache.eviction", "pool.acquire.count"):
             assert snap["counters"][name] == 0
-        for name in ("codec.compress.seconds", "codec.decompress.seconds",
-                     "pool.acquire.wait.seconds"):
-            assert snap["histograms"][name]["count"] == 0
+        assert snap["histograms"]["pool.acquire.wait.seconds"]["count"] == 0
+        # no instrument copies a hop: those are timeline rows
+        assert not [name for name in snap["counters"]
+                    if name.split(".")[0] in ("codec", "transfer", "kernel")]
+        assert list(snap["histograms"]) == ["pool.acquire.wait.seconds"]
 
     def test_to_json_is_valid(self, tmp_path):
         m = MetricsRegistry()
@@ -139,19 +141,37 @@ class TestRegistry:
 
 class TestDerivedGauges:
     def test_decode_bytes_per_s(self):
+        """The decode rate is the decompress rows' bytes over their
+        seconds; the ratio is the ledger's codec bytes in over out."""
+        from repro.device import Stage, Timeline
+        from repro.telemetry import Telemetry
+
         reg = MetricsRegistry()
-        reg.counter("codec.decompress.bytes").inc(8_000_000)
-        reg.histogram("codec.decompress.seconds").observe(2.0)
-        derived = reg.derived_gauges()
+        derived = reg.derived_gauges((8_000_000, 2.0))
         assert derived["codec.decode_bytes_per_s"] == pytest.approx(4_000_000)
+        tel = Telemetry()
+        hops = Timeline()
+        tel.tracer.attach(hops)
+        hops.record(Stage.DECOMPRESS, 0.0, 1.5, 0, 0, 6_000_000)
+        hops.record(Stage.COMPRESS, 1.5, 9.0, 0, 0, 6_000_000)
+        hops.record(Stage.DECOMPRESS, 10.5, 0.5, 0, 1, 2_000_000)
+        tel.traffic.record("codec", "raw_in", 300)
+        tel.traffic.record("codec", "compressed_out", 100)
+        derived = tel.snapshot()["derived"]
+        assert derived["codec.decode_bytes_per_s"] == pytest.approx(4_000_000)
+        assert derived["codec.compression_ratio"] == pytest.approx(3.0)
+        # rows booked after a poll count at the next one, and only once
+        hops.record(Stage.DECOMPRESS, 11.0, 2.0, 1, 0, 4_000_000)
+        assert tel.tracer.decoded() == (12_000_000, pytest.approx(4.0))
+        assert tel.tracer.decoded() == (12_000_000, pytest.approx(4.0))
 
     def test_decode_rate_absent_without_samples(self):
         reg = MetricsRegistry()
-        reg.counter("codec.decompress.bytes").inc(100)
-        assert reg.derived_gauges().get("codec.decode_bytes_per_s") is None
+        assert reg.derived_gauges((100, 0.0)).get(
+            "codec.decode_bytes_per_s") is None
 
     def test_decode_rate_in_snapshot(self):
         reg = MetricsRegistry()
-        reg.counter("codec.decompress.bytes").inc(10)
-        reg.histogram("codec.decompress.seconds").observe(0.5)
-        assert "codec.decode_bytes_per_s" in reg.snapshot()["derived"]
+        reg.counter("traffic.codec.compressed_out.bytes").inc(10)
+        snap = reg.snapshot((10, 0.5))
+        assert snap["derived"]["codec.decode_bytes_per_s"] == 20.0

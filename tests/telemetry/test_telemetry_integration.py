@@ -1,9 +1,9 @@
 """Telemetry threaded through the pipeline: spans, metrics, equivalence.
 
 These are the tests for the observability *wiring*: a traced MEMQSim run
-must produce one span per pipeline hop, metrics that agree with the
-simulator's own statistics, and a timeline that is exactly the spans'
-shadow. Plus the contract that disabled telemetry is effectively free.
+must produce one span per pipeline hop — drawn from the run's timeline
+rows, its one record — and a ledger and metrics that agree with those
+rows. Plus the contract that disabled telemetry is effectively free.
 """
 
 import json
@@ -37,7 +37,7 @@ class TestTelemetryFacade:
         assert tel.enabled
         assert len(tel.tracer) == 0 and tel.bus.published == 0
         # declare_standard ran: acceptance counters pre-registered at 0
-        assert tel.metrics.snapshot()["counters"]["transfer.h2d.bytes"] == 0
+        assert tel.metrics.snapshot()["counters"]["cache.hit"] == 0
 
     def test_disabled_bundles_null_twins(self):
         """...bundles nothing: one disabled object, and every sink of it
@@ -57,32 +57,41 @@ class TestTelemetryFacade:
         assert tel.observer() is NULL_OBSERVER
 
     def test_stage_span_feeds_timeline_and_tracer(self):
-        """One booking on the timeline; the span is its mirror."""
+        """One booking on the timeline; the span is drawn from the row when
+        the tracer is read, and nothing else hears of it."""
         tel = Telemetry()
-        tl = Timeline(tel.hop)
-        tl.record(Stage.H2D, 0.001, 2, 1024, chunk_id=5)
+        tl = Timeline()
+        tel.tracer.attach(tl)
+        t0 = time.perf_counter()
+        tl.record(Stage.H2D, t0, 0.001, 2, 5, 1024)
         assert tl.count(Stage.H2D) == 1
-        ev = tl.events[0]
-        assert ev.chunk == 2 and ev.nbytes == 1024
         [sp] = tel.tracer.find("h2d")
-        assert sp.duration == ev.duration
-        assert sp.args == {"chunk": 2, "nbytes": 1024, "chunk_id": 5}
-        [event] = tel.bus.snapshot()
-        assert event.kind == "h2d" and event.data["seconds"] == ev.duration
+        assert sp.duration == 0.001
+        assert sp.start == pytest.approx(t0 - tel.tracer._epoch)
+        assert sp.args == {"group": 2, "chunk": 5, "nbytes": 1024, "lane": 0,
+                           "ops": 0}
+        assert tel.bus.published == 0
+        assert tel.metrics.snapshot()["counters"] == {
+            name: 0 for name in tel.metrics.snapshot()["counters"]}
 
     def test_stage_span_feeds_timeline_even_when_disabled(self):
-        tl = Timeline()  # nobody listening: what a disabled run builds
-        tl.record(Stage.KERNEL, 0.002, 0, 64, gates=3)
+        tl = Timeline()  # nobody attached: what a disabled run builds
+        tl.record(Stage.KERNEL, 0.0, 0.002, 0, -1, 64, 0, 3)
         assert tl.count(Stage.KERNEL) == 1
-        assert tl.events[0].duration == 0.002
+        assert tl.rows[0][2] == 0.002 and tl.rows[0][7] == 3
 
     def test_record_stage(self):
         tel = Telemetry()
-        tl = Timeline(tel.hop)
-        tl.record(Stage.D2H, 0.125, chunk=1, nbytes=512)
-        assert tl.events[0].duration == 0.125
+        tl = Timeline()
+        tel.tracer.attach(tl)
+        tl.record(Stage.D2H, time.perf_counter(), 0.125, 1, -1, 512)
+        assert tl.rows[0][2] == 0.125
         [sp] = tel.tracer.find("d2h")
         assert sp.duration == 0.125
+        assert (sp.args["group"], sp.args["chunk"], sp.args["nbytes"]) == \
+            (1, -1, 512)
+        tel.tracer.clear()
+        assert tel.tracer.find("d2h") == [] and len(tel.tracer) == 0
 
 
 class TestPipelineTrace:
@@ -129,47 +138,55 @@ class TestPipelineTrace:
             assert e["ts"] >= 0.0 and e["dur"] >= 0.0
 
 
-class TestTimelineFromSpans:
-    def test_equivalence_with_live_timeline(self):
+class TestHopSpansFromTimeline:
+    def test_export_draws_one_span_per_row(self):
         res, tel = traced_run(qft(8))
-        rebuilt = Timeline.from_spans(tel.tracer.spans)
-        live = res.timeline.events
-        assert len(rebuilt.events) == len(live)
-        for a, b in zip(rebuilt.events, live):
-            assert a.stage == b.stage
-            assert a.chunk == b.chunk
-            assert a.nbytes == b.nbytes
-            assert a.duration == pytest.approx(b.duration, abs=1e-12)
-        assert rebuilt.stage_breakdown() == pytest.approx(
-            res.timeline.stage_breakdown())
+        epoch = tel.tracer._epoch
+        hops = [sp for sp in tel.tracer.spans
+                if sp.name in {s.value for s in Stage}]
+        assert len(hops) == res.timeline.count()
+        for sp, row in zip(hops, res.timeline.rows):
+            stage, start, seconds, group, chunk, nbytes, lane, ops = row
+            assert sp.name == stage.value and sp.duration == seconds
+            assert sp.start == pytest.approx(start - epoch, abs=1e-12)
+            assert sp.args == dict(group=group, chunk=chunk, nbytes=nbytes,
+                                   lane=lane, ops=ops)
+            assert lane == 0 and sp.tid == 0
 
-    def test_non_stage_spans_ignored(self):
-        _, tel = traced_run(ghz(8))
-        rebuilt = Timeline.from_spans(tel.tracer.spans)
-        names = {e.stage for e in rebuilt.events}
-        assert names <= set(Stage)
+    def test_structural_spans_are_not_rows(self):
+        res, tel = traced_run(ghz(8))
+        hop_names = {s.value for s in Stage}
+        structural = [sp for sp in tel.tracer.spans
+                      if sp.name not in hop_names]
+        assert {sp.name for sp in structural} >= {"run", "online", "stage"}
+        assert len(tel.tracer) == len(structural) + res.timeline.count()
 
 
 class TestPipelineMetrics:
     def test_transfer_counters_match_timeline(self):
+        """The ledger's arena edge holds the bytes and calls of the copy
+        rows, to the byte."""
         res, tel = traced_run(qft(8))
         snap = tel.metrics.snapshot()
-        h2d_bytes = sum(e.nbytes for e in res.timeline.events
-                        if e.stage == Stage.H2D)
-        assert snap["counters"]["transfer.h2d.bytes"] == h2d_bytes
-        assert snap["counters"]["transfer.h2d.count"] == \
-            res.timeline.count(Stage.H2D)
-        assert snap["histograms"]["transfer.h2d.seconds"]["count"] == \
-            res.timeline.count(Stage.H2D)
+        for stage in (Stage.H2D, Stage.D2H):
+            moved = sum(r[5] for r in res.timeline.rows if r[0] == stage)
+            edge = f"arena.{stage.value}"
+            assert tel.traffic.totals()[edge] == {
+                "bytes": moved, "ops": res.timeline.count(stage)}
+            assert snap["counters"][f"traffic.{edge}.bytes"] == moved
 
     def test_codec_metrics(self):
+        """The ledger counts the store's codec calls over its lifetime: the
+        run's rows plus ``init_zero_state``'s two compressions."""
         res, tel = traced_run(qft(8))
         snap = tel.metrics.snapshot()
-        st = res.store.stats
-        assert snap["histograms"]["codec.compress.seconds"]["count"] == st.stores
-        assert snap["histograms"]["codec.decompress.seconds"]["count"] >= 1
-        assert snap["counters"]["codec.compress.bytes_out"] == \
-            st.bytes_compressed
+        totals = tel.traffic.totals()
+        assert totals["codec.raw_in"]["ops"] == \
+            res.timeline.count(Stage.COMPRESS) + 2
+        assert totals["codec.raw_out"]["ops"] == \
+            res.timeline.count(Stage.DECOMPRESS)
+        assert snap["counters"]["traffic.codec.compressed_out.bytes"] == \
+            totals["codec.compressed_out"]["bytes"] > 0
 
     def test_cache_counters(self):
         res, tel = traced_run(qft(8), cache_chunks=8)
@@ -191,7 +208,7 @@ class TestPipelineMetrics:
         res, _ = traced_run(ghz(8))
         d = res.to_dict()
         assert "metrics" in d
-        assert d["metrics"]["counters"]["transfer.h2d.bytes"] > 0
+        assert d["metrics"]["counters"]["traffic.arena.h2d.bytes"] > 0
         json.dumps(d)  # strictly serializable
 
     def test_result_to_dict_without_telemetry(self):

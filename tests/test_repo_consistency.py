@@ -387,3 +387,61 @@ class TestOneUpdatePath:
                 for p in sorted((REPO / "src/repro" / pkg).rglob("*.py"))
                 if "PipelineModel" in p.read_text()]
         assert hits == []
+
+
+class TestOneRecordPerHop:
+    """A pipeline hop is one row of the run's ``Timeline``: the trace draws
+    its span from the row at export, and no span, bus event, counter or
+    side-count copies it as it happens. The copies must not come back by
+    name, and the layers that run hops reach for no tracer or bus."""
+
+    GONE = (
+        "StageEvent", "StoreStats", "from_spans", "kernels_launched",
+        "record_at", "worker.compress", "worker.decompress",
+        "transfer.h2d.bytes", "codec.compress.bytes_in",
+        "codec.decompress.bytes", "kernel.gates", "parallel.jobs",
+        "mem.gauge", "codec.choice", "cache.evict",
+    )
+    #: the layers that run hops; they book rows and touch the ledger only
+    HOP_LAYERS = ("src/repro/memory/chunkstore.py",
+                  "src/repro/memory/accounting.py",
+                  "src/repro/device/*.py", "src/repro/parallel/pool.py")
+
+    @classmethod
+    def mentions(cls, text):
+        # "cache.evict" is not "cache.eviction", a counter that stays
+        return [name for name in cls.GONE
+                if re.search(r"(?<!\w)" + re.escape(name) + r"(?!\w|\.\w)", text)]
+
+    def test_deleted_names_stay_deleted(self):
+        api = (REPO / "docs/api.md").read_text()
+        # docs/api.md keeps the one list of what was removed: the
+        # "### Removed in ..." section that names this guard
+        start = api.rindex("\n### Removed in", 0, api.index(type(self).__name__))
+        end = api.find("\n## ", start)
+        head, listed, tail = api[:start], api[start:end], api[end:]
+        assert "### Removed in PR 31" in listed
+        assert [name for name in self.GONE if name not in listed] == []
+        texts = {"docs/api.md": head + tail}
+        files = [REPO / "README.md", REPO / "DESIGN.md"]
+        files += [p for p in sorted((REPO / "docs").glob("*.md"))
+                  if p.name != "api.md"]
+        files += sorted((REPO / "src").rglob("*.py"))
+        texts.update({str(p.relative_to(REPO)): p.read_text() for p in files})
+        hits = [f"{where}: {name}" for where, text in texts.items()
+                for name in self.mentions(text)]
+        assert not hits, hits
+
+    def test_hop_layers_call_no_tracer_or_bus(self):
+        files = [p for pattern in self.HOP_LAYERS
+                 for p in sorted(REPO.glob(pattern))]
+        assert len(files) >= 8
+        hits = []
+        for path in files:
+            code = re.sub(r'""".*?"""', "", path.read_text(), flags=re.DOTALL)
+            for n, line in enumerate(code.splitlines(), 1):
+                line = line.split("#")[0]
+                hits += [f"{path.relative_to(REPO)}:{n}: {needle}"
+                         for needle in ("tracer.", ".bus", ".emit(")
+                         if needle in line]
+        assert hits == []
