@@ -1,0 +1,228 @@
+"""Every byte the codecs emit over a corpus of real chunks, pinned.
+
+The corpus is every chunk ``szlike`` and ``zlib`` are handed while
+
+* the four BENCH_E2E circuits stream at their smoke sizes (the same
+  configs, rebuilt here from the public API), and
+* every registry circuit streams at 12 qubits, chunk 8, in both
+  precisions, under ``szlike``.
+
+A run contributes at most :data:`RUN_CAP` distinct chunks and is stopped
+there: ``grover`` at 12 qubits streams 4,815 group passes, more than all
+other runs together, and its later chunks add time, not new cases.
+
+Each distinct chunk is then encoded by ``zlib`` and by ``szlike`` under
+each entropy setting. Pinned: how many chunks there are and their digest
+(a lossy run feeds its own output back, so this pins the codec's in-run
+bytes too), and per codec, entropy setting and chosen stage, the count,
+the digest of the concatenated blobs and of the decoded arrays. A blob's
+deflate stream is digested inflated: the deflate bytes belong to whichever
+zlib the interpreter links, the rest of the frame is ours. The digests were
+recorded before the codec's per-call overhead was cut; any rewrite of the
+codec must reproduce them unchanged.
+"""
+
+import hashlib
+import math
+import struct
+import zlib
+from collections import defaultdict
+
+import numpy as np
+import pytest
+
+from repro.circuits import (WORKLOADS, Circuit, get_workload, qft,
+                            supremacy_brickwork, vqe_ansatz)
+from repro.compression import SZLikeCompressor, ZlibCompressor
+from repro.compression.interface import split_dtype
+from repro.compression.szlike import blob_entropy
+from repro.core import MemQSim
+from repro.device import DeviceSpec
+
+LOSSY = {"compressor": "szlike", "compressor_options": {"error_bound": 1e-6}}
+
+
+def tilts(seed, count):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(math.pi / 4, 3 * math.pi / 4, size=count)
+
+
+def tilted_brickwork(n, seed=0):
+    circuit = Circuit(n, name=f"tilted_supremacy{n}")
+    for qubit, angle in enumerate(tilts(seed, n)):
+        circuit.ry(float(angle), qubit)
+    return circuit.compose(supremacy_brickwork(n, depth=6))
+
+
+def e2e_smoke_runs():
+    """``(label, circuit, config)`` of BENCH_E2E's four smoke runs."""
+    yield ("dense_lossy", tilted_brickwork(12),
+           dict(chunk_qubits=9, device=DeviceSpec(memory_bytes=32 << 10),
+                **LOSSY))
+    yield ("sparse_lossless", qft(12),
+           dict(chunk_qubits=7, device=DeviceSpec(memory_bytes=8 << 10),
+                compressor="zlib"))
+    yield ("hierarchy_spill", vqe_ansatz(12, layers=3, params=tilts(0, 72)),
+           dict(chunk_qubits=7, device=DeviceSpec(memory_bytes=16 << 10),
+                precision="c64", cache_chunks=4, cache_policy="belady",
+                host_store_mb=1 / 256, fuse_gates=True, **LOSSY))
+    params = np.random.default_rng(0).uniform(0.0, 2.0 * math.pi, size=48)
+    yield ("variational_sweep", vqe_ansatz(8, layers=3, params=params),
+           dict(chunk_qubits=4, device=DeviceSpec(memory_bytes=2 << 10),
+                compressor="zlib", fuse_gates=True))
+
+
+def registry_runs():
+    for name in sorted(WORKLOADS):
+        for precision in ("c128", "c64"):
+            yield (f"{name}/{precision}", get_workload(name, 12),
+                   dict(chunk_qubits=8, precision=precision,
+                        device=DeviceSpec(memory_bytes=16 << 10), **LOSSY))
+
+
+RUN_CAP = 200
+
+
+class _Capped(Exception):
+    """A run reached :data:`RUN_CAP` distinct chunks."""
+
+
+def collect_corpus():
+    """Every distinct chunk handed to a codec, in first-seen order."""
+    seen, corpus, taken = set(), [], [0]
+    originals = {cls: cls.compress for cls in (SZLikeCompressor,
+                                               ZlibCompressor)}
+
+    def recording(cls):
+        def compress(self, data):
+            chunk = np.array(data, copy=True)
+            key = (chunk.dtype.str, chunk.tobytes())
+            if key not in seen:
+                if taken[0] == RUN_CAP:
+                    raise _Capped
+                taken[0] += 1
+                seen.add(key)
+                corpus.append(chunk)
+            return originals[cls](self, data)
+        return compress
+
+    try:
+        for cls in originals:
+            cls.compress = recording(cls)
+        for _label, circuit, config in (*e2e_smoke_runs(), *registry_runs()):
+            taken[0] = 0
+            try:
+                MemQSim(**config).run(circuit)
+            except _Capped:
+                pass
+    finally:
+        for cls, compress in originals.items():
+            cls.compress = compress
+    return corpus
+
+
+def canonical(blob):
+    """``blob`` with its deflate stream inflated (see the module note)."""
+    _dtype, frame = split_dtype(blob)
+    head = len(blob) - len(frame)
+    if frame[:4] == b"LSL1":
+        at = head + 12
+    elif blob_entropy(blob) == "raw":
+        at = head + 22
+    elif blob_entropy(blob) == "zlib":
+        at = head + 23
+    else:
+        return blob
+    return blob[:at] + zlib.decompress(blob[at:])
+
+
+CODECS = {
+    "zlib": ZlibCompressor(),
+    "szlike:auto": SZLikeCompressor(error_bound=1e-6),
+    "szlike:zlib": SZLikeCompressor(error_bound=1e-6, entropy="zlib"),
+    "szlike:huffman": SZLikeCompressor(error_bound=1e-6, entropy="huffman"),
+}
+
+
+def digests(corpus):
+    inputs = hashlib.sha256()
+    for chunk in corpus:
+        inputs.update(chunk.dtype.str.encode() + chunk.tobytes())
+    c64 = sum(chunk.dtype == np.complex64 for chunk in corpus)
+    out = {"corpus": (len(corpus) - c64, c64, inputs.hexdigest())}
+    for label, codec in CODECS.items():
+        groups = defaultdict(lambda: [0, hashlib.sha256(), hashlib.sha256()])
+        for chunk in corpus:
+            blob = codec.compress(chunk)
+            back = codec.decompress(blob)
+            assert back.dtype == chunk.dtype
+            group = groups[f"{label}:{blob_entropy(blob) or '-'}"]
+            group[0] += 1
+            group[1].update(struct.pack("<Q", len(blob)) + canonical(blob))
+            group[2].update(back.tobytes())
+        for key, (count, blobs, decoded) in groups.items():
+            out[key] = (count, blobs.hexdigest(), decoded.hexdigest())
+    return out
+
+
+PINNED = {
+    "corpus": (
+        720,
+        544,
+        "4e0079c97e7be338a9e595b0a9cc96a391e00ce915c7fb1cb0373b9ef0caaf32",
+    ),
+    "szlike:auto:fixed": (
+        630,
+        "32e5f957aaae83eb98ace772d43bed198dcdf92be4ecf09cc1a313e959551f99",
+        "9fa7fb6753f38b0479e653cec6d4182e90d9a8e084a0f83248282a7926788361",
+    ),
+    "szlike:auto:zlib": (
+        634,
+        "be4e7d38f02f3a01c8ef03304a919a39fb1300006b0d62db3d2cdea2ef2543e4",
+        "ff2192f33cb450a8bb0ef380cc45e50554f87d7d8728b613ab7445a3d54b934e",
+    ),
+    "szlike:huffman:huffman": (
+        568,
+        "6a52a764f7230c4ff0617ab339583094962fa72679818a32c638fadf39f1fa44",
+        "aa6cd2013e7027b5beb8da0d3283ca6b82b865867a488917858eff4382b2d96f",
+    ),
+    "szlike:huffman:raw": (
+        696,
+        "49f56d60192e557f0f7ea2bfa98cbd18f66da4fe27c99ea0de53d8c96110fd19",
+        "ffa27f212d1b797993f868b04feabbcc0213675e2cf9a486b19f3c1c07fd44c8",
+    ),
+    "szlike:zlib:zlib": (
+        1264,
+        "6d2650dee57ed0add75339a6ad38a58b8a766a9a85671e4f17a1ef16982aaab3",
+        "c04bd41216ab6628ea2a981aa060e6c064a266712d64c38940b69e8d71d9cba6",
+    ),
+    "zlib:-": (
+        1264,
+        "5f2d2f75a3885562281a1bdfd29d959e17058bf7073ca98a7bc5130b1d5da6d1",
+        "8335cfc581df5a437d675751b5e9eba448b3861f23882d682bd03a3daf23e367",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def measured():
+    return digests(collect_corpus())
+
+
+def test_corpus_covers_both_precisions_and_the_auto_stages(measured):
+    c128, c64, _digest = measured["corpus"]
+    assert c128 > 0 and c64 > 0
+    # real chunks take `auto` to the fixed-length and zlib stages; its
+    # Huffman choice is pinned by test_szlike.py's probe tests
+    stages = {key.rsplit(":", 1)[1] for key in measured
+              if key.startswith("szlike:auto:")}
+    assert {"fixed", "zlib"} <= stages, stages
+
+
+@pytest.mark.parametrize("key", sorted(PINNED))
+def test_bytes_are_pinned(measured, key):
+    assert measured.get(key) == PINNED[key]
+
+
+def test_no_stage_appears_unpinned(measured):
+    assert sorted(measured) == sorted(PINNED)
