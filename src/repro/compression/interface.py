@@ -15,8 +15,9 @@ Blobs are dtype-carrying: a complex128 chunk encodes exactly as it always
 has (byte-identical to the historical format), while a complex64 chunk's
 blob is prefixed with a 5-byte ``DTP1`` dtype tag so that
 :meth:`Compressor.decompress` restores the array in the dtype it was
-compressed from. Codecs apply the tag with :func:`tag_dtype` and strip it
-with :func:`split_dtype`.
+compressed from. Codecs apply the tag with :func:`tag_dtype` (or prefix
+:func:`dtype_tag` themselves) and read it with :func:`frame_dtype`, which
+returns where the codec's own frame starts instead of copying it out.
 
 The registry maps names to factory callables so configurations can name
 compressors in plain strings (``"szlike"``, ``"zlib"``, ...).
@@ -39,6 +40,8 @@ __all__ = [
     "compressor_options",
     "DTYPE_MAGIC",
     "tag_dtype",
+    "dtype_tag",
+    "frame_dtype",
     "split_dtype",
     "coerce_amplitudes",
 ]
@@ -48,8 +51,13 @@ __all__ = [
 #: prefix, keeping the historical format byte-identical.
 DTYPE_MAGIC = b"DTP1"
 
+_COMPLEX128 = np.dtype(np.complex128)
 _DTYPE_TAGS: Dict[np.dtype, int] = {np.dtype(np.complex64): 0x01}
 _TAG_TO_DTYPE: Dict[int, np.dtype] = {v: k for k, v in _DTYPE_TAGS.items()}
+#: the prefix per amplitude dtype (none for complex128)
+_PREFIX: Dict[np.dtype, bytes] = {
+    _COMPLEX128: b"",
+    **{dt: DTYPE_MAGIC + bytes((tag,)) for dt, tag in _DTYPE_TAGS.items()}}
 
 
 def coerce_amplitudes(data: np.ndarray) -> np.ndarray:
@@ -59,35 +67,44 @@ def coerce_amplitudes(data: np.ndarray) -> np.ndarray:
     dtypes upcasts to complex128 (the historical behaviour).
     """
     data = np.ascontiguousarray(data)
-    if data.dtype not in (np.dtype(np.complex64), np.dtype(np.complex128)):
+    if data.dtype not in _PREFIX:
         data = np.ascontiguousarray(data, dtype=np.complex128)
     return data
 
 
-def tag_dtype(blob: bytes, dtype) -> bytes:
-    """Prefix ``blob`` with a dtype tag unless it is complex128."""
+def dtype_tag(dtype) -> bytes:
+    """The prefix a blob of ``dtype`` amplitudes carries (none for
+    complex128)."""
     dt = np.dtype(dtype)
-    if dt == np.dtype(np.complex128):
-        return blob
     try:
-        tag = _DTYPE_TAGS[dt]
+        return _PREFIX[dt]
     except KeyError:
         raise ValueError(f"no blob dtype tag for {dt}") from None
-    return DTYPE_MAGIC + bytes([tag]) + blob
 
 
-def split_dtype(blob: bytes) -> Tuple[np.dtype, bytes]:
-    """Strip a dtype tag: returns ``(dtype, inner_blob)``.
+def tag_dtype(blob: bytes, dtype) -> bytes:
+    """Prefix ``blob`` with a dtype tag unless it is complex128."""
+    tag = dtype_tag(dtype)
+    return tag + blob if tag else blob
+
+
+def frame_dtype(blob: bytes) -> Tuple[np.dtype, int]:
+    """Read a dtype tag: returns ``(dtype, offset of the codec's frame)``.
 
     Untagged blobs are complex128 by definition.
     """
     if blob[:4] == DTYPE_MAGIC:
         try:
-            dt = _TAG_TO_DTYPE[blob[4]]
+            return _TAG_TO_DTYPE[blob[4]], 5
         except KeyError:
             raise ValueError(f"unknown blob dtype tag {blob[4]:#x}") from None
-        return dt, blob[5:]
-    return np.dtype(np.complex128), blob
+    return _COMPLEX128, 0
+
+
+def split_dtype(blob: bytes) -> Tuple[np.dtype, bytes]:
+    """Strip a dtype tag: returns ``(dtype, inner_blob)``."""
+    dt, at = frame_dtype(blob)
+    return dt, blob[at:] if at else blob
 
 
 class Compressor(abc.ABC):

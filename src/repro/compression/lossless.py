@@ -20,8 +20,8 @@ import numpy as np
 from .interface import (
     Compressor,
     coerce_amplitudes,
+    frame_dtype,
     register_compressor,
-    split_dtype,
     tag_dtype,
 )
 
@@ -53,11 +53,11 @@ class _ByteCodecCompressor(Compressor):
         return tag_dtype(blob, data.dtype)
 
     def decompress(self, blob: bytes) -> np.ndarray:
-        dtype, blob = split_dtype(blob)
-        if blob[:4] != _MAGIC:
+        dtype, at = frame_dtype(blob)
+        if blob[at:at + 4] != _MAGIC:
             raise ValueError("not a lossless blob")
-        (n,) = struct.unpack_from("<Q", blob, 4)
-        raw = self._decode(blob[12:])
+        (n,) = struct.unpack_from("<Q", blob, at + 4)
+        raw = self._decode(memoryview(blob)[at + 12:])
         return np.frombuffer(raw, dtype=dtype, count=n).copy()
 
 

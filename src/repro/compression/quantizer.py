@@ -73,9 +73,12 @@ def scaled_codes(data: np.ndarray, abs_bound: float, out: np.ndarray):
 
     The codes stay float64 (exact integers: the range check caps them at
     :data:`MAX_SAFE_CODE`), so a caller can reconstruct from them without
-    a cast. One division, one min / max: NaN propagates through both
-    reductions and infinity is their own value, so a single comparison of
-    the larger magnitude covers non-finite input and overflow alike.
+    a cast. Division by a positive step is monotone, so the quotients'
+    extremes are the extremes' quotients: they are checked before the
+    array is divided, which then cannot overflow. NaN propagates through
+    both reductions and infinity is their own value, so a single
+    comparison of the larger magnitude covers non-finite input and
+    overflow alike.
 
     Raises:
         FloatingPointError: a quotient is NaN or infinite.
@@ -83,15 +86,16 @@ def scaled_codes(data: np.ndarray, abs_bound: float, out: np.ndarray):
     """
     if not data.size:
         return 0, 0
-    with np.errstate(over="ignore"):
-        np.divide(data, 2.0 * abs_bound, out=out)
-    lo, hi = float(out.min()), float(out.max())
+    step = 2.0 * abs_bound
+    lo = float(np.minimum.reduce(data)) / step
+    hi = float(np.maximum.reduce(data)) / step
     top = max(-lo, hi)
     if not top <= MAX_SAFE_CODE:
         if top < np.inf:
             raise OverflowError(
                 "quantization codes exceed the safe integer range")
         raise FloatingPointError("non-finite values reached the quantizer")
+    np.divide(data, step, out=out)
     np.rint(out, out=out)
     # rint is monotone and rounds like round(): the extremes of the codes
     # are the rounded extremes of the quotients.
@@ -111,6 +115,12 @@ def dequantize(codes: np.ndarray, abs_bound: float) -> np.ndarray:
     return codes.astype(np.float64) * (2.0 * abs_bound)
 
 
+# 0-d operands: a ufunc takes them without converting a Python scalar
+_ONE = np.array(1, dtype=np.uint64)
+_ONE_SIGNED = np.array(1, dtype=np.int64)
+_SIGN = np.array(63, dtype=np.int64)
+
+
 def zigzag(values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Map signed int64 to unsigned (0,-1,1,-2,.. -> 0,1,2,3,..).
 
@@ -118,8 +128,8 @@ def zigzag(values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     returned array is its uint64 view.
     """
     v = values.astype(np.int64, copy=False)
-    sign = v >> 63
-    out = np.left_shift(v, 1, out=out)
+    sign = np.right_shift(v, _SIGN)
+    out = np.left_shift(v, _ONE_SIGNED, out=out)
     np.bitwise_xor(out, sign, out=out)
     return out.view(np.uint64)
 
@@ -131,8 +141,8 @@ def unzigzag(values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray
     returned array is its int64 view.
     """
     u = values.astype(np.uint64, copy=False)
-    sign = (u & np.uint64(1)).view(np.int64)
+    sign = np.bitwise_and(u, _ONE).view(np.int64)
     np.negative(sign, out=sign)
-    out = np.right_shift(u, np.uint64(1), out=out).view(np.int64)
+    out = np.right_shift(u, _ONE, out=out).view(np.int64)
     np.bitwise_xor(out, sign, out=out)
     return out

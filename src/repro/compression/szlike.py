@@ -17,7 +17,9 @@ Pipeline (all stages vectorized; see DESIGN.md for the substitution note):
    the bound is too tight for safe integer quantization.
 
 Steps 1-3 are one fused pass over pooled scratch planes: at chunk sizes
-that live in cache the cost is numpy calls, not bytes.
+that live in cache the cost is numpy calls, not bytes, so each call
+borrows its scratch once, casts its integer stream once, and decodes
+straight into the output array.
 
 Guarantee: each real and imaginary component of every round-tripped value
 differs from the original by at most the *realized* absolute bound (``abs``
@@ -42,16 +44,11 @@ from .interface import (
     DTYPE_MAGIC,
     Compressor,
     coerce_amplitudes,
+    dtype_tag,
+    frame_dtype,
     register_compressor,
-    split_dtype,
-    tag_dtype,
 )
-from .quantizer import (
-    resolve_error_bound,
-    scaled_codes,
-    unzigzag,
-    zigzag,
-)
+from .quantizer import resolve_error_bound, scaled_codes
 
 __all__ = ["SZLikeCompressor", "blob_entropy"]
 
@@ -99,9 +96,13 @@ _FIXED_MIN_DISTINCT = 48
 _FIXED_MAX_SLACK = 5
 
 
+_MIN = np.minimum.reduce
+_MAX = np.maximum.reduce
+
+
 def _minimal_uint(zz: np.ndarray) -> np.ndarray:
     """Downcast zigzag codes to the narrowest dtype that holds the max."""
-    mx = int(zz.max()) if zz.size else 0
+    mx = int(_MAX(zz)) if zz.size else 0
     if mx < 1 << 8:
         return zz.astype(np.uint8)
     if mx < 1 << 16:
@@ -111,11 +112,48 @@ def _minimal_uint(zz: np.ndarray) -> np.ndarray:
     return zz.astype(np.uint64)
 
 
+def _alphabet(narrow: np.ndarray):
+    """``np.unique(narrow, return_counts=True)``; one ``np.bincount`` for
+    one- and two-byte symbols (no sort), a sort for wider ones."""
+    if narrow.itemsize > 2:
+        return np.unique(narrow, return_counts=True)
+    counts = np.bincount(narrow)
+    symbols = np.flatnonzero(counts)
+    return symbols, counts[symbols]
+
+
 def _delta(codes: np.ndarray, out: np.ndarray) -> np.ndarray:
     """First differences of ``codes`` (the first one kept), into ``out``."""
     out[0] = codes[0]
     np.subtract(codes[1:], codes[:-1], out=out[1:])
     return out
+
+
+# The integer stream is kept doubled: ``w = 2 * v`` is the zigzag map's
+# shift, made by the float -> int64 cast on the way in and undone by the
+# step product on the way out (2v * b == v * 2b exactly: |v| <= 2**52).
+_SIGN = np.array(63, dtype=np.int64)
+
+
+def _doubled(exact: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``2 * exact`` (integer-valued float64) cast into int64 ``out``."""
+    return np.multiply(exact, 2.0, out=out, casting="unsafe")
+
+
+def _zigzag_doubled(w: np.ndarray) -> np.ndarray:
+    """Zigzag symbols of ``v`` from ``w = 2 * v``, in place: ``w ^ (w >> 63)``
+    (uint64 view)."""
+    np.bitwise_xor(w, np.right_shift(w, _SIGN), out=w)
+    return w.view(np.uint64)
+
+
+def _unzigzag_doubled(zz: np.ndarray) -> np.ndarray:
+    """``2 * v`` from zigzag symbols, in place: ``zz ^ -(zz & 1)`` (int64
+    view)."""
+    w = zz.view(np.int64)
+    mask = np.left_shift(w, _SIGN)
+    np.bitwise_xor(w, np.right_shift(mask, _SIGN, out=mask), out=w)
+    return w
 
 
 def _zigzag_width(lo: int, hi: int) -> int:
@@ -174,104 +212,114 @@ class SZLikeCompressor(Compressor):
 
     def compress(self, data: np.ndarray) -> bytes:
         data = coerce_amplitudes(data)
-        return tag_dtype(self._compress_frame(data), data.dtype)
+        return self._compress_frame(data, dtype_tag(data.dtype))
 
-    def _compress_frame(self, data: np.ndarray) -> bytes:
+    def _compress_frame(self, data: np.ndarray, tag: bytes) -> bytes:
         n = data.shape[0]
         if n == 0:
-            return self._raw_blob(data)
+            return tag + self._raw_blob(data)
         m = 2 * n
-        # One pass over three per-chunk scratch planes (one borrow, so
+        # One pass over four per-chunk scratch planes (one borrow, so
         # repeated chunk passes and codec lanes recycle one allocation):
-        # the real/imag planes (then the integer codes), the float codes,
-        # and a work plane that holds the bound-check reconstruction and
-        # then the deltas. A 4 KiB chunk lives in cache; what this path
-        # pays for is calls, not bytes.
-        with scratch_pool().borrow(3 * m, np.float64) as scratch:
-            planes, scaled, work = scratch[:m], scratch[m:2 * m], scratch[2 * m:]
+        # the real/imag planes (then the integer stream), the float codes,
+        # a plane that holds the bound-check residual and then the float
+        # deltas, and a spare one. A 4 KiB chunk lives in cache; what this
+        # path pays for is calls, not bytes.
+        with scratch_pool().borrow(4 * m, np.float64) as scratch:
+            planes, scaled, deltas = \
+                scratch[:m], scratch[m:2 * m], scratch[2 * m:3 * m]
             # Keeping each plane contiguous preserves smoothness for the
             # delta stage; the strided copy is also the c64 -> f64 upcast.
             np.copyto(planes.reshape(2, n),
                       data.view(data.real.dtype).reshape(n, 2).T)
             try:
-                abs_bound = resolve_error_bound(planes, self._eb, self._mode)
+                abs_bound = self._eb if self._mode == "abs" else \
+                    resolve_error_bound(planes, self._eb, self._mode)
                 step_bound = abs_bound * _STEP_SHRINK
                 lo, hi = scaled_codes(planes, step_bound, scaled)
             except (OverflowError, FloatingPointError):
-                return self._raw_blob(data)
+                return tag + self._raw_blob(data)
             # Verify the *configured* bound against the actual reconstruction
             # (the decoder multiplies the same integers by the same step, so
             # it sees exactly these values). Product rounding can still
             # exceed eb for huge code magnitudes (bounds near |x|*ulp); those
             # chunks escape to the exact raw path (SZ's unpredictable-data
             # rule).
-            np.multiply(scaled, 2.0 * step_bound, out=work)
-            np.subtract(planes, work, out=work)
-            np.abs(work, out=work)
-            if float(work.max()) > abs_bound:
-                return self._raw_blob(data)
-            codes = planes.view(np.int64)  # the planes are spent
-            np.copyto(codes, scaled, casting="unsafe")
+            np.multiply(scaled, 2.0 * step_bound, out=deltas)
+            np.subtract(planes, deltas, out=deltas)
+            np.abs(deltas, out=deltas)
+            if float(_MAX(deltas)) > abs_bound:
+                return tag + self._raw_blob(data)
+            # Exact integer delta coding — the reversible, vectorized
+            # equivalent of SZ's first-order Lorenzo predictor — computed
+            # on the float codes (exact: |code| <= 2**52) and cast once.
+            _delta(scaled, deltas)
             payload, entropy_id = self._encode_codes(
-                codes, lo, hi, scratch[m:])
-        blob = (
-            _MAGIC
-            + _HEADER.pack(_FLAG_QUANT, entropy_id, n, step_bound)
-            + payload
-        )
-        if len(blob) >= data.nbytes:
+                scratch[m:3 * m], planes.view(np.int64), scratch[3 * m:],
+                lo, hi)
+        size = _PAYLOAD_AT + sum(map(len, payload))
+        if size >= data.nbytes:
             # Lossy stream failed to beat even uncompressed storage —
             # escape to the lossless fallback (and keep the smaller blob).
             raw = self._raw_blob(data)
-            return raw if len(raw) < len(blob) else blob
-        return blob
+            if len(raw) < size:
+                return tag + raw
+        return b"".join((tag, _MAGIC,
+                         _HEADER.pack(_FLAG_QUANT, entropy_id, n, step_bound),
+                         *payload))
 
     def _raw_blob(self, data: np.ndarray) -> bytes:
         # Raw bytes stay in the input dtype; the outer dtype tag tells the
         # decoder how to reinterpret them.
-        packed = zlib.compress(data.tobytes(), self._level)
+        packed = zlib.compress(data, self._level)
         return _MAGIC + _HEADER.pack(
             _FLAG_RAW, _ENTROPY_ZLIB, data.shape[0], 0.0) + packed
 
-    def _encode_codes(self, codes: np.ndarray, lo: int, hi: int,
-                      floats: np.ndarray) -> Tuple[bytes, int]:
-        """Pick and run the entropy stage on the int64 ``codes``.
+    def _encode_codes(self, floats: np.ndarray, stream: np.ndarray,
+                      spare: np.ndarray, lo: int, hi: int):
+        """Pick and run the entropy stage; returns ``(payload parts, id)``.
 
-        ``lo`` / ``hi`` are their extremes (the range check already has
-        them). ``floats`` is two float64 planes: the codes again, then a
-        spare one. Everything passed in is consumed.
+        ``floats`` is two float64 planes, the codes and their deltas (exact
+        integers); ``lo`` / ``hi`` are the codes' extremes (the range check
+        already has them). The integer stream is cast into the int64
+        ``stream`` plane; ``spare`` is one more plane of scratch.
+        Everything passed in is consumed.
         """
-        m = codes.shape[0]
-        spare = floats[m:]
-        if self._entropy == "auto":
-            # The deltas as floats (exact: |code| <= 2**52), next to the
-            # float codes, so each statistic below is one call over both.
-            _delta(floats[:m], spare)
-            width = _zigzag_width(lo, hi)
-            delta_width = _zigzag_width(int(spare.min()), int(spare.max()))
-            if delta_width > _FIXED_MIN_DELTA_WIDTH and len(set(
-                    spare[:_FIXED_PROBE].tolist())) >= _FIXED_MIN_DISTINCT:
+        m = stream.shape[0]
+        codes, deltas = floats[:m], floats[m:]
+        # The wide-alphabet test first: it is the cheap one, and a
+        # structured chunk fails it before the deltas' two reductions.
+        if self._entropy == "auto" and len(set(
+                deltas[:_FIXED_PROBE].tolist())) >= _FIXED_MIN_DISTINCT:
+            delta_width = _zigzag_width(int(_MIN(deltas)), int(_MAX(deltas)))
+            if delta_width > _FIXED_MIN_DELTA_WIDTH:
                 # SZ's unpredictable-data rule at chunk granularity: on
                 # noise the delta of iid codes is a bit *wider* than the
                 # codes, so the predictor is kept only where it narrows
                 # the stream.
+                width = _zigzag_width(lo, hi)
                 predicted = delta_width < width
                 if predicted:
                     width = delta_width
+                _doubled(deltas if predicted else codes, stream)
                 # frexp's exponent of an integer-valued float is its bit
                 # length: exact, so the choice is the same on every host.
-                lengths = np.frexp(floats, out=(floats, None))[1]
-                used = int(np.add.reduce(lengths.reshape(2, m), axis=1).min())
+                lengths = np.frexp(floats, out=(floats, spare.view(
+                    np.intc)[:2 * m]))[1]
+                used = min(np.add.reduce(lengths.reshape(2, m),
+                                         axis=1).tolist())
                 if m * (width - 1 - _FIXED_MAX_SLACK) <= used:
-                    stream = _delta(codes, spare.view(np.int64)) \
-                        if predicted else codes
-                    zz = zigzag(stream, out=stream)
-                    return (bytes((width, predicted)) + pack_fixed(zz, width),
-                            _ENTROPY_FIXED)
-        # Exact integer delta coding: the reversible, vectorized equivalent
-        # of SZ's first-order Lorenzo predictor.
-        deltas = _delta(codes, spare.view(np.int64))
-        return self._entropy_encode(zigzag(deltas, out=deltas))
+                    zz = _zigzag_doubled(stream)
+                    return (bytes((width, predicted)),
+                            pack_fixed(zz, width)), _ENTROPY_FIXED
+                if not predicted:
+                    stream = _delta(stream, spare.view(np.int64))
+                return self._entropy_payload(_zigzag_doubled(stream))
+        return self._entropy_payload(_zigzag_doubled(_doubled(deltas, stream)))
+
+    def _entropy_payload(self, zz: np.ndarray):
+        payload, entropy_id = self._entropy_encode(zz)
+        return (payload,), entropy_id
 
     def _entropy_encode(self, zz: np.ndarray) -> Tuple[bytes, int]:
         """zlib or Huffman on the zigzagged deltas (uint64)."""
@@ -279,7 +327,7 @@ class SZLikeCompressor(Compressor):
             return huffman.encode(zz.view(np.int64)), _ENTROPY_HUFFMAN
         narrow = _minimal_uint(zz)
         zpay = struct.pack("<B", narrow.dtype.itemsize) + \
-            zlib.compress(narrow.tobytes(), self._level)
+            zlib.compress(narrow, self._level)
         if self._entropy == "auto" and zz.size and \
                 zz.size <= _HUFFMAN_MAX_ELEMENTS:
             # The zeroth-order entropy bound predicts the Huffman payload
@@ -298,12 +346,11 @@ class SZLikeCompressor(Compressor):
                     9 * np.unique(narrow[:prefix]).size + 16 > limit:
                 return zpay, _ENTROPY_ZLIB
             # One alphabet scan, on the minimal-width array the zlib payload
-            # was built from (sorting uint8/uint16 is several times cheaper
-            # than int64). Degenerate single-symbol streams stay with zlib
-            # (its RLE beats a 1-bit-per-symbol Huffman floor). The symbol
-            # -> index map is derived only when the encoder runs and is
-            # handed to it, so the stream is not sorted twice.
-            symbols, freqs = np.unique(narrow, return_counts=True)
+            # was built from. Degenerate single-symbol streams stay with
+            # zlib (its RLE beats a 1-bit-per-symbol Huffman floor). The
+            # symbol -> index map is derived only when the encoder runs and
+            # is handed to it, so the stream is not scanned twice.
+            symbols, freqs = _alphabet(narrow)
             if 2 <= symbols.size <= _HUFFMAN_MAX_ALPHABET:
                 p = freqs / zz.size
                 h_bits = float(-(p * np.log2(p)).sum())
@@ -319,42 +366,45 @@ class SZLikeCompressor(Compressor):
     # -- decompression -----------------------------------------------------------
 
     def decompress(self, blob: bytes) -> np.ndarray:
-        dtype, blob = split_dtype(blob)
-        if blob[:4] != _MAGIC:
+        dtype, at = frame_dtype(blob)
+        if blob[at:at + 4] != _MAGIC:
             raise ValueError("not an SZL1 blob")
-        flag, entropy_id, n, step_bound = _HEADER.unpack_from(blob, 4)
-        payload = memoryview(blob)[_PAYLOAD_AT:]
+        flag, entropy_id, n, step_bound = _HEADER.unpack_from(blob, at + 4)
+        payload = memoryview(blob)[at + _PAYLOAD_AT:]
         if flag == _FLAG_RAW:
             raw = zlib.decompress(payload)
             return np.frombuffer(raw, dtype=dtype, count=n).copy()
-        codes = self._decode_codes(payload, entropy_id, 2 * n)
-        # Building directly in the target dtype lets the component
-        # assignment below do the (single) float64 -> float32 downcast.
         out = np.empty(n, dtype=dtype)
-        # Same arithmetic as quantizer.dequantize (codes -> float64, one
-        # product), but into a pooled plane buffer and then through a real
-        # view into the output, skipping the intermediate complex
-        # temporaries.
-        with scratch_pool().borrow(2 * n, np.float64) as planes:
-            np.multiply(codes, 2.0 * step_bound, out=planes)
-            np.copyto(out.view(out.real.dtype).reshape(n, 2).T,
-                      planes.reshape(2, n), casting="same_kind")
+        with scratch_pool().borrow(2 * n, np.int64) as doubled:
+            doubled = self._decode_codes(payload, entropy_id, doubled)
+            # The value quantizer.dequantize gives (code * 2b, in float64),
+            # as (2 * code) * b, written straight through a real view of the
+            # output: a complex64 output rounds each product to float32.
+            np.multiply(doubled.reshape(2, n), step_bound, dtype=np.float64,
+                        out=out.view(out.real.dtype).reshape(n, 2).T)
         return out
 
-    def _decode_codes(self, payload, entropy_id: int, count: int) -> np.ndarray:
-        """Entropy-decode ``count`` quantisation codes (int64)."""
+    def _decode_codes(self, payload, entropy_id: int,
+                      out: np.ndarray) -> np.ndarray:
+        """Entropy-decode the quantisation codes, doubled (int64), into
+        ``out`` where the stage allows."""
+        count = out.shape[0]
         if entropy_id == _ENTROPY_FIXED:
             if len(payload) < 2 or payload[1] > 1:
                 raise ValueError("malformed fixed-length payload")
-            zz = unpack_fixed(payload[2:], count, payload[0])
-            codes = unzigzag(zz, out=zz)
-            return np.cumsum(codes, out=codes) if payload[1] else codes
-        zz = self._entropy_decode(payload, entropy_id, count)
-        codes = unzigzag(zz, out=zz)
-        return np.cumsum(codes, out=codes)
+            zz = unpack_fixed(payload[2:], count, payload[0],
+                              out=out.view(np.uint64))
+            doubled = _unzigzag_doubled(zz)
+            return np.cumsum(doubled, out=doubled) if payload[1] else doubled
+        zz = self._entropy_decode(payload, entropy_id, out.view(np.uint64))
+        doubled = _unzigzag_doubled(zz)
+        return np.cumsum(doubled, out=doubled)
 
-    def _entropy_decode(self, payload, entropy_id: int, count: int) -> np.ndarray:
-        """zlib or Huffman payload -> a fresh uint64 zigzag array."""
+    def _entropy_decode(self, payload, entropy_id: int,
+                        out: np.ndarray) -> np.ndarray:
+        """zlib or Huffman payload -> uint64 zigzag symbols (zlib's into
+        ``out``)."""
+        count = out.shape[0]
         if entropy_id == _ENTROPY_HUFFMAN:
             vals = huffman.decode(bytes(payload))
             if vals.shape[0] != count:
@@ -364,7 +414,8 @@ class SZLikeCompressor(Compressor):
             raise ValueError(f"unknown SZL1 entropy stage {entropy_id}")
         dtype = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}[payload[0]]
         raw = zlib.decompress(payload[1:])
-        return np.frombuffer(raw, dtype=dtype, count=count).astype(np.uint64)
+        np.copyto(out, np.frombuffer(raw, dtype=dtype, count=count))
+        return out
 
 
 _ENTROPY_NAMES = {_ENTROPY_ZLIB: "zlib", _ENTROPY_HUFFMAN: "huffman",

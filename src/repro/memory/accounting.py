@@ -39,6 +39,7 @@ class MemoryTracker:
     def __init__(self, telemetry=None) -> None:
         self._current: Dict[str, int] = {}
         self._peak: Dict[str, int] = {}
+        self._total = 0  # the sum of _current, kept as it changes
         self._total_peak = 0
         self._snapshots: List[MemorySnapshot] = []
         self.telemetry = telemetry
@@ -50,11 +51,6 @@ class MemoryTracker:
             for cat, cur in self._current.items():
                 telemetry.metrics.gauge(f"mem.{cat}.bytes").set(cur)
 
-    def _gauge(self, category: str, value: int) -> None:
-        tel = self.telemetry
-        if tel is not None and tel.enabled:
-            tel.metrics.gauge(f"mem.{category}.bytes").set(value)
-
     # -- mutation ---------------------------------------------------------
 
     def alloc(self, category: str, nbytes: int) -> None:
@@ -64,10 +60,12 @@ class MemoryTracker:
         self._current[category] = cur
         if cur > self._peak.get(category, 0):
             self._peak[category] = cur
-        total = self.total_current()
-        if total > self._total_peak:
-            self._total_peak = total
-        self._gauge(category, cur)
+        self._total += nbytes
+        if self._total > self._total_peak:
+            self._total_peak = self._total
+        tel = self.telemetry
+        if tel is not None and tel.enabled:
+            tel.metrics.gauge(f"mem.{category}.bytes").set(cur)
 
     def free(self, category: str, nbytes: int) -> None:
         cur = self._current.get(category, 0) - nbytes
@@ -77,7 +75,10 @@ class MemoryTracker:
                 f"{self._current.get(category, 0)}"
             )
         self._current[category] = cur
-        self._gauge(category, cur)
+        self._total -= nbytes
+        tel = self.telemetry
+        if tel is not None and tel.enabled:
+            tel.metrics.gauge(f"mem.{category}.bytes").set(cur)
 
     def resize(self, category: str, old_nbytes: int, new_nbytes: int) -> None:
         """Atomic free+alloc so peaks don't double-count a replacement."""
@@ -98,7 +99,7 @@ class MemoryTracker:
         return self._peak.get(category, 0)
 
     def total_current(self) -> int:
-        return sum(self._current.values())
+        return self._total
 
     def total_peak(self) -> int:
         return self._total_peak

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Set
 
 import numpy as np
@@ -133,13 +132,15 @@ class ScratchPool:
     overwrite. Buffers whose return would push total retained bytes past
     ``max_bytes`` are dropped instead (the cap bounds the pool, not the
     workload). One freelist covers all dtypes: buffers are stored as raw
-    uint8 and re-viewed per borrow, so an int32 jump table and a float64
-    plane buffer of similar size recycle the same memory.
+    uint8, each with the typed views it has been borrowed as, so an int32
+    jump table and a float64 plane buffer of similar size recycle the same
+    memory, and a repeated borrow is a slice of a view made once.
     """
 
     def __init__(self, max_bytes: int = 1 << 26):
         self.max_bytes = int(max_bytes)
-        self._free: Dict[int, List[np.ndarray]] = {}
+        # capacity -> [[raw uint8 buffer, {dtype: its whole typed view}]]
+        self._free: Dict[int, List[list]] = {}
         self._lock = threading.Lock()
         self.retained_bytes = 0
         self.hits = 0
@@ -150,32 +151,9 @@ class ScratchPool:
     def _capacity(nbytes: int) -> int:
         return 1 << max(8, (max(nbytes, 1) - 1).bit_length())
 
-    @contextmanager
-    def borrow(self, n: int, dtype):
+    def borrow(self, n: int, dtype) -> "_Borrow":
         """Context manager yielding a reusable ``(n,)`` array of ``dtype``."""
-        dtype = np.dtype(dtype)
-        nbytes = int(n) * dtype.itemsize
-        cap = self._capacity(nbytes)
-        with self._lock:
-            bucket = self._free.get(cap)
-            if bucket:
-                base = bucket.pop()
-                self.retained_bytes -= cap
-                self.hits += 1
-            else:
-                base = None
-                self.misses += 1
-        if base is None:
-            base = np.empty(cap, dtype=np.uint8)
-        try:
-            yield base[:nbytes].view(dtype)
-        finally:
-            with self._lock:
-                if self.retained_bytes + cap <= self.max_bytes:
-                    self._free.setdefault(cap, []).append(base)
-                    self.retained_bytes += cap
-                else:
-                    self.drops += 1
+        return _Borrow(self, int(n), dtype)
 
     def clear(self) -> None:
         """Drop every retained buffer (outstanding borrows are unaffected)."""
@@ -188,6 +166,55 @@ class ScratchPool:
             f"<ScratchPool retained={self.retained_bytes:,}B "
             f"hits={self.hits} misses={self.misses} drops={self.drops}>"
         )
+
+
+#: itemsize per ``dtype`` argument as borrowers pass it (``np.float64``,
+#: a ``np.dtype``), so a borrow does not build a ``np.dtype`` each time
+_ITEMSIZE: Dict[object, int] = {}
+
+
+class _Borrow:
+    """One :meth:`ScratchPool.borrow`: a plain class, not a generator, so
+    entering and leaving cost two method calls and one lock each. The
+    buffer is taken on entry and returned on exit."""
+
+    __slots__ = ("_pool", "_n", "_dtype", "_buf")
+
+    def __init__(self, pool: ScratchPool, n: int, dtype) -> None:
+        self._pool, self._n, self._dtype = pool, n, dtype
+
+    def __enter__(self) -> np.ndarray:
+        pool, dtype = self._pool, self._dtype
+        itemsize = _ITEMSIZE.get(dtype)
+        if itemsize is None:
+            itemsize = _ITEMSIZE[dtype] = np.dtype(dtype).itemsize
+        cap = ScratchPool._capacity(self._n * itemsize)
+        buf = None
+        with pool._lock:
+            bucket = pool._free.get(cap)
+            if bucket:
+                pool.retained_bytes -= cap
+                pool.hits += 1
+                buf = bucket.pop()
+            else:
+                pool.misses += 1
+        if buf is None:
+            buf = [np.empty(cap, dtype=np.uint8), {}]
+        self._buf = buf
+        whole = buf[1].get(dtype)
+        if whole is None:
+            whole = buf[1][dtype] = buf[0].view(dtype)
+        return whole[:self._n]
+
+    def __exit__(self, *exc) -> None:
+        pool, buf = self._pool, self._buf
+        cap = buf[0].shape[0]
+        with pool._lock:
+            if pool.retained_bytes + cap <= pool.max_bytes:
+                pool._free.setdefault(cap, []).append(buf)
+                pool.retained_bytes += cap
+            else:
+                pool.drops += 1
 
 
 _SCRATCH: Optional[ScratchPool] = None

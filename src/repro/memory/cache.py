@@ -247,7 +247,10 @@ class ChunkCache:
     def _touch(self, chunk: int) -> None:
         self._entries.move_to_end(chunk)
 
-    def _insert(self, chunk: int, data: np.ndarray, dirty: bool) -> None:
+    def _insert(self, chunk: int, data: np.ndarray, dirty: bool,
+                owned: bool = False) -> None:
+        """Make ``data`` chunk's cached copy. ``owned``: nobody else holds
+        ``data`` (a fresh decode), so it is installed as it is."""
         if chunk in self._entries:
             entry = self._entries[chunk]
             entry[0][:] = data
@@ -256,7 +259,10 @@ class ChunkCache:
             return
         while len(self._entries) >= self.capacity:
             self._evict_one()
-        arr = np.array(data, dtype=self.dtype, copy=True)
+        if owned and data.dtype == self.dtype:
+            arr = data
+        else:
+            arr = np.array(data, dtype=self.dtype, copy=True)
         self._entries[chunk] = [arr, dirty]
         self.tracker.alloc(CATEGORY, arr.nbytes)
 
@@ -327,11 +333,11 @@ class ChunkCache:
             self.telemetry.traffic.record(
                 "cache", "miss", self.inner.layout.chunk_nbytes)
         data = self.inner.load(chunk)
-        self._insert(chunk, data, dirty=False)
+        self._insert(chunk, data, dirty=False, owned=True)
         if out is not None:
             out[: data.shape[0]] = data
             return out
-        return data
+        return data.copy()
 
     def store(self, chunk: int, data: np.ndarray) -> None:
         if data.shape[0] != self.inner.layout.chunk_size:

@@ -2,7 +2,8 @@
 
 The paper keeps the compressed state in CPU memory; when even the
 *compressed* footprint outgrows RAM, the next rung is disk.
-:class:`BlobLog` is that rung: an append-only file with mmap-backed reads.
+:class:`BlobLog` is that rung: an append-only file written at explicit
+offsets and read through a memory map.
 Updates append (the old record becomes garbage); the owner triggers a
 rewrite when the garbage fraction crosses its threshold. Its one owner is
 :class:`~repro.memory.hierarchy.TieredChunkStore`, whose RAM budget decides
@@ -16,10 +17,17 @@ its own check — the payload's CRC32, taken at append and verified on every
 read — and a blob whose bytes changed on disk raises
 :class:`~repro.memory.persist.StoreFormatError` instead of decoding to a
 wrong state.
+
+An append is one ``pwrite`` at the log's tracked end: no file position to
+seek, no write buffer to flush before the map is regrown. So an append that
+fails (``ENOSPC``, a short write that cannot be finished) changes nothing
+the log tracks, and the next append overwrites whatever part of the record
+reached the file.
 """
 
 from __future__ import annotations
 
+import errno
 import mmap
 import os
 import zlib
@@ -35,14 +43,13 @@ CATEGORY = "disk_store"
 
 
 class BlobLog:
-    """Append-only blob log with mmap-backed reads.
+    """Append-only blob log: positioned writes, mmap-backed reads.
 
     Records are opaque ``(offset, length, crc32)`` tuples; callers key
     remaps by ``id(record)`` so shared records (the interned zero blob) stay
-    shared across a rewrite. Reads go through a lazily-(re)mapped ``mmap``
-    view — the file handle is flushed and the view regrown only when a read
-    reaches past the mapped extent, so steady-state reads are memcpys out
-    of the page cache, not syscalls.
+    shared across a rewrite. Appends are positioned writes on an unbuffered
+    handle; reads are memcpys out of an ``mmap`` view of the page cache,
+    regrown only when a read reaches past the mapped extent.
 
     The ``tracker`` category records *file* bytes; every append/read also
     lands on the traffic ledger's ``disk.write``/``disk.read`` edge when
@@ -62,9 +69,10 @@ class BlobLog:
         self.tracker = tracker if tracker is not None else MemoryTracker()
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.category = category
-        self._fh = open(self.path, "w+b")
+        self._fh = open(self.path, "w+b", buffering=0)
+        self._fd = self._fh.fileno()
         self._mm: Optional[mmap.mmap] = None
-        self._mm_size = 0
+        self._mapped = 0
         self._file_bytes = 0
         self._live_bytes = 0
 
@@ -87,10 +95,18 @@ class BlobLog:
     # -- record I/O -----------------------------------------------------------
 
     def append(self, blob: bytes) -> tuple:
-        """Append ``blob``; returns its ``(offset, length, crc32)`` record."""
+        """Append ``blob``; returns its ``(offset, length, crc32)`` record.
+
+        Raises the ``OSError`` of a write that fails, with the log as it
+        was before the call."""
         off = self._file_bytes
-        self._fh.seek(off)
-        self._fh.write(blob)
+        done = os.pwrite(self._fd, blob, off)
+        while done < len(blob):  # a short write: finish it or fail
+            wrote = os.pwrite(self._fd, memoryview(blob)[done:], off + done)
+            if wrote == 0:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC),
+                              str(self.path))
+            done += wrote
         self._file_bytes += len(blob)
         self._live_bytes += len(blob)
         self.tracker.alloc(self.category, len(blob))
@@ -99,17 +115,12 @@ class BlobLog:
         return (off, len(blob), zlib.crc32(blob))
 
     def read(self, rec: tuple) -> bytes:
-        """Read a record's payload (mmap-backed); raises
-        :class:`StoreFormatError` when it is not the bytes appended."""
+        """Read a record's payload; raises :class:`StoreFormatError` when
+        it is not the bytes appended."""
         off, length, crc = rec
-        if off + length > self._mm_size:
-            self._remap()
-        if self._mm is not None and off + length <= self._mm_size:
-            blob = bytes(self._mm[off:off + length])
-        else:  # pragma: no cover - mmap unavailable / zero-length file
-            self._fh.flush()
-            self._fh.seek(off)
-            blob = self._fh.read(length)
+        if off + length > self._mapped:
+            self._map()
+        blob = self._mm[off:off + length] if length else b""
         if len(blob) != length or zlib.crc32(blob) != crc:
             raise StoreFormatError(
                 f"blob log {self.path.name}: record at offset {off} "
@@ -122,25 +133,19 @@ class BlobLog:
         """Mark a record dead (its bytes become garbage until a rewrite)."""
         self._live_bytes -= rec[1]
 
-    def _remap(self) -> None:
-        # Buffered writes must reach the OS before the page cache sees
-        # them; flush, then grow the view to the current file extent.
-        self._fh.flush()
-        self._drop_mmap()
-        if self._file_bytes > 0:
-            try:
-                self._mm = mmap.mmap(self._fh.fileno(), self._file_bytes,
-                                     access=mmap.ACCESS_READ)
-                self._mm_size = self._file_bytes
-            except (ValueError, OSError):  # pragma: no cover
-                self._mm = None
-                self._mm_size = 0
+    def _map(self) -> None:
+        """Map the file as far as it is written (writes need no flush)."""
+        self._unmap()
+        if self._file_bytes:
+            self._mm = mmap.mmap(self._fd, self._file_bytes,
+                                 access=mmap.ACCESS_READ)
+            self._mapped = self._file_bytes
 
-    def _drop_mmap(self) -> None:
+    def _unmap(self) -> None:
         if self._mm is not None:
             self._mm.close()
             self._mm = None
-        self._mm_size = 0
+        self._mapped = 0
 
     # -- rewrite (compaction core) --------------------------------------------
 
@@ -151,9 +156,8 @@ class BlobLog:
         index; shared old records map to one shared new record.
         """
         payloads = {key: self.read(rec) for key, rec in records.items()}
-        self._drop_mmap()
+        self._unmap()
         freed = self._file_bytes
-        self._fh.seek(0)
         self._fh.truncate(0)
         self._file_bytes = 0
         self._live_bytes = 0
@@ -163,7 +167,7 @@ class BlobLog:
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        self._drop_mmap()
+        self._unmap()
         self._fh.close()
         self.tracker.free(self.category, self._file_bytes)
         self._file_bytes = 0

@@ -196,6 +196,27 @@ class AccessSchedule:
             return _INF
         return float(p)
 
+    def coldest(self, chunks) -> Optional[int]:
+        """The first of ``chunks`` whose next use (as :meth:`next_use_of`
+        ranks it) is farthest; ``None`` when ``chunks`` is empty. Finite
+        next-use positions are unique schedule indices, and a chunk not
+        needed again before the next barrier ends the scan: ``inf`` ties
+        are all equivalent."""
+        horizon = self.horizon()
+        cursor = self.cursor
+        positions = self._positions
+        victim, victim_nu = None, -1
+        for chunk in chunks:
+            pos_list = positions.get(chunk)
+            if not pos_list:
+                return chunk
+            i = bisect_left(pos_list, cursor)
+            if i == len(pos_list) or pos_list[i] > horizon:
+                return chunk
+            if pos_list[i] > victim_nu:
+                victim, victim_nu = chunk, pos_list[i]
+        return victim
+
     def reads_after(self) -> Tuple[int, ...]:
         """The reads of the pass following :attr:`pass_id` — empty when a
         permutation barrier or the end of the plan comes first, so it
@@ -346,28 +367,19 @@ class TieredChunkStore(CompressedChunkStore):
 
     def _pick_spill_victim(self) -> int:
         if self.schedule is not None:
-            # Plan-coldest: first maximum over resident chunks. Finite
-            # next-use positions are unique schedule indices; inf ties are
-            # all equivalent (none is needed again this epoch).
-            victim = None
-            victim_nu = -1.0
-            horizon = self.schedule.horizon()
-            for chunk in self._ram_order:
-                nu = self.schedule.next_use_of(chunk, horizon)
-                if victim is None or nu > victim_nu:
-                    victim, victim_nu = chunk, nu
-                    if nu == _INF:
-                        break
-            return victim
+            # Plan-coldest: first maximum over resident chunks.
+            return self.schedule.coldest(self._ram_order)
         return next(iter(self._ram_order))  # least recently touched
 
     def _spill(self, chunk: int) -> None:
         blob = self._blobs[chunk]
+        # Append first: an append that fails leaves the chunk where it was.
+        rec = self._log.append(blob)
         self._blobs[chunk] = None
         self._ram_order.pop(chunk, None)
         self.tracker.free(RAM_CATEGORY, len(blob))
         self._host_bytes -= len(blob)
-        self._disk[chunk] = self._log.append(blob)
+        self._disk[chunk] = rec
         self.tier_stats.spills += 1
         self.tier_stats.spilled_bytes += len(blob)
         if self.telemetry.enabled:

@@ -5,20 +5,23 @@ layout header plus the blob table — the on-disk footprint equals the
 in-memory compressed footprint, and save/load never materializes the dense
 vector. The format is a single self-describing file:
 
-    magic  "MQS1"  (complex128 stores) | "MQS2" (dtype-carrying)
-    [MQS2 only] u8 amplitude itemsize (8 = complex64, 16 = complex128)
+    magic  "MQS3"
+    u8     amplitude itemsize (8 = complex64, 16 = complex128)
     u32    num_qubits
     u32    chunk_qubits
     u32    compressor-name length | name bytes (utf-8)
     u64    num_chunks
-    per chunk: u64 blob length | blob bytes
-               (length 2^64-1 marks a reference to the shared zero blob,
-                which is stored once up front; length 2^64-2 marks an
-                uninitialized chunk)
+    u64    zero-blob length | u32 its CRC32 | the shared zero blob
+    per chunk: u64 blob length | u32 CRC32 of the blob | blob bytes
+               (length 2^64-1 marks a reference to the shared zero blob;
+                length 2^64-2 marks an uninitialized chunk; neither
+                carries a CRC or bytes)
 
-complex128 stores keep writing the historical ``MQS1`` frame byte for
-byte; non-c128 stores write ``MQS2`` with the itemsize byte, and the
-loader accepts both. The frame must end with the last blob: a file cut
+Every blob is checked against its CRC32 as it is read, so a flipped byte
+anywhere in a blob record raises :class:`StoreFormatError` instead of
+decoding to a wrong state. The loader still reads the two frames written
+before the check: ``MQS1`` (complex128, no itemsize byte) and ``MQS2``,
+both without CRCs. The frame must end with the last blob: a file cut
 short anywhere, or with bytes after it, raises :class:`StoreFormatError`,
 and so does a header whose layout fields disagree with each other or with
 the bytes that follow.
@@ -35,6 +38,7 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
+import zlib
 from pathlib import Path
 from typing import Optional, Union
 
@@ -48,8 +52,9 @@ log = get_logger(__name__)
 
 __all__ = ["save_store", "load_store", "StoreFormatError"]
 
-_MAGIC = b"MQS1"
-_MAGIC_V2 = b"MQS2"
+_MAGIC_V1 = b"MQS1"  # read only: complex128, no CRCs
+_MAGIC_V2 = b"MQS2"  # read only: itemsize byte, no CRCs
+_MAGIC = b"MQS3"
 _ZERO_REF = (1 << 64) - 1
 _UNINIT = (1 << 64) - 2
 
@@ -64,16 +69,18 @@ def save_store(store: CompressedChunkStore, path: Union[str, Path]) -> int:
     name = store.compressor.name.encode("utf-8")
     item = store.layout.itemsize
     parts = [
-        _MAGIC if item == 16 else _MAGIC_V2 + struct.pack("<B", item),
+        _MAGIC + struct.pack("<B", item),
         struct.pack("<II", store.layout.num_qubits, store.layout.chunk_qubits),
         struct.pack("<I", len(name)),
         name,
         struct.pack("<Q", store.layout.num_chunks),
     ]
-    zero = store.zero_blob_bytes()
-    parts.append(struct.pack("<Q", len(zero) if zero is not None else 0))
-    if zero is not None:
-        parts.append(zero)
+
+    def record(blob: bytes) -> None:
+        parts.append(struct.pack("<QI", len(blob), zlib.crc32(blob)))
+        parts.append(blob)
+
+    record(store.zero_blob_bytes() or b"")
     for k in range(store.layout.num_chunks):
         if store.is_zero_chunk(k):
             parts.append(struct.pack("<Q", _ZERO_REF))
@@ -82,8 +89,7 @@ def save_store(store: CompressedChunkStore, path: Union[str, Path]) -> int:
         if blob is None:
             parts.append(struct.pack("<Q", _UNINIT))
         else:
-            parts.append(struct.pack("<Q", len(blob)))
-            parts.append(blob)
+            record(blob)
     data = b"".join(parts)
     fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp",
                                dir=path.parent)
@@ -121,6 +127,19 @@ class _Frame:
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def blob(self, length: int, checked: bool) -> bytes:
+        """A blob of ``length`` bytes, preceded by its CRC32 when
+        ``checked``."""
+        if not checked:
+            return self.take(length)
+        (crc,) = self.unpack("<I")
+        at = self.off
+        blob = self.take(length)
+        if zlib.crc32(blob) != crc:
+            raise StoreFormatError(
+                f"blob at offset {at} ({length} B) fails its CRC32 check")
+        return blob
+
 
 def load_store(
     path: Union[str, Path],
@@ -131,12 +150,13 @@ def load_store(
     frame = _Frame(Path(path).read_bytes())
     itemsize = 16
     magic = frame.take(4)
-    if magic == _MAGIC_V2:
+    if magic not in (_MAGIC, _MAGIC_V2, _MAGIC_V1):
+        raise StoreFormatError("not a MEMQSim store checkpoint")
+    checked = magic == _MAGIC
+    if magic != _MAGIC_V1:
         (itemsize,) = frame.unpack("<B")
         if itemsize not in (8, 16):
             raise StoreFormatError(f"bad amplitude itemsize {itemsize}")
-    elif magic != _MAGIC:
-        raise StoreFormatError("not a MEMQSim store checkpoint")
     num_qubits, chunk_qubits, name_len = frame.unpack("<III")
     try:
         name = frame.take(name_len).decode("utf-8")
@@ -151,7 +171,7 @@ def load_store(
     # The zero blob's length entry and one per chunk follow: a count the
     # bytes left cannot hold is refused before a table that size is built.
     left = len(frame.data) - frame.off
-    if 8 * (num_chunks + 1) > left:
+    if 8 * (num_chunks + 1) + 4 * checked > left:
         raise StoreFormatError(
             f"{num_chunks} chunks cannot fit in the {left} bytes left")
     try:
@@ -163,10 +183,8 @@ def load_store(
         raise StoreFormatError("chunk count does not match layout")
     store = CompressedChunkStore(layout, compressor, tracker)
     (zero_len,) = frame.unpack("<Q")
-    zero = None
-    if zero_len:
-        zero = frame.take(zero_len)
-        store._zero_blob = zero
+    zero = frame.blob(zero_len, checked) or None
+    store._zero_blob = zero
     for k in range(num_chunks):
         (blen,) = frame.unpack("<Q")
         if blen == _UNINIT:
@@ -176,7 +194,7 @@ def load_store(
                 raise StoreFormatError("zero-blob reference without zero blob")
             store._set_blob(k, zero, shared=True)
             continue
-        store._set_blob(k, frame.take(blen))
+        store._set_blob(k, frame.blob(blen, checked))
     if frame.off != len(frame.data):
         raise StoreFormatError(
             f"{len(frame.data) - frame.off} bytes after the last blob")

@@ -22,7 +22,8 @@ import pytest
 
 from repro.circuits import get_workload
 from repro.compression import SZLikeCompressor, huffman
-from repro.compression.bitstream import pack_fixed, unpack_fixed
+from repro.compression.bitstream import (_BLOCK_GROUPS, pack_fixed,
+                                         unpack_fixed)
 from repro.compression.interface import split_dtype
 from repro.compression.metrics import max_component_error
 from repro.compression.quantizer import unzigzag, zigzag
@@ -65,6 +66,21 @@ class TestPackFixed:
         packed = pack_fixed(values, width)
         assert packed == int(bits.ljust(8 * len(packed), "0"), 2).to_bytes(
             len(packed), "big")
+
+    @pytest.mark.parametrize("width", [1, 7, 13, 16, 25, 32, 33])
+    def test_streams_longer_than_one_gather_block(self, width):
+        # the packer walks long streams a block of fields at a time: the
+        # layout across block edges is the one MSB-first bit string
+        count = 3 * 8 * _BLOCK_GROUPS + 5
+        values = symbols(count, width, seed=width)
+        packed = pack_fixed(values, width)
+        bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))
+        fields = bits[:count * width].reshape(count, width)
+        weights = np.uint64(1) << np.arange(width - 1, -1, -1, dtype=np.uint64)
+        assert np.array_equal((fields * weights).sum(axis=1, dtype=np.uint64),
+                              values)
+        assert not bits[count * width:].any()
+        assert np.array_equal(unpack_fixed(packed, count, width), values)
 
     @pytest.mark.parametrize("width", [0, 65, -1])
     def test_width_out_of_range(self, width):

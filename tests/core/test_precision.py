@@ -141,10 +141,12 @@ class TestPersistC64:
         return store, v
 
     def test_mqs2_round_trip(self, tmp_path):
+        # written as MQS3 now (MQS2 plus a CRC32 per blob); the itemsize
+        # byte sits where MQS2 had it
         store, v = self._random_c64_store()
         p = tmp_path / "c64.mqs"
         save_store(store, p)
-        assert p.read_bytes()[:4] == b"MQS2"
+        assert p.read_bytes()[:4] == b"MQS3"
         assert p.read_bytes()[4] == 8  # itemsize byte
 
         back = load_store(p, get_compressor("zlib"))
@@ -152,11 +154,12 @@ class TestPersistC64:
         assert back.to_statevector().dtype == np.complex64
         assert np.array_equal(back.to_statevector(), v)
 
-    def test_c128_store_keeps_mqs1(self, tmp_path):
+    def test_c128_store_writes_mqs3(self, tmp_path):
         store = CompressedChunkStore(
             ChunkLayout(4, 2), get_compressor("zlib"), MemoryTracker())
         store.init_zero_state()
         p = tmp_path / "c128.mqs"
         save_store(store, p)
-        assert p.read_bytes()[:4] == b"MQS1"  # historical frame untouched
+        # one frame for both precisions: the itemsize byte says which
+        assert p.read_bytes()[:5] == b"MQS3\x10"
         assert load_store(p, get_compressor("zlib")).layout.itemsize == 16

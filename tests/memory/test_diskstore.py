@@ -1,12 +1,15 @@
 """Unit tests for the out-of-core store: ``TieredChunkStore`` at RAM
 budget 0, where every blob except the pinned zero blob lives in the log."""
 
+import errno
+import os
+
 import numpy as np
 import pytest
 
 from repro.compression import get_compressor
-from repro.memory import (ChunkLayout, MemoryTracker, StoreFormatError,
-                          TieredChunkStore)
+from repro.memory import (BlobLog, ChunkLayout, MemoryTracker,
+                          StoreFormatError, TieredChunkStore)
 
 
 def disk_store(layout, codec, path, tracker=None, **kw):
@@ -138,7 +141,7 @@ class TestAFlippedByteFailsLoudly:
             for k in range(store.layout.num_chunks):
                 store.store(k, store.load(k))
             store.compact()
-        store.load(5)  # the log is flushed and mapped
+        store.load(5)  # the record reads back once
         off, length, _crc = store._disk[5]
         pos = off + {"first": 0, "middle": length // 2,
                      "last": length - 1}[where]
@@ -152,6 +155,89 @@ class TestAFlippedByteFailsLoudly:
         # the other records are untouched and still decode
         cs = store.layout.chunk_size
         np.testing.assert_array_equal(store.load(4), v[4 * cs:5 * cs])
+
+
+def full_disk_after(nbytes):
+    """A ``pwrite`` that writes at most ``nbytes`` more bytes (a short
+    write, then ``ENOSPC``), and the list of calls it saw."""
+    real, left, calls = os.pwrite, [nbytes], []
+
+    def pwrite(fd, data, offset):
+        calls.append(offset)
+        if left[0] <= 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        part = bytes(data)[:left[0]]
+        left[0] -= len(part)
+        return real(fd, part, offset)
+    return pwrite, calls
+
+
+class TestAFailedAppend:
+    """A disk-tier append that fails (``ENOSPC``, after a short write or
+    at once) re-raises and leaves the log, the tracker and the tier as
+    they were; the next append lands at the right offset."""
+
+    @pytest.mark.parametrize("written", [0, 5], ids=["at-once", "short"])
+    def test_the_log_is_unchanged(self, tmp_path, monkeypatch, written):
+        tracker = MemoryTracker()
+        log = BlobLog(tmp_path / "blobs.log", tracker=tracker)
+        first = log.append(b"first record")
+        state = (log.file_bytes, log.live_bytes, tracker.current("disk_store"),
+                 tracker.total_current())
+        pwrite, calls = full_disk_after(written)
+        monkeypatch.setattr(os, "pwrite", pwrite)
+        with pytest.raises(OSError) as info:
+            log.append(b"x" * 100)
+        assert info.value.errno == errno.ENOSPC
+        assert calls[0] == first[1]
+        assert (log.file_bytes, log.live_bytes, tracker.current("disk_store"),
+                tracker.total_current()) == state
+        monkeypatch.undo()
+        again = log.append(b"the next record")
+        assert again[0] == first[0] + first[1]
+        assert log.read(again) == b"the next record"
+        assert log.read(first) == b"first record"
+        log.close()
+
+    def test_a_failed_spill_keeps_the_chunk_in_ram(self, tmp_path,
+                                                   monkeypatch):
+        tracker = MemoryTracker()
+        layout = ChunkLayout(8, 3)
+        v = rand_state(8, 2)
+        cs = layout.chunk_size
+        # room for about three blobs: writes past that spill
+        store = TieredChunkStore(layout, get_compressor("zlib"),
+                                 tmp_path / "blobs.log", 4 * 16 * cs,
+                                 tracker=tracker)
+        store.init_from_statevector(v)
+        assert store.is_on_disk(0) and store.tier_stats.spills > 0
+        # the write of chunk 0 frees its record, then the spill it forces
+        # fails: only the write shows
+        index = list(store._disk)
+        freed = index[0][1]
+        index[0] = None
+        before = (store.file_bytes, store.disk_blob_bytes() - freed,
+                  tracker.current("disk_store"), index,
+                  store.tier_stats.spills)
+        victim = store._pick_spill_victim()
+        blob = store.get_blob(victim)
+        pwrite, _calls = full_disk_after(3)
+        monkeypatch.setattr(os, "pwrite", pwrite)
+        with pytest.raises(OSError):
+            store.store(0, v[:cs][::-1].copy())
+        assert (store.file_bytes, store.disk_blob_bytes(),
+                tracker.current("disk_store"), list(store._disk),
+                store.tier_stats.spills) == before
+        assert not store.is_on_disk(victim)
+        assert store.get_blob(victim) is blob
+        assert tracker.current("chunk_store") == store.host_blob_bytes()
+        monkeypatch.undo()
+        store.store(1, v[cs:2 * cs])  # the fault is gone: spills land
+        assert store.tier_stats.spills > before[-1]
+        expect = v.copy()
+        expect[:cs] = v[:cs][::-1]
+        np.testing.assert_array_equal(store.to_statevector(), expect)
+        store.close()
 
 
 class TestIntegration:

@@ -121,12 +121,12 @@ def checkpoint_of(tmp_path, precision):
 
 @pytest.mark.parametrize("precision", ["c128", "c64"])
 class TestEveryFrameOffset:
-    """Every way to cut a checkpoint short is a typed error (``MQS1`` for
-    c128, ``MQS2`` for c64), and so is anything after its last blob."""
+    """Every way to cut a checkpoint short is a typed error (``MQS3`` in
+    both precisions), and so is anything after its last blob."""
 
     def test_truncation(self, tmp_path, precision):
         p, data = checkpoint_of(tmp_path, precision)
-        assert data[:4] == (b"MQS1" if precision == "c128" else b"MQS2")
+        assert data[:4] == b"MQS3"
         want = load_store(p, get_compressor("zlib")).to_statevector()
         for cut in range(len(data)):
             p.write_bytes(data[:cut])
@@ -147,13 +147,108 @@ class TestEveryFrameOffset:
         """Magic through ``num_chunks``: flipping any one bit is a typed
         error, never a bare ``ValueError`` from the layout."""
         p, data = checkpoint_of(tmp_path, precision)
-        header = (4 + (precision != "c128") + 8 + 4 + len(b"zlib") + 8)
+        header = 4 + 1 + 8 + 4 + len(b"zlib") + 8
         for bit in range(8 * header):
             flipped = bytearray(data)
             flipped[bit // 8] ^= 1 << (bit % 8)
             p.write_bytes(bytes(flipped))
             with pytest.raises(StoreFormatError):
                 load_store(p, get_compressor("zlib"))
+
+
+def blob_records(data):
+    """``(start, end)`` of every blob record of an ``MQS3`` frame — its
+    length, its CRC32 and its bytes; the zero blob's first."""
+    (name_len,) = struct.unpack_from("<I", data, 13)
+    at = 17 + name_len
+    (num_chunks,) = struct.unpack_from("<Q", data, at)
+    at += 8
+    records = []
+    for k in range(num_chunks + 1):
+        (length,) = struct.unpack_from("<Q", data, at)
+        if k and length >= (1 << 64) - 2:  # zero reference / uninitialized
+            at += 8
+            continue
+        records.append((at, at + 12 + length))
+        at += 12 + length
+    assert at == len(data)
+    return records
+
+
+def legacy_frame(store, itemsize=None):
+    """The frame a build from before the CRCs wrote: ``MQS1`` (c128, no
+    itemsize byte) or, given ``itemsize``, ``MQS2``."""
+    name = store.compressor.name.encode()
+    head = b"MQS1" if itemsize is None else b"MQS2" + bytes((itemsize,))
+    parts = [head, struct.pack("<II", store.layout.num_qubits,
+                               store.layout.chunk_qubits),
+             struct.pack("<I", len(name)), name,
+             struct.pack("<Q", store.layout.num_chunks)]
+    zero = store.zero_blob_bytes() or b""
+    parts += [struct.pack("<Q", len(zero)), zero]
+    for k in range(store.layout.num_chunks):
+        if store.is_zero_chunk(k):
+            parts.append(struct.pack("<Q", (1 << 64) - 1))
+        else:
+            blob = store.get_blob(k)
+            parts += [struct.pack("<Q", len(blob)), blob]
+    return b"".join(parts)
+
+
+@pytest.mark.parametrize("precision", ["c128", "c64"])
+class TestBlobPayloadsAreChecked:
+    """``MQS3``: each blob record carries its blob's CRC32, so a flipped
+    byte anywhere in one is a typed error, never an array."""
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_a_flipped_byte_in_any_blob_record(self, tmp_path, precision,
+                                               where):
+        p, data = checkpoint_of(tmp_path, precision)
+        records = blob_records(data)
+        assert len(records) >= 3  # the zero blob and live blobs
+        for start, end in records:
+            at = {"first": start, "middle": (start + end) // 2,
+                  "last": end - 1}[where]
+            for mask in (0x01, 0x80):
+                flipped = bytearray(data)
+                flipped[at] ^= mask
+                p.write_bytes(bytes(flipped))
+                with pytest.raises(StoreFormatError):
+                    load_store(p, get_compressor("zlib"))
+
+    def test_every_byte_of_one_blob(self, tmp_path, precision):
+        p, data = checkpoint_of(tmp_path, precision)
+        start, end = blob_records(data)[-1]
+        for at in range(start + 12, end):
+            flipped = bytearray(data)
+            flipped[at] ^= 0x10
+            p.write_bytes(bytes(flipped))
+            with pytest.raises(StoreFormatError, match="CRC32"):
+                load_store(p, get_compressor("zlib"))
+
+
+class TestOlderFrames:
+    """``MQS1`` / ``MQS2`` checkpoints written before the CRCs still load;
+    a magic this build does not know does not."""
+
+    @pytest.mark.parametrize("precision", ["c128", "c64"])
+    def test_legacy_frame_loads_the_same_state(self, tmp_path, precision):
+        p, _data = checkpoint_of(tmp_path, precision)
+        store = load_store(p, get_compressor("zlib"))
+        old = tmp_path / "old.mqs"
+        old.write_bytes(legacy_frame(
+            store, None if precision == "c128" else store.layout.itemsize))
+        back = load_store(old, get_compressor("zlib"))
+        assert back.layout.itemsize == store.layout.itemsize
+        assert np.array_equal(back.to_statevector(), store.to_statevector())
+        assert back.zero_blob_bytes() == store.zero_blob_bytes()
+
+    @pytest.mark.parametrize("magic", [b"MQS0", b"MQS4", b"MQS\x03"])
+    def test_unknown_magic(self, tmp_path, magic):
+        p, data = checkpoint_of(tmp_path, "c128")
+        p.write_bytes(magic + data[4:])
+        with pytest.raises(StoreFormatError, match="not a MEMQSim"):
+            load_store(p, get_compressor("zlib"))
 
 
 def test_a_chunk_count_the_file_cannot_hold_allocates_nothing(tmp_path):

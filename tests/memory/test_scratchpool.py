@@ -88,3 +88,40 @@ class TestProcessSingleton:
         data = np.exp(1j * np.linspace(0, 3, 256)).astype(np.complex128)
         c.decompress(c.compress(data))
         assert pool.hits + pool.misses > before
+
+
+class TestThreads:
+    """Codec lanes borrow from the one pool at once: no buffer is lent to
+    two borrowers, and the books balance. More threads than cores and a
+    short switch interval, so threads interleave inside a borrow."""
+
+    def test_concurrent_borrows_never_share_a_buffer(self):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ScratchPool(max_bytes=1 << 16)  # small: drops happen too
+        rounds, threads = 300, 6
+
+        def lane(tag):
+            for i in range(rounds):
+                n = 512 << (i % 3)
+                with pool.borrow(n, np.int64) as buf:
+                    buf[:] = tag
+                    with pool.borrow(64, np.uint8) as small:
+                        small[:] = tag
+                        assert (small == tag).all()
+                    assert (buf == tag).all()
+            return tag
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(threads) as ex:
+                assert sorted(ex.map(lane, range(threads),
+                                     timeout=60)) == list(range(threads))
+        finally:
+            sys.setswitchinterval(interval)
+        assert pool.hits + pool.misses == 2 * rounds * threads
+        retained = sum(buf[0].nbytes for bucket in pool._free.values()
+                       for buf in bucket)
+        assert pool.retained_bytes == retained <= pool.max_bytes
