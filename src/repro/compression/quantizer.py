@@ -115,12 +115,6 @@ def dequantize(codes: np.ndarray, abs_bound: float) -> np.ndarray:
     return codes.astype(np.float64) * (2.0 * abs_bound)
 
 
-# 0-d operands: a ufunc takes them without converting a Python scalar
-_ONE = np.array(1, dtype=np.uint64)
-_ONE_SIGNED = np.array(1, dtype=np.int64)
-_SIGN = np.array(63, dtype=np.int64)
-
-
 def zigzag(values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Map signed int64 to unsigned (0,-1,1,-2,.. -> 0,1,2,3,..).
 
@@ -128,8 +122,8 @@ def zigzag(values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     returned array is its uint64 view.
     """
     v = values.astype(np.int64, copy=False)
-    sign = np.right_shift(v, _SIGN)
-    out = np.left_shift(v, _ONE_SIGNED, out=out)
+    sign = v >> 63
+    out = np.left_shift(v, 1, out=out)
     np.bitwise_xor(out, sign, out=out)
     return out.view(np.uint64)
 
@@ -141,8 +135,8 @@ def unzigzag(values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray
     returned array is its int64 view.
     """
     u = values.astype(np.uint64, copy=False)
-    sign = np.bitwise_and(u, _ONE).view(np.int64)
+    sign = (u & np.uint64(1)).view(np.int64)
     np.negative(sign, out=sign)
-    out = np.right_shift(u, _ONE, out=out).view(np.int64)
+    out = np.right_shift(u, np.uint64(1), out=out).view(np.int64)
     np.bitwise_xor(out, sign, out=out)
     return out

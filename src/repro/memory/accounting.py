@@ -51,6 +51,11 @@ class MemoryTracker:
             for cat, cur in self._current.items():
                 telemetry.metrics.gauge(f"mem.{cat}.bytes").set(cur)
 
+    def _gauge(self, category: str, value: int) -> None:
+        tel = self.telemetry
+        if tel is not None and tel.enabled:
+            tel.metrics.gauge(f"mem.{category}.bytes").set(value)
+
     # -- mutation ---------------------------------------------------------
 
     def alloc(self, category: str, nbytes: int) -> None:
@@ -63,9 +68,7 @@ class MemoryTracker:
         self._total += nbytes
         if self._total > self._total_peak:
             self._total_peak = self._total
-        tel = self.telemetry
-        if tel is not None and tel.enabled:
-            tel.metrics.gauge(f"mem.{category}.bytes").set(cur)
+        self._gauge(category, cur)
 
     def free(self, category: str, nbytes: int) -> None:
         cur = self._current.get(category, 0) - nbytes
@@ -76,9 +79,7 @@ class MemoryTracker:
             )
         self._current[category] = cur
         self._total -= nbytes
-        tel = self.telemetry
-        if tel is not None and tel.enabled:
-            tel.metrics.gauge(f"mem.{category}.bytes").set(cur)
+        self._gauge(category, cur)
 
     def resize(self, category: str, old_nbytes: int, new_nbytes: int) -> None:
         """Atomic free+alloc so peaks don't double-count a replacement."""

@@ -141,6 +141,9 @@ class ScratchPool:
         self.max_bytes = int(max_bytes)
         # capacity -> [[raw uint8 buffer, {dtype: its whole typed view}]]
         self._free: Dict[int, List[list]] = {}
+        # itemsize per ``dtype`` argument as borrowers pass it
+        # (``np.float64``, a ``np.dtype``): no ``np.dtype`` built per borrow
+        self._itemsize: Dict[object, int] = {}
         self._lock = threading.Lock()
         self.retained_bytes = 0
         self.hits = 0
@@ -168,11 +171,6 @@ class ScratchPool:
         )
 
 
-#: itemsize per ``dtype`` argument as borrowers pass it (``np.float64``,
-#: a ``np.dtype``), so a borrow does not build a ``np.dtype`` each time
-_ITEMSIZE: Dict[object, int] = {}
-
-
 class _Borrow:
     """One :meth:`ScratchPool.borrow`: a plain class, not a generator, so
     entering and leaving cost two method calls and one lock each. The
@@ -185,9 +183,9 @@ class _Borrow:
 
     def __enter__(self) -> np.ndarray:
         pool, dtype = self._pool, self._dtype
-        itemsize = _ITEMSIZE.get(dtype)
+        itemsize = pool._itemsize.get(dtype)
         if itemsize is None:
-            itemsize = _ITEMSIZE[dtype] = np.dtype(dtype).itemsize
+            itemsize = pool._itemsize[dtype] = np.dtype(dtype).itemsize
         cap = ScratchPool._capacity(self._n * itemsize)
         buf = None
         with pool._lock:

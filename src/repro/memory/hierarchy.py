@@ -69,7 +69,7 @@ class AccessSchedule:
       even when some accesses bypass the schedule-aware layers;
     * :class:`~repro.memory.cache.BeladyPolicy` calls :meth:`observe` per
       cache access to learn that access's next-use position;
-    * :class:`TieredChunkStore` calls :meth:`next_use_of` to find the
+    * :class:`TieredChunkStore` calls :meth:`coldest` to find the
       plan-coldest resident blob when it must spill;
     * a store with a codec lane calls :meth:`reads_after` for the chunks
       to decompress ahead, and reads :attr:`pass_id` to name the pass a

@@ -136,6 +136,27 @@ class TestAccessSchedule:
         s.begin_pass(9, 9)
         assert s.reads_after() == ()            # off-plan pass
 
+    def test_coldest_is_the_first_farthest_next_use(self):
+        # the spill pick in one call; the reference is the per-chunk
+        # next_use_of scan it replaced
+        def reference(s, chunks):
+            victim, victim_nu = None, -1.0
+            for chunk in chunks:
+                nu = s.next_use_of(chunk, s.horizon())
+                if victim is None or nu > victim_nu:
+                    victim, victim_nu = chunk, nu
+                    if nu == float("inf"):
+                        break
+            return victim
+
+        s = sched(self.PASSES + [("pass", 3, 1, (1, 3))])
+        orders = [(0, 1, 2, 3), (3, 2, 1, 0), (2, 0, 3), (1, 99, 0), ()]
+        for cursor in range(len(s) + 1):
+            s.cursor = cursor
+            for chunks in orders:
+                assert s.coldest(chunks) == reference(s, chunks), \
+                    (cursor, chunks)
+
     def test_next_use_unknown_chunk(self):
         s = sched(self.PASSES)
         assert s.next_use_of(99) == float("inf")
