@@ -150,29 +150,37 @@ _U64 = np.dtype(np.uint64)
 _BLOCK_GROUPS = 512
 
 
-@functools.lru_cache(maxsize=None)
-def _block_plan(width: int):
-    """Where every byte and every field of a block sits.
+def _frozen(*arrays):
+    for array in arrays:  # a plan is shared by every caller
+        array.setflags(write=False)
+    return arrays
 
-    8 fields fill exactly ``width`` bytes. Packing: output byte ``p``
-    starts in field ``first[p]`` and spans at most ``span`` fields; those
-    fields, concatenated in a uint64, hold it ``pack_shift[p]`` bits up.
-    Unpacking: field ``i`` starts in byte ``byte[i]``, and the big-endian
-    uint64 read there holds it ``unpack_shift[i]`` bits up. Shift counts
-    and the mask are uint64 and the width a 0-d array, so the ufuncs take
-    them without converting a Python scalar.
+
+@functools.lru_cache(maxsize=None)
+def _pack_plan(width: int):
+    """Where every output byte of a block comes from.
+
+    8 fields fill exactly ``width`` bytes. Output byte ``p`` starts in
+    field ``first[p]`` and spans at most ``span`` fields; those fields,
+    concatenated in a uint64, hold it ``shift[p]`` bits up. The width is a
+    0-d uint64 array and the shifts uint64, so the ufuncs take them without
+    converting a Python scalar.
     """
     span = -(-(width + 7) // width)
     bit = np.arange(_BLOCK_GROUPS * width, dtype=np.int64) * 8
     first = bit // width
-    pack_shift = (span * width + first * width - bit - 8).astype(_U64)
+    shift = (span * width + first * width - bit - 8).astype(_U64)
+    return (span, *_frozen(np.array(width, dtype=_U64), first, shift))
+
+
+@functools.lru_cache(maxsize=None)
+def _unpack_plan(width: int):
+    """Where every field of a block sits: field ``i`` starts in byte
+    ``byte[i]``, and the big-endian uint64 read there holds it ``shift[i]``
+    bits up, under ``mask``."""
     bit = np.arange(_BLOCK_GROUPS * 8, dtype=np.int64) * width
-    unpack_shift = (64 - (bit & 7) - width).astype(_U64)
-    plan = (np.array(width, dtype=_U64), first, pack_shift, bit >> 3,
-            unpack_shift, np.array((1 << width) - 1, dtype=_U64))
-    for array in plan:  # shared by every caller
-        array.setflags(write=False)
-    return (span, *plan)
+    return _frozen(bit >> 3, (64 - (bit & 7) - width).astype(_U64),
+                   np.array((1 << width) - 1, dtype=_U64))
 
 
 def pack_fixed(values: np.ndarray, width: int) -> bytes:
@@ -188,7 +196,7 @@ def pack_fixed(values: np.ndarray, width: int) -> bytes:
         bits = np.unpackbits(values.astype(dtype).view(np.uint8)).reshape(
             count, -1)
         return np.packbits(bits[:, bits.shape[1] - width:]).tobytes()
-    span, step, first, shift = _block_plan(width)[:4]
+    span, step, first, shift = _pack_plan(width)
     values = values.astype(_U64, copy=False)
     # Each output byte is cut from the window of the `span` fields it
     # touches; past the last field the window reads zeros.
@@ -228,7 +236,7 @@ def unpack_fixed(data, count: int, width: int,
             count=count * width).reshape(count, width)
         np.copyto(out, np.packbits(fields).view(dtype))
         return out
-    byte, shift, mask = _block_plan(width)[4:]
+    byte, shift, mask = _unpack_plan(width)
     # The big-endian word read at each field's first byte holds the whole
     # field; 8 zero bytes keep the last words inside the buffer.
     padded = b"".join((data, bytes(8)))

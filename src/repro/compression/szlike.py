@@ -314,11 +314,11 @@ class SZLikeCompressor(Compressor):
                             pack_fixed(zz, width)), _ENTROPY_FIXED
                 if not predicted:
                     stream = _delta(stream, spare.view(np.int64))
-                return self._entropy_payload(_zigzag_doubled(stream))
-        return self._entropy_payload(_zigzag_doubled(_doubled(deltas, stream)))
-
-    def _entropy_payload(self, zz: np.ndarray):
-        payload, entropy_id = self._entropy_encode(zz)
+                payload, entropy_id = self._entropy_encode(
+                    _zigzag_doubled(stream))
+                return (payload,), entropy_id
+        payload, entropy_id = self._entropy_encode(
+            _zigzag_doubled(_doubled(deltas, stream)))
         return (payload,), entropy_id
 
     def _entropy_encode(self, zz: np.ndarray) -> Tuple[bytes, int]:
