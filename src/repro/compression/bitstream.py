@@ -246,8 +246,11 @@ def unpack_fixed(data, count: int, width: int,
     for at in range(0, count, block):
         size = min(block, count - at)
         fields = out[at:at + size]
-        # a block of fields starts at byte at * width / 8
-        words[at * width // 8:].take(byte[:size], out=fields)
+        # A block of fields starts at byte at * width / 8. `take` copies a
+        # strided source to a contiguous one first, so it gets only the
+        # words of this block.
+        start = at * width // 8
+        words[start:start + byte[size - 1] + 1].take(byte[:size], out=fields)
         if _LITTLE_ENDIAN:
             fields.byteswap(inplace=True)
         np.right_shift(fields, shift[:size], out=fields)
