@@ -205,15 +205,15 @@ def pack_fixed(values: np.ndarray, width: int) -> bytes:
     for k in range(2, span):
         np.left_shift(window, step, out=window)
         np.bitwise_or(window[:-k], values[k:], out=window[:-k])
-    out = np.empty(nbytes, dtype=np.uint8)
     block = _BLOCK_GROUPS * width
+    pieces = []
     for at in range(0, nbytes, block):
         size = min(block, nbytes - at)
         # a block of groups starts at field 8 * at / width
         cut = window[at * 8 // width:].take(first[:size])
         np.right_shift(cut, shift[:size], out=cut)
-        np.copyto(out[at:at + size], cut, casting="unsafe")
-    return out.tobytes()
+        pieces.append(cut.astype(np.uint8))
+    return b"".join(pieces)
 
 
 def unpack_fixed(data, count: int, width: int,
