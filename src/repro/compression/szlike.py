@@ -281,8 +281,8 @@ class SZLikeCompressor(Compressor):
 
         ``floats`` is two float64 planes, the codes and their deltas (exact
         integers); ``lo`` / ``hi`` are the codes' extremes (the range check
-        already has them). The integer stream is cast into the int64
-        ``stream`` plane; ``spare`` is one more plane of scratch.
+        already has them). The integer stream is cast, doubled, into the
+        int64 ``stream`` plane; ``spare`` is one more plane of scratch.
         Everything passed in is consumed.
         """
         m = stream.shape[0]
