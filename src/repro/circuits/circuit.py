@@ -34,6 +34,9 @@ class Circuit:
         self.num_qubits = int(num_qubits)
         self.name = name
         self._gates: List[Gate] = []
+        # shape_and_values() as of the gate count it was taken at: gates
+        # are frozen and only ever appended, so the count dates it
+        self._identity: Optional[Tuple[int, Tuple[str, bytes]]] = None
         if gates is not None:
             for g in gates:
                 self.append(g)
@@ -238,10 +241,15 @@ class Circuit:
 
         Both are stable across processes and platforms (no Python
         ``hash()``, fixed-width encoding). The circuit ``name`` is
-        deliberately excluded: it is provenance, not structure.
+        deliberately excluded: it is provenance, not structure. Kept until
+        the next gate is appended (a rerun of one circuit hashes nothing).
         """
         import hashlib
         import struct
+
+        memo = self._identity
+        if memo is not None and memo[0] == len(self._gates):
+            return memo[1]
 
         h = hashlib.sha256(b"repro.circuit.shape/v1")
         h.update(struct.pack("<q", self.num_qubits))
@@ -262,7 +270,9 @@ class Circuit:
                 h.update(b"mat")
                 h.update(np.ascontiguousarray(
                     g._matrix, dtype=np.complex128).tobytes())
-        return h.hexdigest(), struct.pack(f"<{len(values)}d", *values)
+        identity = h.hexdigest(), struct.pack(f"<{len(values)}d", *values)
+        self._identity = (len(self._gates), identity)
+        return identity
 
     def structural_hash(self) -> str:
         """Content hash of shape *and* values (hex sha256).

@@ -5,7 +5,8 @@ accommodate various compression algorithms"). A compressor turns a 1-D
 complex amplitude array into a self-describing byte blob and back:
 
 * :meth:`Compressor.compress` — array -> bytes
-* :meth:`Compressor.decompress` — bytes -> array (length restored from blob)
+* :meth:`Compressor.decompress` — bytes -> array (length restored from
+  blob), decoded into a caller's array when it fits (:func:`decode_target`)
 
 Lossy compressors must respect their advertised error bound: every element
 of the round-tripped array differs from the original by at most
@@ -44,6 +45,7 @@ __all__ = [
     "frame_dtype",
     "split_dtype",
     "coerce_amplitudes",
+    "decode_target",
 ]
 
 #: prefix marking a non-complex128 blob: ``DTP1`` + one dtype-tag byte,
@@ -70,6 +72,22 @@ def coerce_amplitudes(data: np.ndarray) -> np.ndarray:
     if data.dtype not in _PREFIX:
         data = np.ascontiguousarray(data, dtype=np.complex128)
     return data
+
+
+def decode_target(out: Optional[np.ndarray], dtype,
+                  n: int) -> np.ndarray:
+    """The array a decoder writes ``n`` amplitudes of ``dtype`` into.
+
+    ``out`` when it is a writeable, C-contiguous 1-D array of exactly that
+    dtype and length; otherwise (``None`` included) a fresh array, and
+    ``out`` is left as it was. Every codec decodes through this one rule,
+    so ``decompress(blob)`` is ``decompress(blob, out=<new array>)``.
+    """
+    # ``carray``: C-contiguous, aligned and writeable
+    if (out is not None and out.dtype == dtype and out.ndim == 1
+            and out.shape[0] == n and out.flags.carray):
+        return out
+    return np.empty(n, dtype=dtype)
 
 
 def dtype_tag(dtype) -> bytes:
@@ -132,8 +150,17 @@ class Compressor(abc.ABC):
         """
 
     @abc.abstractmethod
-    def decompress(self, blob: bytes) -> np.ndarray:
-        """Recover the array (possibly within :attr:`error_bound`)."""
+    def decompress(self, blob: bytes,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Recover the array (possibly within :attr:`error_bound`).
+
+        The array is decoded into ``out`` and ``out`` is returned when it
+        is a writeable, C-contiguous 1-D array of the blob's dtype and
+        length; any other ``out`` (wrong dtype, wrong length, strided,
+        read-only) is never written, and a fresh array is returned instead
+        (:func:`decode_target`), so callers test ``result is out``. If
+        decoding raises, the contents of ``out`` are unspecified.
+        """
 
     def describe(self) -> str:
         kind = "lossy" if self.is_lossy else "lossless"

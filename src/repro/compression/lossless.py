@@ -14,20 +14,23 @@ import bz2
 import lzma
 import struct
 import zlib
+from typing import Optional
 
 import numpy as np
 
 from .interface import (
     Compressor,
     coerce_amplitudes,
+    decode_target,
+    dtype_tag,
     frame_dtype,
     register_compressor,
-    tag_dtype,
 )
 
 __all__ = ["ZlibCompressor", "LzmaCompressor", "Bz2Compressor", "NullCompressor"]
 
 _MAGIC = b"LSL1"
+_COUNT = struct.Struct("<Q")
 
 
 class _ByteCodecCompressor(Compressor):
@@ -40,7 +43,8 @@ class _ByteCodecCompressor(Compressor):
     def is_lossy(self) -> bool:
         return False
 
-    def _encode(self, raw: bytes) -> bytes:
+    def _encode(self, raw) -> bytes:
+        """Encode a bytes-like object (the array's own buffer)."""
         raise NotImplementedError
 
     def _decode(self, blob: bytes) -> bytes:
@@ -48,17 +52,19 @@ class _ByteCodecCompressor(Compressor):
 
     def compress(self, data: np.ndarray) -> bytes:
         data = coerce_amplitudes(data)
-        blob = _MAGIC + struct.pack("<Q", data.shape[0]) \
-            + self._encode(data.tobytes())
-        return tag_dtype(blob, data.dtype)
+        return b"".join((dtype_tag(data.dtype), _MAGIC,
+                         _COUNT.pack(data.shape[0]), self._encode(data)))
 
-    def decompress(self, blob: bytes) -> np.ndarray:
+    def decompress(self, blob: bytes,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
         dtype, at = frame_dtype(blob)
         if blob[at:at + 4] != _MAGIC:
             raise ValueError("not a lossless blob")
-        (n,) = struct.unpack_from("<Q", blob, at + 4)
+        (n,) = _COUNT.unpack_from(blob, at + 4)
+        out = decode_target(out, dtype, n)
         raw = self._decode(memoryview(blob)[at + 12:])
-        return np.frombuffer(raw, dtype=dtype, count=n).copy()
+        out[:] = np.frombuffer(raw, dtype=dtype, count=n)
+        return out
 
 
 class ZlibCompressor(_ByteCodecCompressor):
@@ -70,7 +76,7 @@ class ZlibCompressor(_ByteCodecCompressor):
         super().__init__()
         self.level = int(level)
 
-    def _encode(self, raw: bytes) -> bytes:
+    def _encode(self, raw) -> bytes:
         return zlib.compress(raw, self.level)
 
     def _decode(self, blob: bytes) -> bytes:
@@ -86,7 +92,7 @@ class LzmaCompressor(_ByteCodecCompressor):
         super().__init__()
         self.preset = int(preset)
 
-    def _encode(self, raw: bytes) -> bytes:
+    def _encode(self, raw) -> bytes:
         return lzma.compress(raw, preset=self.preset)
 
     def _decode(self, blob: bytes) -> bytes:
@@ -102,7 +108,7 @@ class Bz2Compressor(_ByteCodecCompressor):
         super().__init__()
         self.level = int(level)
 
-    def _encode(self, raw: bytes) -> bytes:
+    def _encode(self, raw) -> bytes:
         return bz2.compress(raw, self.level)
 
     def _decode(self, blob: bytes) -> bytes:
@@ -114,7 +120,7 @@ class NullCompressor(_ByteCodecCompressor):
 
     name = "null"
 
-    def _encode(self, raw: bytes) -> bytes:
+    def _encode(self, raw):
         return raw
 
     def _decode(self, blob: bytes) -> bytes:

@@ -44,6 +44,7 @@ from .interface import (
     DTYPE_MAGIC,
     Compressor,
     coerce_amplitudes,
+    decode_target,
     dtype_tag,
     frame_dtype,
     register_compressor,
@@ -217,7 +218,7 @@ class SZLikeCompressor(Compressor):
     def _compress_frame(self, data: np.ndarray, tag: bytes) -> bytes:
         n = data.shape[0]
         if n == 0:
-            return tag + self._raw_blob(data)
+            return self._raw_blob(data, tag)
         m = 2 * n
         # One pass over four per-chunk scratch planes (one borrow, so
         # repeated chunk passes and codec lanes recycle one allocation):
@@ -238,7 +239,7 @@ class SZLikeCompressor(Compressor):
                 step_bound = abs_bound * _STEP_SHRINK
                 lo, hi = scaled_codes(planes, step_bound, scaled)
             except (OverflowError, FloatingPointError):
-                return tag + self._raw_blob(data)
+                return self._raw_blob(data, tag)
             # Verify the *configured* bound against the actual reconstruction
             # (the decoder multiplies the same integers by the same step, so
             # it sees exactly these values). Product rounding can still
@@ -249,7 +250,7 @@ class SZLikeCompressor(Compressor):
             np.subtract(planes, deltas, out=deltas)
             np.abs(deltas, out=deltas)
             if float(_MAX(deltas)) > abs_bound:
-                return tag + self._raw_blob(data)
+                return self._raw_blob(data, tag)
             # Exact integer delta coding — the reversible, vectorized
             # equivalent of SZ's first-order Lorenzo predictor — computed
             # on the float codes (exact: |code| <= 2**52) and cast once.
@@ -261,19 +262,19 @@ class SZLikeCompressor(Compressor):
         if size >= data.nbytes:
             # Lossy stream failed to beat even uncompressed storage —
             # escape to the lossless fallback (and keep the smaller blob).
-            raw = self._raw_blob(data)
-            if len(raw) < size:
-                return tag + raw
+            raw = self._raw_blob(data, tag)
+            if len(raw) - len(tag) < size:
+                return raw
         return b"".join((tag, _MAGIC,
                          _HEADER.pack(_FLAG_QUANT, entropy_id, n, step_bound),
                          *payload))
 
-    def _raw_blob(self, data: np.ndarray) -> bytes:
+    def _raw_blob(self, data: np.ndarray, tag: bytes) -> bytes:
         # Raw bytes stay in the input dtype; the outer dtype tag tells the
         # decoder how to reinterpret them.
-        packed = zlib.compress(data, self._level)
-        return _MAGIC + _HEADER.pack(
-            _FLAG_RAW, _ENTROPY_ZLIB, data.shape[0], 0.0) + packed
+        return b"".join((tag, _MAGIC, _HEADER.pack(
+            _FLAG_RAW, _ENTROPY_ZLIB, data.shape[0], 0.0),
+            zlib.compress(data, self._level)))
 
     def _encode_codes(self, floats: np.ndarray, stream: np.ndarray,
                       spare: np.ndarray, lo: int, hi: int):
@@ -365,16 +366,18 @@ class SZLikeCompressor(Compressor):
 
     # -- decompression -----------------------------------------------------------
 
-    def decompress(self, blob: bytes) -> np.ndarray:
+    def decompress(self, blob: bytes,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
         dtype, at = frame_dtype(blob)
         if blob[at:at + 4] != _MAGIC:
             raise ValueError("not an SZL1 blob")
         flag, entropy_id, n, step_bound = _HEADER.unpack_from(blob, at + 4)
         payload = memoryview(blob)[at + _PAYLOAD_AT:]
+        out = decode_target(out, dtype, n)
         if flag == _FLAG_RAW:
             raw = zlib.decompress(payload)
-            return np.frombuffer(raw, dtype=dtype, count=n).copy()
-        out = np.empty(n, dtype=dtype)
+            out[:] = np.frombuffer(raw, dtype=dtype, count=n)
+            return out
         with scratch_pool().borrow(2 * n, np.int64) as doubled:
             doubled = self._decode_codes(payload, entropy_id, doubled)
             # The value quantizer.dequantize gives (code * 2b, in float64),

@@ -327,7 +327,7 @@ class MemQSim:
         # waits for it and finds the entry it stored.
         with self.plan_cache.claim(cache_key, values) as cached:
             if cached is not None and cached.values == values:
-                plan_source = "hit"
+                plan_source, entry = "hit", cached
                 plan, programs = cached.plan, cached.programs
                 cplan = replace(cached.bound, report=replace(
                     cached.bound.report, seconds=0.0))
@@ -362,18 +362,26 @@ class MemQSim:
                     cplan.stages, layout,
                     cached.programs if cached is not None else None)
                 # Compiled stages are immutable once built; sharing the same
-                # lowered plan across runs (and tenants) is safe.
-                self.plan_cache.store(
-                    cache_key, CachedPlan(plan, values, cplan, programs))
+                # lowered plan across runs (and tenants) is safe. A rebind
+                # moves no group, so the pass schedules carry over.
+                entry = CachedPlan(plan, values, cplan, programs)
+                if cached is not None:
+                    entry = replace(entry, schedules=cached.schedules)
+                self.plan_cache.store(cache_key, entry)
         log.debug("compile (%s): %d gates -> %d ops (ratio %.2f, fusion=%s)",
                   plan_source, cplan.report.gates_in, cplan.report.ops_out,
                   cplan.report.fusion_ratio, cfg.fuse_gates)
         # The cached plan is state-independent; which of its group passes
         # run depends on the start state. The store is initialised, so its
         # support set is known: this list is the sweep the scheduler
-        # iterates and every schedule-aware layer is built from.
-        passes = predict_pass_schedule(
-            cplan.stages, layout, cfg.serpentine_groups, live_chunks(store))
+        # iterates and every schedule-aware layer is built from. The plan
+        # keeps it per support set, so a run from a start seen before
+        # derives nothing.
+        support = frozenset(live_chunks(store))
+        passes = entry.pass_schedule(
+            support, cfg.serpentine_groups,
+            lambda: predict_pass_schedule(cplan.stages, layout,
+                                          cfg.serpentine_groups, support))
         plan = replace(plan, group_passes=sum(
             kind == "pass" for kind, *_ in passes))
         if tel.enabled:

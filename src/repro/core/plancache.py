@@ -22,7 +22,9 @@ new values, no planning or lowering), and without an entry a **miss**.
 A miss is single-flight: the caller that fills it holds the key
 (:meth:`PlanCache.claim`), and identical concurrent callers wait for the
 entry instead of planning it again. Entries are immutable and replaced
-whole, so concurrent jobs share them without copying. Counts surface as
+whole, so concurrent jobs share them without copying; the one thing an
+entry adds to over time, its pass schedule per start support set, is a
+pure function of the key and that start. Counts surface as
 the ``serve.plan_cache.*`` counters on the cache's telemetry.
 """
 
@@ -31,8 +33,9 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Iterator, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import (Any, Callable, Dict, FrozenSet, Hashable, Iterator,
+                    Optional, Sequence, Tuple)
 
 from ..telemetry import NULL_TELEMETRY
 
@@ -40,6 +43,9 @@ __all__ = ["CachedPlan", "PlanCache"]
 
 #: default number of distinct (circuit shape, config) plans kept resident
 DEFAULT_CAPACITY = 64
+#: pass schedules kept per plan, one per start support set
+_SCHEDULES_KEPT = 8
+_SCHEDULES_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -59,6 +65,27 @@ class CachedPlan:
     #: each group's frame. The key fixes shape, plan knobs and
     #: ``chunk_qubits``, so they hold for every run the entry serves.
     programs: Any
+    #: the plan's pass schedules by start (see :meth:`pass_schedule`);
+    #: shared with the entry a rebind replaces this one with, since other
+    #: parameter values move no group and no permutation
+    schedules: Dict[Hashable, Tuple[Any, ...]] = field(
+        default_factory=dict, compare=False, repr=False)
+
+    def pass_schedule(self, support: FrozenSet[int], serpentine: bool,
+                      predict: Callable[[], Sequence[Any]]
+                      ) -> Tuple[Any, ...]:
+        """The pass schedule this plan runs from a start whose support set
+        is ``support``: ``predict()`` the first time, kept after that (the
+        ``_SCHEDULES_KEPT`` latest starts)."""
+        key = (serpentine, support)
+        passes = self.schedules.get(key)
+        if passes is None:
+            passes = tuple(predict())
+            with _SCHEDULES_LOCK:
+                while len(self.schedules) >= _SCHEDULES_KEPT:
+                    del self.schedules[next(iter(self.schedules))]
+                self.schedules[key] = passes
+        return passes
 
 
 class PlanCache:

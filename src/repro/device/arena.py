@@ -61,6 +61,16 @@ class DeviceBuffer:
     def nbytes(self) -> int:
         return self.view.nbytes
 
+    def head(self, size: int) -> "DeviceBuffer":
+        """The first ``size`` amplitudes as a buffer of their own: a view,
+        not an allocation (the arena frees only the buffer it handed out;
+        freeing a head raises)."""
+        if not 1 <= size <= self.size:
+            raise ValueError(f"head of {size} amplitudes in a buffer of "
+                             f"{self.size}")
+        return DeviceBuffer(self.offset, size, self.view[:size],
+                            -(-size * self.view.itemsize // 16))
+
 
 @dataclass
 class ArenaLease:
@@ -137,10 +147,10 @@ class DeviceArena:
     def free(self, buf: DeviceBuffer) -> None:
         """Return a buffer to the arena (coalescing neighbours)."""
         with self._lock:
-            live = self._live.pop(buf.offset, None)
-            if live is not buf:
+            if self._live.get(buf.offset) is not buf:
                 raise ValueError(
                     "buffer does not belong to this arena (or double free)")
+            del self._live[buf.offset]
             self.tracker.free(CATEGORY, buf.nbytes)
             self._insert_free(buf.offset, buf.back_size)
 

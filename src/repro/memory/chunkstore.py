@@ -165,7 +165,11 @@ class CompressedChunkStore:
     # -- chunk I/O ---------------------------------------------------------------
 
     def load(self, chunk: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Decompress chunk ``chunk`` into ``out`` (or a new buffer)."""
+        """Decompress chunk ``chunk`` into ``out`` (or a new buffer).
+
+        The codec decodes straight into ``out`` when it fits (see
+        :meth:`Compressor.decompress`); a lane's prefetched array, or an
+        ``out`` of another dtype, is copied in."""
         entry = self._prefetched.pop(chunk, None) if self._prefetched else None
         if entry is not None:
             # Started ahead on the lane: it was timed there.
@@ -177,7 +181,7 @@ class CompressedChunkStore:
             if blob is None:
                 raise KeyError(f"chunk {chunk} not initialized")
             t0 = time.perf_counter()
-            arr = self.compressor.decompress(blob)
+            arr = self.compressor.decompress(blob, out=out)
             dt, worker, blob_nbytes = time.perf_counter() - t0, 0, len(blob)
         tel = self.telemetry
         if tel.enabled:
@@ -192,7 +196,7 @@ class CompressedChunkStore:
                 f"chunk {chunk} decompressed to {arr.shape[0]} amplitudes, "
                 f"expected {self.layout.chunk_size}"
             )
-        if out is not None:
+        if out is not None and arr is not out:
             out[: arr.shape[0]] = arr
             return out
         return arr

@@ -22,7 +22,8 @@ An append is one ``pwrite`` at the log's tracked end: no file position to
 seek, no write buffer to flush before the map is regrown. So an append that
 fails (``ENOSPC``, a short write that cannot be finished) changes nothing
 the log tracks, and the next append overwrites whatever part of the record
-reached the file.
+reached the file. A rewrite (compaction) writes a sibling file and swaps
+it in only when it is complete, so one that fails leaves the log readable.
 """
 
 from __future__ import annotations
@@ -40,6 +41,17 @@ from .persist import StoreFormatError
 __all__ = ["BlobLog"]
 
 CATEGORY = "disk_store"
+
+
+def _write_at(fd: int, blob: bytes, off: int, path: Path) -> None:
+    """``pwrite`` all of ``blob`` at ``off``: a short write is finished,
+    or fails with ``ENOSPC``."""
+    done = os.pwrite(fd, blob, off)
+    while done < len(blob):
+        wrote = os.pwrite(fd, memoryview(blob)[done:], off + done)
+        if wrote == 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        done += wrote
 
 
 class BlobLog:
@@ -100,13 +112,7 @@ class BlobLog:
         Raises the ``OSError`` of a write that fails, with the log as it
         was before the call."""
         off = self._file_bytes
-        done = os.pwrite(self._fd, blob, off)
-        while done < len(blob):  # a short write: finish it or fail
-            wrote = os.pwrite(self._fd, memoryview(blob)[done:], off + done)
-            if wrote == 0:
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC),
-                              str(self.path))
-            done += wrote
+        _write_at(self._fd, blob, off, self.path)
         self._file_bytes += len(blob)
         self._live_bytes += len(blob)
         self.tracker.alloc(self.category, len(blob))
@@ -153,16 +159,38 @@ class BlobLog:
         """Rewrite the log keeping only ``records`` (keyed by ``id(rec)``).
 
         Returns ``{id(old_rec): new_rec}`` so the owner can remap its
-        index; shared old records map to one shared new record.
+        index; shared old records map to one shared new record. The
+        survivors are written to a sibling file, which replaces the log
+        only once all of them are on it: a write that fails (``ENOSPC``)
+        removes the sibling and re-raises, and the log, every record and
+        the tracker are as they were.
         """
         payloads = {key: self.read(rec) for key, rec in records.items()}
+        sibling = self.path.with_name(self.path.name + ".compact")
+        fh = open(sibling, "w+b", buffering=0)
+        moved: Dict[int, tuple] = {}
+        end = 0
+        try:
+            for key, blob in payloads.items():
+                _write_at(fh.fileno(), blob, end, sibling)
+                moved[key] = (end, len(blob), records[key][2])
+                end += len(blob)
+                if self.telemetry.enabled:
+                    self.telemetry.traffic.record("disk", "write", len(blob))
+            os.replace(sibling, self.path)
+        except BaseException:
+            fh.close()
+            try:
+                os.unlink(sibling)
+            except OSError:
+                pass
+            raise
         self._unmap()
-        freed = self._file_bytes
-        self._fh.truncate(0)
-        self._file_bytes = 0
-        self._live_bytes = 0
-        self.tracker.free(self.category, freed)
-        return {key: self.append(blob) for key, blob in payloads.items()}
+        self._fh.close()
+        self._fh, self._fd = fh, fh.fileno()
+        self.tracker.resize(self.category, self._file_bytes, end)
+        self._file_bytes = self._live_bytes = end
+        return moved
 
     # -- lifecycle ------------------------------------------------------------
 

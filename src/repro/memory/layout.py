@@ -18,6 +18,7 @@ inside the concatenated group buffer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 __all__ = ["ChunkLayout", "GroupPlacement"]
@@ -146,39 +147,18 @@ class ChunkLayout:
         placement covers all chunks exactly once. For ``t`` global qubits
         each group holds ``2^t`` chunks ordered so that within the
         concatenated buffer, global qubit ``group_qubits[i]`` sits at bit
-        position ``chunk_qubits + i``.
+        position ``chunk_qubits + i``. A placement is a function of the
+        layout's shape alone, so layouts of one shape share it (up to
+        ``_SHARED_MAX_CHUNKS`` chunks; a bigger layout keeps its own).
         """
         gq = tuple(sorted(self.global_qubits(qubits)))
         placement = self._placements.get(gq)
         if placement is None:
-            placement = self._placements[gq] = self._place(gq)
+            place = _shared_placement \
+                if self.num_chunks <= _SHARED_MAX_CHUNKS else _place
+            placement = self._placements[gq] = place(
+                self.num_qubits, self.chunk_qubits, gq)
         return placement
-
-    def _place(self, gq: Tuple[int, ...]) -> GroupPlacement:
-        t = len(gq)
-        c = self.chunk_qubits
-        if t == 0:
-            groups = tuple((k,) for k in range(self.num_chunks))
-            return GroupPlacement(gq, (), groups)
-        # Chunk-id bit positions of the group qubits.
-        bits = [q - c for q in gq]
-        bitmask = 0
-        for b in bits:
-            bitmask |= 1 << b
-        groups: List[Tuple[int, ...]] = []
-        for base in range(self.num_chunks):
-            if base & bitmask:
-                continue  # not the canonical (all-zero-on-group-bits) member
-            members = []
-            for j in range(1 << t):
-                k = base
-                for i, b in enumerate(bits):
-                    if (j >> i) & 1:
-                        k |= 1 << b
-                members.append(k)
-            groups.append(tuple(members))
-        positions = tuple(c + i for i in range(t))
-        return GroupPlacement(gq, positions, tuple(groups))
 
     def gate_virtual_qubits(self, qubits: Sequence[int],
                             placement: GroupPlacement) -> Tuple[int, ...]:
@@ -198,3 +178,40 @@ class ChunkLayout:
             f"<ChunkLayout n={self.num_qubits} c={self.chunk_qubits} "
             f"chunks={self.num_chunks}x{self.chunk_size}>"
         )
+
+
+#: layouts with at most this many chunks share their placements through
+#: :func:`_shared_placement` (every run builds a new layout of the same
+#: shape); a placement holds every chunk id, so bigger ones are not kept
+_SHARED_MAX_CHUNKS = 1 << 12
+
+
+def _place(num_qubits: int, c: int, gq: Tuple[int, ...]) -> GroupPlacement:
+    """The :class:`GroupPlacement` of global qubits ``gq`` (sorted)."""
+    num_chunks = 1 << (num_qubits - c)
+    t = len(gq)
+    if t == 0:
+        groups = tuple((k,) for k in range(num_chunks))
+        return GroupPlacement(gq, (), groups)
+    # Chunk-id bit positions of the group qubits.
+    bits = [q - c for q in gq]
+    bitmask = 0
+    for b in bits:
+        bitmask |= 1 << b
+    groups: List[Tuple[int, ...]] = []
+    for base in range(num_chunks):
+        if base & bitmask:
+            continue  # not the canonical (all-zero-on-group-bits) member
+        members = []
+        for j in range(1 << t):
+            k = base
+            for i, b in enumerate(bits):
+                if (j >> i) & 1:
+                    k |= 1 << b
+            members.append(k)
+        groups.append(tuple(members))
+    positions = tuple(c + i for i in range(t))
+    return GroupPlacement(gq, positions, tuple(groups))
+
+
+_shared_placement = lru_cache(maxsize=64)(_place)

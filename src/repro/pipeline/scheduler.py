@@ -324,6 +324,8 @@ class StageScheduler:
         self.schedule = schedule
         #: the running plan's kept stage programs (see :meth:`run`)
         self._programs: Optional[Sequence[Optional[StageProgram]]] = None
+        #: the running plan's one device buffer (see :meth:`run`)
+        self._device = None
         self.stats = SchedulerStats()
 
     # -- public ---------------------------------------------------------------
@@ -360,14 +362,22 @@ class StageScheduler:
                                            self.serpentine,
                                            live_chunks(self.store))
         groups: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
+        widest = 0
         for kind, si, gi, members in passes:
             if kind == "pass":
                 groups.setdefault(si, []).append((gi, members))
+                widest = max(widest, len(members))
         self._programs = programs
         log.debug("scheduler: running %d stages", len(stages))
         # The store times its own codec calls; for this run it books them
         # on this timeline, chained by the group that issued them.
         self.store.report_codec_to(self.timeline)
+        # One device buffer per run, as wide as the widest pass that runs
+        # (a stage whose passes are all skipped reserves nothing): every
+        # pass works in a head of it, and it is freed on every exit.
+        self._device = self.executor.alloc(
+            widest * self.layout.chunk_size, dtype=self.pool.dtype) \
+            if widest else None
         try:
             for si, s in enumerate(stages):
                 self.cancel.raise_if_cancelled()
@@ -377,6 +387,9 @@ class StageScheduler:
             self.store.flush()
         finally:
             self.store.report_codec_to()
+            if self._device is not None:
+                self.executor.free(self._device)
+                self._device = None
 
     # -- permutation stages ---------------------------------------------------------
 
@@ -410,6 +423,7 @@ class StageScheduler:
         group_size = self.layout.chunk_size << len(placement.group_qubits)
         self.stats.group_passes_skipped += len(placement.groups) - len(groups)
         nbytes = group_size * self.layout.itemsize
+        dev = self._device.head(group_size) if groups else None
         for gi, members in groups:
             self.cancel.raise_if_cancelled()
             with self.observer.group_pass(si, gi, members, nbytes):
@@ -421,7 +435,7 @@ class StageScheduler:
                 # this pass's and the next pass's decompress jobs.
                 self.store.will_need(members, gi)
                 ops = self._ops_for_group(program, members[0])
-                self._run_group(gi, members, ops, group_size)
+                self._run_group(gi, members, ops, dev)
             self.stats.group_passes += 1
 
     def _ops_for_group(self, program: StageProgram,
@@ -446,29 +460,26 @@ class StageScheduler:
         for slot, chunk in enumerate(members):
             self.store.store(chunk, buf[slot * cs:(slot + 1) * cs])
 
-    def _device_update(self, gi: int, ops: List[GateOp],
-                       view: np.ndarray) -> None:
-        """Upload -> kernels -> download for one already-staged group."""
+    def _device_update(self, gi: int, ops: List[GateOp], view: np.ndarray,
+                       dev) -> None:
+        """Upload -> kernels -> download for one already-staged group, in
+        ``dev``, the run's device buffer cut to the group's size."""
         executor = self.executor
-        dev = executor.alloc(view.shape[0], dtype=view.dtype)
-        try:
-            executor.upload(view, dev, gi)
-            if ops:
-                executor.run_ops(dev, ops, gi)
-                self.stats.gates_applied += len(ops)
-            self.observer.device_buffer_live()
-            executor.download(dev, view, gi)
-        finally:
-            executor.free(dev)
+        executor.upload(view, dev, gi)
+        if ops:
+            executor.run_ops(dev, ops, gi)
+            self.stats.gates_applied += len(ops)
+        self.observer.device_buffer_live()
+        executor.download(dev, view, gi)
 
     def _run_group(self, gi: int, members: Tuple[int, ...],
-                   ops: List[GateOp], group_size: int) -> None:
+                   ops: List[GateOp], dev) -> None:
         """One serial group pass: load -> device update -> store."""
         buf = self.pool.acquire()
         try:
-            view = buf[:group_size]
+            view = buf[:dev.size]
             self._load_group(members, view)
-            self._device_update(gi, ops, view)
+            self._device_update(gi, ops, view, dev)
             self._store_group(members, view)
         finally:
             self.pool.release(buf)

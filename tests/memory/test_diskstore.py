@@ -240,6 +240,70 @@ class TestAFailedAppend:
         store.close()
 
 
+def full_disk_at_call(k):
+    """A ``pwrite`` whose ``k``-th call (0-based) and every later one fail
+    with ``ENOSPC`` before writing anything."""
+    real, calls = os.pwrite, [0]
+
+    def pwrite(fd, data, offset):
+        calls[0] += 1
+        if calls[0] > k:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real(fd, data, offset)
+    return pwrite
+
+
+class TestAFailedCompaction:
+    """A compaction writes the survivors to a sibling file and swaps it in
+    only when all of them are there: one that hits ``ENOSPC`` at the
+    first, a middle or the last re-append re-raises and leaves the log
+    readable, its bytes and the tracker as they were."""
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_the_log_stays_readable(self, tmp_path, monkeypatch, where):
+        tracker = MemoryTracker()
+        lay = ChunkLayout(8, 3)
+        store = disk_store(lay, "zlib", tmp_path / "chunks.log", tracker)
+        v = rand_state(8, 7)
+        store.init_from_statevector(v)
+        for k in range(0, lay.num_chunks, 2):  # leave some garbage
+            store.store(k, store.load(k)[::-1].copy())
+        index = list(store._disk)
+        survivors = len({id(rec) for rec in index if rec is not None})
+        assert survivors > 2
+        blobs = [store.get_blob(k) for k in range(lay.num_chunks)]
+        compactions = store.compactions
+        state = (store.file_bytes, store.disk_blob_bytes(),
+                 tracker.current("disk_store"), tracker.peak("disk_store"),
+                 tracker.total_current())
+        fail_at = {"first": 0, "middle": survivors // 2,
+                   "last": survivors - 1}[where]
+        monkeypatch.setattr(os, "pwrite", full_disk_at_call(fail_at))
+        with pytest.raises(OSError) as info:
+            store.compact()
+        assert info.value.errno == errno.ENOSPC
+        monkeypatch.undo()
+        assert store.compactions == compactions
+        assert list(store._disk) == index
+        # every read is CRC-checked against its record
+        assert [store.get_blob(k) for k in range(lay.num_chunks)] == blobs
+        assert (store.file_bytes, store.disk_blob_bytes(),
+                tracker.current("disk_store"), tracker.peak("disk_store"),
+                tracker.total_current()) == state
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["chunks.log"]
+        store.compact()  # the fault is gone: it succeeds
+        assert store.compactions == compactions + 1
+        assert store.garbage_fraction == pytest.approx(0.0)
+        assert [store.get_blob(k) for k in range(lay.num_chunks)] == blobs
+        assert tracker.current("disk_store") == store.file_bytes
+        expect = v.copy()
+        cs = lay.chunk_size
+        for k in range(0, lay.num_chunks, 2):
+            expect[k * cs:(k + 1) * cs] = v[k * cs:(k + 1) * cs][::-1]
+        np.testing.assert_array_equal(store.to_statevector(), expect)
+        store.close()
+
+
 class TestIntegration:
     def test_permute(self, store):
         v = rand_state(8, 6)
