@@ -43,17 +43,6 @@ __all__ = ["BlobLog"]
 CATEGORY = "disk_store"
 
 
-def _write_at(fd: int, blob: bytes, off: int, path: Path) -> None:
-    """``pwrite`` all of ``blob`` at ``off``: a short write is finished,
-    or fails with ``ENOSPC``."""
-    done = os.pwrite(fd, blob, off)
-    while done < len(blob):
-        wrote = os.pwrite(fd, memoryview(blob)[done:], off + done)
-        if wrote == 0:
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
-        done += wrote
-
-
 class BlobLog:
     """Append-only blob log: positioned writes, mmap-backed reads.
 
@@ -112,7 +101,13 @@ class BlobLog:
         Raises the ``OSError`` of a write that fails, with the log as it
         was before the call."""
         off = self._file_bytes
-        _write_at(self._fd, blob, off, self.path)
+        done = os.pwrite(self._fd, blob, off)
+        while done < len(blob):  # a short write: finish it or fail
+            wrote = os.pwrite(self._fd, memoryview(blob)[done:], off + done)
+            if wrote == 0:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC),
+                              str(self.path))
+            done += wrote
         self._file_bytes += len(blob)
         self._live_bytes += len(blob)
         self.tracker.alloc(self.category, len(blob))
@@ -160,36 +155,28 @@ class BlobLog:
 
         Returns ``{id(old_rec): new_rec}`` so the owner can remap its
         index; shared old records map to one shared new record. The
-        survivors are written to a sibling file, which replaces the log
-        only once all of them are on it: a write that fails (``ENOSPC``)
-        removes the sibling and re-raises, and the log, every record and
-        the tracker are as they were.
+        survivors are appended to a sibling log, whose file replaces this
+        one only once all of them are on it: an append that fails
+        (``ENOSPC``) removes the sibling and re-raises, and the log, every
+        record and the tracker are as they were.
         """
         payloads = {key: self.read(rec) for key, rec in records.items()}
-        sibling = self.path.with_name(self.path.name + ".compact")
-        fh = open(sibling, "w+b", buffering=0)
-        moved: Dict[int, tuple] = {}
-        end = 0
+        # The sibling books its bytes on a tracker of its own: this log's
+        # tracker changes only when the sibling is adopted.
+        fresh = BlobLog(self.path.with_name(self.path.name + ".compact"),
+                        telemetry=self.telemetry, category=self.category)
         try:
-            for key, blob in payloads.items():
-                _write_at(fh.fileno(), blob, end, sibling)
-                moved[key] = (end, len(blob), records[key][2])
-                end += len(blob)
-                if self.telemetry.enabled:
-                    self.telemetry.traffic.record("disk", "write", len(blob))
-            os.replace(sibling, self.path)
+            moved = {key: fresh.append(blob) for key, blob in payloads.items()}
+            os.replace(fresh.path, self.path)
         except BaseException:
-            fh.close()
-            try:
-                os.unlink(sibling)
-            except OSError:
-                pass
+            fresh.close()
+            fresh.unlink()
             raise
         self._unmap()
         self._fh.close()
-        self._fh, self._fd = fh, fh.fileno()
-        self.tracker.resize(self.category, self._file_bytes, end)
-        self._file_bytes = self._live_bytes = end
+        self._fh, self._fd = fresh._fh, fresh._fd
+        self.tracker.resize(self.category, self._file_bytes, fresh.file_bytes)
+        self._file_bytes = self._live_bytes = fresh.file_bytes
         return moved
 
     # -- lifecycle ------------------------------------------------------------
