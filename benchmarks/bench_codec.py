@@ -25,7 +25,7 @@ import zlib
 import numpy as np
 import pytest
 
-from common import FULL, emit_result, print_banner, seconds
+from common import FULL, emit_result, paired_ratio, print_banner, seconds
 from repro.analysis import Table
 from repro.compression import huffman
 from repro.compression.bitstream import pack_fixed, unpack_fixed
@@ -133,18 +133,28 @@ def test_roundtrip_at_scale(benchmark, kind):
     assert np.array_equal(out, vals)
 
 
+#: interleaved LUT / trie rounds behind the speed-up assert: one round
+#: can land on a scheduler stall, the median of the pairs does not
+TIMING_ROUNDS = 7
+
+
 def test_lut_beats_trie_at_chunk_scale(benchmark):
     rng = np.random.default_rng(7)
     vals = make_stream("typical", 1 << 16, rng)
     blob = huffman.encode(vals)
 
     def run():
-        t_lut = _time(lambda: huffman.decode(blob))
-        t_trie = _time(lambda: huffman.decode_trie(blob), repeats=1)
-        return t_trie / t_lut
+        huffman.decode(blob)  # warm: the first call builds the tables
+        lut, trie = [], []
+        for _ in range(TIMING_ROUNDS):  # interleaved: drift hits both
+            lut.append(_time(lambda: huffman.decode(blob), repeats=1))
+            trie.append(_time(lambda: huffman.decode_trie(blob), repeats=1))
+        return paired_ratio(trie, lut)
 
     speedup = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert speedup >= 10.0, f"LUT decoder only {speedup:.1f}x over trie"
+    benchmark.extra_info["lut_over_trie"] = speedup
+    assert speedup["median"] >= 10.0, \
+        f"LUT decoder only {speedup['median']:.1f}x over trie ({speedup})"
 
 
 if __name__ == "__main__":

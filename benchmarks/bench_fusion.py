@@ -1,4 +1,10 @@
-"""Experiment FU1 — gate fusion: kernel launches, kernel seconds and wall time per arm.
+"""Experiments FU1 / FU2 — gate fusion: what fusing saves per run, and what a launch costs.
+
+FU1 (``python bench_fusion.py``) times whole runs, fused against unfused.
+FU2 (``python bench_fusion.py --launches``) times one prepared kernel
+launch per kind x width 1-5 x buffer qubits m 6-16 x complex64 / complex128
+and fits the constants of the launch-cost model fusion minimises
+(``repro.compile.cost``); see the FU2 section below.
 
 The compile layer (``repro.compile``) folds 1q runs, merges diagonal runs
 and fuses gate windows into dense ``<= 2^k``-wide unitaries before the
@@ -29,7 +35,8 @@ time). Per arm: median and interquartile range of ``wall_seconds`` and of
 ``kernel_s`` (the timeline's KERNEL hops), kernel launches (scheduler
 ``gates_applied``: ops launched, summed over group passes), ops out.
 
-Emits the canonical ``results/BENCH_FU1.json`` record. ``REPRO_FULL=1``
+Emits the canonical ``results/BENCH_FU1.json`` record (window widths as
+the launch-cost model picks them). ``REPRO_FULL=1
 adds every family at n 22 (chunk 11). BLAS runs on one thread (see below;
 ``OPENBLAS_NUM_THREADS=2 python bench_fusion.py`` shows what a second
 thread does to the fused arms on a throttled host).
@@ -48,7 +55,10 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse
+import json
 import statistics
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -58,12 +68,13 @@ from common import (FULL, bench_telemetry, circuit_of, emit_result,
                     print_banner, quartile_range, seconds, tight_config)
 from repro.analysis import Table, format_seconds
 from repro.circuits import qft
+from repro.circuits.gates import make_diagonal_gate, make_gate
 from repro.core import MemQSim
 from repro.device.timeline import Stage
+from repro.statevector.kernels import prepare_launch
 
 #: interleaved repeats per arm — what the committed record was made with
 REPEATS = 9
-MAX_FUSE = 3
 _SZLIKE = {"compressor": "szlike", "compressor_options": {"error_bound": 1e-6}}
 #: family -> (codec options, {arm: fuse_gates})
 FAMILIES = {
@@ -78,18 +89,15 @@ CASES = [(family, n, c) for family in FAMILIES
          for n, c in [(13, 7), (18, 13)] + ([(22, 11)] if FULL else [])]
 
 
-def _config(family: str, chunk_qubits: int, fuse_gates,
-            max_fuse_qubits: int = MAX_FUSE):
+def _config(family: str, chunk_qubits: int, fuse_gates):
     codec, _arms = FAMILIES[family]
     return tight_config(chunk_qubits=chunk_qubits, fuse_gates=fuse_gates,
-                        max_fuse_qubits=max_fuse_qubits, **codec)
+                        **codec)
 
 
-def run_once(family: str, n: int, chunk_qubits: int, arm: str,
-             max_fuse_qubits: int = MAX_FUSE):
+def run_once(family: str, n: int, chunk_qubits: int, arm: str):
     circ = circuit_of(family, n)
-    cfg = _config(family, chunk_qubits, FAMILIES[family][1][arm],
-                  max_fuse_qubits)
+    cfg = _config(family, chunk_qubits, FAMILIES[family][1][arm])
     with bench_telemetry(f"fu1_{family}{n}_{arm}") as tel:
         t0 = time.perf_counter()
         res = MemQSim(cfg, telemetry=tel).run(circ)
@@ -104,6 +112,8 @@ def run_once(family: str, n: int, chunk_qubits: int, arm: str,
         "group_passes": res.scheduler_stats.group_passes,
         "gates_in": cr.gates_in,
         "ops_out": cr.ops_out,
+        "widest_window": cr.widest_window,
+        "predicted_kernel_s": cr.predicted_kernel_seconds,
         "fusion_ratio": cr.fusion_ratio,
         "compile_seconds": cr.seconds,
         "norm": float(res.norm()),
@@ -119,15 +129,13 @@ def _max_deviation(a, b) -> float:
     return worst
 
 
-def measure_case(family: str, n: int, chunk_qubits: int,
-                 max_fuse_qubits: int = MAX_FUSE) -> dict:
+def measure_case(family: str, n: int, chunk_qubits: int) -> dict:
     arms = list(FAMILIES[family][1])
     runs = {arm: [] for arm in arms}
     last = {}
     for _ in range(REPEATS):  # interleaved so drift hits both arms equally
         for arm in arms:
-            row, last[arm] = run_once(family, n, chunk_qubits, arm,
-                                      max_fuse_qubits)
+            row, last[arm] = run_once(family, n, chunk_qubits, arm)
             runs[arm].append(row)
     plain, fused = (runs[arm] for arm in arms)
 
@@ -157,20 +165,19 @@ def measure_case(family: str, n: int, chunk_qubits: int,
     }
 
 
-def generate_report(max_fuse_qubits: int = MAX_FUSE) -> dict:
+def generate_report() -> dict:
     return {
         "experiment": "FU1 gate fusion",
-        "max_fuse_qubits": max_fuse_qubits,
-        "cases": [measure_case(family, n, c, max_fuse_qubits)
-                  for family, n, c in CASES],
+        "cases": [measure_case(family, n, c) for family, n, c in CASES],
     }
 
 
 def render_table(report: dict) -> Table:
     t = Table(
-        ["circuit (codec)", "n / group", "arm", "ops out", "launches",
-         "kernel median", "kernel iqr", "wall median", "wall iqr"],
-        title=f"FU1: gate fusion, max_fuse_qubits={report['max_fuse_qubits']}",
+        ["circuit (codec)", "n / group", "arm", "ops out", "widest",
+         "launches", "kernel median", "kernel iqr", "wall median",
+         "wall iqr"],
+        title="FU1: gate fusion, windows priced by the launch-cost model",
     )
     for case in report["cases"]:
         for arm in case["arms"]:
@@ -181,6 +188,7 @@ def render_table(report: dict) -> Table:
                 f"{case['num_qubits']} / {case['group_bytes'] >> 10} KiB",
                 f"{arm} ({'on' if first['fuse_gates'] else 'off'})",
                 f"{first['ops_out']} of {first['gates_in']}",
+                str(first["widest_window"]),
                 str(first["kernel_launches"]),
                 format_seconds(s["kernel_s"]["median"]),
                 format_seconds(s["kernel_s"]["iqr"]),
@@ -188,6 +196,172 @@ def render_table(report: dict) -> Table:
                 format_seconds(s["wall_seconds"]["iqr"]),
             )
     return t
+
+
+# -- FU2: what one prepared launch costs -----------------------------------------
+
+#: the (kind, width) cells FU2 times: every branch of ``prepare_launch``
+LAUNCH_CELLS = ([("dense_1q", 1), ("diagonal_1q", 1), ("x", 1), ("swap", 2)]
+                + [("diagonal", k) for k in range(2, 6)]
+                + [("stored_diagonal", k) for k in range(1, 6)]
+                + [("generic", k) for k in range(2, 6)])
+#: buffer qubits m: chunk qubits + group qubits of a stage's group buffer
+LAUNCH_M = tuple(range(6, 17))
+LAUNCH_DTYPES = {8: np.complex64, 16: np.complex128}
+#: interleaved samples per cell, and roughly how long one sample runs
+LAUNCH_REPEATS = 9
+SAMPLE_SECONDS = 0.004
+#: the cells FU2 times once more under two BLAS threads
+WIDE_CELLS = [("generic", 4), ("generic", 5)]
+
+
+def _random_unitary(k, rng):
+    z = rng.standard_normal((1 << k,) * 2) + 1j * rng.standard_normal((1 << k,) * 2)
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _launch_gate(kind, qubits, rng):
+    """A gate ``prepare_launch`` classifies as ``kind``; diagonals carry
+    random phases (no unit entry for the kernel to skip)."""
+    k = len(qubits)
+    phases = np.exp(1j * rng.uniform(0.1, 6.0, 1 << k))
+    if kind == "diagonal_1q":
+        return make_gate("rz", qubits, (0.7,))
+    if kind in ("x", "swap"):
+        return make_gate(kind, qubits)
+    if kind == "diagonal":
+        return make_gate("unitary", qubits, matrix=np.diag(phases))
+    if kind == "stored_diagonal":
+        return make_diagonal_gate(qubits, phases)
+    return make_gate("unitary", qubits, matrix=_random_unitary(k, rng))
+
+
+def _placements(m, k):
+    """Where a window's qubits sit in the buffer: at the bottom (chunk
+    bits), spread across it, at the top (group bits)."""
+    spread = tuple(sorted({int(round(x)) for x in np.linspace(0, m - 1, k)}))
+    return [tuple(range(k)), spread, tuple(range(m - k, m))]
+
+
+def time_launches(cells=LAUNCH_CELLS, ms=LAUNCH_M, repeats=LAUNCH_REPEATS):
+    """One row per (itemsize, m, kind, width): the median and quartile
+    range of one launch's seconds, each sample the mean over the three
+    placements. The cells at one (itemsize, m) are interleaved, their
+    order rotated every repeat, so drift hits all widths alike."""
+    rng = np.random.default_rng(0)
+    rows = []
+    for itemsize, dtype in LAUNCH_DTYPES.items():
+        for m in ms:
+            timed = []
+            for kind, k in cells:
+                launches = [prepare_launch(_launch_gate(kind, qs, rng), m)
+                            for qs in _placements(m, k)]
+                buf = (rng.standard_normal(1 << m)
+                       + 1j * rng.standard_normal(1 << m)).astype(dtype)
+                buf /= np.linalg.norm(buf)
+                for launch in launches:  # warm: first-call set-up
+                    launch(buf)
+                t0 = time.perf_counter()
+                for launch in launches:
+                    launch(buf)
+                once = (time.perf_counter() - t0) / len(launches)
+                calls = max(1, int(SAMPLE_SECONDS / max(once, 1e-7)
+                                   / len(launches)))
+                timed.append((kind, k, launches, buf, calls, []))
+            for r in range(repeats):
+                shift = r % len(timed)
+                for kind, k, launches, buf, calls, samples in \
+                        timed[shift:] + timed[:shift]:
+                    t0 = time.perf_counter()
+                    for _ in range(calls):
+                        for launch in launches:
+                            launch(buf)
+                    samples.append((time.perf_counter() - t0)
+                                   / (calls * len(launches)))
+            for kind, k, _launches, _buf, _calls, samples in timed:
+                rows.append({"kind": kind, "width": k, "m": m,
+                             "itemsize": itemsize,
+                             "median_s": statistics.median(samples),
+                             "iqr_s": quartile_range(samples),
+                             "samples": samples})
+    return rows
+
+
+def fit_launch_constants(rows):
+    """Per (kind, width, itemsize), the ``(overhead, per_amp)`` whose
+    ``overhead + per_amp * 2^m`` is closest to the medians in relative
+    error (weighted least squares over m), rounded to 4 digits: the
+    constants ``repro.compile.cost.LAUNCH_CONSTANTS`` holds."""
+    cells = {}
+    for row in rows:
+        key = (f"{row['kind']}:{row['width']}", row["itemsize"])
+        cells.setdefault(key, []).append((row["m"], row["median_s"]))
+    fitted = {}
+    for (cell, itemsize), points in sorted(cells.items()):
+        m = np.array([p[0] for p in points], dtype=float)
+        t = np.array([p[1] for p in points])
+        design = np.stack([np.ones_like(m), 2.0 ** m], axis=1) / t[:, None]
+        (overhead, per_amp), *_ = np.linalg.lstsq(design, np.ones_like(t),
+                                                  rcond=None)
+        fitted.setdefault(cell, {})[itemsize] = [
+            float(f"{max(overhead, 0.0):.4g}"), float(f"{per_amp:.4g}")]
+    return fitted
+
+
+def _wide_rows_at_two_threads():
+    """:data:`WIDE_CELLS` timed in a child whose OpenBLAS has two threads
+    (the thread count is fixed when numpy loads)."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+               MKL_NUM_THREADS="2")
+    out = subprocess.run([sys.executable, os.path.abspath(__file__),
+                          "--wide-rows"], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def launch_report():
+    rows = time_launches()
+    return {"experiment": "FU2 launch costs", "rows": rows,
+            "fitted": fit_launch_constants(rows),
+            "two_blas_threads": _wide_rows_at_two_threads()}
+
+
+def render_launch_table(report) -> Table:
+    widths = [f"{kind}:{k}" for kind, k in LAUNCH_CELLS]
+    t = Table(["itemsize", "m"] + widths,
+              title="FU2: one prepared launch, median microseconds")
+    cell = {(r["itemsize"], r["m"], f"{r['kind']}:{r['width']}"):
+            r["median_s"] for r in report["rows"]}
+    for itemsize in LAUNCH_DTYPES:
+        for m in LAUNCH_M:
+            t.add(str(itemsize), str(m),
+                  *(f"{cell[itemsize, m, w] * 1e6:.1f}" for w in widths))
+    return t
+
+
+def emit_launch_record(report):
+    table = render_launch_table(report)
+    print(table.render())
+    two = {(r["itemsize"], r["m"], r["kind"], r["width"]): r["median_s"]
+           for r in report["two_blas_threads"]}
+    for (itemsize, m, kind, k), t2 in sorted(two.items()):
+        one = next(r["median_s"] for r in report["rows"]
+                   if (r["itemsize"], r["m"], r["kind"], r["width"])
+                   == (itemsize, m, kind, k))
+        print(f"two BLAS threads, {kind}:{k} itemsize {itemsize} m {m}: "
+              f"{t2 / one:.2f}x one thread")
+    emit_result("FU2", title="FU2 — one prepared kernel launch per kind, "
+                "width, buffer qubits and itemsize",
+                params={"cells": [list(c) for c in LAUNCH_CELLS],
+                        "m": list(LAUNCH_M),
+                        "itemsizes": list(LAUNCH_DTYPES),
+                        "repeats": LAUNCH_REPEATS,
+                        "sample_seconds": SAMPLE_SECONDS,
+                        "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]},
+                tables=[table],
+                extra={key: report[key] for key in
+                       ("rows", "fitted", "two_blas_threads")})
 
 
 # -- pytest-benchmark targets ---------------------------------------------------
@@ -215,11 +389,20 @@ def test_fusion_wall_clock(benchmark, family, arm):
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--max-fuse-qubits", type=int, default=MAX_FUSE)
+    ap.add_argument("--launches", action="store_true",
+                    help="record FU2 (launch costs and the fitted model) "
+                         "instead of FU1")
+    ap.add_argument("--wide-rows", action="store_true",
+                    help=argparse.SUPPRESS)  # FU2's two-thread child
     args = ap.parse_args()
-
+    if args.wide_rows:
+        print(json.dumps(time_launches(WIDE_CELLS)))
+        raise SystemExit(0)
     print_banner(__doc__.splitlines()[0])
-    report = generate_report(args.max_fuse_qubits)
+    if args.launches:
+        emit_launch_record(launch_report())
+        raise SystemExit(0)
+    report = generate_report()
     table = render_table(report)
     print(table.render())
     metrics = {}
@@ -243,7 +426,6 @@ if __name__ == "__main__":
     emit_result("FU1", title=__doc__.splitlines()[0],
                 params={"cases": [list(c) for c in CASES],
                         "repeats": REPEATS,
-                        "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
-                        "max_fuse_qubits": args.max_fuse_qubits},
+                        "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]},
                 metrics=metrics, tables=[table],
                 extra={"cases": report["cases"]})

@@ -19,6 +19,13 @@ exactly the class of regression (double loads, missed passes, phantom
 flushes) that time-based telemetry cannot see. ``python -m repro audit``
 wires this end to end.
 
+It also sets the launch-cost model's predicted kernel seconds per gate
+stage (:attr:`~repro.compile.CompileReport.kernel_stages`, one pass's
+launches x the passes the stage ran) beside the timeline's measured
+KERNEL seconds, and flags a stage off by more than
+:data:`KERNEL_FLAG_FACTOR` either way. A flag is a finding about the
+model, not a failed audit: seconds are not the plan's to fix.
+
 Audit contract: the chunk cache must be disabled — the deterministic
 edges are only exact when every load reaches the codec.
 """
@@ -28,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..device.timeline import Stage
 from ..memory.layout import ChunkLayout
 from ..pipeline.sweep import predict_pass_schedule
 
@@ -37,6 +45,7 @@ __all__ = [
     "predict_traffic",
     "AuditReport",
     "audit_run",
+    "compare_kernel_seconds",
 ]
 
 #: compressed bytes may not exceed ``slack * raw bytes`` (codecs fall back
@@ -46,6 +55,10 @@ DEFAULT_RATIO_SLACK = 1.25
 #: the edges whose bytes the plan fixes exactly: decompressed on load,
 #: recompressed on store, and the arena copy each way
 DET_EDGES = ("codec.raw_out", "codec.raw_in", "arena.h2d", "arena.d2h")
+
+#: a gate stage whose measured kernel seconds differ from the model's
+#: prediction by more than this factor, either way, is flagged
+KERNEL_FLAG_FACTOR = 2.0
 
 
 def _access_trace(passes) -> List[Tuple[int, int, str]]:
@@ -129,6 +142,9 @@ class AuditReport:
     compressed_in: int = 0
     raw_out: int = 0
     ratio_slack: float = DEFAULT_RATIO_SLACK
+    #: per gate stage, predicted against measured kernel seconds
+    #: (:func:`compare_kernel_seconds`); empty when not asked for
+    kernel_rows: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -151,6 +167,7 @@ class AuditReport:
             "compressed_in": self.compressed_in,
             "raw_out": self.raw_out,
             "ratio_slack": self.ratio_slack,
+            "kernel": self.kernel_rows,
         }
 
     def render(self) -> str:
@@ -179,9 +196,54 @@ class AuditReport:
                 f"bound ({0:.0f}, {self.ratio_slack:.2f}])")
         else:
             lines.append(f"  envelope  {mark(self.envelope_ok)}")
+        if self.kernel_rows:
+            flagged = sum(row["flagged"] for row in self.kernel_rows)
+            lines.append(
+                f"  kernel    {flagged} of {len(self.kernel_rows)} gate "
+                f"stages off the model by more than "
+                f"{KERNEL_FLAG_FACTOR:g}x (measured / predicted; not gated)")
+            for row in self.kernel_rows:
+                lines.append(
+                    f"    stage {row['stage']}: {row['passes']} passes, "
+                    f"predicted {row['predicted_s'] * 1e3:.3f} ms, "
+                    f"measured {row['measured_s'] * 1e3:.3f} ms "
+                    f"({row['ratio']:.2f}x)"
+                    + ("  <- flagged" if row["flagged"] else ""))
         for err in self.errors:
             lines.append(f"  ! {err}")
         return "\n".join(lines)
+
+
+def compare_kernel_seconds(passes, kernel_stages, timeline,
+                           ) -> List[Dict[str, Any]]:
+    """Per gate stage, the model's kernel seconds against the measured.
+
+    ``kernel_stages`` is :attr:`CompileReport.kernel_stages
+    <repro.compile.CompileReport.kernel_stages>`; the prediction for a
+    stage is one pass's launches times the passes it ran in ``passes``
+    (the pass schedule), whose order the timeline's KERNEL rows follow,
+    one row per pass. Empty when the two do not line up."""
+    seconds = [row[2] for row in timeline.rows if row[0] == Stage.KERNEL]
+    ran = [si for kind, si, _gi, _members in passes if kind == "pass"]
+    if len(seconds) != len(ran):
+        return []
+    measured: Dict[int, float] = {}
+    count: Dict[int, int] = {}
+    for si, s in zip(ran, seconds):
+        measured[si] = measured.get(si, 0.0) + s
+        count[si] = count.get(si, 0) + 1
+    rows = []
+    for si, groups, pass_s in kernel_stages:
+        if not count.get(si):
+            continue
+        predicted = count[si] * pass_s
+        ratio = measured[si] / predicted if predicted > 0 else float("inf")
+        rows.append({"stage": si, "passes": count[si], "groups": groups,
+                     "predicted_s": predicted, "measured_s": measured[si],
+                     "ratio": ratio,
+                     "flagged": not (1 / KERNEL_FLAG_FACTOR <= ratio
+                                     <= KERNEL_FLAG_FACTOR)})
+    return rows
 
 
 def audit_run(
@@ -193,6 +255,8 @@ def audit_run(
     serpentine: bool = False,
     ratio_slack: float = DEFAULT_RATIO_SLACK,
     support: Optional[Iterable[int]] = None,
+    timeline: Any = None,
+    kernel_stages: Sequence[Tuple[int, int, float]] = (),
 ) -> AuditReport:
     """Verify a measured run against its plan's predicted behaviour.
 
@@ -210,6 +274,9 @@ def audit_run(
        moved zero bytes, and the per-worker rows sum to the totals;
     3. the data-dependent compressed bytes fall inside the codec-ratio
        envelope ``0 < compressed <= slack * raw`` (both directions).
+
+    With a ``timeline`` and the plan's ``kernel_stages``, the report also
+    carries :func:`compare_kernel_seconds` (informational).
     """
     passes = predict_pass_schedule(stages, layout, serpentine, support)
     predicted = _access_trace(passes)
@@ -325,4 +392,7 @@ def audit_run(
             rep.errors.append(
                 f"{label}: compressed bytes {comp} exceed envelope "
                 f"{ratio_slack:.2f} * {raw} raw")
+    if timeline is not None:
+        rep.kernel_rows = compare_kernel_seconds(passes, kernel_stages,
+                                                 timeline)
     return rep

@@ -336,7 +336,8 @@ def _compile_section(result) -> str:
         ("1q runs folded", _fmt(cr.fused_1q)),
         ("diagonal runs merged", _fmt(cr.merged_diagonals)),
         ("windows fused", _fmt(cr.fused_windows)),
-        ("max fuse qubits", str(cr.max_fuse_qubits)),
+        ("widest window", f"{cr.widest_window} qubits"),
+        ("predicted kernel", format_seconds(cr.predicted_kernel_seconds)),
         ("gate stages", _fmt(cr.num_gate_stages)),
         ("plan direction", cr.plan_direction),
         ("compile time", format_seconds(cr.seconds)),

@@ -333,10 +333,9 @@ def _add_fusion_args(p: argparse.ArgumentParser) -> None:
                    help="run the gate-fusion compile passes (1q folding, "
                         "diagonal merging, window fusion) when lowering "
                         "the plan (default: on under a lossy compressor, "
-                        "off under a lossless one)")
-    p.add_argument("--max-fuse-qubits", type=int, default=3, metavar="K",
-                   help="widest dense unitary window fusion may build "
-                        "(default 3)")
+                        "off under a lossless one); windows are as wide "
+                        "as the launch-cost model prices lowest, up to 5 "
+                        "qubits")
 
 
 def _add_parallel_args(p: argparse.ArgumentParser) -> None:
@@ -466,7 +465,6 @@ _CONFIG_ARGS = {
     "chunk_qubits": "chunk_qubits",
     "transfer": "transfer",
     "fusion": "fuse_gates",
-    "max_fuse_qubits": "max_fuse_qubits",
     "precision": "precision",
     "cache_chunks": "cache_chunks",
     "cache_policy": "cache_policy",
@@ -782,7 +780,9 @@ def _cmd_audit(args) -> int:
     # The run started from |0...0>: chunk 0 is its whole support.
     report = audit_run(res.compiled_stages, res.store.layout, trace,
                        tel.traffic, serpentine=args.serpentine,
-                       ratio_slack=args.ratio_slack, support={0})
+                       ratio_slack=args.ratio_slack, support={0},
+                       timeline=res.timeline,
+                       kernel_stages=res.compile_report.kernel_stages)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:

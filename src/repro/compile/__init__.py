@@ -8,6 +8,7 @@ backend executes the same ops.
 """
 
 from .compiler import CompileOptions, compile_gates, compile_stage, compile_stages
+from .cost import LAUNCH_COSTS, MAX_WINDOW_QUBITS, LaunchCosts, WindowCap
 from .hoist import Hoisted, hoist_permutations
 from .ir import (
     CompiledGateStage,
@@ -24,6 +25,10 @@ __all__ = [
     "compile_gates",
     "compile_stage",
     "compile_stages",
+    "LAUNCH_COSTS",
+    "LaunchCosts",
+    "MAX_WINDOW_QUBITS",
+    "WindowCap",
     "Hoisted",
     "hoist_permutations",
     "GateOp",

@@ -21,7 +21,11 @@ stages pass through untouched.
 For staged compilation the densify predicate is derived from the layout:
 a qubit set is densifiable when every qubit is either chunk-local or in
 the stage's group (those are exactly the qubits with a position in the
-group buffer). This module duck-types stages (``perm`` => permutation,
+group buffer). So are the window prices: a :class:`~repro.compile.cost
+.LaunchCosts` (``costs``) prices launches on the stage's group buffer,
+``chunk_qubits + len(group_qubits)`` qubits of ``itemsize`` bytes, and
+the report carries what the stage's ops are predicted to cost. This
+module duck-types stages (``perm`` => permutation,
 ``group_qubits`` + ``gates`` => gate stage) instead of importing
 :mod:`repro.pipeline`, keeping the compile layer import-cycle-free.
 """
@@ -33,6 +37,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..circuits.gates import gate_is_diagonal
+from .cost import LAUNCH_COSTS, MAX_WINDOW_QUBITS
 from .hoist import Hoisted
 from .ir import CompiledGateStage, CompiledPlan, CompileReport, as_ops
 from .passes import fold_1q_runs, fuse_windows, merge_diagonal_runs
@@ -47,41 +52,38 @@ class CompileOptions:
 
     Attributes:
         fusion: master switch; off = 1:1 lowering (no gate is touched).
-        max_fuse_qubits: widest dense unitary window fusion may build.
         max_diag_qubits: widest stored diagonal the merge pass may build
-            (``2^k`` vector per merged diagonal; must be >= max_fuse_qubits
-            so a cap-split diagonal run can never be densified past the
-            window cap).
+            (``2^k`` vector per merged diagonal; must be >=
+            :data:`~repro.compile.cost.MAX_WINDOW_QUBITS` so a cap-split
+            diagonal run can never be densified past the window cap).
         fold_1q / merge_diagonals / fuse_window_runs: per-pass switches,
             mainly for tests and ablations.
     """
 
     fusion: bool = False
-    max_fuse_qubits: int = 3
     max_diag_qubits: int = 8
     fold_1q: bool = True
     merge_diagonals: bool = True
     fuse_window_runs: bool = True
 
     def __post_init__(self) -> None:
-        if self.max_fuse_qubits < 1:
-            raise ValueError("max_fuse_qubits must be >= 1")
-        if self.max_diag_qubits < self.max_fuse_qubits:
+        if self.max_diag_qubits < MAX_WINDOW_QUBITS:
             raise ValueError(
-                "max_diag_qubits must be >= max_fuse_qubits "
-                f"({self.max_diag_qubits} < {self.max_fuse_qubits})")
+                "max_diag_qubits must be >= the widest window "
+                f"({self.max_diag_qubits} < {MAX_WINDOW_QUBITS})")
 
 
 DEFAULT_OPTIONS = CompileOptions()
 
 
 def _lower_batch(ops: Sequence[Any], slots: Sequence[int],
-                 opts: CompileOptions, can_densify,
+                 opts: CompileOptions, can_densify, cost,
                  stats: Dict[str, int]) -> List[Recipe]:
     """The decisions for one batch: a recipe per op the batch compiles to.
 
     ``slots[i]`` is where op ``i``'s gate sits in the circuit (-1: nowhere);
     a parameterless gate is fixed by the shape, so it takes no slot either.
+    ``cost`` prices the windows fusion may build.
     """
     recipes: List[Recipe] = []
     for op, slot in zip(ops, slots):
@@ -106,25 +108,34 @@ def _lower_batch(ops: Sequence[Any], slots: Sequence[int],
         if opts.merge_diagonals:
             recipes = merge_diagonal_runs(recipes, opts.max_diag_qubits, stats)
         if opts.fuse_window_runs:
-            recipes = fuse_windows(recipes, opts.max_fuse_qubits, cd, stats)
+            recipes = fuse_windows(recipes, cost, cd, stats)
         recipes = opening + recipes + closing
     return recipes
 
 
 def _new_stats(gates_in: int) -> Dict[str, int]:
     return {"gates_in": gates_in, "fused_1q": 0, "merged_diagonals": 0,
-            "fused_windows": 0}
+            "fused_windows": 0, "widest_window": 0}
 
 
 def compile_gates(gates: Sequence[Any],
                   options: Optional[CompileOptions] = None,
-                  can_densify=None) -> Tuple[List[Any], Dict[str, int]]:
-    """Lower one gate batch to ops; returns ``(ops, pass stats)``."""
+                  can_densify=None, *, costs=LAUNCH_COSTS,
+                  num_qubits: Optional[int] = None,
+                  itemsize: int = 16) -> Tuple[List[Any], Dict[str, int]]:
+    """Lower one gate batch to ops; returns ``(ops, pass stats)``.
+
+    Windows are priced on a ``2^num_qubits`` buffer (default: just wide
+    enough for the batch's qubits) of ``itemsize``-byte amplitudes."""
     opts = options if options is not None else DEFAULT_OPTIONS
     ops = as_ops(gates)
     stats = _new_stats(len(ops))
     if opts.fusion:  # off: 1:1, nothing to decide
+        if num_qubits is None:
+            num_qubits = 1 + max((q for op in ops for q in op.qubits),
+                                 default=0)
         recipes = _lower_batch(ops, [-1] * len(ops), opts, can_densify,
+                               costs.window_cost(num_qubits, itemsize),
                                stats)
         ops = [r.op(None) for r in recipes]
     stats["ops_out"] = len(ops)
@@ -139,19 +150,30 @@ def _is_gate_stage(stage: Any) -> bool:
     return hasattr(stage, "group_qubits") and hasattr(stage, "gates")
 
 
+def _buffer_qubits(stage: Any, ops: Sequence[Any], layout: Any) -> int:
+    """Qubits of the buffer the stage's ops run on: its group buffer, or
+    (no layout) just wide enough for the ops."""
+    if layout is not None:
+        return layout.chunk_qubits + len(stage.group_qubits)
+    return 1 + max((q for op in ops for q in op.qubits), default=0)
+
+
 def _lower_stage(stage: Any, layout: Any = None,
                  options: Optional[CompileOptions] = None,
                  source_slots: Optional[Sequence[int]] = None,
-                 ) -> Tuple[Any, Dict[str, int]]:
+                 costs=LAUNCH_COSTS, itemsize: int = 16,
+                 ) -> Tuple[Any, Dict[str, Any]]:
     """Lower one gate stage to its template (an already compiled stage is
-    returned as it is). ``layout`` derives the densify predicate; the
-    stage's ``slots`` (if the planner filled them in) say which circuit
-    gate each of its gates takes its parameters from. When the stage was
-    planned from a hoisted circuit, ``source_slots`` leads from there to
-    the circuit that will be bound."""
+    returned as it is). ``layout`` derives the densify predicate and, with
+    ``itemsize``, the prices ``costs`` puts on windows; the stage's
+    ``slots`` (if the planner filled them in) say which circuit gate each
+    of its gates takes its parameters from. When the stage was planned
+    from a hoisted circuit, ``source_slots`` leads from there to the
+    circuit that will be bound. ``stats["pass_seconds"]`` is what one
+    group pass of the stage's ops is predicted to cost."""
     if isinstance(stage, CompiledGateStage):
         return stage, {**_new_stats(stage.source_gates),
-                       "ops_out": len(stage.ops)}
+                       "ops_out": len(stage.ops), "pass_seconds": 0.0}
     opts = options if options is not None else DEFAULT_OPTIONS
     cd = None
     if layout is not None:
@@ -159,23 +181,27 @@ def _lower_stage(stage: Any, layout: Any = None,
         cd = lambda qs, _g=group, _lay=layout: all(
             _lay.is_local(q) or q in _g for q in qs)
     ops = as_ops(stage.gates)
+    cost = costs.window_cost(_buffer_qubits(stage, ops, layout), itemsize)
     slots = getattr(stage, "slots", ())
     if len(slots) != len(ops):  # a hand-built stage: every gate is its own
         slots = [-1] * len(ops)
     elif source_slots is not None:
         slots = [source_slots[s] if s >= 0 else -1 for s in slots]
     stats = _new_stats(len(ops))
-    recipes = _lower_batch(ops, slots, opts, cd, stats)
+    recipes = _lower_batch(ops, slots, opts, cd, cost, stats)
     stats["ops_out"] = len(recipes)
+    stats["pass_seconds"] = sum(cost((r,), r.num_qubits) for r in recipes)
     return (StageTemplate(tuple(stage.group_qubits), tuple(recipes),
                           source_gates=len(ops)), stats)
 
 
 def compile_stage(stage: Any, layout: Any = None,
-                  options: Optional[CompileOptions] = None,
-                  ) -> Tuple[CompiledGateStage, Dict[str, int]]:
+                  options: Optional[CompileOptions] = None, *,
+                  costs=LAUNCH_COSTS, itemsize: int = 16,
+                  ) -> Tuple[CompiledGateStage, Dict[str, Any]]:
     """Lower one gate stage and bind it to its own gates."""
-    lowered, stats = _lower_stage(stage, layout, options)
+    lowered, stats = _lower_stage(stage, layout, options, None, costs,
+                                  itemsize)
     return _bound(lowered, None), stats
 
 
@@ -187,7 +213,8 @@ def _bound(lowered: Any, gates: Optional[Sequence[Any]]) -> Any:
 def _lower_stages(stages: Sequence[Any], layout: Any = None,
                   options: Optional[CompileOptions] = None,
                   hoisted: Optional[Hoisted] = None,
-                  direction: str = "forward") -> PlanTemplate:
+                  direction: str = "forward", costs=LAUNCH_COSTS,
+                  itemsize: int = 16) -> PlanTemplate:
     """Lower a planner stage list into a :class:`PlanTemplate`.
 
     Gate stages lower independently (stage boundaries are execution
@@ -196,26 +223,33 @@ def _lower_stages(stages: Sequence[Any], layout: Any = None,
     """
     opts = options if options is not None else DEFAULT_OPTIONS
     report = CompileReport(fusion_enabled=opts.fusion,
-                           max_fuse_qubits=opts.max_fuse_qubits,
                            plan_direction=direction)
+    kernel_stages = []
     source_slots = None
     if hoisted is not None:
         source_slots = hoisted.slots
         report.swaps_hoisted = hoisted.swaps
         report.front_permutation = hoisted.permutation
     out: List[Any] = []
-    for stage in stages:
+    for si, stage in enumerate(stages):
         if _is_permutation_stage(stage) or not _is_gate_stage(stage):
             out.append(stage)
             continue
-        lowered, stats = _lower_stage(stage, layout, opts, source_slots)
+        lowered, stats = _lower_stage(stage, layout, opts, source_slots,
+                                      costs, itemsize)
         out.append(lowered)
+        groups = 1 if layout is None \
+            else layout.num_chunks >> len(stage.group_qubits)
+        kernel_stages.append((si, groups, stats["pass_seconds"]))
         report.num_gate_stages += 1
         report.gates_in += stats["gates_in"]
         report.ops_out += stats["ops_out"]
         report.fused_1q += stats["fused_1q"]
         report.merged_diagonals += stats["merged_diagonals"]
         report.fused_windows += stats["fused_windows"]
+        report.widest_window = max(report.widest_window,
+                                   stats["widest_window"])
+    report.kernel_stages = tuple(kernel_stages)
     return PlanTemplate(tuple(out), report)
 
 
@@ -224,7 +258,8 @@ def compile_stages(stages: Any, layout: Any = None,
                    telemetry: Any = None,
                    gates: Optional[Sequence[Any]] = None,
                    hoisted: Optional[Hoisted] = None,
-                   direction: str = "forward") -> CompiledPlan:
+                   direction: str = "forward", costs=LAUNCH_COSTS,
+                   itemsize: int = 16) -> CompiledPlan:
     """Lower a planner stage list and bind it: the :class:`CompiledPlan`.
 
     ``stages`` may also be the :class:`PlanTemplate` of an earlier call
@@ -239,7 +274,10 @@ def compile_stages(stages: Any, layout: Any = None,
     the circuit the caller wrote: parameter slots are led back to it, and
     the report says what was hoisted. ``direction`` is which way the
     stages were planned (:func:`~repro.pipeline.plan_stages`); the report
-    carries it as ``plan_direction``.
+    carries it as ``plan_direction``. ``costs`` prices the windows fusion
+    may build, on group buffers of ``itemsize``-byte amplitudes
+    (:mod:`repro.compile.cost`); the report's ``kernel_stages`` is what
+    it predicts each gate stage's ops cost.
 
     When ``telemetry`` is enabled, records ``compile.gates_in`` /
     ``compile.ops_out`` counters, the ``compile.fusion_ratio`` gauge and
@@ -247,7 +285,8 @@ def compile_stages(stages: Any, layout: Any = None,
     """
     t0 = time.perf_counter()
     template = stages if isinstance(stages, PlanTemplate) \
-        else _lower_stages(stages, layout, options, hoisted, direction)
+        else _lower_stages(stages, layout, options, hoisted, direction,
+                           costs, itemsize)
     bound = [_bound(s, gates) for s in template.stages]
     report = replace(template.report, seconds=time.perf_counter() - t0)
     if telemetry is not None and getattr(telemetry, "enabled", False):

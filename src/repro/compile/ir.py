@@ -168,7 +168,12 @@ class CompileReport:
     num_gate_stages: int = 0
     seconds: float = 0.0
     fusion_enabled: bool = False
-    max_fuse_qubits: int = 0
+    #: qubits of the widest window fusion built (0: none)
+    widest_window: int = 0
+    #: per gate stage, ``(index in the plan, groups, predicted seconds of
+    #: one group pass's launches)`` under the model the windows were
+    #: priced with (:mod:`repro.compile.cost`)
+    kernel_stages: Tuple[Tuple[int, int, float], ...] = ()
     #: circuit swaps :func:`~repro.compile.hoist.hoist_permutations` took
     #: out before planning (they are not among ``gates_in``), and the front
     #: permutation they add up to; 0 and ``()`` for a circuit planned as
@@ -186,10 +191,16 @@ class CompileReport:
             return 1.0
         return self.gates_in / self.ops_out
 
+    @property
+    def predicted_kernel_seconds(self) -> float:
+        """Every group of every gate stage: groups x one pass's launches."""
+        return sum(groups * pass_s for _si, groups, pass_s
+                   in self.kernel_stages)
+
     def to_dict(self) -> Dict[str, Any]:
         return {
             "fusion": self.fusion_enabled,
-            "max_fuse_qubits": self.max_fuse_qubits,
+            "widest_window": self.widest_window,
             "gates_in": self.gates_in,
             "ops_out": self.ops_out,
             "fusion_ratio": self.fusion_ratio,
@@ -201,6 +212,11 @@ class CompileReport:
             "swaps_hoisted": self.swaps_hoisted,
             "front_permutation": list(self.front_permutation),
             "plan_direction": self.plan_direction,
+            "predicted_kernel_seconds": self.predicted_kernel_seconds,
+            "kernel_stages": [
+                {"stage": si, "groups": groups, "pass_seconds": pass_s,
+                 "seconds": groups * pass_s}
+                for si, groups, pass_s in self.kernel_stages],
         }
 
 

@@ -15,9 +15,10 @@ arithmetic when they are bound to a circuit's parameter values:
    stored diagonal over the union of their qubits (diagonals commute, and
    a stored diagonal costs ``O(2^k)`` not ``O(4^k)``); capped at
    ``max_diag_qubits`` so register-wide oracles don't blow up.
-3. :func:`fuse_windows` — contiguous ops whose union of qubits stays within
-   ``max_fuse_qubits`` collapse into one dense k-qubit unitary, executed by
-   the generic ``apply_matrix_generic`` kernel path.
+3. :func:`fuse_windows` — the op list is split into the contiguous windows
+   whose launches a cost model (:mod:`repro.compile.cost`) prices lowest;
+   a window of several ops, at most 5 qubits wide, becomes one dense k-qubit
+   unitary, executed by the generic kernel path.
 
 Safety for the chunked pipeline: a ``can_densify(qubits)`` predicate guards
 every transformation that turns a diagonal into a dense matrix or grows a
@@ -32,8 +33,10 @@ diagonals, window fusion preserves contiguity.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .cost import MAX_WINDOW_QUBITS, WindowCost
 from .template import FoldRecipe, MergeRecipe, Recipe, WindowRecipe
 
 __all__ = ["fold_1q_runs", "merge_diagonal_runs", "fuse_windows"]
@@ -136,46 +139,48 @@ def merge_diagonal_runs(ops: Sequence[Recipe], max_diag_qubits: int = 8,
 # Pass 3: contiguous window fusion
 # ---------------------------------------------------------------------------
 
-def fuse_windows(ops: Sequence[Recipe], max_fuse_qubits: int = 3,
+def fuse_windows(ops: Sequence[Recipe], cost: WindowCost,
                  can_densify: CanDensify = _always,
                  stats: Optional[Dict[str, int]] = None) -> List[Recipe]:
-    """Fuse contiguous ops whose qubit union fits in ``max_fuse_qubits``.
+    """Split ``ops`` into the contiguous windows ``cost`` prices lowest.
 
-    Greedy: extend the current window while the union stays within the cap
-    and is densifiable; otherwise flush. Windows of one op — or windows
-    that are entirely diagonal (densifying those would trade an ``O(2^k)``
-    diagonal for an ``O(4^k)`` matmul) — emit their ops unchanged.
+    A shortest path over the cut points: ``best[i]`` is the cheapest split
+    of ``ops[i:]``, and a window ``ops[i:j]`` is a candidate when it is
+    one op, or its qubit union is at most :data:`~repro.compile.cost
+    .MAX_WINDOW_QUBITS` wide and densifiable. Among splits of equal cost
+    the one whose first window is longest wins, so the result is a pure
+    function of the ops and the prices. A window of one op, or one that is
+    entirely diagonal (densifying it would trade an ``O(2^k)`` diagonal for
+    an ``O(4^k)`` matmul), emits its ops unchanged; any other becomes one
+    dense unitary over its union. ``stats["widest_window"]`` is the
+    widest of those.
     """
-    if max_fuse_qubits < 1:
-        raise ValueError("max_fuse_qubits must be >= 1")
+    n = len(ops)
+    best = [0.0] * (n + 1)
+    cut = [n] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        union: set = set()
+        best[i] = math.inf
+        for j in range(i, n):
+            union |= set(ops[j].qubits)
+            if j > i and (len(union) > MAX_WINDOW_QUBITS
+                          or not can_densify(tuple(sorted(union)))):
+                break  # every longer window is wider still
+            total = cost(ops[i:j + 1], len(union)) + best[j + 1]
+            if total <= best[i]:
+                best[i], cut[i] = total, j + 1
     out: List[Recipe] = []
-    window: List[Recipe] = []
-    union: set = set()
-
-    def flush() -> None:
-        nonlocal union
-        if not window:
-            return
+    i = 0
+    while i < n:
+        window = ops[i:cut[i]]
         if len(window) == 1 or all(o.diagonal for o in window):
             out.extend(window)
         else:
-            out.append(WindowRecipe.of(window))
+            fused = WindowRecipe.of(window)
+            out.append(fused)
             _count(stats, "fused_windows")
-        window.clear()
-        union = set()
-
-    for op in ops:
-        q = set(op.qubits)
-        if window and len(union | q) <= max_fuse_qubits \
-                and can_densify(tuple(sorted(union | q))):
-            window.append(op)
-            union |= q
-            continue
-        flush()
-        if len(q) <= max_fuse_qubits and can_densify(tuple(sorted(q))):
-            window.append(op)
-            union = set(q)
-        else:
-            out.append(op)
-    flush()
+            if stats is not None:
+                stats["widest_window"] = max(stats.get("widest_window", 0),
+                                             fused.num_qubits)
+        i = cut[i]
     return out

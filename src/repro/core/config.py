@@ -58,8 +58,6 @@ class MemQSimConfig:
             :meth:`plan_key` wants it resolved
             (:func:`repro.bench.decide.resolve_auto_config`, which a
             :class:`~repro.core.MemQSim` run goes through).
-        max_fuse_qubits: widest dense unitary the window-fusion pass may
-            build (``2^k x 2^k`` matrix per fused op).
         cache_chunks: if > 0, keep this many decompressed chunks resident
             in a write-back cache (design challenge 3 — data locality);
             hits skip the codec entirely.
@@ -107,7 +105,6 @@ class MemQSimConfig:
     backend: str = "numpy"
     precision: str = "c128"
     fuse_gates: Optional[bool] = None
-    max_fuse_qubits: int = 3
     cache_chunks: int = 0
     cache_policy: str = "mru"
     serpentine_groups: bool = True
@@ -183,7 +180,6 @@ class MemQSimConfig:
         "max_chunk_qubits",
         "enable_permutation_stages",
         "fuse_gates",
-        "max_fuse_qubits",
         "precision",
     )
 

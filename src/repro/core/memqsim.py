@@ -58,6 +58,7 @@ from ..telemetry import (
 )
 from .backend import MixedPrecisionBackend, get_backend
 from .config import MemQSimConfig
+from .precision import compute_dtype
 from .plancache import CachedPlan, PlanCache
 from .results import MemQSimResult
 
@@ -349,11 +350,10 @@ class MemQSim:
                 # Compile (lower + fuse, or bind alone) once; the device
                 # executor consumes this one lowered plan.
                 cplan = compile_stages(
-                    stages, layout,
-                    CompileOptions(fusion=cfg.fuse_gates,
-                                   max_fuse_qubits=cfg.max_fuse_qubits),
+                    stages, layout, CompileOptions(fusion=cfg.fuse_gates),
                     telemetry=tel, gates=circuit.gates, hoisted=hoisted,
                     direction=direction,
+                    itemsize=compute_dtype(cfg.precision).itemsize,
                 )
                 # Each op's lowering into a group's frame is kept with the
                 # plan; a rebind carries over those of the ops it left
@@ -468,7 +468,6 @@ class MemQSim:
                 fuse_gates=cfg.fuse_gates,
                 serpentine=cfg.serpentine_groups,
                 observer=tel.observer(),
-                max_fuse_qubits=cfg.max_fuse_qubits,
                 cancel=self.cancel,
                 schedule=schedule,
             )
@@ -526,7 +525,6 @@ class MemQSim:
             "serpentine": cfg.serpentine_groups,
             "fuse_gates": cfg.fuse_gates,
             "fusion": cfg.fuse_gates,
-            "max_fuse_qubits": cfg.max_fuse_qubits,
             "store": "tiered" if isinstance(store, TieredChunkStore)
             else "memory",
             "host_store_mb": cfg.host_store_mb,

@@ -280,7 +280,6 @@ class StageScheduler:
         fuse_gates: bool = False,
         serpentine: bool = False,
         observer=None,
-        max_fuse_qubits: int = 3,
         cancel=None,
         schedule=None,
     ):
@@ -293,8 +292,9 @@ class StageScheduler:
         ``observer`` is the run's :class:`~repro.telemetry.PassObserver`
         (:meth:`Telemetry.observer() <repro.telemetry.Telemetry.observer>`);
         ``None`` reports to nobody.
-        ``fuse_gates`` / ``max_fuse_qubits`` configure the lazy compile of
-        raw :class:`GateStage` inputs — stages already lowered by
+        ``fuse_gates`` configures the lazy compile of raw
+        :class:`GateStage` inputs (windows priced on the pool's
+        buffers) — stages already lowered by
         :func:`repro.compile.compile_stages` run as-is.
         ``cancel`` is an optional :class:`~repro.pipeline.cancel
         .CancelToken` polled at every group-pass boundary: when it fires,
@@ -316,10 +316,7 @@ class StageScheduler:
         self.fuse_gates = bool(fuse_gates)
         self.serpentine = bool(serpentine)
         self.observer = observer if observer is not None else NULL_OBSERVER
-        self.compile_options = CompileOptions(
-            fusion=self.fuse_gates,
-            max_fuse_qubits=max_fuse_qubits,
-        )
+        self.compile_options = CompileOptions(fusion=self.fuse_gates)
         self.cancel = cancel if cancel is not None else CancelToken()
         self.schedule = schedule
         #: the running plan's kept stage programs (see :meth:`run`)
@@ -339,8 +336,9 @@ class StageScheduler:
             if not isinstance(stage, CompiledGateStage):
                 # Raw planner stage (direct scheduler users / tests):
                 # lower it here; MemQSim pre-compiles the whole plan.
-                stage, _ = compile_stage(stage, self.layout,
-                                         self.compile_options)
+                stage, _ = compile_stage(
+                    stage, self.layout, self.compile_options,
+                    itemsize=np.dtype(self.pool.dtype).itemsize)
             with self.observer.stage(si, "gate", ops=len(stage.ops),
                                      gates=stage.source_gates):
                 self._run_gate_stage(stage, si, groups)

@@ -67,7 +67,6 @@ CONFIG_OVERRIDES = {
     "transfer": "transfer",
     "fusion": "fuse_gates",
     "fuse_gates": "fuse_gates",
-    "max_fuse_qubits": "max_fuse_qubits",
     "cache_chunks": "cache_chunks",
     "cache_policy": "cache_policy",
     "workers": "workers",

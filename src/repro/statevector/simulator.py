@@ -44,10 +44,8 @@ class DenseRunStats:
 class DenseSimulator:
     """Full in-memory state-vector simulator."""
 
-    def __init__(self, fuse_single_qubit_gates: bool = False,
-                 max_fuse_qubits: int = 3):
+    def __init__(self, fuse_single_qubit_gates: bool = False):
         self.fuse_single_qubit_gates = bool(fuse_single_qubit_gates)
-        self.max_fuse_qubits = int(max_fuse_qubits)
         self.last_stats: Optional[DenseRunStats] = None
 
     # -- public API -------------------------------------------------------
@@ -108,13 +106,13 @@ class DenseSimulator:
         """Lower the circuit to compiled ops (GateOp/FusedOp).
 
         With fusion off every gate lowers 1:1; with fusion on the shared
-        compile passes fold 1q runs, merge diagonal runs, and fuse gate
-        windows up to ``max_fuse_qubits``-wide dense unitaries.
+        compile passes fold 1q runs, merge diagonal runs, and fuse the gate
+        windows the launch-cost model prices lowest on the whole state.
         """
         # Runtime import: repro.compile imports this package's kernels.
         from ..compile import CompileOptions, compile_gates
 
-        opts = CompileOptions(fusion=self.fuse_single_qubit_gates,
-                              max_fuse_qubits=self.max_fuse_qubits)
-        ops, _ = compile_gates(circuit.gates, opts)
+        opts = CompileOptions(fusion=self.fuse_single_qubit_gates)
+        ops, _ = compile_gates(circuit.gates, opts,
+                               num_qubits=circuit.num_qubits)
         return ops

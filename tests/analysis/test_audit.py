@@ -177,3 +177,52 @@ class TestAuditRun:
         assert doc["ok"] is True
         assert doc["schedule_predicted"] == doc["schedule_measured"]
         assert doc["stages"]
+
+
+class TestKernelPrediction:
+    """The model's kernel seconds per stage beside the timeline's: a stage
+    off by more than 2x is flagged, never failed."""
+
+    def timeline(self, *seconds):
+        from repro.device.timeline import Stage, Timeline
+
+        tl = Timeline()
+        tl.record(Stage.COMPRESS, 0.0, 9.0, 0, 0, 1)  # not a kernel row
+        for s in seconds:
+            tl.record(Stage.KERNEL, 0.0, s, 0, -1, 1)
+        return tl
+
+    PASSES = [("pass", 0, 0, (0, 1)), ("barrier", 1, -1, ()),
+              ("pass", 2, 0, (0, 1)), ("pass", 2, 1, (2, 3))]
+
+    def test_rows_per_gate_stage(self):
+        from repro.analysis.audit import compare_kernel_seconds
+
+        rows = compare_kernel_seconds(
+            self.PASSES, ((0, 2, 1e-3), (2, 2, 1e-3)),
+            self.timeline(1e-3, 1e-3, 5e-3))
+        assert [(r["stage"], r["passes"], r["flagged"]) for r in rows] == \
+            [(0, 1, False), (2, 2, True)]
+        assert rows[1]["predicted_s"] == pytest.approx(2e-3)
+        assert rows[1]["ratio"] == pytest.approx(3.0)
+
+    def test_rows_that_do_not_line_up_are_not_compared(self):
+        from repro.analysis.audit import compare_kernel_seconds
+
+        assert compare_kernel_seconds(self.PASSES, ((0, 2, 1e-3),),
+                                      self.timeline(1e-3)) == []
+
+    def test_a_flag_does_not_fail_the_audit(self):
+        tel = Telemetry()
+        tel.access = ChunkAccessRecorder()
+        res = MemQSim(MemQSimConfig(chunk_qubits=4, compressor="zlib"),
+                      telemetry=tel).run(get_workload("qft", 8))
+        # a model a thousand times too optimistic
+        stages = tuple((si, groups, pass_s * 1e-3) for si, groups, pass_s
+                       in res.compile_report.kernel_stages)
+        rep = audit_run(res.compiled_stages, res.store.layout,
+                        tel.access.trace(), tel.traffic, support=ZERO_STATE,
+                        timeline=res.timeline, kernel_stages=stages)
+        assert rep.ok and rep.kernel_rows
+        assert all(row["flagged"] for row in rep.kernel_rows)
+        assert "flagged" in rep.render()

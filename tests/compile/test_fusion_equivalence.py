@@ -12,7 +12,8 @@ import pytest
 
 from repro.circuits import WORKLOADS as CIRCUIT_REGISTRY
 from repro.circuits import get_workload
-from repro.compile import CompileOptions, FusedOp, compile_gates
+from repro.compile import (MAX_WINDOW_QUBITS, CompileOptions, FusedOp,
+                           WindowCap, compile_gates)
 from repro.core import MemQSim, MemQSimConfig, get_backend
 from repro.parallel import run_equivalence
 
@@ -98,12 +99,18 @@ class TestFusedOpsAreUnitary:
     re-checking it cost 0.8 ms per bound plan); this is the check, made
     once here instead of on every lowering."""
 
-    @pytest.mark.parametrize("max_fuse_qubits", [2, 3, 4])
+    @pytest.mark.parametrize("width", [2, 3, 4, 5, "model"])
     @pytest.mark.parametrize("workload", sorted(CIRCUIT_REGISTRY))
-    def test_every_fused_op_of_the_registry(self, workload, max_fuse_qubits):
+    def test_every_fused_op_of_the_registry(self, workload, width):
+        # windows up to ``width`` qubits, or as the launch-cost model
+        # prices them
         circ = get_workload(workload, 8)
-        ops, _ = compile_gates(circ.gates, CompileOptions(
-            fusion=True, max_fuse_qubits=max_fuse_qubits))
+        kw = {} if width == "model" else {"costs": WindowCap(width)}
+        ops, _ = compile_gates(circ.gates, CompileOptions(fusion=True), **kw)
+        widest = max((len(op.qubits) for op in ops
+                      if isinstance(op, FusedOp) and op.matrix is not None),
+                     default=0)
+        assert widest <= (MAX_WINDOW_QUBITS if width == "model" else width)
         fused = [op for op in ops if isinstance(op, FusedOp)]
         for op in fused:
             gate = op.to_gate()

@@ -1,7 +1,8 @@
 """Unit tests for the compile layer's lowering passes.
 
-Covers 1q-run folding, diagonal-run merging, window fusion (width cap and
-densify gating), 1:1 lowering when fusion is off, stage-boundary
+Covers 1q-run folding, diagonal-run merging, window fusion (a cost that
+reproduces the old width cap, the greedy partition it made, and densify
+gating), 1:1 lowering when fusion is off, stage-boundary
 preservation through ``compile_stages``, and numerical agreement of every
 compiled batch with the uncompiled gate sequence.
 """
@@ -17,6 +18,7 @@ from repro.compile import (
     CompileReport,
     FusedOp,
     GateOp,
+    WindowCap,
     as_ops,
     compile_gates,
     compile_stage,
@@ -139,32 +141,71 @@ class TestMergeDiagonalRuns:
         np.testing.assert_allclose(op.diag, [1, t, 1, -t], atol=1e-12)
 
 
+def cap(k):
+    """A window cost that reproduces a ``k``-qubit width cap."""
+    return WindowCap(k).window_cost()
+
+
+def greedy_windows(ops, k, can_densify=lambda qs: True):
+    """The window pass as it was before it priced windows: extend the
+    window while the union stays within ``k`` qubits and densifiable; an
+    op that cannot open one stands alone. Returns the windows."""
+    windows, union, open_ = [], set(), False
+    for op in ops:
+        q = set(op.qubits)
+        if open_ and len(union | q) <= k \
+                and can_densify(tuple(sorted(union | q))):
+            windows[-1].append(op)
+            union |= q
+        else:
+            windows.append([op])
+            union = q
+            open_ = len(q) <= k and can_densify(tuple(sorted(q)))
+    return windows
+
+
 class TestFuseWindows:
     def test_window_respects_qubit_cap(self):
         c = get_workload("qft", 6)
-        ops = fuse_windows(as_ops(c.gates), max_fuse_qubits=3)
+        ops = fuse_windows(as_ops(c.gates), cap(3))
         assert all(op.num_qubits <= 3 for op in ops)
         assert len(ops) < len(c.gates)
         assert_same_effect(c.gates, ops, 6)
 
     def test_cap_one_never_fuses_multiqubit(self):
         c = Circuit(2).h(0).cx(0, 1)
-        ops = fuse_windows(as_ops(c.gates), max_fuse_qubits=1)
+        ops = fuse_windows(as_ops(c.gates), cap(1))
         assert len(ops) == 2
 
     def test_all_diag_window_left_unfused(self):
         # A pure-diagonal window is cheaper as a stored diagonal than as a
         # dense 2^k matrix; the window pass leaves it for the merge pass.
         c = Circuit(2).t(0).cz(0, 1)
-        ops = fuse_windows(as_ops(c.gates), max_fuse_qubits=2)
+        ops = fuse_windows(as_ops(c.gates), cap(2))
         assert all(not isinstance(op, FusedOp) or op.diag is not None
                    for op in ops)
 
     def test_can_densify_blocks_window(self):
         c = Circuit(2).h(0).cx(0, 1)
-        ops = fuse_windows(as_ops(c.gates), max_fuse_qubits=2,
+        ops = fuse_windows(as_ops(c.gates), cap(2),
                            can_densify=lambda qs: 1 not in qs)
         assert len(ops) == 2
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("workload",
+                             ["qft", "supremacy", "vqe", "qaoa", "grover"])
+    def test_cap_reproduces_the_greedy_partition(self, workload, k):
+        leaves = [GateRecipe(op, -1, gate_is_diagonal(op.to_gate()))
+                  for op in as_ops(get_workload(workload, 7).gates)]
+        densify = lambda qs: 5 not in qs  # noqa: E731
+        want = []
+        for window in greedy_windows(leaves, k, densify):
+            if len(window) == 1 or all(op.diagonal for op in window):
+                want += [[op] for op in window]  # emitted as they are
+            else:
+                want.append(window)
+        got = passes.fuse_windows(leaves, cap(k), densify)
+        assert [list(getattr(r, "parts", (r,))) for r in got] == want
 
 
 class TestCompileGates:
@@ -186,14 +227,18 @@ class TestCompileGates:
         # A stage ends on its relocations: in a window each would be a
         # dense matmul over the buffer instead of a slice exchange. A swap
         # in the middle of the batch fuses like any other gate.
+        # (Windows capped at 3 qubits; the model fuses ry in as well.)
         c = Circuit(4).h(0).swap(0, 1).cx(1, 2).ry(0.3, 3).swap(2, 3).swap(0, 1)
-        ops, stats = compile_gates(c.gates, FUSION)
+        ops, stats = compile_gates(c.gates, FUSION, costs=WindowCap(3))
         assert [op.name for op in ops] == ["fused", "ry", "swap", "swap"]
         assert stats["ops_out"] == 4
         assert_same_effect(c.gates, ops, 4)
+        ops, _stats = compile_gates(c.gates, FUSION)
+        assert [op.name for op in ops] == ["fused", "swap", "swap"]
+        assert_same_effect(c.gates, ops, 4)
         # A backward-planned stage opens on them instead.
         c = Circuit(4).swap(0, 1).swap(2, 3).h(0).swap(0, 1).cx(1, 2).ry(0.3, 3)
-        ops, _stats = compile_gates(c.gates, FUSION)
+        ops, _stats = compile_gates(c.gates, FUSION, costs=WindowCap(3))
         assert [op.name for op in ops] == ["swap", "swap", "fused", "ry"]
         assert_same_effect(c.gates, ops, 4)
 
@@ -204,10 +249,10 @@ class TestCompileGates:
         assert_same_effect(c.gates, ops, 6)
 
     def test_options_validation(self):
-        with pytest.raises(ValueError, match="max_fuse_qubits"):
-            CompileOptions(max_fuse_qubits=0)
         with pytest.raises(ValueError, match="max_diag_qubits"):
-            CompileOptions(max_fuse_qubits=4, max_diag_qubits=3)
+            CompileOptions(max_diag_qubits=4)
+        with pytest.raises(ValueError, match="max_qubits"):
+            WindowCap(0)
 
 
 class TestCompileStages:

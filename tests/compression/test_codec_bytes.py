@@ -7,6 +7,11 @@ The corpus is every chunk ``szlike`` and ``zlib`` are handed while
 * every registry circuit streams at 12 qubits, chunk 8, in both
   precisions, under ``szlike``.
 
+The lossy runs are fused; their windows are the ones the corpus was
+recorded with, the partition of window fusion capped at 3 qubits
+(:class:`~repro.compile.WindowCap`), not the launch-cost model's, so the
+corpus is a codec fixture and not a record of the fusion policy.
+
 A run contributes at most :data:`RUN_CAP` distinct chunks and is stopped
 there: ``grover`` at 12 qubits streams 4,815 group passes, more than all
 other runs together, and its later chunks add time, not new cases.
@@ -22,17 +27,21 @@ recorded before the codec's per-call overhead was cut; any rewrite of the
 codec must reproduce them unchanged.
 """
 
+import functools
 import hashlib
 import math
 import struct
 import zlib
 from collections import defaultdict
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import repro.core.memqsim as facade
 from repro.circuits import (WORKLOADS, Circuit, get_workload, qft,
                             supremacy_brickwork, vqe_ansatz)
+from repro.compile import WindowCap, compile_stages
 from repro.compression import SZLikeCompressor, ZlibCompressor
 from repro.compression.interface import split_dtype
 from repro.compression.szlike import blob_entropy
@@ -106,13 +115,15 @@ def collect_corpus():
             return originals[cls](self, data)
         return compress
 
+    capped = functools.partial(compile_stages, costs=WindowCap(3))
     try:
         for cls in originals:
             cls.compress = recording(cls)
         for _label, circuit, config in (*e2e_smoke_runs(), *registry_runs()):
             taken[0] = 0
             try:
-                MemQSim(**config).run(circuit)
+                with mock.patch.object(facade, "compile_stages", capped):
+                    MemQSim(**config).run(circuit)
             except _Capped:
                 pass
     finally:

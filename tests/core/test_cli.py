@@ -11,6 +11,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_no_fusion_width_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "qft", "--max-fuse-qubits", "4"])
+        assert "unrecognized arguments: --max-fuse-qubits" \
+            in capsys.readouterr().err
+
     def test_run_defaults(self):
         args = build_parser().parse_args(["run", "qft"])
         assert args.workload == "qft"
@@ -193,3 +199,8 @@ class TestCommands:
         assert doc["passes_predicted"] == 31
         # each pass reads and writes its two members
         assert doc["schedule_predicted"] == doc["schedule_measured"] == 4 * 31
+        # the model's kernel seconds beside the measured ones, every gate
+        # stage that ran a pass, whatever they say
+        assert sum(row["passes"] for row in doc["kernel"]) == 31
+        assert all(row["predicted_s"] > 0 and row["measured_s"] > 0
+                   for row in doc["kernel"])

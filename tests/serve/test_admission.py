@@ -93,6 +93,18 @@ class TestManagerAdmission:
         finally:
             mgr.shutdown()
 
+    def test_the_removed_fusion_width_is_refused(self):
+        # window widths are the launch-cost model's; the old knob is an
+        # unknown override, refused at admission like any other
+        mgr = ServeManager(small_base(), Telemetry())
+        try:
+            with pytest.raises(JobRejected,
+                               match="unknown config override.*max_fuse"):
+                mgr.submit({"workload": "qft", "qubits": 8,
+                            "config": {"max_fuse_qubits": 4}})
+        finally:
+            mgr.shutdown()
+
     @pytest.mark.parametrize("override", [
         {"compressor": "nope"},
         {"error_bound": "abc"},

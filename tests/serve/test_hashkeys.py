@@ -140,7 +140,6 @@ class TestPlanKey:
         ("max_chunk_qubits", 10),
         ("enable_permutation_stages", False),
         ("fuse_gates", True),
-        ("max_fuse_qubits", 4),
     ])
     def test_plan_knobs_change_key(self, field, value):
         base = RESOLVED

@@ -115,7 +115,8 @@ class TestConfigSurface:
     this count and documenting the field in ``docs/api.md`` is that
     argument's paper trail. (26 before the store/engine/shm-threshold
     knobs became derived values, 23 before the simulated CPU-offload and
-    multi-device paths left the run.)"""
+    multi-device paths left the run, 21 before window fusion priced its
+    windows instead of capping them at ``max_fuse_qubits``.)"""
 
     def test_knob_count_and_documentation(self):
         import dataclasses
@@ -123,7 +124,7 @@ class TestConfigSurface:
         from repro.core import MemQSimConfig
 
         fields = [f.name for f in dataclasses.fields(MemQSimConfig)]
-        assert len(fields) == 21, fields
+        assert len(fields) == 20, fields
         api = (REPO / "docs" / "api.md").read_text()
         undocumented = [f for f in fields if f"`{f}`" not in api]
         assert not undocumented, f"not in docs/api.md: {undocumented}"
