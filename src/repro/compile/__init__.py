@@ -8,7 +8,7 @@ backend executes the same ops.
 """
 
 from .compiler import CompileOptions, compile_gates, compile_stage, compile_stages
-from .cost import LAUNCH_COSTS, MAX_WINDOW_QUBITS, LaunchCosts, WindowCap
+from .cost import MAX_WINDOW_QUBITS, launch_seconds, window_cost
 from .hoist import Hoisted, hoist_permutations
 from .ir import (
     CompiledGateStage,
@@ -25,10 +25,9 @@ __all__ = [
     "compile_gates",
     "compile_stage",
     "compile_stages",
-    "LAUNCH_COSTS",
-    "LaunchCosts",
     "MAX_WINDOW_QUBITS",
-    "WindowCap",
+    "launch_seconds",
+    "window_cost",
     "Hoisted",
     "hoist_permutations",
     "GateOp",

@@ -21,10 +21,11 @@ stages pass through untouched.
 For staged compilation the densify predicate is derived from the layout:
 a qubit set is densifiable when every qubit is either chunk-local or in
 the stage's group (those are exactly the qubits with a position in the
-group buffer). So are the window prices: a :class:`~repro.compile.cost
-.LaunchCosts` (``costs``) prices launches on the stage's group buffer,
-``chunk_qubits + len(group_qubits)`` qubits of ``itemsize`` bytes, and
-the report carries what the stage's ops are predicted to cost. This
+group buffer). So are the window prices: ``pricing``
+(:func:`repro.compile.cost.window_cost` unless a caller passes another)
+prices launches on the stage's group buffer, ``chunk_qubits +
+len(group_qubits)`` qubits of ``itemsize`` bytes, and the report carries
+what the stage's ops are predicted to cost. This
 module duck-types stages (``perm`` => permutation,
 ``group_qubits`` + ``gates`` => gate stage) instead of importing
 :mod:`repro.pipeline`, keeping the compile layer import-cycle-free.
@@ -37,7 +38,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..circuits.gates import gate_is_diagonal
-from .cost import LAUNCH_COSTS, MAX_WINDOW_QUBITS
+from .cost import MAX_WINDOW_QUBITS, Pricing, window_cost
 from .hoist import Hoisted
 from .ir import CompiledGateStage, CompiledPlan, CompileReport, as_ops
 from .passes import fold_1q_runs, fuse_windows, merge_diagonal_runs
@@ -120,7 +121,7 @@ def _new_stats(gates_in: int) -> Dict[str, int]:
 
 def compile_gates(gates: Sequence[Any],
                   options: Optional[CompileOptions] = None,
-                  can_densify=None, *, costs=LAUNCH_COSTS,
+                  can_densify=None, *, pricing: Pricing = window_cost,
                   num_qubits: Optional[int] = None,
                   itemsize: int = 16) -> Tuple[List[Any], Dict[str, int]]:
     """Lower one gate batch to ops; returns ``(ops, pass stats)``.
@@ -135,7 +136,7 @@ def compile_gates(gates: Sequence[Any],
             num_qubits = 1 + max((q for op in ops for q in op.qubits),
                                  default=0)
         recipes = _lower_batch(ops, [-1] * len(ops), opts, can_densify,
-                               costs.window_cost(num_qubits, itemsize),
+                               pricing(num_qubits, itemsize),
                                stats)
         ops = [r.op(None) for r in recipes]
     stats["ops_out"] = len(ops)
@@ -161,11 +162,11 @@ def _buffer_qubits(stage: Any, ops: Sequence[Any], layout: Any) -> int:
 def _lower_stage(stage: Any, layout: Any = None,
                  options: Optional[CompileOptions] = None,
                  source_slots: Optional[Sequence[int]] = None,
-                 costs=LAUNCH_COSTS, itemsize: int = 16,
+                 pricing: Pricing = window_cost, itemsize: int = 16,
                  ) -> Tuple[Any, Dict[str, Any]]:
     """Lower one gate stage to its template (an already compiled stage is
     returned as it is). ``layout`` derives the densify predicate and, with
-    ``itemsize``, the prices ``costs`` puts on windows; the stage's
+    ``itemsize``, the prices ``pricing`` puts on windows; the stage's
     ``slots`` (if the planner filled them in) say which circuit gate each
     of its gates takes its parameters from. When the stage was planned
     from a hoisted circuit, ``source_slots`` leads from there to the
@@ -181,7 +182,7 @@ def _lower_stage(stage: Any, layout: Any = None,
         cd = lambda qs, _g=group, _lay=layout: all(
             _lay.is_local(q) or q in _g for q in qs)
     ops = as_ops(stage.gates)
-    cost = costs.window_cost(_buffer_qubits(stage, ops, layout), itemsize)
+    cost = pricing(_buffer_qubits(stage, ops, layout), itemsize)
     slots = getattr(stage, "slots", ())
     if len(slots) != len(ops):  # a hand-built stage: every gate is its own
         slots = [-1] * len(ops)
@@ -197,10 +198,10 @@ def _lower_stage(stage: Any, layout: Any = None,
 
 def compile_stage(stage: Any, layout: Any = None,
                   options: Optional[CompileOptions] = None, *,
-                  costs=LAUNCH_COSTS, itemsize: int = 16,
+                  pricing: Pricing = window_cost, itemsize: int = 16,
                   ) -> Tuple[CompiledGateStage, Dict[str, Any]]:
     """Lower one gate stage and bind it to its own gates."""
-    lowered, stats = _lower_stage(stage, layout, options, None, costs,
+    lowered, stats = _lower_stage(stage, layout, options, None, pricing,
                                   itemsize)
     return _bound(lowered, None), stats
 
@@ -213,7 +214,8 @@ def _bound(lowered: Any, gates: Optional[Sequence[Any]]) -> Any:
 def _lower_stages(stages: Sequence[Any], layout: Any = None,
                   options: Optional[CompileOptions] = None,
                   hoisted: Optional[Hoisted] = None,
-                  direction: str = "forward", costs=LAUNCH_COSTS,
+                  direction: str = "forward",
+                  pricing: Pricing = window_cost,
                   itemsize: int = 16) -> PlanTemplate:
     """Lower a planner stage list into a :class:`PlanTemplate`.
 
@@ -236,7 +238,7 @@ def _lower_stages(stages: Sequence[Any], layout: Any = None,
             out.append(stage)
             continue
         lowered, stats = _lower_stage(stage, layout, opts, source_slots,
-                                      costs, itemsize)
+                                      pricing, itemsize)
         out.append(lowered)
         groups = 1 if layout is None \
             else layout.num_chunks >> len(stage.group_qubits)
@@ -258,7 +260,8 @@ def compile_stages(stages: Any, layout: Any = None,
                    telemetry: Any = None,
                    gates: Optional[Sequence[Any]] = None,
                    hoisted: Optional[Hoisted] = None,
-                   direction: str = "forward", costs=LAUNCH_COSTS,
+                   direction: str = "forward",
+                   pricing: Pricing = window_cost,
                    itemsize: int = 16) -> CompiledPlan:
     """Lower a planner stage list and bind it: the :class:`CompiledPlan`.
 
@@ -274,8 +277,8 @@ def compile_stages(stages: Any, layout: Any = None,
     the circuit the caller wrote: parameter slots are led back to it, and
     the report says what was hoisted. ``direction`` is which way the
     stages were planned (:func:`~repro.pipeline.plan_stages`); the report
-    carries it as ``plan_direction``. ``costs`` prices the windows fusion
-    may build, on group buffers of ``itemsize``-byte amplitudes
+    carries it as ``plan_direction``. ``pricing`` prices the windows
+    fusion may build, on group buffers of ``itemsize``-byte amplitudes
     (:mod:`repro.compile.cost`); the report's ``kernel_stages`` is what
     it predicts each gate stage's ops cost.
 
@@ -286,7 +289,7 @@ def compile_stages(stages: Any, layout: Any = None,
     t0 = time.perf_counter()
     template = stages if isinstance(stages, PlanTemplate) \
         else _lower_stages(stages, layout, options, hoisted, direction,
-                           costs, itemsize)
+                           pricing, itemsize)
     bound = [_bound(s, gates) for s in template.stages]
     report = replace(template.report, seconds=time.perf_counter() - t0)
     if telemetry is not None and getattr(telemetry, "enabled", False):

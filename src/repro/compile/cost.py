@@ -2,10 +2,10 @@
 
 :func:`~repro.compile.passes.fuse_windows` splits a stage's op list into
 the contiguous windows whose launches cost the least in total. It prices a
-window through a :data:`WindowCost`; :class:`LaunchCosts` makes one for a
-stage from two facts the compiler knows about it — the group buffer's
-qubits ``m`` (chunk qubits + group qubits) and its itemsize — and a table
-of constants.
+window through a :data:`WindowCost`; a :data:`Pricing` such as
+:func:`window_cost` makes one for a stage from two facts the compiler
+knows about it — the group buffer's qubits ``m`` (chunk qubits + group
+qubits) and its itemsize — and here from a table of constants.
 
 A launch's seconds are ``overhead + per_amp * 2^m``, with one pair of
 constants per kernel kind (as :func:`repro.statevector.kernels
@@ -25,13 +25,12 @@ of random phases although it scales one quarter of the buffer only.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, Sequence, Tuple
 
 from .template import GateRecipe, Recipe
 
-__all__ = ["MAX_WINDOW_QUBITS", "LAUNCH_CONSTANTS", "LaunchCosts",
-           "LAUNCH_COSTS", "WindowCap", "WindowCost", "launch_kind"]
+__all__ = ["MAX_WINDOW_QUBITS", "LAUNCH_CONSTANTS", "WindowCost", "Pricing",
+           "launch_kind", "launch_seconds", "window_cost"]
 
 #: the widest window fusion builds: the widest the record measures
 MAX_WINDOW_QUBITS = 5
@@ -39,6 +38,10 @@ MAX_WINDOW_QUBITS = 5
 #: prices one window of contiguous ops: ``(its ops, the width of their
 #: qubit union) -> seconds`` (or any other additive unit)
 WindowCost = Callable[[Sequence[Recipe], int], float]
+
+#: makes a stage's :data:`WindowCost` from its buffer qubits ``m`` and
+#: itemsize; what the compiler takes as ``pricing``
+Pricing = Callable[[int, int], WindowCost]
 
 #: ``"kind:width" -> {itemsize: (overhead seconds, seconds per amplitude)}``,
 #: fitted by ``benchmarks/bench_fusion.py --launches`` (results/BENCH_FU2.json
@@ -102,68 +105,26 @@ def launch_kind(recipe: Recipe) -> Tuple[str, int]:
     return ("dense_1q" if width == 1 else "generic"), width
 
 
-class LaunchCosts:
-    """Predicted seconds of one launch, from :data:`LAUNCH_CONSTANTS`."""
+def launch_seconds(kind: str, width: int, m: int, itemsize: int) -> float:
+    """Predicted seconds of one ``kind`` launch of ``width`` qubits on a
+    ``2^m``-amplitude buffer of ``itemsize``-byte amplitudes (8 or 16).
 
-    def __init__(self, constants=None):
-        self.constants = LAUNCH_CONSTANTS if constants is None else constants
-        #: the widest width the constants hold, per kind
-        self.widest: Dict[str, int] = {}
-        for key in self.constants:
-            kind, width = key.split(":")
-            self.widest[kind] = max(self.widest.get(kind, 0), int(width))
-
-    def seconds(self, kind: str, width: int, m: int, itemsize: int) -> float:
-        """One ``kind`` launch of ``width`` qubits on a ``2^m`` buffer.
-
-        A width past the record's widest for the kind (a single wide gate,
-        never a window) takes the widest's constants scaled by ``2^extra``;
-        an itemsize the record lacks takes the nearest one recorded."""
-        widest = self.widest[kind]
-        by_size = self.constants[f"{kind}:{min(width, widest)}"]
-        size = min(by_size, key=lambda s: (abs(s - itemsize), -s))
-        overhead, per_amp = by_size[size]
-        scale = 1 << max(0, width - widest)
-        return scale * (overhead + per_amp * (1 << m))
-
-    def window_cost(self, m: int, itemsize: int) -> WindowCost:
-        """The pricing of windows on a ``2^m``-amplitude buffer of
-        ``itemsize``-byte amplitudes: what the ops the window emits cost
-        — its own ops for one op or an all-diagonal run (the pass leaves
-        those as they are), else one dense launch over the union."""
-        memo: Dict[Tuple[str, int], float] = {}
-
-        def launch(kind: str, width: int) -> float:
-            key = (kind, width)
-            if key not in memo:
-                memo[key] = self.seconds(kind, width, m, itemsize)
-            return memo[key]
-
-        def cost(ops: Sequence[Recipe], width: int) -> float:
-            if len(ops) == 1 or all(op.diagonal for op in ops):
-                return sum(launch(*launch_kind(op)) for op in ops)
-            return launch("dense_1q" if width == 1 else "generic", width)
-        return cost
+    A single gate wider than the record (never a window) takes the
+    widest recorded width's constants, scaled by ``2^extra``."""
+    recorded = min(width, MAX_WINDOW_QUBITS)
+    overhead, per_amp = LAUNCH_CONSTANTS[f"{kind}:{recorded}"][itemsize]
+    return (1 << (width - recorded)) * (overhead + per_amp * (1 << m))
 
 
-#: the committed model every compile prices windows with
-LAUNCH_COSTS = LaunchCosts()
-
-
-class WindowCap:
-    """Prices every window of at most ``max_qubits`` qubits at 1 and a
-    wider one (of more than one op) at infinity: the fewest windows under a
-    cap — the partition of the greedy capped pass fusion used to be, which
-    the optimal pass reproduces exactly (ties go to the longest first
-    window). For tests and records pinned to that partition."""
-
-    def __init__(self, max_qubits: int):
-        if max_qubits < 1:
-            raise ValueError("max_qubits must be >= 1")
-        self.max_qubits = max_qubits
-
-    def window_cost(self, m: int = 0, itemsize: int = 0) -> WindowCost:
-        def cost(ops: Sequence[Recipe], width: int) -> float:
-            return 1.0 if len(ops) == 1 or width <= self.max_qubits \
-                else math.inf
-        return cost
+def window_cost(m: int, itemsize: int) -> WindowCost:
+    """The pricing of windows on a ``2^m``-amplitude buffer of
+    ``itemsize``-byte amplitudes: what the ops a window emits cost — its
+    own ops for one op or an all-diagonal run (the pass leaves those as
+    they are), else one dense launch over the union."""
+    def cost(ops: Sequence[Recipe], width: int) -> float:
+        if len(ops) == 1 or all(op.diagonal for op in ops):
+            return sum(launch_seconds(*launch_kind(op), m, itemsize)
+                       for op in ops)
+        return launch_seconds("dense_1q" if width == 1 else "generic",
+                              width, m, itemsize)
+    return cost

@@ -13,9 +13,10 @@ import pytest
 from repro.circuits import WORKLOADS as CIRCUIT_REGISTRY
 from repro.circuits import get_workload
 from repro.compile import (MAX_WINDOW_QUBITS, CompileOptions, FusedOp,
-                           WindowCap, compile_gates)
+                           compile_gates)
 from repro.core import MemQSim, MemQSimConfig, get_backend
 from repro.parallel import run_equivalence
+from tests.compile.caps import window_cap
 
 WORKLOADS = ["qft", "grover", "qaoa"]
 
@@ -105,7 +106,7 @@ class TestFusedOpsAreUnitary:
         # windows up to ``width`` qubits, or as the launch-cost model
         # prices them
         circ = get_workload(workload, 8)
-        kw = {} if width == "model" else {"costs": WindowCap(width)}
+        kw = {} if width == "model" else {"pricing": window_cap(width)}
         ops, _ = compile_gates(circ.gates, CompileOptions(fusion=True), **kw)
         widest = max((len(op.qubits) for op in ops
                       if isinstance(op, FusedOp) and op.matrix is not None),

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.circuits import get_workload
-from repro.compile import LAUNCH_COSTS, CompileOptions, compile_stages
+from repro.compile import CompileOptions, compile_stages, launch_seconds
 from repro.compile.cost import LAUNCH_CONSTANTS, launch_kind
 from repro.core.precision import compute_dtype
 from repro.memory import ChunkLayout
@@ -79,8 +79,8 @@ def test_the_model_ranks_widths_as_the_record_does():
             gap = ra["median_s"] - rb["median_s"]
             if abs(gap) <= max(ra["iqr_s"], rb["iqr_s"]):
                 continue  # the record does not tell them apart
-            modelled = (LAUNCH_COSTS.seconds("generic", a, m, itemsize)
-                        - LAUNCH_COSTS.seconds("generic", b, m, itemsize))
+            modelled = (launch_seconds("generic", a, m, itemsize)
+                        - launch_seconds("generic", b, m, itemsize))
             assert (gap < 0) == (modelled < 0), (m, itemsize, a, b)
 
 

@@ -18,7 +18,6 @@ from repro.compile import (
     CompileReport,
     FusedOp,
     GateOp,
-    WindowCap,
     as_ops,
     compile_gates,
     compile_stage,
@@ -30,6 +29,7 @@ from repro.compile.template import GateRecipe
 from repro.memory import ChunkLayout
 from repro.pipeline import plan_stages
 from repro.pipeline.stages import GateStage, PermutationStage
+from tests.compile.caps import window_cap
 
 FUSION = CompileOptions(fusion=True)
 
@@ -143,7 +143,7 @@ class TestMergeDiagonalRuns:
 
 def cap(k):
     """A window cost that reproduces a ``k``-qubit width cap."""
-    return WindowCap(k).window_cost()
+    return window_cap(k)()
 
 
 def greedy_windows(ops, k, can_densify=lambda qs: True):
@@ -229,7 +229,7 @@ class TestCompileGates:
         # in the middle of the batch fuses like any other gate.
         # (Windows capped at 3 qubits; the model fuses ry in as well.)
         c = Circuit(4).h(0).swap(0, 1).cx(1, 2).ry(0.3, 3).swap(2, 3).swap(0, 1)
-        ops, stats = compile_gates(c.gates, FUSION, costs=WindowCap(3))
+        ops, stats = compile_gates(c.gates, FUSION, pricing=window_cap(3))
         assert [op.name for op in ops] == ["fused", "ry", "swap", "swap"]
         assert stats["ops_out"] == 4
         assert_same_effect(c.gates, ops, 4)
@@ -238,7 +238,7 @@ class TestCompileGates:
         assert_same_effect(c.gates, ops, 4)
         # A backward-planned stage opens on them instead.
         c = Circuit(4).swap(0, 1).swap(2, 3).h(0).swap(0, 1).cx(1, 2).ry(0.3, 3)
-        ops, _stats = compile_gates(c.gates, FUSION, costs=WindowCap(3))
+        ops, _stats = compile_gates(c.gates, FUSION, pricing=window_cap(3))
         assert [op.name for op in ops] == ["swap", "swap", "fused", "ry"]
         assert_same_effect(c.gates, ops, 4)
 
@@ -251,8 +251,6 @@ class TestCompileGates:
     def test_options_validation(self):
         with pytest.raises(ValueError, match="max_diag_qubits"):
             CompileOptions(max_diag_qubits=4)
-        with pytest.raises(ValueError, match="max_qubits"):
-            WindowCap(0)
 
 
 class TestCompileStages:

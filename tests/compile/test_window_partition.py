@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.circuits.gates import gate_is_diagonal, make_diagonal_gate, make_gate
-from repro.compile import LAUNCH_COSTS, MAX_WINDOW_QUBITS, as_ops
+from repro.compile import MAX_WINDOW_QUBITS, as_ops, window_cost
 from repro.compile.passes import fuse_windows
 from repro.compile.template import GateRecipe, WindowRecipe
 
@@ -100,8 +100,8 @@ def test_the_pass_finds_the_cheapest_split(seed):
         return blocked not in qs
 
     for _ in range(2):
-        cost = LAUNCH_COSTS.window_cost(int(rng.integers(6, 17)),
-                                        int(rng.choice([8, 16])))
+        cost = window_cost(int(rng.integers(6, 17)),
+                           int(rng.choice([8, 16])))
         out = fuse_windows(ops, cost, can_densify)
         assert cost_of(out, cost) == pytest.approx(
             brute_force(ops, cost, can_densify), rel=1e-12)

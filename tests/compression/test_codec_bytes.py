@@ -9,7 +9,7 @@ The corpus is every chunk ``szlike`` and ``zlib`` are handed while
 
 The lossy runs are fused; their windows are the ones the corpus was
 recorded with, the partition of window fusion capped at 3 qubits
-(:class:`~repro.compile.WindowCap`), not the launch-cost model's, so the
+(``tests/compile/caps.py``), not the launch-cost model's, so the
 corpus is a codec fixture and not a record of the fusion policy.
 
 A run contributes at most :data:`RUN_CAP` distinct chunks and is stopped
@@ -41,12 +41,13 @@ import pytest
 import repro.core.memqsim as facade
 from repro.circuits import (WORKLOADS, Circuit, get_workload, qft,
                             supremacy_brickwork, vqe_ansatz)
-from repro.compile import WindowCap, compile_stages
+from repro.compile import compile_stages
 from repro.compression import SZLikeCompressor, ZlibCompressor
 from repro.compression.interface import split_dtype
 from repro.compression.szlike import blob_entropy
 from repro.core import MemQSim
 from repro.device import DeviceSpec
+from tests.compile.caps import window_cap
 
 LOSSY = {"compressor": "szlike", "compressor_options": {"error_bound": 1e-6}}
 
@@ -115,7 +116,7 @@ def collect_corpus():
             return originals[cls](self, data)
         return compress
 
-    capped = functools.partial(compile_stages, costs=WindowCap(3))
+    capped = functools.partial(compile_stages, pricing=window_cap(3))
     try:
         for cls in originals:
             cls.compress = recording(cls)
