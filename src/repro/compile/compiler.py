@@ -132,12 +132,9 @@ def compile_gates(gates: Sequence[Any],
     ops = as_ops(gates)
     stats = _new_stats(len(ops))
     if opts.fusion:  # off: 1:1, nothing to decide
-        if num_qubits is None:
-            num_qubits = 1 + max((q for op in ops for q in op.qubits),
-                                 default=0)
+        m = num_qubits if num_qubits is not None else _spanned(ops)
         recipes = _lower_batch(ops, [-1] * len(ops), opts, can_densify,
-                               pricing(num_qubits, itemsize),
-                               stats)
+                               pricing(m, itemsize), stats)
         ops = [r.op(None) for r in recipes]
     stats["ops_out"] = len(ops)
     return ops, stats
@@ -151,11 +148,8 @@ def _is_gate_stage(stage: Any) -> bool:
     return hasattr(stage, "group_qubits") and hasattr(stage, "gates")
 
 
-def _buffer_qubits(stage: Any, ops: Sequence[Any], layout: Any) -> int:
-    """Qubits of the buffer the stage's ops run on: its group buffer, or
-    (no layout) just wide enough for the ops."""
-    if layout is not None:
-        return layout.chunk_qubits + len(stage.group_qubits)
+def _spanned(ops: Sequence[Any]) -> int:
+    """Qubits of the narrowest buffer that holds every op's qubits."""
     return 1 + max((q for op in ops for q in op.qubits), default=0)
 
 
@@ -182,7 +176,10 @@ def _lower_stage(stage: Any, layout: Any = None,
         cd = lambda qs, _g=group, _lay=layout: all(
             _lay.is_local(q) or q in _g for q in qs)
     ops = as_ops(stage.gates)
-    cost = pricing(_buffer_qubits(stage, ops, layout), itemsize)
+    # priced on the stage's group buffer (no layout: just wide enough)
+    m = _spanned(ops) if layout is None \
+        else layout.chunk_qubits + len(stage.group_qubits)
+    cost = pricing(m, itemsize)
     slots = getattr(stage, "slots", ())
     if len(slots) != len(ops):  # a hand-built stage: every gate is its own
         slots = [-1] * len(ops)

@@ -338,7 +338,7 @@ class StageScheduler:
                 # lower it here; MemQSim pre-compiles the whole plan.
                 stage, _ = compile_stage(
                     stage, self.layout, self.compile_options,
-                    itemsize=np.dtype(self.pool.dtype).itemsize)
+                    itemsize=self.pool.dtype.itemsize)
             with self.observer.stage(si, "gate", ops=len(stage.ops),
                                      gates=stage.source_gates):
                 self._run_gate_stage(stage, si, groups)
