@@ -10,8 +10,7 @@ at both precisions and gates on
 * wall-time ratio < 1.0 (c64 must actually be faster, not just smaller),
 
 and records the measured fidelity of the c64 run against the dense c128
-oracle. It also times one kernel batch per backend; those timings feed
-``repro.bench.decide``'s corpus lookup for ``backend="auto"``.
+oracle.
 
 Codec choice: the zlib codec is *byte*-bound, so halving the itemsize
 halves its time and the wall gate is meaningful. The szlike quantizer is
@@ -30,9 +29,8 @@ import pytest
 from common import emit_result, print_banner, seconds
 from repro.analysis import Table, format_bytes, format_seconds
 from repro.bench import metric
-from repro.circuits import get_workload, random_circuit
+from repro.circuits import get_workload
 from repro.core import MemQSim, MemQSimConfig
-from repro.core.backend import get_backend
 from repro.device import DeviceSpec
 from repro.telemetry import Telemetry
 
@@ -72,22 +70,6 @@ def run_once(precision: str, n: int = N):
     return moved, arena, wall, res
 
 
-def time_backends(n: int = 10, gates: int = 32):
-    """Seconds per kernel batch for each registered compute backend."""
-    circ = random_circuit(n, gates, seed=7)
-    rng = np.random.default_rng(7)
-    base = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-    base /= np.linalg.norm(base)
-    out = {}
-    for name in ("numpy", "einsum"):
-        buf = base.astype(np.complex128)
-        backend = get_backend(name)
-        t0 = time.perf_counter()
-        backend.apply(buf, list(circ))
-        out[name] = time.perf_counter() - t0
-    return out
-
-
 def generate(n: int = N):
     rows = {}
     walls = {"c128": [], "c64": []}
@@ -121,7 +103,6 @@ def generate(n: int = N):
     t.add("c64/c128", f"{bytes_ratio:.3f}", f"{arena_ratio:.3f}",
           f"{wall_ratio:.3f}", "-")
 
-    backends = time_backends()
     metrics = {
         "c64_bytes_ratio": metric([bytes_ratio], unit="ratio",
                                   direction="lower", tolerance=0.05),
@@ -131,8 +112,6 @@ def generate(n: int = N):
                                  direction="lower", tolerance=0.30),
         "wall_seconds_c128": seconds(*walls["c128"]),
         "wall_seconds_c64": seconds(*walls["c64"]),
-        "backend_numpy_seconds": seconds(backends["numpy"]),
-        "backend_einsum_seconds": seconds(backends["einsum"]),
     }
     gates_ok = bytes_ratio <= BYTES_RATIO_GATE and wall_ratio < WALL_RATIO_GATE
     return t, metrics, {

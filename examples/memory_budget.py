@@ -30,7 +30,6 @@ def main() -> None:
         compressor_options={"error_bound": 1e-7},
         device=DeviceSpec(memory_bytes=64 << 10),
         host=HostSpec(memory_bytes=BUDGET),
-        max_chunk_qubits=11,
     )
 
     print(f"{'qubits':>6} {'dense bytes':>14} {'memqsim peak':>14} {'fits?':>6}")

@@ -14,7 +14,7 @@ machines. Three pieces:
 * ``python -m repro.bench {check,update,report}`` — the CLI regression
   gate (:mod:`repro.bench.__main__`);
 * :mod:`repro.bench.decide` — empirical auto-selection: resolves
-  ``precision="auto"`` / ``backend="auto"`` / ``workers=0`` from the
+  ``precision="auto"`` / ``workers=0`` from the
   host-fingerprint-matched corpus, falling back to one-shot micro-probes.
 
 Workflow::
@@ -26,7 +26,6 @@ Workflow::
 
 from .decide import (
     Decision,
-    decide_backend,
     decide_fusion,
     decide_precision,
     decide_workers,
@@ -78,7 +77,6 @@ __all__ = [
     "DEFAULT_BASELINE_DIR",
     "Decision",
     "decide_precision",
-    "decide_backend",
     "decide_fusion",
     "decide_workers",
     "find_record",

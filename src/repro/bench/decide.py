@@ -1,9 +1,9 @@
 """Empirical auto-selection of config knobs from the bench corpus.
 
-``MemQSimConfig`` exposes three knobs that may be left open —
-``precision="auto"``, ``backend="auto"``, ``workers=0`` — and this module
-closes them, in order of preference (an unset ``fuse_gates`` is closed here
-too, but *derived*, not measured: see :func:`decide_fusion`):
+``MemQSimConfig`` exposes two knobs that may be left open —
+``precision="auto"`` and ``workers=0`` — and this module closes them, in
+order of preference (an unset ``fuse_gates`` is closed here too, but
+*derived*, not measured: see :func:`decide_fusion`):
 
 1. **corpus lookup** — the committed baselines under ``results/baselines/``
    carry a host fingerprint; if a record for the deciding experiment exists
@@ -14,10 +14,10 @@ too, but *derived*, not measured: see :func:`decide_fusion`):
    adopt c64 when it moves at most :data:`BYTES_RATIO_GATE` of the c128
    bytes *and* is not slower (:data:`WALL_RATIO_GATE`).
 2. **micro-probe** — with no compatible baseline, run a one-shot probe on
-   this machine (a tiny streamed circuit at both precisions; a 16-gate
-   kernel batch per backend; the codec-amortization probe for workers).
+   this machine (a tiny streamed circuit at both precisions; the
+   codec-amortization probe for workers).
 3. **default** — if even the probe is inconclusive, keep the conservative
-   default (c128 / numpy / serial) and say why.
+   default (c128 / serial) and say why.
 
 Every choice is returned as a :class:`Decision` carrying the knob, the
 value, the source (``corpus`` | ``probe`` | ``default`` | ``derived``) and a one-line
@@ -45,7 +45,6 @@ __all__ = [
     "load_corpus",
     "find_record",
     "decide_precision",
-    "decide_backend",
     "decide_workers",
     "decide_fusion",
     "resolve_auto_config",
@@ -198,60 +197,6 @@ def _probe_precision() -> Decision:
         f"wall={wall_ratio:.2f} did not clear the gates")
 
 
-# -- backend -----------------------------------------------------------------
-
-
-def decide_backend(
-    corpus_dir: Optional[Union[str, Path]] = None,
-    allow_probe: bool = True,
-) -> Decision:
-    """Pick the kernel backend from BENCH_PR1 timings or a kernel probe."""
-    rec = find_record("PR1", corpus_dir)
-    if rec is not None:
-        t_numpy = _metric_median(rec, "backend_numpy_seconds")
-        t_einsum = _metric_median(rec, "backend_einsum_seconds")
-        if t_numpy is not None and t_einsum is not None:
-            value = "numpy" if t_numpy <= t_einsum else "einsum"
-            return Decision(
-                "backend", value, "corpus",
-                f"BENCH_PR1 on a matching host: numpy={t_numpy * 1e3:.2f}ms "
-                f"vs einsum={t_einsum * 1e3:.2f}ms per kernel batch")
-    if allow_probe:
-        try:
-            return _probe_backend()
-        except Exception as exc:
-            log.warning("decide: backend micro-probe failed: %s", exc)
-    return Decision("backend", "numpy", "default",
-                    "no compatible baseline and no probe; keeping the "
-                    "strided-kernel default")
-
-
-def _probe_backend(num_qubits: int = 10, gates: int = 16) -> Decision:
-    """Time one batch of gates per backend on a small dense buffer."""
-    import numpy as np
-
-    from ..circuits.generators import random_circuit
-    from ..core.backend import get_backend
-
-    circuit = random_circuit(num_qubits, gates, seed=7)
-    rng = np.random.default_rng(7)
-    base = rng.standard_normal(1 << num_qubits) \
-        + 1j * rng.standard_normal(1 << num_qubits)
-    base /= np.linalg.norm(base)
-    timings: Dict[str, float] = {}
-    for name in ("numpy", "einsum"):
-        buf = base.astype(np.complex128)
-        backend = get_backend(name)
-        t0 = time.perf_counter()
-        backend.apply(buf, list(circuit))
-        timings[name] = time.perf_counter() - t0
-    value = min(timings, key=timings.get)
-    return Decision(
-        "backend", value, "probe",
-        f"micro-probe ({gates} gates @ n={num_qubits}): "
-        + " vs ".join(f"{k}={v * 1e3:.2f}ms" for k, v in timings.items()))
-
-
 # -- workers -----------------------------------------------------------------
 
 
@@ -304,9 +249,9 @@ def resolve_auto_config(
 ) -> Tuple[Any, List[Decision]]:
     """Close every open knob on ``config``; returns (concrete, decisions).
 
-    The returned config has ``precision``/``backend``/``fuse_gates``
-    concrete and ``workers >= 1``, so ``plan_key()`` and all downstream
-    sizing math are well-defined. Each decision is logged as one audit line.
+    The returned config has ``precision``/``fuse_gates`` concrete and
+    ``workers >= 1``, so ``plan_key()`` and all downstream sizing math are
+    well-defined. Each decision is logged as one audit line.
     """
     decisions: List[Decision] = []
     updates: Dict[str, Any] = {}
@@ -317,10 +262,6 @@ def resolve_auto_config(
     if config.precision == "auto":
         d = decide_precision(corpus_dir)
         updates["precision"] = d.value
-        decisions.append(d)
-    if config.backend == "auto":
-        d = decide_backend(corpus_dir)
-        updates["backend"] = d.value
         decisions.append(d)
     if config.workers == 0:
         partial = config.with_updates(**updates) if updates else config

@@ -331,9 +331,9 @@ class Circuit:
         u = np.eye(dim, dtype=np.complex128)
         # Apply each gate to the columns of u (each column is a state).
         # Kernels need contiguous buffers, so stage each column through one.
-        from ..core.backend import get_backend  # avoid cycle
+        from ..core.backend import NumpyKernelBackend  # avoid cycle
 
-        be = get_backend("numpy")
+        be = NumpyKernelBackend()
         col = np.empty(dim, dtype=np.complex128)
         for j in range(dim):
             col[:] = u[:, j]

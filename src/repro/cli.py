@@ -81,8 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_codec_args(runp)
     runp.add_argument("--autotune", action="store_true",
                       help="probe chunk sizes on a circuit prefix first")
-    runp.add_argument("--transfer", default="sync",
-                      choices=["sync", "async", "buffer"])
     _add_fusion_args(runp)
     _add_precision_arg(runp)
     runp.add_argument("--cache-chunks", type=int, default=0,
@@ -138,8 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     tracep.add_argument("workload", help=f"one of {sorted(WORKLOADS)}")
     tracep.add_argument("-n", "--qubits", type=int, default=12)
     _add_codec_args(tracep)
-    tracep.add_argument("--transfer", default="sync",
-                        choices=["sync", "async", "buffer"])
     tracep.add_argument("--cache-chunks", type=int, default=0)
     _add_fusion_args(tracep)
     _add_precision_arg(tracep)
@@ -154,8 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     repp.add_argument("workload", help=f"one of {sorted(WORKLOADS)}")
     repp.add_argument("-n", "--qubits", type=int, default=12)
     _add_codec_args(repp)
-    repp.add_argument("--transfer", default="sync",
-                      choices=["sync", "async", "buffer"])
     repp.add_argument("--cache-chunks", type=int, default=0)
     _add_precision_arg(repp)
     _add_parallel_args(repp)
@@ -463,7 +457,6 @@ def _validate_cache_chunks(value: int, minimum: int = 0) -> int:
 #: field's default)
 _CONFIG_ARGS = {
     "chunk_qubits": "chunk_qubits",
-    "transfer": "transfer",
     "fusion": "fuse_gates",
     "precision": "precision",
     "cache_chunks": "cache_chunks",

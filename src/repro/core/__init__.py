@@ -1,6 +1,6 @@
 """MEMQSim core: configuration, backends, simulator, results."""
 
-from .backend import Backend, EinsumBackend, NumpyKernelBackend, get_backend, register_backend
+from .backend import Backend, EinsumBackend, NumpyKernelBackend
 from .config import MemQSimConfig
 from .memqsim import MemQSim, PlanChoice, chunk_loads_from_zero, plan_circuit
 from .plancache import PlanCache
@@ -17,6 +17,4 @@ __all__ = [
     "Backend",
     "NumpyKernelBackend",
     "EinsumBackend",
-    "get_backend",
-    "register_backend",
 ]

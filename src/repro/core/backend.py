@@ -6,7 +6,8 @@ boundary is a one-method interface: a :class:`Backend` applies a batch of
 gates to an amplitude buffer. The chunked pipeline never touches amplitudes
 except through a backend, so swapping the update engine swaps nothing else.
 
-Two implementations ship:
+Two implementations ship (a run builds the first; a new engine is a
+:class:`Backend` subclass handed to :class:`~repro.device.DeviceExecutor`):
 
 * :class:`NumpyKernelBackend` — the production strided/matmul kernels from
   :mod:`repro.statevector.kernels` (the SV-Sim stand-in);
@@ -17,7 +18,7 @@ Two implementations ship:
 from __future__ import annotations
 
 import abc
-from typing import Dict, Sequence, Type
+from typing import Sequence
 
 import numpy as np
 
@@ -29,15 +30,11 @@ __all__ = [
     "NumpyKernelBackend",
     "EinsumBackend",
     "MixedPrecisionBackend",
-    "get_backend",
-    "register_backend",
 ]
 
 
 class Backend(abc.ABC):
     """Applies gate batches to amplitude buffers, in place."""
-
-    name: str = "abstract"
 
     @abc.abstractmethod
     def apply(self, buf: np.ndarray, gates: Sequence[Gate]) -> None:
@@ -57,8 +54,6 @@ class Backend(abc.ABC):
 
 class NumpyKernelBackend(Backend):
     """Default: strided fast paths + single-matmul generic kernel."""
-
-    name = "numpy"
 
     def apply(self, buf: np.ndarray, gates: Sequence[Gate]) -> None:
         for g in gates:
@@ -80,8 +75,6 @@ class NumpyKernelBackend(Backend):
 
 class EinsumBackend(Backend):
     """Reference engine: every gate as an einsum tensor contraction."""
-
-    name = "einsum"
 
     def apply(self, buf: np.ndarray, gates: Sequence[Gate]) -> None:
         m = num_qubits_of(buf)
@@ -134,8 +127,6 @@ class MixedPrecisionBackend(Backend):
     float32 quantization per stage pass instead of one per gate.
     """
 
-    name = "mixed"
-
     def __init__(self, inner: Backend):
         self.inner = inner
 
@@ -153,22 +144,3 @@ class MixedPrecisionBackend(Backend):
         hi = buf.astype(np.complex128)
         run(hi)
         np.copyto(buf, hi.astype(buf.dtype))
-
-
-_BACKENDS: Dict[str, Type[Backend]] = {}
-
-
-def register_backend(cls: Type[Backend]) -> Type[Backend]:
-    _BACKENDS[cls.name] = cls
-    return cls
-
-
-register_backend(NumpyKernelBackend)
-register_backend(EinsumBackend)
-
-
-def get_backend(name: str) -> Backend:
-    try:
-        return _BACKENDS[name]()
-    except KeyError:
-        raise KeyError(f"unknown backend {name!r}; have {sorted(_BACKENDS)}") from None

@@ -14,7 +14,12 @@ from typing import Dict, Optional
 from ..compression.interface import Compressor, get_compressor
 from ..device.spec import DeviceSpec, HostSpec
 
-__all__ = ["MemQSimConfig"]
+__all__ = ["MemQSimConfig", "AUTO_MIN_CHUNKS", "AUTO_MAX_CHUNK_QUBITS"]
+
+#: auto chunk sizing keeps at least this many chunks ...
+AUTO_MIN_CHUNKS = 4
+#: ... and caps a chunk at this many qubits (keeps codec latency sane)
+AUTO_MAX_CHUNK_QUBITS = 14
 
 
 @dataclass(frozen=True)
@@ -23,22 +28,16 @@ class MemQSimConfig:
 
     Attributes:
         chunk_qubits: amplitudes per chunk = ``2^chunk_qubits``; 0 = auto
-            (largest chunk that still leaves >= ``min_chunks`` chunks and
-            fits the device double-buffered).
+            (largest chunk that still leaves >= :data:`AUTO_MIN_CHUNKS`
+            chunks, fits the device double-buffered and has at most
+            :data:`AUTO_MAX_CHUNK_QUBITS` qubits).
         compressor: registry name of the chunk codec.
         compressor_options: kwargs for the codec factory (e.g.
             ``{"error_bound": 1e-5, "mode": "abs"}``).
-        transfer: ``"sync"`` | ``"async"`` | ``"buffer"`` — Table 1's three
-            H2D/D2H strategies.
         device: simulated accelerator spec (capacity enforced).
         host: simulated host spec (its memory budget is enforced).
         num_buffers: staging buffers in the host pool (2 = double buffer).
         enable_permutation_stages: execute global X/SWAP as blob relabeling.
-        min_chunks: auto chunk sizing keeps at least this many chunks.
-        max_chunk_qubits: auto chunk sizing cap (keeps codec latency sane).
-        backend: kernel backend name (``"numpy"`` or ``"einsum"``), or
-            ``"auto"`` — pick empirically from the committed bench corpus
-            (:mod:`repro.bench.decide`).
         precision: amplitude precision — ``"c128"`` (default, complex128
             everywhere), ``"c64"`` (complex64 everywhere: half the bytes
             on every tier edge), ``"mixed"`` (complex64 at rest on every
@@ -95,14 +94,10 @@ class MemQSimConfig:
     chunk_qubits: int = 0
     compressor: str = "szlike"
     compressor_options: Dict[str, object] = field(default_factory=dict)
-    transfer: str = "sync"
     device: DeviceSpec = field(default_factory=DeviceSpec)
     host: HostSpec = field(default_factory=HostSpec)
     num_buffers: int = 2
     enable_permutation_stages: bool = True
-    min_chunks: int = 4
-    max_chunk_qubits: int = 14
-    backend: str = "numpy"
     precision: str = "c128"
     fuse_gates: Optional[bool] = None
     cache_chunks: int = 0
@@ -134,8 +129,8 @@ class MemQSimConfig:
 
     def needs_auto_resolution(self) -> bool:
         """Whether any knob still needs :mod:`repro.bench.decide`."""
-        return (self.precision == "auto" or self.backend == "auto"
-                or self.workers == 0 or self.fuse_gates is None)
+        return (self.precision == "auto" or self.workers == 0
+                or self.fuse_gates is None)
 
     def resolve_workers(self, chunk_size: int = 0) -> int:
         """The effective codec worker count (``workers=0`` probes)."""
@@ -156,14 +151,14 @@ class MemQSimConfig:
                     f"chunk_qubits {self.chunk_qubits} > circuit qubits {num_qubits}"
                 )
             return self.chunk_qubits
-        # Auto: as large as possible subject to (a) >= min_chunks chunks,
-        # (b) double-buffered group-of-2 fits the device, (c) the cap.
+        # Auto: as large as possible subject to (a) >= AUTO_MIN_CHUNKS
+        # chunks, (b) double-buffered group-of-2 fits the device, (c) the cap.
         import math
 
-        by_chunks = num_qubits - max(1, int(math.log2(self.min_chunks)))
+        by_chunks = num_qubits - max(1, int(math.log2(AUTO_MIN_CHUNKS)))
         dev_amps = self.device.memory_bytes // self.storage_itemsize()
         by_device = max(1, int(math.log2(max(2, dev_amps))) - 2)  # 2 bufs x group-of-2
-        c = min(by_chunks, by_device, self.max_chunk_qubits)
+        c = min(by_chunks, by_device, AUTO_MAX_CHUNK_QUBITS)
         return max(1, c)
 
     def with_updates(self, **kwargs) -> "MemQSimConfig":
@@ -172,12 +167,10 @@ class MemQSimConfig:
 
     #: the knobs whose values change what :func:`repro.pipeline.plan_stages`
     #: and :func:`repro.compile.compile_stages` produce. Everything else
-    #: (codec, transfer strategy, workers, caching, monitoring) affects how
+    #: (codec, workers, caching, monitoring) affects how
     #: a plan is *executed*, never the plan itself.
     PLAN_KNOBS = (
         "chunk_qubits",
-        "min_chunks",
-        "max_chunk_qubits",
         "enable_permutation_stages",
         "fuse_gates",
         "precision",
@@ -192,7 +185,7 @@ class MemQSimConfig:
         and fused op stream for any given circuit. Device memory and the
         buffer count participate because they bound the chunk size and
         the group width (``max_group_qubits_for``); execution-only knobs
-        (codec, transfer, workers, cache, monitor) deliberately do not.
+        (codec, workers, cache, monitor) deliberately do not.
         Precision participates because the amplitude itemsize changes
         what fits the device. ``"auto"`` knobs and an unset ``fuse_gates``
         must be resolved first — a plan keyed on an unresolved knob would
@@ -218,7 +211,7 @@ class MemQSimConfig:
         return (
             f"chunk_qubits={self.chunk_qubits or 'auto'} "
             f"precision={self.precision} "
-            f"compressor={self.compressor}({co}) transfer={self.transfer} "
+            f"compressor={self.compressor}({co}) "
             f"device={self.device.memory_bytes // (1 << 20)}MiB "
             f"buffers={self.num_buffers} "
             f"workers={self.workers or 'auto'}"

@@ -38,7 +38,7 @@ from ..compile import (CompileOptions, Hoisted, compile_stages,
                        hoist_permutations)
 from ..device.executor import DeviceExecutor
 from ..device.timeline import Timeline
-from ..device.transfer import make_strategy
+from ..device.transfer import SyncCopy
 from ..memory.accounting import MemoryTracker
 from ..memory.bufferpool import BufferPool
 from ..memory.chunkstore import CompressedChunkStore
@@ -56,7 +56,7 @@ from ..telemetry import (
     get_logger,
     set_run_id,
 )
-from .backend import MixedPrecisionBackend, get_backend
+from .backend import MixedPrecisionBackend, NumpyKernelBackend
 from .config import MemQSimConfig
 from .precision import compute_dtype
 from .plancache import CachedPlan, PlanCache
@@ -246,10 +246,9 @@ class MemQSim:
         t_wall = time.perf_counter()
         decisions = []
         if cfg.needs_auto_resolution():
-            # Close every open knob (precision="auto", backend="auto",
-            # workers=0, an unset fuse_gates) before anything dtype- or
-            # plan-dependent runs; the decisions land in
-            # config_echo["decisions"].
+            # Close every open knob (precision="auto", workers=0, an
+            # unset fuse_gates) before anything dtype- or plan-dependent
+            # runs; the decisions land in config_echo["decisions"].
             from ..bench.decide import resolve_auto_config
 
             cfg, decisions = resolve_auto_config(cfg, num_qubits=n)
@@ -415,17 +414,12 @@ class MemQSim:
         if tel.enabled:
             tel.tracer.attach(timeline)
 
-        transfer = make_strategy(
-            cfg.transfer, max_elements=buffer_amps, telemetry=tel,
-            dtype=dtype,
-        ) if cfg.transfer == "buffer" else make_strategy(
-            cfg.transfer, telemetry=tel)
-        backend = get_backend(cfg.backend)
+        backend = NumpyKernelBackend()
         if cfg.precision == "mixed":
             # c64 at rest on every tier edge; the kernels see c128.
             backend = MixedPrecisionBackend(backend)
         executor = DeviceExecutor(
-            cfg.device, transfer=transfer, timeline=timeline,
+            cfg.device, transfer=SyncCopy(tel), timeline=timeline,
             tracker=tracker, backend=backend, arena=self.arena,
         )
         # The codec pool is a property of the store, not of the loop: an
@@ -516,10 +510,8 @@ class MemQSim:
         config_echo = {
             "chunk_qubits": c,
             "precision": cfg.precision,
-            "backend": cfg.backend,
             "decisions": [d.to_dict() for d in decisions],
             "compressor": cfg.compressor,
-            "transfer": cfg.transfer,
             "cache_chunks": cfg.cache_chunks,
             "cache_policy": cfg.cache_policy,
             "serpentine": cfg.serpentine_groups,

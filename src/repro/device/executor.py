@@ -34,20 +34,6 @@ __all__ = ["DeviceExecutor"]
 log = get_logger(__name__)
 
 
-def _apply_ops(backend, view: np.ndarray, ops: Sequence[object]) -> None:
-    """Run an op batch on ``backend``, tolerating gate-only backends.
-
-    Backends from :mod:`repro.core.backend` expose ``apply_ops``; duck-typed
-    test doubles may only implement ``apply(buf, gates)``, so lower for them.
-    """
-    apply_ops = getattr(backend, "apply_ops", None)
-    if apply_ops is not None:
-        apply_ops(view, ops)
-        return
-    backend.apply(view, [op.to_gate() if hasattr(op, "to_gate") else op
-                         for op in ops])
-
-
 class DeviceExecutor:
     """Simulated GPU: arena + transfer engine + kernels."""
 
@@ -60,8 +46,8 @@ class DeviceExecutor:
         backend=None,
         arena: Optional[DeviceArena] = None,
     ):
-        """``backend`` is any object with ``apply_ops(buf, ops)`` (see
-        :mod:`repro.core.backend`); ``None`` uses the numpy kernels.
+        """``backend`` is a :class:`~repro.core.backend.Backend`; ``None``
+        uses the numpy kernels.
         ``arena`` injects an external (possibly shared, multi-tenant)
         :class:`DeviceArena`; the executor then allocates from it but does
         not own it — :meth:`reset` leaves other tenants' buffers alone."""
@@ -121,7 +107,7 @@ class DeviceExecutor:
         to: its row's ``group``.
         """
         t0 = time.perf_counter()
-        _apply_ops(self.backend, buf.view, ops)
+        self.backend.apply_ops(buf.view, ops)
         dt = time.perf_counter() - t0
         self.timeline.record(Stage.KERNEL, t0, dt, chunk, -1, buf.nbytes,
                              0, len(ops))

@@ -114,12 +114,11 @@ class BufferedCopy(TransferStrategy):
 
     name = "buffer"
 
-    def __init__(self, max_elements: int, telemetry=None,
-                 dtype=np.complex128):
+    def __init__(self, max_elements: int, telemetry=None):
         super().__init__(telemetry)
         if max_elements < 1:
             raise ValueError("max_elements must be >= 1")
-        self._staging = np.empty(max_elements, dtype=np.dtype(dtype))
+        self._staging = np.empty(max_elements, dtype=np.complex128)
 
     @property
     def staging_nbytes(self) -> int:
@@ -142,8 +141,8 @@ class BufferedCopy(TransferStrategy):
         # would be one vectorized permutation here.
 
 
-def make_strategy(name: str, max_elements: int = 0, telemetry=None,
-                  dtype=np.complex128) -> TransferStrategy:
+def make_strategy(name: str, max_elements: int = 0,
+                  telemetry=None) -> TransferStrategy:
     """Factory by name: ``sync`` | ``async`` | ``buffer``."""
     if name == "sync":
         return SyncCopy(telemetry)
@@ -152,5 +151,5 @@ def make_strategy(name: str, max_elements: int = 0, telemetry=None,
     if name == "buffer":
         if max_elements < 1:
             raise ValueError("buffer strategy needs max_elements")
-        return BufferedCopy(max_elements, telemetry, dtype=dtype)
+        return BufferedCopy(max_elements, telemetry)
     raise KeyError(f"unknown transfer strategy {name!r}")

@@ -21,10 +21,11 @@ Every blob is checked against its CRC32 as it is read, so a flipped byte
 anywhere in a blob record raises :class:`StoreFormatError` instead of
 decoding to a wrong state. The loader still reads the two frames written
 before the check: ``MQS1`` (complex128, no itemsize byte) and ``MQS2``,
-both without CRCs. The frame must end with the last blob: a file cut
-short anywhere, or with bytes after it, raises :class:`StoreFormatError`,
-and so does a header whose layout fields disagree with each other or with
-the bytes that follow.
+both without CRCs, and logs one warning that such a frame is unverified.
+The frame must end with the last blob: a file cut short anywhere, or with
+bytes after it, raises :class:`StoreFormatError`, and so does a header
+whose layout fields disagree with each other or with the bytes that
+follow.
 A checkpoint is written to a temporary file beside ``path`` and renamed
 over it, so ``path`` holds either the old checkpoint or the new one.
 
@@ -153,6 +154,10 @@ def load_store(
     if magic not in (_MAGIC, _MAGIC_V2, _MAGIC_V1):
         raise StoreFormatError("not a MEMQSim store checkpoint")
     checked = magic == _MAGIC
+    if not checked:
+        log.warning("%s is a legacy %s checkpoint: its blobs carry no CRC32 "
+                    "and are loaded unverified; saving it again writes %s",
+                    path, magic.decode(), _MAGIC.decode())
     if magic != _MAGIC_V1:
         (itemsize,) = frame.unpack("<B")
         if itemsize not in (8, 16):

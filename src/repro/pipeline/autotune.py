@@ -59,18 +59,19 @@ def autotune_chunk_qubits(
             codec settings are used as-is, ``chunk_qubits`` is overridden
             per candidate.
         candidates: chunk sizes to try (default: every feasible size from
-            2 up to ``min(n - 1, max_chunk_qubits)``).
+            2 up to ``min(n - 1, AUTO_MAX_CHUNK_QUBITS)``).
         probe_gates: prefix length per probe.
 
     Returns:
         a :class:`TuneReport`; apply with
         ``config.with_updates(chunk_qubits=report.best_chunk_qubits)``.
     """
-    from ..core.memqsim import MemQSim  # late import: avoid cycle
+    from ..core.config import AUTO_MAX_CHUNK_QUBITS  # late: avoid cycle
+    from ..core.memqsim import MemQSim
 
     n = circuit.num_qubits
     if candidates is None:
-        hi = min(n - 1, config.max_chunk_qubits)
+        hi = min(n - 1, AUTO_MAX_CHUNK_QUBITS)
         # The chunk (doubled for a group of 2, double-buffered) must fit
         # the device — at the resolved precision's itemsize, so c64 runs
         # probe chunk sizes a full qubit larger.

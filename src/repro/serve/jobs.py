@@ -64,7 +64,6 @@ CONFIG_OVERRIDES = {
     "compressor": "compressor",
     "error_bound": None,  # -> compressor_options["error_bound"]
     "chunk_qubits": "chunk_qubits",
-    "transfer": "transfer",
     "fusion": "fuse_gates",
     "fuse_gates": "fuse_gates",
     "cache_chunks": "cache_chunks",
@@ -172,14 +171,15 @@ class Job:
         #: one tenant's firehose cannot drown another's.
         self.telemetry = Telemetry()
         self.structural_hash = circuit.structural_hash()
-        # Keyed as the run will be: on what the open knobs (an unset
-        # fuse_gates) resolve to, so a lossy tenant's fused plan and a
-        # lossless tenant's unfused one never alias. The job keeps the
+        # Keyed and leased as the run will be: on what the open knobs (an
+        # unset fuse_gates, precision="auto") resolve to, so a lossy
+        # tenant's fused plan and a lossless tenant's unfused one never
+        # alias and the lease has the resolved itemsize. The job keeps the
         # config as submitted; its run resolves and echoes the decisions.
-        self.plan_key = resolve_auto_config(
-            config, circuit.num_qubits)[0].plan_key()
+        resolved = resolve_auto_config(config, circuit.num_qubits)[0]
+        self.plan_key = resolved.plan_key()
         self.lease_amplitudes = device_lease_amplitudes(
-            circuit.num_qubits, config)
+            circuit.num_qubits, resolved)
         self.lease = None  # ArenaLease once admitted
         self.result = None  # MemQSimResult once done
         self.counts: Optional[Dict[str, int]] = None

@@ -6,7 +6,6 @@ import pytest
 
 from repro.bench import (
     Decision,
-    decide_backend,
     decide_precision,
     decide_workers,
     find_record,
@@ -22,16 +21,13 @@ from repro.bench.schema import host_fingerprint
 from repro.core.config import MemQSimConfig
 
 
-def write_pr1(corpus_dir, *, bytes_ratio=0.50, wall_ratio=0.85,
-              numpy_s=0.002, einsum_s=0.008, host=None):
+def write_pr1(corpus_dir, *, bytes_ratio=0.50, wall_ratio=0.85, host=None):
     """Drop a synthetic BENCH_PR1 record into ``corpus_dir``."""
     doc = make_result(
         "PR1", title="synthetic precision record",
         metrics={
             "c64_bytes_ratio": metric([bytes_ratio], unit="ratio"),
             "c64_wall_ratio": metric([wall_ratio], unit="ratio"),
-            "backend_numpy_seconds": metric([numpy_s], unit="s"),
-            "backend_einsum_seconds": metric([einsum_s], unit="s"),
         })
     if host is not None:
         doc["host"] = host
@@ -103,26 +99,6 @@ class TestDecidePrecision:
         assert "micro-probe" in d.rationale
 
 
-class TestDecideBackend:
-    def test_corpus_picks_faster_backend(self, tmp_path):
-        write_pr1(tmp_path, numpy_s=0.002, einsum_s=0.008)
-        d = decide_backend(tmp_path, allow_probe=False)
-        assert (d.value, d.source) == ("numpy", "corpus")
-
-        write_pr1(tmp_path, numpy_s=0.009, einsum_s=0.001)
-        d = decide_backend(tmp_path, allow_probe=False)
-        assert (d.value, d.source) == ("einsum", "corpus")
-
-    def test_no_corpus_no_probe_defaults_numpy(self, tmp_path):
-        d = decide_backend(tmp_path, allow_probe=False)
-        assert (d.value, d.source) == ("numpy", "default")
-
-    def test_probe_returns_registered_backend(self, tmp_path):
-        d = decide_backend(tmp_path, allow_probe=True)
-        assert d.source == "probe"
-        assert d.value in ("numpy", "einsum")
-
-
 class TestDecideWorkers:
     def test_returns_positive_worker_count(self):
         d = decide_workers(MemQSimConfig(compressor="zlib"))
@@ -140,17 +116,15 @@ class TestResolveAutoConfig:
 
     def test_all_knobs_closed(self, tmp_path):
         write_pr1(tmp_path)
-        cfg = MemQSimConfig(chunk_qubits=4, precision="auto",
-                            backend="auto", workers=0, fuse_gates=False)
+        cfg = MemQSimConfig(chunk_qubits=4, precision="auto", workers=0,
+                            fuse_gates=False)
         assert cfg.needs_auto_resolution()
         resolved, decisions = resolve_auto_config(
             cfg, num_qubits=8, corpus_dir=tmp_path)
         assert not resolved.needs_auto_resolution()
         assert resolved.precision in ("c64", "c128")
-        assert resolved.backend in ("numpy", "einsum")
         assert resolved.workers >= 1
-        assert [d.knob for d in decisions] == ["precision", "backend",
-                                               "workers"]
+        assert [d.knob for d in decisions] == ["precision", "workers"]
         resolved.plan_key()  # well-defined after resolution
 
     @pytest.mark.parametrize("compressor, lossy", [("szlike", True),

@@ -13,12 +13,17 @@ import pytest
 from repro.circuits import WORKLOADS as CIRCUIT_REGISTRY
 from repro.circuits import get_workload
 from repro.compile import (MAX_WINDOW_QUBITS, CompileOptions, FusedOp,
-                           compile_gates)
-from repro.core import MemQSim, MemQSimConfig, get_backend
+                           compile_gates, compile_stages)
+from repro.core import (EinsumBackend, MemQSim, MemQSimConfig,
+                        NumpyKernelBackend)
 from repro.parallel import run_equivalence
+from repro.pipeline import plan_stages
+from repro.statevector import DenseSimulator
 from tests.compile.caps import window_cap
+from tests.pipeline.test_scheduler import build_rig
 
 WORKLOADS = ["qft", "grover", "qaoa"]
+BACKENDS = {"numpy": NumpyKernelBackend, "einsum": EinsumBackend}
 
 
 def random_state(n, seed=3):
@@ -28,14 +33,14 @@ def random_state(n, seed=3):
 
 
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("backend", ["numpy", "einsum"])
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
     @pytest.mark.parametrize("workload", WORKLOADS)
     def test_fused_matches_unfused(self, backend, workload):
         n = 6
         circ = get_workload(workload, n)
         ops, stats = compile_gates(circ.gates, CompileOptions(fusion=True))
         assert stats["ops_out"] < stats["gates_in"]
-        be = get_backend(backend)
+        be = BACKENDS[backend]()
         ref = random_state(n)
         fused = ref.copy()
         be.apply(ref, circ.gates)
@@ -48,8 +53,8 @@ class TestBackendEquivalence:
         ops, _ = compile_gates(circ.gates, CompileOptions(fusion=True))
         a = random_state(n)
         b = a.copy()
-        get_backend("numpy").apply_ops(a, ops)
-        get_backend("einsum").apply_ops(b, ops)
+        NumpyKernelBackend().apply_ops(a, ops)
+        EinsumBackend().apply_ops(b, ops)
         np.testing.assert_allclose(a, b, atol=1e-10)
 
 
@@ -68,11 +73,13 @@ class TestEndToEndEquivalence:
 
     def test_einsum_backend_runs_fused_pipeline(self):
         circ = get_workload("qft", 7)
-        cfg = MemQSimConfig(chunk_qubits=4, compressor="zlib",
-                            fuse_gates=True, backend="einsum")
-        res = MemQSim(cfg).run(circ)
-        ref = MemQSim(MemQSimConfig(chunk_qubits=4, compressor="zlib")).run(circ)
-        np.testing.assert_allclose(res.statevector(), ref.statevector(),
+        lay, store, sched = build_rig(7, 4, backend=EinsumBackend())
+        plan = compile_stages(plan_stages(circ, lay, 2), lay,
+                              CompileOptions(fusion=True))
+        assert plan.report.ops_out < plan.report.gates_in
+        sched.run(plan.stages)
+        np.testing.assert_allclose(store.to_statevector(),
+                                   DenseSimulator().run(circ).data,
                                    atol=1e-10)
 
 

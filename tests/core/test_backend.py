@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import make_diagonal_gate, make_gate, random_circuit
-from repro.core import EinsumBackend, NumpyKernelBackend, get_backend, register_backend
+from repro.core import EinsumBackend, NumpyKernelBackend
 from repro.core.backend import Backend
 
 
@@ -12,23 +12,6 @@ def rand_state(n, seed=0):
     g = np.random.default_rng(seed)
     v = g.standard_normal(1 << n) + 1j * g.standard_normal(1 << n)
     return v / np.linalg.norm(v)
-
-
-class TestRegistry:
-    def test_get_by_name(self):
-        assert isinstance(get_backend("numpy"), NumpyKernelBackend)
-        assert isinstance(get_backend("einsum"), EinsumBackend)
-
-    def test_unknown(self):
-        with pytest.raises(KeyError):
-            get_backend("cuda")
-
-    def test_register_custom(self):
-        class MyBackend(NumpyKernelBackend):
-            name = "custom-test"
-
-        register_backend(MyBackend)
-        assert isinstance(get_backend("custom-test"), MyBackend)
 
 
 class TestCrossValidation:

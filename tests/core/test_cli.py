@@ -17,6 +17,13 @@ class TestParser:
         assert "unrecognized arguments: --max-fuse-qubits" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "trace", "report"])
+    def test_no_transfer_flag(self, command, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "qft", "--transfer", "sync"])
+        assert "unrecognized arguments: --transfer" \
+            in capsys.readouterr().err
+
     def test_run_defaults(self):
         args = build_parser().parse_args(["run", "qft"])
         assert args.workload == "qft"

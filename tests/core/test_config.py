@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import MemQSimConfig
+from repro.core.config import AUTO_MAX_CHUNK_QUBITS, AUTO_MIN_CHUNKS
 from repro.device import DeviceSpec, HostSpec
 
 
@@ -10,7 +11,6 @@ class TestDefaults:
     def test_default_construction(self):
         cfg = MemQSimConfig()
         assert cfg.compressor == "szlike"
-        assert cfg.transfer == "sync"
         assert cfg.num_buffers == 2
 
     def test_make_compressor(self):
@@ -40,9 +40,11 @@ class TestChunkResolution:
             MemQSimConfig(chunk_qubits=12).resolve_chunk_qubits(10)
 
     def test_auto_keeps_min_chunks(self):
-        cfg = MemQSimConfig(min_chunks=4, device=DeviceSpec(memory_bytes=1 << 30))
-        c = cfg.resolve_chunk_qubits(10)
-        assert (1 << (10 - c)) >= 4
+        # a device that never binds: only the chunk count limits the size
+        cfg = MemQSimConfig(device=DeviceSpec(memory_bytes=1 << 30))
+        assert AUTO_MIN_CHUNKS == 4
+        for n in (3, 10, 16):
+            assert 1 << (n - cfg.resolve_chunk_qubits(n)) == 4
 
     def test_auto_respects_device(self):
         # Tiny device: chunk must shrink so 2 group-of-2 buffers fit.
@@ -52,8 +54,10 @@ class TestChunkResolution:
         assert c <= 6
 
     def test_auto_cap(self):
-        cfg = MemQSimConfig(max_chunk_qubits=5, device=DeviceSpec(memory_bytes=1 << 30))
-        assert cfg.resolve_chunk_qubits(30) == 5
+        cfg = MemQSimConfig(device=DeviceSpec(memory_bytes=1 << 30))
+        assert AUTO_MAX_CHUNK_QUBITS == 14
+        assert cfg.resolve_chunk_qubits(17) == 14
+        assert cfg.resolve_chunk_qubits(30) == 14
 
     def test_auto_minimum_one(self):
         cfg = MemQSimConfig()

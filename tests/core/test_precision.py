@@ -5,11 +5,7 @@ import numpy as np
 import pytest
 
 from repro.compression import get_compressor
-from repro.core.backend import (
-    MixedPrecisionBackend,
-    NumpyKernelBackend,
-    get_backend,
-)
+from repro.core.backend import MixedPrecisionBackend, NumpyKernelBackend
 from repro.core.config import MemQSimConfig
 from repro.core.precision import (
     DEFAULT_PRECISION,
@@ -122,11 +118,6 @@ class TestMixedBackend:
         buf[0] = 1.0
         MixedPrecisionBackend(NumpyKernelBackend()).apply(buf, circ)
         assert np.array_equal(buf, ref)  # no extra rounding step
-
-    def test_not_registered(self):
-        # mixed is a wrapper applied by the engine, not a named backend
-        with pytest.raises(KeyError):
-            get_backend("mixed")
 
 
 class TestPersistC64:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import gate_matrix, make_gate
+from repro.core import Backend
 from repro.device import (
     DeviceExecutor,
     DeviceOutOfMemory,
@@ -93,7 +94,7 @@ class TestTelemetry:
     def test_backend_pluggable(self):
         calls = []
 
-        class SpyBackend:
+        class SpyBackend(Backend):
             def apply(self, view, gates):
                 calls.append(len(gates))
 

@@ -1,11 +1,10 @@
 """Config-interaction matrix: every feature combination must stay exact.
 
-Cache, serpentine ordering, fusion, permutation stages, transfer
-strategies and the disk store each reroute the same chunk traffic through
-different code paths; this matrix asserts that *any*
-combination still reproduces the dense baseline bit-for-bit (lossless
-codec), plus a lossy + everything-on smoke check against the fidelity
-floor.
+Cache, serpentine ordering, fusion, permutation stages and the disk
+store each reroute the same chunk traffic through different code paths;
+this matrix asserts that *any* combination still reproduces the dense
+baseline bit-for-bit (lossless codec), plus a lossy + everything-on smoke
+check against the fidelity floor.
 """
 
 import itertools
@@ -39,7 +38,6 @@ def base_config(**kw) -> MemQSimConfig:
 AXES = {
     "cache_chunks": [0, 8],
     "fuse_gates": [False, True],
-    "transfer": ["sync", "buffer"],
 }
 
 
@@ -71,7 +69,7 @@ class TestConfigMatrix:
     def test_permutations_off_with_everything_on(self):
         cfg = base_config(
             enable_permutation_stages=False, cache_chunks=8,
-            fuse_gates=True, transfer="buffer",
+            fuse_gates=True,
         )
         got = MemQSim(cfg).run(CIRCUIT).statevector()
         assert np.allclose(got, REF, atol=1e-12)
@@ -87,7 +85,7 @@ class TestConfigMatrix:
         cfg = base_config(
             compressor="szlike",
             compressor_options={"error_bound": 1e-8},
-            cache_chunks=8, fuse_gates=True, transfer="buffer",
+            cache_chunks=8, fuse_gates=True,
         )
         res = MemQSim(cfg).run(CIRCUIT)
         f = res.fidelity_vs(REF)

@@ -10,9 +10,12 @@ import numpy as np
 import pytest
 
 from repro.circuits import WORKLOADS, get_workload
-from repro.core import MemQSim, MemQSimConfig
-from repro.device import DeviceSpec, HostSpec
+from repro.compile import compile_stages
+from repro.core import EinsumBackend, MemQSim, MemQSimConfig
+from repro.device import DeviceSpec, HostSpec, make_strategy
+from repro.pipeline import plan_stages
 from repro.statevector import DenseSimulator
+from tests.pipeline.test_scheduler import build_rig
 
 N = 8
 
@@ -43,9 +46,14 @@ class TestLosslessEquivalence:
 
     @pytest.mark.parametrize("transfer", ["sync", "buffer"])
     def test_transfer_strategies(self, references, transfer):
+        # a run always copies synchronously; Table 1's buffered strategy
+        # must carry a streamed plan just as exactly
         circ = get_workload("random", N)
-        got = MemQSim(tight(4, transfer=transfer)).run(circ).statevector()
-        assert np.allclose(got, references["random"], atol=1e-12)
+        lay, store, sched = build_rig(
+            N, 4, transfer=make_strategy(transfer, max_elements=1 << 6))
+        sched.run(compile_stages(plan_stages(circ, lay, 2), lay).stages)
+        assert np.allclose(store.to_statevector(), references["random"],
+                           atol=1e-12)
 
     def test_permutations_disabled_same_result(self, references):
         circ = get_workload("grover", N)
@@ -53,9 +61,12 @@ class TestLosslessEquivalence:
         assert np.allclose(got, references["grover"], atol=1e-12)
 
     def test_einsum_backend(self, references):
+        # the einsum oracle runs the planned, compiled, streamed stages
         circ = get_workload("supremacy", N)
-        got = MemQSim(tight(4, backend="einsum")).run(circ).statevector()
-        assert np.allclose(got, references["supremacy"], atol=1e-10)
+        lay, store, sched = build_rig(N, 4, backend=EinsumBackend())
+        sched.run(compile_stages(plan_stages(circ, lay, 2), lay).stages)
+        assert np.allclose(store.to_statevector(), references["supremacy"],
+                           atol=1e-10)
 
     @pytest.mark.parametrize("codec", ["lzma", "bz2", "null"])
     def test_other_lossless_codecs(self, references, codec):

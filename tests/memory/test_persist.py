@@ -1,5 +1,6 @@
 """Unit tests for chunk-store persistence (checkpoint/restore)."""
 
+import logging
 import struct
 
 import numpy as np
@@ -228,8 +229,9 @@ class TestBlobPayloadsAreChecked:
 
 
 class TestOlderFrames:
-    """``MQS1`` / ``MQS2`` checkpoints written before the CRCs still load;
-    a magic this build does not know does not."""
+    """``MQS1`` / ``MQS2`` checkpoints written before the CRCs still load,
+    with one warning that they are unverified; a magic this build does not
+    know does not load."""
 
     @pytest.mark.parametrize("precision", ["c128", "c64"])
     def test_legacy_frame_loads_the_same_state(self, tmp_path, precision):
@@ -242,6 +244,32 @@ class TestOlderFrames:
         assert back.layout.itemsize == store.layout.itemsize
         assert np.array_equal(back.to_statevector(), store.to_statevector())
         assert back.zero_blob_bytes() == store.zero_blob_bytes()
+
+    @pytest.mark.parametrize("precision", ["c128", "c64"])
+    def test_legacy_frame_warns_it_is_unverified(self, tmp_path, precision,
+                                                 caplog):
+        p, _data = checkpoint_of(tmp_path, precision)
+        store = load_store(p, get_compressor("zlib"))
+        old = tmp_path / "old.mqs"
+        old.write_bytes(legacy_frame(
+            store, None if precision == "c128" else store.layout.itemsize))
+        caplog.set_level(logging.WARNING, logger="repro.memory.persist")
+        load_store(old, get_compressor("zlib"))
+        (warning,) = [r for r in caplog.records
+                      if r.levelno >= logging.WARNING]
+        magic = "MQS1" if precision == "c128" else "MQS2"
+        assert magic in warning.getMessage()
+        assert "CRC32" in warning.getMessage()
+        assert "writes MQS3" in warning.getMessage()
+
+    @pytest.mark.parametrize("precision", ["c128", "c64"])
+    def test_a_checked_frame_does_not_warn(self, tmp_path, precision,
+                                           caplog):
+        p, _data = checkpoint_of(tmp_path, precision)
+        caplog.set_level(logging.WARNING, logger="repro.memory.persist")
+        load_store(p, get_compressor("zlib"))
+        assert [r for r in caplog.records
+                if r.levelno >= logging.WARNING] == []
 
     @pytest.mark.parametrize("magic", [b"MQS0", b"MQS4", b"MQS\x03"])
     def test_unknown_magic(self, tmp_path, magic):

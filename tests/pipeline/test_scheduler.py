@@ -98,7 +98,13 @@ class TestRemapGate:
         assert remap_gate_for_group(g, self.lay, pl, 0) is None
 
 
-def build_rig(n=8, c=3, codec="zlib", dev_amps=None):
+def build_rig(n=8, c=3, codec="zlib", dev_amps=None, backend=None,
+              transfer=None):
+    """A streamed rig on a zero state: ``(layout, store, scheduler)``.
+
+    The default device holds a group of two global qubits; ``backend``
+    and ``transfer`` go to the :class:`DeviceExecutor` (numpy kernels and
+    sync copies when ``None``)."""
     lay = ChunkLayout(n, c)
     tracker = MemoryTracker()
     store = CompressedChunkStore(lay, get_compressor(codec), tracker)
@@ -107,7 +113,8 @@ def build_rig(n=8, c=3, codec="zlib", dev_amps=None):
         dev_amps = (1 << c) * 8
     timeline = Timeline()
     ex = DeviceExecutor(DeviceSpec(memory_bytes=dev_amps * 16),
-                        timeline=timeline, tracker=tracker)
+                        transfer=transfer, timeline=timeline,
+                        tracker=tracker, backend=backend)
     pool = BufferPool(2, dev_amps // 2, tracker)
     sched = StageScheduler(lay, store, ex, pool, timeline)
     return lay, store, sched

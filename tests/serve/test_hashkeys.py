@@ -136,8 +136,6 @@ class TestPlanKey:
 
     @pytest.mark.parametrize("field, value", [
         ("chunk_qubits", 7),
-        ("min_chunks", 8),
-        ("max_chunk_qubits", 10),
         ("enable_permutation_stages", False),
         ("fuse_gates", True),
     ])
@@ -147,7 +145,6 @@ class TestPlanKey:
 
     @pytest.mark.parametrize("field, value", [
         ("compressor", "zlib"),
-        ("transfer", "async"),
         ("workers", 4),
         ("host_store_mb", 0.5),
         ("disk_path", "blobs.log"),

@@ -116,7 +116,9 @@ class TestConfigSurface:
     argument's paper trail. (26 before the store/engine/shm-threshold
     knobs became derived values, 23 before the simulated CPU-offload and
     multi-device paths left the run, 21 before window fusion priced its
-    windows instead of capping them at ``max_fuse_qubits``.)"""
+    windows instead of capping them at ``max_fuse_qubits``, 20 before the
+    kernel backend, the transfer strategy and the auto chunk-sizing limits
+    stopped being knobs.)"""
 
     def test_knob_count_and_documentation(self):
         import dataclasses
@@ -124,10 +126,41 @@ class TestConfigSurface:
         from repro.core import MemQSimConfig
 
         fields = [f.name for f in dataclasses.fields(MemQSimConfig)]
-        assert len(fields) == 20, fields
+        assert len(fields) == 16, fields
         api = (REPO / "docs" / "api.md").read_text()
         undocumented = [f for f in fields if f"`{f}`" not in api]
         assert not undocumented, f"not in docs/api.md: {undocumented}"
+
+
+class TestNoUnturnedKnobs:
+    """A run builds the numpy kernels and copies synchronously, and auto
+    chunk sizing has fixed limits: the backend registry and its auto
+    resolution, the transfer flag and the sizing knobs are gone, and no
+    copy of them may come back. ``Backend``, ``EinsumBackend`` and
+    Table 1's strategies stay, handed to a ``DeviceExecutor`` directly."""
+
+    GONE = (
+        "get_backend", "register_backend", "decide_backend",
+        "_probe_backend", "min_chunks", "max_chunk_qubits", "--transfer",
+    )
+
+    def test_deleted_names_stay_deleted(self):
+        api = (REPO / "docs/api.md").read_text()
+        # docs/api.md keeps the one list of what was removed: the
+        # "### Removed in ..." section that names this guard
+        start = api.rindex("\n### Removed in", 0, api.index(type(self).__name__))
+        end = api.find("\n## ", start)
+        head, listed, tail = api[:start], api[start:end], api[end:]
+        assert [name for name in self.GONE if name not in listed] == []
+        texts = {"docs/api.md": head + tail}
+        files = [REPO / "README.md", REPO / "DESIGN.md"]
+        files += [p for p in sorted((REPO / "docs").glob("*.md"))
+                  if p.name != "api.md"]
+        files += sorted((REPO / "src").rglob("*.py"))
+        texts.update({str(p.relative_to(REPO)): p.read_text() for p in files})
+        hits = [f"{where}: {name}" for where, text in texts.items()
+                for name in self.GONE if name in text]
+        assert not hits, hits
 
 
 class TestOneStageEngine:
