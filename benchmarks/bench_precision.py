@@ -42,7 +42,7 @@ REPEATS = 3
 #: the pytest targets run below N but must keep at least a few chunks of CHUNK
 TEST_N = CHUNK + 2
 
-#: the adoption gates (mirrored by repro.bench.decide)
+#: the adoption gates: c64 is worth choosing when both hold
 BYTES_RATIO_GATE = 0.55
 WALL_RATIO_GATE = 1.0
 

@@ -173,15 +173,19 @@ def test_serve_warm_submission(benchmark):
     mgr = ServeManager(base_config(9), Telemetry())
     try:
         _wait_all(mgr, [mgr.submit({"workload": WORKLOAD, "qubits": 9})])
+        # pedantic calls one_job `rounds` times, but once under
+        # --benchmark-disable: count what ran
+        calls = []
 
         def one_job():
             job = mgr.submit({"workload": WORKLOAD, "qubits": 9})
             _wait_all(mgr, [job])
+            calls.append(job)
             return job
 
         job = benchmark.pedantic(one_job, rounds=3, iterations=1)
         assert job.state == "done"
-        assert mgr.plan_cache.stats()["hits"] >= 3
+        assert mgr.plan_cache.stats()["hits"] == len(calls) >= 1
     finally:
         mgr.shutdown()
 

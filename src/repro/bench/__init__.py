@@ -12,10 +12,7 @@ machines. Three pieces:
   (median-of-repeats, per-metric relative tolerance, host-mismatch
   demotion);
 * ``python -m repro.bench {check,update,report}`` — the CLI regression
-  gate (:mod:`repro.bench.__main__`);
-* :mod:`repro.bench.decide` — empirical auto-selection: resolves
-  ``precision="auto"`` / ``workers=0`` from the
-  host-fingerprint-matched corpus, falling back to one-shot micro-probes.
+  gate (:mod:`repro.bench.__main__`).
 
 Workflow::
 
@@ -24,15 +21,6 @@ Workflow::
     python -m repro.bench update               # promote current numbers
 """
 
-from .decide import (
-    Decision,
-    decide_fusion,
-    decide_precision,
-    decide_workers,
-    find_record,
-    load_corpus,
-    resolve_auto_config,
-)
 from .baseline import (
     DEFAULT_BASELINE_DIR,
     DEFAULT_RESULTS_DIR,
@@ -75,11 +63,4 @@ __all__ = [
     "update_baselines",
     "DEFAULT_RESULTS_DIR",
     "DEFAULT_BASELINE_DIR",
-    "Decision",
-    "decide_precision",
-    "decide_fusion",
-    "decide_workers",
-    "find_record",
-    "load_corpus",
-    "resolve_auto_config",
 ]

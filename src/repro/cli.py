@@ -313,12 +313,10 @@ def _serve_url(args) -> str:
 
 def _add_precision_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--precision", default="c128",
-                   choices=["c128", "c64", "mixed", "auto"],
+                   choices=["c128", "c64", "mixed"],
                    help="amplitude precision: complex128 (default), "
-                        "complex64 (half the bytes on every tier edge), "
-                        "mixed (c64 at rest, c128 kernel accumulation), or "
-                        "auto (resolve empirically from the bench corpus / "
-                        "a micro-probe)")
+                        "complex64 (half the bytes on every tier edge), or "
+                        "mixed (c64 at rest, c128 kernel accumulation)")
 
 
 def _add_fusion_args(p: argparse.ArgumentParser) -> None:

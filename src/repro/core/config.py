@@ -2,8 +2,8 @@
 
 One frozen dataclass gathers every knob the system exposes; everything has
 a sensible default so ``MemQSim()`` works out of the box. The config also
-hosts the *auto* policies: chunk-size selection against the device spec and
-derived pool sizing.
+hosts the *auto* policies: chunk-size selection against the device spec,
+derived pool sizing and fusion derived from the codec.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from typing import Dict, Optional
 
 from ..compression.interface import Compressor, get_compressor
 from ..device.spec import DeviceSpec, HostSpec
+from .precision import validate_precision
 
 __all__ = ["MemQSimConfig", "AUTO_MIN_CHUNKS", "AUTO_MAX_CHUNK_QUBITS"]
 
@@ -41,11 +42,10 @@ class MemQSimConfig:
         precision: amplitude precision — ``"c128"`` (default, complex128
             everywhere), ``"c64"`` (complex64 everywhere: half the bytes
             on every tier edge), ``"mixed"`` (complex64 at rest on every
-            tier edge, complex128 accumulation inside the kernels), or
-            ``"auto"`` (resolve from the bench corpus / micro-probe via
-            :mod:`repro.bench.decide`). Plan-relevant: the element size
-            changes what fits the device, so it participates in
-            :meth:`plan_key`.
+            tier edge, complex128 accumulation inside the kernels); any
+            other value is refused when the config is built.
+            Plan-relevant: the element size changes what fits the device,
+            so it participates in :meth:`plan_key`.
         fuse_gates: run the gate-fusion compile passes (1q folding,
             diagonal merging, window fusion) when lowering the plan; off
             still compiles, 1:1 gate-to-op. ``None`` (default) derives it
@@ -53,10 +53,9 @@ class MemQSimConfig:
             run already differs from dense by the error bound at every
             stage, so fewer, fatter ops cost nothing — off when it is
             lossless, which keeps the run bit-identical to
-            :class:`~repro.statevector.DenseSimulator`. Plan-relevant, so
-            :meth:`plan_key` wants it resolved
-            (:func:`repro.bench.decide.resolve_auto_config`, which a
-            :class:`~repro.core.MemQSim` run goes through).
+            :class:`~repro.statevector.DenseSimulator`.
+            :meth:`resolve_fuse_gates` is that rule; a run and
+            :meth:`plan_key` read the value it returns.
         cache_chunks: if > 0, keep this many decompressed chunks resident
             in a write-back cache (design challenge 3 — data locality);
             hits skip the codec entirely.
@@ -108,15 +107,22 @@ class MemQSimConfig:
     workers: int = 1
     monitor_interval_ms: float = 0.0
 
+    def __post_init__(self):
+        validate_precision(self.precision)
+
     def make_compressor(self) -> Compressor:
         return get_compressor(self.compressor, **self.compressor_options)
 
-    def storage_dtype(self):
-        """The at-rest amplitude dtype for the resolved precision.
+    def resolve_fuse_gates(self) -> bool:
+        """The effective ``fuse_gates``: as named, else the codec's
+        ``is_lossy``. Read on demand, never stored, so a
+        :meth:`with_updates` that swaps the codec derives afresh."""
+        if self.fuse_gates is not None:
+            return self.fuse_gates
+        return self.make_compressor().is_lossy
 
-        Raises if precision is still ``"auto"`` — resolve through
-        :func:`repro.bench.decide.resolve_auto_config` first.
-        """
+    def storage_dtype(self):
+        """The at-rest amplitude dtype for this precision."""
         from .precision import storage_dtype
 
         return storage_dtype(self.precision)
@@ -126,11 +132,6 @@ class MemQSimConfig:
         from .precision import storage_itemsize
 
         return storage_itemsize(self.precision)
-
-    def needs_auto_resolution(self) -> bool:
-        """Whether any knob still needs :mod:`repro.bench.decide`."""
-        return (self.precision == "auto" or self.workers == 0
-                or self.fuse_gates is None)
 
     def resolve_workers(self, chunk_size: int = 0) -> int:
         """The effective codec worker count (``workers=0`` probes)."""
@@ -187,20 +188,15 @@ class MemQSimConfig:
         the group width (``max_group_qubits_for``); execution-only knobs
         (codec, workers, cache, monitor) deliberately do not.
         Precision participates because the amplitude itemsize changes
-        what fits the device. ``"auto"`` knobs and an unset ``fuse_gates``
-        must be resolved first — a plan keyed on an unresolved knob would
-        alias distinct plans (a lossy tenant's fused one with a lossless
-        tenant's unfused one).
+        what fits the device. An unset ``fuse_gates`` is hashed as
+        :meth:`resolve_fuse_gates` derives it, so a lossy tenant's fused
+        plan and a lossless tenant's unfused one never alias.
         """
         import hashlib
 
-        for knob, open_value in (("precision", "auto"), ("fuse_gates", None)):
-            if getattr(self, knob) == open_value:
-                raise ValueError(
-                    f"plan_key() on {knob}={open_value!r}; resolve via "
-                    "repro.bench.decide.resolve_auto_config first")
-
-        fields = [f"{k}={getattr(self, k)!r}" for k in self.PLAN_KNOBS]
+        values = {k: getattr(self, k) for k in self.PLAN_KNOBS}
+        values["fuse_gates"] = self.resolve_fuse_gates()
+        fields = [f"{k}={v!r}" for k, v in values.items()]
         fields.append(f"device_bytes={self.device.memory_bytes}")
         fields.append(f"double_buffer={self.num_buffers > 1}")
         payload = "repro.plan/v1|" + "|".join(fields)

@@ -244,14 +244,7 @@ class MemQSim:
         tel = self.telemetry
         n = circuit.num_qubits
         t_wall = time.perf_counter()
-        decisions = []
-        if cfg.needs_auto_resolution():
-            # Close every open knob (precision="auto", workers=0, an
-            # unset fuse_gates) before anything dtype- or plan-dependent
-            # runs; the decisions land in config_echo["decisions"].
-            from ..bench.decide import resolve_auto_config
-
-            cfg, decisions = resolve_auto_config(cfg, num_qubits=n)
+        fuse = cfg.resolve_fuse_gates()
         if tel.enabled:
             tel.emit("run.start", run_id=run_id, n=n, gates=len(circuit))
         given = sum(
@@ -349,7 +342,7 @@ class MemQSim:
                 # Compile (lower + fuse, or bind alone) once; the device
                 # executor consumes this one lowered plan.
                 cplan = compile_stages(
-                    stages, layout, CompileOptions(fusion=cfg.fuse_gates),
+                    stages, layout, CompileOptions(fusion=fuse),
                     telemetry=tel, gates=circuit.gates, hoisted=hoisted,
                     direction=direction,
                     itemsize=compute_dtype(cfg.precision).itemsize,
@@ -369,7 +362,7 @@ class MemQSim:
                 self.plan_cache.store(cache_key, entry)
         log.debug("compile (%s): %d gates -> %d ops (ratio %.2f, fusion=%s)",
                   plan_source, cplan.report.gates_in, cplan.report.ops_out,
-                  cplan.report.fusion_ratio, cfg.fuse_gates)
+                  cplan.report.fusion_ratio, fuse)
         # The cached plan is state-independent; which of its group passes
         # run depends on the start state. The store is initialised, so its
         # support set is known: this list is the sweep the scheduler
@@ -459,7 +452,7 @@ class MemQSim:
             store_like = hierarchy.store_like
             scheduler = StageScheduler(
                 layout, store_like, executor, pool, timeline,
-                fuse_gates=cfg.fuse_gates,
+                fuse_gates=fuse,
                 serpentine=cfg.serpentine_groups,
                 observer=tel.observer(),
                 cancel=self.cancel,
@@ -510,13 +503,12 @@ class MemQSim:
         config_echo = {
             "chunk_qubits": c,
             "precision": cfg.precision,
-            "decisions": [d.to_dict() for d in decisions],
             "compressor": cfg.compressor,
             "cache_chunks": cfg.cache_chunks,
             "cache_policy": cfg.cache_policy,
             "serpentine": cfg.serpentine_groups,
-            "fuse_gates": cfg.fuse_gates,
-            "fusion": cfg.fuse_gates,
+            "fuse_gates": fuse,
+            "fusion": fuse,
             "store": "tiered" if isinstance(store, TieredChunkStore)
             else "memory",
             "host_store_mb": cfg.host_store_mb,

@@ -16,8 +16,8 @@ Three modes:
   precision, and downcast on the way out. One rounding per store/load
   pair instead of one per gate.
 
-``"auto"`` is resolved to a concrete mode by :mod:`repro.bench.decide`
-before anything dtype-dependent (layout, plan key, codecs) sees it.
+A mode is chosen by hand; ``MemQSimConfig`` refuses any other value when
+it is built.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ __all__ = [
     "analytic_overlap_bound",
 ]
 
-#: concrete precision modes (``"auto"`` resolves to one of these)
+#: the precision modes
 PRECISIONS = ("c128", "c64", "mixed")
 DEFAULT_PRECISION = "c128"
 
@@ -53,13 +53,12 @@ _COMPUTE = {
 }
 
 
-def validate_precision(precision: str, allow_auto: bool = False) -> str:
+def validate_precision(precision: str) -> str:
     """Check a precision knob value, returning it unchanged."""
-    if precision in PRECISIONS or (allow_auto and precision == "auto"):
+    if precision in PRECISIONS:
         return precision
-    allowed = PRECISIONS + (("auto",) if allow_auto else ())
     raise ValueError(
-        f"precision must be one of {allowed}, got {precision!r}")
+        f"precision must be one of {PRECISIONS}, got {precision!r}")
 
 
 def storage_dtype(precision: str) -> np.dtype:
@@ -69,8 +68,7 @@ def storage_dtype(precision: str) -> np.dtype:
         return _STORAGE[precision]
     except KeyError:
         raise ValueError(
-            f"no storage dtype for precision {precision!r} "
-            f"(resolve 'auto' first)") from None
+            f"no storage dtype for precision {precision!r}") from None
 
 
 def compute_dtype(precision: str) -> np.dtype:
@@ -79,8 +77,7 @@ def compute_dtype(precision: str) -> np.dtype:
         return _COMPUTE[precision]
     except KeyError:
         raise ValueError(
-            f"no compute dtype for precision {precision!r} "
-            f"(resolve 'auto' first)") from None
+            f"no compute dtype for precision {precision!r}") from None
 
 
 def storage_itemsize(precision: str) -> int:

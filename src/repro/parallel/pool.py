@@ -157,6 +157,9 @@ def auto_workers(compressor: Compressor, chunk_size: int,
     rng = np.random.default_rng(0)
     v = rng.standard_normal(probe_size) + 1j * rng.standard_normal(probe_size)
     v /= np.linalg.norm(v)
+    # untimed warm-up: a codec's first call pays one-off set-up that a
+    # run's thousands of calls never see
+    compressor.decompress(compressor.compress(v))
     t0 = time.perf_counter()
     blob = compressor.compress(v)
     compressor.decompress(blob)

@@ -28,7 +28,6 @@ import time
 import uuid
 from typing import Any, Dict, Optional
 
-from ..bench.decide import resolve_auto_config
 from ..circuits import from_qasm, get_workload
 from ..circuits.circuit import Circuit
 from ..compression import compressor_options
@@ -171,15 +170,12 @@ class Job:
         #: one tenant's firehose cannot drown another's.
         self.telemetry = Telemetry()
         self.structural_hash = circuit.structural_hash()
-        # Keyed and leased as the run will be: on what the open knobs (an
-        # unset fuse_gates, precision="auto") resolve to, so a lossy
-        # tenant's fused plan and a lossless tenant's unfused one never
-        # alias and the lease has the resolved itemsize. The job keeps the
-        # config as submitted; its run resolves and echoes the decisions.
-        resolved = resolve_auto_config(config, circuit.num_qubits)[0]
-        self.plan_key = resolved.plan_key()
+        # plan_key() hashes the fuse_gates an unset one derives, so a
+        # lossy tenant's fused plan and a lossless tenant's unfused one
+        # never alias.
+        self.plan_key = config.plan_key()
         self.lease_amplitudes = device_lease_amplitudes(
-            circuit.num_qubits, resolved)
+            circuit.num_qubits, config)
         self.lease = None  # ArenaLease once admitted
         self.result = None  # MemQSimResult once done
         self.counts: Optional[Dict[str, int]] = None

@@ -24,6 +24,15 @@ class TestParser:
         assert "unrecognized arguments: --transfer" \
             in capsys.readouterr().err
 
+    def test_precision_is_one_of_three_modes(self, capsys):
+        for mode in ("c128", "c64", "mixed"):
+            assert build_parser().parse_args(
+                ["run", "qft", "--precision", mode]).precision == mode
+        with pytest.raises(SystemExit) as err:
+            main(["run", "qft", "-n", "4", "--precision", "auto"])
+        assert err.value.code == 2
+        assert "invalid choice: 'auto'" in capsys.readouterr().err
+
     def test_run_defaults(self):
         args = build_parser().parse_args(["run", "qft"])
         assert args.workload == "qft"
@@ -173,27 +182,28 @@ class TestCommands:
         assert main(["report"] + argv + ["-o", str(html)]) == 0
         assert "31 run, 49 all-zero skipped" in html.read_text()
 
-    @pytest.mark.parametrize("flags, compressor, fused, decided", [
+    @pytest.mark.parametrize("flags, compressor, fused, derived", [
         ([], "zlib", False, True),            # unset: follows the codec
         ([], "szlike", True, True),
-        (["--fusion"], "zlib", True, False),  # named: honoured, not decided
+        (["--fusion"], "zlib", True, False),  # named: honoured
         (["--no-fusion"], "szlike", False, False),
     ])
     def test_fusion_flag_is_unset_by_default(self, capsys, flags, compressor,
-                                             fused, decided):
+                                             fused, derived):
         import json
 
         for command in ("run", "trace"):
             assert build_parser().parse_args(
                 [command, "qft"]).fusion is None
         assert build_parser().parse_args(["submit", "qft"]).fusion is None
+        args = build_parser().parse_args(["run", "qft"] + flags)
+        assert (args.fusion is None) is derived
         assert main(["run", "qft", "-n", "8", "--chunk-qubits", "4",
                      "--compressor", compressor, "--json"] + flags) == 0
         out = capsys.readouterr().out
         echo = json.loads(out[out.index("{"):])["config_echo"]
         assert echo["fuse_gates"] is fused and echo["fusion"] is fused
-        assert ("fuse_gates" in [d["knob"] for d in echo["decisions"]]) \
-            is decided
+        assert "decisions" not in echo
 
     def test_audit_json_carries_the_predicted_pass_count(self, capsys):
         import json

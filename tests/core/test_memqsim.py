@@ -1,7 +1,5 @@
 """Unit tests for the MemQSim simulator facade."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -248,11 +246,6 @@ class TestFusionFollowsTheCodec:
         store = res.store
         return [store.get_blob(k) for k in range(store.layout.num_chunks)]
 
-    @staticmethod
-    def decision(res):
-        return [d for d in res.config_echo["decisions"]
-                if d["knob"] == "fuse_gates"]
-
     def test_lossless_default_is_unfused_and_bit_identical_to_dense(self):
         import hashlib
 
@@ -260,9 +253,6 @@ class TestFusionFollowsTheCodec:
         res = MemQSim(compressor="zlib", **self.CFG).run(circuit)
         assert res.config_echo["fuse_gates"] is False
         assert res.config_echo["fusion"] is False
-        (d,) = self.decision(res)
-        assert d["value"] is False and d["source"] == "derived"
-        assert "zlib" in d["rationale"]
         report = res.compile_report
         assert not report.fusion_enabled and report.ops_out == report.gates_in
         dense = DenseSimulator().run(circuit).data
@@ -274,10 +264,6 @@ class TestFusionFollowsTheCodec:
         fused = MemQSim(compressor="szlike", fuse_gates=True,
                         **self.CFG).run(circuit)
         assert derived.config_echo["fuse_gates"] is True
-        (d,) = self.decision(derived)
-        assert d["value"] is True and d["source"] == "derived"
-        assert "szlike" in d["rationale"]
-        assert self.decision(fused) == []  # named, so nothing to decide
         assert derived.compile_report.fusion_enabled
         assert derived.compile_report.ops_out < derived.compile_report.gates_in
         assert derived.compile_report.ops_out == fused.compile_report.ops_out
@@ -288,7 +274,6 @@ class TestFusionFollowsTheCodec:
         res = MemQSim(compressor="szlike", fuse_gates=False,
                       **self.CFG).run(circuit)
         assert res.config_echo["fuse_gates"] is False
-        assert self.decision(res) == []
         assert not res.compile_report.fusion_enabled
         assert res.compile_report.ops_out == res.compile_report.gates_in
 
@@ -302,19 +287,21 @@ class TestFusionFollowsTheCodec:
         assert self.blobs(one) == self.blobs(two)
 
     def test_the_rule_has_one_definition(self, monkeypatch):
-        """The run and the daemon's job key both go through
-        ``resolve_auto_config``: flip the rule there and both follow."""
-        import repro.bench.decide as decide
+        """The run and the daemon's job key both read
+        ``MemQSimConfig.resolve_fuse_gates``: flip the rule there and
+        both follow."""
         from repro.serve.jobs import Job
 
-        real = decide.decide_fusion
-        monkeypatch.setattr(decide, "decide_fusion", lambda cfg: replace(
-            real(cfg), value=not real(cfg).value))
         cfg = MemQSimConfig(compressor="szlike", **self.CFG)
+        unfused_key = cfg.with_updates(fuse_gates=False).plan_key()
+        real = MemQSimConfig.resolve_fuse_gates
+        monkeypatch.setattr(
+            MemQSimConfig, "resolve_fuse_gates",
+            lambda c: real(c) if c.fuse_gates is not None else not real(c))
         res = MemQSim(cfg).run(ghz(8))
         assert res.config_echo["fuse_gates"] is False
-        assert Job(ghz(8), cfg).plan_key == \
-            cfg.with_updates(fuse_gates=False).plan_key()
+        assert not res.compile_report.fusion_enabled
+        assert Job(ghz(8), cfg).plan_key == unfused_key
         named = MemQSim(cfg.with_updates(fuse_gates=True)).run(ghz(8))
         assert named.config_echo["fuse_gates"] is True  # named: not asked
 
@@ -327,13 +314,6 @@ class TestFusionFollowsTheCodec:
                     **self.CFG).run(circuit)
         assert cache.stats()["misses"] == 2 and cache.stats()["hits"] == 2
         assert len(cache) == 2
-
-    def test_an_unset_fuse_gates_has_no_plan_key(self):
-        cfg = MemQSimConfig(chunk_qubits=5)
-        assert cfg.fuse_gates is None and cfg.needs_auto_resolution()
-        with pytest.raises(ValueError, match="fuse_gates"):
-            cfg.plan_key()
-        assert not cfg.with_updates(fuse_gates=True).needs_auto_resolution()
 
 
 class TestPlanFromTheEnd:

@@ -43,13 +43,11 @@ class TestPrecisionModule:
     def test_validate(self):
         for p in PRECISIONS:
             assert validate_precision(p) == p
-        assert validate_precision("auto", allow_auto=True) == "auto"
-        with pytest.raises(ValueError):
-            validate_precision("auto")
-        with pytest.raises(ValueError):
-            validate_precision("fp16")
-        with pytest.raises(ValueError):
-            storage_dtype("auto")  # must resolve before sizing math
+        for bad in ("auto", "fp16"):
+            with pytest.raises(ValueError):
+                validate_precision(bad)
+            with pytest.raises(ValueError):
+                storage_dtype(bad)
 
     def test_default_is_full_precision(self):
         assert DEFAULT_PRECISION == "c128"
@@ -70,12 +68,6 @@ class TestConfigPlanKey:
         k64 = MemQSimConfig(chunk_qubits=4, precision="c64",
                             fuse_gates=False).plan_key()
         assert k128 != k64
-
-    def test_auto_has_no_plan_key(self):
-        cfg = MemQSimConfig(chunk_qubits=4, precision="auto")
-        assert cfg.needs_auto_resolution()
-        with pytest.raises(ValueError):
-            cfg.plan_key()
 
     def test_storage_helpers_delegate(self):
         cfg = MemQSimConfig(precision="mixed")

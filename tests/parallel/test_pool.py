@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.compression import get_compressor
-from repro.compression.lossless import ZlibCompressor
+from repro.compression.lossless import NullCompressor, ZlibCompressor
 from repro.memory import ChunkLayout, CompressedChunkStore, MemoryTracker
 from repro.parallel import CodecWorkerPool, auto_workers
 from repro.telemetry import Telemetry
@@ -270,3 +270,21 @@ class TestAutoWorkers:
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         # null codec: a memcpy — the lane hand-off would dominate, so 1
         assert auto_workers(get_compressor("null"), 256) == 1
+
+    def test_a_cold_first_call_is_not_timed(self, monkeypatch):
+        # a codec's first call pays one-off set-up (imports, tables,
+        # allocator growth); deciding on it gave a lane to a codec whose
+        # every later call is fast
+        import time
+
+        class ColdStart(NullCompressor):
+            calls = 0
+
+            def compress(self, data):
+                self.calls += 1
+                if self.calls == 1:
+                    time.sleep(2e-3)
+                return super().compress(data)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert auto_workers(ColdStart(), 1 << 10) == 1

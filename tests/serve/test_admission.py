@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.circuits import qft
 from repro.core import MemQSimConfig
 from repro.device import DeviceArena, DeviceOutOfMemory, DeviceSpec
-from repro.serve import Job, JobRejected, ServeManager, device_lease_amplitudes
+from repro.serve import JobRejected, ServeManager, device_lease_amplitudes
 from repro.telemetry import Telemetry
 
 
@@ -65,16 +64,6 @@ class TestLeaseSizing:
         amps = device_lease_amplitudes(10, cfg)
         arena.lease(amps)
         assert arena.can_lease(amps)
-
-    def test_an_auto_precision_base_is_leased_as_resolved(self):
-        # precision="auto" has no itemsize until it is resolved, so a job
-        # sizes its lease from the config its run will use, as it keys
-        # its plan: a daemon with an auto base admits jobs
-        cfg = MemQSimConfig(precision="auto", compressor="zlib")
-        job = Job(qft(10), cfg)
-        assert job.lease_amplitudes in {
-            device_lease_amplitudes(10, cfg.with_updates(precision=p))
-            for p in ("c128", "c64")}
 
 
 class TestManagerAdmission:

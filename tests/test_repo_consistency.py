@@ -163,6 +163,64 @@ class TestNoUnturnedKnobs:
         assert not hits, hits
 
 
+class TestConfigsAreConcrete:
+    """A ``MemQSimConfig`` is concrete when it is built: ``precision`` is
+    one of three modes, and an unset ``fuse_gates`` is derived inside the
+    config. The run-time resolver (``repro.bench``'s corpus lookup and
+    probes) is gone, and the simulator reads no benchmark record."""
+
+    GONE = (
+        "resolve_auto_config", "decide_precision", "decide_workers",
+        "decide_fusion", "needs_auto_resolution", "find_record",
+        "load_corpus", "--precision auto",
+    )
+
+    def test_deleted_names_stay_deleted(self):
+        api = (REPO / "docs/api.md").read_text()
+        # docs/api.md keeps the one list of what was removed: the
+        # "### Removed in ..." section that names this guard
+        start = api.rindex("\n### Removed in", 0, api.index(type(self).__name__))
+        end = api.find("\n## ", start)
+        head, listed, tail = api[:start], api[start:end], api[end:]
+        assert [name for name in self.GONE if name not in listed] == []
+        texts = {"docs/api.md": head + tail}
+        files = [REPO / "README.md", REPO / "DESIGN.md"]
+        files += [p for p in sorted((REPO / "docs").glob("*.md"))
+                  if p.name != "api.md"]
+        files += sorted((REPO / "src").rglob("*.py"))
+        texts.update({str(p.relative_to(REPO)): p.read_text() for p in files})
+        hits = [f"{where}: {name}" for where, text in texts.items()
+                for name in self.GONE if name in text]
+        assert not hits, hits
+
+    def test_the_simulator_imports_no_bench_record_code(self):
+        src = REPO / "src"
+        hits = []
+        for path in sorted((src / "repro").rglob("*.py")):
+            parts = path.relative_to(src).with_suffix("").parts
+            if parts[:2] == ("repro", "bench"):
+                continue
+            package = parts[:-1]  # a module's relative imports start here
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    base = package[:len(package) - node.level + 1] \
+                        if node.level else ()
+                    names = [".".join(base + tuple(
+                        (node.module or "").split(".")))]
+                    if not node.module:  # from .. import bench
+                        names = [".".join(base + (alias.name,))
+                                 for alias in node.names]
+                else:
+                    continue
+                hits += [f"{path.relative_to(REPO)}:{node.lineno}: {name}"
+                         for name in names
+                         if name == "repro.bench"
+                         or name.startswith("repro.bench.")]
+        assert hits == []
+
+
 class TestOneStageEngine:
     """There is one group loop (``StageScheduler._run_gate_stage``) and the
     codec pool sits behind the chunk store. The second engine and the
