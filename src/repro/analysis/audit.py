@@ -11,7 +11,11 @@ chunk grouping, sweep direction, which groups are streamed at all
   (what a :class:`~repro.memory.traffic.ChunkAccessRecorder` will record);
 * :func:`predict_traffic` derives the per-stage byte counts for the
   deterministic edges (codec raw side, arena transfers) and a ratio
-  envelope for the data-dependent one (compressed bytes).
+  envelope for the data-dependent one (compressed bytes). Every member
+  of a pass crosses the arena and is recompressed, but only its live
+  members are decoded: a zero member's load is a fill
+  (:func:`~repro.pipeline.sweep.predict_sweep`), so it moves no codec
+  bytes in.
 
 :func:`audit_run` compares both against what a run actually measured. A
 mismatch means the executor moved bytes the plan does not explain —
@@ -27,7 +31,7 @@ KERNEL seconds, and flags a stage off by more than
 model, not a failed audit: seconds are not the plan's to fix.
 
 Audit contract: the chunk cache must be disabled — the deterministic
-edges are only exact when every load reaches the codec.
+edges are only exact when every load of a live chunk reaches the codec.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..device.timeline import Stage
 from ..memory.layout import ChunkLayout
-from ..pipeline.sweep import predict_pass_schedule
+from ..pipeline.sweep import predict_pass_schedule, predict_sweep
 
 __all__ = [
     "predict_pass_schedule",
@@ -55,6 +59,9 @@ DEFAULT_RATIO_SLACK = 1.25
 #: the edges whose bytes the plan fixes exactly: decompressed on load,
 #: recompressed on store, and the arena copy each way
 DET_EDGES = ("codec.raw_out", "codec.raw_in", "arena.h2d", "arena.d2h")
+
+#: the edges only a pass's live members cross: a zero member is filled
+LIVE_EDGES = ("codec.raw_out",)
 
 #: a gate stage whose measured kernel seconds differ from the model's
 #: prediction by more than this factor, either way, is flagged
@@ -74,14 +81,23 @@ def _access_trace(passes) -> List[Tuple[int, int, str]]:
     return trace
 
 
-def _stage_traffic(passes, num_stages: int,
+def _pass_traffic(members, zero, layout: ChunkLayout) -> Dict[str, int]:
+    """One group pass's bytes on each deterministic edge."""
+    row = dict.fromkeys(DET_EDGES, len(members) * layout.chunk_nbytes)
+    for edge in LIVE_EDGES:
+        row[edge] -= len(zero) * layout.chunk_nbytes
+    return row
+
+
+def _stage_traffic(sweep, num_stages: int,
                    layout: ChunkLayout) -> Dict[int, Dict[str, int]]:
-    nbytes: Dict[int, int] = {}
-    for kind, si, _gi, members in passes:
+    traffic: Dict[int, Dict[str, int]] = {si: {} for si in range(num_stages)}
+    for (kind, si, _gi, members), zero in sweep:
         if kind == "pass":
-            nbytes[si] = nbytes.get(si, 0) + len(members) * layout.chunk_nbytes
-    return {si: dict.fromkeys(DET_EDGES, nbytes[si]) if si in nbytes else {}
-            for si in range(num_stages)}
+            row = traffic[si]
+            for edge, nbytes in _pass_traffic(members, zero, layout).items():
+                row[edge] = row.get(edge, 0) + nbytes
+    return traffic
 
 
 def predict_access_schedule(
@@ -108,17 +124,20 @@ def predict_traffic(
 ) -> Dict[int, Dict[str, int]]:
     """Per-stage deterministic byte counts: ``{stage: {"edge.dir": bytes}}``.
 
-    Every chunk of every group pass that runs crosses the codec's raw side
-    and the arena once in each direction (audit contract: all groups on the
-    device path), so a gate stage moves ``chunk_nbytes`` per member of its
-    passes in :func:`predict_pass_schedule` — ``num_chunks * chunk_nbytes``
-    under full ``support``. A stage with an empty row moves no bytes at
-    all: a permutation stage (relabeling is the whole point) or a gate
-    stage none of whose groups is live.
+    Every chunk of every group pass that runs crosses the arena once in
+    each direction and the codec's raw side once on store (audit contract:
+    all groups on the device path), so a gate stage moves ``chunk_nbytes``
+    per member of its passes in :func:`predict_pass_schedule` —
+    ``num_chunks * chunk_nbytes`` under full ``support``. Only its live
+    members are decoded: ``codec.raw_out`` (and the count of
+    ``codec.compressed_in`` records) leaves out the pass's zero members
+    (:func:`~repro.pipeline.sweep.predict_sweep`), whose load is a fill.
+    A stage with an empty row moves no bytes at all: a permutation stage
+    (relabeling is the whole point) or a gate stage none of whose groups
+    is live.
     """
-    return _stage_traffic(
-        predict_pass_schedule(stages, layout, support=support),
-        len(stages), layout)
+    return _stage_traffic(predict_sweep(stages, layout, support=support),
+                          len(stages), layout)
 
 
 @dataclass
@@ -269,7 +288,8 @@ def audit_run(
        (same chunks, same order, same read/write pattern, same barriers);
     2. per gate stage **and per group pass**, measured bytes on the
        deterministic edges (``codec.raw_*``, ``arena.*``) equal the
-       prediction — a write a codec lane settled during a later pass
+       prediction — ``codec.raw_out`` from the pass's live members only,
+       a write a codec lane settled during a later pass
        still counts for the pass that issued it — permutation stages
        moved zero bytes, and the per-worker rows sum to the totals;
     3. the data-dependent compressed bytes fall inside the codec-ratio
@@ -278,7 +298,8 @@ def audit_run(
     With a ``timeline`` and the plan's ``kernel_stages``, the report also
     carries :func:`compare_kernel_seconds` (informational).
     """
-    passes = predict_pass_schedule(stages, layout, serpentine, support)
+    sweep = predict_sweep(stages, layout, serpentine, support)
+    passes = [p for p, _zero in sweep]
     predicted = _access_trace(passes)
     measured = [tuple(t) for t in trace]
     rep = AuditReport(
@@ -309,7 +330,7 @@ def audit_run(
                 f"accesses, measured {len(measured)}")
 
     # 2. deterministic per-stage byte counts
-    want_traffic = _stage_traffic(passes, len(stages), layout)
+    want_traffic = _stage_traffic(sweep, len(stages), layout)
     got_traffic = ledger.by_stage()
     for si in range(len(stages)):
         want_row = want_traffic.get(si, {})
@@ -338,14 +359,13 @@ def audit_run(
                         f"measured {got_b}")
         rep.stage_rows.append(row)
     by_group: Dict[int, Dict[int, Dict[str, int]]] = {}
-    for kind, si, gi, members in passes:
+    for (kind, si, gi, members), zero in sweep:
         if kind != "pass":
             continue
         if si not in by_group:
             by_group[si] = ledger.by_group(si)
-        want_b = len(members) * layout.chunk_nbytes
         got_row = by_group[si].get(gi, {})
-        for edge in DET_EDGES:
+        for edge, want_b in _pass_traffic(members, zero, layout).items():
             if got_row.get(edge, 0) != want_b:
                 rep.traffic_ok = False
                 rep.errors.append(

@@ -7,7 +7,11 @@ never holds more than the blobs plus whatever buffers the caller manages —
 the accounting reflects exactly that.
 
 Zero chunks are the common case early in a simulation (the initial state is
-one nonzero amplitude), so all-zero chunks share one interned blob.
+one nonzero amplitude), so all-zero chunks share one interned blob. Which
+chunks hold it is fixed by the plan's support set, not by the data, so a
+load of it fills the slot with zeros: no codec call, no timeline row, no
+codec traffic (the audit predicts exactly that,
+:func:`repro.pipeline.sweep.predict_sweep`).
 
 With a **codec lane** attached (:meth:`CompressedChunkStore.attach_lane`)
 ``store`` only submits the compress job, ``will_need`` starts decompress
@@ -152,7 +156,6 @@ class CompressedChunkStore:
         # significant axis, so fold from the highest local qubit down.
         for q in reversed(range(c)):
             local = np.kron(local, facs[q])
-        zero_needed = False
         for k in range(self.layout.num_chunks):
             scale = 1.0 + 0.0j
             for q in range(c, n):
@@ -169,7 +172,9 @@ class CompressedChunkStore:
 
         The codec decodes straight into ``out`` when it fits (see
         :meth:`Compressor.decompress`); a lane's prefetched array, or an
-        ``out`` of another dtype, is copied in."""
+        ``out`` of another dtype, is copied in. A chunk holding the
+        interned zero blob is filled with zeros instead: nothing is
+        decoded, timed or booked."""
         entry = self._prefetched.pop(chunk, None) if self._prefetched else None
         if entry is not None:
             # Started ahead on the lane: it was timed there.
@@ -180,6 +185,11 @@ class CompressedChunkStore:
             blob = self.get_blob(chunk)
             if blob is None:
                 raise KeyError(f"chunk {chunk} not initialized")
+            if blob is self._zero_blob:
+                if out is None:
+                    return np.zeros(self.layout.chunk_size, dtype=self._dtype)
+                out[: self.layout.chunk_size] = 0
+                return out
             t0 = time.perf_counter()
             arr = self.compressor.decompress(blob, out=out)
             dt, worker, blob_nbytes = time.perf_counter() - t0, 0, len(blob)
@@ -298,7 +308,7 @@ class CompressedChunkStore:
         if chunk in self._prefetched:
             return
         blob = self.get_blob(chunk)
-        if blob is not None:
+        if blob is not None and blob is not self._zero_blob:
             self._prefetched[chunk] = (
                 self.lane.submit_decompress(chunk, blob), blob)
 

@@ -26,6 +26,9 @@ The frame must end with the last blob: a file cut short anywhere, or with
 bytes after it, raises :class:`StoreFormatError`, and so does a header
 whose layout fields disagree with each other or with the bytes that
 follow.
+A chunk holding the shared zero blob is filled with zeros when loaded,
+never decoded, so the zero blob is decoded once, here: one that does not
+decode to a chunk of all-zero bytes raises :class:`StoreFormatError`.
 A checkpoint is written to a temporary file beside ``path`` and renamed
 over it, so ``path`` holds either the old checkpoint or the new one.
 
@@ -42,6 +45,8 @@ import tempfile
 import zlib
 from pathlib import Path
 from typing import Optional, Union
+
+import numpy as np
 
 from ..compression.interface import Compressor
 from ..telemetry import get_logger
@@ -62,6 +67,20 @@ _UNINIT = (1 << 64) - 2
 
 class StoreFormatError(ValueError):
     """Raised for malformed or mismatched checkpoint files."""
+
+
+def _check_zero_blob(blob: bytes, store: CompressedChunkStore) -> None:
+    """Decode the shared zero blob once: a load fills its chunks with
+    zeros, so it must decode to exactly that."""
+    try:
+        arr = store.compressor.decompress(blob)
+    except Exception as exc:
+        raise StoreFormatError(f"zero blob does not decode: {exc}") from None
+    if (arr.shape != (store.layout.chunk_size,) or arr.dtype != store.dtype
+            or arr.view(np.uint8).any()):
+        raise StoreFormatError(
+            "zero blob does not decode to an all-zero chunk of "
+            f"{store.layout.chunk_size} {store.dtype} amplitudes")
 
 
 def save_store(store: CompressedChunkStore, path: Union[str, Path]) -> int:
@@ -189,6 +208,8 @@ def load_store(
     store = CompressedChunkStore(layout, compressor, tracker)
     (zero_len,) = frame.unpack("<Q")
     zero = frame.blob(zero_len, checked) or None
+    if zero is not None:
+        _check_zero_blob(zero, store)
     store._zero_blob = zero
     for k in range(num_chunks):
         (blen,) = frame.unpack("<Q")

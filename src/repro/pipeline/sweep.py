@@ -13,13 +13,18 @@ non-zero amplitude — and only groups that meet it are streamed:
 * a group that meets it runs, and afterwards all its members are live;
 * a permutation stage relabels it (``new[d]`` live iff ``old[perm[d]]``).
 
+A running group's members outside the set just before its pass are its
+**zero members**: they still hold the interned zero blob, so the store
+fills their slots with zeros instead of decoding (:func:`predict_sweep`
+names them; only live members reach the codec on load).
+
 The rule is conservative (a live chunk may still hold only zeros) and
 decided before execution, never from the data a pass produced: Belady
 eviction, plan-coldest spilling, the codec lane's prefetch, the audit and
 the progress total all need the whole schedule up front.
 
-:func:`predict_pass_schedule` is the only place that list is produced. The
-scheduler iterates it, :class:`~repro.memory.hierarchy.AccessSchedule` is
+:func:`predict_sweep` is the only place that list is produced, and
+:func:`predict_pass_schedule` is its passes. The scheduler iterates those, :class:`~repro.memory.hierarchy.AccessSchedule` is
 built from it, and the audit's predictions, the progress total and the
 per-run plan report are read off it.
 """
@@ -32,7 +37,7 @@ from ..compile import CompiledGateStage
 from ..memory.layout import ChunkLayout
 from .stages import GateStage, PermutationStage
 
-__all__ = ["live_chunks", "predict_pass_schedule"]
+__all__ = ["live_chunks", "predict_pass_schedule", "predict_sweep"]
 
 #: ``("pass", stage, group, members)`` or ``("barrier", stage, -1, ())``
 Pass = Tuple[str, int, int, Tuple[int, ...]]
@@ -69,14 +74,29 @@ def predict_pass_schedule(
     the traffic ledger's and the sweep direction sees the ids it always
     did.
     """
-    passes: List[Pass] = []
+    return [p for p, _zero in predict_sweep(stages, layout, serpentine,
+                                            support)]
+
+
+def predict_sweep(
+    stages: Sequence[Any],
+    layout: ChunkLayout,
+    serpentine: bool = False,
+    support: Optional[Iterable[int]] = None,
+) -> List[Tuple[Pass, Tuple[int, ...]]]:
+    """:func:`predict_pass_schedule`'s passes, each with its zero members.
+
+    A pass's zero members are its members outside the support set just
+    before it runs, in member order (``()`` for a barrier and under full
+    support): the chunks whose load is a fill, not a decode."""
+    sweep: List[Tuple[Pass, Tuple[int, ...]]] = []
     live = None if support is None else set(support)
     parity = 0
     for si, stage in enumerate(stages):
         if live is not None and len(live) == layout.num_chunks:
             live = None  # full support: nothing left to drop
         if isinstance(stage, PermutationStage):
-            passes.append(("barrier", si, -1, ()))
+            sweep.append((("barrier", si, -1, ()), ()))
             if live is not None:
                 live = {dst for dst, src in enumerate(stage.perm)
                         if src in live}
@@ -92,9 +112,11 @@ def predict_pass_schedule(
             if parity == 0:
                 order.reverse()
         for gi, members in order:
+            zero: Tuple[int, ...] = ()
             if live is not None:
                 if live.isdisjoint(members):
                     continue
+                zero = tuple(m for m in members if m not in live)
                 live.update(members)  # groups of one stage are disjoint
-            passes.append(("pass", si, gi, members))
-    return passes
+            sweep.append((("pass", si, gi, members), zero))
+    return sweep

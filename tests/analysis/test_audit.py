@@ -19,7 +19,7 @@ ZERO_STATE = {0}
 
 
 def audited_run(n=8, chunk_qubits=4, serpentine=False, execution="serial",
-                device_mb=None, workers=2, workload="qft"):
+                device_mb=None, workers=2, workload="qft", host_store_mb=0.0):
     """Run under the audit contract and return everything the audit needs."""
     tel = Telemetry()
     tel.access = ChunkAccessRecorder()
@@ -33,6 +33,7 @@ def audited_run(n=8, chunk_qubits=4, serpentine=False, execution="serial",
         compressor="zlib",
         cache_chunks=0,
         serpentine_groups=serpentine,
+        host_store_mb=host_store_mb,
         **kw,
     )
     res = MemQSim(cfg, telemetry=tel).run(get_workload(workload, n))
@@ -84,6 +85,24 @@ class TestPredictor:
                 "arena.d2h": stage_bytes,
             }
 
+    def test_zero_members_are_not_decoded(self):
+        """From |0...0> a pass's members outside the support are filled:
+        the arena and the recompress carry every member, the decode only
+        the live ones."""
+        stages, layout, _tel = audited_run(n=9, chunk_qubits=3,
+                                           device_mb=0.002, serpentine=True)
+        traffic = predict_traffic(stages, layout, support=ZERO_STATE)
+        full = predict_traffic(stages, layout)
+        moved = 0
+        for si, row in traffic.items():
+            if not row:
+                continue
+            assert row["codec.raw_in"] == row["arena.h2d"] == row["arena.d2h"]
+            assert 0 <= row["codec.raw_out"] <= row["codec.raw_in"]
+            moved += row["codec.raw_in"] - row["codec.raw_out"]
+            assert full[si]["codec.raw_out"] == full[si]["codec.raw_in"]
+        assert moved > 0
+
     def test_unknown_stage_type_rejected(self):
         _stages, layout, _tel = audited_run()
         with pytest.raises(TypeError):
@@ -131,6 +150,16 @@ class TestAuditRun:
         assert not rep.traffic_ok
         assert any("arena.h2d" in e for e in rep.errors)
 
+    def test_a_decoded_zero_member_fails_traffic(self):
+        # a load of a zero member that reached the codec after all
+        stages, layout, tel = audited_run()
+        with tel.traffic.attributed(0, 0):
+            tel.traffic.record("codec", "raw_out", layout.chunk_nbytes)
+        rep = audit_run(stages, layout, tel.access.trace(), tel.traffic,
+                        support=ZERO_STATE)
+        assert not rep.traffic_ok
+        assert any("codec.raw_out" in e for e in rep.errors)
+
     def test_traffic_on_unplanned_stage_fails(self):
         stages, layout, tel = audited_run()
         with tel.traffic.attributed(len(stages) + 5, 0):
@@ -177,6 +206,28 @@ class TestAuditRun:
         assert doc["ok"] is True
         assert doc["schedule_predicted"] == doc["schedule_measured"]
         assert doc["stages"]
+
+
+@pytest.mark.parametrize("workload", ["qft", "ghz", "vqe"])
+@pytest.mark.parametrize("host_store_mb", [0.0, 0.001])
+@pytest.mark.parametrize("execution", ["serial", "parallel"])
+def test_audit_predicts_the_decodes_from_the_support(workload, host_store_mb,
+                                                     execution):
+    """From |0...0>, in RAM and tiered, inline and on lanes: the audit
+    passes, so ``codec.raw_out`` matched per stage and per group, and it
+    is below ``codec.raw_in`` by the zero members' bytes."""
+    stages, layout, tel = audited_run(
+        n=10, device_mb=0.002, serpentine=True, execution=execution,
+        workload=workload, host_store_mb=host_store_mb)
+    rep = audit_run(stages, layout, tel.access.trace(), tel.traffic,
+                    serpentine=True, support=ZERO_STATE)
+    assert rep.ok, rep.render()
+    predicted = predict_traffic(stages, layout, support=ZERO_STATE)
+    by_stage = tel.traffic.by_stage()
+    for si, row in predicted.items():
+        assert by_stage.get(si, {}).get("codec.raw_out", 0) \
+            == row.get("codec.raw_out", 0)
+    assert 0 < rep.raw_out < rep.raw_in
 
 
 class TestKernelPrediction:

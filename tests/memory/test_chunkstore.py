@@ -85,6 +85,7 @@ class TestLoadStore:
 
         store, _ = make_store()
         store.init_zero_state()
+        store.store(1, np.full(store.layout.chunk_size, 0.5, dtype=complex))
         hops = Timeline()
         store.report_codec_to(hops)
         store.load(0)
@@ -93,9 +94,74 @@ class TestLoadStore:
         assert hops.serial_seconds(Stage.DECOMPRESS) > 0
         assert [(r[4], r[5]) for r in hops.rows] == [
             (0, store.layout.chunk_nbytes), (1, store.layout.chunk_nbytes)]
-        store.report_codec_to()
         store.load(2)
+        assert hops.count() == 2  # the zero blob: filled, not decoded
+        store.report_codec_to()
+        store.load(1)
         assert hops.count() == 2  # detached: books nothing
+
+
+class TestZeroFill:
+    """A chunk holding the interned zero blob is filled, never decoded:
+    no codec call, no timeline row, no codec traffic."""
+
+    @staticmethod
+    def no_decode(store, monkeypatch):
+        def refuse(*_a, **_k):
+            raise AssertionError("the zero blob was decoded")
+        monkeypatch.setattr(store.compressor, "decompress", refuse)
+
+    @pytest.mark.parametrize("precision", [np.complex128, np.complex64])
+    def test_fills_out_and_returns_it(self, monkeypatch, precision):
+        lay = ChunkLayout(6, 3, itemsize=np.dtype(precision).itemsize)
+        store = CompressedChunkStore(lay, get_compressor("zlib"))
+        store.init_zero_state()
+        self.no_decode(store, monkeypatch)
+        out = np.full(lay.chunk_size, 7 + 7j, dtype=precision)
+        assert store.load(3, out=out) is out
+        assert not out.view(np.uint8).any()
+        fresh = store.load(3)
+        assert fresh.dtype == precision and fresh.shape == (lay.chunk_size,)
+        assert not fresh.view(np.uint8).any()
+        assert store.load(4) is not fresh  # a fresh array per load
+
+    def test_books_nothing(self, monkeypatch):
+        from repro.device import Timeline
+        from repro.telemetry import Telemetry
+
+        tel = Telemetry()
+        lay = ChunkLayout(6, 3)
+        store = CompressedChunkStore(lay, get_compressor("zlib"),
+                                     telemetry=tel)
+        store.init_zero_state()
+        hops = Timeline()
+        store.report_codec_to(hops)
+        store.load(5)
+        assert hops.count() == 0
+        assert "codec.raw_out" not in tel.traffic.totals()
+        store.load(0)
+        assert hops.count() == 1
+        assert tel.traffic.totals()["codec.raw_out"]["ops"] == 1
+
+    def test_a_zeroed_chunk_is_filled_and_a_written_one_decoded(
+            self, monkeypatch):
+        store, _ = make_store()
+        store.init_zero_state()
+        store.store(2, np.ones(store.layout.chunk_size, dtype=complex))
+        store.zero_chunk(2)
+        self.no_decode(store, monkeypatch)
+        assert not store.load(2).any()
+        monkeypatch.undo()
+        # a written all-zero buffer is not interned: it is live, decoded
+        store.store(2, np.zeros(store.layout.chunk_size, dtype=complex))
+        self.no_decode(store, monkeypatch)
+        with pytest.raises(AssertionError, match="decoded"):
+            store.load(2)
+
+    def test_uninitialized_chunk_still_raises(self):
+        store, _ = make_store()
+        with pytest.raises(KeyError):
+            store.load(0)
 
 
 class TestAccounting:

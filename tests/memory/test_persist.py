@@ -2,6 +2,7 @@
 
 import logging
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -226,6 +227,58 @@ class TestBlobPayloadsAreChecked:
             p.write_bytes(bytes(flipped))
             with pytest.raises(StoreFormatError, match="CRC32"):
                 load_store(p, get_compressor("zlib"))
+
+
+class TestTheZeroBlobIsCheckedOnLoad:
+    """A load fills a zero chunk instead of decoding it, so the checkpoint's
+    zero blob is decoded once, when it loads: one whose CRC32 holds but
+    that decodes to anything other than an all-zero chunk is refused."""
+
+    @staticmethod
+    def forged(tmp_path, chunk, legacy=False):
+        store = make_store(n=5, c=3)
+        store.init_zero_state()
+        forged = store.compressor.compress(chunk)
+        store._zero_blob = forged
+        for k in range(1, store.layout.num_chunks):
+            store._blobs[k] = forged
+        p = tmp_path / "forged.mqs"
+        if legacy:
+            p.write_bytes(legacy_frame(store))
+        else:
+            save_store(store, p)
+        return p
+
+    @pytest.mark.parametrize("legacy", [False, True])
+    def test_a_zero_blob_of_non_zeros(self, tmp_path, legacy):
+        p = self.forged(tmp_path, np.full(8, 0.25, dtype=np.complex128),
+                        legacy)
+        with pytest.raises(StoreFormatError, match="zero blob"):
+            load_store(p, get_compressor("zlib"))
+
+    @pytest.mark.parametrize("chunk", [np.zeros(4, dtype=np.complex128),
+                                       np.zeros(8, dtype=np.complex64)])
+    def test_a_zero_blob_of_the_wrong_shape(self, tmp_path, chunk):
+        p = self.forged(tmp_path, chunk)
+        with pytest.raises(StoreFormatError, match="zero blob"):
+            load_store(p, get_compressor("zlib"))
+
+    def test_a_zero_blob_that_does_not_decode(self, tmp_path):
+        p = self.forged(tmp_path, np.zeros(8, dtype=np.complex128))
+        data = bytearray(p.read_bytes())
+        start, end = blob_records(bytes(data))[0]
+        blob = b"\xff" * (end - start - 12)
+        data[start + 8:start + 12] = struct.pack("<I", zlib.crc32(blob))
+        data[start + 12:end] = blob
+        p.write_bytes(bytes(data))
+        with pytest.raises(StoreFormatError, match="zero blob"):
+            load_store(p, get_compressor("zlib"))
+
+    def test_a_true_zero_blob_loads_and_fills(self, tmp_path):
+        p = self.forged(tmp_path, np.zeros(8, dtype=np.complex128))
+        back = load_store(p, get_compressor("zlib"))
+        assert back.is_zero_chunk(3)
+        assert np.linalg.norm(back.to_statevector()) == 1.0
 
 
 class TestOlderFrames:

@@ -12,6 +12,7 @@ from its timeline row.
 from collections import Counter, defaultdict
 
 from repro.analysis.audit import predict_pass_schedule
+from repro.pipeline.sweep import predict_sweep
 from repro.circuits import get_workload
 from repro.core import MemQSim, MemQSimConfig
 from repro.device import DeviceSpec
@@ -46,7 +47,7 @@ def test_timeline_codec_seconds_are_the_workers_not_the_wait():
 
 
 def _codec_seconds_are_the_stores(workers, cache_chunks):
-    res, tel, _stages = laned_run(
+    res, tel, stages = laned_run(
         12, workers=workers, cache_chunks=cache_chunks, cache_policy="belady",
         compressor="szlike", compressor_options={"error_bound": 1e-6})
     tl = res.timeline
@@ -72,15 +73,19 @@ def _codec_seconds_are_the_stores(workers, cache_chunks):
         == tl.serial_seconds(Stage.DECOMPRESS)
     # one row per codec call of the run — the store's calls, not the
     # loop's calls on a cache — and one exported span each; every one
-    # chained to the group that issued it
+    # chained to the group that issued it. A zero member's load is a fill,
+    # not a call: its first read, always a cache miss, books nothing
     loaded = sum(r[5] for r in tl.rows if r[0] == Stage.H2D) \
         // res.store.layout.chunk_nbytes
+    zero = sum(len(z) for _p, z in predict_sweep(
+        stages, res.store.layout, True, {0}))
+    assert zero > 0
     if cache_chunks:
         assert res.store.cache_stats.hits > 0
-        assert tl.count(Stage.DECOMPRESS) == res.store.cache_stats.misses \
-            < loaded
+        assert tl.count(Stage.DECOMPRESS) \
+            == res.store.cache_stats.misses - zero < loaded - zero
     else:
-        assert tl.count(Stage.DECOMPRESS) == loaded
+        assert tl.count(Stage.DECOMPRESS) == loaded - zero
     assert len(tel.tracer.find("decompress")) == tl.count(Stage.DECOMPRESS)
     assert len(tel.tracer.find("compress")) == tl.count(Stage.COMPRESS)
     assert all(r[3] >= 0 and r[4] >= 0 for r in codec)
@@ -88,15 +93,20 @@ def _codec_seconds_are_the_stores(workers, cache_chunks):
 
 def test_next_pass_decompress_is_submitted_before_this_pass_kernel():
     """Inside a stage and across a stage boundary with no permutation
-    barrier between, pass k+1's decompress jobs are queued before pass k's
-    kernel runs: they start ahead of pass k's compress jobs (which are
+    barrier between, pass k+1's decompress jobs — of live chunks pass k
+    does not write (a zero member has none, and a read of what pass k
+    writes waits for the write) — are queued before pass k's kernel
+    runs: they start ahead of pass k's compress jobs (which are
     submitted right after that kernel — the pool is FIFO), and a
     ``decompress`` span for pass k+1 — drawn at the start its lane
     measured — starts before pass k's ``group_pass`` span ends."""
     res, tel, stages = laned_run(12, compressor="zlib",
                                  serpentine_groups=False)
     # the store was initialised to |0...0>: chunk 0 is the start support
-    passes = predict_pass_schedule(stages, res.store.layout, False, {0})
+    sweep = predict_sweep(stages, res.store.layout, False, {0})
+    passes = [p for p, _zero in sweep]
+    assert passes == predict_pass_schedule(stages, res.store.layout, False,
+                                           {0})
     assert all(kind == "pass" for kind, *_ in passes), "plan has a barrier"
     group_pass = {(sp.args["stage"], sp.args["group"]): sp
                   for sp in tel.tracer.find("group_pass")}
@@ -104,8 +114,8 @@ def test_next_pass_decompress_is_submitted_before_this_pass_kernel():
 
     def starts_by_chunk(name):
         # no cache: a chunk meets the codec once per pass that holds it (an
-        # all-zero group is never streamed), and a chunk's jobs run in pass
-        # order
+        # all-zero group is never streamed; a zero member is filled, not
+        # decoded), and a chunk's jobs run in pass order
         out = {}
         for sp in sorted(tel.tracer.find(name), key=lambda sp: sp.start):
             out.setdefault(sp.args["chunk"], []).append(sp.start)
@@ -113,18 +123,28 @@ def test_next_pass_decompress_is_submitted_before_this_pass_kernel():
 
     decompress = starts_by_chunk("decompress")
     compress = starts_by_chunk("compress")
-    # per pass: which of each member's jobs (first, second, ...) is its own
-    met = Counter()
-    nth = []
-    for _k, _si, _gi, members in passes:
-        nth.append({c: met[c] for c in members})
-        met.update(members)
-    assert {c: len(v) for c, v in decompress.items()} == met
+    # per pass: which of each member's jobs (first, second, ...) is its
+    # own; only live members have a decompress job
+    read, written = Counter(), Counter()
+    nth_read, nth_written = [], []
+    for (_k, _si, _gi, members), zero in sweep:
+        live = [c for c in members if c not in zero]
+        nth_read.append({c: read[c] for c in live})
+        nth_written.append({c: written[c] for c in members})
+        read.update(live)
+        written.update(members)
+    assert {c: len(v) for c, v in decompress.items()} == read
+    assert {c: len(v) for c, v in compress.items()} == written
+    assert sum(written.values()) > sum(read.values())  # zero members
     seen = {"within": 0, "across": 0}
-    for k, ((_k, si, gi, members), (_k2, nsi, _ngi, nmembers)) in enumerate(
+    for k, ((_k, si, gi, members), (_k2, nsi, _ngi, _nm)) in enumerate(
             zip(passes, passes[1:])):
-        first_read = min(decompress[c][nth[k + 1][c]] for c in nmembers)
-        first_write = min(compress[c][nth[k][c]] for c in members)
+        # a read of a chunk pass k writes waits for that write
+        ahead = {c: n for c, n in nth_read[k + 1].items() if c not in members}
+        if not ahead:
+            continue
+        first_read = min(decompress[c][n] for c, n in ahead.items())
+        first_write = min(compress[c][nth_written[k][c]] for c in members)
         assert first_read < first_write, (si, gi)
         if first_read < group_pass[(si, gi)].end:
             seen["within" if nsi == si else "across"] += 1

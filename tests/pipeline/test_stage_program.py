@@ -8,6 +8,7 @@ memoised program must reproduce op for op.
 import numpy as np
 import pytest
 
+from repro.analysis.audit import predict_traffic
 from repro.circuits import Circuit, get_workload, qft
 from repro.compile import CompileOptions, GateOp, compile_stages
 from repro.core import MemQSim, MemQSimConfig, NumpyKernelBackend
@@ -143,17 +144,22 @@ def test_non_diagonal_ops_lower_once_per_stage():
 # Re-pinned when window fusion began pricing its windows (launch-cost
 # model, up to 5 qubits) instead of capping them at 3: the fused runs
 # launch 77 -> 75 (c128) and 45 -> 43 (c64) ops; same digests.
+# Re-pinned when a load of the interned zero blob became a fill: codec
+# decompress calls 126 -> 63 (c128) and 84 -> 21 (c64), the live members
+# of the passes (`test_decompress_calls_are_the_predicted_live_loads`
+# derives them from the audit's `predict_traffic`); everything else,
+# digests included, is unchanged.
 QFT12_PINNED = {
-    (False, "c128"): (63, 129, 90, 87, 128, 126, 63,
+    (False, "c128"): (63, 129, 90, 87, 128, 63, 63,
                       "bdf80128167d75a8fe6a4889ec2572cb"
                       "935cf7cec2c92fc96d536f6fd6b04fa7"),
-    (False, "c64"): (21, 27, 96, 48, 86, 84, 21,
+    (False, "c64"): (21, 27, 96, 48, 86, 21, 21,
                      "16fa466354a071911d66bf021086ba9c"
                      "db4e43d25b664fde81e84147baf3e30e"),
-    (True, "c128"): (63, 129, 75, 31, 128, 126, 63,
+    (True, "c128"): (63, 129, 75, 31, 128, 63, 63,
                      "bdf80128167d75a8fe6a4889ec2572cb"
                      "935cf7cec2c92fc96d536f6fd6b04fa7"),
-    (True, "c64"): (21, 27, 43, 5, 86, 84, 21,
+    (True, "c64"): (21, 27, 43, 5, 86, 21, 21,
                     "16fa466354a071911d66bf021086ba9c"
                     "db4e43d25b664fde81e84147baf3e30e"),
 }
@@ -184,6 +190,23 @@ def test_streamed_qft12_counters_and_digest_pinned(fusion, precision):
     res = MemQSim(qft12_config(fusion, precision),
                   telemetry=Telemetry()).run(qft(12))
     assert observed(res) == QFT12_PINNED[(fusion, precision)]
+
+
+@pytest.mark.parametrize("fusion,precision", sorted(QFT12_PINNED))
+def test_decompress_calls_are_the_predicted_live_loads(fusion, precision):
+    """The pinned codec calls are what the plan's support set predicts:
+    a compress per member of every pass (plus ``init_zero_state``'s two),
+    a decompress per *live* member only — a zero member is filled."""
+    res = MemQSim(qft12_config(fusion, precision)).run(qft(12))
+    layout = res.store.layout
+    predicted = predict_traffic(res.compiled_stages, layout, support={0})
+    calls = {edge: sum(row.get(edge, 0) for row in predicted.values())
+             // layout.chunk_nbytes
+             for edge in ("codec.raw_in", "codec.raw_out")}
+    pinned = QFT12_PINNED[(fusion, precision)]
+    assert (calls["codec.raw_in"] + 2, calls["codec.raw_out"]) == pinned[4:6]
+    assert calls["codec.raw_out"] == res.timeline.count(Stage.DECOMPRESS)
+    assert calls["codec.raw_out"] < calls["codec.raw_in"]
 
 
 def test_parallel_engine_runs_the_same_program():

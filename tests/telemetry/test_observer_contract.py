@@ -30,6 +30,18 @@ record of a hop, every copy of it went: the per-hop bus events, the lane
 spans and events, the codec / transfer / kernel counters and
 ``parallel.jobs``, and the bus events that copied a counter.
 
+One re-pin is sanctioned, and it is the only one: when a load of the
+interned zero blob became a fill (no codec call, no row, no traffic), the
+codec's load side moved and nothing else did. In every shape the
+``decompress`` span count, the ``codec.raw_out`` and
+``codec.compressed_in`` bytes and ops (totals, per-stage rows, worker
+sums and their ``traffic.*`` counters) were replaced by what the run now
+measures; the access trace, its sha256 and every other entry are the
+bytes they were. The moved values are the plan's:
+:func:`test_moved_entries_are_the_predicted_live_loads` derives them from
+the support set (``predict_traffic`` in the shape without a cache; cache
+misses less zero members in the others).
+
 The file pins how a run reaches its sinks for a given plan, not which
 plan the planner picks. It predates backward plans, which a zero-start
 run may now choose (``permutation`` would: 62 chunk loads against 94), so
@@ -46,10 +58,12 @@ from unittest import mock
 import pytest
 
 import repro.core.memqsim as facade
+from repro.analysis.audit import predict_traffic
 from repro.circuits import Circuit, get_workload
 from repro.core import MemQSim, MemQSimConfig
 from repro.device import DeviceSpec
 from repro.pipeline import plan_stages
+from repro.pipeline.sweep import predict_sweep
 from repro.telemetry import ChunkAccessRecorder, Telemetry
 
 PINNED = pathlib.Path(__file__).with_name("observer_contract.json")
@@ -144,6 +158,36 @@ def test_enabled_run_reaches_every_sink_as_pinned(shape):
     seen, want = _comparable(seen, shape), _comparable(want, shape)
     assert {k: v for k, v in seen.items() if want.get(k) != v} == {}
     assert seen.keys() == want.keys()
+
+
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_moved_entries_are_the_predicted_live_loads(shape):
+    """Every pinned decode is a load of a live chunk: without a cache the
+    per-stage ``codec.raw_out`` rows are ``predict_traffic``'s, and with
+    one the decodes are the cache misses less the zero members (a zero
+    member's first read always misses, and is filled)."""
+    cfg, circuit = SHAPES[shape]
+    with mock.patch.object(facade, "plan_stages", forward):
+        res = MemQSim(cfg).run(circuit)
+    layout = res.store.layout
+    pinned = json.loads(PINNED.read_text())[shape]
+    ledger = pinned["ledger"]
+    decodes = ledger["totals"]["codec.raw_out"]
+    assert decodes["bytes"] == decodes["ops"] * layout.chunk_nbytes
+    assert decodes["ops"] == ledger["totals"]["codec.compressed_in"]["ops"] \
+        == pinned["spans"]["decompress"]
+    assert decodes["bytes"] == pinned["ledger_workers_sum"]["codec.raw_out"] \
+        == pinned["counters"]["traffic.codec.raw_out.bytes"]
+    if not cfg.cache_chunks:
+        predicted = predict_traffic(res.compiled_stages, layout, support={0})
+        assert {si: row.get("codec.raw_out", 0)
+                for si, row in predicted.items()} \
+            == {si: ledger["by_stage"].get(str(si), {}).get("codec.raw_out", 0)
+                for si in predicted}
+        return
+    zero = sum(len(z) for _p, z in predict_sweep(
+        res.compiled_stages, layout, cfg.serpentine_groups, {0}))
+    assert decodes["ops"] == pinned["counters"]["cache.miss"] - zero
 
 
 class _Untouchable:
