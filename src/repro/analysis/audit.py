@@ -60,9 +60,6 @@ DEFAULT_RATIO_SLACK = 1.25
 #: recompressed on store, and the arena copy each way
 DET_EDGES = ("codec.raw_out", "codec.raw_in", "arena.h2d", "arena.d2h")
 
-#: the edges only a pass's live members cross: a zero member is filled
-LIVE_EDGES = ("codec.raw_out",)
-
 #: a gate stage whose measured kernel seconds differ from the model's
 #: prediction by more than this factor, either way, is flagged
 KERNEL_FLAG_FACTOR = 2.0
@@ -82,10 +79,11 @@ def _access_trace(passes) -> List[Tuple[int, int, str]]:
 
 
 def _pass_traffic(members, zero, layout: ChunkLayout) -> Dict[str, int]:
-    """One group pass's bytes on each deterministic edge."""
+    """One group pass's bytes on each deterministic edge: every member
+    crosses the arena and is recompressed, only a live one is decoded (a
+    zero member is filled)."""
     row = dict.fromkeys(DET_EDGES, len(members) * layout.chunk_nbytes)
-    for edge in LIVE_EDGES:
-        row[edge] -= len(zero) * layout.chunk_nbytes
+    row["codec.raw_out"] -= len(zero) * layout.chunk_nbytes
     return row
 
 

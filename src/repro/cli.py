@@ -760,8 +760,8 @@ def _cmd_audit(args) -> int:
     rec = ChunkAccessRecorder()
     tel.access = rec
     # The audit contract: no chunk cache — the deterministic edges are
-    # only exact when every load reaches the codec. Any worker count
-    # balances.
+    # only exact when every load of a live chunk reaches the codec. Any
+    # worker count balances.
     cfg = _config_from_args(args, cache_chunks=0)
     res = MemQSim(cfg, telemetry=tel).run(
         get_workload(args.workload, args.qubits))

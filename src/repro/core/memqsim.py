@@ -68,8 +68,8 @@ log = get_logger(__name__)
 
 
 def chunk_loads_from_zero(stages, layout) -> int:
-    """Chunks ``stages`` decompress when only chunk 0 is non-zero: the
-    codec round trips of a run from |0...0>, which is what plans are
+    """Chunks ``stages`` load when only chunk 0 is non-zero: the chunk
+    round trips of a run from |0...0>, which is what plans are
     ranked by (a pass over ``2^t`` chunks costs ``2^t`` of them, so pass
     counts alone mis-rank plans with different group widths)."""
     return sum(len(members) for kind, _si, _gi, members

@@ -74,8 +74,8 @@ def _check_zero_blob(blob: bytes, store: CompressedChunkStore) -> None:
     zeros, so it must decode to exactly that."""
     try:
         arr = store.compressor.decompress(blob)
-    except Exception as exc:
-        raise StoreFormatError(f"zero blob does not decode: {exc}") from None
+    except Exception as exc:  # any codec's error on malformed bytes
+        raise StoreFormatError(f"zero blob does not decode: {exc}") from exc
     if (arr.shape != (store.layout.chunk_size,) or arr.dtype != store.dtype
             or arr.view(np.uint8).any()):
         raise StoreFormatError(

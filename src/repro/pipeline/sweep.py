@@ -24,9 +24,10 @@ eviction, plan-coldest spilling, the codec lane's prefetch, the audit and
 the progress total all need the whole schedule up front.
 
 :func:`predict_sweep` is the only place that list is produced, and
-:func:`predict_pass_schedule` is its passes. The scheduler iterates those, :class:`~repro.memory.hierarchy.AccessSchedule` is
-built from it, and the audit's predictions, the progress total and the
-per-run plan report are read off it.
+:func:`predict_pass_schedule` is its passes. The scheduler iterates them,
+:class:`~repro.memory.hierarchy.AccessSchedule` is built from them, and
+the audit's predictions, the progress total and the per-run plan report
+are read off them.
 """
 
 from __future__ import annotations

@@ -271,7 +271,7 @@ class TestTheZeroBlobIsCheckedOnLoad:
         data[start + 8:start + 12] = struct.pack("<I", zlib.crc32(blob))
         data[start + 12:end] = blob
         p.write_bytes(bytes(data))
-        with pytest.raises(StoreFormatError, match="zero blob"):
+        with pytest.raises(StoreFormatError, match="zero blob does not decode"):
             load_store(p, get_compressor("zlib"))
 
     def test_a_true_zero_blob_loads_and_fills(self, tmp_path):
