@@ -101,7 +101,6 @@ def _stage_traffic(sweep, num_stages: int,
 def predict_access_schedule(
     stages: Sequence[Any],
     layout: ChunkLayout,
-    serpentine: bool = False,
     support: Optional[Iterable[int]] = None,
 ) -> List[Tuple[int, int, str]]:
     """The exact access trace a run of ``stages`` will record.
@@ -111,8 +110,7 @@ def predict_access_schedule(
     one barrier marker. ``support`` is the start state's support set
     (``None`` = every chunk may be non-zero: the full sweep).
     """
-    return _access_trace(
-        predict_pass_schedule(stages, layout, serpentine, support))
+    return _access_trace(predict_pass_schedule(stages, layout, support))
 
 
 def predict_traffic(
@@ -269,7 +267,6 @@ def audit_run(
     trace: Sequence[Tuple[int, int, str]],
     ledger,
     *,
-    serpentine: bool = False,
     ratio_slack: float = DEFAULT_RATIO_SLACK,
     support: Optional[Iterable[int]] = None,
     timeline: Any = None,
@@ -296,7 +293,7 @@ def audit_run(
     With a ``timeline`` and the plan's ``kernel_stages``, the report also
     carries :func:`compare_kernel_seconds` (informational).
     """
-    sweep = predict_sweep(stages, layout, serpentine, support)
+    sweep = predict_sweep(stages, layout, support)
     passes = [p for p, _zero in sweep]
     predicted = _access_trace(passes)
     measured = [tuple(t) for t in trace]

@@ -79,8 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--qasm", help="OpenQASM 2.0 file to simulate instead")
     runp.add_argument("-n", "--qubits", type=int, default=12)
     _add_codec_args(runp)
-    runp.add_argument("--autotune", action="store_true",
-                      help="probe chunk sizes on a circuit prefix first")
     _add_fusion_args(runp)
     _add_precision_arg(runp)
     runp.add_argument("--cache-chunks", type=int, default=0,
@@ -172,8 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     mtp.add_argument("--cache-chunks", type=int, default=4, metavar="C",
                      help="chunk-cache capacity to run with (the "
                           "analysis then sweeps every capacity)")
-    mtp.add_argument("--serpentine", action=argparse.BooleanOptionalAction,
-                     default=True)
     mtp.add_argument("--policy", default="lru",
                      choices=["lru", "mru", "belady"],
                      help="eviction policy to run live and replay offline "
@@ -196,8 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     audp.add_argument("--host-store-mb", type=float, default=0.0,
                       help="audit against the tiered store with this RAM "
                            "blob budget (0 = plain memory store)")
-    audp.add_argument("--serpentine", action=argparse.BooleanOptionalAction,
-                      default=True)
     audp.add_argument("--workers", type=int, default=1, metavar="N",
                       help="codec lane threads; the audit must balance "
                            "to the byte for any count (default 1)")
@@ -336,10 +330,6 @@ def _add_parallel_args(p: argparse.ArgumentParser) -> None:
                         "> 1 = on a thread pool behind the chunk store, "
                         "0 = auto: fan out only when cores and codec cost "
                         "justify it)")
-    p.add_argument("--serpentine", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="alternate group sweep direction per stage "
-                        "(boustrophedon chunk locality)")
 
 
 def _add_telemetry_args(p: argparse.ArgumentParser) -> None:
@@ -462,7 +452,6 @@ _CONFIG_ARGS = {
     "disk_path": "disk_path",
     "host_store_mb": "host_store_mb",
     "workers": "workers",
-    "serpentine": "serpentine_groups",
 }
 
 
@@ -492,13 +481,6 @@ def _cmd_run(args) -> int:
 
         tel.access = ChunkAccessRecorder()
     cfg = _config_from_args(args)
-    if args.autotune:
-        from .pipeline import autotune_chunk_qubits
-
-        rep = autotune_chunk_qubits(circuit, cfg)
-        print("autotune probe:")
-        print(rep.table())
-        cfg = cfg.with_updates(chunk_qubits=rep.best_chunk_qubits)
     json_stdout = args.json == "-"
     server = dashboard = None
     if args.serve_metrics is not None:
@@ -770,8 +752,7 @@ def _cmd_audit(args) -> int:
         trace[0], trace[-1] = trace[-1], trace[0]
     # The run started from |0...0>: chunk 0 is its whole support.
     report = audit_run(res.compiled_stages, res.store.layout, trace,
-                       tel.traffic, serpentine=args.serpentine,
-                       ratio_slack=args.ratio_slack, support={0},
+                       tel.traffic, ratio_slack=args.ratio_slack, support={0},
                        timeline=res.timeline,
                        kernel_stages=res.compile_report.kernel_stages)
     if args.json:

@@ -62,6 +62,8 @@ _FLAG_RAW = 1
 _ENTROPY_ZLIB = 0
 _ENTROPY_HUFFMAN = 1
 _ENTROPY_FIXED = 2
+#: the zlib stage's width byte -> the integer type its codes were narrowed to
+_ZLIB_WIDTHS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 
 #: With the table-driven decoder (huffman._decode_lut) the entropy stage is
 #: vectorized end to end, so Huffman is viable at real chunk sizes — these
@@ -372,11 +374,19 @@ class SZLikeCompressor(Compressor):
         if blob[at:at + 4] != _MAGIC:
             raise ValueError("not an SZL1 blob")
         flag, entropy_id, n, step_bound = _HEADER.unpack_from(blob, at + 4)
+        # A byte this build does not define fails here; it is never read
+        # as the nearest stage that is defined.
+        if flag not in (_FLAG_QUANT, _FLAG_RAW):
+            raise ValueError(f"unknown SZL1 frame flag {flag}")
+        if flag == _FLAG_RAW and entropy_id != _ENTROPY_ZLIB:
+            raise ValueError(f"SZL1 raw frame with entropy stage {entropy_id}")
         payload = memoryview(blob)[at + _PAYLOAD_AT:]
         out = decode_target(out, dtype, n)
         if flag == _FLAG_RAW:
             raw = zlib.decompress(payload)
-            out[:] = np.frombuffer(raw, dtype=dtype, count=n)
+            if len(raw) != n * dtype.itemsize:
+                raise ValueError("SZL1 raw frame has the wrong length")
+            out[:] = np.frombuffer(raw, dtype=dtype)
             return out
         with scratch_pool().borrow(2 * n, np.int64) as doubled:
             doubled = self._decode_codes(payload, entropy_id, doubled)
@@ -415,9 +425,13 @@ class SZLikeCompressor(Compressor):
             return vals.view(np.uint64)
         if entropy_id != _ENTROPY_ZLIB:
             raise ValueError(f"unknown SZL1 entropy stage {entropy_id}")
-        dtype = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}[payload[0]]
+        width = payload[0]
+        if width not in _ZLIB_WIDTHS:
+            raise ValueError(f"unknown SZL1 zlib-stage width {width}")
         raw = zlib.decompress(payload[1:])
-        np.copyto(out, np.frombuffer(raw, dtype=dtype, count=count))
+        if len(raw) != count * width:
+            raise ValueError("SZL1 zlib stage has the wrong length")
+        np.copyto(out, np.frombuffer(raw, dtype=_ZLIB_WIDTHS[width]))
         return out
 
 
@@ -430,9 +444,9 @@ def blob_entropy(blob: bytes) -> Optional[str]:
 
     Returns ``"huffman"``, ``"zlib"``, ``"fixed"``, or ``"raw"`` (the
     lossless escape); ``None`` when the blob is not SZL1-framed or names a
-    stage this build does not know. A dtype tag (``DTP1`` + tag byte) is
-    looked through, so the chunk store can attribute entropy choices
-    without decompressing anything.
+    frame or stage this build does not know (the decoder refuses those).
+    A dtype tag (``DTP1`` + tag byte) is looked through, so the chunk
+    store can attribute entropy choices without decompressing anything.
     """
     if blob[:4] == DTYPE_MAGIC:
         blob = blob[5:]
@@ -440,8 +454,8 @@ def blob_entropy(blob: bytes) -> Optional[str]:
         return None
     flag, entropy_id = blob[4], blob[5]
     if flag == _FLAG_RAW:
-        return "raw"
-    return _ENTROPY_NAMES.get(entropy_id)
+        return "raw" if entropy_id == _ENTROPY_ZLIB else None
+    return _ENTROPY_NAMES.get(entropy_id) if flag == _FLAG_QUANT else None
 
 
 register_compressor(

@@ -37,7 +37,6 @@ class MemQSimConfig:
             ``{"error_bound": 1e-5, "mode": "abs"}``).
         device: simulated accelerator spec (capacity enforced).
         host: simulated host spec (its memory budget is enforced).
-        num_buffers: staging buffers in the host pool (2 = double buffer).
         enable_permutation_stages: execute global X/SWAP as blob relabeling.
         precision: amplitude precision — ``"c128"`` (default, complex128
             everywhere), ``"c64"`` (complex64 everywhere: half the bytes
@@ -63,9 +62,6 @@ class MemQSimConfig:
             sweeps), ``"lru"``, or ``"belady"`` (plan-optimal: evict the
             chunk whose next use in the compiled schedule is farthest
             away; falls back to MRU for off-schedule accesses).
-        serpentine_groups: alternate the group sweep direction per stage
-            (boustrophedon) so the chunk cache keeps hitting across stage
-            boundaries; free when no cache is configured.
         host_store_mb: RAM budget (MiB) for compressed blobs. 0 (default)
             with no ``disk_path`` keeps every blob in RAM
             (:class:`~repro.memory.CompressedChunkStore`); > 0 runs the
@@ -95,13 +91,11 @@ class MemQSimConfig:
     compressor_options: Dict[str, object] = field(default_factory=dict)
     device: DeviceSpec = field(default_factory=DeviceSpec)
     host: HostSpec = field(default_factory=HostSpec)
-    num_buffers: int = 2
     enable_permutation_stages: bool = True
     precision: str = "c128"
     fuse_gates: Optional[bool] = None
     cache_chunks: int = 0
     cache_policy: str = "mru"
-    serpentine_groups: bool = True
     disk_path: Optional[str] = None
     host_store_mb: float = 0.0
     workers: int = 1
@@ -183,9 +177,9 @@ class MemQSimConfig:
         Combined with :meth:`~repro.circuits.circuit.Circuit
         .structural_hash`, this keys a compiled-plan cache: two configs
         with equal ``plan_key()`` resolve the same layout, stage split,
-        and fused op stream for any given circuit. Device memory and the
-        buffer count participate because they bound the chunk size and
-        the group width (``max_group_qubits_for``); execution-only knobs
+        and fused op stream for any given circuit. Device memory
+        participates because it bounds the chunk size and the group width
+        (``max_group_qubits_for``); execution-only knobs
         (codec, workers, cache, monitor) deliberately do not.
         Precision participates because the amplitude itemsize changes
         what fits the device. An unset ``fuse_gates`` is hashed as
@@ -198,7 +192,9 @@ class MemQSimConfig:
         values["fuse_gates"] = self.resolve_fuse_gates()
         fields = [f"{k}={v!r}" for k, v in values.items()]
         fields.append(f"device_bytes={self.device.memory_bytes}")
-        fields.append(f"double_buffer={self.num_buffers > 1}")
+        # The staging buffers are two, a constant; the payload keeps the
+        # element a buffer count wrote, so every stored key still matches.
+        fields.append("double_buffer=True")
         payload = "repro.plan/v1|" + "|".join(fields)
         return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -209,6 +205,5 @@ class MemQSimConfig:
             f"precision={self.precision} "
             f"compressor={self.compressor}({co}) "
             f"device={self.device.memory_bytes // (1 << 20)}MiB "
-            f"buffers={self.num_buffers} "
             f"workers={self.workers or 'auto'}"
         )

@@ -44,7 +44,8 @@ from ..memory.bufferpool import BufferPool
 from ..memory.chunkstore import CompressedChunkStore
 from ..memory.hierarchy import MemoryHierarchy, TieredChunkStore
 from ..memory.layout import ChunkLayout
-from ..pipeline.planner import describe_plan, max_group_qubits_for, plan_stages
+from ..pipeline.planner import (STAGING_BUFFERS, describe_plan,
+                                max_group_qubits_for, plan_stages)
 from ..pipeline.scheduler import StageScheduler, stage_programs
 from ..pipeline.sweep import live_chunks, predict_pass_schedule
 from ..statevector.statevector import StateVector
@@ -308,7 +309,7 @@ class MemQSim:
             cfg = cfg.with_updates(precision=adopted)
         dtype = layout.dtype
 
-        t_max = max_group_qubits_for(layout, cfg.device, double_buffer=cfg.num_buffers > 1)
+        t_max = max_group_qubits_for(layout, cfg.device)
         # Plan cache: keyed on circuit shape + plan-affecting knobs + the
         # *resolved* chunk size (checkpoint / initial-store layouts
         # override the configured one, so `c` must be part of the key) +
@@ -371,9 +372,8 @@ class MemQSim:
         # derives nothing.
         support = frozenset(live_chunks(store))
         passes = entry.pass_schedule(
-            support, cfg.serpentine_groups,
-            lambda: predict_pass_schedule(cplan.stages, layout,
-                                          cfg.serpentine_groups, support))
+            support,
+            lambda: predict_pass_schedule(cplan.stages, layout, support))
         plan = replace(plan, group_passes=sum(
             kind == "pass" for kind, *_ in passes))
         if tel.enabled:
@@ -392,11 +392,11 @@ class MemQSim:
         # Host budget check: compressed store + staging must fit.
         group_qubits_used = plan.max_group_size
         buffer_amps = layout.chunk_size << group_qubits_used
-        pool_bytes = cfg.num_buffers * buffer_amps * layout.itemsize
+        pool_bytes = STAGING_BUFFERS * buffer_amps * layout.itemsize
         if pool_bytes > cfg.host.memory_bytes:
             raise MemoryError(
                 f"host budget {cfg.host.memory_bytes:,}B cannot hold "
-                f"{cfg.num_buffers} staging buffers of "
+                f"{STAGING_BUFFERS} staging buffers of "
                 f"{buffer_amps * layout.itemsize:,}B"
             )
 
@@ -435,9 +435,10 @@ class MemQSim:
             store.attach_lane(codec_pool)
             log.debug("online: codec lane, %d threads%s", workers,
                       "" if owns_codec_pool else " (shared)")
-        pool = BufferPool(cfg.num_buffers, buffer_amps, tracker, telemetry=tel,
-                          dtype=dtype)
+        pool = BufferPool(STAGING_BUFFERS, buffer_amps, tracker,
+                          telemetry=tel, dtype=dtype)
         finished = False
+        hierarchy = None
         try:
             hierarchy = MemoryHierarchy.build(
                 store, cache_chunks=cfg.cache_chunks,
@@ -453,7 +454,6 @@ class MemQSim:
             scheduler = StageScheduler(
                 layout, store_like, executor, pool, timeline,
                 fuse_gates=fuse,
-                serpentine=cfg.serpentine_groups,
                 observer=tel.observer(),
                 cancel=self.cancel,
                 schedule=schedule,
@@ -469,16 +469,24 @@ class MemQSim:
             # every pending write lands and the store forgets the pool, so
             # a cancelled run's store reloads chunk-consistent and a shared
             # pool outlives the job; an executor on a shared arena must not
-            # leak staging allocations. A codec error a lane hit surfaces
-            # from detaching only when the run itself finished: an
-            # exception already on its way out (JobCancelled) is the one
-            # the caller sees. The rest is released regardless.
+            # leak staging allocations. A run that did not finish also
+            # writes its cache back (a finished one flushed in the
+            # scheduler), so its store is what its passes left. A codec
+            # error surfaces from unwinding only when the run itself
+            # finished: an exception already on its way out
+            # (JobCancelled) is the one the caller sees. The rest is
+            # released regardless.
+            steps = [store.detach_lane]
+            if not finished and hierarchy is not None:
+                steps.insert(0, hierarchy.store_like.flush)
             try:
-                store.detach_lane()
-            except Exception as exc:
-                if finished:
-                    raise
-                log.debug("lane error while unwinding: %r", exc)
+                for step in steps:
+                    try:
+                        step()
+                    except Exception as exc:
+                        if finished:
+                            raise
+                        log.debug("lane error while unwinding: %r", exc)
             finally:
                 if owns_codec_pool:
                     codec_pool.close()
@@ -506,7 +514,6 @@ class MemQSim:
             "compressor": cfg.compressor,
             "cache_chunks": cfg.cache_chunks,
             "cache_policy": cfg.cache_policy,
-            "serpentine": cfg.serpentine_groups,
             "fuse_gates": fuse,
             "fusion": fuse,
             "store": "tiered" if isinstance(store, TieredChunkStore)

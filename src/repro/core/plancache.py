@@ -68,23 +68,22 @@ class CachedPlan:
     #: the plan's pass schedules by start (see :meth:`pass_schedule`);
     #: shared with the entry a rebind replaces this one with, since other
     #: parameter values move no group and no permutation
-    schedules: Dict[Hashable, Tuple[Any, ...]] = field(
+    schedules: Dict[FrozenSet[int], Tuple[Any, ...]] = field(
         default_factory=dict, compare=False, repr=False)
 
-    def pass_schedule(self, support: FrozenSet[int], serpentine: bool,
+    def pass_schedule(self, support: FrozenSet[int],
                       predict: Callable[[], Sequence[Any]]
                       ) -> Tuple[Any, ...]:
         """The pass schedule this plan runs from a start whose support set
         is ``support``: ``predict()`` the first time, kept after that (the
         ``_SCHEDULES_KEPT`` latest starts)."""
-        key = (serpentine, support)
-        passes = self.schedules.get(key)
+        passes = self.schedules.get(support)
         if passes is None:
             passes = tuple(predict())
             with _SCHEDULES_LOCK:
                 while len(self.schedules) >= _SCHEDULES_KEPT:
                     del self.schedules[next(iter(self.schedules))]
-                self.schedules[key] = passes
+                self.schedules[support] = passes
         return passes
 
 

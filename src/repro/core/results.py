@@ -41,7 +41,7 @@ class MemQSimResult:
     online_seconds: float
     config_summary: str = ""
     telemetry: Telemetry = field(default=NULL_TELEMETRY, repr=False)
-    #: resolved-knob echo (workers, store, serpentine, ...) — the
+    #: resolved-knob echo (workers, store, cache, ...) — the
     #: machine-readable companion to the ``config_summary`` string
     config_echo: Dict[str, Any] = field(default_factory=dict)
     #: gauge time-series captured by the run's ResourceMonitor (RSS, arena

@@ -1,6 +1,5 @@
 """Pipeline: offline planner, online scheduler."""
 
-from .autotune import TuneReport, autotune_chunk_qubits
 from .cancel import CancelToken, JobCancelled
 from .planner import (
     RELOCATE,
@@ -38,6 +37,4 @@ __all__ = [
     "StageScheduler",
     "remap_gate_for_group",
     "restrict_diagonal",
-    "autotune_chunk_qubits",
-    "TuneReport",
 ]

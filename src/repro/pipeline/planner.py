@@ -62,8 +62,8 @@ for the DAG plus, per stage, a scan of the ready gates (at most one per
 qubit) and one sort of the chunk-local qubits.
 
 ``max_group_qubits`` is derived from the device: a group buffer of
-``2^(chunk_qubits + t)`` amplitudes must fit in the arena (with one buffer
-of headroom for double-buffered pipelines).
+``2^(chunk_qubits + t)`` amplitudes must fit in the arena
+:data:`STAGING_BUFFERS` times.
 """
 
 from __future__ import annotations
@@ -82,29 +82,32 @@ from .stages import GateStage, PermutationStage
 
 log = get_logger(__name__)
 
-__all__ = ["plan_stages", "max_group_qubits_for", "PlanReport", "describe_plan",
-           "trace_qubit_map", "RELOCATE"]
+__all__ = ["plan_stages", "max_group_qubits_for", "STAGING_BUFFERS",
+           "PlanReport", "describe_plan", "trace_qubit_map", "RELOCATE"]
+
+#: group buffers a run books, on the device and in the host pool: the one a
+#: pass holds plus one of headroom for a double-buffered pipeline
+STAGING_BUFFERS = 2
 
 
-def max_group_qubits_for(layout: ChunkLayout, device: DeviceSpec,
-                         double_buffer: bool = True) -> int:
-    """Largest ``t`` such that a group buffer fits the device arena.
+def max_group_qubits_for(layout: ChunkLayout, device: DeviceSpec) -> int:
+    """Largest ``t`` such that :data:`STAGING_BUFFERS` group buffers fit
+    the device arena.
 
     Byte math uses ``layout.itemsize``, so a complex64 layout fits groups
     one qubit wider than complex128 in the same device memory.
     """
-    copies = 2 if double_buffer else 1
     item = layout.itemsize
     t = 0
     while True:
-        need = copies * (1 << (layout.chunk_qubits + t + 1)) * item
+        need = STAGING_BUFFERS * (1 << (layout.chunk_qubits + t + 1)) * item
         if need > device.memory_bytes or layout.chunk_qubits + t + 1 > layout.num_qubits:
             break
         t += 1
-    if (1 << layout.chunk_qubits) * item * copies > device.memory_bytes:
+    if (1 << layout.chunk_qubits) * item * STAGING_BUFFERS > device.memory_bytes:
         raise ValueError(
             f"chunk of {layout.chunk_qubits} qubits does not fit device memory "
-            f"{device.memory_bytes:,}B (x{copies} buffers)"
+            f"{device.memory_bytes:,}B (x{STAGING_BUFFERS} buffers)"
         )
     return t
 

@@ -278,7 +278,6 @@ class StageScheduler:
         pool: BufferPool,
         timeline: Optional[Timeline] = None,
         fuse_gates: bool = False,
-        serpentine: bool = False,
         observer=None,
         cancel=None,
         schedule=None,
@@ -286,9 +285,6 @@ class StageScheduler:
         """``executor`` is the run's one
         :class:`~repro.device.DeviceExecutor`: every group pass uploads,
         updates and downloads through it.
-        ``serpentine`` alternates the group sweep direction per stage so a
-        bounded chunk cache keeps hitting across stage boundaries (read only
-        when :meth:`run` derives the pass schedule itself).
         ``observer`` is the run's :class:`~repro.telemetry.PassObserver`
         (:meth:`Telemetry.observer() <repro.telemetry.Telemetry.observer>`);
         ``None`` reports to nobody.
@@ -314,7 +310,6 @@ class StageScheduler:
         self.timeline = timeline if timeline is not None else \
             executor.timeline
         self.fuse_gates = bool(fuse_gates)
-        self.serpentine = bool(serpentine)
         self.observer = observer if observer is not None else NULL_OBSERVER
         self.compile_options = CompileOptions(fusion=self.fuse_gates)
         self.cancel = cancel if cancel is not None else CancelToken()
@@ -357,7 +352,6 @@ class StageScheduler:
         ops afresh. Returns with the store flushed."""
         if passes is None:
             passes = predict_pass_schedule(stages, self.layout,
-                                           self.serpentine,
                                            live_chunks(self.store))
         groups: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
         widest = 0

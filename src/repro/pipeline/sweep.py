@@ -55,14 +55,14 @@ def live_chunks(store) -> Set[int]:
 def predict_pass_schedule(
     stages: Sequence[Any],
     layout: ChunkLayout,
-    serpentine: bool = False,
     support: Optional[Iterable[int]] = None,
 ) -> List[Pass]:
     """The exact group-pass sequence a run of ``stages`` executes.
 
-    Per gate stage, the layout's chunk groups in serpentine-aware order
-    (parity flips on gate stages only — permutations don't consume a
-    sweep), minus the groups that cannot hold a non-zero amplitude.
+    Per gate stage, the layout's chunk groups in boustrophedon order
+    (every second gate stage sweeps backwards — permutations don't
+    consume a sweep), minus the groups that cannot hold a non-zero
+    amplitude.
     ``support`` is the start state's support set (see :func:`live_chunks`);
     ``None`` means any chunk may be non-zero, i.e. the full sweep. Returns
     a flat list of
@@ -75,14 +75,12 @@ def predict_pass_schedule(
     the traffic ledger's and the sweep direction sees the ids it always
     did.
     """
-    return [p for p, _zero in predict_sweep(stages, layout, serpentine,
-                                            support)]
+    return [p for p, _zero in predict_sweep(stages, layout, support)]
 
 
 def predict_sweep(
     stages: Sequence[Any],
     layout: ChunkLayout,
-    serpentine: bool = False,
     support: Optional[Iterable[int]] = None,
 ) -> List[Tuple[Pass, Tuple[int, ...]]]:
     """:func:`predict_pass_schedule`'s passes, each with its zero members.
@@ -105,13 +103,12 @@ def predict_sweep(
         if not isinstance(stage, (GateStage, CompiledGateStage)):
             raise TypeError(f"unknown stage type {type(stage).__name__}")
         order = list(enumerate(layout.chunk_groups(stage.group_qubits).groups))
-        if serpentine:
-            # Alternate sweep direction per stage: the chunks touched last
-            # are touched first next stage, so a bounded cache keeps hitting
-            # (boustrophedon order — the locality fix for cyclic sweeps).
-            parity ^= 1
-            if parity == 0:
-                order.reverse()
+        # Alternate sweep direction per stage: the chunks touched last are
+        # touched first next stage, so a bounded cache keeps hitting
+        # (boustrophedon order — the locality fix for cyclic sweeps).
+        parity ^= 1
+        if parity == 0:
+            order.reverse()
         for gi, members in order:
             zero: Tuple[int, ...] = ()
             if live is not None:

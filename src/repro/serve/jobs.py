@@ -68,7 +68,6 @@ CONFIG_OVERRIDES = {
     "cache_chunks": "cache_chunks",
     "cache_policy": "cache_policy",
     "workers": "workers",
-    "serpentine": "serpentine_groups",
 }
 
 
@@ -145,8 +144,7 @@ def device_lease_amplitudes(num_qubits: int, cfg: MemQSimConfig) -> int:
     """
     c = cfg.resolve_chunk_qubits(num_qubits)
     layout = ChunkLayout(num_qubits, c)
-    t = max_group_qubits_for(layout, cfg.device,
-                             double_buffer=cfg.num_buffers > 1)
+    t = max_group_qubits_for(layout, cfg.device)
     return layout.chunk_size << t
 
 

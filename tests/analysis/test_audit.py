@@ -18,8 +18,8 @@ from repro.telemetry import Telemetry
 ZERO_STATE = {0}
 
 
-def audited_run(n=8, chunk_qubits=4, serpentine=False, execution="serial",
-                device_mb=None, workers=2, workload="qft", host_store_mb=0.0):
+def audited_run(n=8, chunk_qubits=4, execution="serial", device_mb=None,
+                workers=2, workload="qft", host_store_mb=0.0):
     """Run under the audit contract and return everything the audit needs."""
     tel = Telemetry()
     tel.access = ChunkAccessRecorder()
@@ -32,7 +32,6 @@ def audited_run(n=8, chunk_qubits=4, serpentine=False, execution="serial",
         chunk_qubits=chunk_qubits,
         compressor="zlib",
         cache_chunks=0,
-        serpentine_groups=serpentine,
         host_store_mb=host_store_mb,
         **kw,
     )
@@ -41,20 +40,19 @@ def audited_run(n=8, chunk_qubits=4, serpentine=False, execution="serial",
 
 
 class TestPredictor:
-    @pytest.mark.parametrize("serpentine", [False, True])
+    @pytest.mark.parametrize("tiered", [False, True])
     @pytest.mark.parametrize("execution", ["serial", "parallel"])
-    def test_schedule_matches_recorded_trace(self, serpentine, execution):
+    def test_schedule_matches_recorded_trace(self, tiered, execution):
         stages, layout, tel = audited_run(
-            serpentine=serpentine, execution=execution)
-        predicted = predict_access_schedule(stages, layout, serpentine,
-                                            ZERO_STATE)
+            execution=execution, host_store_mb=0.001 if tiered else 0.0)
+        predicted = predict_access_schedule(stages, layout, ZERO_STATE)
         assert predicted == tel.access.trace()
 
     def test_streaming_run_matches(self):
         # tiny device memory forces multi-stage streaming with real reuse
         stages, layout, tel = audited_run(
-            n=9, chunk_qubits=3, device_mb=0.002, serpentine=True)
-        predicted = predict_access_schedule(stages, layout, True, ZERO_STATE)
+            n=9, chunk_qubits=3, device_mb=0.002)
+        predicted = predict_access_schedule(stages, layout, ZERO_STATE)
         assert len(predicted) > layout.num_chunks * 2  # several passes
         assert predicted == tel.access.trace()
 
@@ -90,7 +88,7 @@ class TestPredictor:
         the arena and the recompress carry every member, the decode only
         the live ones."""
         stages, layout, _tel = audited_run(n=9, chunk_qubits=3,
-                                           device_mb=0.002, serpentine=True)
+                                           device_mb=0.002)
         traffic = predict_traffic(stages, layout, support=ZERO_STATE)
         full = predict_traffic(stages, layout)
         moved = 0
@@ -112,9 +110,9 @@ class TestPredictor:
 class TestAuditRun:
     def test_clean_run_passes(self):
         stages, layout, tel = audited_run(n=9, chunk_qubits=3,
-                                          device_mb=0.002, serpentine=True)
+                                          device_mb=0.002)
         rep = audit_run(stages, layout, tel.access.trace(), tel.traffic,
-                        serpentine=True, support=ZERO_STATE)
+                        support=ZERO_STATE)
         assert rep.ok, rep.render()
         assert rep.schedule_ok and rep.traffic_ok and rep.envelope_ok
         assert rep.first_divergence is None
@@ -217,10 +215,10 @@ def test_audit_predicts_the_decodes_from_the_support(workload, host_store_mb,
     passes, so ``codec.raw_out`` matched per stage and per group, and it
     is below ``codec.raw_in`` by the zero members' bytes."""
     stages, layout, tel = audited_run(
-        n=10, device_mb=0.002, serpentine=True, execution=execution,
+        n=10, device_mb=0.002, execution=execution,
         workload=workload, host_store_mb=host_store_mb)
     rep = audit_run(stages, layout, tel.access.trace(), tel.traffic,
-                    serpentine=True, support=ZERO_STATE)
+                    support=ZERO_STATE)
     assert rep.ok, rep.render()
     predicted = predict_traffic(stages, layout, support=ZERO_STATE)
     by_stage = tel.traffic.by_stage()

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.compression import available_compressors, get_compressor
-from repro.compression.interface import split_dtype
+from repro.compression.interface import DTYPE_MAGIC, split_dtype
 from repro.compression.szlike import blob_entropy
 
 ACCEPTABLE = (ValueError, KeyError, IndexError, EOFError,
@@ -200,3 +200,101 @@ class TestFixedStagePayload:
         codec, header, payload = self.parts()
         with pytest.raises(ValueError):
             codec.decompress(header[:5] + b"\x07" + header[6:] + payload)
+
+
+
+#: where the header bytes sit: the DTP1 dtype tag is byte 4 of a tagged
+#: blob; the SZL1 frame's flag and entropy id are bytes 4 and 5 of the
+#: frame, and its payload (whose first byte is the zlib or fixed stage's
+#: width, and the fixed stage's second its predictor) starts at byte 22
+TAG_AT, FLAG_AT, ENTROPY_AT, PAYLOAD_AT = 4, 4, 5, 22
+
+
+def decodes_or_fails_loudly(codec, blob, shape):
+    """A defined byte that is not the blob's own: its payload is not that
+    stage's, so it decodes to the declared length or raises — never a
+    wrong-length array."""
+    try:
+        out = codec.decompress(blob)
+    except ACCEPTABLE:
+        return
+    assert out.shape == shape
+
+
+def sweep_byte(codec, blob, pos, defined):
+    """Write every value into ``blob[pos]``: an undefined one raises
+    ``ValueError``, the blob's own decodes as the blob does, and another
+    defined one decodes or fails loudly."""
+    want = codec.decompress(blob)
+    for value in range(256):
+        damaged = blob[:pos] + bytes([value]) + blob[pos + 1:]
+        if value not in defined:
+            with pytest.raises(ValueError):
+                codec.decompress(damaged)
+                pytest.fail(f"byte {pos} = {value} decoded")
+        elif value == blob[pos]:
+            assert np.array_equal(codec.decompress(damaged), want)
+        else:
+            decodes_or_fails_loudly(codec, damaged, want.shape)
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128],
+                         ids=["c64", "c128"])
+@pytest.mark.parametrize("stage", sorted(SZL1_STAGES))
+class TestEveryUndefinedHeaderByte:
+    """The forward-compatibility rule as a standing test: a decoder fed a
+    dtype tag, frame flag, entropy stage, width or predictor it does not
+    define raises ``ValueError``; it never decodes it as a stage it
+    knows. Every blob here is one ``TestEverySZL1Stage`` builds."""
+
+    @staticmethod
+    def frame(stage, dtype):
+        """The codec, the input, the blob and where its SZL1 frame starts
+        (after the DTP1 tag a complex64 blob carries)."""
+        codec, x, blob = TestEverySZL1Stage.blob(stage, dtype)
+        at = len(DTYPE_MAGIC) + 1 if blob.startswith(DTYPE_MAGIC) else 0
+        return codec, x, blob, at
+
+    def test_dtype_tag(self, stage, dtype):
+        codec, x, blob, at = self.frame(stage, dtype)
+        if at:
+            sweep_byte(codec, blob, TAG_AT, {1})
+            return
+        # a complex128 blob carries no tag: prefix each one
+        for value in range(256):
+            tagged = DTYPE_MAGIC + bytes([value]) + blob
+            if value == 1:
+                decodes_or_fails_loudly(codec, tagged, x.shape)
+            else:
+                with pytest.raises(ValueError):
+                    codec.decompress(tagged)
+
+    def test_frame_flag(self, stage, dtype):
+        codec, _x, blob, at = self.frame(stage, dtype)
+        sweep_byte(codec, blob, at + FLAG_AT, {0, 1})
+        for flag in range(2, 256):
+            damaged = blob[:at + FLAG_AT] + bytes([flag]) + \
+                blob[at + FLAG_AT + 1:]
+            assert blob_entropy(damaged) is None
+
+    def test_entropy_stage(self, stage, dtype):
+        codec, _x, blob, at = self.frame(stage, dtype)
+        # a raw frame defines no entropy stage but the zlib it deflates with
+        sweep_byte(codec, blob, at + ENTROPY_AT,
+                   {0} if stage == "raw" else {0, 1, 2})
+
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128],
+                         ids=["c64", "c128"])
+@pytest.mark.parametrize("stage", ["fixed", "zlib"])
+def test_every_undefined_stage_width_and_predictor(stage, dtype):
+    """The zlib stage's width byte, and the fixed stage's width and
+    predictor bytes (the raw and Huffman stages have none)."""
+    codec, _x, blob, at = TestEveryUndefinedHeaderByte.frame(stage, dtype)
+    pos = at + PAYLOAD_AT
+    if stage == "zlib":
+        sweep_byte(codec, blob, pos, {1, 2, 4, 8})
+    else:
+        sweep_byte(codec, blob, pos, set(range(1, 65)))
+        sweep_byte(codec, blob, pos + 1, {0, 1})

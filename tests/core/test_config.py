@@ -11,7 +11,6 @@ class TestDefaults:
     def test_default_construction(self):
         cfg = MemQSimConfig()
         assert cfg.compressor == "szlike"
-        assert cfg.num_buffers == 2
 
     def test_make_compressor(self):
         cfg = MemQSimConfig(compressor="zlib", compressor_options={"level": 6})

@@ -1,0 +1,69 @@
+"""Fault injection: a cancel at every poll, behind a chunk cache.
+
+The scheduler polls its cancel token once per stage and once per group
+pass; a cancel finishes the current pass and unwinds. A chunk cache holds
+the finished passes' chunks until they are evicted, so an unwinding run
+must write them back: the store a cancelled cached run leaves is the
+store the uncached run cancelled at the same poll leaves, bit for bit,
+whatever the policy and the lane count.
+"""
+
+import numpy as np
+import pytest
+
+from repro.circuits import get_workload
+from repro.core import MemQSim, MemQSimConfig, PlanCache
+from repro.device import DeviceSpec
+from repro.memory import ChunkLayout, CompressedChunkStore
+from repro.pipeline import JobCancelled
+
+from ..serve.test_cancel import FireAtNthCheck
+
+N, CHUNK_QUBITS = 10, 4
+CFG = MemQSimConfig(chunk_qubits=CHUNK_QUBITS, compressor="zlib",
+                    device=DeviceSpec(memory_bytes=(1 << 6) * 16))
+#: every run compiles the same plan; compile it once
+PLANS = PlanCache()
+
+
+def cancelled_store(poll, workers=1, **cache):
+    """qft(10) from a |0...0> store, cancelled at its ``poll``-th poll
+    (never, past the last one); returns the store and the token."""
+    store = CompressedChunkStore(ChunkLayout(N, CHUNK_QUBITS),
+                                 CFG.make_compressor())
+    store.init_zero_state()
+    token = FireAtNthCheck(poll)
+    cfg = CFG.with_updates(workers=workers, **cache)
+    try:
+        MemQSim(cfg, cancel=token, plan_cache=PLANS).run(
+            get_workload("qft", N), initial_store=store)
+    except JobCancelled:
+        assert token.checks == poll
+    else:
+        assert token.checks < poll
+    return store, token
+
+
+@pytest.fixture(scope="module")
+def uncached():
+    """Per poll, the state the uncached run cancelled there leaves."""
+    _store, token = cancelled_store(10 ** 9)
+    polls = token.checks
+    assert polls > 40
+    return {poll: cancelled_store(poll)[0].to_statevector()
+            for poll in range(2, polls + 1)}
+
+
+@pytest.mark.parametrize("policy", ["belady", "mru"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_cancelled_cached_run_leaves_the_uncached_store(uncached, policy,
+                                                          workers):
+    moved = 0
+    for poll, want in uncached.items():
+        store, _token = cancelled_store(poll, workers, cache_chunks=4,
+                                        cache_policy=policy)
+        got = store.to_statevector()
+        assert np.array_equal(got, want), poll
+        assert store.lane is None and not store._pending, poll
+        moved += not np.array_equal(want, uncached[2])
+    assert moved  # the polls do cut the run at different passes

@@ -77,7 +77,7 @@ def clean():
     store, arena, codec, submitted, res, error = laned_run(0, 2)
     assert error is None
     passes = sum(kind == "pass" for kind, *_ in predict_pass_schedule(
-        res.compiled_stages, store.layout, CFG.serpentine_groups, {0}))
+        res.compiled_stages, store.layout, {0}))
     return passes, codec.lane_decodes, store.to_statevector()
 
 

@@ -1,10 +1,10 @@
 """Config-interaction matrix: every feature combination must stay exact.
 
-Cache, serpentine ordering, fusion, permutation stages and the disk
-store each reroute the same chunk traffic through different code paths;
-this matrix asserts that *any* combination still reproduces the dense
-baseline bit-for-bit (lossless codec), plus a lossy + everything-on smoke
-check against the fidelity floor.
+Cache, fusion, permutation stages and the disk store each reroute the
+same chunk traffic through different code paths; this matrix asserts
+that *any* combination still reproduces the dense baseline bit-for-bit
+(lossless codec), plus a lossy + everything-on smoke check against the
+fidelity floor.
 """
 
 import itertools
@@ -71,11 +71,6 @@ class TestConfigMatrix:
             enable_permutation_stages=False, cache_chunks=8,
             fuse_gates=True,
         )
-        got = MemQSim(cfg).run(CIRCUIT).statevector()
-        assert np.allclose(got, REF, atol=1e-12)
-
-    def test_serpentine_off(self):
-        cfg = base_config(serpentine_groups=False, cache_chunks=8)
         got = MemQSim(cfg).run(CIRCUIT).statevector()
         assert np.allclose(got, REF, atol=1e-12)
 

@@ -75,11 +75,6 @@ class TestLosslessEquivalence:
         got = MemQSim(cfg).run(circ).statevector()
         assert np.allclose(got, references["vqe"], atol=1e-12)
 
-    def test_single_buffer(self, references):
-        circ = get_workload("ghz", N)
-        got = MemQSim(tight(4, num_buffers=1)).run(circ).statevector()
-        assert np.allclose(got, references["ghz"], atol=1e-12)
-
     def test_chunk_equals_vector(self, references):
         # Degenerate single-chunk case: everything is local.
         cfg = MemQSimConfig(chunk_qubits=N, compressor="zlib",

@@ -8,6 +8,7 @@ from repro.circuits import get_workload, qft
 from repro.compression import fidelity_floor
 from repro.core import MemQSim, MemQSimConfig
 from repro.device import DeviceSpec, HostSpec
+from repro.pipeline.planner import STAGING_BUFFERS
 from repro.statevector import DenseSimulator
 
 
@@ -64,7 +65,7 @@ class TestMemoryClaims:
         c = cfg(1e-6, chunk=4)
         res = MemQSim(c).run(get_workload("random", 9))
         max_group = res.plan.max_group_size
-        pool_bytes = c.num_buffers * ((1 << 4) << max_group) * 16
+        pool_bytes = STAGING_BUFFERS * ((1 << 4) << max_group) * 16
         assert res.tracker.peak("host_buffers") <= pool_bytes
 
     def test_compression_ratio_workload_ordering(self):

@@ -1,4 +1,4 @@
-"""CLI wiring for the parallel subsystem: --workers/--serpentine."""
+"""CLI wiring for the parallel subsystem: --workers."""
 
 import json
 
@@ -12,13 +12,11 @@ class TestParserDefaults:
         args = build_parser().parse_args(["run", "qft"])
         assert args.workers == 0  # 0 = auto
         assert not hasattr(args, "execution")
-        assert args.serpentine is True
 
     def test_trace_has_parallel_flags(self):
         args = build_parser().parse_args(
-            ["trace", "qft", "--workers", "2", "--no-serpentine"])
+            ["trace", "qft", "--workers", "2"])
         assert args.workers == 2
-        assert args.serpentine is False
 
     def test_execution_choices(self):
         """There is one engine; --workers sizes its codec lane. The flag
@@ -45,7 +43,7 @@ class TestRunCommand:
         metrics = tmp_path / "m.json"
         rc = main(["run", "ghz", "-n", "8", "--chunk-qubits", "4",
                    "--compressor", "zlib", "--workers", "2",
-                   "--no-serpentine", "--json", "--metrics-out", str(metrics)])
+                   "--json", "--metrics-out", str(metrics)])
         assert rc == 0
         out = capsys.readouterr().out
         payload = json.loads(out[out.index("{"):])
@@ -54,7 +52,6 @@ class TestRunCommand:
         assert "execution" not in echo
         # the codec ran on the lanes (which of the two took jobs varies)
         assert self.lanes(payload) and self.lanes(payload) <= {"1", "2"}
-        assert echo["serpentine"] is False
         assert echo["compressor"] == "zlib"
 
     def test_json_serial_echo(self, capsys, tmp_path):
@@ -68,7 +65,6 @@ class TestRunCommand:
         echo = payload["config_echo"]
         assert echo["workers"] == 1
         assert self.lanes(payload) == set()  # no pool: the codec ran inline
-        assert echo["serpentine"] is True
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("tier", [[], ["--host-store-mb", "0.001"]],

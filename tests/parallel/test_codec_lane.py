@@ -78,7 +78,7 @@ def _codec_seconds_are_the_stores(workers, cache_chunks):
     loaded = sum(r[5] for r in tl.rows if r[0] == Stage.H2D) \
         // res.store.layout.chunk_nbytes
     zero = sum(len(z) for _p, z in predict_sweep(
-        stages, res.store.layout, True, {0}))
+        stages, res.store.layout, {0}))
     assert zero > 0
     if cache_chunks:
         assert res.store.cache_stats.hits > 0
@@ -100,13 +100,11 @@ def test_next_pass_decompress_is_submitted_before_this_pass_kernel():
     submitted right after that kernel — the pool is FIFO), and a
     ``decompress`` span for pass k+1 — drawn at the start its lane
     measured — starts before pass k's ``group_pass`` span ends."""
-    res, tel, stages = laned_run(12, compressor="zlib",
-                                 serpentine_groups=False)
+    res, tel, stages = laned_run(12, compressor="zlib")
     # the store was initialised to |0...0>: chunk 0 is the start support
-    sweep = predict_sweep(stages, res.store.layout, False, {0})
+    sweep = predict_sweep(stages, res.store.layout, {0})
     passes = [p for p, _zero in sweep]
-    assert passes == predict_pass_schedule(stages, res.store.layout, False,
-                                           {0})
+    assert passes == predict_pass_schedule(stages, res.store.layout, {0})
     assert all(kind == "pass" for kind, *_ in passes), "plan has a barrier"
     group_pass = {(sp.args["stage"], sp.args["group"]): sp
                   for sp in tel.tracer.find("group_pass")}

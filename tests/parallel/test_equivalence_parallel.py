@@ -76,12 +76,6 @@ class TestSchedulerFeatureEquivalence:
         assert rep.parallel_cache == rep.serial_cache
         assert rep.serial_cache[0] > 0, "the cache never hit"
 
-    def test_serpentine_off(self):
-        rep = run_equivalence(get_workload("grover", 8), workers=WORKERS,
-                              chunk_qubits=4, compressor="zlib",
-                              serpentine_groups=False)
-        assert rep.ok, rep.summary()
-
     def test_disk_store(self, tmp_path):
         """Out-of-core (disk_path alone = tiered store at RAM budget 0):
         every blob the lane reads and writes crosses the log.

@@ -138,12 +138,6 @@ class TestMaxGroupQubits:
         with pytest.raises(ValueError):
             max_group_qubits_for(lay, DeviceSpec(memory_bytes=16))
 
-    def test_double_buffer_halves(self, lay):
-        d = DeviceSpec(memory_bytes=(1 << 6) * 16 * 2)
-        single = max_group_qubits_for(lay, d, double_buffer=False)
-        double = max_group_qubits_for(lay, d, double_buffer=True)
-        assert single >= double
-
 
 class TestLocalGates:
     def test_all_local_one_stage(self, lay):

@@ -53,8 +53,9 @@ class TestSupportRules:
     def test_no_support_given_is_the_full_sweep(self):
         stages = [GateStage((3,)), GateStage(())]
         full = predict_pass_schedule(stages, self.LAYOUT)
+        # every second gate stage sweeps backwards
         assert passes_of(full) == [(0, g) for g in range(4)] + \
-            [(1, g) for g in range(8)]
+            [(1, g) for g in reversed(range(8))]
         assert full == predict_pass_schedule(stages, self.LAYOUT,
                                              support=range(8))
 
@@ -67,9 +68,10 @@ class TestSupportRules:
     def test_a_group_that_runs_makes_all_its_members_live(self):
         stages = [GateStage((3,)), GateStage((4,)), GateStage(())]
         got = predict_pass_schedule(stages, self.LAYOUT, support={0})
-        # {0} -> {0,1} -> groups (0,2) and (1,3) -> {0,1,2,3}
+        # {0} -> {0,1} -> groups (1,3) and (0,2), the second stage
+        # sweeping backwards -> {0,1,2,3}
         assert [m for _k, _s, _g, m in got] == \
-            [(0, 1), (0, 2), (1, 3), (0,), (1,), (2,), (3,)]
+            [(0, 1), (1, 3), (0, 2), (0,), (1,), (2,), (3,)]
 
     def test_a_permutation_relabels_the_support(self):
         perm = (7, 6, 5, 4, 3, 2, 1, 0)  # new[d] = old[perm[d]]
@@ -79,7 +81,7 @@ class TestSupportRules:
 
     def test_serpentine_reverses_every_second_gate_stage(self):
         stages = [GateStage((3,)), GateStage((3,))]
-        got = predict_pass_schedule(stages, self.LAYOUT, True, {0, 7})
+        got = predict_pass_schedule(stages, self.LAYOUT, {0, 7})
         assert passes_of(got) == [(0, 0), (0, 3), (1, 3), (1, 0)]
 
     def test_empty_support_runs_nothing_and_predicts_no_traffic(self):
@@ -149,7 +151,7 @@ class TestInitialStatesLeaveTheirSupport:
             rest, checkpoint=str(tmp_path / "prefix.mqs"))
         stages = resumed.compiled_stages
         assert tel.access.trace() == predict_access_schedule(
-            stages, resumed.store.layout, cfg.serpentine_groups, left)
+            stages, resumed.store.layout, left)
         assert resumed.scheduler_stats.group_passes_skipped > 0
         assert np.array_equal(resumed.statevector(),
                               MemQSim(cfg).run(whole).statevector())
@@ -204,15 +206,15 @@ class TestTheSkipIsInvisible:
     @given(case=planning_cases(qubits=st.integers(6, 9),
                                chunks=st.sampled_from([3, 4]),
                                caps=st.sampled_from([1, 2])),
-           permutations=st.booleans(), serpentine=st.booleans(),
+           permutations=st.booleans(),
            start=st.sampled_from(STARTS),
            codec=st.sampled_from(["zlib", "szlike"]),
            hierarchy=st.booleans(), seed=st.integers(0, 2 ** 16),
            cancel_at=st.integers(2, 40))
     @settings(max_examples=60, deadline=None)
     def test_skipped_groups_are_zero_and_everything_else_is_as_predicted(
-            self, case, permutations, serpentine, start, codec, hierarchy,
-            seed, cancel_at):
+            self, case, permutations, start, codec, hierarchy, seed,
+            cancel_at):
         circuit, c, cap = case
         n = circuit.num_qubits
         layout = ChunkLayout(n, c)
@@ -223,8 +225,7 @@ class TestTheSkipIsInvisible:
             kw.update(cache_chunks=3, cache_policy="belady",
                       host_store_mb=256 / (1 << 20))
         cfg = config_for(c, cap, compressor=codec, fuse_gates=False,
-                         enable_permutation_stages=permutations,
-                         serpentine_groups=serpentine, **kw)
+                         enable_permutation_stages=permutations, **kw)
         v, support = start_vector(start, layout, np.random.default_rng(seed))
 
         # Every group the run drops is all zero when its stage starts and
@@ -262,11 +263,11 @@ class TestTheSkipIsInvisible:
         plan, cplan = cached.plan, cached.bound
         stats = res.scheduler_stats
         executed = passes_of(predict_pass_schedule(
-            cplan.stages, layout, serpentine, support))
+            cplan.stages, layout, support))
         swept = passes_of(predict_pass_schedule(  # no support: no skip
-            cplan.stages, layout, serpentine))
+            cplan.stages, layout))
         assert tel.access.trace() == predict_access_schedule(
-            cplan.stages, layout, serpentine, support)
+            cplan.stages, layout, support)
         assert stats.group_passes == res.plan.group_passes == len(executed)
         assert stats.group_passes_skipped == sum(dropped_total)
         assert len(executed) + stats.group_passes_skipped == len(swept) \

@@ -58,7 +58,7 @@ class TestLeaseSizing:
         assert amps * 16 * 2 <= cfg.device.memory_bytes
 
     def test_two_tenants_always_admit(self):
-        """double_buffer planning => lease <= capacity/2 => 2 fit."""
+        """two staging buffers planned => lease <= capacity/2 => 2 fit."""
         cfg = small_base(chunk_qubits=6)
         arena = DeviceArena(cfg.device)
         amps = device_lease_amplitudes(10, cfg)
@@ -132,6 +132,17 @@ class TestManagerAdmission:
                                match="unknown config override.*transfer"):
                 mgr.submit({"workload": "qft", "qubits": 8,
                             "config": {"transfer": "buffer"}})
+        finally:
+            mgr.shutdown()
+
+    def test_the_removed_serpentine_override_is_refused(self):
+        # every run sweeps in boustrophedon order; there is nothing to pick
+        mgr = ServeManager(small_base(), Telemetry())
+        try:
+            with pytest.raises(JobRejected,
+                               match="unknown config override.*serpentine"):
+                mgr.submit({"workload": "qft", "qubits": 8,
+                            "config": {"serpentine": False}})
         finally:
             mgr.shutdown()
 

@@ -186,7 +186,7 @@ def test_moved_entries_are_the_predicted_live_loads(shape):
                 for si in predicted}
         return
     zero = sum(len(z) for _p, z in predict_sweep(
-        res.compiled_stages, layout, cfg.serpentine_groups, {0}))
+        res.compiled_stages, layout, {0}))
     assert decodes["ops"] == pinned["counters"]["cache.miss"] - zero
 
 

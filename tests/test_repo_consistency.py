@@ -118,7 +118,8 @@ class TestConfigSurface:
     multi-device paths left the run, 21 before window fusion priced its
     windows instead of capping them at ``max_fuse_qubits``, 20 before the
     kernel backend, the transfer strategy and the auto chunk-sizing limits
-    stopped being knobs.)"""
+    stopped being knobs, 16 before the sweep order and the staging-buffer
+    count became fixed.)"""
 
     def test_knob_count_and_documentation(self):
         import dataclasses
@@ -126,7 +127,7 @@ class TestConfigSurface:
         from repro.core import MemQSimConfig
 
         fields = [f.name for f in dataclasses.fields(MemQSimConfig)]
-        assert len(fields) == 16, fields
+        assert len(fields) == 14, fields
         api = (REPO / "docs" / "api.md").read_text()
         undocumented = [f for f in fields if f"`{f}`" not in api]
         assert not undocumented, f"not in docs/api.md: {undocumented}"
@@ -158,6 +159,44 @@ class TestNoUnturnedKnobs:
                   if p.name != "api.md"]
         files += sorted((REPO / "src").rglob("*.py"))
         texts.update({str(p.relative_to(REPO)): p.read_text() for p in files})
+        hits = [f"{where}: {name}" for where, text in texts.items()
+                for name in self.GONE if name in text]
+        assert not hits, hits
+
+
+class TestAPlanHasNoUnturnedInput:
+    """Every run sweeps in boustrophedon order and books two staging
+    buffers, and no plan input is probed at run time: the sweep-order
+    field and flag, the buffer-count argument of the device sizing and the
+    chunk-size probe are gone, and no copy of them may come back. (The
+    ``num_buffers`` field is guarded by the field count: ``BufferPool``
+    keeps its own argument of that name.)"""
+
+    GONE = (
+        "serpentine_groups", "--serpentine", "autotune_chunk_qubits",
+        "TuneReport", "--autotune", "double_buffer",
+    )
+    #: ``plan_key()`` keeps its payload byte for byte: the element the
+    #: buffer count wrote stays, as this one literal
+    PINNED = {"src/repro/core/config.py": '"double_buffer=True"'}
+
+    def test_deleted_names_stay_deleted(self):
+        api = (REPO / "docs/api.md").read_text()
+        # docs/api.md keeps the one list of what was removed: the
+        # "### Removed in ..." section that names this guard
+        start = api.rindex("\n### Removed in", 0, api.index(type(self).__name__))
+        end = api.find("\n## ", start)
+        head, listed, tail = api[:start], api[start:end], api[end:]
+        assert [name for name in self.GONE if name not in listed] == []
+        texts = {"docs/api.md": head + tail}
+        files = [REPO / "README.md", REPO / "DESIGN.md"]
+        files += [p for p in sorted((REPO / "docs").glob("*.md"))
+                  if p.name != "api.md"]
+        files += sorted((REPO / "src").rglob("*.py"))
+        texts.update({str(p.relative_to(REPO)): p.read_text() for p in files})
+        for where, literal in self.PINNED.items():
+            assert texts[where].count(literal) == 1, where
+            texts[where] = texts[where].replace(literal, "")
         hits = [f"{where}: {name}" for where, text in texts.items()
                 for name in self.GONE if name in text]
         assert not hits, hits
