@@ -1,4 +1,4 @@
-"""Analysis helpers: fidelity propagation, reporting, sweeps, memtrace,
+"""Analysis helpers: fidelity propagation, reporting, memtrace,
 and the modelled pipeline makespan (a what-if)."""
 
 from .audit import AuditReport, audit_run, predict_access_schedule, predict_traffic
@@ -15,7 +15,6 @@ from .memtrace import (
 )
 from .pipeline_model import STAGE_RESOURCE, PipelineModel, ScheduledEvent
 from .report import Table, format_bytes, format_seconds
-from .sweeps import SweepRecord, dense_reference, sweep
 
 __all__ = [
     "render_html",
@@ -27,9 +26,6 @@ __all__ = [
     "Table",
     "format_seconds",
     "format_bytes",
-    "SweepRecord",
-    "sweep",
-    "dense_reference",
     "MemTraceReport",
     "analyze_trace",
     "reuse_distances",

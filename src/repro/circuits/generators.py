@@ -352,7 +352,7 @@ def cuccaro_adder(num_bits: int) -> Circuit:
     return c
 
 
-# -- registry used by benchmarks/sweeps ------------------------------------
+# -- registry used by benchmarks and the CLI ------------------------------
 
 def _make_qaoa(n: int) -> Circuit:
     import networkx as nx

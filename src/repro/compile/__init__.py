@@ -7,7 +7,7 @@ simulator — so gate fusion happens once, in one place, and every
 backend executes the same ops.
 """
 
-from .compiler import CompileOptions, compile_gates, compile_stage, compile_stages
+from .compiler import compile_gates, compile_stage, compile_stages
 from .cost import MAX_WINDOW_QUBITS, launch_seconds, window_cost
 from .hoist import Hoisted, hoist_permutations
 from .ir import (
@@ -21,7 +21,6 @@ from .ir import (
 from .template import PlanTemplate
 
 __all__ = [
-    "CompileOptions",
     "compile_gates",
     "compile_stage",
     "compile_stages",

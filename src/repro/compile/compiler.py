@@ -4,7 +4,9 @@
 whole circuit); :func:`compile_stages` lowers a planner stage list into a
 :class:`~repro.compile.ir.CompiledPlan` (the chunked pipeline's program).
 Both run the same pass pipeline — 1q folding, diagonal merging, window
-fusion — controlled by one frozen :class:`CompileOptions`.
+fusion — switched by one ``fusion`` flag. Under fusion all three run;
+the passes stay public functions (:mod:`repro.compile.passes`) so one can
+run alone.
 
 Compiling is two steps. *Lowering* takes the decisions and records them as
 recipes (:mod:`repro.compile.template`); they depend on the circuit's shape
@@ -34,64 +36,35 @@ module duck-types stages (``perm`` => permutation,
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..circuits.gates import gate_is_diagonal
-from .cost import MAX_WINDOW_QUBITS, Pricing, window_cost
+from .cost import Pricing, window_cost
 from .hoist import Hoisted
 from .ir import CompiledGateStage, CompiledPlan, CompileReport, as_ops
 from .passes import fold_1q_runs, fuse_windows, merge_diagonal_runs
 from .template import GateRecipe, PlanTemplate, Recipe, StageTemplate
 
-__all__ = ["CompileOptions", "compile_gates", "compile_stage", "compile_stages"]
-
-
-@dataclass(frozen=True)
-class CompileOptions:
-    """Knobs for the lowering passes.
-
-    Attributes:
-        fusion: master switch; off = 1:1 lowering (no gate is touched).
-        max_diag_qubits: widest stored diagonal the merge pass may build
-            (``2^k`` vector per merged diagonal; must be >=
-            :data:`~repro.compile.cost.MAX_WINDOW_QUBITS` so a cap-split
-            diagonal run can never be densified past the window cap).
-        fold_1q / merge_diagonals / fuse_window_runs: per-pass switches,
-            mainly for tests and ablations.
-    """
-
-    fusion: bool = False
-    max_diag_qubits: int = 8
-    fold_1q: bool = True
-    merge_diagonals: bool = True
-    fuse_window_runs: bool = True
-
-    def __post_init__(self) -> None:
-        if self.max_diag_qubits < MAX_WINDOW_QUBITS:
-            raise ValueError(
-                "max_diag_qubits must be >= the widest window "
-                f"({self.max_diag_qubits} < {MAX_WINDOW_QUBITS})")
-
-
-DEFAULT_OPTIONS = CompileOptions()
+__all__ = ["compile_gates", "compile_stage", "compile_stages"]
 
 
 def _lower_batch(ops: Sequence[Any], slots: Sequence[int],
-                 opts: CompileOptions, can_densify, cost,
+                 fusion: bool, can_densify, cost,
                  stats: Dict[str, int]) -> List[Recipe]:
     """The decisions for one batch: a recipe per op the batch compiles to.
 
     ``slots[i]`` is where op ``i``'s gate sits in the circuit (-1: nowhere);
     a parameterless gate is fixed by the shape, so it takes no slot either.
-    ``cost`` prices the windows fusion may build.
+    ``cost`` prices the windows fusion may build. Off, every gate lowers
+    1:1 (no gate is touched).
     """
     recipes: List[Recipe] = []
     for op, slot in zip(ops, slots):
         gate = op.to_gate()
         recipes.append(GateRecipe(op, slot if gate.params else -1,
                                   gate_is_diagonal(gate)))
-    if opts.fusion:
+    if fusion:
         cd = can_densify if can_densify is not None else (lambda qs: True)
         # The swaps a batch opens or ends on (the planner puts a stage's
         # qubit relocations at one of its ends) stay out of the passes: as
@@ -104,12 +77,9 @@ def _lower_batch(ops: Sequence[Any], slots: Sequence[int],
             start += 1
         opening, recipes, closing = \
             recipes[:start], recipes[start:end], recipes[end:]
-        if opts.fold_1q:
-            recipes = fold_1q_runs(recipes, cd, stats)
-        if opts.merge_diagonals:
-            recipes = merge_diagonal_runs(recipes, opts.max_diag_qubits, stats)
-        if opts.fuse_window_runs:
-            recipes = fuse_windows(recipes, cost, cd, stats)
+        recipes = fold_1q_runs(recipes, cd, stats)
+        recipes = merge_diagonal_runs(recipes, stats=stats)
+        recipes = fuse_windows(recipes, cost, cd, stats)
         recipes = opening + recipes + closing
     return recipes
 
@@ -119,8 +89,7 @@ def _new_stats(gates_in: int) -> Dict[str, int]:
             "fused_windows": 0, "widest_window": 0}
 
 
-def compile_gates(gates: Sequence[Any],
-                  options: Optional[CompileOptions] = None,
+def compile_gates(gates: Sequence[Any], fusion: bool = False,
                   can_densify=None, *, pricing: Pricing = window_cost,
                   num_qubits: Optional[int] = None,
                   itemsize: int = 16) -> Tuple[List[Any], Dict[str, int]]:
@@ -128,12 +97,11 @@ def compile_gates(gates: Sequence[Any],
 
     Windows are priced on a ``2^num_qubits`` buffer (default: just wide
     enough for the batch's qubits) of ``itemsize``-byte amplitudes."""
-    opts = options if options is not None else DEFAULT_OPTIONS
     ops = as_ops(gates)
     stats = _new_stats(len(ops))
-    if opts.fusion:  # off: 1:1, nothing to decide
+    if fusion:  # off: 1:1, nothing to decide
         m = num_qubits if num_qubits is not None else _spanned(ops)
-        recipes = _lower_batch(ops, [-1] * len(ops), opts, can_densify,
+        recipes = _lower_batch(ops, [-1] * len(ops), True, can_densify,
                                pricing(m, itemsize), stats)
         ops = [r.op(None) for r in recipes]
     stats["ops_out"] = len(ops)
@@ -153,8 +121,7 @@ def _spanned(ops: Sequence[Any]) -> int:
     return 1 + max((q for op in ops for q in op.qubits), default=0)
 
 
-def _lower_stage(stage: Any, layout: Any = None,
-                 options: Optional[CompileOptions] = None,
+def _lower_stage(stage: Any, layout: Any = None, fusion: bool = False,
                  source_slots: Optional[Sequence[int]] = None,
                  pricing: Pricing = window_cost, itemsize: int = 16,
                  ) -> Tuple[Any, Dict[str, Any]]:
@@ -169,7 +136,6 @@ def _lower_stage(stage: Any, layout: Any = None,
     if isinstance(stage, CompiledGateStage):
         return stage, {**_new_stats(stage.source_gates),
                        "ops_out": len(stage.ops), "pass_seconds": 0.0}
-    opts = options if options is not None else DEFAULT_OPTIONS
     cd = None
     if layout is not None:
         group = frozenset(stage.group_qubits)
@@ -186,19 +152,18 @@ def _lower_stage(stage: Any, layout: Any = None,
     elif source_slots is not None:
         slots = [source_slots[s] if s >= 0 else -1 for s in slots]
     stats = _new_stats(len(ops))
-    recipes = _lower_batch(ops, slots, opts, cd, cost, stats)
+    recipes = _lower_batch(ops, slots, fusion, cd, cost, stats)
     stats["ops_out"] = len(recipes)
     stats["pass_seconds"] = sum(cost((r,), r.num_qubits) for r in recipes)
     return (StageTemplate(tuple(stage.group_qubits), tuple(recipes),
                           source_gates=len(ops)), stats)
 
 
-def compile_stage(stage: Any, layout: Any = None,
-                  options: Optional[CompileOptions] = None, *,
+def compile_stage(stage: Any, layout: Any = None, fusion: bool = False, *,
                   pricing: Pricing = window_cost, itemsize: int = 16,
                   ) -> Tuple[CompiledGateStage, Dict[str, Any]]:
     """Lower one gate stage and bind it to its own gates."""
-    lowered, stats = _lower_stage(stage, layout, options, None, pricing,
+    lowered, stats = _lower_stage(stage, layout, fusion, None, pricing,
                                   itemsize)
     return _bound(lowered, None), stats
 
@@ -209,7 +174,7 @@ def _bound(lowered: Any, gates: Optional[Sequence[Any]]) -> Any:
 
 
 def _lower_stages(stages: Sequence[Any], layout: Any = None,
-                  options: Optional[CompileOptions] = None,
+                  fusion: bool = False,
                   hoisted: Optional[Hoisted] = None,
                   direction: str = "forward",
                   pricing: Pricing = window_cost,
@@ -220,8 +185,7 @@ def _lower_stages(stages: Sequence[Any], layout: Any = None,
     barriers — fusion never crosses them); permutation stages and already-
     compiled stages pass through.
     """
-    opts = options if options is not None else DEFAULT_OPTIONS
-    report = CompileReport(fusion_enabled=opts.fusion,
+    report = CompileReport(fusion_enabled=fusion,
                            plan_direction=direction)
     kernel_stages = []
     source_slots = None
@@ -234,7 +198,7 @@ def _lower_stages(stages: Sequence[Any], layout: Any = None,
         if _is_permutation_stage(stage) or not _is_gate_stage(stage):
             out.append(stage)
             continue
-        lowered, stats = _lower_stage(stage, layout, opts, source_slots,
+        lowered, stats = _lower_stage(stage, layout, fusion, source_slots,
                                       pricing, itemsize)
         out.append(lowered)
         groups = 1 if layout is None \
@@ -252,8 +216,7 @@ def _lower_stages(stages: Sequence[Any], layout: Any = None,
     return PlanTemplate(tuple(out), report)
 
 
-def compile_stages(stages: Any, layout: Any = None,
-                   options: Optional[CompileOptions] = None,
+def compile_stages(stages: Any, layout: Any = None, fusion: bool = False,
                    telemetry: Any = None,
                    gates: Optional[Sequence[Any]] = None,
                    hoisted: Optional[Hoisted] = None,
@@ -265,7 +228,7 @@ def compile_stages(stages: Any, layout: Any = None,
     ``stages`` may also be the :class:`PlanTemplate` of an earlier call
     (``CompiledPlan.template``), for a circuit of the same shape: nothing
     is decided again, the recipes are bound to ``gates`` — that circuit's
-    gate list — and ``layout`` / ``options`` are not read. Either way the
+    gate list — and ``layout`` / ``fusion`` are not read. Either way the
     ops come out of the same evaluation, and ``report.seconds`` covers what
     this call did. ``gates=None`` binds to the gates the stages came with.
 
@@ -285,7 +248,7 @@ def compile_stages(stages: Any, layout: Any = None,
     """
     t0 = time.perf_counter()
     template = stages if isinstance(stages, PlanTemplate) \
-        else _lower_stages(stages, layout, options, hoisted, direction,
+        else _lower_stages(stages, layout, fusion, hoisted, direction,
                            pricing, itemsize)
     bound = [_bound(s, gates) for s in template.stages]
     report = replace(template.report, seconds=time.perf_counter() - t0)

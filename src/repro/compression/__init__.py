@@ -17,7 +17,7 @@ from .metrics import (
     norm_error_bound,
     psnr,
 )
-from .quantizer import dequantize, quantize, resolve_error_bound, unzigzag, zigzag
+from .quantizer import dequantize, quantize, unzigzag, zigzag
 from .szlike import SZLikeCompressor
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "fidelity_floor",
     "quantize",
     "dequantize",
-    "resolve_error_bound",
     "zigzag",
     "unzigzag",
 ]

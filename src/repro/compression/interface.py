@@ -27,6 +27,8 @@ compressors in plain strings (``"szlike"``, ``"zlib"``, ...).
 from __future__ import annotations
 
 import abc
+import functools
+import inspect
 import math
 import numbers
 from typing import Callable, Dict, List, Optional, Tuple
@@ -175,19 +177,41 @@ _REGISTRY: Dict[str, Callable[..., Compressor]] = {}
 
 
 def register_compressor(name: str, factory: Callable[..., Compressor]) -> None:
-    """Register a compressor factory under ``name`` (overwrites silently)."""
+    """Register a compressor factory under ``name`` (overwrites silently).
+
+    The factory's keyword parameters are the codec's whole option set."""
     _REGISTRY[name] = factory
 
 
-def get_compressor(name: str, **kwargs) -> Compressor:
-    """Instantiate a registered compressor by name with factory kwargs."""
+# inspect.signature of a class takes tens of microseconds, and a config
+# builds its codec every time it is built; the registry's factories are few
+@functools.lru_cache(maxsize=None)
+def _signature(factory: Callable[..., Compressor]) -> inspect.Signature:
+    return inspect.signature(factory)
+
+
+def get_compressor(name: str, **options) -> Compressor:
+    """Instantiate a registered compressor by name with its options.
+
+    The options are the factory's keyword parameters: ``error_bound`` for
+    a lossy codec, none for a lossless one (:func:`compressor_options`).
+    Any other key is refused with ``ValueError``, never dropped."""
     try:
         factory = _REGISTRY[name]
     except KeyError:
         raise KeyError(
             f"unknown compressor {name!r}; available: {sorted(_REGISTRY)}"
         ) from None
-    return factory(**kwargs)
+    signature = _signature(factory)
+    try:
+        signature.bind(**options)
+    except TypeError:
+        takes = tuple(signature.parameters)
+        foreign = sorted(set(options) - set(takes))
+        raise ValueError(
+            f"compressor {name!r} takes {', '.join(takes) or 'no options'}; "
+            f"refused: {', '.join(map(repr, foreign))}") from None
+    return factory(**options)
 
 
 def available_compressors() -> List[str]:

@@ -1,5 +1,8 @@
 """Lossless byte-transparent compressor backends (zlib / lzma / bz2).
 
+Each runs at one fixed level (zlib 1, lzma preset 0, bz2 1) and takes no
+options.
+
 These serve three roles:
 
 * the exactness baseline in the compressor-comparison benchmarks (A2);
@@ -36,9 +39,6 @@ _COUNT = struct.Struct("<Q")
 class _ByteCodecCompressor(Compressor):
     """Shared framing for byte-level codecs."""
 
-    def __init__(self) -> None:
-        pass
-
     @property
     def is_lossy(self) -> bool:
         return False
@@ -72,12 +72,8 @@ class ZlibCompressor(_ByteCodecCompressor):
 
     name = "zlib"
 
-    def __init__(self, level: int = 1):
-        super().__init__()
-        self.level = int(level)
-
     def _encode(self, raw) -> bytes:
-        return zlib.compress(raw, self.level)
+        return zlib.compress(raw, 1)
 
     def _decode(self, blob: bytes) -> bytes:
         return zlib.decompress(blob)
@@ -88,12 +84,8 @@ class LzmaCompressor(_ByteCodecCompressor):
 
     name = "lzma"
 
-    def __init__(self, preset: int = 0):
-        super().__init__()
-        self.preset = int(preset)
-
     def _encode(self, raw) -> bytes:
-        return lzma.compress(raw, preset=self.preset)
+        return lzma.compress(raw, preset=0)
 
     def _decode(self, blob: bytes) -> bytes:
         return lzma.decompress(blob)
@@ -104,12 +96,8 @@ class Bz2Compressor(_ByteCodecCompressor):
 
     name = "bz2"
 
-    def __init__(self, level: int = 1):
-        super().__init__()
-        self.level = int(level)
-
     def _encode(self, raw) -> bytes:
-        return bz2.compress(raw, self.level)
+        return bz2.compress(raw, 1)
 
     def _decode(self, blob: bytes) -> bytes:
         return bz2.decompress(blob)
@@ -127,9 +115,7 @@ class NullCompressor(_ByteCodecCompressor):
         return blob
 
 
-# Factories tolerate (and ignore) lossy-only kwargs such as error_bound so
-# that sweeps can vary the compressor name against one option set.
-register_compressor("zlib", lambda level=1, **_: ZlibCompressor(level=level))
-register_compressor("lzma", lambda preset=0, **_: LzmaCompressor(preset=preset))
-register_compressor("bz2", lambda level=1, **_: Bz2Compressor(level=level))
-register_compressor("null", lambda **_: NullCompressor())
+register_compressor("zlib", ZlibCompressor)
+register_compressor("lzma", LzmaCompressor)
+register_compressor("bz2", Bz2Compressor)
+register_compressor("null", NullCompressor)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -91,10 +90,10 @@ class CompressionReport:
     psnr_db: float
     compress_seconds: float
     decompress_seconds: float
-    bound_respected: Optional[bool]
+    bound_respected: bool
 
     def row(self) -> str:
-        b = "-" if self.bound_respected is None else ("yes" if self.bound_respected else "NO")
+        b = "yes" if self.bound_respected else "NO"
         p = "inf" if math.isinf(self.psnr_db) else f"{self.psnr_db:.1f}"
         return (
             f"{self.compressor:<14} {self.ratio:>8.2f}x {self.max_error:>12.3e} "
@@ -113,14 +112,8 @@ def evaluate_compressor(comp: Compressor, data: np.ndarray) -> CompressionReport
     back = comp.decompress(blob)
     t2 = time.perf_counter()
     err = max_component_error(data, back)
-    bound_ok: Optional[bool]
-    if comp.is_lossy:
-        # rel-mode bounds are chunk-dependent; compare against the realized
-        # bound only when the compressor promises an absolute one.
-        mode = getattr(comp, "mode", "abs")
-        bound_ok = err <= comp.error_bound * (1 + 1e-9) if mode == "abs" else None
-    else:
-        bound_ok = err == 0.0
+    bound_ok = err <= comp.error_bound * (1 + 1e-9) if comp.is_lossy \
+        else err == 0.0
     return CompressionReport(
         compressor=comp.describe(),
         original_nbytes=data.nbytes,

@@ -6,9 +6,7 @@ The lossy stage of the SZ-like pipeline. For an absolute error bound ``eb``:
     x̂_i   = 2*eb * code_i                 (vectorized)
 
 which guarantees ``|x_i - x̂_i| <= eb`` exactly in IEEE double as long as the
-quotient stays within the rounding-safe integer range. Relative mode derives
-``eb = rel * max|x|`` per call (value-range-relative, SZ's ``REL`` mode); the
-realized absolute bound is recorded in the emitted header by the caller.
+quotient stays within the rounding-safe integer range.
 
 The quantizer is decoupled from prediction: the caller delta-encodes the
 *integer codes* (exact, reversible), which plays the role of SZ's Lorenzo
@@ -17,7 +15,6 @@ predictor while keeping both directions fully vectorized.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,7 +23,6 @@ import numpy as np
 __all__ = [
     "quantize",
     "dequantize",
-    "resolve_error_bound",
     "QuantizeResult",
     "zigzag",
     "unzigzag",
@@ -44,28 +40,6 @@ class QuantizeResult:
 
     codes: np.ndarray  # int64
     abs_bound: float
-
-
-def resolve_error_bound(data: np.ndarray, error_bound: float, mode: str) -> float:
-    """Turn a configured bound into an absolute one for this buffer.
-
-    Args:
-        data: real-valued view of the buffer (used for ``rel`` mode).
-        error_bound: configured bound.
-        mode: ``"abs"`` (use as-is) or ``"rel"`` (scale by value range).
-    """
-    if not 0 < error_bound < math.inf:
-        raise ValueError(
-            f"error bound must be finite and positive, got {error_bound!r}")
-    if mode == "abs":
-        return float(error_bound)
-    if mode == "rel":
-        span = float(np.max(np.abs(data))) if data.size else 0.0
-        if span == 0.0:
-            # All-zero buffer: any positive bound works; pick the raw value.
-            return float(error_bound)
-        return float(error_bound) * span
-    raise ValueError(f"unknown error-bound mode {mode!r}")
 
 
 def scaled_codes(data: np.ndarray, abs_bound: float, out: np.ndarray):

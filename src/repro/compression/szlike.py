@@ -22,10 +22,10 @@ borrows its scratch once, casts its integer stream once, and decodes
 straight into the output array.
 
 Guarantee: each real and imaginary component of every round-tripped value
-differs from the original by at most the *realized* absolute bound (``abs``
-mode: the configured bound; ``rel`` mode: ``rel * max|component|`` of that
-chunk). The blob header stores the bound the codes were quantised on, which
-is that bound shrunk by a relative ``2**-30`` (see ``_STEP_SHRINK``).
+differs from the original by at most the configured absolute bound. The
+blob header stores the bound the codes were quantised on, which is that
+bound shrunk by a relative ``2**-30`` (see ``_STEP_SHRINK``). The zlib
+stages (entropy and raw escape) run at level 1.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .interface import (
     frame_dtype,
     register_compressor,
 )
-from .quantizer import resolve_error_bound, scaled_codes
+from .quantizer import scaled_codes
 
 __all__ = ["SZLikeCompressor", "blob_entropy"]
 
@@ -64,6 +64,9 @@ _ENTROPY_HUFFMAN = 1
 _ENTROPY_FIXED = 2
 #: the zlib stage's width byte -> the integer type its codes were narrowed to
 _ZLIB_WIDTHS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+#: the level of every zlib stage (entropy and raw escape); fixed, not
+#: configured: the recorded blobs were all written at it
+_ZLIB_LEVEL = 1
 
 #: With the table-driven decoder (huffman._decode_lut) the entropy stage is
 #: vectorized end to end, so Huffman is viable at real chunk sizes — these
@@ -169,35 +172,24 @@ class SZLikeCompressor(Compressor):
 
     name = "szlike"
 
-    def __init__(
-        self,
-        error_bound: float = 1e-6,
-        mode: str = "abs",
-        entropy: str = "auto",
-        zlib_level: int = 1,
-    ):
+    def __init__(self, error_bound: float = 1e-6, entropy: str = "auto"):
         """Create a compressor.
 
         Args:
-            error_bound: per-component bound (absolute, or relative to the
-                chunk's max component magnitude in ``rel`` mode).
-            mode: ``"abs"`` or ``"rel"``.
+            error_bound: absolute per-component bound.
             entropy: ``"zlib"``, ``"huffman"``, or ``"auto"`` (fixed-length
                 packing for noise-like codes, huffman for small
-                chunks/alphabets, zlib otherwise).
-            zlib_level: zlib level for the entropy/backstop stage.
+                chunks/alphabets, zlib otherwise). The registry's factory
+                always builds ``auto``; the forced stages are the twins
+                tests compare it against.
         """
-        if mode not in ("abs", "rel"):
-            raise ValueError(f"mode must be abs|rel, got {mode!r}")
         if entropy not in ("zlib", "huffman", "auto"):
             raise ValueError(f"entropy must be zlib|huffman|auto, got {entropy!r}")
         self._eb = float(error_bound)
         if not 0 < self._eb < math.inf:
             raise ValueError(
                 f"error_bound must be finite and positive, got {error_bound!r}")
-        self._mode = mode
         self._entropy = entropy
-        self._level = int(zlib_level)
 
     @property
     def is_lossy(self) -> bool:
@@ -206,10 +198,6 @@ class SZLikeCompressor(Compressor):
     @property
     def error_bound(self) -> float:
         return self._eb
-
-    @property
-    def mode(self) -> str:
-        return self._mode
 
     # -- compression ----------------------------------------------------------
 
@@ -236,9 +224,7 @@ class SZLikeCompressor(Compressor):
             np.copyto(planes.reshape(2, n),
                       data.view(data.real.dtype).reshape(n, 2).T)
             try:
-                abs_bound = self._eb if self._mode == "abs" else \
-                    resolve_error_bound(planes, self._eb, self._mode)
-                step_bound = abs_bound * _STEP_SHRINK
+                step_bound = self._eb * _STEP_SHRINK
                 lo, hi = scaled_codes(planes, step_bound, scaled)
             except (OverflowError, FloatingPointError):
                 return self._raw_blob(data, tag)
@@ -251,7 +237,7 @@ class SZLikeCompressor(Compressor):
             np.multiply(scaled, 2.0 * step_bound, out=deltas)
             np.subtract(planes, deltas, out=deltas)
             np.abs(deltas, out=deltas)
-            if float(_MAX(deltas)) > abs_bound:
+            if float(_MAX(deltas)) > self._eb:
                 return self._raw_blob(data, tag)
             # Exact integer delta coding — the reversible, vectorized
             # equivalent of SZ's first-order Lorenzo predictor — computed
@@ -276,7 +262,7 @@ class SZLikeCompressor(Compressor):
         # decoder how to reinterpret them.
         return b"".join((tag, _MAGIC, _HEADER.pack(
             _FLAG_RAW, _ENTROPY_ZLIB, data.shape[0], 0.0),
-            zlib.compress(data, self._level)))
+            zlib.compress(data, _ZLIB_LEVEL)))
 
     def _encode_codes(self, floats: np.ndarray, stream: np.ndarray,
                       spare: np.ndarray, lo: int, hi: int):
@@ -330,7 +316,7 @@ class SZLikeCompressor(Compressor):
             return huffman.encode(zz.view(np.int64)), _ENTROPY_HUFFMAN
         narrow = _minimal_uint(zz)
         zpay = struct.pack("<B", narrow.dtype.itemsize) + \
-            zlib.compress(narrow, self._level)
+            zlib.compress(narrow, _ZLIB_LEVEL)
         if self._entropy == "auto" and zz.size and \
                 zz.size <= _HUFFMAN_MAX_ELEMENTS:
             # The zeroth-order entropy bound predicts the Huffman payload
@@ -460,7 +446,4 @@ def blob_entropy(blob: bytes) -> Optional[str]:
 
 register_compressor(
     "szlike",
-    lambda error_bound=1e-6, mode="abs", entropy="auto", zlib_level=1: SZLikeCompressor(
-        error_bound=error_bound, mode=mode, entropy=entropy, zlib_level=zlib_level
-    ),
-)
+    lambda error_bound=1e-6: SZLikeCompressor(error_bound=error_bound))

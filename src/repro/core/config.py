@@ -33,8 +33,11 @@ class MemQSimConfig:
             chunks, fits the device double-buffered and has at most
             :data:`AUTO_MAX_CHUNK_QUBITS` qubits).
         compressor: registry name of the chunk codec.
-        compressor_options: kwargs for the codec factory (e.g.
-            ``{"error_bound": 1e-5, "mode": "abs"}``).
+        compressor_options: kwargs for the codec factory:
+            ``{"error_bound": 1e-5}`` for ``szlike``, ``{}`` for the
+            lossless codecs (:func:`~repro.compression.compressor_options`
+            builds them). Any other key, and an unknown codec, is refused
+            when the config is built.
         device: simulated accelerator spec (capacity enforced).
         host: simulated host spec (its memory budget is enforced).
         enable_permutation_stages: execute global X/SWAP as blob relabeling.
@@ -103,6 +106,7 @@ class MemQSimConfig:
 
     def __post_init__(self):
         validate_precision(self.precision)
+        self.make_compressor()  # an unknown codec or option fails here
 
     def make_compressor(self) -> Compressor:
         return get_compressor(self.compressor, **self.compressor_options)

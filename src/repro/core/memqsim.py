@@ -34,8 +34,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..circuits.circuit import Circuit
-from ..compile import (CompileOptions, Hoisted, compile_stages,
-                       hoist_permutations)
+from ..compile import Hoisted, compile_stages, hoist_permutations
 from ..device.executor import DeviceExecutor
 from ..device.timeline import Timeline
 from ..device.transfer import SyncCopy
@@ -343,7 +342,7 @@ class MemQSim:
                 # Compile (lower + fuse, or bind alone) once; the device
                 # executor consumes this one lowered plan.
                 cplan = compile_stages(
-                    stages, layout, CompileOptions(fusion=fuse),
+                    stages, layout, fuse,
                     telemetry=tel, gates=circuit.gates, hoisted=hoisted,
                     direction=direction,
                     itemsize=compute_dtype(cfg.precision).itemsize,

@@ -12,11 +12,13 @@ RAM cost is the per-chunk index and the qubit ceiling becomes a function
 of disk capacity.
 
 The log is scratch: it is opened ``w+b``, only its owner's in-memory index
-says where anything is, and nothing ever reopens it. So a record carries
-its own check — the payload's CRC32, taken at append and verified on every
-read — and a blob whose bytes changed on disk raises
-:class:`~repro.memory.persist.StoreFormatError` instead of decoding to a
-wrong state.
+says where anything is, and nothing ever reopens it. A log given no path
+makes its own ``memqsim_*.log`` temp file and unlinks it as soon as it is
+open, so a process that dies any way at all (SIGKILL included) leaves no
+file behind. A record carries its own check — the payload's CRC32, taken
+at append and verified on every read — and a blob whose bytes changed on
+disk raises :class:`~repro.memory.persist.StoreFormatError` instead of
+decoding to a wrong state.
 
 An append is one ``pwrite`` at the log's tracked end: no file position to
 seek, no write buffer to flush before the map is regrown. So an append that
@@ -24,6 +26,8 @@ fails (``ENOSPC``, a short write that cannot be finished) changes nothing
 the log tracks, and the next append overwrites whatever part of the record
 reached the file. A rewrite (compaction) writes a sibling file and swaps
 it in only when it is complete, so one that fails leaves the log readable.
+A named log's sibling is then renamed over it; an anonymous log's sibling
+is anonymous too, and only the handles are swapped.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import errno
 import mmap
 import os
+import tempfile
 import zlib
 from pathlib import Path
 from typing import Dict, Optional, Union
@@ -59,18 +64,26 @@ class BlobLog:
 
     def __init__(
         self,
-        path: Union[str, Path],
+        path: Union[str, Path, None],
         tracker: Optional[MemoryTracker] = None,
         telemetry=None,
         category: str = CATEGORY,
     ):
         from ..telemetry import NULL_TELEMETRY
 
+        #: a log given no path is anonymous: ``path`` is the name it was
+        #: made under, unlinked as soon as the file was open
+        self.anonymous = path is None
+        if self.anonymous:
+            fd, path = tempfile.mkstemp(prefix="memqsim_", suffix=".log")
+            self._fh = open(fd, "w+b", buffering=0)
+            os.unlink(path)
+        else:
+            self._fh = open(path, "w+b", buffering=0)
         self.path = Path(path)
         self.tracker = tracker if tracker is not None else MemoryTracker()
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.category = category
-        self._fh = open(self.path, "w+b", buffering=0)
         self._fd = self._fh.fileno()
         self._mm: Optional[mmap.mmap] = None
         self._mapped = 0
@@ -155,19 +168,22 @@ class BlobLog:
 
         Returns ``{id(old_rec): new_rec}`` so the owner can remap its
         index; shared old records map to one shared new record. The
-        survivors are appended to a sibling log, whose file replaces this
-        one only once all of them are on it: an append that fails
+        survivors are appended to a sibling log, which replaces this one
+        only once all of them are on it: an append that fails
         (``ENOSPC``) removes the sibling and re-raises, and the log, every
         record and the tracker are as they were.
         """
         payloads = {key: self.read(rec) for key, rec in records.items()}
         # The sibling books its bytes on a tracker of its own: this log's
         # tracker changes only when the sibling is adopted.
-        fresh = BlobLog(self.path.with_name(self.path.name + ".compact"),
-                        telemetry=self.telemetry, category=self.category)
+        sibling = None if self.anonymous \
+            else self.path.with_name(self.path.name + ".compact")
+        fresh = BlobLog(sibling, telemetry=self.telemetry,
+                        category=self.category)
         try:
             moved = {key: fresh.append(blob) for key, blob in payloads.items()}
-            os.replace(fresh.path, self.path)
+            if not self.anonymous:
+                os.replace(fresh.path, self.path)
         except BaseException:
             fresh.close()
             fresh.unlink()
@@ -189,6 +205,8 @@ class BlobLog:
         self._live_bytes = 0
 
     def unlink(self) -> None:
+        if self.anonymous:
+            return  # its name went when it was opened
         try:
             os.unlink(self.path)
         except OSError:

@@ -26,8 +26,6 @@ be computed exactly. Three pieces wire that through:
 
 from __future__ import annotations
 
-import os
-import tempfile
 import weakref
 from bisect import bisect_left
 from collections import OrderedDict
@@ -249,12 +247,6 @@ class TierStats:
     promoted_bytes: int = 0
 
 
-def _release_log(log: BlobLog, owned: bool) -> None:
-    log.close()
-    if owned:
-        log.unlink()
-
-
 class TieredChunkStore(CompressedChunkStore):
     """Compressed blobs split across a RAM tier and a disk append log.
 
@@ -279,9 +271,10 @@ class TieredChunkStore(CompressedChunkStore):
     zero blob. (There is no "unbounded" budget — a run that needs none
     uses :class:`CompressedChunkStore`.)
 
-    ``path=None`` makes the store create its own ``memqsim_*.log`` temp
-    file, which it removes on :meth:`close` or when it is garbage
-    collected; a caller-supplied ``path`` is closed but never deleted.
+    ``path=None`` gives the store its own ``memqsim_*.log`` temp file,
+    unlinked as soon as it is open (``path`` keeps the name it had), so no
+    exit of the process, a SIGKILL included, leaves it behind; a
+    caller-supplied ``path`` is closed but never deleted.
     """
 
     def __init__(
@@ -302,17 +295,12 @@ class TieredChunkStore(CompressedChunkStore):
         self.compact_threshold = float(compact_threshold)
         #: unique RAM blob bytes allowed (0 = every blob on disk)
         self.host_budget_bytes = int(host_budget_bytes)
-        owns_log = path is None
-        if owns_log:
-            fd, path = tempfile.mkstemp(prefix="memqsim_", suffix=".log")
-            os.close(fd)
         self._log = BlobLog(path, tracker=self.tracker,
                             telemetry=self.telemetry)
         self.path = self._log.path
         # Runs at close(), at garbage collection or at interpreter exit,
         # whichever comes first, and only once.
-        self._finalizer = weakref.finalize(
-            self, _release_log, self._log, owns_log)
+        self._finalizer = weakref.finalize(self, self._log.close)
         # chunk -> (offset, length, crc32) log record; exclusive with
         # _blobs[chunk]
         self._disk: List[Optional[tuple]] = [None] * layout.num_chunks
@@ -513,7 +501,7 @@ class TieredChunkStore(CompressedChunkStore):
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        """Close the log; a log the store created is removed as well."""
+        """Close the log (one the store created was unlinked when opened)."""
         self._finalizer()
 
     def __enter__(self) -> "TieredChunkStore":

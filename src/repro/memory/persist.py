@@ -30,7 +30,8 @@ A chunk holding the shared zero blob is filled with zeros when loaded,
 never decoded, so the zero blob is decoded once, here: one that does not
 decode to a chunk of all-zero bytes raises :class:`StoreFormatError`.
 A checkpoint is written to a temporary file beside ``path`` and renamed
-over it, so ``path`` holds either the old checkpoint or the new one.
+over it (:func:`write_atomic`, which the serve daemon's events files use
+too), so ``path`` holds either the old checkpoint or the new one.
 
 Use :func:`save_store` / :func:`load_store`; the loader rebuilds the store
 around a compressor instance you provide (it must match the one that wrote
@@ -56,7 +57,7 @@ from .layout import ChunkLayout
 
 log = get_logger(__name__)
 
-__all__ = ["save_store", "load_store", "StoreFormatError"]
+__all__ = ["save_store", "load_store", "write_atomic", "StoreFormatError"]
 
 _MAGIC_V1 = b"MQS1"  # read only: complex128, no CRCs
 _MAGIC_V2 = b"MQS2"  # read only: itemsize byte, no CRCs
@@ -81,6 +82,27 @@ def _check_zero_blob(blob: bytes, store: CompressedChunkStore) -> None:
         raise StoreFormatError(
             "zero blob does not decode to an all-zero chunk of "
             f"{store.layout.chunk_size} {store.dtype} amplitudes")
+
+
+def write_atomic(path: Union[str, Path], data: bytes) -> None:
+    """Write ``data`` to ``path`` whole or not at all.
+
+    The bytes go to a temp sibling, are fsynced, and replace ``path`` in
+    one rename. A write that fails (a full disk: ``ENOSPC``, ``EFBIG``)
+    removes the sibling and re-raises; whatever was at ``path`` is left
+    as it was."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp",
+                               dir=path.parent)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def save_store(store: CompressedChunkStore, path: Union[str, Path]) -> int:
@@ -111,17 +133,7 @@ def save_store(store: CompressedChunkStore, path: Union[str, Path]) -> int:
         else:
             record(blob)
     data = b"".join(parts)
-    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp",
-                               dir=path.parent)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    write_atomic(path, data)
     log.info("saved %d-chunk store to %s (%d bytes)",
              store.layout.num_chunks, path, len(data))
     return len(data)

@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..circuits.gates import Gate, gate_is_diagonal, make_diagonal_gate
-from ..compile import CompiledGateStage, CompileOptions, GateOp, compile_stage
+from ..compile import CompiledGateStage, GateOp, compile_stage
 from ..device.timeline import Stage, Timeline
 from ..memory.bufferpool import BufferPool
 from ..memory.chunkstore import CompressedChunkStore
@@ -311,7 +311,6 @@ class StageScheduler:
             executor.timeline
         self.fuse_gates = bool(fuse_gates)
         self.observer = observer if observer is not None else NULL_OBSERVER
-        self.compile_options = CompileOptions(fusion=self.fuse_gates)
         self.cancel = cancel if cancel is not None else CancelToken()
         self.schedule = schedule
         #: the running plan's kept stage programs (see :meth:`run`)
@@ -332,7 +331,7 @@ class StageScheduler:
                 # Raw planner stage (direct scheduler users / tests):
                 # lower it here; MemQSim pre-compiles the whole plan.
                 stage, _ = compile_stage(
-                    stage, self.layout, self.compile_options,
+                    stage, self.layout, self.fuse_gates,
                     itemsize=self.pool.dtype.itemsize)
             with self.observer.stage(si, "gate", ops=len(stage.ops),
                                      gates=stage.source_gates):

@@ -120,18 +120,18 @@ def config_from_payload(base: MemQSimConfig,
         field = CONFIG_OVERRIDES[key]
         if field is not None:
             updates[field] = value
-    cfg = base.with_updates(**updates) if updates else base
     if "error_bound" in overrides or "compressor" in overrides:
-        opts = dict(cfg.compressor_options)
+        # the codec and its options change in one update (a config built
+        # between them would pair the new codec with the base's options);
         # the base's bound carries over only to a codec that takes one
-        base_bound = opts.pop("error_bound", None)
-        bound = overrides.get("error_bound", base_bound)
+        bound = overrides.get("error_bound",
+                              base.compressor_options.get("error_bound"))
         try:
-            opts.update(compressor_options(cfg.compressor, bound))
+            updates["compressor_options"] = compressor_options(
+                updates.get("compressor", base.compressor), bound)
         except ValueError as exc:  # unknown codec / bad bound -> 400
             raise JobRejected(str(exc)) from exc
-        cfg = cfg.with_updates(compressor_options=opts)
-    return cfg
+    return base.with_updates(**updates) if updates else base
 
 
 def device_lease_amplitudes(num_qubits: int, cfg: MemQSimConfig) -> int:

@@ -110,9 +110,8 @@ class DenseSimulator:
         windows the launch-cost model prices lowest on the whole state.
         """
         # Runtime import: repro.compile imports this package's kernels.
-        from ..compile import CompileOptions, compile_gates
+        from ..compile import compile_gates
 
-        opts = CompileOptions(fusion=self.fuse_single_qubit_gates)
-        ops, _ = compile_gates(circuit.gates, opts,
+        ops, _ = compile_gates(circuit.gates, self.fuse_single_qubit_gates,
                                num_qubits=circuit.num_qubits)
         return ops

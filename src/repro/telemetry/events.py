@@ -170,12 +170,14 @@ class EventBus:
         return [ev.to_json() for ev in self.snapshot()]
 
     def write_jsonl(self, path: str) -> int:
-        """Write the retained events as JSONL; returns lines written."""
+        """Write the retained events as JSONL, whole or not at all
+        (:func:`~repro.memory.persist.write_atomic`); returns lines
+        written."""
+        # lazily: the memory layer imports this package as it loads
+        from ..memory.persist import write_atomic
+
         lines = self.to_jsonl()
-        with open(path, "w") as fh:
-            for line in lines:
-                fh.write(line)
-                fh.write("\n")
+        write_atomic(path, "".join(f"{line}\n" for line in lines).encode())
         return len(lines)
 
     def __repr__(self) -> str:

@@ -12,7 +12,7 @@ import pytest
 
 from repro.circuits import WORKLOADS as CIRCUIT_REGISTRY
 from repro.circuits import get_workload
-from repro.compile import (MAX_WINDOW_QUBITS, CompileOptions, FusedOp,
+from repro.compile import (MAX_WINDOW_QUBITS, FusedOp,
                            compile_gates, compile_stages)
 from repro.core import (EinsumBackend, MemQSim, MemQSimConfig,
                         NumpyKernelBackend)
@@ -38,7 +38,7 @@ class TestBackendEquivalence:
     def test_fused_matches_unfused(self, backend, workload):
         n = 6
         circ = get_workload(workload, n)
-        ops, stats = compile_gates(circ.gates, CompileOptions(fusion=True))
+        ops, stats = compile_gates(circ.gates, fusion=True)
         assert stats["ops_out"] < stats["gates_in"]
         be = BACKENDS[backend]()
         ref = random_state(n)
@@ -50,7 +50,7 @@ class TestBackendEquivalence:
     def test_backends_agree_on_fused_ops(self):
         n = 6
         circ = get_workload("qft", n)
-        ops, _ = compile_gates(circ.gates, CompileOptions(fusion=True))
+        ops, _ = compile_gates(circ.gates, fusion=True)
         a = random_state(n)
         b = a.copy()
         NumpyKernelBackend().apply_ops(a, ops)
@@ -74,8 +74,7 @@ class TestEndToEndEquivalence:
     def test_einsum_backend_runs_fused_pipeline(self):
         circ = get_workload("qft", 7)
         lay, store, sched = build_rig(7, 4, backend=EinsumBackend())
-        plan = compile_stages(plan_stages(circ, lay, 2), lay,
-                              CompileOptions(fusion=True))
+        plan = compile_stages(plan_stages(circ, lay, 2), lay, fusion=True)
         assert plan.report.ops_out < plan.report.gates_in
         sched.run(plan.stages)
         np.testing.assert_allclose(store.to_statevector(),
@@ -114,7 +113,7 @@ class TestFusedOpsAreUnitary:
         # prices them
         circ = get_workload(workload, 8)
         kw = {} if width == "model" else {"pricing": window_cap(width)}
-        ops, _ = compile_gates(circ.gates, CompileOptions(fusion=True), **kw)
+        ops, _ = compile_gates(circ.gates, fusion=True, **kw)
         widest = max((len(op.qubits) for op in ops
                       if isinstance(op, FusedOp) and op.matrix is not None),
                      default=0)

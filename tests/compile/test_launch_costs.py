@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.circuits import get_workload
-from repro.compile import CompileOptions, compile_stages, launch_seconds
+from repro.compile import compile_stages, launch_seconds
 from repro.compile.cost import LAUNCH_CONSTANTS, launch_kind
 from repro.core.precision import compute_dtype
 from repro.memory import ChunkLayout
@@ -90,8 +90,7 @@ def test_the_model_ranks_widths_as_the_record_does():
 def test_launch_kind_is_the_prepared_kernel(workload, fusion):
     circuit = get_workload(workload, 9)
     layout = ChunkLayout(9, 5)
-    plan = compile_stages(plan_stages(circuit, layout, 2), layout,
-                          CompileOptions(fusion=fusion))
+    plan = compile_stages(plan_stages(circuit, layout, 2), layout, fusion=fusion)
     for lowered, bound in zip(plan.template.stages, plan.stages):
         if not hasattr(bound, "ops"):
             continue

@@ -7,14 +7,16 @@ preservation through ``compile_stages``, and numerical agreement of every
 compiled batch with the uncompiled gate sequence.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.circuits import Circuit, get_workload
 from repro.circuits.gates import make_diagonal_gate, make_gate
 from repro.compile import (
+    MAX_WINDOW_QUBITS,
     CompiledGateStage,
-    CompileOptions,
     CompileReport,
     FusedOp,
     GateOp,
@@ -30,9 +32,6 @@ from repro.memory import ChunkLayout
 from repro.pipeline import plan_stages
 from repro.pipeline.stages import GateStage, PermutationStage
 from tests.compile.caps import window_cap
-
-FUSION = CompileOptions(fusion=True)
-
 
 def _on_gates(run_pass):
     """A pass as gates -> ops: lower each gate to its leaf recipe, let the
@@ -211,7 +210,7 @@ class TestFuseWindows:
 class TestCompileGates:
     def test_fusion_off_lowers_one_to_one(self):
         c = get_workload("qft", 5)
-        ops, stats = compile_gates(c.gates, CompileOptions(fusion=False))
+        ops, stats = compile_gates(c.gates, fusion=False)
         assert len(ops) == len(c.gates)
         assert all(isinstance(op, GateOp) for op in ops)
         assert [op.to_gate() for op in ops] == list(c.gates)
@@ -219,7 +218,7 @@ class TestCompileGates:
 
     def test_fusion_on_reduces_and_preserves_semantics(self):
         c = get_workload("qft", 6)
-        ops, stats = compile_gates(c.gates, FUSION)
+        ops, stats = compile_gates(c.gates, fusion=True)
         assert stats["ops_out"] < stats["gates_in"]
         assert_same_effect(c.gates, ops, 6)
 
@@ -229,28 +228,31 @@ class TestCompileGates:
         # in the middle of the batch fuses like any other gate.
         # (Windows capped at 3 qubits; the model fuses ry in as well.)
         c = Circuit(4).h(0).swap(0, 1).cx(1, 2).ry(0.3, 3).swap(2, 3).swap(0, 1)
-        ops, stats = compile_gates(c.gates, FUSION, pricing=window_cap(3))
+        ops, stats = compile_gates(c.gates, fusion=True, pricing=window_cap(3))
         assert [op.name for op in ops] == ["fused", "ry", "swap", "swap"]
         assert stats["ops_out"] == 4
         assert_same_effect(c.gates, ops, 4)
-        ops, _stats = compile_gates(c.gates, FUSION)
+        ops, _stats = compile_gates(c.gates, fusion=True)
         assert [op.name for op in ops] == ["fused", "swap", "swap"]
         assert_same_effect(c.gates, ops, 4)
         # A backward-planned stage opens on them instead.
         c = Circuit(4).swap(0, 1).swap(2, 3).h(0).swap(0, 1).cx(1, 2).ry(0.3, 3)
-        ops, _stats = compile_gates(c.gates, FUSION, pricing=window_cap(3))
+        ops, _stats = compile_gates(c.gates, fusion=True, pricing=window_cap(3))
         assert [op.name for op in ops] == ["swap", "swap", "fused", "ry"]
         assert_same_effect(c.gates, ops, 4)
 
     @pytest.mark.parametrize("workload", ["qft", "grover", "qaoa", "ghz"])
     def test_workload_semantics_preserved(self, workload):
         c = get_workload(workload, 6)
-        ops, _ = compile_gates(c.gates, FUSION)
+        ops, _ = compile_gates(c.gates, fusion=True)
         assert_same_effect(c.gates, ops, 6)
 
     def test_options_validation(self):
-        with pytest.raises(ValueError, match="max_diag_qubits"):
-            CompileOptions(max_diag_qubits=4)
+        # The merge pass's fixed cap is no narrower than the widest window,
+        # so a cap-split diagonal run is never densified past the window cap.
+        cap = inspect.signature(passes.merge_diagonal_runs) \
+            .parameters["max_diag_qubits"].default
+        assert cap >= MAX_WINDOW_QUBITS
 
 
 class TestCompileStages:
@@ -258,7 +260,7 @@ class TestCompileStages:
         layout = ChunkLayout(n, chunk)
         stages = plan_stages(get_workload("qft", n), layout, 2)
         return layout, stages, compile_stages(
-            stages, layout, CompileOptions(fusion=fusion))
+            stages, layout, fusion=fusion)
 
     def test_stage_boundaries_preserved(self):
         _, stages, cplan = self._plan()
@@ -301,7 +303,7 @@ class TestCompileStages:
 
     def test_already_compiled_stage_passes_through(self):
         layout, _, cplan = self._plan()
-        again = compile_stages(cplan.stages, layout, FUSION)
+        again = compile_stages(cplan.stages, layout, fusion=True)
         for a, b in zip(cplan.stages, again.stages):
             assert a is b
 
@@ -336,7 +338,7 @@ class TestIR:
     def test_gphase_like_wide_diagonal_survives(self):
         d = np.exp(1j * np.linspace(0, 1, 16))
         g = make_diagonal_gate((0, 1, 2, 3), d)
-        ops, _ = compile_gates([g], FUSION)
+        ops, _ = compile_gates([g], fusion=True)
         (op,) = ops
         assert op.qubits == (0, 1, 2, 3)
         assert_same_effect([g], ops, 4)

@@ -18,7 +18,7 @@ import pytest
 from repro.circuits import (WORKLOADS, Circuit, get_workload, qaoa_maxcut,
                             trotter_ising, vqe_ansatz)
 from repro.circuits.gates import Gate
-from repro.compile import CompiledGateStage, CompileOptions, compile_stages
+from repro.compile import CompiledGateStage, compile_stages
 from repro.compile.template import WindowRecipe
 from repro.core import MemQSim, MemQSimConfig
 from repro.device import DeviceSpec
@@ -76,7 +76,7 @@ def assert_same_plan(a, b):
 
 def cold_compile(circuit, layout, cap, fusion):
     return compile_stages(plan_stages(circuit, layout, cap), layout,
-                          CompileOptions(fusion=fusion), gates=circuit.gates)
+                          fusion=fusion, gates=circuit.gates)
 
 
 def config_for(chunk_qubits, cap, fusion):

@@ -118,13 +118,13 @@ COMPILE_ONCE = """
 import hashlib, sys
 import numpy as np
 from repro.circuits import vqe_ansatz
-from repro.compile import CompileOptions, compile_stages
+from repro.compile import compile_stages
 from repro.memory import ChunkLayout
 from repro.pipeline import plan_stages
 circuit = vqe_ansatz(12, layers=3, params=np.linspace(0.1, 6.0, 72))
 layout = ChunkLayout(12, 7)
 plan = compile_stages(plan_stages(circuit, layout, 3), layout,
-                      CompileOptions(fusion=True), itemsize=8)
+                      fusion=True, itemsize=8)
 digest = hashlib.sha256()
 for stage in plan.stages:
     for op in getattr(stage, "ops", ()):

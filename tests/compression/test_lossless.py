@@ -14,6 +14,7 @@ from repro.compression import (
     get_compressor,
     register_compressor,
 )
+from repro.core import MemQSimConfig
 
 
 def rand_complex(n, seed=0, scale=1.0):
@@ -62,8 +63,11 @@ class TestRegistry:
             assert want in names
 
     def test_factory_kwargs(self):
-        c = get_compressor("zlib", level=9)
-        assert c.level == 9
+        # a misspelt or foreign option is refused, never dropped
+        with pytest.raises(ValueError, match="takes no options"):
+            get_compressor("zlib", levle=9)
+        with pytest.raises(ValueError, match="refused: 'levle'"):
+            MemQSimConfig(compressor="zlib", compressor_options={"levle": 9})
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
@@ -95,6 +99,29 @@ class TestCompressorOptions:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="zstd"):
             compressor_options("zstd", 1e-6)
+
+    #: each codec's documented option set, and nothing else
+    DOCUMENTED = {"szlike": {"error_bound"}, "zlib": set(), "lzma": set(),
+                  "bz2": set(), "null": set()}
+
+    def test_every_codec_is_documented(self):
+        assert set(available_compressors()) == set(self.DOCUMENTED)
+
+    @pytest.mark.parametrize("name", sorted(DOCUMENTED))
+    def test_codec_takes_exactly_its_documented_options(self, name):
+        options = compressor_options(name, 1e-6)
+        assert set(options) == self.DOCUMENTED[name]
+        get_compressor(name, **options)
+        MemQSimConfig(compressor=name, compressor_options=options)
+        for foreign in ("error_bound", "level", "preset", "mode", "entropy",
+                        "zlib_level"):
+            if foreign in options:
+                continue
+            bad = {**options, foreign: 1}
+            with pytest.raises(ValueError, match=f"refused: {foreign!r}"):
+                get_compressor(name, **bad)
+            with pytest.raises(ValueError, match=f"refused: {foreign!r}"):
+                MemQSimConfig(compressor=name, compressor_options=bad)
 
     @pytest.mark.parametrize("name", ["szlike", "zlib"])
     @pytest.mark.parametrize("bound", [float("inf"), float("nan"), 0.0,

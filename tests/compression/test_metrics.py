@@ -97,14 +97,6 @@ class TestEvaluate:
         assert rep.bound_respected is True
         assert rep.max_error <= 1e-4 * (1 + 1e-9)
 
-    def test_rel_mode_bound_not_judged(self):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-        rep = evaluate_compressor(
-            get_compressor("szlike", error_bound=1e-3, mode="rel"), x
-        )
-        assert rep.bound_respected is None
-
     def test_row_renders(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(128) + 1j * rng.standard_normal(128)

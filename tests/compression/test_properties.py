@@ -49,16 +49,6 @@ class TestSZLikeProperties:
 
     @given(data=complex_arrays(max_len=256))
     @settings(max_examples=30, deadline=None)
-    def test_rel_mode_never_crashes_and_bounds(self, data):
-        c = SZLikeCompressor(error_bound=1e-4, mode="rel")
-        back = c.decompress(c.compress(data))
-        planes = np.concatenate([data.real, data.imag]) if data.size else np.zeros(1)
-        realized = 1e-4 * max(np.max(np.abs(planes)), 0.0) if data.size else 0.0
-        # raw fallback may make it exact; bound must hold either way
-        assert max_component_error(data, back) <= max(realized, 1e-4) * (1 + 1e-9)
-
-    @given(data=complex_arrays(max_len=256))
-    @settings(max_examples=30, deadline=None)
     def test_compress_is_deterministic(self, data):
         c = SZLikeCompressor(error_bound=1e-5)
         assert c.compress(data) == c.compress(data)

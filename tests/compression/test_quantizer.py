@@ -7,7 +7,6 @@ from repro.compression.quantizer import (
     MAX_SAFE_CODE,
     dequantize,
     quantize,
-    resolve_error_bound,
     unzigzag,
     zigzag,
 )
@@ -46,32 +45,6 @@ class TestQuantize:
     def test_codes_are_int64(self, rng):
         q = quantize(rng.standard_normal(10), 1e-2)
         assert q.codes.dtype == np.int64
-
-
-class TestResolveErrorBound:
-    def test_abs_passthrough(self):
-        assert resolve_error_bound(np.array([100.0]), 1e-3, "abs") == 1e-3
-
-    def test_rel_scales_by_span(self):
-        data = np.array([-2.0, 0.5])
-        assert resolve_error_bound(data, 1e-2, "rel") == pytest.approx(0.02)
-
-    def test_rel_all_zero(self):
-        assert resolve_error_bound(np.zeros(5), 1e-2, "rel") == 1e-2
-
-    @pytest.mark.parametrize("mode", ["abs", "rel"])
-    @pytest.mark.parametrize("eb", [np.inf, np.nan, 0.0])
-    def test_nonfinite_or_zero_bound_rejected(self, eb, mode):
-        with pytest.raises(ValueError, match="finite and positive"):
-            resolve_error_bound(np.array([1.0, 2.0]), eb, mode)
-
-    def test_nonpositive_bound_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_error_bound(np.ones(1), 0.0, "abs")
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            resolve_error_bound(np.ones(1), 1e-3, "weird")
 
 
 class TestZigzag:

@@ -15,7 +15,7 @@ import pytest
 
 from repro.compression import available_compressors, get_compressor
 from repro.compression.interface import DTYPE_MAGIC, split_dtype
-from repro.compression.szlike import blob_entropy
+from repro.compression.szlike import SZLikeCompressor, blob_entropy
 
 ACCEPTABLE = (ValueError, KeyError, IndexError, EOFError,
               zlib.error, lzma.LZMAError, struct.error, OSError)
@@ -122,7 +122,7 @@ class TestEverySZL1Stage:
     @staticmethod
     def blob(stage, dtype):
         options, build = SZL1_STAGES[stage]
-        codec = get_compressor("szlike", **options)
+        codec = SZLikeCompressor(**options)
         x = build(dtype)
         blob = codec.compress(x)
         assert blob_entropy(blob) == stage

@@ -34,14 +34,6 @@ class TestRoundTrip:
         back = c.decompress(c.compress(x))
         assert max_component_error(x, back) <= eb * (1 + 1e-9)
 
-    def test_rel_mode_bound(self):
-        x = smooth_signal(2048, seed=1) * 1e-3
-        c = SZLikeCompressor(error_bound=1e-3, mode="rel")
-        back = c.decompress(c.compress(x))
-        planes = np.concatenate([x.real, x.imag])
-        realized = 1e-3 * np.max(np.abs(planes))
-        assert max_component_error(x, back) <= realized * (1 + 1e-9)
-
     def test_length_preserved(self):
         x = smooth_signal(777)
         c = SZLikeCompressor()
@@ -108,8 +100,11 @@ class TestEntropyModes:
             SZLikeCompressor(entropy="arith")
 
     def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
+        # the bound is absolute: there is no mode to pick
+        with pytest.raises(TypeError):
             SZLikeCompressor(mode="pointwise")
+        with pytest.raises(ValueError, match="refused: 'mode'"):
+            get_compressor("szlike", mode="rel")
 
     def test_nonpositive_bound_rejected(self):
         with pytest.raises(ValueError):
@@ -129,9 +124,8 @@ class TestBlobFormat:
             c.decompress(b"XXXXgarbage")
 
     def test_registry_construction(self):
-        c = get_compressor("szlike", error_bound=1e-3, mode="rel")
+        c = get_compressor("szlike", error_bound=1e-3)
         assert c.error_bound == 1e-3
-        assert c.mode == "rel"
         assert c.is_lossy
 
     def test_describe(self):

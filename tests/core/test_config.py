@@ -13,10 +13,10 @@ class TestDefaults:
         assert cfg.compressor == "szlike"
 
     def test_make_compressor(self):
-        cfg = MemQSimConfig(compressor="zlib", compressor_options={"level": 6})
+        cfg = MemQSimConfig(compressor="zlib")
         c = cfg.make_compressor()
         assert c.name == "zlib"
-        assert c.level == 6
+        assert not c.is_lossy
 
     def test_with_updates(self):
         a = MemQSimConfig()

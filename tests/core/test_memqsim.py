@@ -378,8 +378,9 @@ class TestDiskStore:
         assert log.exists()  # a caller's file is closed, never deleted
 
     def test_disk_store_default_temp_path(self, tmp_path, monkeypatch):
-        """A log the store created itself is gone after close() and after
-        the result is garbage collected — nothing is left in the temp dir."""
+        """A log the store created itself is anonymous: nothing is in the
+        temp dir while the result holds it, after close() or after the
+        result is garbage collected."""
         import gc
         import tempfile
 
@@ -395,13 +396,12 @@ class TestDiskStore:
         res = MemQSim(cfg).run(ghz(6))
         assert res.norm() == pytest.approx(1.0, abs=1e-9)
         assert res.tracker.peak("disk_store") > 0
-        assert [p.name for p in logs()] == [res.store.path.name]
+        assert res.store.path.name.startswith("memqsim_") and logs() == []
         res.store.close()
         assert logs() == []
         res.store.close()  # idempotent
 
         res = MemQSim(cfg).run(ghz(6))
-        assert len(logs()) == 1
         del res
         gc.collect()
         assert logs() == []

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import compare_states, error_growth_profile, sweep
+from repro.analysis import compare_states, error_growth_profile
 from repro.circuits import get_workload, qft
 from repro.compression import fidelity_floor
 from repro.core import MemQSim, MemQSimConfig
@@ -78,25 +78,3 @@ class TestMemoryClaims:
         # step they stay on the lossy path (r_sup 1.58, r_ghz 7.43
         # unchanged), so the honest gap at n=9, chunk 4 is 4.7x.
         assert r_ghz > 3 * r_sup
-
-
-class TestSweepDriver:
-    def test_sweep_grid_produces_all_cells(self):
-        recs = sweep(
-            [("ghz", get_workload("ghz", 8)), ("qft", get_workload("qft", 8))],
-            cfg(),
-            {"compressor": ["zlib", "szlike"]},
-        )
-        assert len(recs) == 4
-        assert all(r.fidelity is not None for r in recs)
-        assert {r.workload for r in recs} == {"ghz", "qft"}
-
-    def test_sweep_skips_fidelity_when_disabled(self):
-        recs = sweep([("ghz", get_workload("ghz", 8))], cfg(), compute_fidelity=False)
-        assert recs[0].fidelity is None
-
-    def test_sweep_record_derived_fields(self):
-        recs = sweep([("ghz", get_workload("ghz", 8))], cfg())
-        r = recs[0]
-        assert r.qubit_headroom == pytest.approx(np.log2(r.compression_ratio))
-        assert r.memory_saving > 0

@@ -3,6 +3,7 @@ budget 0, where every blob except the pinned zero blob lives in the log."""
 
 import errno
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -351,14 +352,18 @@ class TestIntegration:
         finally:
             s.close()
 
-    def test_context_manager_removes_file(self, tmp_path):
-        """...when the store created it; a caller's file is only closed."""
+    def test_context_manager_removes_file(self, tmp_path, monkeypatch):
+        """...when the store created it (anonymous: no name in the temp dir
+        even while it is open); a caller's file is only closed."""
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)
         lay = ChunkLayout(4, 2)
         with disk_store(lay, "zlib", None) as s:
-            s.init_zero_state()
-            own = s.path
-            assert own.exists() and own.name.startswith("memqsim_")
-        assert not own.exists()
+            s.init_from_statevector(rand_state(4))
+            assert s.path.name.startswith("memqsim_") and s.file_bytes > 0
+            s.compact()
+            assert list(tmp_path.iterdir()) == []
+            np.testing.assert_array_equal(s.to_statevector(), rand_state(4))
         p = tmp_path / "ctx.log"
         with disk_store(lay, "zlib", p) as s:
             s.init_zero_state()

@@ -10,7 +10,7 @@ import pytest
 
 from repro.analysis.audit import predict_traffic
 from repro.circuits import Circuit, get_workload, qft
-from repro.compile import CompileOptions, GateOp, compile_stages
+from repro.compile import GateOp, compile_stages
 from repro.core import MemQSim, MemQSimConfig, NumpyKernelBackend
 from repro.device import DeviceSpec
 from repro.device.timeline import Stage
@@ -39,7 +39,7 @@ def compiled_gate_stages(circuit, fusion, precision):
     # precisions plan different groupings of the same circuit.
     t_max = max_group_qubits_for(layout, DeviceSpec(memory_bytes=DEVICE_BYTES))
     plan = compile_stages(plan_stages(circuit, layout, t_max), layout,
-                          CompileOptions(fusion=fusion))
+                          fusion=fusion)
     return layout, [s for s in plan if not isinstance(s, PermutationStage)]
 
 

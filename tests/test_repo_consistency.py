@@ -202,6 +202,36 @@ class TestAPlanHasNoUnturnedInput:
         assert not hits, hits
 
 
+class TestTheLayerDownIsFixed:
+    """The compile passes and the codecs have no setting that nothing
+    turns: the compile layer takes one ``fusion`` flag, szlike's factory
+    takes ``error_bound`` only and the lossless ones take nothing, and the
+    sweep driver that no caller used is gone. No copy of them may come
+    back; the "Removed in" sections of docs/api.md are the record of
+    what went."""
+
+    GONE = (
+        "CompileOptions", "resolve_error_bound", "zlib_level",
+        "SweepRecord", "repro.analysis.sweeps",
+    )
+
+    def test_deleted_names_stay_deleted(self):
+        api = (REPO / "docs/api.md").read_text()
+        start = api.rindex("\n### Removed in", 0, api.index(type(self).__name__))
+        listed = api[start:api.find("\n## ", start)]
+        assert [name for name in self.GONE if name not in listed] == []
+        texts = {"docs/api.md": re.sub(r"\n### Removed in .*?(?=\n##)", "",
+                                       api, flags=re.S)}
+        files = [REPO / "README.md", REPO / "DESIGN.md"]
+        files += [p for p in sorted((REPO / "docs").glob("*.md"))
+                  if p.name != "api.md"]
+        files += sorted((REPO / "src").rglob("*.py"))
+        texts.update({str(p.relative_to(REPO)): p.read_text() for p in files})
+        hits = [f"{where}: {name}" for where, text in texts.items()
+                for name in self.GONE if name in text]
+        assert not hits, hits
+
+
 class TestConfigsAreConcrete:
     """A ``MemQSimConfig`` is concrete when it is built: ``precision`` is
     one of three modes, and an unset ``fuse_gates`` is derived inside the
