@@ -9,9 +9,9 @@ Pipeline (all stages vectorized; see DESIGN.md for the substitution note):
 3. exact integer delta coding of the quantization codes — the reversible,
    vectorized equivalent of SZ's first-order Lorenzo predictor — unless the
    chunk's codes are noise, which a predictor only widens;
-4. zigzag mapping and an entropy stage: fixed-length bit packing for noise
-   (nothing to model, so nothing is deflated), our canonical Huffman coder
-   for small/narrow alphabets, zlib on minimal-width integers otherwise;
+4. zigzag mapping and one of two entropy stages: fixed-length bit packing
+   for noise (nothing to model, so nothing is deflated), zlib on
+   minimal-width integers otherwise;
 5. a lossless *raw fallback* whenever the lossy stream would not actually be
    smaller (SZ's unpredictable-data escape, generalized to whole chunks) or
    the bound is too tight for safe integer quantization.
@@ -33,12 +33,11 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ..memory.bufferpool import scratch_pool
-from . import huffman
 from .bitstream import pack_fixed, unpack_fixed
 from .interface import (
     DTYPE_MAGIC,
@@ -60,20 +59,12 @@ _FLAG_QUANT = 0
 _FLAG_RAW = 1
 
 _ENTROPY_ZLIB = 0
-_ENTROPY_HUFFMAN = 1
 _ENTROPY_FIXED = 2
 #: the zlib stage's width byte -> the integer type its codes were narrowed to
 _ZLIB_WIDTHS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 #: the level of every zlib stage (entropy and raw escape); fixed, not
 #: configured: the recorded blobs were all written at it
 _ZLIB_LEVEL = 1
-
-#: With the table-driven decoder (huffman._decode_lut) the entropy stage is
-#: vectorized end to end, so Huffman is viable at real chunk sizes — these
-#: caps now only guard the O(k log k) code construction and the per-blob
-#: symbol table (9 bytes/symbol), not a per-bit Python loop.
-_HUFFMAN_MAX_ALPHABET = 1 << 16
-_HUFFMAN_MAX_ELEMENTS = 1 << 21
 
 #: The quantisation step is ``2 * eb * _STEP_SHRINK``, a hair inside the
 #: configured bound. On the exact ``2 * eb`` lattice a chunk that was decoded
@@ -118,14 +109,13 @@ def _minimal_uint(zz: np.ndarray) -> np.ndarray:
     return zz.astype(np.uint64)
 
 
-def _alphabet(narrow: np.ndarray):
-    """``np.unique(narrow, return_counts=True)``; one ``np.bincount`` for
-    one- and two-byte symbols (no sort), a sort for wider ones."""
-    if narrow.itemsize > 2:
-        return np.unique(narrow, return_counts=True)
-    counts = np.bincount(narrow)
-    symbols = np.flatnonzero(counts)
-    return symbols, counts[symbols]
+def _zlib_stage(zz: np.ndarray) -> bytes:
+    """The zlib stage's payload: the zigzag symbols (uint64) narrowed to the
+    smallest integer type that holds them, its width in the first byte,
+    then deflated."""
+    narrow = _minimal_uint(zz)
+    return struct.pack("<B", narrow.dtype.itemsize) + \
+        zlib.compress(narrow, _ZLIB_LEVEL)
 
 
 def _delta(codes: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -177,14 +167,13 @@ class SZLikeCompressor(Compressor):
 
         Args:
             error_bound: absolute per-component bound.
-            entropy: ``"zlib"``, ``"huffman"``, or ``"auto"`` (fixed-length
-                packing for noise-like codes, huffman for small
-                chunks/alphabets, zlib otherwise). The registry's factory
-                always builds ``auto``; the forced stages are the twins
-                tests compare it against.
+            entropy: ``"auto"`` (fixed-length packing for noise-like
+                codes, zlib otherwise) or ``"zlib"`` (zlib always). The
+                registry's factory always builds ``auto``; the forced-zlib
+                stage is the twin tests compare it against.
         """
-        if entropy not in ("zlib", "huffman", "auto"):
-            raise ValueError(f"entropy must be zlib|huffman|auto, got {entropy!r}")
+        if entropy not in ("zlib", "auto"):
+            raise ValueError(f"entropy must be zlib|auto, got {entropy!r}")
         self._eb = float(error_bound)
         if not 0 < self._eb < math.inf:
             raise ValueError(
@@ -303,54 +292,9 @@ class SZLikeCompressor(Compressor):
                             pack_fixed(zz, width)), _ENTROPY_FIXED
                 if not predicted:
                     stream = _delta(stream, spare.view(np.int64))
-                payload, entropy_id = self._entropy_encode(
-                    _zigzag_doubled(stream))
-                return (payload,), entropy_id
-        payload, entropy_id = self._entropy_encode(
-            _zigzag_doubled(_doubled(deltas, stream)))
-        return (payload,), entropy_id
-
-    def _entropy_encode(self, zz: np.ndarray) -> Tuple[bytes, int]:
-        """zlib or Huffman on the zigzagged deltas (uint64)."""
-        if self._entropy == "huffman":
-            return huffman.encode(zz.view(np.int64)), _ENTROPY_HUFFMAN
-        narrow = _minimal_uint(zz)
-        zpay = struct.pack("<B", narrow.dtype.itemsize) + \
-            zlib.compress(narrow, _ZLIB_LEVEL)
-        if self._entropy == "auto" and zz.size and \
-                zz.size <= _HUFFMAN_MAX_ELEMENTS:
-            # The zeroth-order entropy bound predicts the Huffman payload
-            # (n*H/8 data + 9 bytes/symbol table) — only when it is in
-            # striking distance of the zlib payload is the encoder actually
-            # run, and the exact smaller payload wins, so `auto` is never
-            # worse than zlib here. The table term alone already refutes
-            # most streams: a prefix's distinct count is a lower bound on
-            # the alphabet's, so once a prefix of twice the table budget
-            # holds more symbols than fit the inequality, the full-stream
-            # scan is skipped. Sound, so the choice is the full probe's.
-            limit = len(zpay) * 1.05
-            budget = max(0, int((limit - 16) // 9))  # symbols the table may hold
-            prefix = 2 * budget + 2
-            if prefix < zz.size and \
-                    9 * np.unique(narrow[:prefix]).size + 16 > limit:
-                return zpay, _ENTROPY_ZLIB
-            # One alphabet scan, on the minimal-width array the zlib payload
-            # was built from. Degenerate single-symbol streams stay with
-            # zlib (its RLE beats a 1-bit-per-symbol Huffman floor). The
-            # symbol -> index map is derived only when the encoder runs and
-            # is handed to it, so the stream is not scanned twice.
-            symbols, freqs = _alphabet(narrow)
-            if 2 <= symbols.size <= _HUFFMAN_MAX_ALPHABET:
-                p = freqs / zz.size
-                h_bits = float(-(p * np.log2(p)).sum())
-                est = zz.size * h_bits / 8 + 9 * symbols.size + 16
-                if est <= limit:
-                    inverse = np.searchsorted(symbols, narrow)
-                    hpay = huffman.encode(
-                        narrow, alphabet=(symbols, inverse, freqs))
-                    if len(hpay) <= len(zpay):
-                        return hpay, _ENTROPY_HUFFMAN
-        return zpay, _ENTROPY_ZLIB
+                return (_zlib_stage(_zigzag_doubled(stream)),), _ENTROPY_ZLIB
+        zz = _zigzag_doubled(_doubled(deltas, stream))
+        return (_zlib_stage(zz),), _ENTROPY_ZLIB
 
     # -- decompression -----------------------------------------------------------
 
@@ -386,7 +330,7 @@ class SZLikeCompressor(Compressor):
     def _decode_codes(self, payload, entropy_id: int,
                       out: np.ndarray) -> np.ndarray:
         """Entropy-decode the quantisation codes, doubled (int64), into
-        ``out`` where the stage allows."""
+        ``out``."""
         count = out.shape[0]
         if entropy_id == _ENTROPY_FIXED:
             if len(payload) < 2 or payload[1] > 1:
@@ -395,20 +339,6 @@ class SZLikeCompressor(Compressor):
                               out=out.view(np.uint64))
             doubled = _unzigzag_doubled(zz)
             return np.cumsum(doubled, out=doubled) if payload[1] else doubled
-        zz = self._entropy_decode(payload, entropy_id, out.view(np.uint64))
-        doubled = _unzigzag_doubled(zz)
-        return np.cumsum(doubled, out=doubled)
-
-    def _entropy_decode(self, payload, entropy_id: int,
-                        out: np.ndarray) -> np.ndarray:
-        """zlib or Huffman payload -> uint64 zigzag symbols (zlib's into
-        ``out``)."""
-        count = out.shape[0]
-        if entropy_id == _ENTROPY_HUFFMAN:
-            vals = huffman.decode(bytes(payload))
-            if vals.shape[0] != count:
-                raise ValueError("huffman stream length mismatch")
-            return vals.view(np.uint64)
         if entropy_id != _ENTROPY_ZLIB:
             raise ValueError(f"unknown SZL1 entropy stage {entropy_id}")
         width = payload[0]
@@ -417,20 +347,22 @@ class SZLikeCompressor(Compressor):
         raw = zlib.decompress(payload[1:])
         if len(raw) != count * width:
             raise ValueError("SZL1 zlib stage has the wrong length")
-        np.copyto(out, np.frombuffer(raw, dtype=_ZLIB_WIDTHS[width]))
-        return out
+        zz = out.view(np.uint64)
+        np.copyto(zz, np.frombuffer(raw, dtype=_ZLIB_WIDTHS[width]))
+        doubled = _unzigzag_doubled(zz)
+        return np.cumsum(doubled, out=doubled)
 
 
-_ENTROPY_NAMES = {_ENTROPY_ZLIB: "zlib", _ENTROPY_HUFFMAN: "huffman",
-                  _ENTROPY_FIXED: "fixed"}
+_ENTROPY_NAMES = {_ENTROPY_ZLIB: "zlib", _ENTROPY_FIXED: "fixed"}
 
 
 def blob_entropy(blob: bytes) -> Optional[str]:
     """Sniff the entropy stage of an SZL1 blob from its header.
 
-    Returns ``"huffman"``, ``"zlib"``, ``"fixed"``, or ``"raw"`` (the
-    lossless escape); ``None`` when the blob is not SZL1-framed or names a
-    frame or stage this build does not know (the decoder refuses those).
+    Returns ``"zlib"``, ``"fixed"``, or ``"raw"`` (the lossless escape);
+    ``None`` when the blob is not SZL1-framed or names a frame or stage this
+    build does not know (the decoder refuses those, entropy id 1 among
+    them: it was the Huffman stage, which is deleted).
     A dtype tag (``DTP1`` + tag byte) is looked through, so the chunk
     store can attribute entropy choices without decompressing anything.
     """

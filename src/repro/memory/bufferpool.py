@@ -10,11 +10,11 @@ tracker holds what a run actually staged through, and acquiring beyond
 growing memory.
 
 :class:`ScratchPool` is the codec-side sibling: a size-classed recycling
-bin for the short-lived scratch arrays the entropy coder and the SZ-like
-pipeline would otherwise allocate per chunk (bit matrices, plane buffers,
-jump tables). Where :class:`BufferPool` enforces a fixed budget and strict
-accounting, the scratch pool only *recycles* — misses fall through to the
-allocator, and retention is capped so it can never hoard memory.
+bin for the short-lived scratch arrays the SZ-like pipeline would
+otherwise allocate per chunk (its plane buffers). Where
+:class:`BufferPool` enforces a fixed budget and strict accounting, the
+scratch pool only *recycles* — misses fall through to the allocator, and
+retention is capped so it can never hoard memory.
 """
 
 from __future__ import annotations

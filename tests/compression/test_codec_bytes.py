@@ -152,7 +152,6 @@ CODECS = {
     "zlib": ZlibCompressor(),
     "szlike:auto": SZLikeCompressor(error_bound=1e-6),
     "szlike:zlib": SZLikeCompressor(error_bound=1e-6, entropy="zlib"),
-    "szlike:huffman": SZLikeCompressor(error_bound=1e-6, entropy="huffman"),
 }
 
 
@@ -193,16 +192,6 @@ PINNED = {
         "be4e7d38f02f3a01c8ef03304a919a39fb1300006b0d62db3d2cdea2ef2543e4",
         "ff2192f33cb450a8bb0ef380cc45e50554f87d7d8728b613ab7445a3d54b934e",
     ),
-    "szlike:huffman:huffman": (
-        568,
-        "6a52a764f7230c4ff0617ab339583094962fa72679818a32c638fadf39f1fa44",
-        "aa6cd2013e7027b5beb8da0d3283ca6b82b865867a488917858eff4382b2d96f",
-    ),
-    "szlike:huffman:raw": (
-        696,
-        "49f56d60192e557f0f7ea2bfa98cbd18f66da4fe27c99ea0de53d8c96110fd19",
-        "ffa27f212d1b797993f868b04feabbcc0213675e2cf9a486b19f3c1c07fd44c8",
-    ),
     "szlike:zlib:zlib": (
         1264,
         "6d2650dee57ed0add75339a6ad38a58b8a766a9a85671e4f17a1ef16982aaab3",
@@ -224,8 +213,7 @@ def measured():
 def test_corpus_covers_both_precisions_and_the_auto_stages(measured):
     c128, c64, _digest = measured["corpus"]
     assert c128 > 0 and c64 > 0
-    # real chunks take `auto` to the fixed-length and zlib stages; its
-    # Huffman choice is pinned by test_szlike.py's probe tests
+    # real chunks take `auto` to both of its stages, fixed-length and zlib
     stages = {key.rsplit(":", 1)[1] for key in measured
               if key.startswith("szlike:auto:")}
     assert {"fixed", "zlib"} <= stages, stages

@@ -6,7 +6,7 @@ dtype and length. Then the codec returns the slot itself, holding exactly
 the bytes ``decompress(blob)`` returns. Any other slot is left as it was
 and a fresh array comes back (``Compressor.decompress``). Covered: every
 registered codec, both precisions, and each SZL1 stage (fixed-length,
-zlib, Huffman, the raw escape).
+zlib, the raw escape).
 """
 
 import numpy as np
@@ -45,9 +45,6 @@ def cases():
         ("szlike:fixed", SZLikeCompressor(error_bound=1e-6), noise, "fixed"),
         ("szlike:zlib", SZLikeCompressor(error_bound=1e-6, entropy="zlib"),
          smooth, "zlib"),
-        ("szlike:huffman",
-         SZLikeCompressor(error_bound=1e-4, entropy="huffman"), smooth,
-         "huffman"),
         ("szlike:raw", SZLikeCompressor(error_bound=1e-14), loud_noise,
          "raw"),
     ]

@@ -1,16 +1,16 @@
 """The size contract of `auto`'s fixed-length stage, on streamed chunks.
 
 The fixed-length stage is chosen *without* running zlib, so "never worse
-than zlib" — which exact-size arbitration gives the zlib / Huffman pair —
-becomes a measured contract instead. Over every chunk the codec is handed
-while the registry circuits (12 qubits, chunk 8, both precisions) and the
-two lossy BENCH_E2E circuits (smoke size) are streamed:
+than zlib" — which the zlib stage is by construction — becomes a measured
+contract instead. Over every chunk the codec is handed while the registry
+circuits (12 qubits, chunk 8, both precisions) and the two lossy BENCH_E2E
+circuits (smoke size) are streamed:
 
 * every blob is at most 1.05x the forced-zlib blob of the same chunk;
 * every circuit's total is at most 1.00x its forced-zlib total;
 * the stage is lossless: both blobs decode to the same array, bit for bit;
 * sparse / structured circuits never take the stage, so their blobs are
-  the zlib | Huffman arbitration's (``TestSinglePassProbe`` pins its bytes).
+  the zlib stage's (``TestSinglePassProbe`` pins its bytes).
 """
 
 import importlib.util

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import get_workload
-from repro.compression import SZLikeCompressor, huffman
+from repro.compression import SZLikeCompressor
 from repro.compression.bitstream import (_BLOCK_GROUPS, pack_fixed,
                                          unpack_fixed)
 from repro.compression.interface import split_dtype
@@ -175,10 +175,8 @@ class TestEncoderPicksTheStage:
                               forced.decompress(deflated))
 
     def test_forced_modes_never_pack(self):
-        x = noise(512)
-        for entropy in ("zlib", "huffman"):
-            blob = SZLikeCompressor(entropy=entropy).compress(x)
-            assert blob_entropy(blob) in (entropy, "raw")
+        blob = SZLikeCompressor(entropy="zlib").compress(noise(512))
+        assert blob_entropy(blob) in ("zlib", "raw")
 
     def test_short_chunks_stay_off_the_stage(self):
         # fewer symbols than the alphabet probe needs distinct values
@@ -205,8 +203,9 @@ class TestPoolContract:
 
 
 def decoder_from_before_the_stage(blob):
-    """``SZLikeCompressor.decompress`` as it was before entropy id 2: any
-    id that is not Huffman's is read as zlib."""
+    """``SZLikeCompressor.decompress`` as it was before entropy id 2, less
+    its arm for id 1 (the Huffman stage, since deleted): any other id is
+    read as zlib."""
     dtype, blob = split_dtype(blob)
     if blob[:4] != b"SZL1":
         raise ValueError("not an SZL1 blob")
@@ -215,15 +214,10 @@ def decoder_from_before_the_stage(blob):
     if flag == 1:
         return np.frombuffer(zlib.decompress(payload), dtype=dtype,
                              count=n).copy()
-    if entropy_id == 1:
-        zz = huffman.decode(payload)
-        if zz.shape[0] != 2 * n:
-            raise ValueError("huffman stream length mismatch")
-    else:
-        width = {1: np.uint8, 2: np.uint16, 4: np.uint32,
-                 8: np.uint64}[payload[0]]
-        zz = np.frombuffer(zlib.decompress(payload[1:]), dtype=width,
-                           count=2 * n).astype(np.uint64)
+    width = {1: np.uint8, 2: np.uint16, 4: np.uint32,
+             8: np.uint64}[payload[0]]
+    zz = np.frombuffer(zlib.decompress(payload[1:]), dtype=width,
+                       count=2 * n).astype(np.uint64)
     planes = np.cumsum(unzigzag(zz), dtype=np.int64) * (2.0 * abs_bound)
     return (planes[:n] + 1j * planes[n:]).astype(dtype)
 
@@ -232,12 +226,11 @@ class TestForwardCompatibility:
     def test_old_decoder_still_reads_the_legacy_stages(self):
         t = np.linspace(0, 4 * np.pi, 512)
         x = np.sin(t) * np.exp(1j * t / 3) / 16
-        for entropy in ("zlib", "huffman"):
-            codec = SZLikeCompressor(error_bound=1e-4, entropy=entropy)
-            blob = codec.compress(x)
-            assert blob_entropy(blob) == entropy
-            assert np.array_equal(decoder_from_before_the_stage(blob),
-                                  codec.decompress(blob))
+        codec = SZLikeCompressor(error_bound=1e-4, entropy="zlib")
+        blob = codec.compress(x)
+        assert blob_entropy(blob) == "zlib"
+        assert np.array_equal(decoder_from_before_the_stage(blob),
+                              codec.decompress(blob))
 
     @pytest.mark.parametrize("predictor", [0, 1])
     @pytest.mark.parametrize("width", WIDTHS)

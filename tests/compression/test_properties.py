@@ -17,7 +17,6 @@ from repro.compression import (
     ZlibCompressor,
     max_component_error,
 )
-from repro.compression.huffman import decode, encode
 from repro.compression.quantizer import unzigzag, zigzag
 
 finite_floats = st.floats(
@@ -61,30 +60,6 @@ class TestLosslessProperties:
         c = ZlibCompressor()
         back = c.decompress(c.compress(data))
         assert np.array_equal(back, data)
-
-
-class TestHuffmanProperties:
-    @given(
-        vals=hnp.arrays(
-            np.int64,
-            st.integers(min_value=0, max_value=2000),
-            elements=st.integers(min_value=-(2**40), max_value=2**40),
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_roundtrip(self, vals):
-        assert np.array_equal(decode(encode(vals)), vals)
-
-    @given(
-        vals=hnp.arrays(
-            np.int64,
-            st.integers(min_value=1, max_value=1000),
-            elements=st.integers(min_value=-5, max_value=5),
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_small_alphabet_roundtrip(self, vals):
-        assert np.array_equal(decode(encode(vals)), vals)
 
 
 class TestZigzagProperties:

@@ -110,7 +110,6 @@ def _smooth(dtype):
 SZL1_STAGES = {
     "raw": ({"error_bound": 1e-16}, _noise),
     "zlib": ({"entropy": "zlib"}, _smooth),
-    "huffman": ({"entropy": "huffman", "error_bound": 1e-3}, _smooth),
     "fixed": ({}, _noise),
 }
 
@@ -279,9 +278,14 @@ class TestEveryUndefinedHeaderByte:
 
     def test_entropy_stage(self, stage, dtype):
         codec, _x, blob, at = self.frame(stage, dtype)
-        # a raw frame defines no entropy stage but the zlib it deflates with
-        sweep_byte(codec, blob, at + ENTROPY_AT,
-                   {0} if stage == "raw" else {0, 1, 2})
+        # a raw frame defines no entropy stage but the zlib it deflates
+        # with; id 1 was the deleted Huffman stage and is undefined now
+        defined = {0} if stage == "raw" else {0, 2}
+        sweep_byte(codec, blob, at + ENTROPY_AT, defined)
+        for value in set(range(256)) - defined:
+            damaged = blob[:at + ENTROPY_AT] + bytes([value]) + \
+                blob[at + ENTROPY_AT + 1:]
+            assert blob_entropy(damaged) is None
 
 
 
@@ -290,7 +294,7 @@ class TestEveryUndefinedHeaderByte:
 @pytest.mark.parametrize("stage", ["fixed", "zlib"])
 def test_every_undefined_stage_width_and_predictor(stage, dtype):
     """The zlib stage's width byte, and the fixed stage's width and
-    predictor bytes (the raw and Huffman stages have none)."""
+    predictor bytes (the raw stage has none)."""
     codec, _x, blob, at = TestEveryUndefinedHeaderByte.frame(stage, dtype)
     pos = at + PAYLOAD_AT
     if stage == "zlib":

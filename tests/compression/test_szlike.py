@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from repro.circuits import Circuit, make_gate, supremacy_brickwork
-from repro.compression import SZLikeCompressor, get_compressor, huffman
+from repro.compression import SZLikeCompressor, get_compressor
 from repro.compression.interface import split_dtype
 from repro.compression.metrics import max_component_error
 from repro.compression.quantizer import quantize, zigzag
-from repro.compression.szlike import _minimal_uint, blob_entropy
+from repro.compression.szlike import _minimal_uint, _zlib_stage, blob_entropy
 from repro.core import MemQSim
 from repro.device import DeviceSpec
 from repro.statevector.kernels import apply_circuit_gate
@@ -88,7 +88,7 @@ class TestCompression:
 
 
 class TestEntropyModes:
-    @pytest.mark.parametrize("entropy", ["zlib", "huffman", "auto"])
+    @pytest.mark.parametrize("entropy", ["zlib", "auto"])
     def test_all_modes_roundtrip(self, entropy):
         x = smooth_signal(2048, seed=7)
         c = SZLikeCompressor(error_bound=1e-5, entropy=entropy)
@@ -133,20 +133,12 @@ class TestBlobFormat:
 
 
 class TestAutoEntropySelection:
-    """The lifted-caps `auto` mode: Huffman at real chunk sizes, never worse."""
-
-    def test_huffman_selected_at_chunk_scale(self):
-        # 2^16 elements was beyond the old _HUFFMAN_MAX_ELEMENTS = 2^12 cap;
-        # with the LUT decoder auto must now pick Huffman on smooth chunks
-        x = smooth_signal(1 << 16)
-        auto = SZLikeCompressor(error_bound=1e-5, entropy="auto")
-        assert blob_entropy(auto.compress(x)) == "huffman"
+    """`auto` picks between its two stages, fixed-length and zlib."""
 
     @pytest.mark.parametrize("seed,eb", [(0, 1e-6), (1, 1e-5), (2, 1e-4)])
     def test_auto_never_worse_than_zlib(self, seed, eb):
-        # exact-size arbitration between zlib and Huffman: whichever of the
-        # two auto picks, the blob can only tie or beat a forced-zlib
-        # compressor on the same chunk. The fixed-length stage is chosen
+        # where auto takes the zlib stage its blob is the forced-zlib
+        # compressor's on the same chunk. The fixed-length stage is chosen
         # without running zlib, so it carries the size contract of
         # test_entropy_contract.py instead: at most 5 % over.
         rng = np.random.default_rng(seed)
@@ -159,17 +151,12 @@ class TestAutoEntropySelection:
             assert len(blob) <= slack * len(zl)
 
     def test_wide_alphabet_stays_with_zlib(self):
-        # near-uniform noise under a tight bound explodes the delta alphabet
-        # past the Huffman probe: between zlib and Huffman the arbitration
-        # still stays with zlib (now refuted on a prefix, not a full scan) ...
+        # near-uniform noise under a tight bound explodes the delta
+        # alphabet: `auto` does not deflate 32-bit noise, plain bit packing
+        # is the smaller blob and skips the deflate.
         rng = np.random.default_rng(7)
         x = (rng.standard_normal(1 << 14) + 1j * rng.standard_normal(1 << 14))
         auto = SZLikeCompressor(error_bound=1e-9, entropy="auto")
-        planes = np.concatenate([x.real, x.imag])
-        zz = zigzag(np.diff(quantize(planes, 1e-9).codes, prepend=np.int64(0)))
-        assert auto._entropy_encode(zz)[1] == 0
-        # ... but `auto` as a whole no longer deflates 32-bit noise: plain
-        # bit packing is the smaller blob and skips the deflate.
         blob = auto.compress(x)
         assert blob_entropy(blob) == "fixed"
         zl = SZLikeCompressor(error_bound=1e-9, entropy="zlib").compress(x)
@@ -204,7 +191,7 @@ class TestAutoEntropySelection:
             zl = SZLikeCompressor(error_bound=eb, entropy="zlib")
             for label, x in cases.items():
                 blob = auto.compress(x)
-                assert blob_entropy(blob) in ("zlib", "huffman"), (label, eb)
+                assert blob_entropy(blob) == "zlib", (label, eb)
                 assert len(blob) <= len(zl.compress(x)), (label, eb)
             assert blob_entropy(auto.compress(noise)) == "fixed", eb
 
@@ -212,9 +199,6 @@ class TestAutoEntropySelection:
 class TestBlobEntropySniffer:
     def test_forced_modes_are_reported(self):
         x = smooth_signal(4096)
-        assert blob_entropy(
-            SZLikeCompressor(error_bound=1e-5, entropy="huffman").compress(x)
-        ) == "huffman"
         assert blob_entropy(
             SZLikeCompressor(error_bound=1e-5, entropy="zlib").compress(x)
         ) == "zlib"
@@ -318,9 +302,9 @@ class TestTieLattice:
 
 
 class TestLegacyStageBytes:
-    """Forced ``zlib`` / ``huffman`` blobs are byte-identical to what the
-    encoder emitted before the one-pass rewrite (the digests were recorded
-    on the parent commit; CI's codec smoke step runs this class).
+    """Forced ``zlib`` blobs are byte-identical to what the encoder emitted
+    before the one-pass rewrite (the digests were recorded on the parent
+    commit; CI's codec smoke step runs this class).
 
     The zlib blob is digested with its deflate stream inflated — header,
     width byte and the symbol stream are ours to keep stable, the deflate
@@ -330,12 +314,8 @@ class TestLegacyStageBytes:
     PINNED = {
         ("complex128", "zlib"):
             "2951feba949b6d7748dbf9da071232ad94ad90c1773c44b548d9602ca310d81f",
-        ("complex128", "huffman"):
-            "816ff8facb5570d55552875c22f51c24c399797fefc975433082d3abf0ed949f",
         ("complex64", "zlib"):
             "2e59c7b84183803fa2ce1a3a7443a005d4c628da218353298ab866c58d6343de",
-        ("complex64", "huffman"):
-            "517ab296743b7d6ee0c5784408a7ceb423d6d2bae8262e1066a1fee16ec5af6d",
     }
 
     @staticmethod
@@ -360,29 +340,30 @@ class TestLegacyStageBytes:
 
 
 def three_tier_probe(zz, level=1, max_alphabet=1 << 16, probe_samples=1 << 12):
-    """The `auto` entropy probe as it was before the single-pass rewrite:
-    strided int64 sample, then a second int64 ``np.unique`` with inverse."""
+    """The `auto` entropy probe as it was before the single-pass rewrite,
+    less the Huffman encoder it ran (that stage is deleted): strided int64
+    sample, then a second int64 ``np.unique``. Returns the zlib payload and
+    whether the probe went on to run the Huffman encoder, which is where
+    the old `auto` could pick Huffman."""
     narrow = _minimal_uint(zz)
     zpay = struct.pack("<B", narrow.dtype.itemsize) + \
         zlib.compress(narrow.tobytes(), level)
     zz64 = zz.astype(np.int64)
     stride = max(1, zz64.size // probe_samples)
     if np.unique(zz64[::stride]).size <= max_alphabet:
-        symbols, inverse, freqs = np.unique(
-            zz64, return_inverse=True, return_counts=True)
+        symbols, freqs = np.unique(zz64, return_counts=True)
         if 2 <= symbols.size <= max_alphabet:
             p = freqs / zz64.size
             h_bits = float(-(p * np.log2(p)).sum())
             est = zz64.size * h_bits / 8 + 9 * symbols.size + 16
             if est <= len(zpay) * 1.05:
-                hpay = huffman.encode(zz64, alphabet=(symbols, inverse, freqs))
-                if len(hpay) <= len(zpay):
-                    return hpay, 1
-    return zpay, 0
+                return zpay, True
+    return zpay, False
 
 
 class TestSinglePassProbe:
-    """The rewritten probe picks the same stage and emits the same bytes."""
+    """The zlib stage emits the probe's zlib bytes, also where the probe
+    would have tried Huffman."""
 
     @staticmethod
     def corpus():
@@ -399,39 +380,12 @@ class TestSinglePassProbe:
         yield "constant", np.full(4096, 0.25 + 0j), 1e-6
 
     def test_same_choice_and_bytes_as_three_tier_probe(self):
-        picked = set()
+        tried = set()
         for label, x, eb in self.corpus():
             planes = np.concatenate([x.real, x.imag])
             zz = zigzag(np.diff(quantize(planes, eb).codes,
                                 prepend=np.int64(0)))
-            got = SZLikeCompressor(error_bound=eb)._entropy_encode(zz)
-            assert got == three_tier_probe(zz), label
-            picked.add(got[1])
-        assert picked == {0, 1}  # the corpus exercises both outcomes
-
-    def test_prefix_refutation_is_the_full_probe(self, monkeypatch):
-        # chunk-scale streams, where the early-out matters: most are refuted
-        # on a prefix, and what comes out is still the three-tier answer
-        rng = np.random.default_rng(1)
-        streams = []
-        for size in (256, 1024, 2048, 8192):
-            for spread in (3, 40, 700, 9000, 1 << 20):
-                streams.append(np.rint(
-                    rng.standard_normal(size) * spread).astype(np.int64))
-            mixed = np.zeros(size, dtype=np.int64)
-            mixed[: size // 4] = rng.integers(-5000, 5000, size // 4)
-            streams.append(mixed)
-        comp = SZLikeCompressor(error_bound=1e-6)
-        scans = []
-        unique = np.unique
-        monkeypatch.setattr(
-            np, "unique",
-            lambda a, **kw: scans.append(a.size) or unique(a, **kw))
-        refuted = 0
-        for codes in streams:
-            zz = zigzag(codes)
-            scans.clear()
-            got = comp._entropy_encode(zz)
-            refuted += scans != [] and max(scans) < zz.size
-            assert got == three_tier_probe(zz)
-        assert refuted >= len(streams) // 3
+            zpay, huffman_tried = three_tier_probe(zz)
+            assert _zlib_stage(zz) == zpay, label
+            tried.add(huffman_tried)
+        assert tried == {False, True}  # the corpus exercises both outcomes

@@ -1,10 +1,10 @@
 """One codec object, several codec lane threads.
 
 A codec lane shares the caller's compressor and the module-level state
-behind it (the Huffman code cache, the scratch pool); every thread must
-get exactly what a serial pass gets. More threads than cores, and a
-short interpreter switch interval so threads interleave between bytecodes
-as often as they can.
+behind it (the scratch pool, and the fixed-length stage's cached pack and
+unpack plans); every thread must get exactly what a serial pass gets.
+More threads than cores, and a short interpreter switch interval so
+threads interleave between bytecodes as often as they can.
 """
 
 import sys
@@ -13,13 +13,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.compression import huffman
-from repro.compression.szlike import SZLikeCompressor
+from repro.compression import bitstream
+from repro.compression.szlike import SZLikeCompressor, blob_entropy
 
 THREADS = 4
-#: more distinct codes than the Huffman code cache holds, so lanes evict
-#: entries other lanes are looking up
-CHUNKS = 2 * huffman._CODE_CACHE_MAX + 8
 ROUNDS = 3
 
 
@@ -36,32 +33,31 @@ def busy_switching():
 def _chunks():
     rng = np.random.default_rng(5)
     out = []
-    for i in range(CHUNKS):
-        # a different spread per chunk: a different code alphabet
+    for i in range(24):
+        # noise at a different scale per chunk: a different packed width
         v = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
-        out.append(v * (1 + i) / 1024)
+        out.append(v * 2.0 ** (i - 12))
+    for i in range(8):
+        # sparse chunks: the zlib stage
+        v = np.zeros(1024, dtype=complex)
+        v[i::97] = 0.3 - 0.1j * i
+        out.append(v)
     return out
 
 
-def test_huffman_lanes_match_a_serial_pass(monkeypatch, busy_switching):
-    codec = SZLikeCompressor(error_bound=1e-3, entropy="huffman")
+def test_lanes_match_a_serial_pass(busy_switching):
+    codec = SZLikeCompressor()
     chunks = _chunks()
     blobs = [codec.compress(c) for c in chunks]
-    # the serial decode pass meets more distinct codes than the cache holds
-    codes = set()
-    parse = huffman._parse
-
-    def noting_parse(blob):
-        parsed = parse(blob)
-        codes.add(parsed[1].to_bytes())  # the cache key
-        return parsed
-
-    monkeypatch.setattr(huffman, "_parse", noting_parse)
     arrays = [codec.decompress(b) for b in blobs]
-    monkeypatch.undo()
-    assert len(codes) > huffman._CODE_CACHE_MAX
-    with ThreadPoolExecutor(THREADS) as lanes:
-        for _ in range(ROUNDS):
+    widths = {b[22] for b in blobs if blob_entropy(b) == "fixed"}
+    assert len(widths) >= 8
+    assert "zlib" in {blob_entropy(b) for b in blobs}
+    for _ in range(ROUNDS):
+        # the lanes build the pack and unpack plans concurrently
+        bitstream._pack_plan.cache_clear()
+        bitstream._unpack_plan.cache_clear()
+        with ThreadPoolExecutor(THREADS) as lanes:
             assert list(lanes.map(codec.compress, chunks,
                                   timeout=60)) == blobs
             for got, want in zip(lanes.map(codec.decompress, blobs,

@@ -391,7 +391,7 @@ class TestEntropyChoiceCounters:
             if name.startswith("codec.entropy_choice.")
         }
         assert sum(counts.values()) == lay.num_chunks
-        assert set(counts) <= {"huffman", "zlib", "fixed", "raw"}
+        assert set(counts) <= {"zlib", "fixed", "raw"}
         # a random state's codes are noise: the store must see the new stage
         assert counts.get("fixed", 0) > 0
 

@@ -4,9 +4,9 @@ The group loop is the same for every worker count; what a pool changes is
 *when* the codec runs. These tests pin the two things that could silently
 go wrong: the timeline must carry the seconds the codec took where it ran
 (not how long the loop waited for it, nor what a cache in front of the
-store did meanwhile) — the same way inline and on a lane — and the overlap
-the lane exists for must be visible in the trace, which draws every hop
-from its timeline row.
+store did meanwhile) — the same way inline and on a lane — and the lane
+must be handed the next pass's reads before this pass's kernel runs, which
+is the overlap it exists for.
 """
 
 from collections import Counter, defaultdict
@@ -16,8 +16,10 @@ from repro.pipeline.sweep import predict_sweep
 from repro.circuits import get_workload
 from repro.core import MemQSim, MemQSimConfig
 from repro.device import DeviceSpec
+from repro.device.executor import DeviceExecutor
 from repro.device.timeline import Stage
 from repro.memory import ChunkLayout, CompressedChunkStore, MemoryTracker
+from repro.parallel import CodecWorkerPool
 from repro.telemetry import Telemetry
 
 WORKERS = 2
@@ -91,61 +93,68 @@ def _codec_seconds_are_the_stores(workers, cache_chunks):
     assert all(r[3] >= 0 and r[4] >= 0 for r in codec)
 
 
-def test_next_pass_decompress_is_submitted_before_this_pass_kernel():
+def test_next_pass_decompress_is_submitted_before_this_pass_kernel(
+        monkeypatch):
     """Inside a stage and across a stage boundary with no permutation
     barrier between, pass k+1's decompress jobs — of live chunks pass k
     does not write (a zero member has none, and a read of what pass k
-    writes waits for the write) — are queued before pass k's kernel
-    runs: they start ahead of pass k's compress jobs (which are
-    submitted right after that kernel — the pool is FIFO), and a
-    ``decompress`` span for pass k+1 — drawn at the start its lane
-    measured — starts before pass k's ``group_pass`` span ends."""
+    writes waits for the write) — are submitted to the lane before pass
+    k's kernel runs. Checked on one log of the submissions and kernel
+    launches in the order the run made them, not on when lanes happened
+    to start the jobs."""
+    log = []
+    submit = CodecWorkerPool.submit_decompress
+    run_ops = DeviceExecutor.run_ops
+
+    def logged_submit(pool, key, blob):
+        log.append(("decompress", key))
+        return submit(pool, key, blob)
+
+    def logged_run_ops(executor, buf, ops, chunk=-1):
+        log.append(("kernel", chunk))
+        return run_ops(executor, buf, ops, chunk)
+
+    monkeypatch.setattr(CodecWorkerPool, "submit_decompress", logged_submit)
+    monkeypatch.setattr(DeviceExecutor, "run_ops", logged_run_ops)
     res, tel, stages = laned_run(12, compressor="zlib")
+    monkeypatch.undo()
     # the store was initialised to |0...0>: chunk 0 is the start support
     sweep = predict_sweep(stages, res.store.layout, {0})
     passes = [p for p, _zero in sweep]
     assert passes == predict_pass_schedule(stages, res.store.layout, {0})
     assert all(kind == "pass" for kind, *_ in passes), "plan has a barrier"
-    group_pass = {(sp.args["stage"], sp.args["group"]): sp
-                  for sp in tel.tracer.find("group_pass")}
-    assert set(group_pass) == {(si, gi) for _k, si, gi, _m in passes}
-
-    def starts_by_chunk(name):
-        # no cache: a chunk meets the codec once per pass that holds it (an
-        # all-zero group is never streamed; a zero member is filled, not
-        # decoded), and a chunk's jobs run in pass order
-        out = {}
-        for sp in sorted(tel.tracer.find(name), key=lambda sp: sp.start):
-            out.setdefault(sp.args["chunk"], []).append(sp.start)
-        return out
-
-    decompress = starts_by_chunk("decompress")
-    compress = starts_by_chunk("compress")
-    # per pass: which of each member's jobs (first, second, ...) is its
+    # per pass: which of each member's reads (first, second, ...) is its
     # own; only live members have a decompress job
-    read, written = Counter(), Counter()
-    nth_read, nth_written = [], []
+    read = Counter()
+    nth_read = []
     for (_k, _si, _gi, members), zero in sweep:
         live = [c for c in members if c not in zero]
         nth_read.append({c: read[c] for c in live})
-        nth_written.append({c: written[c] for c in members})
         read.update(live)
-        written.update(members)
-    assert {c: len(v) for c, v in decompress.items()} == read
-    assert {c: len(v) for c, v in compress.items()} == written
-    assert sum(written.values()) > sum(read.values())  # zero members
-    seen = {"within": 0, "across": 0}
+    # no cache: a chunk meets the codec once per pass that holds it, and
+    # every load is a lane job submitted once (none is dropped)
+    spans = Counter(sp.args["chunk"] for sp in tel.tracer.find("decompress"))
+    assert spans == read
+    # where each chunk's n-th submission and each pass's kernel sit in
+    # the log
+    submitted, kernel_at = defaultdict(list), []
+    for at, (kind, key) in enumerate(log):
+        if kind == "decompress":
+            submitted[key].append(at)
+        else:
+            kernel_at.append(at)
+    assert {c: len(ats) for c, ats in submitted.items()} == read
+    assert [log[at][1] for at in kernel_at] == [gi for _k, _si, gi, _m
+                                                in passes]
+    seen = Counter()
     for k, ((_k, si, gi, members), (_k2, nsi, _ngi, _nm)) in enumerate(
             zip(passes, passes[1:])):
         # a read of a chunk pass k writes waits for that write
         ahead = {c: n for c, n in nth_read[k + 1].items() if c not in members}
         if not ahead:
             continue
-        first_read = min(decompress[c][n] for c, n in ahead.items())
-        first_write = min(compress[c][nth_written[k][c]] for c in members)
-        assert first_read < first_write, (si, gi)
-        if first_read < group_pass[(si, gi)].end:
-            seen["within" if nsi == si else "across"] += 1
-    # the wall-clock form depends on how busy the workers are; it must
-    # show at least once on each kind of boundary
+        for c, n in ahead.items():
+            assert submitted[c][n] < kernel_at[k], (si, gi, c)
+        seen["within" if nsi == si else "across"] += 1
+    # both kinds of boundary occur in this plan
     assert seen["within"] and seen["across"], seen

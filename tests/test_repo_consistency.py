@@ -232,6 +232,41 @@ class TestTheLayerDownIsFixed:
         assert not hits, hits
 
 
+class TestTheHuffmanStageIsGone:
+    """szlike has two entropy stages, fixed-length packing and zlib. The
+    Huffman coder, the bit-level I/O only it used, and its constructor
+    value may not come back; the "Removed in" section of docs/api.md that
+    names this guard is the record of what went, and so is the DESIGN.md
+    paragraph that names it, which says why entropy id 1 has no decoder."""
+
+    GONE = (
+        "repro.compression.huffman", "HuffmanCode", "BitWriter",
+        "BitReader", "pack_codes", "unpack_bits", "decode_lut",
+        "decode_trie", "_HUFFMAN_MAX", 'entropy="huffman"',
+    )
+
+    def test_deleted_names_stay_deleted(self):
+        name = type(self).__name__
+        api = (REPO / "docs/api.md").read_text()
+        start = api.rindex("\n### Removed in", 0, api.index(name))
+        end = api.find("\n## ", start)
+        head, listed, tail = api[:start], api[start:end], api[end:]
+        assert [gone for gone in self.GONE if gone not in listed] == []
+        texts = {"docs/api.md": head + tail}
+        design = (REPO / "DESIGN.md").read_text().split("\n\n")
+        assert sum(name in para for para in design) == 1
+        texts["DESIGN.md"] = "\n\n".join(
+            para for para in design if name not in para)
+        files = [REPO / "README.md"]
+        files += [p for p in sorted((REPO / "docs").glob("*.md"))
+                  if p.name != "api.md"]
+        files += sorted((REPO / "src").rglob("*.py"))
+        texts.update({str(p.relative_to(REPO)): p.read_text() for p in files})
+        hits = [f"{where}: {gone}" for where, text in texts.items()
+                for gone in self.GONE if gone in text]
+        assert not hits, hits
+
+
 class TestConfigsAreConcrete:
     """A ``MemQSimConfig`` is concrete when it is built: ``precision`` is
     one of three modes, and an unset ``fuse_gates`` is derived inside the
