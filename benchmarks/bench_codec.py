@@ -1,4 +1,4 @@
-"""Experiment CD1 — entropy-stage throughput: fixed-length packing vs zlib.
+"""Experiment CD1 — codec stage throughput: fixed-length packing vs zlib, deflate vs raw frames.
 
 The codec is the per-chunk hot path: every stage pass pays one decompress
 and one compress per chunk, so entropy-stage throughput bounds how far the
@@ -11,6 +11,12 @@ stream, across chunk sizes 2^10..2^20 and three alphabet regimes:
 * zlib encode/decode (the stage it takes on everything else),
 
 in effective MB/s of decoded int64 payload, with each stage's size.
+
+The lossless codec has two frames: ``LSL1`` deflates a chunk, ``LSR1``
+stores its bytes. A second table times both, encode and decode (into a
+slot, as the chunk store decodes) in microseconds per call, on 1 KiB and
+16 KiB complex128 chunks of a dense state and of a uniform one, with
+zlib's probe (which picks the frame) timed alone and the frame it picks.
 """
 
 from __future__ import annotations
@@ -23,7 +29,9 @@ import pytest
 
 from common import FULL, emit_result, print_banner, seconds
 from repro.analysis import Table
+from repro.compression import NullCompressor, ZlibCompressor
 from repro.compression.bitstream import pack_fixed, unpack_fixed
+from repro.compression.lossless import _is_noise, blob_frame
 
 #: chunk sizes swept (elements); FULL adds the top sizes.
 SIZES_FAST = [1 << 10, 1 << 12, 1 << 14, 1 << 16]
@@ -108,6 +116,73 @@ def generate_table(sizes=None, kinds=KINDS):
     return t, rows
 
 
+#: lossless-frame chunks: 1 KiB and 16 KiB of complex128 amplitudes
+FRAME_SIZES = [64, 1024]
+FRAME_KINDS = ("dense", "uniform")
+#: calls per timed loop; a frame's call takes microseconds
+FRAME_CALLS = 200
+
+
+class _DeflateEvery(ZlibCompressor):
+    """zlib with every chunk deflated: the ``LSL1`` frame on its own."""
+
+    def _deflates(self, data):
+        return True
+
+
+def make_chunk(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "dense":  # a dense state: deflate cannot shrink it
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return v / np.linalg.norm(v)
+    if kind == "uniform":  # qft of |0...0>: deflate removes ~all of it
+        return np.full(n, 1 / np.sqrt(n), dtype=np.complex128)
+    raise ValueError(kind)
+
+
+def _us_per_call(fn, repeats: int = REPEATS):
+    return _time(lambda: [fn() for _ in range(FRAME_CALLS)],
+                 repeats) / FRAME_CALLS * 1e6
+
+
+def measure_frames(kind: str, n: int, rng: np.random.Generator) -> dict:
+    x = make_chunk(kind, n, rng)
+    slot = np.empty_like(x)
+    row = {"kind": kind, "n": n, "kib": x.nbytes // 1024,
+           "picked": blob_frame(ZlibCompressor().compress(x)),
+           "probe_us": _us_per_call(lambda: _is_noise(x))}
+    for frame, codec in (("deflate", _DeflateEvery()),
+                         ("raw", NullCompressor())):
+        blob = codec.compress(x)
+        assert blob_frame(blob) == frame
+        assert np.array_equal(ZlibCompressor().decompress(blob, out=slot), x)
+        row[f"{frame}_bytes"] = len(blob)
+        row[f"{frame}_enc_us"] = _us_per_call(lambda: codec.compress(x))
+        row[f"{frame}_dec_us"] = _us_per_call(
+            lambda: ZlibCompressor().decompress(blob, out=slot))
+    return row
+
+
+def generate_frame_table(sizes=FRAME_SIZES, kinds=FRAME_KINDS):
+    rng = np.random.default_rng(7)
+    t = Table(
+        ["chunk", "KiB", "zlib picks", "deflate B", "raw B",
+         "deflate enc us", "raw enc us", "deflate dec us", "raw dec us",
+         "probe us"],
+        title="CD1: lossless frames (us per call, complex128 chunks)",
+    )
+    rows = []
+    for kind in kinds:
+        for n in sizes:
+            row = measure_frames(kind, n, rng)
+            rows.append(row)
+            t.add(kind, str(row["kib"]), row["picked"],
+                  str(row["deflate_bytes"]), str(row["raw_bytes"]),
+                  *(f"{row[k]:.1f}" for k in (
+                      "deflate_enc_us", "raw_enc_us", "deflate_dec_us",
+                      "raw_dec_us", "probe_us")))
+    return t, rows
+
+
 # -- pytest-benchmark targets ---------------------------------------------------
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -126,12 +201,33 @@ def test_both_stages_round_trip_at_scale(benchmark, kind):
     assert np.array_equal(deflated, vals)
 
 
+def test_zlib_picks_raw_for_dense_and_deflate_for_uniform_chunks(benchmark):
+    rng = np.random.default_rng(7)
+
+    def run():
+        return [measure_frames(kind, n, rng) for kind in FRAME_KINDS
+                for n in FRAME_SIZES]
+
+    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    for row in rows:
+        if row["kind"] == "uniform":
+            assert row["picked"] == "deflate", row
+            assert row["deflate_bytes"] < row["raw_bytes"] / 20, row
+        else:
+            # the trade: deflate shrinks a dense 16 KiB chunk by ~4 %, and
+            # costs tens of times the raw frame's microseconds to do it
+            assert row["picked"] == "raw", row
+            assert row["raw_bytes"] < 1.05 * row["deflate_bytes"], row
+
+
 if __name__ == "__main__":
     print_banner(__doc__.splitlines()[0])
     t0 = time.perf_counter()
     table, rows = generate_table()
+    frame_table, frame_rows = generate_frame_table()
     wall = time.perf_counter() - t0
     print(table.render())
+    print(frame_table.render())
 
     at16 = [r for r in rows if r["n"] == 1 << 16]
     metrics = {
@@ -140,12 +236,23 @@ if __name__ == "__main__":
         **{f"{name}_s_{r['kind']}_65536": seconds(r[f"{name}_s"])
            for r in at16
            for name in ("fixed_enc", "fixed_dec", "zlib_enc", "zlib_dec")},
+        # the lossless frames per chunk kind and size, and zlib's probe
+        **{f"frame_{name}_s_{r['kind']}_{r['kib']}KiB":
+           seconds(r[f"{name}_us"] * 1e-6)
+           for r in frame_rows
+           for name in ("deflate_enc", "deflate_dec", "raw_enc", "raw_dec")},
+        **{f"probe_s_{r['kib']}KiB": seconds(r["probe_us"] * 1e-6)
+           for r in frame_rows if r["kind"] == "dense"},
     }
     emit_result("CD1", title=__doc__.splitlines()[0],
                 params={"sizes": SIZES_FULL if FULL else SIZES_FAST,
-                        "repeats": REPEATS},
+                        "repeats": REPEATS, "frame_sizes": FRAME_SIZES,
+                        "frame_calls": FRAME_CALLS},
                 metrics=metrics,
-                tables=[table],
+                tables=[table, frame_table],
                 extra={"rows": [
                     {k: (round(v, 6) if isinstance(v, float) else v)
-                     for k, v in r.items()} for r in rows]})
+                     for k, v in r.items()} for r in rows],
+                    "frame_rows": [
+                    {k: (round(v, 3) if isinstance(v, float) else v)
+                     for k, v in r.items()} for r in frame_rows]})

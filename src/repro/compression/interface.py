@@ -31,6 +31,8 @@ import functools
 import inspect
 import math
 import numbers
+import sys
+import zlib
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -48,6 +50,7 @@ __all__ = [
     "split_dtype",
     "coerce_amplitudes",
     "decode_target",
+    "inflate_exact",
 ]
 
 #: prefix marking a non-complex128 blob: ``DTP1`` + one dtype-tag byte,
@@ -90,6 +93,27 @@ def decode_target(out: Optional[np.ndarray], dtype,
             and out.shape[0] == n and out.flags.carray):
         return out
     return np.empty(n, dtype=dtype)
+
+
+def inflate_exact(stream, size: int) -> bytes:
+    """Inflate a zlib ``stream`` that must hold exactly ``size`` bytes.
+
+    Raises ``ValueError`` unless the stream inflates to ``size`` bytes,
+    ends there, and nothing follows it: a stream that inflates longer or
+    shorter than its frame says, or carries trailing bytes, is damaged,
+    and is never cut or padded to fit. Inflating stops one byte past
+    ``size``: a stream that would inflate to far more costs no more, and
+    a full output buffer never stops inflate short of the stream's end.
+    """
+    if not 0 <= size < sys.maxsize:
+        raise ValueError(f"no deflate stream holds {size} bytes")
+    inflater = zlib.decompressobj()
+    raw = inflater.decompress(stream, size + 1)
+    if (len(raw) != size or not inflater.eof or inflater.unconsumed_tail
+            or inflater.unused_data):
+        raise ValueError(
+            f"deflate stream does not hold exactly {size} bytes")
+    return raw
 
 
 def dtype_tag(dtype) -> bytes:

@@ -46,6 +46,7 @@ from .interface import (
     decode_target,
     dtype_tag,
     frame_dtype,
+    inflate_exact,
     register_compressor,
 )
 from .quantizer import scaled_codes
@@ -313,10 +314,8 @@ class SZLikeCompressor(Compressor):
         payload = memoryview(blob)[at + _PAYLOAD_AT:]
         out = decode_target(out, dtype, n)
         if flag == _FLAG_RAW:
-            raw = zlib.decompress(payload)
-            if len(raw) != n * dtype.itemsize:
-                raise ValueError("SZL1 raw frame has the wrong length")
-            out[:] = np.frombuffer(raw, dtype=dtype)
+            out[:] = np.frombuffer(inflate_exact(payload, n * dtype.itemsize),
+                                   dtype=dtype)
             return out
         with scratch_pool().borrow(2 * n, np.int64) as doubled:
             doubled = self._decode_codes(payload, entropy_id, doubled)
@@ -344,9 +343,7 @@ class SZLikeCompressor(Compressor):
         width = payload[0]
         if width not in _ZLIB_WIDTHS:
             raise ValueError(f"unknown SZL1 zlib-stage width {width}")
-        raw = zlib.decompress(payload[1:])
-        if len(raw) != count * width:
-            raise ValueError("SZL1 zlib stage has the wrong length")
+        raw = inflate_exact(payload[1:], count * width)
         zz = out.view(np.uint64)
         np.copyto(zz, np.frombuffer(raw, dtype=_ZLIB_WIDTHS[width]))
         doubled = _unzigzag_doubled(zz)

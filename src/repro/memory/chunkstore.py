@@ -250,7 +250,7 @@ class CompressedChunkStore:
             tel.traffic.record("codec", "raw_in", raw_nbytes, worker=worker)
             tel.traffic.record("codec", "compressed_out", len(blob),
                                worker=worker)
-            self._note_entropy(tel, blob)
+            self._note_stage(tel, blob)
 
     # -- the codec lane --------------------------------------------------------
 
@@ -359,16 +359,24 @@ class CompressedChunkStore:
             raise error
 
     @staticmethod
-    def _note_entropy(tel, blob: bytes) -> None:
-        """Count which entropy stage the codec picked, sniffed per blob.
+    def _note_stage(tel, blob: bytes) -> None:
+        """Count which stage the codec picked, sniffed per blob: szlike's
+        entropy stage (``codec.entropy_choice.*``) or a lossless codec's
+        frame (``codec.lossless_frame.{raw,deflate}``).
 
         Works on the header alone, so blobs a lane produced are counted
-        when they land. Non-SZL1 codecs contribute nothing.
+        when they land. Other codecs contribute nothing.
         """
-        from ..compression.szlike import blob_entropy  # lazy: avoids import cycle
+        # lazy: avoids import cycle
+        from ..compression.lossless import blob_frame
+        from ..compression.szlike import blob_entropy
         choice = blob_entropy(blob)
         if choice is not None:
             tel.metrics.counter(f"codec.entropy_choice.{choice}").inc()
+            return
+        frame = blob_frame(blob)
+        if frame is not None:
+            tel.metrics.counter(f"codec.lossless_frame.{frame}").inc()
 
     def _set_blob(self, chunk: int, blob: bytes, shared: bool = False) -> None:
         old = self._blobs[chunk]

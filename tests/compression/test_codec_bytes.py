@@ -19,12 +19,18 @@ other runs together, and its later chunks add time, not new cases.
 Each distinct chunk is then encoded by ``zlib`` and by ``szlike`` under
 each entropy setting. Pinned: how many chunks there are and their digest
 (a lossy run feeds its own output back, so this pins the codec's in-run
-bytes too), and per codec, entropy setting and chosen stage, the count,
-the digest of the concatenated blobs and of the decoded arrays. A blob's
+bytes too), and per codec, entropy setting and chosen stage (for zlib, its
+frame: deflate or raw), the count, the digest of the concatenated blobs
+and of the decoded arrays. A blob's
 deflate stream is digested inflated: the deflate bytes belong to whichever
 zlib the interpreter links, the rest of the frame is ours. The digests were
 recorded before the codec's per-call overhead was cut; any rewrite of the
 codec must reproduce them unchanged.
+
+zlib's one group split in two when it gained the raw frame: ``zlib:raw``
+holds the chunks its probe stores raw, recorded with the raw frame, and
+``zlib:deflate`` the rest, whose digests are the ones the zlib without a
+raw frame gives over those same chunks (computed with it, not re-recorded).
 """
 
 import functools
@@ -44,6 +50,7 @@ from repro.circuits import (WORKLOADS, Circuit, get_workload, qft,
 from repro.compile import compile_stages
 from repro.compression import SZLikeCompressor, ZlibCompressor
 from repro.compression.interface import split_dtype
+from repro.compression.lossless import blob_frame
 from repro.compression.szlike import blob_entropy
 from repro.core import MemQSim
 from repro.device import DeviceSpec
@@ -167,7 +174,7 @@ def digests(corpus):
             blob = codec.compress(chunk)
             back = codec.decompress(blob)
             assert back.dtype == chunk.dtype
-            group = groups[f"{label}:{blob_entropy(blob) or '-'}"]
+            group = groups[f"{label}:{blob_entropy(blob) or blob_frame(blob)}"]
             group[0] += 1
             group[1].update(struct.pack("<Q", len(blob)) + canonical(blob))
             group[2].update(back.tobytes())
@@ -197,10 +204,15 @@ PINNED = {
         "6d2650dee57ed0add75339a6ad38a58b8a766a9a85671e4f17a1ef16982aaab3",
         "c04bd41216ab6628ea2a981aa060e6c064a266712d64c38940b69e8d71d9cba6",
     ),
-    "zlib:-": (
-        1264,
-        "5f2d2f75a3885562281a1bdfd29d959e17058bf7073ca98a7bc5130b1d5da6d1",
-        "8335cfc581df5a437d675751b5e9eba448b3861f23882d682bd03a3daf23e367",
+    "zlib:deflate": (
+        583,
+        "df22a573188de27c4dc44dbc0667d642e9c15f9f9e08e673b651a6549df3ea00",
+        "bd7e9fb381775cffef0b22634b2de43dabba21fe979eb42a6c5b0d12c4758aad",
+    ),
+    "zlib:raw": (
+        681,
+        "c0734c6cf5cd26beafba89afd5917efc54bb6c61ace47c6a51de8f7091d459f9",
+        "4da7101fb98afe960d79c1a31f803d618276231f7f510a35e7773a74dbe12738",
     ),
 }
 

@@ -5,8 +5,8 @@ A slot fits when it is a writeable, C-contiguous 1-D array of the blob's
 dtype and length. Then the codec returns the slot itself, holding exactly
 the bytes ``decompress(blob)`` returns. Any other slot is left as it was
 and a fresh array comes back (``Compressor.decompress``). Covered: every
-registered codec, both precisions, and each SZL1 stage (fixed-length,
-zlib, the raw escape).
+registered codec, both precisions, each SZL1 stage (fixed-length, zlib,
+the raw escape) and both lossless frames (deflate, raw).
 """
 
 import numpy as np
@@ -14,6 +14,7 @@ import pytest
 
 from repro.compression import (SZLikeCompressor, available_compressors,
                                get_compressor)
+from repro.compression.lossless import blob_frame
 from repro.compression.szlike import blob_entropy
 from repro.memory import ChunkLayout, CompressedChunkStore
 
@@ -36,8 +37,14 @@ def loud_noise(n):
     return noise(n) * np.sqrt(2 * n)
 
 
+def half_zero(n):
+    x = smooth(n)
+    x[n // 2:] = 0
+    return x
+
+
 def cases():
-    """``(label, codec, data, SZL1 stage or None)``."""
+    """``(label, codec, data, SZL1 stage or lossless frame or None)``."""
     out = []
     for name in available_compressors():
         out.append((name, get_compressor(name), smooth, None))
@@ -47,6 +54,8 @@ def cases():
          smooth, "zlib"),
         ("szlike:raw", SZLikeCompressor(error_bound=1e-14), loud_noise,
          "raw"),
+        ("zlib:deflate", get_compressor("zlib"), half_zero, "deflate"),
+        ("zlib:raw", get_compressor("zlib"), noise, "raw"),
     ]
     return out
 
@@ -57,7 +66,7 @@ CASES = cases()
 def blob_of(codec, make, dtype, stage):
     blob = codec.compress(make(N).astype(dtype))
     if stage is not None:
-        assert blob_entropy(blob) == stage
+        assert (blob_entropy(blob) or blob_frame(blob)) == stage
     return blob
 
 

@@ -92,9 +92,12 @@ class TestGoldenHeaders:
         assert inner == blob[5:]
 
     def test_zlib_magics_pinned(self):
+        # a dense state is stored in the raw frame, a uniform one deflated
         comp = make("zlib")
-        assert comp.compress(rand_state())[:4] == b"LSL1"
-        assert comp.compress(rand_state(dtype=np.complex64))[5:9] == b"LSL1"
+        uniform = np.full(512, 0.5 + 0.5j)
+        for dtype, at in ((np.complex128, 0), (np.complex64, 5)):
+            assert comp.compress(rand_state(dtype=dtype))[at:at + 4] == b"LSR1"
+            assert comp.compress(uniform.astype(dtype))[at:at + 4] == b"LSL1"
 
 
 class TestHelpers:

@@ -42,6 +42,14 @@ bytes they were. The moved values are the plan's:
 the support set (``predict_traffic`` in the shape without a cache; cache
 misses less zero members in the others).
 
+One kind of entry has been added, never re-pinned: when the lossless
+frame gained its raw mode, the store began counting each blob's frame
+(``codec.lossless_frame.{raw,deflate}``), and the two zlib shapes gained
+that counter. Its value is derived, not measured:
+:func:`test_every_stored_blob_counts_one_frame_or_stage` checks it is the
+pinned ledger's ``codec.raw_in`` ops, and both shapes are from |0…0⟩
+states the probe sends to deflate, so no blob byte moved.
+
 The file pins how a run reaches its sinks for a given plan, not which
 plan the planner picks. It predates backward plans, which a zero-start
 run may now choose (``permutation`` would: 62 chunk loads against 94), so
@@ -188,6 +196,17 @@ def test_moved_entries_are_the_predicted_live_loads(shape):
     zero = sum(len(z) for _p, z in predict_sweep(
         res.compiled_stages, layout, {0}))
     assert decodes["ops"] == pinned["counters"]["cache.miss"] - zero
+
+
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_every_stored_blob_counts_one_frame_or_stage(shape):
+    """The store counts one codec stage or lossless frame per blob it
+    stores: the pinned ``codec.raw_in`` ops, the codec's compressions."""
+    pinned = json.loads(PINNED.read_text())[shape]
+    counted = sum(v for k, v in pinned["counters"].items()
+                  if k.startswith(("codec.entropy_choice.",
+                                   "codec.lossless_frame.")))
+    assert counted == pinned["ledger"]["totals"]["codec.raw_in"]["ops"]
 
 
 class _Untouchable:
