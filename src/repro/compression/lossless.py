@@ -56,18 +56,21 @@ _PAYLOAD_AT = len(_DEFLATE) + _COUNT.size
 #: from every other, the chunk is dense noise to deflate and goes raw.
 #: On 1 KiB chunks of a dense vqe(10) state level-1 deflate returns
 #: 1,043-1,047 B for 1,024, at about 55 us a call inside a run and 25 us
-#: hot; the probe costs 2-4 us at 1 KiB and 16 KiB alike (BENCH_CD1's
-#: frame table, 2-vCPU x86_64, CPython 3.11). One repeated value among the
-#: samples sends a chunk to deflate: zeros, a constant tail, a zero
-#: imaginary plane, or the few distinct amplitudes of a qft / ghz / grover
-#: state all repeat. The trade: on a dense 16 KiB chunk deflate would save
-#: ~4 % of the bytes for ~38x the encode time.
+#: hot. The probe reads all 32 words of a dense chunk in 2-4 us, and
+#: leaves a structured one at its first repeat, after ~3 reads and ~1 us,
+#: at 1 KiB and 16 KiB alike (BENCH_CD1's frame table, 2-vCPU x86_64,
+#: CPython 3.11). One repeated value among the samples sends a chunk to
+#: deflate: zeros, a constant tail, a zero imaginary plane, or the few
+#: distinct amplitudes of a qft / ghz / grover state all repeat. The
+#: trade: on a dense 16 KiB chunk deflate would save ~4 % of the bytes
+#: for ~38x the encode time.
 _PROBE_WORDS = 32
 
 
 @functools.lru_cache(maxsize=None)
-def _probe_positions(words: int) -> np.ndarray:
-    """Where the probe samples a chunk of ``words`` words.
+def _probe_order(words: int) -> tuple:
+    """The positions the probe reads in a chunk of ``words`` words, in the
+    order it reads them.
 
     Every word of a chunk of at most ``_PROBE_WORDS``; otherwise
     ``_PROBE_WORDS`` positions at the odd stride ``(words // 32) | 1``,
@@ -76,21 +79,29 @@ def _probe_positions(words: int) -> np.ndarray:
     alternates real and imaginary words of a complex128 chunk and visits
     every residue of a power-of-two period: an even stride on a
     power-of-two chunk would sample one fixed set of amplitude bits and
-    miss a local qubit's zero half.
+    miss a local qubit's zero half. The two ends are read first, inwards,
+    so the repeats of a structured chunk (a zero imaginary plane, a zero
+    tail) turn up within the first few reads.
     """
     if words <= _PROBE_WORDS:
-        at = np.arange(words)
-    else:
-        at = np.arange(_PROBE_WORDS) * ((words // _PROBE_WORDS) | 1) % words
-    at.flags.writeable = False
-    return at
+        return tuple(range(words))
+    stride = (words // _PROBE_WORDS) | 1
+    at = sorted(i * stride % words for i in range(_PROBE_WORDS))
+    return tuple(p for pair in zip(at, reversed(at)) for p in pair)[
+        :_PROBE_WORDS]
 
 
 def _is_noise(data: np.ndarray) -> bool:
-    """zlib's probe: whether every sampled word of ``data`` is distinct."""
-    words = data.view(np.uint64)
-    sample = words[_probe_positions(words.shape[0])].tolist()
-    return len(set(sample)) == len(sample)
+    """zlib's probe: whether every sampled word of ``data`` (C-contiguous)
+    is distinct. Stops at the first repeat."""
+    words = memoryview(data).cast("B").cast("Q")
+    seen = set()
+    for at in _probe_order(len(words)):
+        word = words[at]
+        if word in seen:
+            return False
+        seen.add(word)
+    return True
 
 
 def blob_frame(blob: bytes) -> Optional[str]:
