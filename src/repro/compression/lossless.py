@@ -54,16 +54,15 @@ _PAYLOAD_AT = len(_DEFLATE) + _COUNT.size
 #: and runs no deflate. A word is a complex64 amplitude, or the real or
 #: the imaginary half of a complex128 one. If every sampled word differs
 #: from every other, the chunk is dense noise to deflate and goes raw.
-#: On 1 KiB chunks of a dense vqe(10) state level-1 deflate returns
-#: 1,043-1,047 B for 1,024, at about 55 us a call inside a run and 25 us
-#: hot. The probe reads all 32 words of a dense chunk in 2-4 us, and
-#: leaves a structured one at its first repeat, after ~3 reads and ~1 us,
-#: at 1 KiB and 16 KiB alike (BENCH_CD1's frame table, 2-vCPU x86_64,
-#: CPython 3.11). One repeated value among the samples sends a chunk to
-#: deflate: zeros, a constant tail, a zero imaginary plane, or the few
-#: distinct amplitudes of a qft / ghz / grover state all repeat. The
-#: trade: on a dense 16 KiB chunk deflate would save ~4 % of the bytes
-#: for ~38x the encode time.
+#: One repeat sends it to deflate: zeros, a constant tail, a zero
+#: imaginary plane, or the few distinct amplitudes of a qft / ghz / grover
+#: state all repeat. On 1 KiB chunks of a dense vqe(10) state level-1
+#: deflate returns 1,043-1,047 B for 1,024, in ~25 us hot and ~70 us a
+#: call in a traced run. The probe reads all 32 words of a dense chunk in
+#: ~4 us, and leaves a structured one at its first repeat, after ~3 reads
+#: and ~1.5 us (~2 us inside a run), at 1 KiB and 16 KiB alike (BENCH_CD1's
+#: frame table, 2-vCPU x86_64, CPython 3.11). The trade: on a dense 16 KiB
+#: chunk deflate would save ~4 % of the bytes for ~20x the encode time.
 _PROBE_WORDS = 32
 
 
@@ -159,7 +158,7 @@ class _ByteCodecCompressor(Compressor):
             raise ValueError(f"{magic.decode()} frame holds {len(raw)} "
                              f"bytes, not the {size} its header states")
         out = decode_target(out, dtype, n)
-        np.copyto(out, np.frombuffer(raw, dtype=dtype))
+        out[:] = np.frombuffer(raw, dtype=dtype)
         return out
 
 
