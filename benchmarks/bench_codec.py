@@ -1,4 +1,4 @@
-"""Experiment CD1 — codec stage throughput: fixed-length packing vs zlib, deflate vs raw frames.
+"""Experiment CD1 — codec stage throughput: fixed-length packing vs zlib, deflate vs raw vs uniform frames.
 
 The codec is the per-chunk hot path: every stage pass pays one decompress
 and one compress per chunk, so entropy-stage throughput bounds how far the
@@ -12,26 +12,37 @@ stream, across chunk sizes 2^10..2^20 and three alphabet regimes:
 
 in effective MB/s of decoded int64 payload, with each stage's size.
 
-The lossless codec has two frames: ``LSL1`` deflates a chunk, ``LSR1``
-stores its bytes. A second table times both, encode and decode (into a
-slot, as the chunk store decodes) in microseconds per call, on 1 KiB and
-16 KiB complex128 chunks of a dense state and of a uniform one, with
-zlib's probe (which picks the frame) timed alone and the frame it picks.
+The lossless codec has three frames: ``LSL1`` deflates a chunk, ``LSR1``
+stores its bytes and ``LSU1`` the one amplitude a uniform chunk repeats.
+A second table times deflate and raw, encode and decode (into a slot, as
+the chunk store decodes) in microseconds per call, on 1 KiB and 16 KiB
+complex128 chunks of a dense state, a uniform one and a structured one
+(a uniform head, a zero tail), with zlib's probe (which picks the frame)
+timed alone and the frame it picks. A third times the uniform frame on
+the uniform chunk, zlib's ``LSU1`` and szlike's flag-2 frame, against
+what each codec did with that chunk before (deflate, szlike's quantised
+stream), and the uniform test alone: accepting the uniform chunk and
+rejecting the structured one.
 """
 
 from __future__ import annotations
 
 import time
 import zlib
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from common import FULL, emit_result, print_banner, seconds
 from repro.analysis import Table
-from repro.compression import NullCompressor, ZlibCompressor
+from repro.compression import NullCompressor, SZLikeCompressor, ZlibCompressor
+from repro.compression import szlike
 from repro.compression.bitstream import pack_fixed, unpack_fixed
-from repro.compression.lossless import _is_noise, blob_frame
+from repro.compression.interface import uniform_amplitude
+from repro.compression.lossless import _DEFLATE, _is_noise, blob_frame
+from repro.compression.szlike import blob_entropy
 
 #: chunk sizes swept (elements); FULL adds the top sizes.
 SIZES_FAST = [1 << 10, 1 << 12, 1 << 14, 1 << 16]
@@ -118,7 +129,7 @@ def generate_table(sizes=None, kinds=KINDS):
 
 #: lossless-frame chunks: 1 KiB and 16 KiB of complex128 amplitudes
 FRAME_SIZES = [64, 1024]
-FRAME_KINDS = ("dense", "uniform")
+FRAME_KINDS = ("dense", "uniform", "structured")
 #: calls per timed loop; a frame's call takes microseconds
 FRAME_CALLS = 200
 
@@ -126,17 +137,25 @@ FRAME_CALLS = 200
 class _DeflateEvery(ZlibCompressor):
     """zlib with every chunk deflated: the ``LSL1`` frame on its own."""
 
-    def _deflates(self, data):
-        return True
+    def _frame(self, data):
+        return _DEFLATE, self._encode(data)
 
 
 def make_chunk(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
     if kind == "dense":  # a dense state: deflate cannot shrink it
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         return v / np.linalg.norm(v)
-    if kind == "uniform":  # qft of |0...0>: deflate removes ~all of it
+    if kind == "uniform":  # qft of |0...0>: one amplitude, repeated
         return np.full(n, 1 / np.sqrt(n), dtype=np.complex128)
+    if kind == "structured":  # repeats, but is not one amplitude
+        x = np.full(n, 1 / np.sqrt(n / 2), dtype=np.complex128)
+        x[n // 2:] = 0
+        return x
     raise ValueError(kind)
+
+
+def _words(x):
+    return memoryview(x).cast("B").cast("Q")
 
 
 def _us_per_call(fn, repeats: int = REPEATS):
@@ -149,7 +168,7 @@ def measure_frames(kind: str, n: int, rng: np.random.Generator) -> dict:
     slot = np.empty_like(x)
     row = {"kind": kind, "n": n, "kib": x.nbytes // 1024,
            "picked": blob_frame(ZlibCompressor().compress(x)),
-           "probe_us": _us_per_call(lambda: _is_noise(x))}
+           "probe_us": _us_per_call(lambda: _is_noise(_words(x)))}
     for frame, codec in (("deflate", _DeflateEvery()),
                          ("raw", NullCompressor())):
         blob = codec.compress(x)
@@ -183,6 +202,58 @@ def generate_frame_table(sizes=FRAME_SIZES, kinds=FRAME_KINDS):
     return t, rows
 
 
+def measure_uniform(n: int) -> dict:
+    """The uniform frame against what each codec did with the chunk before
+    it had one, and the uniform test's accept and reject costs."""
+    x = make_chunk("uniform", n, None)
+    structured = make_chunk("structured", n, None)
+    slot = np.empty_like(x)
+    row = {"n": n, "kib": x.nbytes // 1024,
+           "accept_us": _us_per_call(lambda: uniform_amplitude(x, _words(x))),
+           "reject_us": _us_per_call(
+               lambda: uniform_amplitude(structured, _words(structured)))}
+    lsz = SZLikeCompressor()
+    quantised = mock.patch.object(szlike, "uniform_amplitude",
+                                  lambda data, words=None: None)
+    for name, codec, stage, sniff in (
+            ("lsu1", ZlibCompressor(), "uniform", blob_frame),
+            ("lsl1", _DeflateEvery(), "deflate", blob_frame),
+            ("szl_uniform", lsz, "uniform", blob_entropy),
+            ("szl_quantised", lsz, "zlib", blob_entropy)):
+        with quantised if name == "szl_quantised" else nullcontext():
+            blob = codec.compress(x)
+            row[f"{name}_enc_us"] = _us_per_call(lambda: codec.compress(x))
+        assert sniff(blob) == stage, (name, sniff(blob))
+        assert np.allclose(codec.decompress(blob, out=slot), x, atol=1e-6)
+        row[f"{name}_bytes"] = len(blob)
+        row[f"{name}_dec_us"] = _us_per_call(
+            lambda: codec.decompress(blob, out=slot))
+    return row
+
+
+UNIFORM_CODECS = ("lsu1", "lsl1", "szl_uniform", "szl_quantised")
+
+
+def generate_uniform_table(sizes=FRAME_SIZES):
+    t = Table(
+        ["KiB", "LSU1 B", "LSL1 B", "SZL1 uniform B", "SZL1 quantised B",
+         *(f"{c} {op} us" for c in UNIFORM_CODECS for op in ("enc", "dec")),
+         "test accept us", "test reject us"],
+        title="CD1: the uniform frame on a uniform complex128 chunk "
+              "(us per call); the test rejects a structured one",
+    )
+    rows = []
+    for n in sizes:
+        row = measure_uniform(n)
+        rows.append(row)
+        t.add(str(row["kib"]),
+              *(str(row[f"{c}_bytes"]) for c in UNIFORM_CODECS),
+              *(f"{row[f'{c}_{op}_us']:.1f}" for c in UNIFORM_CODECS
+                for op in ("enc", "dec")),
+              f"{row['accept_us']:.2f}", f"{row['reject_us']:.2f}")
+    return t, rows
+
+
 # -- pytest-benchmark targets ---------------------------------------------------
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -201,7 +272,8 @@ def test_both_stages_round_trip_at_scale(benchmark, kind):
     assert np.array_equal(deflated, vals)
 
 
-def test_zlib_picks_raw_for_dense_and_deflate_for_uniform_chunks(benchmark):
+def test_zlib_picks_raw_for_dense_and_deflate_for_structured_chunks(
+        benchmark):
     rng = np.random.default_rng(7)
 
     def run():
@@ -211,6 +283,8 @@ def test_zlib_picks_raw_for_dense_and_deflate_for_uniform_chunks(benchmark):
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     for row in rows:
         if row["kind"] == "uniform":
+            assert row["picked"] == "uniform", row
+        elif row["kind"] == "structured":
             assert row["picked"] == "deflate", row
             assert row["deflate_bytes"] < row["raw_bytes"] / 20, row
         else:
@@ -220,14 +294,27 @@ def test_zlib_picks_raw_for_dense_and_deflate_for_uniform_chunks(benchmark):
             assert row["raw_bytes"] < 1.05 * row["deflate_bytes"], row
 
 
+def test_the_uniform_frame_is_one_amplitude(benchmark):
+    rows = benchmark.pedantic(
+        lambda: [measure_uniform(n) for n in FRAME_SIZES],
+        rounds=1, iterations=1)
+    for row in rows:
+        # the header and one amplitude, at any chunk size
+        assert row["lsu1_bytes"] == 12 + 16, row
+        assert row["szl_uniform_bytes"] == 22 + 16, row
+        assert row["lsl1_bytes"] > row["lsu1_bytes"], row
+
+
 if __name__ == "__main__":
     print_banner(__doc__.splitlines()[0])
     t0 = time.perf_counter()
     table, rows = generate_table()
     frame_table, frame_rows = generate_frame_table()
+    uniform_table, uniform_rows = generate_uniform_table()
     wall = time.perf_counter() - t0
     print(table.render())
     print(frame_table.render())
+    print(uniform_table.render())
 
     at16 = [r for r in rows if r["n"] == 1 << 16]
     metrics = {
@@ -243,16 +330,27 @@ if __name__ == "__main__":
            for name in ("deflate_enc", "deflate_dec", "raw_enc", "raw_dec")},
         **{f"probe_s_{r['kib']}KiB": seconds(r["probe_us"] * 1e-6)
            for r in frame_rows if r["kind"] == "dense"},
+        # the uniform frame and what the uniform chunk cost before it
+        **{f"uniform_{c}_{op}_s_{r['kib']}KiB":
+           seconds(r[f"{c}_{op}_us"] * 1e-6)
+           for r in uniform_rows
+           for c in UNIFORM_CODECS for op in ("enc", "dec")},
+        **{f"uniform_test_{what}_s_{r['kib']}KiB":
+           seconds(r[f"{what}_us"] * 1e-6)
+           for r in uniform_rows for what in ("accept", "reject")},
     }
     emit_result("CD1", title=__doc__.splitlines()[0],
                 params={"sizes": SIZES_FULL if FULL else SIZES_FAST,
                         "repeats": REPEATS, "frame_sizes": FRAME_SIZES,
                         "frame_calls": FRAME_CALLS},
                 metrics=metrics,
-                tables=[table, frame_table],
+                tables=[table, frame_table, uniform_table],
                 extra={"rows": [
                     {k: (round(v, 6) if isinstance(v, float) else v)
                      for k, v in r.items()} for r in rows],
                     "frame_rows": [
                     {k: (round(v, 3) if isinstance(v, float) else v)
-                     for k, v in r.items()} for r in frame_rows]})
+                     for k, v in r.items()} for r in frame_rows],
+                    "uniform_rows": [
+                    {k: (round(v, 3) if isinstance(v, float) else v)
+                     for k, v in r.items()} for r in uniform_rows]})

@@ -12,11 +12,15 @@ These serve three roles:
 
 A blob is one 12-byte header, a magic and the amplitude count, then the
 payload. The magic names the frame: ``LSL1`` holds the codec's compressed
-bytes, ``LSR1`` (the raw frame) the chunk's own bytes. zlib picks the
-frame per chunk with a sampling probe (:func:`_is_noise`): a chunk its
-deflate cannot shrink is stored raw instead of paying for the attempt.
-lzma and bz2 always compress (they are A2's ratio references), and
-``null`` always writes the raw frame. Every codec reads both frames.
+bytes, ``LSR1`` (the raw frame) the chunk's own bytes, and ``LSU1`` (the
+uniform frame) the one amplitude a chunk repeats bit for bit. zlib picks
+the frame per chunk with a sampling probe (:func:`_is_noise`): a chunk
+its deflate cannot shrink is stored raw instead of paying for the
+attempt, and a chunk the probe finds a repeat in is stored as its one
+amplitude when :func:`~repro.compression.interface.uniform_amplitude`
+says it is one. lzma and bz2 always compress (they are A2's ratio
+references), and ``null`` always writes the raw frame. Every codec reads
+all three frames.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .interface import (
     frame_dtype,
     inflate_exact,
     register_compressor,
+    uniform_amplitude,
 )
 
 __all__ = ["ZlibCompressor", "LzmaCompressor", "Bz2Compressor",
@@ -46,7 +51,8 @@ __all__ = ["ZlibCompressor", "LzmaCompressor", "Bz2Compressor",
 
 _DEFLATE = b"LSL1"
 _RAW = b"LSR1"
-_FRAMES = {_DEFLATE: "deflate", _RAW: "raw"}
+_UNIFORM = b"LSU1"
+_FRAMES = {_DEFLATE: "deflate", _RAW: "raw", _UNIFORM: "uniform"}
 _COUNT = struct.Struct("<Q")
 _PAYLOAD_AT = len(_DEFLATE) + _COUNT.size
 
@@ -54,9 +60,10 @@ _PAYLOAD_AT = len(_DEFLATE) + _COUNT.size
 #: and runs no deflate. A word is a complex64 amplitude, or the real or
 #: the imaginary half of a complex128 one. If every sampled word differs
 #: from every other, the chunk is dense noise to deflate and goes raw.
-#: One repeat sends it to deflate: zeros, a constant tail, a zero
+#: One repeat sends it to the uniform test, and a chunk that is not one
+#: amplitude repeated on to deflate: zeros, a constant tail, a zero
 #: imaginary plane, or the few distinct amplitudes of a qft / ghz / grover
-#: state all repeat. On 1 KiB chunks of a dense vqe(10) state level-1
+#: state all repeat. A dense chunk never reaches the uniform test. On 1 KiB chunks of a dense vqe(10) state level-1
 #: deflate returns 1,043-1,047 B for 1,024, in ~25 us hot and ~70 us a
 #: call in a traced run. The probe reads all 32 words of a dense chunk in
 #: ~4 us, and leaves a structured one at its first repeat, after ~3 reads
@@ -90,10 +97,9 @@ def _probe_order(words: int) -> tuple:
         :_PROBE_WORDS]
 
 
-def _is_noise(data: np.ndarray) -> bool:
-    """zlib's probe: whether every sampled word of ``data`` (C-contiguous)
-    is distinct. Stops at the first repeat."""
-    words = memoryview(data).cast("B").cast("Q")
+def _is_noise(words: memoryview) -> bool:
+    """zlib's probe: whether every sampled word of a chunk (its buffer cast
+    to eight-byte words) is distinct. Stops at the first repeat."""
     seen = set()
     for at in _probe_order(len(words)):
         word = words[at]
@@ -105,7 +111,8 @@ def _is_noise(data: np.ndarray) -> bool:
 
 def blob_frame(blob: bytes) -> Optional[str]:
     """Sniff a lossless blob's frame from its header: ``"deflate"``
-    (``LSL1``), ``"raw"`` (``LSR1``), or ``None`` for any other blob. A
+    (``LSL1``), ``"raw"`` (``LSR1``), ``"uniform"`` (``LSU1``), or
+    ``None`` for any other blob. A
     dtype tag is looked through, so the chunk store can count frames
     without decoding anything."""
     if blob[:4] == DTYPE_MAGIC:
@@ -120,10 +127,10 @@ class _ByteCodecCompressor(Compressor):
     def is_lossy(self) -> bool:
         return False
 
-    def _deflates(self, data: np.ndarray) -> bool:
-        """Whether ``data`` goes into a compressed frame (the default: every
-        chunk) or the raw one."""
-        return True
+    def _frame(self, data: np.ndarray):
+        """The frame ``data`` is stored in: ``(magic, payload)``. The
+        default compresses every chunk."""
+        return _DEFLATE, self._encode(data)
 
     def _encode(self, raw) -> bytes:
         """Encode a bytes-like object (the array's own buffer)."""
@@ -136,10 +143,7 @@ class _ByteCodecCompressor(Compressor):
 
     def compress(self, data: np.ndarray) -> bytes:
         data = coerce_amplitudes(data)
-        if self._deflates(data):
-            magic, payload = _DEFLATE, self._encode(data)
-        else:
-            magic, payload = _RAW, data
+        magic, payload = self._frame(data)
         return b"".join((dtype_tag(data.dtype), magic,
                          _COUNT.pack(data.shape[0]), payload))
 
@@ -152,6 +156,14 @@ class _ByteCodecCompressor(Compressor):
         (n,) = _COUNT.unpack_from(blob, at + 4)
         size = n * dtype.itemsize
         raw = memoryview(blob)[at + _PAYLOAD_AT:]
+        if magic == _UNIFORM:
+            if n == 0 or len(raw) != dtype.itemsize:
+                raise ValueError(
+                    f"LSU1 frame of {n} amplitudes holds {len(raw)} bytes, "
+                    f"not one {dtype.itemsize}-byte amplitude")
+            out = decode_target(out, dtype, n)
+            out.fill(np.frombuffer(raw, dtype=dtype)[0])
+            return out
         if magic == _DEFLATE:
             raw = self._decode(raw, size)
         if len(raw) != size:
@@ -164,12 +176,21 @@ class _ByteCodecCompressor(Compressor):
 
 class ZlibCompressor(_ByteCodecCompressor):
     """DEFLATE; the fast default lossless backend. A chunk the probe finds
-    dense is stored raw."""
+    dense is stored raw, and a chunk of one repeated amplitude as that
+    amplitude."""
 
     name = "zlib"
 
-    def _deflates(self, data: np.ndarray) -> bool:
-        return not _is_noise(data)
+    def _frame(self, data: np.ndarray):
+        # one word view for the probe and the uniform test: building it
+        # is half of what the probe costs
+        words = memoryview(data).cast("B").cast("Q")
+        if _is_noise(words):
+            return _RAW, data
+        amplitude = uniform_amplitude(data, words)
+        if amplitude is not None:
+            return _UNIFORM, amplitude
+        return _DEFLATE, self._encode(data)
 
     def _encode(self, raw) -> bytes:
         return zlib.compress(raw, 1)
@@ -208,8 +229,8 @@ class NullCompressor(_ByteCodecCompressor):
 
     name = "null"
 
-    def _deflates(self, data: np.ndarray) -> bool:
-        return False
+    def _frame(self, data: np.ndarray):
+        return _RAW, data
 
 
 register_compressor("zlib", ZlibCompressor)

@@ -16,6 +16,10 @@ Pipeline (all stages vectorized; see DESIGN.md for the substitution note):
    smaller (SZ's unpredictable-data escape, generalized to whole chunks) or
    the bound is too tight for safe integer quantization.
 
+A chunk that repeats one amplitude bit for bit skips all five: it is
+stored as that amplitude, exactly (the uniform frame, SZL1 flag 2), as SZ
+and ZFP store a constant block as its value.
+
 Steps 1-3 are one fused pass over pooled scratch planes: at chunk sizes
 that live in cache the cost is numpy calls, not bytes, so each call
 borrows its scratch once, casts its integer stream once, and decodes
@@ -48,6 +52,7 @@ from .interface import (
     frame_dtype,
     inflate_exact,
     register_compressor,
+    uniform_amplitude,
 )
 from .quantizer import scaled_codes
 
@@ -58,6 +63,8 @@ _HEADER = struct.Struct("<BBQd")  # flag, entropy id, amplitudes, bound
 _PAYLOAD_AT = len(_MAGIC) + _HEADER.size
 _FLAG_QUANT = 0
 _FLAG_RAW = 1
+#: one exact amplitude, repeated: entropy id 0, bound field 0.0
+_FLAG_UNIFORM = 2
 
 _ENTROPY_ZLIB = 0
 _ENTROPY_FIXED = 2
@@ -199,6 +206,10 @@ class SZLikeCompressor(Compressor):
         n = data.shape[0]
         if n == 0:
             return self._raw_blob(data, tag)
+        amplitude = uniform_amplitude(data)
+        if amplitude is not None:
+            return b"".join((tag, _MAGIC, _HEADER.pack(
+                _FLAG_UNIFORM, _ENTROPY_ZLIB, n, 0.0), amplitude))
         m = 2 * n
         # One pass over four per-chunk scratch planes (one borrow, so
         # repeated chunk passes and codec lanes recycle one allocation):
@@ -307,11 +318,18 @@ class SZLikeCompressor(Compressor):
         flag, entropy_id, n, step_bound = _HEADER.unpack_from(blob, at + 4)
         # A byte this build does not define fails here; it is never read
         # as the nearest stage that is defined.
-        if flag not in (_FLAG_QUANT, _FLAG_RAW):
+        if flag not in (_FLAG_QUANT, _FLAG_RAW, _FLAG_UNIFORM):
             raise ValueError(f"unknown SZL1 frame flag {flag}")
-        if flag == _FLAG_RAW and entropy_id != _ENTROPY_ZLIB:
-            raise ValueError(f"SZL1 raw frame with entropy stage {entropy_id}")
+        if flag != _FLAG_QUANT and entropy_id != _ENTROPY_ZLIB:
+            raise ValueError(
+                f"SZL1 frame flag {flag} with entropy stage {entropy_id}")
         payload = memoryview(blob)[at + _PAYLOAD_AT:]
+        if flag == _FLAG_UNIFORM:
+            if n == 0 or len(payload) != dtype.itemsize or step_bound != 0.0:
+                raise ValueError("malformed SZL1 uniform frame")
+            out = decode_target(out, dtype, n)
+            out.fill(np.frombuffer(payload, dtype=dtype)[0])
+            return out
         out = decode_target(out, dtype, n)
         if flag == _FLAG_RAW:
             out[:] = np.frombuffer(inflate_exact(payload, n * dtype.itemsize),
@@ -351,15 +369,18 @@ class SZLikeCompressor(Compressor):
 
 
 _ENTROPY_NAMES = {_ENTROPY_ZLIB: "zlib", _ENTROPY_FIXED: "fixed"}
+#: the frames that code no quantised stream, by flag
+_FLAG_NAMES = {_FLAG_RAW: "raw", _FLAG_UNIFORM: "uniform"}
 
 
 def blob_entropy(blob: bytes) -> Optional[str]:
     """Sniff the entropy stage of an SZL1 blob from its header.
 
-    Returns ``"zlib"``, ``"fixed"``, or ``"raw"`` (the lossless escape);
-    ``None`` when the blob is not SZL1-framed or names a frame or stage this
-    build does not know (the decoder refuses those, entropy id 1 among
-    them: it was the Huffman stage, which is deleted).
+    Returns ``"zlib"``, ``"fixed"``, ``"raw"`` (the lossless escape) or
+    ``"uniform"`` (one exact amplitude, repeated); ``None`` when the blob
+    is not SZL1-framed or names a frame or stage this build does not know
+    (the decoder refuses those, entropy id 1 among them: it was the
+    Huffman stage, which is deleted).
     A dtype tag (``DTP1`` + tag byte) is looked through, so the chunk
     store can attribute entropy choices without decompressing anything.
     """
@@ -368,8 +389,8 @@ def blob_entropy(blob: bytes) -> Optional[str]:
     if blob[:4] != _MAGIC or len(blob) < 6:
         return None
     flag, entropy_id = blob[4], blob[5]
-    if flag == _FLAG_RAW:
-        return "raw" if entropy_id == _ENTROPY_ZLIB else None
+    if flag in _FLAG_NAMES:
+        return _FLAG_NAMES[flag] if entropy_id == _ENTROPY_ZLIB else None
     return _ENTROPY_NAMES.get(entropy_id) if flag == _FLAG_QUANT else None
 
 

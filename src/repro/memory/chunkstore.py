@@ -362,7 +362,7 @@ class CompressedChunkStore:
     def _note_stage(tel, blob: bytes) -> None:
         """Count which stage the codec picked, sniffed per blob: szlike's
         entropy stage (``codec.entropy_choice.*``) or a lossless codec's
-        frame (``codec.lossless_frame.{raw,deflate}``).
+        frame (``codec.lossless_frame.{raw,deflate,uniform}``).
 
         Works on the header alone, so blobs a lane produced are counted
         when they land. Other codecs contribute nothing.

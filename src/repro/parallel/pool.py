@@ -154,8 +154,10 @@ def auto_workers(compressor: Compressor, chunk_size: int,
     if cores <= 1:
         return 1
     probe_size = min(max(256, int(chunk_size)), 1 << 14)
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(probe_size) + 1j * rng.standard_normal(probe_size)
+    # a real-valued random chunk: its zero imaginary plane is a repeat, so
+    # zlib deflates it (a dense one it would store raw, for nearly
+    # nothing) and szlike quantises it; it is not one amplitude repeated
+    v = np.random.default_rng(0).standard_normal(probe_size) + 0j
     v /= np.linalg.norm(v)
     # untimed warm-up: a codec's first call pays one-off set-up that a
     # run's thousands of calls never see

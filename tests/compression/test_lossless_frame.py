@@ -1,12 +1,14 @@
-"""The lossless frame's two modes: ``LSL1`` (deflate) and ``LSR1`` (raw).
+"""The lossless frame's three modes: ``LSL1`` (deflate), ``LSR1`` (raw)
+and ``LSU1`` (uniform: one amplitude, repeated).
 
-zlib stores a chunk its sampling probe finds dense in the raw frame and
-deflates every other; ``null`` always writes raw, lzma and bz2 never do,
-and every byte codec reads both. A damaged or foreign header fails
-loudly, never as a wrong array: an undefined magic byte, a raw payload
-one byte off, a deflate stream that inflates past its count or carries
-trailing bytes (also in szlike's two zlib sites), and a raw frame handed
-to a decoder that only knows ``LSL1``.
+zlib stores a chunk its sampling probe finds dense in the raw frame, a
+chunk of one repeated amplitude as that amplitude, and deflates every
+other; ``null`` always writes raw, lzma and bz2 always deflate, and every
+byte codec reads all three. A damaged or foreign header fails loudly,
+never as a wrong array: an undefined magic byte, a raw or uniform payload
+one byte off, a uniform frame of no amplitudes, a deflate stream that
+inflates past its count or carries trailing bytes (also in szlike's two
+zlib sites), and a frame handed to a decoder from before it.
 """
 
 import hashlib
@@ -45,6 +47,14 @@ def noise(n, seed=0):
 
 def uniform(n):
     return np.full(n, 1 / np.sqrt(n), dtype=np.complex128)
+
+
+def structured(n):
+    """A chunk the probe finds a repeat in that is not uniform: a uniform
+    head and a zero tail."""
+    x = uniform(n)
+    x[n // 2:] = 0
+    return x
 
 
 def frame_at(blob):
@@ -96,11 +106,19 @@ class TestWhichFrame:
         assert blob_frame(ZlibCompressor().compress(x)) == "deflate"
 
     @pytest.mark.parametrize("n", [2, 5, 16, 64, 1024])
-    def test_uniform_and_zero_chunks_deflate(self, n, dtype):
+    def test_uniform_and_zero_chunks_are_one_amplitude(self, n, dtype):
         for x in (np.zeros(n, dtype), uniform(n).astype(dtype)):
             blob = ZlibCompressor().compress(x)
-            assert blob_frame(blob) == "deflate"
+            assert blob_frame(blob) == "uniform"
+            assert len(blob) == frame_at(blob) + 12 + x.itemsize
             assert np.array_equal(ZlibCompressor().decompress(blob), x)
+
+    @pytest.mark.parametrize("n", [4, 5, 16, 64, 1024])
+    def test_a_structured_chunk_still_deflates(self, n, dtype):
+        x = structured(n).astype(dtype)
+        blob = ZlibCompressor().compress(x)
+        assert blob_frame(blob) == "deflate"
+        assert np.array_equal(ZlibCompressor().decompress(blob), x)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_tiny_chunks_round_trip(self, n, dtype):
@@ -109,10 +127,11 @@ class TestWhichFrame:
             assert back.dtype == x.dtype and np.array_equal(back, x)
 
     def test_null_writes_raw_and_lzma_bz2_always_compress(self, dtype):
-        x = noise(256).astype(dtype)
-        assert blob_frame(NullCompressor().compress(x)) == "raw"
-        for codec in (LzmaCompressor(), Bz2Compressor()):
-            assert blob_frame(codec.compress(x)) == "deflate"
+        # A2's references keep deflating; none writes the uniform frame
+        for x in (noise(256).astype(dtype), uniform(256).astype(dtype)):
+            assert blob_frame(NullCompressor().compress(x)) == "raw"
+            for codec in (LzmaCompressor(), Bz2Compressor()):
+                assert blob_frame(codec.compress(x)) == "deflate"
 
     @pytest.mark.parametrize("codec", [ZlibCompressor, LzmaCompressor,
                                        Bz2Compressor, NullCompressor])
@@ -121,8 +140,19 @@ class TestWhichFrame:
         blob = NullCompressor().compress(x)
         assert np.array_equal(codec().decompress(blob), x)
 
+    @pytest.mark.parametrize("codec", [ZlibCompressor, LzmaCompressor,
+                                       Bz2Compressor, NullCompressor])
+    def test_every_byte_codec_reads_the_uniform_frame(self, codec, dtype):
+        x = uniform(256).astype(dtype)
+        blob = ZlibCompressor().compress(x)
+        assert blob_frame(blob) == "uniform"
+        out = np.empty_like(x)
+        assert codec().decompress(blob, out=out) is out
+        assert np.array_equal(out, x)
+
     def test_null_refuses_a_deflate_frame(self):
-        blob = ZlibCompressor().compress(uniform(64))
+        blob = ZlibCompressor().compress(structured(64))
+        assert blob_frame(blob) == "deflate"
         with pytest.raises(ValueError):
             NullCompressor().decompress(blob)
 
@@ -138,7 +168,9 @@ def blobs():
     """``(frame, blob)``: one blob of each frame in each precision."""
     for dtype in DTYPES.values():
         yield "raw", ZlibCompressor().compress(noise(128).astype(dtype))
-        yield "deflate", ZlibCompressor().compress(uniform(128).astype(dtype))
+        yield "deflate", ZlibCompressor().compress(
+            structured(128).astype(dtype))
+        yield "uniform", ZlibCompressor().compress(uniform(128).astype(dtype))
 
 
 BLOBS = list(blobs())
@@ -152,17 +184,17 @@ class TestTheHeaderFailsLoudly:
         assert blob_frame(blob) == frame
         codec = ZlibCompressor()
         at = frame_at(blob)
-        # the third magic byte names the frame ('L' deflate, 'R' raw); the
-        # other three have one defined value each
-        for i, defined in enumerate((b"L", b"S", b"LR", b"1")):
+        # the third magic byte names the frame ('L' deflate, 'R' raw, 'U'
+        # uniform); the other three have one defined value each
+        for i, defined in enumerate((b"L", b"S", b"LRU", b"1")):
             sweep_byte(codec, blob, at + i, set(defined))
 
     def test_the_other_frames_magic_raises(self, frame, blob):
         at = frame_at(blob)
-        other = b"R" if frame == "deflate" else b"L"
-        damaged = blob[:at + 2] + other + blob[at + 3:]
-        with pytest.raises((ValueError, zlib.error)):
-            ZlibCompressor().decompress(damaged)
+        for other in set(b"LRU") - {blob[at + 2]}:
+            damaged = blob[:at + 2] + bytes((other,)) + blob[at + 3:]
+            with pytest.raises((ValueError, zlib.error)):
+                ZlibCompressor().decompress(damaged)
 
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_a_payload_one_byte_off_raises(self, frame, blob, delta):
@@ -175,15 +207,35 @@ class TestTheHeaderFailsLoudly:
         at = frame_at(blob) + 4
         (n,) = struct.unpack_from("<Q", blob, at)
         damaged = blob[:at] + struct.pack("<Q", n + delta) + blob[at + 8:]
+        if frame == "uniform":
+            # the count is a uniform frame's only length, so nothing in the
+            # frame can contradict it; a checkpoint's per-blob CRC does
+            assert ZlibCompressor().decompress(damaged).shape == (n + delta,)
+            return
         with pytest.raises(ValueError):
             ZlibCompressor().decompress(damaged)
 
-    def test_an_lsl1_only_decoder_rejects_the_raw_frame(self, frame, blob):
-        if frame == "raw":
+    def test_a_count_of_zero_raises(self, frame, blob):
+        at = frame_at(blob) + 4
+        damaged = blob[:at] + struct.pack("<Q", 0) + blob[at + 8:]
+        with pytest.raises(ValueError):
+            ZlibCompressor().decompress(damaged)
+
+    def test_an_lsl1_only_decoder_rejects_the_newer_frames(self, frame, blob):
+        if frame != "deflate":
             with pytest.raises(ValueError, match="not a lossless blob"):
                 lsl1_only_decompress(blob)
         else:
             assert np.array_equal(lsl1_only_decompress(blob),
+                                  ZlibCompressor().decompress(blob))
+
+    def test_a_decoder_without_the_uniform_frame_rejects_it(self, frame,
+                                                             blob):
+        if frame == "uniform":
+            with pytest.raises(ValueError, match="not a lossless blob"):
+                lsl1_lsr1_decompress(blob)
+        else:
+            assert np.array_equal(lsl1_lsr1_decompress(blob),
                                   ZlibCompressor().decompress(blob))
 
 
@@ -195,6 +247,22 @@ def lsl1_only_decompress(blob):
     (n,) = struct.unpack_from("<Q", blob, at + 4)
     raw = zlib.decompress(memoryview(blob)[at + 12:])
     return np.frombuffer(raw, dtype=dtype, count=n).copy()
+
+
+def lsl1_lsr1_decompress(blob):
+    """The zlib decoder as it was before the uniform frame: ``LSL1`` and
+    ``LSR1``, each checked against its count."""
+    dtype, at = frame_dtype(blob)
+    magic = blob[at:at + 4]
+    if magic not in (b"LSL1", b"LSR1"):
+        raise ValueError("not a lossless blob")
+    (n,) = struct.unpack_from("<Q", blob, at + 4)
+    raw = memoryview(blob)[at + 12:]
+    if magic == b"LSL1":
+        raw = inflate_exact(raw, n * dtype.itemsize)
+    if len(raw) != n * dtype.itemsize:
+        raise ValueError("payload does not match the count")
+    return np.frombuffer(raw, dtype=dtype).copy()
 
 
 class TestStrictInflate:
@@ -223,7 +291,7 @@ class TestStrictInflate:
 
     def test_lsl1_inflating_past_its_count_raises(self, dtype):
         # the frame's count says n, the stream holds n + 1 amplitudes
-        x = uniform(65).astype(dtype)
+        x = structured(65).astype(dtype)
         blob = ZlibCompressor().compress(x)
         at = frame_at(blob) + 4
         short = blob[:at] + struct.pack("<Q", 64) + blob[at + 8:]
@@ -232,7 +300,7 @@ class TestStrictInflate:
             ZlibCompressor().decompress(short)
 
     def test_lsl1_trailing_bytes_raise(self):
-        blob = ZlibCompressor().compress(uniform(64))
+        blob = ZlibCompressor().compress(structured(64))
         with pytest.raises(ValueError):
             ZlibCompressor().decompress(blob + b"\0")
 
@@ -280,6 +348,10 @@ class TestCheckpoints:
                        device=DeviceSpec(memory_bytes=8 << 10)).run(
                            vqe_ansatz(10, layers=3, params=params))
 
+    @staticmethod
+    def run_qft():
+        return MemQSim(chunk_qubits=6, compressor="zlib").run(qft(10))
+
     def test_raw_frames_round_trip_to_the_same_digest(self, tmp_path):
         result = self.run_vqe()
         assert "raw" in frames(result.store)
@@ -288,9 +360,19 @@ class TestCheckpoints:
         assert frames(back) == frames(result.store)
         assert digest(back) == result.state_digest()
 
+    def test_uniform_frames_round_trip_to_the_same_digest(self, tmp_path):
+        result = self.run_qft()
+        assert "uniform" in frames(result.store)
+        save_store(result.store, tmp_path / "uniform.mqs")
+        back = load_store(tmp_path / "uniform.mqs", ZlibCompressor())
+        assert frames(back) == frames(result.store)
+        assert digest(back) == result.state_digest()
+
     def test_a_checkpoint_of_lsl1_frames_only_still_loads(self, tmp_path):
         # what a writer without the raw frame saved: every chunk deflated
-        with mock.patch.object(lossless, "_is_noise", lambda data: False):
+        with mock.patch.object(lossless, "_is_noise", lambda words: False), \
+                mock.patch.object(lossless, "uniform_amplitude",
+                                  lambda data, words=None: None):
             result = self.run_vqe()
             assert set(frames(result.store)) == {"deflate"}
             save_store(result.store, tmp_path / "lsl1.mqs")
@@ -298,6 +380,19 @@ class TestCheckpoints:
         assert set(frames(back)) == {"deflate"}
         assert digest(back) == self.run_vqe().state_digest()
 
-    def test_a_zero_start_qft_stays_deflated(self):
-        result = MemQSim(chunk_qubits=6, compressor="zlib").run(qft(10))
-        assert set(frames(result.store)) == {"deflate"}
+    def test_a_checkpoint_without_uniform_frames_still_loads(self, tmp_path):
+        # what a writer without the uniform frame saved (MQS3): a qft
+        # state's uniform chunks, its zero blob among them, deflated
+        with mock.patch.object(lossless, "uniform_amplitude",
+                               lambda data, words=None: None):
+            result = self.run_qft()
+            assert set(frames(result.store)) == {"deflate"}
+            save_store(result.store, tmp_path / "mqs3.mqs")
+        assert (tmp_path / "mqs3.mqs").read_bytes()[:4] == b"MQS3"
+        back = load_store(tmp_path / "mqs3.mqs", get_compressor("zlib"))
+        assert set(frames(back)) == {"deflate"}
+        assert digest(back) == self.run_qft().state_digest()
+
+    def test_a_zero_start_qft_stores_no_chunk_raw(self):
+        # its chunks are one amplitude repeated, or a few distinct ones
+        assert set(frames(self.run_qft().store)) <= {"uniform", "deflate"}

@@ -92,12 +92,16 @@ class TestGoldenHeaders:
         assert inner == blob[5:]
 
     def test_zlib_magics_pinned(self):
-        # a dense state is stored in the raw frame, a uniform one deflated
+        # a dense state is stored in the raw frame, a uniform one as its one
+        # amplitude, and a structured one deflated
         comp = make("zlib")
         uniform = np.full(512, 0.5 + 0.5j)
+        half = uniform.copy()
+        half[256:] = 0
         for dtype, at in ((np.complex128, 0), (np.complex64, 5)):
             assert comp.compress(rand_state(dtype=dtype))[at:at + 4] == b"LSR1"
-            assert comp.compress(uniform.astype(dtype))[at:at + 4] == b"LSL1"
+            assert comp.compress(uniform.astype(dtype))[at:at + 4] == b"LSU1"
+            assert comp.compress(half.astype(dtype))[at:at + 4] == b"LSL1"
 
 
 class TestHelpers:

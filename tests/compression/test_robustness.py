@@ -105,12 +105,17 @@ def _smooth(dtype):
     return (np.sin(t) * np.exp(1j * t / 3) / 16).astype(dtype)
 
 
+def _uniform(dtype):
+    return np.full(256, 0.0625 - 0.125j, dtype=dtype)
+
+
 #: stage -> (compressor options, input builder): one blob per SZL1 stage,
 #: not whichever stage `auto` happens to pick for one noisy sample
 SZL1_STAGES = {
     "raw": ({"error_bound": 1e-16}, _noise),
     "zlib": ({"entropy": "zlib"}, _smooth),
     "fixed": ({}, _noise),
+    "uniform": ({}, _uniform),
 }
 
 
@@ -139,7 +144,11 @@ class TestEverySZL1Stage:
 
     def test_payload_bitflip_detected_or_bounded(self, stage, dtype):
         codec, x, blob = self.blob(stage, dtype)
+        # payload bytes: a uniform blob is mostly header, and its count
+        # is its only length (see DESIGN.md, "The uniform frame")
+        payload_at = len(blob) - len(split_dtype(blob)[1]) + 22
         for pos in (len(blob) // 2, 3 * len(blob) // 4, len(blob) - 1):
+            pos = max(pos, payload_at)
             damaged = bytearray(blob)
             damaged[pos] ^= 0xFF
             try:
@@ -270,8 +279,8 @@ class TestEveryUndefinedHeaderByte:
 
     def test_frame_flag(self, stage, dtype):
         codec, _x, blob, at = self.frame(stage, dtype)
-        sweep_byte(codec, blob, at + FLAG_AT, {0, 1})
-        for flag in range(2, 256):
+        sweep_byte(codec, blob, at + FLAG_AT, {0, 1, 2})
+        for flag in range(3, 256):
             damaged = blob[:at + FLAG_AT] + bytes([flag]) + \
                 blob[at + FLAG_AT + 1:]
             assert blob_entropy(damaged) is None
@@ -279,8 +288,9 @@ class TestEveryUndefinedHeaderByte:
     def test_entropy_stage(self, stage, dtype):
         codec, _x, blob, at = self.frame(stage, dtype)
         # a raw frame defines no entropy stage but the zlib it deflates
-        # with; id 1 was the deleted Huffman stage and is undefined now
-        defined = {0} if stage == "raw" else {0, 2}
+        # with, and a uniform frame none but that same id 0; id 1 was the
+        # deleted Huffman stage and is undefined now
+        defined = {0} if stage in ("raw", "uniform") else {0, 2}
         sweep_byte(codec, blob, at + ENTROPY_AT, defined)
         for value in set(range(256)) - defined:
             damaged = blob[:at + ENTROPY_AT] + bytes([value]) + \

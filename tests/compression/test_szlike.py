@@ -191,7 +191,9 @@ class TestAutoEntropySelection:
             zl = SZLikeCompressor(error_bound=eb, entropy="zlib")
             for label, x in cases.items():
                 blob = auto.compress(x)
-                assert blob_entropy(blob) == "zlib", (label, eb)
+                # a constant chunk is stored as its one amplitude
+                want = "uniform" if label == "constant" else "zlib"
+                assert blob_entropy(blob) == want, (label, eb)
                 assert len(blob) <= len(zl.compress(x)), (label, eb)
             assert blob_entropy(auto.compress(noise)) == "fixed", eb
 

@@ -271,6 +271,28 @@ class TestAutoWorkers:
         # null codec: a memcpy — the lane hand-off would dominate, so 1
         assert auto_workers(get_compressor("null"), 256) == 1
 
+    @pytest.mark.parametrize("name,stages", [
+        ("zlib", {"deflate"}), ("szlike", {"zlib", "fixed"})])
+    def test_it_times_the_codecs_compressing_path(self, monkeypatch, name,
+                                                  stages):
+        # neither a raw frame (a memcpy) nor a uniform one: what a chunk
+        # the codec has to work on costs
+        from repro.compression.lossless import blob_frame
+        from repro.compression.szlike import blob_entropy
+
+        codec = get_compressor(name)
+        compress = codec.compress
+        blobs = []
+        monkeypatch.setattr(codec, "compress",
+                            lambda data: blobs.append(compress(data))
+                            or blobs[-1])
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        auto_workers(codec, 1 << 12)
+        assert blobs and {blob_entropy(b) or blob_frame(b)
+                          for b in blobs} <= stages
+        if name == "zlib":
+            assert all(b[:4] == b"LSL1" for b in blobs)
+
     def test_a_cold_first_call_is_not_timed(self, monkeypatch):
         # a codec's first call pays one-off set-up (imports, tables,
         # allocator growth); deciding on it gave a lane to a codec whose

@@ -30,7 +30,7 @@ record of a hop, every copy of it went: the per-hop bus events, the lane
 spans and events, the codec / transfer / kernel counters and
 ``parallel.jobs``, and the bus events that copied a counter.
 
-One re-pin is sanctioned, and it is the only one: when a load of the
+Two re-pins are sanctioned. The first: when a load of the
 interned zero blob became a fill (no codec call, no row, no traffic), the
 codec's load side moved and nothing else did. In every shape the
 ``decompress`` span count, the ``codec.raw_out`` and
@@ -42,13 +42,25 @@ bytes they were. The moved values are the plan's:
 the support set (``predict_traffic`` in the shape without a cache; cache
 misses less zero members in the others).
 
-One kind of entry has been added, never re-pinned: when the lossless
+One kind of entry has been added: when the lossless
 frame gained its raw mode, the store began counting each blob's frame
 (``codec.lossless_frame.{raw,deflate}``), and the two zlib shapes gained
 that counter. Its value is derived, not measured:
 :func:`test_every_stored_blob_counts_one_frame_or_stage` checks it is the
 pinned ledger's ``codec.raw_in`` ops, and both shapes are from |0…0⟩
 states the probe sends to deflate, so no blob byte moved.
+
+The second re-pin came with the uniform frame, and it moved only what a
+blob's size and frame decide: a chunk of one repeated amplitude is now
+stored as that amplitude (``LSU1`` under zlib, SZL1 flag 2 under szlike).
+In the two zlib shapes ``codec.lossless_frame.deflate`` split into
+``deflate`` + ``uniform`` (64 = 1 + 63 in ``ram_qft``, 91 = 1 + 90 in
+``permutation``), and in the two lossy shapes the zero blob moved from
+``codec.entropy_choice.zlib`` to ``uniform`` (2 = 1 + 1); each sum is the
+parent's count. The ``codec.compressed_in`` / ``codec.compressed_out``
+bytes (totals, per-stage rows, worker sums and their ``traffic.*``
+counters) were replaced by what the runs now measure. Every op count,
+span, event, access trace and tier counter is the value it was.
 
 The file pins how a run reaches its sinks for a given plan, not which
 plan the planner picks. It predates backward plans, which a zero-start
