@@ -57,6 +57,7 @@ __all__ = [
     "decode_target",
     "inflate_exact",
     "uniform_amplitude",
+    "fill_uniform",
 ]
 
 #: prefix marking a non-complex128 blob: ``DTP1`` + one dtype-tag byte,
@@ -159,6 +160,22 @@ def uniform_amplitude(data: np.ndarray, words=None) -> Optional[bytes]:
     raw = data.tobytes()
     amplitude = raw[:data.itemsize]
     return amplitude if raw == amplitude * n else None
+
+
+def fill_uniform(amplitude, dtype: np.dtype, n: int,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Decode a uniform frame: ``n`` copies of ``amplitude`` (the bytes
+    :func:`uniform_amplitude` returned), with one ``fill`` into ``out``
+    when it fits (:func:`decode_target`). Raises ``ValueError`` unless
+    ``n`` is at least 1 and ``amplitude`` is one amplitude of ``dtype``.
+    """
+    if n == 0 or len(amplitude) != dtype.itemsize:
+        raise ValueError(
+            f"uniform frame of {n} amplitudes holds {len(amplitude)} bytes, "
+            f"not one {dtype.itemsize}-byte amplitude")
+    out = decode_target(out, dtype, n)
+    out.fill(np.frombuffer(amplitude, dtype=dtype)[0])
+    return out
 
 
 def dtype_tag(dtype) -> bytes:

@@ -40,6 +40,7 @@ from .interface import (
     coerce_amplitudes,
     decode_target,
     dtype_tag,
+    fill_uniform,
     frame_dtype,
     inflate_exact,
     register_compressor,
@@ -63,8 +64,8 @@ _PAYLOAD_AT = len(_DEFLATE) + _COUNT.size
 #: One repeat sends it to the uniform test, and a chunk that is not one
 #: amplitude repeated on to deflate: zeros, a constant tail, a zero
 #: imaginary plane, or the few distinct amplitudes of a qft / ghz / grover
-#: state all repeat. A dense chunk never reaches the uniform test. On 1 KiB chunks of a dense vqe(10) state level-1
-#: deflate returns 1,043-1,047 B for 1,024, in ~25 us hot and ~70 us a
+#: state all repeat. A dense chunk never reaches the uniform test. On
+#: 1 KiB chunks of a dense vqe(10) state level-1 deflate returns 1,043-1,047 B for 1,024, in ~25 us hot and ~70 us a
 #: call in a traced run. The probe reads all 32 words of a dense chunk in
 #: ~4 us, and leaves a structured one at its first repeat, after ~3 reads
 #: and ~1.5 us (~2 us inside a run), at 1 KiB and 16 KiB alike (BENCH_CD1's
@@ -112,9 +113,8 @@ def _is_noise(words: memoryview) -> bool:
 def blob_frame(blob: bytes) -> Optional[str]:
     """Sniff a lossless blob's frame from its header: ``"deflate"``
     (``LSL1``), ``"raw"`` (``LSR1``), ``"uniform"`` (``LSU1``), or
-    ``None`` for any other blob. A
-    dtype tag is looked through, so the chunk store can count frames
-    without decoding anything."""
+    ``None`` for any other blob. A dtype tag is looked through, so the
+    chunk store can count frames without decoding anything."""
     if blob[:4] == DTYPE_MAGIC:
         blob = blob[5:]
     return _FRAMES.get(bytes(blob[:4]))
@@ -157,13 +157,7 @@ class _ByteCodecCompressor(Compressor):
         size = n * dtype.itemsize
         raw = memoryview(blob)[at + _PAYLOAD_AT:]
         if magic == _UNIFORM:
-            if n == 0 or len(raw) != dtype.itemsize:
-                raise ValueError(
-                    f"LSU1 frame of {n} amplitudes holds {len(raw)} bytes, "
-                    f"not one {dtype.itemsize}-byte amplitude")
-            out = decode_target(out, dtype, n)
-            out.fill(np.frombuffer(raw, dtype=dtype)[0])
-            return out
+            return fill_uniform(raw, dtype, n, out)
         if magic == _DEFLATE:
             raw = self._decode(raw, size)
         if len(raw) != size:

@@ -49,6 +49,7 @@ from .interface import (
     coerce_amplitudes,
     decode_target,
     dtype_tag,
+    fill_uniform,
     frame_dtype,
     inflate_exact,
     register_compressor,
@@ -325,11 +326,9 @@ class SZLikeCompressor(Compressor):
                 f"SZL1 frame flag {flag} with entropy stage {entropy_id}")
         payload = memoryview(blob)[at + _PAYLOAD_AT:]
         if flag == _FLAG_UNIFORM:
-            if n == 0 or len(payload) != dtype.itemsize or step_bound != 0.0:
-                raise ValueError("malformed SZL1 uniform frame")
-            out = decode_target(out, dtype, n)
-            out.fill(np.frombuffer(payload, dtype=dtype)[0])
-            return out
+            if step_bound != 0.0:
+                raise ValueError(f"SZL1 uniform frame with bound {step_bound}")
+            return fill_uniform(payload, dtype, n, out)
         out = decode_target(out, dtype, n)
         if flag == _FLAG_RAW:
             out[:] = np.frombuffer(inflate_exact(payload, n * dtype.itemsize),
