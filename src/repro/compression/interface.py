@@ -123,18 +123,19 @@ def inflate_exact(stream, size: int) -> bytes:
     return raw
 
 
-#: Before its full compare, :func:`uniform_amplitude` reads the amplitudes
-#: at these fractions of the chunk (0 is the first, 1 the last) against the
-#: first one, and a chunk that differs there is rejected after a few scalar
-#: reads. Of the 470 chunks of the codec-bytes corpus
-#: (tests/compression/test_codec_bytes.py) that zlib's probe finds a repeat
-#: in and that are not uniform, the last amplitude rejects 442 and the
-#: middle one 7; 21 reach the full compare. A zero or constant tail, a
-#: local qubit's zero half or a phase ramp differs from the head there. A
-#: rejected call costs ~0.4 us; a uniform chunk ~1.1 us at 1 KiB and
-#: ~2.1 us at 16 KiB, against ~15 us for a 16 KiB deflate (2-vCPU x86_64,
-#: CPython 3.11).
-_UNIFORM_PRECHECK = (1.0, 0.5)
+#: Before its full compare, :func:`uniform_amplitude` reads the amplitude
+#: at index ``(n - 1) // d`` for each ``d`` here, the last and then the
+#: middle one, against the first, and a chunk that differs there is
+#: rejected after a few scalar reads. Of the 470 chunks of the codec-bytes
+#: corpus (tests/compression/test_codec_bytes.py) that zlib's probe finds
+#: a repeat in and that are not uniform, the last amplitude rejects 442
+#: and the middle one 15; 13 reach the full compare. A zero or constant
+#: tail, a local qubit's zero half or a phase ramp differs from the head
+#: there. Hot, zlib's reject (on the probe's word view) costs ~0.3 us and
+#: szlike's (on amplitude bytes) ~0.7-1.1 us; a uniform chunk ~1.2 us at
+#: 1 KiB and ~2.0 us at 16 KiB, against ~15 us for a 16 KiB deflate
+#: (2-vCPU x86_64, CPython 3.11).
+_UNIFORM_PRECHECK = (1, 2)
 
 
 def uniform_amplitude(data: np.ndarray, words=None) -> Optional[bytes]:
@@ -142,8 +143,11 @@ def uniform_amplitude(data: np.ndarray, words=None) -> Optional[bytes]:
 
     ``data`` is a C-contiguous complex64 / complex128 array; ``words``,
     when given, is its buffer cast to eight-byte words (``memoryview``
-    format ``Q``), the view zlib's probe has already built. The test is
-    bitwise, word for word: ``+0.0`` and ``-0.0`` never merge, nor do two
+    format ``Q``), the view zlib's probe has already built, and the
+    pre-check reads it. Without it the pre-check compares amplitude
+    bytes: inside a run, building a word view only for the test cost
+    szlike ~1 us a call more (hierarchy_spill, 313 calls an operation).
+    The test is bitwise: ``+0.0`` and ``-0.0`` never merge, nor do two
     NaNs with different payloads, so a chunk stored as its one amplitude
     decodes to the very bytes it was. An empty chunk repeats nothing.
     """
@@ -151,15 +155,19 @@ def uniform_amplitude(data: np.ndarray, words=None) -> Optional[bytes]:
     if n == 0:
         return None
     if words is None:
-        words = memoryview(data).cast("B").cast("Q")
-    last = len(words) // n - 1  # the last word of an amplitude
-    for fraction in _UNIFORM_PRECHECK:
-        at = round(fraction * (n - 1)) * (last + 1)
-        if words[at] != words[0] or words[at + last] != words[last]:
-            return None
-    raw = data.tobytes()
-    amplitude = raw[:data.itemsize]
-    return amplitude if raw == amplitude * n else None
+        first = data[:1].tobytes()
+        for d in _UNIFORM_PRECHECK:
+            at = (n - 1) // d
+            if data[at:at + 1].tobytes() != first:
+                return None
+    else:
+        last = len(words) // n - 1  # the last word of an amplitude
+        for d in _UNIFORM_PRECHECK:
+            at = (n - 1) // d * (last + 1)
+            if words[at] != words[0] or words[at + last] != words[last]:
+                return None
+        first = data[:1].tobytes()
+    return first if data.tobytes() == first * n else None
 
 
 def fill_uniform(amplitude, dtype: np.dtype, n: int,
