@@ -113,6 +113,16 @@ class TestWhichFrame:
             assert len(blob) == frame_at(blob) + 12 + x.itemsize
             assert np.array_equal(ZlibCompressor().decompress(blob), x)
 
+    @pytest.mark.parametrize("n", [2, 5, 16, 64, 1024])
+    def test_uniform_and_zero_chunks_deflate(self, n, dtype):
+        # under lzma and bz2, A2's ratio references: only zlib stores
+        # them as one amplitude
+        for x in (np.zeros(n, dtype), uniform(n).astype(dtype)):
+            for codec in (LzmaCompressor(), Bz2Compressor()):
+                blob = codec.compress(x)
+                assert blob_frame(blob) == "deflate"
+                assert np.array_equal(codec.decompress(blob), x)
+
     @pytest.mark.parametrize("n", [4, 5, 16, 64, 1024])
     def test_a_structured_chunk_still_deflates(self, n, dtype):
         x = structured(n).astype(dtype)
@@ -127,11 +137,12 @@ class TestWhichFrame:
             assert back.dtype == x.dtype and np.array_equal(back, x)
 
     def test_null_writes_raw_and_lzma_bz2_always_compress(self, dtype):
-        # A2's references keep deflating; none writes the uniform frame
-        for x in (noise(256).astype(dtype), uniform(256).astype(dtype)):
-            assert blob_frame(NullCompressor().compress(x)) == "raw"
-            for codec in (LzmaCompressor(), Bz2Compressor()):
-                assert blob_frame(codec.compress(x)) == "deflate"
+        x = noise(256).astype(dtype)
+        assert blob_frame(NullCompressor().compress(x)) == "raw"
+        assert blob_frame(NullCompressor().compress(
+            uniform(256).astype(dtype))) == "raw"
+        for codec in (LzmaCompressor(), Bz2Compressor()):
+            assert blob_frame(codec.compress(x)) == "deflate"
 
     @pytest.mark.parametrize("codec", [ZlibCompressor, LzmaCompressor,
                                        Bz2Compressor, NullCompressor])
