@@ -1,7 +1,7 @@
 """Experiment LV1 — live telemetry plane overhead: on vs off, A/B'd.
 
-The live plane (event bus + resource monitor + HTTP exposition) has to be
-cheap enough to leave on for real runs. The acceptance bar is < 3% wall-time
+The live plane (event bus + resource monitor + the reads a watcher makes)
+has to be cheap enough to leave on for real runs. The acceptance bar is < 3% wall-time
 regression with the plane fully enabled vs the same telemetry with the
 plane off, and *zero* marginal cost when telemetry is disabled entirely
 (the group loop talks to ``NULL_OBSERVER``, every other call site is behind
@@ -13,12 +13,13 @@ Three interleaved arms over the same QFT workload:
 * **disabled** — ``NULL_TELEMETRY``: the CLI default; nothing is recorded.
   The reference point for the zero-overhead-when-off claim;
 * **base** — ``Telemetry(bus=False)`` (tracer + metrics + ledger) with the
-  live plane off: built without an event bus, no monitor, no server. What
+  live plane off: built without an event bus, no monitor, no poller. What
   a ``--trace``/``--metrics`` run paid before the live plane existed;
 * **live** — the plane fully on: event bus wired, ``ResourceMonitor``
-  sampling at 50 ms, ``TelemetryServer`` on an ephemeral port, and a
-  background client polling ``/progress`` + ``/metrics`` every 100 ms the
-  way a dashboard would.
+  sampling at 50 ms, and an in-process poller thread that every 100 ms
+  renders ``render_prometheus(tel)`` and takes ``tel.progress.snapshot()``
+  — the work the serve daemon's ``/metrics`` and ``/jobs/{id}`` do per
+  request, without the socket.
 
 Runs interleave (disabled/base/live/…) so drift hits every arm equally; the
 comparator takes medians, and the record carries each arm's interquartile
@@ -37,7 +38,6 @@ from __future__ import annotations
 import argparse
 import threading
 import time
-import urllib.request
 
 import pytest
 
@@ -47,7 +47,7 @@ from repro.analysis import Table, format_seconds
 from repro.circuits import get_workload
 from repro.core import MemQSim
 from repro.telemetry import NULL_TELEMETRY, Telemetry
-from repro.telemetry.live import TelemetryServer
+from repro.telemetry.live import render_prometheus
 
 N = 16 if FULL else 13
 CHUNK = 8 if FULL else 7
@@ -59,29 +59,25 @@ POLL_SECONDS = 0.1
 ARMS = ("disabled", "base", "live")
 
 
-class _DashboardClient:
-    """Polls /progress and /metrics like a live dashboard would."""
+class _Poller:
+    """Reads the run's telemetry the way the daemon serves a watched job:
+    the Prometheus text of ``/metrics`` and the progress of
+    ``/jobs/{id}``."""
 
-    def __init__(self, url: str, interval: float = POLL_SECONDS):
-        self._url = url
-        self._interval = interval
+    def __init__(self, tel: Telemetry):
+        self._tel = tel
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._loop, daemon=True,
                                         name="lv1-poller")
-        self.polls = 0
 
     def _loop(self) -> None:
-        while not self._stop.wait(self._interval):
-            for path in ("/progress", "/metrics"):
-                try:
-                    with urllib.request.urlopen(self._url + path,
-                                                timeout=2) as resp:
-                        resp.read()
-                    self.polls += 1
-                except OSError:
-                    pass  # server mid-shutdown; the run is what we time
+        while not self._stop.wait(POLL_SECONDS):
+            render_prometheus(self._tel)
+            progress = self._tel.progress  # None until the plan exists
+            if progress is not None:
+                progress.snapshot()
 
-    def __enter__(self) -> "_DashboardClient":
+    def __enter__(self) -> "_Poller":
         self._thread.start()
         return self
 
@@ -112,14 +108,10 @@ def run_once(arm: str, n: int = N) -> dict:
         return out
 
     tel = Telemetry()
-    server = TelemetryServer(tel, port=0).start()
-    try:
-        with _DashboardClient(server.url):
-            t0 = time.perf_counter()
-            res = MemQSim(cfg, telemetry=tel).run(circ)
-            out["wall_seconds"] = time.perf_counter() - t0
-    finally:
-        server.stop()
+    with _Poller(tel):
+        t0 = time.perf_counter()
+        res = MemQSim(cfg, telemetry=tel).run(circ)
+        out["wall_seconds"] = time.perf_counter() - t0
     out["norm"] = float(res.norm())
     out["final_fraction"] = tel.progress.fraction
     out["events_published"] = tel.bus.published

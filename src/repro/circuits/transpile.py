@@ -1,32 +1,24 @@
-"""Transpilation passes.
+"""Transpilation: :func:`decompose_to_natives` rewrites every gate into the
+{1q, cx} native set (SWAP -> 3 CX, controlled-U -> standard 2-CX
+decomposition, Toffoli -> 6-CX textbook form, stored diagonals are kept
+as-is since the chunked executor applies them natively).
 
-Three passes the pipeline/planner and benchmarks use:
-
-* :func:`decompose_to_natives` — rewrite every gate into the {1q, cx}
-  native set (SWAP -> 3 CX, controlled-U -> standard 2-CX decomposition,
-  Toffoli -> 6-CX textbook form, stored diagonals are kept as-is since the
-  chunked executor applies them natively).
-* :func:`fuse_adjacent_1q` — merge runs of single-qubit gates per qubit into
-  one ``unitary`` gate (compute less — guide idiom).
-* :func:`remap_for_locality` — relabel qubits so the most-frequently-coupled
-  qubits land in the chunk-local (low) positions, reducing cross-chunk
-  traffic; returns the permutation used.
+Gate fusion and qubit relocation are the compiler's and the planner's
+(:mod:`repro.compile`, :mod:`repro.pipeline.planner`), not passes here.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .circuit import Circuit
-from .dag import qubit_interaction_graph
 from .gates import Gate, gate_matrix, make_gate
 
-__all__ = ["decompose_to_natives", "fuse_adjacent_1q", "remap_for_locality",
-           "zyz_angles", "synthesize_diagonal"]
+__all__ = ["decompose_to_natives", "zyz_angles", "synthesize_diagonal"]
 
 
 def zyz_angles(u: np.ndarray) -> Tuple[float, float, float, float]:
@@ -245,45 +237,3 @@ def synthesize_diagonal(diag: np.ndarray, qubits: Tuple[int, ...]) -> list:
     raise ValueError(
         f"cannot synthesize a {k}-qubit diagonal into named gates"
     )
-
-
-def fuse_adjacent_1q(circuit: Circuit) -> Circuit:
-    """Merge maximal runs of 1q gates on one qubit into single unitaries."""
-    out = Circuit(circuit.num_qubits, name=f"{circuit.name}_fused")
-    pending: Dict[int, np.ndarray] = {}
-
-    def flush(q: int) -> None:
-        m = pending.pop(q, None)
-        if m is not None:
-            out.append(make_gate("unitary", (q,), (), m))
-
-    for g in circuit:
-        if g.num_qubits == 1 and g.diag is None:
-            q = g.qubits[0]
-            pending[q] = g.matrix @ pending.get(q, np.eye(2, dtype=np.complex128))
-        else:
-            for q in g.qubits:
-                flush(q)
-            out.append(g)
-    for q in sorted(pending):
-        flush(q)
-    return out
-
-
-def remap_for_locality(circuit: Circuit, num_local: int) -> Tuple[Circuit, Dict[int, int]]:
-    """Relabel qubits so heavily-coupled ones occupy positions < num_local.
-
-    Greedy: rank qubits by total multi-qubit interaction weight and assign
-    the busiest to the chunk-local slots. Returns (remapped circuit,
-    old->new mapping).
-    """
-    n = circuit.num_qubits
-    ig = qubit_interaction_graph(circuit)
-    weight = {q: 0 for q in range(n)}
-    for a, b, d in ig.edges(data=True):
-        w = d.get("weight", 1)
-        weight[a] += w
-        weight[b] += w
-    ranked = sorted(range(n), key=lambda q: (-weight[q], q))
-    mapping = {old: new for new, old in enumerate(ranked)}
-    return circuit.remapped(mapping), mapping

@@ -20,11 +20,12 @@ Commands:
 * ``audit`` — plan-vs-actual verification: the access schedule predicted
   from the compiled plan must match the recorded one exactly, and the
   measured bytes must fall inside the predicted traffic envelope.
-* ``top`` — live terminal dashboard for a running simulation: polls the
-  ``/progress`` endpoint of a run started with ``--serve-metrics``.
 * ``serve`` — persistent multi-tenant job daemon: accepts circuit
   submissions over HTTP/JSON, shares one device arena (admission control)
-  and one compiled-plan cache across concurrent jobs.
+  and one compiled-plan cache across concurrent jobs. A run someone wants
+  to watch is a daemon job: ``GET /jobs/{id}`` carries its progress and
+  ETA, ``/jobs/{id}/events`` streams its events, ``/metrics`` is
+  Prometheus text.
 * ``submit`` / ``jobs`` / ``result`` / ``cancel`` — client commands
   against a running daemon.
 
@@ -41,11 +42,11 @@ Examples::
     python -m repro run qft -n 12 --mem-trace-out qft.access.jsonl
     python -m repro memtrace vqe -n 12 --device-mb 0.002 --cache-chunks 16
     python -m repro audit qft -n 12 --device-mb 0.002
-    python -m repro run qft -n 15 --monitor --serve-metrics 9644 --live
-    python -m repro top --port 9644
+    python -m repro run qft -n 15 --monitor --events-out qft.events.jsonl
     python -m repro serve --port 9645 --device-mb 64 --max-jobs 4
-    python -m repro submit qft -n 12 --port 9645 --tenant alice --wait
+    python -m repro submit qft -n 20 --port 9645 --tenant alice
     python -m repro jobs --port 9645
+    curl http://127.0.0.1:9645/jobs/<id>      # progress fraction + ETA
 """
 
 from __future__ import annotations
@@ -204,20 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help=argparse.SUPPRESS)  # CI: corrupt the measured
     # trace before comparing, to prove the audit actually fails on drift
 
-    topp = sub.add_parser(
-        "top",
-        help="live dashboard for a running simulation (polls /progress of "
-             "a run started with --serve-metrics)")
-    topp.add_argument("--url", default=None, metavar="URL",
-                      help="telemetry server base URL "
-                           "(default http://127.0.0.1:9644)")
-    topp.add_argument("--port", type=int, default=None,
-                      help="shorthand for --url http://127.0.0.1:PORT")
-    topp.add_argument("--interval", type=float, default=1.0, metavar="S",
-                      help="poll period in seconds (default 1)")
-    topp.add_argument("--once", action="store_true",
-                      help="render one frame and exit (scripting/tests)")
-
     servep = sub.add_parser(
         "serve",
         help="run the persistent multi-tenant job daemon (HTTP/JSON API); "
@@ -352,14 +339,6 @@ def _add_telemetry_args(p: argparse.ArgumentParser) -> None:
                    type=str.lower, metavar="LEVEL",
                    help="enable repro.* logging at this level "
                         "(debug/info/warning/error/critical)")
-    p.add_argument("--serve-metrics", type=int, default=None, metavar="PORT",
-                   help="serve /metrics (Prometheus), /progress (JSON) and "
-                        "/events (SSE) on this port for the run's duration "
-                        "(0 = ephemeral port, printed at startup)")
-    p.add_argument("--live", action=argparse.BooleanOptionalAction,
-                   default=False,
-                   help="render a live ANSI dashboard (progress bar, ETA, "
-                        "resource sparklines, event tail) during the run")
     p.add_argument("--events-out", metavar="FILE",
                    help="write the run's retained bus events as JSONL")
 
@@ -390,8 +369,6 @@ def _telemetry_from_args(args, force: bool = False) -> Telemetry:
         configure_logging(args.log_level)
     want = force or bool(args.trace_out or args.jsonl_out or args.metrics_out
                          or getattr(args, "monitor", False)
-                         or getattr(args, "serve_metrics", None) is not None
-                         or getattr(args, "live", False)
                          or getattr(args, "events_out", None)
                          or getattr(args, "mem_trace_out", None))
     return Telemetry() if want else NULL_TELEMETRY
@@ -482,84 +459,60 @@ def _cmd_run(args) -> int:
         tel.access = ChunkAccessRecorder()
     cfg = _config_from_args(args)
     json_stdout = args.json == "-"
-    server = dashboard = None
-    if args.serve_metrics is not None:
-        from .telemetry.live import TelemetryServer
+    res = MemQSim(cfg, telemetry=tel).run(circuit, checkpoint=args.checkpoint)
+    payload = res.to_dict() if args.json else None
 
-        server = TelemetryServer(tel, port=args.serve_metrics).start()
+    counts = fidelity = None
+    digest = res.state_digest() if args.state_digest else None
+    if args.shots:
+        counts = res.sample(args.shots, seed=args.seed)
+    if args.compare_dense and circuit.num_qubits <= 20:
+        from .statevector import DenseSimulator
+
+        ref = DenseSimulator().run(circuit)
+        fidelity = res.fidelity_vs(ref.data)
+    if payload is not None:
+        if counts is not None:
+            payload["counts"] = counts
+        if fidelity is not None:
+            payload["fidelity_vs_dense"] = fidelity
+        if digest is not None:
+            payload["state_digest"] = digest
+
+    if not json_stdout:
+        print(res.report())
+        if digest is not None:
+            print(f"\nstate digest: {digest}")
+        if counts is not None:
+            top = sorted(counts.items(), key=lambda kv: -kv[1])[:8]
+            print("\ntop outcomes:")
+            for bits, cnt in top:
+                print(f"  |{bits}>  {cnt}")
+        if args.compare_dense:
+            if fidelity is None:
+                print("\n(dense comparison skipped: too many qubits)")
+            else:
+                print(f"\nfidelity vs dense: {fidelity:.12f}")
+        if args.json:
+            with open(args.json, "w") as fh:
+                json.dump(payload, fh, indent=2)
+            print(f"result JSON written: {args.json}")
+        _export_telemetry(tel, args)
+    if args.save_state:
+        nb = res.save_state(args.save_state)
         if not json_stdout:
-            print(f"telemetry server: {server.url} "
-                  "(/metrics /progress /events)")
-    if args.live:
-        from .telemetry.dashboard import LiveDashboard
+            print(f"\ncheckpoint written: {args.save_state} "
+                  f"({format_bytes(nb)})")
+    if json_stdout:
+        # Exports still happen, but only the JSON document reaches
+        # stdout.
+        import contextlib
+        import io
 
-        dashboard = LiveDashboard(tel).start()
-    try:
-        res = MemQSim(cfg, telemetry=tel).run(circuit,
-                                              checkpoint=args.checkpoint)
-        if dashboard is not None:
-            dashboard.stop()  # final frame shows exactly 100%
-            dashboard = None
-        payload = res.to_dict() if args.json else None
-
-        counts = fidelity = None
-        digest = res.state_digest() if args.state_digest else None
-        if args.shots:
-            counts = res.sample(args.shots, seed=args.seed)
-        if args.compare_dense and circuit.num_qubits <= 20:
-            from .statevector import DenseSimulator
-
-            ref = DenseSimulator().run(circuit)
-            fidelity = res.fidelity_vs(ref.data)
-        if payload is not None:
-            if counts is not None:
-                payload["counts"] = counts
-            if fidelity is not None:
-                payload["fidelity_vs_dense"] = fidelity
-            if digest is not None:
-                payload["state_digest"] = digest
-
-        if not json_stdout:
-            print(res.report())
-            if digest is not None:
-                print(f"\nstate digest: {digest}")
-            if counts is not None:
-                top = sorted(counts.items(), key=lambda kv: -kv[1])[:8]
-                print("\ntop outcomes:")
-                for bits, cnt in top:
-                    print(f"  |{bits}>  {cnt}")
-            if args.compare_dense:
-                if fidelity is None:
-                    print("\n(dense comparison skipped: too many qubits)")
-                else:
-                    print(f"\nfidelity vs dense: {fidelity:.12f}")
-            if args.json:
-                with open(args.json, "w") as fh:
-                    json.dump(payload, fh, indent=2)
-                print(f"result JSON written: {args.json}")
+        with contextlib.redirect_stdout(io.StringIO()):
             _export_telemetry(tel, args)
-        if args.save_state:
-            nb = res.save_state(args.save_state)
-            if not json_stdout:
-                print(f"\ncheckpoint written: {args.save_state} "
-                      f"({format_bytes(nb)})")
-        if json_stdout:
-            # Exports still happen, but only the JSON document reaches
-            # stdout.
-            import contextlib
-            import io
-
-            with contextlib.redirect_stdout(io.StringIO()):
-                _export_telemetry(tel, args)
-            print(json.dumps(payload, indent=2))
-        return 0
-    finally:
-        # The server outlives the simulation through reporting, so late
-        # pollers observe the finished (fraction == 1.0) progress state.
-        if dashboard is not None:
-            dashboard.stop()
-        if server is not None:
-            server.stop()
+        print(json.dumps(payload, indent=2))
+    return 0
 
 
 def _cmd_workloads(_args) -> int:
@@ -762,21 +715,6 @@ def _cmd_audit(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_top(args) -> int:
-    """Attach the remote dashboard to a --serve-metrics run."""
-    from .telemetry.dashboard import top
-    from .telemetry.live import DEFAULT_PORT
-
-    if args.url and args.port is not None:
-        raise SystemExit("top: pass --url or --port, not both")
-    url = args.url or f"http://127.0.0.1:{args.port or DEFAULT_PORT}"
-    try:
-        return top(url, interval=args.interval, once=args.once)
-    except KeyboardInterrupt:
-        print()
-        return 0
-
-
 def _cmd_serve(args) -> int:
     """Run the job daemon until SIGTERM/SIGINT, then drain gracefully."""
     import signal
@@ -904,7 +842,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "report": _cmd_report,
         "memtrace": _cmd_memtrace,
         "audit": _cmd_audit,
-        "top": _cmd_top,
         "serve": _cmd_serve,
         "submit": _cmd_submit,
         "jobs": _cmd_jobs,

@@ -222,9 +222,12 @@ class SZLikeCompressor(Compressor):
             planes, scaled, deltas = \
                 scratch[:m], scratch[m:2 * m], scratch[2 * m:3 * m]
             # Keeping each plane contiguous preserves smoothness for the
-            # delta stage; the strided copy is also the c64 -> f64 upcast.
-            np.copyto(planes.reshape(2, n),
-                      data.view(data.real.dtype).reshape(n, 2).T)
+            # delta stage; the strided copy is also the c64 -> f64 upcast,
+            # which quiets a signaling NaN (such a chunk escapes to raw
+            # below, so its bits survive).
+            with np.errstate(invalid="ignore"):
+                np.copyto(planes.reshape(2, n),
+                          data.view(data.real.dtype).reshape(n, 2).T)
             try:
                 step_bound = self._eb * _STEP_SHRINK
                 lo, hi = scaled_codes(planes, step_bound, scaled)

@@ -231,9 +231,9 @@ class MemQSim:
                 monitor.stop()  # idempotent; real stop happens pre-result
                 tel.monitor = None
             # Freeze the progress clock on every exit path. The finished
-            # tracker stays attached so post-run exposition (/metrics,
-            # final dashboard frame) reports exactly 1.0; the next run
-            # swaps in a fresh tracker.
+            # tracker stays attached so a post-run poll (a daemon job's
+            # /jobs/{id}) reports exactly 1.0; the next run swaps in a
+            # fresh tracker.
             if tel.enabled and tel.progress is not None:
                 tel.progress.finish()
             set_run_id("")

@@ -16,8 +16,8 @@ submissions and shares them safely between concurrent tenants:
   entirely, the same circuit with new angles only rebinds its template
   (``serve.plan_cache.{hit,rebind,miss}`` counters);
 * :class:`ServeServer` — the stdlib HTTP/JSON API (submit, poll
-  state/progress/ETA, stream per-job SSE events, fetch results, cancel)
-  in the PR 6 :class:`~repro.telemetry.live.TelemetryServer` idiom;
+  state/progress/ETA, stream per-job SSE events, fetch results, cancel,
+  Prometheus ``/metrics``): the package's one HTTP server;
 * :class:`ServeClient` — the matching stdlib client (CLI, tests, CI).
 
 Start a daemon with ``python -m repro serve --port 9645``; see

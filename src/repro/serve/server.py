@@ -1,8 +1,7 @@
-"""HTTP/JSON front-end for the job daemon (stdlib only, PR 6 idiom).
+"""HTTP/JSON front-end for the job daemon (stdlib only).
 
-Builds on the HTTP base in :mod:`repro.telemetry.live` — a background
-:class:`~http.server.ThreadingHTTPServer`, silent handlers, the shared SSE
-loop, snapshot-under-lock reads — and adds the job API:
+A background :class:`~http.server.ThreadingHTTPServer` with silent
+handlers and snapshot-under-lock reads, serving the job API:
 
 * ``POST /jobs`` — submit ``{"workload"|"qasm", "qubits", "tenant",
   "shots", "seed", "config": {...}}``; returns ``202`` with the job
@@ -19,38 +18,54 @@ loop, snapshot-under-lock reads — and adds the job API:
 * ``GET /metrics`` — the daemon's shared telemetry in Prometheus text
   format (``serve.*`` counters, shared-arena gauges, plan-cache stats).
 * ``GET /`` and ``GET /healthz`` — service info / liveness.
+
+This is the one HTTP server in the package: a run someone wants to watch
+is a daemon job.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Any, Dict, List, Optional
 from urllib.parse import parse_qs, urlparse
 
-from ..telemetry.live import (
-    PROMETHEUS_CONTENT_TYPE,
-    BackgroundHTTPServer,
-    JSONHandler,
-    render_prometheus,
-)
+from ..telemetry.live import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from .jobs import CANCELLED, DONE, FAILED, JobRejected
 from .manager import ServeManager
 
 __all__ = ["ServeServer", "DEFAULT_PORT"]
 
-#: default service port (one above the telemetry exposition port)
+#: default service port
 DEFAULT_PORT = 9645
 
 #: request body cap — submissions are circuits, not datasets
 MAX_BODY_BYTES = 8 << 20
 
 
-class _Handler(JSONHandler):
+class _Handler(BaseHTTPRequestHandler):
     """Routes the job API of a :class:`ServeServer`."""
 
     server_version = "repro-serve"
+    protocol_version = "HTTP/1.1"
 
     # -- helpers -------------------------------------------------------------
+
+    def log_message(self, fmt: str, *args: Any) -> None:
+        pass  # stay silent; the process's own logging owns stderr
+
+    def _send(self, body: bytes, content_type: str, status: int = 200) -> None:
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def _send_json(self, payload: Any, status: int = 200) -> None:
+        self._send(json.dumps(payload, default=str).encode(),
+                   "application/json", status)
 
     def _error(self, message: str, status: int) -> None:
         self._send_json({"error": message}, status)
@@ -69,7 +84,7 @@ class _Handler(JSONHandler):
 
     @property
     def manager(self) -> ServeManager:
-        return self.server.owner.manager
+        return self.server.manager
 
     def _job_or_404(self, job_id: str):
         job = self.manager.get(job_id)
@@ -161,23 +176,82 @@ class _Handler(JSONHandler):
                              "error": f"job is {job.state}"}, 409)
 
     def _serve_events(self, job, query: Dict[str, List[str]]) -> None:
-        """SSE tail of the job's private bus; self-terminating."""
-        def done():
-            if job.finished:
-                return (f"event: done\ndata: {{\"state\": \"{job.state}\"}}"
-                        "\n\n").encode()
+        """SSE tail of the job's private bus; ``?max_seconds`` bounds it for
+        finite reads, and it ends itself once the job has finished and a
+        poll comes back empty."""
+        tail = int(query.get("tail", ["25"])[0])
+        max_seconds = float(query.get("max_seconds", ["0"])[0])
+        self.send_response(200)
+        self.send_header("Content-Type", "text/event-stream")
+        self.send_header("Cache-Control", "no-cache")
+        self.send_header("Connection", "close")
+        self.end_headers()
+        sub = job.telemetry.bus.subscribe(tail=tail)
+        deadline = (time.monotonic() + max_seconds) if max_seconds > 0 else None
+        while not self.server.stopping.is_set():
+            events = sub.poll()
+            for ev in events:
+                self.wfile.write(b"data: " + ev.to_json().encode() + b"\n\n")
+            if sub.missed:
+                self.wfile.write(
+                    f": missed {sub.missed} events (ring overflow)\n\n"
+                    .encode())
+                sub.missed = 0
+            self.wfile.flush()
+            if not events and job.finished:
+                self.wfile.write(
+                    f"event: done\ndata: {{\"state\": \"{job.state}\"}}\n\n"
+                    .encode())
+                self.wfile.flush()
+                break
+            if deadline is not None and time.monotonic() >= deadline:
+                break
+            time.sleep(0.1)
 
-        self._stream_events(job.telemetry.bus, query, default_tail=25,
-                            done=done)
 
+class ServeServer:
+    """The daemon's HTTP server, bound to one :class:`ServeManager`, on a
+    daemon thread.
 
-class ServeServer(BackgroundHTTPServer):
-    """Background HTTP server bound to one :class:`ServeManager`."""
-
-    handler = _Handler
-    thread_name = "repro-serve-http"
+    ``port=0`` binds an ephemeral port (tests/CI); the bound port is on
+    ``.port`` after :meth:`start`. Server and handler threads are daemons,
+    so a crashing process never hangs on a live SSE stream; :meth:`stop`
+    shuts down cleanly and is idempotent.
+    """
 
     def __init__(self, manager: ServeManager, port: int = DEFAULT_PORT,
                  host: str = "127.0.0.1"):
-        super().__init__(port, host)
         self.manager = manager
+        self.host = host
+        self.port = port
+        self._httpd: Optional[ThreadingHTTPServer] = None
+        self._thread: Optional[threading.Thread] = None
+
+    @property
+    def url(self) -> str:
+        return f"http://{self.host}:{self.port}"
+
+    def start(self) -> "ServeServer":
+        if self._httpd is not None:
+            return self
+        httpd = ThreadingHTTPServer((self.host, self.port), _Handler)
+        httpd.daemon_threads = True
+        httpd.manager = self.manager
+        httpd.stopping = threading.Event()
+        self.port = httpd.server_address[1]
+        self._httpd = httpd
+        self._thread = threading.Thread(
+            target=httpd.serve_forever, kwargs={"poll_interval": 0.1},
+            name="repro-serve-http", daemon=True)
+        self._thread.start()
+        return self
+
+    def stop(self) -> None:
+        httpd, self._httpd = self._httpd, None
+        thread, self._thread = self._thread, None
+        if httpd is not None:
+            httpd.stopping.set()
+            httpd.shutdown()
+            httpd.server_close()
+        if thread is not None:
+            thread.join(timeout=5.0)

@@ -129,7 +129,7 @@ class Telemetry:
         #: ``repro memtrace`` / ``repro audit`` attach one); ``None`` = off
         self.access: Optional[ChunkAccessRecorder] = None
         #: the active run's ResourceMonitor; attached by MemQSim for the
-        #: duration of a monitored run (live exposition reads its samples)
+        #: duration of a monitored run (the run's observer samples it)
         self.monitor: Optional[ResourceMonitor] = None
         #: the latest run's plan-aware ProgressTracker; attached by MemQSim
         #: once the CompiledPlan exists (total work is then known)

@@ -3,8 +3,9 @@
 The bus says where a run stands — run and stage start/end, each finished
 group pass, a cache flush, monitor samples, serve jobs — as small
 :class:`TelemetryEvent`s; it copies no hop and no counter. It is the push
-side of the live observability plane: the SSE endpoint, the terminal
-dashboard, and the HTML report's event-timeline section all read from it.
+side of the live observability plane: the serve daemon's per-job SSE
+endpoint, ``run --events-out`` and the HTML report's event-timeline
+section all read from it.
 
 Design points:
 

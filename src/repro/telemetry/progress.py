@@ -70,8 +70,8 @@ class StageProgress:
 
 
 class ProgressTracker:
-    """Tracks exact schedule completion; thread-safe (scheduler writes,
-    the HTTP/dashboard threads read)."""
+    """Tracks exact schedule completion; thread-safe (the scheduler writes,
+    the serve daemon's ``/jobs/{id}`` handler threads read)."""
 
     def __init__(self, stages: List[StageProgress], run_id: str = "",
                  clock: Callable[[], float] = time.perf_counter):
@@ -201,7 +201,8 @@ class ProgressTracker:
         return self._t_end is not None
 
     def snapshot(self) -> Dict[str, Any]:
-        """The /progress payload (plain JSON-serializable data)."""
+        """What a daemon job's ``/jobs/{id}`` carries as its progress
+        (plain JSON-serializable data)."""
         with self._lock:
             stages_done = sum(1 for s in self.stages
                               if s.groups_done >= s.groups)

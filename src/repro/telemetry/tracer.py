@@ -157,7 +157,7 @@ class Tracer:
 
     def decoded(self) -> Tuple[int, float]:
         """``(bytes, seconds)`` of the attached ``decompress`` rows. Rows
-        only grow, so each is read once however often a dashboard polls."""
+        only grow, so each is read once however often a snapshot is taken."""
         with self._lock:
             for entry in self._timelines:
                 new = entry[0].rows[entry[2]:]

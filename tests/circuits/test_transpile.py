@@ -10,9 +10,7 @@ from scipy.stats import unitary_group
 from repro.circuits import (
     Circuit,
     decompose_to_natives,
-    fuse_adjacent_1q,
     random_circuit,
-    remap_for_locality,
     zyz_angles,
 )
 from repro.statevector import DenseSimulator
@@ -107,49 +105,3 @@ class TestDecompose:
         c = Circuit(3).diagonal(d, 0, 1, 2)
         n = decompose_to_natives(c)
         assert any(g.diag is not None for g in n)
-
-
-class TestFuse:
-    def test_fusion_reduces_gate_count(self):
-        c = Circuit(1).h(0).t(0).h(0).s(0)
-        f = fuse_adjacent_1q(c)
-        assert len(f) == 1
-        assert f[0].name == "unitary"
-
-    def test_fusion_stops_at_two_qubit_gates(self):
-        c = Circuit(2).h(0).h(0).cx(0, 1).h(0)
-        f = fuse_adjacent_1q(c)
-        assert [g.name for g in f] == ["unitary", "cx", "unitary"]
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_fusion_equivalent(self, dense, seed):
-        c = random_circuit(5, 50, seed=seed + 20)
-        f = fuse_adjacent_1q(c)
-        assert np.allclose(dense.run(c).data, dense.run(f).data, atol=1e-10)
-
-    def test_fusion_of_unrelated_qubits_keeps_gates(self):
-        c = Circuit(3).h(0).h(1).h(2)
-        assert len(fuse_adjacent_1q(c)) == 3
-
-
-class TestLocalityRemap:
-    def test_busy_qubits_move_low(self, dense):
-        c = Circuit(6)
-        for _ in range(10):
-            c.cx(4, 5)
-        c.cx(0, 1)
-        r, mapping = remap_for_locality(c, num_local=2)
-        assert {mapping[4], mapping[5]} == {0, 1}
-
-    def test_remap_is_permutation(self):
-        c = random_circuit(6, 40, seed=2)
-        _, mapping = remap_for_locality(c, 3)
-        assert sorted(mapping.values()) == list(range(6))
-
-    def test_remapped_circuit_equivalent_under_inverse_map(self, dense):
-        c = random_circuit(5, 30, seed=6)
-        r, mapping = remap_for_locality(c, 2)
-        # applying the inverse relabeling restores the original circuit
-        inv = {v: k for k, v in mapping.items()}
-        back = r.remapped(inv)
-        assert back == c

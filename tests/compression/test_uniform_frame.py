@@ -8,6 +8,8 @@ round trip stays bit-exact whatever the chunk holds, and szlike stores a
 uniform chunk exactly, not within its bound.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,6 +165,18 @@ class TestBitExactRoundTrips:
             # one payload: stored as that amplitude, exactly
             assert blob_entropy(blob) == "uniform"
             assert np.array_equal(bits(codec.decompress(blob)), bits(x))
+
+    def test_a_signaling_nan_round_trips_without_a_warning(self):
+        # szlike upcasts a c64 chunk to f64 planes; that cast quiets a
+        # signaling NaN, and the chunk escapes to raw with its own bits
+        words = np.zeros(128, np.uint32)
+        words[5], words[6] = 0x7F800001, 0x3F800000
+        x = words.view(np.complex64)
+        codec = SZLikeCompressor()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = codec.decompress(codec.compress(x))
+        assert np.array_equal(bits(out), words)
 
     @settings(max_examples=100, deadline=None)
     @given(dtype=DTYPES, n=st.integers(1, 300), data=st.data())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import urllib.error
 import urllib.request
 
 import pytest
@@ -36,7 +37,10 @@ class TestJobAPI:
         assert len(job["structural_hash"]) == 64
         snap = client.wait(job["id"])
         assert snap["state"] == "done"
-        assert snap["progress"]["fraction"] == pytest.approx(1.0)
+        # a post-run poll sees the finished tracker at exactly 1.0
+        prog = client.job(job["id"])["progress"]
+        assert prog["fraction"] == 1.0
+        assert prog["finished"] is True
         doc = client.result(job["id"])
         assert doc["state_digest"]
         assert sum(doc["counts"].values()) == 64
@@ -106,12 +110,33 @@ class TestJobAPI:
             mgr.arena.release_lease(block)
 
 
+def _get(url, timeout=5.0):
+    with urllib.request.urlopen(url, timeout=timeout) as resp:
+        return resp.status, resp.headers, resp.read().decode()
+
+
 class TestOpsEndpoints:
+    def test_unknown_path_is_404(self, daemon):
+        _, client = daemon
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            _get(client.url + "/nope")
+        assert exc.value.code == 404
+
+    def test_metrics_endpoint_content_type(self, daemon):
+        mgr, client = daemon
+        mgr.telemetry.metrics.counter("cache.hit").inc()
+        status, headers, body = _get(client.url + "/metrics")
+        assert status == 200
+        assert "version=0.0.4" in headers["Content-Type"]
+        assert "repro_cache_hit_total 1" in body
+
     def test_root_and_healthz(self, daemon):
         _, client = daemon
         assert client.healthz() == {"ok": True}
+        assert not client.url.endswith(":0")  # port 0 bound an ephemeral one
         info = client.info()
         assert info["service"] == "repro-serve"
+        assert "GET /jobs/{id}/events" in info["endpoints"]
         assert "plan_cache" in info and "arena" in info
 
     def test_metrics_exposition(self, daemon):
@@ -139,3 +164,30 @@ class TestOpsEndpoints:
         kinds = {p.get("kind") for p in payloads if isinstance(p, dict)}
         assert "run.end" in kinds  # the job's own bus, fully drained
         assert "event: done" in body  # self-terminating marker
+
+    def test_sse_stream_tails_the_bus(self, daemon):
+        mgr, client = daemon
+        job = client.submit({"workload": "qft", "qubits": 9})
+        client.wait(job["id"])
+        _, headers, body = _get(
+            f"{client.url}/jobs/{job['id']}/events?tail=3&max_seconds=5")
+        bus = mgr.get(job["id"]).telemetry.bus
+        assert headers["Content-Type"] == "text/event-stream"
+        frames = [json.loads(line[len("data: "):])
+                  for line in body.splitlines()
+                  if line.startswith("data: {\"seq")]
+        assert [f["seq"] for f in frames] == [
+            ev.seq for ev in bus.tail(3)]  # tail=3 backfill
+
+
+def test_server_stop_is_idempotent_and_frees_the_port():
+    mgr = ServeManager(MemQSimConfig(), Telemetry(), max_jobs=1)
+    srv = ServeServer(mgr, port=0).start()
+    url = srv.url
+    try:
+        srv.stop()
+        srv.stop()  # second stop: no-op
+        with pytest.raises((urllib.error.URLError, OSError)):
+            _get(url + "/healthz", timeout=0.5)
+    finally:
+        mgr.shutdown()

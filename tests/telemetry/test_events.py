@@ -1,12 +1,16 @@
-"""EventBus: bounded ring semantics, fan-out cursors, clock anchoring."""
+"""EventBus: bounded ring semantics, fan-out cursors, clock anchoring,
+and codec-lane work landing on the run's one clock."""
 
 from __future__ import annotations
 
 import json
 import threading
 
+import numpy as np
 import pytest
 
+from repro.circuits import qft
+from repro.core import MemQSim
 from repro.telemetry import DEFAULT_BUS_CAPACITY, EventBus, Telemetry
 
 
@@ -147,7 +151,7 @@ def test_null_bus_is_free():
     """A telemetry built without a bus (``bus=False``) keeps tracer,
     metrics and ledger; what would be published goes nowhere."""
     from repro.device.timeline import Stage, Timeline
-    from repro.telemetry.live import live_state, render_prometheus
+    from repro.telemetry.live import render_prometheus
 
     tel = Telemetry(bus=False)
     assert tel.enabled and tel.bus is None
@@ -156,9 +160,9 @@ def test_null_bus_is_free():
     tel.tracer.attach(timeline)
     timeline.record(Stage.H2D, tel.tracer._epoch, 0.001, 3, -1, 64)
     assert [sp.name for sp in tel.tracer.spans] == ["h2d"]
-    assert live_state(tel)["events"] == {"published": 0, "dropped": 0,
-                                         "tail": []}
-    assert "repro_events_published_total" not in render_prometheus(tel)
+    text = render_prometheus(tel)
+    assert "repro_events_published_total" not in text
+    assert "repro_events_dropped_total" not in text
 
 
 def test_disabled_telemetry_uses_null_bus():
@@ -168,3 +172,52 @@ def test_disabled_telemetry_uses_null_bus():
     assert not hasattr(tel, "bus")
     with pytest.raises(AttributeError, match="telemetry is disabled"):
         tel.emit("anything", x=1)
+
+
+def test_worker_events_re_anchor_onto_the_parent_axis():
+    """Codec lane jobs land on the run's one axis: each one is a timeline
+    row whose exported span starts where its lane measured it, on the
+    tracer clock, between the main thread's own events — and the bus
+    carries no per-job copy."""
+    from repro.compression import get_compressor
+    from repro.device import Timeline
+    from repro.memory import ChunkLayout, CompressedChunkStore
+    from repro.parallel import CodecWorkerPool
+
+    tel = Telemetry()
+    hops = Timeline()
+    tel.tracer.attach(hops)
+    store = CompressedChunkStore(ChunkLayout(8, 6), get_compressor("zlib"))
+    store.report_codec_to(hops)
+    tel.bus.publish("before")
+    with CodecWorkerPool(store.compressor, workers=2) as pool:
+        store.attach_lane(pool)
+        for k in range(3):
+            store.store(k, np.full(64, 0.5 + k * 1j))
+        store.detach_lane()
+    tel.bus.publish("after")
+    events = tel.bus.snapshot()
+    assert [e.kind for e in events] == ["before", "after"]
+    spans = tel.tracer.find("compress")
+    assert sorted(sp.args["chunk"] for sp in spans) == [0, 1, 2]
+    for sp in spans:
+        assert events[0].t <= sp.start <= sp.end <= events[1].t
+        assert sp.tid == 100 + sp.args["lane"]
+
+
+def test_parallel_run_merges_worker_events(tight_config):
+    pool_cfg = tight_config.with_updates(workers=2, compressor="szlike")
+    tel = Telemetry()
+    res = MemQSim(pool_cfg, telemetry=tel).run(qft(8))
+    assert res.norm() == pytest.approx(1.0, abs=1e-3)
+    laned = [sp for sp in tel.tracer.spans if sp.args.get("lane")]
+    assert laned, "the trace shows no lane work"
+    wall = tel.tracer.now
+    for sp in laned:
+        assert 0.0 <= sp.start <= wall  # anchored inside the run window
+        assert sp.name in ("compress", "decompress")
+    events = tel.bus.snapshot()
+    assert not [e for e in events if e.kind.startswith("worker.")]
+    # the stream stays seq-ordered
+    seqs = [e.seq for e in events]
+    assert seqs == sorted(seqs)

@@ -159,9 +159,7 @@ def test_disabled_run_keeps_null_progress(tight_config):
 
 def test_null_tracker_is_free():
     """Until a run attaches a tracker there is none: the loop's observer
-    reaches the other sinks without it and the live views say so."""
-    from repro.telemetry.live import live_state, render_prometheus
-
+    reaches the other sinks without it and attaches none."""
     tel = Telemetry()
     assert tel.progress is None
     obs = tel.observer()
@@ -172,8 +170,7 @@ def test_null_tracker_is_free():
     assert [sp.name for sp in tel.tracer.spans] == ["stage", "group_pass"]
     assert [ev.kind for ev in tel.bus.snapshot()] == [
         "stage.start", "stage.end", "group"]
-    assert live_state(tel)["progress"] == {"enabled": False}
-    assert "repro_progress_fraction" not in render_prometheus(tel)
+    assert tel.progress is None
 
 
 def test_stage_progress_ledger():

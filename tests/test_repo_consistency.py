@@ -6,6 +6,7 @@ DESIGN.md's experiment index, every example must at least import, and the
 public package surface must be importable with a sane ``__all__``.
 """
 
+import argparse
 import ast
 import importlib
 import pathlib
@@ -641,3 +642,64 @@ class TestOneRecordPerHop:
                          for needle in ("tracer.", ".bus", ".emit(")
                          if needle in line]
         assert hits == []
+
+
+class TestOneLiveSurface:
+    """A run someone wants to watch is a serve daemon job: the daemon is
+    the package's one HTTP server. The per-run exposition server, the
+    terminal dashboard and the flags that started them may not come back;
+    the "Removed in" section of docs/api.md that names this guard is the
+    record of what went."""
+
+    GONE = (
+        "TelemetryServer", "LiveDashboard", "live_state", "--serve-metrics",
+        "--live", "repro top", "repro.telemetry.dashboard",
+        "BackgroundHTTPServer", "JSONHandler", "fuse_adjacent_1q",
+        "remap_for_locality",
+    )
+
+    @classmethod
+    def mentions(cls, text):
+        return [name for name in cls.GONE
+                if re.search(r"(?<![\w-])" + re.escape(name) + r"(?![\w-])",
+                             text)]
+
+    def test_deleted_names_stay_deleted(self):
+        api = (REPO / "docs/api.md").read_text()
+        start = api.rindex("\n### Removed in", 0, api.index(type(self).__name__))
+        end = api.find("\n## ", start)
+        head, listed, tail = api[:start], api[start:end], api[end:]
+        assert [name for name in self.GONE if name not in listed] == []
+        texts = {"docs/api.md": head + tail}
+        files = [REPO / "README.md", REPO / "DESIGN.md"]
+        files += [p for p in sorted((REPO / "docs").glob("*.md"))
+                  if p.name != "api.md"]
+        files += sorted((REPO / "src").rglob("*.py"))
+        texts.update({str(p.relative_to(REPO)): p.read_text() for p in files})
+        hits = [f"{where}: {name}" for where, text in texts.items()
+                for name in self.mentions(text)]
+        assert not hits, hits
+
+    def test_the_cli_has_no_live_flags_and_no_top(self):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        assert "top" not in commands
+        for argv in (["top"],
+                     ["run", "qft", "--serve-metrics", "0"],
+                     ["run", "qft", "--live"],
+                     ["trace", "qft", "--serve-metrics", "0"],
+                     ["trace", "qft", "--live"]):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            assert exc.value.code == 2, argv
+
+    def test_the_daemon_is_the_one_http_server(self):
+        servers = [str(p.relative_to(REPO)) for p in
+                   sorted((REPO / "src/repro").rglob("*.py"))
+                   if "ThreadingHTTPServer" in p.read_text()]
+        assert servers == ["src/repro/serve/server.py"]
+        live = (REPO / "src/repro/telemetry/live.py").read_text()
+        assert "repro_progress" not in live  # progress is /jobs/{id}'s
