@@ -162,17 +162,17 @@ if __name__ == "__main__":
                         report["runs"]["lru"]["wall_seconds"]),
                     "wall_seconds_belady": seconds(
                         report["runs"]["belady"]["wall_seconds"]),
-                    # deterministic counters — tight tolerances are safe
+                    # deterministic counters
                     "lru_misses": {
                         "values": [report["live_misses"]["lru"]],
-                        "direction": "lower", "tolerance": 0.01},
+                        "direction": "lower"},
                     "belady_misses": {
                         "values": [report["live_misses"]["belady"]],
-                        "direction": "lower", "tolerance": 0.01},
+                        "direction": "lower"},
                     # the headline: how much the plan buys over recency
                     "miss_reduction": {
                         "values": [report["miss_reduction"]],
-                        "direction": "higher", "tolerance": 0.02},
+                        "direction": "higher"},
                 },
                 tables=[render_table(report)],
                 extra={"runs": report["runs"],

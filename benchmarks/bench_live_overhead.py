@@ -22,8 +22,12 @@ Three interleaved arms over the same QFT workload:
   request, without the socket.
 
 Runs interleave (disabled/base/live/…) so drift hits every arm equally; the
-comparator takes medians, and the record carries each arm's interquartile
-range so a reader can tell a gap from the spread. Two ratios are reported:
+report takes medians, and the record carries each arm's interquartile
+range so a reader can tell a gap from the spread. The run is sized so the
+poller reads it several times while it is in flight (qft(19) at chunk 7
+spans ~7 poll periods on a 2-vCPU x86_64 host): a run that ends before
+the first read would price only the bus and the monitor, and the live
+arm counts the reads that landed inside the run. Two ratios are reported:
 live over base (the live plane's own cost) and base over disabled (what
 turning telemetry on costs at all), each next to the arms' IQRs. The live arm also asserts the plan-aware progress
 tracker lands on *exactly* 1.0 and records the bounded bus's published /
@@ -49,7 +53,7 @@ from repro.core import MemQSim
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.telemetry.live import render_prometheus
 
-N = 16 if FULL else 13
+N = 21 if FULL else 19
 CHUNK = 8 if FULL else 7
 WORKLOAD = "qft"
 REPEATS = 7
@@ -62,10 +66,11 @@ ARMS = ("disabled", "base", "live")
 class _Poller:
     """Reads the run's telemetry the way the daemon serves a watched job:
     the Prometheus text of ``/metrics`` and the progress of
-    ``/jobs/{id}``."""
+    ``/jobs/{id}``. ``read_at`` holds when each read finished."""
 
     def __init__(self, tel: Telemetry):
         self._tel = tel
+        self.read_at = []
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._loop, daemon=True,
                                         name="lv1-poller")
@@ -76,6 +81,7 @@ class _Poller:
             progress = self._tel.progress  # None until the plan exists
             if progress is not None:
                 progress.snapshot()
+            self.read_at.append(time.perf_counter())
 
     def __enter__(self) -> "_Poller":
         self._thread.start()
@@ -108,10 +114,12 @@ def run_once(arm: str, n: int = N) -> dict:
         return out
 
     tel = Telemetry()
-    with _Poller(tel):
+    with _Poller(tel) as poller:
         t0 = time.perf_counter()
         res = MemQSim(cfg, telemetry=tel).run(circ)
-        out["wall_seconds"] = time.perf_counter() - t0
+        t1 = time.perf_counter()
+    out["wall_seconds"] = t1 - t0
+    out["reads_in_flight"] = sum(t0 < t <= t1 for t in poller.read_at)
     out["norm"] = float(res.norm())
     out["final_fraction"] = tel.progress.fraction
     out["events_published"] = tel.bus.published
@@ -156,6 +164,7 @@ def generate_report(n: int = N, repeats: int = REPEATS) -> dict:
         },
         "events_published": last_live["events_published"],
         "events_dropped": last_live["events_dropped"],
+        "reads_in_flight": [r["reads_in_flight"] for r in runs["live"]],
     }
 
 
@@ -179,9 +188,10 @@ def render_table(report: dict) -> Table:
 
 @pytest.mark.parametrize("arm", list(ARMS))
 def test_live_plane_wall_clock(benchmark, arm):
-    res = benchmark.pedantic(run_once, args=(arm, 11),
-                             rounds=1, iterations=1)
+    res = benchmark.pedantic(run_once, args=(arm,), rounds=1, iterations=1)
     assert res["norm"] == pytest.approx(1.0, abs=1e-3)
+    if arm == "live":  # the watcher's reads are part of what is priced
+        assert res["reads_in_flight"] >= 3, res
 
 
 if __name__ == "__main__":
@@ -206,11 +216,13 @@ if __name__ == "__main__":
     for name, r in report["paired"].items():
         print(f"paired {name}: median {r['median']:.3f}x, "
               f"IQR {r['q1']:.3f}-{r['q3']:.3f}")
+    print(f"poller reads inside each live run: {report['reads_in_flight']}")
     emit_result("LV1", title=__doc__.splitlines()[0],
                 params={"num_qubits": report["num_qubits"],
                         "chunk_qubits": CHUNK, "workload": WORKLOAD,
                         "repeats": args.repeats,
-                        "monitor_interval_ms": MONITOR_MS},
+                        "monitor_interval_ms": MONITOR_MS,
+                        "poll_seconds": POLL_SECONDS},
                 metrics={
                     "wall_seconds_disabled": seconds(
                         *(r["wall_seconds"] for r in report["runs"]["disabled"])),
@@ -218,18 +230,17 @@ if __name__ == "__main__":
                         *(r["wall_seconds"] for r in report["runs"]["base"])),
                     "wall_seconds_live": seconds(
                         *(r["wall_seconds"] for r in report["runs"]["live"])),
-                    # the acceptance bar itself: live/base, 1.0 == free.
-                    # tolerance 0.05 keeps scheduler jitter from gating a
-                    # sub-3%-budget metric too tightly.
+                    # the acceptance bar itself: live/base, 1.0 == free
                     "overhead_ratio": {
                         "values": [report["overhead_ratio"]],
-                        "direction": "lower", "tolerance": 0.05},
+                        "direction": "lower"},
                     # telemetry on at all vs off; read it against the
                     # arms' IQRs in ``extra``
                     "enabled_ratio": {
                         "values": [report["enabled_ratio"]],
-                        "direction": "lower", "tolerance": 0.10},
+                        "direction": "lower"},
                 },
                 tables=[render_table(report)],
                 extra={"runs": report["runs"], "medians": med,
-                       "iqr": report["iqr"], "paired": report["paired"]})
+                       "iqr": report["iqr"], "paired": report["paired"],
+                       "reads_in_flight": report["reads_in_flight"]})

@@ -19,12 +19,12 @@ Three interleaved arms over the same streamed QFT workload:
   (reuse histogram, hit-rate curve, LRU + Belady replay) — analysis time
   is reported separately, it is not part of the run wall time.
 
-Runs interleave (disabled/base/audited/…) so drift hits every arm equally; the
-comparator takes medians. ``overhead_ratio`` is a gated metric only when
-the gap between the two medians exceeds the arms' own interquartile range;
-otherwise the record carries it under ``extra`` as information (three
-repeats once read 0.95x under a 0.05 tolerance: noise, gated). The audited
-arm also sanity-checks the plane:
+Runs interleave (disabled/base/audited/…) so drift hits every arm equally;
+the report takes medians. ``overhead_ratio`` is a metric of the record only
+when the gap between the two medians exceeds the arms' own interquartile
+range; otherwise the record carries it under ``extra`` as information
+(three repeats once read 0.95x: noise a metric would read as a gain). The
+audited arm also sanity-checks the plane:
 trace length > 0 and codec raw bytes == chunks * passes * chunk bytes.
 
 Emits the canonical ``results/BENCH_MT1.json`` record. ``REPRO_FULL=1``
@@ -184,11 +184,10 @@ if __name__ == "__main__":
             *(r["wall_seconds"] for r in report["runs"]["audited"])),
     }
     if report["resolved"]:
-        # the acceptance bar itself: audited/base, 1.0 == free. Gated only
-        # when the medians differ by more than the arms' own spread.
+        # the acceptance bar itself: audited/base, 1.0 == free. A metric
+        # only when the medians differ by more than the arms' own spread.
         metrics["overhead_ratio"] = {
-            "values": [report["overhead_ratio"]],
-            "direction": "lower", "tolerance": 0.05}
+            "values": [report["overhead_ratio"]], "direction": "lower"}
     emit_result("MT1", title=__doc__.splitlines()[0],
                 params={"num_qubits": report["num_qubits"],
                         "chunk_qubits": CHUNK, "workload": WORKLOAD,

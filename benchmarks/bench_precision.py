@@ -26,9 +26,8 @@ import time
 import numpy as np
 import pytest
 
-from common import emit_result, print_banner, seconds
+from common import emit_result, metric, print_banner, seconds
 from repro.analysis import Table, format_bytes, format_seconds
-from repro.bench import metric
 from repro.circuits import get_workload
 from repro.core import MemQSim, MemQSimConfig
 from repro.device import DeviceSpec
@@ -104,12 +103,9 @@ def generate(n: int = N):
           f"{wall_ratio:.3f}", "-")
 
     metrics = {
-        "c64_bytes_ratio": metric([bytes_ratio], unit="ratio",
-                                  direction="lower", tolerance=0.05),
-        "c64_arena_ratio": metric([arena_ratio], unit="ratio",
-                                  direction="lower", tolerance=0.02),
-        "c64_wall_ratio": metric([wall_ratio], unit="ratio",
-                                 direction="lower", tolerance=0.30),
+        "c64_bytes_ratio": metric([bytes_ratio], unit="ratio"),
+        "c64_arena_ratio": metric([arena_ratio], unit="ratio"),
+        "c64_wall_ratio": metric([wall_ratio], unit="ratio"),
         "wall_seconds_c128": seconds(*walls["c128"]),
         "wall_seconds_c64": seconds(*walls["c64"]),
     }

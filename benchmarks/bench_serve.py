@@ -219,22 +219,18 @@ if __name__ == "__main__":
                         *(r["cold"] for r in report["cache_runs"])),
                     "latency_warm": seconds(
                         *(r["warm"] for r in report["cache_runs"])),
-                    # the acceptance ratio: cold/warm, > 1 == cache pays.
-                    # generous tolerance — lowering is milliseconds against
-                    # a run of seconds, and shared runners jitter.
+                    # the acceptance ratio: cold/warm, > 1 == cache pays
                     "warm_speedup": {
                         "values": [report["warm_speedup"]],
-                        "direction": "higher", "tolerance": 0.5},
+                        "direction": "higher"},
                     "throughput_one_tenant": {
                         "values": [r["throughput_jobs_per_s"]
                                    for r in report["one_tenant"]],
-                        "unit": "jobs/s", "direction": "higher",
-                        "tolerance": 0.5},
+                        "unit": "jobs/s", "direction": "higher"},
                     "throughput_two_tenants": {
                         "values": [r["throughput_jobs_per_s"]
                                    for r in report["two_tenants"]],
-                        "unit": "jobs/s", "direction": "higher",
-                        "tolerance": 0.5},
+                        "unit": "jobs/s", "direction": "higher"},
                     "p50_latency_one_tenant": seconds(
                         *(r["p50_latency_seconds"]
                           for r in report["one_tenant"])),

@@ -8,17 +8,23 @@ Every bench file follows the same pattern:
   table/figure at full size and prints it (set ``REPRO_FULL=1`` to run the
   paper's exact qubit counts where that is tractable on one machine), and
   emits the canonical ``results/BENCH_<id>.json`` record via
-  :func:`emit_result` so ``python -m repro.bench check`` can gate the
-  numbers against committed baselines.
+  :func:`emit_result`.
 
+A record is what one run measured; its gate is its bench file's pytest
+asserts. A speed claim across commits is BENCH_E2E's paired protocol
+(``benchmarks/e2e``), never two records read side by side.
 EXPERIMENTS.md records the paper-vs-measured comparison for each.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
+import platform
+import subprocess
 import sys
+import time
 from contextlib import contextmanager
 
 sys.path.insert(0, os.path.dirname(__file__))
@@ -121,6 +127,13 @@ def print_banner(title: str) -> None:
     print("=" * 78)
 
 
+# -- the record writer ---------------------------------------------------------
+
+#: the ``schema`` of every ``results/BENCH_<id>.json``
+SCHEMA_VERSION = "repro.bench/v1"
+
+_DIRECTIONS = ("lower", "higher")
+
 #: where BENCH_<id>.json records land (repo's results/ unless overridden)
 RESULTS_DIR = os.environ.get(
     "REPRO_RESULTS_DIR",
@@ -128,34 +141,165 @@ RESULTS_DIR = os.environ.get(
                  "results"))
 
 
+def host_fingerprint() -> dict:
+    """The machine a record was measured on: its numbers compare only
+    with numbers from like hardware."""
+    return {
+        "cpu_count": os.cpu_count() or 1,
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+    }
+
+
+def git_rev():
+    """The commit of the checkout these benchmarks run from, or ``None``
+    outside a work tree."""
+    try:
+        out = subprocess.run(["git", "rev-parse", "HEAD"],
+                             cwd=os.path.dirname(os.path.abspath(__file__)),
+                             capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    rev = out.stdout.strip()
+    return rev if out.returncode == 0 and rev else None
+
+
+def metric(values, unit: str = "", direction: str = "lower") -> dict:
+    """One metric entry: the repeats measured (a bare number is one), its
+    unit, and which way is better (``lower`` for timings and bytes,
+    ``higher`` for ratios and hit rates)."""
+    if direction not in _DIRECTIONS:
+        raise ValueError(f"direction must be one of {_DIRECTIONS}")
+    if isinstance(values, (int, float)):
+        values = [values]
+    vals = [float(v) for v in values]
+    if not vals:
+        raise ValueError("a metric needs at least one measurement")
+    return {"values": vals, "unit": unit, "direction": direction}
+
+
 def seconds(*values):
-    """A ``repro.bench`` metric entry for timing repeats (lower is better).
-
-    The ``s`` unit matters: the comparator applies an absolute noise floor
-    to second-unit metrics so sub-millisecond jitter never gates.
-    """
-    from repro.bench import metric
-
+    """A metric entry for timing repeats (lower is better)."""
     return metric(list(values), unit="s", direction="lower")
+
+
+def _serialize_table(table) -> dict:
+    """Accept a :class:`repro.analysis.Table` or an already-plain dict."""
+    if isinstance(table, dict):
+        return table
+    return {"title": getattr(table, "title", ""),
+            "columns": list(table.columns),
+            "rows": [list(r) for r in table.rows]}
+
+
+def make_result(experiment, *, title="", params=None, metrics=None,
+                tables=None, extra=None) -> dict:
+    """Assemble one record (a plain JSON-able dict).
+
+    ``metrics`` values may be :func:`metric` entries, bare numbers, or
+    lists of repeats; the latter two are wrapped as lower-is-better
+    (right for timings; pass explicit entries for ratios).
+    """
+    if not experiment or not experiment.replace("_", "").isalnum():
+        raise ValueError(f"bad experiment id: {experiment!r}")
+    entries = {
+        name: metric(m["values"], unit=m.get("unit", ""),
+                     direction=m.get("direction", "lower"))
+        if isinstance(m, dict) else metric(m)
+        for name, m in (metrics or {}).items()}
+    return {
+        "schema": SCHEMA_VERSION,
+        "experiment": experiment,
+        "title": title,
+        "created_unix": time.time(),
+        "host": host_fingerprint(),
+        "git_rev": git_rev(),
+        "params": dict(params or {}),
+        "metrics": entries,
+        "tables": [_serialize_table(t) for t in (tables or [])],
+        "extra": dict(extra or {}),
+    }
+
+
+def validate(doc) -> list:
+    """Schema check; returns a list of human-readable errors (empty = ok)."""
+    if not isinstance(doc, dict):
+        return [f"record is {type(doc).__name__}, expected object"]
+    errors = []
+
+    def need(key, types):
+        val = doc.get(key)
+        if val is None or not isinstance(val, types):
+            names = "/".join(t.__name__ for t in (
+                types if isinstance(types, tuple) else (types,)))
+            errors.append(f"{key}: missing or not {names}")
+            return None
+        return val
+
+    if doc.get("schema") != SCHEMA_VERSION:
+        errors.append(
+            f"schema: expected {SCHEMA_VERSION!r}, got {doc.get('schema')!r}")
+    need("experiment", str)
+    need("created_unix", (int, float))
+    host = need("host", dict)
+    if host is not None:
+        errors += [f"host.{k}: missing" for k in ("cpu_count", "platform",
+                                                    "python")
+                   if k not in host]
+    need("params", dict)
+    for name, m in (need("metrics", dict) or {}).items():
+        if not isinstance(m, dict):
+            errors.append(f"metrics[{name}]: not an object")
+            continue
+        vals = m.get("values")
+        if (not isinstance(vals, list) or not vals
+                or not all(isinstance(v, (int, float)) for v in vals)):
+            errors.append(
+                f"metrics[{name}].values: need a non-empty list of numbers")
+        if m.get("direction") not in _DIRECTIONS:
+            errors.append(
+                f"metrics[{name}].direction: must be one of {_DIRECTIONS}")
+    tables = doc.get("tables", [])
+    if not isinstance(tables, list):
+        errors.append("tables: not a list")
+    else:
+        errors += [f"tables[{i}]: need columns + rows"
+                   for i, t in enumerate(tables)
+                   if not isinstance(t, dict)
+                   or "columns" not in t or "rows" not in t]
+    return errors
+
+
+def write_result(doc: dict, path: str) -> str:
+    """Validate then write one record; returns the absolute path. An
+    invalid record raises ``ValueError`` and writes nothing, so the bench
+    script fails and ``run_all.py`` exits 1."""
+    errors = validate(doc)
+    if errors:
+        raise ValueError(f"refusing to write invalid bench record: {errors}")
+    path = os.path.abspath(path)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, default=str)
+        fh.write("\n")
+    return path
 
 
 def emit_result(experiment, *, title="", params=None, metrics=None,
                 tables=None, extra=None):
     """Write one canonical ``results/BENCH_<experiment>.json`` record.
 
-    Thin wrapper over :func:`repro.bench.make_result` +
-    :func:`repro.bench.write_result` that fills in the results directory
-    (override with ``REPRO_RESULTS_DIR``) and prints where the record
-    went. ``metrics`` values may be bare numbers / repeat lists (wrapped
-    as lower-is-better) or full :func:`repro.bench.metric` entries;
+    :func:`make_result` + :func:`write_result` into the results directory
+    (override with ``REPRO_RESULTS_DIR``), printing where the record went.
     ``tables`` may hold :class:`repro.analysis.Table` objects directly.
     """
-    from repro.bench import make_result, result_path, write_result
-
     params = dict(params or {})
     params.setdefault("full", FULL)
     doc = make_result(experiment, title=title, params=params,
                       metrics=metrics, tables=tables, extra=extra)
-    path = write_result(doc, result_path(RESULTS_DIR, experiment))
+    path = write_result(
+        doc, os.path.join(RESULTS_DIR, f"BENCH_{experiment}.json"))
     print(f"bench record written: {path}")
     return path

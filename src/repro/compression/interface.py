@@ -175,12 +175,18 @@ def fill_uniform(amplitude, dtype: np.dtype, n: int,
     """Decode a uniform frame: ``n`` copies of ``amplitude`` (the bytes
     :func:`uniform_amplitude` returned), with one ``fill`` into ``out``
     when it fits (:func:`decode_target`). Raises ``ValueError`` unless
-    ``n`` is at least 1 and ``amplitude`` is one amplitude of ``dtype``.
+    ``n`` is at least 1 and ``amplitude`` is one amplitude of ``dtype``,
+    and, when ``out`` is given, unless it holds ``n`` amplitudes: the count
+    is the frame's only length, so a damaged one fails before anything is
+    allocated.
     """
     if n == 0 or len(amplitude) != dtype.itemsize:
         raise ValueError(
             f"uniform frame of {n} amplitudes holds {len(amplitude)} bytes, "
             f"not one {dtype.itemsize}-byte amplitude")
+    if out is not None and out.shape[0] != n:
+        raise ValueError(f"uniform frame of {n} amplitudes decoded into "
+                         f"{out.shape[0]}")
     out = decode_target(out, dtype, n)
     out.fill(np.frombuffer(amplitude, dtype=dtype)[0])
     return out

@@ -1,103 +1,103 @@
-"""repro.bench.schema: record assembly, validation, round-trip."""
+"""The record writer in ``benchmarks/common.py``: record assembly,
+validation, round-trip. A record it refuses is never written, so the bench
+script fails and ``benchmarks/run_all.py`` exits 1."""
 
 from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.analysis import Table
-from repro.bench import (
-    SCHEMA_VERSION,
-    host_fingerprint,
-    load_result,
-    make_result,
-    median,
-    metric,
-    result_path,
-    validate,
-    write_result,
-)
+
+COMMON_PY = Path(__file__).resolve().parents[2] / "benchmarks/common.py"
+
+
+def load_common():
+    spec = importlib.util.spec_from_file_location("bench_common", COMMON_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+common = load_common()
 
 
 def test_host_fingerprint_keys():
-    host = host_fingerprint()
+    host = common.host_fingerprint()
     assert host["cpu_count"] >= 1
     for key in ("platform", "machine", "python", "implementation"):
         assert isinstance(host[key], str) and host[key]
 
 
-def test_median():
-    assert median([3.0]) == 3.0
-    assert median([4.0, 1.0, 3.0]) == 3.0
-    assert median([1.0, 2.0, 3.0, 4.0]) == 2.5
-    with pytest.raises(ValueError):
-        median([])
-
-
 def test_metric_entry():
-    m = metric([1.0, 2.0], unit="s", tolerance=0.1)
-    assert m == {"values": [1.0, 2.0], "unit": "s", "direction": "lower",
-                 "tolerance": 0.1}
-    assert metric(5)["values"] == [5.0]  # bare number wraps
+    m = common.metric([1.0, 2.0], unit="s")
+    assert m == {"values": [1.0, 2.0], "unit": "s", "direction": "lower"}
+    assert common.metric(5)["values"] == [5.0]  # bare number wraps
+    assert common.seconds(0.5, 0.25) == common.metric([0.5, 0.25], unit="s")
     with pytest.raises(ValueError):
-        metric([1.0], direction="sideways")
+        common.metric([1.0], direction="sideways")
     with pytest.raises(ValueError):
-        metric([])
-    with pytest.raises(ValueError):
-        metric(1.0, tolerance=-0.5)
+        common.metric([])
 
 
 def test_make_result_valid_and_normalizing():
     t = Table(["a", "b"], title="demo")
     t.add("x", "1")
-    doc = make_result(
+    doc = common.make_result(
         "T1", title="transfer", params={"n": 14},
         metrics={"wall_seconds": 0.5,            # bare number
                  "repeats": [1.0, 2.0, 3.0],     # bare repeats
-                 "ratio": metric(11.9, direction="higher")},
+                 "ratio": common.metric(11.9, direction="higher")},
         tables=[t])
-    assert validate(doc) == []
-    assert doc["schema"] == SCHEMA_VERSION
+    assert common.validate(doc) == []
+    assert doc["schema"] == common.SCHEMA_VERSION == "repro.bench/v1"
     assert doc["metrics"]["wall_seconds"]["values"] == [0.5]
     assert doc["metrics"]["repeats"]["values"] == [1.0, 2.0, 3.0]
     assert doc["metrics"]["ratio"]["direction"] == "higher"
     assert doc["tables"][0]["columns"] == ["a", "b"]
     assert doc["tables"][0]["rows"] == [["x", "1"]]
+    assert not any("tolerance" in m for m in doc["metrics"].values())
 
 
 def test_make_result_rejects_bad_experiment_id():
     with pytest.raises(ValueError):
-        make_result("../evil")
+        common.make_result("../evil")
     with pytest.raises(ValueError):
-        make_result("")
+        common.make_result("")
 
 
 def test_validate_catches_each_error():
-    assert validate([]) != []
-    doc = make_result("X1", metrics={"m": 1.0})
-    assert validate(doc) == []
+    assert common.validate([]) != []
+    assert common.validate(common.make_result("X1", metrics={"m": 1.0})) == []
     for mutate, fragment in [
         (lambda d: d.update(schema="v0"), "schema"),
         (lambda d: d.pop("experiment"), "experiment"),
         (lambda d: d["host"].pop("cpu_count"), "host.cpu_count"),
         (lambda d: d["metrics"]["m"].update(values=[]), "values"),
         (lambda d: d["metrics"]["m"].update(direction="up"), "direction"),
-        (lambda d: d["metrics"]["m"].update(tolerance=-1), "tolerance"),
         (lambda d: d.update(tables=[{"rows": []}]), "tables[0]"),
     ]:
-        bad = make_result("X1", metrics={"m": 1.0})
+        bad = common.make_result("X1", metrics={"m": 1.0})
         mutate(bad)
-        assert any(fragment in e for e in validate(bad)), fragment
+        assert any(fragment in e for e in common.validate(bad)), fragment
 
 
 def test_write_result_round_trip(tmp_path):
-    doc = make_result("A2", metrics={"wall_seconds": metric(0.1, unit="s")})
-    path = write_result(doc, result_path(str(tmp_path), "A2"))
+    doc = common.make_result(
+        "A2", metrics={"wall_seconds": common.metric(0.1, unit="s")})
+    path = common.write_result(doc, str(tmp_path / "BENCH_A2.json"))
     assert path.endswith("BENCH_A2.json")
-    assert load_result(path)["metrics"]["wall_seconds"]["unit"] == "s"
+    with open(path) as fh:
+        assert json.load(fh)["metrics"]["wall_seconds"]["unit"] == "s"
 
 
 def test_write_result_refuses_invalid(tmp_path):
-    doc = make_result("A2")
+    doc = common.make_result("A2")
     doc["metrics"] = {"m": {"values": []}}
-    with pytest.raises(ValueError):
-        write_result(doc, result_path(str(tmp_path), "A2"))
+    with pytest.raises(ValueError, match="invalid bench record"):
+        common.write_result(doc, str(tmp_path / "BENCH_A2.json"))
+    assert list(tmp_path.iterdir()) == []
+

@@ -15,6 +15,7 @@ import pytest
 
 from repro.compression import available_compressors, get_compressor
 from repro.compression.interface import DTYPE_MAGIC, split_dtype
+from repro.compression.lossless import blob_frame
 from repro.compression.szlike import SZLikeCompressor, blob_entropy
 
 ACCEPTABLE = (ValueError, KeyError, IndexError, EOFError,
@@ -297,6 +298,31 @@ class TestEveryUndefinedHeaderByte:
                 blob[at + ENTROPY_AT + 1:]
             assert blob_entropy(damaged) is None
 
+
+#: where a uniform frame's amplitude count starts: after the LSU1 magic,
+#: and after the SZL1 magic, frame flag and entropy id
+UNIFORM_COUNT_AT = {"zlib": 4, "szlike": 6}
+
+
+@pytest.mark.parametrize("name", sorted(UNIFORM_COUNT_AT))
+def test_a_flipped_uniform_count_fails_without_allocating(name):
+    """A uniform frame's count is its only length, so nothing else in the
+    blob can contradict a damaged one. Decoded into a 256-amplitude
+    ``out``, every single-bit flip of it raises ``ValueError``: no fresh
+    array of the damaged length (a high bit asks for petabytes), and
+    ``out`` is left as it was."""
+    codec = get_compressor(name)
+    for dtype in (np.complex64, np.complex128):
+        blob = codec.compress(_uniform(dtype))
+        assert (blob_entropy(blob) or blob_frame(blob)) == "uniform"
+        at = len(blob) - len(split_dtype(blob)[1]) + UNIFORM_COUNT_AT[name]
+        for bit in range(64):
+            damaged = bytearray(blob)
+            damaged[at + bit // 8] ^= 1 << bit % 8
+            out = np.full(256, 7, dtype=dtype)
+            with pytest.raises(ValueError):
+                codec.decompress(bytes(damaged), out=out)
+            assert (out == 7).all(), bit
 
 
 @pytest.mark.parametrize("dtype", [np.complex64, np.complex128],
