@@ -36,7 +36,7 @@ from repro.analysis.memtrace import belady_misses, simulate_cache
 from repro.circuits import vqe_ansatz
 from repro.core import MemQSim, MemQSimConfig
 from repro.device import DeviceSpec
-from repro.memory import ChunkAccessRecorder
+from repro.telemetry import ChunkAccessRecorder
 from repro.telemetry import Telemetry
 
 N = 13 if FULL else 11

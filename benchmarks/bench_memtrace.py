@@ -44,7 +44,7 @@ from repro.analysis import Table, format_seconds
 from repro.analysis.memtrace import analyze_trace
 from repro.circuits import get_workload
 from repro.core import MemQSim
-from repro.memory import ChunkAccessRecorder
+from repro.telemetry import ChunkAccessRecorder
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 N = 16 if FULL else 13

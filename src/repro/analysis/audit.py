@@ -8,7 +8,7 @@ chunk grouping, sweep direction, which groups are streamed at all
 *statically decidable* before a single amplitude moves:
 
 * :func:`predict_access_schedule` derives the exact chunk access sequence
-  (what a :class:`~repro.memory.traffic.ChunkAccessRecorder` will record);
+  (what a :class:`~repro.telemetry.ChunkAccessRecorder` will record);
 * :func:`predict_traffic` derives the per-stage byte counts for the
   deterministic edges (codec raw side, arena transfers) and a ratio
   envelope for the data-dependent one (compressed bytes). Every member
@@ -275,7 +275,7 @@ def audit_run(
     """Verify a measured run against its plan's predicted behaviour.
 
     ``trace`` is the recorded access sequence, ``ledger`` the run's
-    :class:`~repro.memory.traffic.TrafficLedger`, ``support`` the support
+    :class:`~repro.telemetry.TrafficLedger`, ``support`` the support
     set the run started from (``None`` = full: every group of every stage
     is expected to run). Checks, in order:
 

@@ -46,6 +46,10 @@ _STAGE_COLORS = {
     "d2h": ("#eda100", "#c98500"),          # yellow
     "compress": ("#e87ba4", "#d55181"),     # magenta
     "cpu_update": ("#008300", "#008300"),   # green
+    "disk_write": ("#7f4fc9", "#9a6ee0"),   # violet
+    "disk_read": ("#5c3a94", "#b393ec"),    # dark violet
+    "cache_hit": ("#8a8a8a", "#a6a6a6"),    # grey
+    "cache_miss": ("#5e5e5e", "#c4c4c4"),   # dark grey
 }
 
 #: memory-curve series (first three slots: all-pairs safe)

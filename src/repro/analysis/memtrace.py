@@ -1,7 +1,7 @@
 """Chunk access-trace analysis: reuse distance, what-if curves, Belady.
 
 Input is the access trace a
-:class:`~repro.memory.traffic.ChunkAccessRecorder` captured: a list of
+:class:`~repro.telemetry.ChunkAccessRecorder` captured: a list of
 ``(stage, chunk, op)`` with op ``"r"`` (read), ``"w"`` (write) or ``"b"``
 (barrier — a permutation stage, where chunk ids are relabeled and any
 cache in front of the store is flushed; reuse does not survive it).

@@ -6,7 +6,7 @@ a resource-constrained list scheduler to ask what the run would take if
 every resource worked in parallel with the others:
 
 * each stage class is bound to a resource (CPU codec, H2D bus, GPU, D2H
-  bus, host relabeling);
+  bus, host relabeling, the disk, the host copy out of the chunk cache);
 * a hop may start when its group's previous hop has finished *and* its
   resource is free;
 * the makespan is the last finish time.
@@ -36,6 +36,10 @@ STAGE_RESOURCE: Dict[Stage, str] = {
     Stage.D2H: "bus_d2h",
     Stage.KERNEL: "gpu",
     Stage.CPU_UPDATE: "cpu_idle",
+    Stage.DISK_WRITE: "disk",
+    Stage.DISK_READ: "disk",
+    Stage.CACHE_HIT: "host_copy",
+    Stage.CACHE_MISS: "host_copy",
 }
 
 
@@ -62,7 +66,8 @@ class PipelineModel:
         ``gpu_lanes`` > 1 models multiple devices, each with its own bus
         (``bus_lanes`` defaults to ``gpu_lanes``). The host resource
         (``cpu_idle``) has one lane: its only events are permutation hops,
-        which are barriers, so more lanes would never be used.
+        which are barriers, so more lanes would never be used. The disk
+        log and the cache's host copies have one lane each.
         """
         if bus_lanes <= 0:
             bus_lanes = max(1, gpu_lanes)
@@ -72,6 +77,8 @@ class PipelineModel:
             "bus_d2h": max(1, bus_lanes),
             "gpu": max(1, gpu_lanes),
             "cpu_idle": 1,
+            "disk": 1,
+            "host_copy": 1,
         }
 
     def schedule(self, rows: Sequence[tuple]

@@ -392,7 +392,7 @@ def _export_telemetry(tel: Telemetry, args) -> None:
         n = tel.tracer.write_jsonl(args.jsonl_out)
         print(f"span JSONL written: {args.jsonl_out} ({n} lines)")
     if args.metrics_out:
-        nb = tel.metrics.write_json(args.metrics_out)
+        nb = tel.metrics.write_json(args.metrics_out, traffic=tel.traffic)
         print(f"metrics written: {args.metrics_out} ({format_bytes(nb)})")
     if getattr(args, "events_out", None):
         n = tel.bus.write_jsonl(args.events_out)

@@ -258,11 +258,20 @@ class MemQSim:
 
         # ---- offline stage -------------------------------------------------
         tracker = MemoryTracker(telemetry=tel if tel.enabled else None)
+        # An enabled run books the store's hops outside the online stage
+        # (set-up here, result queries later) on a timeline of their own,
+        # attached beside the online one: the ledger reads both, the run's
+        # timeline holds only what the online stage did.
+        offline = None
+        if tel.enabled:
+            offline = Timeline()
+            tel.tracer.attach(offline)
         if initial_store is not None:
             # Unwrap a cache layer from a previous run's result if present
             # (flushing its dirty chunks into the underlying store first).
-            initial_store.flush()
             store = getattr(initial_store, "inner", initial_store)
+            store.report_hops_to(offline)
+            initial_store.flush()
             if store.layout.num_qubits != n:
                 raise ValueError(
                     f"initial store has {store.layout.num_qubits} qubits, "
@@ -278,6 +287,7 @@ class MemQSim:
             from ..memory.persist import load_store
 
             store = load_store(checkpoint, cfg.make_compressor(), tracker)
+            store.report_hops_to(offline)
             if tel.enabled:
                 store.telemetry = tel
             if store.layout.num_qubits != n:
@@ -291,6 +301,7 @@ class MemQSim:
             c = cfg.resolve_chunk_qubits(n)
             layout = ChunkLayout(n, c, itemsize=cfg.storage_itemsize())
             store = self._make_store(layout, tracker, cfg)
+            store.report_hops_to(offline)
             if initial_state is not None:
                 if initial_state.num_qubits != n:
                     raise ValueError("initial state does not match circuit size")
@@ -401,7 +412,8 @@ class MemQSim:
 
         # ---- online stage ----------------------------------------------------
         # Every hop is booked here, once, by the layer that runs it; an
-        # enabled telemetry's exports draw the rows as spans.
+        # enabled telemetry's exports draw the rows as spans and its ledger
+        # folds their bytes.
         timeline = Timeline()
         if tel.enabled:
             tel.tracer.attach(timeline)
@@ -411,7 +423,7 @@ class MemQSim:
             # c64 at rest on every tier edge; the kernels see c128.
             backend = MixedPrecisionBackend(backend)
         executor = DeviceExecutor(
-            cfg.device, transfer=SyncCopy(tel), timeline=timeline,
+            cfg.device, transfer=SyncCopy(), timeline=timeline,
             tracker=tracker, backend=backend, arena=self.arena,
         )
         # The codec pool is a property of the store, not of the loop: an
@@ -450,10 +462,13 @@ class MemQSim:
             # permutation barrier.
             schedule = hierarchy.attach_plan(passes)
             store_like = hierarchy.store_like
+            observer = tel.observer()
+            if hierarchy.cache is not None:
+                hierarchy.cache.observer = observer
             scheduler = StageScheduler(
                 layout, store_like, executor, pool, timeline,
                 fuse_gates=fuse,
-                observer=tel.observer(),
+                observer=observer,
                 cancel=self.cancel,
                 schedule=schedule,
             )

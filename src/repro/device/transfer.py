@@ -15,9 +15,9 @@ GPU memory:
   positions: staging copy + bulk copy + vectorized gather/scatter here,
   which lands within a few percent of sync, as in the paper (~1.03x).
 
-Every call is timed — ``h2d`` / ``d2h`` return the seconds, which the
-caller books as a timeline row — and, with telemetry on, its bytes land on
-the traffic ledger's ``arena`` edge.
+Every call is timed: ``h2d`` / ``d2h`` return the seconds, which the
+caller books as a timeline row (the traffic ledger's ``arena`` edge is a
+fold over those rows).
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ import abc
 import time
 
 import numpy as np
-
-from ..telemetry import NULL_TELEMETRY
 
 __all__ = [
     "TransferStrategy",
@@ -43,19 +41,13 @@ class TransferStrategy(abc.ABC):
 
     name: str = "abstract"
 
-    def __init__(self, telemetry=None):
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-
     def h2d(self, host: np.ndarray, device: np.ndarray) -> float:
         """Host buffer -> device view. Returns elapsed seconds."""
         if host.shape != device.shape:
             raise ValueError("transfer size mismatch")
         t0 = time.perf_counter()
         self._copy(host, device)
-        dt = time.perf_counter() - t0
-        if self.telemetry.enabled:
-            self.telemetry.traffic.record("arena", "h2d", host.nbytes)
-        return dt
+        return time.perf_counter() - t0
 
     def d2h(self, device: np.ndarray, host: np.ndarray) -> float:
         """Device view -> host buffer. Returns elapsed seconds."""
@@ -63,10 +55,7 @@ class TransferStrategy(abc.ABC):
             raise ValueError("transfer size mismatch")
         t0 = time.perf_counter()
         self._copy(device, host)
-        dt = time.perf_counter() - t0
-        if self.telemetry.enabled:
-            self.telemetry.traffic.record("arena", "d2h", host.nbytes)
-        return dt
+        return time.perf_counter() - t0
 
     @abc.abstractmethod
     def _copy(self, src: np.ndarray, dst: np.ndarray) -> None:
@@ -114,8 +103,7 @@ class BufferedCopy(TransferStrategy):
 
     name = "buffer"
 
-    def __init__(self, max_elements: int, telemetry=None):
-        super().__init__(telemetry)
+    def __init__(self, max_elements: int):
         if max_elements < 1:
             raise ValueError("max_elements must be >= 1")
         self._staging = np.empty(max_elements, dtype=np.complex128)
@@ -141,15 +129,14 @@ class BufferedCopy(TransferStrategy):
         # would be one vectorized permutation here.
 
 
-def make_strategy(name: str, max_elements: int = 0,
-                  telemetry=None) -> TransferStrategy:
+def make_strategy(name: str, max_elements: int = 0) -> TransferStrategy:
     """Factory by name: ``sync`` | ``async`` | ``buffer``."""
     if name == "sync":
-        return SyncCopy(telemetry)
+        return SyncCopy()
     if name == "async":
-        return AsyncPerElementCopy(telemetry)
+        return AsyncPerElementCopy()
     if name == "buffer":
         if max_elements < 1:
             raise ValueError("buffer strategy needs max_elements")
-        return BufferedCopy(max_elements, telemetry)
+        return BufferedCopy(max_elements)
     raise KeyError(f"unknown transfer strategy {name!r}")

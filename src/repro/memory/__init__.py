@@ -22,11 +22,6 @@ from .hierarchy import (
 )
 from .layout import ChunkLayout, GroupPlacement
 from .persist import StoreFormatError, load_store, save_store
-from .traffic import (
-    EDGES,
-    ChunkAccessRecorder,
-    TrafficLedger,
-)
 
 __all__ = [
     "ChunkLayout",
@@ -51,7 +46,4 @@ __all__ = [
     "save_store",
     "load_store",
     "StoreFormatError",
-    "EDGES",
-    "TrafficLedger",
-    "ChunkAccessRecorder",
 ]

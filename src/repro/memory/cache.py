@@ -22,18 +22,25 @@ number of *decompressed* chunks resident:
   jobs, result queries) fall back to MRU.
 
 The cache reports hits/misses/write-backs so the locality experiment (A7)
-can show hit rate and codec-time savings versus capacity and policy.
+can show hit rate and codec-time savings versus capacity and policy. Its
+copy-out of a chunk into the caller's buffer is a hop: it is timed and
+booked as one ``cache_hit`` / ``cache_miss`` row through the store
+(:meth:`~repro.memory.chunkstore.CompressedChunkStore.book`), the row the
+traffic ledger's ``cache.*`` edge folds. A flush with chunks resident is
+reported to :attr:`ChunkCache.observer`.
 """
 
 from __future__ import annotations
 
+import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ..telemetry import NULL_TELEMETRY, get_logger
+from ..device.timeline import Stage
+from ..telemetry import NULL_OBSERVER, NULL_TELEMETRY, get_logger
 from .accounting import MemoryTracker
 from .chunkstore import CompressedChunkStore
 
@@ -223,6 +230,8 @@ class ChunkCache:
         self.telemetry = telemetry if telemetry is not None else \
             getattr(store, "telemetry", NULL_TELEMETRY)
         self.cache_stats = CacheStats()
+        #: the :class:`~repro.telemetry.PassObserver` told of each flush
+        self.observer = NULL_OBSERVER
         # chunk id -> (array, dirty); insertion order = recency (last=MRU).
         self._entries: "OrderedDict[int, list]" = OrderedDict()
 
@@ -292,13 +301,9 @@ class ChunkCache:
                 self.cache_stats.writebacks += 1
                 dirty_n += 1
             self.tracker.free(CATEGORY, arr.nbytes)
-        if self.telemetry.enabled:
-            if dirty_n:
-                self.telemetry.metrics.counter("cache.writeback").inc(dirty_n)
-            if self._entries:
-                self.telemetry.emit("cache.flush",
-                                    resident=len(self._entries),
-                                    written_back=dirty_n)
+        if self.telemetry.enabled and dirty_n:
+            self.telemetry.metrics.counter("cache.writeback").inc(dirty_n)
+        self.observer.cache_flushed(len(self._entries), dirty_n)
         log.debug("cache flush: %d resident, %d written back",
                   len(self._entries), dirty_n)
         self._entries.clear()
@@ -315,29 +320,27 @@ class ChunkCache:
         self._policy.on_access(chunk, "r")
         entry = self._entries.get(chunk)
         if entry is not None:
+            # Bytes *served* from the cache: codec traffic avoided.
             self.cache_stats.hits += 1
-            data = entry[0]
+            kind, data = Stage.CACHE_HIT, entry[0]
             if self.telemetry.enabled:
                 self.telemetry.metrics.counter("cache.hit").inc()
-                # Bytes *served* from the cache: codec traffic avoided.
-                self.telemetry.traffic.record("cache", "hit", data.nbytes)
             self._touch(chunk)
-            if out is not None:
-                out[: data.shape[0]] = data
-                return out
-            return data.copy()
-        self.cache_stats.misses += 1
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter("cache.miss").inc()
+        else:
             # Bytes fetched *past* the cache (the inner load's decompress).
-            self.telemetry.traffic.record(
-                "cache", "miss", self.inner.layout.chunk_nbytes)
-        data = self.inner.load(chunk)
-        self._insert(chunk, data, dirty=False, owned=True)
+            self.cache_stats.misses += 1
+            if self.telemetry.enabled:
+                self.telemetry.metrics.counter("cache.miss").inc()
+            kind, data = Stage.CACHE_MISS, self.inner.load(chunk)
+            self._insert(chunk, data, dirty=False, owned=True)
+        t0 = time.perf_counter()
         if out is not None:
             out[: data.shape[0]] = data
-            return out
-        return data.copy()
+        else:
+            out = data.copy()
+        self.inner.book(kind, t0, time.perf_counter() - t0, chunk,
+                        self.inner.layout.chunk_nbytes)
+        return out
 
     def store(self, chunk: int, data: np.ndarray) -> None:
         if data.shape[0] != self.inner.layout.chunk_size:

@@ -22,16 +22,17 @@ drops a stale prefetch of that chunk.
 A codec call is a pipeline hop this layer runs, so this layer times it —
 one ``perf_counter`` pair here, or the lane thread's own — and books it
 once, the same way for both, as a row of the timeline a run named in
-:meth:`CompressedChunkStore.report_codec_to`. That row is the hop's only
-record: how many loads and stores a run made is ``timeline.count``; with
-telemetry on, the traffic ledger's ``codec`` edge holds the bytes and
-calls over the store's whole lifetime.
+:meth:`CompressedChunkStore.report_hops_to`, with its raw and blob bytes.
+That row is the hop's only record: how many loads and stores a run made is
+``timeline.count``, and the traffic ledger's ``codec`` edge is a fold over
+those rows. The tiers over and under the store — a decompressed-chunk
+cache, a disk log — book their copies on the same timeline through
+:meth:`CompressedChunkStore.book`.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from typing import List, Optional
 
 import numpy as np
@@ -71,12 +72,12 @@ class CompressedChunkStore:
         self.schedule = None
         #: the codec lane, see :meth:`attach_lane`
         self.lane = None
-        # see :meth:`report_codec_to`
+        # see :meth:`report_hops_to`
         self._timeline = None
         #: group of the pass now streaming (:meth:`will_need`): which pass
-        #: a booked codec call — or a write a lane settles later — is of
+        #: a booked hop — or a write a lane settles later — is of
         self._group = -1
-        # chunk -> (compress job, ledger pass, group): submitted, blob not
+        # chunk -> (compress job, stage index, group): submitted, blob not
         # installed yet; insertion order = submission order
         self._pending: dict = {}
         # chunk -> (decompress job, the blob it decodes): started ahead
@@ -193,14 +194,8 @@ class CompressedChunkStore:
             t0 = time.perf_counter()
             arr = self.compressor.decompress(blob, out=out)
             dt, worker, blob_nbytes = time.perf_counter() - t0, 0, len(blob)
-        tel = self.telemetry
-        if tel.enabled:
-            tel.traffic.record("codec", "compressed_in", blob_nbytes,
-                               worker=worker)
-            tel.traffic.record("codec", "raw_out", arr.nbytes, worker=worker)
-        if self._timeline is not None:
-            self._timeline.record(Stage.DECOMPRESS, t0, dt, self._group,
-                                  chunk, self.layout.chunk_nbytes, worker)
+        self.book(Stage.DECOMPRESS, t0, dt, chunk, self.layout.chunk_nbytes,
+                  worker, blob_nbytes)
         if arr.shape[0] != self.layout.chunk_size:
             raise ValueError(
                 f"chunk {chunk} decompressed to {arr.shape[0]} amplitudes, "
@@ -222,9 +217,9 @@ class CompressedChunkStore:
         if data.dtype != self._dtype:
             data = data.astype(self._dtype)
         job = self.lane.submit_compress(chunk, data)  # copies ``data``
-        tel = self.telemetry
+        timeline = self._timeline
         self._pending[chunk] = (
-            job, tel.traffic.pass_context() if tel.enabled else None,
+            job, -1 if timeline is None else timeline.stage_index,
             self._group)
         self._settle_finished()
 
@@ -234,34 +229,43 @@ class CompressedChunkStore:
         t0 = time.perf_counter()
         blob = self.compressor.compress(data)
         self._stored(blob, data.nbytes, t0, time.perf_counter() - t0, 0,
-                     self._group, chunk)
+                     chunk)
         return blob
 
     def _stored(self, blob: bytes, raw_nbytes: int, start: float,
-                seconds: float, worker: int, group: int, chunk: int) -> None:
+                seconds: float, worker: int, chunk: int) -> None:
         """Book one compression, the same way wherever the codec ran
         (``start`` / ``seconds`` measured there, ``worker`` its lane, 0 =
-        here; ``group`` the pass that wrote ``chunk``)."""
-        if self._timeline is not None:
-            self._timeline.record(Stage.COMPRESS, start, seconds, group,
-                                  chunk, raw_nbytes, worker)
+        here)."""
+        self.book(Stage.COMPRESS, start, seconds, chunk, raw_nbytes, worker,
+                  len(blob))
         tel = self.telemetry
         if tel.enabled:
-            tel.traffic.record("codec", "raw_in", raw_nbytes, worker=worker)
-            tel.traffic.record("codec", "compressed_out", len(blob),
-                               worker=worker)
             self._note_stage(tel, blob)
 
-    # -- the codec lane --------------------------------------------------------
+    # -- hop rows -----------------------------------------------------------------
 
-    def report_codec_to(self, timeline=None) -> None:
-        """Book every codec call from now on as a row of ``timeline`` (no
-        row, by default and again after a run): start and seconds measured
-        where the codec ran, the group pass that issued the call, the chunk,
-        its raw bytes and the lane — for a load as it returns and for a
-        write as its blob lands (at once inline, when the job settles on a
-        lane)."""
-        self._timeline = timeline
+    def report_hops_to(self, timeline=None):
+        """Book every hop from now on as a row of ``timeline`` (no row, by
+        default); returns the timeline booked on before. A codec call's
+        row holds start and seconds measured where the codec ran, the group
+        pass that issued it, the chunk, its raw and blob bytes and the
+        lane — for a load as it returns and for a write as its blob lands
+        (at once inline, when the job settles on a lane)."""
+        previous, self._timeline = self._timeline, timeline
+        return previous
+
+    def book(self, kind: Stage, start: float, seconds: float,
+             chunk: int = -1, nbytes: int = 0, lane: int = 0,
+             blob_bytes: int = 0) -> None:
+        """Book one hop of this store, or of a tier over or under it, as a
+        row of the group pass now streaming (nothing without a timeline,
+        see :meth:`report_hops_to`)."""
+        if self._timeline is not None:
+            self._timeline.record(kind, start, seconds, self._group, chunk,
+                                  nbytes, lane, 0, blob_bytes)
+
+    # -- the codec lane --------------------------------------------------------
 
     def attach_lane(self, pool) -> None:
         """Run the codec on ``pool``'s lanes (a caller-owned
@@ -313,14 +317,22 @@ class CompressedChunkStore:
                 self.lane.submit_decompress(chunk, blob), blob)
 
     def _settle(self, chunk: int) -> None:
-        """Install chunk's pending blob, booked to the pass that wrote it."""
-        job, ledger_pass, group = self._pending.pop(chunk)
+        """Install chunk's pending blob, booked to the pass that wrote it —
+        and so is any spill installing it causes."""
+        job, stage_index, group = self._pending.pop(chunk)
         res = self.lane.collect(job)
-        with (self.telemetry.traffic.attributed(*ledger_pass)
-              if ledger_pass is not None else nullcontext()):
+        timeline, outer_group, outer_stage = self._timeline, self._group, -1
+        if timeline is not None:
+            outer_stage, timeline.stage_index = timeline.stage_index, stage_index
+        self._group = group
+        try:
             self._stored(res.blob, self.layout.chunk_nbytes, res.start,
-                         res.seconds, res.worker, group, chunk)
+                         res.seconds, res.worker, chunk)
             self._set_blob(chunk, res.blob)
+        finally:
+            self._group = outer_group
+            if timeline is not None:
+                timeline.stage_index = outer_stage
 
     def _settle_finished(self) -> None:
         """Install finished writes, oldest first, without blocking: blobs

@@ -36,10 +36,12 @@ import errno
 import mmap
 import os
 import tempfile
+import time
 import zlib
 from pathlib import Path
 from typing import Dict, Optional, Union
 
+from ..device.timeline import Stage
 from .accounting import MemoryTracker
 from .persist import StoreFormatError
 
@@ -57,20 +59,22 @@ class BlobLog:
     handle; reads are memcpys out of an ``mmap`` view of the page cache,
     regrown only when a read reaches past the mapped extent.
 
-    The ``tracker`` category records *file* bytes; every append/read also
-    lands on the traffic ledger's ``disk.write``/``disk.read`` edge when
-    telemetry is enabled.
+    The ``tracker`` category records *file* bytes. Every append and read
+    is a hop: with :attr:`book` set it is timed and booked as one
+    ``disk_write`` / ``disk_read`` row, which the traffic ledger's
+    ``disk.write`` / ``disk.read`` edge folds.
     """
 
     def __init__(
         self,
         path: Union[str, Path, None],
         tracker: Optional[MemoryTracker] = None,
-        telemetry=None,
         category: str = CATEGORY,
     ):
-        from ..telemetry import NULL_TELEMETRY
-
+        #: books each append / read as a row: the owning store's
+        #: :meth:`~repro.memory.chunkstore.CompressedChunkStore.book` while
+        #: it reports hops, else ``None`` (nothing is booked)
+        self.book = None
         #: a log given no path is anonymous: ``path`` is the name it was
         #: made under, unlinked as soon as the file was open
         self.anonymous = path is None
@@ -82,7 +86,6 @@ class BlobLog:
             self._fh = open(path, "w+b", buffering=0)
         self.path = Path(path)
         self.tracker = tracker if tracker is not None else MemoryTracker()
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.category = category
         self._fd = self._fh.fileno()
         self._mm: Optional[mmap.mmap] = None
@@ -113,6 +116,7 @@ class BlobLog:
 
         Raises the ``OSError`` of a write that fails, with the log as it
         was before the call."""
+        t0 = time.perf_counter()
         off = self._file_bytes
         done = os.pwrite(self._fd, blob, off)
         while done < len(blob):  # a short write: finish it or fail
@@ -124,13 +128,16 @@ class BlobLog:
         self._file_bytes += len(blob)
         self._live_bytes += len(blob)
         self.tracker.alloc(self.category, len(blob))
-        if self.telemetry.enabled:
-            self.telemetry.traffic.record("disk", "write", len(blob))
-        return (off, len(blob), zlib.crc32(blob))
+        rec = (off, len(blob), zlib.crc32(blob))
+        if self.book is not None:
+            self.book(Stage.DISK_WRITE, t0, time.perf_counter() - t0,
+                      nbytes=len(blob))
+        return rec
 
     def read(self, rec: tuple) -> bytes:
         """Read a record's payload; raises :class:`StoreFormatError` when
         it is not the bytes appended."""
+        t0 = time.perf_counter()
         off, length, crc = rec
         if off + length > self._mapped:
             self._map()
@@ -139,8 +146,9 @@ class BlobLog:
             raise StoreFormatError(
                 f"blob log {self.path.name}: record at offset {off} "
                 f"({length} B) fails its CRC32 check")
-        if self.telemetry.enabled:
-            self.telemetry.traffic.record("disk", "read", len(blob))
+        if self.book is not None:
+            self.book(Stage.DISK_READ, t0, time.perf_counter() - t0,
+                      nbytes=length)
         return blob
 
     def free(self, rec: tuple) -> None:
@@ -178,8 +186,8 @@ class BlobLog:
         # tracker changes only when the sibling is adopted.
         sibling = None if self.anonymous \
             else self.path.with_name(self.path.name + ".compact")
-        fresh = BlobLog(sibling, telemetry=self.telemetry,
-                        category=self.category)
+        fresh = BlobLog(sibling, category=self.category)
+        fresh.book = self.book
         try:
             moved = {key: fresh.append(blob) for key, blob in payloads.items()}
             if not self.anonymous:

@@ -16,8 +16,8 @@ be computed exactly. Three pieces wire that through:
 * :class:`TieredChunkStore` — the third tier. Hot compressed blobs stay
   in RAM under a byte budget; the plan-coldest blobs spill to an
   append-log file (:class:`~repro.memory.diskstore.BlobLog`, mmap-backed
-  reads). The hierarchy becomes arena → host blobs → disk blobs, with
-  ``disk.read``/``disk.write`` ledger attribution on the spill edge.
+  reads). The hierarchy becomes arena → host blobs → disk blobs; every
+  append and read of the log is a ``disk_write`` / ``disk_read`` row.
   Budget 0 is the out-of-core store: every blob lives in the log.
 * :class:`MemoryHierarchy` — the facade :class:`~repro.core.MemQSim`
   builds: base store, optional decompressed-chunk cache, and the one
@@ -243,8 +243,6 @@ class TierStats:
 
     spills: int = 0
     promotions: int = 0
-    spilled_bytes: int = 0
-    promoted_bytes: int = 0
 
 
 class TieredChunkStore(CompressedChunkStore):
@@ -264,7 +262,8 @@ class TieredChunkStore(CompressedChunkStore):
     stages relabel both tiers' indices and move zero bytes, preserving the
     audit plane's permutations-are-free invariant. The tracker keeps RAM
     blobs under ``chunk_store`` and file bytes under ``disk_store``, and
-    every spill/read lands on the ledger's ``disk.*`` edge.
+    every spill and read of the log is booked as a row of the pass that
+    caused it (the ledger's ``disk.*`` edge holds their bytes).
 
     ``host_budget_bytes=0`` is the out-of-core store: every write goes
     straight to the log and RAM holds the per-chunk index plus the one
@@ -295,8 +294,7 @@ class TieredChunkStore(CompressedChunkStore):
         self.compact_threshold = float(compact_threshold)
         #: unique RAM blob bytes allowed (0 = every blob on disk)
         self.host_budget_bytes = int(host_budget_bytes)
-        self._log = BlobLog(path, tracker=self.tracker,
-                            telemetry=self.telemetry)
+        self._log = BlobLog(path, tracker=self.tracker)
         self.path = self._log.path
         # Runs at close(), at garbage collection or at interpreter exit,
         # whichever comes first, and only once.
@@ -310,6 +308,12 @@ class TieredChunkStore(CompressedChunkStore):
         self._host_bytes = 0  # unique RAM blob bytes (zero counted once)
         self.tier_stats = TierStats()
         self.compactions = 0
+
+    def report_hops_to(self, timeline=None):
+        # The log books its appends and reads through this store, and
+        # only while there is a timeline to book on (no cycle otherwise).
+        self._log.book = self.book if timeline is not None else None
+        return super().report_hops_to(timeline)
 
     # -- placement ------------------------------------------------------------
 
@@ -369,7 +373,6 @@ class TieredChunkStore(CompressedChunkStore):
         self._host_bytes -= len(blob)
         self._disk[chunk] = rec
         self.tier_stats.spills += 1
-        self.tier_stats.spilled_bytes += len(blob)
         if self.telemetry.enabled:
             self.telemetry.metrics.counter("tier.spill").inc()
 
@@ -385,7 +388,6 @@ class TieredChunkStore(CompressedChunkStore):
         self.tracker.alloc(RAM_CATEGORY, len(blob))
         self._host_bytes += len(blob)
         self.tier_stats.promotions += 1
-        self.tier_stats.promoted_bytes += len(blob)
         if self.telemetry.enabled:
             self.telemetry.metrics.counter("tier.promote").inc()
         self._maybe_compact()
@@ -403,6 +405,7 @@ class TieredChunkStore(CompressedChunkStore):
         such placement and stays on disk: promoting it would only re-append
         it to the log.
         """
+        self._group = group  # promotions and spills are of this pass
         promoted = False
         for chunk in chunks:
             rec = self._disk[chunk]
@@ -424,7 +427,7 @@ class TieredChunkStore(CompressedChunkStore):
         rec = self._disk[chunk]
         if rec is None:
             return None
-        # Served from the log without promotion (ledger: disk.read).
+        # Served from the log without promotion (a disk_read row).
         return self._log.read(rec)
 
     def is_on_disk(self, chunk: int) -> bool:

@@ -31,10 +31,12 @@ returns once its compress job is submitted. The loop, its order and every
 cache / tier decision it drives are the same for any worker count; what
 the lane hides shows up in the run's measured ``online_seconds``.
 
-Whoever watches a run — spans, the traffic ledger's pass context, the
-progress tracker, the event bus, the access trace, the resource monitor —
-hangs off one :class:`~repro.telemetry.PassObserver`; the loop makes two
-calls on it per group pass and none per chunk.
+Whoever watches a run — spans, the progress tracker, the event bus, the
+access trace, the resource monitor — hangs off one
+:class:`~repro.telemetry.PassObserver`; the loop makes two calls on it per
+group pass and none per chunk. Which stage a row is of is the timeline's
+``stage_index``, which the loop sets where a pass or a permutation barrier
+starts and where a stage ends; the traffic ledger reads it off the rows.
 """
 
 from __future__ import annotations
@@ -338,6 +340,8 @@ class StageScheduler:
                 self._run_gate_stage(stage, si, groups)
         else:
             raise TypeError(f"unknown stage type {type(stage).__name__}")
+        # what lands from here to the next pass (a flush) is of no stage
+        self.timeline.stage_index = -1
 
     def run(self, stages: Sequence[object],
             passes: Optional[Sequence[Pass]] = None,
@@ -360,9 +364,11 @@ class StageScheduler:
                 widest = max(widest, len(members))
         self._programs = programs
         log.debug("scheduler: running %d stages", len(stages))
-        # The store times its own codec calls; for this run it books them
-        # on this timeline, chained by the group that issued them.
-        self.store.report_codec_to(self.timeline)
+        # The store times its own codec calls, and the tiers over and under
+        # it their copies; for this run they book them on this timeline,
+        # chained by the group that issued them. Afterwards the store books
+        # on whatever timeline it did before.
+        previous = self.store.report_hops_to(self.timeline)
         # One device buffer per run, as wide as the widest pass that runs
         # (a stage whose passes are all skipped reserves nothing): every
         # pass works in a head of it, and it is freed on every exit.
@@ -377,7 +383,7 @@ class StageScheduler:
             # codec lane lands its pending writes: still this run's hops.
             self.store.flush()
         finally:
-            self.store.report_codec_to()
+            self.store.report_hops_to(previous)
             if self._device is not None:
                 self.executor.free(self._device)
                 self._device = None
@@ -386,8 +392,10 @@ class StageScheduler:
 
     def _run_permutation(self, stage: PermutationStage, si: int) -> None:
         # Chunk identities change here, and a cache in front of the store
-        # flushes: observers mark the barrier before either happens.
+        # flushes: observers mark the barrier before either happens, and
+        # the flush's write-backs are of this stage.
         self.observer.barrier(si)
+        self.timeline.stage_index = si
         if self.schedule is not None:
             # Reuse does not survive the relabeling; the schedule cursor
             # crosses the matching barrier so next-use queries stay
@@ -418,6 +426,7 @@ class StageScheduler:
         for gi, members in groups:
             self.cancel.raise_if_cancelled()
             with self.observer.group_pass(si, gi, members, nbytes):
+                self.timeline.stage_index = si
                 if self.schedule is not None:
                     self.schedule.begin_pass(si, gi)
                 # Advisory hint down the hierarchy: a tiered store promotes

@@ -7,7 +7,8 @@ One :class:`Telemetry` object bundles the observability sinks a run feeds:
 * :class:`~repro.telemetry.metrics.MetricsRegistry` — named counters,
   gauges, and fixed-bucket histograms (``tel.metrics.counter(...)``);
 * the live :class:`~repro.telemetry.events.EventBus`, the byte-exact
-  :class:`~repro.telemetry.traffic.TrafficLedger` and, when a run attaches
+  :class:`~repro.telemetry.traffic.TrafficLedger` (a view of the attached
+  timelines' rows) and, when a run attaches
   them, an access recorder, a progress tracker and a resource monitor;
 * the ``repro`` logger hierarchy (:mod:`repro.telemetry.logutil`).
 
@@ -26,7 +27,8 @@ The two seams a run reports through:
   update — is timed once by the layer that runs it and booked once, as a
   row of the run's :class:`~repro.device.timeline.Timeline`, on or off;
   an enabled run attaches it to the tracer (:meth:`Tracer.attach`), whose
-  exports draw one span per row. Nothing copies a hop as it happens.
+  exports draw one span per row and whose ledger folds the rows' bytes.
+  Nothing copies a hop as it happens.
 """
 
 from __future__ import annotations
@@ -122,9 +124,9 @@ class Telemetry:
             epoch = self.tracer._epoch
             bus = EventBus(clock=lambda: time.perf_counter() - epoch)
         self.bus: Optional[EventBus] = None if bus is False else bus
-        #: byte-exact tier-edge movement ledger over the store's whole
-        #: lifetime; feeds the ``traffic.*`` counters
-        self.traffic = TrafficLedger(self.metrics)
+        #: byte-exact tier-edge movement ledger: a read-only fold over the
+        #: rows of the timelines the tracer has attached
+        self.traffic = TrafficLedger(self.tracer)
         #: opt-in chunk access-sequence recorder (``run --mem-trace-out``,
         #: ``repro memtrace`` / ``repro audit`` attach one); ``None`` = off
         self.access: Optional[ChunkAccessRecorder] = None
@@ -177,7 +179,7 @@ class Telemetry:
 
     def snapshot(self) -> Dict[str, Any]:
         """Metrics snapshot plus span count — the report/JSON payload."""
-        snap = self.metrics.snapshot(self.tracer.decoded())
+        snap = self.metrics.snapshot(self.traffic)
         snap["spans"] = len(self.tracer)
         return snap
 

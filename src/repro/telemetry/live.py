@@ -3,8 +3,9 @@
 :func:`render_prometheus` renders a :class:`~repro.telemetry.metrics
 .MetricsRegistry` in text exposition format 0.0.4 (counters as
 ``_total``, gauges with ``_max`` twins, histograms as cumulative
-``_bucket{le=...}`` series), plus derived gauges, event-bus counters and
-process RSS. The serve daemon's ``GET /metrics`` serves it
+``_bucket{le=...}`` series), the traffic ledger's bytes per tier edge
+as ``traffic.<edge>.<direction>.bytes`` counters, plus derived gauges,
+event-bus counters and process RSS. The serve daemon's ``GET /metrics`` serves it
 (:mod:`repro.serve.server`); a run's progress is served per job, by
 ``GET /jobs/{id}``.
 """
@@ -57,9 +58,14 @@ def render_prometheus(telemetry) -> str:
         lines.append(f"{name} {_prom_value(value)}")
 
     m = telemetry.metrics
-    for c in m.iter_counters():
-        emit(_prom_name(c.name) + "_total", c.value,
-             help_=f"counter {c.name}", kind="counter")
+    # The ledger's edges read as counters, in name order among the
+    # registry's own (a daemon's registry holds its jobs' rolled-up ones).
+    counters = {f"traffic.{edge}.bytes": v["bytes"]
+                for edge, v in telemetry.traffic.totals().items()}
+    counters.update((c.name, c.value) for c in m.iter_counters())
+    for name, value in sorted(counters.items()):
+        emit(_prom_name(name) + "_total", value,
+             help_=f"counter {name}", kind="counter")
     for g in m.iter_gauges():
         name = _prom_name(g.name)
         emit(name, g.value, help_=f"gauge {g.name}", kind="gauge")

@@ -1,8 +1,8 @@
 """Named counters, gauges, and fixed-bucket histograms.
 
 A :class:`MetricsRegistry` is a flat namespace of instruments the pipeline
-increments as it works (``cache.hit``, ``traffic.codec.raw_in.bytes``, what
-no timeline row holds). Instruments are created lazily on first use and keep
+increments as it works (``cache.hit``, ``tier.spill``: counts no traffic
+ledger holds). Instruments are created lazily on first use and keep
 accumulating for the registry's lifetime; :meth:`MetricsRegistry.snapshot`
 returns a plain-dict view suitable for JSON export or report sections.
 
@@ -221,53 +221,58 @@ class MetricsRegistry:
 
     # -- export -------------------------------------------------------------------
 
-    def derived_gauges(self, decoded=(0, 0.0)) -> Dict[str, Optional[float]]:
-        """Gauges computed from the raw counters (so consumers stop
-        re-deriving them by hand): ``cache.hit_rate``,
+    def derived_gauges(self, traffic=None) -> Dict[str, Optional[float]]:
+        """Gauges computed from the raw counters and ``traffic`` (a
+        :class:`~repro.telemetry.TrafficLedger`), so consumers stop
+        re-deriving them by hand: ``cache.hit_rate``,
         ``codec.compression_ratio`` (ledger codec bytes in over out) and
-        ``codec.decode_bytes_per_s`` (``decoded`` = bytes, seconds of the
-        decompress rows); ``None`` while a denominator is zero."""
+        ``codec.decode_bytes_per_s`` (bytes over seconds of the decompress
+        rows); ``None`` while a denominator is zero."""
         def val(name: str) -> int:
             c = self._counters.get(name)
             return c.value if c is not None else 0
 
         looked = val("cache.hit") + val("cache.miss")
-        bytes_out = val("traffic.codec.compressed_out.bytes")
-        dec_bytes, dec_s = decoded
+        raw_in = bytes_out = dec_bytes = 0
+        dec_s = 0.0
+        if traffic is not None:
+            raw_in = traffic.total_bytes("codec", "raw_in")
+            bytes_out = traffic.total_bytes("codec", "compressed_out")
+            dec_bytes, dec_s = traffic.decoded()
         return {
             "cache.hit_rate": (val("cache.hit") / looked) if looked else None,
             "codec.compression_ratio":
-                (val("traffic.codec.raw_in.bytes") / bytes_out)
-                if bytes_out else None,
+                (raw_in / bytes_out) if bytes_out else None,
             "codec.decode_bytes_per_s":
                 (dec_bytes / dec_s) if dec_s > 0 else None,
         }
 
-    def snapshot(self, decoded=(0, 0.0)) -> Dict[str, Any]:
+    def snapshot(self, traffic=None) -> Dict[str, Any]:
         snap: Dict[str, Any] = {
             "counters": {n: c.snapshot() for n, c in sorted(self._counters.items())},
             "gauges": {n: g.snapshot() for n, g in sorted(self._gauges.items())},
             "histograms": {n: h.snapshot() for n, h in sorted(self._histograms.items())},
         }
-        # Only emitted once the source counters exist (declare_standard or
-        # first use) — empty registries keep the bare 3-section shape.
-        if any(n in self._counters for n in (
-                "cache.hit", "cache.miss",
-                "traffic.codec.compressed_out.bytes")):
-            snap["derived"] = self.derived_gauges(decoded)
+        # Only emitted once there is a source (the cache counters, declared
+        # by declare_standard or first use, or a ledger) — empty registries
+        # keep the bare 3-section shape.
+        if traffic is not None or any(
+                n in self._counters for n in ("cache.hit", "cache.miss")):
+            snap["derived"] = self.derived_gauges(traffic)
         return snap
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
+    def to_json(self, indent: Optional[int] = 2, traffic=None) -> str:
         def _safe(o):
             return str(o)
 
-        snap = self.snapshot()
+        snap = self.snapshot(traffic)
         # JSON has no Infinity; clamp unobserved min/max already handled
         # (None) — histograms with observations always have finite min/max.
         return json.dumps(snap, indent=indent, default=_safe)
 
-    def write_json(self, path: str, indent: Optional[int] = 2) -> int:
-        payload = self.to_json(indent)
+    def write_json(self, path: str, indent: Optional[int] = 2,
+                   traffic=None) -> int:
+        payload = self.to_json(indent, traffic)
         with open(path, "w") as fh:
             fh.write(payload)
         return len(payload)

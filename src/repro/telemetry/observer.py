@@ -9,14 +9,17 @@ implementation, shared as :data:`NULL_OBSERVER`, and costs the loop two
 calls per group pass. :class:`RunObserver` is what an enabled
 :class:`~repro.telemetry.Telemetry` hands a run
 (:meth:`~repro.telemetry.Telemetry.observer`): the only code that knows
-the ledger's pass context, the ``stage`` / ``group_pass`` spans, the
-progress tracker, the event bus, the access recorder and the resource
-monitor exist.
+the ``stage`` / ``group_pass`` spans, the progress tracker, the event bus,
+the access recorder and the resource monitor exist. A decompressed-chunk
+cache in front of the store reports its flushes here too.
 
-Pipeline *hops* (a codec call, a copy, a kernel batch) do not pass through
-here: the layer that runs one times it and books it as a row of the run's
-:class:`~repro.device.timeline.Timeline`, and nothing else. An export draws
-the rows as spans when it is made (:meth:`~repro.telemetry.Tracer.attach`).
+Pipeline *hops* (a codec call, a copy, a kernel batch, a disk-log append)
+do not pass through here: the layer that runs one times it and books it as
+a row of the run's :class:`~repro.device.timeline.Timeline`, and nothing
+else — the pass a row is of included, which the scheduler sets on the
+timeline. An export draws the rows as spans when it is made, and the
+traffic ledger folds their bytes when it is read
+(:meth:`~repro.telemetry.Tracer.attach`).
 """
 
 from __future__ import annotations
@@ -49,6 +52,10 @@ class PassObserver:
     def device_buffer_live(self) -> None:
         """A group's amplitudes sit in device memory right now."""
 
+    def cache_flushed(self, resident: int, written_back: int) -> None:
+        """A chunk cache emptied its ``resident`` chunks, writing back the
+        ``written_back`` dirty ones."""
+
 
 #: the shared observer of a run nobody watches
 NULL_OBSERVER = PassObserver()
@@ -64,7 +71,6 @@ class RunObserver(PassObserver):
     def __init__(self, telemetry):
         self._tracer = telemetry.tracer
         self._emit = telemetry.emit
-        self._traffic = telemetry.traffic
         self._access = telemetry.access
         self._progress = telemetry.progress
         self._monitor = telemetry.monitor
@@ -80,16 +86,11 @@ class RunObserver(PassObserver):
         if progress is not None and kind == "permutation":
             progress.group_done(index)
         self._emit("stage.end", index=index, kind=kind)
-        # Traffic after this point (result queries, flushes between runs)
-        # is out-of-stage again.
-        self._traffic.set_pass()
 
     @contextmanager
     def group_pass(self, stage, group, members, nbytes):
-        # The ledger attributes what stores, caches and copies record from
-        # here on; the access trace is the loop's logical order (all reads,
-        # then all writes), whatever a cache or a codec lane reorders.
-        self._traffic.set_pass(stage, group)
+        # The access trace is the loop's logical order (all reads, then
+        # all writes), whatever a cache or a codec lane reorders.
         access = self._access
         if access is not None:
             for chunk in members:
@@ -105,9 +106,6 @@ class RunObserver(PassObserver):
         self._emit("group", stage=stage, group=group, chunks=len(members))
 
     def barrier(self, stage):
-        # Blob relabeling moves no bytes, but a cache in front of the store
-        # flushes here: its write-back traffic lands on this stage.
-        self._traffic.set_pass(stage)
         if self._access is not None:
             self._access.barrier(stage)
 
@@ -118,3 +116,8 @@ class RunObserver(PassObserver):
         # it to its own interval).
         if self._monitor is not None:
             self._monitor.poke()
+
+    def cache_flushed(self, resident, written_back):
+        if resident:
+            self._emit("cache.flush", resident=resident,
+                       written_back=written_back)

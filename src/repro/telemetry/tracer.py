@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Tuple
 
 from .logutil import set_active_span
@@ -97,7 +98,7 @@ class Tracer:
         self.process_name = process_name
         self._epoch = time.perf_counter()
         self._spans: List[Span] = []
-        #: attached: [timeline, tid, rows read, decoded bytes, seconds]
+        #: attached: [timeline, tid, rows the ledger has read]
         self._timelines: List[list] = []
         #: counter samples: ``(name, t_seconds, {series: value})`` — exported
         #: as Chrome ``"ph": "C"`` events (stacked counter tracks).
@@ -143,29 +144,27 @@ class Tracer:
             self._spans.append(sp)
         return sp
 
-    def instant(self, name: str, **args) -> Span:
-        """Zero-duration marker (rendered as a tick in trace viewers)."""
-        return self.record(name, 0.0, **args)
-
     def attach(self, timeline) -> None:
         """Draw one span per row of ``timeline`` from now on, at its measured
         start: a codec lane's rows on tid :data:`LANE_TID_BASE` + lane, the
-        rest on the attaching (the run's) thread's row."""
+        rest on the attaching (the run's) thread's row. The telemetry's
+        traffic ledger reads the same rows (:meth:`folded`)."""
         tid = self._tid()
         with self._lock:
-            self._timelines.append([timeline, tid, 0, 0, 0.0])
+            self._timelines.append([timeline, tid, 0])
 
-    def decoded(self) -> Tuple[int, float]:
-        """``(bytes, seconds)`` of the attached ``decompress`` rows. Rows
-        only grow, so each is read once however often a snapshot is taken."""
+    @contextmanager
+    def folded(self, add):
+        """Hand ``add`` every attached row it was not handed before, then
+        hold the lock for the caller's read of what ``add`` built. Rows
+        only grow, so each is read once however often it is asked for."""
         with self._lock:
             for entry in self._timelines:
                 new = entry[0].rows[entry[2]:]
                 entry[2] += len(new)
-                entry[3] += sum(r[5] for r in new if r[0] == "decompress")
-                entry[4] += sum(r[2] for r in new if r[0] == "decompress")
-            return (sum(e[3] for e in self._timelines),
-                    sum(e[4] for e in self._timelines))
+                if new:
+                    add(new)
+            yield
 
     @property
     def spans(self) -> List[Span]:
@@ -177,8 +176,8 @@ class Tracer:
             Span(stage.value, max(0.0, start - self._epoch), seconds,
                  dict(group=group, chunk=chunk, nbytes=nbytes, lane=lane,
                       ops=ops), LANE_TID_BASE + lane if lane else tid)
-            for timeline, tid, *_ in attached
-            for stage, start, seconds, group, chunk, nbytes, lane, ops
+            for timeline, tid, _read in attached
+            for stage, start, seconds, group, chunk, nbytes, lane, ops, *_
             in list(timeline.rows)]
 
     # -- span lifecycle (used by _SpanCtx) ----------------------------------------

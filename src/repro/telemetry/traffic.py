@@ -2,24 +2,20 @@
 
 MEMQSim's claim is memory efficiency, and the quantity the paper optimizes
 is *bytes crossing tier boundaries* — yet spans and gauges measure time and
-occupancy. This module records the movement itself:
+occupancy. This module reads the movement itself:
 
-* :class:`TrafficLedger` — a thread-safe ledger counting the exact bytes
-  moved across every tier edge, attributed to ``(stage, chunk-group,
-  direction)``. The edges (see :data:`EDGES`):
-
-  - ``arena.h2d`` / ``arena.d2h`` — host staging buffer <-> device arena;
-  - ``codec.raw_in`` / ``codec.compressed_out`` — compress hops (store);
-  - ``codec.compressed_in`` / ``codec.raw_out`` — decompress hops (load);
-  - ``disk.read`` / ``disk.write`` — compressed store <-> append log;
-  - ``cache.hit`` / ``cache.miss`` — bytes served from / fetched past the
-    decompressed-chunk cache.
-
-  Every ``record`` also feeds a ``traffic.<edge>.<direction>.bytes``
-  counter, so the ledger shows up in ``/metrics`` (run and serve) for
-  free. Codec-lane results are recorded on the calling thread when the
-  store collects them, with the lane index attached, so per-lane
-  attributions always sum to the totals.
+* :class:`TrafficLedger` — the exact bytes moved across every tier edge,
+  attributed to ``(stage, chunk-group, direction)``. It books nothing: a
+  moved byte is booked once, as a row of a
+  :class:`~repro.device.timeline.Timeline`, and the ledger folds the rows
+  of every timeline the tracer has attached. Each edge is read off one row
+  kind (see ``_EDGES_OF``): ``arena.h2d`` / ``d2h`` (host staging buffer
+  <-> device arena), ``codec.raw_in`` / ``compressed_out`` (compress),
+  ``codec.compressed_in`` / ``raw_out`` (decompress), ``disk.read`` /
+  ``write`` (compressed store <-> append log) and ``cache.hit`` /
+  ``miss`` (bytes served from / fetched past the decompressed-chunk
+  cache). A row names its pass's stage and group and the codec lane that
+  ran it, so per-stage and per-lane attributions partition the totals.
 
 * :class:`ChunkAccessRecorder` — the exact per-chunk access sequence
   ``(stage, chunk id, read/write)`` the scheduler generates, plus barrier
@@ -28,122 +24,91 @@ occupancy. This module records the movement itself:
   histograms, a hit-rate-vs-capacity curve, and the Belady-optimal miss
   bound; :mod:`repro.analysis.audit` compares it against the schedule
   predicted from the :class:`~repro.compile.CompiledPlan`.
-
-The canonical import path for memory-plane users is
-:mod:`repro.memory.traffic` (a re-export — the implementation lives here
-so :class:`~repro.telemetry.Telemetry` can hold the ledger without a
-package cycle).
 """
 
 from __future__ import annotations
 
 import json
-import threading
-from contextlib import contextmanager
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = [
-    "EDGES",
-    "TrafficLedger",
-    "AccessEvent",
-    "ChunkAccessRecorder",
-]
+__all__ = ["TrafficLedger", "AccessEvent", "ChunkAccessRecorder"]
 
-#: every (edge, direction) pair the pipeline can move bytes across
-EDGES: Tuple[Tuple[str, str], ...] = (
-    ("arena", "h2d"),
-    ("arena", "d2h"),
-    ("codec", "raw_in"),
-    ("codec", "compressed_out"),
-    ("codec", "compressed_in"),
-    ("codec", "raw_out"),
-    ("disk", "read"),
-    ("disk", "write"),
-    ("cache", "hit"),
-    ("cache", "miss"),
-)
+# row fields the fold reads (see repro.device.timeline.ROW_FIELDS)
+_SECONDS, _GROUP, _NBYTES, _LANE, _STAGE_INDEX, _BLOB = 2, 3, 5, 6, 8, 9
 
-#: attribution value for traffic outside any stage (init, result queries)
-OUT_OF_STAGE = -1
+#: row kind -> the (edge, direction, row field of its bytes) it moved; a
+#: kernel batch or a relabeling moves none
+_EDGES_OF: Dict[str, Tuple[Tuple[str, str, int], ...]] = {
+    "h2d": (("arena", "h2d", _NBYTES),),
+    "d2h": (("arena", "d2h", _NBYTES),),
+    "compress": (("codec", "raw_in", _NBYTES),
+                 ("codec", "compressed_out", _BLOB)),
+    "decompress": (("codec", "compressed_in", _BLOB),
+                   ("codec", "raw_out", _NBYTES)),
+    "disk_read": (("disk", "read", _NBYTES),),
+    "disk_write": (("disk", "write", _NBYTES),),
+    "cache_hit": (("cache", "hit", _NBYTES),),
+    "cache_miss": (("cache", "miss", _NBYTES),),
+}
 
 
 class TrafficLedger:
-    """Byte-exact movement ledger across tier edges.
+    """Byte-exact movement across tier edges, read off timeline rows.
 
-    The scheduler sets the current ``(stage, group)`` attribution at each
-    group-pass boundary (:meth:`set_pass`); stores, caches and transfer
-    strategies then :meth:`record` against that ambient context without
-    knowing it. Deferred work that lands outside its own pass (a chunk
-    store settling a write its codec lane finished later) captures the
-    context with :meth:`pass_context` when the work is issued and
-    re-enters it via :meth:`attributed` when it lands.
+    Every query first folds the rows booked since the last one (under the
+    tracer's lock, :meth:`Tracer.folded`), so each row is read once however
+    often the ledger is asked. Nothing here is called on a hop path.
     """
 
-    def __init__(self, metrics=None):
-        self._lock = threading.Lock()
-        self._metrics = metrics
+    def __init__(self, tracer):
+        self._tracer = tracer
         # (edge, direction) -> [bytes, ops]
         self._totals: Dict[Tuple[str, str], List[int]] = {}
-        # (stage, group, edge, direction) -> bytes
-        self._cells: Dict[Tuple[int, int, str, str], int] = {}
-        # (codec lane, edge, direction) -> bytes; lane 0 = inline
-        self._workers: Dict[Tuple[int, str, str], int] = {}
-        self._stage = OUT_OF_STAGE
-        self._group = OUT_OF_STAGE
+        # (stage, group, "edge.direction") -> bytes
+        self._cells: Dict[Tuple[int, int, str], int] = {}
+        # (codec lane, "edge.direction") -> bytes; lane 0 = inline
+        self._workers: Dict[Tuple[int, str], int] = {}
+        # bytes, seconds of the decompress rows
+        self._decoded = [0, 0.0]
 
-    # -- attribution context --------------------------------------------------
-
-    def set_pass(self, stage: int = OUT_OF_STAGE,
-                 group: int = OUT_OF_STAGE) -> None:
-        """Set the ambient (stage, group) subsequent records attribute to."""
-        self._stage = stage
-        self._group = group
-
-    def pass_context(self) -> Tuple[int, int]:
-        """The ambient ``(stage, group)``, to hand back to :meth:`attributed`."""
-        return self._stage, self._group
-
-    @contextmanager
-    def attributed(self, stage: int, group: int):
-        """Temporarily attribute records to a specific (stage, group)."""
-        prev = (self._stage, self._group)
-        self._stage, self._group = stage, group
-        try:
-            yield self
-        finally:
-            self._stage, self._group = prev
-
-    # -- recording ------------------------------------------------------------
-
-    def record(self, edge: str, direction: str, nbytes: int, *,
-               ops: int = 1, worker: int = 0) -> None:
-        """Count ``nbytes`` crossing ``edge`` in ``direction``.
-
-        ``worker`` is the codec lane that produced the bytes (1..workers;
-        0 for inline work); recording always happens on the calling
-        thread, so lane attributions are a partition of the totals.
-        """
-        key = (edge, direction)
-        with self._lock:
-            tot = self._totals.get(key)
-            if tot is None:
-                self._totals[key] = [nbytes, ops]
-            else:
+    def _add(self, rows) -> None:
+        totals, cells, workers = self._totals, self._cells, self._workers
+        for row in rows:
+            kind = row[0].value
+            if kind == "decompress":
+                self._decoded[0] += row[_NBYTES]
+                self._decoded[1] += row[_SECONDS]
+            for edge, direction, field in _EDGES_OF.get(kind, ()):
+                nbytes = row[field]
+                tot = totals.setdefault((edge, direction), [0, 0])
                 tot[0] += nbytes
-                tot[1] += ops
-            cell = (self._stage, self._group, edge, direction)
-            self._cells[cell] = self._cells.get(cell, 0) + nbytes
-            wkey = (worker, edge, direction)
-            self._workers[wkey] = self._workers.get(wkey, 0) + nbytes
-        if self._metrics is not None:
-            self._metrics.counter(
-                f"traffic.{edge}.{direction}.bytes").inc(nbytes)
+                tot[1] += 1
+                key = f"{edge}.{direction}"
+                cell = (row[_STAGE_INDEX], row[_GROUP], key)
+                cells[cell] = cells.get(cell, 0) + nbytes
+                workers[row[_LANE], key] = \
+                    workers.get((row[_LANE], key), 0) + nbytes
+
+    def _folded(self):
+        """Context in which every attached row has been read."""
+        return self._tracer.folded(self._add)
+
+    def _split(self, cells, pick) -> Dict[int, Dict[str, int]]:
+        """``{pick(cell key): {"edge.direction": bytes}}``, keys sorted."""
+        out: Dict[int, Dict[str, int]] = {}
+        with self._folded():
+            for key, v in cells.items():
+                at = pick(key)
+                if at is not None:
+                    row = out.setdefault(at, {})
+                    row[key[-1]] = row.get(key[-1], 0) + v
+        return {k: dict(sorted(r.items())) for k, r in sorted(out.items())}
 
     # -- queries --------------------------------------------------------------
 
     def total_bytes(self, edge: Optional[str] = None,
                     direction: Optional[str] = None) -> int:
-        with self._lock:
+        with self._folded():
             return sum(
                 v[0] for (e, d), v in self._totals.items()
                 if (edge is None or e == edge)
@@ -152,49 +117,29 @@ class TrafficLedger:
 
     def totals(self) -> Dict[str, Dict[str, int]]:
         """``{"edge.direction": {"bytes": ..., "ops": ...}}``."""
-        with self._lock:
+        with self._folded():
             return {
                 f"{e}.{d}": {"bytes": v[0], "ops": v[1]}
                 for (e, d), v in sorted(self._totals.items())
             }
 
-    def stage_bytes(self, stage: int, edge: str, direction: str) -> int:
-        """Bytes over one edge attributed to one stage (all groups)."""
-        with self._lock:
-            return sum(
-                v for (s, _g, e, d), v in self._cells.items()
-                if s == stage and e == edge and d == direction
-            )
+    def decoded(self) -> Tuple[int, float]:
+        """``(bytes, seconds)`` of the decompress rows."""
+        with self._folded():
+            return self._decoded[0], self._decoded[1]
 
     def by_stage(self) -> Dict[int, Dict[str, int]]:
         """``{stage: {"edge.direction": bytes}}`` (stage -1 = out-of-stage)."""
-        out: Dict[int, Dict[str, int]] = {}
-        with self._lock:
-            for (s, _g, e, d), v in self._cells.items():
-                row = out.setdefault(s, {})
-                key = f"{e}.{d}"
-                row[key] = row.get(key, 0) + v
-        return {s: dict(sorted(r.items())) for s, r in sorted(out.items())}
+        return self._split(self._cells, lambda key: key[0])
 
     def by_group(self, stage: int) -> Dict[int, Dict[str, int]]:
         """Per-group breakdown of one stage's traffic."""
-        out: Dict[int, Dict[str, int]] = {}
-        with self._lock:
-            for (s, g, e, d), v in self._cells.items():
-                if s != stage:
-                    continue
-                row = out.setdefault(g, {})
-                key = f"{e}.{d}"
-                row[key] = row.get(key, 0) + v
-        return {g: dict(sorted(r.items())) for g, r in sorted(out.items())}
+        return self._split(self._cells,
+                           lambda key: key[1] if key[0] == stage else None)
 
     def by_worker(self) -> Dict[int, Dict[str, int]]:
         """``{codec lane: {"edge.direction": bytes}}``; lane 0 = inline."""
-        out: Dict[int, Dict[str, int]] = {}
-        with self._lock:
-            for (w, e, d), v in self._workers.items():
-                out.setdefault(w, {})[f"{e}.{d}"] = v
-        return {w: dict(sorted(r.items())) for w, r in sorted(out.items())}
+        return self._split(self._workers, lambda key: key[0])
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable payload for results / reports."""
@@ -242,10 +187,6 @@ class ChunkAccessRecorder:
 
     def __len__(self) -> int:
         return len(self._events)
-
-    def to_dicts(self) -> List[Dict[str, Any]]:
-        return [{"stage": s, "chunk": c, "op": op}
-                for s, c, op in self._events]
 
     def write_jsonl(self, path) -> int:
         """One JSON object per access; returns the number of lines."""

@@ -9,9 +9,8 @@ from repro.analysis.audit import (
 )
 from repro.circuits import get_workload
 from repro.core import MemQSim, MemQSimConfig
-from repro.device import DeviceSpec
-from repro.memory import ChunkAccessRecorder, TrafficLedger
-from repro.telemetry import Telemetry
+from repro.device import DeviceSpec, Stage, Timeline
+from repro.telemetry import ChunkAccessRecorder, Telemetry
 
 
 #: every audited run here starts from |0...0>: chunk 0 is its whole support
@@ -107,6 +106,23 @@ class TestPredictor:
             predict_access_schedule([object()], layout)
 
 
+def phantom(tel, kind, stage_index, nbytes=0, blob_bytes=0):
+    """Book one row the plan does not explain (group 0 of
+    ``stage_index``) on a timeline ``tel``'s ledger reads."""
+    hops = Timeline()
+    tel.tracer.attach(hops)
+    hops.stage_index = stage_index
+    hops.record(kind, 0.0, 0.0, 0, -1, nbytes, 0, 0, blob_bytes)
+    return hops
+
+
+#: the row kind that moves each edge's raw-side bytes
+ROW_OF = {"codec.raw_in": Stage.COMPRESS, "codec.raw_out": Stage.DECOMPRESS,
+          "arena.h2d": Stage.H2D, "arena.d2h": Stage.D2H,
+          "disk.read": Stage.DISK_READ, "disk.write": Stage.DISK_WRITE,
+          "cache.hit": Stage.CACHE_HIT, "cache.miss": Stage.CACHE_MISS}
+
+
 class TestAuditRun:
     def test_clean_run_passes(self):
         stages, layout, tel = audited_run(n=9, chunk_qubits=3,
@@ -141,8 +157,7 @@ class TestAuditRun:
     def test_inflated_ledger_fails_traffic(self):
         stages, layout, tel = audited_run()
         # phantom load the plan does not explain
-        with tel.traffic.attributed(0, 0):
-            tel.traffic.record("arena", "h2d", 1)
+        phantom(tel, Stage.H2D, 0, nbytes=1)
         rep = audit_run(stages, layout, tel.access.trace(), tel.traffic,
                         support=ZERO_STATE)
         assert not rep.traffic_ok
@@ -151,8 +166,7 @@ class TestAuditRun:
     def test_a_decoded_zero_member_fails_traffic(self):
         # a load of a zero member that reached the codec after all
         stages, layout, tel = audited_run()
-        with tel.traffic.attributed(0, 0):
-            tel.traffic.record("codec", "raw_out", layout.chunk_nbytes)
+        phantom(tel, Stage.DECOMPRESS, 0, nbytes=layout.chunk_nbytes)
         rep = audit_run(stages, layout, tel.access.trace(), tel.traffic,
                         support=ZERO_STATE)
         assert not rep.traffic_ok
@@ -160,8 +174,7 @@ class TestAuditRun:
 
     def test_traffic_on_unplanned_stage_fails(self):
         stages, layout, tel = audited_run()
-        with tel.traffic.attributed(len(stages) + 5, 0):
-            tel.traffic.record("disk", "write", 10)
+        phantom(tel, Stage.DISK_WRITE, len(stages) + 5, nbytes=10)
         rep = audit_run(stages, layout, tel.access.trace(), tel.traffic,
                         support=ZERO_STATE)
         assert not rep.traffic_ok
@@ -171,8 +184,7 @@ class TestAuditRun:
         stages, layout, tel = audited_run()
         # blow the compressed side far past slack * raw
         raw = tel.traffic.total_bytes("codec", "raw_in")
-        with tel.traffic.attributed(0, 0):
-            tel.traffic.record("codec", "compressed_out", 2 * raw)
+        phantom(tel, Stage.COMPRESS, 0, blob_bytes=2 * raw)
         rep = audit_run(stages, layout, tel.access.trace(), tel.traffic,
                         support=ZERO_STATE)
         assert not rep.envelope_ok
@@ -180,16 +192,14 @@ class TestAuditRun:
 
     def test_missing_compressed_bytes_fails(self):
         stages, layout, tel = audited_run()
-        led = TrafficLedger()
-        # replay only the raw side of the codec into a fresh ledger
+        replay = Telemetry()
+        # replay only the raw side of the codec into a fresh ledger: rows
+        # whose blobs have no bytes
         for si, row in tel.traffic.by_stage().items():
             for key, nbytes in row.items():
-                if "compressed" in key:
-                    continue
-                edge, direction = key.split(".")
-                with led.attributed(si, 0):
-                    led.record(edge, direction, nbytes)
-        rep = audit_run(stages, layout, tel.access.trace(), led,
+                if "compressed" not in key:
+                    phantom(replay, ROW_OF[key], si, nbytes=nbytes)
+        rep = audit_run(stages, layout, tel.access.trace(), replay.traffic,
                         support=ZERO_STATE)
         assert not rep.envelope_ok
         assert any("no compressed bytes" in e for e in rep.errors)

@@ -17,7 +17,7 @@ from repro.circuits import get_workload
 from repro.core import MemQSim, MemQSimConfig
 from repro.device import DeviceSpec
 from repro.telemetry import Telemetry
-from repro.memory import ChunkAccessRecorder
+from repro.telemetry import ChunkAccessRecorder
 
 
 def R(chunk, stage=0):

@@ -42,7 +42,9 @@ class TestRunExports:
         for stage in ("decompress", "h2d", "kernel", "d2h", "compress"):
             assert stage in names
         snap = json.loads(metrics.read_text())
-        assert snap["counters"]["traffic.arena.h2d.bytes"] > 0
+        assert snap["counters"]["pool.acquire.count"] > 0
+        # the codec ratio is read off the run's rows (the ledger)
+        assert snap["derived"]["codec.compression_ratio"] > 0
         out = capsys.readouterr().out
         assert str(trace) in out and str(metrics) in out
 
@@ -72,7 +74,8 @@ class TestRunExports:
         assert main(RUN + ["--trace-out", str(tmp_path / "t.json"),
                            "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["metrics"]["counters"]["traffic.arena.h2d.bytes"] > 0
+        assert payload["metrics"]["counters"]["pool.acquire.count"] > 0
+        assert payload["traffic"]["totals"]["arena.h2d"]["bytes"] > 0
 
 
 class TestTraceCommand:

@@ -9,7 +9,7 @@ from repro.device.timeline import ROW_FIELDS
 
 def ev(stage, dur, group):
     """A row as a run books it, starting at 0 (the model ignores starts)."""
-    return (stage, 0.0, dur, group, -1, 0, 0, 0)
+    return (stage, 0.0, dur, group, -1, 0, 0, 0, -1, 0)
 
 
 class TestTimeline:
@@ -45,8 +45,20 @@ class TestTimeline:
                                           Stage.COMPRESS]
         assert dict(zip(ROW_FIELDS, t.rows[2])) == {
             "stage": Stage.COMPRESS, "start": 0.9, "seconds": 0.1,
-            "group": 3, "chunk": 7, "nbytes": 32, "lane": 2, "ops": 0}
+            "group": 3, "chunk": 7, "nbytes": 32, "lane": 2, "ops": 0,
+            "stage_index": -1, "blob_bytes": 0}
         assert t.rows[1][ROW_FIELDS.index("ops")] == 5
+
+    def test_rows_carry_the_stage_set_on_the_timeline(self):
+        """A row is of the stage the timeline names when it is booked, and
+        a codec row carries its blob's bytes."""
+        t = Timeline()
+        t.record(Stage.COMPRESS, 0.0, 0.1, 0, 1, 64, 0, 0, 9)
+        t.stage_index = 4
+        t.record(Stage.DISK_WRITE, 0.1, 0.1, 0, -1, 9)
+        at = ROW_FIELDS.index
+        assert [(r[at("stage_index")], r[at("blob_bytes")]) for r in t.rows] \
+            == [(-1, 9), (4, 0)]
 
     def test_clear(self):
         t = Timeline()

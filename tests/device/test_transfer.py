@@ -6,6 +6,8 @@ import pytest
 from repro.device import (
     AsyncPerElementCopy,
     BufferedCopy,
+    DeviceExecutor,
+    DeviceSpec,
     SyncCopy,
     make_strategy,
 )
@@ -61,15 +63,17 @@ class TestCorrectness:
 
 class TestLogging:
     """A copy is timed where it runs and says how long it took; the caller
-    books it (and with telemetry on, its bytes land on the ledger)."""
+    books it as a row, and the ledger's ``arena`` edge reads the rows."""
 
     def test_records_accumulate(self):
         tel = Telemetry()
-        strat = SyncCopy(tel)
+        ex = DeviceExecutor(DeviceSpec(memory_bytes=1 << 12),
+                            transfer=SyncCopy())
+        tel.tracer.attach(ex.timeline)
         host = rand(64, 3)
-        dev = np.zeros(64, dtype=complex)
-        assert strat.h2d(host, dev) >= 0.0
-        assert strat.d2h(dev, host) >= 0.0
+        buf = ex.alloc(64)
+        assert ex.upload(host, buf) >= 0.0
+        assert ex.download(buf, host) >= 0.0
         totals = tel.traffic.totals()
         assert totals["arena.h2d"] == {"bytes": 64 * 16, "ops": 1}
         assert totals["arena.d2h"] == {"bytes": 64 * 16, "ops": 1}

@@ -19,7 +19,7 @@ def rig(n=6, c=3, capacity=4, policy="mru"):
 def booked(store):
     """Book the store's codec calls from here on; returns the timeline."""
     timeline = Timeline()
-    store.report_codec_to(timeline)
+    store.report_hops_to(timeline)
     return timeline
 
 

@@ -87,7 +87,7 @@ class TestLoadStore:
         store.init_zero_state()
         store.store(1, np.full(store.layout.chunk_size, 0.5, dtype=complex))
         hops = Timeline()
-        store.report_codec_to(hops)
+        store.report_hops_to(hops)
         store.load(0)
         store.load(1)
         assert hops.count(Stage.DECOMPRESS) == 2
@@ -96,7 +96,7 @@ class TestLoadStore:
             (0, store.layout.chunk_nbytes), (1, store.layout.chunk_nbytes)]
         store.load(2)
         assert hops.count() == 2  # the zero blob: filled, not decoded
-        store.report_codec_to()
+        store.report_hops_to()
         store.load(1)
         assert hops.count() == 2  # detached: books nothing
 
@@ -134,7 +134,8 @@ class TestZeroFill:
                                      telemetry=tel)
         store.init_zero_state()
         hops = Timeline()
-        store.report_codec_to(hops)
+        tel.tracer.attach(hops)  # the ledger reads its rows
+        store.report_hops_to(hops)
         store.load(5)
         assert hops.count() == 0
         assert "codec.raw_out" not in tel.traffic.totals()
@@ -263,7 +264,8 @@ def drive(workers, codec="szlike", passes=3):
     comp = get_compressor(codec, **opts)
     store = CompressedChunkStore(lay, comp, MemoryTracker(), telemetry=tel)
     hops = Timeline()
-    store.report_codec_to(hops)
+    tel.tracer.attach(hops)  # the ledger reads its rows
+    store.report_hops_to(hops)
     rng = np.random.default_rng(11)
     v = rng.standard_normal(256) + 1j * rng.standard_normal(256)
     store.init_from_statevector(v / np.linalg.norm(v))
@@ -272,12 +274,12 @@ def drive(workers, codec="szlike", passes=3):
         store.attach_lane(pool)
     try:
         for g in range(passes):
-            tel.traffic.set_pass(0, g)
-            store.will_need(range(lay.num_chunks))
+            hops.stage_index = 0
+            store.will_need(range(lay.num_chunks), g)
             bufs = [store.load(k) for k in range(lay.num_chunks)]
             for k, buf in enumerate(bufs):
                 store.store(k, buf * np.exp(0.3j * (k + 1)))
-        tel.traffic.set_pass()
+        hops.stage_index = -1
     finally:
         store.detach_lane()
         if pool is not None:
@@ -334,7 +336,7 @@ class TestCodecLane:
         store, _ = make_store()
         store.init_zero_state()
         hops = Timeline()
-        store.report_codec_to(hops)
+        store.report_hops_to(hops)
         new = np.full(8, 0.25 + 0j)
         with CodecWorkerPool(store.compressor, workers=2) as pool:
             store.attach_lane(pool)
@@ -360,7 +362,7 @@ class TestCodecLane:
         store, _ = make_store()
         store.init_zero_state()
         hops = Timeline()
-        store.report_codec_to(hops)
+        store.report_hops_to(hops)
         new = np.full(8, 0.25 + 0j)
         with CodecWorkerPool(store.compressor, workers=2) as pool:
             store.attach_lane(pool)

@@ -463,7 +463,7 @@ class TestHintsStopAtTheCache:
 
         cache, store, pool, schedule = laned
         jobs, hops = count_jobs(pool), Timeline()
-        store.report_codec_to(hops)
+        store.report_hops_to(hops)
         schedule.begin_pass(0, 1)
         store.will_need((2, 3))
         # stage 1's first pass reads 0 and 2; 2's job is this pass's own

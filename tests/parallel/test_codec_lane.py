@@ -59,7 +59,7 @@ def _codec_seconds_are_the_stores(workers, cache_chunks):
         # measured around its codec calls never overlap — the time the loop
         # waited for a job would
         by_lane = defaultdict(list)
-        for stage, start, seconds, *_rest, lane, _ops in codec:
+        for stage, start, seconds, _group, _chunk, _nbytes, lane, *_ in codec:
             if lane:
                 by_lane[lane].append((start, start + seconds))
         assert by_lane

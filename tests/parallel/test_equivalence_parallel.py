@@ -211,16 +211,16 @@ class TestWorkerCrashMidRun:
         cfg = MemQSimConfig(chunk_qubits=4, compressor="raise_on_nth",
                             workers=2)
         tel = Telemetry()
-        store = CompressedChunkStore(ChunkLayout(8, 4), cfg.make_compressor(),
-                                     telemetry=tel)
+        store = CompressedChunkStore(ChunkLayout(8, 4), cfg.make_compressor())
         store.init_zero_state()
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="codec failed on a lane"):
-            MemQSim(cfg).run(get_workload("qft", 8), initial_store=store)
+            MemQSim(cfg, telemetry=tel).run(get_workload("qft", 8),
+                                            initial_store=store)
         assert threading.active_count() == threads
         assert store.lane is None
         assert not store._pending and not store._prefetched
-        # some of the run's writes landed (the ledger counts every one)
-        assert tel.traffic.totals()["codec.raw_in"]["ops"] > 2
+        # some of the run's writes landed (each is a row the ledger reads)
+        assert tel.traffic.totals()["codec.raw_in"]["ops"] > 0
         sv = store.to_statevector()   # inline, every chunk decodes
         assert sv.shape == (256,) and np.isfinite(sv).all()

@@ -196,7 +196,7 @@ class TestTelemetry:
         lay = ChunkLayout(8, 5)
         store = CompressedChunkStore(lay, get_compressor("zlib"),
                                      MemoryTracker())
-        store.report_codec_to(hops)
+        store.report_hops_to(hops)
         t_before = tel.tracer.now
         with CodecWorkerPool(store.compressor, workers=2,
                              telemetry=tel) as pool:

@@ -19,7 +19,6 @@ from repro.circuits import Circuit, qft
 from repro.core import MemQSim, MemQSimConfig, PlanCache
 from repro.device import DeviceSpec
 from repro.memory import (
-    ChunkAccessRecorder,
     ChunkLayout,
     CompressedChunkStore,
     MemoryTracker,
@@ -37,7 +36,7 @@ from repro.pipeline import (
     predict_pass_schedule,
 )
 from repro.statevector import DenseSimulator, StateVector
-from repro.telemetry import Telemetry
+from repro.telemetry import ChunkAccessRecorder, Telemetry
 
 from ..serve.test_cancel import FireAtNthCheck
 from .test_planner import planning_cases

@@ -282,7 +282,7 @@ class TestCachedPlanDrivesHierarchy:
         from its own trace, and the state matches the uncached run."""
         from repro.analysis.memtrace import belady_misses
         from repro.device import DeviceSpec
-        from repro.memory import ChunkAccessRecorder
+        from repro.telemetry import ChunkAccessRecorder
 
         cache = PlanCache()
         cfg = MemQSimConfig(

@@ -188,7 +188,7 @@ def test_worker_events_re_anchor_onto_the_parent_axis():
     hops = Timeline()
     tel.tracer.attach(hops)
     store = CompressedChunkStore(ChunkLayout(8, 6), get_compressor("zlib"))
-    store.report_codec_to(hops)
+    store.report_hops_to(hops)
     tel.bus.publish("before")
     with CodecWorkerPool(store.compressor, workers=2) as pool:
         store.attach_lane(pool)

@@ -142,36 +142,43 @@ class TestRegistry:
 class TestDerivedGauges:
     def test_decode_bytes_per_s(self):
         """The decode rate is the decompress rows' bytes over their
-        seconds; the ratio is the ledger's codec bytes in over out."""
+        seconds; the ratio is the ledger's codec bytes in over out, both
+        read off the rows."""
         from repro.device import Stage, Timeline
         from repro.telemetry import Telemetry
 
-        reg = MetricsRegistry()
-        derived = reg.derived_gauges((8_000_000, 2.0))
-        assert derived["codec.decode_bytes_per_s"] == pytest.approx(4_000_000)
         tel = Telemetry()
         hops = Timeline()
         tel.tracer.attach(hops)
         hops.record(Stage.DECOMPRESS, 0.0, 1.5, 0, 0, 6_000_000)
-        hops.record(Stage.COMPRESS, 1.5, 9.0, 0, 0, 6_000_000)
+        hops.record(Stage.COMPRESS, 1.5, 9.0, 0, 0, 300, 0, 0, 100)
         hops.record(Stage.DECOMPRESS, 10.5, 0.5, 0, 1, 2_000_000)
-        tel.traffic.record("codec", "raw_in", 300)
-        tel.traffic.record("codec", "compressed_out", 100)
         derived = tel.snapshot()["derived"]
         assert derived["codec.decode_bytes_per_s"] == pytest.approx(4_000_000)
         assert derived["codec.compression_ratio"] == pytest.approx(3.0)
         # rows booked after a poll count at the next one, and only once
         hops.record(Stage.DECOMPRESS, 11.0, 2.0, 1, 0, 4_000_000)
-        assert tel.tracer.decoded() == (12_000_000, pytest.approx(4.0))
-        assert tel.tracer.decoded() == (12_000_000, pytest.approx(4.0))
+        assert tel.traffic.decoded() == (12_000_000, pytest.approx(4.0))
+        assert tel.traffic.decoded() == (12_000_000, pytest.approx(4.0))
 
     def test_decode_rate_absent_without_samples(self):
-        reg = MetricsRegistry()
-        assert reg.derived_gauges((100, 0.0)).get(
+        from repro.telemetry import Telemetry
+
+        tel = Telemetry()
+        assert tel.metrics.derived_gauges(tel.traffic).get(
             "codec.decode_bytes_per_s") is None
+        assert MetricsRegistry().derived_gauges()[
+            "codec.compression_ratio"] is None
 
     def test_decode_rate_in_snapshot(self):
-        reg = MetricsRegistry()
-        reg.counter("traffic.codec.compressed_out.bytes").inc(10)
-        snap = reg.snapshot((10, 0.5))
+        from repro.device import Stage, Timeline
+        from repro.telemetry import Telemetry
+
+        tel = Telemetry()
+        hops = Timeline()
+        tel.tracer.attach(hops)
+        hops.record(Stage.DECOMPRESS, 0.0, 0.5, 0, 0, 10, 0, 0, 4)
+        snap = tel.metrics.snapshot(tel.traffic)
         assert snap["derived"]["codec.decode_bytes_per_s"] == 20.0
+        # a bare registry with no source keeps the bare 3-section shape
+        assert "derived" not in MetricsRegistry().snapshot()

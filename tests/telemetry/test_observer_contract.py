@@ -62,6 +62,24 @@ bytes (totals, per-stage rows, worker sums and their ``traffic.*``
 counters) were replaced by what the runs now measure. Every op count,
 span, event, access trace and tier counter is the value it was.
 
+The third re-pin came when the traffic ledger became a fold over the
+timeline rows, so that a moved byte is booked once. Only derived values
+moved, and each is the pinned ledger's (see
+:func:`test_moved_spans_are_the_pinned_ledger_ops`):
+
+* ``compress`` spans now equal the ``codec.raw_in`` ops (108 -> 110 in
+  ``lossy_cache_tier``): the offline stage's two compressions are rows of
+  an offline timeline the run attaches beside its own;
+* the new ``cache_hit`` / ``cache_miss`` / ``disk_read`` / ``disk_write``
+  span counts equal the ledger ops of those edges (a cache copy-out and a
+  disk-log append or read are rows now);
+* the registry's ``traffic.*`` counters are deleted; the pinned ledger
+  totals beside them hold the same numbers.
+
+Every ledger entry, event and access trace is the bytes it was. In the
+``workers=2`` shape the disk spans, like the ``disk.`` ledger keys, follow
+the clock.
+
 The file pins how a run reaches its sinks for a given plan, not which
 plan the planner picks. It predates backward plans, which a zero-start
 run may now choose (``permutation`` would: 62 chunk loads against 94), so
@@ -123,7 +141,13 @@ SHAPES = {
 
 #: at ``workers=2`` a write lands when its job finishes, so which blobs the
 #: host tier has spilled by then (and reads back later) follows the clock
-CLOCKED = {"lossy_cache_tier_w2": ("disk.", "tier.")}
+CLOCKED = {"lossy_cache_tier_w2": ("disk.", "disk_", "tier.")}
+
+#: a hop span kind -> the ledger edge its rows move
+SPAN_EDGES = {"compress": "codec.raw_in", "decompress": "codec.raw_out",
+              "h2d": "arena.h2d", "d2h": "arena.d2h",
+              "cache_hit": "cache.hit", "cache_miss": "cache.miss",
+              "disk_read": "disk.read", "disk_write": "disk.write"}
 
 
 def forward(circuit, layout, cap, *args, backward=False, **kwargs):
@@ -196,8 +220,7 @@ def test_moved_entries_are_the_predicted_live_loads(shape):
     assert decodes["bytes"] == decodes["ops"] * layout.chunk_nbytes
     assert decodes["ops"] == ledger["totals"]["codec.compressed_in"]["ops"] \
         == pinned["spans"]["decompress"]
-    assert decodes["bytes"] == pinned["ledger_workers_sum"]["codec.raw_out"] \
-        == pinned["counters"]["traffic.codec.raw_out.bytes"]
+    assert decodes["bytes"] == pinned["ledger_workers_sum"]["codec.raw_out"]
     if not cfg.cache_chunks:
         predicted = predict_traffic(res.compiled_stages, layout, support={0})
         assert {si: row.get("codec.raw_out", 0)
@@ -208,6 +231,19 @@ def test_moved_entries_are_the_predicted_live_loads(shape):
     zero = sum(len(z) for _p, z in predict_sweep(
         res.compiled_stages, layout, {0}))
     assert decodes["ops"] == pinned["counters"]["cache.miss"] - zero
+
+
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_moved_spans_are_the_pinned_ledger_ops(shape):
+    """Each hop span is one row and each row one op of its edge, so every
+    hop span count is the pinned ledger's ops (the offline stage's
+    compressions included), and no counter copies a ledger edge."""
+    pinned = json.loads(PINNED.read_text())[shape]
+    totals = pinned["ledger"]["totals"]
+    for span, edge in SPAN_EDGES.items():
+        assert pinned["spans"].get(span, 0) \
+            == totals.get(edge, {}).get("ops", 0), span
+    assert not [k for k in pinned["counters"] if k.startswith("traffic.")]
 
 
 @pytest.mark.parametrize("shape", list(SHAPES))

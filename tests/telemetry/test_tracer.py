@@ -60,11 +60,6 @@ class TestSpanRecording:
         assert sp.parent == "group_pass"
         assert sp.depth == 1
 
-    def test_instant_has_zero_duration(self):
-        tr = Tracer()
-        sp = tr.instant("marker", why="test")
-        assert sp.duration == 0.0
-
     def test_find_and_total_seconds(self):
         tr = Tracer()
         tr.record("a", 0.5)

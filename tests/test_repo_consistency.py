@@ -587,20 +587,25 @@ class TestOneUpdatePath:
 
 class TestOneRecordPerHop:
     """A pipeline hop is one row of the run's ``Timeline``: the trace draws
-    its span from the row at export, and no span, bus event, counter or
-    side-count copies it as it happens. The copies must not come back by
-    name, and the layers that run hops reach for no tracer or bus."""
+    its span from the row at export, the traffic ledger folds its bytes
+    when read, and no span, bus event, counter, side-count or ledger entry
+    copies it as it happens. The copies must not come back by name, and
+    the layers that run hops reach for no tracer, bus or ledger."""
 
     GONE = (
         "StageEvent", "StoreStats", "from_spans", "kernels_launched",
         "record_at", "worker.compress", "worker.decompress",
         "transfer.h2d.bytes", "codec.compress.bytes_in",
         "codec.decompress.bytes", "kernel.gates", "parallel.jobs",
-        "mem.gauge", "codec.choice", "cache.evict",
+        "mem.gauge", "codec.choice", "cache.evict", "set_pass",
+        "pass_context",
     )
-    #: the layers that run hops; they book rows and touch the ledger only
+    #: the layers that run hops; they book rows and nothing else
     HOP_LAYERS = ("src/repro/memory/chunkstore.py",
                   "src/repro/memory/accounting.py",
+                  "src/repro/memory/cache.py",
+                  "src/repro/memory/diskstore.py",
+                  "src/repro/memory/hierarchy.py",
                   "src/repro/device/*.py", "src/repro/parallel/pool.py")
 
     @classmethod
@@ -631,14 +636,15 @@ class TestOneRecordPerHop:
     def test_hop_layers_call_no_tracer_or_bus(self):
         files = [p for pattern in self.HOP_LAYERS
                  for p in sorted(REPO.glob(pattern))]
-        assert len(files) >= 8
+        assert len(files) >= 11
         hits = []
         for path in files:
             code = re.sub(r'""".*?"""', "", path.read_text(), flags=re.DOTALL)
             for n, line in enumerate(code.splitlines(), 1):
                 line = line.split("#")[0]
                 hits += [f"{path.relative_to(REPO)}:{n}: {needle}"
-                         for needle in ("tracer.", ".bus", ".emit(")
+                         for needle in ("tracer.", ".bus", ".emit(",
+                                        ".traffic")
                          if needle in line]
         assert hits == []
 
