@@ -23,6 +23,13 @@ the uniform chunk, zlib's ``LSU1`` and szlike's flag-2 frame, against
 what each codec did with that chunk before (deflate, szlike's quantised
 stream), and the uniform test alone: accepting the uniform chunk and
 rejecting the structured one.
+
+A fourth times szlike's whole frame on a dense state at 4, 16 and 128 KiB,
+complex64 and complex128: the compiled frame codec (one C call a chunk,
+``repro.compression.native``) against its numpy oracle (``NumpySZLike``),
+compress and decompress MB/s of amplitude bytes, in interleaved rounds,
+with their paired ratio. ROADMAP's mark for the compiled codec is
+compress >= 1 GB/s at 16 KiB; the table reports it, nothing gates on it.
 """
 
 from __future__ import annotations
@@ -35,10 +42,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from common import FULL, emit_result, print_banner, seconds
+from common import FULL, emit_result, metric, paired_ratio, print_banner, seconds
 from repro.analysis import Table
 from repro.compression import NullCompressor, SZLikeCompressor, ZlibCompressor
-from repro.compression import szlike
+from repro.compression import native, szlike
+from repro.compression.szlike import NumpySZLike
 from repro.compression.bitstream import pack_fixed, unpack_fixed
 from repro.compression.interface import uniform_amplitude
 from repro.compression.lossless import _DEFLATE, _is_noise, blob_frame
@@ -212,14 +220,15 @@ def measure_uniform(n: int) -> dict:
            "accept_us": _us_per_call(lambda: uniform_amplitude(x, _words(x))),
            "reject_us": _us_per_call(
                lambda: uniform_amplitude(structured, _words(structured)))}
-    lsz = SZLikeCompressor()
+    # the quantised row skips the uniform test, which the compiled frame
+    # runs inside its one call: it is the numpy frame's, with the test off
     quantised = mock.patch.object(szlike, "uniform_amplitude",
                                   lambda data, words=None: None)
     for name, codec, stage, sniff in (
             ("lsu1", ZlibCompressor(), "uniform", blob_frame),
             ("lsl1", _DeflateEvery(), "deflate", blob_frame),
-            ("szl_uniform", lsz, "uniform", blob_entropy),
-            ("szl_quantised", lsz, "zlib", blob_entropy)):
+            ("szl_uniform", SZLikeCompressor(), "uniform", blob_entropy),
+            ("szl_quantised", NumpySZLike(), "zlib", blob_entropy)):
         with quantised if name == "szl_quantised" else nullcontext():
             blob = codec.compress(x)
             row[f"{name}_enc_us"] = _us_per_call(lambda: codec.compress(x))
@@ -251,6 +260,89 @@ def generate_uniform_table(sizes=FRAME_SIZES):
               *(f"{row[f'{c}_{op}_us']:.1f}" for c in UNIFORM_CODECS
                 for op in ("enc", "dec")),
               f"{row['accept_us']:.2f}", f"{row['reject_us']:.2f}")
+    return t, rows
+
+
+#: szlike's whole frame: chunk sizes in KiB and amplitude dtypes
+NATIVE_KIB = (4, 16, 128)
+NATIVE_DTYPES = (np.complex64, np.complex128)
+#: interleaved rounds per row; each round times every arm once
+NATIVE_ROUNDS = 9
+#: amplitude bytes each timed loop covers (at least 4 calls)
+NATIVE_LOOP_BYTES = 1 << 21
+
+
+def frame_chunk(kib: int, dtype) -> np.ndarray:
+    """A dense normalised state of ``kib`` KiB: noise, the chunks
+    ``dense_lossy`` and ``hierarchy_spill`` write (the fixed stage)."""
+    n = kib * 1024 // np.dtype(dtype).itemsize
+    rng = np.random.default_rng(kib)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return (v / np.linalg.norm(v)).astype(dtype)
+
+
+def measure_frame_codec(kib: int, dtype) -> dict:
+    """Compress and decompress seconds per call of the compiled frame and
+    of its numpy oracle, one of each per round, alternating which goes
+    first; the blobs must be the same bytes."""
+    x = frame_chunk(kib, dtype)
+    out = np.empty_like(x)
+    arms = {"oracle": NumpySZLike()}
+    if native.frame_codec() is not None:
+        arms["native"] = SZLikeCompressor()
+    blob = arms["oracle"].compress(x)
+    for codec in arms.values():
+        assert codec.compress(x) == blob
+    calls = max(4, NATIVE_LOOP_BYTES // x.nbytes)
+    times = {(arm, op): [] for arm in arms for op in ("enc", "dec")}
+    for r in range(NATIVE_ROUNDS):
+        for arm in sorted(arms, reverse=bool(r % 2)):
+            codec = arms[arm]
+            for op, fn in (("enc", lambda: codec.compress(x)),
+                           ("dec", lambda: codec.decompress(blob, out=out))):
+                t0 = time.perf_counter()
+                for _ in range(calls):
+                    fn()
+                times[arm, op].append((time.perf_counter() - t0) / calls)
+    row = {"kib": kib, "dtype": np.dtype(dtype).name,
+           "stage": blob_entropy(blob), "calls": calls}
+    for (arm, op), per_call in times.items():
+        row[f"{arm}_{op}_s"] = per_call
+        row[f"{arm}_{op}_MBps"] = x.nbytes / np.median(per_call) / 1e6
+    if "native" in arms:
+        for op in ("enc", "dec"):
+            row[f"{op}_ratio"] = paired_ratio(times["native", op],
+                                              times["oracle", op])
+    return row
+
+
+def generate_native_table(kibs=NATIVE_KIB, dtypes=NATIVE_DTYPES):
+    t = Table(
+        ["dtype", "KiB", "stage", "native enc MB/s", "oracle enc MB/s",
+         "enc native/oracle", "native dec MB/s", "oracle dec MB/s",
+         "dec native/oracle"],
+        title="CD1: szlike's frame, compiled vs numpy oracle (MB/s of "
+              "amplitudes, median of interleaved rounds; ratio: paired "
+              "median [Q1, Q3])",
+    )
+    rows = []
+    for dtype in dtypes:
+        for kib in kibs:
+            row = measure_frame_codec(kib, dtype)
+            rows.append(row)
+
+            def mbps(arm, op):
+                key = f"{arm}_{op}_MBps"
+                return f"{row[key]:.0f}" if key in row else "-"
+
+            def ratio(op):
+                r = row.get(f"{op}_ratio")
+                return (f"{r['median']:.2f} [{r['q1']:.2f}, {r['q3']:.2f}]"
+                        if r else "-")
+
+            t.add(row["dtype"], str(kib), row["stage"],
+                  mbps("native", "enc"), mbps("oracle", "enc"), ratio("enc"),
+                  mbps("native", "dec"), mbps("oracle", "dec"), ratio("dec"))
     return t, rows
 
 
@@ -305,16 +397,34 @@ def test_the_uniform_frame_is_one_amplitude(benchmark):
         assert row["lsl1_bytes"] > row["lsu1_bytes"], row
 
 
+def test_the_compiled_frame_writes_the_oracle_s_blobs(benchmark):
+    """Every row's blobs are the oracle's (measure_frame_codec asserts it);
+    the speed is reported, not gated."""
+    rows = benchmark.pedantic(
+        lambda: [measure_frame_codec(kib, dtype) for dtype in NATIVE_DTYPES
+                 for kib in (4, 16)],
+        rounds=1, iterations=1)
+    for row in rows:
+        assert row["stage"] == "fixed", row
+
+
 if __name__ == "__main__":
     print_banner(__doc__.splitlines()[0])
     t0 = time.perf_counter()
     table, rows = generate_table()
     frame_table, frame_rows = generate_frame_table()
     uniform_table, uniform_rows = generate_uniform_table()
+    native_table, native_rows = generate_native_table()
     wall = time.perf_counter() - t0
     print(table.render())
     print(frame_table.render())
     print(uniform_table.render())
+    print(native_table.render())
+    at16 = [r for r in native_rows if r["kib"] == 16 and "native_enc_MBps" in r]
+    for r in at16:
+        print(f"ROADMAP mark, compress >= 1000 MB/s at 16 KiB ({r['dtype']}): "
+              f"{r['native_enc_MBps']:.0f} MB/s, "
+              f"{'met' if r['native_enc_MBps'] >= 1000 else 'not met'}")
 
     at16 = [r for r in rows if r["n"] == 1 << 16]
     metrics = {
@@ -338,13 +448,26 @@ if __name__ == "__main__":
         **{f"uniform_test_{what}_s_{r['kib']}KiB":
            seconds(r[f"{what}_us"] * 1e-6)
            for r in uniform_rows for what in ("accept", "reject")},
+        # szlike's frame per implementation, op, dtype and size
+        **{f"frame_{arm}_{op}_MBps_{r['dtype']}_{r['kib']}KiB":
+           metric([r["kib"] * 1024 / s / 1e6 for s in r[f"{arm}_{op}_s"]],
+                  unit="MB/s", direction="higher")
+           for r in native_rows for arm in ("native", "oracle")
+           for op in ("enc", "dec") if f"{arm}_{op}_s" in r},
+        **{f"frame_{op}_native_over_oracle_{r['dtype']}_{r['kib']}KiB":
+           metric(r[f"{op}_ratio"]["median"], unit="x")
+           for r in native_rows for op in ("enc", "dec")
+           if f"{op}_ratio" in r},
     }
     emit_result("CD1", title=__doc__.splitlines()[0],
                 params={"sizes": SIZES_FULL if FULL else SIZES_FAST,
                         "repeats": REPEATS, "frame_sizes": FRAME_SIZES,
-                        "frame_calls": FRAME_CALLS},
+                        "frame_calls": FRAME_CALLS,
+                        "native_kib": list(NATIVE_KIB),
+                        "native_rounds": NATIVE_ROUNDS,
+                        "native_loop_bytes": NATIVE_LOOP_BYTES},
                 metrics=metrics,
-                tables=[table, frame_table, uniform_table],
+                tables=[table, frame_table, uniform_table, native_table],
                 extra={"rows": [
                     {k: (round(v, 6) if isinstance(v, float) else v)
                      for k, v in r.items()} for r in rows],
@@ -353,4 +476,7 @@ if __name__ == "__main__":
                      for k, v in r.items()} for r in frame_rows],
                     "uniform_rows": [
                     {k: (round(v, 3) if isinstance(v, float) else v)
-                     for k, v in r.items()} for r in uniform_rows]})
+                     for k, v in r.items()} for r in uniform_rows],
+                    "native_rows": [
+                    {k: v for k, v in r.items() if not k.endswith("_s")}
+                    for r in native_rows]})

@@ -243,6 +243,11 @@ class Compressor(abc.ABC):
         """Max per-component absolute error of a round-trip (0 if lossless)."""
         return 0.0
 
+    @property
+    def codec_impl(self) -> str:
+        """``"native"`` where a compiled frame codec runs, else ``"numpy"``."""
+        return "numpy"
+
     @abc.abstractmethod
     def compress(self, data: np.ndarray) -> bytes:
         """Compress a 1-D complex64/complex128 array into a blob.

@@ -20,10 +20,10 @@ A chunk that repeats one amplitude bit for bit skips all five: it is
 stored as that amplitude, exactly (the uniform frame, SZL1 flag 2), as SZ
 and ZFP store a constant block as its value.
 
-Steps 1-3 are one fused pass over pooled scratch planes: at chunk sizes
-that live in cache the cost is numpy calls, not bytes, so each call
-borrows its scratch once, casts its integer stream once, and decodes
-straight into the output array.
+The uniform test and steps 1-4 but the deflate are one C call a chunk
+(``native.py``), or, without a compiler, the numpy frame below, its oracle
+(DESIGN.md, "A compiled frame codec"): one fused pass over pooled scratch
+planes, since in-cache chunks cost numpy calls, not bytes.
 
 Guarantee: each real and imaginary component of every round-tripped value
 differs from the original by at most the configured absolute bound. The
@@ -42,6 +42,7 @@ from typing import Optional
 import numpy as np
 
 from ..memory.bufferpool import scratch_pool
+from . import native
 from .bitstream import pack_fixed, unpack_fixed
 from .interface import (
     DTYPE_MAGIC,
@@ -57,7 +58,7 @@ from .interface import (
 )
 from .quantizer import scaled_codes
 
-__all__ = ["SZLikeCompressor", "blob_entropy"]
+__all__ = ["SZLikeCompressor", "NumpySZLike", "blob_entropy"]
 
 _MAGIC = b"SZL1"
 _HEADER = struct.Struct("<BBQd")  # flag, entropy id, amplitudes, bound
@@ -203,14 +204,39 @@ class SZLikeCompressor(Compressor):
         data = coerce_amplitudes(data)
         return self._compress_frame(data, dtype_tag(data.dtype))
 
+    #: the compiled frame codec, or ``None`` (the numpy frame runs)
+    _frame_codec = staticmethod(native.frame_codec)
+
+    @property
+    def codec_impl(self) -> str:
+        return "numpy" if self._frame_codec() is None else "native"
+
     def _compress_frame(self, data: np.ndarray, tag: bytes) -> bytes:
         n = data.shape[0]
         if n == 0:
             return self._raw_blob(data, tag)
-        amplitude = uniform_amplitude(data)
-        if amplitude is not None:
-            return b"".join((tag, _MAGIC, _HEADER.pack(
-                _FLAG_UNIFORM, _ENTROPY_ZLIB, n, 0.0), amplitude))
+        codec = self._frame_codec()
+        if codec is None:
+            return self._compress_numpy(data, tag)
+        step_bound = self._eb * _STEP_SHRINK
+        with scratch_pool().borrow(6 * n + 2, np.int64) as work:
+            stage, payload = codec.encode(data, step_bound, self._eb,
+                                          self._entropy == "auto", work)
+            if stage == native.FIXED:
+                return self._quantised_blob(data, tag, step_bound,
+                                            _ENTROPY_FIXED, (payload,))
+            if stage == native.ZLIB:
+                return self._quantised_blob(
+                    data, tag, step_bound, _ENTROPY_ZLIB,
+                    (payload[:1], zlib.compress(payload[1:], _ZLIB_LEVEL)))
+        return (self._uniform_blob if stage == native.UNIFORM
+                else self._raw_blob)(data, tag)
+
+    def _compress_numpy(self, data: np.ndarray, tag: bytes) -> bytes:
+        """The numpy frame: the compiled one's bytes in ~25 numpy calls."""
+        n = data.shape[0]
+        if uniform_amplitude(data) is not None:
+            return self._uniform_blob(data, tag)
         m = 2 * n
         # One pass over four per-chunk scratch planes (one borrow, so
         # repeated chunk passes and codec lanes recycle one allocation):
@@ -251,6 +277,11 @@ class SZLikeCompressor(Compressor):
             payload, entropy_id = self._encode_codes(
                 scratch[m:3 * m], planes.view(np.int64), scratch[3 * m:],
                 lo, hi)
+        return self._quantised_blob(data, tag, step_bound, entropy_id,
+                                    payload)
+
+    def _quantised_blob(self, data: np.ndarray, tag: bytes,
+                        step_bound: float, entropy_id: int, payload) -> bytes:
         size = _PAYLOAD_AT + sum(map(len, payload))
         if size >= data.nbytes:
             # Lossy stream failed to beat even uncompressed storage —
@@ -258,9 +289,14 @@ class SZLikeCompressor(Compressor):
             raw = self._raw_blob(data, tag)
             if len(raw) - len(tag) < size:
                 return raw
-        return b"".join((tag, _MAGIC,
-                         _HEADER.pack(_FLAG_QUANT, entropy_id, n, step_bound),
-                         *payload))
+        return b"".join((tag, _MAGIC, _HEADER.pack(
+            _FLAG_QUANT, entropy_id, data.shape[0], step_bound), *payload))
+
+    @staticmethod
+    def _uniform_blob(data: np.ndarray, tag: bytes) -> bytes:
+        return b"".join((tag, _MAGIC, _HEADER.pack(
+            _FLAG_UNIFORM, _ENTROPY_ZLIB, data.shape[0], 0.0),
+            data[:1].tobytes()))
 
     def _raw_blob(self, data: np.ndarray, tag: bytes) -> bytes:
         # Raw bytes stay in the input dtype; the outer dtype tag tells the
@@ -337,8 +373,35 @@ class SZLikeCompressor(Compressor):
             out[:] = np.frombuffer(inflate_exact(payload, n * dtype.itemsize),
                                    dtype=dtype)
             return out
-        with scratch_pool().borrow(2 * n, np.int64) as doubled:
-            doubled = self._decode_codes(payload, entropy_id, doubled)
+        # the stage's own bytes, checked for both frames alike
+        count = 2 * n
+        if entropy_id == _ENTROPY_FIXED:
+            if (len(payload) < 2 or payload[1] > 1 or not 0 < payload[0] <= 64
+                    or len(payload) - 2 != (count * payload[0] + 7) >> 3):
+                raise ValueError("malformed fixed-length payload")
+            width, predicted = payload[0], payload[1]
+            src, start = blob, at + _PAYLOAD_AT + 2
+        elif entropy_id == _ENTROPY_ZLIB:
+            width, predicted = payload[0], 1
+            if width not in _ZLIB_WIDTHS:
+                raise ValueError(f"unknown SZL1 zlib-stage width {width}")
+            src, start = inflate_exact(payload[1:], count * width), 0
+        else:
+            raise ValueError(f"unknown SZL1 entropy stage {entropy_id}")
+        codec = self._frame_codec()
+        if codec is not None:
+            codec.decode(bytes(src), start, n, entropy_id == _ENTROPY_FIXED,
+                         width, predicted, step_bound, out)
+            return out
+        with scratch_pool().borrow(count, np.int64) as doubled:
+            zz = doubled.view(np.uint64)
+            if entropy_id == _ENTROPY_FIXED:
+                unpack_fixed(memoryview(src)[start:], count, width, out=zz)
+            else:
+                np.copyto(zz, np.frombuffer(src, dtype=_ZLIB_WIDTHS[width]))
+            doubled = _unzigzag_doubled(zz)
+            if predicted:
+                np.cumsum(doubled, out=doubled)
             # The value quantizer.dequantize gives (code * 2b, in float64),
             # as (2 * code) * b, written straight through a real view of the
             # output: a complex64 output rounds each product to float32.
@@ -346,28 +409,11 @@ class SZLikeCompressor(Compressor):
                         out=out.view(out.real.dtype).reshape(n, 2).T)
         return out
 
-    def _decode_codes(self, payload, entropy_id: int,
-                      out: np.ndarray) -> np.ndarray:
-        """Entropy-decode the quantisation codes, doubled (int64), into
-        ``out``."""
-        count = out.shape[0]
-        if entropy_id == _ENTROPY_FIXED:
-            if len(payload) < 2 or payload[1] > 1:
-                raise ValueError("malformed fixed-length payload")
-            zz = unpack_fixed(payload[2:], count, payload[0],
-                              out=out.view(np.uint64))
-            doubled = _unzigzag_doubled(zz)
-            return np.cumsum(doubled, out=doubled) if payload[1] else doubled
-        if entropy_id != _ENTROPY_ZLIB:
-            raise ValueError(f"unknown SZL1 entropy stage {entropy_id}")
-        width = payload[0]
-        if width not in _ZLIB_WIDTHS:
-            raise ValueError(f"unknown SZL1 zlib-stage width {width}")
-        raw = inflate_exact(payload[1:], count * width)
-        zz = out.view(np.uint64)
-        np.copyto(zz, np.frombuffer(raw, dtype=_ZLIB_WIDTHS[width]))
-        doubled = _unzigzag_doubled(zz)
-        return np.cumsum(doubled, out=doubled)
+
+class NumpySZLike(SZLikeCompressor):
+    """szlike's numpy frame on any host: the compiled one's oracle."""
+
+    _frame_codec = staticmethod(lambda: None)
 
 
 _ENTROPY_NAMES = {_ENTROPY_ZLIB: "zlib", _ENTROPY_FIXED: "fixed"}

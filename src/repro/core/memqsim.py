@@ -526,6 +526,7 @@ class MemQSim:
             "chunk_qubits": c,
             "precision": cfg.precision,
             "compressor": cfg.compressor,
+            "codec_impl": store.compressor.codec_impl,
             "cache_chunks": cfg.cache_chunks,
             "cache_policy": cfg.cache_policy,
             "fuse_gates": fuse,

@@ -1,8 +1,9 @@
 """One codec object, several codec lane threads.
 
 A codec lane shares the caller's compressor and the module-level state
-behind it (the scratch pool, and the fixed-length stage's cached pack and
-unpack plans); every thread must get exactly what a serial pass gets.
+behind it (the scratch pool, the fixed-length stage's cached pack and
+unpack plans, and the compiled frame codec, whose calls release the
+interpreter lock); every thread must get exactly what a serial pass gets.
 More threads than cores, and a short interpreter switch interval so
 threads interleave between bytecodes as often as they can.
 """
@@ -13,8 +14,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.compression import bitstream
-from repro.compression.szlike import SZLikeCompressor, blob_entropy
+from repro.compression import bitstream, native
+from repro.compression.szlike import (NumpySZLike, SZLikeCompressor,
+                                      blob_entropy)
 
 THREADS = 4
 ROUNDS = 3
@@ -63,3 +65,22 @@ def test_lanes_match_a_serial_pass(busy_switching):
             for got, want in zip(lanes.map(codec.decompress, blobs,
                                            timeout=60), arrays):
                 assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.skipif(native.frame_codec() is None,
+                    reason="no compiled frame codec here")
+def test_native_lanes_write_what_the_oracle_writes(busy_switching):
+    """Four lanes in the compiled frame codec at once, both precisions:
+    each call borrows its own scratch, so every blob and every decoded
+    array is the numpy frame's."""
+    codec, oracle = SZLikeCompressor(), NumpySZLike()
+    chunks = [c.astype(dtype) for c in _chunks()
+              for dtype in (np.complex64, np.complex128)]
+    blobs = [oracle.compress(c) for c in chunks]
+    arrays = [oracle.decompress(b).tobytes() for b in blobs]
+    for _ in range(ROUNDS):
+        with ThreadPoolExecutor(THREADS) as lanes:
+            assert list(lanes.map(codec.compress, chunks,
+                                  timeout=60)) == blobs
+            assert [a.tobytes() for a in lanes.map(
+                codec.decompress, blobs, timeout=60)] == arrays
