@@ -104,7 +104,7 @@ def test_the_cache_is_keyed_by_source_and_flags(monkeypatch, unbuilt,
 @pytest.mark.skipif(not BUILDS, reason="the library does not build here")
 def test_two_first_builds_at_once_leave_one_library(monkeypatch, unbuilt,
                                                      tmp_path):
-    """Both builders pass the cache lookup before either has written, and
+    """Both threads pass the cache lookup before either has written, and
     compile at the same time; each renames its own temporary file into
     place, so one whole library is left, and it loads."""
     both = threading.Barrier(2, timeout=60)
@@ -116,13 +116,13 @@ def test_two_first_builds_at_once_leave_one_library(monkeypatch, unbuilt,
 
     monkeypatch.setattr(native, "_compile", together)
     paths = []
-    builders = [threading.Thread(target=lambda: paths.append(native.build()))
-                for _ in range(2)]
-    for builder in builders:
-        builder.start()
-    for builder in builders:
-        builder.join(timeout=120)
-        assert not builder.is_alive()
+    threads = [threading.Thread(target=lambda: paths.append(native.build()))
+               for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
     assert len(paths) == 2 and paths[0] == paths[1]
     assert list(tmp_path.iterdir()) == [paths[0]]
     codec = native.FrameCodec(paths[0])
