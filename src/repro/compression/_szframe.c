@@ -29,12 +29,15 @@
 
 enum { SZL_UNIFORM, SZL_RAW, SZL_FIXED, SZL_ZLIB };
 
-/* szlike.py's `auto` thresholds (_FIXED_*) and quantizer.MAX_SAFE_CODE */
-#define FIXED_MIN_DELTA_WIDTH 8
-#define FIXED_PROBE 64
-#define FIXED_MIN_DISTINCT 48
-#define FIXED_MAX_SLACK 5
-#define MAX_SAFE_CODE 4503599627370496.0 /* 2**52 */
+/* szlike.py's `auto` thresholds (_FIXED_*) and quantizer.MAX_SAFE_CODE
+ * (round_even needs it <= 2**52): Python owns them, and native.py sets
+ * them once when it loads the library, before any frame is encoded */
+static int64_t min_delta_width, probe, min_distinct, max_slack;
+static double max_safe_code;
+
+void szl_policy(int64_t w, int64_t p, int64_t d, int64_t s, double safe)
+{ min_delta_width = w, probe = p, min_distinct = d, max_slack = s,
+  max_safe_code = safe; }
 
 static int bits_of(double v) /* rule 1 */
 {
@@ -45,7 +48,7 @@ static int bits_of(double v) /* rule 1 */
 }
 
 static double round_even(double y) /* rule 2 */
-{ return copysign((fabs(y) + MAX_SAFE_CODE) - MAX_SAFE_CODE, y); }
+{ return copysign((fabs(y) + 0x1p52) - 0x1p52, y); }
 
 /* 2v ^ (2v >> 63), without shifting a negative value */
 static uint64_t zigzag(int64_t v)
@@ -54,16 +57,18 @@ static uint64_t zigzag(int64_t v)
 /* szlike._zigzag_width: the bits of the widest of symbols ORed in `any` */
 static int width_of(uint64_t any) { return 64 - __builtin_clzll(any | 1); }
 
-/* distinct values among v[0..count), count <= FIXED_PROBE (rule 4) */
-static int distinct(const int64_t *v, int64_t count)
+/* distinct values among v[0..count), count <= probe (rule 4) */
+static int64_t distinct(const int64_t *v, int64_t count)
 {
-    int64_t key[2 * FIXED_PROBE];
-    unsigned char used[2 * FIXED_PROBE] = {0};
-    int found = 0;
+    const uint64_t slots = 2 * (uint64_t)count + 1;
+    int64_t key[slots];
+    unsigned char used[slots];
+    int64_t found = 0;
+    memset(used, 0, sizeof used);
     for (int64_t i = 0; i < count; i++) {
-        unsigned h = (unsigned)((uint64_t)v[i] * 0x9E3779B97F4A7C15u >> 57);
+        uint64_t h = ((uint64_t)v[i] * 0x9E3779B97F4A7C15u >> 32) % slots;
         while (used[h] && key[h] != v[i])
-            h = (h + 1) % (2 * FIXED_PROBE);
+            h = (h + 1) % slots;
         found += !used[h];
         used[h] = 1;
         key[h] = v[i];
@@ -94,24 +99,11 @@ static int64_t pack_fixed(const int64_t *v, int64_t count, int width,
     return at - out;
 }
 
-/* szlike._minimal_uint: the symbols (ORed in `any`) in the fewest of 1,
- * 2, 4 and 8 bytes that hold them all; returns that width */
-static int narrow(const int64_t *v, int64_t count, uint64_t any,
-                  unsigned char *out)
-{
-    int width = any >> 32 ? 8 : any >> 16 ? 4 : any >> 8 ? 2 : 1;
-    for (int64_t i = 0; i < count; i++) {
-        uint64_t z = zigzag(v[i]);
-        memcpy(out + width * i, &z, (size_t)width);
-    }
-    return width;
-}
-
 /* Encode n amplitudes (complex64 if `single`) on the step 2*step_bound:
- * SZL_UNIFORM, SZL_RAW (a quotient NaN, infinite or past 2**52, or a miss
- * of eb), SZL_FIXED or SZL_ZLIB, whose payload `work` (6n + 2 int64s)
- * holds after its length, the 2n codes (real plane, then imaginary) and
- * their 2n deltas. `automatic` is szlike's `auto` stage choice. */
+ * SZL_UNIFORM, SZL_RAW (a quotient NaN, infinite or past the safe-code
+ * limit, or a miss of eb), SZL_FIXED or SZL_ZLIB, whose payload `work`
+ * (6n + 2 int64s) holds after its length, the 2n codes (real plane, then
+ * imaginary) and their 2n deltas. `automatic`: szlike's `auto` choice. */
 int szl_encode(const void *data, int64_t n, int single, double step_bound,
                double eb, int automatic, int64_t *work)
 {
@@ -135,16 +127,15 @@ int szl_encode(const void *data, int64_t n, int single, double step_bound,
             double x = single ? ((const float *)data)[2 * i + p]
                               : ((const double *)data)[2 * i + p];
             double y = x / step;
-            int safe = fabs(y) <= MAX_SAFE_CODE;
+            int safe = fabs(y) <= max_safe_code;
             double q = safe ? round_even(y) : 0.0, dq = q - prev; /* exact */
             unsafe |= !safe;
             miss |= fabs(x - q * step) > eb;
-            int64_t code = (int64_t)q, delta = (int64_t)dq;
+            codes[k] = (int64_t)q;
+            deltas[k] = (int64_t)dq;
             prev = q;
-            codes[k] = code;
-            deltas[k] = delta;
-            code_zz |= zigzag(code);
-            delta_zz |= zigzag(delta);
+            code_zz |= zigzag(codes[k]);
+            delta_zz |= zigzag(deltas[k]);
             code_bits += bits_of(q);
             delta_bits += bits_of(dq);
         }
@@ -152,13 +143,12 @@ int szl_encode(const void *data, int64_t n, int single, double step_bound,
         return SZL_RAW;
 
     int delta_width = width_of(delta_zz);
-    if (automatic && delta_width > FIXED_MIN_DELTA_WIDTH &&
-            distinct(deltas, m < FIXED_PROBE ? m : FIXED_PROBE)
-            >= FIXED_MIN_DISTINCT) {
+    if (automatic && delta_width > min_delta_width &&
+            distinct(deltas, m < probe ? m : probe) >= min_distinct) {
         /* keep the predictor only where it narrows the stream */
         int width = width_of(code_zz), predicted = delta_width < width;
         width = predicted ? delta_width : width;
-        if (m * (width - 1 - FIXED_MAX_SLACK)
+        if (m * (width - 1 - max_slack)
                 <= (code_bits < delta_bits ? code_bits : delta_bits)) {
             out[0] = (unsigned char)width;
             out[1] = (unsigned char)predicted;
@@ -167,44 +157,43 @@ int szl_encode(const void *data, int64_t n, int single, double step_bound,
             return SZL_FIXED;
         }
     }
-    out[0] = (unsigned char)narrow(deltas, m, delta_zz, out + 1);
-    work[0] = 1 + m * out[0];
+    /* szlike._minimal_uint: the fewest of 1, 2, 4 and 8 bytes a symbol */
+    int w = delta_zz >> 32 ? 8 : delta_zz >> 16 ? 4 : delta_zz >> 8 ? 2 : 1;
+    for (k = 0; k < m; k++) {
+        uint64_t z = zigzag(deltas[k]);
+        memcpy(out + 1 + w * k, &z, (size_t)w);
+    }
+    out[0] = (unsigned char)w;
+    work[0] = 1 + m * w;
     return SZL_ZLIB;
 }
 
-/* field k of a fixed-stage payload: from the big-endian word at its first
- * byte, or bit by bit past the payload's end or a width of 57 */
-static uint64_t field(const unsigned char *src, int64_t nbytes, int64_t k,
-                      int width)
+/* field k of a fixed-stage payload: `width` bits of the 9 bytes from its
+ * first on (Python pads the payload with 8 zero bytes) */
+static uint64_t field(const unsigned char *src, int64_t k, int width)
 {
-    uint64_t bit = (uint64_t)k * (uint64_t)width, v = 0;
-    const unsigned char *at = src + (bit >> 3);
-    int skip = (int)(bit & 7), take;
-    if (width <= 57 && (int64_t)(bit >> 3) + 8 <= nbytes) {
-        memcpy(&v, at, 8);
-        return (__builtin_bswap64(v) << skip) >> (64 - width);
-    }
-    for (int left = width; left > 0; left -= take, skip = 0) {
-        take = left < 8 - skip ? left : 8 - skip;
-        v = v << take | ((*at++ >> (8 - skip - take)) & ((1u << take) - 1));
-    }
-    return v;
+    uint64_t bit = (uint64_t)k * (uint64_t)width, v;
+    int skip = (int)(bit & 7);
+    memcpy(&v, src + (bit >> 3), 8);
+    v = __builtin_bswap64(v) << skip | src[(bit >> 3) + 8] >> (8 - skip);
+    return v >> (64 - width);
 }
 
 /* Decode the 2n symbols at src + at (`width`-bit fixed-stage fields when
- * `packed`, else inflated `width`-byte symbols; Python has checked both)
+ * `packed`, else inflated `width`-byte symbols; Python has checked both
+ * and padded them with 8 zero bytes)
  * into the n amplitudes of `out` (complex64 when `single`): unzigzag, sum
  * when `predicted` (rule 3), scale as quantizer.dequantize, (2v) * b. */
 void szl_decode(const unsigned char *src, int64_t at, int64_t n, int packed,
                 int width, int predicted, double step_bound, void *out,
                 int single)
 {
-    int64_t nbytes = (2 * n * width + 7) / 8, k = 0;
+    int64_t k = 0;
     uint64_t sum = 0, keep = 0 - (uint64_t)(predicted != 0), z;
     src += at;
     for (int p = 0; p < 2; p++)
         for (int64_t i = 0; i < n; i++, k++) {
-            z = packed ? field(src, nbytes, k, width) : 0;
+            z = packed ? field(src, k, width) : 0;
             if (!packed)
                 memcpy(&z, src + width * k, (size_t)width);
             sum = (sum & keep) + (z ^ (0 - (z & 1))); /* 2v */

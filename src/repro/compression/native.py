@@ -1,9 +1,9 @@
 """The compiled frame codec: szlike's quantised frame in one C call a chunk.
 
 ``_szframe.c``, built with ``cc`` when szlike first needs it (never at
-import), cached under a hash of source and :data:`FLAGS`, loaded through
-``ctypes``; where it cannot be, szlike runs its numpy frame, which writes
-the same bytes (DESIGN.md, "A compiled frame codec").
+import), cached under a hash of source, :data:`FLAGS` and the platform,
+loaded through ``ctypes``; where it cannot be, szlike runs its numpy
+frame, which writes the same bytes (DESIGN.md, "A compiled frame codec").
 """
 
 from __future__ import annotations
@@ -12,14 +12,15 @@ import hashlib
 import logging
 import os
 import subprocess
+import sysconfig
 import tempfile
 import threading
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
-__all__ = ["FLAGS", "FrameCodec", "build", "frame_codec"]
+__all__ = ["FLAGS", "FrameCodec", "frame_codec", "library_name", "load"]
 
 log = logging.getLogger(__name__)
 
@@ -49,29 +50,38 @@ def _compile(source: Path, target: str) -> None:
                    stdin=subprocess.DEVNULL, capture_output=True, timeout=300)
 
 
-def build(dirs: Optional[Iterable[Path]] = None) -> Path:
-    """The cached library, or one built into the first writable of ``dirs``
-    (OSError if none is, SubprocessError if the compiler fails)."""
-    key = hashlib.sha256(SOURCE.read_bytes() + " ".join(FLAGS).encode())
-    name = f"_szframe-{key.hexdigest()[:16]}.so"
-    for directory in cache_dirs() if dirs is None else dirs:
+def library_name() -> str:
+    """The cached library's name: a hash of source, flags and platform."""
+    key = hashlib.sha256(b"\0".join((
+        SOURCE.read_bytes(), " ".join(FLAGS).encode(),
+        sysconfig.get_platform().encode())))
+    return f"_szframe-{key.hexdigest()[:16]}.so"
+
+
+def load() -> "FrameCodec":
+    """The library of the first cache directory that holds or can build one
+    that loads (OSError if none does, SubprocessError if the compiler
+    fails): an unwritable directory or a cached file that does not load
+    passes on to the next. A build compiles to a temporary name and
+    ``os.replace``s it into place."""
+    name, failure = library_name(), OSError("no usable cache directory")
+    for directory in cache_dirs():
         target = directory / name
-        if target.is_file():
-            return target
         try:
-            directory.mkdir(parents=True, exist_ok=True)
-            fd, partial = tempfile.mkstemp(prefix=name, dir=directory)
-        except OSError:
-            continue
-        os.close(fd)
-        try:
-            _compile(SOURCE, partial)
-            os.replace(partial, target)
-        finally:
-            if os.path.exists(partial):
-                os.unlink(partial)
-        return target
-    raise OSError(f"no writable cache directory for {name}")
+            if not target.is_file():
+                directory.mkdir(parents=True, exist_ok=True)
+                fd, partial = tempfile.mkstemp(prefix=name, dir=directory)
+                os.close(fd)
+                try:
+                    _compile(SOURCE, partial)
+                    os.replace(partial, target)
+                finally:
+                    if os.path.exists(partial):
+                        os.unlink(partial)
+            return FrameCodec(target)
+        except OSError as exc:
+            failure = exc
+    raise failure
 
 
 class FrameCodec:
@@ -80,7 +90,13 @@ class FrameCodec:
     def __init__(self, path: Path):
         import ctypes
 
-        lib = ctypes.CDLL(str(path))
+        from . import quantizer, szlike
+
+        self.path, lib = path, ctypes.CDLL(str(path))
+        lib.szl_policy(*map(ctypes.c_int64, (
+            szlike._FIXED_MIN_DELTA_WIDTH, szlike._FIXED_PROBE,
+            szlike._FIXED_MIN_DISTINCT, szlike._FIXED_MAX_SLACK)),
+            ctypes.c_double(quantizer.MAX_SAFE_CODE))
         i64, f64, i32, ptr = (ctypes.c_int64, ctypes.c_double, ctypes.c_int,
                               ctypes.c_void_p)
         self._encode, self._decode = lib.szl_encode, lib.szl_decode
@@ -99,8 +115,7 @@ class FrameCodec:
 
     def encode(self, data: np.ndarray, step_bound: float, eb: float,
                automatic: bool, work: np.ndarray):
-        """szl_encode's frame and its payload, a view of ``work`` (``6 * n
-        + 2`` int64 words)."""
+        """szl_encode's frame and payload (a view of ``work``, 6n + 2)."""
         n = data.shape[0]
         stage = self._encode(self._address(data), n, data.dtype.itemsize == 8,
                              step_bound, eb, automatic, self._address(work))
@@ -122,7 +137,7 @@ def frame_codec() -> Optional[FrameCodec]:
         with _LOCK:
             if not _LOADED:
                 try:
-                    _LOADED.append(FrameCodec(build()))
+                    _LOADED.append(load())
                 except (OSError, subprocess.SubprocessError) as exc:
                     log.warning("szlike runs its numpy frame: the compiled "
                                 "frame codec is unavailable (%s)", exc)

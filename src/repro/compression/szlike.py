@@ -110,13 +110,8 @@ _MAX = np.maximum.reduce
 def _minimal_uint(zz: np.ndarray) -> np.ndarray:
     """Downcast zigzag codes to the narrowest dtype that holds the max."""
     mx = int(_MAX(zz)) if zz.size else 0
-    if mx < 1 << 8:
-        return zz.astype(np.uint8)
-    if mx < 1 << 16:
-        return zz.astype(np.uint16)
-    if mx < 1 << 32:
-        return zz.astype(np.uint32)
-    return zz.astype(np.uint64)
+    return zz.astype(next(t for w, t in _ZLIB_WIDTHS.items()
+                          if mx >> 8 * w == 0))
 
 
 def _zlib_stage(zz: np.ndarray) -> bytes:
@@ -390,8 +385,9 @@ class SZLikeCompressor(Compressor):
             raise ValueError(f"unknown SZL1 entropy stage {entropy_id}")
         codec = self._frame_codec()
         if codec is not None:
-            codec.decode(bytes(src), start, n, entropy_id == _ENTROPY_FIXED,
-                         width, predicted, step_bound, out)
+            codec.decode(b"".join((src, bytes(8))), start, n,
+                         entropy_id == _ENTROPY_FIXED, width, predicted,
+                         step_bound, out)
             return out
         with scratch_pool().borrow(count, np.int64) as doubled:
             zz = doubled.view(np.uint64)

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from repro.circuits import qft, vqe_ansatz
-from repro.compression import native
-from repro.compression.szlike import SZLikeCompressor
+from repro.compression import native, szlike
+from repro.compression.szlike import (NumpySZLike, SZLikeCompressor,
+                                      blob_entropy)
 from repro.core import MemQSim
 from repro.device import DeviceSpec
 
@@ -89,16 +90,49 @@ def test_importing_builds_nothing():
 
 
 @pytest.mark.skipif(not BUILDS, reason="the library does not build here")
-def test_the_cache_is_keyed_by_source_and_flags(monkeypatch, unbuilt,
-                                                tmp_path):
-    path = native.build()
+def test_the_cache_is_keyed_by_source_flags_and_platform(monkeypatch, unbuilt,
+                                                         tmp_path):
+    path = native.load().path
     assert path.parent == tmp_path and len(unbuilt) == 1
-    assert native.build() == path and len(unbuilt) == 1  # cached
+    assert native.load().path == path and len(unbuilt) == 1  # cached
     assert list(tmp_path.iterdir()) == [path]
     monkeypatch.setattr(native, "FLAGS", native.FLAGS + ("-DREBUILT",))
-    other = native.build()
+    other = native.load().path
     assert other != path and len(unbuilt) == 2
-    assert sorted(tmp_path.iterdir()) == sorted([path, other])
+    monkeypatch.setattr(native.sysconfig, "get_platform", lambda: "elsewhere")
+    third = native.load().path
+    assert third not in (path, other) and len(unbuilt) == 3
+    assert sorted(tmp_path.iterdir()) == sorted([path, other, third])
+
+
+@pytest.mark.skipif(not BUILDS, reason="the library does not build here")
+def test_a_cached_library_that_does_not_load_passes_to_the_next(
+        monkeypatch, unbuilt, tmp_path):
+    """A leftover or foreign ``.so`` under the library's name in the first
+    cache directory: the next directory builds one that loads."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    (first / native.library_name()).write_bytes(b"not a shared library")
+    monkeypatch.setattr(native, "cache_dirs", lambda: iter([first, second]))
+    assert native.frame_codec().path == second / native.library_name()
+    assert len(unbuilt) == 1
+
+
+@pytest.mark.skipif(not BUILDS, reason="the library does not build here")
+def test_the_stage_policy_is_read_from_szlike(monkeypatch, unbuilt):
+    """szlike.py owns `auto`'s thresholds: a library loaded after they
+    change picks its stages by the new ones, as the numpy frame does."""
+    assert "fixed" in {blob_entropy(NumpySZLike().compress(chunk))
+                       for chunk in chunks()}
+    monkeypatch.setattr(szlike, "_FIXED_MIN_DISTINCT", szlike._FIXED_PROBE + 1)
+    codec = native.load()
+
+    class Loaded(SZLikeCompressor):
+        _frame_codec = staticmethod(lambda: codec)
+
+    blobs = [Loaded().compress(chunk) for chunk in chunks()]
+    assert blobs == [NumpySZLike().compress(chunk) for chunk in chunks()]
+    assert "fixed" not in {blob_entropy(blob) for blob in blobs}
 
 
 @pytest.mark.skipif(not BUILDS, reason="the library does not build here")
@@ -116,8 +150,8 @@ def test_two_first_builds_at_once_leave_one_library(monkeypatch, unbuilt,
 
     monkeypatch.setattr(native, "_compile", together)
     paths = []
-    threads = [threading.Thread(target=lambda: paths.append(native.build()))
-               for _ in range(2)]
+    threads = [threading.Thread(
+        target=lambda: paths.append(native.load().path)) for _ in range(2)]
     for thread in threads:
         thread.start()
     for thread in threads:
