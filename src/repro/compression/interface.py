@@ -49,6 +49,7 @@ __all__ = [
     "available_compressors",
     "compressor_options",
     "DTYPE_MAGIC",
+    "HEADER_BYTES",
     "tag_dtype",
     "dtype_tag",
     "frame_dtype",
@@ -64,6 +65,10 @@ __all__ = [
 #: then the codec's own (untouched) frame. complex128 blobs carry no
 #: prefix, keeping the historical format byte-identical.
 DTYPE_MAGIC = b"DTP1"
+#: the leading bytes of a blob that name its frame and stage: a dtype tag
+#: (5), a magic (4), then szlike's flag and entropy id (2); the sniffers
+#: (``szlike.blob_entropy``, ``lossless.blob_frame``) read no further
+HEADER_BYTES = 11
 
 _COMPLEX128 = np.dtype(np.complex128)
 _DTYPE_TAGS: Dict[np.dtype, int] = {np.dtype(np.complex64): 0x01}

@@ -22,8 +22,8 @@ and ZFP store a constant block as its value.
 
 The uniform test and steps 1-4 but the deflate are one C call a chunk
 (``native.py``), or, without a compiler, the numpy frame below, its oracle
-(DESIGN.md, "A compiled frame codec"): one fused pass over pooled scratch
-planes, since in-cache chunks cost numpy calls, not bytes.
+(DESIGN.md, "A compiled frame codec"): one fused pass over scratch planes
+(:func:`_scratch`), since in-cache chunks cost numpy calls, not bytes.
 
 Guarantee: each real and imaginary component of every round-tripped value
 differs from the original by at most the configured absolute bound. The
@@ -36,12 +36,12 @@ from __future__ import annotations
 
 import math
 import struct
+import threading
 import zlib
 from typing import Optional
 
 import numpy as np
 
-from ..memory.bufferpool import scratch_pool
 from . import native
 from .bitstream import pack_fixed, unpack_fixed
 from .interface import (
@@ -105,6 +105,21 @@ _FIXED_MAX_SLACK = 5
 
 _MIN = np.minimum.reduce
 _MAX = np.maximum.reduce
+
+
+_SCRATCH = threading.local()
+
+
+def _scratch(words: int) -> np.ndarray:
+    """``words`` int64 words of this thread's codec scratch: one buffer
+    that grows to the largest request and never shrinks (the compiled
+    encode's ``6n + 2`` words is 48 bytes an amplitude of the largest chunk
+    a thread has compressed, the numpy frame's planes 64). A call's use of
+    it ends before the call returns: no blob or output aliases it."""
+    buf = getattr(_SCRATCH, "buf", None)
+    if buf is None or buf.shape[0] < words:
+        buf = _SCRATCH.buf = np.empty(words, dtype=np.int64)
+    return buf[:words]
 
 
 def _minimal_uint(zz: np.ndarray) -> np.ndarray:
@@ -214,16 +229,16 @@ class SZLikeCompressor(Compressor):
         if codec is None:
             return self._compress_numpy(data, tag)
         step_bound = self._eb * _STEP_SHRINK
-        with scratch_pool().borrow(6 * n + 2, np.int64) as work:
-            stage, payload = codec.encode(data, step_bound, self._eb,
-                                          self._entropy == "auto", work)
-            if stage == native.FIXED:
-                return self._quantised_blob(data, tag, step_bound,
-                                            _ENTROPY_FIXED, (payload,))
-            if stage == native.ZLIB:
-                return self._quantised_blob(
-                    data, tag, step_bound, _ENTROPY_ZLIB,
-                    (payload[:1], zlib.compress(payload[1:], _ZLIB_LEVEL)))
+        stage, payload = codec.encode(data, step_bound, self._eb,
+                                      self._entropy == "auto",
+                                      _scratch(6 * n + 2))
+        if stage == native.FIXED:
+            return self._quantised_blob(data, tag, step_bound,
+                                        _ENTROPY_FIXED, (payload,))
+        if stage == native.ZLIB:
+            return self._quantised_blob(
+                data, tag, step_bound, _ENTROPY_ZLIB,
+                (payload[:1], zlib.compress(payload[1:], _ZLIB_LEVEL)))
         return (self._uniform_blob if stage == native.UNIFORM
                 else self._raw_blob)(data, tag)
 
@@ -233,45 +248,45 @@ class SZLikeCompressor(Compressor):
         if uniform_amplitude(data) is not None:
             return self._uniform_blob(data, tag)
         m = 2 * n
-        # One pass over four per-chunk scratch planes (one borrow, so
-        # repeated chunk passes and codec lanes recycle one allocation):
-        # the real/imag planes (then the integer stream), the float codes,
+        # One pass over four per-chunk planes of this thread's scratch (so
+        # repeated chunk passes recycle one allocation on every lane): the
+        # real/imag planes (then the integer stream), the float codes,
         # a plane that holds the bound-check residual and then the float
         # deltas, and a spare one. A 4 KiB chunk lives in cache; what this
         # path pays for is calls, not bytes.
-        with scratch_pool().borrow(4 * m, np.float64) as scratch:
-            planes, scaled, deltas = \
-                scratch[:m], scratch[m:2 * m], scratch[2 * m:3 * m]
-            # Keeping each plane contiguous preserves smoothness for the
-            # delta stage; the strided copy is also the c64 -> f64 upcast,
-            # which quiets a signaling NaN (such a chunk escapes to raw
-            # below, so its bits survive).
-            with np.errstate(invalid="ignore"):
-                np.copyto(planes.reshape(2, n),
-                          data.view(data.real.dtype).reshape(n, 2).T)
-            try:
-                step_bound = self._eb * _STEP_SHRINK
-                lo, hi = scaled_codes(planes, step_bound, scaled)
-            except (OverflowError, FloatingPointError):
-                return self._raw_blob(data, tag)
-            # Verify the *configured* bound against the actual reconstruction
-            # (the decoder multiplies the same integers by the same step, so
-            # it sees exactly these values). Product rounding can still
-            # exceed eb for huge code magnitudes (bounds near |x|*ulp); those
-            # chunks escape to the exact raw path (SZ's unpredictable-data
-            # rule).
-            np.multiply(scaled, 2.0 * step_bound, out=deltas)
-            np.subtract(planes, deltas, out=deltas)
-            np.abs(deltas, out=deltas)
-            if float(_MAX(deltas)) > self._eb:
-                return self._raw_blob(data, tag)
-            # Exact integer delta coding — the reversible, vectorized
-            # equivalent of SZ's first-order Lorenzo predictor — computed
-            # on the float codes (exact: |code| <= 2**52) and cast once.
-            _delta(scaled, deltas)
-            payload, entropy_id = self._encode_codes(
-                scratch[m:3 * m], planes.view(np.int64), scratch[3 * m:],
-                lo, hi)
+        scratch = _scratch(4 * m).view(np.float64)
+        planes, scaled, deltas = \
+            scratch[:m], scratch[m:2 * m], scratch[2 * m:3 * m]
+        # Keeping each plane contiguous preserves smoothness for the
+        # delta stage; the strided copy is also the c64 -> f64 upcast,
+        # which quiets a signaling NaN (such a chunk escapes to raw
+        # below, so its bits survive).
+        with np.errstate(invalid="ignore"):
+            np.copyto(planes.reshape(2, n),
+                      data.view(data.real.dtype).reshape(n, 2).T)
+        try:
+            step_bound = self._eb * _STEP_SHRINK
+            lo, hi = scaled_codes(planes, step_bound, scaled)
+        except (OverflowError, FloatingPointError):
+            return self._raw_blob(data, tag)
+        # Verify the *configured* bound against the actual reconstruction
+        # (the decoder multiplies the same integers by the same step, so
+        # it sees exactly these values). Product rounding can still
+        # exceed eb for huge code magnitudes (bounds near |x|*ulp); those
+        # chunks escape to the exact raw path (SZ's unpredictable-data
+        # rule).
+        np.multiply(scaled, 2.0 * step_bound, out=deltas)
+        np.subtract(planes, deltas, out=deltas)
+        np.abs(deltas, out=deltas)
+        if float(_MAX(deltas)) > self._eb:
+            return self._raw_blob(data, tag)
+        # Exact integer delta coding — the reversible, vectorized
+        # equivalent of SZ's first-order Lorenzo predictor — computed
+        # on the float codes (exact: |code| <= 2**52) and cast once.
+        _delta(scaled, deltas)
+        payload, entropy_id = self._encode_codes(
+            scratch[m:3 * m], planes.view(np.int64), scratch[3 * m:],
+            lo, hi)
         return self._quantised_blob(data, tag, step_bound, entropy_id,
                                     payload)
 
@@ -389,20 +404,20 @@ class SZLikeCompressor(Compressor):
                          entropy_id == _ENTROPY_FIXED, width, predicted,
                          step_bound, out)
             return out
-        with scratch_pool().borrow(count, np.int64) as doubled:
-            zz = doubled.view(np.uint64)
-            if entropy_id == _ENTROPY_FIXED:
-                unpack_fixed(memoryview(src)[start:], count, width, out=zz)
-            else:
-                np.copyto(zz, np.frombuffer(src, dtype=_ZLIB_WIDTHS[width]))
-            doubled = _unzigzag_doubled(zz)
-            if predicted:
-                np.cumsum(doubled, out=doubled)
-            # The value quantizer.dequantize gives (code * 2b, in float64),
-            # as (2 * code) * b, written straight through a real view of the
-            # output: a complex64 output rounds each product to float32.
-            np.multiply(doubled.reshape(2, n), step_bound, dtype=np.float64,
-                        out=out.view(out.real.dtype).reshape(n, 2).T)
+        doubled = _scratch(count)
+        zz = doubled.view(np.uint64)
+        if entropy_id == _ENTROPY_FIXED:
+            unpack_fixed(memoryview(src)[start:], count, width, out=zz)
+        else:
+            np.copyto(zz, np.frombuffer(src, dtype=_ZLIB_WIDTHS[width]))
+        doubled = _unzigzag_doubled(zz)
+        if predicted:
+            np.cumsum(doubled, out=doubled)
+        # The value quantizer.dequantize gives (code * 2b, in float64),
+        # as (2 * code) * b, written straight through a real view of the
+        # output: a complex64 output rounds each product to float32.
+        np.multiply(doubled.reshape(2, n), step_bound, dtype=np.float64,
+                    out=out.view(out.real.dtype).reshape(n, 2).T)
         return out
 
 

@@ -257,7 +257,9 @@ class MemQSim:
         log.debug("run: n=%d gates=%d [%s]", n, len(circuit), cfg.summary())
 
         # ---- offline stage -------------------------------------------------
-        tracker = MemoryTracker(telemetry=tel if tel.enabled else None)
+        # The layers keep their own counts; tel.watch has the registry read
+        # them (a store's from before its set-up writes).
+        tracker = MemoryTracker()
         # An enabled run books the store's hops outside the online stage
         # (set-up here, result queries later) on a timeline of their own,
         # attached beside the online one: the ledger reads both, the run's
@@ -278,18 +280,16 @@ class MemQSim:
                     f"circuit has {n}"
                 )
             tracker = store.tracker
-            if tel.enabled:
-                tracker.attach_telemetry(tel)
-                store.telemetry = tel
+            tel.watch(tracker=tracker, store=store)
             layout = store.layout
             c = layout.chunk_qubits
         elif checkpoint is not None:
             from ..memory.persist import load_store
 
+            tel.watch(tracker=tracker)
             store = load_store(checkpoint, cfg.make_compressor(), tracker)
             store.report_hops_to(offline)
-            if tel.enabled:
-                store.telemetry = tel
+            tel.watch(store=store)
             if store.layout.num_qubits != n:
                 raise ValueError(
                     f"checkpoint has {store.layout.num_qubits} qubits, "
@@ -300,8 +300,10 @@ class MemQSim:
         else:
             c = cfg.resolve_chunk_qubits(n)
             layout = ChunkLayout(n, c, itemsize=cfg.storage_itemsize())
+            tel.watch(tracker=tracker)
             store = self._make_store(layout, tracker, cfg)
             store.report_hops_to(offline)
+            tel.watch(store=store)
             if initial_state is not None:
                 if initial_state.num_qubits != n:
                     raise ValueError("initial state does not match circuit size")
@@ -440,22 +442,23 @@ class MemQSim:
                 from ..parallel import CodecWorkerPool
 
                 codec_pool = CodecWorkerPool(store.compressor,
-                                             workers=workers, telemetry=tel)
+                                             workers=workers)
                 owns_codec_pool = True
+                tel.watch(lane=codec_pool)
         if codec_pool is not None:
             store.attach_lane(codec_pool)
             log.debug("online: codec lane, %d threads%s", workers,
                       "" if owns_codec_pool else " (shared)")
-        pool = BufferPool(STAGING_BUFFERS, buffer_amps, tracker,
-                          telemetry=tel, dtype=dtype)
+        pool = BufferPool(STAGING_BUFFERS, buffer_amps, tracker, dtype=dtype)
+        tel.watch(pool=pool)
         finished = False
         hierarchy = None
         try:
             hierarchy = MemoryHierarchy.build(
                 store, cache_chunks=cfg.cache_chunks,
                 cache_policy=cfg.cache_policy, tracker=tracker,
-                telemetry=tel,
             )
+            tel.watch(cache=hierarchy.cache)
             # Belady eviction, plan-aware spilling and the lane's prefetch
             # all consume the access schedule of the same pass list; the
             # scheduler advances its cursor at every group pass and
@@ -568,12 +571,10 @@ class MemQSim:
                     cfg: MemQSimConfig) -> CompressedChunkStore:
         """RAM-only unless the config budgets host RAM or names a log file."""
         if cfg.host_store_mb <= 0 and cfg.disk_path is None:
-            return CompressedChunkStore(layout, cfg.make_compressor(), tracker,
-                                        telemetry=self.telemetry)
+            return CompressedChunkStore(layout, cfg.make_compressor(), tracker)
         return TieredChunkStore(
             layout, cfg.make_compressor(), cfg.disk_path,
-            int(cfg.host_store_mb * (1 << 20)),
-            tracker=tracker, telemetry=self.telemetry)
+            int(cfg.host_store_mb * (1 << 20)), tracker=tracker)
 
     def sample(self, circuit: Circuit, shots: int, seed: Optional[int] = None):
         """Run and sample measurement outcomes (streamed, never dense)."""

@@ -31,30 +31,17 @@ class MemorySnapshot:
 class MemoryTracker:
     """Tracks current and peak byte usage by category.
 
-    With a telemetry object attached, every balance change also updates a
-    ``mem.<category>.bytes`` gauge (whose ``max`` mirrors the peak), which
-    the resource monitor samples onto the trace's time axis.
+    A telemetry that watches the tracker (:meth:`Telemetry.watch
+    <repro.telemetry.Telemetry.watch>`) reads each category's current and
+    peak as its ``mem.<category>.bytes`` gauge when someone reads it.
     """
 
-    def __init__(self, telemetry=None) -> None:
+    def __init__(self) -> None:
         self._current: Dict[str, int] = {}
         self._peak: Dict[str, int] = {}
         self._total = 0  # the sum of _current, kept as it changes
         self._total_peak = 0
         self._snapshots: List[MemorySnapshot] = []
-        self.telemetry = telemetry
-
-    def attach_telemetry(self, telemetry) -> None:
-        """Start mirroring balances into gauges (existing ones included)."""
-        self.telemetry = telemetry
-        if telemetry is not None and telemetry.enabled:
-            for cat, cur in self._current.items():
-                telemetry.metrics.gauge(f"mem.{cat}.bytes").set(cur)
-
-    def _gauge(self, category: str, value: int) -> None:
-        tel = self.telemetry
-        if tel is not None and tel.enabled:
-            tel.metrics.gauge(f"mem.{category}.bytes").set(value)
 
     # -- mutation ---------------------------------------------------------
 
@@ -68,7 +55,6 @@ class MemoryTracker:
         self._total += nbytes
         if self._total > self._total_peak:
             self._total_peak = self._total
-        self._gauge(category, cur)
 
     def free(self, category: str, nbytes: int) -> None:
         cur = self._current.get(category, 0) - nbytes
@@ -79,7 +65,6 @@ class MemoryTracker:
             )
         self._current[category] = cur
         self._total -= nbytes
-        self._gauge(category, cur)
 
     def resize(self, category: str, old_nbytes: int, new_nbytes: int) -> None:
         """Atomic free+alloc so peaks don't double-count a replacement."""

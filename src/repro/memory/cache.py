@@ -21,8 +21,10 @@ number of *decompressed* chunks resident:
   the plan's future exactly. Off-schedule accesses (ad-hoc loads in serve
   jobs, result queries) fall back to MRU.
 
-The cache reports hits/misses/write-backs so the locality experiment (A7)
-can show hit rate and codec-time savings versus capacity and policy. Its
+The cache counts hits/misses/write-backs in its :class:`CacheStats` — the
+only copy: a telemetry reads them as its ``cache.*`` counters — so the
+locality experiment (A7) can show hit rate and codec-time savings versus
+capacity and policy. Its
 copy-out of a chunk into the caller's buffer is a hop: it is timed and
 booked as one ``cache_hit`` / ``cache_miss`` row through the store
 (:meth:`~repro.memory.chunkstore.CompressedChunkStore.book`), the row the
@@ -40,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from ..device.timeline import Stage
-from ..telemetry import NULL_OBSERVER, NULL_TELEMETRY, get_logger
+from ..telemetry import NULL_OBSERVER, get_logger
 from .accounting import MemoryTracker
 from .chunkstore import CompressedChunkStore
 
@@ -217,7 +219,6 @@ class ChunkCache:
         capacity_chunks: int,
         policy: str = "mru",
         tracker: Optional[MemoryTracker] = None,
-        telemetry=None,
     ):
         if capacity_chunks < 1:
             raise ValueError("capacity_chunks must be >= 1")
@@ -227,8 +228,6 @@ class ChunkCache:
         self._policy = make_policy(policy)
         self.dtype = np.dtype(getattr(store, "dtype", np.complex128))
         self.tracker = tracker if tracker is not None else store.tracker
-        self.telemetry = telemetry if telemetry is not None else \
-            getattr(store, "telemetry", NULL_TELEMETRY)
         self.cache_stats = CacheStats()
         #: the :class:`~repro.telemetry.PassObserver` told of each flush
         self.observer = NULL_OBSERVER
@@ -285,12 +284,8 @@ class ChunkCache:
         if dirty:
             self.inner.store(chunk, arr)
             self.cache_stats.writebacks += 1
-            if self.telemetry.enabled:
-                self.telemetry.metrics.counter("cache.writeback").inc()
         self.tracker.free(CATEGORY, arr.nbytes)
         self.cache_stats.evictions += 1
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter("cache.eviction").inc()
 
     def flush(self) -> None:
         """Write back every dirty chunk and empty the cache."""
@@ -301,8 +296,6 @@ class ChunkCache:
                 self.cache_stats.writebacks += 1
                 dirty_n += 1
             self.tracker.free(CATEGORY, arr.nbytes)
-        if self.telemetry.enabled and dirty_n:
-            self.telemetry.metrics.counter("cache.writeback").inc(dirty_n)
         self.observer.cache_flushed(len(self._entries), dirty_n)
         log.debug("cache flush: %d resident, %d written back",
                   len(self._entries), dirty_n)
@@ -323,14 +316,10 @@ class ChunkCache:
             # Bytes *served* from the cache: codec traffic avoided.
             self.cache_stats.hits += 1
             kind, data = Stage.CACHE_HIT, entry[0]
-            if self.telemetry.enabled:
-                self.telemetry.metrics.counter("cache.hit").inc()
             self._touch(chunk)
         else:
             # Bytes fetched *past* the cache (the inner load's decompress).
             self.cache_stats.misses += 1
-            if self.telemetry.enabled:
-                self.telemetry.metrics.counter("cache.miss").inc()
             kind, data = Stage.CACHE_MISS, self.inner.load(chunk)
             self._insert(chunk, data, dirty=False, owned=True)
         t0 = time.perf_counter()
@@ -372,8 +361,6 @@ class ChunkCache:
             self.inner.store(chunk, entry[0])
             entry[1] = False
             self.cache_stats.writebacks += 1
-            if self.telemetry.enabled:
-                self.telemetry.metrics.counter("cache.writeback").inc()
         return self.inner.get_blob(chunk)
 
     def permute(self, perm) -> None:

@@ -27,7 +27,10 @@ That row is the hop's only record: how many loads and stores a run made is
 ``timeline.count``, and the traffic ledger's ``codec`` edge is a fold over
 those rows. The tiers over and under the store — a decompressed-chunk
 cache, a disk log — book their copies on the same timeline through
-:meth:`CompressedChunkStore.book`.
+:meth:`CompressedChunkStore.book`. Which frame and stage each written
+blob got is a count, not a hop: a run that asks for it
+(:meth:`CompressedChunkStore.tally_headers`) gets a tally of the blobs'
+header bytes, which its telemetry names when it is read.
 """
 
 from __future__ import annotations
@@ -37,9 +40,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..compression.interface import Compressor
+from ..compression.interface import HEADER_BYTES, Compressor
 from ..device.timeline import Stage
-from ..telemetry import NULL_TELEMETRY, get_logger
+from ..telemetry import get_logger
 from .accounting import MemoryTracker
 from .layout import ChunkLayout
 
@@ -58,13 +61,14 @@ class CompressedChunkStore:
         layout: ChunkLayout,
         compressor: Compressor,
         tracker: Optional[MemoryTracker] = None,
-        telemetry=None,
         dtype=None,
     ):
         self.layout = layout
         self.compressor = compressor
         self.tracker = tracker if tracker is not None else MemoryTracker()
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        #: blobs written, by their first ``HEADER_BYTES`` bytes; ``None``
+        #: until :meth:`tally_headers`
+        self.header_tally: Optional[dict] = None
         self._blobs: List[Optional[bytes]] = [None] * layout.num_chunks
         self._zero_blob: Optional[bytes] = None
         self._zero_refs = 0
@@ -239,9 +243,18 @@ class CompressedChunkStore:
         here)."""
         self.book(Stage.COMPRESS, start, seconds, chunk, raw_nbytes, worker,
                   len(blob))
-        tel = self.telemetry
-        if tel.enabled:
-            self._note_stage(tel, blob)
+        tally = self.header_tally
+        if tally is not None:
+            head = blob[:HEADER_BYTES]
+            tally[head] = tally.get(head, 0) + 1
+
+    def tally_headers(self) -> dict:
+        """Count every blob written from now on by its header bytes, which
+        name its frame and stage (a lane's blobs as they land); returns the
+        tally, the one already kept if there is one."""
+        if self.header_tally is None:
+            self.header_tally = {}
+        return self.header_tally
 
     # -- hop rows -----------------------------------------------------------------
 
@@ -369,26 +382,6 @@ class CompressedChunkStore:
                 error = error or exc
         if error is not None:
             raise error
-
-    @staticmethod
-    def _note_stage(tel, blob: bytes) -> None:
-        """Count which stage the codec picked, sniffed per blob: szlike's
-        entropy stage (``codec.entropy_choice.*``) or a lossless codec's
-        frame (``codec.lossless_frame.{raw,deflate,uniform}``).
-
-        Works on the header alone, so blobs a lane produced are counted
-        when they land. Other codecs contribute nothing.
-        """
-        # lazy: avoids import cycle
-        from ..compression.lossless import blob_frame
-        from ..compression.szlike import blob_entropy
-        choice = blob_entropy(blob)
-        if choice is not None:
-            tel.metrics.counter(f"codec.entropy_choice.{choice}").inc()
-            return
-        frame = blob_frame(blob)
-        if frame is not None:
-            tel.metrics.counter(f"codec.lossless_frame.{frame}").inc()
 
     def _set_blob(self, chunk: int, blob: bytes, shared: bool = False) -> None:
         old = self._blobs[chunk]

@@ -239,7 +239,8 @@ class AccessSchedule:
 
 @dataclass
 class TierStats:
-    """Spill/promote accounting for the RAM↔disk blob edge."""
+    """Spill/promote accounting for the RAM↔disk blob edge (a telemetry
+    reads it as ``tier.spill`` / ``tier.promote``)."""
 
     spills: int = 0
     promotions: int = 0
@@ -284,9 +285,8 @@ class TieredChunkStore(CompressedChunkStore):
         host_budget_bytes: int,
         tracker: Optional[MemoryTracker] = None,
         compact_threshold: float = 0.5,
-        telemetry=None,
     ):
-        super().__init__(layout, compressor, tracker, telemetry)
+        super().__init__(layout, compressor, tracker)
         if not 0.0 < compact_threshold <= 1.0:
             raise ValueError("compact_threshold must be in (0, 1]")
         if host_budget_bytes < 0:
@@ -373,8 +373,6 @@ class TieredChunkStore(CompressedChunkStore):
         self._host_bytes -= len(blob)
         self._disk[chunk] = rec
         self.tier_stats.spills += 1
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter("tier.spill").inc()
 
     def _promote(self, chunk: int, rec: tuple) -> None:
         # A lane prefetch already read this record (a write would have
@@ -388,8 +386,6 @@ class TieredChunkStore(CompressedChunkStore):
         self.tracker.alloc(RAM_CATEGORY, len(blob))
         self._host_bytes += len(blob)
         self.tier_stats.promotions += 1
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter("tier.promote").inc()
         self._maybe_compact()
 
     # -- advisory prefetch ----------------------------------------------------
@@ -545,12 +541,10 @@ class MemoryHierarchy:
         cache_chunks: int = 0,
         cache_policy: str = "mru",
         tracker: Optional[MemoryTracker] = None,
-        telemetry=None,
     ) -> "MemoryHierarchy":
         cache = None
         if cache_chunks:
-            cache = ChunkCache(store, cache_chunks, cache_policy, tracker,
-                               telemetry=telemetry)
+            cache = ChunkCache(store, cache_chunks, cache_policy, tracker)
         return cls(store, cache)
 
     @property

@@ -33,7 +33,6 @@ from typing import Optional
 import numpy as np
 
 from ..compression.interface import Compressor, coerce_amplitudes
-from ..telemetry import NULL_TELEMETRY
 
 __all__ = ["CodecWorkerPool", "CodecResult", "auto_workers"]
 
@@ -61,33 +60,33 @@ class CodecWorkerPool:
     each one once, on the thread that submitted it.
     """
 
-    def __init__(self, compressor: Compressor, workers: int = 1,
-                 telemetry=None):
+    def __init__(self, compressor: Compressor, workers: int = 1):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.compressor = compressor
         self.workers = int(workers)
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._lane = threading.local()
         self._exec = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-codec",
             initializer=_number_lane,
             initargs=(self._lane, itertools.count(1)))
-        self._inflight = 0
+        #: jobs submitted and not yet collected, and the most there were
+        self.inflight = 0
+        self.peak_inflight = 0
+        #: the lanes' busy share of the pool's lifetime, set at close
+        self.utilization: Optional[float] = None
         self._busy = 0.0
         self._opened = time.perf_counter()
         self._closed = False
 
     def close(self) -> None:
-        """Join the lanes and publish their utilization."""
+        """Join the lanes and work out their utilization."""
         if self._closed:
             return
         self._closed = True
         self._exec.shutdown(wait=True)
-        if self.telemetry.enabled:
-            elapsed = max(1e-9, time.perf_counter() - self._opened)
-            self.telemetry.metrics.gauge("parallel.worker.utilization").set(
-                min(1.0, self._busy / (self.workers * elapsed)))
+        elapsed = max(1e-9, time.perf_counter() - self._opened)
+        self.utilization = min(1.0, self._busy / (self.workers * elapsed))
 
     def __enter__(self) -> "CodecWorkerPool":
         return self
@@ -110,8 +109,9 @@ class CodecWorkerPool:
 
     def _submit(self, kind: str, key: int, fn, arg) -> Future:
         job = self._exec.submit(self._run, kind, key, fn, arg)
-        self._inflight += 1
-        self._note_depth()
+        self.inflight += 1
+        if self.inflight > self.peak_inflight:
+            self.peak_inflight = self.inflight
         return job
 
     def _run(self, kind: str, key: int, fn, arg):
@@ -122,8 +122,7 @@ class CodecWorkerPool:
 
     def collect(self, job: Future) -> CodecResult:
         """Block until ``job`` finishes and return its result."""
-        self._inflight -= 1
-        self._note_depth()
+        self.inflight -= 1
         kind, key, out, t0, seconds, lane = job.result()
         self._busy += seconds
         if kind == "compress":
@@ -131,11 +130,6 @@ class CodecWorkerPool:
                                worker=lane)
         return CodecResult(key, array=out, start=t0, seconds=seconds,
                            worker=lane)
-
-    def _note_depth(self) -> None:
-        if self.telemetry.enabled:
-            self.telemetry.metrics.gauge("parallel.queue_depth").set(
-                self._inflight)
 
 
 def auto_workers(compressor: Compressor, chunk_size: int,

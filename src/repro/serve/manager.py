@@ -91,12 +91,15 @@ class ServeManager:
             else MemQSimConfig()
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         tel = self.telemetry
-        self.tracker = MemoryTracker(telemetry=tel if tel.enabled else None)
+        self.tracker = MemoryTracker()
         self.arena = DeviceArena(self.base_config.device, self.tracker)
         self.plan_cache = PlanCache(plan_cache_capacity, telemetry=tel)
         self.max_jobs = int(max_jobs)
         self.events_dir = events_dir
         self.codec_pool = self._make_shared_pool()
+        # the shared arena's balances and the shared lanes' depth are the
+        # daemon's own, read as its gauges
+        tel.watch(tracker=self.tracker, lane=self.codec_pool)
         self.started_at = time.time()
 
         self._jobs: Dict[str, Job] = {}
@@ -129,8 +132,7 @@ class ServeManager:
             return None
         from ..parallel import CodecWorkerPool
 
-        pool = CodecWorkerPool(cfg.make_compressor(), workers=workers,
-                               telemetry=self.telemetry)
+        pool = CodecWorkerPool(cfg.make_compressor(), workers=workers)
         log.info("serve: shared codec pool, %d lane threads", workers)
         return pool
 

@@ -29,6 +29,8 @@ The two seams a run reports through:
   an enabled run attaches it to the tracer (:meth:`Tracer.attach`), whose
   exports draw one span per row and whose ledger folds the rows' bytes.
   Nothing copies a hop as it happens.
+  What the memory and codec-lane layers count, they keep themselves: the
+  run hands them to :meth:`Telemetry.watch`, and the registry reads them.
 """
 
 from __future__ import annotations
@@ -175,6 +177,24 @@ class Telemetry:
         disabled."""
         return RunObserver(self) if self.enabled else NULL_OBSERVER
 
+    def watch(self, *, tracker=None, store=None, cache=None, pool=None,
+              lane=None) -> None:
+        """Have the registry read these layers' own counts whenever it is
+        read, from now on: a run's one collector (docs/telemetry.md names
+        what each is read as). A store's header tally starts here.
+        Nothing on a disabled telemetry."""
+        if not self.enabled:
+            return
+        for source, read in (
+                (tracker, _read_tracker),
+                (None if store is None else store.tally_headers(),
+                 _read_headers),
+                (getattr(store, "tier_stats", None), _read_tiers),
+                (getattr(cache, "cache_stats", None), _read_cache),
+                (pool, _read_pool), (lane, _read_lane)):
+            if source is not None:
+                self.metrics.watch(source, read)
+
     # -- export ---------------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
@@ -187,6 +207,54 @@ class Telemetry:
         if not self.enabled:
             return "<Telemetry off>"
         return f"<Telemetry on {self.tracer!r} {self.metrics!r}>"
+
+
+def _read_tracker(t):
+    return {}, {f"mem.{cat}.bytes": (t.current(cat), t.peak(cat))
+                for cat in t.categories()}
+
+
+def _read_headers(tally):
+    """Blobs by the entropy stage (SZL1) or frame (lossless) their header
+    bytes name; other codecs' blobs count for nothing."""
+    # lazy: the codecs import this package
+    from ..compression.lossless import blob_frame
+    from ..compression.szlike import blob_entropy
+    counts: Dict[str, int] = {}
+    for head, n in list(tally.items()):
+        name = blob_entropy(head)
+        if name is not None:
+            name = f"codec.entropy_choice.{name}"
+        elif blob_frame(head) is not None:
+            name = f"codec.lossless_frame.{blob_frame(head)}"
+        else:
+            continue
+        counts[name] = counts.get(name, 0) + n
+    return counts, {}
+
+
+def _read_tiers(t):
+    return {"tier.spill": t.spills, "tier.promote": t.promotions}, {}
+
+
+def _read_cache(c):
+    return {"cache.hit": c.hits, "cache.miss": c.misses,
+            "cache.writeback": c.writebacks, "cache.eviction": c.evictions}, {}
+
+
+def _read_pool(p):
+    return ({"pool.acquire.count": p.acquisitions},
+            {"pool.in_use": (p.in_use, p.peak_in_use)} if p.acquisitions
+            else {})
+
+
+def _read_lane(lane):
+    gauges = {}
+    if lane.peak_inflight:
+        gauges["parallel.queue_depth"] = (lane.inflight, lane.peak_inflight)
+    if lane.utilization is not None:
+        gauges["parallel.worker.utilization"] = (lane.utilization,) * 2
+    return {}, gauges
 
 
 #: the one disabled object — the default everywhere telemetry is optional

@@ -1,10 +1,12 @@
 """Named counters, gauges, and fixed-bucket histograms.
 
-A :class:`MetricsRegistry` is a flat namespace of instruments the pipeline
-increments as it works (``cache.hit``, ``tier.spill``: counts no traffic
-ledger holds). Instruments are created lazily on first use and keep
+A :class:`MetricsRegistry` is a flat namespace of instruments: counts no
+traffic ledger holds. Instruments are created lazily on first use and keep
 accumulating for the registry's lifetime; :meth:`MetricsRegistry.snapshot`
 returns a plain-dict view suitable for JSON export or report sections.
+A run writes its own numbers (``run.*``, ``compile.*``) once; what the
+memory and codec-lane layers count stays in the layer, and every read of
+the registry folds in the sources it watches (:meth:`MetricsRegistry.watch`).
 
 Call sites guard on ``telemetry.enabled``: a disabled telemetry holds no
 registry.
@@ -15,8 +17,10 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import weakref
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -161,6 +165,12 @@ class Timer:
         return False
 
 
+#: id of a watched source -> the registry that reads it (which holds the
+#: source, so the id is not reused while the entry lives)
+_OWNERS: "weakref.WeakValueDictionary[int, MetricsRegistry]" = \
+    weakref.WeakValueDictionary()
+
+
 class MetricsRegistry:
     """Lazily-created named instruments + snapshot/JSON export."""
 
@@ -168,16 +178,68 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
+        # id(source) -> [source, read, counts folded, gauge values folded]
+        self._watched: Dict[int, list] = {}
+        self._fold_lock = threading.Lock()
+
+    # -- read-time sources ------------------------------------------------------
+
+    def watch(self, source, read: Callable) -> None:
+        """Fold ``read(source)`` — ``({counter: count}, {gauge: (value,
+        peak)})`` — into this registry at every read from now on; counters
+        by their growth from here. A source already watched is read once;
+        one another registry watched is folded there a last time and read
+        here from now on."""
+        owner = _OWNERS.get(id(source))
+        if owner is not None and owner is not self:
+            owner._fold()
+            with owner._fold_lock:
+                owner._watched.pop(id(source), None)
+        with self._fold_lock:
+            if id(source) in self._watched:
+                return
+            self._watched[id(source)] = [source, read,
+                                         dict(read(source)[0]), {}]
+        _OWNERS[id(source)] = self
+
+    def _fold(self) -> None:
+        """Bring the watched counts in: a counter is made once its source
+        has counted past the watch; a gauge takes a source's value when it
+        moved since the last fold (the source that moved last shows)."""
+        if not self._watched:
+            return
+        counters, gauges = self._counters, self._gauges
+        with self._fold_lock:
+            for source, read, counted, shown in self._watched.values():
+                now, levels = read(source)
+                for name, value in now.items():
+                    grown = value - counted.get(name, 0)
+                    if grown:
+                        counted[name] = value
+                        c = counters.get(name)
+                        if c is None:
+                            c = counters[name] = Counter(name)
+                        c.value += grown
+                for name, (value, peak) in levels.items():
+                    g = gauges.get(name)
+                    if g is None:
+                        g = gauges[name] = Gauge(name)
+                    if shown.get(name) != value:
+                        shown[name] = g.value = value
+                    if peak > g.max_value:
+                        g.max_value = peak
 
     # -- instrument access (get-or-create) --------------------------------------
 
     def counter(self, name: str) -> Counter:
+        self._fold()
         c = self._counters.get(name)
         if c is None:
             c = self._counters[name] = Counter(name)
         return c
 
     def gauge(self, name: str) -> Gauge:
+        self._fold()
         g = self._gauges.get(name)
         if g is None:
             g = self._gauges[name] = Gauge(name)
@@ -205,15 +267,16 @@ class MetricsRegistry:
             self.counter(name)
         for name in ("parallel.queue_depth", "parallel.worker.utilization"):
             self.gauge(name)
-        self.histogram("pool.acquire.wait.seconds")
 
     # -- iteration (exposition layer) ----------------------------------------
 
     def iter_counters(self) -> List[Counter]:
         """All counters, name-sorted (the /metrics render order)."""
+        self._fold()
         return [c for _, c in sorted(self._counters.items())]
 
     def iter_gauges(self) -> List[Gauge]:
+        self._fold()
         return [g for _, g in sorted(self._gauges.items())]
 
     def iter_histograms(self) -> List[Histogram]:
@@ -232,6 +295,7 @@ class MetricsRegistry:
             c = self._counters.get(name)
             return c.value if c is not None else 0
 
+        self._fold()
         looked = val("cache.hit") + val("cache.miss")
         raw_in = bytes_out = dec_bytes = 0
         dec_s = 0.0
@@ -248,6 +312,7 @@ class MetricsRegistry:
         }
 
     def snapshot(self, traffic=None) -> Dict[str, Any]:
+        self._fold()
         snap: Dict[str, Any] = {
             "counters": {n: c.snapshot() for n, c in sorted(self._counters.items())},
             "gauges": {n: g.snapshot() for n, g in sorted(self._gauges.items())},
@@ -278,6 +343,9 @@ class MetricsRegistry:
         return len(payload)
 
     def clear(self) -> None:
+        """Drop every instrument and every watch."""
+        with self._fold_lock:
+            self._watched.clear()
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()

@@ -219,7 +219,7 @@ class TestDerivedChoices:
 
         tel = Telemetry()
         pool = None if pool_workers is None else CodecWorkerPool(
-            get_compressor("zlib"), workers=pool_workers, telemetry=tel)
+            get_compressor("zlib"), workers=pool_workers)
         try:
             res = MemQSim(chunk_qubits=3, compressor="zlib", workers=workers,
                           codec_pool=pool, telemetry=tel).run(ghz(6))

@@ -117,28 +117,32 @@ class TestDerivedFigures:
 
 
 class TestGaugeMirroring:
+    """A telemetry that watches a tracker reads its balances as gauges when
+    it is read; the tracker pushes nothing."""
+
     def test_alloc_free_drive_gauge(self):
         tel = Telemetry()
-        t = MemoryTracker(telemetry=tel)
+        t = MemoryTracker()
+        tel.watch(tracker=t)
         t.alloc("chunk_store", 100)
         t.alloc("chunk_store", 50)
         t.free("chunk_store", 120)
         g = tel.metrics.snapshot()["gauges"]["mem.chunk_store.bytes"]
         assert g["value"] == 30
-        assert g["max"] == 150  # gauge max mirrors the tracker peak
+        assert g["max"] == 150  # gauge max is the tracker peak
         assert t.peak("chunk_store") == 150
 
     def test_attach_telemetry_mirrors_existing_balances(self):
         t = MemoryTracker()
         t.alloc("host", 77)
         tel = Telemetry()
-        t.attach_telemetry(tel)
+        tel.watch(tracker=t)
         g = tel.metrics.snapshot()["gauges"]["mem.host.bytes"]
         assert g["value"] == 77
 
     def test_disabled_telemetry_records_nothing(self):
         tel = Telemetry.disabled()  # holds no sink: touching one raises
-        t = MemoryTracker(telemetry=tel)
+        t = MemoryTracker()
+        tel.watch(tracker=t)
         t.alloc("host", 10)
-        t.attach_telemetry(tel)
         assert t.peak("host") == 10

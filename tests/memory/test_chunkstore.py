@@ -130,8 +130,8 @@ class TestZeroFill:
 
         tel = Telemetry()
         lay = ChunkLayout(6, 3)
-        store = CompressedChunkStore(lay, get_compressor("zlib"),
-                                     telemetry=tel)
+        store = CompressedChunkStore(lay, get_compressor("zlib"))
+        tel.watch(store=store)
         store.init_zero_state()
         hops = Timeline()
         tel.tracer.attach(hops)  # the ledger reads its rows
@@ -262,7 +262,8 @@ def drive(workers, codec="szlike", passes=3):
     lay = ChunkLayout(8, 5)
     opts = {"error_bound": 1e-5} if codec == "szlike" else {}
     comp = get_compressor(codec, **opts)
-    store = CompressedChunkStore(lay, comp, MemoryTracker(), telemetry=tel)
+    store = CompressedChunkStore(lay, comp, MemoryTracker())
+    tel.watch(store=store)
     hops = Timeline()
     tel.tracer.attach(hops)  # the ledger reads its rows
     store.report_hops_to(hops)
@@ -384,8 +385,8 @@ class TestEntropyChoiceCounters:
         tracker = MemoryTracker()
         lay = ChunkLayout(14, 13)  # one 2^13-amplitude chunk per store
         store = CompressedChunkStore(
-            lay, get_compressor("szlike", error_bound=1e-5), tracker,
-            telemetry=tel)
+            lay, get_compressor("szlike", error_bound=1e-5), tracker)
+        tel.watch(store=store)
         store.init_from_statevector(random_state_fn(14, seed=5))
         counts = {
             name.rsplit(".", 1)[-1]: v
@@ -417,7 +418,8 @@ class TestEntropyChoiceCounters:
         tel = Telemetry()
         lay = ChunkLayout(6, 3)
         store = CompressedChunkStore(
-            lay, get_compressor("zlib"), MemoryTracker(), telemetry=tel)
+            lay, get_compressor("zlib"), MemoryTracker())
+        tel.watch(store=store)
         store.init_zero_state()
         assert not any(
             name.startswith("codec.entropy_choice.")

@@ -94,7 +94,7 @@ class TestLedgerUnit:
         tel = Telemetry()
         lay = ChunkLayout(6, 3)
         store = TieredChunkStore(lay, get_compressor("zlib"), None, 0,
-                                 tracker=MemoryTracker(), telemetry=tel)
+                                 tracker=MemoryTracker())
         hops = booked(store, tel)
         store.init_zero_state()
         with CodecWorkerPool(store.compressor, workers=1) as pool:
@@ -227,7 +227,7 @@ class TestStoreWiring:
         tel = Telemetry()
         lay = ChunkLayout(6, 3)
         store = CompressedChunkStore(lay, get_compressor("zlib"),
-                                     MemoryTracker(), telemetry=tel)
+                                     MemoryTracker())
         booked(store, tel)
         store.init_from_statevector(rand_state(6))
         raw_in = tel.traffic.total_bytes("codec", "raw_in")
@@ -247,7 +247,7 @@ class TestStoreWiring:
         lay = ChunkLayout(6, 3)
         store = TieredChunkStore(lay, get_compressor("zlib"),
                                  tmp_path / "c.log", 0,
-                                 tracker=MemoryTracker(), telemetry=tel)
+                                 tracker=MemoryTracker())
         booked(store, tel)
         try:
             store.init_from_statevector(rand_state(6, seed=2))
@@ -270,7 +270,7 @@ class TestStoreWiring:
         lay = ChunkLayout(4, 2)
         store = TieredChunkStore(lay, get_compressor("zlib"),
                                  tmp_path / "c.log", 0,
-                                 tracker=MemoryTracker(), telemetry=tel)
+                                 tracker=MemoryTracker())
         booked(store, tel)
         try:
             store.init_from_statevector(rand_state(4, seed=3))
@@ -310,9 +310,9 @@ class TestStoreWiring:
         tel = Telemetry()
         lay = ChunkLayout(6, 3)
         inner = CompressedChunkStore(lay, get_compressor("zlib"),
-                                     MemoryTracker(), telemetry=tel)
+                                     MemoryTracker())
         cache = ChunkCache(inner, capacity_chunks=2, policy="lru",
-                           tracker=inner.tracker, telemetry=tel)
+                           tracker=inner.tracker)
         booked(inner, tel)  # the cache books its copies through its store
         cache.init_from_statevector(rand_state(6, seed=5))
         cache.load(0)  # miss
@@ -323,11 +323,12 @@ class TestStoreWiring:
 
 class TestMemGaugeEvents:
     def test_gauge_changes_stay_off_the_bus(self):
-        """A balance change moves the ``mem.<category>.bytes`` gauge (its
-        max is the peak) and publishes nothing: the bus carries no copy of
-        a gauge."""
+        """A balance change moves the ``mem.<category>.bytes`` gauge of a
+        telemetry that watches the tracker (its max is the peak) and
+        publishes nothing: the bus carries no copy of a gauge."""
         tel = Telemetry()
-        tracker = MemoryTracker(telemetry=tel)
+        tracker = MemoryTracker()
+        tel.watch(tracker=tracker)
         tracker.alloc("chunk_store", 1000)
         tracker.free("chunk_store", 1000)
         gauge = tel.metrics.snapshot()["gauges"]["mem.chunk_store.bytes"]
@@ -338,9 +339,9 @@ class TestMemGaugeEvents:
         tel = Telemetry()
         lay = ChunkLayout(6, 3)
         inner = CompressedChunkStore(lay, get_compressor("zlib"),
-                                     MemoryTracker(), telemetry=tel)
+                                     MemoryTracker())
         cache = ChunkCache(inner, capacity_chunks=2, policy="lru",
-                           tracker=inner.tracker, telemetry=tel)
+                           tracker=inner.tracker)
         cache.observer = tel.observer()  # what a run hands its cache
         cache.init_from_statevector(rand_state(6, seed=6))
         cache.load(0)

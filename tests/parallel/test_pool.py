@@ -198,8 +198,8 @@ class TestTelemetry:
                                      MemoryTracker())
         store.report_hops_to(hops)
         t_before = tel.tracer.now
-        with CodecWorkerPool(store.compressor, workers=2,
-                             telemetry=tel) as pool:
+        with CodecWorkerPool(store.compressor, workers=2) as pool:
+            tel.watch(lane=pool)
             store.attach_lane(pool)
             for k, chunk in enumerate(_payload(n=32, chunks=8)):
                 store.store(k, chunk)
@@ -227,8 +227,7 @@ class TestTelemetry:
         import json
 
         tel = Telemetry()
-        with CodecWorkerPool(get_compressor("zlib"), workers=2,
-                             telemetry=tel) as pool:
+        with CodecWorkerPool(get_compressor("zlib"), workers=2) as pool:
             _compress_all(pool, _payload(chunks=3))
         path = tmp_path / "t.json"
         tel.tracer.write_chrome_trace(str(path))

@@ -114,11 +114,10 @@ class TestRegistry:
         for name in ("cache.hit", "cache.miss", "cache.writeback",
                      "cache.eviction", "pool.acquire.count"):
             assert snap["counters"][name] == 0
-        assert snap["histograms"]["pool.acquire.wait.seconds"]["count"] == 0
         # no instrument copies a hop: those are timeline rows
         assert not [name for name in snap["counters"]
                     if name.split(".")[0] in ("codec", "transfer", "kernel")]
-        assert list(snap["histograms"]) == ["pool.acquire.wait.seconds"]
+        assert snap["histograms"] == {}
 
     def test_to_json_is_valid(self, tmp_path):
         m = MetricsRegistry()

@@ -205,7 +205,6 @@ class TestPipelineMetrics:
         _, tel = traced_run(ghz(8))
         snap = tel.metrics.snapshot()
         assert snap["counters"]["pool.acquire.count"] > 0
-        assert snap["histograms"]["pool.acquire.wait.seconds"]["count"] > 0
         assert snap["gauges"]["mem.chunk_store.bytes"]["max"] > 0
         assert snap["gauges"]["mem.host_buffers.bytes"]["max"] > 0
 

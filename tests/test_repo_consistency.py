@@ -603,10 +603,32 @@ class TestOneRecordPerHop:
     #: the layers that run hops; they book rows and nothing else
     HOP_LAYERS = ("src/repro/memory/chunkstore.py",
                   "src/repro/memory/accounting.py",
+                  "src/repro/memory/bufferpool.py",
                   "src/repro/memory/cache.py",
                   "src/repro/memory/diskstore.py",
                   "src/repro/memory/hierarchy.py",
                   "src/repro/device/*.py", "src/repro/parallel/pool.py")
+    #: a telemetry in a signature or a call: ``telemetry=``, ``telemetry:``
+    #: or a bare ``telemetry`` argument (``..telemetry`` imports are fine)
+    TELEMETRY_PARAM = re.compile(r"(?<![.\w])telemetry\s*[=:,)]")
+
+    @classmethod
+    def hop_hits(cls, paths):
+        """``path:line: needle`` for every tracer, bus, ledger or registry
+        call, and every telemetry parameter, in the code of ``paths``."""
+        hits = []
+        for path in paths:
+            where = path.relative_to(REPO) if REPO in path.parents else path
+            code = re.sub(r'""".*?"""', "", path.read_text(), flags=re.DOTALL)
+            for n, line in enumerate(code.splitlines(), 1):
+                line = line.split("#")[0]
+                hits += [f"{where}:{n}: {needle}"
+                         for needle in ("tracer.", ".bus", ".emit(",
+                                        ".traffic", ".metrics")
+                         if needle in line]
+                if cls.TELEMETRY_PARAM.search(line):
+                    hits.append(f"{where}:{n}: telemetry")
+        return hits
 
     @classmethod
     def mentions(cls, text):
@@ -636,17 +658,53 @@ class TestOneRecordPerHop:
     def test_hop_layers_call_no_tracer_or_bus(self):
         files = [p for pattern in self.HOP_LAYERS
                  for p in sorted(REPO.glob(pattern))]
-        assert len(files) >= 11
-        hits = []
-        for path in files:
-            code = re.sub(r'""".*?"""', "", path.read_text(), flags=re.DOTALL)
-            for n, line in enumerate(code.splitlines(), 1):
-                line = line.split("#")[0]
-                hits += [f"{path.relative_to(REPO)}:{n}: {needle}"
-                         for needle in ("tracer.", ".bus", ".emit(",
-                                        ".traffic")
-                         if needle in line]
-        assert hits == []
+        assert len(files) >= 12
+        assert self.hop_hits(files) == []
+
+    def test_the_needles_catch_a_push(self, tmp_path):
+        """The guard sees the writes and the parameter it forbids."""
+        probe = tmp_path / "layer.py"
+        probe.write_text("def f(self, n, telemetry=None):\n"
+                         "    self.telemetry.metrics.counter('c').inc()\n"
+                         "from ..telemetry import get_logger\n")
+        assert [h.rsplit(": ", 1)[1] for h in self.hop_hits([probe])] == [
+            "telemetry", ".metrics"]
+
+
+class TestTheLayersCount:
+    """The memory and codec-lane layers keep their own counts (``CacheStats``,
+    ``TierStats``, tracker balances, pool and lane counts, a header tally)
+    and push none into the metrics registry; a run's telemetry reads them
+    when it is read. The push path and the codec's shared scratch pool may
+    not come back; the "Removed in" section of docs/api.md that names this
+    guard is the record of what went."""
+
+    GONE = ("attach_telemetry", "pool.acquire.wait.seconds", "ScratchPool",
+            "scratch_pool")
+
+    def test_deleted_names_stay_deleted(self):
+        api = (REPO / "docs/api.md").read_text()
+        start = api.rindex("\n### Removed in", 0, api.index(type(self).__name__))
+        end = api.find("\n## ", start)
+        head, listed, tail = api[:start], api[start:end], api[end:]
+        assert "### Removed in PR 49" in listed
+        assert [name for name in self.GONE if name not in listed] == []
+        texts = {"docs/api.md": head + tail}
+        files = [REPO / "README.md", REPO / "DESIGN.md"]
+        files += [p for p in sorted((REPO / "docs").glob("*.md"))
+                  if p.name != "api.md"]
+        files += sorted((REPO / "src").rglob("*.py"))
+        texts.update({str(p.relative_to(REPO)): p.read_text() for p in files})
+        hits = [f"{where}: {name}" for where, text in texts.items()
+                for name in self.GONE if name in text]
+        assert not hits, hits
+        assert not (REPO / "tests/memory/test_scratchpool.py").exists()
+
+    def test_memory_and_parallel_write_no_registry(self):
+        files = [p for pkg in ("memory", "parallel")
+                 for p in sorted((REPO / "src/repro" / pkg).glob("*.py"))]
+        assert len(files) >= 12
+        assert TestOneRecordPerHop.hop_hits(files) == []
 
 
 class TestOneLiveSurface:
