@@ -286,10 +286,9 @@ class MemQSim:
         elif checkpoint is not None:
             from ..memory.persist import load_store
 
-            tel.watch(tracker=tracker)
             store = load_store(checkpoint, cfg.make_compressor(), tracker)
             store.report_hops_to(offline)
-            tel.watch(store=store)
+            tel.watch(tracker=tracker, store=store)
             if store.layout.num_qubits != n:
                 raise ValueError(
                     f"checkpoint has {store.layout.num_qubits} qubits, "
@@ -300,10 +299,9 @@ class MemQSim:
         else:
             c = cfg.resolve_chunk_qubits(n)
             layout = ChunkLayout(n, c, itemsize=cfg.storage_itemsize())
-            tel.watch(tracker=tracker)
             store = self._make_store(layout, tracker, cfg)
             store.report_hops_to(offline)
-            tel.watch(store=store)
+            tel.watch(tracker=tracker, store=store)
             if initial_state is not None:
                 if initial_state.num_qubits != n:
                     raise ValueError("initial state does not match circuit size")

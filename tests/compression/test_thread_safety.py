@@ -1,7 +1,7 @@
 """One codec object, several codec lane threads.
 
 A codec lane shares the caller's compressor and the module-level state
-behind it (the scratch pool, the fixed-length stage's cached pack and
+behind it (a scratch buffer per thread, the fixed-length stage's cached pack and
 unpack plans, and the compiled frame codec, whose calls release the
 interpreter lock); every thread must get exactly what a serial pass gets.
 More threads than cores, and a short interpreter switch interval so
@@ -71,7 +71,7 @@ def test_lanes_match_a_serial_pass(busy_switching):
                     reason="no compiled frame codec here")
 def test_native_lanes_write_what_the_oracle_writes(busy_switching):
     """Four lanes in the compiled frame codec at once, both precisions:
-    each call borrows its own scratch, so every blob and every decoded
+    each thread writes its own scratch, so every blob and every decoded
     array is the numpy frame's."""
     codec, oracle = SZLikeCompressor(), NumpySZLike()
     chunks = [c.astype(dtype) for c in _chunks()
