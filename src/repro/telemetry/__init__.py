@@ -222,11 +222,11 @@ def _read_headers(tally):
     from ..compression.szlike import blob_entropy
     counts: Dict[str, int] = {}
     for head, n in list(tally.items()):
-        name = blob_entropy(head)
-        if name is not None:
-            name = f"codec.entropy_choice.{name}"
-        elif blob_frame(head) is not None:
-            name = f"codec.lossless_frame.{blob_frame(head)}"
+        stage, frame = blob_entropy(head), blob_frame(head)
+        if stage is not None:
+            name = f"codec.entropy_choice.{stage}"
+        elif frame is not None:
+            name = f"codec.lossless_frame.{frame}"
         else:
             continue
         counts[name] = counts.get(name, 0) + n
