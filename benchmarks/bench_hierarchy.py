@@ -8,7 +8,8 @@ Belady and checks two things:
 
 * **exactness** — the live Belady cache takes *exactly* the number of
   read misses the offline replay (``repro memtrace``) computes as the
-  clairvoyant bound from the recorded trace. Not approximately: the
+  clairvoyant bound from the run's access trace (read off its pass
+  schedule: ``MemQSimResult.access_trace()``). Not approximately: the
   eviction decisions are driven by the same schedule the replay sees, so
   any drift is a bug in the cursor resync logic.
 * **benefit** — Belady takes fewer misses than LRU at the same capacity;
@@ -36,8 +37,6 @@ from repro.analysis.memtrace import belady_misses, simulate_cache
 from repro.circuits import vqe_ansatz
 from repro.core import MemQSim, MemQSimConfig
 from repro.device import DeviceSpec
-from repro.telemetry import ChunkAccessRecorder
-from repro.telemetry import Telemetry
 
 N = 13 if FULL else 11
 LAYERS = 2
@@ -52,16 +51,13 @@ ARMS = ("lru", "belady")
 
 def run_once(arm: str, n: int = N, capacity: int = CAPACITY) -> dict:
     circ = vqe_ansatz(n, layers=LAYERS)
-    tel = Telemetry()
-    rec = ChunkAccessRecorder()
-    tel.access = rec
     cfg = MemQSimConfig(
         chunk_qubits=CHUNK, compressor="zlib",
         cache_chunks=capacity, cache_policy=arm,
         device=DeviceSpec(memory_bytes=int(DEVICE_MB * (1 << 20))),
     )
     t0 = time.perf_counter()
-    res = MemQSim(cfg, telemetry=tel).run(circ)
+    res = MemQSim(cfg).run(circ)
     wall = time.perf_counter() - t0
     # Snapshot the counters before norm(): computing the norm streams
     # every chunk back through the cache, which is off-schedule traffic.
@@ -73,7 +69,7 @@ def run_once(arm: str, n: int = N, capacity: int = CAPACITY) -> dict:
         "misses": misses,
         "hits": hits,
         "norm": float(res.norm()),
-        "trace": rec.trace(),
+        "trace": res.access_trace(),
     }
 
 

@@ -1,31 +1,25 @@
-"""Experiment MT1 — memory-audit plane overhead: recorder + ledger, A/B'd.
+"""Experiment MT1 — memory-audit plane overhead: what the ledger costs, A/B'd.
 
-The audit plane (byte-exact traffic ledger + chunk access recorder) is
-meant to be cheap enough to leave on whenever telemetry is on: the ledger
-is a couple of dict updates per chunk movement and the recorder one tuple
-append per chunk access — the chunks themselves are kilobytes to megabytes,
-so the bookkeeping should vanish next to codec and transfer work. The
-acceptance bar is < 3% wall-time regression with the full plane on vs the
-same telemetry without an access recorder.
+The audit plane is the byte-exact traffic ledger, a read-time fold over the
+rows an enabled telemetry's tracer has attached, and the access trace,
+which is not recorded at all: a run's pass schedule fixes it before
+execution and ``MemQSimResult.access_trace()`` reads it off. So the plane
+has one cost to measure on the run itself — an enabled telemetry, ledger
+included — and one after it, the offline analysis.
 
-Three interleaved arms over the same streamed QFT workload:
+Two interleaved arms over the same streamed QFT workload:
 
 * **disabled** — ``NULL_TELEMETRY``: the reference for what turning
   telemetry on costs at all (``enabled_ratio`` = base over disabled);
 * **base** — full ``Telemetry`` (ledger included — it is constitutive of
-  an enabled telemetry object) but no access recorder attached;
-* **audited** — the same plus a live ``ChunkAccessRecorder``, and at the
-  end the complete offline analysis a ``repro memtrace`` run would do
-  (reuse histogram, hit-rate curve, LRU + Belady replay) — analysis time
-  is reported separately, it is not part of the run wall time.
+  an enabled telemetry object). Each base run also times the complete
+  offline analysis a ``repro memtrace`` run would do over the result's
+  trace (reuse histogram, hit-rate curve, LRU + Belady replay) — reported
+  separately, it is not part of the run wall time.
 
-Runs interleave (disabled/base/audited/…) so drift hits every arm equally;
-the report takes medians. ``overhead_ratio`` is a metric of the record only
-when the gap between the two medians exceeds the arms' own interquartile
-range; otherwise the record carries it under ``extra`` as information
-(three repeats once read 0.95x: noise a metric would read as a gain). The
-audited arm also sanity-checks the plane:
-trace length > 0 and codec raw bytes == chunks * passes * chunk bytes.
+Runs interleave (disabled/base/…) so drift hits every arm equally; the
+report takes medians and the paired ratio (``paired_ratio``). The base arm
+also sanity-checks the plane: trace length > 0, Belady <= LRU misses.
 
 Emits the canonical ``results/BENCH_MT1.json`` record. ``REPRO_FULL=1``
 raises the qubit count.
@@ -44,7 +38,6 @@ from repro.analysis import Table, format_seconds
 from repro.analysis.memtrace import analyze_trace
 from repro.circuits import get_workload
 from repro.core import MemQSim
-from repro.telemetry import ChunkAccessRecorder
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 N = 16 if FULL else 13
@@ -53,7 +46,7 @@ WORKLOAD = "qft"
 REPEATS = 7
 WHATIF_CAPACITY = 4
 
-ARMS = ("disabled", "base", "audited")
+ARMS = ("disabled", "base")
 
 
 def run_once(arm: str, n: int = N) -> dict:
@@ -65,8 +58,6 @@ def run_once(arm: str, n: int = N) -> dict:
         return {"arm": arm, "wall_seconds": time.perf_counter() - t0,
                 "norm": float(res.norm())}
     tel = Telemetry()
-    if arm == "audited":
-        tel.access = ChunkAccessRecorder()
     t0 = time.perf_counter()
     res = MemQSim(cfg, telemetry=tel).run(circ)
     out = {
@@ -75,16 +66,15 @@ def run_once(arm: str, n: int = N) -> dict:
         "norm": float(res.norm()),
         "ledger_bytes": tel.traffic.total_bytes(),
     }
-    if arm == "audited":
-        trace = tel.access.trace()
-        assert trace, "audited arm must record a non-empty trace"
-        t1 = time.perf_counter()
-        rep = analyze_trace(trace, capacity=WHATIF_CAPACITY)
-        out["analysis_seconds"] = time.perf_counter() - t1
-        out["accesses"] = rep.accesses
-        out["lru_misses"] = rep.lru_misses
-        out["belady_misses"] = rep.belady_misses
-        assert rep.belady_misses <= rep.lru_misses
+    t1 = time.perf_counter()
+    trace = res.access_trace()
+    assert trace, "a streamed run must have a non-empty trace"
+    rep = analyze_trace(trace, capacity=WHATIF_CAPACITY)
+    out["analysis_seconds"] = time.perf_counter() - t1
+    out["accesses"] = rep.accesses
+    out["lru_misses"] = rep.lru_misses
+    out["belady_misses"] = rep.belady_misses
+    assert rep.belady_misses <= rep.lru_misses
     return out
 
 
@@ -95,7 +85,7 @@ def generate_report(n: int = N, repeats: int = REPEATS) -> dict:
             runs[arm].append(run_once(arm, n))
     med = {arm: sorted(r["wall_seconds"] for r in runs[arm])[repeats // 2]
            for arm in ARMS}
-    last = runs["audited"][-1]
+    last = runs["base"][-1]
     iqr = {arm: quartile_range([r["wall_seconds"] for r in runs[arm]])
            for arm in ARMS}
     return {
@@ -107,12 +97,6 @@ def generate_report(n: int = N, repeats: int = REPEATS) -> dict:
         "runs": runs,
         "medians": med,
         "iqr": iqr,
-        # whether the A/B says anything: the gap against the arms' spread
-        "resolved": abs(med["audited"] - med["base"])
-        > max(iqr["audited"], iqr["base"]),
-        # the acceptance ratio: recorder on vs same telemetry, recorder off
-        "overhead_ratio": (med["audited"] / med["base"] if med["base"]
-                           else float("inf")),
         # what telemetry (tracer + metrics + ledger) costs at all
         "enabled_ratio": (med["base"] / med["disabled"] if med["disabled"]
                           else float("inf")),
@@ -138,9 +122,9 @@ def render_table(report: dict) -> Table:
         t.add(arm, format_seconds(report["medians"][arm]),
               format_seconds(report["iqr"][arm]),
               " ".join(format_seconds(r["wall_seconds"]) for r in rs),
-              str(report["accesses"]) if arm == "audited" else "-",
+              str(report["accesses"]) if arm == "base" else "-",
               format_seconds(report["analysis_seconds"])
-              if arm == "audited" else "-")
+              if arm == "base" else "-")
     return t
 
 
@@ -162,12 +146,8 @@ if __name__ == "__main__":
     print_banner(__doc__.splitlines()[0])
     report = generate_report(args.qubits, args.repeats)
     print(render_table(report).render())
-    print(f"\naudit-plane overhead vs base telemetry: "
-          f"{(report['overhead_ratio'] - 1) * 100:+.2f}%  (acceptance: < 3%; "
-          + ("gated" if report["resolved"] else
-             "inside the arms' interquartile range: informational") + ")")
     med, iqr = report["medians"], report["iqr"]
-    print(f"enabled (base) over disabled: {report['enabled_ratio']:.3f}x "
+    print(f"\nenabled (base) over disabled: {report['enabled_ratio']:.3f}x "
           f"(IQR {iqr['base'] / med['base'] * 100:.1f}% / "
           f"{iqr['disabled'] / med['disabled'] * 100:.1f}% of the medians); "
           f"paired median {report['paired_enabled']['median']:.3f}x, IQR "
@@ -180,14 +160,7 @@ if __name__ == "__main__":
             *(r["wall_seconds"] for r in report["runs"]["disabled"])),
         "wall_seconds_base": seconds(
             *(r["wall_seconds"] for r in report["runs"]["base"])),
-        "wall_seconds_audited": seconds(
-            *(r["wall_seconds"] for r in report["runs"]["audited"])),
     }
-    if report["resolved"]:
-        # the acceptance bar itself: audited/base, 1.0 == free. A metric
-        # only when the medians differ by more than the arms' own spread.
-        metrics["overhead_ratio"] = {
-            "values": [report["overhead_ratio"]], "direction": "lower"}
     emit_result("MT1", title=__doc__.splitlines()[0],
                 params={"num_qubits": report["num_qubits"],
                         "chunk_qubits": CHUNK, "workload": WORKLOAD,
@@ -196,8 +169,7 @@ if __name__ == "__main__":
                 metrics=metrics,
                 tables=[render_table(report)],
                 extra={"runs": report["runs"], "medians": report["medians"],
-                       "iqr": report["iqr"], "resolved": report["resolved"],
-                       "overhead_ratio": report["overhead_ratio"],
+                       "iqr": report["iqr"],
                        "enabled_ratio": report["enabled_ratio"],
                        "paired_enabled": report["paired_enabled"],
                        "accesses": report["accesses"],

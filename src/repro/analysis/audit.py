@@ -8,7 +8,7 @@ chunk grouping, sweep direction, which groups are streamed at all
 *statically decidable* before a single amplitude moves:
 
 * :func:`predict_access_schedule` derives the exact chunk access sequence
-  (what a :class:`~repro.telemetry.ChunkAccessRecorder` will record);
+  (:func:`access_trace` of the pass schedule the scheduler will iterate);
 * :func:`predict_traffic` derives the per-stage byte counts for the
   deterministic edges (codec raw side, arena transfers) and a ratio
   envelope for the data-dependent one (compressed bytes). Every member
@@ -17,11 +17,12 @@ chunk grouping, sweep direction, which groups are streamed at all
   (:func:`~repro.pipeline.sweep.predict_sweep`), so it moves no codec
   bytes in.
 
-:func:`audit_run` compares both against what a run actually measured. A
-mismatch means the executor moved bytes the plan does not explain —
-exactly the class of regression (double loads, missed passes, phantom
-flushes) that time-based telemetry cannot see. ``python -m repro audit``
-wires this end to end.
+:func:`audit_run` compares both against what a run actually measured: the
+accesses its loop ran (:func:`executed_access_trace`) and the bytes its
+traffic ledger folded. A mismatch means the executor moved bytes the plan
+does not explain — exactly the class of regression (double loads, missed
+passes, phantom flushes) that time-based telemetry cannot see.
+``python -m repro audit`` wires this end to end.
 
 It also sets the launch-cost model's predicted kernel seconds per gate
 stage (:attr:`~repro.compile.CompileReport.kernel_stages`, one pass's
@@ -46,6 +47,8 @@ from ..pipeline.sweep import predict_pass_schedule, predict_sweep
 __all__ = [
     "predict_pass_schedule",
     "predict_access_schedule",
+    "access_trace",
+    "executed_access_trace",
     "predict_traffic",
     "AuditReport",
     "audit_run",
@@ -65,7 +68,11 @@ DET_EDGES = ("codec.raw_out", "codec.raw_in", "arena.h2d", "arena.d2h")
 KERNEL_FLAG_FACTOR = 2.0
 
 
-def _access_trace(passes) -> List[Tuple[int, int, str]]:
+def access_trace(passes) -> List[Tuple[int, int, str]]:
+    """The access trace of a pass schedule: each group pass reads, then
+    writes, its members in order; a permutation stage is one
+    ``(stage, -1, "b")`` barrier (chunk ids are relabeled there and any
+    cache in front of the store is flushed)."""
     trace: List[Tuple[int, int, str]] = []
     for kind, si, _gi, members in passes:
         if kind == "barrier":
@@ -110,7 +117,30 @@ def predict_access_schedule(
     one barrier marker. ``support`` is the start state's support set
     (``None`` = every chunk may be non-zero: the full sweep).
     """
-    return _access_trace(predict_pass_schedule(stages, layout, support))
+    return access_trace(predict_pass_schedule(stages, layout, support))
+
+
+def executed_access_trace(
+    stages: Sequence[Any],
+    layout: ChunkLayout,
+    spans: Iterable[Any],
+) -> List[Tuple[int, int, str]]:
+    """The access trace of what a run's group loop actually ran.
+
+    Read back from one run's tracer ``spans``, kept in the order they
+    closed, i.e. loop order: a ``group_pass`` span names its stage and
+    group, whose members are the stage's chunk grouping's (the lookup the
+    sweep makes), and a permutation ``stage`` span is one barrier.
+    """
+    passes = []
+    for sp in spans:
+        if sp.name == "group_pass":
+            si, gi = sp.args["stage"], sp.args["group"]
+            groups = layout.chunk_groups(stages[si].group_qubits).groups
+            passes.append(("pass", si, gi, groups[gi]))
+        elif sp.name == "stage" and sp.args["kind"] == "permutation":
+            passes.append(("barrier", sp.args["index"], -1, ()))
+    return access_trace(passes)
 
 
 def predict_traffic(
@@ -274,7 +304,8 @@ def audit_run(
 ) -> AuditReport:
     """Verify a measured run against its plan's predicted behaviour.
 
-    ``trace`` is the recorded access sequence, ``ledger`` the run's
+    ``trace`` is the access sequence the run's loop ran
+    (:func:`executed_access_trace`), ``ledger`` the run's
     :class:`~repro.telemetry.TrafficLedger`, ``support`` the support
     set the run started from (``None`` = full: every group of every stage
     is expected to run). Checks, in order:
@@ -295,7 +326,7 @@ def audit_run(
     """
     sweep = predict_sweep(stages, layout, support)
     passes = [p for p, _zero in sweep]
-    predicted = _access_trace(passes)
+    predicted = access_trace(passes)
     measured = [tuple(t) for t in trace]
     rep = AuditReport(
         schedule_ok=True,

@@ -417,16 +417,15 @@ def _traffic_section(result) -> str:
 
 
 def _memtrace_section(result) -> str:
-    """Hit-rate-vs-capacity curve from the recorded access trace."""
-    access = getattr(result.telemetry, "access", None)
-    if access is None or not len(access):
-        return ('<p class="note">no access trace recorded — attach a '
-                '<code>ChunkAccessRecorder</code> (or run '
-                '<code>repro run --mem-trace-out</code>) to see the '
-                'what-if cache curve.</p>')
+    """Hit-rate-vs-capacity curve from the run's access trace."""
+    trace = result.access_trace()
+    if not trace:
+        return ('<p class="note">no access trace: the result carries no '
+                'pass schedule (a run of <code>MemQSim</code> does) to '
+                'draw the what-if cache curve from.</p>')
     from .memtrace import hit_rate_curve
 
-    caps, rates = hit_rate_curve(access.trace())
+    caps, rates = hit_rate_curve(trace)
     if not caps:
         return '<p class="note">trace holds no read accesses.</p>'
     width, height, left, top, bottom = 960, 200, 70, 10, 24
@@ -464,7 +463,8 @@ def _memtrace_section(result) -> str:
         f"<tr><td>{caps[i]}</td><td>{rates[i] * 100:.1f}%</td></tr>"
         for i in range(0, len(caps), step))
     return (f'<p class="sub">exact what-if: LRU read hit rate at every '
-            f'cache capacity, from {len(access)} recorded accesses</p>'
+            f'cache capacity, from the {len(trace)} accesses of the '
+            f'run\'s pass schedule</p>'
             + "".join(parts)
             + f'<details><summary>curve (table view)</summary>'
               f'<table><tr><th>capacity (chunks)</th><th>hit rate</th></tr>'

@@ -1,10 +1,11 @@
 """Chunk access-trace analysis: reuse distance, what-if curves, Belady.
 
-Input is the access trace a
-:class:`~repro.telemetry.ChunkAccessRecorder` captured: a list of
-``(stage, chunk, op)`` with op ``"r"`` (read), ``"w"`` (write) or ``"b"``
-(barrier — a permutation stage, where chunk ids are relabeled and any
-cache in front of the store is flushed; reuse does not survive it).
+Input is a run's access trace
+(:meth:`~repro.core.MemQSimResult.access_trace`, read off the pass
+schedule its scheduler iterated): a list of ``(stage, chunk, op)`` with
+op ``"r"`` (read), ``"w"`` (write) or ``"b"`` (barrier — a permutation
+stage, where chunk ids are relabeled and any cache in front of the store
+is flushed; reuse does not survive it).
 
 The analyses mirror the live :class:`~repro.memory.cache.ChunkCache`'s
 semantics exactly: reads hit or miss, writes insert/touch without counting
@@ -27,10 +28,14 @@ recency; barriers empty the cache.
   execution, this bound is *achievable* — it is the quantitative case for
   the plan-driven eviction item on the roadmap.
 * :func:`analyze_trace` — everything above as one report.
+* :func:`write_trace` / :func:`read_trace` — the trace as JSONL, one
+  ``{"stage": s, "chunk": c, "op": op}`` object a line (``repro run
+  --mem-trace-out`` writes it, ``repro memtrace --trace-in`` reads it).
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -43,9 +48,46 @@ __all__ = [
     "belady_misses",
     "MemTraceReport",
     "analyze_trace",
+    "write_trace",
+    "read_trace",
 ]
 
 _INF = float("inf")
+
+
+def write_trace(trace: Sequence[Tuple[int, int, str]], path) -> int:
+    """Write ``trace`` as JSONL, one access a line; returns the lines."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps({"stage": s, "chunk": c, "op": op}) + "\n"
+                      for s, c, op in trace)
+    return len(trace)
+
+
+def read_trace(path) -> List[Tuple[int, int, str]]:
+    """Read a :func:`write_trace` file back (blank lines are skipped).
+
+    Raises ``ValueError`` naming the file and line of the first line that
+    is not JSON, not an object, lacks a key, or names an unknown op."""
+    out: List[Tuple[int, int, str]] = []
+    with open(path, encoding="utf-8") as fh:
+        for n, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                d = json.loads(line)
+                if not isinstance(d, dict):
+                    raise ValueError(
+                        f"expected an object, got {type(d).__name__}")
+                missing = [k for k in ("stage", "chunk", "op") if k not in d]
+                if missing:
+                    raise ValueError(f"missing key {missing[0]!r}")
+                access = (int(d["stage"]), int(d["chunk"]), str(d["op"]))
+                if access[2] not in ("r", "w", "b"):
+                    raise ValueError(f"unknown access op {access[2]!r}")
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"{path} line {n}: {exc}") from None
+            out.append(access)
+    return out
 
 
 def _accesses(trace: Sequence[Tuple[int, int, str]]):

@@ -28,6 +28,7 @@ __all__ = [
     "qaoa_maxcut",
     "vqe_ansatz",
     "quantum_volume",
+    "haar_unitary",
     "random_circuit",
     "supremacy_brickwork",
     "bernstein_vazirani",
@@ -179,11 +180,26 @@ def vqe_ansatz(
     return c
 
 
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A Haar-random ``dim`` x ``dim`` unitary drawn from ``rng``.
+
+    The QR decomposition of a complex Gaussian matrix, each column's phase
+    fixed by the sign of R's diagonal (Mezzadri, "How to generate random
+    matrices from the classical compact groups"). It draws from ``rng`` in
+    the order ``scipy.stats.unitary_group.rvs(dim, random_state=rng)`` does
+    and returns the same matrix, bit for bit.
+    """
+    z = 1 / math.sqrt(2) * (rng.normal(size=(dim, dim))
+                            + 1j * rng.normal(size=(dim, dim)))
+    q, r = np.linalg.qr(z)
+    d = r.diagonal()
+    q *= (d / abs(d))[np.newaxis, :]
+    return q
+
+
 def quantum_volume(num_qubits: int, depth: Optional[int] = None,
                    seed: Optional[int] = 11) -> Circuit:
     """Quantum-volume style circuit: random SU(4) on random qubit pairs."""
-    from scipy.stats import unitary_group
-
     n = num_qubits
     if depth is None:
         depth = n
@@ -193,8 +209,7 @@ def quantum_volume(num_qubits: int, depth: Optional[int] = None,
         perm = rng.permutation(n)
         for i in range(0, n - 1, 2):
             a, b = int(perm[i]), int(perm[i + 1])
-            u = unitary_group.rvs(4, random_state=rng)
-            c.unitary(u, a, b)
+            c.unitary(haar_unitary(4, rng), a, b)
     return c
 
 

@@ -58,6 +58,7 @@ import sys
 from typing import List, Optional
 
 from .analysis import Table, format_bytes, format_seconds
+from .analysis.memtrace import read_trace, write_trace
 from .circuits import WORKLOADS, from_qasm, get_workload
 from .compression import (available_compressors, compressor_options,
                           evaluate_compressor, get_compressor)
@@ -109,9 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "in --json output)")
     _add_telemetry_args(runp)
     runp.add_argument("--mem-trace-out", metavar="FILE",
-                      help="record the exact per-chunk access sequence and "
-                           "write it as JSONL (analyze with `repro "
-                           "memtrace`)")
+                      help="write the run's exact per-chunk access sequence "
+                           "(read off its pass schedule) as JSONL (analyze "
+                           "with `repro memtrace`)")
     runp.add_argument("--json", nargs="?", const="-", default=None,
                       metavar="FILE",
                       help="emit the full result as JSON (to FILE, or to "
@@ -162,9 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     mtp = sub.add_parser(
         "memtrace",
-        help="record a run's chunk access trace and analyze its reuse: "
-             "distance histogram, hit-rate-vs-capacity curve, and the "
-             "Belady-optimal miss bound vs the live LRU cache")
+        help="analyze the chunk access trace of a run (or of a trace "
+             "file): reuse-distance histogram, hit-rate-vs-capacity "
+             "curve, and the Belady-optimal miss bound vs the live cache")
     mtp.add_argument("workload", help=f"one of {sorted(WORKLOADS)}")
     mtp.add_argument("-n", "--qubits", type=int, default=12)
     _add_codec_args(mtp)
@@ -369,8 +370,7 @@ def _telemetry_from_args(args, force: bool = False) -> Telemetry:
         configure_logging(args.log_level)
     want = force or bool(args.trace_out or args.jsonl_out or args.metrics_out
                          or getattr(args, "monitor", False)
-                         or getattr(args, "events_out", None)
-                         or getattr(args, "mem_trace_out", None))
+                         or getattr(args, "events_out", None))
     return Telemetry() if want else NULL_TELEMETRY
 
 
@@ -383,7 +383,9 @@ def _monitor_ms(args) -> float:
     return args.monitor_interval
 
 
-def _export_telemetry(tel: Telemetry, args) -> None:
+def _write_exports(res, args) -> None:
+    """Write the files a command's export flags name for the run ``res``."""
+    tel = res.telemetry
     if args.trace_out:
         nb = tel.tracer.write_chrome_trace(args.trace_out)
         print(f"trace written: {args.trace_out} "
@@ -399,8 +401,8 @@ def _export_telemetry(tel: Telemetry, args) -> None:
         dropped = tel.bus.dropped
         note = f", {dropped} older dropped by the ring" if dropped else ""
         print(f"event JSONL written: {args.events_out} ({n} events{note})")
-    if getattr(args, "mem_trace_out", None) and tel.access is not None:
-        n = tel.access.write_jsonl(args.mem_trace_out)
+    if getattr(args, "mem_trace_out", None):
+        n = write_trace(res.access_trace(), args.mem_trace_out)
         print(f"access trace written: {args.mem_trace_out} ({n} accesses)")
 
 
@@ -453,10 +455,6 @@ def _config_from_args(args, **pins) -> MemQSimConfig:
 def _cmd_run(args) -> int:
     circuit = _load_circuit(args)
     tel = _telemetry_from_args(args)
-    if args.mem_trace_out:
-        from .telemetry import ChunkAccessRecorder
-
-        tel.access = ChunkAccessRecorder()
     cfg = _config_from_args(args)
     json_stdout = args.json == "-"
     res = MemQSim(cfg, telemetry=tel).run(circuit, checkpoint=args.checkpoint)
@@ -497,7 +495,7 @@ def _cmd_run(args) -> int:
             with open(args.json, "w") as fh:
                 json.dump(payload, fh, indent=2)
             print(f"result JSON written: {args.json}")
-        _export_telemetry(tel, args)
+        _write_exports(res, args)
     if args.save_state:
         nb = res.save_state(args.save_state)
         if not json_stdout:
@@ -510,7 +508,7 @@ def _cmd_run(args) -> int:
         import io
 
         with contextlib.redirect_stdout(io.StringIO()):
-            _export_telemetry(tel, args)
+            _write_exports(res, args)
         print(json.dumps(payload, indent=2))
     return 0
 
@@ -616,7 +614,7 @@ def _cmd_trace(args) -> int:
     print("\nwhere the time went (per span name):")
     print(tel.tracer.summary(top=args.top))
     print()
-    _export_telemetry(tel, args)
+    _write_exports(res, args)
     if args.trace_out:
         print("open it at https://ui.perfetto.dev or chrome://tracing")
     return 0
@@ -634,11 +632,7 @@ def _cmd_report(args) -> int:
         raise SystemExit(f"error: output directory does not exist: {parent}")
     cfg = _config_from_args(args, monitor_interval_ms=args.monitor_interval)
     circuit = get_workload(args.workload, args.qubits)
-    from .telemetry import ChunkAccessRecorder
-
-    tel = Telemetry()
-    tel.access = ChunkAccessRecorder()  # feeds the cache what-if section
-    res = MemQSim(cfg, telemetry=tel).run(circuit)
+    res = MemQSim(cfg, telemetry=Telemetry()).run(circuit)
     title = args.title or (f"MEMQSim: {args.workload} n={args.qubits} "
                            f"({args.compressor})")
     nb = write_html(res, out, title=title)
@@ -648,26 +642,24 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_memtrace(args) -> int:
-    """Record (or load) an access trace and analyze its reuse behaviour."""
+    """Analyze the reuse of a run's access trace, or of a trace file's."""
     from .analysis.memtrace import analyze_trace
-    from .telemetry import ChunkAccessRecorder
 
     measured = None
     capacity = _validate_cache_chunks(args.cache_chunks, minimum=1)
     if args.trace_in:
-        trace = ChunkAccessRecorder.read_jsonl(args.trace_in)
+        try:
+            trace = read_trace(args.trace_in)
+        except ValueError as exc:
+            raise SystemExit(f"memtrace: {exc}") from None
         if not trace:
             raise SystemExit(f"memtrace: {args.trace_in} holds no accesses")
     else:
-        tel = Telemetry()
-        rec = ChunkAccessRecorder()
-        tel.access = rec
         # the live cache runs the capacity and policy the analysis replays
         cfg = _config_from_args(args, cache_chunks=capacity,
                                 cache_policy=args.policy)
-        res = MemQSim(cfg, telemetry=tel).run(
-            get_workload(args.workload, args.qubits))
-        trace = rec.trace()
+        res = MemQSim(cfg).run(get_workload(args.workload, args.qubits))
+        trace = res.access_trace()
         stats = getattr(res.store, "cache_stats", None)
         if stats is not None:
             measured = stats.misses
@@ -688,19 +680,18 @@ def _cmd_memtrace(args) -> int:
 
 def _cmd_audit(args) -> int:
     """Run under the audit contract and verify plan-vs-actual behaviour."""
-    from .analysis.audit import audit_run
-    from .telemetry import ChunkAccessRecorder
+    from .analysis.audit import audit_run, executed_access_trace
 
     tel = Telemetry()
-    rec = ChunkAccessRecorder()
-    tel.access = rec
     # The audit contract: no chunk cache — the deterministic edges are
     # only exact when every load of a live chunk reaches the codec. Any
     # worker count balances.
     cfg = _config_from_args(args, cache_chunks=0)
     res = MemQSim(cfg, telemetry=tel).run(
         get_workload(args.workload, args.qubits))
-    trace = rec.trace()
+    # what the loop ran, read back from its spans
+    trace = executed_access_trace(res.compiled_stages, res.store.layout,
+                                  tel.tracer.spans)
     if args.perturb and len(trace) >= 2:
         trace[0], trace[-1] = trace[-1], trace[0]
     # The run started from |0...0>: chunk 0 is its whole support.

@@ -557,6 +557,7 @@ class MemQSim:
             resource_timeline=None if monitor is None else monitor.timeline(),
             compile_report=cplan.report,
             compiled_stages=cplan.stages,
+            pass_schedule=passes,
             run_id=run_id,
             precision=cfg.precision,
             # Fidelity oracle is only meaningful for a known |0...0> start.

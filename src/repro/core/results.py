@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,6 +56,10 @@ class MemQSimResult:
     #: the compiled stages the run executed, bound to its circuit's
     #: parameter values (what the audit replays); ``None`` as above
     compiled_stages: Optional[List[Any]] = field(default=None, repr=False)
+    #: the group passes the scheduler iterated, in order — the plan cache's
+    #: tuple for this start, not a copy (``()`` as above; see
+    #: :meth:`access_trace`)
+    pass_schedule: Tuple[Any, ...] = field(default=(), repr=False)
     #: the run's id — the same value stamped on log records and live bus
     #: events, so post-hoc artifacts correlate with live observability
     run_id: str = ""
@@ -66,6 +70,16 @@ class MemQSimResult:
     oracle_circuit: Optional[Any] = field(default=None, repr=False)
     #: cache for :meth:`precision_fidelity` (it streams the store)
     _fidelity: Optional[Dict[str, Any]] = field(default=None, repr=False)
+
+    def access_trace(self) -> List[Tuple[int, int, str]]:
+        """The run's chunk access trace, read off its pass schedule: per
+        group pass every member read, then every member written; one
+        ``(stage, -1, "b")`` barrier per permutation stage. This is the
+        loop's logical order, whatever a cache or a codec lane reorders
+        (:mod:`repro.analysis.memtrace` analyses it)."""
+        from ..analysis.audit import access_trace
+
+        return access_trace(self.pass_schedule)
 
     # -- state queries (streaming; never densify unless asked) ------------------
 

@@ -32,9 +32,8 @@ cache / tier decision it drives are the same for any worker count; what
 the lane hides shows up in the run's measured ``online_seconds``.
 
 Whoever watches a run — spans, the progress tracker, the event bus, the
-access trace, the resource monitor — hangs off one
-:class:`~repro.telemetry.PassObserver`; the loop makes two calls on it per
-group pass and none per chunk. Which stage a row is of is the timeline's
+resource monitor — hangs off one :class:`~repro.telemetry.PassObserver`;
+the loop makes two calls on it per group pass and none per chunk. Which stage a row is of is the timeline's
 ``stage_index``, which the loop sets where a pass or a permutation barrier
 starts and where a stage ends; the traffic ledger reads it off the rows.
 """
@@ -392,9 +391,7 @@ class StageScheduler:
 
     def _run_permutation(self, stage: PermutationStage, si: int) -> None:
         # Chunk identities change here, and a cache in front of the store
-        # flushes: observers mark the barrier before either happens, and
-        # the flush's write-backs are of this stage.
-        self.observer.barrier(si)
+        # flushes: the flush's write-backs are of this stage.
         self.timeline.stage_index = si
         if self.schedule is not None:
             # Reuse does not survive the relabeling; the schedule cursor

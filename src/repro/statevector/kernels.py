@@ -37,7 +37,6 @@ __all__ = [
     "apply_diagonal",
     "apply_stored_diagonal",
     "apply_circuit_gate",
-    "apply_gate_list",
     "prepare_launch",
     "num_qubits_of",
 ]
@@ -408,23 +407,3 @@ def prepare_launch(gate, m: int):
     run.m = m
     return run
 
-
-def apply_gate_list(
-    buf: np.ndarray,
-    gates: Sequence[Tuple[np.ndarray, Tuple[int, ...]]],
-) -> None:
-    """Apply ``(matrix, qubits)`` pairs in order — the executor's batch entry."""
-    for matrix, qubits in gates:
-        apply_gate(buf, matrix, qubits)
-
-
-# ---------------------------------------------------------------------------
-# Gate fusion helper
-# ---------------------------------------------------------------------------
-
-def fuse_1q_matrices(matrices: Sequence[np.ndarray]) -> np.ndarray:
-    """Multiply a chain of 2x2 matrices applied first-to-last into one."""
-    out = np.eye(2, dtype=np.complex128)
-    for m in matrices:
-        out = m @ out
-    return out

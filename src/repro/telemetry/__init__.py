@@ -9,7 +9,7 @@ One :class:`Telemetry` object bundles the observability sinks a run feeds:
 * the live :class:`~repro.telemetry.events.EventBus`, the byte-exact
   :class:`~repro.telemetry.traffic.TrafficLedger` (a view of the attached
   timelines' rows) and, when a run attaches
-  them, an access recorder, a progress tracker and a resource monitor;
+  them, a progress tracker and a resource monitor;
 * the ``repro`` logger hierarchy (:mod:`repro.telemetry.logutil`).
 
 **Off is one thing.** ``Telemetry.disabled()`` (shared as
@@ -64,7 +64,7 @@ from .monitor import ResourceMonitor
 from .observer import NULL_OBSERVER, PassObserver, RunObserver
 from .progress import ProgressTracker, StageProgress
 from .tracer import Span, Tracer
-from .traffic import ChunkAccessRecorder, TrafficLedger
+from .traffic import TrafficLedger
 
 __all__ = [
     "Telemetry",
@@ -73,7 +73,6 @@ __all__ = [
     "RunObserver",
     "NULL_OBSERVER",
     "TrafficLedger",
-    "ChunkAccessRecorder",
     "Tracer",
     "Span",
     "ResourceMonitor",
@@ -102,7 +101,7 @@ class Telemetry:
     """Tracer + metrics + bus + ledger, threaded through the whole pipeline."""
 
     __slots__ = ("tracer", "metrics", "log", "enabled", "monitor", "bus",
-                 "progress", "traffic", "access")
+                 "progress", "traffic")
 
     def __init__(self, tracer: Optional[Tracer] = None,
                  metrics: Optional[MetricsRegistry] = None,
@@ -129,9 +128,6 @@ class Telemetry:
         #: byte-exact tier-edge movement ledger: a read-only fold over the
         #: rows of the timelines the tracer has attached
         self.traffic = TrafficLedger(self.tracer)
-        #: opt-in chunk access-sequence recorder (``run --mem-trace-out``,
-        #: ``repro memtrace`` / ``repro audit`` attach one); ``None`` = off
-        self.access: Optional[ChunkAccessRecorder] = None
         #: the active run's ResourceMonitor; attached by MemQSim for the
         #: duration of a monitored run (the run's observer samples it)
         self.monitor: Optional[ResourceMonitor] = None

@@ -2,16 +2,20 @@
 
 :class:`~repro.pipeline.scheduler.StageScheduler` tells a
 :class:`PassObserver` where the run stands — a stage opens and closes, a
-group pass opens (with the chunks it streams) and closes, a permutation
-barrier is crossed, a device buffer is live — and knows nothing of who
-listens. :class:`PassObserver` itself listens to nothing: it is the null
-implementation, shared as :data:`NULL_OBSERVER`, and costs the loop two
-calls per group pass. :class:`RunObserver` is what an enabled
-:class:`~repro.telemetry.Telemetry` hands a run
-(:meth:`~repro.telemetry.Telemetry.observer`): the only code that knows
-the ``stage`` / ``group_pass`` spans, the progress tracker, the event bus,
-the access recorder and the resource monitor exist. A decompressed-chunk
-cache in front of the store reports its flushes here too.
+group pass opens (with the chunks it streams) and closes, a device buffer
+is live — and knows nothing of who listens. :class:`PassObserver` itself
+listens to nothing: it is the null implementation, shared as
+:data:`NULL_OBSERVER`, and costs the loop two calls per group pass.
+:class:`RunObserver` is what an enabled :class:`~repro.telemetry.Telemetry`
+hands a run (:meth:`~repro.telemetry.Telemetry.observer`): the only code
+that knows the ``stage`` / ``group_pass`` spans, the progress tracker, the
+event bus and the resource monitor exist. A decompressed-chunk cache in
+front of the store reports its flushes here too.
+
+Which chunks a pass streams is the run's pass schedule, fixed before the
+loop starts; nothing here records it again. The ``group_pass`` and
+permutation ``stage`` spans are what the loop actually ran, in order (the
+audit reads them back: :func:`~repro.analysis.audit.executed_access_trace`).
 
 Pipeline *hops* (a codec call, a copy, a kernel batch, a disk-log append)
 do not pass through here: the layer that runs one times it and books it as
@@ -46,9 +50,6 @@ class PassObserver:
         read, updated on the device and written."""
         return _NOTHING
 
-    def barrier(self, stage: int) -> None:
-        """Permutation stage ``stage`` is about to relabel chunk ids."""
-
     def device_buffer_live(self) -> None:
         """A group's amplitudes sit in device memory right now."""
 
@@ -65,13 +66,12 @@ class RunObserver(PassObserver):
     """Fans the loop's reports out to an enabled telemetry's sinks.
 
     Built per run, after the run attached whichever optional sinks it has
-    (``access``, ``progress``, ``monitor`` — ``None`` when absent).
+    (``progress``, ``monitor`` — ``None`` when absent).
     """
 
     def __init__(self, telemetry):
         self._tracer = telemetry.tracer
         self._emit = telemetry.emit
-        self._access = telemetry.access
         self._progress = telemetry.progress
         self._monitor = telemetry.monitor
 
@@ -89,25 +89,12 @@ class RunObserver(PassObserver):
 
     @contextmanager
     def group_pass(self, stage, group, members, nbytes):
-        # The access trace is the loop's logical order (all reads, then
-        # all writes), whatever a cache or a codec lane reorders.
-        access = self._access
-        if access is not None:
-            for chunk in members:
-                access.record(chunk, stage, "r")
         with self._tracer.span("group_pass", stage=stage, group=group,
                                chunks=len(members), nbytes=nbytes):
             yield
-        if access is not None:
-            for chunk in members:
-                access.record(chunk, stage, "w")
         if self._progress is not None:
             self._progress.group_done(stage)
         self._emit("group", stage=stage, group=group, chunks=len(members))
-
-    def barrier(self, stage):
-        if self._access is not None:
-            self._access.barrier(stage)
 
     def device_buffer_live(self):
         # One synchronous resource sample while the buffer is allocated,

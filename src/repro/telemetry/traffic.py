@@ -1,37 +1,29 @@
-"""The memory-traffic audit plane: byte-exact movement ledger + access trace.
+"""The memory-traffic audit plane: the byte-exact movement ledger.
 
 MEMQSim's claim is memory efficiency, and the quantity the paper optimizes
 is *bytes crossing tier boundaries* — yet spans and gauges measure time and
-occupancy. This module reads the movement itself:
+occupancy. :class:`TrafficLedger` reads the movement itself: the exact
+bytes moved across every tier edge, attributed to ``(stage, chunk-group,
+direction)``. It books nothing: a moved byte is booked once, as a row of a
+:class:`~repro.device.timeline.Timeline`, and the ledger folds the rows of
+every timeline the tracer has attached. Each edge is read off one row kind
+(see ``_EDGES_OF``): ``arena.h2d`` / ``d2h`` (host staging buffer <->
+device arena), ``codec.raw_in`` / ``compressed_out`` (compress),
+``codec.compressed_in`` / ``raw_out`` (decompress), ``disk.read`` /
+``write`` (compressed store <-> append log) and ``cache.hit`` / ``miss``
+(bytes served from / fetched past the decompressed-chunk cache). A row
+names its pass's stage and group and the codec lane that ran it, so
+per-stage and per-lane attributions partition the totals.
 
-* :class:`TrafficLedger` — the exact bytes moved across every tier edge,
-  attributed to ``(stage, chunk-group, direction)``. It books nothing: a
-  moved byte is booked once, as a row of a
-  :class:`~repro.device.timeline.Timeline`, and the ledger folds the rows
-  of every timeline the tracer has attached. Each edge is read off one row
-  kind (see ``_EDGES_OF``): ``arena.h2d`` / ``d2h`` (host staging buffer
-  <-> device arena), ``codec.raw_in`` / ``compressed_out`` (compress),
-  ``codec.compressed_in`` / ``raw_out`` (decompress), ``disk.read`` /
-  ``write`` (compressed store <-> append log) and ``cache.hit`` /
-  ``miss`` (bytes served from / fetched past the decompressed-chunk
-  cache). A row names its pass's stage and group and the codec lane that
-  ran it, so per-stage and per-lane attributions partition the totals.
-
-* :class:`ChunkAccessRecorder` — the exact per-chunk access sequence
-  ``(stage, chunk id, read/write)`` the scheduler generates, plus barrier
-  markers at permutation stages (where any chunk cache is flushed).
-  :mod:`repro.analysis.memtrace` turns the trace into reuse-distance
-  histograms, a hit-rate-vs-capacity curve, and the Belady-optimal miss
-  bound; :mod:`repro.analysis.audit` compares it against the schedule
-  predicted from the :class:`~repro.compile.CompiledPlan`.
+The chunk access trace is not recorded here: the run's pass schedule fixes
+it before execution (:meth:`~repro.core.MemQSimResult.access_trace`).
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["TrafficLedger", "AccessEvent", "ChunkAccessRecorder"]
+__all__ = ["TrafficLedger"]
 
 # row fields the fold reads (see repro.device.timeline.ROW_FIELDS)
 _SECONDS, _GROUP, _NBYTES, _LANE, _STAGE_INDEX, _BLOB = 2, 3, 5, 6, 8, 9
@@ -153,60 +145,3 @@ class TrafficLedger:
         t = self.totals()
         moved = sum(v["bytes"] for v in t.values())
         return f"<TrafficLedger {len(t)} edges {moved:,}B moved>"
-
-
-#: one recorded access: (stage index, chunk id, op); op is "r" | "w" | "b"
-#: (barrier — chunk id is -1, marks a permutation stage / cache flush)
-AccessEvent = Tuple[int, int, str]
-
-
-class ChunkAccessRecorder:
-    """Records the exact chunk access sequence the scheduler generates.
-
-    Accesses are recorded at the scheduler's store surface in *logical*
-    order, so the trace is independent of any cache sitting in front of
-    the store and of any codec lane behind it.
-    """
-
-    def __init__(self):
-        self._events: List[AccessEvent] = []
-
-    def record(self, chunk: int, stage: int, op: str) -> None:
-        self._events.append((stage, chunk, op))
-
-    def barrier(self, stage: int) -> None:
-        """Mark a permutation stage: chunk ids are relabeled and any cache
-        in front of the store is flushed — reuse does not survive it."""
-        self._events.append((stage, -1, "b"))
-
-    def trace(self) -> List[AccessEvent]:
-        return list(self._events)
-
-    def clear(self) -> None:
-        self._events.clear()
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def write_jsonl(self, path) -> int:
-        """One JSON object per access; returns the number of lines."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for s, c, op in self._events:
-                fh.write(json.dumps({"stage": s, "chunk": c, "op": op}))
-                fh.write("\n")
-        return len(self._events)
-
-    @staticmethod
-    def read_jsonl(path) -> List[AccessEvent]:
-        out: List[AccessEvent] = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                d = json.loads(line)
-                out.append((int(d["stage"]), int(d["chunk"]), str(d["op"])))
-        return out
-
-    def __repr__(self) -> str:
-        return f"<ChunkAccessRecorder {len(self._events)} accesses>"

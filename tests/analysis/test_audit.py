@@ -4,13 +4,14 @@ import pytest
 
 from repro.analysis.audit import (
     audit_run,
+    executed_access_trace,
     predict_access_schedule,
     predict_traffic,
 )
 from repro.circuits import get_workload
 from repro.core import MemQSim, MemQSimConfig
 from repro.device import DeviceSpec, Stage, Timeline
-from repro.telemetry import ChunkAccessRecorder, Telemetry
+from repro.telemetry import Telemetry
 
 
 #: every audited run here starts from |0...0>: chunk 0 is its whole support
@@ -21,7 +22,6 @@ def audited_run(n=8, chunk_qubits=4, execution="serial", device_mb=None,
                 workers=2, workload="qft", host_store_mb=0.0):
     """Run under the audit contract and return everything the audit needs."""
     tel = Telemetry()
-    tel.access = ChunkAccessRecorder()
     kw = {}
     if device_mb is not None:
         kw["device"] = DeviceSpec(memory_bytes=int(device_mb * (1 << 20)))
@@ -38,6 +38,11 @@ def audited_run(n=8, chunk_qubits=4, execution="serial", device_mb=None,
     return res.compiled_stages, res.store.layout, tel
 
 
+def ran(stages, layout, tel):
+    """The access trace the run's loop ran, read back from its spans."""
+    return executed_access_trace(stages, layout, tel.tracer.spans)
+
+
 class TestPredictor:
     @pytest.mark.parametrize("tiered", [False, True])
     @pytest.mark.parametrize("execution", ["serial", "parallel"])
@@ -45,7 +50,7 @@ class TestPredictor:
         stages, layout, tel = audited_run(
             execution=execution, host_store_mb=0.001 if tiered else 0.0)
         predicted = predict_access_schedule(stages, layout, ZERO_STATE)
-        assert predicted == tel.access.trace()
+        assert predicted == ran(stages, layout, tel)
 
     def test_streaming_run_matches(self):
         # tiny device memory forces multi-stage streaming with real reuse
@@ -53,7 +58,7 @@ class TestPredictor:
             n=9, chunk_qubits=3, device_mb=0.002)
         predicted = predict_access_schedule(stages, layout, ZERO_STATE)
         assert len(predicted) > layout.num_chunks * 2  # several passes
-        assert predicted == tel.access.trace()
+        assert predicted == ran(stages, layout, tel)
 
     def test_permutation_stages_become_barriers(self):
         # (qft's global swaps used to provide them; from |0...0> they are
@@ -67,6 +72,19 @@ class TestPredictor:
         traffic = predict_traffic(stages, layout)
         for si, _c, _op in barriers:
             assert traffic[si] == {}
+        # the loop's permutation stage spans read back as the same barriers
+        assert ran(stages, layout, tel) == predict_access_schedule(
+            stages, layout, ZERO_STATE)
+
+    def test_the_result_carries_the_trace_its_loop_ran(self):
+        tel = Telemetry()
+        cfg = MemQSimConfig(chunk_qubits=3, compressor="zlib",
+                            device=DeviceSpec(memory_bytes=2048))
+        res = MemQSim(cfg, telemetry=tel).run(get_workload("random", 9))
+        stages, layout = res.compiled_stages, res.store.layout
+        assert res.access_trace() == predict_access_schedule(
+            stages, layout, ZERO_STATE) == ran(stages, layout, tel)
+        assert any(op == "b" for _s, _c, op in res.access_trace())
 
     def test_traffic_prediction_shape(self):
         stages, layout, _tel = audited_run()
@@ -127,8 +145,8 @@ class TestAuditRun:
     def test_clean_run_passes(self):
         stages, layout, tel = audited_run(n=9, chunk_qubits=3,
                                           device_mb=0.002)
-        rep = audit_run(stages, layout, tel.access.trace(), tel.traffic,
-                        support=ZERO_STATE)
+        rep = audit_run(stages, layout, ran(stages, layout, tel),
+                        tel.traffic, support=ZERO_STATE)
         assert rep.ok, rep.render()
         assert rep.schedule_ok and rep.traffic_ok and rep.envelope_ok
         assert rep.first_divergence is None
@@ -136,7 +154,7 @@ class TestAuditRun:
 
     def test_perturbed_trace_fails_with_divergence(self):
         stages, layout, tel = audited_run()
-        trace = tel.access.trace()
+        trace = ran(stages, layout, tel)
         trace[0], trace[-1] = trace[-1], trace[0]
         rep = audit_run(stages, layout, trace, tel.traffic,
                         support=ZERO_STATE)
@@ -146,9 +164,25 @@ class TestAuditRun:
         assert rep.first_divergence[0] == 0
         assert "FAIL" in rep.render()
 
+    def test_two_groups_swapped_in_the_loop_fail(self):
+        """The measured side is what the loop ran: two group passes of one
+        stage run in the other order diverge from the plan."""
+        stages, layout, tel = audited_run(n=9, chunk_qubits=3,
+                                          device_mb=0.002)
+        spans = tel.tracer.spans
+        passes = [i for i, sp in enumerate(spans) if sp.name == "group_pass"]
+        i, j = next((a, b) for a, b in zip(passes, passes[1:])
+                    if spans[a].args["stage"] == spans[b].args["stage"])
+        spans[i], spans[j] = spans[j], spans[i]
+        rep = audit_run(stages, layout,
+                        executed_access_trace(stages, layout, spans),
+                        tel.traffic, support=ZERO_STATE)
+        assert not rep.schedule_ok
+        assert rep.first_divergence is not None
+
     def test_truncated_trace_fails_on_length(self):
         stages, layout, tel = audited_run()
-        trace = tel.access.trace()[:-1]
+        trace = ran(stages, layout, tel)[:-1]
         rep = audit_run(stages, layout, trace, tel.traffic,
                         support=ZERO_STATE)
         assert not rep.schedule_ok
@@ -158,8 +192,8 @@ class TestAuditRun:
         stages, layout, tel = audited_run()
         # phantom load the plan does not explain
         phantom(tel, Stage.H2D, 0, nbytes=1)
-        rep = audit_run(stages, layout, tel.access.trace(), tel.traffic,
-                        support=ZERO_STATE)
+        rep = audit_run(stages, layout, ran(stages, layout, tel),
+                        tel.traffic, support=ZERO_STATE)
         assert not rep.traffic_ok
         assert any("arena.h2d" in e for e in rep.errors)
 
@@ -167,16 +201,16 @@ class TestAuditRun:
         # a load of a zero member that reached the codec after all
         stages, layout, tel = audited_run()
         phantom(tel, Stage.DECOMPRESS, 0, nbytes=layout.chunk_nbytes)
-        rep = audit_run(stages, layout, tel.access.trace(), tel.traffic,
-                        support=ZERO_STATE)
+        rep = audit_run(stages, layout, ran(stages, layout, tel),
+                        tel.traffic, support=ZERO_STATE)
         assert not rep.traffic_ok
         assert any("codec.raw_out" in e for e in rep.errors)
 
     def test_traffic_on_unplanned_stage_fails(self):
         stages, layout, tel = audited_run()
         phantom(tel, Stage.DISK_WRITE, len(stages) + 5, nbytes=10)
-        rep = audit_run(stages, layout, tel.access.trace(), tel.traffic,
-                        support=ZERO_STATE)
+        rep = audit_run(stages, layout, ran(stages, layout, tel),
+                        tel.traffic, support=ZERO_STATE)
         assert not rep.traffic_ok
         assert any("unplanned stage" in e for e in rep.errors)
 
@@ -185,8 +219,8 @@ class TestAuditRun:
         # blow the compressed side far past slack * raw
         raw = tel.traffic.total_bytes("codec", "raw_in")
         phantom(tel, Stage.COMPRESS, 0, blob_bytes=2 * raw)
-        rep = audit_run(stages, layout, tel.access.trace(), tel.traffic,
-                        support=ZERO_STATE)
+        rep = audit_run(stages, layout, ran(stages, layout, tel),
+                        tel.traffic, support=ZERO_STATE)
         assert not rep.envelope_ok
         assert any("envelope" in e for e in rep.errors)
 
@@ -199,8 +233,8 @@ class TestAuditRun:
             for key, nbytes in row.items():
                 if "compressed" not in key:
                     phantom(replay, ROW_OF[key], si, nbytes=nbytes)
-        rep = audit_run(stages, layout, tel.access.trace(), replay.traffic,
-                        support=ZERO_STATE)
+        rep = audit_run(stages, layout, ran(stages, layout, tel),
+                        replay.traffic, support=ZERO_STATE)
         assert not rep.envelope_ok
         assert any("no compressed bytes" in e for e in rep.errors)
 
@@ -208,8 +242,8 @@ class TestAuditRun:
         import json
 
         stages, layout, tel = audited_run()
-        rep = audit_run(stages, layout, tel.access.trace(), tel.traffic,
-                        support=ZERO_STATE)
+        rep = audit_run(stages, layout, ran(stages, layout, tel),
+                        tel.traffic, support=ZERO_STATE)
         doc = json.loads(json.dumps(rep.to_dict()))
         assert doc["ok"] is True
         assert doc["schedule_predicted"] == doc["schedule_measured"]
@@ -227,8 +261,8 @@ def test_audit_predicts_the_decodes_from_the_support(workload, host_store_mb,
     stages, layout, tel = audited_run(
         n=10, device_mb=0.002, execution=execution,
         workload=workload, host_store_mb=host_store_mb)
-    rep = audit_run(stages, layout, tel.access.trace(), tel.traffic,
-                    support=ZERO_STATE)
+    rep = audit_run(stages, layout, ran(stages, layout, tel),
+                    tel.traffic, support=ZERO_STATE)
     assert rep.ok, rep.render()
     predicted = predict_traffic(stages, layout, support=ZERO_STATE)
     by_stage = tel.traffic.by_stage()
@@ -273,14 +307,14 @@ class TestKernelPrediction:
 
     def test_a_flag_does_not_fail_the_audit(self):
         tel = Telemetry()
-        tel.access = ChunkAccessRecorder()
         res = MemQSim(MemQSimConfig(chunk_qubits=4, compressor="zlib"),
                       telemetry=tel).run(get_workload("qft", 8))
         # a model a thousand times too optimistic
         stages = tuple((si, groups, pass_s * 1e-3) for si, groups, pass_s
                        in res.compile_report.kernel_stages)
         rep = audit_run(res.compiled_stages, res.store.layout,
-                        tel.access.trace(), tel.traffic, support=ZERO_STATE,
+                        ran(res.compiled_stages, res.store.layout, tel),
+                        tel.traffic, support=ZERO_STATE,
                         timeline=res.timeline, kernel_stages=stages)
         assert rep.ok and rep.kernel_rows
         assert all(row["flagged"] for row in rep.kernel_rows)

@@ -61,8 +61,10 @@ def test_report_structure(monitored_result):
 def test_report_svgs_well_formed(monitored_result):
     doc = render_html(monitored_result)
     svgs = _svgs(doc)
-    # light + dark stage timelines, one memory chart
-    assert len(svgs) == 3
+    # light + dark stage timelines, one memory chart, and the what-if cache
+    # curve (every run's access trace is its pass schedule)
+    assert len(svgs) == 4
+    assert 'aria-label="LRU hit rate vs cache capacity"' in svgs[3]
     for svg in svgs:
         ET.fromstring(svg)  # raises on malformed markup
     timeline = svgs[0]
@@ -90,7 +92,9 @@ def test_report_without_monitor_degrades(tight_config_module):
     res = MemQSim(tight_config_module, telemetry=Telemetry()).run(qft(8))
     doc = render_html(res)
     assert "no resource timeline captured" in doc
-    assert len(_svgs(doc)) == 2  # timelines still render, no memory chart
+    # timelines and the what-if curve still render, no memory chart
+    assert len(_svgs(doc)) == 3
+    assert "Memory over time" in doc and "process RSS" not in doc
 
 
 def test_dark_mode_palette_scoped(monitored_result):

@@ -8,16 +8,16 @@ from repro.analysis.memtrace import (
     analyze_trace,
     belady_misses,
     hit_rate_curve,
+    read_trace,
     reuse_distance_histogram,
     reuse_distances,
     simulate_cache,
     simulate_lru,
+    write_trace,
 )
 from repro.circuits import get_workload
 from repro.core import MemQSim, MemQSimConfig
 from repro.device import DeviceSpec
-from repro.telemetry import Telemetry
-from repro.telemetry import ChunkAccessRecorder
 
 
 def R(chunk, stage=0):
@@ -29,6 +29,36 @@ def W(chunk, stage=0):
 
 
 BARRIER = (1, -1, "b")
+
+
+class TestTraceFile:
+    def test_jsonl_roundtrip(self, tmp_path):
+        trace = [(0, 1, "r"), (1, -1, "b")]
+        path = tmp_path / "trace.jsonl"
+        assert write_trace(trace, path) == 2
+        assert path.read_text() == (
+            '{"stage": 0, "chunk": 1, "op": "r"}\n'
+            '{"stage": 1, "chunk": -1, "op": "b"}\n')
+        assert read_trace(path) == trace
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text('\n{"stage": 0, "chunk": 2, "op": "w"}\n\n')
+        assert read_trace(path) == [(0, 2, "w")]
+
+    @pytest.mark.parametrize("bad, why", [
+        ("{not json", "Expecting"),
+        ("[0, 1, \"r\"]", "expected an object, got list"),
+        ('{"stage": 0, "op": "r"}', "missing key 'chunk'"),
+        ('{"stage": 0, "chunk": 1, "op": "x"}', "unknown access op 'x'"),
+    ], ids=["not-json", "not-an-object", "missing-key", "unknown-op"])
+    def test_a_malformed_line_names_the_file_and_line(self, tmp_path, bad,
+                                                      why):
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"stage": 0, "chunk": 1, "op": "r"}\n' + bad + "\n")
+        with pytest.raises(ValueError, match=f"line 2: .*{why}") as exc:
+            read_trace(path)
+        assert str(exc.value).startswith(f"{path} line 2: ")
 
 
 class TestReuseDistances:
@@ -186,8 +216,6 @@ class TestAnalyzeTrace:
 class TestAgainstLiveCache:
     def test_simulated_lru_matches_live_cache(self):
         """The offline LRU replay must equal the live cache's miss count."""
-        tel = Telemetry()
-        tel.access = ChunkAccessRecorder()
         cfg = MemQSimConfig(
             chunk_qubits=3,
             compressor="zlib",
@@ -195,10 +223,10 @@ class TestAgainstLiveCache:
             cache_policy="lru",
             device=DeviceSpec(memory_bytes=int(0.002 * (1 << 20))),
         )
-        res = MemQSim(cfg, telemetry=tel).run(get_workload("qft", 8))
+        res = MemQSim(cfg).run(get_workload("qft", 8))
         stats = getattr(res.store, "cache_stats", None)
         assert stats is not None
-        trace = tel.access.trace()
+        trace = res.access_trace()
         assert len(trace) > 0
         hits, misses = simulate_lru(trace, 4)
         assert misses == stats.misses

@@ -12,6 +12,7 @@ from repro.circuits import (
     get_workload,
     ghz,
     grover,
+    haar_unitary,
     iqft,
     phase_estimation,
     qaoa_maxcut,
@@ -181,6 +182,18 @@ class TestRandomFamilies:
     def test_quantum_volume_normalized(self, sim):
         sv = sim.run(quantum_volume(4, depth=3, seed=5))
         assert sv.norm() == pytest.approx(1.0, abs=1e-10)
+
+    def test_haar_unitary_is_scipys_draw_bit_for_bit(self):
+        """The QR draw replaces ``scipy.stats.unitary_group``: from one
+        generator state it returns the same matrix, to the last bit, and
+        leaves the generator where scipy leaves it."""
+        unitary_group = pytest.importorskip("scipy.stats").unitary_group
+        ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(500):
+            u = haar_unitary(4, ours)
+            assert np.array_equal(u, unitary_group.rvs(4, random_state=theirs))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert np.allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
 
 
 class TestRegistry:

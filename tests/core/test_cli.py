@@ -221,3 +221,48 @@ class TestCommands:
         assert sum(row["passes"] for row in doc["kernel"]) == 31
         assert all(row["predicted_s"] > 0 and row["measured_s"] > 0
                    for row in doc["kernel"])
+
+
+class TestMemTraceFile:
+    ARGV = ["qft", "-n", "8", "--chunk-qubits", "4", "--device-mb", "0.002",
+            "--compressor", "zlib"]
+
+    def test_run_writes_the_schedule_and_memtrace_reads_it(self, tmp_path,
+                                                            capsys):
+        import json
+
+        from repro.analysis.memtrace import read_trace
+        from repro.analysis.audit import predict_access_schedule
+        from repro.circuits import qft
+        from repro.core import MemQSim, MemQSimConfig
+        from repro.device import DeviceSpec
+
+        path = tmp_path / "run.trace.jsonl"
+        assert main(["run"] + self.ARGV + ["--mem-trace-out", str(path)]) == 0
+        assert "access trace written" in capsys.readouterr().out
+        cfg = MemQSimConfig(chunk_qubits=4, compressor="zlib",
+                            device=DeviceSpec(memory_bytes=2097))
+        res = MemQSim(cfg).run(qft(8))
+        assert read_trace(path) == predict_access_schedule(
+            res.compiled_stages, res.store.layout, {0})
+        assert main(["memtrace", "qft", "--trace-in", str(path),
+                     "--json"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["accesses"] == len(read_trace(path))
+
+    @pytest.mark.parametrize("bad, why", [
+        ("{not json", "Expecting"),
+        ("7", "expected an object, got int"),
+        ('{"chunk": 1, "op": "r"}', "missing key 'stage'"),
+        ('{"stage": 0, "chunk": 1, "op": "q"}', "unknown access op 'q'"),
+    ], ids=["not-json", "not-an-object", "missing-key", "unknown-op"])
+    def test_a_malformed_trace_exits_naming_file_and_line(self, tmp_path,
+                                                          bad, why):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"stage": 0, "chunk": 1, "op": "r"}\n' + bad + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["memtrace", "qft", "--trace-in", str(path)])
+        msg = exc.value.code
+        assert isinstance(msg, str)  # argparse-style: printed, exit 1
+        assert msg.startswith(f"memtrace: {path} line 2: ")
+        assert why in msg

@@ -377,18 +377,14 @@ class TestLiveEqualsReplay:
         from repro.circuits import vqe_ansatz
         from repro.core import MemQSim, MemQSimConfig
         from repro.device import DeviceSpec
-        from repro.telemetry import ChunkAccessRecorder, Telemetry
 
         def run(policy, cap=8):
-            tel = Telemetry()
-            rec = ChunkAccessRecorder()
-            tel.access = rec
             cfg = MemQSimConfig(
                 chunk_qubits=4, cache_chunks=cap, cache_policy=policy,
                 device=DeviceSpec(memory_bytes=int(0.002 * (1 << 20))),
             )
-            res = MemQSim(cfg, telemetry=tel).run(vqe_ansatz(10, layers=2))
-            return res.store.cache_stats.misses, rec.trace()
+            res = MemQSim(cfg).run(vqe_ansatz(10, layers=2))
+            return res.store.cache_stats.misses, res.access_trace()
 
         return run
 

@@ -17,7 +17,7 @@ from repro.memory import (
     MemoryTracker,
     TieredChunkStore,
 )
-from repro.telemetry import ChunkAccessRecorder, Telemetry
+from repro.telemetry import Telemetry
 from repro.telemetry.live import render_prometheus
 
 
@@ -185,30 +185,9 @@ def led_cell(tel, stage, group, edge):
     return tel.traffic.by_group(stage).get(group, {}).get(edge, 0)
 
 
-class TestAccessRecorder:
-    def test_records_in_order(self):
-        rec = ChunkAccessRecorder()
-        rec.record(3, 0, "r")
-        rec.record(3, 0, "w")
-        rec.barrier(1)
-        rec.record(0, 2, "r")
-        assert rec.trace() == [(0, 3, "r"), (0, 3, "w"), (1, -1, "b"),
-                               (2, 0, "r")]
-        assert len(rec) == 4
-
-    def test_jsonl_roundtrip(self, tmp_path):
-        rec = ChunkAccessRecorder()
-        rec.record(1, 0, "r")
-        rec.barrier(1)
-        path = tmp_path / "trace.jsonl"
-        assert rec.write_jsonl(path) == 2
-        assert ChunkAccessRecorder.read_jsonl(path) == rec.trace()
-
-
 class TestTelemetryWiring:
     def test_enabled_telemetry_gets_live_ledger(self):
         tel = Telemetry()
-        assert tel.access is None  # the access trace is opt-in
         hops = Timeline()
         tel.tracer.attach(hops)
         hops.record(Stage.DISK_READ, 0, 0, nbytes=9)

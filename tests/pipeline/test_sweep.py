@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.audit import predict_access_schedule, predict_traffic
+from repro.analysis.audit import (executed_access_trace,
+                                  predict_access_schedule, predict_traffic)
 from repro.circuits import Circuit, qft
 from repro.core import MemQSim, MemQSimConfig, PlanCache
 from repro.device import DeviceSpec
@@ -36,7 +37,7 @@ from repro.pipeline import (
     predict_pass_schedule,
 )
 from repro.statevector import DenseSimulator, StateVector
-from repro.telemetry import ChunkAccessRecorder, Telemetry
+from repro.telemetry import Telemetry
 
 from ..serve.test_cancel import FireAtNthCheck
 from .test_planner import planning_cases
@@ -145,12 +146,13 @@ class TestInitialStatesLeaveTheirSupport:
                                       cfg.make_compressor())) == left
 
         tel = Telemetry()
-        tel.access = ChunkAccessRecorder()
         resumed = MemQSim(cfg, telemetry=tel).run(
             rest, checkpoint=str(tmp_path / "prefix.mqs"))
-        stages = resumed.compiled_stages
-        assert tel.access.trace() == predict_access_schedule(
-            stages, resumed.store.layout, left)
+        stages, layout = resumed.compiled_stages, resumed.store.layout
+        # what the loop ran (its spans) and what the result says it ran
+        assert executed_access_trace(stages, layout, tel.tracer.spans) \
+            == resumed.access_trace() \
+            == predict_access_schedule(stages, layout, left)
         assert resumed.scheduler_stats.group_passes_skipped > 0
         assert np.array_equal(resumed.statevector(),
                               MemQSim(cfg).run(whole).statevector())
@@ -247,7 +249,6 @@ class TestTheSkipIsInvisible:
             assert all(self.store.is_zero_chunk(k) for k in dropped)
 
         tel = Telemetry()
-        tel.access = ChunkAccessRecorder()
         plans = PlanCache()
         with mock.patch.object(StageScheduler, "_run_stage", checked):
             if start == "basis":  # through the ``initial_state=`` door
@@ -265,8 +266,10 @@ class TestTheSkipIsInvisible:
             cplan.stages, layout, support))
         swept = passes_of(predict_pass_schedule(  # no support: no skip
             cplan.stages, layout))
-        assert tel.access.trace() == predict_access_schedule(
-            cplan.stages, layout, support)
+        assert executed_access_trace(cplan.stages, layout,
+                                     tel.tracer.spans) \
+            == res.access_trace() \
+            == predict_access_schedule(cplan.stages, layout, support)
         assert stats.group_passes == res.plan.group_passes == len(executed)
         assert stats.group_passes_skipped == sum(dropped_total)
         assert len(executed) + stats.group_passes_skipped == len(swept) \

@@ -282,7 +282,6 @@ class TestCachedPlanDrivesHierarchy:
         from its own trace, and the state matches the uncached run."""
         from repro.analysis.memtrace import belady_misses
         from repro.device import DeviceSpec
-        from repro.telemetry import ChunkAccessRecorder
 
         cache = PlanCache()
         cfg = MemQSimConfig(
@@ -291,11 +290,8 @@ class TestCachedPlanDrivesHierarchy:
         circuit = qft(8)
         plain = MemQSim(cfg).run(circuit)
         MemQSim(cfg, plan_cache=cache).run(circuit)  # warm the plan cache
-        tel = Telemetry()
-        rec = ChunkAccessRecorder()
-        tel.access = rec
-        hot = MemQSim(cfg, plan_cache=cache, telemetry=tel).run(circuit)
+        hot = MemQSim(cfg, plan_cache=cache).run(circuit)
         assert cache.stats()["hits"] == 1
         misses = hot.store.cache_stats.misses  # before digest streams chunks
-        assert misses == belady_misses(rec.trace(), 6)
+        assert misses == belady_misses(hot.access_trace(), 6)
         assert hot.state_digest() == plain.state_digest()

@@ -16,11 +16,9 @@ from repro.statevector.kernels import (
     apply_circuit_gate,
     apply_diagonal,
     apply_gate,
-    apply_gate_list,
     apply_matrix_generic,
     apply_stored_diagonal,
     apply_swap,
-    fuse_1q_matrices,
     num_qubits_of,
     prepare_launch,
 )
@@ -208,16 +206,6 @@ class TestDispatch:
         with pytest.raises(ValueError):
             apply_gate(np.zeros(8, dtype=complex), gate_matrix("h"), (0,), num_qubits=4)
 
-    def test_apply_gate_list(self):
-        v = rand_state(3, 10)
-        gates = [(gate_matrix("h"), (0,)), (gate_matrix("cx"), (0, 1))]
-        want = v.copy()
-        for m, q in gates:
-            apply_gate(want, m, q)
-        got = v.copy()
-        apply_gate_list(got, gates)
-        assert np.allclose(got, want)
-
     def test_apply_circuit_gate_dispatches_diag(self):
         g = make_diagonal_gate((0, 1), np.array([1, -1, 1, -1], dtype=complex))
         v = rand_state(2, 11)
@@ -242,16 +230,6 @@ class TestDispatch:
             u = unitary_group.rvs(4, random_state=rng)
             apply_gate(v, u, (int(q[0]), int(q[1])))
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-10)
-
-
-class TestFusion:
-    def test_fuse_1q_matrices_order(self):
-        h, s = gate_matrix("h"), gate_matrix("s")
-        fused = fuse_1q_matrices([h, s])  # h first, then s
-        assert np.allclose(fused, s @ h)
-
-    def test_fuse_empty_is_identity(self):
-        assert np.allclose(fuse_1q_matrices([]), np.eye(2))
 
 
 # ---------------------------------------------------------------------------

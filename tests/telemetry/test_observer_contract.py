@@ -96,13 +96,13 @@ from unittest import mock
 import pytest
 
 import repro.core.memqsim as facade
-from repro.analysis.audit import predict_traffic
+from repro.analysis.audit import executed_access_trace, predict_traffic
 from repro.circuits import Circuit, get_workload
 from repro.core import MemQSim, MemQSimConfig
 from repro.device import DeviceSpec
 from repro.pipeline import plan_stages
 from repro.pipeline.sweep import predict_sweep
-from repro.telemetry import ChunkAccessRecorder, Telemetry
+from repro.telemetry import Telemetry
 
 PINNED = pathlib.Path(__file__).with_name("observer_contract.json")
 
@@ -157,7 +157,6 @@ def forward(circuit, layout, cap, *args, backward=False, **kwargs):
 def observe(shape):
     cfg, circuit = SHAPES[shape]
     tel = Telemetry()
-    tel.access = ChunkAccessRecorder()
     with mock.patch.object(facade, "plan_stages", forward):
         res = MemQSim(cfg, telemetry=tel).run(circuit)
     assert tel.bus.dropped == 0, "shape too large for the event ring"
@@ -166,7 +165,9 @@ def observe(shape):
     summed = Counter()
     for row in by_worker.values():
         summed.update(row)
-    trace = tel.access.trace()
+    trace = executed_access_trace(res.compiled_stages, res.store.layout,
+                                  tel.tracer.spans)
+    assert trace == res.access_trace()
     exported = tel.tracer.to_chrome_trace()["traceEvents"]
     return {
         "spans": dict(sorted(Counter(
@@ -270,7 +271,7 @@ def test_disabled_run_touches_no_sink(shape):
     """Off is the ``enabled`` guard and the null observer, nothing else:
     the run, its report and its JSON never reach for a sink."""
     tel = Telemetry.disabled()
-    for sink in ("tracer", "metrics", "bus", "traffic", "access", "progress",
+    for sink in ("tracer", "metrics", "bus", "traffic", "progress",
                  "monitor"):
         setattr(tel, sink, _Untouchable(sink))
     cfg, circuit = SHAPES[shape]

@@ -461,7 +461,7 @@ class TestOneObserverSeam:
         "NULL_TRAFFIC_LEDGER", "NULL_ACCESS_RECORDER", "NULL_CANCEL",
     )
     #: what the scheduler may not name: the sinks behind the seam
-    SINKS = (".progress.", ".traffic.", ".access.", ".monitor.", ".bus.",
+    SINKS = (".progress.", ".traffic.", ".monitor.", ".bus.",
              ".emit(", "stage_span", "telemetry")
 
     def test_at_most_one_null_twin(self):
@@ -705,6 +705,61 @@ class TestTheLayersCount:
                  for p in sorted((REPO / "src/repro" / pkg).glob("*.py"))]
         assert len(files) >= 12
         assert TestOneRecordPerHop.hop_hits(files) == []
+
+
+class TestTheTraceIsTheSchedule:
+    """A run's chunk access trace is its pass schedule, which the run fixes
+    before the loop starts and keeps (``MemQSimResult.access_trace()``);
+    the audit reads what the loop ran back from its spans. The live
+    recorder, the telemetry slot that held it and the observer's barrier
+    hook may not come back; the "Removed in" section of docs/api.md that
+    names this guard is the record of what went."""
+
+    GONE = ("ChunkAccessRecorder", "observer.barrier", "`barrier(stage)`",
+            "PassObserver.barrier", "tel.access", "telemetry.access",
+            "Telemetry.access")
+    #: a recorder attached to a telemetry, whatever the variable is called
+    ATTACH = re.compile(r"\.access\s*=(?!=)")
+
+    def hits(self, texts):
+        return [f"{where}: {name}" for where, text in texts.items()
+                for name in self.GONE
+                if re.search(r"(?<!\w)" + re.escape(name), text)] + \
+            [f"{where}: .access =" for where, text in texts.items()
+             if self.ATTACH.search(text)]
+
+    def test_deleted_names_stay_deleted(self):
+        api = (REPO / "docs/api.md").read_text()
+        start = api.rindex("\n### Removed in", 0, api.index(type(self).__name__))
+        end = api.find("\n## ", start)
+        head, listed, tail = api[:start], api[start:end], api[end:]
+        assert [name for name in ("ChunkAccessRecorder", "Telemetry.access",
+                                  "PassObserver.barrier")
+                if name not in listed] == []
+        texts = {"docs/api.md": head + tail}
+        files = [REPO / "README.md", REPO / "DESIGN.md"]
+        files += [p for p in sorted((REPO / "docs").glob("*.md"))
+                  if p.name != "api.md"]
+        files += sorted((REPO / "src").rglob("*.py"))
+        files += sorted((REPO / "benchmarks").rglob("*.py"))
+        texts.update({str(p.relative_to(REPO)): p.read_text() for p in files})
+        assert self.hits(texts) == []
+
+    def test_the_needles_catch_an_attach(self):
+        assert self.hits({"probe.py": "tel.access = Recorder()"})
+        assert self.hits({"probe.py": "t.access=rec"})
+        assert not self.hits({"probe.py": "if t.access == rec: pass"})
+
+    def test_the_observer_has_no_barrier_hook(self):
+        import inspect
+
+        from repro.telemetry import PassObserver, RunObserver, Telemetry
+
+        assert not hasattr(PassObserver, "barrier")
+        assert not hasattr(RunObserver, "barrier")
+        assert "access" not in Telemetry.__slots__
+        # one span and two calls per pass: nothing loops over its members
+        assert "for " not in inspect.getsource(RunObserver.group_pass)
 
 
 class TestOneLiveSurface:
