@@ -12,7 +12,6 @@ from repro.circuits import (
     get_workload,
     ghz,
     grover,
-    haar_unitary,
     iqft,
     phase_estimation,
     qaoa_maxcut,
@@ -23,6 +22,7 @@ from repro.circuits import (
     vqe_ansatz,
     w_state,
 )
+from repro.circuits.generators import haar_unitary
 from repro.statevector import DenseSimulator, sample_counts
 
 
