@@ -33,9 +33,10 @@ the lane hides shows up in the run's measured ``online_seconds``.
 
 Whoever watches a run — spans, the progress tracker, the event bus, the
 resource monitor — hangs off one :class:`~repro.telemetry.PassObserver`;
-the loop makes two calls on it per group pass and none per chunk. Which stage a row is of is the timeline's
-``stage_index``, which the loop sets where a pass or a permutation barrier
-starts and where a stage ends; the traffic ledger reads it off the rows.
+the loop makes two calls on it per group pass and none per chunk. Which
+stage a row is of is the timeline's ``stage_index``, which the loop sets
+where a pass or a permutation barrier starts and where a stage ends; the
+traffic ledger reads it off the rows.
 """
 
 from __future__ import annotations
